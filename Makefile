@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check check-race build vet test race serve-smoke subjects-smoke dist-smoke fastmon-smoke bench bench-reduction bench-serve bench-telemetry bench-generate bench-dist bench-fastmon fuzz clean
+.PHONY: check check-race build vet test race serve-smoke subjects-smoke dist-smoke fastmon-smoke sweeps bench bench-reduction bench-serve bench-telemetry bench-generate bench-dist bench-fastmon fuzz clean
 
 check: build vet test serve-smoke subjects-smoke dist-smoke fastmon-smoke fuzz
 
@@ -77,8 +77,16 @@ check-race:
 # benchmark (TestTelemetryOverheadBaseline in its quick mode): a
 # milliseconds-scale off-vs-on pair that proves the instrumentation
 # machinery and the observe-only contract on every tier-1 run.
-bench: bench-telemetry
+bench: bench-telemetry sweeps
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
+
+# The five RandomCheck sweeps over the whole class registry at the paper's
+# 3x3 size (about three minutes on two CPUs). Plain `go test ./...` runs them
+# on a fixed smoke subset of classes; LINEUP_BENCH_FULL=1 lifts that. The -run
+# filter matters: the same variable switches every Test*Baseline runner into
+# its multi-minute full mode.
+sweeps:
+	LINEUP_BENCH_FULL=1 $(GO) test -run 'TestRandomCheckFindsSeededBugs|TestRandomCheckCleanClassesPass|TestRelaxedBagRandomSweep|TestRandomCheckFindsIntentionalCauses|TestTelemetryObserveOnlyRandomCheck' -timeout=30m ./internal/bench
 
 # Regenerate the kind=="reduction" rows of BENCH_lineup.json: the full
 # full-vs-reduced sweep over every directed cause case (bounded plus

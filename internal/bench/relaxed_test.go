@@ -102,8 +102,9 @@ func TestRelaxedBagRandomSweep(t *testing.T) {
 		t.Fatal("bag not found")
 	}
 	opts := core.Options{PreemptionBound: entry.Bound}.Relax("Count()", "IsEmpty()", "ToArray()", "TryPeek()", "TryTake()")
+	rows, cols, _ := sweepDims(t, bag.Name)
 	sum, err := core.RandomCheck(bag, nil, core.RandomOptions{
-		Rows: 3, Cols: 3, Samples: 4, Seed: 11, Workers: runtime.NumCPU(), Options: opts,
+		Rows: rows, Cols: cols, Samples: 4, Seed: 11, Workers: runtime.NumCPU(), Options: opts,
 	})
 	if err != nil {
 		t.Fatalf("randomcheck: %v", err)

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"os"
 	"testing"
 
 	"lineup/internal/core"
@@ -109,7 +110,7 @@ func TestTelemetryObserveOnlyProperty(t *testing.T) {
 // TestTelemetryObserveOnlyRandomCheck extends the property to the Table-2
 // random sampling driver: a shared collector across a whole sample, with and
 // without test-level workers, must leave the summary untouched. Seed 3 is
-// picked so even the -short workload (2x3 matrices) samples a failing test
+// picked so even the quick workload (2x3 matrices) samples a failing test
 // and compares the regenerated first violation.
 func TestTelemetryObserveOnlyRandomCheck(t *testing.T) {
 	sub, _, ok := Find("SemaphoreSlim(Pre)")
@@ -117,9 +118,11 @@ func TestTelemetryObserveOnlyRandomCheck(t *testing.T) {
 		t.Fatal("SemaphoreSlim(Pre) not registered")
 	}
 	rows, samples := 3, 4
-	if testing.Short() {
-		// The full 3x3 sample takes minutes under the race detector; the 2x3
-		// short variant keeps `make race` quick while still failing a test.
+	if testing.Short() || os.Getenv("LINEUP_BENCH_FULL") != "1" {
+		// The full 3x3 sample takes minutes under the race detector and a
+		// quarter of a minute without; the 2x3 variant keeps `make race` and
+		// plain `go test` quick while still failing a test. `make sweeps`
+		// runs the full sample.
 		rows, samples = 2, 2
 	}
 	signature := func(sum *core.RandomSummary) string {

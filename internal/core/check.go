@@ -130,18 +130,63 @@ type Options struct {
 	Telemetry *telemetry.Collector
 }
 
-// schedConfig assembles the per-execution scheduler configuration the
-// options imply; every exploration core starts goes through it so that the
-// containment settings apply uniformly.
-func (o Options) schedConfig(serial, recordTrace bool) sched.Config {
-	return sched.Config{
-		Serial:        serial,
-		Granularity:   o.Granularity,
-		RecordTrace:   recordTrace,
-		Watchdog:      o.Watchdog,
-		DetectLeaks:   o.DetectLeaks,
-		TrackCoverage: o.Coverage != nil && !serial,
+// exploreConfig assembles the exploration configuration the options imply,
+// for phase 1 (serial: unbounded, unreduced, always strict about failures) or
+// phase 2. Every exploration core starts goes through it (sampling and
+// replay take its per-execution Config), so the containment settings, budget,
+// and telemetry apply uniformly.
+func (o Options) exploreConfig(serial, recordTrace bool) sched.ExploreConfig {
+	cfg := sched.ExploreConfig{
+		Config: sched.Config{
+			Serial:        serial,
+			Granularity:   o.Granularity,
+			RecordTrace:   recordTrace,
+			Watchdog:      o.Watchdog,
+			DetectLeaks:   o.DetectLeaks,
+			TrackCoverage: o.Coverage != nil && !serial,
+		},
+		PreemptionBound: sched.Unbounded,
+		MaxExecutions:   o.maxExecs(),
+		Telemetry:       o.Telemetry,
 	}
+	if !serial {
+		cfg.PreemptionBound = o.bound()
+		cfg.ContinueOnFailure = o.MaxFailures > 0
+		cfg.Reduction = o.Reduction
+	}
+	return cfg
+}
+
+// OptionsError reports an illegal combination of Options: Field names the
+// option that cannot be honored and Reason says why. Every phase-2 entry
+// point refuses such a combination before running any execution.
+type OptionsError struct {
+	Field  string
+	Reason string
+}
+
+func (e *OptionsError) Error() string {
+	return fmt.Sprintf("core: invalid options: %s: %s", e.Field, e.Reason)
+}
+
+// validate owns core's cross-option rules. haveSpec says whether a phase-1
+// specification is available to phase 2 (it is not under CheckWithMonitor);
+// dist says whether the check is split into work units.
+func (o Options) validate(haveSpec, dist bool) error {
+	usesModel := o.WitnessSearch.usesModel()
+	switch {
+	case o.Consistency != Linearizability && usesModel:
+		return &OptionsError{"Consistency", fmt.Sprintf("%s consistency requires the spec-lookup witness backend", o.Consistency)}
+	case o.Consistency != Linearizability && !haveSpec:
+		return &OptionsError{"Consistency", fmt.Sprintf("%s consistency requires a phase-1 specification", o.Consistency)}
+	case usesModel && o.MonitorModel == nil:
+		return &OptionsError{"MonitorModel", "the monitor witness backends require a model"}
+	case !usesModel && !haveSpec:
+		return &OptionsError{"WitnessSearch", "the spec-lookup witness backend requires a synthesized specification"}
+	case dist && o.SampleSchedules > 0:
+		return &OptionsError{"SampleSchedules", "schedule sampling cannot be distributed (units are DFS subtrees)"}
+	}
+	return nil
 }
 
 func (o Options) bound() int {
@@ -279,6 +324,10 @@ type Result struct {
 // and the explored schedules (Theorem 6 and the bounding caveat of
 // Section 4.3).
 func Check(sub *Subject, m *Test, opts Options) (*Result, error) {
+	// Refuse an illegal combination before paying for phase 1.
+	if err := opts.validate(true, false); err != nil {
+		return nil, err
+	}
 	spec, p1, err := SynthesizeSpec(sub, m, opts)
 	if err != nil {
 		return nil, err

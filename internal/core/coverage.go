@@ -12,11 +12,18 @@ import "sync"
 //     subject; a mutant that drives the subject through a new access kind on
 //     a location (say, the first contended CAS on a tail pointer) registers
 //     as new coverage.
-//   - history hashes: the 64-bit FNV-1a keys of the canonical phase-2
-//     history encoding (the same keys the dedup cache buckets by). A mutant
-//     whose schedules produce a call/return interleaving no earlier test
-//     produced registers as new coverage even when it touches no new
-//     location.
+//   - history hashes: the 64-bit FNV-1a hashes of the per-check interned
+//     phase-2 history keys (the buckets of the check's dedup cache). A key
+//     names operations and results by dense symbols interned in the order the
+//     check first meets them, so the hash identifies a history's shape — its
+//     call/return interleaving — up to a renaming of symbols that is
+//     consistent within the check; it is not a hash of a canonical history.
+//     Two tests that differ only in an argument or result value contribute
+//     the same hashes. A mutant whose schedules produce an interleaving
+//     shape no earlier test produced registers as new coverage even when it
+//     touches no new location. Generate's trajectory depends on exactly this
+//     equivalence (a finer key swamps the corpus with "new" histories), and
+//     TestCoverageHistoryShapeSignal pins it.
 //
 // Coverage is observe-only — it never feeds a verdict — and safe for
 // concurrent use (the parallel explorer merges outcomes from many workers).
@@ -46,7 +53,7 @@ func (c *Coverage) Pairs() int {
 	return len(c.pairs)
 }
 
-// Hists returns the number of distinct canonical phase-2 histories observed.
+// Hists returns the number of distinct phase-2 history shapes observed.
 func (c *Coverage) Hists() int {
 	if c == nil {
 		return 0
@@ -68,7 +75,7 @@ func (c *Coverage) addPairs(keys []uint64) {
 	c.mu.Unlock()
 }
 
-// addHists merges the canonical history hashes of a finished phase-2 cache.
+// addHists merges the history-shape hashes of a finished phase-2 cache.
 func (c *Coverage) addHists(cache *histCache) {
 	if c == nil || cache == nil {
 		return

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"lineup/internal/history"
@@ -14,9 +15,10 @@ import (
 // any process (re-synthesizing the deterministic phase-1 spec locally, so a
 // worker needs nothing but the subject, the test, the options, and the
 // unit), and MergeUnitReports folds the per-unit reports back into a Result.
-// The merge applies the same min-position precedence the in-process parallel
-// explorer uses — every history key and failure carries its position in the
-// sequential visit order as (unit seq, visit index) — so the merged verdict,
+// The merge folds the reports into the same accumulator every in-process path
+// feeds and resolves it by the same min-position precedence — every violating
+// key and every failure carries its sched.Pos, which orders executions of all
+// units exactly as the sequential DFS visits them — so the merged verdict,
 // phase statistics, first violation, and failure handling are bit-identical
 // to the sequential explorer with Options.ExhaustPhase2, no matter how units
 // were assigned, reassigned, or replayed. internal/dist builds the
@@ -41,10 +43,9 @@ type UnitKey struct {
 	// Count is the number of executions of this unit that collapsed to this
 	// history.
 	Count int `json:"count"`
-	// First is the visit index (within the unit, counting every execution
-	// including failed ones) of the history's first occurrence; (unit seq,
-	// First) is its position in the sequential visit order.
-	First int `json:"first"`
+	// First is the position of a violating history's first occurrence in
+	// the unit, comparable across units.
+	First sched.Pos `json:"first,omitempty"`
 	// Violating marks a history the witness decision rejected.
 	Violating bool `json:"violating,omitempty"`
 	// Schedule is the decision schedule of the first occurrence, recorded for
@@ -55,8 +56,8 @@ type UnitKey struct {
 
 // UnitFailure is one contained runtime failure observed inside a work unit.
 type UnitFailure struct {
-	// Visit is the failure's visit index within the unit.
-	Visit int `json:"visit"`
+	// Pos is the failed execution's position, comparable across units.
+	Pos sched.Pos `json:"pos"`
 	// Failure is the classified record (kind, message, replay schedule).
 	Failure RuntimeFailure `json:"failure"`
 }
@@ -103,29 +104,10 @@ type UnitPlan struct {
 // precedence can be reproduced) and goroutine-leak detection is forced off
 // (it is process-global, and units may run concurrently in one process).
 func distExploreConfig(opts Options) sched.ExploreConfig {
-	cfg := sched.ExploreConfig{
-		Config:            opts.schedConfig(false, false),
-		PreemptionBound:   opts.bound(),
-		MaxExecutions:     opts.maxExecs(),
-		ContinueOnFailure: true,
-		Reduction:         opts.Reduction,
-		Telemetry:         opts.Telemetry,
-	}
+	cfg := opts.exploreConfig(false, false)
+	cfg.ContinueOnFailure = true
 	cfg.DetectLeaks = false
 	return cfg
-}
-
-// validateDistOptions rejects option combinations phase2 would reject, so
-// both the coordinator (fail fast, before spawning workers) and the workers
-// (defense in depth) report them identically.
-func validateDistOptions(opts Options) error {
-	if opts.Consistency != Linearizability && opts.WitnessSearch != WitnessSpec {
-		return fmt.Errorf("core: %s consistency requires the spec-lookup witness backend", opts.Consistency)
-	}
-	if opts.SampleSchedules > 0 {
-		return errors.New("core: schedule sampling cannot be distributed (units are DFS subtrees)")
-	}
-	return nil
 }
 
 // canonicalHistKey encodes out's history into bytes that are a pure function
@@ -166,7 +148,7 @@ func canonicalHistKey(out *sched.Outcome, relaxed map[string]bool) ([]byte, erro
 // sched.DefaultShardDepth). If phase 1 exposes nondeterministic serial
 // behavior the plan carries the violation and no units.
 func PlanUnits(sub *Subject, m *Test, opts Options, depth int) (*UnitPlan, error) {
-	if err := validateDistOptions(opts); err != nil {
+	if err := opts.validate(true, true); err != nil {
 		return nil, err
 	}
 	spec, p1, err := SynthesizeSpec(sub, m, opts)
@@ -208,7 +190,7 @@ func CheckUnit(sub *Subject, m *Test, opts Options, u sched.WorkUnit, tick func(
 // CheckUnit does. Phase 1 is deterministic, so a faithfully transported spec
 // yields a byte-identical unit report.
 func CheckUnitWithSpec(sub *Subject, m *Test, opts Options, u sched.WorkUnit, spec *history.Spec, tick func() bool) (*UnitReport, error) {
-	if err := validateDistOptions(opts); err != nil {
+	if err := opts.validate(true, true); err != nil {
 		return nil, err
 	}
 	if spec == nil {
@@ -221,88 +203,89 @@ func CheckUnitWithSpec(sub *Subject, m *Test, opts Options, u sched.WorkUnit, sp
 	if _, bad := spec.Nondeterministic(); bad {
 		return nil, errors.New("core: phase 1 is nondeterministic; the check fails before any unit runs")
 	}
-	backend, err := opts.witnessBackend(spec)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Consistency != Linearizability && spec == nil {
-		return nil, fmt.Errorf("core: %s consistency requires a phase-1 specification", opts.Consistency)
-	}
-	d := &phase2Decider{
-		backend: backend, mode: modeGeneralized, m: m, relaxed: opts.relaxedSet(),
-		tel: opts.Telemetry, consistency: opts.Consistency, spec: spec,
-	}
-	cache := newHistCache()
-	defer flushCacheTelemetry(opts.Telemetry, cache)
-	rep := &UnitReport{Unit: u.Seq, Keys: []UnitKey{}}
-	slot := make(map[*histEntry]int) // cache entry -> index into rep.Keys
-	var visitErr error
-	n := 0
+	// A unit exhausts its subtree and keeps every failure: stopping at a
+	// violation and the failure budget are the merge's decisions.
+	acc := newPhase2Acc(opts.decider(spec, m, modeGeneralized), true, math.MaxInt)
+	acc.report = true
+	defer flushCacheTelemetry(opts.Telemetry, acc.cache)
+	aborted := false
 	var holder any
-	stats, exploreErr := sched.ExploreUnit(distExploreConfig(opts), program(sub, m, &holder), u, func(out *sched.Outcome, _ sched.Pos) bool {
-		idx := n
-		n++
+	stats, exploreErr := sched.ExploreUnit(distExploreConfig(opts), program(sub, m, &holder), u, func(out *sched.Outcome, p sched.Pos) bool {
 		if tick != nil && !tick() {
-			visitErr = ErrUnitAborted
+			aborted = true
 			return false
 		}
-		if out.FailureKind() != sched.FailNone {
-			rep.Failures = append(rep.Failures, UnitFailure{Visit: idx, Failure: classifyFailure(out)})
-			return true
-		}
-		en, isNew, herr := cache.lookup(out, d.relaxed)
-		if herr != nil {
-			visitErr = herr
-			return false
-		}
-		if !isNew {
-			rep.Keys[slot[en]].Count++
-			return true
-		}
-		ck, cerr := canonicalHistKey(out, d.relaxed)
-		if cerr != nil {
-			visitErr = cerr
-			return false
-		}
-		k := UnitKey{Key: ck, Stuck: en.stuck, Count: 1, First: idx}
-		h, herr := d.materialize(out)
-		if herr != nil {
-			visitErr = herr
-			return false
-		}
-		v, werr := d.witness(h)
-		if werr != nil {
-			visitErr = werr
-			return false
-		}
-		if v != nil {
-			k.Violating = true
-			k.Schedule = append([]sched.ThreadID(nil), out.Schedule...)
-		}
-		slot[en] = len(rep.Keys)
-		rep.Keys = append(rep.Keys, k)
-		return true
+		return acc.visit(out, p)
 	})
-	if visitErr != nil {
-		return nil, visitErr
+	if aborted {
+		return nil, ErrUnitAborted
 	}
 	if exploreErr != nil && exploreErr != sched.ErrBudget {
 		return nil, exploreErr
 	}
-	rep.Executions, rep.Decisions, rep.Pruned = stats.Executions, stats.Decisions, stats.Pruned
-	rep.Truncated = stats.Truncated
+	// Only a decision error is terminal here; it fails the unit.
+	if _, _, err := acc.resolve(); err != nil {
+		return nil, err
+	}
+	rep := &UnitReport{
+		Unit: u.Seq, Executions: stats.Executions, Decisions: stats.Decisions, Pruned: stats.Pruned,
+		Truncated: stats.Truncated, Keys: make([]UnitKey, len(acc.entries)),
+	}
+	// A lone DFS visits in position order, so entries and failures are
+	// already in the order a replay reproduces.
+	for i, en := range acc.entries {
+		rep.Keys[i] = UnitKey{Key: en.canon, Stuck: en.stuck, Count: en.count, First: en.first, Violating: en.violating, Schedule: en.schedule}
+	}
+	for _, pf := range acc.failures.sorted() {
+		rep.Failures = append(rep.Failures, UnitFailure{Pos: pf.pos, Failure: pf.f})
+	}
 	return rep, nil
 }
 
-// unitPos orders merged events by their position in the sequential visit
-// order: unit sequence number first, visit index within the unit second.
-type unitPos struct{ seq, visit int }
-
-func (p unitPos) before(q unitPos) bool {
-	if p.seq != q.seq {
-		return p.seq < q.seq
+// fold adds unit reports to the accumulator a single exhaustive check would
+// have filled — one entry per distinct history (canonical keys deduplicate
+// across units), a violating one at its minimal position, every failure at
+// its position — and returns their summed statistics and whether any unit ran
+// out of budget. Nil reports (units that never completed) are skipped.
+func (s *phase2Acc) fold(reports []*UnitReport) (stats PhaseStats, truncated bool, err error) {
+	byKey := make(map[string]*histEntry)
+	for _, r := range reports {
+		if r == nil {
+			continue
+		}
+		stats.Executions += r.Executions
+		stats.Decisions += r.Decisions
+		stats.Pruned += r.Pruned
+		truncated = truncated || r.Truncated
+		for _, k := range r.Keys {
+			en, ok := byKey[string(k.Key)]
+			if !ok {
+				en = &histEntry{stuck: k.Stuck, violating: k.Violating}
+				byKey[string(k.Key)] = en
+				s.entries = append(s.entries, en)
+			}
+			if en.stuck != k.Stuck || en.violating != k.Violating {
+				return stats, truncated, fmt.Errorf("core: unit %d disagrees with an earlier unit about a history key (corrupt or mismatched reports)", r.Unit)
+			}
+			if en.violating && (!ok || k.First.Before(en.first)) {
+				en.first, en.schedule = k.First, k.Schedule
+			}
+			en.count += k.Count
+		}
+		for _, f := range r.Failures {
+			s.failures.add(f.Pos, f.Failure)
+		}
 	}
-	return p.visit < q.visit
+	stats.Histories, stats.Stuck, stats.DedupHits = s.stats()
+	return stats, truncated, nil
+}
+
+// PartialStats merges the phase-2 statistics of whichever units completed —
+// executions, decisions, prunes, and cross-unit distinct-history accounting —
+// for a degraded result that cannot claim a verdict.
+func PartialStats(reports []*UnitReport) PhaseStats {
+	stats, _, _ := newPhase2Acc(nil, true, 0).fold(reports)
+	return stats
 }
 
 // MergeUnitReports folds one report per unit of plan back into a Result,
@@ -337,119 +320,56 @@ func MergeUnitReports(sub *Subject, m *Test, opts Options, plan *UnitPlan, repor
 			return nil, fmt.Errorf("core: merge reports do not cover every unit exactly once (slot %d)", i)
 		}
 	}
-	type mergedKey struct {
-		stuck     bool
-		violating bool
-		count     int
-		pos       unitPos
-		schedule  []sched.ThreadID
-	}
-	byKey := make(map[string]*mergedKey)
-	type posFailure struct {
-		pos unitPos
-		f   RuntimeFailure
-	}
-	var fails []posFailure
-	var stats PhaseStats
-	truncated := false
-	for _, r := range sorted {
-		stats.Executions += r.Executions
-		stats.Decisions += r.Decisions
-		stats.Pruned += r.Pruned
-		truncated = truncated || r.Truncated
-		for _, k := range r.Keys {
-			mk, ok := byKey[string(k.Key)]
-			if !ok {
-				// Units are visited in sequence order and keys within a unit in
-				// visit order, so the first sighting is the minimal position.
-				byKey[string(k.Key)] = &mergedKey{
-					stuck: k.Stuck, violating: k.Violating, count: k.Count,
-					pos: unitPos{r.Unit, k.First}, schedule: k.Schedule,
-				}
-				continue
-			}
-			if mk.stuck != k.Stuck || mk.violating != k.Violating {
-				return nil, fmt.Errorf("core: unit %d disagrees with an earlier unit about a history key (corrupt or mismatched reports)", r.Unit)
-			}
-			mk.count += k.Count
-		}
-		for _, f := range r.Failures {
-			fails = append(fails, posFailure{unitPos{r.Unit, f.Visit}, f.Failure})
-		}
+	acc := newPhase2Acc(opts.decider(plan.Spec, m, modeGeneralized), true, opts.MaxFailures)
+	stats, truncated, err := acc.fold(sorted)
+	if err != nil {
+		return nil, err
 	}
 	stats.Pruned += plan.Split.Pruned
-	distinct := 0
-	for _, mk := range byKey {
-		distinct++
-		if mk.stuck {
-			stats.Stuck++
-		} else {
-			stats.Histories++
-		}
-		stats.DedupHits += mk.count
-	}
-	stats.DedupHits -= distinct
 	res.Phase2 = stats
-	sort.Slice(fails, func(i, j int) bool { return fails[i].pos.before(fails[j].pos) })
 	if truncated {
 		return nil, sched.ErrBudget
 	}
-	if len(fails) > 0 && opts.MaxFailures == 0 {
-		// The sequential explorer aborts at the first failed execution with
-		// its error; regenerate that exact error by replaying the failure.
+	replay := func(what string, schedule []sched.ThreadID) (*sched.Outcome, error) {
 		var holder any
-		out, rerr := sched.ReplaySchedule(opts.schedConfig(false, false), program(sub, m, &holder), fails[0].f.Schedule)
-		if rerr != nil {
-			return nil, fmt.Errorf("core: replaying the first failure diverged: %w", rerr)
+		out, err := sched.ReplaySchedule(opts.exploreConfig(false, false).Config, program(sub, m, &holder), schedule)
+		if err != nil {
+			return nil, fmt.Errorf("core: replaying the first %s diverged: %w", what, err)
+		}
+		return out, nil
+	}
+	if fs := acc.failures.sorted(); len(fs) > 0 && opts.MaxFailures == 0 {
+		// Without containment the sequential explorer aborts at the first
+		// failed execution with its error; regenerate that exact error by
+		// replaying the failure.
+		out, err := replay("failure", fs[0].f.Schedule)
+		if err != nil {
+			return nil, err
 		}
 		if err := out.FailureError(); err != nil {
 			return nil, err
 		}
-		return nil, fmt.Errorf("core: replaying the first failure did not fail: %s", fails[0].f)
+		return nil, fmt.Errorf("core: replaying the first failure did not fail: %s", fs[0].f)
 	}
-	if opts.MaxFailures > 0 && len(fails) > opts.MaxFailures {
-		e := &TooManyFailuresError{Limit: opts.MaxFailures}
-		for i := 0; i < opts.MaxFailures; i++ {
-			e.Failures = append(e.Failures, fails[i].f)
-		}
-		return nil, e
+	first, failures, err := acc.resolve()
+	if err != nil {
+		return nil, err
 	}
-	for _, pf := range fails {
-		res.Failures = append(res.Failures, pf.f)
-	}
-	var vKey *mergedKey
-	for _, mk := range byKey {
-		if mk.violating && (vKey == nil || mk.pos.before(vKey.pos)) {
-			vKey = mk
-		}
-	}
-	if vKey != nil {
-		backend, err := opts.witnessBackend(plan.Spec)
+	res.Failures = failures
+	if first != nil {
+		out, err := replay("violation", first.schedule)
 		if err != nil {
 			return nil, err
 		}
-		d := &phase2Decider{
-			backend: backend, mode: modeGeneralized, m: m, relaxed: opts.relaxedSet(),
-			consistency: opts.Consistency, spec: plan.Spec,
+		acc.decide(first, out)
+		if first.err != nil {
+			return nil, first.err
 		}
-		var holder any
-		out, rerr := sched.ReplaySchedule(opts.schedConfig(false, false), program(sub, m, &holder), vKey.schedule)
-		if rerr != nil {
-			return nil, fmt.Errorf("core: replaying the first violation diverged: %w", rerr)
-		}
-		h, herr := d.materialize(out)
-		if herr != nil {
-			return nil, herr
-		}
-		v, werr := d.witness(h)
-		if werr != nil {
-			return nil, werr
-		}
-		if v == nil {
+		if first.v == nil {
 			return nil, errors.New("core: replayed violating history has a serial witness (corrupt or mismatched reports)")
 		}
 		res.Verdict = Fail
-		res.Violation = v
+		res.Violation = first.v
 	}
 	if opts.KeepSpec {
 		res.Spec = plan.Spec

@@ -15,13 +15,7 @@ import (
 // different order — and visit calls are serialized under an internal lock,
 // so existing single-threaded visitors stay correct.
 func ForEachExecution(sub *Subject, m *Test, opts Options, recordTrace bool, visit func(*sched.Outcome) bool) (sched.ExploreStats, error) {
-	cfg := sched.ExploreConfig{
-		Config:            opts.schedConfig(false, recordTrace),
-		PreemptionBound:   opts.bound(),
-		MaxExecutions:     opts.maxExecs(),
-		ContinueOnFailure: opts.MaxFailures > 0,
-		Reduction:         opts.Reduction,
-	}
+	cfg := opts.exploreConfig(false, recordTrace)
 	if opts.Workers > 1 {
 		var mu sync.Mutex
 		return sched.ExploreParallel(cfg, sched.ParallelConfig{
@@ -43,9 +37,5 @@ func ForEachExecution(sub *Subject, m *Test, opts Options, recordTrace bool, vis
 // ForEachSerialExecution is the serial-mode sibling of ForEachExecution.
 func ForEachSerialExecution(sub *Subject, m *Test, opts Options, recordTrace bool, visit func(*sched.Outcome) bool) (sched.ExploreStats, error) {
 	var holder any
-	return sched.Explore(sched.ExploreConfig{
-		Config:          opts.schedConfig(true, recordTrace),
-		PreemptionBound: sched.Unbounded,
-		MaxExecutions:   opts.maxExecs(),
-	}, program(sub, m, &holder), visit)
+	return sched.Explore(opts.exploreConfig(true, recordTrace), program(sub, m, &holder), visit)
 }

@@ -58,18 +58,16 @@ func (e *TooManyFailuresError) Error() string {
 }
 
 // posFailure pairs a failure with its position in sequential exploration
-// order (for the sequential explorer, the arrival index).
+// order.
 type posFailure struct {
 	pos sched.Pos
 	f   RuntimeFailure
 }
 
 // failureCollector accumulates contained failures across (possibly
-// concurrent) phase-2 visits. The sequential driver adds failures in
-// exploration order and add reports immediately when the budget is
-// exceeded; the parallel driver adds every failure it sees — a superset of
-// the sequential run's, bounded by early cancellation — and prunes to the
-// exact sequential set at resolve time (sortedBefore / overLimitPos).
+// concurrent) phase-2 visits. It records every failure it is handed — under
+// parallel exploration a superset of the sequential run's, bounded by early
+// cancellation — and phase2Acc.resolve prunes to the exact sequential set.
 type failureCollector struct {
 	max int
 	mu  sync.Mutex
@@ -80,37 +78,22 @@ func newFailureCollector(max int) *failureCollector {
 	return &failureCollector{max: max}
 }
 
-// add records a failure at position p and reports whether the collection is
-// still within budget (len <= max after recording).
-func (c *failureCollector) add(p sched.Pos, out *sched.Outcome) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.fs = append(c.fs, posFailure{pos: append(sched.Pos(nil), p...), f: classifyFailure(out)})
-	return len(c.fs) <= c.max
-}
-
-// addPos records a failure found by the parallel explorer at position p and
-// reports whether exploration should continue. It must NOT stop at the
-// (max+1)-th *arrival* — arrivals are timing-dependent, and cancelling there
-// can abandon failures that precede the true abort point in sequential
+// add records a failure at position p (copied) and reports whether
+// exploration should continue. It must NOT stop at the (max+1)-th *arrival* —
+// under parallel exploration arrivals are timing-dependent, and cancelling
+// there can abandon failures that precede the true abort point in sequential
 // order. Instead it stops only when p is at or past the (max+1)-th smallest
 // position known so far: that bound only shrinks toward the true sequential
 // abort point as failures arrive, so the cancellation position is always at
-// or after it, and the coordinator's before-the-cancel completeness
-// guarantee keeps every sequentially-earlier failure in the collection.
-func (c *failureCollector) addPos(p sched.Pos, out *sched.Outcome) bool {
+// or after it, and the explorer's before-the-cancel completeness guarantee
+// keeps every sequentially-earlier failure in the collection. A sequential
+// exploration adds in position order, where this is the (max+1)-th arrival.
+func (c *failureCollector) add(p sched.Pos, f RuntimeFailure) bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.fs = append(c.fs, posFailure{pos: append(sched.Pos(nil), p...), f: classifyFailure(out)})
-	if len(c.fs) <= c.max {
-		return true
-	}
-	positions := make([]sched.Pos, len(c.fs))
-	for i, pf := range c.fs {
-		positions[i] = pf.pos
-	}
-	sort.Slice(positions, func(i, j int) bool { return positions[i].Before(positions[j]) })
-	return p.Before(positions[c.max])
+	c.fs = append(c.fs, posFailure{pos: p.Clone(), f: f})
+	within := len(c.fs) <= c.max
+	c.mu.Unlock()
+	return within || p.Before(c.sorted()[c.max].pos)
 }
 
 func (c *failureCollector) sorted() []posFailure {
@@ -120,42 +103,3 @@ func (c *failureCollector) sorted() []posFailure {
 	sort.Slice(out, func(i, j int) bool { return out[i].pos.Before(out[j].pos) })
 	return out
 }
-
-// overLimitPos returns the position of the (max+1)-th failure in sequential
-// order — the exact point where the sequential explorer would abort with
-// TooManyFailuresError — or nil while the collection is within budget.
-func (c *failureCollector) overLimitPos() sched.Pos {
-	s := c.sorted()
-	if len(s) <= c.max {
-		return nil
-	}
-	return s[c.max].pos
-}
-
-// tooMany builds the abort error from the first max failures in sequential
-// order.
-func (c *failureCollector) tooMany() *TooManyFailuresError {
-	s := c.sorted()
-	e := &TooManyFailuresError{Limit: c.max}
-	for i := 0; i < len(s) && i < c.max; i++ {
-		e.Failures = append(e.Failures, s[i].f)
-	}
-	return e
-}
-
-// before returns the recorded failures strictly before stop (all of them
-// when stop is nil), in sequential order.
-func (c *failureCollector) before(stop sched.Pos) []RuntimeFailure {
-	var out []RuntimeFailure
-	for _, pf := range c.sorted() {
-		if stop != nil && !pf.pos.Before(stop) {
-			continue
-		}
-		out = append(out, pf.f)
-	}
-	return out
-}
-
-// seqPos wraps a sequential arrival index as a position comparable with
-// sched.Pos ordering.
-func seqPos(n int) sched.Pos { return sched.Pos{n} }

@@ -68,7 +68,7 @@ func FuzzMutate(f *testing.F) {
 		// executions must reproduce bit-identically from their recorded
 		// schedules.
 		var opts Options
-		cfg := opts.schedConfig(false, false)
+		cfg := opts.exploreConfig(false, false).Config
 		execs := 0
 		var holder any
 		_, err := sched.Explore(sched.ExploreConfig{

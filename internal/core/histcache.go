@@ -22,9 +22,9 @@ import (
 // 64-bit FNV-1a hash and always compared byte-exact — a hash collision can
 // never merge two distinct histories.
 //
-// histCache is not safe for concurrent use; the parallel phase-2 driver
+// histCache is not safe for concurrent use; the phase-2 accumulator
 // serializes lookups under its own lock and runs witness decisions outside
-// it (see phase2Par).
+// it (see phase2Acc).
 type histCache struct {
 	syms    map[string]uint32
 	buckets map[uint64][]*histEntry
@@ -33,16 +33,31 @@ type histCache struct {
 	entries int    // distinct histories interned
 }
 
-// histEntry is the memoized state of one distinct history.
+// histEntry is the memoized state of one distinct history: everything the
+// phase-2 accumulator knows about it.
 type histEntry struct {
 	key   []byte
 	stuck bool
-	// Witness memoization: v and err are the decision for this history. The
-	// sequential driver writes them inline; the parallel driver closes done
-	// once they are final so concurrent visitors of the same key can wait.
-	v    *Violation
-	err  error
-	done chan struct{}
+	// Witness memoization: violating, v and err are the decision for this
+	// history, written by the first visitor; done is non-nil while that
+	// decision is in flight and closed once it is final, so concurrent
+	// visitors of the same key can wait. A merged
+	// distributed entry is violating with v nil until the merge regenerates
+	// the violation by replay.
+	violating bool
+	v         *Violation
+	err       error
+	done      chan struct{}
+	// count is the number of executions that collapsed to this history;
+	// first, kept for violating histories only, is the minimal position at
+	// which one did — exactly where a sequential exploration first meets it.
+	first sched.Pos
+	count int
+	// canon and schedule are recorded for unit reports only: the
+	// process-independent name of the history (canonicalHistKey) and, for a
+	// violating one, the first occurrence's decision schedule.
+	canon    []byte
+	schedule []sched.ThreadID
 }
 
 func newHistCache() *histCache {

@@ -45,6 +45,12 @@ func (w WitnessSearch) String() string {
 	}
 }
 
+// usesModel reports whether the backend replays Options.MonitorModel (as
+// opposed to looking histories up in the phase-1 specification).
+func (w WitnessSearch) usesModel() bool {
+	return w == WitnessMonitor || w == WitnessFast
+}
+
 // ParseWitness parses a -witness flag value into a WitnessSearch.
 func ParseWitness(s string) (WitnessSearch, error) {
 	switch s {
@@ -68,28 +74,21 @@ type witnessBackend interface {
 	witnessStuck(h *history.History, e history.Op) (bool, error)
 }
 
-// witnessBackend resolves the backend selected by the options. spec may be
-// nil when the monitor backend is selected.
-func (o Options) witnessBackend(spec *history.Spec) (witnessBackend, error) {
-	if o.WitnessSearch == WitnessMonitor || o.WitnessSearch == WitnessFast {
-		if o.MonitorModel == nil {
-			return nil, errors.New("core: the monitor witness backends require Options.MonitorModel")
-		}
-		slow := monitorBackend{model: o.MonitorModel, tel: o.Telemetry}
-		if o.WitnessSearch == WitnessFast {
-			if kind, ok := fast.KindFor(o.MonitorModel.Name); ok {
-				return fastBackend{kind: kind, slow: slow, tel: o.Telemetry}, nil
-			}
-			// No specialized monitor for this model: every history would
-			// fall back, so use the general backend directly.
-			return slow, nil
-		}
-		return slow, nil
+// witnessBackend resolves the backend selected by the (validated) options.
+// spec may be nil when a monitor backend is selected.
+func (o Options) witnessBackend(spec *history.Spec) witnessBackend {
+	if !o.WitnessSearch.usesModel() {
+		return specBackend{spec: spec}
 	}
-	if spec == nil {
-		return nil, errors.New("core: the specification backend requires a synthesized spec")
+	slow := monitorBackend{model: o.MonitorModel, tel: o.Telemetry}
+	if o.WitnessSearch == WitnessFast {
+		// With no specialized monitor for this model every history would fall
+		// back, so the general backend is used directly.
+		if kind, ok := fast.KindFor(o.MonitorModel.Name); ok {
+			return fastBackend{kind: kind, slow: slow, tel: o.Telemetry}
+		}
 	}
-	return specBackend{spec: spec}, nil
+	return slow
 }
 
 // specBackend is the paper's backend: witness existence is a lookup in the
@@ -187,9 +186,6 @@ func (b fastBackend) witnessStuck(h *history.History, e history.Op) (bool, error
 // the specification. ClassicOnly selects the original Definition 1 treatment
 // of pending operations, as in CheckAgainstModel.
 func CheckWithMonitor(sub *Subject, model *monitor.Model, m *Test, opts RefOptions) (*Result, error) {
-	if model == nil {
-		return nil, errors.New("core: CheckWithMonitor requires a model")
-	}
 	opts.WitnessSearch = WitnessMonitor
 	opts.MonitorModel = model
 	mode := modeGeneralized

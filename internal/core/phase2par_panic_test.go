@@ -11,9 +11,9 @@ import (
 )
 
 // panicBackend is a witness backend that dies on every query, modeling a
-// buggy executable specification. The parallel phase-2 driver must convert
-// the panic into a per-entry error and still close the entry's done channel;
-// a waiter blocked on an entry whose decider died would otherwise hang its
+// buggy executable specification. The phase-2 accumulator must convert the
+// panic into a per-entry error and still close the entry's done channel; a
+// waiter blocked on an entry whose decider died would otherwise hang its
 // worker — and ExploreParallel's final join — forever.
 type panicBackend struct{}
 
@@ -39,8 +39,9 @@ func noopOp(name string) Op {
 // histEntry.done liveness bug: a deciding worker that panicked between
 // creating the channel and closing it left every concurrent visitor of the
 // same history key blocked forever. Run under -race, the test drives the
-// parallel phase-2 driver with a panicking backend and requires a prompt,
-// structured error instead of a hang.
+// phase-2 accumulator with a panicking backend — from the lone DFS and from
+// four parallel workers — and requires a prompt, structured error instead of
+// a hang or a crash.
 func TestParallelWitnessPanicDoesNotHangWaiters(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	sub := &Subject{
@@ -51,36 +52,36 @@ func TestParallelWitnessPanicDoesNotHangWaiters(t *testing.T) {
 		{noopOp("A"), noopOp("B")},
 		{noopOp("C"), noopOp("D")},
 	}}
-	d := &phase2Decider{backend: panicBackend{}, mode: modeGeneralized, m: m}
-	par := &phase2Par{
-		d:        d,
-		failures: newFailureCollector(0),
-		cache:    newHistCache(),
-		firstPos: make(map[*histEntry]sched.Pos),
+	newProg := func() sched.Program {
+		var holder any
+		return program(sub, m, &holder)
 	}
-	errCh := make(chan error, 1)
-	go func() {
-		_, exploreErr := sched.ExploreParallel(sched.ExploreConfig{
-			PreemptionBound: 2,
-			MaxExecutions:   200000,
-		}, sched.ParallelConfig{Workers: 4}, func() sched.Program {
-			var holder any
-			return program(sub, m, &holder)
-		}, par.visit)
-		if exploreErr != nil && exploreErr != sched.ErrBudget {
-			errCh <- exploreErr
-			return
+	cfg := sched.ExploreConfig{PreemptionBound: 2, MaxExecutions: 200000}
+	for _, workers := range []int{1, 4} {
+		acc := newPhase2Acc(&phase2Decider{backend: panicBackend{}, mode: modeGeneralized, m: m}, false, 0)
+		errCh := make(chan error, 1)
+		go func() {
+			var exploreErr error
+			if workers > 1 {
+				_, exploreErr = sched.ExploreParallel(cfg, sched.ParallelConfig{Workers: workers}, newProg, acc.visit)
+			} else {
+				_, exploreErr = sched.ExploreUnit(cfg, newProg(), sched.WorkUnit{}, acc.visit)
+			}
+			if exploreErr != nil && exploreErr != sched.ErrBudget {
+				errCh <- exploreErr
+				return
+			}
+			_, _, verr := acc.resolve()
+			errCh <- verr
+		}()
+		select {
+		case err := <-errCh:
+			if err == nil || !strings.Contains(err.Error(), "witness decision panicked") {
+				t.Fatalf("workers=%d: want a witness-panic error, got %v", workers, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("workers=%d: phase 2 hung after a panicking witness decision", workers)
 		}
-		_, _, verr := par.resolve()
-		errCh <- verr
-	}()
-	select {
-	case err := <-errCh:
-		if err == nil || !strings.Contains(err.Error(), "witness decision panicked") {
-			t.Fatalf("want a witness-panic error, got %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("parallel phase 2 hung after a panicking witness decision")
 	}
 }
 

@@ -104,55 +104,42 @@ func OutcomeHistory(out *sched.Outcome) (*history.History, error) {
 func ExploreHistories(sub *Subject, m *Test, opts Options, visit func(*history.History) bool) error {
 	var holder any
 	var err error
-	cache := newHistCache()
-	relaxed := opts.relaxedSet()
-	_, exploreErr := sched.Explore(sched.ExploreConfig{
-		Config:          sched.Config{Granularity: opts.Granularity},
-		PreemptionBound: opts.bound(),
-		MaxExecutions:   opts.maxExecs(),
-		Reduction:       opts.Reduction,
-	}, program(sub, m, &holder), func(out *sched.Outcome) bool {
-		_, isNew, herr := cache.lookup(out, relaxed)
-		if herr != nil {
-			err = herr
-			return false
-		}
-		if !isNew {
-			return true
-		}
-		h, herr := toHistory(out)
-		if herr != nil {
-			err = herr
-			return false
-		}
-		normalizeRelaxed(h, relaxed)
-		return visit(h)
-	})
+	// There is nowhere to report a contained failure, so the first one aborts
+	// whatever Options.MaxFailures says.
+	cfg := opts.exploreConfig(false, false)
+	cfg.ContinueOnFailure = false
+	_, exploreErr := sched.Explore(cfg, program(sub, m, &holder), newHistories(newHistCache(), opts.relaxedSet(), &err, visit))
 	if err != nil {
 		return err
 	}
 	return exploreErr
 }
 
-// historyKey canonicalizes a history's event sequence for deduplication:
-// phase 2 explores many schedules that produce identical call/return
-// interleavings, which need to be checked only once.
-func historyKey(h *history.History) string {
-	buf := make([]byte, 0, len(h.Events)*12)
-	for _, e := range h.Events {
-		buf = append(buf, byte('0'+e.Thread))
-		if e.Kind == history.Call {
-			buf = append(buf, '[')
-		} else {
-			buf = append(buf, ']')
+// materialize builds the normalized history of an outcome.
+func materialize(out *sched.Outcome, relaxed map[string]bool) (*history.History, error) {
+	h, err := toHistory(out)
+	if err != nil {
+		return nil, err
+	}
+	normalizeRelaxed(h, relaxed)
+	return h, nil
+}
+
+// newHistories adapts a history visitor to an outcome visitor that hands it
+// every distinct history once, deduplicated through cache. A conversion error
+// lands in *errp and stops the exploration.
+func newHistories(cache *histCache, relaxed map[string]bool, errp *error, visit func(*history.History) bool) func(*sched.Outcome) bool {
+	return func(out *sched.Outcome) bool {
+		_, isNew, err := cache.lookup(out, relaxed)
+		if err == nil && isNew {
+			var h *history.History
+			if h, err = materialize(out, relaxed); err == nil {
+				return visit(h)
+			}
 		}
-		buf = append(buf, e.Op...)
-		buf = append(buf, '=')
-		buf = append(buf, e.Result...)
-		buf = append(buf, ';')
+		if err != nil {
+			*errp = err
+		}
+		return err == nil
 	}
-	if h.Stuck {
-		buf = append(buf, '#')
-	}
-	return string(buf)
 }

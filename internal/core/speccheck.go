@@ -35,33 +35,14 @@ func SynthesizeSpec(sub *Subject, m *Test, opts Options) (*history.Spec, PhaseSt
 	defer endSpan()
 	cache := newHistCache()
 	defer flushCacheTelemetry(opts.Telemetry, cache)
-	relaxed := opts.relaxedSet()
 	// Phase 1 arms the containment config (watchdog, leak detection) but
 	// stays strict: serial executions run deterministic subject code, so a
 	// failure here is not schedule-dependent and aborts the check.
-	stats, exploreErr := sched.Explore(sched.ExploreConfig{
-		Config:          opts.schedConfig(true, false),
-		PreemptionBound: sched.Unbounded,
-		MaxExecutions:   opts.maxExecs(),
-		Telemetry:       opts.Telemetry,
-	}, program(sub, m, &holder), func(out *sched.Outcome) bool {
-		_, isNew, herr := cache.lookup(out, relaxed)
-		if herr != nil {
-			err = herr
-			return false
-		}
-		if !isNew {
+	stats, exploreErr := sched.Explore(opts.exploreConfig(true, false), program(sub, m, &holder),
+		newHistories(cache, opts.relaxedSet(), &err, func(h *history.History) bool {
+			spec.Add(history.ToSerial(h))
 			return true
-		}
-		h, herr := toHistory(out)
-		if herr != nil {
-			err = herr
-			return false
-		}
-		normalizeRelaxed(h, relaxed)
-		spec.Add(history.ToSerial(h))
-		return true
-	})
+		}))
 	ps := PhaseStats{
 		Executions: stats.Executions,
 		Decisions:  stats.Decisions,
@@ -91,11 +72,10 @@ const (
 	modeClassic
 )
 
-// phase2Decider is the per-history decision procedure shared by the
-// sequential and parallel phase-2 drivers: deduplication happens on the
-// canonical encoded key (histCache) without materializing a history; only
-// the first occurrence of a key pays for history construction and witness
-// search.
+// phase2Decider is the per-history decision procedure of phase 2:
+// deduplication happens on the interned encoded key (histCache) without
+// materializing a history; only the first occurrence of a key pays for
+// history construction and witness search.
 type phase2Decider struct {
 	backend witnessBackend
 	mode    witnessMode
@@ -104,23 +84,20 @@ type phase2Decider struct {
 	tel     *telemetry.Collector
 	// consistency selects the full-history criterion; the relaxed criteria
 	// (sequential, quiescent) search the phase-1 spec directly, so spec is
-	// non-nil whenever consistency is not Linearizability (validated by
-	// phase2). Stuck histories always go through the strict backend.
+	// non-nil whenever consistency is not Linearizability (Options.validate).
+	// Stuck histories always go through the strict backend.
 	consistency Consistency
 	spec        *history.Spec
 	// cov, when non-nil, receives every visited outcome's footprint pairs.
 	cov *Coverage
 }
 
-// materialize builds the normalized history of a not-yet-seen outcome for
-// the witness decision.
-func (d *phase2Decider) materialize(out *sched.Outcome) (*history.History, error) {
-	h, err := toHistory(out)
-	if err != nil {
-		return nil, err
+// decider assembles the decision procedure the (validated) options select.
+func (o Options) decider(spec *history.Spec, m *Test, mode witnessMode) *phase2Decider {
+	return &phase2Decider{
+		backend: o.witnessBackend(spec), mode: mode, m: m, relaxed: o.relaxedSet(), tel: o.Telemetry,
+		consistency: o.Consistency, spec: spec,
 	}
-	normalizeRelaxed(h, d.relaxed)
-	return h, nil
 }
 
 // witness decides witness existence for one not-yet-seen history, returning
@@ -173,84 +150,27 @@ func (d *phase2Decider) witness(h *history.History) (*Violation, error) {
 	return nil, nil
 }
 
-// phase2Seq accumulates the sequential (and sampling) phase-2 state.
-type phase2Seq struct {
-	d         *phase2Decider
-	exhaust   bool
-	cache     *histCache
-	failures  *failureCollector
-	n         int // arrival index, the sequential position of the next visit
-	full      int
-	stuck     int
-	violation *Violation
-	err       error
-}
-
-func (s *phase2Seq) visit(out *sched.Outcome) bool {
-	p := seqPos(s.n)
-	s.n++
-	if out.FailureKind() != sched.FailNone {
-		// Only reachable with Options.MaxFailures > 0 (the explorer aborts
-		// before visiting otherwise): contain, classify, keep exploring.
-		if !s.failures.add(p, out) {
-			s.err = s.failures.tooMany()
-			return false
-		}
-		return true
-	}
-	s.d.cov.addPairs(out.Coverage)
-	en, isNew, herr := s.cache.lookup(out, s.d.relaxed)
-	if herr != nil {
-		s.err = herr
-		return false
-	}
-	if !isNew {
-		// Memoized: the first occurrence already decided this history (a
-		// violating key with ExhaustPhase2 keeps exploring, exactly as the
-		// first occurrence did), so a repeat never changes the verdict.
-		return true
-	}
-	if en.stuck {
-		s.stuck++
-	} else {
-		s.full++
-	}
-	h, herr := s.d.materialize(out)
-	if herr != nil {
-		s.err = herr
-		return false
-	}
-	en.v, en.err = s.d.witness(h)
-	if en.err != nil {
-		s.err = en.err
-		return false
-	}
-	if en.v != nil {
-		if s.violation == nil {
-			s.violation = en.v
-		}
-		return s.exhaust
-	}
-	return true
-}
-
-// phase2Par accumulates the parallel phase-2 state. Deduplication is shared
-// across workers: the first visitor of a key decides it (all others wait for
-// that decision), and every occurrence records its position, so the minimal
-// position of each key — which is exactly the point where the sequential
-// explorer would first meet it — is known at the end. resolve then replays
-// the sequential precedence over those positions, which makes the verdict
-// and the reported violation identical for every worker count.
-type phase2Par struct {
+// phase2Acc accumulates the phase-2 state of every exploration path: the
+// sequential DFS, the parallel explorer, schedule sampling (position =
+// arrival index), one work unit (CheckUnit), and the merge of unit reports.
+// Deduplication is shared across workers: the first visitor of a key decides
+// it (all others wait for that decision), and every occurrence of a
+// violating key, every decision error and every contained failure records
+// its position, so the minimal position of each — exactly the point where a
+// sequential exploration first meets it — is known at the end. resolve then
+// replays the sequential precedence over those positions, which makes the
+// verdict and the reported violation identical on every path.
+type phase2Acc struct {
 	d        *phase2Decider
 	exhaust  bool
 	failures *failureCollector
-	mu       sync.Mutex
-	cache    *histCache
-	firstPos map[*histEntry]sched.Pos
-	full     int
-	stuck    int
-	errs     []posError
+	// report additionally records, per history, what a UnitReport carries
+	// across processes (histEntry.canon and schedule).
+	report  bool
+	mu      sync.Mutex
+	cache   *histCache
+	entries []*histEntry
+	errs    []posError
 }
 
 type posError struct {
@@ -258,34 +178,37 @@ type posError struct {
 	err error
 }
 
-func (s *phase2Par) visit(out *sched.Outcome, p sched.Pos) bool {
+func newPhase2Acc(d *phase2Decider, exhaust bool, maxFailures int) *phase2Acc {
+	return &phase2Acc{d: d, exhaust: exhaust, failures: newFailureCollector(maxFailures), cache: newHistCache()}
+}
+
+// visit is the one per-execution step of phase 2. p may alias the explorer's
+// buffer; everything retained is copied.
+func (s *phase2Acc) visit(out *sched.Outcome, p sched.Pos) bool {
 	if out.FailureKind() != sched.FailNone {
-		// Contained failure: record it with its sequential position. Once
-		// the budget is exceeded at this position, returning false triggers
-		// the explorer's deterministic early cancellation; addPos only stops
-		// at or after the true sequential abort point, and every execution
-		// before the cancellation position still completes, so resolve sees
-		// the full sequential prefix of failures and prunes exactly.
-		return s.failures.addPos(p, out)
+		// Only reachable when the explorer contains failures (the explorer
+		// aborts before visiting otherwise): classify and record with the
+		// sequential position. Once the budget is exceeded at this position,
+		// returning false triggers the explorer's deterministic early
+		// cancellation; every execution before the cancellation position
+		// still completes, so resolve sees the full sequential prefix of
+		// failures and prunes exactly.
+		return s.failures.add(p, classifyFailure(out))
 	}
 	s.d.cov.addPairs(out.Coverage)
 	s.mu.Lock()
 	en, isNew, herr := s.cache.lookup(out, s.d.relaxed)
 	if herr != nil {
-		s.errs = append(s.errs, posError{p, herr})
+		s.errs = append(s.errs, posError{p.Clone(), herr})
 		s.mu.Unlock()
 		return false
 	}
-	if q, ok := s.firstPos[en]; !ok || p.Before(q) {
-		s.firstPos[en] = p
-	}
+	en.count++
+	done := en.done
 	if isNew {
-		en.done = make(chan struct{})
-		if en.stuck {
-			s.stuck++
-		} else {
-			s.full++
-		}
+		done = make(chan struct{})
+		en.done = done
+		s.entries = append(s.entries, en)
 		s.mu.Unlock()
 		// Decide outside the lock: witness search is the expensive part. The
 		// done channel must close on EVERY path out of the decision — a waiter
@@ -295,82 +218,143 @@ func (s *phase2Par) visit(out *sched.Outcome, p sched.Pos) bool {
 		// the entry's error, which every occurrence then reports at its own
 		// position.
 		func() {
-			defer close(en.done)
+			defer close(done)
 			defer func() {
 				if r := recover(); r != nil {
-					en.v, en.err = nil, fmt.Errorf("core: witness decision panicked: %v", r)
+					en.violating, en.v, en.err = false, nil, fmt.Errorf("core: witness decision panicked: %v", r)
 				}
 			}()
-			h, herr := s.d.materialize(out)
-			if herr != nil {
-				en.err = herr
-			} else {
-				en.v, en.err = s.d.witness(h)
-			}
+			s.decide(en, out)
 		}()
+		// Decided: later visitors need not wait, and the channel can go.
+		s.mu.Lock()
+		en.done = nil
+		s.mu.Unlock()
 	} else {
 		s.mu.Unlock()
-		// Wait for the deciding worker so that this occurrence reacts to the
-		// decision exactly as the sequential explorer would at its position —
-		// in particular a repeated occurrence of a failing key must stop
-		// exploration here, or early cancellation could miss the sequentially
-		// first stopping point.
-		<-en.done
+		if done != nil {
+			// Wait for the deciding worker so that this occurrence reacts to
+			// the decision exactly as a sequential exploration would at its
+			// position — in particular a repeated occurrence of a failing key
+			// must stop exploration here, or early cancellation could miss
+			// the sequentially first stopping point.
+			<-done
+		}
 	}
 	if en.err != nil {
 		s.mu.Lock()
-		s.errs = append(s.errs, posError{p, en.err})
+		s.errs = append(s.errs, posError{p.Clone(), en.err})
 		s.mu.Unlock()
 		return false
 	}
-	if en.v != nil {
-		return s.exhaust
+	if !en.violating {
+		return true
 	}
-	return true
+	// Every occurrence of a violating key records its position, so the
+	// minimal one — exactly where a sequential exploration first meets the
+	// key — is known at the end, and every occurrence reacts alike: stop
+	// here unless exhausting.
+	s.mu.Lock()
+	if en.first == nil || p.Before(en.first) {
+		en.first = p.Clone()
+	}
+	s.mu.Unlock()
+	return s.exhaust
 }
 
-// resolve returns the sequentially-first terminal event — the violation
-// whose key was first met earliest, a decision error at an even earlier
-// position, or a failure-budget overflow whose (MaxFailures+1)-th failure
-// precedes both — together with the contained failures the sequential
-// explorer would have recorded before stopping. Distinct executions have
-// distinct positions, so the precedence is total.
-func (s *phase2Par) resolve() (*Violation, []RuntimeFailure, error) {
-	s.mu.Lock()
-	var vPos sched.Pos
-	var v *Violation
-	for _, bucket := range s.cache.buckets {
-		for _, en := range bucket {
-			if en.v == nil {
-				continue
-			}
-			if p := s.firstPos[en]; vPos == nil || p.Before(vPos) {
-				vPos, v = p, en.v
-			}
+// decide settles a new entry from its first occurrence.
+func (s *phase2Acc) decide(en *histEntry, out *sched.Outcome) {
+	h, err := materialize(out, s.d.relaxed)
+	if err == nil {
+		en.v, err = s.d.witness(h)
+	}
+	if err == nil && s.report {
+		en.canon, err = canonicalHistKey(out, s.d.relaxed)
+		if en.v != nil {
+			en.schedule = append([]sched.ThreadID(nil), out.Schedule...)
 		}
 	}
-	var ePos sched.Pos
-	var err error
-	for _, pe := range s.errs {
-		if ePos == nil || pe.pos.Before(ePos) {
-			ePos, err = pe.pos, pe.err
+	en.violating, en.err = en.v != nil, err
+}
+
+// resolve returns the sequentially-first terminal event — a decision error,
+// a failure-budget overflow (the (MaxFailures+1)-th failure), or, unless
+// exhausting, the violating history first met earliest — together with the
+// contained failures a sequential exploration would have recorded before
+// stopping there. Distinct executions have distinct positions, so the
+// precedence is total. With nothing terminal it returns the earliest
+// violating entry (nil on a pass) and every failure.
+func (s *phase2Acc) resolve() (*histEntry, []RuntimeFailure, error) {
+	const (
+		none = iota
+		decisionError
+		overflow
+		violation
+	)
+	kind, at := none, sched.Pos(nil)
+	consider := func(k int, p sched.Pos) {
+		if kind == none || p.Before(at) {
+			kind, at = k, p
+		}
+	}
+	s.mu.Lock()
+	var first *histEntry
+	for _, en := range s.entries {
+		if en.violating && (first == nil || en.first.Before(first.first)) {
+			first = en
+		}
+	}
+	var firstErr *posError
+	for i := range s.errs {
+		if pe := &s.errs[i]; firstErr == nil || pe.pos.Before(firstErr.pos) {
+			firstErr = pe
 		}
 	}
 	s.mu.Unlock()
-	tmPos := s.failures.overLimitPos()
-	if err != nil && (vPos == nil || ePos.Before(vPos)) && (tmPos == nil || ePos.Before(tmPos)) {
-		return nil, nil, err
+	if firstErr != nil {
+		consider(decisionError, firstErr.pos)
 	}
-	if tmPos != nil && (vPos == nil || tmPos.Before(vPos)) {
-		return nil, nil, s.failures.tooMany()
+	fs, max := s.failures.sorted(), s.failures.max
+	if len(fs) > max {
+		consider(overflow, fs[max].pos)
 	}
-	if v != nil && !s.exhaust {
-		// The sequential explorer stops at the violation; failures it had
-		// not reached by then are pruned (in-flight parallel work may have
-		// visited positions past the stop).
-		return v, s.failures.before(vPos), nil
+	if first != nil && !s.exhaust {
+		consider(violation, first.first)
 	}
-	return v, s.failures.before(nil), nil
+	switch kind {
+	case decisionError:
+		return nil, nil, firstErr.err
+	case overflow:
+		e := &TooManyFailuresError{Limit: max}
+		for _, pf := range fs[:max] {
+			e.Failures = append(e.Failures, pf.f)
+		}
+		return nil, nil, e
+	}
+	var contained []RuntimeFailure
+	for _, pf := range fs {
+		// Failures past a stopping violation were never reached sequentially
+		// (in-flight parallel work may have visited them) and are pruned.
+		if kind == violation && !pf.pos.Before(at) {
+			break
+		}
+		contained = append(contained, pf.f)
+	}
+	return first, contained, nil
+}
+
+// stats is the history accounting of the phase: distinct full and stuck
+// histories, and the executions answered by an already-decided entry.
+func (s *phase2Acc) stats() (full, stuck, dedupHits int) {
+	for _, en := range s.entries {
+		if en.stuck {
+			stuck++
+		} else {
+			full++
+		}
+		dedupHits += en.count - 1
+	}
+	return full, stuck, dedupHits
 }
 
 // phase2 enumerates the concurrent executions of sub on m and checks every
@@ -379,14 +363,14 @@ func (s *phase2Par) resolve() (*Violation, []RuntimeFailure, error) {
 // (spec-set lookup by default, model replay under WitnessMonitor). It is the
 // shared engine behind Check, CheckAgainstModel, CheckAgainstSpec, and
 // CheckWithMonitor; spec may be nil when the monitor backend is selected.
-// Options.Workers > 1 selects the prefix-sharded parallel explorer with the
-// same verdict and violation as the sequential DFS.
+// Sequential DFS, Options.Workers > 1 and Options.SampleSchedules differ only
+// in which explorer feeds the accumulator; verdict and violation are the
+// sequential DFS's for every worker count.
 func phase2(sub *Subject, m *Test, spec *history.Spec, opts Options, mode witnessMode) (*Result, error) {
-	res := &Result{Subject: sub, Test: m, Verdict: Pass}
-	backend, berr := opts.witnessBackend(spec)
-	if berr != nil {
-		return nil, berr
+	if err := opts.validate(spec != nil, false); err != nil {
+		return nil, err
 	}
+	res := &Result{Subject: sub, Test: m, Verdict: Pass}
 	if spec != nil {
 		if opts.KeepSpec {
 			res.Spec = spec
@@ -397,123 +381,66 @@ func phase2(sub *Subject, m *Test, spec *history.Spec, opts Options, mode witnes
 			return res, nil
 		}
 	}
-	if opts.Consistency != Linearizability {
-		if opts.WitnessSearch != WitnessSpec {
-			return nil, fmt.Errorf("core: %s consistency requires the spec-lookup witness backend", opts.Consistency)
-		}
-		if spec == nil {
-			return nil, fmt.Errorf("core: %s consistency requires a phase-1 specification", opts.Consistency)
-		}
-	}
-	d := &phase2Decider{
-		backend: backend, mode: mode, m: m, relaxed: opts.relaxedSet(), tel: opts.Telemetry,
-		consistency: opts.Consistency, spec: spec, cov: opts.Coverage,
-	}
-	contain := opts.MaxFailures > 0
+	acc := newPhase2Acc(opts.decider(spec, m, mode), opts.ExhaustPhase2, opts.MaxFailures)
+	acc.d.cov = opts.Coverage
 	start := time.Now()
 	endSpan := opts.Telemetry.StartSpan("phase2")
 	defer endSpan()
+	defer flushCacheTelemetry(opts.Telemetry, acc.cache)
+	defer func() { opts.Coverage.addHists(acc.cache) }()
+	cfg := opts.exploreConfig(false, false)
 	var stats sched.ExploreStats
 	var exploreErr error
-	var violation *Violation
-	var failures []RuntimeFailure
-	var full, stuckN, dedupHits int
+	var holder any
 	switch {
 	case opts.SampleSchedules > 0:
-		var holder any
-		seq := &phase2Seq{d: d, exhaust: opts.ExhaustPhase2, cache: newHistCache(), failures: newFailureCollector(opts.MaxFailures)}
-		defer flushCacheTelemetry(opts.Telemetry, seq.cache)
-		defer func() { opts.Coverage.addHists(seq.cache) }()
 		stats, exploreErr = sched.ExploreRandom(sched.RandomConfig{
-			Config:            opts.schedConfig(false, false),
+			Config:            cfg.Config,
 			Runs:              opts.SampleSchedules,
 			Seed:              opts.SampleSeed,
 			Strategy:          opts.SampleStrategy,
 			Depth:             opts.PCTDepth,
-			ContinueOnFailure: contain,
-			Telemetry:         opts.Telemetry,
-		}, program(sub, m, &holder), seq.visit)
-		if seq.err != nil {
-			return nil, seq.err
-		}
-		if exploreErr != nil {
-			return nil, exploreErr
-		}
-		violation, full, stuckN, dedupHits = seq.violation, seq.full, seq.stuck, seq.cache.hits
-		failures = seq.failures.before(nil)
+			ContinueOnFailure: cfg.ContinueOnFailure,
+			Telemetry:         cfg.Telemetry,
+		}, program(sub, m, &holder), acc.visit)
 	case opts.Workers > 1:
-		par := &phase2Par{
-			d:        d,
-			exhaust:  opts.ExhaustPhase2,
-			failures: newFailureCollector(opts.MaxFailures),
-			cache:    newHistCache(),
-			firstPos: make(map[*histEntry]sched.Pos),
-		}
-		defer flushCacheTelemetry(opts.Telemetry, par.cache)
-		defer func() { opts.Coverage.addHists(par.cache) }()
-		stats, exploreErr = sched.ExploreParallel(sched.ExploreConfig{
-			Config:            opts.schedConfig(false, false),
-			PreemptionBound:   opts.bound(),
-			MaxExecutions:     opts.maxExecs(),
-			ContinueOnFailure: contain,
-			Reduction:         opts.Reduction,
-			Telemetry:         opts.Telemetry,
-		}, sched.ParallelConfig{
+		stats, exploreErr = sched.ExploreParallel(cfg, sched.ParallelConfig{
 			Workers:  opts.Workers,
 			Progress: opts.ShardProgress,
 		}, func() sched.Program {
 			var holder any
 			return program(sub, m, &holder)
-		}, par.visit)
-		// A non-budget explorer error is an execution failure that precedes
-		// every visit-level stop in sequential order (the explorer's own
-		// minimal-position selection), so it wins.
-		if exploreErr != nil && exploreErr != sched.ErrBudget {
-			return nil, exploreErr
-		}
-		v, fs, verr := par.resolve()
-		if verr != nil {
-			return nil, verr
-		}
-		if exploreErr == sched.ErrBudget {
-			return nil, exploreErr
-		}
-		violation, full, stuckN, dedupHits, failures = v, par.full, par.stuck, par.cache.hits, fs
+		}, acc.visit)
 	default:
-		var holder any
-		seq := &phase2Seq{d: d, exhaust: opts.ExhaustPhase2, cache: newHistCache(), failures: newFailureCollector(opts.MaxFailures)}
-		defer flushCacheTelemetry(opts.Telemetry, seq.cache)
-		defer func() { opts.Coverage.addHists(seq.cache) }()
-		stats, exploreErr = sched.Explore(sched.ExploreConfig{
-			Config:            opts.schedConfig(false, false),
-			PreemptionBound:   opts.bound(),
-			MaxExecutions:     opts.maxExecs(),
-			ContinueOnFailure: contain,
-			Reduction:         opts.Reduction,
-			Telemetry:         opts.Telemetry,
-		}, program(sub, m, &holder), seq.visit)
-		if seq.err != nil {
-			return nil, seq.err
-		}
-		if exploreErr != nil {
-			return nil, exploreErr
-		}
-		violation, full, stuckN, dedupHits = seq.violation, seq.full, seq.stuck, seq.cache.hits
-		failures = seq.failures.before(nil)
+		stats, exploreErr = sched.ExploreUnit(cfg, program(sub, m, &holder), sched.WorkUnit{}, acc.visit)
 	}
+	// A non-budget explorer error is an execution failure that precedes
+	// every visit-level stop in sequential order (the explorer's own
+	// minimal-position selection), so it wins.
+	if exploreErr != nil && exploreErr != sched.ErrBudget {
+		return nil, exploreErr
+	}
+	first, failures, err := acc.resolve()
+	if err != nil {
+		return nil, err
+	}
+	if exploreErr != nil {
+		return nil, exploreErr
+	}
+	full, stuck, dedupHits := acc.stats()
 	res.Phase2 = PhaseStats{
 		Executions: stats.Executions,
 		Decisions:  stats.Decisions,
 		Histories:  full,
-		Stuck:      stuckN,
+		Stuck:      stuck,
 		Pruned:     stats.Pruned,
 		DedupHits:  dedupHits,
 		Duration:   time.Since(start),
 	}
 	res.Failures = failures
-	if violation != nil {
+	if first != nil {
 		res.Verdict = Fail
-		res.Violation = violation
+		res.Violation = first.v
 	}
 	return res, nil
 }

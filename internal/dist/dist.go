@@ -1,8 +1,8 @@
 // Package dist distributes phase-2 exploration across worker processes with
 // lease-based fault tolerance. The coordinator splits the schedule tree into
-// checkpoint-format work units (core.PlanUnits), leases each unit to a worker
-// with a heartbeat-renewed deadline, and merges per-unit reports with the
-// same min-position rule the in-process explorer uses — so the merged
+// sched.WorkUnits (core.PlanUnits), leases each unit to a worker with a
+// heartbeat-renewed deadline, and merges per-unit reports with the same
+// min-position rule every in-process exploration uses — so the merged
 // verdict, statistics, and first violation are bit-identical to the
 // sequential explorer regardless of worker count, kill schedule, or lease
 // reassignment order.
@@ -409,7 +409,7 @@ func Run(ctx context.Context, cfg Config) (*core.Result, Stats, error) {
 			}
 		}
 		sort.Slice(e.Poisoned, func(i, j int) bool { return e.Poisoned[i].Seq < e.Poisoned[j].Seq })
-		e.Partial = partialStats(reports)
+		e.Partial = core.PartialStats(reports)
 		return nil, stats, e
 	}
 	all := make([]*core.UnitReport, 0, len(reports))
@@ -431,35 +431,6 @@ type unitDelivery struct {
 	spec   UnitSpec
 	report *core.UnitReport
 	err    error
-}
-
-// partialStats merges the phase-2 statistics of the completed units —
-// executions, decisions, prunes, and cross-unit distinct-history accounting —
-// for the degraded PoisonedUnitsError result.
-func partialStats(reports []*core.UnitReport) core.PhaseStats {
-	var s core.PhaseStats
-	distinct := make(map[string]bool)
-	stuck := make(map[string]bool)
-	total := 0
-	for _, r := range reports {
-		if r == nil {
-			continue
-		}
-		s.Executions += r.Executions
-		s.Decisions += r.Decisions
-		s.Pruned += r.Pruned
-		for _, k := range r.Keys {
-			total += k.Count
-			distinct[string(k.Key)] = true
-			if k.Stuck {
-				stuck[string(k.Key)] = true
-			}
-		}
-	}
-	s.Stuck = len(stuck)
-	s.Histories = len(distinct) - len(stuck)
-	s.DedupHits = total - len(distinct)
-	return s
 }
 
 func reportPath(dir string, seq int) string {

@@ -10,6 +10,7 @@ import (
 	"lineup/internal/collections"
 	"lineup/internal/core"
 	"lineup/internal/faultinject"
+	"lineup/internal/history"
 	"lineup/internal/sched"
 )
 
@@ -99,6 +100,28 @@ func TestSpinContainedByWatchdog(t *testing.T) {
 
 func TestLeakContainedAndDetected(t *testing.T) {
 	checkContained(t, faultinject.KindLeak, core.Options{DetectLeaks: true})
+}
+
+// TestExploreHistoriesHonorsWatchdog: the observation-only entry point arms
+// the same containment config as a check, so a subject blocked on an
+// uninstrumented primitive yields a structured hung error instead of hanging
+// the caller.
+func TestExploreHistoriesHonorsWatchdog(t *testing.T) {
+	_, sub := harness(t, faultinject.KindHang)
+	m := smallTest(sub)
+	done := make(chan error, 1)
+	go func() {
+		done <- core.ExploreHistories(sub, m, core.Options{Watchdog: 20 * time.Millisecond},
+			func(*history.History) bool { return true })
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "execution hung") {
+			t.Fatalf("err = %v, want the watchdog's hung-execution error", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("ExploreHistories hung on a blocked subject despite Options.Watchdog")
+	}
 }
 
 func TestStrictModeAbortsOnFirstFault(t *testing.T) {

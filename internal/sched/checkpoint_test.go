@@ -25,8 +25,86 @@ func checkpointProgram() sched.Program {
 	}}
 }
 
+// frontiers returns every mid-run frontier of the sequential exploration of
+// mk() as a Floor-0 work unit: exploring frontier k continues the DFS from its
+// k-th execution on. A split deeper than the tree yields one unit per
+// execution, whose Path is that execution's realized path. The frontier
+// before the execution is that path cut after the level the DFS last advanced
+// — the first level where it departs from the previous execution's path —
+// because the deeper levels did not exist yet: the resumed run creates them
+// itself and, under reduction, prunes and counts there exactly like the
+// uninterrupted one.
+func frontiers(t *testing.T, cfg sched.ExploreConfig, mk func() sched.Program) []sched.WorkUnit {
+	t.Helper()
+	units, _, err := sched.SplitUnits(cfg, mk(), 1<<20)
+	if err != nil {
+		t.Fatalf("SplitUnits: %v", err)
+	}
+	out := make([]sched.WorkUnit, len(units))
+	for k := 1; k < len(units); k++ {
+		prev, path := units[k-1].Path, units[k].Path
+		cut := 0
+		for cut < len(prev) && cut < len(path) && prev[cut] == path[cut] {
+			cut++
+		}
+		cut++
+		out[k] = sched.WorkUnit{Path: path[:cut]}
+		if units[k].Explored != nil {
+			out[k].Explored = units[k].Explored[:cut]
+		}
+	}
+	return out
+}
+
+// cutAndResume explores mk() for cut executions, then resumes from the
+// frontier the cut left behind. It returns the concatenated visit keys and
+// the summed statistics of the two runs, which an exact resume makes equal to
+// the uninterrupted run's.
+func cutAndResume(t *testing.T, base sched.ExploreConfig, mk func() sched.Program, cut int, key func(*sched.Outcome) string) ([]string, sched.ExploreStats) {
+	t.Helper()
+	var got []string
+	visit := func(o *sched.Outcome) bool {
+		got = append(got, key(o))
+		return true
+	}
+	cfg := base
+	cfg.MaxExecutions = cut
+	head, err := sched.Explore(cfg, mk(), visit)
+	if err != sched.ErrBudget {
+		t.Fatalf("interrupted explore: err = %v, want ErrBudget", err)
+	}
+	if head.Executions != cut {
+		t.Fatalf("interrupted explore ran %d executions, want %d", head.Executions, cut)
+	}
+	fr := frontiers(t, base, mk)
+	if cut >= len(fr) {
+		t.Fatalf("no frontier after %d executions (%d in total)", cut, len(fr))
+	}
+	tail, err := sched.ExploreUnit(base, mk(), fr[cut], func(o *sched.Outcome, _ sched.Pos) bool { return visit(o) })
+	if err != nil {
+		t.Fatalf("resumed explore: %v", err)
+	}
+	return got, sched.ExploreStats{
+		Executions: head.Executions + tail.Executions,
+		Decisions:  head.Decisions + tail.Decisions,
+		Pruned:     head.Pruned + tail.Pruned,
+	}
+}
+
+func requireSameVisits(t *testing.T, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("resumed run visited %d executions total, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("execution %d differs after resume:\n got %q\nwant %q", i, got[i], want[i])
+		}
+	}
+}
+
 // TestCheckpointResumeContinuesExactly interrupts an exploration after k
-// executions, resumes it from the last checkpoint, and verifies that the
+// executions, resumes it from the frontier work unit, and verifies that the
 // concatenated visit sequence and the final statistics are identical to an
 // uninterrupted run — for several cut points including the first and last
 // execution.
@@ -48,45 +126,8 @@ func TestCheckpointResumeContinuesExactly(t *testing.T) {
 
 	for _, cut := range []int{1, 2, len(full) / 2, len(full) - 1} {
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
-			var prefix []string
-			var last *sched.Checkpoint
-			cfg := base
-			cfg.MaxExecutions = cut
-			cfg.Checkpoint = func(cp sched.Checkpoint) { last = &cp }
-			_, err := sched.Explore(cfg, checkpointProgram(), func(o *sched.Outcome) bool {
-				prefix = append(prefix, outcomeKey(o))
-				return true
-			})
-			if err != sched.ErrBudget {
-				t.Fatalf("interrupted explore: err = %v, want ErrBudget", err)
-			}
-			if last == nil {
-				t.Fatalf("no checkpoint emitted before the cut")
-			}
-			if last.Executions != cut {
-				t.Fatalf("checkpoint executions = %d, want %d", last.Executions, cut)
-			}
-
-			resumed := base
-			resumed.Resume = last
-			var suffix []string
-			stats, err := sched.Explore(resumed, checkpointProgram(), func(o *sched.Outcome) bool {
-				suffix = append(suffix, outcomeKey(o))
-				return true
-			})
-			if err != nil {
-				t.Fatalf("resumed explore: %v", err)
-			}
-
-			got := append(append([]string(nil), prefix...), suffix...)
-			if len(got) != len(full) {
-				t.Fatalf("resumed run visited %d executions total, want %d", len(got), len(full))
-			}
-			for i := range got {
-				if got[i] != full[i] {
-					t.Fatalf("execution %d differs after resume:\n got %q\nwant %q", i, got[i], full[i])
-				}
-			}
+			got, stats := cutAndResume(t, base, checkpointProgram, cut, outcomeKey)
+			requireSameVisits(t, got, full)
 			if stats != fullStats {
 				t.Fatalf("final stats after resume = %+v, want %+v", stats, fullStats)
 			}
@@ -94,15 +135,14 @@ func TestCheckpointResumeContinuesExactly(t *testing.T) {
 	}
 }
 
-// TestCheckpointPathIsNextExecution confirms the documented meaning of
-// Checkpoint.Path: replaying the exploration with the path as resume seed
-// runs, as its first execution, exactly the execution the interrupted run
-// would have run next.
+// TestCheckpointPathIsNextExecution confirms the meaning of a frontier's
+// Path: exploring frontier k runs, as its first execution, exactly the k-th
+// execution of the uninterrupted run — and there is one frontier per
+// execution.
 func TestCheckpointPathIsNextExecution(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	base := sched.ExploreConfig{PreemptionBound: 2}
 	var keys []string
-	var cps []sched.Checkpoint
 	_, err := sched.Explore(base, checkpointProgram(), func(o *sched.Outcome) bool {
 		keys = append(keys, outcomeKey(o))
 		return true
@@ -110,33 +150,23 @@ func TestCheckpointPathIsNextExecution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
-	cfg := base
-	cfg.Checkpoint = func(cp sched.Checkpoint) { cps = append(cps, cp) }
-	_, err = sched.Explore(cfg, checkpointProgram(), func(o *sched.Outcome) bool { return true })
-	if err != nil {
-		t.Fatalf("explore with checkpoints: %v", err)
+	fr := frontiers(t, base, checkpointProgram)
+	if len(fr) != len(keys) {
+		t.Fatalf("got %d frontiers for %d executions", len(fr), len(keys))
 	}
-	// One checkpoint after every advance that left work: executions-1.
-	if len(cps) != len(keys)-1 {
-		t.Fatalf("got %d checkpoints for %d executions", len(cps), len(keys))
-	}
-	for _, i := range []int{0, len(cps) / 2, len(cps) - 1} {
-		cp := cps[i]
-		resumed := base
-		resumed.Resume = &cp
-		resumed.MaxExecutions = cp.Executions + 1 // just the next execution
+	resumed := base
+	resumed.MaxExecutions = 1 // just the next execution
+	for _, k := range []int{1, len(fr) / 2, len(fr) - 1} {
 		var first string
-		_, err := sched.Explore(resumed, checkpointProgram(), func(o *sched.Outcome) bool {
-			if first == "" {
-				first = outcomeKey(o)
-			}
+		_, err := sched.ExploreUnit(resumed, checkpointProgram(), fr[k], func(o *sched.Outcome, _ sched.Pos) bool {
+			first = outcomeKey(o)
 			return true
 		})
 		if err != nil && err != sched.ErrBudget {
-			t.Fatalf("resume at checkpoint %d: %v", i, err)
+			t.Fatalf("resume at frontier %d: %v", k, err)
 		}
-		if first != keys[i+1] {
-			t.Fatalf("checkpoint %d resumed into %q, want %q", i, first, keys[i+1])
+		if first != keys[k] {
+			t.Fatalf("frontier %d resumed into %q, want %q", k, first, keys[k])
 		}
 	}
 }
@@ -147,40 +177,18 @@ func TestCheckpointPathIsNextExecution(t *testing.T) {
 func TestCheckpointResumeWithFailures(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	base := sched.ExploreConfig{PreemptionBound: sched.Unbounded, ContinueOnFailure: true}
-	kinds := func(prog sched.Program, cfg sched.ExploreConfig, sink *[]string) error {
-		_, err := sched.Explore(cfg, prog, func(o *sched.Outcome) bool {
-			*sink = append(*sink, o.FailureKind().String()+"|"+outcomeKey(o))
-			return true
-		})
-		return err
-	}
-
+	key := func(o *sched.Outcome) string { return o.FailureKind().String() + "|" + outcomeKey(o) }
 	var full []string
-	if err := kinds(overlapPanicProgram(), base, &full); err != nil {
+	fullStats, err := sched.Explore(base, overlapPanicProgram(), func(o *sched.Outcome) bool {
+		full = append(full, key(o))
+		return true
+	})
+	if err != nil {
 		t.Fatalf("uninterrupted: %v", err)
 	}
-	cut := len(full) / 2
-	cfg := base
-	cfg.MaxExecutions = cut
-	var last *sched.Checkpoint
-	cfg.Checkpoint = func(cp sched.Checkpoint) { last = &cp }
-	var prefix []string
-	if err := kinds(overlapPanicProgram(), cfg, &prefix); err != sched.ErrBudget {
-		t.Fatalf("interrupted: err = %v, want ErrBudget", err)
-	}
-	resumed := base
-	resumed.Resume = last
-	var suffix []string
-	if err := kinds(overlapPanicProgram(), resumed, &suffix); err != nil {
-		t.Fatalf("resumed: %v", err)
-	}
-	got := append(prefix, suffix...)
-	if len(got) != len(full) {
-		t.Fatalf("got %d executions, want %d", len(got), len(full))
-	}
-	for i := range got {
-		if got[i] != full[i] {
-			t.Fatalf("execution %d differs: got %q want %q", i, got[i], full[i])
-		}
+	got, stats := cutAndResume(t, base, overlapPanicProgram, len(full)/2, key)
+	requireSameVisits(t, got, full)
+	if stats != fullStats {
+		t.Fatalf("final stats after resume = %+v, want %+v", stats, fullStats)
 	}
 }

@@ -27,24 +27,13 @@ type ExploreConfig struct {
 	// execution's realized decision prefix is not explored further (the
 	// execution never reached it), but all sibling schedules are.
 	ContinueOnFailure bool
-	// Checkpoint, when non-nil, receives a frontier snapshot after every
-	// execution whose advance left unexplored work. Callers persist it (see
-	// obsfile.AtomicWriteFile) to make a long exploration resumable; they
-	// may throttle by ignoring calls.
-	Checkpoint func(Checkpoint)
-	// Resume, when non-nil, restarts the exploration from a previously
-	// checkpointed frontier instead of the schedule-tree root: the first
-	// execution replays the checkpointed branch path, and the depth-first
-	// order continues exactly where the interrupted run left off. The
-	// program must be the one the checkpoint was taken from.
-	Resume *Checkpoint
 	// Reduction selects the partial-order reduction strategy. ReductionSleep
 	// prunes schedules that only commute independent steps of already
 	// explored ones; the set of distinct histories visited — and therefore
 	// every verdict derived from them — is identical to ReductionNone, while
 	// the number of executions can drop by orders of magnitude. Pruning is a
 	// deterministic function of the schedule tree, so it composes with the
-	// parallel explorer, work stealing, and checkpoint/resume.
+	// parallel explorer, work stealing, and work-unit replay.
 	Reduction Reduction
 	// Telemetry, when non-nil, receives execution/decision/pruning counters
 	// and the DFS-depth watermark. The explorer accumulates plain-int deltas
@@ -53,32 +42,6 @@ type ExploreConfig struct {
 	// collector costs one pointer test per execution. Counters are
 	// observe-only — ExploreStats remains the deterministic source of truth.
 	Telemetry *telemetry.Collector
-}
-
-// Checkpoint is a serializable snapshot of a depth-first exploration
-// frontier: the branch index taken at every decision level for the next
-// execution to run, plus the statistics accumulated so far. It is exactly
-// the state needed to continue the exploration after a crash or kill.
-type Checkpoint struct {
-	// Path is the branch-index prefix of the next execution in the DFS
-	// order (Pos of the next run, as the parallel explorer would call it).
-	Path []int `json:"path"`
-	// Executions and Decisions are the statistics accumulated before the
-	// checkpoint; a resumed exploration continues counting from them.
-	Executions int `json:"executions"`
-	Decisions  int `json:"decisions"`
-	// Pruned is the sleep-set skip count accumulated before the checkpoint
-	// (only written when reduction is on).
-	Pruned int `json:"pruned,omitempty"`
-	// Explored records, for every decision level of Path, the branches the
-	// interrupted run had already fully explored and retired at that level,
-	// with the window footprints their first steps produced. Sleep sets are
-	// otherwise a deterministic function of the branch path, but these
-	// retired branches describe finished subtrees the resumed run never
-	// revisits, so they must be carried along for the resumed DFS to prune —
-	// and count — exactly like an uninterrupted one. Only written when
-	// reduction is on.
-	Explored [][]BranchRecord `json:"explored,omitempty"`
 }
 
 // ErrBudget is returned when exploration hits MaxExecutions before the
@@ -132,19 +95,34 @@ func (c *choice) cost(i int) int {
 
 // explorer drives depth-first stateless exploration. It implements
 // Controller: during a run it replays the recorded prefix and extends the
-// frontier with default (non-preemptive) choices.
+// frontier with default (non-preemptive) choices. Every exhaustive path —
+// the lone DFS of Explore and ExploreUnit, the prefix generator, a parallel
+// shard worker — is an explorer behind a coordinator, which decides budget,
+// termination, and stealing.
 type explorer struct {
-	bound  int
-	red    Reduction
-	stack  []*choice
-	depth  int
-	budget int
-	pruned int // sleep-set skips, see ExploreStats.Pruned
-	// seed pins the branch index of every frontier level reached during the
-	// first execution after a checkpoint resume; it is cleared afterwards.
-	// seedExplored restores the retired-branch records of those levels.
+	// cfg is the per-execution scheduler configuration; its Prealloc is fed
+	// from every finished execution (steady-state executions of one
+	// exploration have near-identical shapes).
+	cfg     Config
+	bound   int
+	red     Reduction
+	contain bool // ExploreConfig.ContinueOnFailure
+	co      *coordinator
+	stack   []*choice
+	depth   int
+	budget  int
+	// pruned (sleep-set skips, see ExploreStats.Pruned) and decisions are
+	// this explorer's share of the statistics, merged into the coordinator by
+	// finish.
+	pruned    int
+	decisions int
+	// seed pins the branch index of every level of a WorkUnit's path during
+	// the unit's first execution; it is cleared afterwards. seedExplored
+	// restores the retired-branch records of those levels.
 	seed         []int
 	seedExplored [][]BranchRecord
+	// pos is the reusable buffer behind position.
+	pos Pos
 
 	// tel receives counter flushes once per execution (never inside Pick).
 	// wakes counts sleep-set entries woken by a dependent window; lastPruned
@@ -156,9 +134,126 @@ type explorer struct {
 	lastWakes  int
 }
 
-func (e *explorer) begin() {
-	e.depth = 0
-	e.budget = e.bound
+func newExplorer(cfg ExploreConfig, co *coordinator) *explorer {
+	if cfg.Reduction == ReductionSleep {
+		cfg.Config.TrackFootprints = true
+	}
+	return &explorer{
+		cfg: cfg.Config, bound: cfg.PreemptionBound, red: cfg.Reduction,
+		contain: cfg.ContinueOnFailure, co: co, tel: cfg.Telemetry,
+	}
+}
+
+// finish merges the explorer's share of the statistics into the coordinator.
+// Every (node, branch) skip is counted by exactly one explorer — nodes live
+// in exactly one stack, split hand-offs count the skipped gap on the donor —
+// so the merged Pruned total is deterministic for full explorations.
+func (e *explorer) finish() {
+	e.flushPruneTelemetry()
+	e.co.merge(e.pruned, e.decisions)
+}
+
+// position is the Pos of the execution the stack points at: the unit path
+// while a WorkUnit's first execution is pending, the branch index of every
+// stack level otherwise. The result aliases a reused buffer and is valid
+// until the next call.
+func (e *explorer) position() Pos {
+	if e.seed != nil {
+		return e.seed
+	}
+	e.pos = appendPath(e.pos[:0], e.stack)
+	return e.pos
+}
+
+// step runs the execution the stack points at, if the coordinator admits it.
+// It is the one place exhaustive exploration starts a scheduler. ok is false
+// when the execution must not run (budget, or a terminal event precedes it)
+// or failed without containment, which is itself a terminal event. The
+// returned Pos is position's and shares its lifetime.
+func (e *explorer) step(prog Program) (out *Outcome, p Pos, ok bool) {
+	p = e.position()
+	if !e.co.reserve(p) {
+		return nil, nil, false
+	}
+	e.depth, e.budget = 0, e.bound
+	if e.tel != nil {
+		e.tel.ExecutionsStarted.Add(1)
+	}
+	out = NewScheduler(e.cfg, e).Run(prog)
+	e.seed, e.seedExplored = nil, nil
+	e.flushTelemetry(out)
+	e.decisions += out.Decisions
+	e.cfg.Prealloc = CapHint{Events: len(out.Events), Schedule: len(out.Schedule), Trace: len(out.Trace)}
+	if out.FailureKind() != FailNone {
+		if e.red == ReductionSleep {
+			// The failure interrupted the deepest window mid-flight; its
+			// recorded footprint under-approximates the step, so poison it.
+			e.poisonDeepest()
+		}
+		if !e.contain {
+			e.co.noteTerminal(p, out.FailureError())
+			return nil, nil, false
+		}
+	}
+	return out, p, true
+}
+
+// explore visits the subtree of sh — its stack at levels >= sh.floor — in
+// depth-first order. sh.out, when set, is the already-run leftmost execution;
+// otherwise the stack (or the seed) points at the first execution to run. A
+// visit returning false is a terminal event at its position. Between
+// executions the explorer sheds part of the subtree if the coordinator has
+// starving workers (never the case for a lone DFS).
+func (e *explorer) explore(prog Program, sh *shard, visit func(*Outcome, Pos) bool) {
+	e.stack = sh.stack
+	out, p := sh.out, sh.path
+	for {
+		if out == nil {
+			if e.co.splitWanted() {
+				if child := sh.split(e); child != nil {
+					e.co.push(child)
+				}
+			}
+			var ok bool
+			if out, p, ok = e.step(prog); !ok {
+				return
+			}
+		}
+		if !visit(out, p) {
+			e.co.noteTerminal(p, nil)
+			return
+		}
+		if !e.advanceAbove(sh.floor) {
+			return
+		}
+		out = nil
+	}
+}
+
+// generate walks the schedule tree backtracking only within the first depth
+// decision levels and emits each prefix's subtree: its leftmost execution —
+// which the walk itself just ran, so ExploreParallel never runs it twice —
+// its position, and the number of pinned levels. emit reads the subtree's
+// frontier from e.stack.
+func (e *explorer) generate(prog Program, depth int, emit func(out *Outcome, p Pos, floor int)) {
+	for {
+		out, p, ok := e.step(prog)
+		if !ok {
+			return
+		}
+		floor := depth
+		if len(e.stack) < floor {
+			floor = len(e.stack)
+		}
+		emit(out, p, floor)
+		// Discard the subtree's deep levels without counting their trailing
+		// branches — whoever explores the subtree pops (and counts) them —
+		// and advance the pinned prefix to the next subtree.
+		e.stack = e.stack[:floor]
+		if !e.advanceAbove(0) {
+			return
+		}
+	}
 }
 
 func (e *explorer) allowed(c *choice, i int) bool {
@@ -185,12 +280,12 @@ func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 		c.sleep = e.childSleep()
 	}
 	if e.depth < len(e.seed) {
-		// Checkpoint resume: the seed pins the branch (and restores the
-		// retired branches) of every level the interrupted run had reached;
-		// its pruning decisions were already taken — and counted — there.
+		// Unit replay: the seed pins the branch (and restores the retired
+		// branches) of every level the unit's generator had reached; its
+		// pruning decisions were already taken — and counted — there.
 		c.next = e.seed[e.depth]
 		if c.next < 0 || c.next >= len(ord) {
-			panic(fmt.Sprintf("sched: checkpoint does not match program: decision %d offers %d choices, resume path wants branch %d",
+			panic(fmt.Sprintf("sched: work unit does not match program: decision %d offers %d choices, unit path wants branch %d",
 				e.depth, len(ord), c.next))
 		}
 		if e.depth < len(e.seedExplored) {
@@ -199,9 +294,9 @@ func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 			}
 		}
 		if e.red == ReductionSleep && c.next == 0 {
-			// Re-detect a fully-slept node. The interrupted run counted every
+			// Re-detect a fully-slept node. The generator counted every
 			// affordable branch as pruned when it created this node and forced
-			// the free continuation; without the flag the resumed backtracking
+			// the free continuation; without the flag the replayed backtracking
 			// would retire the node and count the very same branches again.
 			exhausted := true
 			for i := range ord {
@@ -313,14 +408,7 @@ func (e *explorer) flushTelemetry(out *Outcome) {
 	}
 	recordOutcomeTelemetry(c, out)
 	c.ObserveDepth(len(e.stack))
-	if d := e.pruned - e.lastPruned; d > 0 {
-		c.SchedulesPruned.Add(int64(d))
-		e.lastPruned = e.pruned
-	}
-	if d := e.wakes - e.lastWakes; d > 0 {
-		c.SleepWakes.Add(int64(d))
-		e.lastWakes = e.wakes
-	}
+	e.flushPruneTelemetry()
 }
 
 // flushPruneTelemetry publishes pruning/wake deltas accumulated since the
@@ -385,16 +473,10 @@ func (e *explorer) poisonDeepest() {
 	e.stack[e.depth-1].foot = globalFootprint()
 }
 
-// advance backtracks to the deepest decision with an unexplored, affordable
-// alternative. It reports false when the schedule space is exhausted.
-func (e *explorer) advance() bool {
-	return e.advanceAbove(0)
-}
-
-// advanceAbove is advance restricted to decision levels >= floor: levels
-// below floor are pinned and never altered. The parallel explorer uses a
-// positive floor to confine a worker to its shard's schedule prefix; the
-// sequential explorer uses floor 0.
+// advanceAbove backtracks to the deepest decision at a level >= floor with
+// an unexplored, affordable alternative; levels below floor are pinned (the
+// subtree's schedule prefix) and never altered. It reports false when the
+// subtree is exhausted.
 func (e *explorer) advanceAbove(floor int) bool {
 	for len(e.stack) > floor {
 		c := e.stack[len(e.stack)-1]
@@ -478,81 +560,14 @@ func sameIDsOrdered(ord []ThreadID, cur ThreadID, curEnabled bool, enabled []Thr
 // to stop at the first linearizability violation). The returned stats count
 // executions and decisions; err is non-nil if an execution failed (a panic,
 // watchdog hang, or goroutine leak — unless cfg.ContinueOnFailure hands
-// failed outcomes to visit instead) or the execution budget ran out.
+// failed outcomes to visit instead) or the execution budget ran out. It is
+// ExploreUnit on the root unit, for visitors that need no position.
 func Explore(cfg ExploreConfig, prog Program, visit func(*Outcome) bool) (ExploreStats, error) {
-	if cfg.Reduction == ReductionSleep {
-		cfg.Config.TrackFootprints = true
-	}
-	e := &explorer{bound: cfg.PreemptionBound, red: cfg.Reduction, tel: cfg.Telemetry}
-	defer e.flushPruneTelemetry()
-	var stats ExploreStats
-	basePruned := 0
-	if cfg.Resume != nil {
-		e.seed = cfg.Resume.Path
-		e.seedExplored = cfg.Resume.Explored
-		stats.Executions = cfg.Resume.Executions
-		stats.Decisions = cfg.Resume.Decisions
-		basePruned = cfg.Resume.Pruned
-	}
-	for {
-		stats.Pruned = basePruned + e.pruned
-		if cfg.MaxExecutions > 0 && stats.Executions >= cfg.MaxExecutions {
-			stats.Truncated = true
-			return stats, ErrBudget
-		}
-		e.begin()
-		if c := cfg.Telemetry; c != nil {
-			c.ExecutionsStarted.Add(1)
-		}
-		s := NewScheduler(cfg.Config, e)
-		out := s.Run(prog)
-		e.seed, e.seedExplored = nil, nil
-		e.flushTelemetry(out)
-		stats.Executions++
-		stats.Decisions += out.Decisions
-		stats.Pruned = basePruned + e.pruned
-		if k := out.FailureKind(); k != FailNone {
-			if e.red == ReductionSleep {
-				// The failure interrupted the deepest window mid-flight; its
-				// recorded footprint under-approximates the step, so poison it.
-				e.poisonDeepest()
-			}
-			if !cfg.ContinueOnFailure {
-				return stats, out.FailureError()
-			}
-		}
-		// Feed the next execution's buffer sizes from this one: steady-state
-		// executions of one exploration have near-identical shapes.
-		cfg.Config.Prealloc = CapHint{
-			Events:   len(out.Events),
-			Schedule: len(out.Schedule),
-			Trace:    len(out.Trace),
-		}
-		if !visit(out) {
-			return stats, nil
-		}
-		adv := e.advance()
-		stats.Pruned = basePruned + e.pruned
-		if !adv {
-			return stats, nil
-		}
-		if cfg.Checkpoint != nil {
-			cp := Checkpoint{
-				Path:       []int(pathOf(e.stack)),
-				Executions: stats.Executions,
-				Decisions:  stats.Decisions,
-			}
-			if e.red == ReductionSleep {
-				cp.Pruned = stats.Pruned
-				cp.Explored = exploredOf(e.stack)
-			}
-			cfg.Checkpoint(cp)
-		}
-	}
+	return ExploreUnit(cfg, prog, WorkUnit{}, func(out *Outcome, _ Pos) bool { return visit(out) })
 }
 
 // exploredOf serializes the retired-branch records of every stack level for a
-// checkpoint.
+// work unit.
 func exploredOf(stack []*choice) [][]BranchRecord {
 	out := make([][]BranchRecord, len(stack))
 	for i, c := range stack {

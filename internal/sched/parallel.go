@@ -20,6 +20,9 @@ const DefaultShardDepth = 2
 // the parallel explorer sharded the tree. Callers use positions to
 // re-establish the sequential "first" among concurrently discovered events,
 // which is what makes parallel verdicts reproducible.
+//
+// The Pos handed to a visit callback may alias a buffer the explorer reuses:
+// it is valid only during the call, and a visitor that retains it must copy.
 type Pos []int
 
 // Before reports whether p precedes q in sequential exploration order
@@ -39,8 +42,11 @@ func (p Pos) Before(q Pos) bool {
 	return len(p) < len(q)
 }
 
-func (p Pos) clone() Pos {
-	return append(Pos(nil), p...)
+// Clone returns a copy of p that stays valid after the visit it was handed
+// to. The copy is never nil, so a retainer can tell "no position yet" from
+// the empty position of an exploration's very first execution.
+func (p Pos) Clone() Pos {
+	return append(make(Pos, 0, len(p)), p...)
 }
 
 // ShardProgress is a snapshot of a parallel exploration's progress, delivered
@@ -169,17 +175,22 @@ func cloneStack(stack []*choice) []*choice {
 	return out
 }
 
-func pathOf(stack []*choice) Pos {
-	p := make(Pos, len(stack))
-	for i, c := range stack {
-		p[i] = c.next
+// appendPath appends the branch index of every level of stack to dst.
+func appendPath(dst Pos, stack []*choice) Pos {
+	for _, c := range stack {
+		dst = append(dst, c.next)
 	}
-	return p
+	return dst
 }
 
-// coordinator is the shared state of one parallel exploration: the shard
-// queue, the execution budget, merged statistics, and the terminal-event
-// bookkeeping that makes early cancellation deterministic.
+func pathOf(stack []*choice) Pos {
+	return appendPath(make(Pos, 0, len(stack)), stack)
+}
+
+// coordinator is the shared state of one exploration, lone or pooled: the
+// shard queue, the execution budget, merged statistics, and the
+// terminal-event bookkeeping that makes early cancellation deterministic. A
+// lone DFS is a coordinator whose queue stays empty.
 type coordinator struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -190,18 +201,40 @@ type coordinator struct {
 	killed   bool // budget exhausted: stop everything immediately
 	maxExecs int
 
-	// termPos is the minimal position at which exploration terminally
-	// stopped: a visit returned false (termErr nil) or an execution failed
-	// (termErr non-nil). Work at positions after termPos is abandoned; work
-	// before it continues, so the minimum is exact and the reported stop
-	// cause is the one the sequential explorer would have hit first.
-	termPos Pos
-	termErr error
+	// terminated is set once exploration terminally stopped, and termPos is
+	// the minimal position at which it did: a visit returned false (termErr
+	// nil) or an execution failed (termErr non-nil). Work at positions after
+	// termPos is abandoned; work before it continues, so the minimum is exact
+	// and the reported stop cause is the one a sequential DFS hits first.
+	terminated bool
+	termPos    Pos
+	termErr    error
 
 	truncated bool
 	stats     ExploreStats
 	prog      ShardProgress
 	progFn    func(ShardProgress)
+}
+
+func newCoordinator(maxExecs int, progress func(ShardProgress)) *coordinator {
+	co := &coordinator{maxExecs: maxExecs, progFn: progress}
+	co.cond = sync.NewCond(&co.mu)
+	return co
+}
+
+// result is the exploration's outcome once every explorer has finished: the
+// sequentially-first terminal event wins (nil error for a visit stop), then
+// budget exhaustion.
+func (co *coordinator) result() (ExploreStats, error) {
+	stats := co.stats
+	switch {
+	case co.terminated:
+		return stats, co.termErr
+	case co.truncated:
+		stats.Truncated = true
+		return stats, ErrBudget
+	}
+	return stats, nil
 }
 
 func (co *coordinator) emitProgress() {
@@ -285,7 +318,7 @@ func (co *coordinator) reserve(p Pos) bool {
 	if co.killed {
 		return false
 	}
-	if co.termPos != nil && co.termPos.Before(p) {
+	if co.terminated && co.termPos.Before(p) {
 		return false
 	}
 	if co.maxExecs > 0 && co.stats.Executions >= co.maxExecs {
@@ -298,22 +331,11 @@ func (co *coordinator) reserve(p Pos) bool {
 	return true
 }
 
-func (co *coordinator) finishRun(out *Outcome) {
+// merge adds one finished explorer's share of the statistics.
+func (co *coordinator) merge(pruned, decisions int) {
 	co.mu.Lock()
-	co.stats.Decisions += out.Decisions
-	co.mu.Unlock()
-}
-
-// addPruned merges one explorer's sleep-set skip count. Every (node, branch)
-// skip is counted by exactly one explorer — nodes live in exactly one stack,
-// split hand-offs count the skipped gap on the donor — so the merged total is
-// deterministic for full explorations.
-func (co *coordinator) addPruned(n int) {
-	if n == 0 {
-		return
-	}
-	co.mu.Lock()
-	co.stats.Pruned += n
+	co.stats.Pruned += pruned
+	co.stats.Decisions += decisions
 	co.mu.Unlock()
 }
 
@@ -322,8 +344,9 @@ func (co *coordinator) addPruned(n int) {
 func (co *coordinator) noteTerminal(p Pos, err error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if co.termPos == nil || p.Before(co.termPos) {
-		co.termPos = p.clone()
+	if !co.terminated || p.Before(co.termPos) {
+		co.terminated = true
+		co.termPos = append(co.termPos[:0], p...)
 		co.termErr = err
 	}
 }
@@ -331,7 +354,7 @@ func (co *coordinator) noteTerminal(p Pos, err error) {
 func (co *coordinator) abandoned(p Pos) bool {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	return co.killed || (co.termPos != nil && co.termPos.Before(p))
+	return co.killed || (co.terminated && co.termPos.Before(p))
 }
 
 // splitWanted reports whether a worker holding a large shard should shed part
@@ -342,129 +365,16 @@ func (co *coordinator) splitWanted() bool {
 	return !co.killed && len(co.queue) == 0 && co.waiters > 0
 }
 
-// generate walks the schedule tree backtracking only within the first
-// shardDepth decision levels, handing each prefix's subtree off as a shard.
-// Every generation run is itself the leftmost execution of the shard it
-// discovers, so no execution is ever run twice.
-func (co *coordinator) generate(cfg ExploreConfig, prog Program, shardDepth int) {
-	e := &explorer{bound: cfg.PreemptionBound, red: cfg.Reduction, tel: cfg.Telemetry}
-	defer func() {
-		e.flushPruneTelemetry()
-		co.addPruned(e.pruned)
-	}()
-	for {
-		p := pathOf(e.stack)
-		if !co.reserve(p) {
-			break
+// work drains the shard queue, exploring each shard below its pinned prefix
+// with a private program instance (executions of one worker are sequential,
+// so the program's closure state needs no synchronization).
+func (co *coordinator) work(e *explorer, prog Program, visit func(*Outcome, Pos) bool) {
+	defer e.finish()
+	for sh := co.pop(); sh != nil; sh = co.pop() {
+		if !co.abandoned(sh.path) {
+			e.explore(prog, sh, visit)
 		}
-		e.begin()
-		if c := cfg.Telemetry; c != nil {
-			c.ExecutionsStarted.Add(1)
-		}
-		out := NewScheduler(cfg.Config, e).Run(prog)
-		e.flushTelemetry(out)
-		co.finishRun(out)
-		cfg.Config.Prealloc = CapHint{Events: len(out.Events), Schedule: len(out.Schedule), Trace: len(out.Trace)}
-		if k := out.FailureKind(); k != FailNone {
-			if e.red == ReductionSleep {
-				e.poisonDeepest()
-			}
-			if !cfg.ContinueOnFailure {
-				co.noteTerminal(p, out.FailureError())
-				break
-			}
-		}
-		floor := shardDepth
-		if len(e.stack) < floor {
-			floor = len(e.stack)
-		}
-		co.push(&shard{stack: cloneStack(e.stack), floor: floor, out: out, path: p})
-		e.stack = e.stack[:floor]
-		if !e.advanceAbove(0) {
-			break
-		}
-	}
-	co.mu.Lock()
-	co.genDone = true
-	co.cond.Broadcast()
-	co.mu.Unlock()
-}
-
-// shardWorker drains the shard queue, DFS-exploring each shard below its
-// pinned prefix with a private program instance (executions of one worker
-// are sequential, so the program's closure state needs no synchronization).
-type shardWorker struct {
-	co    *coordinator
-	cfg   ExploreConfig
-	prog  Program
-	visit func(*Outcome, Pos) bool
-}
-
-func (w *shardWorker) run() {
-	for {
-		sh := w.co.pop()
-		if sh == nil {
-			return
-		}
-		w.runShard(sh)
-		w.co.finishShard()
-	}
-}
-
-func (w *shardWorker) runShard(sh *shard) {
-	if w.co.abandoned(sh.path) {
-		return
-	}
-	e := &explorer{bound: w.cfg.PreemptionBound, red: w.cfg.Reduction, stack: sh.stack, tel: w.cfg.Telemetry}
-	defer func() {
-		e.flushPruneTelemetry()
-		w.co.addPruned(e.pruned)
-	}()
-	pending := sh.out == nil // split child: the stack already points at an unexplored alternative
-	if sh.out != nil {
-		if !w.visit(sh.out, sh.path) {
-			// Everything else in the shard follows sh.path in sequential
-			// order, so the whole shard stops here.
-			w.co.noteTerminal(sh.path, nil)
-			return
-		}
-	}
-	for {
-		if pending {
-			pending = false
-		} else if !e.advanceAbove(sh.floor) {
-			return
-		}
-		if w.co.splitWanted() {
-			if child := sh.split(e); child != nil {
-				w.co.push(child)
-			}
-		}
-		p := pathOf(e.stack)
-		if !w.co.reserve(p) {
-			return
-		}
-		e.begin()
-		if c := w.cfg.Telemetry; c != nil {
-			c.ExecutionsStarted.Add(1)
-		}
-		out := NewScheduler(w.cfg.Config, e).Run(w.prog)
-		e.flushTelemetry(out)
-		w.co.finishRun(out)
-		w.cfg.Config.Prealloc = CapHint{Events: len(out.Events), Schedule: len(out.Schedule), Trace: len(out.Trace)}
-		if k := out.FailureKind(); k != FailNone {
-			if e.red == ReductionSleep {
-				e.poisonDeepest()
-			}
-			if !w.cfg.ContinueOnFailure {
-				w.co.noteTerminal(p, out.FailureError())
-				return
-			}
-		}
-		if !w.visit(out, p) {
-			w.co.noteTerminal(p, nil)
-			return
-		}
+		co.finishShard()
 	}
 }
 
@@ -502,9 +412,6 @@ func ExploreParallel(cfg ExploreConfig, pcfg ParallelConfig, newProg func() Prog
 	// several schedulers run concurrently; containment of hangs and panics
 	// still works per execution.
 	cfg.DetectLeaks = false
-	if cfg.Reduction == ReductionSleep {
-		cfg.Config.TrackFootprints = true
-	}
 	workers := pcfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -513,29 +420,26 @@ func ExploreParallel(cfg ExploreConfig, pcfg ParallelConfig, newProg func() Prog
 	if depth <= 0 {
 		depth = DefaultShardDepth
 	}
-	co := &coordinator{maxExecs: cfg.MaxExecutions, progFn: pcfg.Progress}
-	co.cond = sync.NewCond(&co.mu)
+	co := newCoordinator(cfg.MaxExecutions, pcfg.Progress)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
-		w := &shardWorker{co: co, cfg: cfg, prog: newProg(), visit: visit}
+		e, prog := newExplorer(cfg, co), newProg()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.run()
+			co.work(e, prog, visit)
 		}()
 	}
-	co.generate(cfg, newProg(), depth)
+	gen := newExplorer(cfg, co)
+	gen.generate(newProg(), depth, func(out *Outcome, p Pos, floor int) {
+		co.push(&shard{stack: cloneStack(gen.stack), floor: floor, out: out, path: p.Clone()})
+	})
+	gen.finish()
+	co.mu.Lock()
+	co.genDone = true
+	co.cond.Broadcast()
+	co.mu.Unlock()
 	wg.Wait()
 	co.finalProgress()
-	stats := co.stats
-	switch {
-	case co.termPos != nil && co.termErr != nil:
-		return stats, co.termErr
-	case co.termPos != nil:
-		return stats, nil
-	case co.truncated:
-		stats.Truncated = true
-		return stats, ErrBudget
-	}
-	return stats, nil
+	return co.result()
 }

@@ -273,13 +273,14 @@ func TestParallelEarlyStop(t *testing.T) {
 
 // TestParallelErrorDeterministic checks that a failing execution (a panic in
 // program code) surfaces as the same error regardless of worker count: the
-// sequentially-first failure wins.
+// sequentially-first failure wins — including when it is the very first
+// execution, whose position is the empty path.
 func TestParallelErrorDeterministic(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	// Thread b panics when its point runs before thread a finished: many
 	// schedules fail, and the parallel explorer must report the failure the
 	// sequential DFS would hit first.
-	mk := func() sched.Program {
+	overtake := func() sched.Program {
 		var aDone bool
 		return sched.Program{
 			Setup: func(*sched.Thread) { aDone = false },
@@ -301,10 +302,14 @@ func TestParallelErrorDeterministic(t *testing.T) {
 			},
 		}
 	}
-	cfg := sched.ExploreConfig{PreemptionBound: sched.Unbounded}
-	_, seqErr := sched.Explore(cfg, mk(), func(o *sched.Outcome) bool { return true })
-	if seqErr == nil {
-		t.Fatalf("sequential explorer found no failing execution")
+	always := func() sched.Program {
+		return sched.Program{Threads: []func(*sched.Thread){
+			func(th *sched.Thread) {
+				th.OpStart("a")
+				panic("a always panics")
+			},
+			opThread(1, "b"),
+		}}
 	}
 	// Panic errors embed a goroutine stack dump; the identifying part is the
 	// first line ("thread N panicked: ...").
@@ -317,13 +322,20 @@ func TestParallelErrorDeterministic(t *testing.T) {
 		}
 		return s
 	}
-	for _, w := range []int{1, 2, 4, 8} {
-		_, parErr := sched.ExploreParallel(cfg, sched.ParallelConfig{Workers: w}, mk, func(o *sched.Outcome, p sched.Pos) bool { return true })
-		if parErr == nil {
-			t.Fatalf("workers=%d: parallel explorer found no failing execution", w)
+	cfg := sched.ExploreConfig{PreemptionBound: sched.Unbounded}
+	for name, mk := range map[string]func() sched.Program{"overtake": overtake, "first-execution": always} {
+		_, seqErr := sched.Explore(cfg, mk(), func(o *sched.Outcome) bool { return true })
+		if seqErr == nil {
+			t.Fatalf("%s: sequential explorer found no failing execution", name)
 		}
-		if firstLine(parErr) != firstLine(seqErr) {
-			t.Fatalf("workers=%d: error differs from sequential:\n got %v\nwant %v", w, firstLine(parErr), firstLine(seqErr))
+		for _, w := range []int{1, 2, 4, 8} {
+			_, parErr := sched.ExploreParallel(cfg, sched.ParallelConfig{Workers: w}, mk, func(o *sched.Outcome, p sched.Pos) bool { return true })
+			if parErr == nil {
+				t.Fatalf("%s workers=%d: parallel explorer found no failing execution", name, w)
+			}
+			if firstLine(parErr) != firstLine(seqErr) {
+				t.Fatalf("%s workers=%d: error differs from sequential:\n got %v\nwant %v", name, w, firstLine(parErr), firstLine(seqErr))
+			}
 		}
 	}
 }

@@ -48,13 +48,15 @@ type RandomConfig struct {
 
 // ExploreRandom samples schedules of prog instead of enumerating them: it
 // performs cfg.Runs independent executions under the chosen strategy and
-// hands each outcome to visit (stopping early if visit returns false).
+// hands each outcome to visit with its arrival index as a one-level Pos
+// (stopping early if visit returns false).
 // Unlike Explore it gives no coverage guarantee, but it scales to tests far
 // beyond exhaustive reach; any violation found on a sampled schedule is
 // still a true violation.
-func ExploreRandom(cfg RandomConfig, prog Program, visit func(*Outcome) bool) (ExploreStats, error) {
+func ExploreRandom(cfg RandomConfig, prog Program, visit func(*Outcome, Pos) bool) (ExploreStats, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var stats ExploreStats
+	pos := make(Pos, 1)
 	for i := 0; i < cfg.Runs; i++ {
 		var ctrl Controller
 		switch cfg.Strategy {
@@ -74,7 +76,8 @@ func ExploreRandom(cfg RandomConfig, prog Program, visit func(*Outcome) bool) (E
 		if k := out.FailureKind(); k != FailNone && !cfg.ContinueOnFailure {
 			return stats, out.FailureError()
 		}
-		if !visit(out) {
+		pos[0] = i
+		if !visit(out, pos) {
 			return stats, nil
 		}
 	}

@@ -177,10 +177,11 @@ func TestSleepSetHistoryEquivalence(t *testing.T) {
 }
 
 // TestReductionCheckpointResume interrupts a reduced exploration at several
-// cut points and resumes it: the concatenated visit sequence and the final
-// statistics — including the pruned count — must match an uninterrupted
-// reduced run. This is what Checkpoint.Explored exists for: the retired
-// branches' footprints cannot be recomputed from the resume path alone.
+// cut points and resumes it from the frontier work unit: the concatenated
+// visit sequence and the final statistics — including the pruned count — must
+// match an uninterrupted reduced run. This is what WorkUnit.Explored exists
+// for: the retired branches' footprints cannot be recomputed from the
+// frontier path alone.
 func TestReductionCheckpointResume(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	prog := func() sched.Program {
@@ -202,39 +203,8 @@ func TestReductionCheckpointResume(t *testing.T) {
 	}
 	for _, cut := range []int{1, 2, len(full) / 2, len(full) - 1} {
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
-			cfg := base
-			cfg.MaxExecutions = cut
-			var last *sched.Checkpoint
-			cfg.Checkpoint = func(cp sched.Checkpoint) { last = &cp }
-			var prefix []string
-			if _, err := sched.Explore(cfg, prog(), func(o *sched.Outcome) bool {
-				prefix = append(prefix, outcomeKey(o))
-				return true
-			}); err != sched.ErrBudget {
-				t.Fatalf("interrupted explore: err = %v, want ErrBudget", err)
-			}
-			if last == nil {
-				t.Fatal("no checkpoint emitted before the cut")
-			}
-			resumed := base
-			resumed.Resume = last
-			var suffix []string
-			stats, err := sched.Explore(resumed, prog(), func(o *sched.Outcome) bool {
-				suffix = append(suffix, outcomeKey(o))
-				return true
-			})
-			if err != nil {
-				t.Fatalf("resumed explore: %v", err)
-			}
-			got := append(append([]string(nil), prefix...), suffix...)
-			if len(got) != len(full) {
-				t.Fatalf("resumed run visited %d executions total, want %d", len(got), len(full))
-			}
-			for i := range got {
-				if got[i] != full[i] {
-					t.Fatalf("execution %d differs after resume:\n got %q\nwant %q", i, got[i], full[i])
-				}
-			}
+			got, stats := cutAndResume(t, base, prog, cut, outcomeKey)
+			requireSameVisits(t, got, full)
 			if stats != fullStats {
 				t.Fatalf("final stats after resume = %+v, want %+v", stats, fullStats)
 			}

@@ -142,12 +142,12 @@ type sleepEntry struct {
 	foot *Footprint
 }
 
-// BranchRecord serializes one explored-and-retired branch of a checkpointed
-// decision level: the thread the branch scheduled and the window footprint
-// its first step produced. A resumed exploration rebuilds the level's
-// sleep-set state from these records; they cannot be recomputed from the
-// branch path alone, because they describe subtrees the interrupted run
-// already finished.
+// BranchRecord serializes one explored-and-retired branch of a decision
+// level of a WorkUnit: the thread the branch scheduled and the window
+// footprint its first step produced. A replayed or resumed exploration
+// rebuilds the level's sleep-set state from these records; they cannot be
+// recomputed from the branch path alone, because they describe subtrees that
+// were already finished when the unit was cut.
 type BranchRecord struct {
 	Thread ThreadID  `json:"t"`
 	Foot   Footprint `json:"f"`

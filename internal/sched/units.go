@@ -1,9 +1,10 @@
 package sched
 
-// Work units promote the checkpoint format to a distributable job: SplitUnits
-// carves the schedule tree into self-contained subtree descriptions, and
-// ExploreUnit explores exactly one of them. Together they partition the
-// sequential exploration — every execution, decision, and sleep-set skip of
+// A work unit is a serializable DFS frontier: SplitUnits carves the schedule
+// tree into self-contained subtree descriptions, and ExploreUnit explores
+// exactly one of them (the root unit WorkUnit{} is the whole tree; a unit with
+// Floor 0 resumes a sequential exploration mid-run). Together they partition
+// the sequential exploration — every execution, decision, and sleep-set skip of
 // Explore is accounted by exactly one ExploreUnit call (the split's own
 // discovery executions are reported separately and never merged) — so a
 // coordinator that sums per-unit stats reproduces the sequential totals
@@ -30,16 +31,19 @@ type WorkUnit struct {
 	// them.
 	Seq int `json:"seq"`
 	// Path is the realized branch path of the subtree's leftmost execution
-	// (every decision level it reached), as a Checkpoint.Path the replaying
-	// worker seeds from.
+	// (every decision level it reached); the replaying worker seeds its first
+	// execution from it. A path cut after the level the DFS last advanced —
+	// the frontier before that execution ran — is equally valid: the replay
+	// creates the missing levels itself, as the uninterrupted DFS would.
 	Path []int `json:"path"`
 	// Floor is the number of pinned prefix levels; the worker's backtracking
 	// is confined to levels >= Floor.
 	Floor int `json:"floor"`
 	// Explored carries the retired-branch records of every level of Path at
-	// generation time (reduction only), exactly like Checkpoint.Explored:
-	// without them the replayed DFS could neither prune nor count like the
-	// sequential one.
+	// generation time (reduction only). Sleep sets are otherwise a
+	// deterministic function of the branch path, but these retired branches
+	// describe finished subtrees the replay never revisits: without them the
+	// replayed DFS could neither prune nor count like the sequential one.
 	Explored [][]BranchRecord `json:"explored,omitempty"`
 }
 
@@ -75,56 +79,24 @@ func SplitUnits(cfg ExploreConfig, prog Program, depth int) ([]WorkUnit, SplitSt
 	if depth <= 0 {
 		depth = DefaultShardDepth
 	}
-	if cfg.Reduction == ReductionSleep {
-		cfg.Config.TrackFootprints = true
-	}
-	e := &explorer{bound: cfg.PreemptionBound, red: cfg.Reduction, tel: cfg.Telemetry}
-	defer e.flushPruneTelemetry()
+	cfg.ContinueOnFailure = true
+	co := newCoordinator(cfg.MaxExecutions, nil)
+	e := newExplorer(cfg, co)
 	var units []WorkUnit
-	var st SplitStats
-	for {
-		if cfg.MaxExecutions > 0 && st.DiscoveryExecutions >= cfg.MaxExecutions {
-			st.Units, st.Pruned = len(units), e.pruned
-			return units, st, ErrBudget
-		}
-		e.begin()
-		if c := cfg.Telemetry; c != nil {
-			c.ExecutionsStarted.Add(1)
-		}
-		out := NewScheduler(cfg.Config, e).Run(prog)
-		e.flushTelemetry(out)
-		st.DiscoveryExecutions++
-		cfg.Config.Prealloc = CapHint{Events: len(out.Events), Schedule: len(out.Schedule), Trace: len(out.Trace)}
-		if out.FailureKind() != FailNone && e.red == ReductionSleep {
-			// The failure interrupted the deepest window mid-flight; poison it
-			// exactly like the sequential explorer so the prefix levels the
-			// generator keeps advancing prune identically.
-			e.poisonDeepest()
-		}
-		floor := depth
-		if len(e.stack) < floor {
-			floor = len(e.stack)
-		}
+	e.generate(prog, depth, func(_ *Outcome, _ Pos, floor int) {
 		u := WorkUnit{Seq: len(units), Path: []int(pathOf(e.stack)), Floor: floor}
 		if e.red == ReductionSleep {
 			u.Explored = exploredOf(e.stack)
 		}
 		units = append(units, u)
-		// Discard the unit's deep levels without counting their trailing
-		// branches — the worker's own backtracking pops (and counts) them —
-		// and advance the pinned prefix to the next unit's subtree.
-		e.stack = e.stack[:floor]
-		if !e.advanceAbove(0) {
-			break
-		}
-	}
-	st.Units, st.Pruned = len(units), e.pruned
-	return units, st, nil
+	})
+	e.finish()
+	stats, err := co.result()
+	return units, SplitStats{Units: len(units), DiscoveryExecutions: stats.Executions, Pruned: stats.Pruned}, err
 }
 
 // ExploreUnit enumerates the schedules of u's subtree and calls visit for
-// every execution outcome with its realized branch path, in sequential DFS
-// order. The first execution replays u.Path (it is the unit's leftmost
+// every execution outcome with its position, in sequential DFS order. The first execution replays u.Path (it is the unit's leftmost
 // execution, counted here, not by the generator); subsequent executions
 // backtrack within levels >= u.Floor. Semantics otherwise follow Explore:
 // visit returning false stops the unit early, a failed execution aborts with
@@ -135,45 +107,10 @@ func SplitUnits(cfg ExploreConfig, prog Program, depth int) ([]WorkUnit, SplitSt
 // the sequential Explore visit sequence, and the summed ExploreStats — plus
 // SplitStats.Pruned — equal the sequential stats exactly.
 func ExploreUnit(cfg ExploreConfig, prog Program, u WorkUnit, visit func(*Outcome, Pos) bool) (ExploreStats, error) {
-	if cfg.Reduction == ReductionSleep {
-		cfg.Config.TrackFootprints = true
-	}
-	e := &explorer{bound: cfg.PreemptionBound, red: cfg.Reduction, tel: cfg.Telemetry}
-	defer e.flushPruneTelemetry()
-	e.seed = u.Path
-	e.seedExplored = u.Explored
-	var stats ExploreStats
-	for {
-		if cfg.MaxExecutions > 0 && stats.Executions >= cfg.MaxExecutions {
-			stats.Truncated = true
-			return stats, ErrBudget
-		}
-		e.begin()
-		if c := cfg.Telemetry; c != nil {
-			c.ExecutionsStarted.Add(1)
-		}
-		out := NewScheduler(cfg.Config, e).Run(prog)
-		e.seed, e.seedExplored = nil, nil
-		e.flushTelemetry(out)
-		stats.Executions++
-		stats.Decisions += out.Decisions
-		stats.Pruned = e.pruned
-		if k := out.FailureKind(); k != FailNone {
-			if e.red == ReductionSleep {
-				e.poisonDeepest()
-			}
-			if !cfg.ContinueOnFailure {
-				return stats, out.FailureError()
-			}
-		}
-		cfg.Config.Prealloc = CapHint{Events: len(out.Events), Schedule: len(out.Schedule), Trace: len(out.Trace)}
-		if !visit(out, pathOf(e.stack)) {
-			return stats, nil
-		}
-		adv := e.advanceAbove(u.Floor)
-		stats.Pruned = e.pruned
-		if !adv {
-			return stats, nil
-		}
-	}
+	co := newCoordinator(cfg.MaxExecutions, nil)
+	e := newExplorer(cfg, co)
+	e.seed, e.seedExplored = u.Path, u.Explored
+	e.explore(prog, &shard{floor: u.Floor}, visit)
+	e.finish()
+	return co.result()
 }
