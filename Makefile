@@ -57,10 +57,12 @@ fastmon-smoke:
 
 # Short coverage-guided fuzz pass over the external input parsers (the batch
 # JSONL trace reader, the incremental stream reader, and the binary batch
-# frame codec) and the test-matrix mutator (well-formedness + schedule
-# replayability of every mutant); the seed corpus plus a few seconds of
-# mutation on every `make check` keeps crash regressions out of the hot paths.
+# frame codec), the test-matrix mutator (well-formedness + schedule
+# replayability of every mutant) and the specification trie (against a
+# map-based reference); the seed corpus plus a few seconds of mutation on
+# every `make check` keeps crash regressions out of the hot paths.
 fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzSpec -fuzztime=5s ./internal/history
 	$(GO) test -run='^$$' -fuzz=FuzzReadTrace -fuzztime=5s ./internal/obsfile
 	$(GO) test -run='^$$' -fuzz=FuzzStreamReader -fuzztime=5s ./internal/obsfile
 	$(GO) test -run='^$$' -fuzz=FuzzBatchFrame -fuzztime=5s ./internal/obsfile

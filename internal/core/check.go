@@ -32,7 +32,8 @@ type Options struct {
 	// Granularity selects the preemption granularity of phase 2.
 	Granularity sched.Granularity
 	// MaxExecutionsPerPhase is a safety net against schedule-space blowups
-	// (0 = default 2,000,000).
+	// (0 = default 2,000,000). A phase that reaches it aborts the check with
+	// a *BudgetError naming the phase.
 	MaxExecutionsPerPhase int
 	// KeepSpec retains the synthesized specification in the result (needed
 	// for writing observation files; costs memory).

@@ -220,7 +220,7 @@ func CheckUnitWithSpec(sub *Subject, m *Test, opts Options, u sched.WorkUnit, sp
 	if aborted {
 		return nil, ErrUnitAborted
 	}
-	if exploreErr != nil && exploreErr != sched.ErrBudget {
+	if exploreErr != nil && !errors.Is(exploreErr, sched.ErrBudget) {
 		return nil, exploreErr
 	}
 	// Only a decision error is terminal here; it fails the unit.
@@ -328,7 +328,8 @@ func MergeUnitReports(sub *Subject, m *Test, opts Options, plan *UnitPlan, repor
 	stats.Pruned += plan.Split.Pruned
 	res.Phase2 = stats
 	if truncated {
-		return nil, sched.ErrBudget
+		// The budget applies per unit; Executions is the merged total.
+		return nil, &BudgetError{Phase: 2, Executions: stats.Executions, Limit: opts.maxExecs()}
 	}
 	replay := func(what string, schedule []sched.ThreadID) (*sched.Outcome, error) {
 		var holder any

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -21,6 +22,21 @@ func flushCacheTelemetry(c *telemetry.Collector, cache *histCache) {
 	c.HistCacheEntries.Add(int64(cache.entries))
 }
 
+// BudgetError reports that a phase stopped at Options.MaxExecutionsPerPhase
+// before its schedule space was exhausted. It wraps sched.ErrBudget.
+type BudgetError struct {
+	Phase      int // 1 (serial enumeration) or 2 (concurrent exploration)
+	Executions int
+	Limit      int
+}
+
+func (e *BudgetError) Error() string {
+	return fmt.Sprintf("core: phase %d ran out of budget after %d executions (MaxExecutionsPerPhase %d): %v",
+		e.Phase, e.Executions, e.Limit, sched.ErrBudget)
+}
+
+func (e *BudgetError) Unwrap() error { return sched.ErrBudget }
+
 // SynthesizeSpec runs phase 1 alone: it enumerates the serial executions of
 // the test and returns the synthesized specification, together with the
 // phase statistics. The specification can be persisted with
@@ -28,31 +44,40 @@ func flushCacheTelemetry(c *telemetry.Collector, cache *histCache) {
 // observation-file workflow of Section 4.2).
 func SynthesizeSpec(sub *Subject, m *Test, opts Options) (*history.Spec, PhaseStats, error) {
 	spec := history.NewSpec()
-	var holder any
 	var err error
 	start := time.Now()
 	endSpan := opts.Telemetry.StartSpan("phase1")
 	defer endSpan()
-	cache := newHistCache()
-	defer flushCacheTelemetry(opts.Telemetry, cache)
+	relaxed := opts.relaxedSet()
 	// Phase 1 arms the containment config (watchdog, leak detection) but
 	// stays strict: serial executions run deterministic subject code, so a
-	// failure here is not schedule-dependent and aborts the check.
-	stats, exploreErr := sched.Explore(opts.exploreConfig(true, false), program(sub, m, &holder),
-		newHistories(cache, opts.relaxedSet(), &err, func(h *history.History) bool {
-			spec.Add(history.ToSerial(h))
-			return true
-		}))
+	// failure here is not schedule-dependent and aborts the check. Serial
+	// exploration visits every serial history exactly once (decisions are
+	// taken only between operations), so each outcome goes straight into the
+	// spec, which deduplicates on its own.
+	stats, exploreErr := ForEachSerialExecution(sub, m, opts, false, func(out *sched.Outcome) bool {
+		var h *history.History
+		if h, err = materialize(out, relaxed); err != nil {
+			return false
+		}
+		spec.Add(history.ToSerial(h))
+		return true
+	})
 	ps := PhaseStats{
 		Executions: stats.Executions,
 		Decisions:  stats.Decisions,
 		Histories:  spec.NumFull(),
 		Stuck:      spec.NumStuck(),
-		DedupHits:  cache.hits,
 		Duration:   time.Since(start),
 	}
 	if err != nil {
 		return nil, ps, err
+	}
+	// Executions whose history the spec already held: zero by the
+	// one-execution-per-serial-history invariant.
+	ps.DedupHits = ps.Executions - ps.Histories - ps.Stuck
+	if errors.Is(exploreErr, sched.ErrBudget) {
+		return nil, ps, &BudgetError{Phase: 1, Executions: stats.Executions, Limit: opts.maxExecs()}
 	}
 	if exploreErr != nil {
 		return nil, ps, exploreErr
@@ -417,7 +442,7 @@ func phase2(sub *Subject, m *Test, spec *history.Spec, opts Options, mode witnes
 	// A non-budget explorer error is an execution failure that precedes
 	// every visit-level stop in sequential order (the explorer's own
 	// minimal-position selection), so it wins.
-	if exploreErr != nil && exploreErr != sched.ErrBudget {
+	if exploreErr != nil && !errors.Is(exploreErr, sched.ErrBudget) {
 		return nil, exploreErr
 	}
 	first, failures, err := acc.resolve()
@@ -425,7 +450,7 @@ func phase2(sub *Subject, m *Test, spec *history.Spec, opts Options, mode witnes
 		return nil, err
 	}
 	if exploreErr != nil {
-		return nil, exploreErr
+		return nil, &BudgetError{Phase: 2, Executions: stats.Executions, Limit: opts.maxExecs()}
 	}
 	full, stuck, dedupHits := acc.stats()
 	res.Phase2 = PhaseStats{

@@ -23,22 +23,19 @@ func (sp *Spec) WitnessClassic(h *History) (*SerialHistory, bool) {
 			pendingByThread[op.Thread] = op
 		}
 	}
-	for _, group := range [][]*SerialHistory{flatten(sp.full), flatten(sp.stuck)} {
-		for _, cand := range group {
-			if s, ok := classicMatch(cand, h, completedByThread, pendingByThread); ok {
-				return s, ok
+	for _, stuck := range []bool{false, true} {
+		for _, g := range sp.groups {
+			if g.stuck != stuck {
+				continue
+			}
+			for _, cand := range g.hist {
+				if s, ok := classicMatch(cand, h, completedByThread, pendingByThread); ok {
+					return s, ok
+				}
 			}
 		}
 	}
 	return nil, false
-}
-
-func flatten(m map[string][]*SerialHistory) []*SerialHistory {
-	var out []*SerialHistory
-	for _, hs := range m {
-		out = append(out, hs...)
-	}
-	return out
 }
 
 // classicMatch checks whether some prefix of cand's completed operations

@@ -62,28 +62,25 @@ func (o Op) String() string {
 
 // Ops extracts the operations of the history in call order.
 func (h *History) Ops() []Op {
-	byIndex := make(map[int]*Op)
-	var order []int
+	out := make([]Op, 0, (len(h.Events)+1)/2)
+	at := make(map[int]int, cap(out)) // operation identifier -> position in out
 	for pos, e := range h.Events {
 		switch e.Kind {
 		case Call:
-			byIndex[e.Index] = &Op{
+			at[e.Index] = len(out)
+			out = append(out, Op{
 				Thread: e.Thread, Name: e.Op, CallPos: pos, RetPos: -1, Index: e.Index,
-			}
-			order = append(order, e.Index)
+			})
 		case Return:
-			op := byIndex[e.Index]
-			if op == nil {
+			i, ok := at[e.Index]
+			if !ok {
 				panic("history: return without matching call")
 			}
+			op := &out[i]
 			op.Result = e.Result
 			op.Complete = true
 			op.RetPos = pos
 		}
-	}
-	out := make([]Op, 0, len(order))
-	for _, idx := range order {
-		out = append(out, *byIndex[idx])
 	}
 	return out
 }

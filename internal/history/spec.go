@@ -2,7 +2,7 @@ package history
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"strings"
 )
 
@@ -61,13 +61,15 @@ func ToSerial(h *History) *SerialHistory {
 	if !h.Serial() {
 		panic("history: ToSerial on a non-serial history")
 	}
-	s := &SerialHistory{}
-	for _, op := range h.Ops() {
-		if op.Complete {
-			s.Ops = append(s.Ops, SerialOp{Thread: op.Thread, Name: op.Name, Result: op.Result})
-		} else {
-			s.Pending = &SerialPending{Thread: op.Thread, Name: op.Name}
+	// Serial means calls and returns alternate, with at most a trailing call.
+	s := &SerialHistory{Ops: make([]SerialOp, 0, len(h.Events)/2)}
+	for i := 0; i < len(h.Events); i += 2 {
+		call := h.Events[i]
+		if i+1 == len(h.Events) {
+			s.Pending = &SerialPending{Thread: call.Thread, Name: call.Op}
+			break
 		}
+		s.Ops = append(s.Ops, SerialOp{Thread: call.Thread, Name: call.Op, Result: h.Events[i+1].Result})
 	}
 	if h.Stuck && s.Pending == nil {
 		// A stuck serial execution whose last running thread blocked before
@@ -76,44 +78,6 @@ func ToSerial(h *History) *SerialHistory {
 		panic("history: stuck serial history without pending operation")
 	}
 	return s
-}
-
-// threadSignature computes the grouping key of Section 4.2: the sequence of
-// (operation, result) pairs per thread, with the pending operation (if any)
-// marked. Histories with equal signatures are candidates for witnessing each
-// other.
-func threadSignature(perThread map[int][]SerialOp, pending *SerialPending) string {
-	threads := make([]int, 0, len(perThread))
-	for t := range perThread {
-		threads = append(threads, t)
-	}
-	if pending != nil {
-		if _, ok := perThread[pending.Thread]; !ok {
-			threads = append(threads, pending.Thread)
-		}
-	}
-	sort.Ints(threads)
-	var b strings.Builder
-	for _, t := range threads {
-		fmt.Fprintf(&b, "T%d{", t)
-		for _, op := range perThread[t] {
-			fmt.Fprintf(&b, "%s=%s;", op.Name, op.Result)
-		}
-		if pending != nil && pending.Thread == t {
-			fmt.Fprintf(&b, "%s=#;", pending.Name)
-		}
-		b.WriteString("}")
-	}
-	return b.String()
-}
-
-// fullSignature is the grouping key of a complete serial history.
-func (s *SerialHistory) fullSignature() string {
-	per := make(map[int][]SerialOp)
-	for _, op := range s.Ops {
-		per[op.Thread] = append(per[op.Thread], op)
-	}
-	return threadSignature(per, s.Pending)
 }
 
 // NondetWitness reports a violation of determinism (line 4 of Fig. 5): two
@@ -138,92 +102,226 @@ func (w *NondetWitness) String() string {
 		strings.Join(parts, " "), w.Thread, w.Call, w.Result1, w.Result2)
 }
 
-type contEntry struct {
-	result string
-	hist   *SerialHistory
+// step labels one trie edge: a completed operation, or with pending set the
+// blocked invocation that ends a stuck history. Steps are interned to dense
+// ids, so a trie walk compares integers.
+type step struct {
+	thread  int
+	name    string
+	result  string
+	pending bool
+}
+
+// outcome is how the step's call continued: its result, or "#" for a block.
+func (st step) outcome() string {
+	if st.pending {
+		return "#"
+	}
+	return st.result
+}
+
+// trie is a node of a prefix tree over interned steps. Fan-out is a handful
+// of edges (threads times observed results), so children are scanned.
+type trie[V any] struct {
+	kids []edge[V]
+	val  V
+}
+
+type edge[V any] struct {
+	step int32
+	to   *trie[V]
+}
+
+func (n *trie[V]) child(id int32) *trie[V] {
+	for _, e := range n.kids {
+		if e.step == id {
+			return e.to
+		}
+	}
+	return nil
+}
+
+func (n *trie[V]) grow(id int32, val V) *trie[V] {
+	to := &trie[V]{val: val}
+	n.kids = append(n.kids, edge[V]{id, to})
+	return to
+}
+
+// serialPrefix is the payload of the order trie, whose paths spell serial
+// prefixes: first is the history whose insertion created the node, end the
+// stored history that stops exactly here.
+type serialPrefix struct {
+	first, end *SerialHistory
+}
+
+// group holds the stored histories with one thread signature. They are all
+// full or all stuck, because a pending call is part of the signature. All of
+// them have the same thread subhistories, so an operation is identified by
+// its rank in thread-major order: order[i][k] is the rank of the operation at
+// serial position k of hist[i] (a pending call comes last).
+type group struct {
+	sig   string
+	stuck bool
+	hist  []*SerialHistory
+	order [][]int32
 }
 
 // Spec is a specification synthesized from serial executions: the sets A
 // (full serial histories) and B (stuck serial histories) of Fig. 5, grouped
 // by thread signature as in the observation-file format, together with an
-// incremental determinism check.
+// incremental determinism check. Histories live in a prefix trie, so one walk
+// per Add deduplicates (the leaf exists), checks determinism (a node whose new
+// edge repeats a sibling's call with another outcome is a longest common
+// prefix ending in a call) and stores. Add must not run concurrently with
+// anything; the Witness methods may run concurrently with each other.
 type Spec struct {
-	full      map[string][]*SerialHistory
-	stuck     map[string][]*SerialHistory
-	groups    []string // group keys in first-seen order (full and stuck share keys)
-	dedup     map[string]bool
-	nondet    map[string]contEntry
+	ids       map[step]int32
+	steps     []step
+	root      trie[serialPrefix] // serial order
+	sigs      trie[*group]       // thread subhistories, thread-major
+	groups    []*group           // first-seen order
+	bySig     map[string]*group
 	conflict  *NondetWitness
 	conflictH [2]*SerialHistory
 	nFull     int
 	nStuck    int
+	path      []int32 // Add's scratch: the step ids of the history being added
 }
 
 // NewSpec creates an empty specification.
 func NewSpec() *Spec {
-	return &Spec{
-		full:   make(map[string][]*SerialHistory),
-		stuck:  make(map[string][]*SerialHistory),
-		dedup:  make(map[string]bool),
-		nondet: make(map[string]contEntry),
+	return &Spec{ids: make(map[step]int32), bySig: make(map[string]*group)}
+}
+
+func (sp *Spec) intern(st step) int32 {
+	id, ok := sp.ids[st]
+	if !ok {
+		id = int32(len(sp.steps))
+		sp.ids[st] = id
+		sp.steps = append(sp.steps, st)
+	}
+	return id
+}
+
+// threadMajor calls visit with the indices 0..n-1 ordered by thread(i), ties
+// in index order. Histories have a handful of threads, so it rescans instead
+// of sorting (and allocating).
+func threadMajor(n int, thread func(i int) int, visit func(i int)) {
+	for last, started := 0, false; ; started = true {
+		cur, found := 0, false
+		for i := 0; i < n; i++ {
+			if t := thread(i); (!started || t > last) && (!found || t < cur) {
+				cur, found = t, true
+			}
+		}
+		if !found {
+			return
+		}
+		for i := 0; i < n; i++ {
+			if thread(i) == cur {
+				visit(i)
+			}
+		}
+		last = cur
 	}
 }
 
 // Add records one serial history (full or stuck) into the specification,
 // updating the determinism check.
 func (sp *Spec) Add(s *SerialHistory) {
-	if sp.dedup[s.Key()] {
-		return
+	path := sp.path[:0]
+	for _, op := range s.Ops {
+		path = append(path, sp.intern(step{thread: op.Thread, name: op.Name, result: op.Result}))
 	}
-	sp.dedup[s.Key()] = true
-	sig := s.fullSignature()
-	if _, seen := sp.full[sig]; !seen {
-		if _, seen2 := sp.stuck[sig]; !seen2 {
-			sp.groups = append(sp.groups, sig)
+	if s.Pending != nil {
+		path = append(path, sp.intern(step{thread: s.Pending.Thread, name: s.Pending.Name, pending: true}))
+	}
+	sp.path = path
+
+	n := &sp.root
+	for k, id := range path {
+		next := n.child(id)
+		if next == nil {
+			// Only a new edge can introduce a conflict: existing siblings were
+			// checked against each other when the later one was added.
+			sp.checkDeterminism(n, id, s, k)
+			next = n.grow(id, serialPrefix{first: s})
 		}
+		n = next
+	}
+	if n.val.end != nil {
+		return // duplicate
+	}
+	n.val.end = s
+
+	order := make([]int32, len(path))
+	thread := func(i int) int { return sp.steps[path[i]].thread }
+	g, rank := &sp.sigs, int32(0)
+	threadMajor(len(path), thread, func(i int) {
+		next := g.child(path[i])
+		if next == nil {
+			next = g.grow(path[i], nil)
+		}
+		g = next
+		order[i] = rank
+		rank++
+	})
+	if g.val == nil {
+		g.val = &group{sig: sp.signature(path), stuck: s.Stuck()}
+		sp.groups = append(sp.groups, g.val)
+		sp.bySig[g.val.sig] = g.val
 	}
 	if s.Stuck() {
-		sp.stuck[sig] = append(sp.stuck[sig], s)
 		sp.nStuck++
 	} else {
-		sp.full[sig] = append(sp.full[sig], s)
 		sp.nFull++
 	}
-	sp.updateNondet(s)
+	g.val.hist = append(g.val.hist, s)
+	g.val.order = append(g.val.order, order)
 }
 
-func prefixKey(ops []SerialOp, thread int, call string) string {
+// signature renders the grouping key of Section 4.2 for the history spelled by
+// path: the sequence of (operation, result) pairs per thread, with the pending
+// operation (if any) marked. It is built once per group; lookups go through
+// the signature trie.
+func (sp *Spec) signature(path []int32) string {
 	var b strings.Builder
-	for _, op := range ops {
-		fmt.Fprintf(&b, "%d:%s=%s;", op.Thread, op.Name, op.Result)
+	thread := func(i int) int { return sp.steps[path[i]].thread }
+	open, cur := false, 0
+	threadMajor(len(path), thread, func(i int) {
+		st := sp.steps[path[i]]
+		if !open || st.thread != cur {
+			if open {
+				b.WriteByte('}')
+			}
+			fmt.Fprintf(&b, "T%d{", st.thread)
+			open, cur = true, st.thread
+		}
+		b.WriteString(st.name + "=" + st.outcome() + ";")
+	})
+	if open {
+		b.WriteByte('}')
 	}
-	fmt.Fprintf(&b, "||%d:%s", thread, call)
 	return b.String()
 }
 
-func (sp *Spec) noteContinuation(s *SerialHistory, prefix []SerialOp, thread int, call, result string) {
-	key := prefixKey(prefix, thread, call)
-	if prev, ok := sp.nondet[key]; ok {
-		if prev.result != result && sp.conflict == nil {
-			cp := make([]SerialOp, len(prefix))
-			copy(cp, prefix)
-			sp.conflict = &NondetWitness{
-				Prefix: cp, Thread: thread, Call: call,
-				Result1: prev.result, Result2: result,
-			}
-			sp.conflictH = [2]*SerialHistory{prev.hist, s}
-		}
+// checkDeterminism records the first determinism conflict: id is about to
+// become a new edge of n, the node of the serial prefix s.Ops[:k]; a sibling
+// edge with the same call and a different outcome is the conflict.
+func (sp *Spec) checkDeterminism(n *trie[serialPrefix], id int32, s *SerialHistory, k int) {
+	if sp.conflict != nil {
 		return
 	}
-	sp.nondet[key] = contEntry{result: result, hist: s}
-}
-
-func (sp *Spec) updateNondet(s *SerialHistory) {
-	for k := range s.Ops {
-		sp.noteContinuation(s, s.Ops[:k], s.Ops[k].Thread, s.Ops[k].Name, s.Ops[k].Result)
-	}
-	if s.Pending != nil {
-		sp.noteContinuation(s, s.Ops, s.Pending.Thread, s.Pending.Name, "#")
+	st := sp.steps[id]
+	for _, e := range n.kids {
+		if prev := sp.steps[e.step]; prev.thread == st.thread && prev.name == st.name {
+			sp.conflict = &NondetWitness{
+				Prefix: append([]SerialOp(nil), s.Ops[:k]...), Thread: st.thread, Call: st.name,
+				Result1: prev.outcome(), Result2: st.outcome(),
+			}
+			sp.conflictH = [2]*SerialHistory{e.to.val.first, s}
+			return
+		}
 	}
 }
 
@@ -247,30 +345,76 @@ func (sp *Spec) NumFull() int { return sp.nFull }
 func (sp *Spec) NumStuck() int { return sp.nStuck }
 
 // Groups returns the group keys in first-seen order.
-func (sp *Spec) Groups() []string { return sp.groups }
+func (sp *Spec) Groups() []string {
+	sigs := make([]string, len(sp.groups))
+	for i, g := range sp.groups {
+		sigs[i] = g.sig
+	}
+	return sigs
+}
 
 // GroupHistories returns the full and stuck serial histories of a group.
 func (sp *Spec) GroupHistories(sig string) (full, stuck []*SerialHistory) {
-	return sp.full[sig], sp.stuck[sig]
-}
-
-// opKey identifies an operation of a history by thread and per-thread
-// position, which is the identity shared between a concurrent history and a
-// candidate serial witness with equal signature.
-type opKey struct {
-	thread int
-	pos    int
-}
-
-func positions(s *SerialHistory) map[opKey]int {
-	perThread := make(map[int]int)
-	pos := make(map[opKey]int, len(s.Ops))
-	for i, op := range s.Ops {
-		k := opKey{op.Thread, perThread[op.Thread]}
-		perThread[op.Thread]++
-		pos[k] = i
+	g := sp.bySig[sig]
+	switch {
+	case g == nil:
+		return nil, nil
+	case g.stuck:
+		return nil, g.hist
 	}
-	return pos
+	return g.hist, nil
+}
+
+// smallHistory sizes the stack buffers of a witness search; longer histories
+// allocate.
+const smallHistory = 16
+
+// witness searches the group named by the thread subhistories of ops for a
+// stored history whose serial order respects the constraint "a comes before b
+// if hi(a) < lo(b)", with (lo, hi) = bounds(i) for ops[i]. Complete operations
+// are looked up with their result, a pending one as the blocked call of a
+// stuck history (whose group holds stuck histories only).
+func (sp *Spec) witness(ops []Op, bounds func(i int) (lo, hi int)) (*SerialHistory, bool) {
+	var idBuf [smallHistory]int32
+	var loBuf, hiBuf [smallHistory]int
+	ids, lo, hi := idBuf[:0], loBuf[:], hiBuf[:]
+	if len(ops) > smallHistory {
+		lo, hi = make([]int, len(ops)), make([]int, len(ops))
+	}
+	for _, op := range ops {
+		id, ok := sp.ids[step{thread: op.Thread, name: op.Name, result: op.Result, pending: !op.Complete}]
+		if !ok {
+			return nil, false
+		}
+		ids = append(ids, id)
+	}
+	g, rank := &sp.sigs, 0
+	threadMajor(len(ops), func(i int) int { return ops[i].Thread }, func(i int) {
+		if g != nil {
+			g = g.child(ids[i])
+		}
+		lo[rank], hi[rank] = bounds(i)
+		rank++
+	})
+	if g == nil || g.val == nil {
+		return nil, false
+	}
+	// Walking a candidate in serial order, the constraint is broken exactly
+	// when an operation's hi lies below the lo of one placed before it.
+next:
+	for i, order := range g.val.order {
+		maxLo := math.MinInt
+		for _, r := range order {
+			if hi[r] < maxLo {
+				continue next
+			}
+			if lo[r] > maxLo {
+				maxLo = lo[r]
+			}
+		}
+		return g.val.hist[i], true
+	}
+	return nil, false
 }
 
 // WitnessFull reports whether the complete concurrent history h has a serial
@@ -279,46 +423,9 @@ func positions(s *SerialHistory) map[opKey]int {
 // such that <H ⊆ <S.
 func (sp *Spec) WitnessFull(h *History) (*SerialHistory, bool) {
 	ops := h.Ops()
-	per := make(map[int][]SerialOp)
-	perThreadPos := make(map[int]int)
-	keys := make([]opKey, len(ops))
-	for i, op := range ops {
-		if !op.Complete {
-			return nil, false // not a full history; caller error
-		}
-		keys[i] = opKey{op.Thread, perThreadPos[op.Thread]}
-		perThreadPos[op.Thread]++
-		per[op.Thread] = append(per[op.Thread], SerialOp{Thread: op.Thread, Name: op.Name, Result: op.Result})
-	}
-	sig := threadSignature(per, nil)
-	candidates := sp.full[sig]
-	if len(candidates) == 0 {
-		return nil, false
-	}
-	// Precedence pairs of <H.
-	type pair struct{ a, b int } // indices into ops
-	var pairs []pair
-	for i := range ops {
-		for j := range ops {
-			if i != j && Precedes(ops[i], ops[j]) {
-				pairs = append(pairs, pair{i, j})
-			}
-		}
-	}
-	for _, cand := range candidates {
-		pos := positions(cand)
-		ok := true
-		for _, p := range pairs {
-			if pos[keys[p.a]] >= pos[keys[p.b]] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return cand, true
-		}
-	}
-	return nil, false
+	// a <H b iff ret(a) precedes call(b). (A pending call finds no full
+	// history: not a full history, caller error.)
+	return sp.witness(ops, func(i int) (int, int) { return ops[i].CallPos, ops[i].RetPos })
 }
 
 // WitnessSeqCon reports whether the complete concurrent history h has a
@@ -330,19 +437,7 @@ func (sp *Spec) WitnessFull(h *History) (*SerialHistory, bool) {
 // strictly weaker than WitnessFull: any linearizability witness is also a
 // sequential-consistency witness.
 func (sp *Spec) WitnessSeqCon(h *History) (*SerialHistory, bool) {
-	ops := h.Ops()
-	per := make(map[int][]SerialOp)
-	for _, op := range ops {
-		if !op.Complete {
-			return nil, false // not a full history; caller error
-		}
-		per[op.Thread] = append(per[op.Thread], SerialOp{Thread: op.Thread, Name: op.Name, Result: op.Result})
-	}
-	candidates := sp.full[threadSignature(per, nil)]
-	if len(candidates) == 0 {
-		return nil, false
-	}
-	return candidates[0], true
+	return sp.witness(h.Ops(), func(int) (int, int) { return 0, 0 })
 }
 
 // quiescentBlocks assigns each operation of h to a quiescence block: a
@@ -388,45 +483,9 @@ func quiescentBlocks(h *History, ops []Op) []int {
 // consistency.
 func (sp *Spec) WitnessQuiescent(h *History) (*SerialHistory, bool) {
 	ops := h.Ops()
-	per := make(map[int][]SerialOp)
-	perThreadPos := make(map[int]int)
-	keys := make([]opKey, len(ops))
-	for i, op := range ops {
-		if !op.Complete {
-			return nil, false // not a full history; caller error
-		}
-		keys[i] = opKey{op.Thread, perThreadPos[op.Thread]}
-		perThreadPos[op.Thread]++
-		per[op.Thread] = append(per[op.Thread], SerialOp{Thread: op.Thread, Name: op.Name, Result: op.Result})
-	}
-	candidates := sp.full[threadSignature(per, nil)]
-	if len(candidates) == 0 {
-		return nil, false
-	}
 	blocks := quiescentBlocks(h, ops)
-	type pair struct{ a, b int }
-	var pairs []pair
-	for i := range ops {
-		for j := range ops {
-			if i != j && blocks[i] < blocks[j] {
-				pairs = append(pairs, pair{i, j})
-			}
-		}
-	}
-	for _, cand := range candidates {
-		pos := positions(cand)
-		ok := true
-		for _, p := range pairs {
-			if pos[keys[p.a]] >= pos[keys[p.b]] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return cand, true
-		}
-	}
-	return nil, false
+	// a must precede b iff a's block is earlier than b's.
+	return sp.witness(ops, func(i int) (int, int) { return blocks[i], blocks[i] })
 }
 
 // WitnessStuck reports whether the reduced stuck history H[e] — h with all
@@ -434,66 +493,34 @@ func (sp *Spec) WitnessQuiescent(h *History) (*SerialHistory, bool) {
 // specification's stuck set (Definition 2). e must be a pending operation
 // of h.
 func (sp *Spec) WitnessStuck(h *History, e Op) (*SerialHistory, bool) {
-	ops := h.Ops()
-	per := make(map[int][]SerialOp)
-	perThreadPos := make(map[int]int)
-	var completed []Op
-	var keys []opKey
-	for _, op := range ops {
-		if !op.Complete {
-			continue
-		}
-		keys = append(keys, opKey{op.Thread, perThreadPos[op.Thread]})
-		perThreadPos[op.Thread]++
-		per[op.Thread] = append(per[op.Thread], SerialOp{Thread: op.Thread, Name: op.Name, Result: op.Result})
-		completed = append(completed, op)
-	}
-	pending := &SerialPending{Thread: e.Thread, Name: e.Name}
-	sig := threadSignature(per, pending)
-	candidates := sp.stuck[sig]
-	if len(candidates) == 0 {
-		return nil, false
-	}
-	type pair struct{ a, b int }
-	var pairs []pair
-	for i := range completed {
-		for j := range completed {
-			if i != j && Precedes(completed[i], completed[j]) {
-				pairs = append(pairs, pair{i, j})
-			}
+	all := h.Ops()
+	ops := all[:0]
+	for _, op := range all {
+		if op.Complete || op.Thread == e.Thread {
+			ops = append(ops, op)
 		}
 	}
-	for _, cand := range candidates {
-		if cand.Pending == nil || cand.Pending.Thread != e.Thread || cand.Pending.Name != e.Name {
-			continue
+	// Only completed operations constrain the order; the pending call comes
+	// last in every candidate.
+	return sp.witness(ops, func(i int) (int, int) {
+		if !ops[i].Complete {
+			return ops[i].CallPos, math.MaxInt
 		}
-		pos := positions(cand)
-		ok := true
-		for _, p := range pairs {
-			if pos[keys[p.a]] >= pos[keys[p.b]] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return cand, true
-		}
-	}
-	return nil, false
+		return ops[i].CallPos, ops[i].RetPos
+	})
 }
 
 // Export returns every serial history of the specification in a
-// deterministic order: groups in first-seen order, full histories before
-// stuck ones within each group, insertion order within each set. Feeding the
-// result to ImportSpec rebuilds an equivalent specification — same groups in
-// the same order, same candidate order per group, same determinism verdict —
-// so a coordinator can ship a synthesized phase-1 spec to worker processes
-// and have them produce byte-identical reports without re-synthesizing.
+// deterministic order: groups in first-seen order, insertion order within
+// each group. Feeding the result to ImportSpec rebuilds an equivalent
+// specification — same groups in the same order, same candidate order per
+// group, same determinism verdict — so a coordinator can ship a synthesized
+// phase-1 spec to worker processes and have them produce byte-identical
+// reports without re-synthesizing.
 func (sp *Spec) Export() []*SerialHistory {
 	out := make([]*SerialHistory, 0, sp.nFull+sp.nStuck)
-	for _, sig := range sp.groups {
-		out = append(out, sp.full[sig]...)
-		out = append(out, sp.stuck[sig]...)
+	for _, g := range sp.groups {
+		out = append(out, g.hist...)
 	}
 	return out
 }

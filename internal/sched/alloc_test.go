@@ -14,13 +14,10 @@ func allocProgram() sched.Program {
 	return sched.Program{Threads: []func(*sched.Thread){opThread(2, "a"), opThread(2, "b")}}
 }
 
-func exploreAllocWorkload(b testing.TB, reduction sched.Reduction, tel *telemetry.Collector) int {
+func exploreAllocWorkload(b testing.TB, cfg sched.ExploreConfig, tel *telemetry.Collector) int {
 	execs := 0
-	_, err := sched.Explore(sched.ExploreConfig{
-		PreemptionBound: 2,
-		Reduction:       reduction,
-		Telemetry:       tel,
-	}, allocProgram(), func(o *sched.Outcome) bool {
+	cfg.Telemetry = tel
+	_, err := sched.Explore(cfg, allocProgram(), func(o *sched.Outcome) bool {
 		execs++
 		return true
 	})
@@ -30,28 +27,35 @@ func exploreAllocWorkload(b testing.TB, reduction sched.Reduction, tel *telemetr
 	return execs
 }
 
+// allocWorkloads are the exploration modes under the allocation guard, with
+// each one's ceiling in allocations per execution: phase 2 with and without
+// sleep sets, and phase 1's serial enumeration.
+var allocWorkloads = []struct {
+	name    string
+	cfg     sched.ExploreConfig
+	ceiling float64
+}{
+	{"full", sched.ExploreConfig{PreemptionBound: 2}, 60},
+	{"sleep", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionSleep}, 80},
+	{"serial", sched.ExploreConfig{Config: sched.Config{Serial: true}, PreemptionBound: sched.Unbounded}, 45},
+}
+
 // BenchmarkExploreAllocs measures the explorer's per-exploration allocation
 // behavior; run with -benchmem to see allocs/op. The paired regression test
 // below turns the same workload into a hard ceiling.
 func BenchmarkExploreAllocs(b *testing.B) {
-	for _, bc := range []struct {
-		name      string
-		reduction sched.Reduction
-	}{
-		{"full", sched.ReductionNone},
-		{"sleep", sched.ReductionSleep},
-	} {
+	for _, bc := range allocWorkloads {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				exploreAllocWorkload(b, bc.reduction, nil)
+				exploreAllocWorkload(b, bc.cfg, nil)
 			}
 		})
 		b.Run(bc.name+"-telemetry", func(b *testing.B) {
 			b.ReportAllocs()
 			tel := telemetry.New()
 			for i := 0; i < b.N; i++ {
-				exploreAllocWorkload(b, bc.reduction, tel)
+				exploreAllocWorkload(b, bc.cfg, tel)
 			}
 		})
 	}
@@ -70,26 +74,19 @@ func TestExploreAllocsPerExecution(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
-	for _, tc := range []struct {
-		name      string
-		reduction sched.Reduction
-		ceiling   float64 // allocs per execution
-	}{
-		{"full", sched.ReductionNone, 60},
-		{"sleep", sched.ReductionSleep, 80},
-	} {
+	for _, tc := range allocWorkloads {
 		for _, tel := range []*telemetry.Collector{nil, telemetry.New()} {
 			name := tc.name
 			if tel != nil {
 				name += "-telemetry"
 			}
 			t.Run(name, func(t *testing.T) {
-				execs := exploreAllocWorkload(t, tc.reduction, tel)
+				execs := exploreAllocWorkload(t, tc.cfg, tel)
 				if execs == 0 {
 					t.Fatal("workload ran no executions")
 				}
 				perRun := testing.AllocsPerRun(5, func() {
-					exploreAllocWorkload(t, tc.reduction, tel)
+					exploreAllocWorkload(t, tc.cfg, tel)
 				})
 				perExec := perRun / float64(execs)
 				t.Logf("%s: %.0f allocs per exploration, %.1f per execution (%d executions)",

@@ -68,8 +68,8 @@ const (
 )
 
 // Granularity selects which point kinds are scheduling decisions in
-// concurrent mode. Serial mode ignores granularity: only operation starts
-// are decisions there.
+// concurrent mode. Serial mode ignores granularity: decisions are taken only
+// between operations there (see Config.Serial).
 type Granularity int
 
 const (
@@ -168,9 +168,15 @@ type Controller interface {
 
 // Config controls a single execution.
 type Config struct {
-	// Serial restricts scheduling decisions to operation boundaries and
-	// declares the execution stuck as soon as the sole running operation
-	// blocks. This is the phase-1 mode of the Line-Up algorithm.
+	// Serial restricts scheduling decisions to the boundaries between
+	// operations and declares the execution stuck as soon as the sole running
+	// operation blocks or diverges. This is the phase-1 mode of the Line-Up
+	// algorithm. The code a thread runs before its first OpStart is part of
+	// thread start: it runs for every thread of a group, in thread order,
+	// before the first decision. That is sound because such code records no
+	// event and a serial history is determined by the order of its
+	// operations; it makes exhaustive serial exploration visit every serial
+	// history, full or stuck, exactly once (1680 executions for a 3x3 test).
 	Serial bool
 	// Granularity selects the preemption granularity in concurrent mode.
 	Granularity Granularity
@@ -582,20 +588,26 @@ func (s *Scheduler) countLeaks(base int) int {
 // or the execution is stuck or failed.
 func (s *Scheduler) loop(group []*Thread) {
 	s.cur = nil
+	if s.cfg.Serial {
+		// Thread start: the code before a thread's first OpStart invokes no
+		// operation and records no event, so it is not a decision. Run it for
+		// every thread, in thread order, before the first Pick; from then on
+		// every enabled thread is parked at an operation boundary and each
+		// decision chooses the next operation of the serial history.
+		for _, t := range group {
+			if !s.run(t) {
+				return
+			}
+		}
+	}
 	ebuf := make([]*Thread, 0, len(group))
 	ids := make([]ThreadID, 0, len(group))
 	for {
-		if s.execErr != nil || s.stuck {
-			return
-		}
 		enabled := enabledOf(group, ebuf)
 		if len(enabled) == 0 {
-			if allFinished(group) {
-				return
-			}
-			// Deadlock or livelock: every unfinished thread is blocked or
-			// diverged.
-			s.stuck = true
+			// Deadlock or livelock unless every thread finished: each
+			// unfinished thread is blocked or diverged.
+			s.stuck = !allFinished(group)
 			return
 		}
 		var chosen *Thread
@@ -628,41 +640,46 @@ func (s *Scheduler) loop(group []*Thread) {
 			s.schedule = append(s.schedule, pick)
 		}
 		s.cur = chosen
-		chosen.resume <- struct{}{}
-		m, ok := s.recv(chosen)
-		if !ok {
-			// Watchdog fired: the execution was abandoned inside recv.
+		if !s.run(chosen) {
 			return
 		}
-		switch m.kind {
-		case msgYield:
-			// The thread stopped at its next instrumented point; it remains
-			// runnable and the loop takes the next decision.
-		case msgBlock:
-			m.t.setState(stateBlocked)
-			if s.cfg.Serial {
-				// In serial mode no other thread may run while an operation
-				// is incomplete; a blocked operation means the serial
-				// execution is stuck (Section 2.3 of the paper).
-				s.stuck = true
-				return
-			}
-		case msgFinish:
-			m.t.setState(stateFinished)
-		case msgDiverged:
-			m.t.setState(stateDiverged)
-			if s.cfg.Serial {
-				s.stuck = true
-				return
-			}
-		case msgDead:
-			panic("sched: unexpected dead message during scheduling")
-		case msgPanic:
-			m.t.setState(stateFinished)
-			s.execErr = fmt.Errorf("sched: thread %s panicked: %v\n%s", m.t.name, m.panic, m.stack)
-			s.panicVal, s.panicStack = m.panic, m.stack
-		}
 	}
+}
+
+// run hands the baton to t until its next message and applies the message to
+// t's state. It reports false when the group can run no further: the watchdog
+// abandoned the execution, the subject panicked, or a serial execution is
+// stuck.
+func (s *Scheduler) run(t *Thread) bool {
+	t.resume <- struct{}{}
+	m, ok := s.recv(t)
+	if !ok {
+		// Watchdog fired: the execution was abandoned inside recv.
+		return false
+	}
+	switch m.kind {
+	case msgYield:
+		// The thread stopped at its next instrumented point; it remains
+		// runnable and the loop takes the next decision.
+	case msgBlock:
+		m.t.setState(stateBlocked)
+		// In serial mode no other thread may run while an operation is
+		// incomplete; a blocked operation means the serial execution is stuck
+		// (Section 2.3 of the paper).
+		s.stuck = s.cfg.Serial
+	case msgFinish:
+		m.t.setState(stateFinished)
+	case msgDiverged:
+		m.t.setState(stateDiverged)
+		s.stuck = s.cfg.Serial
+	case msgDead:
+		panic("sched: unexpected dead message during scheduling")
+	case msgPanic:
+		m.t.setState(stateFinished)
+		s.execErr = fmt.Errorf("sched: thread %s panicked: %v\n%s", m.t.name, m.panic, m.stack)
+		s.panicVal, s.panicStack = m.panic, m.stack
+	}
+	return s.execErr == nil && !s.stuck
 }
 
 // watchdogTimersLive counts the watchdog timers currently armed (created and

@@ -50,43 +50,98 @@ func serialKey(o *sched.Outcome) string {
 	return s
 }
 
+// exploreSerial enumerates prog in serial mode and fails unless every
+// execution is a distinct serial history: serial decisions are taken only
+// between operations, so no history is reached twice.
+func exploreSerial(t *testing.T, cfg sched.Config, prog sched.Program) []*sched.Outcome {
+	t.Helper()
+	cfg.Serial = true
+	outs, stats := exploreAll(t, sched.ExploreConfig{Config: cfg, PreemptionBound: sched.Unbounded}, prog)
+	seen := map[string]bool{}
+	for _, o := range outs {
+		seen[serialKey(o)] = true
+	}
+	if len(seen) != len(outs) || stats.Executions != len(outs) {
+		t.Fatalf("%d executions reached %d distinct serial histories", stats.Executions, len(seen))
+	}
+	return outs
+}
+
 func TestSerialEnumerationTwoByTwo(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	prog := sched.Program{Threads: []func(*sched.Thread){opThread(2, "a"), opThread(2, "b")}}
-	outs, _ := exploreAll(t, sched.ExploreConfig{
-		Config:          sched.Config{Serial: true},
-		PreemptionBound: sched.Unbounded,
-	}, prog)
-	// Serial interleavings of 2+2 operations: C(4,2) = 6.
-	seen := map[string]bool{}
+	outs := exploreSerial(t, sched.Config{}, prog)
 	for _, o := range outs {
 		if o.Stuck {
 			t.Fatalf("unexpected stuck serial execution")
 		}
-		seen[serialKey(o)] = true
 	}
-	if len(seen) != 6 {
-		t.Fatalf("expected 6 distinct serial interleavings, got %d (%d executions)", len(seen), len(outs))
+	// Serial interleavings of 2+2 operations: C(4,2) = 6.
+	if len(outs) != 6 {
+		t.Fatalf("expected exactly 6 serial executions, got %d", len(outs))
 	}
 }
 
 // TestSerialEnumeration1680 reproduces the paper's Section 5.5 count: a 3x3
-// test has 1680 full serial interleavings (9! / (3!)^3).
+// test has 1680 full serial interleavings (9! / (3!)^3), and serial
+// exploration runs exactly that many executions.
 func TestSerialEnumeration1680(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	prog := sched.Program{Threads: []func(*sched.Thread){
 		opThread(3, "a"), opThread(3, "b"), opThread(3, "c"),
 	}}
-	outs, _ := exploreAll(t, sched.ExploreConfig{
-		Config:          sched.Config{Serial: true},
-		PreemptionBound: sched.Unbounded,
-	}, prog)
-	seen := map[string]bool{}
-	for _, o := range outs {
-		seen[serialKey(o)] = true
+	if outs := exploreSerial(t, sched.Config{}, prog); len(outs) != 1680 {
+		t.Fatalf("expected exactly 1680 serial executions, got %d", len(outs))
 	}
-	if len(seen) != 1680 {
-		t.Fatalf("expected 1680 distinct serial interleavings, got %d", len(seen))
+}
+
+// TestSerialEnumerationShapes covers the thread shapes around the rule that
+// the code before a thread's first OpStart is thread start, not a decision.
+func TestSerialEnumerationShapes(t *testing.T) {
+	sched.RequireNoLeaks(t)
+	threads := func(bodies ...func(*sched.Thread)) []func(*sched.Thread) { return bodies }
+	blocksFirst := func(th *sched.Thread) {
+		var ws sched.WaitSet
+		th.OpStart("wait")
+		ws.Wait(th)
+		th.OpEnd("wait", "ok")
+	}
+	spinsFirst := func(th *sched.Thread) {
+		th.OpStart("spin")
+		for {
+			th.Point(sched.PointAtomic)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		prog  sched.Program
+		execs int // serial executions
+		stuck int // of which stuck
+	}{
+		{"empty row", sched.Program{Threads: threads(opThread(2, "a"), opThread(0, "b"), opThread(2, "c"))}, 6, 0},
+		{"only empty rows", sched.Program{Threads: threads(opThread(0, "a"), opThread(0, "b"))}, 1, 0},
+		{"setup and teardown", sched.Program{
+			Setup:    func(th *sched.Thread) { th.Point(sched.PointAtomic) },
+			Threads:  threads(opThread(2, "a"), opThread(2, "b")),
+			Teardown: opThread(2, "f"),
+		}, 6, 0},
+		// a0 a1 wait#, a0 wait#, wait#: the blocked call ends the history
+		// wherever it is scheduled.
+		{"first operation blocks", sched.Program{Threads: threads(opThread(2, "a"), blocksFirst)}, 3, 3},
+		{"first operation diverges", sched.Program{Threads: threads(opThread(2, "a"), spinsFirst)}, 3, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			outs := exploreSerial(t, sched.Config{MaxOpSteps: 50}, tc.prog)
+			stuck := 0
+			for _, o := range outs {
+				if o.Stuck {
+					stuck++
+				}
+			}
+			if len(outs) != tc.execs || stuck != tc.stuck {
+				t.Fatalf("%d serial executions (%d stuck), want %d (%d stuck)", len(outs), stuck, tc.execs, tc.stuck)
+			}
+		})
 	}
 }
 

@@ -62,6 +62,9 @@ type (
 	// TooManyFailuresError aborts a check whose contained failures exceeded
 	// Options.MaxFailures.
 	TooManyFailuresError = core.TooManyFailuresError
+	// BudgetError aborts a check whose phase 1 or phase 2 reached
+	// Options.MaxExecutionsPerPhase; it names the phase.
+	BudgetError = core.BudgetError
 	// RandomCheckpoint is the resumable on-disk state of a RandomCheck run
 	// (RandomOptions.Checkpoint / RandomOptions.Resume).
 	RandomCheckpoint = core.RandomCheckpoint
