@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check check-race build vet test race serve-smoke subjects-smoke dist-smoke fastmon-smoke sweeps bench bench-reduction bench-serve bench-telemetry bench-generate bench-dist bench-fastmon fuzz clean
+.PHONY: check check-race build vet test race sched-smoke serve-smoke subjects-smoke dist-smoke fastmon-smoke sweeps bench bench-reduction bench-serve bench-telemetry bench-generate bench-dist bench-fastmon fuzz clean
 
-check: build vet test serve-smoke subjects-smoke dist-smoke fastmon-smoke fuzz
+check: build vet test sched-smoke serve-smoke subjects-smoke dist-smoke fastmon-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,14 @@ test:
 # search). -short skips the long sweeps.
 race:
 	$(GO) test -race -short ./internal/sched ./internal/core ./internal/faultinject ./internal/monitor ./internal/serve ./internal/bench
+
+# Race-enabled smoke of the scheduler's baton passing: scheduling decisions
+# run on whichever thread goroutine holds the baton, so the watchdog and
+# abandonment paths, the carrying of controller panics to the Run goroutine,
+# and the pinned decision traces (five full explorations) run under the race
+# detector on every `make check`.
+sched-smoke:
+	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace' ./internal/sched
 
 # Race-enabled smoke of the streaming service: the full internal/serve suite
 # (worker pool, backpressure, checkpoint/resume, HTTP ingest) plus the bench

@@ -65,7 +65,7 @@ func opNames(row []Op) []string {
 // ID 0 and records no events; test thread i therefore appears as history
 // thread i, and the teardown thread as FinalThread().
 func toHistory(out *sched.Outcome) (*history.History, error) {
-	h := &history.History{Stuck: out.Stuck}
+	h := &history.History{Stuck: out.Stuck, Events: make([]history.Event, 0, len(out.Events))}
 	for _, e := range out.Events {
 		if e.Thread == 0 {
 			return nil, fmt.Errorf("core: unexpected history event from setup thread")

@@ -8,11 +8,15 @@
 //
 // Programs under test do not use Go's runtime concurrency directly. Instead,
 // each logical thread is a goroutine that is gated by the scheduler so that
-// exactly one logical thread executes at any moment. The thread yields to the
-// scheduler at every instrumented operation (see package vsync), which is
-// where scheduling decisions are taken. Because only one goroutine runs at a
-// time and every source of nondeterminism is a scheduling decision, a
-// recorded sequence of decisions replays an execution exactly.
+// exactly one logical thread — the baton holder — executes at any moment.
+// Scheduling decisions are taken at instrumented operations (see package
+// vsync), on the running thread's own goroutine: it computes the enabled set
+// and asks the Controller; if the decision continues it, it simply returns,
+// and only a real context switch resumes the chosen thread and parks the
+// caller. The goroutine that called Run starts each thread group and sleeps
+// until the group is over. Because only one goroutine runs at a time and
+// every source of nondeterminism is a scheduling decision, a recorded
+// sequence of decisions replays an execution exactly.
 //
 // Subject code that escapes the instrumentation — blocking on an
 // uninstrumented primitive, spinning without yielding, or spawning raw
@@ -107,9 +111,11 @@ const (
 // implementations under test must thread it through their methods.
 //
 // state and killed are atomic because the watchdog abandonment path reads and
-// writes them from the scheduler goroutine while a non-cooperative thread
-// goroutine may still be executing; everywhere else the scheduler baton (the
-// resume/back channel rendezvous) already orders accesses.
+// writes them from the Run goroutine while a non-cooperative thread goroutine
+// may still be executing; everywhere else the scheduler baton already orders
+// accesses: a thread touches scheduler state only while it holds the baton,
+// and the send on the next holder's resume channel is the happens-before edge
+// that passes it on.
 type Thread struct {
 	id        ThreadID
 	name      string
@@ -138,30 +144,19 @@ type killSentinel struct{}
 // single operation (a diverging loop or livelock).
 type divergeSentinel struct{}
 
-type msgKind int
-
-const (
-	msgYield msgKind = iota
-	msgBlock
-	msgFinish
-	msgDead     // thread unwound after a kill
-	msgDiverged // thread unwound after exceeding its step budget
-	msgPanic    // implementation code panicked
-)
-
-type msg struct {
-	t     *Thread
-	kind  msgKind
-	panic any
-	stack []byte
-}
-
 // Controller supplies scheduling decisions. Pick is called at every decision
 // point with the previously running thread (cur, which may be NoThread),
 // whether cur is among the enabled threads, and the enabled set in ascending
 // ID order. It must return one of the enabled threads. Pick is only called
 // when there are at least two enabled threads; singleton choices are taken
 // implicitly.
+//
+// Pick runs on the goroutine of whichever thread holds the baton (the first
+// decision of a group on the goroutine that called Run), so consecutive calls
+// may come from different goroutines. They are still strictly sequential and
+// ordered by happens-before: a controller needs no synchronization of its
+// own. A panic in Pick is a framework fault, not a subject failure: Run
+// re-panics with the same value on its caller's goroutine.
 type Controller interface {
 	Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) ThreadID
 }
@@ -186,12 +181,15 @@ type Config struct {
 	// MaxOpSteps bounds the instrumented steps a single operation may take
 	// before it is declared diverging. Zero means the default (100000).
 	MaxOpSteps int
-	// Watchdog, when positive, bounds the wall-clock time the scheduler
-	// waits for the running thread to reach its next instrumented point.
-	// When it expires the execution is declared hung (the thread blocked on
-	// an uninstrumented primitive or spins without yielding), its goroutines
-	// are abandoned, and the outcome reports Hung. Zero disables the
-	// watchdog: a non-cooperative subject then hangs the scheduler forever.
+	// Watchdog, when positive, bounds the wall-clock time the running thread
+	// may take to reach its next scheduling point. Run samples a progress
+	// counter once per interval; when a full interval passes without any
+	// thread reaching a scheduling point (so a hang is detected between one
+	// and two intervals after the last one) the execution is declared hung
+	// (the thread blocked on an uninstrumented primitive or spins without
+	// yielding), its goroutines are abandoned, and the outcome reports Hung.
+	// Zero disables the watchdog: a non-cooperative subject then hangs Run
+	// forever.
 	Watchdog time.Duration
 	// AbandonGrace bounds how long an abandoned execution waits for its
 	// threads to unwind cooperatively before declaring them leaked. Zero
@@ -369,26 +367,44 @@ func DecodeCoverageKey(key uint64) (MemKind, int) {
 // Scheduler coordinates the logical threads of a single execution. A fresh
 // Scheduler is created for every execution; it is not reusable.
 type Scheduler struct {
-	cfg        Config
-	ctrl       Controller
-	threads    []*Thread
+	cfg     Config
+	ctrl    Controller
+	threads []*Thread
+	leaked  []string
+	// end wakes the Run goroutine when the running group can go no further;
+	// dead collects the threads that unwound after a kill or an abandonment
+	// (each sends at most once, so a send never blocks).
+	end  chan struct{}
+	dead chan *Thread
+
+	// The scheduling state below belongs to the baton holder and is only
+	// touched under mu (see transfer). group is the running thread group,
+	// started counts the threads of a serial group whose thread-start code
+	// already ran, cur is the thread the last decision chose and holder the
+	// one running now (they differ only during serial thread start). progress
+	// counts scheduling steps for the watchdog; fault is a panic of the
+	// controller, carried to the Run goroutine.
+	group      []*Thread
+	started    int
 	cur        *Thread
-	back       chan msg
+	holder     *Thread
+	ebuf       []*Thread
+	ids        []ThreadID
 	decisions  int
 	schedule   []ThreadID
+	progress   uint64
 	stuck      bool
 	execErr    error
 	panicVal   any
 	panicStack []byte
 	hung       bool
-	hungThr    string
-	leaked     []string
-	wdTimer    *time.Timer
+	fault      any
 
-	// mu guards events, trace, wfoot and the loc/op counters: a thread
-	// abandoned by the watchdog may still be between instrumented points
-	// appending to them while the scheduler goroutine assembles the outcome.
-	// Uncontended in every cooperative execution.
+	// mu serializes scheduling steps with the watchdog's abandonment, and
+	// guards events, trace, wfoot and the loc/op counters: a thread abandoned
+	// by the watchdog may still be between instrumented points appending to
+	// them while the Run goroutine assembles the outcome. Uncontended in
+	// every cooperative execution.
 	mu      sync.Mutex
 	events  []OpEvent
 	trace   []MemEvent
@@ -442,7 +458,7 @@ func threadName(i int) string {
 	return fmt.Sprintf("T%d", i)
 }
 
-func (s *Scheduler) spawn(name string, body func(t *Thread)) *Thread {
+func (s *Scheduler) spawn(name string, body func(t *Thread)) {
 	t := &Thread{
 		id:     ThreadID(len(s.threads)),
 		name:   name,
@@ -455,38 +471,32 @@ func (s *Scheduler) spawn(name string, body func(t *Thread)) *Thread {
 	go func() {
 		<-t.resume
 		if t.killed.Load() {
-			s.back <- msg{t: t, kind: msgDead}
+			s.dead <- t
 			return
 		}
 		defer func() {
-			if r := recover(); r != nil {
-				switch r.(type) {
-				case killSentinel:
-					s.back <- msg{t: t, kind: msgDead}
-				case divergeSentinel:
-					s.back <- msg{t: t, kind: msgDiverged}
-				default:
-					s.back <- msg{t: t, kind: msgPanic, panic: r, stack: debug.Stack()}
-				}
-				return
+			switch r := recover(); r.(type) {
+			case nil:
+				s.transfer(t, stateFinished, nil)
+			case killSentinel:
+				s.dead <- t
+			case divergeSentinel:
+				s.transfer(t, stateDiverged, nil)
+			default:
+				s.transfer(t, stateFinished, r)
 			}
-			s.back <- msg{t: t, kind: msgFinish}
 		}()
 		body(t)
 	}()
-	return t
 }
 
 // Run executes the program to completion (or stuckness) and returns the
 // outcome. It must be called exactly once.
 func (s *Scheduler) Run(prog Program) *Outcome {
-	// back is buffered generously so that the threads of an abandoned
-	// execution can deposit their terminal messages without a receiver: each
-	// thread sends at most one in-flight message plus one terminal message.
-	// During cooperative scheduling the loop still consumes exactly one
-	// message per resume, so buffering does not change the rendezvous
-	// semantics.
-	s.back = make(chan msg, 2*(len(prog.Threads)+2)+2)
+	n := len(prog.Threads) + 2 // plus the setup and teardown pseudo-threads
+	s.end, s.dead = make(chan struct{}, 1), make(chan *Thread, n)
+	s.threads = make([]*Thread, 0, n)
+	s.ebuf, s.ids = make([]*Thread, 0, n), make([]ThreadID, 0, n)
 	if h := s.cfg.Prealloc; h != (CapHint{}) {
 		if h.Events > 0 {
 			s.events = make([]OpEvent, 0, h.Events)
@@ -503,28 +513,30 @@ func (s *Scheduler) Run(prog Program) *Outcome {
 		baseGoroutines = runtime.NumGoroutine()
 	}
 	if prog.Setup != nil {
-		t := s.spawn("init", prog.Setup)
-		s.loop([]*Thread{t})
+		s.spawn("init", prog.Setup)
+		s.runGroup(0)
 	}
 	if !s.done() {
-		group := make([]*Thread, 0, len(prog.Threads))
+		first := len(s.threads)
 		for i, body := range prog.Threads {
-			group = append(group, s.spawn(threadName(i), body))
+			s.spawn(threadName(i), body)
 		}
-		s.loop(group)
+		s.runGroup(first)
 	}
 	if !s.done() && prog.Teardown != nil {
-		t := s.spawn("fin", prog.Teardown)
-		s.loop([]*Thread{t})
+		s.spawn("fin", prog.Teardown)
+		s.runGroup(len(s.threads) - 1)
 	}
 	if !s.hung {
 		// The abandonment path already unwound (or gave up on) every thread.
 		s.killAll()
 	}
-	s.stopWatchdog()
-	// Deliver the final decision window (the steps after the last Pick). For
-	// failed executions the window may be incomplete; the explorer poisons it.
-	s.flushWindow()
+	if s.fault != nil {
+		// The controller panicked on a thread's goroutine: a framework fault,
+		// not a subject failure. Re-panic it where the controller's owner can
+		// see it, once the execution's goroutines are unwound.
+		panic(s.fault)
+	}
 	out := &Outcome{
 		Stuck:      s.stuck,
 		Decisions:  s.decisions,
@@ -533,10 +545,15 @@ func (s *Scheduler) Run(prog Program) *Outcome {
 		PanicValue: s.panicVal,
 		PanicStack: s.panicStack,
 		Hung:       s.hung,
-		HungThread: s.hungThr,
+	}
+	if s.hung {
+		out.HungThread = s.holder.name
 	}
 	out.LeakedThreads = append(out.LeakedThreads, s.leaked...)
 	s.mu.Lock()
+	// Deliver the final decision window (the steps after the last Pick). For
+	// failed executions the window may be incomplete; the explorer poisons it.
+	s.flushWindow()
 	if s.hung {
 		// An abandoned thread may still append; hand out stable copies.
 		out.Events = append([]OpEvent(nil), s.events...)
@@ -562,7 +579,7 @@ func (s *Scheduler) Run(prog Program) *Outcome {
 // done reports whether the execution already terminated abnormally and no
 // further thread group may run.
 func (s *Scheduler) done() bool {
-	return s.stuck || s.execErr != nil || s.hung
+	return s.stuck || s.execErr != nil || s.hung || s.fault != nil
 }
 
 // countLeaks waits briefly for the process goroutine count to settle back to
@@ -584,169 +601,198 @@ func (s *Scheduler) countLeaks(base int) int {
 	}
 }
 
-// loop schedules the given thread group until all of its threads finished,
-// or the execution is stuck or failed.
-func (s *Scheduler) loop(group []*Thread) {
-	s.cur = nil
-	if s.cfg.Serial {
-		// Thread start: the code before a thread's first OpStart invokes no
-		// operation and records no event, so it is not a decision. Run it for
-		// every thread, in thread order, before the first Pick; from then on
-		// every enabled thread is parked at an operation boundary and each
-		// decision chooses the next operation of the serial history.
-		for _, t := range group {
-			if !s.run(t) {
-				return
-			}
+// runGroup runs the thread group s.threads[first:] until all of its threads
+// finished, or the execution is stuck or failed. It takes the group's first
+// scheduling step here, on the Run goroutine, and then sleeps until a thread
+// ends the group.
+func (s *Scheduler) runGroup(first int) {
+	s.mu.Lock()
+	s.group, s.cur, s.started = s.threads[first:], nil, 0
+	s.handOff(s.next())
+	s.mu.Unlock()
+	s.await()
+}
+
+// transfer is the scheduling step: t, which holds the baton, stopped at an
+// instrumented point (st runnable), blocked, or is exiting (finished or
+// diverged; panicked is the subject's panic value, if any). On t's own
+// goroutine it applies the transition, chooses the next thread and hands it
+// the baton. If the choice is t itself it returns without touching a channel;
+// otherwise t parks until it is chosen again, unless it is exiting.
+//
+// The whole step runs under mu and re-checks the abandoned flag, so a thread
+// the watchdog gave up on that reaches a point later can neither call the
+// controller (its owner may already be running the next execution) nor resume
+// a sibling: it unwinds instead.
+func (s *Scheduler) transfer(t *Thread, st threadState, panicked any) {
+	exiting := st == stateFinished || st == stateDiverged
+	s.mu.Lock()
+	if s.hung {
+		s.mu.Unlock()
+		if exiting {
+			s.dead <- t
+			return
 		}
+		panic(killSentinel{})
 	}
-	ebuf := make([]*Thread, 0, len(group))
-	ids := make([]ThreadID, 0, len(group))
-	for {
-		enabled := enabledOf(group, ebuf)
-		if len(enabled) == 0 {
-			// Deadlock or livelock unless every thread finished: each
-			// unfinished thread is blocked or diverged.
-			s.stuck = !allFinished(group)
-			return
-		}
-		var chosen *Thread
-		if len(enabled) == 1 {
-			chosen = enabled[0]
-		} else {
-			ids = ids[:0]
-			for _, t := range enabled {
-				ids = append(ids, t.id)
-			}
-			cur, curEnabled := NoThread, false
-			if s.cur != nil {
-				cur = s.cur.id
-				curEnabled = s.cur.getState() == stateRunnable
-			}
-			s.decisions++
-			// The steps since the previous decision form one window; hand its
-			// footprint to the observer before the decision that closes it.
-			s.flushWindow()
-			pick := s.ctrl.Pick(cur, curEnabled, ids)
-			for _, t := range enabled {
-				if t.id == pick {
-					chosen = t
-					break
-				}
-			}
-			if chosen == nil {
-				panic(fmt.Sprintf("sched: controller picked disabled thread %d from %v", pick, ids))
-			}
-			s.schedule = append(s.schedule, pick)
-		}
-		s.cur = chosen
-		if !s.run(chosen) {
-			return
-		}
+	s.progress++
+	t.setState(st)
+	switch {
+	case panicked != nil:
+		stack := debug.Stack()
+		s.execErr = fmt.Errorf("sched: thread %s panicked: %v\n%s", t.name, panicked, stack)
+		s.panicVal, s.panicStack = panicked, stack
+	case st == stateBlocked || st == stateDiverged:
+		// In serial mode no other thread may run while an operation is
+		// incomplete; a blocked or diverged operation means the serial
+		// execution is stuck (Section 2.3 of the paper).
+		s.stuck = s.cfg.Serial
+	}
+	next := s.next()
+	if next != t {
+		s.handOff(next)
+	}
+	s.mu.Unlock()
+	if next == t || exiting {
+		return
+	}
+	<-t.resume
+	if t.killed.Load() {
+		panic(killSentinel{})
 	}
 }
 
-// run hands the baton to t until its next message and applies the message to
-// t's state. It reports false when the group can run no further: the watchdog
-// abandoned the execution, the subject panicked, or a serial execution is
-// stuck.
-func (s *Scheduler) run(t *Thread) bool {
-	t.resume <- struct{}{}
-	m, ok := s.recv(t)
-	if !ok {
-		// Watchdog fired: the execution was abandoned inside recv.
-		return false
+// handOff passes the baton to next, or wakes the Run goroutine when the group
+// is over (next == nil). Neither send blocks: a thread is only ever sent a
+// token while it is parked or about to park, and a group ends once.
+func (s *Scheduler) handOff(next *Thread) {
+	if next == nil {
+		s.end <- struct{}{}
+		return
 	}
-	switch m.kind {
-	case msgYield:
-		// The thread stopped at its next instrumented point; it remains
-		// runnable and the loop takes the next decision.
-	case msgBlock:
-		m.t.setState(stateBlocked)
-		// In serial mode no other thread may run while an operation is
-		// incomplete; a blocked operation means the serial execution is stuck
-		// (Section 2.3 of the paper).
-		s.stuck = s.cfg.Serial
-	case msgFinish:
-		m.t.setState(stateFinished)
-	case msgDiverged:
-		m.t.setState(stateDiverged)
-		s.stuck = s.cfg.Serial
-	case msgDead:
-		panic("sched: unexpected dead message during scheduling")
-	case msgPanic:
-		m.t.setState(stateFinished)
-		s.execErr = fmt.Errorf("sched: thread %s panicked: %v\n%s", m.t.name, m.panic, m.stack)
-		s.panicVal, s.panicStack = m.panic, m.stack
+	s.holder = next
+	next.resume <- struct{}{}
+}
+
+// next chooses the thread that runs after the current scheduling step, nil
+// when the group can run no further: all finished, stuck, the subject
+// panicked, or the controller did.
+func (s *Scheduler) next() *Thread {
+	if s.execErr != nil || s.stuck {
+		return nil
 	}
-	return s.execErr == nil && !s.stuck
+	if s.cfg.Serial && s.started < len(s.group) {
+		// Serial thread start: the code before a thread's first OpStart
+		// invokes no operation and records no event, so it is not a decision.
+		// Run it for every thread, in thread order, before the first Pick;
+		// from then on every enabled thread is parked at an operation
+		// boundary and each decision chooses the next operation of the serial
+		// history.
+		s.started++
+		return s.group[s.started-1]
+	}
+	enabled := enabledOf(s.group, s.ebuf)
+	switch len(enabled) {
+	case 0:
+		// Deadlock or livelock unless every thread finished: each unfinished
+		// thread is blocked or diverged.
+		s.stuck = !allFinished(s.group)
+		return nil
+	case 1:
+		s.cur = enabled[0]
+	default:
+		s.cur = s.pick(enabled)
+	}
+	return s.cur
+}
+
+// pick asks the controller to choose among two or more enabled threads. A
+// panic of the controller (or an answer outside the enabled set) must not
+// unwind through subject code, where it would be taken for a subject panic:
+// it is stored in fault, the group ends, and Run re-panics it.
+func (s *Scheduler) pick(enabled []*Thread) (chosen *Thread) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.fault, chosen = r, nil
+		}
+	}()
+	ids := s.ids[:0]
+	for _, t := range enabled {
+		ids = append(ids, t.id)
+	}
+	cur, curEnabled := NoThread, false
+	if s.cur != nil {
+		cur = s.cur.id
+		curEnabled = s.cur.getState() == stateRunnable
+	}
+	s.decisions++
+	// The steps since the previous decision form one window; hand its
+	// footprint to the observer before the decision that closes it.
+	s.flushWindow()
+	id := s.ctrl.Pick(cur, curEnabled, ids)
+	for _, t := range enabled {
+		if t.id == id {
+			s.schedule = append(s.schedule, id)
+			return t
+		}
+	}
+	panic(fmt.Sprintf("sched: controller picked disabled thread %d from %v", id, ids))
 }
 
 // watchdogTimersLive counts the watchdog timers currently armed (created and
-// not yet released). Explorations create one scheduler per execution, so a
-// long run cycles through many timers; tests assert the count returns to zero
-// to catch timers escaping their execution.
+// not yet released). Explorations arm one per thread group of every
+// execution, so a long run cycles through many timers; tests assert the count
+// returns to zero to catch timers escaping their execution.
 var watchdogTimersLive atomic.Int64
 
-// WatchdogTimersLive reports the number of per-execution watchdog timers
-// armed and not yet released. It is zero whenever no execution with
-// Config.Watchdog is in flight; tests use it to assert timer hygiene.
+// WatchdogTimersLive reports the number of watchdog timers armed and not yet
+// released. It is zero whenever no execution with Config.Watchdog is in
+// flight; tests use it to assert timer hygiene.
 func WatchdogTimersLive() int64 { return watchdogTimersLive.Load() }
 
-// recv waits for the running thread's next message. With a watchdog armed it
-// bounds the wait; on expiry it abandons the execution and reports !ok.
-func (s *Scheduler) recv(chosen *Thread) (msg, bool) {
+// await sleeps until the running group is over. With a watchdog armed it
+// wakes once per interval to compare the progress counter with the previous
+// sample; an interval without a scheduling step abandons the execution.
+func (s *Scheduler) await() {
 	if s.cfg.Watchdog <= 0 {
-		return <-s.back, true
-	}
-	if s.wdTimer == nil {
-		s.wdTimer = time.NewTimer(s.cfg.Watchdog)
-		watchdogTimersLive.Add(1)
-	} else {
-		s.wdTimer.Reset(s.cfg.Watchdog)
-	}
-	select {
-	case m := <-s.back:
-		// Stop may lose the race against expiry; drain the stale fire so the
-		// next Reset cannot trip the watchdog on a healthy execution.
-		if !s.wdTimer.Stop() {
-			select {
-			case <-s.wdTimer.C:
-			default:
-			}
-		}
-		return m, true
-	case <-s.wdTimer.C:
-		s.hung = true
-		s.hungThr = chosen.name
-		s.abandon()
-		return msg{}, false
-	}
-}
-
-// stopWatchdog releases the execution's watchdog timer at the end of Run:
-// stopped, drained, and dropped so nothing keeps a per-execution timer alive
-// once the outcome is assembled. Safe to call when no timer was ever armed.
-func (s *Scheduler) stopWatchdog() {
-	if s.wdTimer == nil {
+		<-s.end
 		return
 	}
-	if !s.wdTimer.Stop() {
+	tick := time.NewTicker(s.cfg.Watchdog)
+	watchdogTimersLive.Add(1)
+	defer func() {
+		tick.Stop()
+		watchdogTimersLive.Add(-1)
+	}()
+	s.mu.Lock()
+	seen := s.progress
+	s.mu.Unlock()
+	for {
 		select {
-		case <-s.wdTimer.C:
-		default:
+		case <-s.end:
+			return
+		case <-tick.C:
 		}
+		s.mu.Lock()
+		// end is only sent under mu, so an empty channel means the group is
+		// still running, whichever select case won.
+		if s.progress == seen && len(s.end) == 0 {
+			s.hung = true
+			s.mu.Unlock()
+			s.abandon()
+			return
+		}
+		seen = s.progress
+		s.mu.Unlock()
 	}
-	s.wdTimer = nil
-	watchdogTimersLive.Add(-1)
 }
 
 // abandon force-terminates an execution whose running thread stopped
 // cooperating. Every unfinished thread is marked killed and handed a resume
 // token; parked threads unwind promptly via the kill sentinel, and the
-// non-cooperative thread self-destructs at its next instrumented point — if
-// it ever reaches one. Threads that do not unwind within the grace period
-// are recorded as leaked.
+// non-cooperative thread self-destructs at its next scheduling step — if it
+// ever reaches one. Threads that do not unwind within the grace period are
+// recorded as leaked.
 func (s *Scheduler) abandon() {
 	waiting := make(map[*Thread]bool)
 	for _, t := range s.threads {
@@ -765,19 +811,9 @@ func (s *Scheduler) abandon() {
 	defer deadline.Stop()
 	for len(waiting) > 0 {
 		select {
-		case m := <-s.back:
-			switch m.kind {
-			case msgDead, msgFinish, msgDiverged, msgPanic:
-				m.t.setState(stateFinished)
-				delete(waiting, m.t)
-			default:
-				// A stale yield/block from a thread that was mid-send when
-				// abandoned; it parks next, so make sure a token awaits it.
-				select {
-				case m.t.resume <- struct{}{}:
-				default:
-				}
-			}
+		case t := <-s.dead:
+			t.setState(stateFinished)
+			delete(waiting, t)
 		case <-deadline.C:
 			for t := range waiting {
 				s.leaked = append(s.leaked, t.name)
@@ -822,19 +858,14 @@ func (s *Scheduler) killAll() {
 		}
 		t.killed.Store(true)
 		t.resume <- struct{}{}
-		m := <-s.back
-		if m.kind != msgDead {
-			// A thread that was parked at a point or block must unwind; any
-			// other message indicates a framework bug.
-			panic(fmt.Sprintf("sched: expected dead message, got kind %d", m.kind))
-		}
+		<-s.dead
 		t.setState(stateFinished)
 	}
 }
 
 // Point marks an instrumented operation of the given kind. Depending on mode
-// and granularity it is a scheduling decision: the thread hands control to
-// the scheduler, which may run other threads before resuming it.
+// and granularity it is a scheduling decision, which may run other threads
+// before this one continues.
 func (t *Thread) Point(kind PointKind) {
 	s := t.sch
 	if t.killed.Load() {
@@ -853,39 +884,26 @@ func (t *Thread) Point(kind PointKind) {
 	} else if !s.cfg.Granularity.includes(kind) {
 		return
 	}
-	s.back <- msg{t: t, kind: msgYield}
-	<-t.resume
-	if t.killed.Load() {
-		panic(killSentinel{})
-	}
+	s.transfer(t, stateRunnable, nil)
 }
 
 // block parks the thread until a wait set wakes it (or the execution ends).
-// The blocked state is recorded by the scheduler loop when it receives the
-// block message, keeping thread states scheduler-owned.
 func (t *Thread) block() {
 	if t.killed.Load() {
 		panic(killSentinel{})
 	}
-	t.sch.back <- msg{t: t, kind: msgBlock}
-	<-t.resume
-	if t.killed.Load() {
-		panic(killSentinel{})
-	}
+	t.sch.transfer(t, stateBlocked, nil)
 }
 
 // flushWindow delivers the accumulated window footprint to the observer and
-// resets the accumulator. Called from the scheduler goroutine only; the lock
-// orders it against abandoned threads that may still be appending. The
-// observer reads the footprint under the lock and must copy what it keeps.
+// resets the accumulator. Called with mu held, which orders it against
+// abandoned threads that may still be appending. The observer must copy what
+// it keeps.
 func (s *Scheduler) flushWindow() {
-	if s.fo == nil {
-		return
+	if s.fo != nil {
+		s.fo.observeWindow(&s.wfoot)
+		s.wfoot.reset()
 	}
-	s.mu.Lock()
-	s.fo.observeWindow(&s.wfoot)
-	s.wfoot.reset()
-	s.mu.Unlock()
 }
 
 // noteAccess merges one shared-memory access into the current window

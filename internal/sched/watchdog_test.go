@@ -316,3 +316,119 @@ func TestWatchdogTimersReleasedOnCompletion(t *testing.T) {
 		t.Errorf("%d watchdog timers live after an abandoned execution, want 0", n)
 	}
 }
+
+// TestWatchdogSparesLongCooperative: the watchdog measures the gap between
+// scheduling points, not the execution. One that runs for three watchdog
+// intervals with every gap under a quarter of one is healthy.
+func TestWatchdogSparesLongCooperative(t *testing.T) {
+	sched.RequireNoLeaks(t)
+	const watchdog = 200 * time.Millisecond
+	prog := sched.Program{Threads: []func(*sched.Thread){
+		func(t *sched.Thread) {
+			t.OpStart("long")
+			for i := 0; i < 15; i++ {
+				time.Sleep(watchdog / 5)
+				t.Point(sched.PointAtomic)
+			}
+			t.OpEnd("long", "ok")
+		},
+		opThread(1, "b"),
+	}}
+	start := time.Now()
+	out := sched.NewScheduler(sched.Config{Watchdog: watchdog}, nil).Run(prog)
+	if elapsed := time.Since(start); elapsed < 3*watchdog {
+		t.Fatalf("execution took %v, want at least three watchdog intervals", elapsed)
+	}
+	if out.Hung || out.Stuck || out.Err != nil {
+		t.Fatalf("long cooperative execution misclassified: %+v", out)
+	}
+}
+
+// TestWatchdogNamesThreadHungAfterSwitch: the hung thread is the one holding
+// the baton, also when it got it from a sibling's goroutine rather than from
+// Run (the controller starts A and preempts it for B at A's first point), and
+// the hang is detected within two watchdog intervals.
+func TestWatchdogNamesThreadHungAfterSwitch(t *testing.T) {
+	sched.RequireNoLeaks(t)
+	const watchdog, grace = 100 * time.Millisecond, 20 * time.Millisecond
+	ch := make(chan struct{})
+	defer close(ch)
+	ctrl := &scripted{fn: func(call int, _ sched.ThreadID, _ bool, enabled []sched.ThreadID) sched.ThreadID {
+		if call == 0 {
+			return enabled[0]
+		}
+		return enabled[len(enabled)-1]
+	}}
+	start := time.Now()
+	out := sched.NewScheduler(sched.Config{Watchdog: watchdog, AbandonGrace: grace}, ctrl).Run(uncooperative(func() { <-ch }))
+	elapsed := time.Since(start)
+	if !out.Hung || out.HungThread != "B" {
+		t.Fatalf("Hung = %v, HungThread = %q, want B", out.Hung, out.HungThread)
+	}
+	if len(out.Schedule) < 2 || out.Schedule[0] == out.Schedule[1] {
+		t.Fatalf("schedule %v has no switch before the hang", out.Schedule)
+	}
+	if limit := 2*watchdog + grace + watchdog; elapsed < watchdog || elapsed > limit {
+		t.Fatalf("hang detected after %v, want between %v and %v", elapsed, watchdog, limit)
+	}
+}
+
+// TestAbandonedThreadTakesNoDecision: once Run has returned from an abandoned
+// execution the controller belongs to its owner again (an explorer is already
+// running the next execution). The hung thread, released later, must unwind
+// without another Pick, whether it next reaches a point or simply returns.
+// Its siblings A and C are parked at a point and slow to unwind, so they
+// still look enabled when it does.
+func TestAbandonedThreadTakesNoDecision(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tail func(*sched.Thread) // what thread B does once released
+	}{
+		{"reaches-a-point", func(t *sched.Thread) { t.Point(sched.PointAtomic) }},
+		{"returns", func(*sched.Thread) {}},
+	} {
+		// A starts, is preempted for C, which is preempted for B, which hangs.
+		order := []sched.ThreadID{0, 2, 1, 1}
+		ctrl := &scripted{fn: func(call int, _ sched.ThreadID, _ bool, enabled []sched.ThreadID) sched.ThreadID {
+			if call < len(order) {
+				return order[call]
+			}
+			return enabled[0]
+		}}
+		picks := 0
+		t.Run(tc.name, func(t *testing.T) {
+			sched.RequireNoLeaks(t) // its cleanup waits for every thread's goroutine
+			release := make(chan struct{})
+			slowToUnwind := func(name string) func(*sched.Thread) {
+				return func(th *sched.Thread) {
+					defer func() { <-release }()
+					th.OpStart(name)
+					th.OpEnd(name, "ok")
+				}
+			}
+			prog := sched.Program{Threads: []func(*sched.Thread){
+				slowToUnwind("a0"),
+				func(th *sched.Thread) {
+					th.OpStart("b0")
+					<-release
+					tc.tail(th)
+				},
+				slowToUnwind("c0"),
+			}}
+			cfg := sched.Config{Watchdog: 30 * time.Millisecond, AbandonGrace: 10 * time.Millisecond}
+			out := sched.NewScheduler(cfg, ctrl).Run(prog)
+			if !out.Hung || out.HungThread != "B" || len(out.LeakedThreads) != 3 {
+				t.Fatalf("Hung = %v, HungThread = %q, LeakedThreads = %v; want B hung and all three leaked",
+					out.Hung, out.HungThread, out.LeakedThreads)
+			}
+			picks = ctrl.calls
+			close(release)
+		})
+		if ctrl.calls != picks {
+			t.Errorf("%s: the abandoned thread took %d decision(s) after Run returned", tc.name, ctrl.calls-picks)
+		}
+		if n := sched.WatchdogTimersLive(); n != 0 {
+			t.Errorf("%s: %d watchdog timers live after an abandoned execution, want 0", tc.name, n)
+		}
+	}
+}
