@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check check-race build vet test race sched-smoke serve-smoke subjects-smoke dist-smoke fastmon-smoke sweeps bench bench-reduction bench-serve bench-telemetry bench-generate bench-dist bench-fastmon fuzz clean
+.PHONY: check check-race build vet test race sched-smoke serve-smoke subjects-smoke dist-smoke fastmon-smoke benchmark-smoke sweeps bench fuzz clean
 
-check: build vet test sched-smoke serve-smoke subjects-smoke dist-smoke fastmon-smoke fuzz
+check: build vet test sched-smoke serve-smoke subjects-smoke dist-smoke fastmon-smoke benchmark-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -31,11 +31,11 @@ sched-smoke:
 	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace' ./internal/sched
 
 # Race-enabled smoke of the streaming service: the full internal/serve suite
-# (worker pool, backpressure, checkpoint/resume, HTTP ingest) plus the bench
-# load generator in its quick mode. Part of `make check`: the service is the
-# one subsystem whose whole job is cross-goroutine handoff.
+# (worker pool, backpressure, checkpoint/resume, HTTP ingest). Part of
+# `make check`: the service is the one subsystem whose whole job is
+# cross-goroutine handoff.
 serve-smoke:
-	$(GO) test -race -run 'TestServe' ./internal/serve ./internal/bench
+	$(GO) test -race -run 'TestServe' ./internal/serve
 
 # Race-enabled smoke of the Go-native subject corpus: the directed
 # strict/Pre/Relaxed verdict tests for every family under the real Go race
@@ -47,21 +47,28 @@ subjects-smoke:
 
 # Race-enabled smoke of the fault-tolerant distributed coordinator: the full
 # internal/dist suite (lease grants/expiry, randomized worker crash/hang/stall
-# injection, coordinator crash resume, poisoning) plus the bench scaling gate
-# in its quick mode — a small class at 3 workers with one injected worker
-# kill, merged result required bit-identical to the sequential check. Part of
-# `make check`: the coordinator is pure cross-goroutine handoff.
+# injection with the merged result required bit-identical to the sequential
+# check, coordinator crash resume, poisoning). Part of `make check`: the
+# coordinator is pure cross-goroutine handoff.
 dist-smoke:
-	$(GO) test -race -run 'TestDist' ./internal/dist ./internal/bench
+	$(GO) test -race -run 'TestDist' ./internal/dist
 
 # Smoke of the specialized fast monitors: the full internal/monitor/fast
 # suite, the explorer-driven bit-identity property suite (fast+fallback vs
-# WGL vs the naive search vs the phase-1 spec), the WitnessFast end-to-end
-# path, and the crossover benchmark in its quick mode. Part of `make check`:
-# the fast monitors must never disagree with the search they replace.
+# WGL vs the naive search vs the phase-1 spec) and the WitnessFast end-to-end
+# path. Part of `make check`: the fast monitors must never disagree with the
+# search they replace.
 fastmon-smoke:
 	$(GO) test ./internal/monitor/fast
-	$(GO) test -run 'TestFastBackendBitIdentical|TestFastWitnessEndToEnd|TestFastmon' ./internal/bench
+	$(GO) test -run 'TestFastBackendBitIdentical|TestFastWitnessEndToEnd' ./internal/bench
+
+# The measuring harness is its own module (benchmark/go.mod, `replace lineup
+# => ../`), so `go build ./...` here never compiles it: renaming something it
+# imports from internal/ would pass every other gate and break the program
+# PRs are judged by. Vet it and run its tests against this tree.
+benchmark-smoke:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # Short coverage-guided fuzz pass over the external input parsers (the batch
 # JSONL trace reader, the incremental stream reader, and the binary batch
@@ -83,71 +90,20 @@ fuzz:
 check-race:
 	$(GO) test -race -timeout=60m ./...
 
-# `make check` (via the test target) also runs the telemetry-overhead smoke
-# benchmark (TestTelemetryOverheadBaseline in its quick mode): a
-# milliseconds-scale off-vs-on pair that proves the instrumentation
-# machinery and the observe-only contract on every tier-1 run.
-bench: bench-telemetry sweeps
+# Every measured number comes from the harness in benchmark/ (six workloads,
+# metrics declared in BENCHMARK.json; results land in benchmark/out/). The
+# testing.B groups in bench_test.go stay beside it for profiling one layer.
+bench:
+	bash benchmark/run.sh
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 
 # The five RandomCheck sweeps over the whole class registry at the paper's
 # 3x3 size (about three minutes on two CPUs). Plain `go test ./...` runs them
-# on a fixed smoke subset of classes; LINEUP_BENCH_FULL=1 lifts that. The -run
-# filter matters: the same variable switches every Test*Baseline runner into
-# its multi-minute full mode.
+# on a fixed smoke subset of classes; LINEUP_BENCH_FULL=1 lifts that.
 sweeps:
-	LINEUP_BENCH_FULL=1 $(GO) test -run 'TestRandomCheckFindsSeededBugs|TestRandomCheckCleanClassesPass|TestRelaxedBagRandomSweep|TestRandomCheckFindsIntentionalCauses|TestTelemetryObserveOnlyRandomCheck' -timeout=30m ./internal/bench
+	LINEUP_BENCH_FULL=1 $(GO) test -timeout=30m ./internal/bench
 
-# Regenerate the kind=="reduction" rows of BENCH_lineup.json: the full
-# full-vs-reduced sweep over every directed cause case (bounded plus
-# unbounded passes). Fails without writing if any class's verdict drifts
-# from the committed baseline. The quick smoke subset of the same test runs
-# on every `make check` via `go test ./...`.
-bench-reduction:
-	LINEUP_BENCH_FULL=1 LINEUP_UPDATE_BENCH=1 $(GO) test -run=TestReductionBaseline -v -timeout=30m ./internal/bench
-
-# Regenerate the kind=="serve" rows of BENCH_lineup.json: two row families.
-# TestServeBaseline measures end-to-end checking throughput (>=1.2M checked
-# operations per run, at 1 and 4 checker workers); TestServeIngestBaseline
-# measures the ingest path alone (checker pool held parked) over jsonl-vs-
-# batch wire encodings at 1 and 4 concurrent connections, gated on batch x 4
-# clearing 3x the single-connection JSONL rate. Fails without writing if any
-# verdict drifts from linearizable or the event accounting does not balance.
-bench-serve:
-	LINEUP_BENCH_FULL=1 LINEUP_UPDATE_BENCH=1 $(GO) test -run='TestServeBaseline|TestServeIngestBaseline' -v -timeout=30m ./internal/bench
-
-# Regenerate the kind=="telemetry" rows of BENCH_lineup.json: telemetry
-# off-vs-on wall times of the -scale workload (~80k schedules) at 1 and 4
-# workers, best-of-3, gated at the acceptance overhead ceiling. Fails
-# without writing if enabling the collector changes any verdict or count.
-bench-telemetry:
-	LINEUP_BENCH_FULL=1 LINEUP_UPDATE_BENCH=1 $(GO) test -run=TestTelemetryOverheadBaseline -v -timeout=30m ./internal/bench
-
-# Regenerate the kind=="generate" rows of BENCH_lineup.json: coverage-guided
-# generation vs uniform random sampling on every defect-seeded subject of the
-# Go-native corpus, same seed and test budget, recording tests-to-first-
-# violation and wall time. Fails without writing if the guided strategy
-# misses any seeded bug within the budget. The quick smoke subset of the same
-# test runs on every `make check` via `go test ./...`.
-bench-generate:
-	LINEUP_BENCH_FULL=1 LINEUP_UPDATE_BENCH=1 $(GO) test -run=TestGenerateBaseline -v -timeout=30m ./internal/bench
-
-# Regenerate the kind=="dist" rows of BENCH_lineup.json: the fault-tolerant
-# coordinator on a 3-thread workload at 1, 2, and 4 workers with injected
-# worker crashes, recording units, kills absorbed, lease retries, and wall
-# time. Fails without writing if any merged result diverges from the
-# sequential exhaustive check.
-bench-dist:
-	LINEUP_BENCH_FULL=1 LINEUP_UPDATE_BENCH=1 $(GO) test -run=TestDistBaseline -v -timeout=30m ./internal/bench
-
-# Regenerate the kind=="fastmon" rows of BENCH_lineup.json: the specialized
-# monitors vs the memoized unpartitioned Wing–Gong search on unambiguous
-# per-type workloads, lengths 10^2 .. 10^6 (WGL is skipped once a run blows
-# the 2s budget — it is quadratic on these shapes). Fails without writing if
-# any verdict disagrees or any type misses the >=10x speedup at >=10^4.
-bench-fastmon:
-	LINEUP_BENCH_FULL=1 LINEUP_UPDATE_BENCH=1 $(GO) test -run=TestFastmonBaseline -v -timeout=60m ./internal/bench
-
+# Build leftovers only; everything removed here is in .gitignore.
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_lineup.json
+	rm -rf .bench_build benchmark/out

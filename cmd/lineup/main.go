@@ -14,7 +14,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -56,8 +55,6 @@ var commands = []command{
 	{"fig7", "", "the Fig. 7 observation file and violation report", noArgs(cmdFig7)},
 	{"fig9", "", "the Fig. 9 ManualResetEvent bug", noArgs(cmdFig9)},
 	{"compare", "[flags]", "race + serializability comparison (Section 5.6)", cmdCompare},
-	{"parallel", "[flags]", "sequential vs prefix-sharded parallel explorer (wall + speedup)", cmdParallel},
-	{"reduction", "[flags]", "full vs sleep-set-reduced exploration per root cause", cmdReduction},
 	{"ablate", "", "preemption-bound ablation", cmdAblate},
 	{"memory", "[flags]", "store-buffer (TSO) SC-violation scan (Section 5.7)", cmdMemory},
 	{"dist", "-class NAME -test SPEC [flags]", "fault-tolerant distributed phase-2 exploration", cmdDist},
@@ -272,7 +269,6 @@ func cmdTable2(args []string) error {
 	watchdog := fs.Duration("watchdog", 0, "abandon executions making no scheduler progress for this long (0 = off)")
 	maxFailures := fs.Int("max-failures", 0, "contain up to N failed executions per check instead of aborting (0 = strict)")
 	reductionSpec := fs.String("reduction", "none", "partial-order reduction for phase 2: none or sleep")
-	jsonOut := fs.String("json", "", "also write machine-readable rows to FILE (conventionally "+bench.JSONFile+")")
 	tflags := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -329,12 +325,6 @@ func cmdTable2(args []string) error {
 		return err
 	}
 	bench.WriteTable2(os.Stdout, table)
-	if *jsonOut != "" {
-		if err := bench.WriteJSONRows(*jsonOut, bench.Table2JSON(table)); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
-	}
 	return nil
 }
 
@@ -776,7 +766,6 @@ func cmdCompare(args []string) error {
 	samples := fs.Int("samples", 10, "random tests per class")
 	seed := fs.Int64("seed", 5, "sampling seed")
 	workers := fs.Int("workers", 1, "shard each test's schedule exploration across this many workers")
-	jsonOut := fs.String("json", "", "also write machine-readable rows to FILE (conventionally "+bench.JSONFile+")")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -784,24 +773,13 @@ func cmdCompare(args []string) error {
 	fmt.Println("Section 5.6 — Line-Up vs race detection vs conflict-serializability")
 	fmt.Printf("%-26s %8s %8s %10s %10s\n", "Class", "races", "atomWarn", "warnTests", "lineupFail")
 	fmt.Println(strings.Repeat("-", 70))
-	var results []*bench.CompareResult
-	var walls []time.Duration
 	for _, e := range bench.Registry() {
-		start := time.Now()
 		res, err := bench.CompareRandom(e.Subject, 2, 2, *samples, *seed, copts)
 		if err != nil {
 			return err
 		}
-		results = append(results, res)
-		walls = append(walls, time.Since(start))
 		fmt.Printf("%-26s %8d %8d %10d %10d\n",
 			res.Subject, len(res.Races), res.AtomicityWarnings, res.AtomicityTests, res.LineUpFailures)
-	}
-	if *jsonOut != "" {
-		if err := bench.WriteJSONRows(*jsonOut, bench.CompareJSON(results, walls)); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
 	}
 	fmt.Println("\nsample serializability warnings (all false alarms on correct classes):")
 	stack, _, _ := bench.Find("ConcurrentStack")
@@ -811,128 +789,6 @@ func cmdCompare(args []string) error {
 	}
 	for _, w := range res.WarningSamples {
 		fmt.Println(" ", w)
-	}
-	return nil
-}
-
-// parseWorkerList parses the comma-separated -workers argument of the
-// parallel subcommand.
-func parseWorkerList(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad worker count %q", f)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty worker list")
-	}
-	return out, nil
-}
-
-// cmdParallel benchmarks the prefix-sharded parallel explorer against the
-// sequential one on the Fig. 1/Fig. 9 subjects (and their fixed
-// counterparts), asserting identical work and reporting wall-time speedups.
-func cmdParallel(args []string) error {
-	fs := flag.NewFlagSet("parallel", flag.ExitOnError)
-	workers := fs.String("workers", "1,2,4,8", "comma-separated worker counts (1 = sequential baseline)")
-	repeat := fs.Int("repeat", 3, "measurements per configuration (best wall time wins)")
-	scale := fs.Bool("scale", false, "add the larger three-thread scalability workload (seconds, not ms)")
-	reductionSpec := fs.String("reduction", "none", "partial-order reduction for the measured explorations: none or sleep")
-	witnessSpec := fs.String("witness", "spec", "phase-2 witness backend for the measured explorations: spec, monitor, or fast")
-	jsonOut := fs.String("json", "", "also write machine-readable rows to FILE (conventionally "+bench.JSONFile+")")
-	tflags := addTelemetryFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ws, err := parseWorkerList(*workers)
-	if err != nil {
-		return err
-	}
-	reduction, err := sched.ParseReduction(*reductionSpec)
-	if err != nil {
-		return err
-	}
-	witness, err := core.ParseWitness(*witnessSpec)
-	if err != nil {
-		return err
-	}
-	tr, err := tflags.start("parallel")
-	if err != nil {
-		return err
-	}
-	var report func(string)
-	if tr.Prog != nil {
-		report = func(s string) {
-			tr.Prog.Step(1)
-			tr.Prog.SetExtra(s)
-			tr.Prog.Tick()
-		}
-	}
-	rows, err := bench.RunParallel(bench.ParallelOptions{
-		Workers: ws, Repeat: *repeat, Scale: *scale, Reduction: reduction,
-		Witness: witness, Telemetry: tr.C,
-	}, report)
-	if err = tr.finishAfter(err); err != nil {
-		return err
-	}
-	bench.WriteParallel(os.Stdout, rows)
-	if *jsonOut != "" {
-		if err := bench.WriteJSONRows(*jsonOut, bench.ParallelJSON(rows)); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
-	}
-	return nil
-}
-
-// cmdReduction measures full vs sleep-set-reduced exhaustive exploration on
-// the directed cause cases, certifying identical verdicts and history sets
-// while reporting the schedule-space shrinkage per class.
-func cmdReduction(args []string) error {
-	fs := flag.NewFlagSet("reduction", flag.ExitOnError)
-	causesSpec := fs.String("causes", "", "comma-separated cause labels to measure (default: all, e.g. A,B',F)")
-	skipUnbounded := fs.Bool("skip-unbounded", false, "measure only under each case's preemption bound")
-	jsonOut := fs.String("json", "", "also write machine-readable rows to FILE (conventionally "+bench.JSONFile+")")
-	tflags := addTelemetryFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	opts := bench.ReductionOptions{SkipUnbounded: *skipUnbounded}
-	for _, f := range strings.Split(*causesSpec, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			opts.Causes = append(opts.Causes, bench.Cause(f))
-		}
-	}
-	tr, err := tflags.start("reduction")
-	if err != nil {
-		return err
-	}
-	opts.Telemetry = tr.C
-	var report func(string)
-	if tr.Prog != nil {
-		report = func(s string) {
-			tr.Prog.Step(1)
-			tr.Prog.SetExtra(s)
-			tr.Prog.Tick()
-		}
-	}
-	rows, err := bench.RunReduction(opts, report)
-	if err = tr.finishAfter(err); err != nil {
-		return err
-	}
-	bench.WriteReduction(os.Stdout, rows)
-	if *jsonOut != "" {
-		if err := bench.WriteJSONRows(*jsonOut, bench.ReductionJSON(rows)); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
 	}
 	return nil
 }

@@ -165,18 +165,21 @@ func captureStderr(t *testing.T, fn func()) string {
 	return <-done
 }
 
+// The retired measuring subcommands are unknown like any other name.
 func TestRunUnknownSubcommand(t *testing.T) {
-	var code int
-	errOut := captureStderr(t, func() { code = run([]string{"frobnicate"}) })
-	if code != 2 {
-		t.Fatalf("unknown subcommand must exit 2, got %d", code)
-	}
-	if !contains(errOut, `unknown subcommand "frobnicate"`) {
-		t.Fatalf("missing unknown-subcommand diagnostic:\n%s", errOut)
-	}
-	for _, c := range commands {
-		if !contains(errOut, c.name) {
-			t.Fatalf("usage listing missing %q:\n%s", c.name, errOut)
+	for _, name := range []string{"frobnicate", "parallel", "reduction"} {
+		var code int
+		errOut := captureStderr(t, func() { code = run([]string{name}) })
+		if code != 2 {
+			t.Fatalf("unknown subcommand %q must exit 2, got %d", name, code)
+		}
+		if !contains(errOut, `unknown subcommand "`+name+`"`) {
+			t.Fatalf("missing unknown-subcommand diagnostic for %q:\n%s", name, errOut)
+		}
+		for _, c := range commands {
+			if !contains(errOut, c.name) {
+				t.Fatalf("usage listing missing %q:\n%s", c.name, errOut)
+			}
 		}
 	}
 }
@@ -229,27 +232,6 @@ func TestCmdCheckReductionFlag(t *testing.T) {
 	}
 	if err := cmdCheck(append(args, "-reduction", "bogus")); err == nil {
 		t.Fatal("bogus -reduction value accepted")
-	}
-}
-
-// TestCmdReduction smokes the reduction subcommand on one cheap cause and
-// checks the rendered table certifies a shrunken schedule space.
-func TestCmdReduction(t *testing.T) {
-	jsonOut := filepath.Join(t.TempDir(), "red.json")
-	out := captureStdout(t, func() error {
-		return cmdReduction([]string{"-causes", "F", "-json", jsonOut})
-	})
-	for _, want := range []string{"Lazy(Pre)", "ratio", "pruned", "dedup"} {
-		if !contains(out, want) {
-			t.Fatalf("reduction output missing %q:\n%s", want, out)
-		}
-	}
-	data, err := os.ReadFile(jsonOut)
-	if err != nil {
-		t.Fatalf("json rows not written: %v", err)
-	}
-	if !contains(string(data), `"kind": "reduction"`) || !contains(string(data), `"reduction_ratio"`) {
-		t.Fatalf("json rows malformed:\n%s", data)
 	}
 }
 

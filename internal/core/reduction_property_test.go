@@ -189,3 +189,28 @@ func TestReductionAutoCheckEquivalent(t *testing.T) {
 		}
 	}
 }
+
+// TestReductionEquivalenceCauseCases runs the contract on the paper's own
+// bugs: every directed root-cause case A..L, buggy subject and corrected
+// counterpart, exhaustively at the case's preemption bound, where the
+// bounded-mode rule for retiring sleeping threads applies and must still
+// prune something. B', F and G are repeated unbounded (classic sleep sets);
+// the unreduced unbounded baseline of the larger cases takes minutes.
+func TestReductionEquivalenceCauseCases(t *testing.T) {
+	sched.RequireNoLeaks(t)
+	unbounded := map[bench.Cause]bool{bench.CauseB + "'": true, bench.CauseF: true, bench.CauseG: true}
+	for _, c := range bench.CauseCases() {
+		for _, sub := range []*core.Subject{c.Subject, c.Counterpart} {
+			if sub == nil {
+				continue
+			}
+			base := core.Options{PreemptionBound: c.Bound, ExhaustPhase2: true}
+			if checkReductionEquivalent(t, sub, c.Test, base) == 0 {
+				t.Errorf("%s cause %s PB=%d: reduction pruned nothing", sub.Name, c.Cause, c.Bound)
+			}
+		}
+		if unbounded[c.Cause] {
+			checkReductionEquivalent(t, c.Subject, c.Test, core.Options{PreemptionBound: core.Unbounded, ExhaustPhase2: true})
+		}
+	}
+}
