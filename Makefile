@@ -25,10 +25,11 @@ race:
 # Race-enabled smoke of the scheduler's baton passing: scheduling decisions
 # run on whichever thread goroutine holds the baton, so the watchdog and
 # abandonment paths, the carrying of controller panics to the Run goroutine,
-# and the pinned decision traces (five full explorations) run under the race
-# detector on every `make check`.
+# the pinned decision traces (five full explorations) and the invariants of
+# what an exploration keeps from one execution to the next (pool_test.go) run
+# under the race detector on every `make check`.
 sched-smoke:
-	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace' ./internal/sched
+	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool' ./internal/sched
 
 # Race-enabled smoke of the streaming service: the full internal/serve suite
 # (worker pool, backpressure, checkpoint/resume, HTTP ingest). Part of

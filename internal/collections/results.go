@@ -6,8 +6,8 @@
 package collections
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -19,10 +19,10 @@ const OK = "ok"
 const FailResult = "Fail"
 
 // Int renders an integer result canonically.
-func Int(v int) string { return fmt.Sprintf("%d", v) }
+func Int(v int) string { return strconv.Itoa(v) }
 
 // Bool renders a boolean result canonically.
-func Bool(v bool) string { return fmt.Sprintf("%t", v) }
+func Bool(v bool) string { return strconv.FormatBool(v) }
 
 // TryInt renders the (value, ok) result of a try-operation.
 func TryInt(v int, ok bool) string {

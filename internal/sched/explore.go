@@ -111,6 +111,10 @@ type explorer struct {
 	stack   []*choice
 	depth   int
 	budget  int
+	// pool carries worker goroutines and scheduler buffers from one execution
+	// to the next; free holds the nodes advanceAbove popped, for Pick to reuse.
+	pool pool
+	free []*choice
 	// pruned (sleep-set skips, see ExploreStats.Pruned) and decisions are
 	// this explorer's share of the statistics, merged into the coordinator by
 	// finish.
@@ -147,8 +151,11 @@ func newExplorer(cfg ExploreConfig, co *coordinator) *explorer {
 // finish merges the explorer's share of the statistics into the coordinator.
 // Every (node, branch) skip is counted by exactly one explorer — nodes live
 // in exactly one stack, split hand-offs count the skipped gap on the donor —
-// so the merged Pruned total is deterministic for full explorations.
+// so the merged Pruned total is deterministic for full explorations. It also
+// ends the explorer's worker goroutines, so every owner of an explorer defers
+// it: a re-panicked controller fault must not leak them.
 func (e *explorer) finish() {
+	e.pool.retire()
 	e.flushPruneTelemetry()
 	e.co.merge(e.pruned, e.decisions)
 }
@@ -179,7 +186,9 @@ func (e *explorer) step(prog Program) (out *Outcome, p Pos, ok bool) {
 	if e.tel != nil {
 		e.tel.ExecutionsStarted.Add(1)
 	}
-	out = NewScheduler(e.cfg, e).Run(prog)
+	s := NewScheduler(e.cfg, e)
+	s.pool = &e.pool
+	out = s.Run(prog)
 	e.seed, e.seedExplored = nil, nil
 	e.flushTelemetry(out)
 	e.decisions += out.Decisions
@@ -234,8 +243,9 @@ func (e *explorer) explore(prog Program, sh *shard, visit func(*Outcome, Pos) bo
 // decision levels and emits each prefix's subtree: its leftmost execution —
 // which the walk itself just ran, so ExploreParallel never runs it twice —
 // its position, and the number of pinned levels. emit reads the subtree's
-// frontier from e.stack.
+// frontier from e.stack. The walk is the explorer's whole life: it finishes it.
 func (e *explorer) generate(prog Program, depth int, emit func(out *Outcome, p Pos, floor int)) {
+	defer e.finish()
 	for {
 		out, p, ok := e.step(prog)
 		if !ok {
@@ -274,8 +284,16 @@ func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 		e.depth++
 		return c.enabled[c.next]
 	}
-	ord := orderChoices(cur, curEnabled, enabled)
-	c := &choice{enabled: ord, cur: cur, curEnabled: curEnabled, budget: e.budget}
+	var c *choice
+	if n := len(e.free); n > 0 {
+		// A recycled node keeps the buffers it owns (cloneStack copies both).
+		c, e.free = e.free[n-1], e.free[:n-1]
+		*c = choice{enabled: c.enabled[:0], explored: c.explored[:0]}
+	} else {
+		c = new(choice)
+	}
+	ord := orderChoices(c.enabled, cur, curEnabled, enabled)
+	c.enabled, c.cur, c.curEnabled, c.budget = ord, cur, curEnabled, e.budget
 	if e.red == ReductionSleep {
 		c.sleep = e.childSleep()
 	}
@@ -483,7 +501,7 @@ func (e *explorer) advanceAbove(floor int) bool {
 		if c.exhausted {
 			// A fully-slept node never branches; its forced continuation was
 			// already accounted at creation.
-			e.stack = e.stack[:len(e.stack)-1]
+			e.pop()
 			continue
 		}
 		e.retire(c)
@@ -503,17 +521,22 @@ func (e *explorer) advanceAbove(floor int) bool {
 		if c.next < len(c.enabled) {
 			return true
 		}
-		e.stack = e.stack[:len(e.stack)-1]
+		e.pop()
 	}
 	return false
+}
+
+// pop takes the deepest node off the stack and keeps it for Pick to reuse.
+func (e *explorer) pop() {
+	n := len(e.stack) - 1
+	e.stack, e.free = e.stack[:n], append(e.free, e.stack[n])
 }
 
 // orderChoices puts the current thread first (the free, non-preemptive
 // continuation) followed by the remaining enabled threads in ascending order.
 // The ordering determines DFS default behavior: run a thread as long as it is
 // enabled, which makes the zero-preemption schedule the first one explored.
-func orderChoices(cur ThreadID, curEnabled bool, enabled []ThreadID) []ThreadID {
-	ord := make([]ThreadID, 0, len(enabled))
+func orderChoices(ord []ThreadID, cur ThreadID, curEnabled bool, enabled []ThreadID) []ThreadID {
 	if curEnabled {
 		ord = append(ord, cur)
 	}
@@ -643,7 +666,7 @@ func (r *replayer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 	}
 	// Past the recorded schedule or after a divergence: fall back to the
 	// first enabled thread.
-	return orderChoices(cur, curEnabled, enabled)[0]
+	return orderChoices(nil, cur, curEnabled, enabled)[0]
 }
 
 // RecordingController wraps another controller and records the decisions it

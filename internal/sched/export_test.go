@@ -31,3 +31,42 @@ func ExploreTraced(cfg ExploreConfig, prog Program, visit func(*Outcome, []PickR
 	e.finish()
 	return co.result()
 }
+
+// ExploreSplitEverywhere explores like ExploreParallel, but on the caller's
+// goroutine and with a split forced before every execution that has one to
+// give: a phantom starving worker on the coordinator's books makes every
+// explorer shed its shallowest level whenever the queue is dry, and every visit
+// empties the queue into a stash. At each visit of the explorer that holds the
+// root, a second explorer works the stash off — it explores every shard shed so
+// far to completion, recycling their nodes from one shard to the next — before
+// the first resumes through its pinned prefix. A node left shared between a
+// donor's stack and its child's is therefore overwritten while the donor still
+// replays through it. It returns the number of splits with the stats.
+func ExploreSplitEverywhere(cfg ExploreConfig, newProg func() Program, visit func(*Outcome, Pos) bool) (ExploreStats, int, error) {
+	co := newCoordinator(cfg.MaxExecutions, nil)
+	co.waiters = 1
+	root, thief := newExplorer(cfg, co), newExplorer(cfg, co)
+	var stash []*shard
+	unqueue := func() { stash, co.queue = append(stash, co.queue...), co.queue[:0] }
+	stolen := newProg()
+	drain := func() {
+		for unqueue(); len(stash) > 0; unqueue() {
+			sh := stash[len(stash)-1]
+			stash = stash[:len(stash)-1]
+			thief.explore(stolen, sh, func(out *Outcome, p Pos) bool {
+				unqueue()
+				return visit(out, p)
+			})
+			co.finishShard()
+		}
+	}
+	root.explore(newProg(), &shard{}, func(out *Outcome, p Pos) bool {
+		drain()
+		return visit(out, p)
+	})
+	drain()
+	root.finish()
+	thief.finish()
+	stats, err := co.result()
+	return stats, co.prog.Splits, err
+}

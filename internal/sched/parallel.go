@@ -159,17 +159,16 @@ func (sh *shard) split(e *explorer) *shard {
 }
 
 // cloneStack deep-copies the choice structs of a decision stack so that two
-// explorers can advance the same prefix independently. The enabled and sleep
-// slices are shared (never mutated after creation), and footprints are
-// immutable once recorded; the explored slice is owned by the advancing
-// explorer and must be copied.
+// explorers can advance the same prefix independently. The sleep slice is
+// shared (never mutated after creation) and footprints are immutable once
+// recorded; enabled and explored are buffers their node owns and whichever
+// explorer pops the node recycles, so they are copied.
 func cloneStack(stack []*choice) []*choice {
 	out := make([]*choice, len(stack))
 	for i, c := range stack {
 		cc := *c
-		if len(c.explored) > 0 {
-			cc.explored = append([]sleepEntry(nil), c.explored...)
-		}
+		cc.enabled = append([]ThreadID(nil), c.enabled...)
+		cc.explored = append([]sleepEntry(nil), c.explored...)
 		out[i] = &cc
 	}
 	return out
@@ -434,7 +433,6 @@ func ExploreParallel(cfg ExploreConfig, pcfg ParallelConfig, newProg func() Prog
 	gen.generate(newProg(), depth, func(out *Outcome, p Pos, floor int) {
 		co.push(&shard{stack: cloneStack(gen.stack), floor: floor, out: out, path: p.Clone()})
 	})
-	gen.finish()
 	co.mu.Lock()
 	co.genDone = true
 	co.cond.Broadcast()

@@ -57,6 +57,10 @@ func ExploreRandom(cfg RandomConfig, prog Program, visit func(*Outcome, Pos) boo
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var stats ExploreStats
 	pos := make(Pos, 1)
+	// The runs share worker goroutines and scheduler buffers, as an explorer's
+	// executions do.
+	var p pool
+	defer p.retire()
 	for i := 0; i < cfg.Runs; i++ {
 		var ctrl Controller
 		switch cfg.Strategy {
@@ -69,6 +73,7 @@ func ExploreRandom(cfg RandomConfig, prog Program, visit func(*Outcome, Pos) boo
 			c.ExecutionsStarted.Add(1)
 		}
 		s := NewScheduler(cfg.Config, ctrl)
+		s.pool = &p
 		out := s.Run(prog)
 		recordOutcomeTelemetry(cfg.Telemetry, out)
 		stats.Executions++

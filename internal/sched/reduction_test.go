@@ -251,3 +251,45 @@ func TestParallelReductionEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelSplitEverywhereEquivalence is the equivalence suite with a split
+// forced before every execution (see ExploreSplitEverywhere), with and without
+// reduction. Decision nodes are recycled by whichever explorer pops them, so a
+// node a split left shared between two stacks is overwritten under its other
+// owner: the replay check panics, or the multiset and the statistics drift.
+func TestParallelSplitEverywhereEquivalence(t *testing.T) {
+	sched.RequireNoLeaks(t)
+	mk := func() sched.Program {
+		return sched.Program{Threads: []func(*sched.Thread){
+			mixedThread("a", 0, 2), mixedThread("b", 1, 2), mixedThread("c", 2, 1),
+		}}
+	}
+	for _, red := range []sched.Reduction{sched.ReductionNone, sched.ReductionSleep} {
+		for _, bound := range []int{1, 2} {
+			cfg := sched.ExploreConfig{PreemptionBound: bound, Reduction: red}
+			tag := fmt.Sprintf("reduction=%v bound=%d", red, bound)
+			wantMS, wantStats, err := exploreSeq(t, cfg, mk())
+			if err != nil {
+				t.Fatalf("%s: sequential explore: %v", tag, err)
+			}
+			gotMS := multiset{}
+			gotStats, splits, err := sched.ExploreSplitEverywhere(cfg, mk, func(o *sched.Outcome, _ sched.Pos) bool {
+				gotMS[fullKey(o)]++
+				return true
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if splits < wantStats.Executions/4 {
+				t.Fatalf("%s: only %d splits over %d executions; nothing was forced", tag, splits, wantStats.Executions)
+			}
+			if !wantMS.equal(gotMS) {
+				t.Fatalf("%s: outcome multisets differ: sequential %d distinct, split %d distinct", tag, len(wantMS), len(gotMS))
+			}
+			if gotStats != wantStats {
+				t.Fatalf("%s: stats differ: sequential %+v split %+v", tag, wantStats, gotStats)
+			}
+			t.Logf("%s: %d executions, %d splits", tag, gotStats.Executions, splits)
+		}
+	}
+}

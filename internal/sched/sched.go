@@ -7,8 +7,9 @@
 // executions (deadlock, livelock, and diverging loops).
 //
 // Programs under test do not use Go's runtime concurrency directly. Instead,
-// each logical thread is a goroutine that is gated by the scheduler so that
-// exactly one logical thread — the baton holder — executes at any moment.
+// each logical thread runs on a goroutine that is gated by the scheduler so that
+// exactly one logical thread — the baton holder — executes at any moment (an
+// exploration keeps those goroutines from one execution to the next, see pool).
 // Scheduling decisions are taken at instrumented operations (see package
 // vsync), on the running thread's own goroutine: it computes the enabled set
 // and asks the Controller; if the decision continues it, it simply returns,
@@ -365,11 +366,16 @@ func DecodeCoverageKey(key uint64) (MemKind, int) {
 }
 
 // Scheduler coordinates the logical threads of a single execution. A fresh
-// Scheduler is created for every execution; it is not reusable.
+// Scheduler is created for every execution and is not reusable; what it takes
+// from its pool — the goroutines its threads run on, the end and dead channels
+// and the threads, ebuf and ids buffers — outlives it when an exploration lent
+// it the pool (see pool).
 type Scheduler struct {
 	cfg     Config
 	ctrl    Controller
+	pool    *pool
 	threads []*Thread
+	slab    []Thread // the execution's Thread handles, in spawn order
 	leaked  []string
 	// end wakes the Run goroutine when the running group can go no further;
 	// dead collects the threads that unwound after a kill or an abandonment
@@ -453,50 +459,127 @@ func (defaultController) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID)
 // "init" and "fin".
 func threadName(i int) string {
 	if i < 26 {
-		return string(rune('A' + i))
+		return "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[i : i+1]
 	}
 	return fmt.Sprintf("T%d", i)
 }
 
-func (s *Scheduler) spawn(name string, body func(t *Thread)) {
-	t := &Thread{
-		id:     ThreadID(len(s.threads)),
-		name:   name,
-		sch:    s,
-		resume: make(chan struct{}, 1),
-		curOp:  -1,
+// pool is what outlives an execution: parked worker goroutines, each with its
+// resume channel and grown stack, and the scheduler's channels and buffers. An
+// exploration owns one and lends it to every Scheduler it runs; a one-off Run
+// makes its own and retires it on return. Only the Run goroutine touches it.
+type pool struct {
+	workers []*worker // the first used are bound to threads of the running execution
+	used    int
+	end     chan struct{}
+	dead    chan *Thread
+	threads []*Thread
+	ebuf    []*Thread
+	ids     []ThreadID
+}
+
+// worker is a goroutine that runs one thread body after another. spawn sets t
+// and body while the worker is parked on resume; the thread's first baton token
+// starts it.
+type worker struct {
+	resume  chan struct{}
+	t       *Thread
+	body    func(*Thread)
+	retired atomic.Bool
+}
+
+func (p *pool) take() *worker {
+	if p.used == len(p.workers) {
+		w := &worker{resume: make(chan struct{}, 1)}
+		p.workers = append(p.workers, w)
+		go w.loop()
 	}
-	t.setState(stateRunnable)
-	s.threads = append(s.threads, t)
-	go func() {
-		<-t.resume
-		if t.killed.Load() {
-			s.dead <- t
-			return
+	p.used++
+	return p.workers[p.used-1]
+}
+
+// retire empties the pool: every worker exits, at once if it is parked and
+// after its current body returns or unwinds if it is not, and the buffers are
+// dropped. The channels of an abandoned execution may still receive a late send
+// and its leaked workers still run subject code, so none of it may serve
+// another execution.
+func (p *pool) retire() {
+	for _, w := range p.workers {
+		w.retired.Store(true)
+		select {
+		case w.resume <- struct{}{}:
+		default:
 		}
-		defer func() {
-			switch r := recover(); r.(type) {
-			case nil:
-				s.transfer(t, stateFinished, nil)
-			case killSentinel:
-				s.dead <- t
-			case divergeSentinel:
-				s.transfer(t, stateDiverged, nil)
-			default:
-				s.transfer(t, stateFinished, r)
-			}
-		}()
-		body(t)
+	}
+	*p = pool{}
+}
+
+func (w *worker) loop() {
+	for !w.retired.Load() {
+		<-w.resume
+		if t, body := w.t, w.body; t != nil {
+			// Forget the thread before running it: a token abandon left over
+			// must find nothing to run a second time.
+			w.t, w.body = nil, nil
+			t.run(body)
+		}
+	}
+}
+
+// run is the life of thread t on its worker's goroutine, entered with the baton
+// (or with a kill token if the execution ended before t ever ran).
+func (t *Thread) run(body func(*Thread)) {
+	s := t.sch
+	if t.killed.Load() {
+		s.dead <- t
+		return
+	}
+	defer func() {
+		switch r := recover(); r.(type) {
+		case nil:
+			s.transfer(t, stateFinished, nil)
+		case killSentinel:
+			s.dead <- t
+		case divergeSentinel:
+			s.transfer(t, stateDiverged, nil)
+		default:
+			s.transfer(t, stateFinished, r)
+		}
 	}()
+	body(t)
+}
+
+// spawn binds a pooled worker to a new thread. The *Thread is the thread's
+// identity — wait sets that outlive an execution are keyed by it — so it is
+// allocated per execution (one slab for all of them) and never recycled; the
+// goroutine, its stack and its resume channel are.
+func (s *Scheduler) spawn(name string, body func(t *Thread)) {
+	w := s.pool.take()
+	t := &s.slab[len(s.threads)]
+	t.id, t.name, t.sch, t.resume, t.curOp = ThreadID(len(s.threads)), name, s, w.resume, -1
+	s.threads = append(s.threads, t)
+	w.t, w.body = t, body
 }
 
 // Run executes the program to completion (or stuckness) and returns the
 // outcome. It must be called exactly once.
 func (s *Scheduler) Run(prog Program) *Outcome {
 	n := len(prog.Threads) + 2 // plus the setup and teardown pseudo-threads
-	s.end, s.dead = make(chan struct{}, 1), make(chan *Thread, n)
-	s.threads = make([]*Thread, 0, n)
-	s.ebuf, s.ids = make([]*Thread, 0, n), make([]ThreadID, 0, n)
+	p := s.pool
+	if p == nil {
+		p = new(pool)
+		s.pool = p
+		defer p.retire()
+	}
+	if cap(p.dead) < n {
+		p.end, p.dead = make(chan struct{}, 1), make(chan *Thread, n)
+		p.threads, p.ebuf, p.ids = make([]*Thread, 0, n), make([]*Thread, 0, n), make([]ThreadID, 0, n)
+	}
+	// The previous execution ended cleanly (or the pool is empty): its workers
+	// are parked or on their way there, its channels drained.
+	p.used = 0
+	s.end, s.dead, s.threads, s.ebuf, s.ids = p.end, p.dead, p.threads, p.ebuf, p.ids
+	s.slab = make([]Thread, n)
 	if h := s.cfg.Prealloc; h != (CapHint{}) {
 		if h.Events > 0 {
 			s.events = make([]OpEvent, 0, h.Events)
@@ -510,7 +593,9 @@ func (s *Scheduler) Run(prog Program) *Outcome {
 	}
 	baseGoroutines := 0
 	if s.cfg.DetectLeaks {
-		baseGoroutines = runtime.NumGoroutine()
+		// Workers are the scheduler's goroutines, not the subject's: take the
+		// baseline without the parked ones and allow for the ones parked after.
+		baseGoroutines = runtime.NumGoroutine() - len(p.workers)
 	}
 	if prog.Setup != nil {
 		s.spawn("init", prog.Setup)
@@ -571,7 +656,7 @@ func (s *Scheduler) Run(prog Program) *Outcome {
 	}
 	s.mu.Unlock()
 	if s.cfg.DetectLeaks {
-		out.LeakedGoroutines = s.countLeaks(baseGoroutines)
+		out.LeakedGoroutines = s.countLeaks(baseGoroutines + len(p.workers))
 	}
 	return out
 }
@@ -801,12 +886,11 @@ func (s *Scheduler) abandon() {
 			continue
 		}
 		t.killed.Store(true)
-		select {
-		case t.resume <- struct{}{}:
-		default:
-		}
 		waiting[t] = true
 	}
+	// Retiring the pool hands every worker a token, the killed threads' among
+	// them, and keeps this execution's goroutines and channels out of the next.
+	s.pool.retire()
 	deadline := time.NewTimer(s.cfg.abandonGrace())
 	defer deadline.Stop()
 	for len(waiting) > 0 {

@@ -90,7 +90,6 @@ func SplitUnits(cfg ExploreConfig, prog Program, depth int) ([]WorkUnit, SplitSt
 		}
 		units = append(units, u)
 	})
-	e.finish()
 	stats, err := co.result()
 	return units, SplitStats{Units: len(units), DiscoveryExecutions: stats.Executions, Pruned: stats.Pruned}, err
 }
@@ -110,7 +109,9 @@ func ExploreUnit(cfg ExploreConfig, prog Program, u WorkUnit, visit func(*Outcom
 	co := newCoordinator(cfg.MaxExecutions, nil)
 	e := newExplorer(cfg, co)
 	e.seed, e.seedExplored = u.Path, u.Explored
-	e.explore(prog, &shard{floor: u.Floor}, visit)
-	e.finish()
+	func() {
+		defer e.finish()
+		e.explore(prog, &shard{floor: u.Floor}, visit)
+	}()
 	return co.result()
 }
