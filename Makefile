@@ -16,9 +16,10 @@ test:
 	$(GO) test ./...
 
 # Race-enabled pass over the packages that actually spin up goroutines:
-# the scheduler, the core checkers (parallel RandomCheck workers), the
-# fault-injection containment harness, and the monitor (parallel partition
-# search). -short skips the long sweeps.
+# the scheduler, the core checkers (phase-2 explorations shared among
+# workers — TestWorkerCountUnobservable is the gate — and parallel RandomCheck
+# workers), the fault-injection containment harness, and the monitor (parallel
+# partition search). -short skips the long sweeps.
 race:
 	$(GO) test -race -short ./internal/sched ./internal/core ./internal/faultinject ./internal/monitor ./internal/serve ./internal/bench
 
@@ -85,9 +86,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMutate -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzFastMonitor -fuzztime=5s ./internal/monitor/fast
 
-# Full race-enabled pass over every package (much slower than `race`;
-# exercises the prefix-sharded parallel explorer end to end). The bench
-# sweeps run for several minutes even uninstrumented, hence the timeout.
+# Full race-enabled pass over every package (much slower than `race`). The
+# bench sweeps run for several minutes even uninstrumented, hence the timeout.
 check-race:
 	$(GO) test -race -timeout=60m ./...
 

@@ -264,7 +264,7 @@ func cmdTable2(args []string) error {
 	cols := fs.Int("cols", 3, "invocations per thread")
 	seed := fs.Int64("seed", 1, "sampling seed")
 	workers := fs.Int("workers", runtime.NumCPU(), "parallel workers per class (one test per worker)")
-	exploreWorkers := fs.Int("explore-workers", 1, "shard each check's phase-2 exploration across this many workers")
+	exploreWorkers := fs.Int("explore-workers", 0, "workers sharing each check's phase-2 exploration (0 = one per CPU, or one when -workers already runs tests side by side)")
 	pre := fs.Bool("pre", true, "include the (Pre) variants")
 	watchdog := fs.Duration("watchdog", 0, "abandon executions making no scheduler progress for this long (0 = off)")
 	maxFailures := fs.Int("max-failures", 0, "contain up to N failed executions per check instead of aborting (0 = strict)")
@@ -367,7 +367,7 @@ func cmdCheck(args []string) error {
 	seed := fs.Int64("seed", 1, "sampling seed")
 	bound := fs.Int("pb", 0, "preemption bound (0 = class default)")
 	workers := fs.Int("workers", runtime.NumCPU(), "parallel workers (one test per worker)")
-	exploreWorkers := fs.Int("explore-workers", 1, "shard each check's phase-2 exploration across this many workers")
+	exploreWorkers := fs.Int("explore-workers", 0, "workers sharing each check's phase-2 exploration (0 = one per CPU, or one when -workers already runs tests side by side)")
 	shrink := fs.Bool("shrink", true, "minimize the first failing test")
 	watchdog := fs.Duration("watchdog", 0, "abandon executions making no scheduler progress for this long (0 = off)")
 	maxFailures := fs.Int("max-failures", 0, "contain up to N failed executions (panic/hang/leak) per test instead of aborting (0 = strict)")
@@ -430,13 +430,13 @@ func cmdCheck(args []string) error {
 		fastCol = telemetry.New()
 		copts.Telemetry = fastCol
 	}
-	if *exploreWorkers > 1 {
-		copts.ShardProgress = tr.shardProgress()
-	}
 	ropts := core.RandomOptions{
 		Rows: *rows, Cols: *cols, Samples: *samples, Seed: *seed,
 		Workers: *workers,
 		Options: copts,
+	}
+	if ropts.ExploreWorkers() > 1 {
+		ropts.ShardProgress = tr.shardProgress()
 	}
 	if tr.Prog != nil {
 		tr.Prog.SetTotal(*samples)
@@ -765,7 +765,7 @@ func cmdCompare(args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	samples := fs.Int("samples", 10, "random tests per class")
 	seed := fs.Int64("seed", 5, "sampling seed")
-	workers := fs.Int("workers", 1, "shard each test's schedule exploration across this many workers")
+	workers := fs.Int("workers", 0, "workers sharing each test's schedule exploration (0 = one per CPU)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

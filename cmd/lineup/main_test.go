@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -112,6 +113,24 @@ func TestCmdCheckHardeningFlags(t *testing.T) {
 	}
 	if contains(out, "contained runtime failures") {
 		t.Fatalf("clean run reported contained failures:\n%s", out)
+	}
+}
+
+// TestCmdCheckLeakDetectionNeedsOneWorker: -detect-leaks counts the
+// goroutines of the whole process, so asking for it together with more than
+// one worker, of tests or of explorations, is refused before any test runs —
+// it used to run without the check it was asked for.
+func TestCmdCheckLeakDetectionNeedsOneWorker(t *testing.T) {
+	for _, flags := range [][]string{
+		{"-workers", "2"},
+		{"-workers", "1", "-explore-workers", "4"},
+	} {
+		args := append([]string{"-class", "ConcurrentStack", "-samples", "1", "-rows", "2", "-cols", "2", "-detect-leaks"}, flags...)
+		err := cmdCheck(args)
+		var oe *core.OptionsError
+		if !errors.As(err, &oe) || oe.Field != "DetectLeaks" {
+			t.Errorf("check -detect-leaks %v: err = %v, want a DetectLeaks *core.OptionsError", flags, err)
+		}
 	}
 }
 

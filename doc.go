@@ -55,11 +55,13 @@
 // failing test, and CheckAgainstModel checks an implementation against a
 // reference model instead of against its own serial behaviors.
 //
-// Options.Workers > 1 shards one check's phase-2 schedule exploration
-// across a worker pool; the verdict, the statistics of passing checks, and
-// the reported first violation are identical to the sequential explorer
-// for every worker count (DESIGN.md describes the prefix-sharding and
-// minimum-position construction behind that guarantee).
+// One check's phase-2 schedule exploration is shared among the CPUs the
+// process may use (Options.Workers bounds the pool; 1 is the sequential
+// run). The verdict, the reported first violation and every statistic are
+// identical to the sequential explorer for every worker count (DESIGN.md
+// describes the interval and minimum-position construction behind that
+// guarantee). Subject code therefore runs on several goroutines at once,
+// each on its own object from Subject.New.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record of every table and figure.

@@ -124,9 +124,10 @@ type Table2Options struct {
 	Seed int64
 	// Workers parallelizes each class's sample (one test per worker).
 	Workers int
-	// ExploreWorkers shards the phase-2 schedule exploration of every
-	// individual check (core.Options.Workers); 0 or 1 keeps the sequential
-	// explorer. Composes with Workers but usually over-subscribes.
+	// ExploreWorkers is core.Options.Workers of every individual check: 0
+	// gives each exploration every CPU when Workers checks one test at a
+	// time and one otherwise; above one it composes with Workers and
+	// over-subscribes.
 	ExploreWorkers int
 	// IncludePre includes the "(Pre)" variants (the paper tests both
 	// releases).

@@ -144,13 +144,12 @@ type RandomOptions struct {
 	Seed int64
 	// Workers runs whole checks (one test per worker) on this many
 	// OS-level workers (the "embarrassingly parallel" distribution of
-	// Section 4.3). 0 or 1 is sequential. This field shadows the embedded
-	// Options.Workers, which instead parallelizes the phase-2 schedule
-	// exploration *within* one check; set that one explicitly
-	// (opts.Options.Workers) to shard individual explorations. The two
-	// compose but usually over-subscribe the machine — prefer test-level
-	// parallelism for many small tests and exploration-level parallelism
-	// for few large ones.
+	// Section 4.3). 0 or 1 checks one test at a time. This field shadows the
+	// embedded Options.Workers, which instead parallelizes the phase-2
+	// schedule exploration *within* one check: with one test at a time its
+	// zero value gives each exploration every CPU, and with Workers > 1 here
+	// it gives each exploration one (see ExploreWorkers). Setting both above
+	// one composes but over-subscribes the machine.
 	Workers int
 	// StopAtFirstFailure ends the run at the first failing test.
 	StopAtFirstFailure bool
@@ -174,6 +173,17 @@ type RandomOptions struct {
 	// results compose into exactly the sequence an uninterrupted run
 	// produces.
 	Resume *RandomCheckpoint
+}
+
+// ExploreWorkers is the worker count each check's phase-2 exploration runs
+// with: what Options.Workers means on a check of its own (0 is one per CPU,
+// or one under DetectLeaks), except that when the tests themselves run side
+// by side an unset count means one — the CPUs are taken.
+func (o RandomOptions) ExploreWorkers() int {
+	if o.Workers > 1 && o.Options.Workers <= 0 {
+		return 1
+	}
+	return o.Options.exploreWorkers()
 }
 
 // RandomSummary aggregates a RandomCheck run; its fields correspond to the
@@ -209,11 +219,14 @@ func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummar
 	if len(universe) == 0 {
 		universe = sub.Ops
 	}
-	if opts.Workers > 1 {
-		// Leak detection counts process-global goroutines; concurrent checks
-		// on sibling workers would see each other's scheduler threads.
-		opts.DetectLeaks = false
+	// Concurrent checks on sibling workers would see each other's scheduler
+	// threads, so leak detection is refused for either level of workers.
+	both := opts.Options
+	both.Workers = max(both.Workers, opts.Workers)
+	if err := both.validate(true, false); err != nil {
+		return nil, err
 	}
+	opts.Options.Workers = opts.ExploreWorkers()
 	rows, cols := opts.Rows, opts.Cols
 	if rows <= 0 {
 		rows = 3

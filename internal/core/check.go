@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -79,20 +80,21 @@ type Options struct {
 	// MonitorModel is the executable sequential model consulted when
 	// WitnessSearch is WitnessMonitor (see CheckWithMonitor).
 	MonitorModel *monitor.Model
-	// Workers, when > 1, explores the phase-2 schedule space with that many
-	// prefix-sharded workers (sched.ExploreParallel) instead of the
-	// sequential DFS. The verdict, the reported violation, and — on passing
-	// or exhaustive runs — the phase statistics are identical to the
-	// sequential explorer's regardless of worker count; on runs that stop at
-	// a violation the execution counts may exceed the sequential ones (early
-	// cancellation abandons strictly-later work but lets in-flight work
-	// finish). 0 or 1 selects the sequential explorer; sampling
-	// (SampleSchedules) and phase 1 ignore Workers.
+	// Workers is the number of goroutines that explore the phase-2 schedule
+	// space of one check (sched.ExploreParallel). It cannot be observed in a
+	// result: the verdict, the reported violation, the contained failures and
+	// every phase statistic but Duration are those of the sequential DFS for
+	// any value, on passing, exhaustive and stop-at-first-violation runs
+	// alike. 0 selects one per CPU the process may use, or 1 when DetectLeaks
+	// is set or an outer pool (RandomOptions.Workers) already runs checks
+	// side by side; 1 is the explicit sequential run. Subject code runs on
+	// several goroutines at once when more than one worker explores, each on
+	// its own instance from Subject.New. Sampling (SampleSchedules) and
+	// phase 1 ignore Workers.
 	Workers int
-	// ShardProgress, when non-nil and Workers > 1, receives progress
-	// snapshots of the parallel exploration (shards created/retired,
-	// executions run). It is called under an internal lock and must return
-	// quickly.
+	// ShardProgress, when non-nil, receives progress snapshots of the
+	// phase-2 exploration (shards created/retired, executions started). It
+	// is called under an internal lock and must return quickly.
 	ShardProgress func(sched.ShardProgress)
 	// Watchdog, when positive, arms the scheduler's wall-clock watchdog on
 	// every execution: a subject that blocks on an uninstrumented primitive
@@ -101,9 +103,10 @@ type Options struct {
 	// sched.Config.Watchdog.
 	Watchdog time.Duration
 	// DetectLeaks reports subject goroutines that survive an execution
-	// (raw `go` statements escaping the scheduler) as leak failures. It is
-	// process-global, so it is forced off whenever executions run
-	// concurrently (Workers > 1 here, or RandomOptions.Workers > 1).
+	// (raw `go` statements escaping the scheduler) as leak failures. It
+	// counts the goroutines of the whole process, so it needs executions to
+	// run one at a time: Workers 0 then means 1, and an explicit Workers > 1
+	// (here or in RandomOptions) is refused.
 	DetectLeaks bool
 	// Reduction selects the explorer's partial-order reduction for phase 2
 	// (sched.ReductionNone or sched.ReductionSleep). Sleep-set reduction
@@ -118,7 +121,7 @@ type Options struct {
 	// check at the first failure. Exceeding the budget aborts with
 	// *TooManyFailuresError. Zero keeps the strict behavior: the first
 	// failure aborts the check with its error. The recorded set and the
-	// sequentially-first failure are deterministic for any Workers count.
+	// sequentially-first failure are the same for any Workers count.
 	// Phase 1 is always strict: serial executions run deterministic subject
 	// code whose failures are not schedule-dependent.
 	MaxFailures int
@@ -186,8 +189,24 @@ func (o Options) validate(haveSpec, dist bool) error {
 		return &OptionsError{"WitnessSearch", "the spec-lookup witness backend requires a synthesized specification"}
 	case dist && o.SampleSchedules > 0:
 		return &OptionsError{"SampleSchedules", "schedule sampling cannot be distributed (units are DFS subtrees)"}
+	case o.DetectLeaks && o.Workers > 1:
+		return &OptionsError{"DetectLeaks", "leak detection counts the goroutines of the whole process and needs executions to run one at a time (Workers 0 or 1)"}
 	}
 	return nil
+}
+
+// exploreWorkers resolves Workers for an exhaustive phase-2 exploration: an
+// explicit count stands, and 0 is one worker per CPU the process may use —
+// more workers than CPUs only add switching — or one when DetectLeaks needs
+// executions to run one at a time.
+func (o Options) exploreWorkers() int {
+	switch {
+	case o.Workers > 0:
+		return o.Workers
+	case o.DetectLeaks:
+		return 1
+	}
+	return min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 }
 
 func (o Options) bound() int {

@@ -63,26 +63,24 @@ func (c *Coverage) Hists() int {
 	return len(c.hists)
 }
 
-// addPairs merges one execution's footprint pairs.
-func (c *Coverage) addPairs(keys []uint64) {
-	if c == nil || len(keys) == 0 {
+// add merges what a finished phase 2 observed — footprint pairs and
+// history-shape hashes — at or before the entry it stopped at (nil: all of
+// it), so that a check's contribution does not depend on what its workers
+// had in flight when it stopped.
+func (c *Coverage) add(acc *phase2Acc, stop *histEntry) {
+	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	for _, k := range keys {
-		c.pairs[k] = struct{}{}
+	for k, p := range acc.pairs {
+		if !stop.before(p) {
+			c.pairs[k] = struct{}{}
+		}
 	}
-	c.mu.Unlock()
-}
-
-// addHists merges the history-shape hashes of a finished phase-2 cache.
-func (c *Coverage) addHists(cache *histCache) {
-	if c == nil || cache == nil {
-		return
-	}
-	c.mu.Lock()
-	for h := range cache.buckets {
-		c.hists[h] = struct{}{}
+	for _, en := range acc.entries {
+		if !stop.before(en.first) {
+			c.hists[fnv1a64(en.key)] = struct{}{}
+		}
 	}
 	c.mu.Unlock()
 }

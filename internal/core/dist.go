@@ -30,7 +30,7 @@ import (
 var ErrUnitAborted = errors.New("core: work unit aborted by tick callback")
 
 // UnitKey is one distinct history observed inside a work unit: the canonical
-// history-cache key plus the per-unit occurrence accounting the merge needs.
+// history-cache key plus what the merge needs to place a violating one.
 type UnitKey struct {
 	// Key is the canonical encoded history (canonicalHistKey): a pure
 	// function of the history itself, byte-exact across processes, which is
@@ -40,9 +40,6 @@ type UnitKey struct {
 	Key []byte `json:"key"`
 	// Stuck marks a stuck (vs complete) history.
 	Stuck bool `json:"stuck,omitempty"`
-	// Count is the number of executions of this unit that collapsed to this
-	// history.
-	Count int `json:"count"`
 	// First is the position of a violating history's first occurrence in
 	// the unit, comparable across units.
 	First sched.Pos `json:"first,omitempty"`
@@ -234,7 +231,10 @@ func CheckUnitWithSpec(sub *Subject, m *Test, opts Options, u sched.WorkUnit, sp
 	// A lone DFS visits in position order, so entries and failures are
 	// already in the order a replay reproduces.
 	for i, en := range acc.entries {
-		rep.Keys[i] = UnitKey{Key: en.canon, Stuck: en.stuck, Count: en.count, First: en.first, Violating: en.violating, Schedule: en.schedule}
+		rep.Keys[i] = UnitKey{Key: en.canon, Stuck: en.stuck, Violating: en.violating, Schedule: en.schedule}
+		if en.violating {
+			rep.Keys[i].First = en.first
+		}
 	}
 	for _, pf := range acc.failures.sorted() {
 		rep.Failures = append(rep.Failures, UnitFailure{Pos: pf.pos, Failure: pf.f})
@@ -249,13 +249,14 @@ func CheckUnitWithSpec(sub *Subject, m *Test, opts Options, u sched.WorkUnit, sp
 // out of budget. Nil reports (units that never completed) are skipped.
 func (s *phase2Acc) fold(reports []*UnitReport) (stats PhaseStats, truncated bool, err error) {
 	byKey := make(map[string]*histEntry)
+	var explored sched.ExploreStats
 	for _, r := range reports {
 		if r == nil {
 			continue
 		}
-		stats.Executions += r.Executions
-		stats.Decisions += r.Decisions
-		stats.Pruned += r.Pruned
+		explored.Executions += r.Executions
+		explored.Decisions += r.Decisions
+		explored.Pruned += r.Pruned
 		truncated = truncated || r.Truncated
 		for _, k := range r.Keys {
 			en, ok := byKey[string(k.Key)]
@@ -270,14 +271,12 @@ func (s *phase2Acc) fold(reports []*UnitReport) (stats PhaseStats, truncated boo
 			if en.violating && (!ok || k.First.Before(en.first)) {
 				en.first, en.schedule = k.First, k.Schedule
 			}
-			en.count += k.Count
 		}
 		for _, f := range r.Failures {
 			s.failures.add(f.Pos, f.Failure)
 		}
 	}
-	stats.Histories, stats.Stuck, stats.DedupHits = s.stats()
-	return stats, truncated, nil
+	return s.stats(explored, len(s.failures.fs), nil), truncated, nil
 }
 
 // PartialStats merges the phase-2 statistics of whichever units completed —

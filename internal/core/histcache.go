@@ -48,16 +48,21 @@ type histEntry struct {
 	v         *Violation
 	err       error
 	done      chan struct{}
-	// count is the number of executions that collapsed to this history;
-	// first, kept for violating histories only, is the minimal position at
-	// which one did — exactly where a sequential exploration first meets it.
+	// first is the minimal position at which an execution collapsed to this
+	// history — exactly where a sequential exploration first meets it.
 	first sched.Pos
-	count int
 	// canon and schedule are recorded for unit reports only: the
 	// process-independent name of the history (canonicalHistKey) and, for a
 	// violating one, the first occurrence's decision schedule.
 	canon    []byte
 	schedule []sched.ThreadID
+}
+
+// before reports whether an exploration that stopped at en — nil when it ran
+// to the end — stopped before reaching position p. In-flight work may have
+// got there; a sequential run did not.
+func (en *histEntry) before(p sched.Pos) bool {
+	return en != nil && en.first.Before(p)
 }
 
 func newHistCache() *histCache {

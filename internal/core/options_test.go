@@ -39,6 +39,10 @@ func TestIllegalOptionsRefused(t *testing.T) {
 	}
 	planUnits := func(o core.Options) error { _, err := core.PlanUnits(sub, m, o, 1); return err }
 	checkUnit := func(o core.Options) error { _, err := core.CheckUnit(sub, m, o, sched.WorkUnit{}, nil); return err }
+	randomCheck2 := func(o core.Options) error {
+		_, err := core.RandomCheck(sub, nil, core.RandomOptions{Options: o, Workers: 2, Samples: 1})
+		return err
+	}
 	entries := func(fs ...func(core.Options) error) []func(core.Options) error { return fs }
 
 	cells := []struct {
@@ -71,6 +75,12 @@ func TestIllegalOptionsRefused(t *testing.T) {
 		{"sampling x dist",
 			core.Options{SampleSchedules: 10},
 			entries(planUnits, checkUnit), "SampleSchedules"},
+		{"leak detection x exploration workers",
+			core.Options{DetectLeaks: true, Workers: 2},
+			entries(check, againstSpec(spec), withMonitor(model), planUnits, checkUnit), "DetectLeaks"},
+		{"leak detection x test workers",
+			core.Options{DetectLeaks: true},
+			entries(randomCheck2), "DetectLeaks"},
 	}
 	for _, c := range cells {
 		for i, entry := range c.entries {

@@ -113,8 +113,6 @@ type phase2Decider struct {
 	// Stuck histories always go through the strict backend.
 	consistency Consistency
 	spec        *history.Spec
-	// cov, when non-nil, receives every visited outcome's footprint pairs.
-	cov *Coverage
 }
 
 // decider assembles the decision procedure the (validated) options select.
@@ -176,15 +174,16 @@ func (d *phase2Decider) witness(h *history.History) (*Violation, error) {
 }
 
 // phase2Acc accumulates the phase-2 state of every exploration path: the
-// sequential DFS, the parallel explorer, schedule sampling (position =
+// exhaustive explorer at any worker count, schedule sampling (position =
 // arrival index), one work unit (CheckUnit), and the merge of unit reports.
 // Deduplication is shared across workers: the first visitor of a key decides
-// it (all others wait for that decision), and every occurrence of a
-// violating key, every decision error and every contained failure records
-// its position, so the minimal position of each — exactly the point where a
-// sequential exploration first meets it — is known at the end. resolve then
-// replays the sequential precedence over those positions, which makes the
-// verdict and the reported violation identical on every path.
+// it (all others wait for that decision), and every occurrence of a key,
+// every decision error and every contained failure records its position, so
+// the minimal position of each — exactly the point where a sequential
+// exploration first meets it — is known at the end. resolve then replays the
+// sequential precedence over those positions, and stats counts what lies at
+// or before the stop, which makes the verdict, the reported violation and the
+// statistics identical on every path.
 type phase2Acc struct {
 	d        *phase2Decider
 	exhaust  bool
@@ -196,6 +195,9 @@ type phase2Acc struct {
 	cache   *histCache
 	entries []*histEntry
 	errs    []posError
+	// pairs is the minimal position at which each footprint pair was
+	// observed (filled only while Options.Coverage collects them).
+	pairs map[uint64]sched.Pos
 }
 
 type posError struct {
@@ -204,7 +206,7 @@ type posError struct {
 }
 
 func newPhase2Acc(d *phase2Decider, exhaust bool, maxFailures int) *phase2Acc {
-	return &phase2Acc{d: d, exhaust: exhaust, failures: newFailureCollector(maxFailures), cache: newHistCache()}
+	return &phase2Acc{d: d, exhaust: exhaust, failures: newFailureCollector(maxFailures), cache: newHistCache(), pairs: make(map[uint64]sched.Pos)}
 }
 
 // visit is the one per-execution step of phase 2. p may alias the explorer's
@@ -220,15 +222,21 @@ func (s *phase2Acc) visit(out *sched.Outcome, p sched.Pos) bool {
 		// failures and prunes exactly.
 		return s.failures.add(p, classifyFailure(out))
 	}
-	s.d.cov.addPairs(out.Coverage)
 	s.mu.Lock()
+	for _, k := range out.Coverage {
+		if q, seen := s.pairs[k]; !seen || p.Before(q) {
+			s.pairs[k] = append(q[:0], p...)
+		}
+	}
 	en, isNew, herr := s.cache.lookup(out, s.d.relaxed)
 	if herr != nil {
 		s.errs = append(s.errs, posError{p.Clone(), herr})
 		s.mu.Unlock()
 		return false
 	}
-	en.count++
+	if isNew || p.Before(en.first) {
+		en.first = append(en.first[:0], p...)
+	}
 	done := en.done
 	if isNew {
 		done = make(chan struct{})
@@ -272,19 +280,9 @@ func (s *phase2Acc) visit(out *sched.Outcome, p sched.Pos) bool {
 		s.mu.Unlock()
 		return false
 	}
-	if !en.violating {
-		return true
-	}
-	// Every occurrence of a violating key records its position, so the
-	// minimal one — exactly where a sequential exploration first meets the
-	// key — is known at the end, and every occurrence reacts alike: stop
-	// here unless exhausting.
-	s.mu.Lock()
-	if en.first == nil || p.Before(en.first) {
-		en.first = p.Clone()
-	}
-	s.mu.Unlock()
-	return s.exhaust
+	// Every occurrence of a violating key reacts alike: stop here unless
+	// exhausting.
+	return !en.violating || s.exhaust
 }
 
 // decide settles a new entry from its first occurrence.
@@ -368,18 +366,25 @@ func (s *phase2Acc) resolve() (*histEntry, []RuntimeFailure, error) {
 	return first, contained, nil
 }
 
-// stats is the history accounting of the phase: distinct full and stuck
-// histories, and the executions answered by an already-decided entry.
-func (s *phase2Acc) stats() (full, stuck, dedupHits int) {
+// stats completes the phase statistics from the explorer's: the distinct full
+// and stuck histories, and the executions answered by an already-decided
+// entry — every execution that did not fail counts for exactly one entry.
+// stop, when non-nil, is the violating entry the exploration stopped at:
+// in-flight work may have visited later executions, and an entry first met
+// after the stop is one a sequential run never saw.
+func (s *phase2Acc) stats(explored sched.ExploreStats, failures int, stop *histEntry) PhaseStats {
+	ps := PhaseStats{Executions: explored.Executions, Decisions: explored.Decisions, Pruned: explored.Pruned}
 	for _, en := range s.entries {
-		if en.stuck {
-			stuck++
-		} else {
-			full++
+		switch {
+		case stop.before(en.first):
+		case en.stuck:
+			ps.Stuck++
+		default:
+			ps.Histories++
 		}
-		dedupHits += en.count - 1
 	}
-	return full, stuck, dedupHits
+	ps.DedupHits = ps.Executions - failures - ps.Histories - ps.Stuck
+	return ps
 }
 
 // phase2 enumerates the concurrent executions of sub on m and checks every
@@ -388,8 +393,8 @@ func (s *phase2Acc) stats() (full, stuck, dedupHits int) {
 // (spec-set lookup by default, model replay under WitnessMonitor). It is the
 // shared engine behind Check, CheckAgainstModel, CheckAgainstSpec, and
 // CheckWithMonitor; spec may be nil when the monitor backend is selected.
-// Sequential DFS, Options.Workers > 1 and Options.SampleSchedules differ only
-// in which explorer feeds the accumulator; verdict and violation are the
+// Exhaustive exploration and Options.SampleSchedules differ only in which
+// explorer feeds the accumulator; verdict, violation and statistics are the
 // sequential DFS's for every worker count.
 func phase2(sub *Subject, m *Test, spec *history.Spec, opts Options, mode witnessMode) (*Result, error) {
 	if err := opts.validate(spec != nil, false); err != nil {
@@ -407,18 +412,18 @@ func phase2(sub *Subject, m *Test, spec *history.Spec, opts Options, mode witnes
 		}
 	}
 	acc := newPhase2Acc(opts.decider(spec, m, mode), opts.ExhaustPhase2, opts.MaxFailures)
-	acc.d.cov = opts.Coverage
 	start := time.Now()
 	endSpan := opts.Telemetry.StartSpan("phase2")
 	defer endSpan()
 	defer flushCacheTelemetry(opts.Telemetry, acc.cache)
-	defer func() { opts.Coverage.addHists(acc.cache) }()
+	// stop is the violating entry the exploration stopped at, once known.
+	var stop *histEntry
+	defer func() { opts.Coverage.add(acc, stop) }()
 	cfg := opts.exploreConfig(false, false)
 	var stats sched.ExploreStats
 	var exploreErr error
-	var holder any
-	switch {
-	case opts.SampleSchedules > 0:
+	if opts.SampleSchedules > 0 {
+		var holder any
 		stats, exploreErr = sched.ExploreRandom(sched.RandomConfig{
 			Config:            cfg.Config,
 			Runs:              opts.SampleSchedules,
@@ -428,16 +433,8 @@ func phase2(sub *Subject, m *Test, spec *history.Spec, opts Options, mode witnes
 			ContinueOnFailure: cfg.ContinueOnFailure,
 			Telemetry:         cfg.Telemetry,
 		}, program(sub, m, &holder), acc.visit)
-	case opts.Workers > 1:
-		stats, exploreErr = sched.ExploreParallel(cfg, sched.ParallelConfig{
-			Workers:  opts.Workers,
-			Progress: opts.ShardProgress,
-		}, func() sched.Program {
-			var holder any
-			return program(sub, m, &holder)
-		}, acc.visit)
-	default:
-		stats, exploreErr = sched.ExploreUnit(cfg, program(sub, m, &holder), sched.WorkUnit{}, acc.visit)
+	} else {
+		stats, exploreErr = opts.explore(sub, m, cfg, acc.visit)
 	}
 	// A non-budget explorer error is an execution failure that precedes
 	// every visit-level stop in sequential order (the explorer's own
@@ -452,16 +449,11 @@ func phase2(sub *Subject, m *Test, spec *history.Spec, opts Options, mode witnes
 	if exploreErr != nil {
 		return nil, &BudgetError{Phase: 2, Executions: stats.Executions, Limit: opts.maxExecs()}
 	}
-	full, stuck, dedupHits := acc.stats()
-	res.Phase2 = PhaseStats{
-		Executions: stats.Executions,
-		Decisions:  stats.Decisions,
-		Histories:  full,
-		Stuck:      stuck,
-		Pruned:     stats.Pruned,
-		DedupHits:  dedupHits,
-		Duration:   time.Since(start),
+	if !opts.ExhaustPhase2 {
+		stop = first
 	}
+	res.Phase2 = acc.stats(stats, len(failures), stop)
+	res.Phase2.Duration = time.Since(start)
 	res.Failures = failures
 	if first != nil {
 		res.Verdict = Fail

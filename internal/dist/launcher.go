@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -132,7 +133,7 @@ func (l *ExecLauncher) Run(ctx context.Context, spec UnitSpec, heartbeat func())
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("dist: starting worker: %w", err)
 	}
-	kill := l.KillUnit == spec.Seq && spec.Attempt == 1
+	kill, killed := l.KillUnit == spec.Seq && spec.Attempt == 1, false
 	sc := bufio.NewScanner(stdout)
 	for sc.Scan() {
 		switch sc.Text() {
@@ -140,12 +141,18 @@ func (l *ExecLauncher) Run(ctx context.Context, spec UnitSpec, heartbeat func())
 			heartbeat()
 			if kill {
 				kill = false
+				killed = true
 				cmd.Process.Kill()
 			}
 		case "done":
 		}
 	}
 	werr := cmd.Wait()
+	if werr == nil && killed {
+		// A small unit can finish between its heartbeat and the signal; the
+		// injected fault costs the lease all the same.
+		werr = errors.New("finished before the injected kill arrived")
+	}
 	if werr != nil {
 		return nil, fmt.Errorf("dist: worker for unit %d (attempt %d): %w; stderr: %s",
 			spec.Seq, spec.Attempt, werr, strings.TrimSpace(stderr.String()))

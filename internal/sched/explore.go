@@ -60,6 +60,13 @@ type ExploreStats struct {
 	Truncated bool // true if MaxExecutions stopped exploration early
 }
 
+// add accumulates o's counts into s.
+func (s *ExploreStats) add(o ExploreStats) {
+	s.Executions += o.Executions
+	s.Decisions += o.Decisions
+	s.Pruned += o.Pruned
+}
+
 // choice is one decision point on the DFS stack.
 type choice struct {
 	enabled    []ThreadID // order: current thread first (if enabled), then ascending
@@ -96,9 +103,9 @@ func (c *choice) cost(i int) int {
 // explorer drives depth-first stateless exploration. It implements
 // Controller: during a run it replays the recorded prefix and extends the
 // frontier with default (non-preemptive) choices. Every exhaustive path —
-// the lone DFS of Explore and ExploreUnit, the prefix generator, a parallel
-// shard worker — is an explorer behind a coordinator, which decides budget,
-// termination, and stealing.
+// the lone DFS of Explore and ExploreUnit, a worker of ExploreParallel, the
+// prefix generator of SplitUnits — is an explorer behind a coordinator, which
+// decides budget, termination, and stealing.
 type explorer struct {
 	// cfg is the per-execution scheduler configuration; its Prealloc is fed
 	// from every finished execution (steady-state executions of one
@@ -115,11 +122,10 @@ type explorer struct {
 	// to the next; free holds the nodes advanceAbove popped, for Pick to reuse.
 	pool pool
 	free []*choice
-	// pruned (sleep-set skips, see ExploreStats.Pruned) and decisions are
-	// this explorer's share of the statistics, merged into the coordinator by
-	// finish.
-	pruned    int
-	decisions int
+	// counted is what the explorer ran, decided and skipped (sleep-set skips,
+	// see ExploreStats.Pruned) since the last take: one shard's share of the
+	// statistics.
+	counted ExploreStats
 	// seed pins the branch index of every level of a WorkUnit's path during
 	// the unit's first execution; it is cleared afterwards. seedExplored
 	// restores the retired-branch records of those levels.
@@ -148,16 +154,22 @@ func newExplorer(cfg ExploreConfig, co *coordinator) *explorer {
 	}
 }
 
-// finish merges the explorer's share of the statistics into the coordinator.
-// Every (node, branch) skip is counted by exactly one explorer — nodes live
-// in exactly one stack, split hand-offs count the skipped gap on the donor —
-// so the merged Pruned total is deterministic for full explorations. It also
-// ends the explorer's worker goroutines, so every owner of an explorer defers
-// it: a re-panicked controller fault must not leak them.
+// finish ends the explorer's worker goroutines, so every owner of an explorer
+// defers it: a re-panicked controller fault must not leak them.
 func (e *explorer) finish() {
 	e.pool.retire()
 	e.flushPruneTelemetry()
-	e.co.merge(e.pruned, e.decisions)
+}
+
+// take returns and resets counted. Every (node, branch) skip is counted by
+// exactly one explorer on exactly one shard — nodes live in exactly one stack,
+// and a split hands the skipped gap to the child — so a shard's Pruned, like
+// its Executions and Decisions, is a function of the interval it covers.
+func (e *explorer) take() ExploreStats {
+	e.flushPruneTelemetry()
+	s := e.counted
+	e.counted, e.lastPruned = ExploreStats{}, 0
+	return s
 }
 
 // position is the Pos of the execution the stack points at: the unit path
@@ -182,6 +194,7 @@ func (e *explorer) step(prog Program) (out *Outcome, p Pos, ok bool) {
 	if !e.co.reserve(p) {
 		return nil, nil, false
 	}
+	e.counted.Executions++
 	e.depth, e.budget = 0, e.bound
 	if e.tel != nil {
 		e.tel.ExecutionsStarted.Add(1)
@@ -191,7 +204,7 @@ func (e *explorer) step(prog Program) (out *Outcome, p Pos, ok bool) {
 	out = s.Run(prog)
 	e.seed, e.seedExplored = nil, nil
 	e.flushTelemetry(out)
-	e.decisions += out.Decisions
+	e.counted.Decisions += out.Decisions
 	e.cfg.Prealloc = CapHint{Events: len(out.Events), Schedule: len(out.Schedule), Trace: len(out.Trace)}
 	if out.FailureKind() != FailNone {
 		if e.red == ReductionSleep {
@@ -208,25 +221,21 @@ func (e *explorer) step(prog Program) (out *Outcome, p Pos, ok bool) {
 }
 
 // explore visits the subtree of sh — its stack at levels >= sh.floor — in
-// depth-first order. sh.out, when set, is the already-run leftmost execution;
-// otherwise the stack (or the seed) points at the first execution to run. A
-// visit returning false is a terminal event at its position. Between
+// depth-first order; the stack (or the seed) points at the first execution to
+// run. A visit returning false is a terminal event at its position. Between
 // executions the explorer sheds part of the subtree if the coordinator has
 // starving workers (never the case for a lone DFS).
 func (e *explorer) explore(prog Program, sh *shard, visit func(*Outcome, Pos) bool) {
 	e.stack = sh.stack
-	out, p := sh.out, sh.path
 	for {
-		if out == nil {
-			if e.co.splitWanted() {
-				if child := sh.split(e); child != nil {
-					e.co.push(child)
-				}
+		if e.co.splitWanted() {
+			if child := sh.split(e); child != nil {
+				e.co.push(child)
 			}
-			var ok bool
-			if out, p, ok = e.step(prog); !ok {
-				return
-			}
+		}
+		out, p, ok := e.step(prog)
+		if !ok {
+			return
 		}
 		if !visit(out, p) {
 			e.co.noteTerminal(p, nil)
@@ -235,27 +244,25 @@ func (e *explorer) explore(prog Program, sh *shard, visit func(*Outcome, Pos) bo
 		if !e.advanceAbove(sh.floor) {
 			return
 		}
-		out = nil
 	}
 }
 
 // generate walks the schedule tree backtracking only within the first depth
-// decision levels and emits each prefix's subtree: its leftmost execution —
-// which the walk itself just ran, so ExploreParallel never runs it twice —
-// its position, and the number of pinned levels. emit reads the subtree's
-// frontier from e.stack. The walk is the explorer's whole life: it finishes it.
-func (e *explorer) generate(prog Program, depth int, emit func(out *Outcome, p Pos, floor int)) {
+// decision levels and emits, for each prefix's subtree, the number of pinned
+// levels, once the walk has run the subtree's leftmost execution; emit reads
+// the subtree's frontier from e.stack. The walk is the explorer's whole life:
+// it finishes it.
+func (e *explorer) generate(prog Program, depth int, emit func(floor int)) {
 	defer e.finish()
 	for {
-		out, p, ok := e.step(prog)
-		if !ok {
+		if _, _, ok := e.step(prog); !ok {
 			return
 		}
 		floor := depth
 		if len(e.stack) < floor {
 			floor = len(e.stack)
 		}
-		emit(out, p, floor)
+		emit(floor)
 		// Discard the subtree's deep levels without counting their trailing
 		// branches — whoever explores the subtree pops (and counts) them —
 		// and advance the pinned prefix to the next subtree.
@@ -336,7 +343,7 @@ func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 				continue
 			}
 			if e.sleeps(c, c.next) {
-				e.pruned++
+				e.counted.Pruned++
 				c.next++
 				continue
 			}
@@ -436,9 +443,9 @@ func (e *explorer) flushPruneTelemetry() {
 	if c == nil {
 		return
 	}
-	if d := e.pruned - e.lastPruned; d > 0 {
+	if d := e.counted.Pruned - e.lastPruned; d > 0 {
 		c.SchedulesPruned.Add(int64(d))
-		e.lastPruned = e.pruned
+		e.lastPruned = e.counted.Pruned
 	}
 	if d := e.wakes - e.lastWakes; d > 0 {
 		c.SleepWakes.Add(int64(d))
@@ -512,7 +519,7 @@ func (e *explorer) advanceAbove(floor int) bool {
 				continue
 			}
 			if e.red == ReductionSleep && e.sleeps(c, c.next) {
-				e.pruned++
+				e.counted.Pruned++
 				c.next++
 				continue
 			}

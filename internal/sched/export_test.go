@@ -21,15 +21,23 @@ func ExploreTraced(cfg ExploreConfig, prog Program, visit func(*Outcome, []PickR
 	co := newCoordinator(cfg.MaxExecutions, nil)
 	e := newExplorer(cfg, co)
 	var recs []PickRecord
-	e.explore(prog, &shard{}, func(out *Outcome, _ Pos) bool {
+	co.push(&shard{})
+	co.work(e, prog, func(out *Outcome, _ Pos) bool {
 		recs = recs[:0]
 		for _, c := range e.stack[:e.depth] {
 			recs = append(recs, PickRecord{Cur: c.cur, CurEnabled: c.curEnabled, Enabled: c.enabled, Pick: c.enabled[c.next]})
 		}
 		return visit(out, recs)
 	})
-	e.finish()
 	return co.result()
+}
+
+// SetRecruitAfter makes ExploreParallel start its helpers once n executions
+// have started, until the returned function is called.
+func SetRecruitAfter(n int) (restore func()) {
+	old := recruitAfter
+	recruitAfter = n
+	return func() { recruitAfter = old }
 }
 
 // ExploreSplitEverywhere explores like ExploreParallel, but on the caller's
@@ -57,13 +65,17 @@ func ExploreSplitEverywhere(cfg ExploreConfig, newProg func() Program, visit fun
 				unqueue()
 				return visit(out, p)
 			})
-			co.finishShard()
+			co.finishShard(sh, thief.take())
 		}
 	}
-	root.explore(newProg(), &shard{}, func(out *Outcome, p Pos) bool {
+	whole := &shard{}
+	co.push(whole)
+	co.queue = co.queue[:0]
+	root.explore(newProg(), whole, func(out *Outcome, p Pos) bool {
 		drain()
 		return visit(out, p)
 	})
+	co.finishShard(whole, root.take())
 	drain()
 	root.finish()
 	thief.finish()

@@ -5,11 +5,12 @@ import (
 	"sync"
 )
 
-// DefaultShardDepth is the number of decision levels the shard generator
-// pre-splits when ParallelConfig.ShardDepth is zero. Two levels give roughly
-// (enabled threads)^2 initial shards, which combined with work-stealing
-// splits keeps every worker busy without fragmenting tiny schedule spaces.
-const DefaultShardDepth = 2
+// recruitAfter is the number of executions an exploration runs alone, on its
+// caller's goroutine, before ExploreParallel starts its helpers: a check that
+// fails within its first schedules, or whose whole space is that small, never
+// pays for a goroutine, a second program instance or a stack clone. It is a
+// variable only so that tests can force every exploration to split.
+var recruitAfter = 64
 
 // Pos identifies one execution's position in the sequential depth-first
 // exploration order: the branch index taken at each decision level of the
@@ -52,7 +53,7 @@ func (p Pos) Clone() Pos {
 // ShardProgress is a snapshot of a parallel exploration's progress, delivered
 // to ParallelConfig.Progress.
 type ShardProgress struct {
-	// Shards is the number of shards created so far (generator prefixes plus
+	// Shards is the number of shards created so far (the root plus
 	// work-stealing splits).
 	Shards int
 	// Done is the number of shards fully explored or abandoned.
@@ -66,13 +67,9 @@ type ShardProgress struct {
 
 // ParallelConfig parameterizes ExploreParallel.
 type ParallelConfig struct {
-	// Workers is the number of concurrent shard workers; 0 or negative
-	// selects GOMAXPROCS.
+	// Workers is the largest number of goroutines exploring at once, the
+	// caller's included; 0 or negative selects GOMAXPROCS.
 	Workers int
-	// ShardDepth is the number of decision levels the generator pre-splits
-	// into shards (0 selects DefaultShardDepth). Deeper sharding yields more,
-	// smaller shards; work-stealing splits compensate for skew either way.
-	ShardDepth int
 	// Progress, when non-nil, receives a progress snapshot whenever a shard
 	// is created or retired. It is invoked under an internal lock and must
 	// return quickly without calling back into the explorer.
@@ -81,15 +78,17 @@ type ParallelConfig struct {
 
 // shard is one unit of parallel work: a decision stack whose levels below
 // floor are pinned (the shard's schedule prefix) and whose levels at or above
-// floor are a live DFS frontier. out, when non-nil, is the outcome of the
-// stack's leftmost execution, already produced by the generator so the worker
-// visits it without re-executing. path is the position of the shard's next
-// (or pre-run) execution.
+// floor are a live DFS frontier. Its executions are an interval of the
+// sequential order that starts at path, and a split cuts the interval in two:
+// the donor keeps the earlier part. stats is what exploring the interval
+// counted, so the statistics of a sequential run that stopped at position T
+// are the sum over the shards that start at or before T (see
+// coordinator.result).
 type shard struct {
 	stack []*choice
 	floor int
-	out   *Outcome
 	path  Pos
+	stats ExploreStats
 }
 
 // split carves a new shard out of this one for a starving worker: the
@@ -117,45 +116,34 @@ func (sh *shard) split(e *explorer) *shard {
 	if level < 0 {
 		return nil
 	}
-	// Raising the donor's floor past [sh.floor, level) orphans those levels:
-	// the donor never advances them again and the child only advances its own
-	// floor level, so their trailing sleeping branches — which a sequential
-	// pop would skip and count — must be counted here or the merged Pruned
-	// total silently depends on where the timing-driven splits landed. Each
-	// such level has no affordable non-sleeping branch left (that is why the
-	// split chose a deeper level), so the remainder is exactly what a pop
-	// would prune.
-	if e.red == ReductionSleep {
-		for i := sh.floor; i < level; i++ {
-			c := e.stack[i]
-			if c.exhausted {
-				continue
-			}
-			for j := c.next + 1; j < len(c.enabled); j++ {
-				if e.allowed(c, j) && e.sleeps(c, j) {
-					e.pruned++
-				}
-			}
-		}
-	}
-	st := cloneStack(e.stack[:level+1])
-	c := st[level]
-	// The handed-off child continues exactly where a sequential advance at
-	// this level would: the donor's current branch is retired into the
-	// child's node (the donor will finish its subtree, and every live stack
-	// level has already run an execution, so its window footprint is final),
-	// and sleeping branches between the two are skipped and counted here —
-	// the donor's floor pin means no one else ever advances this level.
+	// The child keeps the donor's old floor: the levels in [sh.floor, level)
+	// have no affordable non-sleeping branch left (that is why the split chose
+	// a deeper level), so the child never branches there, and when its last
+	// descendant backtracks through them it skips and counts their trailing
+	// sleeping branches exactly when a sequential pop would.
+	child := &shard{stack: cloneStack(e.stack[:level+1]), floor: sh.floor}
+	c := child.stack[level]
+	// The child continues exactly where a sequential advance at this level
+	// would: the donor's current branch is retired into the child's node (the
+	// donor will finish its subtree, and every live stack level has already run
+	// an execution, so its window footprint is final), and the sleeping
+	// branches between the two are skipped. A sequential run counts them after
+	// the donor's last execution and before the child's first, so they are the
+	// child's to report.
 	e.retire(c)
 	c.next++
 	for !e.allowed(c, c.next) || (e.red == ReductionSleep && e.sleeps(c, c.next)) {
 		if e.allowed(c, c.next) {
-			e.pruned++
+			child.stats.Pruned++
 		}
 		c.next++
 	}
+	if e.tel != nil {
+		e.tel.SchedulesPruned.Add(int64(child.stats.Pruned))
+	}
+	child.path = pathOf(child.stack)
 	sh.floor = level + 1
-	return &shard{stack: st, floor: level, path: pathOf(st)}
+	return child
 }
 
 // cloneStack deep-copies the choice structs of a decision stack so that two
@@ -187,18 +175,24 @@ func pathOf(stack []*choice) Pos {
 }
 
 // coordinator is the shared state of one exploration, lone or pooled: the
-// shard queue, the execution budget, merged statistics, and the
+// shard queue, the execution budget, every shard's statistics, and the
 // terminal-event bookkeeping that makes early cancellation deterministic. A
-// lone DFS is a coordinator whose queue stays empty.
+// lone DFS is a coordinator whose only shard is the root.
 type coordinator struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	queue    []*shard
-	waiters  int // workers blocked in pop (the split-hunger signal)
-	pending  int // shards queued or being worked
-	genDone  bool
-	killed   bool // budget exhausted: stop everything immediately
+	shards   []*shard // every shard ever pushed, the root first
+	waiters  int      // workers blocked in pop (the split-hunger signal)
+	pending  int      // shards queued or being worked
+	killed   bool     // budget exhausted or a worker panicked: stop everything
 	maxExecs int
+	execs    int // executions started, all shards
+	// recruit, when non-nil, starts the helpers; the worker whose reservation
+	// brings execs to recruitAfter calls it.
+	recruit func()
+	// fault is the first panic a helper died of, for the caller to re-raise.
+	fault any
 
 	// terminated is set once exploration terminally stopped, and termPos is
 	// the minimal position at which it did: a visit returned false (termErr
@@ -210,7 +204,6 @@ type coordinator struct {
 	termErr    error
 
 	truncated bool
-	stats     ExploreStats
 	prog      ShardProgress
 	progFn    func(ShardProgress)
 }
@@ -223,9 +216,20 @@ func newCoordinator(maxExecs int, progress func(ShardProgress)) *coordinator {
 
 // result is the exploration's outcome once every explorer has finished: the
 // sequentially-first terminal event wins (nil error for a visit stop), then
-// budget exhaustion.
+// budget exhaustion. After a terminal event at T the statistics are those of
+// the sequential run that stops there. Shards are disjoint intervals of the
+// sequential order, each explored in increasing order: one that starts after
+// T holds only work the sequential run never reached and is left out; one
+// that ends before T ran to completion (only work after T is abandoned); and
+// the one containing T stopped counting when its worker noted T.
 func (co *coordinator) result() (ExploreStats, error) {
-	stats := co.stats
+	var stats ExploreStats
+	for _, sh := range co.shards {
+		if co.terminated && co.termPos.Before(sh.path) {
+			continue
+		}
+		stats.add(sh.stats)
+	}
 	switch {
 	case co.terminated:
 		return stats, co.termErr
@@ -238,16 +242,16 @@ func (co *coordinator) result() (ExploreStats, error) {
 
 func (co *coordinator) emitProgress() {
 	if co.progFn != nil {
-		co.prog.Executions = co.stats.Executions
+		co.prog.Executions = co.execs
 		co.progFn(co.prog)
 	}
 }
 
-// finalProgress delivers the closing progress snapshot — complete merged
-// totals — exactly once, after every worker has joined, and then seals the
-// callback so nothing can emit after ExploreParallel returns. Shard-event
-// emissions are interleaved with execution reservations, so without this the
-// last event-driven snapshot can under-report the totals.
+// finalProgress delivers the closing progress snapshot — complete totals —
+// exactly once, after every worker has joined, and then seals the callback so
+// nothing can emit after ExploreParallel returns. Shard-event emissions are
+// interleaved with execution reservations, so without this the last
+// event-driven snapshot can under-report the totals.
 func (co *coordinator) finalProgress() {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -256,25 +260,26 @@ func (co *coordinator) finalProgress() {
 		return
 	}
 	co.progFn = nil
-	co.prog.Executions = co.stats.Executions
+	co.prog.Executions = co.execs
 	fn(co.prog)
 }
 
 func (co *coordinator) push(sh *shard) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
+	if len(co.shards) > 0 {
+		co.prog.Splits++
+	}
+	co.shards = append(co.shards, sh)
 	co.queue = append(co.queue, sh)
 	co.pending++
 	co.prog.Shards++
-	if sh.out == nil {
-		co.prog.Splits++
-	}
 	co.emitProgress()
 	co.cond.Signal()
 }
 
 // pop blocks until a shard is available; it returns nil when the exploration
-// is over (queue drained with the generator finished, or killed).
+// is over (no shard queued or being worked, or killed).
 func (co *coordinator) pop() *shard {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -287,7 +292,7 @@ func (co *coordinator) pop() *shard {
 			co.queue = co.queue[1:]
 			return sh
 		}
-		if co.genDone && co.pending == 0 {
+		if co.pending == 0 {
 			return nil
 		}
 		co.waiters++
@@ -296,9 +301,11 @@ func (co *coordinator) pop() *shard {
 	}
 }
 
-func (co *coordinator) finishShard() {
+// finishShard retires sh, crediting it with what its explorer counted on it.
+func (co *coordinator) finishShard(sh *shard, counted ExploreStats) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
+	sh.stats.add(counted)
 	co.pending--
 	co.prog.Done++
 	co.emitProgress()
@@ -313,28 +320,36 @@ func (co *coordinator) finishShard() {
 // execution budget is exhausted (which kills the exploration).
 func (co *coordinator) reserve(p Pos) bool {
 	co.mu.Lock()
-	defer co.mu.Unlock()
-	if co.killed {
+	ok := co.admit(p)
+	recruit := ok && co.execs == recruitAfter && co.recruit != nil
+	co.mu.Unlock()
+	if recruit {
+		// Only the lone DFS can get here (execs passes the mark once), so the
+		// helpers start on the caller's goroutine, outside the lock.
+		co.recruit()
+	}
+	return ok
+}
+
+func (co *coordinator) admit(p Pos) bool {
+	if co.killed || (co.terminated && co.termPos.Before(p)) {
 		return false
 	}
-	if co.terminated && co.termPos.Before(p) {
-		return false
-	}
-	if co.maxExecs > 0 && co.stats.Executions >= co.maxExecs {
+	if co.maxExecs > 0 && co.execs >= co.maxExecs {
 		co.truncated = true
 		co.killed = true
 		co.cond.Broadcast()
 		return false
 	}
-	co.stats.Executions++
+	co.execs++
 	return true
 }
 
-// merge adds one finished explorer's share of the statistics.
-func (co *coordinator) merge(pruned, decisions int) {
+// kill stops every worker at its next reservation or pop.
+func (co *coordinator) kill() {
 	co.mu.Lock()
-	co.stats.Pruned += pruned
-	co.stats.Decisions += decisions
+	co.killed = true
+	co.cond.Broadcast()
 	co.mu.Unlock()
 }
 
@@ -373,22 +388,41 @@ func (co *coordinator) work(e *explorer, prog Program, visit func(*Outcome, Pos)
 		if !co.abandoned(sh.path) {
 			e.explore(prog, sh, visit)
 		}
-		co.finishShard()
+		co.finishShard(sh, e.take())
 	}
 }
 
+// help is a helper's goroutine: work, with a panic (a controller fault
+// re-raised by Scheduler.Run, or a panicking visit) carried to the caller of
+// ExploreParallel instead of ending the process.
+func (co *coordinator) help(e *explorer, prog Program, visit func(*Outcome, Pos) bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			co.mu.Lock()
+			if co.fault == nil {
+				co.fault = r
+			}
+			co.mu.Unlock()
+			co.kill()
+		}
+	}()
+	co.work(e, prog, visit)
+}
+
 // ExploreParallel enumerates the schedules of a program exactly like Explore,
-// but across a pool of workers: the first ShardDepth decision levels of the
-// schedule tree are split into disjoint prefix shards, each shard is the
-// prefix's entire subtree explored depth-first by one worker at a time, and
-// starving workers steal by splitting oversized shards at their shallowest
-// unexplored level. Over a full exploration the multiset of outcomes visited
-// is identical to the sequential explorer's, and the merged statistics are
-// deterministic regardless of worker count.
+// on up to pcfg.Workers goroutines. It starts as Explore does — a lone DFS of
+// the whole tree on the caller's goroutine — and an exploration that ends
+// within recruitAfter executions is nothing else. Past that mark it starts
+// the other workers, which get work only by stealing: a worker with nothing
+// to do makes a busy one split its shard at the shallowest unexplored level.
+// Shards are disjoint intervals of the sequential order, so the multiset of
+// outcomes visited and — after a full exploration or an early stop alike —
+// the returned statistics are the sequential explorer's, whatever the worker
+// count and wherever the timing-driven splits landed.
 //
-// newProg is called once per worker (plus once for the generator) so that
-// concurrently executing program instances do not share closure state; each
-// instance must behave deterministically and identically, as in Explore.
+// newProg is called once per worker so that concurrently executing program
+// instances do not share closure state; each instance must behave
+// deterministically and identically, as in Explore.
 //
 // visit may be called concurrently from several workers; callers that
 // accumulate state must synchronize. Every outcome carries its Pos in the
@@ -398,7 +432,8 @@ func (co *coordinator) work(e *explorer, prog Program, visit func(*Outcome, Pos)
 // the minimal stopping position — and hence the caller's min-position
 // selection among concurrently discovered violations — is exact. Outcomes at
 // positions between the eventual stop and in-flight work may still be
-// visited; callers must tolerate the superset.
+// visited; callers must tolerate the superset (the statistics do not count
+// them).
 //
 // Error semantics follow Explore with the same positional rule: the returned
 // error is the sequentially-first execution failure, unless a visit stop
@@ -406,38 +441,47 @@ func (co *coordinator) work(e *explorer, prog Program, visit func(*Outcome, Pos)
 // first). ErrBudget is returned when MaxExecutions exhausts before the space;
 // exactly MaxExecutions executions are run, though — unlike the sequential
 // explorer — not necessarily the first ones in sequential order.
+//
+// Goroutine-leak detection counts the goroutines of the whole process, so an
+// exploration that asks for it (cfg.DetectLeaks) stays on one goroutine.
 func ExploreParallel(cfg ExploreConfig, pcfg ParallelConfig, newProg func() Program, visit func(*Outcome, Pos) bool) (ExploreStats, error) {
-	// Goroutine-count leak detection is process-global and meaningless while
-	// several schedulers run concurrently; containment of hangs and panics
-	// still works per execution.
-	cfg.DetectLeaks = false
+	return explorePool(cfg, pcfg, WorkUnit{}, newProg, visit)
+}
+
+// explorePool explores u's subtree: worker 0, on the caller's goroutine,
+// starts on the whole of it and recruits the helpers.
+func explorePool(cfg ExploreConfig, pcfg ParallelConfig, u WorkUnit, newProg func() Program, visit func(*Outcome, Pos) bool) (ExploreStats, error) {
 	workers := pcfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	depth := pcfg.ShardDepth
-	if depth <= 0 {
-		depth = DefaultShardDepth
-	}
 	co := newCoordinator(cfg.MaxExecutions, pcfg.Progress)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		e, prog := newExplorer(cfg, co), newProg()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			co.work(e, prog, visit)
-		}()
+	if workers > 1 && !cfg.DetectLeaks {
+		co.recruit = func() {
+			for i := 1; i < workers; i++ {
+				e, prog := newExplorer(cfg, co), newProg()
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					co.help(e, prog, visit)
+				}()
+			}
+		}
 	}
-	gen := newExplorer(cfg, co)
-	gen.generate(newProg(), depth, func(out *Outcome, p Pos, floor int) {
-		co.push(&shard{stack: cloneStack(gen.stack), floor: floor, out: out, path: p.Clone()})
-	})
-	co.mu.Lock()
-	co.genDone = true
-	co.cond.Broadcast()
-	co.mu.Unlock()
-	wg.Wait()
+	e := newExplorer(cfg, co)
+	e.seed, e.seedExplored = u.Path, u.Explored
+	co.push(&shard{floor: u.Floor})
+	func() {
+		// Reached early only when a panic unwinds worker 0: the helpers must
+		// have stopped before it reaches the caller.
+		defer wg.Wait()
+		defer co.kill()
+		co.work(e, newProg(), visit)
+	}()
+	if co.fault != nil {
+		panic(co.fault)
+	}
 	co.finalProgress()
 	return co.result()
 }

@@ -47,6 +47,11 @@ func exploreSeq(t *testing.T, cfg sched.ExploreConfig, prog sched.Program) (mult
 	return ms, stats, err
 }
 
+// recruitEarly makes the explorations of one test start their helpers at the
+// first execution: the programs here have a few thousand schedules at most,
+// and most would otherwise end before anything was shared.
+func recruitEarly(t *testing.T) { t.Cleanup(sched.SetRecruitAfter(1)) }
+
 // explorePar collects the parallel explorer's outcome multiset and stats.
 func explorePar(t *testing.T, cfg sched.ExploreConfig, pcfg sched.ParallelConfig, newProg func() sched.Program) (multiset, sched.ExploreStats, error) {
 	t.Helper()
@@ -62,9 +67,9 @@ func explorePar(t *testing.T, cfg sched.ExploreConfig, pcfg sched.ParallelConfig
 }
 
 // TestParallelEquivalenceMultiset is the core equivalence suite: across
-// worker counts, preemption bounds, and shard depths, the parallel explorer
-// must visit the exact same multiset of outcomes as the sequential one and
-// merge identical statistics.
+// worker counts, preemption bounds, and the number of executions the lone DFS
+// runs before it recruits, the parallel explorer must visit the exact same
+// multiset of outcomes as the sequential one and merge identical statistics.
 func TestParallelEquivalenceMultiset(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	// Bounds per program are chosen so every schedule space stays small
@@ -102,10 +107,11 @@ func TestParallelEquivalenceMultiset(t *testing.T) {
 				t.Fatalf("%s bound=%d: sequential explore: %v", p.name, bound, wantErr)
 			}
 			for _, w := range workers {
-				for _, depth := range []int{1, 2, 3} {
-					pcfg := sched.ParallelConfig{Workers: w, ShardDepth: depth}
-					gotMS, gotStats, gotErr := explorePar(t, cfg, pcfg, p.mk)
-					tag := fmt.Sprintf("%s bound=%d workers=%d depth=%d", p.name, bound, w, depth)
+				for _, after := range []int{1, 5, 64} {
+					restore := sched.SetRecruitAfter(after)
+					gotMS, gotStats, gotErr := explorePar(t, cfg, sched.ParallelConfig{Workers: w}, p.mk)
+					restore()
+					tag := fmt.Sprintf("%s bound=%d workers=%d recruit-after=%d", p.name, bound, w, after)
 					if gotErr != nil {
 						t.Fatalf("%s: parallel explore: %v", tag, gotErr)
 					}
@@ -127,6 +133,7 @@ func TestParallelEquivalenceMultiset(t *testing.T) {
 // sequential visit order exactly.
 func TestParallelPositionsAreSequentialOrder(t *testing.T) {
 	sched.RequireNoLeaks(t)
+	recruitEarly(t)
 	mk := func() sched.Program {
 		return sched.Program{Threads: []func(*sched.Thread){opThread(2, "a"), opThread(2, "b"), opThread(1, "c")}}
 	}
@@ -174,6 +181,7 @@ func TestParallelPositionsAreSequentialOrder(t *testing.T) {
 // flag, and exactly the same number of executions run.
 func TestParallelBudgetTruncation(t *testing.T) {
 	sched.RequireNoLeaks(t)
+	recruitEarly(t)
 	mk := func() sched.Program {
 		return sched.Program{Threads: []func(*sched.Thread){opThread(2, "a"), opThread(2, "b")}}
 	}
@@ -213,61 +221,58 @@ func TestParallelBudgetTruncation(t *testing.T) {
 }
 
 // TestParallelEarlyStop checks early cancellation: when a visit returns
-// false, the parallel explorer returns a nil error (like the sequential one)
-// and does not run the whole space.
+// false, the parallel explorer returns a nil error and the statistics of the
+// sequential run that stops at the same execution — Executions, Decisions and
+// Pruned count what lies at or before the stop, not what happened to be in
+// flight — for every worker count, wherever the stop lies and wherever the
+// timing-driven splits landed.
 func TestParallelEarlyStop(t *testing.T) {
 	sched.RequireNoLeaks(t)
+	recruitEarly(t)
 	mk := func() sched.Program {
-		return sched.Program{Threads: []func(*sched.Thread){opThread(2, "a"), opThread(2, "b")}}
+		return sched.Program{Threads: []func(*sched.Thread){
+			mixedThread("a", 0, 2), mixedThread("b", 1, 2), mixedThread("c", 2, 1),
+		}}
 	}
-	cfg := sched.ExploreConfig{PreemptionBound: sched.Unbounded}
-	// Collect the sequential visit order, then stop on the key the sequential
-	// explorer reaches halfway through — a stopping condition well inside the
-	// space that any order of exploration can hit.
-	var seq []string
-	_, err := sched.Explore(cfg, mk(), func(o *sched.Outcome) bool {
-		seq = append(seq, fullKey(o))
-		return true
-	})
-	if err != nil {
-		t.Fatalf("sequential explore: %v", err)
-	}
-	fullExecs := len(seq)
-	stopKey := seq[fullExecs/2]
-	stopAt := func(o *sched.Outcome) bool { return fullKey(o) == stopKey }
-	var seqStopped bool
-	seqStats, seqErr := sched.Explore(cfg, mk(), func(o *sched.Outcome) bool {
-		if stopAt(o) {
-			seqStopped = true
-			return false
-		}
-		return true
-	})
-	if seqErr != nil || !seqStopped {
-		t.Fatalf("sequential run: stopped=%v err=%v", seqStopped, seqErr)
-	}
-	for _, w := range []int{2, 8} {
-		var mu sync.Mutex
-		stopped := 0
-		parStats, parErr := sched.ExploreParallel(cfg, sched.ParallelConfig{Workers: w}, mk, func(o *sched.Outcome, p sched.Pos) bool {
-			if stopAt(o) {
-				mu.Lock()
-				stopped++
-				mu.Unlock()
-				return false
-			}
+	for _, red := range []sched.Reduction{sched.ReductionNone, sched.ReductionSleep} {
+		cfg := sched.ExploreConfig{PreemptionBound: 2, Reduction: red}
+		// Collect the sequential visit order, then stop on the key the
+		// sequential explorer reaches at a few points well inside the space —
+		// a stopping condition any order of exploration can hit. Every later
+		// execution with the same key stops too; the first one must win.
+		var seq []string
+		if _, err := sched.Explore(cfg, mk(), func(o *sched.Outcome) bool {
+			seq = append(seq, fullKey(o))
 			return true
-		})
-		if parErr != nil {
-			t.Fatalf("workers=%d: parallel explore: %v", w, parErr)
+		}); err != nil {
+			t.Fatalf("sequential explore: %v", err)
 		}
-		if stopped == 0 {
-			t.Fatalf("workers=%d: parallel explorer never hit the stop condition", w)
+		splits := 0
+		pcfg := sched.ParallelConfig{Progress: func(p sched.ShardProgress) { splits = max(splits, p.Splits) }}
+		for _, at := range []int{0, 1, len(seq) / 7, len(seq) / 2, len(seq) - 1} {
+			stopKey := seq[at]
+			visit := func(o *sched.Outcome, _ sched.Pos) bool { return fullKey(o) != stopKey }
+			seqStats, seqErr := sched.ExploreUnit(cfg, mk(), sched.WorkUnit{}, visit)
+			if seqErr != nil || seqStats.Executions > at+1 {
+				t.Fatalf("sequential run: stats=%+v err=%v, stop key first seen at execution %d", seqStats, seqErr, at+1)
+			}
+			for _, w := range []int{2, 4, 8} {
+				for rep := 0; rep < 10; rep++ {
+					pcfg.Workers = w
+					parStats, parErr := sched.ExploreParallel(cfg, pcfg, mk, visit)
+					if parErr != nil {
+						t.Fatalf("reduction=%v stop=%d workers=%d: parallel explore: %v", red, at, w, parErr)
+					}
+					if parStats != seqStats {
+						t.Fatalf("reduction=%v stop=%d workers=%d: stats %+v, sequential %+v", red, at, w, parStats, seqStats)
+					}
+				}
+			}
 		}
-		if parStats.Executions > fullExecs {
-			t.Fatalf("workers=%d: parallel ran %d executions, more than the full space %d", w, parStats.Executions, fullExecs)
+		if splits == 0 {
+			t.Fatalf("reduction=%v: no exploration was ever split; the comparison is vacuous", red)
 		}
-		_ = seqStats
+		t.Logf("reduction=%v: %d executions, up to %d splits in one run", red, len(seq), splits)
 	}
 }
 
@@ -277,6 +282,7 @@ func TestParallelEarlyStop(t *testing.T) {
 // execution, whose position is the empty path.
 func TestParallelErrorDeterministic(t *testing.T) {
 	sched.RequireNoLeaks(t)
+	recruitEarly(t)
 	// Thread b panics when its point runs before thread a finished: many
 	// schedules fail, and the parallel explorer must report the failure the
 	// sequential DFS would hit first.
@@ -344,6 +350,7 @@ func TestParallelErrorDeterministic(t *testing.T) {
 // executions, and a final snapshot accounting for every shard.
 func TestParallelProgress(t *testing.T) {
 	sched.RequireNoLeaks(t)
+	recruitEarly(t)
 	mk := func() sched.Program {
 		return sched.Program{Threads: []func(*sched.Thread){opThread(2, "a"), opThread(2, "b")}}
 	}
@@ -376,7 +383,7 @@ func TestParallelProgress(t *testing.T) {
 
 // TestParallelPropertyRandomPrograms is the randomized property suite:
 // random thread counts and op matrices, random bounds, random worker counts
-// and shard depths — the parallel explorer must agree with the sequential
+// and recruiting points — the parallel explorer must agree with the sequential
 // one on executions, truncation, and (when the space is fully explored) the
 // full outcome multiset and decision count.
 func TestParallelPropertyRandomPrograms(t *testing.T) {
@@ -398,11 +405,14 @@ func TestParallelPropertyRandomPrograms(t *testing.T) {
 		}
 		bound := []int{0, 1, 2, sched.Unbounded}[rng.Intn(4)]
 		cfg := sched.ExploreConfig{PreemptionBound: bound, MaxExecutions: budget}
-		pcfg := sched.ParallelConfig{Workers: 1 + rng.Intn(8), ShardDepth: 1 + rng.Intn(3)}
-		tag := fmt.Sprintf("iter=%d threads=%v bound=%d workers=%d depth=%d", iter, mkOps, bound, pcfg.Workers, pcfg.ShardDepth)
+		pcfg := sched.ParallelConfig{Workers: 1 + rng.Intn(8)}
+		after := 1 + rng.Intn(3)
+		tag := fmt.Sprintf("iter=%d threads=%v bound=%d workers=%d recruit-after=%d", iter, mkOps, bound, pcfg.Workers, after)
 
 		seqMS, seqStats, seqErr := exploreSeq(t, cfg, mk())
+		restore := sched.SetRecruitAfter(after)
 		parMS, parStats, parErr := explorePar(t, cfg, pcfg, mk)
+		restore()
 		if (seqErr == sched.ErrBudget) != (parErr == sched.ErrBudget) {
 			t.Fatalf("%s: budget errors disagree: sequential %v parallel %v", tag, seqErr, parErr)
 		}
@@ -435,6 +445,7 @@ func TestParallelPropertyRandomPrograms(t *testing.T) {
 // while the coordinator unwinds.
 func TestParallelProgressSealedAfterReturn(t *testing.T) {
 	sched.RequireNoLeaks(t)
+	recruitEarly(t)
 	mk := func() sched.Program {
 		return sched.Program{Threads: []func(*sched.Thread){opThread(2, "a"), opThread(2, "b")}}
 	}
@@ -486,7 +497,9 @@ func TestParallelProgressSealedAfterReturn(t *testing.T) {
 			if final.Done != final.Shards {
 				t.Errorf("final snapshot incomplete: %d done of %d shards", final.Done, final.Shards)
 			}
-			if final.Executions != stats.Executions {
+			// Progress counts every execution started; after a cancellation the
+			// statistics count only those at or before the stop.
+			if final.Executions < stats.Executions || (!tc.cancel && final.Executions != stats.Executions) {
 				t.Errorf("final snapshot reports %d executions, returned stats %d", final.Executions, stats.Executions)
 			}
 			// Any emission still in flight at return would trip the sealed
@@ -498,5 +511,42 @@ func TestParallelProgressSealedAfterReturn(t *testing.T) {
 			}
 			mu.Unlock()
 		})
+	}
+}
+
+// TestParallelPanicReachesCaller checks that a panic on whichever worker
+// meets it — a helper's goroutine included — is re-raised on the goroutine
+// that called ExploreParallel, once every worker has stopped, as the lone DFS
+// raises it.
+func TestParallelPanicReachesCaller(t *testing.T) {
+	sched.RequireNoLeaks(t)
+	recruitEarly(t)
+	mk := func() sched.Program {
+		return sched.Program{Threads: []func(*sched.Thread){opThread(2, "a"), opThread(2, "b"), opThread(1, "c")}}
+	}
+	cfg := sched.ExploreConfig{PreemptionBound: 2}
+	var seq []string
+	if _, err := sched.Explore(cfg, mk(), func(o *sched.Outcome) bool {
+		seq = append(seq, fullKey(o))
+		return true
+	}); err != nil {
+		t.Fatalf("sequential explore: %v", err)
+	}
+	bad := seq[len(seq)*3/4]
+	for rep := 0; rep < 20; rep++ {
+		func() {
+			defer func() {
+				if r := recover(); r != "visitor exploded" {
+					t.Fatalf("rep %d: recovered %v, want the visitor's panic", rep, r)
+				}
+			}()
+			_, err := sched.ExploreParallel(cfg, sched.ParallelConfig{Workers: 4}, mk, func(o *sched.Outcome, _ sched.Pos) bool {
+				if fullKey(o) == bad {
+					panic("visitor exploded")
+				}
+				return true
+			})
+			t.Fatalf("rep %d: ExploreParallel returned (err=%v) although a visit panicked", rep, err)
+		}()
 	}
 }

@@ -213,10 +213,10 @@ func TestReductionCheckpointResume(t *testing.T) {
 }
 
 // TestParallelReductionEquivalence checks that sleep-set pruning is a
-// deterministic function of the schedule tree: the prefix-sharded parallel
-// explorer must visit the same outcome multiset and merge the same
-// statistics — including Pruned — as the sequential reduced exploration,
-// across worker counts and shard depths.
+// deterministic function of the schedule tree: the parallel explorer must
+// visit the same outcome multiset and merge the same statistics — including
+// Pruned — as the sequential reduced exploration, across worker counts and
+// recruiting points.
 func TestParallelReductionEquivalence(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	mk := func() sched.Program {
@@ -234,9 +234,11 @@ func TestParallelReductionEquivalence(t *testing.T) {
 			t.Fatalf("bound=%d: fixture prunes nothing; equivalence is vacuous", bound)
 		}
 		for _, w := range []int{1, 2, 4} {
-			for _, depth := range []int{1, 2, 3} {
-				gotMS, gotStats, err := explorePar(t, cfg, sched.ParallelConfig{Workers: w, ShardDepth: depth}, mk)
-				tag := fmt.Sprintf("bound=%d workers=%d depth=%d", bound, w, depth)
+			for _, after := range []int{1, 5, 64} {
+				restore := sched.SetRecruitAfter(after)
+				gotMS, gotStats, err := explorePar(t, cfg, sched.ParallelConfig{Workers: w}, mk)
+				restore()
+				tag := fmt.Sprintf("bound=%d workers=%d recruit-after=%d", bound, w, after)
 				if err != nil {
 					t.Fatalf("%s: parallel explore: %v", tag, err)
 				}

@@ -12,6 +12,11 @@ package sched
 // replayed. Units carry no pointers and marshal to JSON, which is what lets
 // internal/dist hand them to worker processes as files.
 
+// DefaultShardDepth is the number of decision levels SplitUnits pre-splits
+// when its depth argument is zero. Two levels give roughly (enabled
+// threads)^2 units.
+const DefaultShardDepth = 2
+
 // WorkUnit is one self-contained slice of a depth-first exploration: the
 // realized branch path of the subtree's leftmost execution, with the first
 // Floor decision levels pinned (they identify the subtree; a worker never
@@ -64,11 +69,9 @@ type SplitStats struct {
 
 // SplitUnits walks the schedule tree of prog backtracking only within the
 // first depth decision levels (0 selects DefaultShardDepth), emitting each
-// prefix's subtree as a WorkUnit. It is the coordinator half of
-// sched.ExploreParallel's generator, with files instead of shared memory: the
-// discovery execution that finds a unit is re-run by whichever worker claims
-// it, so units are replayable on processes that share nothing with the
-// generator.
+// prefix's subtree as a WorkUnit. The discovery execution that finds a unit is
+// re-run by whichever worker claims it, so units are replayable on processes
+// that share nothing with the generator.
 //
 // Failed discovery executions (panic, hang, leak) do not abort the split:
 // the failure belongs to some unit's subtree and the unit's worker will
@@ -83,14 +86,19 @@ func SplitUnits(cfg ExploreConfig, prog Program, depth int) ([]WorkUnit, SplitSt
 	co := newCoordinator(cfg.MaxExecutions, nil)
 	e := newExplorer(cfg, co)
 	var units []WorkUnit
-	e.generate(prog, depth, func(_ *Outcome, _ Pos, floor int) {
+	e.generate(prog, depth, func(floor int) {
 		u := WorkUnit{Seq: len(units), Path: []int(pathOf(e.stack)), Floor: floor}
 		if e.red == ReductionSleep {
 			u.Explored = exploredOf(e.stack)
 		}
 		units = append(units, u)
 	})
-	stats, err := co.result()
+	// ContinueOnFailure leaves the budget as the only way to stop early.
+	var err error
+	if co.truncated {
+		err = ErrBudget
+	}
+	stats := e.take()
 	return units, SplitStats{Units: len(units), DiscoveryExecutions: stats.Executions, Pruned: stats.Pruned}, err
 }
 
@@ -106,12 +114,5 @@ func SplitUnits(cfg ExploreConfig, prog Program, depth int) ([]WorkUnit, SplitSt
 // the sequential Explore visit sequence, and the summed ExploreStats — plus
 // SplitStats.Pruned — equal the sequential stats exactly.
 func ExploreUnit(cfg ExploreConfig, prog Program, u WorkUnit, visit func(*Outcome, Pos) bool) (ExploreStats, error) {
-	co := newCoordinator(cfg.MaxExecutions, nil)
-	e := newExplorer(cfg, co)
-	e.seed, e.seedExplored = u.Path, u.Explored
-	func() {
-		defer e.finish()
-		e.explore(prog, &shard{floor: u.Floor}, visit)
-	}()
-	return co.result()
+	return explorePool(cfg, ParallelConfig{Workers: 1}, u, func() Program { return prog }, visit)
 }

@@ -50,9 +50,9 @@ type (
 	ViolationKind = core.ViolationKind
 	// PhaseStats carries per-phase measurements.
 	PhaseStats = core.PhaseStats
-	// ShardProgress is a progress snapshot of the prefix-sharded parallel
-	// explorer selected by Options.Workers > 1; Options.ShardProgress
-	// receives one after every shard event.
+	// ShardProgress is a progress snapshot of a check's phase-2 exploration;
+	// Options.ShardProgress receives one after every shard event (there is
+	// more than one shard once the exploration is shared among workers).
 	ShardProgress = sched.ShardProgress
 	// FailureKind classifies a contained runtime failure (panic/hung/leak).
 	FailureKind = sched.FailureKind
