@@ -55,14 +55,13 @@ subjects-smoke:
 dist-smoke:
 	$(GO) test -race -run 'TestDist' ./internal/dist
 
-# Smoke of the specialized fast monitors: the full internal/monitor/fast
-# suite, the explorer-driven bit-identity property suite (fast+fallback vs
-# WGL vs the naive search vs the phase-1 spec) and the WitnessFast end-to-end
-# path. Part of `make check`: the fast monitors must never disagree with the
-# search they replace.
+# Smoke of the specialized batch monitors: the full internal/monitor/fast
+# suite and the explorer-driven bit-identity property suite (fast+fallback vs
+# WGL vs the naive search vs the phase-1 spec). Part of `make check`: the
+# batch monitors must never disagree with the search they are checked against.
 fastmon-smoke:
 	$(GO) test ./internal/monitor/fast
-	$(GO) test -run 'TestFastBackendBitIdentical|TestFastWitnessEndToEnd' ./internal/bench
+	$(GO) test -run 'TestFastBackendBitIdentical' ./internal/bench
 
 # The measuring harness is its own module (benchmark/go.mod, `replace lineup
 # => ../`), so `go build ./...` here never compiles it: renaming something it

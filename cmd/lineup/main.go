@@ -25,7 +25,6 @@ import (
 	"lineup/internal/obsfile"
 	"lineup/internal/sched"
 	"lineup/internal/subjects"
-	"lineup/internal/telemetry"
 )
 
 // command is one subcommand of the CLI; the commands table drives both
@@ -149,14 +148,21 @@ func cmdMonitor(args []string) error {
 	noMemo := fs.Bool("no-memo", false, "disable the memoized seen-set")
 	noPart := fs.Bool("no-partition", false, "disable P-compositional partitioning")
 	window := fs.Int("window", 0, "check incrementally, retiring quiescent windows of N completed ops (0 = batch; caps peak memory on long traces)")
-	witnessSpec := fs.String("witness", "wgl", "witness search: wgl (memoized Wing–Gong) or fast (specialized near-log-linear monitor with WGL fallback)")
+	witnessSpec := fs.String("witness", "wgl", "witness search: wgl (memoized Wing–Gong) or fast (specialized near-log-linear monitor with WGL fallback; whole-file checks only)")
 	verbose := fs.Bool("v", false, "print the witness linearization")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	useFast, err := parseMonitorWitness(*witnessSpec)
-	if err != nil {
-		return fmt.Errorf("monitor: %w", err)
+	useFast := false
+	switch *witnessSpec {
+	case "", "wgl":
+	case "fast":
+		if *window > 0 {
+			return fmt.Errorf("monitor: -witness fast applies to whole-file checks only (drop -window or the fast witness)")
+		}
+		useFast = true
+	default:
+		return fmt.Errorf("monitor: unknown witness search %q (wgl or fast)", *witnessSpec)
 	}
 	if *trace == "" {
 		return fmt.Errorf("monitor: -trace is required")
@@ -188,7 +194,7 @@ func cmdMonitor(args []string) error {
 		if *noPart {
 			return fmt.Errorf("monitor: -no-partition is incompatible with -window (the stream is split before windowing)")
 		}
-		return monitorStream(model, r, opts, *window, useFast)
+		return monitorStream(model, r, opts, *window)
 	}
 	h, err := obsfile.ReadTrace(r)
 	if err != nil {
@@ -375,8 +381,8 @@ func cmdCheck(args []string) error {
 	reductionSpec := fs.String("reduction", "none", "partial-order reduction for phase 2: none or sleep")
 	checkpointFile := fs.String("checkpoint", "", "save progress to FILE (atomically) after every completed test")
 	resumeFile := fs.String("resume", "", "resume from a checkpoint FILE written by a previous -checkpoint run")
-	witnessSpec := fs.String("witness", "spec", "phase-2 witness backend: spec (phase-1 lookup), monitor (model replay), or fast (specialized monitors, WGL fallback); monitor and fast require -model")
-	modelName := fs.String("model", "", "sequential model for -witness monitor|fast: "+strings.Join(monitor.BuiltinNames(), ", "))
+	witnessSpec := fs.String("witness", "spec", "phase-2 witness backend: spec (phase-1 lookup) or monitor (model replay; requires -model)")
+	modelName := fs.String("model", "", "sequential model for -witness monitor: "+strings.Join(monitor.BuiltinNames(), ", "))
 	tflags := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -406,7 +412,7 @@ func cmdCheck(args []string) error {
 			return fmt.Errorf("check: unknown model %q (one of %s)", *modelName, strings.Join(monitor.BuiltinNames(), ", "))
 		}
 	} else if *modelName != "" {
-		return fmt.Errorf("check: -model only applies with -witness monitor or -witness fast")
+		return fmt.Errorf("check: -model only applies with -witness monitor")
 	}
 	tr, err := tflags.start("check " + sub.Name)
 	if err != nil {
@@ -422,13 +428,6 @@ func cmdCheck(args []string) error {
 		WitnessSearch:   witness,
 		MonitorModel:    witnessModel,
 		Telemetry:       tr.C,
-	}
-	// The fast backend's hit/fallback split is worth a summary line even
-	// when telemetry output is off, so make sure a collector exists.
-	fastCol := tr.C
-	if witness == core.WitnessFast && fastCol == nil {
-		fastCol = telemetry.New()
-		copts.Telemetry = fastCol
 	}
 	ropts := core.RandomOptions{
 		Rows: *rows, Cols: *cols, Samples: *samples, Seed: *seed,
@@ -462,10 +461,6 @@ func cmdCheck(args []string) error {
 	}
 	fmt.Printf("%s: %d passed, %d failed (of %d sampled %dx%d tests, PB=%d)\n",
 		sub.Name, sum.Passed, sum.Failed, *samples, *rows, *cols, pb)
-	if witness == core.WitnessFast {
-		fmt.Printf("fast monitor: %d histories decided directly, %d fell back to the Wing–Gong search\n",
-			fastCol.FastHits.Load(), fastCol.FastFallbacks.Load())
-	}
 	if nf, kinds := countFailures(sum); nf > 0 {
 		fmt.Printf("contained runtime failures: %d (%s)\n", nf, kinds)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -251,6 +252,40 @@ func TestCmdCheckReductionFlag(t *testing.T) {
 	}
 	if err := cmdCheck(append(args, "-reduction", "bogus")); err == nil {
 		t.Fatal("bogus -reduction value accepted")
+	}
+}
+
+// TestCmdWitnessRefusals: the witness values and flags the CLI does not
+// offer are refused up front — before any test is sampled, any trace is
+// opened (the path below does not exist) or any server is started — through
+// the real process boundary, since an undefined flag exits from flag.Parse.
+func TestCmdWitnessRefusals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a real binary; skipped in -short mode")
+	}
+	bin := buildLineup(t)
+	missing := filepath.Join(t.TempDir(), "no-such-trace.jsonl")
+	for _, c := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"check", "-class", "ConcurrentStack", "-witness", "fast", "-model", "stack"},
+			1, `unknown witness backend "fast" (spec or monitor)`},
+		{[]string{"monitor", "-trace", missing, "-model", "queue", "-window", "8", "-witness", "fast"},
+			1, "-witness fast applies to whole-file checks only"},
+		{[]string{"serve", "-model", "queue", "-trace", missing, "-witness", "wgl"},
+			2, "flag provided but not defined: -witness"},
+	} {
+		out, err := exec.Command(bin, c.args...).CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != c.code {
+			t.Errorf("lineup %v: err = %v, want exit %d\n%s", c.args, err, c.code, out)
+			continue
+		}
+		if !contains(string(out), c.want) || contains(string(out), "no such file") {
+			t.Errorf("lineup %v: output does not say %q (or got as far as the trace):\n%s", c.args, c.want, out)
+		}
 	}
 }
 

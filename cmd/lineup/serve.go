@@ -35,14 +35,9 @@ func cmdServe(args []string) error {
 	classic := fs.Bool("classic", false, "classic Definition 1 treatment of pending operations at stream end")
 	noMemo := fs.Bool("no-memo", false, "disable the memoized seen-set")
 	noDedup := fs.Bool("no-dedup", false, "disable the shared window-verdict dedup cache")
-	witnessSpec := fs.String("witness", "wgl", "witness search: wgl (incremental Wing–Gong) or fast (specialized streaming monitor, queue model only, converts to wgl outside its fragment)")
 	tflags := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	useFast, err := parseMonitorWitness(*witnessSpec)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
 	}
 	if *modelName == "" {
 		return fmt.Errorf("serve: -model is required (one of %s)", strings.Join(monitor.BuiltinNames(), ", "))
@@ -64,7 +59,6 @@ func cmdServe(args []string) error {
 		CheckpointPath:  *checkpoint,
 		CheckpointEvery: *every,
 		NoDedup:         *noDedup,
-		FastMonitor:     useFast,
 	}
 	cfg.Monitor.NoMemo = *noMemo
 	if *classic {
@@ -86,14 +80,6 @@ func cmdServe(args []string) error {
 	}
 	cfg.Telemetry = tr.C
 	cfg.Monitor.Telemetry = tr.C
-	// The fast path's hit/conversion split is worth a summary line even when
-	// telemetry output is off, so make sure a collector exists.
-	fastCol := tr.C
-	if useFast && fastCol == nil {
-		fastCol = telemetry.New()
-		cfg.Telemetry = fastCol
-		cfg.Monitor.Telemetry = fastCol
-	}
 	cfg.OnVerdict = func(v serve.PartitionVerdict) {
 		fmt.Fprintf(os.Stderr, "serve: partition %q NOT linearizable after %d ops\n", v.Key, v.Ops)
 	}
@@ -132,36 +118,19 @@ func cmdServe(args []string) error {
 		return err
 	}
 	printServeSummary(os.Stdout, sum, n, wall)
-	if useFast {
-		fmt.Printf("fast monitor: %d windows decided directly, %d partitions converted to the incremental checker\n",
-			fastCol.FastHits.Load(), fastCol.FastFallbacks.Load())
-	}
 	if !sum.Linearizable {
 		return errViolation
 	}
 	return nil
 }
 
-// parseMonitorWitness parses the monitor/serve -witness flag: the memoized
-// Wing–Gong search (wgl, the default) or the specialized fast monitors.
-func parseMonitorWitness(s string) (bool, error) {
-	switch s {
-	case "", "wgl":
-		return false, nil
-	case "fast":
-		return true, nil
-	default:
-		return false, fmt.Errorf("unknown witness search %q (wgl or fast)", s)
-	}
-}
-
 // monitorStream is the 'lineup monitor -window N' path: the same verdict as
 // the batch monitor, computed by streaming the trace through the incremental
 // windowed checker so peak memory is bounded by the window, not the trace.
-func monitorStream(model *monitor.Model, r io.Reader, opts monitor.Options, window int, fastMon bool) error {
+func monitorStream(model *monitor.Model, r io.Reader, opts monitor.Options, window int) error {
 	col := telemetry.New()
 	opts.Telemetry = col
-	s, err := serve.New(serve.Config{Model: model, Monitor: opts, WindowOps: window, Telemetry: col, FastMonitor: fastMon})
+	s, err := serve.New(serve.Config{Model: model, Monitor: opts, WindowOps: window, Telemetry: col})
 	if err != nil {
 		return err
 	}
@@ -186,10 +155,6 @@ func monitorStream(model *monitor.Model, r io.Reader, opts monitor.Options, wind
 	snap := col.Snapshot()
 	fmt.Printf("search: %d parts, %d nodes visited, %d seen-set hits (streaming, window %d, %d retired)\n",
 		st.Partitions, snap.WitnessNodes, snap.MonitorMemoHits, window, st.WindowFlushes)
-	if fastMon {
-		fmt.Printf("fast monitor: %d windows decided directly, %d partitions converted to the incremental checker\n",
-			snap.FastHits, snap.FastFallbacks)
-	}
 	if sum.Linearizable {
 		fmt.Println("verdict: linearizable")
 		return nil

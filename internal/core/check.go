@@ -177,14 +177,14 @@ func (e *OptionsError) Error() string {
 // specification is available to phase 2 (it is not under CheckWithMonitor);
 // dist says whether the check is split into work units.
 func (o Options) validate(haveSpec, dist bool) error {
-	usesModel := o.WitnessSearch.usesModel()
+	usesModel := o.WitnessSearch == WitnessMonitor
 	switch {
 	case o.Consistency != Linearizability && usesModel:
 		return &OptionsError{"Consistency", fmt.Sprintf("%s consistency requires the spec-lookup witness backend", o.Consistency)}
 	case o.Consistency != Linearizability && !haveSpec:
 		return &OptionsError{"Consistency", fmt.Sprintf("%s consistency requires a phase-1 specification", o.Consistency)}
 	case usesModel && o.MonitorModel == nil:
-		return &OptionsError{"MonitorModel", "the monitor witness backends require a model"}
+		return &OptionsError{"MonitorModel", "the monitor witness backend requires a model"}
 	case !usesModel && !haveSpec:
 		return &OptionsError{"WitnessSearch", "the spec-lookup witness backend requires a synthesized specification"}
 	case dist && o.SampleSchedules > 0:

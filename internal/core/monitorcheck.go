@@ -6,7 +6,6 @@ import (
 
 	"lineup/internal/history"
 	"lineup/internal/monitor"
-	"lineup/internal/monitor/fast"
 	"lineup/internal/telemetry"
 )
 
@@ -24,31 +23,14 @@ const (
 	// is not consulted: the model plays the role of the specification
 	// directly, so no serial enumeration is needed.
 	WitnessMonitor
-	// WitnessFast routes histories of the five classic data types through
-	// the specialized near-log-linear monitors of internal/monitor/fast,
-	// falling back to the memoized Wing–Gong search whenever a history is
-	// outside their decidable fragment (pending operations, duplicate
-	// values, observer operations). The fallback keeps verdicts
-	// bit-identical to WitnessMonitor; telemetry counts hits and fallbacks.
-	WitnessFast
 )
 
 // String renders the backend name the CLI's -witness flag accepts.
 func (w WitnessSearch) String() string {
-	switch w {
-	case WitnessMonitor:
+	if w == WitnessMonitor {
 		return "monitor"
-	case WitnessFast:
-		return "fast"
-	default:
-		return "spec"
 	}
-}
-
-// usesModel reports whether the backend replays Options.MonitorModel (as
-// opposed to looking histories up in the phase-1 specification).
-func (w WitnessSearch) usesModel() bool {
-	return w == WitnessMonitor || w == WitnessFast
+	return "spec"
 }
 
 // ParseWitness parses a -witness flag value into a WitnessSearch.
@@ -58,10 +40,8 @@ func ParseWitness(s string) (WitnessSearch, error) {
 		return WitnessSpec, nil
 	case "monitor":
 		return WitnessMonitor, nil
-	case "fast":
-		return WitnessFast, nil
 	default:
-		return WitnessSpec, errors.New("core: unknown witness backend " + strconv.Quote(s) + " (spec, monitor, or fast)")
+		return WitnessSpec, errors.New("core: unknown witness backend " + strconv.Quote(s) + " (spec or monitor)")
 	}
 }
 
@@ -75,20 +55,12 @@ type witnessBackend interface {
 }
 
 // witnessBackend resolves the backend selected by the (validated) options.
-// spec may be nil when a monitor backend is selected.
+// spec may be nil when the monitor backend is selected.
 func (o Options) witnessBackend(spec *history.Spec) witnessBackend {
-	if !o.WitnessSearch.usesModel() {
-		return specBackend{spec: spec}
+	if o.WitnessSearch == WitnessMonitor {
+		return monitorBackend{model: o.MonitorModel, tel: o.Telemetry}
 	}
-	slow := monitorBackend{model: o.MonitorModel, tel: o.Telemetry}
-	if o.WitnessSearch == WitnessFast {
-		// With no specialized monitor for this model every history would fall
-		// back, so the general backend is used directly.
-		if kind, ok := fast.KindFor(o.MonitorModel.Name); ok {
-			return fastBackend{kind: kind, slow: slow, tel: o.Telemetry}
-		}
-	}
-	return slow
+	return specBackend{spec: spec}
 }
 
 // specBackend is the paper's backend: witness existence is a lookup in the
@@ -135,48 +107,6 @@ func (b monitorBackend) witnessClassic(h *history.History) (bool, error) {
 
 func (b monitorBackend) witnessStuck(h *history.History, e history.Op) (bool, error) {
 	return b.check(monitor.Reduce(h, e), monitor.ModeGeneralized)
-}
-
-// fastBackend tries the specialized near-log-linear monitor first and falls
-// back to the general memoized search on ErrAmbiguous. Definite fast
-// verdicts are certificate-backed (a constructed witness for true, a
-// violation certificate for false), so agreement with the fallback is by
-// construction, not by luck.
-type fastBackend struct {
-	kind fast.Kind
-	slow monitorBackend
-	tel  *telemetry.Collector
-}
-
-func (b fastBackend) try(h *history.History, slow func() (bool, error)) (bool, error) {
-	ok, err := fast.Check(b.kind, h)
-	if err == nil {
-		b.tel.AddFastHit()
-		return ok, nil
-	}
-	if !errors.Is(err, fast.ErrAmbiguous) {
-		return false, err
-	}
-	b.tel.AddFastFallback()
-	return slow()
-}
-
-func (b fastBackend) witnessFull(h *history.History) (bool, error) {
-	return b.try(h, func() (bool, error) { return b.slow.witnessFull(h) })
-}
-
-func (b fastBackend) witnessClassic(h *history.History) (bool, error) {
-	// The classic treatment drops pending operations only; on complete
-	// histories it coincides with the full check, and incomplete histories
-	// are outside the fast fragment anyway.
-	return b.try(h, func() (bool, error) { return b.slow.witnessClassic(h) })
-}
-
-func (b fastBackend) witnessStuck(h *history.History, e history.Op) (bool, error) {
-	// Stuck histories are outside every fast fragment; go straight to the
-	// general search.
-	b.tel.AddFastFallback()
-	return b.slow.witnessStuck(h, e)
 }
 
 // CheckWithMonitor checks sub against an executable sequential model using

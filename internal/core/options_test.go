@@ -54,9 +54,6 @@ func TestIllegalOptionsRefused(t *testing.T) {
 		{"relaxed consistency x monitor backend",
 			core.Options{Consistency: core.SequentialConsistency, WitnessSearch: core.WitnessMonitor, MonitorModel: model},
 			entries(check, againstSpec(spec), planUnits, checkUnit), "Consistency"},
-		{"relaxed consistency x fast backend",
-			core.Options{Consistency: core.QuiescentConsistency, WitnessSearch: core.WitnessFast, MonitorModel: model},
-			entries(check, againstSpec(spec), planUnits, checkUnit), "Consistency"},
 		{"relaxed consistency x CheckWithMonitor",
 			core.Options{Consistency: core.SequentialConsistency},
 			entries(withMonitor(model)), "Consistency"},
@@ -66,9 +63,6 @@ func TestIllegalOptionsRefused(t *testing.T) {
 		{"monitor backend x no model",
 			core.Options{WitnessSearch: core.WitnessMonitor},
 			entries(check, againstSpec(spec), planUnits, checkUnit, withMonitor(nil)), "MonitorModel"},
-		{"fast backend x no model",
-			core.Options{WitnessSearch: core.WitnessFast},
-			entries(check, againstSpec(spec), planUnits, checkUnit), "MonitorModel"},
 		{"spec backend x no phase-1 spec",
 			core.Options{},
 			entries(againstSpec(nil)), "WitnessSearch"},

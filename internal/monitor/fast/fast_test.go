@@ -442,92 +442,3 @@ func TestCrossCheckAgainstMonitor(t *testing.T) {
 		})
 	}
 }
-
-// streamFeed applies h's events to s with op indices offset, as a serve
-// partition would deliver a window.
-func streamFeed(s *QueueStream, h *history.History, indexBase int) {
-	for _, ev := range h.Events {
-		ev.Index += indexBase
-		s.Apply(ev)
-	}
-}
-
-// TestQueueStreamMatchesBatch feeds random queue histories through the
-// streaming monitor window by window, quiescing at each cut, and requires
-// the final verdict to agree exactly with the batch checker on the
-// concatenated history — same boolean, or ambiguous on both sides.
-func TestQueueStreamMatchesBatch(t *testing.T) {
-	stats := map[string]int{}
-	for seed := int64(0); seed < 400; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		windows := 1 + rng.Intn(3)
-		s := NewQueueStream()
-		var all history.History
-		indexBase := 0
-		for w := 0; w < windows; w++ {
-			h := genHistory(rng, "queue", 1+rng.Intn(8), 1+rng.Intn(3), 100*w, seed%3 == 2)
-			streamFeed(s, h, indexBase)
-			for _, ev := range h.Events {
-				ev.Index += indexBase
-				all.Events = append(all.Events, ev)
-			}
-			indexBase += 1000
-			if !s.Ambiguous() && !s.Quiescent() {
-				t.Fatalf("seed %d: generator left window %d non-quiescent", seed, w)
-			}
-			if _, err := s.Quiesce(); err != nil && !errors.Is(err, ErrAmbiguous) {
-				t.Fatalf("seed %d: Quiesce: %v", seed, err)
-			}
-		}
-		streamOK, streamErr := s.Quiesce()
-		batchOK, batchErr := Check(KindQueue, &all)
-		switch {
-		case errors.Is(batchErr, ErrAmbiguous):
-			if !errors.Is(streamErr, ErrAmbiguous) {
-				t.Fatalf("seed %d: batch ambiguous but stream said %v, %v\n%s", seed, streamOK, streamErr, &all)
-			}
-			stats["ambiguous"]++
-		case batchErr != nil:
-			t.Fatalf("seed %d: batch: %v", seed, batchErr)
-		default:
-			if streamErr != nil || streamOK != batchOK {
-				t.Fatalf("seed %d: stream=%v,%v batch=%v\n%s", seed, streamOK, streamErr, batchOK, &all)
-			}
-			stats[fmt.Sprint(batchOK)]++
-		}
-	}
-	if stats["true"] == 0 || stats["false"] == 0 {
-		t.Fatalf("stream cross-check never exercised a definite verdict: %v", stats)
-	}
-	t.Logf("stream: %v", stats)
-}
-
-func TestQueueStreamMidOperationQuiesce(t *testing.T) {
-	s := NewQueueStream()
-	s.Apply(history.Event{Thread: 0, Kind: history.Call, Op: "Enqueue(1)", Index: 0})
-	if _, err := s.Quiesce(); !errors.Is(err, ErrAmbiguous) {
-		t.Fatalf("mid-operation Quiesce: %v, want ErrAmbiguous", err)
-	}
-	s.Apply(history.Event{Thread: 0, Kind: history.Return, Op: "Enqueue(1)", Result: "ok", Index: 0})
-	ok, err := s.Quiesce()
-	if err != nil || !ok {
-		t.Fatalf("after return: %v, %v", ok, err)
-	}
-}
-
-func TestQueueStreamViolationIsFinal(t *testing.T) {
-	s := NewQueueStream()
-	for _, h := range []*history.History{
-		newHB().op(0, "Enqueue(1)", "ok").op(0, "Dequeue()", "9").done(),
-	} {
-		streamFeed(s, h, 0)
-	}
-	if ok, err := s.Quiesce(); err != nil || ok {
-		t.Fatalf("violating window: %v, %v", ok, err)
-	}
-	// A clean later window cannot repair the verdict.
-	streamFeed(s, newHB().op(0, "Enqueue(50)", "ok").op(0, "Dequeue()", "50").done(), 100)
-	if ok, err := s.Quiesce(); err != nil || ok {
-		t.Fatalf("verdict not final: %v, %v", ok, err)
-	}
-}

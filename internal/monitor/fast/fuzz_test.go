@@ -15,8 +15,7 @@ import (
 // pending calls all occur — and checks the package's one load-bearing
 // contract on each: a definite verdict must agree bit-for-bit with the
 // memoized Wing–Gong search, and a history with pending operations must be
-// punted, never guessed. For queue histories the incremental QueueStream is
-// run over the same events and held to the same contract as batch Check.
+// punted, never guessed.
 //
 // Wired into `make check` via the Makefile fuzz target (5s of mutation on
 // every run); run longer with
@@ -52,28 +51,6 @@ func FuzzFastMonitor(f *testing.F) {
 			if lin != out.Linearizable {
 				t.Fatalf("fast %s=%v but WGL=%v on:\n%s", kind, lin, out.Linearizable, h)
 			}
-		}
-
-		if kind != KindQueue {
-			return
-		}
-		s := NewQueueStream()
-		for _, ev := range h.Events {
-			s.Apply(ev)
-		}
-		if s.Ambiguous() || !complete {
-			return
-		}
-		sok, serr := s.Quiesce()
-		if serr != nil {
-			return // went ambiguous at quiescence: the caller converts
-		}
-		out, merr := monitor.Check(model, h, monitor.Options{})
-		if merr != nil {
-			t.Fatalf("monitor queue: %v\nhistory:\n%s", merr, h)
-		}
-		if sok != out.Linearizable {
-			t.Fatalf("QueueStream=%v but WGL=%v on:\n%s", sok, out.Linearizable, h)
 		}
 	})
 }

@@ -46,12 +46,18 @@ var ErrWindowNotQuiescent = errors.New("monitor: window contains pending operati
 
 // NewIncremental creates an incremental checker whose frontier is the
 // model's initial state. Options.Mode applies to Finish; partitioning does
-// not apply (the caller splits the history before windowing).
-func NewIncremental(m *Model, opts Options) (*Incremental, error) {
+// not apply (the caller splits the history before windowing). Init and
+// Fingerprint are model code, so their panics are contained as errors.
+func NewIncremental(m *Model, opts Options) (inc *Incremental, err error) {
 	if m == nil || m.Init == nil || m.Step == nil {
 		return nil, errors.New("monitor: model must define Init and Step")
 	}
-	inc := &Incremental{m: m, opts: opts}
+	defer func() {
+		if r := recover(); r != nil {
+			inc, err = nil, fmt.Errorf("monitor: model panicked during Init: %v", r)
+		}
+	}()
+	inc = &Incremental{m: m, opts: opts}
 	inc.SetFrontier([]any{m.Init()})
 	return inc, nil
 }

@@ -69,12 +69,14 @@ func (w *worker) snapshot() ([]PartCheckpoint, error) {
 	for _, key := range w.sortedKeys() {
 		p := w.parts[key]
 		pc := PartCheckpoint{Key: p.key, Ops: p.ops, Windows: p.windows, Failed: p.failed, Err: p.errMsg}
-		for _, st := range p.inc.FrontierStates() {
-			b, err := enc(st)
-			if err != nil {
-				return nil, fmt.Errorf("serve: partition %q: encoding state: %w", p.key, err)
+		if p.inc != nil { // nil when the model's Init failed; pc.Err says so
+			for _, st := range p.inc.FrontierStates() {
+				b, err := enc(st)
+				if err != nil {
+					return nil, fmt.Errorf("serve: partition %q: encoding state: %w", p.key, err)
+				}
+				pc.Frontier = append(pc.Frontier, json.RawMessage(b))
 			}
-			pc.Frontier = append(pc.Frontier, json.RawMessage(b))
 		}
 		for _, e := range p.window {
 			pc.Window = append(pc.Window, toEventJSON(e))

@@ -52,7 +52,6 @@ import (
 	"time"
 
 	"lineup/internal/monitor"
-	"lineup/internal/monitor/fast"
 	"lineup/internal/obsfile"
 	"lineup/internal/telemetry"
 )
@@ -121,19 +120,6 @@ type Config struct {
 	SkipEvents int64
 	// NoDedup disables the shared window verdict cache.
 	NoDedup bool
-	// FastMonitor routes every partition through the specialized streaming
-	// queue monitor (internal/monitor/fast.QueueStream, amortized O(log n)
-	// per event) instead of the frontier-of-states incremental checker.
-	// Only the queue model has a streaming fast form; New rejects other
-	// models. A partition that leaves the fast monitor's decidable fragment
-	// (duplicate values, failed TryDequeue, observers) — or whose retained
-	// event log outgrows the memory cap — is converted on the fly: its
-	// logged windows replay through a fresh monitor.Incremental with the
-	// original window boundaries, which is exactly the state the slow path
-	// would have, so verdicts stay bit-identical. Incompatible with
-	// CheckpointPath (the fast monitor's state does not checkpoint) and
-	// bypasses the dedup cache while a partition is on the fast path.
-	FastMonitor bool
 	// Telemetry, when non-nil, accumulates the service counters (ingested,
 	// shed, ops checked, flushes, overflows, cache hits, checkpoints).
 	Telemetry *telemetry.Collector
@@ -179,12 +165,6 @@ func (c Config) queueDepth() int {
 // growing window is counted as an overflow (memory for that partition is no
 // longer bounded; correctness is preserved by keeping the events).
 func (c Config) maxWindowEvents() int { return 8 * c.windowOps() }
-
-// maxFastLogEvents caps the per-partition event log the fast streaming
-// monitor retains for a potential conversion to the incremental checker.
-// Exceeding it triggers a proactive conversion at the next retired window,
-// restoring the slow path's bounded-memory guarantee.
-func (c Config) maxFastLogEvents() int { return 64 * c.windowOps() }
 
 // ErrClosed is returned by Ingest after Close.
 var ErrClosed = errors.New("serve: server is closed")
@@ -241,14 +221,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.CheckpointPath != "" && (cfg.Model.EncodeState == nil || cfg.Model.DecodeState == nil) {
 		return nil, fmt.Errorf("serve: checkpointing model %q requires EncodeState/DecodeState", cfg.Model.Name)
-	}
-	if cfg.FastMonitor {
-		if k, ok := fast.KindFor(cfg.Model.Name); !ok || k != fast.KindQueue {
-			return nil, fmt.Errorf("serve: the streaming fast monitor supports the queue model only, not %q", cfg.Model.Name)
-		}
-		if cfg.CheckpointPath != "" {
-			return nil, errors.New("serve: the fast monitor does not checkpoint; drop -checkpoint or the fast witness")
-		}
 	}
 	mopts := cfg.Monitor
 	mopts.NoPartition = true // the stream is split before windowing

@@ -171,136 +171,49 @@ func TestServeMatchesBatch(t *testing.T) {
 	}
 }
 
-// genQueuePartition generates a random complete single-partition queue
-// history with unique values, results assigned by stepping the live model at
-// return time (linearizable by construction). With allowEmpty false a
-// dequeue is issued only when an already-returned enqueue guarantees it
-// succeeds, so the trace stays inside the fast monitor's decidable fragment;
-// with allowEmpty true TryDequeue may hit an empty queue and return Fail,
-// forcing the streaming monitor to fall back mid-stream. corrupt rewrites
-// one successful dequeue to a never-enqueued value.
-func genQueuePartition(rng *rand.Rand, key string, base, nOps int, allowEmpty, corrupt bool) []obsfile.TraceEvent {
-	m := monitor.QueueModel()
-	state := m.Init()
-	open := map[int]string{}
-	const threads = 3
-	var evs []obsfile.TraceEvent
-	issued, next := 0, 0
-	confirmed, reserved := 0, 0 // enqueue returns seen vs dequeues issued
-	for issued < nOps || len(open) > 0 {
-		th := base + rng.Intn(threads)
-		if op, busy := open[th]; busy && (rng.Intn(2) == 0 || issued >= nOps) {
-			res, nextState, err := m.Step(state, op)
-			if err != nil {
-				panic(err)
-			}
-			state = nextState
-			if strings.HasPrefix(op, "Enqueue") {
-				confirmed++
-			}
-			evs = append(evs, obsfile.TraceEvent{T: th, K: "ret", Op: op, Res: res})
-			delete(open, th)
-		} else if !busy && issued < nOps {
-			var op string
-			if rng.Intn(2) == 0 && (allowEmpty || reserved < confirmed) {
-				op = "TryDequeue()"
-				reserved++
-			} else {
-				op = fmt.Sprintf("Enqueue(%d)", next)
-				next++
-			}
-			evs = append(evs, obsfile.TraceEvent{T: th, K: "call", Op: op, P: key})
-			open[th] = op
-			issued++
+// TestServeInitPanicContained: a model whose Init panics errors every
+// partition instead of killing the worker goroutine (and with it the
+// process) — each partition still reports exactly one final verdict, Close
+// returns, and the accounting invariant holds.
+func TestServeInitPanicContained(t *testing.T) {
+	m := monitor.RegisterModel()
+	m.Init = func() any { panic("init boom") }
+	rng := rand.New(rand.NewSource(17))
+	keys := []string{"a", "b", "c"}
+	parts := make([][]obsfile.TraceEvent, len(keys))
+	for i, k := range keys {
+		parts[i] = genPartition(rng, k, i*10, 6, false)
+	}
+	trace := interleave(rng, parts)
+	cp := filepath.Join(t.TempDir(), "serve.ckpt")
+	s, err := serve.New(serve.Config{Model: m, Workers: 2, WindowOps: 2, CheckpointPath: cp})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ingestAll(t, s, trace)
+	// The live-status and snapshot passes see checker-less partitions too.
+	if _, err := s.Verdicts(); err != nil {
+		t.Fatalf("Verdicts: %v", err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	sum, err := s.Close()
+	if err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if len(sum.Verdicts) != len(keys) {
+		t.Fatalf("got %d verdicts, want one per partition (%d): %+v", len(sum.Verdicts), len(keys), sum.Verdicts)
+	}
+	for _, v := range sum.Verdicts {
+		if !v.Final || v.Linearizable || !strings.Contains(v.Err, "init boom") || v.Frontier != 0 {
+			t.Fatalf("partition %q: %+v, want a final errored verdict naming the panic", v.Key, v)
 		}
 	}
-	if corrupt {
-		var deqRets []int
-		for i, e := range evs {
-			if e.K == "ret" && strings.HasPrefix(e.Op, "TryDequeue") && e.Res != "Fail" {
-				deqRets = append(deqRets, i)
-			}
-		}
-		if len(deqRets) > 0 {
-			evs[deqRets[rng.Intn(len(deqRets))]].Res = "9999"
-		} else {
-			for i := len(evs) - 1; i >= 0; i-- {
-				if evs[i].K == "ret" {
-					evs[i].Res = "9999"
-					break
-				}
-			}
-		}
-	}
-	return evs
-}
-
-// TestServeFastMatchesBatch: with the streaming fast monitor enabled the
-// per-partition verdicts still equal the batch monitor's — whether a
-// partition is decided entirely on the fast path, falls out of the fragment
-// and converts to the incremental checker mid-stream, or outgrows the replay
-// log cap — and the telemetry records both paths.
-func TestServeFastMatchesBatch(t *testing.T) {
-	m := monitor.QueueModel()
-	rng := rand.New(rand.NewSource(13))
-	col := telemetry.New()
-	for trial := 0; trial < 25; trial++ {
-		keys := []string{"a", "b", "c"}
-		parts := make([][]obsfile.TraceEvent, len(keys))
-		for i, k := range keys {
-			nOps := 4 + rng.Intn(8)
-			if trial == 0 && i == 0 {
-				nOps = 90 // outgrow the 64×WindowOps replay log: cap conversion
-			}
-			parts[i] = genQueuePartition(rng, k, i*10, nOps, i == 2, rng.Intn(3) == 0)
-		}
-		trace := interleave(rng, parts)
-		s, err := serve.New(serve.Config{Model: m, Workers: 2, WindowOps: 2, FastMonitor: true, Telemetry: col})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		ingestAll(t, s, trace)
-		sum, err := s.Close()
-		if err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		for _, k := range keys {
-			want := batchVerdict(t, m, trace, k)
-			var got *serve.PartitionVerdict
-			for j := range sum.Verdicts {
-				if sum.Verdicts[j].Key == k {
-					got = &sum.Verdicts[j]
-				}
-			}
-			if got == nil {
-				t.Fatalf("trial %d: no verdict for partition %q", trial, k)
-			}
-			if got.Err != "" {
-				t.Fatalf("trial %d partition %q: error %q", trial, k, got.Err)
-			}
-			if got.Linearizable != want {
-				t.Fatalf("trial %d partition %q: fast serve says %v, batch says %v",
-					trial, k, got.Linearizable, want)
-			}
-		}
-	}
-	if col.FastHits.Load() == 0 || col.FastFallbacks.Load() == 0 {
-		t.Fatalf("telemetry: fast hits=%d fallbacks=%d, want both paths exercised",
-			col.FastHits.Load(), col.FastFallbacks.Load())
-	}
-}
-
-// TestServeFastConfigErrors: the fast monitor is rejected up front for
-// models it does not specialize and for the checkpoint combination.
-func TestServeFastConfigErrors(t *testing.T) {
-	if _, err := serve.New(serve.Config{Model: monitor.RegisterModel(), FastMonitor: true}); err == nil ||
-		!strings.Contains(err.Error(), "queue model only") {
-		t.Fatalf("register + fast: err=%v, want queue-only rejection", err)
-	}
-	cp := filepath.Join(t.TempDir(), "ck.json")
-	if _, err := serve.New(serve.Config{Model: monitor.QueueModel(), FastMonitor: true, CheckpointPath: cp}); err == nil ||
-		!strings.Contains(err.Error(), "checkpoint") {
-		t.Fatalf("fast + checkpoint: err=%v, want checkpoint rejection", err)
+	st := sum.Stats
+	if st.EventsIngested != int64(len(trace)) || st.EventsRouted+st.EventsShed != st.EventsIngested {
+		t.Fatalf("accounting: routed %d + shed %d != ingested %d (trace %d)",
+			st.EventsRouted, st.EventsShed, st.EventsIngested, len(trace))
 	}
 }
 

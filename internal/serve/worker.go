@@ -6,7 +6,6 @@ import (
 
 	"lineup/internal/history"
 	"lineup/internal/monitor"
-	"lineup/internal/monitor/fast"
 	"lineup/internal/obsfile"
 )
 
@@ -40,19 +39,6 @@ type part struct {
 	errMsg     string
 	overflowed bool // current window already counted as an overflow
 	alerted    bool // OnVerdict already fired for this partition's failure
-
-	// Fast streaming path (Config.FastMonitor, queue model only). While qs
-	// is non-nil, verdicts come from the specialized streaming monitor and
-	// inc stays at its initial frontier; retired windows are logged in
-	// fastLog (with fastCuts marking the original window boundaries) so the
-	// partition can convert to the incremental checker — replaying the
-	// logged windows exactly as the slow path would have retired them — the
-	// moment the stream leaves the decidable fragment or the log outgrows
-	// its cap. After conversion qs is nil and the partition is
-	// indistinguishable from one that ran the slow path from the start.
-	qs       *fast.QueueStream
-	fastLog  []history.Event
-	fastCuts []int
 }
 
 func (w *worker) loop() {
@@ -73,6 +59,9 @@ func (w *worker) loop() {
 	}
 }
 
+// part returns the partition's state, creating it on first sight. A model
+// whose Init fails still gets a partition — without a checker, errMsg set —
+// so its events are counted and it reports one errored final verdict.
 func (w *worker) part(key string) *part {
 	p, ok := w.parts[key]
 	if !ok {
@@ -80,9 +69,6 @@ func (w *worker) part(key string) *part {
 		p = &part{key: key, inc: inc}
 		if err != nil {
 			p.errMsg = err.Error()
-		}
-		if w.srv.cfg.FastMonitor && err == nil {
-			p.qs = fast.NewQueueStream()
 		}
 		w.parts[key] = p
 		w.srv.partsCreated.Add(1)
@@ -117,15 +103,6 @@ func (w *worker) apply(key string, ev obsfile.StreamEvent) {
 		p.open--
 		p.completed++
 	}
-	if p.qs != nil {
-		p.qs.Apply(ev.HistoryEvent())
-		if p.qs.Ambiguous() {
-			// Out of the fragment mid-window: convert now. The current
-			// window stays; the next flush retires it through the
-			// incremental checker like any slow-path window.
-			w.convert(p)
-		}
-	}
 	if n := int64(len(p.window)); n > w.srv.maxWindow.Load() {
 		w.srv.maxWindow.Store(n) // worker-racy high watermark; close enough for a gauge
 	}
@@ -150,28 +127,18 @@ func (w *worker) apply(key string, ev obsfile.StreamEvent) {
 // cached resulting frontier is sound.
 func (w *worker) flush(p *part) {
 	s := w.srv
-	if p.qs != nil {
-		w.flushFast(p)
-		return
-	}
 	h := &history.History{Events: p.window}
 	retiredOps := p.completed
+	var key []byte
+	var entry *windowEntry
 	if s.cache != nil {
-		key, entry := s.cache.lookup(p.inc.FrontierFingerprints(), p.window)
-		if entry != nil {
-			p.inc.SetFrontier(entry.states)
-			p.failed = !entry.ok
-			if c := s.cfg.Telemetry; c != nil {
-				c.ServeCacheHits.Add(1)
-			}
-		} else {
-			ok, err := p.inc.ExtendComplete(h)
-			if err != nil {
-				p.errMsg = err.Error()
-				return
-			}
-			p.failed = !ok
-			s.cache.put(key, ok, p.inc.FrontierStates())
+		key, entry = s.cache.lookup(p.inc.FrontierFingerprints(), p.window)
+	}
+	if entry != nil {
+		p.inc.SetFrontier(entry.states)
+		p.failed = !entry.ok
+		if c := s.cfg.Telemetry; c != nil {
+			c.ServeCacheHits.Add(1)
 		}
 	} else {
 		ok, err := p.inc.ExtendComplete(h)
@@ -180,6 +147,9 @@ func (w *worker) flush(p *part) {
 			return
 		}
 		p.failed = !ok
+		if s.cache != nil {
+			s.cache.put(key, ok, p.inc.FrontierStates())
+		}
 	}
 	p.window = p.window[:0]
 	p.completed = 0
@@ -200,90 +170,21 @@ func (w *worker) flush(p *part) {
 	}
 }
 
-// flushFast retires the window through the streaming monitor: Quiesce judges
-// every event applied so far, and the retired window is appended to the
-// replay log so a later conversion can hand the incremental checker the exact
-// window sequence the slow path would have seen. When the log outgrows its
-// cap the partition converts immediately, restoring bounded memory.
-func (w *worker) flushFast(p *part) {
-	s := w.srv
-	retiredOps := p.completed
-	ok, err := p.qs.Quiesce()
-	if err != nil {
-		// Ambiguity normally converts at apply time; if Quiesce still
-		// reports it, convert and retire this window the slow way.
-		w.convert(p)
-		if p.failed || p.errMsg != "" {
-			return
-		}
-		w.flush(p)
-		return
-	}
-	p.failed = !ok
-	p.fastLog = append(p.fastLog, p.window...)
-	p.fastCuts = append(p.fastCuts, len(p.fastLog))
-	p.window = p.window[:0]
-	p.completed = 0
-	p.overflowed = false
-	p.windows++
-	s.flushes.Add(1)
-	s.opsChecked.Add(int64(retiredOps))
-	if c := s.cfg.Telemetry; c != nil {
-		c.ServeWindowFlushes.Add(1)
-		c.ServeOpsChecked.Add(int64(retiredOps))
-	}
-	s.cfg.Telemetry.AddFastHit()
-	if p.failed {
-		// The verdict is final; the replay log will never be needed.
-		p.fastLog, p.fastCuts, p.qs = nil, nil, nil
-		if !p.alerted && s.cfg.OnVerdict != nil {
-			p.alerted = true
-			s.cfg.OnVerdict(w.verdict(p, true))
-		}
-		return
-	}
-	if len(p.fastLog) > s.cfg.maxFastLogEvents() {
-		w.convert(p)
-	}
-}
-
-// convert switches a partition from the streaming monitor to the incremental
-// checker by replaying the retired windows with their original boundaries —
-// the exact ExtendComplete sequence the slow path would have run — so the
-// resulting frontier is bit-identical to a slow-path run from the start. The
-// current (unretired) window stays in place and is judged by whichever flush
-// or finish comes next.
-func (w *worker) convert(p *part) {
-	w.srv.cfg.Telemetry.AddFastFallback()
-	prev := 0
-	for _, cut := range p.fastCuts {
-		h := &history.History{Events: p.fastLog[prev:cut]}
-		ok, err := p.inc.ExtendComplete(h)
-		if err != nil {
-			p.errMsg = err.Error()
-			break
-		}
-		if !ok {
-			p.failed = true
-			break
-		}
-		prev = cut
-	}
-	p.fastLog, p.fastCuts, p.qs = nil, nil, nil
-}
-
 // verdict renders the partition's current judgment. final marks verdicts
 // that can no longer change (a failure, or the Close pass).
 func (w *worker) verdict(p *part, final bool) PartitionVerdict {
-	return PartitionVerdict{
+	v := PartitionVerdict{
 		Key:          p.key,
 		Linearizable: !p.failed && p.errMsg == "",
 		Final:        final,
 		Err:          p.errMsg,
 		Ops:          p.ops,
 		Windows:      p.windows,
-		Frontier:     p.inc.FrontierSize(),
 	}
+	if p.inc != nil { // nil when the model's Init failed; errMsg says so
+		v.Frontier = p.inc.FrontierSize()
+	}
+	return v
 }
 
 func (w *worker) control(msg *ctlMsg) {
@@ -326,33 +227,12 @@ func (w *worker) finish(stuck bool) ([]PartitionVerdict, error) {
 	for _, key := range w.sortedKeys() {
 		p := w.parts[key]
 		if !p.failed && p.errMsg == "" {
-			decided := false
-			if p.qs != nil && !stuck && p.open == 0 {
-				// The whole stream — retired windows and residual window
-				// alike — has already flowed through the streaming monitor,
-				// so with no pending operations its quiescent verdict is the
-				// final one and the incremental checker (still at its initial
-				// frontier) must not run.
-				if ok, err := p.qs.Quiesce(); err == nil {
-					p.failed = !ok
-					decided = true
-					w.srv.cfg.Telemetry.AddFastHit()
-					p.fastLog, p.fastCuts, p.qs = nil, nil, nil
-				}
-			}
-			if !decided {
-				if p.qs != nil {
-					w.convert(p)
-				}
-				if !p.failed && p.errMsg == "" {
-					h := &history.History{Events: p.window, Stuck: stuck}
-					res, err := p.inc.Finish(h)
-					if err != nil {
-						p.errMsg = err.Error()
-					} else {
-						p.failed = !res.Linearizable
-					}
-				}
+			h := &history.History{Events: p.window, Stuck: stuck}
+			res, err := p.inc.Finish(h)
+			if err != nil {
+				p.errMsg = err.Error()
+			} else {
+				p.failed = !res.Linearizable
 			}
 			// The residual window's completed ops were just judged too.
 			w.srv.opsChecked.Add(int64(p.completed))

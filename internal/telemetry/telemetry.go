@@ -76,10 +76,6 @@ type Collector struct {
 	GenCovPairs atomic.Int64 // high watermark: distinct (kind, loc) footprint pairs
 	GenCovHists atomic.Int64 // high watermark: distinct canonical phase-2 histories
 
-	// Specialized fast-monitor counters (package core, WitnessFast).
-	FastHits      atomic.Int64 // histories decided by a specialized monitor
-	FastFallbacks atomic.Int64 // ambiguous histories routed to the WGL search
-
 	// Distributed-exploration counters (package dist).
 	DistLeasesGranted  atomic.Int64 // work-unit leases handed to workers
 	DistLeasesExpired  atomic.Int64 // leases revoked after heartbeat loss
@@ -177,23 +173,6 @@ func (c *Collector) SpanTotal(name string) time.Duration {
 	return total
 }
 
-// AddFastHit counts one history decided by a specialized fast monitor.
-func (c *Collector) AddFastHit() {
-	if c == nil {
-		return
-	}
-	c.FastHits.Add(1)
-}
-
-// AddFastFallback counts one ambiguous history routed to the general
-// witness search by the fast backend.
-func (c *Collector) AddFastFallback() {
-	if c == nil {
-		return
-	}
-	c.FastFallbacks.Add(1)
-}
-
 // Snap is a moment-in-time copy of every counter, the flat record rendered
 // by the progress line, the /debug/vars endpoint, and the event trace.
 type Snap struct {
@@ -228,9 +207,6 @@ type Snap struct {
 	GenCorpus   int64 `json:"gen_corpus,omitempty"`
 	GenCovPairs int64 `json:"gen_cov_pairs,omitempty"`
 	GenCovHists int64 `json:"gen_cov_hists,omitempty"`
-
-	FastHits      int64 `json:"fastmon_hits,omitempty"`
-	FastFallbacks int64 `json:"fastmon_fallbacks,omitempty"`
 
 	DistLeasesGranted  int64 `json:"dist_leases_granted,omitempty"`
 	DistLeasesExpired  int64 `json:"dist_leases_expired,omitempty"`
@@ -278,9 +254,6 @@ func (c *Collector) Snapshot() Snap {
 		GenCorpus:   c.GenCorpus.Load(),
 		GenCovPairs: c.GenCovPairs.Load(),
 		GenCovHists: c.GenCovHists.Load(),
-
-		FastHits:      c.FastHits.Load(),
-		FastFallbacks: c.FastFallbacks.Load(),
 
 		DistLeasesGranted:  c.DistLeasesGranted.Load(),
 		DistLeasesExpired:  c.DistLeasesExpired.Load(),
