@@ -33,11 +33,11 @@ sched-smoke:
 	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool' ./internal/sched
 
 # Race-enabled smoke of the streaming service: the full internal/serve suite
-# (worker pool, backpressure, checkpoint/resume, HTTP ingest). Part of
-# `make check`: the service is the one subsystem whose whole job is
-# cross-goroutine handoff.
+# (worker pool, backpressure, checkpoint/resume, HTTP ingest, agreement of
+# every ingest entrance). Part of `make check`: the service is the one
+# subsystem whose whole job is cross-goroutine handoff.
 serve-smoke:
-	$(GO) test -race -run 'TestServe' ./internal/serve
+	$(GO) test -race ./internal/serve
 
 # Race-enabled smoke of the Go-native subject corpus: the directed
 # strict/Pre/Relaxed verdict tests for every family under the real Go race
@@ -74,8 +74,9 @@ benchmark-smoke:
 # Short coverage-guided fuzz pass over the external input parsers (the batch
 # JSONL trace reader, the incremental stream reader, and the binary batch
 # frame codec), the test-matrix mutator (well-formedness + schedule
-# replayability of every mutant) and the specification trie (against a
-# map-based reference); the seed corpus plus a few seconds of mutation on
+# replayability of every mutant), the specification trie (against a
+# map-based reference) and the incremental monitor (arbitrary quiescent cuts
+# against batch Check); the seed corpus plus a few seconds of mutation on
 # every `make check` keeps crash regressions out of the hot paths.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSpec -fuzztime=5s ./internal/history
@@ -84,6 +85,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzBatchFrame -fuzztime=5s ./internal/obsfile
 	$(GO) test -run='^$$' -fuzz=FuzzMutate -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzFastMonitor -fuzztime=5s ./internal/monitor/fast
+	$(GO) test -run='^$$' -fuzz=FuzzIncremental -fuzztime=5s ./internal/monitor
 
 # Full race-enabled pass over every package (much slower than `race`). The
 # bench sweeps run for several minutes even uninstrumented, hence the timeout.
@@ -98,10 +100,12 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 
 # The five RandomCheck sweeps over the whole class registry at the paper's
-# 3x3 size (about three minutes on two CPUs). Plain `go test ./...` runs them
-# on a fixed smoke subset of classes; LINEUP_BENCH_FULL=1 lifts that.
+# 3x3 size (about three minutes on two CPUs) and internal/core in full (all
+# twenty repetitions of every TestWorkerCountUnobservable slice, the 4x3
+# phase-1 invariant). Plain `go test ./...` runs a fixed smoke subset of
+# each; LINEUP_BENCH_FULL=1 lifts that.
 sweeps:
-	LINEUP_BENCH_FULL=1 $(GO) test -timeout=30m ./internal/bench
+	LINEUP_BENCH_FULL=1 $(GO) test -timeout=30m ./internal/bench ./internal/core
 
 # Build leftovers only; everything removed here is in .gitignore.
 clean:

@@ -276,6 +276,8 @@ func TestCmdWitnessRefusals(t *testing.T) {
 			1, "-witness fast applies to whole-file checks only"},
 		{[]string{"serve", "-model", "queue", "-trace", missing, "-witness", "wgl"},
 			2, "flag provided but not defined: -witness"},
+		{[]string{"serve", "-model", "queue", "-trace", missing, "-no-memo"},
+			2, "flag provided but not defined: -no-memo"},
 	} {
 		out, err := exec.Command(bin, c.args...).CombinedOutput()
 		ee, ok := err.(*exec.ExitError)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"lineup/internal/monitor"
-	"lineup/internal/obsfile"
 	"lineup/internal/serve"
 	"lineup/internal/telemetry"
 )
@@ -33,7 +32,6 @@ func cmdServe(args []string) error {
 	every := fs.Int64("checkpoint-every", 0, "also checkpoint automatically every N ingested events (0 = only on shutdown)")
 	resume := fs.Bool("resume", false, "resume from the -checkpoint file: replay the stream, skip what the checkpoint covers")
 	classic := fs.Bool("classic", false, "classic Definition 1 treatment of pending operations at stream end")
-	noMemo := fs.Bool("no-memo", false, "disable the memoized seen-set")
 	noDedup := fs.Bool("no-dedup", false, "disable the shared window-verdict dedup cache")
 	tflags := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -60,7 +58,6 @@ func cmdServe(args []string) error {
 		CheckpointEvery: *every,
 		NoDedup:         *noDedup,
 	}
-	cfg.Monitor.NoMemo = *noMemo
 	if *classic {
 		cfg.Monitor.Mode = monitor.ModeClassic
 	}
@@ -106,18 +103,21 @@ func cmdServe(args []string) error {
 		defer f.Close()
 		r = f
 	}
-	var src obsfile.EventSource = obsfile.NewRawReader(r)
+	// The same two entry points POST /ingest negotiates between.
+	ingest := s.IngestReader
 	if *batch {
-		src = obsfile.NewFrameReader(r)
+		ingest = s.IngestFrames
 	}
 	start := time.Now()
-	n, pumpErr := pumpStream(s, src, tr)
+	stopProgress := serveProgress(s, tr.Prog)
+	_, ingestErr := ingest(r)
+	stopProgress()
 	sum, closeErr := s.Close()
 	wall := time.Since(start)
-	if err := tr.finishAfter(firstErr(pumpErr, closeErr)); err != nil {
+	if err := tr.finishAfter(firstErr(ingestErr, closeErr)); err != nil {
 		return err
 	}
-	printServeSummary(os.Stdout, sum, n, wall)
+	printServeSummary(os.Stdout, sum, wall)
 	if !sum.Linearizable {
 		return errViolation
 	}
@@ -174,30 +174,31 @@ func monitorStream(model *monitor.Model, r io.Reader, opts monitor.Options, wind
 	return errViolation
 }
 
-// pumpStream feeds the source's events into the server, ticking the live
-// progress line as it goes, and returns the count of raw events read. The
-// source decides the wire encoding (JSONL or batch frames).
-func pumpStream(s *serve.Server, src obsfile.EventSource, tr *telemetryRun) (int64, error) {
-	var n int64
-	for {
-		ev, err := src.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := s.Ingest(ev); err != nil {
-			return n, fmt.Errorf("line %d: %w", src.Line(), err)
-		}
-		n++
-		if tr.Prog != nil && n%4096 == 0 {
-			st := s.Stats()
-			tr.Prog.SetExtra(fmt.Sprintf("%d events, %d ops checked, queues %v",
-				st.EventsIngested, st.OpsChecked, st.QueueDepths))
-			tr.Prog.Tick()
-		}
+// serveProgress keeps the live progress line fed from the server's counters
+// until the returned stop function is called (which waits for the ticker
+// goroutine to exit). Without a progress line it does nothing.
+func serveProgress(s *serve.Server, prog *telemetry.Progress) (stop func()) {
+	if prog == nil {
+		return func() {}
 	}
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		tick := time.NewTicker(200 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+				st := s.Stats()
+				prog.SetExtra(fmt.Sprintf("%d events, %d ops checked, queues %v",
+					st.EventsIngested, st.OpsChecked, st.QueueDepths))
+				prog.Tick()
+			}
+		}
+	}()
+	return func() { close(quit); <-exited }
 }
 
 func firstErr(errs ...error) error {
@@ -212,7 +213,7 @@ func firstErr(errs ...error) error {
 // printServeSummary renders the final report. The stats lines carry
 // wall-clock-dependent numbers; the verdict lines are deterministic and are
 // what the kill/resume test compares.
-func printServeSummary(w io.Writer, sum *serve.Summary, raw int64, wall time.Duration) {
+func printServeSummary(w io.Writer, sum *serve.Summary, wall time.Duration) {
 	st := sum.Stats
 	opsPerSec := ""
 	if secs := wall.Seconds(); secs > 0 {

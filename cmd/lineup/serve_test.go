@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -274,5 +277,89 @@ func TestServeResumeWindowMismatch(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "window") {
 		t.Fatalf("mismatch diagnostic does not mention the window:\n%s", out)
+	}
+}
+
+// TestServeStdinFramesMatchHTTPFrames pins the service's two frame transports
+// to one path: the same frame stream piped into 'lineup serve -batch' and
+// POSTed to a second server's /ingest with obsfile.BatchContentType must print
+// identical verdict lines (one partition of the fixture is corrupted, so both
+// must report the same violation).
+func TestServeStdinFramesMatchHTTPFrames(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs real processes; skipped in -short mode")
+	}
+	bin := buildLineup(t)
+	frames := filepath.Join(t.TempDir(), "trace.batch")
+	encodeServeTrace(t, frames, "batch", genServeEvents(t, 3, 400))
+	payload, err := os.ReadFile(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	common := []string{"serve", "-model", "register", "-window", "16", "-workers", "2"}
+
+	piped := exec.Command(bin, append(common, "-batch")...)
+	piped.Stdin = bytes.NewReader(payload)
+	var pipedOut bytes.Buffer
+	piped.Stdout = &pipedOut
+	if err := piped.Run(); err == nil {
+		t.Fatalf("piped run missed the planted violation:\n%s", pipedOut.String())
+	}
+	want := serveVerdictLines(pipedOut.String())
+	if !strings.Contains(want, "NOT linearizable") || !strings.Contains(want, `partition "r2"`) {
+		t.Fatalf("piped run missed the planted violation; fixture broken:\n%s", pipedOut.String())
+	}
+
+	// The HTTP server reads an (empty) JSONL stdin that stays open until the
+	// POST is in; closing it ends the stream and prints the summary.
+	posted := exec.Command(bin, append(common, "-http", "127.0.0.1:0")...)
+	stdin, err := posted.StdinPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr, err := posted.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var postedOut bytes.Buffer
+	posted.Stdout = &postedOut
+	if err := posted.Start(); err != nil {
+		t.Fatalf("starting the HTTP server: %v", err)
+	}
+	defer posted.Process.Kill()
+	const marker = "serve: ingest endpoint on "
+	url := ""
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() {
+		if i := strings.Index(sc.Text(), marker); i >= 0 {
+			url = sc.Text()[i+len(marker):]
+			break
+		}
+	}
+	if url == "" {
+		t.Fatalf("server never announced its endpoint (stderr closed: %v)", sc.Err())
+	}
+	// Alerts keep coming: drain them so the server never blocks on a full
+	// pipe, and finish reading before Wait closes it.
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		_, _ = io.Copy(io.Discard, stderr)
+	}()
+	resp, err := http.Post(url+"/ingest", obsfile.BatchContentType, bytes.NewReader(payload))
+	if err != nil {
+		t.Fatalf("POST /ingest: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /ingest: status %d", resp.StatusCode)
+	}
+	stdin.Close()
+	<-drained
+	if err := posted.Wait(); err == nil {
+		t.Fatalf("posted run missed the planted violation:\n%s", postedOut.String())
+	}
+	if got := serveVerdictLines(postedOut.String()); got != want {
+		t.Errorf("verdicts differ between transports:\n--- POST ---\n%s\n--- stdin ---\n%s", got, want)
 	}
 }

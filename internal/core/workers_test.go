@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -51,9 +52,12 @@ func TestWorkerCountUnobservable(t *testing.T) {
 	cases = append(cases, checkCase{"panicking counter", faulty,
 		&core.Test{Rows: [][]core.Op{{faulty.Ops[0], faulty.Ops[1]}, {faulty.Ops[0], faulty.Ops[1]}}}, 2})
 	// The passing 3x3 test costs as much as all the others together: it is
-	// repeated in full where nothing else is going on, twice elsewhere. -short
-	// (`make race`) keeps the twenty repetitions for the runs that stop at the
-	// first violation from the first execution on, and a fifth of the rest.
+	// repeated in full where nothing else is going on, twice elsewhere. Only
+	// LINEUP_BENCH_FULL=1 without -short (`make sweeps`) runs all twenty
+	// repetitions everywhere; plain `go test` and `make race` keep them for
+	// the runs that stop at the first violation from the first execution on,
+	// and run a fifth of the rest.
+	full := os.Getenv("LINEUP_BENCH_FULL") == "1" && !testing.Short()
 	stack := findClass(t, "ConcurrentStack")
 	passing := checkCase{"stack 3x3", stack, balancedTest(rand.New(rand.NewSource(1)), stack, 3, 3), 2}
 	cases = append(cases, passing)
@@ -83,7 +87,7 @@ func TestWorkerCountUnobservable(t *testing.T) {
 					if c.name == passing.name && !main {
 						reps = 2
 					}
-					if testing.Short() && (c.name == passing.name || !main) {
+					if !full && (c.name == passing.name || !main) {
 						reps = max(1, reps/5)
 					}
 					for _, w := range []int{2, 4, 0} {

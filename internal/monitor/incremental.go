@@ -25,7 +25,10 @@ import (
 // frontier is the union of the final states of all its linearizations from
 // all old frontier states. This makes the incremental verdict equal to the
 // batch Check verdict on the concatenated history — not merely sound but
-// complete — while the retired prefix is forgotten entirely.
+// complete — while the retired prefix is forgotten entirely. Both steps are
+// Check's own searcher started from the frontier as its set of roots (one
+// memo for all of them), not a Check per frontier state: see Finish for why
+// the difference is a verdict, not only a cost.
 //
 // Incremental is not safe for concurrent use; the streaming service gives
 // each partition to exactly one worker.
@@ -83,7 +86,7 @@ func (inc *Incremental) FrontierFingerprints() []string {
 func (inc *Incremental) SetFrontier(states []any) {
 	seen := make(map[string]any, len(states))
 	for _, s := range states {
-		fp := inc.fingerprint(s)
+		fp := inc.m.fingerprint(s)
 		if _, ok := seen[fp]; !ok {
 			seen[fp] = s
 		}
@@ -105,151 +108,77 @@ func (inc *Incremental) Consumed() int { return inc.consumed }
 // Stats returns the accumulated search measurements.
 func (inc *Incremental) Stats() Stats { return inc.stats }
 
-func (inc *Incremental) fingerprint(state any) string {
-	if inc.m.Fingerprint != nil {
-		return inc.m.Fingerprint(state)
-	}
-	return fmt.Sprintf("%#v", state)
-}
-
 // ExtendComplete consumes one window whose operations are all complete and
 // whose right edge is a quiescent cut of the part. It reports whether the
 // window linearizes from any frontier state; on true the frontier advances
 // to the final states of every complete linearization, on false the part
 // (and therefore the whole history) is not linearizable and the checker
 // stays failed: the frontier empties and every further window reports false.
-// Model code runs inside, so panics are contained as errors.
+// One searcher enumerates from every frontier state, so a configuration
+// reached from two of them is expanded once. Model code runs inside, so
+// panics are contained as errors.
 func (inc *Incremental) ExtendComplete(h *history.History) (ok bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("monitor: model panicked during witness search: %v", r)
 		}
 	}()
-	for _, op := range h.Ops() {
-		if !op.Complete {
-			return false, ErrWindowNotQuiescent
-		}
+	s, err := newSearcher(inc.m, h, kindComplete, inc.opts)
+	if err != nil {
+		return false, err
 	}
-	finals := make(map[string]any)
-	visited, memoHits := 0, 0
+	if !s.must.covers(s.all) {
+		return false, ErrWindowNotQuiescent
+	}
+	s.finals = make(map[string]any)
 	defer func() {
-		inc.stats.Visited += visited
-		inc.stats.MemoHits += memoHits
+		inc.stats.Visited += s.visited
+		inc.stats.MemoHits += s.memoHits
 		if c := inc.opts.Telemetry; c != nil {
-			c.WitnessNodes.Add(int64(visited))
-			c.MonitorMemoHits.Add(int64(memoHits))
+			c.WitnessNodes.Add(int64(s.visited))
+			c.MonitorMemoHits.Add(int64(s.memoHits))
 		}
 	}()
-	for _, state := range inc.frontier {
-		s, serr := newSearcher(inc.m, h, kindComplete, inc.opts)
-		if serr != nil {
-			return false, serr
-		}
-		if serr := s.searchAll(newMask(len(s.all)), state, finals); serr != nil {
-			return false, serr
-		}
-		visited += s.visited
-		memoHits += s.memoHits
+	if _, err := s.run(inc.frontier); err != nil {
+		return false, err
 	}
 	if inc.stats.Parts == 0 {
 		inc.stats.Parts = 1
 	}
-	next := make([]any, 0, len(finals))
-	for _, st := range finals {
+	next := make([]any, 0, len(s.finals))
+	for _, st := range s.finals {
 		next = append(next, st)
 	}
 	inc.SetFrontier(next)
 	if len(inc.frontier) == 0 {
 		return false, nil
 	}
-	inc.consumed += len(h.Ops())
+	inc.consumed += len(s.ops)
 	return true, nil
 }
 
 // Finish judges the residual window — the events after the last quiescent
 // cut, which may include pending operations and the stuck marker — from the
-// current frontier, completing the incremental check. The verdict equals a
-// batch Check of the whole part. Finish does not consume the window, so it
-// may be called repeatedly as a read-only probe (e.g. for a live verdict
-// endpoint) and the part can still be extended afterwards.
+// current frontier, completing the incremental check. It is Check's own body
+// rooted at the frontier, so the verdict equals a batch Check of the whole
+// part by construction: in particular each pending operation of a stuck
+// residual may find its witness from a different frontier state, which a
+// per-state Check (some state good for all of them) would wrongly reject.
+// Finish does not consume the window, so it may be called repeatedly as a
+// read-only probe (e.g. for a live verdict endpoint) and the part can still
+// be extended afterwards.
 func (inc *Incremental) Finish(h *history.History) (*Outcome, error) {
 	if len(inc.frontier) == 0 {
 		return &Outcome{Linearizable: false, Stats: inc.stats}, nil
 	}
-	if len(h.Events) == 0 && !h.Stuck {
-		return &Outcome{Linearizable: true, Stats: inc.stats}, nil
-	}
 	opts := inc.opts
-	opts.NoPartition = true // the stream is already split; parts re-split here would restart from Init
-	var last *Outcome
-	for _, state := range inc.frontier {
-		state := state
-		m := *inc.m
-		m.Init = func() any { return state }
-		out, err := Check(&m, h, opts)
-		if err != nil {
-			return nil, err
-		}
-		inc.stats.Visited += out.Stats.Visited
-		inc.stats.MemoHits += out.Stats.MemoHits
-		out.Stats = inc.stats
-		if out.Linearizable {
-			return out, nil
-		}
-		last = out
+	opts.NoPartition = true // the stream is already split; a re-split part would restart every key from the same roots
+	out, err := check(inc.m, inc.frontier, h, opts)
+	if err != nil {
+		return nil, err
 	}
-	return last, nil
-}
-
-// searchAll enumerates every complete linearization reachable from (cur,
-// state), collecting the final model states into finals keyed by
-// fingerprint. The memo set is reused with enumerate semantics: a key marks
-// a configuration whose whole subtree has been expanded, so its reachable
-// final states are already collected — revisits are pruned without losing
-// completeness. Only kindComplete searchers may use it (every op is in
-// must).
-func (s *searcher) searchAll(cur mask, state any, finals map[string]any) error {
-	if cur.covers(s.must) {
-		fp := s.fingerprint(state)
-		if _, ok := finals[fp]; !ok {
-			finals[fp] = state
-		}
-		return nil
-	}
-	var key string
-	if !s.opts.NoMemo {
-		key = cur.key(s.fingerprint(state))
-		if s.memo[key] {
-			s.memoHits++
-			return nil
-		}
-	}
-	s.visited++
-	if s.visited > s.opts.maxStates() {
-		return fmt.Errorf("%w (limit %d)", ErrStateLimit, s.opts.maxStates())
-	}
-	for i := range s.ops {
-		if cur.has(i) || !cur.covers(s.pred[i]) {
-			continue
-		}
-		res, next, err := s.m.Step(state, s.ops[i].Name)
-		if errors.Is(err, ErrBlock) {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		if res != s.ops[i].Result {
-			continue
-		}
-		cur.set(i)
-		if err := s.searchAll(cur, next, finals); err != nil {
-			return err
-		}
-		cur.clear(i)
-	}
-	if !s.opts.NoMemo {
-		s.memo[key] = true
-	}
-	return nil
+	inc.stats.Visited += out.Stats.Visited
+	inc.stats.MemoHits += out.Stats.MemoHits
+	out.Stats = inc.stats
+	return out, nil
 }

@@ -64,6 +64,15 @@ type Model struct {
 	DecodeState func(data []byte) (any, error)
 }
 
+// fingerprint canonicalizes a model state, falling back to %#v rendering
+// when the model does not define Fingerprint.
+func (m *Model) fingerprint(state any) string {
+	if m.Fingerprint != nil {
+		return m.Fingerprint(state)
+	}
+	return fmt.Sprintf("%#v", state)
+}
+
 // SplitOp separates an operation display name "Method(args)" into its method
 // and rendered argument list (e.g. "Add(200)" -> "Add", "200").
 func SplitOp(name string) (method, args string) {

@@ -141,6 +141,15 @@ func Check(m *Model, h *history.History, opts Options) (*Outcome, error) {
 	if m == nil || m.Init == nil || m.Step == nil {
 		return nil, errors.New("monitor: model must define Init and Step")
 	}
+	return check(m, nil, h, opts)
+}
+
+// check is Check started from a set of root states instead of the initial
+// one (nil roots: every part starts at its own m.Init()). A witness may begin
+// at any root, and the generalized mode picks the root per pending operation
+// — for every e some H[e] witness from some root — which is what makes
+// Incremental.Finish from a frontier equal Check on the whole history.
+func check(m *Model, roots []any, h *history.History, opts Options) (*Outcome, error) {
 	if !h.WellFormed() {
 		return nil, errors.New("monitor: history is not well-formed (a thread overlaps its own operations)")
 	}
@@ -164,14 +173,14 @@ func Check(m *Model, h *history.History, opts Options) (*Outcome, error) {
 	}
 	switch {
 	case len(pending) == 0:
-		return out, checkParts(m, h, kindComplete, opts, out)
+		return out, checkParts(m, h, kindComplete, roots, opts, out)
 	case mode == ModeClassic:
-		return out, checkParts(m, h, kindClassic, opts, out)
+		return out, checkParts(m, h, kindClassic, roots, opts, out)
 	default:
 		for i := range pending {
 			e := pending[i]
 			sub := &Outcome{Linearizable: true}
-			if err := checkParts(m, Reduce(h, e), kindStuck, opts, sub); err != nil {
+			if err := checkParts(m, Reduce(h, e), kindStuck, roots, opts, sub); err != nil {
 				return nil, err
 			}
 			out.Stats.Visited += sub.Stats.Visited
@@ -193,11 +202,11 @@ func Check(m *Model, h *history.History, opts Options) (*Outcome, error) {
 // checkParts splits the history P-compositionally (when the model allows)
 // and runs the per-part witness search, in parallel when there are at least
 // two parts. It fills out with the combined verdict, witness, and stats.
-func checkParts(m *Model, h *history.History, kind checkKind, opts Options, out *Outcome) error {
+func checkParts(m *Model, h *history.History, kind checkKind, roots []any, opts Options, out *Outcome) error {
 	parts, keys := partition(m, h, opts)
 	out.Stats.Parts = len(parts)
 	if len(parts) == 1 {
-		res := runPart(m, parts[0], kind, opts)
+		res := runPart(m, parts[0], kind, roots, opts)
 		mergePart(out, res, keys[0])
 		return res.err
 	}
@@ -205,7 +214,7 @@ func checkParts(m *Model, h *history.History, kind checkKind, opts Options, out 
 	done := make(chan int, len(parts))
 	for i := range parts {
 		go func(i int) {
-			results[i] = runPart(m, parts[i], kind, opts)
+			results[i] = runPart(m, parts[i], kind, roots, opts)
 			done <- i
 		}(i)
 	}
@@ -250,7 +259,7 @@ func mergePart(out *Outcome, res partResult, key string) {
 // Step, and Partition hooks are user code; a panic in them is contained as a
 // part error so a multi-part check (whose parts run in their own goroutines)
 // can never take down the process or strand its siblings.
-func runPart(m *Model, part *history.History, kind checkKind, opts Options) (res partResult) {
+func runPart(m *Model, part *history.History, kind checkKind, roots []any, opts Options) (res partResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = partResult{err: fmt.Errorf("monitor: model panicked during witness search: %v", r)}
@@ -260,7 +269,10 @@ func runPart(m *Model, part *history.History, kind checkKind, opts Options) (res
 	if err != nil {
 		return partResult{err: err}
 	}
-	ok, err := s.run()
+	if roots == nil {
+		roots = []any{m.Init()}
+	}
+	ok, err := s.run(roots)
 	res = partResult{ok: ok, stats: Stats{Visited: s.visited, MemoHits: s.memoHits}, err: err}
 	if ok && kind != kindStuck {
 		res.witness = s.witness()
@@ -268,7 +280,9 @@ func runPart(m *Model, part *history.History, kind checkKind, opts Options) (res
 	return res
 }
 
-// searcher is the state of one part's backtracking search.
+// searcher is the state of one part's backtracking search: built once per
+// (part, kind) and started from every root in turn, all roots sharing the one
+// memo (a configuration that failed from one root fails from any).
 type searcher struct {
 	m    *Model
 	opts Options
@@ -283,6 +297,14 @@ type searcher struct {
 	memo     map[string]bool
 	visited  int
 	memoHits int
+
+	// finals, when non-nil, turns the search into an enumeration
+	// (Incremental.ExtendComplete): the final state of every complete
+	// linearization is recorded by fingerprint and the search keeps going,
+	// so it never reports a witness. A memo key then marks a configuration
+	// whose whole subtree has been expanded — its final states are already
+	// collected — which is the failure memo's meaning too.
+	finals map[string]any
 
 	order   []int    // current linearization, indices into ops
 	results []string // result assigned to each order entry
@@ -320,22 +342,26 @@ func newSearcher(m *Model, part *history.History, kind checkKind, opts Options) 
 	return s, nil
 }
 
-func (s *searcher) run() (bool, error) {
+// run searches from each root until one yields a witness.
+func (s *searcher) run(roots []any) (bool, error) {
 	cur := newMask(len(s.all))
-	return s.search(cur, s.m.Init())
-}
-
-// fingerprint canonicalizes a model state, falling back to %#v rendering
-// when the model does not define Fingerprint.
-func (s *searcher) fingerprint(state any) string {
-	if s.m.Fingerprint != nil {
-		return s.m.Fingerprint(state)
+	for _, root := range roots {
+		if ok, err := s.search(cur, root); ok || err != nil {
+			return ok, err
+		}
 	}
-	return fmt.Sprintf("%#v", state)
+	return false, nil
 }
 
 func (s *searcher) search(cur mask, state any) (bool, error) {
 	done := cur.covers(s.must)
+	if done && s.finals != nil {
+		fp := s.m.fingerprint(state)
+		if _, ok := s.finals[fp]; !ok {
+			s.finals[fp] = state
+		}
+		return false, nil
+	}
 	if done && (s.kind != kindStuck || s.pendName == "") {
 		// Complete/classic witness found — or a stuck-check part that does
 		// not contain the pending operation, which only needs its completed
@@ -344,7 +370,7 @@ func (s *searcher) search(cur mask, state any) (bool, error) {
 	}
 	var key string
 	if !s.opts.NoMemo {
-		key = cur.key(s.fingerprint(state))
+		key = cur.key(s.m.fingerprint(state))
 		if s.memo[key] {
 			s.memoHits++
 			return false, nil

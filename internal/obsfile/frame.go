@@ -64,8 +64,8 @@ func unframeKind(b byte) (string, bool) {
 
 // TruncatedFrameError reports a batch stream cut mid-frame: the underlying
 // input ended before the frame that starts at Offset was complete. It is the
-// structured form the sticky StreamReader error chain carries, so a consumer
-// can resume or diagnose from the exact byte position.
+// structured form the sticky FrameReader error carries, so a consumer can
+// resume or diagnose from the exact byte position.
 type TruncatedFrameError struct {
 	Offset int64  // byte offset of the first byte of the truncated frame
 	Reason string // what was being read when the input ended
@@ -206,7 +206,6 @@ type FrameReader struct {
 	payload  []byte
 	pos      int // decode position in payload
 	remain   int // events remaining in the current frame
-	line     int // 1-based ordinal of the last event returned
 	started  bool
 	err      error
 	intern   map[string]string
@@ -217,10 +216,6 @@ type FrameReader struct {
 func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: bufio.NewReaderSize(r, 64*1024), intern: make(map[string]string)}
 }
-
-// Line returns the 1-based ordinal of the last event returned — the frame
-// stream's equivalent of a JSONL line number.
-func (fr *FrameReader) Line() int { return fr.line }
 
 // Offset returns the count of bytes consumed so far.
 func (fr *FrameReader) Offset() int64 { return fr.off }
@@ -374,36 +369,19 @@ func (fr *FrameReader) decodeEvent() (TraceEvent, error) {
 	if fr.remain == 0 && fr.pos != len(fr.payload) {
 		return TraceEvent{}, fr.corrupt("frame length (trailing bytes after the last event)")
 	}
-	fr.line++
 	return ev, nil
 }
 
-// Next returns the next decoded event, or io.EOF at a clean frame boundary.
-// Any other error (including a truncated final frame) is sticky.
-func (fr *FrameReader) Next() (TraceEvent, error) {
-	if fr.err != nil {
-		return TraceEvent{}, fr.err
-	}
-	if fr.remain == 0 {
-		if err := fr.nextFrame(); err != nil {
-			return TraceEvent{}, err
-		}
-	}
-	return fr.decodeEvent()
-}
-
-// NextBatch returns the rest of the current frame (or the whole next frame)
-// as one slice, reusing an internal scratch buffer that is only valid until
-// the following NextBatch call. io.EOF at a clean boundary; other errors
-// sticky.
+// NextBatch returns the next frame's events as one slice, reusing an internal
+// scratch buffer that is only valid until the following NextBatch call.
+// io.EOF at a clean frame boundary; any other error (including a truncated
+// final frame) is sticky.
 func (fr *FrameReader) NextBatch() ([]TraceEvent, error) {
 	if fr.err != nil {
 		return nil, fr.err
 	}
-	if fr.remain == 0 {
-		if err := fr.nextFrame(); err != nil {
-			return nil, err
-		}
+	if err := fr.nextFrame(); err != nil {
+		return nil, err
 	}
 	fr.batch = fr.batch[:0]
 	for fr.remain > 0 {

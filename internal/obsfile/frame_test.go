@@ -48,14 +48,88 @@ func decodeFrames(t *testing.T, data []byte) []TraceEvent {
 	fr := NewFrameReader(bytes.NewReader(data))
 	var out []TraceEvent
 	for {
-		ev, err := fr.Next()
+		evs, err := fr.NextBatch()
 		if err == io.EOF {
 			return out
 		}
 		if err != nil {
-			t.Fatalf("Next after %d events: %v", len(out), err)
+			t.Fatalf("NextBatch after %d events: %v", len(out), err)
 		}
-		out = append(out, ev)
+		out = append(out, evs...)
+	}
+}
+
+// validatedFrames is the frame stream's validated path — NextBatch decoding
+// fed through a fresh StreamTracker, as serve's IngestFrames does with its
+// sharded one. It returns the accepted events and the error that stopped it
+// (nil at a clean EOF).
+func validatedFrames(data []byte) ([]StreamEvent, error) {
+	fr := NewFrameReader(bytes.NewReader(data))
+	tr := NewStreamTracker()
+	var out []StreamEvent
+	for {
+		evs, err := fr.NextBatch()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		for _, ev := range evs {
+			sev, err := tr.Apply(ev, len(out)+1)
+			if err != nil {
+				return out, err
+			}
+			out = append(out, sev)
+		}
+	}
+}
+
+// validatedJSONL is the same for the JSONL rendering of evs, through the
+// StreamReader.
+func validatedJSONL(t *testing.T, evs []TraceEvent) ([]StreamEvent, error) {
+	t.Helper()
+	var jsonl bytes.Buffer
+	for _, ev := range evs {
+		b, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jsonl.Write(b)
+		jsonl.WriteByte('\n')
+	}
+	sr := NewStreamReader(&jsonl)
+	var out []StreamEvent
+	for {
+		sev, err := sr.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, sev)
+	}
+}
+
+// requireSameValidated holds the two validated paths to the same accepted
+// prefix and the same accept/reject outcome. Line is transport-specific
+// (source line vs event ordinal); all semantic fields must agree.
+func requireSameValidated(t *testing.T, evs []TraceEvent, frames []byte) {
+	t.Helper()
+	js, jerr := validatedJSONL(t, evs)
+	bs, berr := validatedFrames(frames)
+	if (jerr == nil) != (berr == nil) {
+		t.Fatalf("acceptance mismatch after %d/%d events: jsonl err=%v batch err=%v", len(js), len(bs), jerr, berr)
+	}
+	if len(js) != len(bs) {
+		t.Fatalf("accepted prefix: jsonl %d events, batch %d", len(js), len(bs))
+	}
+	for i := range js {
+		js[i].Line, bs[i].Line = 0, 0
+		if js[i] != bs[i] {
+			t.Fatalf("event %d differs:\njsonl %+v\nbatch %+v", i, js[i], bs[i])
+		}
 	}
 }
 
@@ -81,7 +155,7 @@ func TestFrameEmptyStreamIsCleanEOF(t *testing.T) {
 // with a format diagnostic, not decode garbage.
 func TestFrameWrongMagicFails(t *testing.T) {
 	fr := NewFrameReader(bytes.NewReader([]byte(`{"t":0,"k":"call","op":"X()"}`)))
-	if _, err := fr.Next(); err == nil || errors.Is(err, io.EOF) {
+	if _, err := fr.NextBatch(); err == nil || errors.Is(err, io.EOF) {
 		t.Fatalf("wrong magic: got err=%v", err)
 	}
 }
@@ -89,8 +163,9 @@ func TestFrameWrongMagicFails(t *testing.T) {
 // TestFrameTruncatedFinalFrame is the sticky-error regression (satellite):
 // a stream cut mid-frame must surface a structured *TruncatedFrameError with
 // the byte offset of the cut frame — at every possible cut point — and the
-// error must be sticky on both the raw FrameReader and the validated
-// StreamReader, never a silent clean EOF.
+// error must be sticky, never a silent clean EOF. (The validated path over
+// frames in production is serve's IngestFrames:
+// TestServeTruncatedFrameStreamFailsStop.)
 func TestFrameTruncatedFinalFrame(t *testing.T) {
 	evs := frameEvents()
 	data := encodeFrames(t, evs, 3) // three frames: 3+3+1 events
@@ -100,12 +175,12 @@ func TestFrameTruncatedFinalFrame(t *testing.T) {
 		var got []TraceEvent
 		var err error
 		for {
-			var ev TraceEvent
-			ev, err = fr.Next()
+			var evs []TraceEvent
+			evs, err = fr.NextBatch()
 			if err != nil {
 				break
 			}
-			got = append(got, ev)
+			got = append(got, evs...)
 		}
 		if err == io.EOF {
 			// A clean EOF is only legitimate at an exact frame boundary, i.e.
@@ -125,62 +200,26 @@ func TestFrameTruncatedFinalFrame(t *testing.T) {
 			t.Fatalf("cut=%d: truncation offset %d out of range", cut, tfe.Offset)
 		}
 		// Sticky: the same error again, not EOF.
-		if _, err2 := fr.Next(); !errors.As(err2, &tfe) {
-			t.Fatalf("cut=%d: error not sticky: second Next gave %v", cut, err2)
+		if _, err2 := fr.NextBatch(); !errors.As(err2, &tfe) {
+			t.Fatalf("cut=%d: error not sticky: second NextBatch gave %v", cut, err2)
 		}
 	}
 
-	// The validated reader path (NewBatchStreamReader) carries the same
-	// structured error. Cut inside the final frame.
-	cut := len(data) - 2
-	sr := NewBatchStreamReader(bytes.NewReader(data[:cut]))
-	var err error
-	for err == nil {
-		_, err = sr.Next()
-	}
+	// The validated path carries the same structured error. Cut inside the
+	// final frame.
+	_, err := validatedFrames(data[:len(data)-2])
 	var tfe *TruncatedFrameError
 	if !errors.As(err, &tfe) {
-		t.Fatalf("StreamReader: got %v, want *TruncatedFrameError", err)
-	}
-	if _, err2 := sr.Next(); !errors.As(err2, &tfe) {
-		t.Fatalf("StreamReader error not sticky: %v", err2)
+		t.Fatalf("validated path: got %v, want *TruncatedFrameError", err)
 	}
 }
 
-// TestBatchStreamReaderMatchesJSONL pins the two validated paths to the same
-// StreamEvents on the same event sequence.
+// TestBatchStreamReaderMatchesJSONL pins the two validated paths — frames
+// through NextBatch and a StreamTracker, JSONL through the StreamReader — to
+// the same StreamEvents on the same event sequence.
 func TestBatchStreamReaderMatchesJSONL(t *testing.T) {
 	evs := frameEvents()
-	var jsonl bytes.Buffer
-	for _, ev := range evs {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jsonl.Write(b)
-		jsonl.WriteByte('\n')
-	}
-	js := NewStreamReader(bytes.NewReader(jsonl.Bytes()))
-	bs := NewBatchStreamReader(bytes.NewReader(encodeFrames(t, evs, 2)))
-	for i := 0; ; i++ {
-		je, jerr := js.Next()
-		be, berr := bs.Next()
-		if (jerr == io.EOF) != (berr == io.EOF) {
-			t.Fatalf("event %d: EOF mismatch: jsonl=%v batch=%v", i, jerr, berr)
-		}
-		if jerr == io.EOF {
-			return
-		}
-		if jerr != nil || berr != nil {
-			t.Fatalf("event %d: jsonl=%v batch=%v", i, jerr, berr)
-		}
-		// Line is transport-specific (source line vs event ordinal); all
-		// semantic fields must agree.
-		je.Line, be.Line = 0, 0
-		if je != be {
-			t.Fatalf("event %d differs:\njsonl %+v\nbatch %+v", i, je, be)
-		}
-	}
+	requireSameValidated(t, evs, encodeFrames(t, evs, 2))
 }
 
 // TestFrameReaderNextBatch pins the frame-granular decode used by the serve
@@ -335,8 +374,7 @@ func TestShardedTrackerConcurrent(t *testing.T) {
 // FuzzBatchFrame drives the frame codec round trip: a byte program derives
 // an arbitrary (not necessarily well formed) event sequence, which must
 // survive encode→decode bit-identically and agree event-for-event with the
-// JSONL path through the validated StreamReader — same acceptance, same
-// rejection. The decoder must also never panic on the mutated raw frames the
+// JSONL path through a validating tracker — same acceptance, same rejection. The decoder must also never panic on the mutated raw frames the
 // fuzzer synthesizes from the encodings.
 //
 // Wired into `make check` via the Makefile fuzz target; run longer with
@@ -353,14 +391,14 @@ func FuzzBatchFrame(f *testing.F) {
 			fr := NewFrameReader(bytes.NewReader(program))
 			var firstErr error
 			for i := 0; i < 1<<16; i++ {
-				_, err := fr.Next()
+				_, err := fr.NextBatch()
 				if err != nil {
 					firstErr = err
 					break
 				}
 			}
 			if firstErr != nil && firstErr != io.EOF {
-				if _, err2 := fr.Next(); !errors.Is(err2, firstErr) && err2.Error() != firstErr.Error() {
+				if _, err2 := fr.NextBatch(); !errors.Is(err2, firstErr) && err2.Error() != firstErr.Error() {
 					t.Fatalf("decoder error not sticky: %v then %v", firstErr, err2)
 				}
 			}
@@ -379,49 +417,18 @@ func FuzzBatchFrame(f *testing.F) {
 		if err := fw.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		fr := NewFrameReader(bytes.NewReader(buf.Bytes()))
-		for i, want := range evs {
-			got, err := fr.Next()
-			if err != nil {
-				t.Fatalf("decode event %d: %v", i, err)
-			}
-			if got != want {
-				t.Fatalf("event %d: %+v != %+v", i, got, want)
-			}
+		got := decodeFrames(t, buf.Bytes())
+		if len(got) != len(evs) {
+			t.Fatalf("decoded %d events, want %d", len(got), len(evs))
 		}
-		if _, err := fr.Next(); err != io.EOF {
-			t.Fatalf("trailing decode: %v, want EOF", err)
+		for i, want := range evs {
+			if got[i] != want {
+				t.Fatalf("event %d: %+v != %+v", i, got[i], want)
+			}
 		}
 		// Validated agreement with the JSONL path: same accepted prefix,
 		// same accept/reject behavior at the first bad event.
-		var jsonl bytes.Buffer
-		for _, ev := range evs {
-			b, err := json.Marshal(ev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jsonl.Write(b)
-			jsonl.WriteByte('\n')
-		}
-		js := NewStreamReader(bytes.NewReader(jsonl.Bytes()))
-		bs := NewBatchStreamReader(bytes.NewReader(buf.Bytes()))
-		for i := 0; ; i++ {
-			je, jerr := js.Next()
-			be, berr := bs.Next()
-			if (jerr == nil) != (berr == nil) {
-				t.Fatalf("event %d: acceptance mismatch: jsonl err=%v batch err=%v", i, jerr, berr)
-			}
-			if jerr != nil {
-				if (jerr == io.EOF) != (berr == io.EOF) {
-					t.Fatalf("event %d: termination mismatch: jsonl=%v batch=%v", i, jerr, berr)
-				}
-				return
-			}
-			je.Line, be.Line = 0, 0
-			if je != be {
-				t.Fatalf("event %d:\njsonl %+v\nbatch %+v", i, je, be)
-			}
-		}
+		requireSameValidated(t, evs, buf.Bytes())
 	})
 }
 

@@ -203,28 +203,14 @@ func (rr *RawReader) Next() (TraceEvent, error) {
 	return TraceEvent{}, io.EOF
 }
 
-// EventSource yields raw (unvalidated) TraceEvents from some transport
-// encoding: the JSONL RawReader and the binary-frame FrameReader both
-// implement it, so consumers layered above (StreamReader, the serve ingest
-// pumps) are encoding-agnostic. Next returns io.EOF at a clean end of input;
-// any other error must be sticky. Line is the 1-based position of the last
-// event for error messages — a source line for JSONL, an event ordinal for
-// frames.
-type EventSource interface {
-	Next() (TraceEvent, error)
-	Line() int
-}
-
-// StreamReader reads a history trace incrementally from an EventSource:
-// each Next call parses and validates one event without materializing the
-// whole history, so arbitrarily long traces are processed in constant memory.
-// The JSONL form skips blank lines and '#' comments, exactly as in ReadTrace;
-// the batch-frame form (NewBatchStreamReader) surfaces a truncated final
-// frame as a sticky *TruncatedFrameError, never a clean EOF. The reader is
-// fail-stop: after any error every further Next returns the same error, so a
-// malformed stream can never wedge or half-advance a consumer.
+// StreamReader reads a JSONL history trace incrementally: each Next call
+// parses and validates one event without materializing the whole history, so
+// arbitrarily long traces are processed in constant memory. Blank lines and
+// '#' comments are skipped, exactly as in ReadTrace. The reader is fail-stop:
+// after any error every further Next returns the same error, so a malformed
+// stream can never wedge or half-advance a consumer.
 type StreamReader struct {
-	src EventSource
+	src *RawReader
 	tr  *StreamTracker
 	err error
 }
@@ -233,18 +219,6 @@ type StreamReader struct {
 // tracker.
 func NewStreamReader(r io.Reader) *StreamReader {
 	return &StreamReader{src: NewRawReader(r), tr: NewStreamTracker()}
-}
-
-// NewBatchStreamReader wraps r — a length-prefixed binary batch frame
-// stream — in a streaming trace reader with a fresh tracker. It yields the
-// same StreamEvents the JSONL reader would for the equivalent event sequence.
-func NewBatchStreamReader(r io.Reader) *StreamReader {
-	return &StreamReader{src: NewFrameReader(r), tr: NewStreamTracker()}
-}
-
-// NewValidatingReader layers a fresh tracker over any event source.
-func NewValidatingReader(src EventSource) *StreamReader {
-	return &StreamReader{src: src, tr: NewStreamTracker()}
 }
 
 // Tracker exposes the reader's validation state (open calls, event count).

@@ -28,6 +28,11 @@ type Checkpoint struct {
 	Shed       int64                `json:"shed,omitempty"`
 	Poisoned   []string             `json:"poisoned,omitempty"`
 	Partitions []PartCheckpoint     `json:"partitions,omitempty"`
+	// The two halves of resolveKey's whole-object guard: the stream held an
+	// operation routed to a named partition / one the model declared
+	// whole-object. Absent in files written before they were persisted.
+	SawNamedKey     bool `json:"saw_named_key,omitempty"`
+	SawDerivedWhole bool `json:"saw_derived_whole,omitempty"`
 }
 
 // checkpointVersion guards the on-disk format.
@@ -97,7 +102,7 @@ func (s *Server) Checkpoint() error {
 }
 
 // autoCheckpoint is the cadence-triggered checkpoint, called by a connection
-// after it has released its own lock (cpTick's contract): lockWorld may then
+// after it has released its own lock (cpTickN's contract): lockWorld may then
 // acquire every conn lock without deadlock.
 func (s *Server) autoCheckpoint() error {
 	unlock := s.lockWorld()
@@ -128,6 +133,9 @@ func (s *Server) checkpointStopped() error {
 		Tracker:   s.tracker.State(),
 		Routed:    s.routed.Load(),
 		Shed:      s.shed.Load(),
+
+		SawNamedKey:     s.sawNamedKey.Load(),
+		SawDerivedWhole: s.sawDerivedWhole.Load(),
 	}
 	s.poisoned.Range(func(k, _ any) bool {
 		cp.Poisoned = append(cp.Poisoned, k.(string))
@@ -230,14 +238,13 @@ func (s *Server) restore(cp *Checkpoint) error {
 		w.parts[pc.Key] = p
 		s.partsCreated.Add(1)
 	}
-	if s.partitionHint(cp) {
-		s.sawNamedKey.Store(true)
-	}
+	s.sawNamedKey.Store(cp.SawNamedKey || s.partitionHint(cp))
+	s.sawDerivedWhole.Store(cp.SawDerivedWhole)
 	return nil
 }
 
-// partitionHint reports whether the checkpoint shows named partitions, so
-// the whole-object-op guard survives a restart.
+// partitionHint reports whether the checkpoint shows named partitions: what
+// a file written before the guard bits were persisted still says about them.
 func (s *Server) partitionHint(cp *Checkpoint) bool {
 	for _, pc := range cp.Partitions {
 		if pc.Key != "" {

@@ -61,7 +61,7 @@ func (s *Server) StartHTTP(addr string) (string, error) {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		http.Error(w, "POST a JSONL trace body", http.StatusMethodNotAllowed)
+		http.Error(w, "POST a trace body: JSONL, or batch frames with Content-Type "+obsfile.BatchContentType, http.StatusMethodNotAllowed)
 		return
 	}
 	limit := s.cfg.MaxIngestBytes

@@ -17,13 +17,14 @@
 //     partition across connections makes its interleaving racy.
 //   - A router hashes the partition key onto a fixed pool of workers, each
 //     with a bounded FIFO queue. Events of one partition always land on the
-//     same worker, so partition state is worker-owned and lock-free. The
-//     batch-frame ingest path routes whole per-worker sub-batches, one queue
-//     item per frame per worker, amortizing the channel handoff. When
-//     producers outrun the checkers the queue fills and the configured
-//     backpressure policy applies: BlockOnFull stalls the producer,
-//     ShedOnFull poisons the partition (its verdict would be meaningless on
-//     a gapped history, so all its subsequent events are counted shed too).
+//     same worker, so partition state is worker-owned and lock-free. There
+//     is one way in, IngestBatch: a batch (a decoded frame, or a single
+//     event) is grouped per worker and each group is one queue item,
+//     amortizing the channel handoff. When producers outrun the checkers the
+//     queue fills and the configured backpressure policy applies:
+//     BlockOnFull stalls the producer, ShedOnFull poisons every partition of
+//     the rejected group (a verdict would be meaningless on a gapped
+//     history, so all their subsequent events are counted shed too).
 //     The accounting invariant is exact under concurrency: every
 //     tracker-accepted event is counted exactly once as routed or shed
 //     (stuck markers excepted — they are control state, not partition data).
@@ -103,7 +104,9 @@ type Config struct {
 	// once it quiesces holding at least this many completed operations.
 	// 0 selects 128.
 	WindowOps int
-	// QueueDepth bounds each worker's event queue; 0 selects 1024.
+	// QueueDepth bounds each worker's queue, counted in sub-batches: a slot
+	// holds the events one IngestBatch call routed to that worker (up to a
+	// frame's worth; exactly one for Ingest). 0 selects 1024.
 	QueueDepth int
 	// Backpressure selects the full-queue policy (default BlockOnFull).
 	Backpressure Backpressure
@@ -254,14 +257,10 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// workItem is one unit on a worker queue: a routed event, a routed sub-batch
-// (the frame ingest path groups a frame's events per worker and sends each
-// group as one item, amortizing the channel handoff), or a control message
-// (barrier, snapshot, finish). QueueDepth counts items, so a queue slot may
-// hold up to a frame's worth of events on the batch path.
+// workItem is one unit on a worker queue: a routed sub-batch (IngestBatch
+// groups a batch's events per worker and sends each group as one item) or a
+// control message (barrier, snapshot, finish).
 type workItem struct {
-	key   string
-	ev    obsfile.StreamEvent
 	batch []routedEvent
 	ctl   *ctlMsg
 }
@@ -324,19 +323,19 @@ func (s *Server) resolveKey(ev obsfile.StreamEvent) (string, error) {
 		}
 	}
 	if s.sawDerivedWhole.Load() && s.sawNamedKey.Load() {
-		return "", fmt.Errorf("serve: operation %q observes the whole object but the stream is partitioned; supply explicit partition keys or a partitionable model", ev.Op)
+		return "", fmt.Errorf("serve: the stream mixes operations that observe the whole object with partitioned ones (arriving: %q); supply explicit partition keys or a partitionable model", ev.Op)
 	}
 	return key, nil
 }
 
 // IngestConn is one producer's handle onto the server: each transport
 // connection (an HTTP request body, a stdin pipe, a bench producer goroutine)
-// ingests through its own conn, and conns ingest concurrently. A conn
-// serializes its own events (per-connection order is the order the producer
-// wrote) and tracks its own event ordinal for error messages. The
-// determinism contract is per-partition: events of one partition see a fixed
-// order iff that partition — and every thread contributing to it — stays on
-// one connection.
+// ingests through its own conn — IngestBatch, or Ingest for a batch of one —
+// and conns ingest concurrently. A conn serializes its own events
+// (per-connection order is the order the producer wrote) and tracks its own
+// event ordinal for error messages. The determinism contract is
+// per-partition: events of one partition see a fixed order iff that
+// partition — and every thread contributing to it — stays on one connection.
 type IngestConn struct {
 	srv  *Server
 	mu   sync.Mutex
@@ -413,19 +412,10 @@ func (s *Server) shedOne() {
 	}
 }
 
-// cpTick advances the checkpoint cadence counter and reports whether a
-// checkpoint is due. The caller must act on it only after releasing its conn
-// lock (checkpointing stops the world, which needs every conn lock).
-func (s *Server) cpTick() bool {
-	if s.cfg.CheckpointPath == "" || s.cfg.CheckpointEvery <= 0 {
-		return false
-	}
-	return s.sinceCp.Add(1)%s.cfg.CheckpointEvery == 0
-}
-
-// cpTickN advances the checkpoint cadence by n events in one atomic add (the
-// batch path's form of cpTick) and reports whether the window crossed a
-// checkpoint boundary.
+// cpTickN advances the checkpoint cadence by n events in one atomic add and
+// reports whether that crossed a checkpoint boundary. The caller must act on
+// it only after releasing its conn lock (checkpointing stops the world, which
+// needs every conn lock).
 func (s *Server) cpTickN(n int64) bool {
 	if s.cfg.CheckpointPath == "" || s.cfg.CheckpointEvery <= 0 {
 		return false
@@ -434,77 +424,22 @@ func (s *Server) cpTickN(n int64) bool {
 	return now/s.cfg.CheckpointEvery != (now-n)/s.cfg.CheckpointEvery
 }
 
-// ingestOne validates and routes one event. c.mu must be held. The returned
-// cpDue asks the caller to run an automatic checkpoint once it has released
-// the conn lock.
-func (c *IngestConn) ingestOne(ev obsfile.TraceEvent) (cpDue bool, err error) {
-	s := c.srv
-	if s.closed.Load() {
-		return false, ErrClosed
-	}
-	if s.skipOne() {
-		return false, nil
-	}
-	c.line++
-	sev, err := s.tracker.Apply(ev, int(c.line))
-	if err != nil {
-		return false, err
-	}
-	if tc := s.cfg.Telemetry; tc != nil {
-		tc.ServeEventsIngested.Add(1)
-	}
-	cpDue = s.cpTick()
-	if sev.Stuck {
-		return cpDue, nil
-	}
-	key, err := s.resolveKey(sev)
-	if err != nil {
-		return cpDue, err
-	}
-	if s.isPoisoned(key) {
-		s.shedOne()
-		return cpDue, nil
-	}
-	w := s.workers[s.workerFor(key)]
-	item := workItem{key: key, ev: sev}
-	if s.cfg.Backpressure == ShedOnFull {
-		select {
-		case w.ch <- item:
-			s.routed.Add(1)
-		default:
-			s.poison(key)
-			s.shedOne()
-		}
-	} else {
-		w.ch <- item
-		s.routed.Add(1)
-	}
-	return cpDue, nil
-}
-
 // Ingest validates, routes, and (policy permitting) enqueues one raw trace
-// event on this connection. It returns a validation error for malformed
-// events (the stream is then unusable, matching the fail-stop StreamReader)
-// and nil for shed events, which are only counted.
+// event on this connection: an IngestBatch of one. It returns a validation
+// error for malformed events (the stream is then unusable, matching the
+// fail-stop StreamReader) and nil for shed events, which are only counted.
 func (c *IngestConn) Ingest(ev obsfile.TraceEvent) error {
-	c.mu.Lock()
-	cpDue, err := c.ingestOne(ev)
-	c.mu.Unlock()
-	if cpDue {
-		if cperr := c.srv.autoCheckpoint(); cperr != nil && err == nil {
-			err = cperr
-		}
-	}
+	_, err := c.IngestBatch([]obsfile.TraceEvent{ev})
 	return err
 }
 
-// IngestBatch validates and routes a batch of raw events under one lock
-// acquisition, grouping the routed events per worker and handing each group
-// to its worker as a single queue item. Under ShedOnFull a full queue poisons
-// and sheds at sub-batch granularity — every partition in the rejected group —
-// which is coarser than the per-event path but preserves the exact
-// routed+shed accounting and the poisoned-partition semantics. Returns the
-// number of events consumed (validated or skipped) before any error.
+// IngestBatch is the one ingest path: it validates and routes a batch of raw
+// events under one lock acquisition, grouping the routed events per worker
+// and handing each group to its worker as a single queue item. Under
+// ShedOnFull a full queue poisons and sheds the rejected group — every
+// partition in it, which for a batch of one is exactly that event's
+// partition — keeping the routed+shed accounting exact. Returns the number of
+// events consumed (validated or skipped) before any error.
 func (c *IngestConn) IngestBatch(evs []obsfile.TraceEvent) (int, error) {
 	s := c.srv
 	c.mu.Lock()
@@ -559,9 +494,7 @@ func (c *IngestConn) IngestBatch(evs []obsfile.TraceEvent) (int, error) {
 		if tc := s.cfg.Telemetry; tc != nil {
 			tc.ServeEventsIngested.Add(acc)
 		}
-		if s.cpTickN(acc) {
-			cpDue = true
-		}
+		cpDue = s.cpTickN(acc)
 	}
 	for wi, buf := range batches {
 		if buf == nil {

@@ -658,3 +658,51 @@ func TestServeMalformedStreamFailsStop(t *testing.T) {
 		t.Fatalf("Close after errors: %v", err)
 	}
 }
+
+// TestServeWholeObjectGuardSurvivesResume: the whole-object guard has two
+// halves and a checkpoint must carry both. A stream that opened with a
+// whole-object Count() and then meets a partitioned Add(1) is refused; a
+// server resumed from a checkpoint taken in between must refuse it with the
+// same error, not check the two partitions apart.
+func TestServeWholeObjectGuardSurvivesResume(t *testing.T) {
+	m := monitor.SetModel()
+	head := []obsfile.TraceEvent{
+		{T: 0, K: "call", Op: "Count()"}, {T: 0, K: "ret", Op: "Count()", Res: "0"},
+	}
+	mixed := obsfile.TraceEvent{T: 0, K: "call", Op: "Add(1)"}
+
+	uninterrupted, err := serve.New(serve.Config{Model: m})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ingestAll(t, uninterrupted, head)
+	want := uninterrupted.Ingest(mixed)
+	_, _ = uninterrupted.Close()
+	if want == nil || !strings.Contains(want.Error(), `"Add(1)"`) {
+		t.Fatalf("uninterrupted run: err=%v, want the mix refused naming the arriving op", want)
+	}
+
+	cpPath := filepath.Join(t.TempDir(), "serve.ckpt")
+	first, err := serve.New(serve.Config{Model: m, CheckpointPath: cpPath})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ingestAll(t, first, head)
+	if err := first.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	cfg, err := serve.Resume(serve.Config{Model: m, CheckpointPath: cpPath})
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	resumed, err := serve.New(cfg)
+	if err != nil {
+		t.Fatalf("New(resumed): %v", err)
+	}
+	ingestAll(t, resumed, head) // replayed; the checkpoint covers it
+	got := resumed.Ingest(mixed)
+	_, _ = resumed.Close()
+	if got == nil || got.Error() != want.Error() {
+		t.Fatalf("resumed run: err=%v, uninterrupted run refused with %v", got, want)
+	}
+}

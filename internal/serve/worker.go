@@ -44,17 +44,13 @@ type part struct {
 func (w *worker) loop() {
 	defer close(w.done)
 	for item := range w.ch {
-		switch {
-		case item.ctl != nil:
+		if item.ctl != nil {
 			w.control(item.ctl)
-		case item.batch != nil:
-			w.srv.applied.Add(int64(len(item.batch)))
-			for _, r := range item.batch {
-				w.apply(r.key, r.ev)
-			}
-		default:
-			w.srv.applied.Add(1)
-			w.apply(item.key, item.ev)
+			continue
+		}
+		w.srv.applied.Add(int64(len(item.batch)))
+		for _, r := range item.batch {
+			w.apply(r.key, r.ev)
 		}
 	}
 }

@@ -320,8 +320,8 @@ type (
 	// StreamReader incrementally parses and validates a JSONL history
 	// stream event by event, in constant memory.
 	StreamReader = obsfile.StreamReader
-	// Incremental checks a single partition window by window, carrying the
-	// full frontier of witness states so windowed verdicts equal batch ones.
+	// Incremental checks a single partition window by window: the batch
+	// witness search, started from the full frontier of witness states.
 	Incremental = monitor.Incremental
 	// ServeConfig configures NewServer.
 	ServeConfig = serve.Config
@@ -367,8 +367,9 @@ type (
 const (
 	// BlockOnFull stalls the producer until the worker catches up.
 	BlockOnFull = serve.BlockOnFull
-	// ShedOnFull drops the event and poisons its partition: the partition's
-	// verdict is withheld rather than silently computed on a gapped history.
+	// ShedOnFull drops what a full queue rejects (one event from Ingest, a
+	// sub-batch from IngestBatch) and poisons its partitions: their verdicts
+	// are withheld rather than silently computed on a gapped history.
 	ShedOnFull = serve.ShedOnFull
 )
 
@@ -389,8 +390,8 @@ func NewIncremental(m *Model, opts MonitorOptions) (*Incremental, error) {
 }
 
 // NewServer starts the streaming monitoring service ('lineup serve' as a
-// library): Ingest events as they happen, read Verdicts live, Close for the
-// final summary.
+// library): Ingest events as they happen (one batch path underneath; Ingest
+// is a batch of one), read Verdicts live, Close for the final summary.
 func NewServer(cfg ServeConfig) (*ServeServer, error) { return serve.New(cfg) }
 
 // RunDist runs fault-tolerant distributed phase-2 exploration ('lineup dist'
