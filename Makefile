@@ -72,8 +72,9 @@ benchmark-smoke:
 	$(GO) -C benchmark test ./...
 
 # Short coverage-guided fuzz pass over the external input parsers (the batch
-# JSONL trace reader, the incremental stream reader, and the binary batch
-# frame codec), the test-matrix mutator (well-formedness + schedule
+# JSONL trace reader, the incremental stream reader, the JSONL schema scanner
+# against encoding/json, and the binary batch frame codec), the test-matrix
+# mutator (well-formedness + schedule
 # replayability of every mutant), the specification trie (against a
 # map-based reference) and the incremental monitor (arbitrary quiescent cuts
 # against batch Check); the seed corpus plus a few seconds of mutation on
@@ -82,6 +83,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSpec -fuzztime=5s ./internal/history
 	$(GO) test -run='^$$' -fuzz=FuzzReadTrace -fuzztime=5s ./internal/obsfile
 	$(GO) test -run='^$$' -fuzz=FuzzStreamReader -fuzztime=5s ./internal/obsfile
+	$(GO) test -run='^$$' -fuzz=FuzzJSONLScanner -fuzztime=5s ./internal/obsfile
 	$(GO) test -run='^$$' -fuzz=FuzzBatchFrame -fuzztime=5s ./internal/obsfile
 	$(GO) test -run='^$$' -fuzz=FuzzMutate -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzFastMonitor -fuzztime=5s ./internal/monitor/fast

@@ -17,8 +17,10 @@
 package lineup_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 
 	"lineup"
@@ -502,4 +504,86 @@ func BenchmarkMonitorVsEnumeration(b *testing.B) {
 			}
 		}
 	})
+}
+
+// monitorLongTrace records a linearizable trace of the given number of
+// operations as JSONL: threads picked at random call one of next's operations
+// or return from the one they have open, with the result the model gives at
+// that moment, so the order of the returns is a witness.
+func monitorLongTrace(b *testing.B, model *lineup.Model, seed int64, threads, ops int, next func(rng *rand.Rand, state any) string) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	h := &history.History{}
+	state := model.Init()
+	open := make(map[int]history.Event)
+	for started := 0; started < ops || len(open) > 0; {
+		t := rng.Intn(threads)
+		if call, busy := open[t]; busy {
+			res, after, err := model.Step(state, call.Op)
+			if err != nil {
+				b.Fatal(err)
+			}
+			state = after
+			call.Kind, call.Result = history.Return, res
+			h.Events = append(h.Events, call)
+			delete(open, t)
+		} else if started < ops {
+			open[t] = history.Event{Thread: t, Kind: history.Call, Op: next(rng, state), Index: started}
+			h.Events = append(h.Events, open[t])
+			started++
+		}
+	}
+	var buf bytes.Buffer
+	if err := obsfile.WriteTrace(&buf, h); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkMonitorLongTrace is `lineup monitor` on a recorded trace, one
+// layer at a time so each can be profiled without the harness: decoding the
+// JSONL (obsfile.ReadTrace) and the witness search (monitor.Check), on a
+// 1 000-operation queue trace — one part, three overlapping threads, at most
+// eight elements queued — and a 20 000-operation set trace that splits into
+// 64 parts. The harness's monitor-batch workload measures the two together.
+func BenchmarkMonitorLongTrace(b *testing.B) {
+	queueModel, _ := lineup.BuiltinModel("queue")
+	setModel, _ := lineup.BuiltinModel("set")
+	enqueued := 0
+	for _, tr := range []struct {
+		name    string
+		model   *lineup.Model
+		payload []byte
+	}{
+		{"queue1000", queueModel, monitorLongTrace(b, queueModel, 1, 3, 1000, func(rng *rand.Rand, state any) string {
+			if rng.Intn(2) == 0 && len(state.([]string)) < 8 {
+				enqueued++
+				return fmt.Sprintf("Enqueue(%d)", enqueued)
+			}
+			return "TryDequeue()"
+		})},
+		{"set20000", setModel, monitorLongTrace(b, setModel, 2, 4, 20000, func(rng *rand.Rand, _ any) string {
+			return fmt.Sprintf("%s(%d)", []string{"Add", "Remove", "Contains"}[rng.Intn(3)], rng.Intn(64))
+		})},
+	} {
+		h, err := obsfile.ReadTrace(bytes.NewReader(tr.payload))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tr.name+"/read", func(b *testing.B) {
+			b.SetBytes(int64(len(tr.payload)))
+			for i := 0; i < b.N; i++ {
+				if _, err := obsfile.ReadTrace(bytes.NewReader(tr.payload)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(tr.name+"/check", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out, err := lineup.CheckHistory(tr.model, h, lineup.MonitorOptions{})
+				if err != nil || !out.Linearizable {
+					b.Fatalf("out=%+v err=%v", out, err)
+				}
+			}
+		})
+	}
 }

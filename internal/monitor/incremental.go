@@ -36,9 +36,10 @@ type Incremental struct {
 	m    *Model
 	opts Options
 
-	frontier []any    // states reachable by linearizing the consumed prefix
-	fps      []string // fingerprints of frontier, aligned and sorted
-	consumed int      // completed operations retired so far
+	s        *searcher // one for every window: its buffers and maps are reused
+	frontier []any     // states reachable by linearizing the consumed prefix
+	fps      []string  // fingerprints of frontier, aligned and sorted
+	consumed int       // completed operations retired so far
 	stats    Stats
 }
 
@@ -123,14 +124,14 @@ func (inc *Incremental) ExtendComplete(h *history.History) (ok bool, err error) 
 			err = fmt.Errorf("monitor: model panicked during witness search: %v", r)
 		}
 	}()
-	s, err := newSearcher(inc.m, h, kindComplete, inc.opts)
-	if err != nil {
+	if inc.s == nil {
+		inc.s = newSearcher(inc.m, inc.opts)
+		inc.s.finals = make(map[string]any)
+	}
+	s := inc.s
+	if err := s.load(h, kindComplete); err != nil {
 		return false, err
 	}
-	if !s.must.covers(s.all) {
-		return false, ErrWindowNotQuiescent
-	}
-	s.finals = make(map[string]any)
 	defer func() {
 		inc.stats.Visited += s.visited
 		inc.stats.MemoHits += s.memoHits
@@ -151,6 +152,7 @@ func (inc *Incremental) ExtendComplete(h *history.History) (ok bool, err error) 
 	}
 	inc.SetFrontier(next)
 	if len(inc.frontier) == 0 {
+		inc.s = nil // the failure is final: nothing is left to search from
 		return false, nil
 	}
 	inc.consumed += len(s.ops)

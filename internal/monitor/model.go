@@ -6,14 +6,23 @@
 // phase-1 specification enumeration of Fig. 5.
 //
 // The search is the Wing–Gong backtracking algorithm with Lowe's
-// improvements: a memoized seen-set keyed on (linearized-op-set, model-state
-// fingerprint) prunes revisits of equivalent search nodes, and
-// P-compositional partitioning (Horn & Kroening) splits the history into
-// independent sub-histories when the model declares a partition function,
-// checking the parts independently (and in parallel). Pending operations are
-// treated either per the generalized Definitions 2/3 (stuck histories need
-// stuck serial witnesses) or per the classic Definition 1 (pending calls may
-// be completed with any result the model admits, or dropped).
+// improvements, in the form of Horn & Kroening's Algorithm 1
+// (arXiv:1504.00204). The history is kept as one doubly linked list of call
+// and return entries in event order; the operations that may be linearized
+// next are the call entries in front of the first return entry, so a search
+// node costs the history's concurrency at that point, not its length, and
+// linearizing an operation or backtracking over it splices two entries. A
+// memoized seen-set keyed on (linearized-op-set, model-state fingerprint)
+// prunes revisits of equivalent search nodes; it compares whole keys, because
+// a hash collision would be a wrong verdict, and the search stays a bounded
+// exhaustive one (Options.MaxStates) because the problem is NP-hard.
+// P-compositional partitioning splits the history into independent
+// sub-histories when the model declares a partition function, checking the
+// parts independently, as many at a time as there are CPUs. Pending
+// operations are treated either per the generalized Definitions 2/3 (stuck
+// histories need stuck serial witnesses) or per the classic Definition 1
+// (pending calls may be completed with any result the model admits, or
+// dropped).
 package monitor
 
 import (

@@ -1,8 +1,13 @@
 package monitor
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"lineup/internal/history"
 	"lineup/internal/telemetry"
@@ -120,9 +125,9 @@ const (
 func Reduce(h *history.History, e history.Op) *history.History {
 	out := &history.History{Stuck: true}
 	complete := make(map[int]bool)
-	for _, op := range h.Ops() {
-		if op.Complete {
-			complete[op.Index] = true
+	for _, ev := range h.Events {
+		if ev.Kind == history.Return {
+			complete[ev.Index] = true
 		}
 	}
 	for _, ev := range h.Events {
@@ -200,26 +205,34 @@ func check(m *Model, roots []any, h *history.History, opts Options) (*Outcome, e
 }
 
 // checkParts splits the history P-compositionally (when the model allows)
-// and runs the per-part witness search, in parallel when there are at least
-// two parts. It fills out with the combined verdict, witness, and stats.
+// and runs the per-part witness search on at most GOMAXPROCS goroutines,
+// which take the parts in first-appearance order and keep one searcher each:
+// a trace with tens of thousands of keys costs as many searches, not as many
+// goroutines and memo maps at once. It fills out with the combined verdict,
+// witness, and stats, merged in part order whichever part finished first.
 func checkParts(m *Model, h *history.History, kind checkKind, roots []any, opts Options, out *Outcome) error {
 	parts, keys := partition(m, h, opts)
 	out.Stats.Parts = len(parts)
-	if len(parts) == 1 {
-		res := runPart(m, parts[0], kind, roots, opts)
-		mergePart(out, res, keys[0])
-		return res.err
-	}
 	results := make([]partResult, len(parts))
-	done := make(chan int, len(parts))
-	for i := range parts {
-		go func(i int) {
-			results[i] = runPart(m, parts[i], kind, roots, opts)
-			done <- i
-		}(i)
+	var next atomic.Int64
+	work := func() {
+		s := newSearcher(m, opts)
+		for i := int(next.Add(1)) - 1; i < len(parts); i = int(next.Add(1)) - 1 {
+			results[i] = runPart(s, parts[i], kind, roots)
+		}
 	}
-	for range parts {
-		<-done
+	if workers := min(runtime.GOMAXPROCS(0), len(parts)); workers == 1 {
+		work() // on the caller's goroutine, whose stack the last search already grew
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
 	}
 	var firstErr error
 	for i, res := range results {
@@ -258,19 +271,19 @@ func mergePart(out *Outcome, res partResult, key string) {
 // runPart runs the Wing–Gong search on one history part. The model's Init,
 // Step, and Partition hooks are user code; a panic in them is contained as a
 // part error so a multi-part check (whose parts run in their own goroutines)
-// can never take down the process or strand its siblings.
-func runPart(m *Model, part *history.History, kind checkKind, roots []any, opts Options) (res partResult) {
+// can never take down the process or strand its siblings — nor the searcher,
+// which load rebuilds from the next part whatever state the panic left.
+func runPart(s *searcher, part *history.History, kind checkKind, roots []any) (res partResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = partResult{err: fmt.Errorf("monitor: model panicked during witness search: %v", r)}
 		}
 	}()
-	s, err := newSearcher(m, part, kind, opts)
-	if err != nil {
+	if err := s.load(part, kind); err != nil {
 		return partResult{err: err}
 	}
 	if roots == nil {
-		roots = []any{m.Init()}
+		roots = []any{s.m.Init()}
 	}
 	ok, err := s.run(roots)
 	res = partResult{ok: ok, stats: Stats{Visited: s.visited, MemoHits: s.memoHits}, err: err}
@@ -280,21 +293,35 @@ func runPart(m *Model, part *history.History, kind checkKind, roots []any, opts 
 	return res
 }
 
-// searcher is the state of one part's backtracking search: built once per
-// (part, kind) and started from every root in turn, all roots sharing the one
-// memo (a configuration that failed from one root fails from any).
+// searcher is the state of one backtracking search: loaded with a (part,
+// kind) and started from every root in turn, all roots sharing the one memo (a
+// configuration that failed from one root fails from any). Its buffers and
+// maps outlive the part, so whoever runs many searches — a checkParts worker,
+// an Incremental — loads one searcher again and again.
+//
+// The part is held as Horn & Kroening's entry list (arXiv:1504.00204, Alg. 1):
+// one call entry per operation and one return entry per complete operation,
+// doubly linked in event order. An operation may be linearized next exactly
+// when no unlinearized operation returned before it was called, that is, when
+// its call entry stands in front of the first return entry still in the list;
+// linearizing it lifts its two entries out and backtracking splices them back
+// (ents keeps a lifted entry's own links, as in dancing links). A search node
+// therefore looks at as many entries as the history has concurrent operations
+// at that point, not at all of them, and tries them in call order.
 type searcher struct {
 	m    *Model
 	opts Options
 	kind checkKind
 
-	ops      []history.Op
-	pred     []mask // pred[i]: ops that must be linearized before op i
-	must     mask   // complete ops (all of them must appear in the witness)
-	all      mask   // every op of the part
-	pendName string // kindStuck: the operation that must block at the end
+	ops      []searchOp
+	ents     []entry       // ents[0] is the list head
+	open     map[int]int32 // while loading: operation identifier -> call entry; afterwards the pending calls
+	lin      mask          // operations linearized so far
+	left     int           // complete operations not yet linearized
+	pendName string        // kindStuck: the operation that must block at the end
 
 	memo     map[string]bool
+	key      []byte // the memo key under construction, see memoKey
 	visited  int
 	memoHits int
 
@@ -306,55 +333,140 @@ type searcher struct {
 	// collected — which is the failure memo's meaning too.
 	finals map[string]any
 
-	order   []int    // current linearization, indices into ops
+	order   []int32  // current linearization, indices into ops
 	results []string // result assigned to each order entry
 }
 
-func newSearcher(m *Model, part *history.History, kind checkKind, opts Options) (*searcher, error) {
-	s := &searcher{m: m, opts: opts, kind: kind, memo: make(map[string]bool)}
-	for _, op := range part.Ops() {
-		if !op.Complete && kind == kindStuck {
-			if s.pendName != "" {
-				return nil, errors.New("monitor: reduced history has more than one pending operation")
-			}
-			s.pendName = op.Name
-			continue // the pending op is not searched, only probed at the end
-		}
-		s.ops = append(s.ops, op)
+// searchOp is what the search needs of one operation.
+type searchOp struct {
+	thread       int
+	name, result string
+}
+
+// entry is one node of the searcher's event list.
+type entry struct {
+	prev, next int32
+	op         int32 // call entries: index into ops; -1 for return entries and the head
+	ret        int32 // call entries: the matching return entry, 0 for a pending operation
+}
+
+// memoKeep is the largest memo a searcher carries, emptied, to its next part:
+// clearing costs what the map can hold, so the map of one part that blew up
+// is dropped instead of taxing every later part (and pinning its memory in a
+// long-lived Incremental).
+const memoKeep = 1 << 14
+
+func newSearcher(m *Model, opts Options) *searcher {
+	return &searcher{m: m, opts: opts, memo: make(map[string]bool), open: make(map[int]int32)}
+}
+
+// load replaces whatever the searcher held by the entry list of part, built
+// in one pass over its events. A kindComplete part must have no pending
+// operation; a kindStuck part may have one, which is not searched, only
+// probed at the end.
+func (s *searcher) load(part *history.History, kind checkKind) error {
+	s.kind, s.pendName = kind, ""
+	s.visited, s.memoHits, s.left = 0, 0, 0
+	s.ops, s.order, s.results = s.ops[:0], s.order[:0], s.results[:0]
+	clear(s.open)
+	clear(s.finals)
+	if len(s.memo) > memoKeep {
+		s.memo = make(map[string]bool)
+	} else {
+		clear(s.memo)
 	}
-	n := len(s.ops)
-	words := (n + 63) / 64
-	s.must = newMask(words)
-	s.all = newMask(words)
-	s.pred = make([]mask, n)
-	for i := range s.ops {
-		s.all.set(i)
-		if s.ops[i].Complete {
-			s.must.set(i)
+	s.ents = append(s.ents[:0], entry{next: 1, op: -1})
+	for _, ev := range part.Events {
+		e := int32(len(s.ents))
+		if ev.Kind == history.Call {
+			s.open[ev.Index] = e
+			s.ents = append(s.ents, entry{prev: e - 1, next: e + 1, op: int32(len(s.ops))})
+			s.ops = append(s.ops, searchOp{thread: ev.Thread, name: ev.Op})
+			continue
 		}
-		s.pred[i] = newMask(words)
-		for j := range s.ops {
-			if i != j && history.Precedes(s.ops[j], s.ops[i]) {
-				s.pred[i].set(j)
-			}
+		c, ok := s.open[ev.Index]
+		if !ok {
+			return errors.New("monitor: history has a return without a matching call")
+		}
+		delete(s.open, ev.Index)
+		s.ents[c].ret = e
+		s.ops[s.ents[c].op].result = ev.Result
+		s.ents = append(s.ents, entry{prev: e - 1, next: e + 1, op: -1})
+		s.left++
+	}
+	last := int32(len(s.ents) - 1)
+	s.ents[0].prev, s.ents[last].next = last, 0
+	words := (len(s.ops) + 63) / 64
+	s.lin = slices.Grow(s.lin[:0], words)[:words]
+	clear(s.lin)
+	switch {
+	case kind == kindComplete && len(s.open) > 0:
+		return ErrWindowNotQuiescent
+	case kind == kindStuck && len(s.open) > 1:
+		return errors.New("monitor: reduced history has more than one pending operation")
+	case kind == kindStuck:
+		for _, c := range s.open {
+			s.pendName = s.ops[s.ents[c].op].name
+			s.unlink(c)
 		}
 	}
-	return s, nil
+	return nil
+}
+
+func (s *searcher) unlink(e int32) {
+	s.ents[s.ents[e].prev].next = s.ents[e].next
+	s.ents[s.ents[e].next].prev = s.ents[e].prev
+}
+
+func (s *searcher) relink(e int32) {
+	s.ents[s.ents[e].prev].next = e
+	s.ents[s.ents[e].next].prev = e
+}
+
+// lift linearizes the operation of call entry c; unlift undoes the most
+// recent lift that has not been undone.
+func (s *searcher) lift(c int32) {
+	s.lin.set(int(s.ents[c].op))
+	s.unlink(c)
+	if r := s.ents[c].ret; r != 0 {
+		s.unlink(r)
+		s.left--
+	}
+}
+
+func (s *searcher) unlift(c int32) {
+	if r := s.ents[c].ret; r != 0 {
+		s.relink(r)
+		s.left++
+	}
+	s.relink(c)
+	s.lin.clear(int(s.ents[c].op))
+}
+
+// memoKey renders the current configuration — the linearized set, then the
+// state fingerprint — into the searcher's one key buffer. The memo compares
+// whole keys, never a hash of them: a collision would be a wrong verdict.
+func (s *searcher) memoKey(fp string) []byte {
+	key := s.key[:0]
+	for _, w := range s.lin {
+		key = binary.LittleEndian.AppendUint64(key, w)
+	}
+	s.key = append(key, fp...)
+	return s.key
 }
 
 // run searches from each root until one yields a witness.
 func (s *searcher) run(roots []any) (bool, error) {
-	cur := newMask(len(s.all))
 	for _, root := range roots {
-		if ok, err := s.search(cur, root); ok || err != nil {
+		if ok, err := s.search(root); ok || err != nil {
 			return ok, err
 		}
 	}
 	return false, nil
 }
 
-func (s *searcher) search(cur mask, state any) (bool, error) {
-	done := cur.covers(s.must)
+func (s *searcher) search(state any) (bool, error) {
+	done := s.left == 0
 	if done && s.finals != nil {
 		fp := s.m.fingerprint(state)
 		if _, ok := s.finals[fp]; !ok {
@@ -368,10 +480,10 @@ func (s *searcher) search(cur mask, state any) (bool, error) {
 		// ops to linearize.
 		return true, nil
 	}
-	var key string
+	var fp string
 	if !s.opts.NoMemo {
-		key = cur.key(s.m.fingerprint(state))
-		if s.memo[key] {
+		fp = s.m.fingerprint(state)
+		if s.memo[string(s.memoKey(fp))] { // a lookup by converted bytes does not allocate
 			s.memoHits++
 			return false, nil
 		}
@@ -381,8 +493,8 @@ func (s *searcher) search(cur mask, state any) (bool, error) {
 		return false, fmt.Errorf("%w (limit %d)", ErrStateLimit, s.opts.maxStates())
 	}
 	if done {
-		// kindStuck with every completed op linearized (must == all, so no
-		// candidates remain): the pending op must block in this state.
+		// kindStuck with every completed op linearized (the pending op is
+		// not in the list, so no candidates remain): it must block here.
 		_, _, err := s.m.Step(state, s.pendName)
 		if errors.Is(err, ErrBlock) {
 			return true, nil
@@ -391,24 +503,22 @@ func (s *searcher) search(cur mask, state any) (bool, error) {
 			return false, err
 		}
 	} else {
-		for i := range s.ops {
-			if cur.has(i) || !cur.covers(s.pred[i]) {
-				continue
-			}
-			res, next, err := s.m.Step(state, s.ops[i].Name)
+		for c := s.ents[0].next; s.ents[c].op >= 0; c = s.ents[c].next {
+			i := s.ents[c].op
+			res, next, err := s.m.Step(state, s.ops[i].name)
 			if errors.Is(err, ErrBlock) {
 				continue // not enabled in this state
 			}
 			if err != nil {
 				return false, err
 			}
-			if s.ops[i].Complete && res != s.ops[i].Result {
+			if s.ents[c].ret != 0 && res != s.ops[i].result {
 				continue // the model contradicts the recorded result
 			}
-			cur.set(i)
+			s.lift(c)
 			s.order = append(s.order, i)
 			s.results = append(s.results, res)
-			ok, err := s.search(cur, next)
+			ok, err := s.search(next)
 			if err != nil {
 				return false, err
 			}
@@ -417,12 +527,14 @@ func (s *searcher) search(cur mask, state any) (bool, error) {
 			}
 			s.order = s.order[:len(s.order)-1]
 			s.results = s.results[:len(s.results)-1]
-			cur.clear(i)
+			s.unlift(c)
 		}
 	}
-	// Fully explored without a witness: memoize the failure.
+	// Fully explored without a witness: memoize the failure. The key buffer
+	// was reused below this node, so the key is rendered again, and storing
+	// it is the search's one allocation of its own.
 	if !s.opts.NoMemo {
-		s.memo[key] = true
+		s.memo[string(s.memoKey(fp))] = true
 	}
 	return false, nil
 }
@@ -432,42 +544,13 @@ func (s *searcher) search(cur mask, state any) (bool, error) {
 func (s *searcher) witness() []WitnessStep {
 	out := make([]WitnessStep, len(s.order))
 	for k, i := range s.order {
-		out[k] = WitnessStep{Thread: s.ops[i].Thread, Op: s.ops[i].Name, Result: s.results[k]}
+		out[k] = WitnessStep{Thread: s.ops[i].thread, Op: s.ops[i].name, Result: s.results[k]}
 	}
 	return out
 }
 
-// mask is a small bitset over the operations of one history part.
+// mask is a bitset over the operations of one history part.
 type mask []uint64
 
-func newMask(words int) mask {
-	if words == 0 {
-		words = 1
-	}
-	return make(mask, words)
-}
-
-func (b mask) set(i int)      { b[i/64] |= 1 << (i % 64) }
-func (b mask) clear(i int)    { b[i/64] &^= 1 << (i % 64) }
-func (b mask) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
-
-// covers reports whether every bit of o is set in b.
-func (b mask) covers(o mask) bool {
-	for w := range o {
-		if o[w]&^b[w] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// key encodes the mask plus a state fingerprint as a memoization key.
-func (b mask) key(fp string) string {
-	buf := make([]byte, 0, len(b)*8+len(fp))
-	for _, w := range b {
-		for k := 0; k < 8; k++ {
-			buf = append(buf, byte(w>>(8*k)))
-		}
-	}
-	return string(append(buf, fp...))
-}
+func (b mask) set(i int)   { b[i/64] |= 1 << (i % 64) }
+func (b mask) clear(i int) { b[i/64] &^= 1 << (i % 64) }

@@ -2,7 +2,10 @@ package monitor_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -180,6 +183,38 @@ func TestPartitionedViolationReportsPart(t *testing.T) {
 	out := mustCheck(t, monitor.SetModel(), h, monitor.Options{})
 	if out.Linearizable || out.FailedPart != "2" {
 		t.Fatalf("expected part 2 to fail, got %+v", out)
+	}
+}
+
+// TestCheckPartsBounded: a history with thousands of partition keys is
+// searched by at most GOMAXPROCS goroutines at a time, not by one per key.
+func TestCheckPartsBounded(t *testing.T) {
+	var inStep, maxInStep atomic.Int64
+	m := monitor.SetModel()
+	step := m.Step
+	m.Step = func(state any, op string) (string, any, error) {
+		n := inStep.Add(1)
+		defer inStep.Add(-1)
+		for old := maxInStep.Load(); n > old && !maxInStep.CompareAndSwap(old, n); old = maxInStep.Load() {
+		}
+		runtime.Gosched() // let every other runnable search reach its own Step
+		return step(state, op)
+	}
+	b := newHB()
+	for k := 0; k < 5000; k++ {
+		b.op(k%3, fmt.Sprintf("Add(%d)", k), "true")
+	}
+	out := mustCheck(t, m, b.done(), monitor.Options{})
+	if !out.Linearizable || out.Stats.Parts != 5000 || len(out.Witness) != 5000 {
+		t.Fatalf("lin=%v parts=%d witness=%d", out.Linearizable, out.Stats.Parts, len(out.Witness))
+	}
+	for k, w := range out.Witness {
+		if want := fmt.Sprintf("Add(%d)", k); w.Op != want {
+			t.Fatalf("witness step %d is %s, want %s: parts merged out of first-appearance order", k, w.Op, want)
+		}
+	}
+	if got, limit := maxInStep.Load(), int64(runtime.GOMAXPROCS(0)); got > limit {
+		t.Fatalf("%d searches ran at once, GOMAXPROCS is %d", got, limit)
 	}
 }
 

@@ -2,6 +2,7 @@ package obsfile
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"strings"
 	"testing"
@@ -142,4 +143,77 @@ func FuzzStreamReader(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzJSONLScanner holds the schema scanner to encoding/json, which defines
+// the trace format: on arbitrary bytes scanEvent either declines — the line
+// then goes to json.Unmarshal, as before there was a scanner — or returns
+// exactly the event json.Unmarshal returns, with json.Unmarshal reporting no
+// error. The seeds sit on the edges of the shape it accepts.
+func FuzzJSONLScanner(f *testing.F) {
+	for _, s := range []string{
+		`{"t":0,"k":"call","op":"Enqueue(10)"}`,
+		`{"t":12,"k":"ret","op":"TryDequeue()","res":"Fail","p":"session-7"}`,
+		`{"k":"stuck"}`,
+		`{"res":"ok","k":"ret","t":3}`,
+		`{}`,
+		`{"T":1,"K":"call","Op":"A()"}`,
+		`{"t":1,"t":2,"k":"call","k":"ret"}`,
+		`{"t":01,"k":"call"}`,
+		`{"t":-1,"k":"call"}`,
+		`{"t":1e3,"k":"call"}`,
+		`{"t":4294967296,"k":"call"}`,
+		`{"t":null,"k":null,"op":null}`,
+		`{"t":"1","k":2}`,
+		`null`,
+		`A`,
+		"{\"t\":1,\"k\":\"call\",\"op\":\"caf\x80()\"}",
+		"{\"t\":1,\"k\":\"call\",\"op\":\"tab\t()\"}",
+		`{"t":1,"k":"call","op":"q\"uote()"}`,
+		`{"t":1,"k":"call","op":"A()"}`,
+		`{"t":1,"k":"call","op":"A()"} `,
+		` {"t":1,"k":"call","op":"A()"}`,
+		`{"t":1, "k":"call"}`,
+		`{"t":1,"k":"call","op":"A()","x":true}`,
+		`{"t":1,"k":"call","op":"A()"}}`,
+		`{"t":1,"k":"call",}`,
+		`{"t":1,"k":"call"`,
+		`{"t":,"k":"call"}`,
+		`{"t"`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		got, ok := scanEvent(line)
+		if !ok {
+			return
+		}
+		var want TraceEvent
+		if err := json.Unmarshal(line, &want); err != nil {
+			t.Fatalf("scanner accepted %q as %+v, encoding/json rejects it: %v", line, got, err)
+		}
+		if got != want {
+			t.Fatalf("on %q the scanner returns %+v, encoding/json %+v", line, got, want)
+		}
+	})
+}
+
+// TestJSONLScannerTakesWriterOutput: the lines WriteTrace and the streaming
+// service's clients emit are the ones the scanner is for; if it declined them
+// every test would still pass, through encoding/json, at five times the cost.
+func TestJSONLScannerTakesWriterOutput(t *testing.T) {
+	for _, ev := range []TraceEvent{
+		{T: 0, K: "call", Op: "Enqueue(10)"},
+		{T: 7, K: "ret", Op: "TryDequeue()", Res: "Fail"},
+		{T: 123456789, K: "call", Op: "Add(3)", P: "3"},
+		{K: "stuck"},
+	} {
+		line, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := scanEvent(line); !ok || got != ev {
+			t.Errorf("scanEvent(%s) = %+v, %v; want %+v", line, got, ok, ev)
+		}
+	}
 }

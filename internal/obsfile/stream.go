@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -152,6 +153,9 @@ func RestoreStreamTracker(s TrackerState) *StreamTracker {
 	return st
 }
 
+// maxTraceLine is the longest JSONL line a RawReader accepts.
+const maxTraceLine = 1024 * 1024
+
 // RawReader parses a JSONL trace stream into TraceEvents without applying
 // the thread-discipline validation: consumers that funnel several transports
 // through one shared StreamTracker (the streaming service) parse with a
@@ -166,7 +170,7 @@ type RawReader struct {
 // NewRawReader wraps r in a raw JSONL trace parser.
 func NewRawReader(r io.Reader) *RawReader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxTraceLine)
 	return &RawReader{sc: sc}
 }
 
@@ -180,13 +184,16 @@ func (rr *RawReader) Next() (TraceEvent, error) {
 	}
 	for rr.sc.Scan() {
 		rr.line++
-		// Decode straight from the scanner's buffer: json.Unmarshal copies
-		// every string it keeps, so the volatile bytes never escape, and the
+		// Decode straight from the scanner's buffer: both decoders copy every
+		// string they keep, so the volatile bytes never escape, and the
 		// per-line string allocation of Text() disappears from the ingest
 		// hot path.
 		line := bytes.TrimSpace(rr.sc.Bytes())
 		if len(line) == 0 || line[0] == '#' {
 			continue
+		}
+		if ev, ok := scanEvent(line); ok {
+			return ev, nil
 		}
 		var ev TraceEvent
 		if err := json.Unmarshal(line, &ev); err != nil {
@@ -195,12 +202,110 @@ func (rr *RawReader) Next() (TraceEvent, error) {
 		}
 		return ev, nil
 	}
-	if err := rr.sc.Err(); err != nil {
+	switch err := rr.sc.Err(); {
+	case errors.Is(err, bufio.ErrTooLong):
+		rr.err = fmt.Errorf("obsfile: trace line %d: longer than 1 MiB", rr.line+1)
+	case err != nil:
 		rr.err = fmt.Errorf("obsfile: reading trace: %w", err)
-		return TraceEvent{}, rr.err
+	default:
+		rr.err = io.EOF
 	}
-	rr.err = io.EOF
-	return TraceEvent{}, io.EOF
+	return TraceEvent{}, rr.err
+}
+
+// scanEvent decodes a line of the one shape every writer in this tree emits
+// — {"t":…,"k":…,"op":…,"res":…,"p":…}: a subset of the five lower-case keys,
+// each at most once, t a non-negative decimal without a leading zero, the
+// others strings of printable ASCII without '"' or '\', and no whitespace —
+// which needs no unescaping, no UTF-8 validation and no reflection. Anything
+// else it declines (ok false) and encoding/json decodes the line: the scanner
+// reports no error of its own, so encoding/json stays the definition of the
+// format, and FuzzJSONLScanner holds the two to the same event on whatever
+// the scanner accepts.
+func scanEvent(line []byte) (ev TraceEvent, ok bool) {
+	if len(line) == 0 || line[0] != '{' {
+		return ev, false
+	}
+	seen := 0
+	for i := 1; ; i++ { // line[i-1] is the '{' or a ','
+		key, colon := plainString(line, i)
+		if colon < 0 || colon >= len(line) || line[colon] != ':' {
+			return ev, false
+		}
+		i = colon + 1
+		var field int
+		var dst *string
+		switch string(key) {
+		case "t":
+			field = 1
+		case "k":
+			field, dst = 2, &ev.K
+		case "op":
+			field, dst = 4, &ev.Op
+		case "res":
+			field, dst = 8, &ev.Res
+		case "p":
+			field, dst = 16, &ev.P
+		}
+		if field == 0 || seen&field != 0 {
+			return ev, false
+		}
+		seen |= field
+		if dst != nil {
+			val, end := plainString(line, i)
+			if end < 0 {
+				return ev, false
+			}
+			*dst, i = traceString(val), end
+		} else {
+			start := i
+			for ; i < len(line) && '0' <= line[i] && line[i] <= '9'; i++ {
+				ev.T = ev.T*10 + int(line[i]-'0')
+			}
+			// At most nine digits, so the value fits an int of any width.
+			if n := i - start; n == 0 || n > 9 || (n > 1 && line[start] == '0') {
+				return ev, false
+			}
+		}
+		if i >= len(line) || (line[i] != ',' && line[i] != '}') {
+			return ev, false
+		}
+		if line[i] == '}' {
+			return ev, i == len(line)-1
+		}
+	}
+}
+
+// plainString returns the contents of the string literal that starts at
+// line[i] and the index after its closing quote, or -1 unless there is one
+// and it is printable ASCII with no escape in it.
+func plainString(line []byte, i int) ([]byte, int) {
+	if i >= len(line) || line[i] != '"' {
+		return nil, -1
+	}
+	for j := i + 1; j < len(line); j++ {
+		switch c := line[j]; {
+		case c == '"':
+			return line[i+1 : j], j + 1
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return nil, -1
+		}
+	}
+	return nil, -1
+}
+
+// traceString copies b into a string, without allocating for the three event
+// kinds, which every line carries.
+func traceString(b []byte) string {
+	switch string(b) {
+	case "call":
+		return "call"
+	case "ret":
+		return "ret"
+	case "stuck":
+		return "stuck"
+	}
+	return string(b)
 }
 
 // StreamReader reads a JSONL history trace incrementally: each Next call

@@ -56,12 +56,21 @@ func TestReadTraceErrors(t *testing.T) {
 		{"call without op", `{"t":0,"k":"call"}`, "without an op name"},
 		{"negative thread", `{"t":-1,"k":"call","op":"A()"}`, "negative thread"},
 		{"events after stuck", `{"k":"stuck"}` + "\n" + `{"t":0,"k":"call","op":"A()"}`, "after the stuck marker"},
+		{"line over the limit", `{"t":0,"k":"call","op":"A()"}` + "\n" + `{"t":0,"k":"ret","res":"` + strings.Repeat("x", maxTraceLine) + `"}`, "trace line 2: longer than 1 MiB"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := ReadTrace(strings.NewReader(c.in))
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("want error containing %q, got %v", c.want, err)
+			}
+			sr := NewStreamReader(strings.NewReader(c.in))
+			_, serr := sr.Next()
+			for serr == nil {
+				_, serr = sr.Next()
+			}
+			if serr.Error() != err.Error() {
+				t.Fatalf("StreamReader reports %q, ReadTrace %q", serr, err)
 			}
 		})
 	}
