@@ -18,16 +18,20 @@ package lineup_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
+	"sort"
 	"testing"
+	"time"
 
 	"lineup"
 	"lineup/internal/atomicity"
 	"lineup/internal/bench"
 	"lineup/internal/collections"
 	"lineup/internal/core"
+	"lineup/internal/dist"
 	"lineup/internal/history"
 	"lineup/internal/monitor"
 	"lineup/internal/obsfile"
@@ -586,4 +590,67 @@ func BenchmarkMonitorLongTrace(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDistWallRatio is the measurement ROADMAP item 8's `dist` bullet
+// asks for: the harness's scaled check-deep (Fig. 9 corrected, an IsSet
+// observer on a third thread, preemption bound 3, sleep sets) through the
+// sequential explorer, the in-process explorer with two workers, and the
+// coordinator with two workers, in memory and journaling to a directory. One
+// iteration runs every arm once, starting one arm further along each time,
+// so `-benchtime 10x` is ten alternating runs; the reported metrics are the
+// per-arm medians and dist's two ratios to the sequential run.
+func BenchmarkDistWallRatio(b *testing.B) {
+	a := causeCase(b, bench.CauseA)
+	isSet, ok := a.Subject.FindOp("IsSet()")
+	if !ok {
+		b.Fatal("ManualResetEvent has no IsSet()")
+	}
+	m := &core.Test{Rows: append(append([][]core.Op(nil), a.Test.Rows...), []core.Op{isSet})}
+	opts := core.Options{PreemptionBound: 3, Reduction: sched.ReductionSleep}
+	check := func(workers int) func() (*core.Result, error) {
+		o := opts
+		o.Workers = workers
+		return func() (*core.Result, error) { return core.Check(a.Counterpart, m, o) }
+	}
+	units := 0
+	viaDist := func(journal bool) func() (*core.Result, error) {
+		return func() (*core.Result, error) {
+			cfg := dist.Config{Subject: a.Counterpart, Test: m, Options: opts, Workers: 2}
+			if journal {
+				cfg.Dir = b.TempDir()
+			}
+			res, st, err := dist.Run(context.Background(), cfg)
+			units = st.Units
+			return res, err
+		}
+	}
+	arms := []struct {
+		name string
+		run  func() (*core.Result, error)
+	}{
+		{"check_w1_s", check(1)}, {"check_w2_s", check(2)}, {"dist_mem_w2_s", viaDist(false)}, {"dist_dir_w2_s", viaDist(true)},
+	}
+	secs := make([][]float64, len(arms))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range arms {
+			j := (i + k) % len(arms)
+			start := time.Now()
+			res, err := arms[j].run()
+			secs[j] = append(secs[j], time.Since(start).Seconds())
+			if err != nil || res.Verdict != core.Pass {
+				b.Fatalf("%s: %v, %v", arms[j].name, res, err)
+			}
+		}
+	}
+	med := make([]float64, len(arms))
+	for j, s := range secs {
+		sort.Float64s(s)
+		med[j] = (s[(len(s)-1)/2] + s[len(s)/2]) / 2
+		b.ReportMetric(med[j], arms[j].name)
+	}
+	b.ReportMetric(med[2]/med[0], "dist_mem_wall_ratio")
+	b.ReportMetric(med[3]/med[0], "dist_dir_wall_ratio")
+	b.ReportMetric(float64(units), "units")
 }

@@ -11,7 +11,6 @@ import (
 	"lineup/internal/bench"
 	"lineup/internal/core"
 	"lineup/internal/dist"
-	"lineup/internal/sched"
 )
 
 // cmdDist runs one check's phase-2 exploration through the fault-tolerant
@@ -30,16 +29,15 @@ func cmdDist(args []string) error {
 	workerJob := fs.String("worker", "", "run as a worker process for JOBFILE (internal; spawned by -exec)")
 	class := fs.String("class", "", "class name (see 'lineup list')")
 	testSpec := fs.String("test", "", `test matrix, e.g. "Enqueue(10) TryDequeue() / Count()"`)
-	bound := fs.Int("pb", 0, "preemption bound (0 = class default)")
-	reductionSpec := fs.String("reduction", "none", "partial-order reduction: none or sleep")
-	maxFailures := fs.Int("max-failures", 0, "contain up to N failed executions instead of aborting (0 = strict)")
-	watchdog := fs.Duration("watchdog", 0, "abandon executions making no scheduler progress for this long (0 = off)")
-	workers := fs.Int("workers", runtime.NumCPU(), "concurrent workers")
-	depth := fs.Int("depth", 2, "schedule-tree depth at which to split work units")
-	dir := fs.String("dir", "", "durable coordination directory (journal + unit reports; enables resume)")
-	lease := fs.Duration("lease", 10*time.Second, "lease length; a worker silent this long is presumed dead")
-	maxAttempts := fs.Int("max-attempts", 3, "lease attempts per unit before it is poisoned")
-	backoff := fs.Duration("backoff", 25*time.Millisecond, "reassignment backoff after a failed lease (doubles per retry)")
+	var ro core.RandomOptions
+	addCheckFlags(fs, &ro, "pb", "reduction", "max-failures", "watchdog")
+	var cfg dist.Config
+	fs.IntVar(&cfg.Workers, "workers", runtime.NumCPU(), "concurrent workers")
+	fs.IntVar(&cfg.Depth, "depth", 2, "schedule-tree depth at which to split work units")
+	fs.StringVar(&cfg.Dir, "dir", "", "durable coordination directory (journal + unit reports; enables resume)")
+	fs.DurationVar(&cfg.Lease, "lease", 10*time.Second, "lease length; a worker silent this long is presumed dead")
+	fs.IntVar(&cfg.MaxAttempts, "max-attempts", 3, "lease attempts per unit before it is poisoned")
+	fs.DurationVar(&cfg.Backoff, "backoff", 25*time.Millisecond, "reassignment backoff after a failed lease (doubles per retry)")
 	execMode := fs.Bool("exec", false, "run each unit in a separate worker process (kill -9 isolation)")
 	killUnit := fs.Int("kill-worker", -1, "with -exec: SIGKILL the worker for unit N on its first attempt (fault injection)")
 	tflags := addTelemetryFlags(fs)
@@ -66,60 +64,29 @@ func cmdDist(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *bound != 0 {
-		pb = *bound
-	}
-	reduction, err := sched.ParseReduction(*reductionSpec)
-	if err != nil {
-		return err
+	if ro.PreemptionBound == 0 {
+		ro.PreemptionBound = pb
 	}
 	tr, err := tflags.start("dist " + sub.Name)
 	if err != nil {
 		return err
 	}
-	copts := core.Options{
-		PreemptionBound: pb,
-		MaxFailures:     *maxFailures,
-		Watchdog:        *watchdog,
-		Reduction:       reduction,
-		Telemetry:       tr.C,
-	}
-	cfg := dist.Config{
-		Subject: sub, Test: m, Options: copts,
-		Dir: *dir, Workers: *workers, Depth: *depth,
-		Lease: *lease, MaxAttempts: *maxAttempts, Backoff: *backoff,
-		Telemetry: tr.C,
-	}
+	ro.Telemetry = tr.C
+	cfg.Subject, cfg.Test, cfg.Options, cfg.Telemetry = sub, m, ro.Options, tr.C
 	if *execMode {
-		if len(m.Init) > 0 || len(m.Final) > 0 {
-			return fmt.Errorf("dist: init/final sections are not supported with -exec workers yet")
-		}
 		bin, err := os.Executable()
 		if err != nil {
 			return err
 		}
-		jobDir := *dir
+		jobDir := cfg.Dir
 		if jobDir == "" {
 			jobDir, err = os.MkdirTemp("", "lineup-dist-*")
 			if err != nil {
 				return err
 			}
 			defer os.RemoveAll(jobDir)
-		} else if err := os.MkdirAll(jobDir, 0o755); err != nil {
-			return err
 		}
-		rows := make([][]string, len(m.Rows))
-		for i, row := range m.Rows {
-			for _, op := range row {
-				rows[i] = append(rows[i], op.Name())
-			}
-		}
-		cfg.Launcher = &dist.ExecLauncher{
-			Bin: bin, Dir: jobDir,
-			Subject: sub.Name, Test: rows,
-			Options:  dist.OptionsToWorker(copts),
-			KillUnit: *killUnit,
-		}
+		cfg.Launcher = &dist.ExecLauncher{Bin: bin, Dir: jobDir, KillUnit: *killUnit}
 	} else if *killUnit >= 0 {
 		return fmt.Errorf("dist: -kill-worker requires -exec")
 	}

@@ -1,12 +1,20 @@
 package main
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"lineup/internal/bench"
+	"lineup/internal/core"
+	"lineup/internal/dist"
+	"lineup/internal/monitor"
+	"lineup/internal/sched"
 )
 
 // distFixture is a failing 3-thread MSQueue(Pre) test big enough (~2s, 9 work
@@ -132,5 +140,74 @@ func TestDistWorkerModeBadJob(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "reading job") {
 		t.Fatalf("unhelpful worker error:\n%s", out)
+	}
+}
+
+// TestDistExecHonoursOptions: worker processes check what the coordinator
+// planned — the job file carries core.Options and the test whole. A run
+// through an ExecLauncher with the monitor backend and the queue model,
+// GranSync, and a test with init and final sections gives the verdict, the
+// first violation and the phase statistics of the sequential exhaustive
+// check under the same options. (The job file used to carry seven options
+// and the rows: workers fell back to the spec backend at GranAll, and -exec
+// refused init/final sections outright.)
+func TestDistExecHonoursOptions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a real binary and runs worker processes")
+	}
+	bin := buildLineup(t)
+	sub, _, ok := findSubject("ConcurrentQueue")
+	if !ok {
+		t.Fatal("no ConcurrentQueue")
+	}
+	model, _ := monitor.Builtin("queue")
+	opts := core.Options{PreemptionBound: 2, Granularity: sched.GranSync, WitnessSearch: core.WitnessMonitor, MonitorModel: model}
+	for _, c := range []struct {
+		name, test string
+		want       core.Verdict
+	}{
+		// The init section leaves the queue as the model starts it.
+		{"pass", "init: Enqueue(10) TryDequeue() / Enqueue(10) TryDequeue() / Enqueue(20) TryPeek() / final: Count()", core.Pass},
+		// It leaves an element the model never saw enqueued: only the model
+		// backend, and only if the worker ran the init section, rejects this.
+		{"fail", "init: Enqueue(10) / TryDequeue() Enqueue(20) / TryPeek() / final: Count()", core.Fail},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := bench.ParseTest(sub, c.test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq := opts
+			seq.ExhaustPhase2 = true
+			want, err := core.Check(sub, m, seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Verdict != c.want {
+				t.Fatalf("fixture broken: the sequential check says %v", want.Verdict)
+			}
+			all := seq
+			all.Granularity = sched.GranAll
+			if r, err := core.Check(sub, m, all); err != nil || r.Phase2.Executions == want.Phase2.Executions {
+				t.Fatalf("fixture broken: granularity does not show in the execution count (%v, %v)", r, err)
+			}
+			got, stats, err := dist.Run(context.Background(), dist.Config{
+				Subject: sub, Test: m, Options: opts, Workers: 2, Depth: 2,
+				Launcher: &dist.ExecLauncher{Bin: bin, Dir: t.TempDir(), KillUnit: -1},
+			})
+			if err != nil {
+				t.Fatalf("dist.Run through worker processes: %v (%+v)", err, stats)
+			}
+			if stats.Units < 2 || stats.WorkerFailures != 0 {
+				t.Fatalf("want a real split and healthy workers, got %+v", stats)
+			}
+			got.Phase1.Duration, got.Phase2.Duration, want.Phase1.Duration, want.Phase2.Duration = 0, 0, 0, 0
+			if got.Verdict != want.Verdict || got.Phase1 != want.Phase1 || got.Phase2 != want.Phase2 {
+				t.Errorf("workers: %v %+v %+v\nsequential: %v %+v %+v", got.Verdict, got.Phase1, got.Phase2, want.Verdict, want.Phase1, want.Phase2)
+			}
+			if g, w := fmt.Sprint(got.Violation), fmt.Sprint(want.Violation); g != w {
+				t.Errorf("first violation differs:\n workers    %s\n sequential %s", g, w)
+			}
+		})
 	}
 }

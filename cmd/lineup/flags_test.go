@@ -108,3 +108,52 @@ func TestFlagGolden(t *testing.T) {
 		t.Errorf("flag order differs from %s", path)
 	}
 }
+
+var readmeFlag = regexp.MustCompile("`-([a-z-]+)")
+
+// TestReadmeFlagTablesMatchHelp: the README's flag tables of `check`, `dist`
+// and `serve` (the table under the heading that ends in `lineup <cmd>`) list
+// exactly the flags the golden above records for that subcommand, so the
+// documentation cannot drift from -h.
+func TestReadmeFlagTablesMatchHelp(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range []string{"check", "dist", "serve"} {
+		want := make(map[string]bool)
+		for _, l := range strings.Split(string(golden), "\n") {
+			if f := strings.Fields(l); len(f) == 3 && f[0] == cmd {
+				want[strings.TrimPrefix(f[1], "-")] = true
+			}
+		}
+		inSection, rows := false, 0
+		for _, line := range strings.Split(string(readme), "\n") {
+			if strings.HasPrefix(line, "##") {
+				inSection = strings.HasSuffix(line, "`lineup "+cmd+"`")
+				continue
+			}
+			if !inSection || !strings.HasPrefix(line, "| `-") {
+				continue
+			}
+			rows++
+			cell, _, _ := strings.Cut(line[1:], " | ")
+			for _, m := range readmeFlag.FindAllStringSubmatch(cell, -1) {
+				if !want[m[1]] {
+					t.Errorf("README lists %s -%s, which -h does not have", cmd, m[1])
+				}
+				delete(want, m[1])
+			}
+		}
+		if rows == 0 {
+			t.Errorf("README has no flag table under a heading ending in `lineup %s`", cmd)
+		}
+		for name := range want {
+			t.Errorf("README's %s table does not list -%s", cmd, name)
+		}
+	}
+}

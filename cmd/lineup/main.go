@@ -143,7 +143,7 @@ func cmdList(args []string) error {
 func cmdMonitor(args []string) error {
 	fs := flag.NewFlagSet("monitor", flag.ExitOnError)
 	trace := fs.String("trace", "", "JSONL history trace file ('-' for stdin)")
-	modelName := fs.String("model", "", "sequential model: "+strings.Join(monitor.BuiltinNames(), ", "))
+	model := modelFlag(fs, "sequential model: ")
 	classic := fs.Bool("classic", false, "classic Definition 1 treatment of pending operations")
 	noMemo := fs.Bool("no-memo", false, "disable the memoized seen-set")
 	noPart := fs.Bool("no-partition", false, "disable P-compositional partitioning")
@@ -167,12 +167,8 @@ func cmdMonitor(args []string) error {
 	if *trace == "" {
 		return fmt.Errorf("monitor: -trace is required")
 	}
-	if *modelName == "" {
+	if model.Name == "" {
 		return fmt.Errorf("monitor: -model is required (one of %s)", strings.Join(monitor.BuiltinNames(), ", "))
-	}
-	model, ok := monitor.Builtin(*modelName)
-	if !ok {
-		return fmt.Errorf("monitor: unknown model %q (one of %s)", *modelName, strings.Join(monitor.BuiltinNames(), ", "))
 	}
 	var r io.Reader = os.Stdin
 	if *trace != "-" {
@@ -265,44 +261,28 @@ func cmdMonitor(args []string) error {
 
 func cmdTable2(args []string) error {
 	fs := flag.NewFlagSet("table2", flag.ExitOnError)
-	samples := fs.Int("samples", 100, "random tests per class (paper: 100)")
-	rows := fs.Int("rows", 3, "threads per test")
-	cols := fs.Int("cols", 3, "invocations per thread")
-	seed := fs.Int64("seed", 1, "sampling seed")
-	workers := fs.Int("workers", runtime.NumCPU(), "parallel workers per class (one test per worker)")
-	exploreWorkers := fs.Int("explore-workers", 0, "workers sharing each check's phase-2 exploration (0 = one per CPU, or one when -workers already runs tests side by side)")
-	pre := fs.Bool("pre", true, "include the (Pre) variants")
-	watchdog := fs.Duration("watchdog", 0, "abandon executions making no scheduler progress for this long (0 = off)")
-	maxFailures := fs.Int("max-failures", 0, "contain up to N failed executions per check instead of aborting (0 = strict)")
-	reductionSpec := fs.String("reduction", "none", "partial-order reduction for phase 2: none or sleep")
+	opts := bench.Table2Options{RandomOptions: core.RandomOptions{Samples: 100, Rows: 3, Cols: 3, Seed: 1, Workers: runtime.NumCPU()}}
+	addCheckFlags(fs, &opts.RandomOptions, "samples", "rows", "cols", "seed", "workers", "explore-workers", "watchdog", "max-failures", "reduction")
+	fs.BoolVar(&opts.IncludePre, "pre", true, "include the (Pre) variants")
 	tflags := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	reduction, err := sched.ParseReduction(*reductionSpec)
-	if err != nil {
 		return err
 	}
 	tr, err := tflags.start("table2")
 	if err != nil {
 		return err
 	}
-	opts := bench.Table2Options{
-		Samples: *samples, Rows: *rows, Cols: *cols, Seed: *seed,
-		Workers: *workers, ExploreWorkers: *exploreWorkers, IncludePre: *pre,
-		Watchdog: *watchdog, MaxFailures: *maxFailures, Reduction: reduction,
-		Telemetry: tr.C,
-	}
+	opts.Telemetry = tr.C
 	report := func(class string) { fmt.Fprintf(os.Stderr, "checking %s...\n", class) }
 	if tr.Prog != nil {
 		// One unit per class; the extra slot tracks the class in flight and
-		// its per-test counts. report runs between classes and Tick between
+		// its per-test counts. report runs between classes and Progress between
 		// tests of one class, so the current-class variable is never written
 		// concurrently with a read.
 		classes := 0
 		for _, e := range bench.Registry() {
 			classes++
-			if *pre && e.Pre != nil {
+			if opts.IncludePre && e.Pre != nil {
 				classes++
 			}
 		}
@@ -318,7 +298,7 @@ func cmdTable2(args []string) error {
 			tr.Prog.SetExtra(class)
 			tr.Prog.Tick()
 		}
-		opts.Tick = func(done, total int) {
+		opts.Progress = func(done, total int) {
 			tr.Prog.SetExtra(fmt.Sprintf("%s %d/%d tests", current, done, total))
 			tr.Prog.Tick()
 		}
@@ -367,22 +347,13 @@ func cmdCauses(args []string) error {
 func cmdCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
 	class := fs.String("class", "", "class name (see 'lineup list')")
-	samples := fs.Int("samples", 100, "random tests")
-	rows := fs.Int("rows", 3, "threads per test")
-	cols := fs.Int("cols", 3, "invocations per thread")
-	seed := fs.Int64("seed", 1, "sampling seed")
-	bound := fs.Int("pb", 0, "preemption bound (0 = class default)")
-	workers := fs.Int("workers", runtime.NumCPU(), "parallel workers (one test per worker)")
-	exploreWorkers := fs.Int("explore-workers", 0, "workers sharing each check's phase-2 exploration (0 = one per CPU, or one when -workers already runs tests side by side)")
+	ropts := core.RandomOptions{Samples: 100, Rows: 3, Cols: 3, Seed: 1, Workers: runtime.NumCPU()}
+	addCheckFlags(fs, &ropts, "samples", "rows", "cols", "seed", "pb", "workers", "explore-workers",
+		"watchdog", "max-failures", "detect-leaks", "reduction", "witness")
+	ropts.MonitorModel = modelFlag(fs, "sequential model for -witness monitor: ")
 	shrink := fs.Bool("shrink", true, "minimize the first failing test")
-	watchdog := fs.Duration("watchdog", 0, "abandon executions making no scheduler progress for this long (0 = off)")
-	maxFailures := fs.Int("max-failures", 0, "contain up to N failed executions (panic/hang/leak) per test instead of aborting (0 = strict)")
-	detectLeaks := fs.Bool("detect-leaks", false, "report goroutines that escape the scheduler and outlive an execution")
-	reductionSpec := fs.String("reduction", "none", "partial-order reduction for phase 2: none or sleep")
 	checkpointFile := fs.String("checkpoint", "", "save progress to FILE (atomically) after every completed test")
 	resumeFile := fs.String("resume", "", "resume from a checkpoint FILE written by a previous -checkpoint run")
-	witnessSpec := fs.String("witness", "spec", "phase-2 witness backend: spec (phase-1 lookup) or monitor (model replay; requires -model)")
-	modelName := fs.String("model", "", "sequential model for -witness monitor: "+strings.Join(monitor.BuiltinNames(), ", "))
 	tflags := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -391,54 +362,29 @@ func cmdCheck(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown class %q (try 'lineup list')", *class)
 	}
-	if *bound != 0 {
-		pb = *bound
+	if ropts.PreemptionBound == 0 {
+		ropts.PreemptionBound = pb
 	}
-	reduction, err := sched.ParseReduction(*reductionSpec)
-	if err != nil {
-		return err
+	if ropts.MonitorModel.Name == "" {
+		ropts.MonitorModel = nil
 	}
-	witness, err := core.ParseWitness(*witnessSpec)
-	if err != nil {
-		return err
-	}
-	var witnessModel *monitor.Model
-	if witness != core.WitnessSpec {
-		if *modelName == "" {
-			return fmt.Errorf("check: -witness %s requires -model (one of %s)", witness, strings.Join(monitor.BuiltinNames(), ", "))
-		}
-		witnessModel, ok = monitor.Builtin(*modelName)
-		if !ok {
-			return fmt.Errorf("check: unknown model %q (one of %s)", *modelName, strings.Join(monitor.BuiltinNames(), ", "))
-		}
-	} else if *modelName != "" {
-		return fmt.Errorf("check: -model only applies with -witness monitor")
+	if (ropts.WitnessSearch == core.WitnessMonitor) != (ropts.MonitorModel != nil) {
+		return fmt.Errorf("check: -witness monitor and -model go together (models: %s)", strings.Join(monitor.BuiltinNames(), ", "))
 	}
 	tr, err := tflags.start("check " + sub.Name)
 	if err != nil {
 		return err
 	}
-	copts := core.Options{
-		PreemptionBound: pb,
-		Workers:         *exploreWorkers,
-		Watchdog:        *watchdog,
-		MaxFailures:     *maxFailures,
-		DetectLeaks:     *detectLeaks,
-		Reduction:       reduction,
-		WitnessSearch:   witness,
-		MonitorModel:    witnessModel,
-		Telemetry:       tr.C,
-	}
-	ropts := core.RandomOptions{
-		Rows: *rows, Cols: *cols, Samples: *samples, Seed: *seed,
-		Workers: *workers,
-		Options: copts,
-	}
+	ropts.Telemetry = tr.C
+	// The shrink re-checks candidates under the options the sweep survived
+	// with (watchdog, failure budget, reduction, witness backend); only the
+	// progress hooks below stay behind.
+	shrinkOpts := ropts.Options
 	if ropts.ExploreWorkers() > 1 {
 		ropts.ShardProgress = tr.shardProgress()
 	}
 	if tr.Prog != nil {
-		tr.Prog.SetTotal(*samples)
+		tr.Prog.SetTotal(ropts.Samples)
 		ropts.Progress = func(done, total int) { tr.Prog.SetUnits(done, total) }
 	}
 	if *resumeFile != "" {
@@ -448,7 +394,7 @@ func cmdCheck(args []string) error {
 		}
 		ropts.Resume = cp
 		fmt.Fprintf(os.Stderr, "resuming from %s: %d of %d tests already checked\n",
-			*resumeFile, len(cp.Tests), cp.Samples)
+			*resumeFile, len(cp.Tests), cp.Options.Samples)
 	}
 	if *checkpointFile != "" {
 		ropts.Checkpoint = func(cp *core.RandomCheckpoint) error {
@@ -460,7 +406,7 @@ func cmdCheck(args []string) error {
 		return err
 	}
 	fmt.Printf("%s: %d passed, %d failed (of %d sampled %dx%d tests, PB=%d)\n",
-		sub.Name, sum.Passed, sum.Failed, *samples, *rows, *cols, pb)
+		sub.Name, sum.Passed, sum.Failed, ropts.Samples, ropts.Rows, ropts.Cols, ropts.PreemptionBound)
 	if nf, kinds := countFailures(sum); nf > 0 {
 		fmt.Printf("contained runtime failures: %d (%s)\n", nf, kinds)
 	}
@@ -468,7 +414,7 @@ func cmdCheck(args []string) error {
 		sum.SerialHistAvg, sum.SerialHistMax, sum.Phase1TimeAvg)
 	fmt.Printf("phase 2: %v avg (passing), %v avg (failing), %d tests with stuck histories\n",
 		sum.Phase2PassAvg, sum.Phase2FailAvg, sum.StuckTests)
-	if reduction != sched.ReductionNone {
+	if ropts.Reduction != sched.ReductionNone {
 		pruned, dedup := 0, 0
 		for _, r := range sum.Results {
 			if r != nil {
@@ -477,13 +423,13 @@ func cmdCheck(args []string) error {
 			}
 		}
 		fmt.Printf("reduction (%s): %d branches pruned, %d history-cache hits\n",
-			reduction, pruned, dedup)
+			ropts.Reduction, pruned, dedup)
 	}
 	if sum.FirstFailure != nil {
 		fmt.Println("\nfirst failing test:")
 		fmt.Println(indent(sum.FirstFailure.Test.String()))
 		if *shrink {
-			min, res, err := core.Shrink(sub, sum.FirstFailure.Test, core.Options{PreemptionBound: pb})
+			min, res, err := core.Shrink(sub, sum.FirstFailure.Test, shrinkOpts)
 			if err != nil {
 				return err
 			}
@@ -500,8 +446,9 @@ func cmdCheck(args []string) error {
 // findSubject resolves a class name against both registries: the Go-native
 // subject corpus (internal/subjects — correct, (Pre) and (Relaxed) variants)
 // and the Table 1 classes. It returns the subject and its class's default
-// preemption bound.
-func findSubject(name string) (*core.Subject, int, bool) {
+// preemption bound. (A variable so that this package's tests can put a
+// subject no registry holds behind -class.)
+var findSubject = func(name string) (*core.Subject, int, bool) {
 	for _, e := range subjects.Registry() {
 		for _, sub := range []*core.Subject{e.Subject, e.Pre, e.Relaxed} {
 			if sub != nil && sub.Name == name {
@@ -524,14 +471,15 @@ func findSubject(name string) (*core.Subject, int, bool) {
 func cmdGenerate(args []string) error {
 	fs := flag.NewFlagSet("generate", flag.ExitOnError)
 	class := fs.String("class", "", "class name (see 'lineup list')")
-	seed := fs.Int64("seed", 1, "mutation seed (same seed + same class = same run)")
-	budget := fs.Int("budget", 600, "maximum number of generated tests to check")
-	corpusDir := fs.String("corpus-dir", "", "persist the accepted corpus as JSON files in DIR")
-	bound := fs.Int("pb", 0, "preemption bound (0 = class default)")
-	maxThreads := fs.Int("max-threads", 3, "maximum threads per generated test")
-	maxOps := fs.Int("max-ops", 3, "maximum invocations per thread")
-	consistencySpec := fs.String("consistency", "", "correctness criterion: linearizable (default), sequential, quiescent")
-	keepGoing := fs.Bool("keep-going", false, "spend the whole budget even after a violation")
+	gopts := core.GenOptions{Seed: 1, Budget: 600, MaxThreads: 3, MaxOps: 3}
+	fs.Int64Var(&gopts.Seed, "seed", gopts.Seed, "mutation seed (same seed + same class = same run)")
+	fs.IntVar(&gopts.Budget, "budget", gopts.Budget, "maximum number of generated tests to check")
+	fs.StringVar(&gopts.CorpusDir, "corpus-dir", "", "persist the accepted corpus as JSON files in DIR")
+	fs.IntVar(&gopts.MaxThreads, "max-threads", gopts.MaxThreads, "maximum threads per generated test")
+	fs.IntVar(&gopts.MaxOps, "max-ops", gopts.MaxOps, "maximum invocations per thread")
+	fs.BoolVar(&gopts.KeepGoing, "keep-going", false, "spend the whole budget even after a violation")
+	var ro core.RandomOptions
+	addCheckFlags(fs, &ro, "pb", "consistency")
 	tflags := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -540,32 +488,17 @@ func cmdGenerate(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown class %q (try 'lineup list')", *class)
 	}
-	if *bound != 0 {
-		pb = *bound
-	}
-	cons, err := core.ParseConsistency(*consistencySpec)
-	if err != nil {
-		return err
+	if ro.PreemptionBound != 0 {
+		pb = ro.PreemptionBound
 	}
 	tr, err := tflags.start("generate " + sub.Name)
 	if err != nil {
 		return err
 	}
-	gopts := core.GenOptions{
-		Options: core.Options{
-			PreemptionBound: pb,
-			Consistency:     cons,
-			Telemetry:       tr.C,
-		},
-		Seed:       *seed,
-		Budget:     *budget,
-		MaxThreads: *maxThreads,
-		MaxOps:     *maxOps,
-		CorpusDir:  *corpusDir,
-		KeepGoing:  *keepGoing,
-	}
+	gopts.Options = ro.Options
+	gopts.PreemptionBound, gopts.Telemetry = pb, tr.C
 	if tr.Prog != nil {
-		tr.Prog.SetTotal(*budget)
+		tr.Prog.SetTotal(gopts.Budget)
 		gopts.Progress = func(done, total int) { tr.Prog.SetUnits(done, total) }
 	}
 	res, err := core.Generate(sub, gopts)
@@ -576,8 +509,8 @@ func cmdGenerate(args []string) error {
 		sub.Name, res.Tests, res.Seed, pb, res.Accepted)
 	fmt.Printf("coverage: %d (kind,loc) pairs, %d distinct phase-2 histories; corpus size %d\n",
 		res.CoveragePairs, res.CoverageHists, res.CorpusSize)
-	if *corpusDir != "" {
-		fmt.Printf("corpus persisted to %s\n", *corpusDir)
+	if gopts.CorpusDir != "" {
+		fmt.Printf("corpus persisted to %s\n", gopts.CorpusDir)
 	}
 	if res.Failed != nil {
 		fmt.Printf("\nviolation found at test %d of %d (seed=%d — rerun with -seed %d to reproduce):\n",
@@ -758,18 +691,17 @@ func cmdFig9() error {
 
 func cmdCompare(args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	samples := fs.Int("samples", 10, "random tests per class")
-	seed := fs.Int64("seed", 5, "sampling seed")
-	workers := fs.Int("workers", 0, "workers sharing each test's schedule exploration (0 = one per CPU)")
+	ro := core.RandomOptions{Samples: 10, Seed: 5, Options: core.Options{PreemptionBound: 2}}
+	addCheckFlags(fs, &ro, "samples", "seed")
+	fs.IntVar(&ro.Options.Workers, "workers", 0, "workers sharing each test's schedule exploration (0 = one per CPU)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	copts := core.Options{PreemptionBound: 2, Workers: *workers}
 	fmt.Println("Section 5.6 — Line-Up vs race detection vs conflict-serializability")
 	fmt.Printf("%-26s %8s %8s %10s %10s\n", "Class", "races", "atomWarn", "warnTests", "lineupFail")
 	fmt.Println(strings.Repeat("-", 70))
 	for _, e := range bench.Registry() {
-		res, err := bench.CompareRandom(e.Subject, 2, 2, *samples, *seed, copts)
+		res, err := bench.CompareRandom(e.Subject, 2, 2, ro.Samples, ro.Seed, ro.Options)
 		if err != nil {
 			return err
 		}
@@ -778,7 +710,7 @@ func cmdCompare(args []string) error {
 	}
 	fmt.Println("\nsample serializability warnings (all false alarms on correct classes):")
 	stack, _, _ := bench.Find("ConcurrentStack")
-	res, err := bench.CompareRandom(stack, 2, 2, *samples, *seed, copts)
+	res, err := bench.CompareRandom(stack, 2, 2, ro.Samples, ro.Seed, ro.Options)
 	if err != nil {
 		return err
 	}
@@ -903,7 +835,8 @@ func cmdVerify(args []string) error {
 	class := fs.String("class", "", "class name (see 'lineup list')")
 	testSpec := fs.String("test", "", `test matrix, e.g. "Enqueue(10) TryDequeue() / Count()"`)
 	in := fs.String("obs", "", "observation file recorded with 'lineup record'")
-	bound := fs.Int("pb", 2, "preemption bound")
+	ro := core.RandomOptions{Options: core.Options{PreemptionBound: 2}}
+	addCheckFlags(fs, &ro, "pb")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -924,7 +857,7 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.CheckAgainstSpec(sub, m, parsed.ToSpec(), core.Options{PreemptionBound: *bound})
+	res, err := core.CheckAgainstSpec(sub, m, parsed.ToSpec(), ro.Options)
 	if err != nil {
 		return err
 	}

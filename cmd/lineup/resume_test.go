@@ -106,8 +106,8 @@ func testKillResume(t *testing.T, bin, reduction string) {
 			if err != nil {
 				t.Fatalf("checkpoint unreadable after SIGKILL (atomic write broken?): %v", err)
 			}
-			if len(cp.Tests) >= cp.Samples {
-				t.Fatalf("victim finished all %d tests before the kill; fixture too fast", cp.Samples)
+			if len(cp.Tests) >= cp.Options.Samples {
+				t.Fatalf("victim finished all %d tests before the kill; fixture too fast", cp.Options.Samples)
 			}
 
 			// The resumed run also writes a telemetry event trace: both the
@@ -138,10 +138,10 @@ func testKillResume(t *testing.T, bin, reduction string) {
 			if err != nil {
 				t.Fatalf("final checkpoint: %v", err)
 			}
-			if len(final.Tests) != final.Samples {
-				t.Errorf("final checkpoint records %d of %d tests", len(final.Tests), final.Samples)
+			if len(final.Tests) != final.Options.Samples {
+				t.Errorf("final checkpoint records %d of %d tests", len(final.Tests), final.Options.Samples)
 			}
-			if got := final.Reduction; got != reduction && !(got == "" && reduction == "none") {
+			if got := final.Options.Reduction.String(); got != reduction {
 				t.Errorf("checkpoint records reduction %q, run used %q", got, reduction)
 			}
 			_ = os.Remove(ck)

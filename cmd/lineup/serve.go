@@ -22,54 +22,38 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	trace := fs.String("trace", "-", "history stream ('-' for a stdin pipe)")
 	batch := fs.Bool("batch", false, "read -trace as length-prefixed binary batch frames instead of JSONL (HTTP ingest negotiates per request via Content-Type)")
-	modelName := fs.String("model", "", "sequential model: "+strings.Join(monitor.BuiltinNames(), ", "))
-	workers := fs.Int("workers", runtime.NumCPU(), "checker worker pool size")
-	window := fs.Int("window", 128, "completed operations per retired window")
-	queue := fs.Int("queue", 1024, "per-worker event queue depth")
-	bpSpec := fs.String("backpressure", "block", "full-queue policy: block (stall the producer) or shed (drop and poison the partition)")
+	cfg := serve.Config{Model: modelFlag(fs, "sequential model: ")}
+	fs.IntVar(&cfg.Workers, "workers", runtime.NumCPU(), "checker worker pool size")
+	fs.IntVar(&cfg.WindowOps, "window", 128, "completed operations per retired window")
+	fs.IntVar(&cfg.QueueDepth, "queue", 1024, "per-worker event queue depth")
+	fs.TextVar(&cfg.Backpressure, "backpressure", serve.BlockOnFull, "full-queue policy: block (stall the producer) or shed (drop and poison the partition)")
 	httpAddr := fs.String("http", "", "also accept events on this HTTP address (POST /ingest, GET /verdicts, GET /stats)")
-	checkpoint := fs.String("checkpoint", "", "checkpoint service state to FILE (atomically)")
-	every := fs.Int64("checkpoint-every", 0, "also checkpoint automatically every N ingested events (0 = only on shutdown)")
+	fs.StringVar(&cfg.CheckpointPath, "checkpoint", "", "checkpoint service state to FILE (atomically)")
+	fs.Int64Var(&cfg.CheckpointEvery, "checkpoint-every", 0, "also checkpoint automatically every N ingested events (0 = only on shutdown)")
 	resume := fs.Bool("resume", false, "resume from the -checkpoint file: replay the stream, skip what the checkpoint covers")
 	classic := fs.Bool("classic", false, "classic Definition 1 treatment of pending operations at stream end")
-	noDedup := fs.Bool("no-dedup", false, "disable the shared window-verdict dedup cache")
+	fs.BoolVar(&cfg.NoDedup, "no-dedup", false, "disable the shared window-verdict dedup cache")
 	tflags := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *modelName == "" {
+	model := cfg.Model
+	if model.Name == "" {
 		return fmt.Errorf("serve: -model is required (one of %s)", strings.Join(monitor.BuiltinNames(), ", "))
-	}
-	model, ok := monitor.Builtin(*modelName)
-	if !ok {
-		return fmt.Errorf("serve: unknown model %q (one of %s)", *modelName, strings.Join(monitor.BuiltinNames(), ", "))
-	}
-	bp, err := serve.ParseBackpressure(*bpSpec)
-	if err != nil {
-		return err
-	}
-	cfg := serve.Config{
-		Model:           model,
-		Workers:         *workers,
-		WindowOps:       *window,
-		QueueDepth:      *queue,
-		Backpressure:    bp,
-		CheckpointPath:  *checkpoint,
-		CheckpointEvery: *every,
-		NoDedup:         *noDedup,
 	}
 	if *classic {
 		cfg.Monitor.Mode = monitor.ModeClassic
 	}
 	if *resume {
-		if *checkpoint == "" {
+		if cfg.CheckpointPath == "" {
 			return fmt.Errorf("serve: -resume requires -checkpoint")
 		}
+		var err error
 		if cfg, err = serve.Resume(cfg); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "serve: resuming from %s: skipping %d already-checked events\n",
-			*checkpoint, cfg.SkipEvents)
+			cfg.CheckpointPath, cfg.SkipEvents)
 	}
 	tr, err := tflags.start("serve " + model.Name)
 	if err != nil {

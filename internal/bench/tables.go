@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"lineup/internal/core"
-	"lineup/internal/sched"
-	"lineup/internal/telemetry"
 )
 
 // moduleRoot locates the repository root (for Table 1 line counting) from
@@ -116,57 +114,15 @@ type Table2Row struct {
 
 // Table2Options parameterizes the Table 2 run.
 type Table2Options struct {
-	// Samples per class (the paper uses 100 tests of dimension 3x3).
-	Samples int
-	// Rows and Cols of each random test.
-	Rows, Cols int
-	// Seed for reproducibility.
-	Seed int64
-	// Workers parallelizes each class's sample (one test per worker).
-	Workers int
-	// ExploreWorkers is core.Options.Workers of every individual check: 0
-	// gives each exploration every CPU when Workers checks one test at a
-	// time and one otherwise; above one it composes with Workers and
-	// over-subscribes.
-	ExploreWorkers int
+	// RandomOptions is what every class's sample is checked with (the paper:
+	// 100 tests of dimension 3x3, RandomCheck's defaults). PreemptionBound is
+	// each class's own registry bound whatever is set here, a zero Seed means
+	// 1, and Progress reports the done and total tests of the class currently
+	// running.
+	core.RandomOptions
 	// IncludePre includes the "(Pre)" variants (the paper tests both
 	// releases).
 	IncludePre bool
-	// Watchdog arms the per-execution wall-clock watchdog on every check
-	// (core.Options.Watchdog), so one non-cooperating subject cannot hang
-	// an entire table regeneration. 0 disables it.
-	Watchdog time.Duration
-	// MaxFailures contains up to this many failed executions per check
-	// (core.Options.MaxFailures) instead of aborting the sweep at the first
-	// subject panic or hang. 0 keeps the strict behavior.
-	MaxFailures int
-	// Reduction applies the sleep-set partial-order reduction to every
-	// phase-2 exploration of the sweep (core.Options.Reduction). Verdicts
-	// and violations are identical; the schedule counts drop.
-	Reduction sched.Reduction
-	// Telemetry, when non-nil, is shared by every check of the sweep
-	// (core.Options.Telemetry); counters accumulate across classes.
-	Telemetry *telemetry.Collector
-	// Tick, when non-nil, is called after every completed test with the
-	// per-class progress (done and total tests of the class currently
-	// running). It is invoked under an internal lock and must return quickly.
-	Tick func(done, total int)
-}
-
-func (o Table2Options) withDefaults() Table2Options {
-	if o.Samples == 0 {
-		o.Samples = 100
-	}
-	if o.Rows == 0 {
-		o.Rows = 3
-	}
-	if o.Cols == 0 {
-		o.Cols = 3
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
 }
 
 // minDims maps subjects to their root causes with minimal dimensions,
@@ -186,26 +142,18 @@ func minDims() map[string][]string {
 // RunTable2 regenerates Table 2: for every class (and optionally its (Pre)
 // variant) it runs RandomCheck and aggregates the phase statistics.
 func RunTable2(opts Table2Options, progress func(string)) ([]Table2Row, error) {
-	opts = opts.withDefaults()
+	if opts.Seed == 0 {
+		opts.Seed = 1
+	}
 	dims := minDims()
 	var rows []Table2Row
 	run := func(sub *core.Subject, bound int) error {
 		if progress != nil {
 			progress(sub.Name)
 		}
-		sum, err := core.RandomCheck(sub, nil, core.RandomOptions{
-			Rows: opts.Rows, Cols: opts.Cols, Samples: opts.Samples,
-			Seed: opts.Seed, Workers: opts.Workers,
-			Progress: opts.Tick,
-			Options: core.Options{
-				PreemptionBound: bound,
-				Workers:         opts.ExploreWorkers,
-				Watchdog:        opts.Watchdog,
-				MaxFailures:     opts.MaxFailures,
-				Reduction:       opts.Reduction,
-				Telemetry:       opts.Telemetry,
-			},
-		})
+		ro := opts.RandomOptions
+		ro.PreemptionBound = bound
+		sum, err := core.RandomCheck(sub, nil, ro)
 		if err != nil {
 			return err
 		}

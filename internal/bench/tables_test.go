@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lineup/internal/bench"
+	"lineup/internal/core"
 )
 
 func TestWriteTable1Renders(t *testing.T) {
@@ -28,7 +29,7 @@ func TestRunTable2Tiny(t *testing.T) {
 		t.Skip("table harness is slow")
 	}
 	rows, err := bench.RunTable2(bench.Table2Options{
-		Samples: 2, Rows: 2, Cols: 2, Seed: 5, IncludePre: true,
+		RandomOptions: core.RandomOptions{Samples: 2, Rows: 2, Cols: 2, Seed: 5}, IncludePre: true,
 	}, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"lineup/internal/core"
@@ -56,8 +58,10 @@ func TestLegalWitnessCells(t *testing.T) {
 				for _, ws := range []core.WitnessSearch{core.WitnessSpec, core.WitnessMonitor} {
 					for _, workers := range []int{1, 2} {
 						// MonitorModel is ignored by the spec backend.
-						got, err := core.Check(c.sub, c.m, core.Options{PreemptionBound: c.bound, Reduction: red,
-							WitnessSearch: ws, MonitorModel: model, Workers: workers})
+						opts := core.Options{PreemptionBound: c.bound, Reduction: red,
+							WitnessSearch: ws, MonitorModel: model, Workers: workers}
+						requireWrittenFormRoundTrips(t, opts)
+						got, err := core.Check(c.sub, c.m, opts)
 						if err != nil {
 							t.Fatalf("reduction=%v witness=%v workers=%d: %v", red, ws, workers, err)
 						}
@@ -86,5 +90,28 @@ func TestLegalWitnessCells(t *testing.T) {
 			}
 			t.Logf("verdict %v, %d executions unreduced", first.Verdict, first.Phase2.Executions)
 		})
+	}
+}
+
+// requireWrittenFormRoundTrips: the cell's Options, written down and read
+// back, are the same Options — the model as the built-in of its name, every
+// other field equal — so the cell means the same thing in a dist job file, a
+// manifest or a checkpoint as it does here.
+func requireWrittenFormRoundTrips(t *testing.T, o core.Options) {
+	t.Helper()
+	data, err := json.Marshal(o)
+	if err != nil {
+		t.Fatalf("writing %+v: %v", o, err)
+	}
+	var back core.Options
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatalf("reading %s: %v", data, err)
+	}
+	if back.MonitorModel == nil || back.MonitorModel.Name != o.MonitorModel.Name {
+		t.Fatalf("%s: the model came back as %+v", data, back.MonitorModel)
+	}
+	back.MonitorModel, o.MonitorModel = nil, nil
+	if !reflect.DeepEqual(back, o) {
+		t.Fatalf("%s read back as %+v, wrote %+v", data, back, o)
 	}
 }

@@ -137,11 +137,12 @@ type RandomOptions struct {
 	Options
 	// Rows and Cols give the test matrix dimension (the paper's evaluation
 	// uses 3×3).
-	Rows, Cols int
+	Rows int `json:"rows"`
+	Cols int `json:"cols"`
 	// Samples is the number of random tests (the paper uses 100).
-	Samples int
+	Samples int `json:"samples"`
 	// Seed makes the sample reproducible.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// Workers runs whole checks (one test per worker) on this many
 	// OS-level workers (the "embarrassingly parallel" distribution of
 	// Section 4.3). 0 or 1 checks one test at a time. This field shadows the
@@ -150,29 +151,30 @@ type RandomOptions struct {
 	// zero value gives each exploration every CPU, and with Workers > 1 here
 	// it gives each exploration one (see ExploreWorkers). Setting both above
 	// one composes but over-subscribes the machine.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// StopAtFirstFailure ends the run at the first failing test.
-	StopAtFirstFailure bool
+	StopAtFirstFailure bool `json:"stop_at_first_failure,omitempty"`
 	// Progress, when non-nil, is called after every completed test with the
 	// number of tests finished so far (including any restored from a resumed
 	// checkpoint) and the total sample size. Calls are serialized; the hook
 	// must return quickly and must not call back into the checker.
-	Progress func(done, total int)
+	Progress func(done, total int) `json:"-"`
 	// Init and Final are fixed initial/final invocation sequences attached
 	// to every sampled test (Section 4.3).
-	Init, Final []Op
+	Init  []Op `json:"init,omitempty"`
+	Final []Op `json:"final,omitempty"`
 	// Checkpoint, when non-nil, receives the accumulated checkpoint state
 	// after every completed test (typically to RandomCheckpoint.Save it).
 	// Calls are serialized under an internal lock; a checkpoint error aborts
 	// the run.
-	Checkpoint func(*RandomCheckpoint) error
+	Checkpoint func(*RandomCheckpoint) error `json:"-"`
 	// Resume, when non-nil, restores the results recorded in a previously
 	// saved checkpoint and checks only the remaining tests. The checkpoint's
 	// sampling configuration must match this run's; the test sequence is
 	// regenerated from the shared seed, so restored and freshly checked
 	// results compose into exactly the sequence an uninterrupted run
 	// produces.
-	Resume *RandomCheckpoint
+	Resume *RandomCheckpoint `json:"-"`
 }
 
 // ExploreWorkers is the worker count each check's phase-2 exploration runs
@@ -227,17 +229,16 @@ func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummar
 		return nil, err
 	}
 	opts.Options.Workers = opts.ExploreWorkers()
-	rows, cols := opts.Rows, opts.Cols
-	if rows <= 0 {
-		rows = 3
+	if opts.Rows <= 0 {
+		opts.Rows = 3
 	}
-	if cols <= 0 {
-		cols = 3
+	if opts.Cols <= 0 {
+		opts.Cols = 3
 	}
-	samples := opts.Samples
-	if samples <= 0 {
-		samples = 100
+	if opts.Samples <= 0 {
+		opts.Samples = 100
 	}
+	rows, cols, samples := opts.Rows, opts.Cols, opts.Samples
 	rng := rand.New(rand.NewSource(opts.Seed))
 	tests := make([]*Test, samples)
 	for k := 0; k < samples; k++ {
@@ -253,20 +254,11 @@ func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummar
 	}
 
 	sum := &RandomSummary{Subject: sub, Results: make([]*Result, samples), PreemptionUsed: opts.bound()}
-	cp := &RandomCheckpoint{
-		Version:   randomCheckpointVersion,
-		Subject:   sub.Name,
-		Seed:      opts.Seed,
-		Rows:      rows,
-		Cols:      cols,
-		Samples:   samples,
-		Bound:     opts.bound(),
-		Reduction: opts.Reduction.String(),
-	}
+	cp := &RandomCheckpoint{Version: randomCheckpointVersion, Subject: sub.Name, Options: opts}
 	done := make([]bool, samples)
 	completed := 0
 	if opts.Resume != nil {
-		if err := opts.Resume.validate(sub.Name, opts.Seed, rows, cols, samples, opts.bound(), opts.Reduction.String()); err != nil {
+		if err := opts.Resume.validate(cp); err != nil {
 			return nil, err
 		}
 		for _, t := range opts.Resume.Tests {

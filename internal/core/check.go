@@ -24,62 +24,68 @@ const (
 	NoPreemptions = -2
 )
 
-// Options configures Check.
+// Options configures Check. The struct is also the one list of what a check's
+// configuration is: the json tags are its written form — what the dist job
+// file and manifest and the RandomCheck checkpoint hold and what a resume
+// compares field by field (ResumeMismatch) — every value type has one text
+// form (its MarshalText), and a field tagged "-" is a hook or a sink of this
+// process that does not travel. A new field has to pick one of the two
+// (TestOptionFieldsDeclareTheirForm).
 type Options struct {
 	// PreemptionBound bounds preemptive context switches in phase 2. The
 	// zero value selects DefaultBound; use NoPreemptions for an explicit
 	// bound of zero and Unbounded for no bounding.
-	PreemptionBound int
+	PreemptionBound int `json:"preemption_bound,omitempty"`
 	// Granularity selects the preemption granularity of phase 2.
-	Granularity sched.Granularity
+	Granularity sched.Granularity `json:"granularity,omitempty"`
 	// MaxExecutionsPerPhase is a safety net against schedule-space blowups
 	// (0 = default 2,000,000). A phase that reaches it aborts the check with
 	// a *BudgetError naming the phase.
-	MaxExecutionsPerPhase int
+	MaxExecutionsPerPhase int `json:"max_executions_per_phase,omitempty"`
 	// KeepSpec retains the synthesized specification in the result (needed
 	// for writing observation files; costs memory).
-	KeepSpec bool
+	KeepSpec bool `json:"keep_spec,omitempty"`
 	// ExhaustPhase2 keeps exploring after the first violation so that
 	// statistics cover the whole schedule space. The first violation is
 	// still the one reported.
-	ExhaustPhase2 bool
+	ExhaustPhase2 bool `json:"exhaust_phase2,omitempty"`
 	// RelaxedOps lists operations (by display name, e.g. "Count()") whose
 	// results are treated as nondeterministic: they are wildcarded before
 	// specification synthesis and witness checking (see Options.Relax).
-	RelaxedOps []string
+	RelaxedOps []string `json:"relaxed_ops,omitempty"`
 	// Consistency selects the correctness criterion for complete histories:
 	// strict linearizability (the zero value), sequential consistency, or
 	// quiescent consistency (see the Consistency constants). The relaxed
 	// criteria require the spec-lookup witness backend; combining them with
 	// WitnessMonitor is an error. Stuck histories are always checked
 	// strictly.
-	Consistency Consistency
+	Consistency Consistency `json:"consistency,omitempty"`
 	// Coverage, when non-nil, accumulates the (MemKind, location) footprint
 	// pairs and canonical phase-2 history hashes the check observes. It is
 	// the feedback signal of coverage-guided generation (Generate) and is
 	// observe-only: it never influences a verdict. One Coverage may be
 	// shared across many checks; phase 1 (serial executions) contributes no
 	// pairs, so the signal stays concurrency-specific.
-	Coverage *Coverage
+	Coverage *Coverage `json:"-"`
 	// SampleSchedules, when positive, replaces exhaustive phase-2
 	// exploration with this many randomly sampled schedules (see
 	// SampleStrategy). Sampling gives up the coverage of exhaustive
 	// preemption-bounded search but scales to long tests; any violation it
 	// finds is still a proof of non-linearizability (completeness is
 	// per-violation, not per-search).
-	SampleSchedules int
+	SampleSchedules int `json:"sample_schedules,omitempty"`
 	// SampleStrategy selects the sampling scheduler (random walk or PCT).
-	SampleStrategy sched.Strategy
+	SampleStrategy sched.Strategy `json:"sample_strategy,omitempty"`
 	// SampleSeed makes schedule sampling reproducible.
-	SampleSeed int64
+	SampleSeed int64 `json:"sample_seed,omitempty"`
 	// PCTDepth is the PCT bug-depth parameter (0 = default).
-	PCTDepth int
+	PCTDepth int `json:"pct_depth,omitempty"`
 	// WitnessSearch selects phase 2's witness decision backend: spec-set
 	// lookup (the default, Fig. 5) or the monitor's model-replay search.
-	WitnessSearch WitnessSearch
+	WitnessSearch WitnessSearch `json:"witness,omitempty"`
 	// MonitorModel is the executable sequential model consulted when
 	// WitnessSearch is WitnessMonitor (see CheckWithMonitor).
-	MonitorModel *monitor.Model
+	MonitorModel *monitor.Model `json:"model,omitempty"`
 	// Workers is the number of goroutines that explore the phase-2 schedule
 	// space of one check (sched.ExploreParallel). It cannot be observed in a
 	// result: the verdict, the reported violation, the contained failures and
@@ -91,30 +97,30 @@ type Options struct {
 	// several goroutines at once when more than one worker explores, each on
 	// its own instance from Subject.New. Sampling (SampleSchedules) and
 	// phase 1 ignore Workers.
-	Workers int
+	Workers int `json:"explore_workers,omitempty"`
 	// ShardProgress, when non-nil, receives progress snapshots of the
 	// phase-2 exploration (shards created/retired, executions started). It
 	// is called under an internal lock and must return quickly.
-	ShardProgress func(sched.ShardProgress)
+	ShardProgress func(sched.ShardProgress) `json:"-"`
 	// Watchdog, when positive, arms the scheduler's wall-clock watchdog on
 	// every execution: a subject that blocks on an uninstrumented primitive
 	// or spins without yielding is abandoned after this interval and
 	// reported as a hung execution instead of hanging the checker. See
 	// sched.Config.Watchdog.
-	Watchdog time.Duration
+	Watchdog time.Duration `json:"watchdog,omitempty"`
 	// DetectLeaks reports subject goroutines that survive an execution
 	// (raw `go` statements escaping the scheduler) as leak failures. It
 	// counts the goroutines of the whole process, so it needs executions to
 	// run one at a time: Workers 0 then means 1, and an explicit Workers > 1
 	// (here or in RandomOptions) is refused.
-	DetectLeaks bool
+	DetectLeaks bool `json:"detect_leaks,omitempty"`
 	// Reduction selects the explorer's partial-order reduction for phase 2
 	// (sched.ReductionNone or sched.ReductionSleep). Sleep-set reduction
 	// prunes schedules that only reorder independent steps; the verdict, the
 	// reported violation, and the set of distinct histories are bit-identical
 	// to an unreduced run while Executions drops (often by several times).
 	// Phase 1 is serial and never reduced; sampling ignores Reduction.
-	Reduction sched.Reduction
+	Reduction sched.Reduction `json:"reduction,omitempty"`
 	// MaxFailures enables graceful degradation in phase 2: up to this many
 	// failed executions (panic, hung, leak) are classified and recorded in
 	// Result.Failures while exploration continues, instead of aborting the
@@ -124,14 +130,14 @@ type Options struct {
 	// sequentially-first failure are the same for any Workers count.
 	// Phase 1 is always strict: serial executions run deterministic subject
 	// code whose failures are not schedule-dependent.
-	MaxFailures int
+	MaxFailures int `json:"max_failures,omitempty"`
 	// Telemetry, when non-nil, collects counters and phase wall-clock spans
 	// from both phases, the explorer, and the witness backend (see package
 	// telemetry). It is observe-only: every value reported in Result and
 	// PhaseStats is computed from the deterministic explorer statistics,
 	// never read back from the collector, so enabling telemetry cannot
 	// change a verdict. One collector may be shared across tests and phases.
-	Telemetry *telemetry.Collector
+	Telemetry *telemetry.Collector `json:"-"`
 }
 
 // exploreConfig assembles the exploration configuration the options imply,

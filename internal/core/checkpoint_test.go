@@ -154,7 +154,7 @@ func TestRandomCheckpointReportsAllMismatches(t *testing.T) {
 	if err == nil {
 		t.Fatal("mismatched resume was accepted")
 	}
-	for _, field := range []string{"seed", "samples", "preemption bound", "reduction"} {
+	for _, field := range []string{"seed", "samples", "preemption_bound", "reduction"} {
 		if !strings.Contains(err.Error(), field) {
 			t.Errorf("mismatch error omits %q: %v", field, err)
 		}

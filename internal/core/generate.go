@@ -318,29 +318,15 @@ type corpusManifest struct {
 	CoverageHists int    `json:"coverage_hists"`
 }
 
-// corpusEntry is the schema of one corpus-NNNNNN.json: the matrix as rows of
-// invocation display names.
-type corpusEntry struct {
-	Rows [][]string `json:"rows"`
-}
-
 // writeCorpus persists the corpus deterministically: entry files are named
-// by corpus index and their contents depend only on the tests, so two
-// same-seed runs write bit-identical directories.
+// by corpus index and hold the test's written form, which depends only on the
+// test, so two same-seed runs write bit-identical directories.
 func writeCorpus(dir string, sub *Subject, seed int64, corpus []*Test, res *GenResult) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("lineup: corpus dir: %w", err)
 	}
 	for i, m := range corpus {
-		e := corpusEntry{}
-		for _, row := range m.Rows {
-			names := make([]string, len(row))
-			for j, op := range row {
-				names[j] = op.Name()
-			}
-			e.Rows = append(e.Rows, names)
-		}
-		data, err := json.MarshalIndent(e, "", "  ")
+		data, err := json.MarshalIndent(m, "", "  ")
 		if err != nil {
 			return err
 		}
@@ -362,22 +348,4 @@ func writeCorpus(dir string, sub *Subject, seed int64, corpus []*Test, res *GenR
 		return err
 	}
 	return os.WriteFile(filepath.Join(dir, "manifest.json"), append(data, '\n'), 0o644)
-}
-
-// TestFromNames rebuilds a test from rows of invocation display names (the
-// persisted corpus format), resolving each name in the subject's universe.
-func TestFromNames(sub *Subject, rows [][]string) (*Test, error) {
-	m := &Test{}
-	for _, row := range rows {
-		ops := make([]Op, len(row))
-		for i, name := range row {
-			op, ok := sub.FindOp(name)
-			if !ok {
-				return nil, fmt.Errorf("lineup: %s has no invocation %q", sub.Name, name)
-			}
-			ops[i] = op
-		}
-		m.Rows = append(m.Rows, ops)
-	}
-	return m, nil
 }

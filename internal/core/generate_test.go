@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -190,18 +191,39 @@ func TestAutoCheckCoverageGuided(t *testing.T) {
 	}
 }
 
-// TestTestFromNames: the persisted corpus format round-trips through the
-// subject's universe, and unknown names are rejected.
+// TestTestFromNames: a test's written form ({init, rows, final} of display
+// names — the corpus entry, the dist job file and manifest) reads back
+// name-only, is rebuilt against the subject's universe, writes out to the
+// same bytes, and unknown names are rejected in every section.
 func TestTestFromNames(t *testing.T) {
 	sub := counterSubject()
-	m, err := core.TestFromNames(sub, [][]string{{"Inc()", "Get()"}, {"Dec()"}})
+	const written = `{"init":["Inc()"],"rows":[["Inc()","Get()"],["Dec()"]],"final":["Get()"]}`
+	var names core.Test
+	if err := json.Unmarshal([]byte(written), &names); err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.TestFromNames(sub, &names)
 	if err != nil {
 		t.Fatalf("TestFromNames: %v", err)
 	}
-	if len(m.Rows) != 2 || m.Rows[0][1].Name() != "Get()" || m.Rows[1][0].Name() != "Dec()" {
+	if len(m.Rows) != 2 || m.Rows[0][1].Name() != "Get()" || m.Rows[1][0].Name() != "Dec()" ||
+		len(m.Init) != 1 || len(m.Final) != 1 || m.Rows[0][1].Run == nil || m.Init[0].Run == nil || m.Final[0].Run == nil {
 		t.Fatalf("round-trip mangled the test:\n%s", m)
 	}
-	if _, err := core.TestFromNames(sub, [][]string{{"Frobnicate()"}}); err == nil {
-		t.Fatal("unknown invocation accepted")
+	if again, err := json.Marshal(m); err != nil || string(again) != written {
+		t.Fatalf("rebuilt test writes %s (%v), want %s", again, err, written)
+	}
+	for _, bad := range []string{
+		`{"rows":[["Frobnicate()"]]}`,
+		`{"init":["Frobnicate()"],"rows":[["Inc()"]]}`,
+		`{"rows":[["Inc()"]],"final":["Frobnicate()"]}`,
+	} {
+		var names core.Test
+		if err := json.Unmarshal([]byte(bad), &names); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.TestFromNames(sub, &names); err == nil {
+			t.Errorf("unknown invocation accepted: %s", bad)
+		}
 	}
 }

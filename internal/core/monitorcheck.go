@@ -1,8 +1,7 @@
 package core
 
 import (
-	"errors"
-	"strconv"
+	"fmt"
 
 	"lineup/internal/history"
 	"lineup/internal/monitor"
@@ -25,7 +24,7 @@ const (
 	WitnessMonitor
 )
 
-// String renders the backend name the CLI's -witness flag accepts.
+// String renders the backend's text form.
 func (w WitnessSearch) String() string {
 	if w == WitnessMonitor {
 		return "monitor"
@@ -33,16 +32,21 @@ func (w WitnessSearch) String() string {
 	return "spec"
 }
 
-// ParseWitness parses a -witness flag value into a WitnessSearch.
-func ParseWitness(s string) (WitnessSearch, error) {
-	switch s {
+// MarshalText and UnmarshalText give a WitnessSearch its one text form
+// ("spec", "monitor"; empty reads as spec): the spelling of the -witness flag
+// and of every file a check is written down in.
+func (w WitnessSearch) MarshalText() ([]byte, error) { return []byte(w.String()), nil }
+
+func (w *WitnessSearch) UnmarshalText(b []byte) error {
+	switch string(b) {
 	case "", "spec":
-		return WitnessSpec, nil
+		*w = WitnessSpec
 	case "monitor":
-		return WitnessMonitor, nil
+		*w = WitnessMonitor
 	default:
-		return WitnessSpec, errors.New("core: unknown witness backend " + strconv.Quote(s) + " (spec or monitor)")
+		return fmt.Errorf("core: unknown witness backend %q (spec or monitor)", b)
 	}
+	return nil
 }
 
 // witnessBackend abstracts the phase-2 witness decision procedure over the

@@ -44,18 +44,29 @@ func (c Consistency) String() string {
 	}
 }
 
-// ParseConsistency parses a -consistency flag value.
-func ParseConsistency(s string) (Consistency, error) {
-	switch s {
+// MarshalText and UnmarshalText give a Consistency its one text form (what
+// String renders; the flag's shorthands and the empty string are read too).
+func (c Consistency) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+func (c *Consistency) UnmarshalText(b []byte) error {
+	switch string(b) {
 	case "", "linearizable", "linearizability", "strict":
-		return Linearizability, nil
+		*c = Linearizability
 	case "sequential", "sc":
-		return SequentialConsistency, nil
+		*c = SequentialConsistency
 	case "quiescent", "qc":
-		return QuiescentConsistency, nil
+		*c = QuiescentConsistency
 	default:
-		return 0, fmt.Errorf("core: unknown consistency %q (want linearizable, sequential, or quiescent)", s)
+		return fmt.Errorf("core: unknown consistency %q (want linearizable, sequential, or quiescent)", b)
 	}
+	return nil
+}
+
+// ParseConsistency parses the text form of a consistency criterion.
+func ParseConsistency(s string) (Consistency, error) {
+	var c Consistency
+	err := c.UnmarshalText([]byte(s))
+	return c, err
 }
 
 // RelaxedResult is the wildcard that replaces the results of relaxed

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 
+	"lineup/internal/monitor"
 	"lineup/internal/sched"
 )
 
@@ -33,6 +34,17 @@ func (op Op) Name() string {
 		return op.Method + "()"
 	}
 	return op.Method + "(" + op.Args + ")"
+}
+
+// MarshalText and UnmarshalText make an invocation travel as its display
+// name: code never does. Reading yields a name-only Op (Run is nil), which
+// TestFromNames resolves in a subject's universe before anything runs it.
+func (op Op) MarshalText() ([]byte, error) { return []byte(op.Name()), nil }
+
+func (op *Op) UnmarshalText(b []byte) error {
+	*op = Op{}
+	op.Method, op.Args = monitor.SplitOp(string(b))
+	return nil
 }
 
 // Subject is an implementation under test: a constructor and a universe of
@@ -68,10 +80,30 @@ func (s *Subject) FindOp(name string) (Op, bool) {
 // run unobserved in the setup pseudo-thread (state preparation); final
 // invocations run and are observed in a teardown pseudo-thread after all
 // test threads have finished, which lets tests observe the final state.
+//
+// A Test is written down as {init, rows, final} of display names — in the
+// dist job file and manifest and in a generated corpus — and what is read back
+// is name-only until TestFromNames rebuilds it against a subject.
 type Test struct {
-	Init  []Op
-	Rows  [][]Op // Rows[i] is the invocation sequence of thread i
-	Final []Op
+	Init  []Op   `json:"init,omitempty"`
+	Rows  [][]Op `json:"rows"` // Rows[i] is the invocation sequence of thread i
+	Final []Op   `json:"final,omitempty"`
+}
+
+// TestFromNames rebuilds a test from its written form, resolving every display
+// name in the subject's universe.
+func TestFromNames(sub *Subject, names *Test) (*Test, error) {
+	m := names.Clone()
+	for _, row := range append([][]Op{m.Init, m.Final}, m.Rows...) {
+		for i := range row {
+			op, ok := sub.FindOp(row[i].Name())
+			if !ok {
+				return nil, fmt.Errorf("lineup: %s has no invocation %q", sub.Name, row[i].Name())
+			}
+			row[i] = op
+		}
+	}
+	return m, nil
 }
 
 // Dim returns the dimension of the test: number of threads and the length
@@ -138,11 +170,7 @@ func (m *Test) String() string {
 	var b strings.Builder
 	threads, depth := m.Dim()
 	if len(m.Init) > 0 {
-		names := make([]string, len(m.Init))
-		for i, op := range m.Init {
-			names[i] = op.Name()
-		}
-		fmt.Fprintf(&b, "init: %s\n", strings.Join(names, "; "))
+		fmt.Fprintf(&b, "init: %s\n", strings.Join(opNames(m.Init), "; "))
 	}
 	for i := 0; i < threads; i++ {
 		fmt.Fprintf(&b, "%-14s", "Thread "+threadLabel(i))
@@ -159,11 +187,7 @@ func (m *Test) String() string {
 		b.WriteByte('\n')
 	}
 	if len(m.Final) > 0 {
-		names := make([]string, len(m.Final))
-		for i, op := range m.Final {
-			names[i] = op.Name()
-		}
-		fmt.Fprintf(&b, "final: %s\n", strings.Join(names, "; "))
+		fmt.Fprintf(&b, "final: %s\n", strings.Join(opNames(m.Final), "; "))
 	}
 	return b.String()
 }

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"lineup/internal/core"
+	"lineup/internal/obsfile"
 	"lineup/internal/telemetry"
 )
 
@@ -201,14 +202,6 @@ func Run(ctx context.Context, cfg Config) (*core.Result, Stats, error) {
 		return res, stats, err
 	}
 
-	// Ship the freshly synthesized (and determinism-checked) phase-1 spec to
-	// exec workers so they skip the per-unit re-synthesis that dominates
-	// small units. Phase 1 is deterministic, so the reports are byte-for-byte
-	// what local synthesis would have produced.
-	if ex, ok := cfg.Launcher.(*ExecLauncher); ok && ex.Spec == nil {
-		ex.Spec = plan.Spec
-	}
-
 	recs := make([]*unitRec, len(plan.Units))
 	for i := range recs {
 		recs[i] = &unitRec{state: uPending}
@@ -284,7 +277,8 @@ func Run(ctx context.Context, cfg Config) (*core.Result, Stats, error) {
 			if cfg.Telemetry != nil {
 				cfg.Telemetry.DistLeasesGranted.Add(1)
 			}
-			spec := UnitSpec{Seq: seq, Attempt: rec.attempts, Unit: plan.Units[seq], HeartbeatEvery: cfg.Lease / 4}
+			spec := UnitSpec{Seq: seq, Attempt: rec.attempts, Unit: plan.Units[seq], HeartbeatEvery: cfg.Lease / 4,
+				cfg: &cfg, phase1: plan.Spec}
 			go func(wctx context.Context, spec UnitSpec) {
 				hb := func() {
 					select {
@@ -362,7 +356,7 @@ func Run(ctx context.Context, cfg Config) (*core.Result, Stats, error) {
 				continue
 			}
 			if cfg.Dir != "" {
-				if err := saveReport(reportPath(cfg.Dir, d.spec.Seq), d.report); err != nil {
+				if err := obsfile.AtomicWriteJSON(reportPath(cfg.Dir, d.spec.Seq), d.report); err != nil {
 					return nil, stats, err
 				}
 			}

@@ -299,7 +299,7 @@ func TestDistManifestMismatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("mismatched resume was accepted")
 	}
-	for _, field := range []string{"preemption bound", "reduction", "depth"} {
+	for _, field := range []string{"preemption_bound", "reduction", "depth"} {
 		if !strings.Contains(err.Error(), field) {
 			t.Errorf("mismatch error omits %q: %v", field, err)
 		}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"strings"
@@ -14,7 +13,6 @@ import (
 
 	"lineup/internal/core"
 	"lineup/internal/history"
-	"lineup/internal/obsfile"
 	"lineup/internal/sched"
 )
 
@@ -30,6 +28,12 @@ type UnitSpec struct {
 	// callback (the coordinator sets it to a quarter of the lease length, so
 	// a healthy worker renews several times per lease).
 	HeartbeatEvery time.Duration `json:"heartbeat_every"`
+
+	// cfg and phase1 are the Config the unit is leased under and its plan's
+	// phase-1 specification, set by Run for the launchers of this package.
+	// They do not travel: a job file writes the check down (checkForm).
+	cfg    *Config
+	phase1 *history.Spec
 }
 
 // Launcher runs one leased work unit to completion. Run must return promptly
@@ -72,21 +76,16 @@ func (l *InProcLauncher) Run(ctx context.Context, spec UnitSpec, heartbeat func(
 // ExecLauncher runs each unit in a separate worker process ("<bin> dist
 // -worker <jobfile>") over local exec: the real robustness configuration,
 // where a worker can be kill -9'd, can panic, or can hang without taking the
-// coordinator down. The wire protocol is deliberately dumb: the job travels
-// as a JSON file, heartbeats are "hb" lines on the worker's stdout, and the
-// report comes back through an atomically-written file.
+// coordinator down. The wire protocol is deliberately dumb: the job — the
+// check of the Config the launcher is run under, written down, plus the unit —
+// travels as a JSON file, heartbeats are "hb" lines on the worker's stdout,
+// and the report comes back through an atomically-written file. It runs units
+// leased by dist.Run only: the check comes with the lease.
 type ExecLauncher struct {
 	// Bin is the lineup binary to exec.
 	Bin string
 	// Dir holds job and report files (required).
 	Dir string
-	// Subject names the class the worker should resolve; code never travels,
-	// only the name (plus, optionally, the Spec below).
-	Subject string
-	// Test is the test matrix as rows of invocation display names.
-	Test [][]string
-	// Options is the serializable option subset workers need.
-	Options WorkerOptions
 	// KillUnit, when >= 0, SIGKILLs the worker for that unit's first attempt
 	// right after its first heartbeat — the built-in worker-kill fault
 	// injection the dist smoke test and EXPERIMENTS rows use. The retry
@@ -94,26 +93,17 @@ type ExecLauncher struct {
 	KillUnit int
 	// Env appends extra environment variables to workers.
 	Env []string
-	// Spec, when non-nil, is the coordinator's synthesized phase-1
-	// specification, shipped inside every job file so workers skip the
-	// per-unit re-synthesis (the dominant cost of small units). Phase 1 is
-	// deterministic, so shipping it cannot change any report.
-	Spec *history.Spec
 }
 
 func (l *ExecLauncher) Run(ctx context.Context, spec UnitSpec, heartbeat func()) (*core.UnitReport, error) {
 	jobPath := fmt.Sprintf("%s/job-%06d-%d.json", l.Dir, spec.Seq, spec.Attempt)
 	repPath := jobPath + ".report"
-	job := WorkerJob{
-		Subject:    l.Subject,
-		Test:       l.Test,
-		Options:    l.Options,
-		Spec:       spec,
-		ReportPath: repPath,
-	}
-	if l.Spec != nil {
-		job.SpecHistories = l.Spec.Export()
-	}
+	// The coordinator's synthesized (and determinism-checked) phase-1
+	// specification rides along so workers skip the per-unit re-synthesis that
+	// dominates small units. Phase 1 is deterministic, so the reports are
+	// byte-for-byte what local synthesis would have produced.
+	job := WorkerJob{Version: jobVersion, checkForm: formOf(spec.cfg), Spec: spec, ReportPath: repPath,
+		SpecHistories: spec.phase1.Export()}
 	data, err := json.MarshalIndent(job, "", "  ")
 	if err != nil {
 		return nil, err
@@ -164,63 +154,6 @@ func (l *ExecLauncher) Run(ctx context.Context, spec UnitSpec, heartbeat func())
 	return rep, nil
 }
 
-// WorkerOptions is the serializable subset of core.Options a worker needs to
-// reproduce the coordinator's configuration exactly. (Unserializable knobs —
-// telemetry, coverage, progress — stay coordinator-side.)
-type WorkerOptions struct {
-	PreemptionBound       int           `json:"preemption_bound,omitempty"`
-	MaxExecutionsPerPhase int           `json:"max_executions_per_phase,omitempty"`
-	MaxFailures           int           `json:"max_failures,omitempty"`
-	Reduction             string        `json:"reduction,omitempty"`
-	Consistency           string        `json:"consistency,omitempty"`
-	RelaxedOps            []string      `json:"relaxed_ops,omitempty"`
-	Watchdog              time.Duration `json:"watchdog,omitempty"`
-}
-
-// ToOptions expands the wire form back into core.Options.
-func (w WorkerOptions) ToOptions() (core.Options, error) {
-	opts := core.Options{
-		PreemptionBound:       w.PreemptionBound,
-		MaxExecutionsPerPhase: w.MaxExecutionsPerPhase,
-		MaxFailures:           w.MaxFailures,
-		RelaxedOps:            w.RelaxedOps,
-		Watchdog:              w.Watchdog,
-	}
-	if w.Reduction != "" {
-		red, err := sched.ParseReduction(w.Reduction)
-		if err != nil {
-			return opts, err
-		}
-		opts.Reduction = red
-	}
-	if w.Consistency != "" {
-		cons, err := core.ParseConsistency(w.Consistency)
-		if err != nil {
-			return opts, err
-		}
-		opts.Consistency = cons
-	}
-	return opts, nil
-}
-
-// OptionsToWorker extracts the serializable subset of opts for the wire.
-func OptionsToWorker(opts core.Options) WorkerOptions {
-	w := WorkerOptions{
-		PreemptionBound:       opts.PreemptionBound,
-		MaxExecutionsPerPhase: opts.MaxExecutionsPerPhase,
-		MaxFailures:           opts.MaxFailures,
-		RelaxedOps:            opts.RelaxedOps,
-		Watchdog:              opts.Watchdog,
-	}
-	if opts.Reduction != sched.ReductionNone {
-		w.Reduction = opts.Reduction.String()
-	}
-	if opts.Consistency != core.Linearizability {
-		w.Consistency = opts.Consistency.String()
-	}
-	return w
-}
-
 func loadReport(path string) (*core.UnitReport, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -232,18 +165,4 @@ func loadReport(path string) (*core.UnitReport, error) {
 		return nil, fmt.Errorf("dist: parsing report %s: %w", path, err)
 	}
 	return &rep, nil
-}
-
-func saveReport(path string, rep *core.UnitReport) error {
-	return atomicWriteJSON(path, rep)
-}
-
-// atomicWriteJSON journals v through obsfile's temp+fsync+rename path, so a
-// crash at any instant leaves either the previous file or the new one.
-func atomicWriteJSON(path string, v any) error {
-	return obsfile.AtomicWriteFile(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(v)
-	})
 }

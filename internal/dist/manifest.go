@@ -1,17 +1,33 @@
 package dist
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
-	"strings"
 
 	"lineup/internal/core"
+	"lineup/internal/obsfile"
 )
 
-// manifestVersion is the durable-state format version.
-const manifestVersion = 1
+// manifestVersion is the durable-state format version. Version 2 holds the
+// check in its written form (checkForm) where version 1 held six hand-picked
+// option values.
+const manifestVersion = 2
+
+// checkForm is a check written down the one way dist does it, in the manifest
+// and in every job file: the class by name, the test by display names
+// (core.Test's written form) and core.Options through their json tags. Code
+// never travels; the reader resolves the names.
+type checkForm struct {
+	Subject string       `json:"subject"`
+	Test    *core.Test   `json:"test"`
+	Options core.Options `json:"options"`
+}
+
+func formOf(cfg *Config) checkForm {
+	return checkForm{Subject: cfg.Subject.Name, Test: cfg.Test, Options: cfg.Options}
+}
 
 // manifestUnit is one unit's journaled state. Leases are volatile by design:
 // a coordinator killed while units were leased resumes them as pending —
@@ -24,20 +40,13 @@ type manifestUnit struct {
 	LastErr  string `json:"last_err,omitempty"`
 }
 
-// manifest is the coordinator's durable state: a fingerprint of the run
-// configuration (a resume under a different configuration is rejected with
-// every mismatch named) plus per-unit states. Reports of done units live in
-// sibling unit-NNNNNN.json files.
+// manifest is the coordinator's durable state: the check and its split as
+// they were configured (a resume under a different configuration is rejected
+// with every mismatched field named, core.ResumeMismatch) plus per-unit
+// states. Reports of done units live in sibling unit-NNNNNN.json files.
 type manifest struct {
-	Version     int            `json:"version"`
-	Subject     string         `json:"subject"`
-	Init        []string       `json:"init,omitempty"`
-	Test        [][]string     `json:"test"`
-	Final       []string       `json:"final,omitempty"`
-	Bound       int            `json:"preemption_bound"`
-	Reduction   string         `json:"reduction"`
-	Consistency string         `json:"consistency,omitempty"`
-	MaxFailures int            `json:"max_failures,omitempty"`
+	Version int `json:"version"`
+	checkForm
 	Depth       int            `json:"depth"`
 	Units       int            `json:"units"`
 	SplitPruned int            `json:"split_pruned"`
@@ -46,42 +55,14 @@ type manifest struct {
 
 func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
 
-func opNames(ops []core.Op) []string {
-	if len(ops) == 0 {
-		return nil
-	}
-	names := make([]string, len(ops))
-	for i, op := range ops {
-		names[i] = op.Name()
-	}
-	return names
-}
-
-func testNames(m *core.Test) (init []string, rows [][]string, final []string) {
-	for _, row := range m.Rows {
-		rows = append(rows, opNames(row))
-	}
-	return opNames(m.Init), rows, opNames(m.Final)
-}
-
-// buildManifest fingerprints the run and snapshots unit states.
+// buildManifest writes the run down and snapshots unit states.
 func buildManifest(cfg Config, plan *core.UnitPlan, recs []*unitRec) *manifest {
-	init, rows, final := testNames(cfg.Test)
 	man := &manifest{
 		Version:     manifestVersion,
-		Subject:     cfg.Subject.Name,
-		Init:        init,
-		Test:        rows,
-		Final:       final,
-		Bound:       cfg.Options.PreemptionBound,
-		Reduction:   cfg.Options.Reduction.String(),
-		MaxFailures: cfg.Options.MaxFailures,
+		checkForm:   formOf(&cfg),
 		Depth:       cfg.Depth,
 		Units:       len(plan.Units),
 		SplitPruned: plan.Split.Pruned,
-	}
-	if cfg.Options.Consistency != core.Linearizability {
-		man.Consistency = cfg.Options.Consistency.String()
 	}
 	for seq, rec := range recs {
 		state := rec.state
@@ -99,53 +80,19 @@ func saveManifest(cfg Config, plan *core.UnitPlan, recs []*unitRec) error {
 	if cfg.Dir == "" {
 		return nil
 	}
-	return atomicWriteJSON(manifestPath(cfg.Dir), buildManifest(cfg, plan, recs))
+	return obsfile.AtomicWriteJSON(manifestPath(cfg.Dir), buildManifest(cfg, plan, recs))
 }
 
-// validate rejects a manifest recorded under a different configuration,
-// naming every mismatched field in one error so the operator fixes a stale
-// resume in a single pass (same contract as core's checkpoint validation).
-func (m *manifest) validate(want *manifest) error {
-	var bad []string
-	mismatch := func(field string, got, exp any) {
-		bad = append(bad, fmt.Sprintf("%s is %v in the manifest but %v here", field, got, exp))
+// loadManifest reads and decodes a manifest file; a missing file is (nil, nil).
+func loadManifest(path string) (*manifest, error) {
+	var man manifest
+	if err := core.LoadVersioned(path, "manifest", manifestVersion, &man); err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			err = nil
+		}
+		return nil, err
 	}
-	if m.Version != want.Version {
-		mismatch("version", m.Version, want.Version)
-	}
-	if m.Subject != want.Subject {
-		mismatch("subject", m.Subject, want.Subject)
-	}
-	if fmt.Sprint(m.Init) != fmt.Sprint(want.Init) ||
-		fmt.Sprint(m.Test) != fmt.Sprint(want.Test) ||
-		fmt.Sprint(m.Final) != fmt.Sprint(want.Final) {
-		mismatch("test", fmt.Sprint(m.Test), fmt.Sprint(want.Test))
-	}
-	if m.Bound != want.Bound {
-		mismatch("preemption bound", m.Bound, want.Bound)
-	}
-	if m.Reduction != want.Reduction {
-		mismatch("reduction", m.Reduction, want.Reduction)
-	}
-	if m.Consistency != want.Consistency {
-		mismatch("consistency", m.Consistency, want.Consistency)
-	}
-	if m.MaxFailures != want.MaxFailures {
-		mismatch("max failures", m.MaxFailures, want.MaxFailures)
-	}
-	if m.Depth != want.Depth {
-		mismatch("depth", m.Depth, want.Depth)
-	}
-	if m.Units != want.Units {
-		mismatch("unit count", m.Units, want.Units)
-	}
-	if m.SplitPruned != want.SplitPruned {
-		mismatch("split pruned", m.SplitPruned, want.SplitPruned)
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("dist: manifest does not match this run: %s", strings.Join(bad, "; "))
-	}
-	return nil
+	return &man, nil
 }
 
 // resumeManifest loads Dir's manifest, if any, and restores unit states:
@@ -156,18 +103,11 @@ func (m *manifest) validate(want *manifest) error {
 // pending. The net effect is exactly-once merging: a completed unit is never
 // re-run, never re-counted.
 func resumeManifest(cfg Config, plan *core.UnitPlan, recs []*unitRec, reports []*core.UnitReport, stats *Stats) error {
-	data, err := os.ReadFile(manifestPath(cfg.Dir))
-	if os.IsNotExist(err) {
-		return nil
+	man, err := loadManifest(manifestPath(cfg.Dir))
+	if man == nil || err != nil {
+		return err
 	}
-	if err != nil {
-		return fmt.Errorf("dist: reading manifest: %w", err)
-	}
-	var man manifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return fmt.Errorf("dist: parsing manifest %s: %w", manifestPath(cfg.Dir), err)
-	}
-	if err := man.validate(buildManifest(cfg, plan, recs)); err != nil {
+	if err := core.ResumeMismatch("manifest", man, buildManifest(cfg, plan, recs), "entries"); err != nil {
 		return err
 	}
 	for _, e := range man.Entries {

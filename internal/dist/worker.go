@@ -1,57 +1,64 @@
 package dist
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"lineup/internal/core"
 	"lineup/internal/history"
+	"lineup/internal/obsfile"
 )
 
+// jobVersion is the job-file format version. Version 2 carries the check in
+// its written form (checkForm: every option, init and final sections) where
+// the unversioned first format carried seven options and the rows.
+const jobVersion = 2
+
 // WorkerJob is the file an ExecLauncher coordinator hands a worker process:
-// everything the worker needs to reproduce the coordinator's configuration
-// (the deterministic phase 1 is re-synthesized worker-side) plus the unit.
+// the check written down, which is everything the worker needs to reproduce
+// the coordinator's configuration, plus the unit.
 type WorkerJob struct {
-	Subject    string        `json:"subject"`
-	Test       [][]string    `json:"test"`
-	Options    WorkerOptions `json:"options"`
-	Spec       UnitSpec      `json:"spec"`
-	ReportPath string        `json:"report_path"`
+	Version int `json:"version"`
+	checkForm
+	Spec       UnitSpec `json:"spec"`
+	ReportPath string   `json:"report_path"`
 	// SpecHistories, when present, is the coordinator's phase-1
 	// specification in history.Spec Export order; the worker rebuilds the
-	// spec from it instead of re-synthesizing. Absent (older coordinators,
-	// hand-written jobs), the worker synthesizes locally as before.
+	// spec from it instead of re-synthesizing. Absent (hand-written jobs),
+	// the worker synthesizes locally.
 	SpecHistories []*history.SerialHistory `json:"spec_histories,omitempty"`
 }
 
-// RunWorker is the worker half of the exec protocol: it loads the job file,
-// resolves the subject through the caller's registry, runs the unit, writes
-// the report atomically, and prints "done". Heartbeats are "hb" lines on out,
-// emitted from the per-execution tick at the job's heartbeat period. Exit
-// discipline is the caller's: any error return should exit nonzero, and the
-// coordinator treats both that and silence (kill -9, panic, hang) as a
-// failed lease.
-func RunWorker(jobPath string, resolve func(class string) (*core.Subject, bool), out io.Writer) error {
-	data, err := os.ReadFile(jobPath)
-	if err != nil {
-		return fmt.Errorf("dist: reading job: %w", err)
-	}
+// loadJob reads and decodes a job file.
+func loadJob(path string) (*WorkerJob, error) {
 	var job WorkerJob
-	if err := json.Unmarshal(data, &job); err != nil {
-		return fmt.Errorf("dist: parsing job %s: %w", jobPath, err)
+	if err := core.LoadVersioned(path, "job file", jobVersion, &job); err != nil {
+		return nil, err
+	}
+	if job.Test == nil {
+		return nil, fmt.Errorf("dist: job file %s names no test", path)
+	}
+	return &job, nil
+}
+
+// RunWorker is the worker half of the exec protocol: it loads the job file,
+// resolves the subject through the caller's registry and the test in the
+// subject's universe, runs the unit, writes the report atomically, and prints
+// "done". Heartbeats are "hb" lines on out, emitted from the per-execution
+// tick at the job's heartbeat period. Exit discipline is the caller's: any
+// error return should exit nonzero, and the coordinator treats both that and
+// silence (kill -9, panic, hang) as a failed lease.
+func RunWorker(jobPath string, resolve func(class string) (*core.Subject, bool), out io.Writer) error {
+	job, err := loadJob(jobPath)
+	if err != nil {
+		return err
 	}
 	sub, ok := resolve(job.Subject)
 	if !ok {
 		return fmt.Errorf("dist: unknown class %q", job.Subject)
 	}
 	m, err := core.TestFromNames(sub, job.Test)
-	if err != nil {
-		return err
-	}
-	opts, err := job.Options.ToOptions()
 	if err != nil {
 		return err
 	}
@@ -75,11 +82,11 @@ func RunWorker(jobPath string, resolve func(class string) (*core.Subject, bool),
 	if len(job.SpecHistories) > 0 {
 		spec = history.ImportSpec(job.SpecHistories)
 	}
-	rep, err := core.CheckUnitWithSpec(sub, m, opts, job.Spec.Unit, spec, tick)
+	rep, err := core.CheckUnitWithSpec(sub, m, job.Options, job.Spec.Unit, spec, tick)
 	if err != nil {
 		return err
 	}
-	if err := saveReport(job.ReportPath, rep); err != nil {
+	if err := obsfile.AtomicWriteJSON(job.ReportPath, rep); err != nil {
 		return err
 	}
 	fmt.Fprintln(out, "done")

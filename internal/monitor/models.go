@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"encoding/json"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,6 +51,20 @@ func Builtin(name string) (*Model, bool) {
 		return MREModel(), true
 	}
 	return nil, false
+}
+
+// MarshalText and UnmarshalText make a model travel as its name: code never
+// does. Reading resolves the name among the built-in models, and a name that
+// is none of them is an error — never a fallback to some other model.
+func (m *Model) MarshalText() ([]byte, error) { return []byte(m.Name), nil }
+
+func (m *Model) UnmarshalText(b []byte) error {
+	bm, ok := Builtin(string(b))
+	if !ok {
+		return fmt.Errorf("monitor: unknown model %q (one of %s)", b, strings.Join(BuiltinNames(), ", "))
+	}
+	*m = *bm
+	return nil
 }
 
 // BuiltinNames lists the built-in models in display order.

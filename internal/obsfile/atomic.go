@@ -1,6 +1,7 @@
 package obsfile
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -50,6 +51,16 @@ func AtomicWriteFile(path string, write func(io.Writer) error) (err error) {
 		return err
 	}
 	return nil
+}
+
+// AtomicWriteJSON writes v as indented JSON through AtomicWriteFile: how the
+// checkpoint of a check, the dist manifest and the unit reports are journaled.
+func AtomicWriteJSON(path string, v any) error {
+	return AtomicWriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }
 
 // syncDir persists a directory entry update (the rename) to stable storage.

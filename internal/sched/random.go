@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 
 	"lineup/internal/telemetry"
@@ -21,6 +22,29 @@ const (
 	// d it finds any bug of depth d with probability >= 1/(n*k^(d-1)).
 	StrategyPCT
 )
+
+func (s Strategy) String() string {
+	if s == StrategyPCT {
+		return "pct"
+	}
+	return "walk"
+}
+
+// MarshalText and UnmarshalText give a Strategy its one text form ("walk",
+// "pct"; empty reads as walk).
+func (s Strategy) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+func (s *Strategy) UnmarshalText(b []byte) error {
+	switch string(b) {
+	case "walk", "":
+		*s = StrategyWalk
+	case "pct":
+		*s = StrategyPCT
+	default:
+		return fmt.Errorf("sched: unknown sampling strategy %q (want walk or pct)", b)
+	}
+	return nil
+}
 
 // RandomConfig parameterizes ExploreRandom.
 type RandomConfig struct {

@@ -89,6 +89,29 @@ const (
 	GranSync
 )
 
+func (g Granularity) String() string {
+	if g == GranSync {
+		return "sync"
+	}
+	return "all"
+}
+
+// MarshalText and UnmarshalText give a Granularity its one text form ("all",
+// "sync"; empty reads as all).
+func (g Granularity) MarshalText() ([]byte, error) { return []byte(g.String()), nil }
+
+func (g *Granularity) UnmarshalText(b []byte) error {
+	switch string(b) {
+	case "all", "":
+		*g = GranAll
+	case "sync":
+		*g = GranSync
+	default:
+		return fmt.Errorf("sched: unknown granularity %q (want all or sync)", b)
+	}
+	return nil
+}
+
 func (g Granularity) includes(k PointKind) bool {
 	switch k {
 	case PointRead, PointWrite:

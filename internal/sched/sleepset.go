@@ -33,16 +33,28 @@ func (r Reduction) String() string {
 	}
 }
 
-// ParseReduction parses the CLI spelling of a reduction strategy.
-func ParseReduction(s string) (Reduction, error) {
-	switch s {
+// MarshalText and UnmarshalText give a Reduction its one text form ("none",
+// "sleep"; empty reads as none): the spelling of the -reduction flag and of
+// every file a check is written down in.
+func (r Reduction) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
+
+func (r *Reduction) UnmarshalText(b []byte) error {
+	switch string(b) {
 	case "none", "":
-		return ReductionNone, nil
+		*r = ReductionNone
 	case "sleep":
-		return ReductionSleep, nil
+		*r = ReductionSleep
 	default:
-		return ReductionNone, fmt.Errorf("sched: unknown reduction %q (want none or sleep)", s)
+		return fmt.Errorf("sched: unknown reduction %q (want none or sleep)", b)
 	}
+	return nil
+}
+
+// ParseReduction parses the text form of a reduction strategy.
+func ParseReduction(s string) (Reduction, error) {
+	var r Reduction
+	err := r.UnmarshalText([]byte(s))
+	return r, err
 }
 
 // LocAccess is one shared-memory location touched by a decision window,

@@ -78,15 +78,20 @@ func (b Backpressure) String() string {
 	return "block"
 }
 
-// ParseBackpressure parses the CLI spelling of a backpressure policy.
-func ParseBackpressure(s string) (Backpressure, error) {
-	switch s {
+// MarshalText and UnmarshalText give a Backpressure its one text form
+// ("block", "shed"), the spelling of the -backpressure flag.
+func (b Backpressure) MarshalText() ([]byte, error) { return []byte(b.String()), nil }
+
+func (b *Backpressure) UnmarshalText(text []byte) error {
+	switch string(text) {
 	case "block":
-		return BlockOnFull, nil
+		*b = BlockOnFull
 	case "shed":
-		return ShedOnFull, nil
+		*b = ShedOnFull
+	default:
+		return fmt.Errorf("serve: unknown backpressure policy %q (block or shed)", text)
 	}
-	return 0, fmt.Errorf("serve: unknown backpressure policy %q (block or shed)", s)
+	return nil
 }
 
 // Config configures a Server.

@@ -301,11 +301,11 @@ func NewMutator(universe []Op, maxRows, maxCols int, rng *rand.Rand) *Mutator {
 	return core.NewMutator(universe, maxRows, maxCols, rng)
 }
 
-// TestFromNames reconstructs a test matrix from rows of rendered invocation
-// names (the persisted corpus format of GenOptions.CorpusDir), resolving each
-// name in the subject's universe.
-func TestFromNames(sub *Subject, rows [][]string) (*Test, error) {
-	return core.TestFromNames(sub, rows)
+// TestFromNames rebuilds a test from its written form — what json.Unmarshal
+// reads into a Test, e.g. from a corpus file of GenOptions.CorpusDir: display
+// names only — resolving each name in the subject's universe.
+func TestFromNames(sub *Subject, names *Test) (*Test, error) {
+	return core.TestFromNames(sub, names)
 }
 
 // Streaming-service vocabulary, re-exported from internal/serve and the
@@ -354,7 +354,8 @@ type (
 	// DistInProcLauncher runs work units on goroutines in this process.
 	DistInProcLauncher = dist.InProcLauncher
 	// DistExecLauncher runs each work unit in a fresh worker process so a
-	// kill -9 of a worker costs one lease, not the run.
+	// kill -9 of a worker costs one lease, not the run. The check it hands
+	// its workers is the DistConfig it is run under.
 	DistExecLauncher = dist.ExecLauncher
 	// PoisonedUnit records one work unit that exhausted its retry budget.
 	PoisonedUnit = dist.PoisonedUnit
@@ -375,7 +376,11 @@ const (
 
 // ParseBackpressure parses the CLI spelling ("block" or "shed") of a
 // backpressure policy.
-func ParseBackpressure(s string) (Backpressure, error) { return serve.ParseBackpressure(s) }
+func ParseBackpressure(s string) (Backpressure, error) {
+	var b Backpressure
+	err := b.UnmarshalText([]byte(s))
+	return b, err
+}
 
 // NewStreamReader wraps a live JSONL history stream (a pipe, a socket) for
 // incremental event-by-event reading; errors are sticky and agree exactly
