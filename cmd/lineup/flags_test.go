@@ -73,8 +73,15 @@ func TestFlagGolden(t *testing.T) {
 	for _, cmd := range []string{"check", "table2", "dist", "generate", "verify", "compare", "serve"} {
 		got = append(got, helpFlags(t, bin, cmd)...)
 	}
+	checkGolden(t, "testdata/flags.golden", got)
+}
+
+// checkGolden compares the lines got with the golden file at path, naming
+// each line that is in one and not in the other; LINEUP_UPDATE_GOLDEN=1
+// rewrites the file instead.
+func checkGolden(t *testing.T, path string, got []string) {
+	t.Helper()
 	text := strings.Join(got, "\n") + "\n"
-	const path = "testdata/flags.golden"
 	if os.Getenv("LINEUP_UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -102,10 +109,10 @@ func TestFlagGolden(t *testing.T) {
 		delete(want, l)
 	}
 	for l := range want {
-		t.Errorf("missing from -h:    %s", l)
+		t.Errorf("missing from the run: %s", l)
 	}
 	if !t.Failed() {
-		t.Errorf("flag order differs from %s", path)
+		t.Errorf("line order differs from %s", path)
 	}
 }
 
