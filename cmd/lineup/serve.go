@@ -136,9 +136,8 @@ func monitorStream(model *monitor.Model, r io.Reader, opts monitor.Options, wind
 		stuck = ", stuck"
 	}
 	fmt.Printf("checked %d operations (%d pending%s) against model %q\n", ops, st.OpenCalls, stuck, model.Name)
-	snap := col.Snapshot()
 	fmt.Printf("search: %d parts, %d nodes visited, %d seen-set hits (streaming, window %d, %d retired)\n",
-		st.Partitions, snap.WitnessNodes, snap.MonitorMemoHits, window, st.WindowFlushes)
+		st.Partitions, col.Get(telemetry.WitnessNodes), col.Get(telemetry.MonitorMemoHits), window, st.WindowFlushes)
 	if sum.Linearizable {
 		fmt.Println("verdict: linearizable")
 		return nil

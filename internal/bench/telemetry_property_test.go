@@ -83,12 +83,12 @@ func TestTelemetryObserveOnlyProperty(t *testing.T) {
 						t.Errorf("%s: telemetry changed the result\n off: %s\n  on: %s", tag, offSig, onSig)
 					}
 					snap := col.Snapshot()
-					if snap.ExecutionsDone == 0 || snap.WitnessQueries == 0 {
+					if snap["executions_done"] == 0 || snap["witness_queries"] == 0 {
 						t.Errorf("%s: collector observed nothing: %+v", tag, snap)
 					}
-					if int(snap.ExecutionsDone) != on.Phase1.Executions+on.Phase2.Executions {
+					if int(snap["executions_done"]) != on.Phase1.Executions+on.Phase2.Executions {
 						t.Errorf("%s: collector counted %d executions, phases report %d",
-							tag, snap.ExecutionsDone, on.Phase1.Executions+on.Phase2.Executions)
+							tag, snap["executions_done"], on.Phase1.Executions+on.Phase2.Executions)
 					}
 
 					cross := resultSignature(on)
@@ -159,7 +159,7 @@ func TestTelemetryObserveOnlyRandomCheck(t *testing.T) {
 			} else if sig != base {
 				t.Errorf("%s: summary diverged\n got: %s\nwant: %s", tag, sig, base)
 			}
-			if telOn && col.Snapshot().ExecutionsDone == 0 {
+			if telOn && col.Get(telemetry.ExecutionsDone) == 0 {
 				t.Errorf("%s: collector observed nothing", tag)
 			}
 		}

@@ -274,7 +274,7 @@ func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummar
 	if opts.Progress != nil && completed > 0 {
 		opts.Progress(completed, samples)
 	}
-	// finish records a completed test under the caller's lock and forwards
+	// finish records a completed test under the workers' lock and forwards
 	// the checkpoint; its error aborts the run like a check error.
 	finish := func(k int, r *Result) error {
 		sum.Results[k] = r
@@ -290,77 +290,55 @@ func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummar
 		return opts.Checkpoint(cp)
 	}
 	stopAt := func(k int) bool {
-		r := sum.Results[k]
-		return r != nil && r.Verdict == Fail && opts.StopAtFirstFailure
+		return opts.StopAtFirstFailure && sum.Results[k].Verdict == Fail
 	}
 	start := time.Now()
-	var firstErr error
-	if opts.Workers > 1 {
-		var (
-			mu   sync.Mutex
-			wg   sync.WaitGroup
-			next int
-			stop bool
-		)
-		for w := 0; w < opts.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					mu.Lock()
-					for next < samples && done[next] {
-						if stopAt(next) {
-							stop = true
-						}
-						next++
-					}
-					if stop || next >= samples || firstErr != nil {
-						mu.Unlock()
-						return
-					}
-					k := next
-					next++
-					mu.Unlock()
-					r, err := Check(sub, tests[k], opts.Options)
-					mu.Lock()
-					if err != nil && firstErr == nil {
-						firstErr = err
-					}
-					if r != nil {
-						if cerr := finish(k, r); cerr != nil && firstErr == nil {
-							firstErr = cerr
-						}
-						if r.Verdict == Fail && opts.StopAtFirstFailure {
-							stop = true
-						}
-					}
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for k := 0; k < samples; k++ {
-			if done[k] {
-				if stopAt(k) {
-					break
-				}
-				continue
+	var (
+		mu       sync.Mutex
+		wg       sync.WaitGroup
+		next     int
+		stop     bool
+		firstErr error
+	)
+	// work takes tests in sample order until none is left, a check or a
+	// checkpoint fails, or stopAt holds of a test, restored or checked just now.
+	work := func() {
+		for {
+			mu.Lock()
+			for next < samples && done[next] {
+				stop = stop || stopAt(next)
+				next++
 			}
+			if stop || next >= samples || firstErr != nil {
+				mu.Unlock()
+				return
+			}
+			k := next
+			next++
+			mu.Unlock()
 			r, err := Check(sub, tests[k], opts.Options)
-			if err != nil {
+			mu.Lock()
+			if err == nil {
+				err = finish(k, r)
+				stop = stop || stopAt(k)
+			}
+			if err != nil && firstErr == nil {
 				firstErr = err
-				break
 			}
-			if err := finish(k, r); err != nil {
-				firstErr = err
-				break
-			}
-			if r.Verdict == Fail && opts.StopAtFirstFailure {
-				break
-			}
+			mu.Unlock()
 		}
 	}
+	// The caller's goroutine is the first worker, so a run with one worker
+	// starts no goroutine (DetectLeaks counts them process-wide).
+	for w := 1; w < opts.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 	if firstErr != nil {
 		return nil, fmt.Errorf("lineup: RandomCheck on %s: %w", sub.Name, firstErr)
 	}

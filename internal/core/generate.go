@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+
+	"lineup/internal/telemetry"
 )
 
 // Mutator derives new test matrices from existing ones by structural
@@ -242,9 +244,7 @@ func Generate(sub *Subject, opts GenOptions) (*GenResult, error) {
 			return true, false, fmt.Errorf("lineup: Generate on %s: %w", sub.Name, err)
 		}
 		res.Tests++
-		if tel != nil {
-			tel.GenTests.Add(1)
-		}
+		tel.Add(telemetry.GenTests, 1)
 		if opts.Progress != nil {
 			opts.Progress(res.Tests, budget)
 		}
@@ -284,9 +284,7 @@ func Generate(sub *Subject, opts GenOptions) (*GenResult, error) {
 		if admitted {
 			corpus = append(corpus, mutant)
 			res.Accepted++
-			if tel != nil {
-				tel.GenAccepted.Add(1)
-			}
+			tel.Add(telemetry.GenAccepted, 1)
 		}
 		stopped = stop
 	}
@@ -295,11 +293,9 @@ func Generate(sub *Subject, opts GenOptions) (*GenResult, error) {
 	res.CoveragePairs = cov.Pairs()
 	res.CoverageHists = cov.Hists()
 	res.Exhausted = res.Failed == nil
-	if tel != nil {
-		tel.GenCorpus.Store(int64(res.CorpusSize))
-		tel.GenCovPairs.Store(int64(res.CoveragePairs))
-		tel.GenCovHists.Store(int64(res.CoverageHists))
-	}
+	tel.Max(telemetry.GenCorpus, int64(res.CorpusSize))
+	tel.Max(telemetry.GenCovPairs, int64(res.CoveragePairs))
+	tel.Max(telemetry.GenCovHists, int64(res.CoverageHists))
 	if opts.CorpusDir != "" {
 		if err := writeCorpus(opts.CorpusDir, sub, opts.Seed, corpus, res); err != nil {
 			return nil, err

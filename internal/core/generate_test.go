@@ -90,7 +90,7 @@ func TestGenerateFindsCounterBug(t *testing.T) {
 		t.Fatalf("no coverage accumulated: %d pairs, %d hists", res.CoveragePairs, res.CoverageHists)
 	}
 	snap := tel.Snapshot()
-	if snap.GenTests != int64(res.Tests) || snap.GenCovPairs != int64(res.CoveragePairs) {
+	if snap["gen_tests"] != int64(res.Tests) || snap["gen_cov_pairs"] != int64(res.CoveragePairs) {
 		t.Fatalf("telemetry disagrees with result: %+v vs %+v", snap, res)
 	}
 }

@@ -15,11 +15,8 @@ import (
 // The flush happens once per phase — not per lookup — so cache totals stay a
 // deterministic function of the explored schedule space.
 func flushCacheTelemetry(c *telemetry.Collector, cache *histCache) {
-	if c == nil {
-		return
-	}
-	c.HistCacheHits.Add(int64(cache.hits))
-	c.HistCacheEntries.Add(int64(cache.entries))
+	c.Add(telemetry.HistCacheHits, int64(cache.hits))
+	c.Add(telemetry.HistCacheEntries, int64(cache.entries))
 }
 
 // BudgetError reports that a phase stopped at Options.MaxExecutionsPerPhase
@@ -126,11 +123,9 @@ func (o Options) decider(spec *history.Spec, m *Test, mode witnessMode) *phase2D
 // witness decides witness existence for one not-yet-seen history, returning
 // the violation it proves (nil if the history is covered) or a backend error.
 func (d *phase2Decider) witness(h *history.History) (*Violation, error) {
-	if d.tel != nil {
-		// One query per distinct history; backend-level node counts are
-		// reported by the monitor itself.
-		d.tel.WitnessQueries.Add(1)
-	}
+	// One query per distinct history; backend-level node counts are
+	// reported by the monitor itself.
+	d.tel.Add(telemetry.WitnessQueries, 1)
 	if !h.Stuck {
 		var ok bool
 		var err error

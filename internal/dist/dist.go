@@ -89,6 +89,14 @@ type Stats struct {
 	WorkerFailures int // worker runs that returned an error
 }
 
+// count records one lease event: in the coordinator's own Stats, which Run
+// returns and whose Poisoned decides Run's error, and under k on the shared
+// collector, which only observes.
+func (c *Config) count(stat *int, k telemetry.Counter) {
+	*stat++
+	c.Telemetry.Add(k, 1)
+}
+
 // PoisonedUnit names one unit that exhausted its retry budget.
 type PoisonedUnit struct {
 	Seq      int    `json:"seq"`
@@ -238,18 +246,12 @@ func Run(ctx context.Context, cfg Config) (*core.Result, Stats, error) {
 		if rec.attempts >= cfg.MaxAttempts {
 			rec.state = uPoisoned
 			terminal++
-			stats.Poisoned++
-			if cfg.Telemetry != nil {
-				cfg.Telemetry.DistUnitsPoisoned.Add(1)
-			}
+			cfg.count(&stats.Poisoned, telemetry.DistUnitsPoisoned)
 			return
 		}
 		rec.state = uPending
 		rec.eligibleAt = now.Add(cfg.Backoff << (rec.attempts - 1))
-		stats.Retries++
-		if cfg.Telemetry != nil {
-			cfg.Telemetry.DistRetries.Add(1)
-		}
+		cfg.count(&stats.Retries, telemetry.DistRetries)
 	}
 
 	for terminal < len(plan.Units) {
@@ -273,10 +275,7 @@ func Run(ctx context.Context, cfg Config) (*core.Result, Stats, error) {
 			wctx, cancel := context.WithCancel(ctx)
 			rec.cancel = cancel
 			running++
-			stats.LeasesGranted++
-			if cfg.Telemetry != nil {
-				cfg.Telemetry.DistLeasesGranted.Add(1)
-			}
+			cfg.count(&stats.LeasesGranted, telemetry.DistLeasesGranted)
 			spec := UnitSpec{Seq: seq, Attempt: rec.attempts, Unit: plan.Units[seq], HeartbeatEvery: cfg.Lease / 4,
 				cfg: &cfg, phase1: plan.Spec}
 			go func(wctx context.Context, spec UnitSpec) {
@@ -331,20 +330,14 @@ func Run(ctx context.Context, cfg Config) (*core.Result, Stats, error) {
 				// A superseded lease finished after revocation (or the unit
 				// is already done from a faster replica): discard — replays
 				// are byte-identical, so keeping the first is correct.
-				stats.StaleReports++
-				if cfg.Telemetry != nil {
-					cfg.Telemetry.DistStaleReports.Add(1)
-				}
+				cfg.count(&stats.StaleReports, telemetry.DistStaleReports)
 				continue
 			}
 			running--
 			rec.cancel()
 			rec.cancel = nil
 			if d.err != nil || d.report == nil {
-				stats.WorkerFailures++
-				if cfg.Telemetry != nil {
-					cfg.Telemetry.DistWorkerFailures.Add(1)
-				}
+				cfg.count(&stats.WorkerFailures, telemetry.DistWorkerFailures)
 				rec.lastErr = "worker returned no report"
 				if d.err != nil {
 					rec.lastErr = d.err.Error()
@@ -363,10 +356,7 @@ func Run(ctx context.Context, cfg Config) (*core.Result, Stats, error) {
 			reports[d.spec.Seq] = d.report
 			rec.state = uDone
 			terminal++
-			stats.Done++
-			if cfg.Telemetry != nil {
-				cfg.Telemetry.DistUnitsDone.Add(1)
-			}
+			cfg.count(&stats.Done, telemetry.DistUnitsDone)
 			if err := journal(); err != nil {
 				return nil, stats, err
 			}
@@ -382,10 +372,7 @@ func Run(ctx context.Context, cfg Config) (*core.Result, Stats, error) {
 					rec.cancel = nil
 					running--
 					rec.lastErr = "lease expired (heartbeat lost)"
-					stats.LeasesExpired++
-					if cfg.Telemetry != nil {
-						cfg.Telemetry.DistLeasesExpired.Add(1)
-					}
+					cfg.count(&stats.LeasesExpired, telemetry.DistLeasesExpired)
 					retire(rec, now)
 					if err := journal(); err != nil {
 						return nil, stats, err

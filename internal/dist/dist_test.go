@@ -306,7 +306,8 @@ func TestDistManifestMismatch(t *testing.T) {
 	}
 }
 
-// TestDistTelemetry: the lease lifecycle shows up in the shared collector.
+// TestDistTelemetry: the lease lifecycle shows up in the shared collector,
+// in step with the Stats the coordinator returns.
 func TestDistTelemetry(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	sub := counterSubject()
@@ -326,14 +327,23 @@ func TestDistTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	snap := tel.Snapshot()
-	if snap.DistLeasesGranted != int64(stats.LeasesGranted) ||
-		snap.DistUnitsDone != int64(stats.Done) ||
-		snap.DistRetries != int64(stats.Retries) {
-		t.Fatalf("telemetry %+v disagrees with stats %+v", snap, stats)
+	// Each lease event is counted by one statement, into both: every field of
+	// Stats that counts one equals its Dist* counter.
+	for k, want := range map[telemetry.Counter]int{
+		telemetry.DistLeasesGranted:  stats.LeasesGranted,
+		telemetry.DistLeasesExpired:  stats.LeasesExpired,
+		telemetry.DistRetries:        stats.Retries,
+		telemetry.DistUnitsDone:      stats.Done,
+		telemetry.DistUnitsPoisoned:  stats.Poisoned,
+		telemetry.DistStaleReports:   stats.StaleReports,
+		telemetry.DistWorkerFailures: stats.WorkerFailures,
+	} {
+		if got := tel.Get(k); got != int64(want) {
+			t.Errorf("%s = %d, Stats says %d (%+v)", k, got, want, stats)
+		}
 	}
-	if plan.Injections() > 0 && snap.DistWorkerFailures == 0 {
-		t.Fatalf("injected crashes left no DistWorkerFailures: %+v", snap)
+	if plan.Injections() > 0 && stats.WorkerFailures == 0 {
+		t.Fatalf("injected crashes left no worker failures: %+v", stats)
 	}
 }
 

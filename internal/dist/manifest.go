@@ -8,6 +8,7 @@ import (
 
 	"lineup/internal/core"
 	"lineup/internal/obsfile"
+	"lineup/internal/telemetry"
 )
 
 // manifestVersion is the durable-state format version. Version 2 holds the
@@ -131,10 +132,7 @@ func resumeManifest(cfg Config, plan *core.UnitPlan, recs []*unitRec, reports []
 			stats.Resumed++
 		case "poisoned":
 			rec.state = uPoisoned
-			stats.Poisoned++
-			if cfg.Telemetry != nil {
-				cfg.Telemetry.DistUnitsPoisoned.Add(1)
-			}
+			cfg.count(&stats.Poisoned, telemetry.DistUnitsPoisoned)
 		default:
 			rec.state = uPending
 		}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"lineup/internal/history"
+	"lineup/internal/telemetry"
 )
 
 // Incremental is the windowed face of the witness search: it judges one
@@ -135,10 +136,8 @@ func (inc *Incremental) ExtendComplete(h *history.History) (ok bool, err error) 
 	defer func() {
 		inc.stats.Visited += s.visited
 		inc.stats.MemoHits += s.memoHits
-		if c := inc.opts.Telemetry; c != nil {
-			c.WitnessNodes.Add(int64(s.visited))
-			c.MonitorMemoHits.Add(int64(s.memoHits))
-		}
+		inc.opts.Telemetry.Add(telemetry.WitnessNodes, int64(s.visited))
+		inc.opts.Telemetry.Add(telemetry.MonitorMemoHits, int64(s.memoHits))
 	}()
 	if _, err := s.run(inc.frontier); err != nil {
 		return false, err

@@ -161,11 +161,9 @@ func check(m *Model, roots []any, h *history.History, opts Options) (*Outcome, e
 	out := &Outcome{Linearizable: true}
 	defer func() {
 		// Aggregate whatever the search measured, even on an error return.
-		if c := opts.Telemetry; c != nil {
-			c.WitnessNodes.Add(int64(out.Stats.Visited))
-			c.MonitorMemoHits.Add(int64(out.Stats.MemoHits))
-			c.MonitorParts.Add(int64(out.Stats.Parts))
-		}
+		opts.Telemetry.Add(telemetry.WitnessNodes, int64(out.Stats.Visited))
+		opts.Telemetry.Add(telemetry.MonitorMemoHits, int64(out.Stats.MemoHits))
+		opts.Telemetry.Add(telemetry.MonitorParts, int64(out.Stats.Parts))
 	}()
 	pending := h.Pending()
 	mode := opts.Mode

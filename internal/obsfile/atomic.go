@@ -54,7 +54,8 @@ func AtomicWriteFile(path string, write func(io.Writer) error) (err error) {
 }
 
 // AtomicWriteJSON writes v as indented JSON through AtomicWriteFile: how the
-// checkpoint of a check, the dist manifest and the unit reports are journaled.
+// checkpoints of a check and of serve, the dist manifest and the unit reports
+// are journaled.
 func AtomicWriteJSON(path string, v any) error {
 	return AtomicWriteFile(path, func(w io.Writer) error {
 		enc := json.NewEncoder(w)

@@ -308,6 +308,38 @@ func TestShardedTrackerMatchesStreamTracker(t *testing.T) {
 	}
 }
 
+// BenchmarkTrackerApply prices the two trackers on the same serial trace, one
+// goroutine each — what ReadTrace pays (StreamTracker: a map and plain ints)
+// against what it would pay for the tracker serve needs (ShardedTracker: a
+// per-thread mutex and three atomics an event). The numbers are DESIGN.md §6's
+// reason for keeping both; TestShardedTrackerMatchesStreamTracker above keeps
+// them equal.
+func BenchmarkTrackerApply(b *testing.B) {
+	const ops = 1024
+	evs := make([]TraceEvent, 0, 2*ops)
+	for i := 0; i < ops; i++ {
+		evs = append(evs, TraceEvent{T: i % 8, K: "call", Op: "Enqueue(1)", P: "q"}, TraceEvent{T: i % 8, K: "ret", Res: "ok"})
+	}
+	run := func(b *testing.B, fresh func() func(TraceEvent, int) (StreamEvent, error)) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			apply := fresh()
+			for line, ev := range evs {
+				if _, err := apply(ev, line+1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+	}
+	b.Run("stream", func(b *testing.B) {
+		run(b, func() func(TraceEvent, int) (StreamEvent, error) { return NewStreamTracker().Apply })
+	})
+	b.Run("sharded", func(b *testing.B) {
+		run(b, func() func(TraceEvent, int) (StreamEvent, error) { return NewShardedTracker().Apply })
+	})
+}
+
 // TestShardedTrackerConcurrent hammers the tracker from several goroutines —
 // one per thread id, the serve contract — and checks the global invariants:
 // every op gets a unique index, the event and open-call counters balance,

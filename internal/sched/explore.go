@@ -196,9 +196,7 @@ func (e *explorer) step(prog Program) (out *Outcome, p Pos, ok bool) {
 	}
 	e.counted.Executions++
 	e.depth, e.budget = 0, e.bound
-	if e.tel != nil {
-		e.tel.ExecutionsStarted.Add(1)
-	}
+	e.tel.Add(telemetry.ExecutionsStarted, 1)
 	s := NewScheduler(e.cfg, e)
 	s.pool = &e.pool
 	out = s.Run(prog)
@@ -403,22 +401,19 @@ func (e *explorer) childSleep() []sleepEntry {
 // a handful of atomic adds, shared by the DFS, parallel, and sampling
 // explorers so the three report failures identically.
 func recordOutcomeTelemetry(c *telemetry.Collector, out *Outcome) {
-	if c == nil {
-		return
-	}
-	c.ExecutionsDone.Add(1)
-	c.Decisions.Add(int64(out.Decisions))
+	c.Add(telemetry.ExecutionsDone, 1)
+	c.Add(telemetry.Decisions, int64(out.Decisions))
 	if out.Stuck {
-		c.StuckExecutions.Add(1)
+		c.Add(telemetry.StuckExecutions, 1)
 	}
 	switch out.FailureKind() {
 	case FailPanic:
-		c.FailPanics.Add(1)
+		c.Add(telemetry.FailPanics, 1)
 	case FailHung:
-		c.WatchdogFires.Add(1)
-		c.FailHangs.Add(1)
+		c.Add(telemetry.WatchdogFires, 1)
+		c.Add(telemetry.FailHangs, 1)
 	case FailLeak:
-		c.FailLeaks.Add(1)
+		c.Add(telemetry.FailLeaks, 1)
 	}
 }
 
@@ -427,28 +422,20 @@ func recordOutcomeTelemetry(c *telemetry.Collector, out *Outcome) {
 // handful of atomic adds; pruning/wake counts are flushed as deltas so the
 // totals are commutative sums independent of worker count and visit order.
 func (e *explorer) flushTelemetry(out *Outcome) {
-	c := e.tel
-	if c == nil {
-		return
-	}
-	recordOutcomeTelemetry(c, out)
-	c.ObserveDepth(len(e.stack))
+	recordOutcomeTelemetry(e.tel, out)
+	e.tel.Max(telemetry.MaxDepth, int64(len(e.stack)))
 	e.flushPruneTelemetry()
 }
 
 // flushPruneTelemetry publishes pruning/wake deltas accumulated since the
 // last flush (advance prunes branches after the final execution's flush).
 func (e *explorer) flushPruneTelemetry() {
-	c := e.tel
-	if c == nil {
-		return
-	}
 	if d := e.counted.Pruned - e.lastPruned; d > 0 {
-		c.SchedulesPruned.Add(int64(d))
+		e.tel.Add(telemetry.SchedulesPruned, int64(d))
 		e.lastPruned = e.counted.Pruned
 	}
 	if d := e.wakes - e.lastWakes; d > 0 {
-		c.SleepWakes.Add(int64(d))
+		e.tel.Add(telemetry.SleepWakes, int64(d))
 		e.lastWakes = e.wakes
 	}
 }

@@ -3,6 +3,8 @@ package sched
 import (
 	"runtime"
 	"sync"
+
+	"lineup/internal/telemetry"
 )
 
 // recruitAfter is the number of executions an exploration runs alone, on its
@@ -138,9 +140,7 @@ func (sh *shard) split(e *explorer) *shard {
 		}
 		c.next++
 	}
-	if e.tel != nil {
-		e.tel.SchedulesPruned.Add(int64(child.stats.Pruned))
-	}
+	e.tel.Add(telemetry.SchedulesPruned, int64(child.stats.Pruned))
 	child.path = pathOf(child.stack)
 	sh.floor = level + 1
 	return child

@@ -93,9 +93,7 @@ func ExploreRandom(cfg RandomConfig, prog Program, visit func(*Outcome, Pos) boo
 		default:
 			ctrl = &walkController{rng: rng}
 		}
-		if c := cfg.Telemetry; c != nil {
-			c.ExecutionsStarted.Add(1)
-		}
+		cfg.Telemetry.Add(telemetry.ExecutionsStarted, 1)
 		s := NewScheduler(cfg.Config, ctrl)
 		s.pool = &p
 		out := s.Run(prog)

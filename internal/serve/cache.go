@@ -26,8 +26,6 @@ type windowCache struct {
 	buckets map[uint64][]*windowEntry
 	buf     []byte
 	ids     map[int]uint32 // scratch: op index relabeling, reset per encode
-	hits    int64
-	entries int64
 }
 
 // windowEntry is one cached transition.
@@ -99,7 +97,6 @@ func (c *windowCache) lookup(fps []string, events []history.Event) ([]byte, *win
 	sum := h.Sum64()
 	for _, e := range c.buckets[sum] {
 		if string(e.key) == string(c.buf) {
-			c.hits++
 			return nil, e
 		}
 	}
@@ -108,8 +105,9 @@ func (c *windowCache) lookup(fps []string, events []history.Event) ([]byte, *win
 
 // put records a computed transition under a key returned by lookup. A
 // concurrent duplicate (two workers computing the same transition) keeps the
-// first entry; the values are identical by determinism of the search.
-func (c *windowCache) put(key []byte, ok bool, states []any) {
+// first entry; the values are identical by determinism of the search. It
+// reports whether the entry is new.
+func (c *windowCache) put(key []byte, ok bool, states []any) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	h := fnv.New64a()
@@ -117,15 +115,9 @@ func (c *windowCache) put(key []byte, ok bool, states []any) {
 	sum := h.Sum64()
 	for _, e := range c.buckets[sum] {
 		if string(e.key) == string(key) {
-			return
+			return false
 		}
 	}
 	c.buckets[sum] = append(c.buckets[sum], &windowEntry{key: key, ok: ok, states: states})
-	c.entries++
-}
-
-func (c *windowCache) counts() (hits, entries int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.entries
+	return true
 }

@@ -3,19 +3,19 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 
+	"lineup/internal/core"
 	"lineup/internal/history"
 	"lineup/internal/monitor"
 	"lineup/internal/obsfile"
+	"lineup/internal/telemetry"
 )
 
 // Checkpoint is the durable snapshot of a running service: the stream
 // tracker (thread discipline and the count of events covered), every
 // partition's frontier and residual window, and the backpressure bookkeeping.
-// It is written atomically (obsfile.AtomicWriteFile), so a crash mid-write
+// It is written atomically (obsfile.AtomicWriteJSON), so a crash mid-write
 // leaves the previous checkpoint intact. Resume replays the producer's
 // stream from the start and skips the Tracker.Events leading events — the
 // at-least-once protocol of the resume satellite.
@@ -131,8 +131,8 @@ func (s *Server) checkpointStopped() error {
 		Model:     s.cfg.Model.Name,
 		WindowOps: s.cfg.windowOps(),
 		Tracker:   s.tracker.State(),
-		Routed:    s.routed.Load(),
-		Shed:      s.shed.Load(),
+		Routed:    s.tel.Get(telemetry.ServeEventsRouted),
+		Shed:      s.tel.Get(telemetry.ServeEventsShed),
 
 		SawNamedKey:     s.sawNamedKey.Load(),
 		SawDerivedWhole: s.sawDerivedWhole.Load(),
@@ -146,33 +146,33 @@ func (s *Server) checkpointStopped() error {
 		cp.Partitions = append(cp.Partitions, r.parts...)
 	}
 	sort.Slice(cp.Partitions, func(i, j int) bool { return cp.Partitions[i].Key < cp.Partitions[j].Key })
-	if err := obsfile.AtomicWriteFile(s.cfg.CheckpointPath, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		return enc.Encode(&cp)
-	}); err != nil {
+	if err := obsfile.AtomicWriteJSON(s.cfg.CheckpointPath, &cp); err != nil {
 		return fmt.Errorf("serve: checkpoint: %w", err)
 	}
-	s.checkpoints.Add(1)
-	if c := s.cfg.Telemetry; c != nil {
-		c.ServeCheckpoints.Add(1)
-	}
+	s.tel.Add(telemetry.ServeCheckpoints, 1)
 	return nil
 }
 
-// Load reads a checkpoint file.
+// Load reads a checkpoint file; one of another version is refused with both
+// numbers before any other field is decoded.
 func Load(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
+	var cp Checkpoint
+	if err := core.LoadVersioned(path, "serve checkpoint", checkpointVersion, &cp); err != nil {
 		return nil, err
 	}
-	var cp Checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return nil, fmt.Errorf("serve: reading checkpoint %s: %w", path, err)
-	}
-	if cp.Version != checkpointVersion {
-		return nil, fmt.Errorf("serve: checkpoint %s has version %d, want %d", path, cp.Version, checkpointVersion)
-	}
 	return &cp, nil
+}
+
+// resumeKey is the part of a Config a checkpoint must have been written
+// under, in the checkpoint's own field names: the model, and the window size,
+// which decides at which cuts windows are retired. Nothing else in Config is
+// compared because nothing else reaches a restored verdict: Monitor.Mode is
+// applied to the residual windows at Close only, which no checkpoint holds
+// judged, and Workers, QueueDepth, Backpressure and NoDedup move events and
+// reuse results without deciding any.
+type resumeKey struct {
+	Model     string `json:"model"`
+	WindowOps int    `json:"window_ops"`
 }
 
 // Resume returns a copy of cfg configured to restore from the checkpoint at
@@ -191,21 +191,21 @@ func Resume(cfg Config) (Config, error) {
 // restore rebuilds service state from a checkpoint; the workers are not yet
 // running, so partition state is written into their maps directly.
 func (s *Server) restore(cp *Checkpoint) error {
-	if cp.Model != s.cfg.Model.Name {
-		return fmt.Errorf("serve: checkpoint is for model %q, serving %q", cp.Model, s.cfg.Model.Name)
-	}
-	if cp.WindowOps != s.cfg.windowOps() {
-		return fmt.Errorf("serve: checkpoint used window %d, serving %d (window size must match for identical verdicts)",
-			cp.WindowOps, s.cfg.windowOps())
+	if err := core.ResumeMismatch("checkpoint", resumeKey{cp.Model, cp.WindowOps},
+		resumeKey{s.cfg.Model.Name, s.cfg.windowOps()}); err != nil {
+		return err
 	}
 	dec := s.cfg.Model.DecodeState
 	if dec == nil {
 		return fmt.Errorf("serve: resuming model %q requires DecodeState", s.cfg.Model.Name)
 	}
 	s.tracker = obsfile.RestoreShardedTracker(cp.Tracker)
-	s.routed.Store(cp.Routed)
-	s.shed.Store(cp.Shed)
-	s.applied.Store(cp.Routed)
+	// The counts continue where the checkpointed server stopped (and a shared
+	// collector gets them too, so it stays the sum of its servers' Stats).
+	s.tel.Add(telemetry.ServeEventsIngested, cp.Tracker.Events)
+	s.tel.Add(telemetry.ServeEventsRouted, cp.Routed)
+	s.tel.Add(telemetry.ServeEventsShed, cp.Shed)
+	s.tel.Add(telemetry.ServeEventsApplied, cp.Routed)
 	for _, k := range cp.Poisoned {
 		s.poison(k)
 	}
@@ -236,7 +236,7 @@ func (s *Server) restore(cp *Checkpoint) error {
 		}
 		w := s.workers[s.workerFor(pc.Key)]
 		w.parts[pc.Key] = p
-		s.partsCreated.Add(1)
+		s.tel.Add(telemetry.ServePartitions, 1)
 	}
 	s.sawNamedKey.Store(cp.SawNamedKey || s.partitionHint(cp))
 	s.sawDerivedWhole.Store(cp.SawDerivedWhole)

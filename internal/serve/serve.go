@@ -36,7 +36,7 @@
 //     workload — are answered by a shared verdict dedup cache patterned on
 //     the phase-2 history cache of internal/core.
 //   - The whole service state (tracker, per-partition frontiers and windows,
-//     counters) checkpoints atomically through obsfile.AtomicWriteFile, so a
+//     counters) checkpoints atomically through obsfile.AtomicWriteJSON, so a
 //     killed server resumes without re-reading the stream from the start:
 //     the producer replays and the server skips everything the checkpoint
 //     already covers.
@@ -128,8 +128,8 @@ type Config struct {
 	SkipEvents int64
 	// NoDedup disables the shared window verdict cache.
 	NoDedup bool
-	// Telemetry, when non-nil, accumulates the service counters (ingested,
-	// shed, ops checked, flushes, overflows, cache hits, checkpoints).
+	// Telemetry, when non-nil, accumulates the service counters (everything
+	// Stats reports as a count) summed over the servers that share it.
 	Telemetry *telemetry.Collector
 	// OnVerdict, when non-nil, is called from a worker goroutine the moment
 	// a partition's verdict becomes NOT linearizable (streaming alerting).
@@ -189,6 +189,11 @@ type Server struct {
 
 	tracker *obsfile.ShardedTracker
 
+	// tel holds every count Stats reports — a child of cfg.Telemetry, so a
+	// shared collector gets the sum and this server reads back its own share.
+	// Producers and workers count each event once, here.
+	tel *telemetry.Collector
+
 	// Ingest-side state, all safe under concurrent connections: counters are
 	// atomics, the poisoned set is a sync.Map, and the stop-the-world
 	// operations (checkpoint, drain, verdicts, close) serialize against every
@@ -201,23 +206,11 @@ type Server struct {
 	poisoned  sync.Map     // partition key -> struct{}
 	nPoisoned atomic.Int64 // count of keys in poisoned; 0 lets ingest skip the map probe
 	skip      atomic.Int64
-	routed    atomic.Int64
-	shed      atomic.Int64
 	sinceCp   atomic.Int64
 	closed    atomic.Bool
 
 	sawNamedKey     atomic.Bool // some op routed to a named partition
 	sawDerivedWhole atomic.Bool // the model declared some op whole-object
-
-	// Counters written by workers, read by Stats (atomics).
-	applied      atomic.Int64
-	partsCreated atomic.Int64
-	opsChecked   atomic.Int64
-	flushes      atomic.Int64
-	overflows    atomic.Int64
-	checkpoints  atomic.Int64
-	maxWindow    atomic.Int64
-	maxFrontier  atomic.Int64
 
 	httpCloser io.Closer
 }
@@ -236,6 +229,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		stats:   mopts,
 		tracker: obsfile.NewShardedTracker(),
+		tel:     cfg.Telemetry.Child(),
 	}
 	s.skip.Store(cfg.SkipEvents)
 	if !cfg.NoDedup {
@@ -409,14 +403,6 @@ func (s *Server) isPoisoned(key string) bool {
 	return bad
 }
 
-// shedOne counts one shed event.
-func (s *Server) shedOne() {
-	s.shed.Add(1)
-	if c := s.cfg.Telemetry; c != nil {
-		c.ServeEventsShed.Add(1)
-	}
-}
-
 // cpTickN advances the checkpoint cadence by n events in one atomic add and
 // reports whether that crossed a checkpoint boundary. The caller must act on
 // it only after releasing its conn lock (checkpointing stops the world, which
@@ -455,6 +441,7 @@ func (c *IngestConn) IngestBatch(evs []obsfile.TraceEvent) (int, error) {
 		cpDue   bool
 		n       int
 		acc     int64 // events the tracker accepted (telemetry + cadence, batched)
+		shed    int64 // of those, events of a partition poisoned earlier
 		err     error
 		batches = c.scratch
 	)
@@ -484,7 +471,7 @@ func (c *IngestConn) IngestBatch(evs []obsfile.TraceEvent) (int, error) {
 			break
 		}
 		if s.isPoisoned(key) {
-			s.shedOne()
+			shed++
 			continue
 		}
 		wi := s.workerFor(key)
@@ -495,11 +482,14 @@ func (c *IngestConn) IngestBatch(evs []obsfile.TraceEvent) (int, error) {
 		}
 		batches[wi] = append(batches[wi], routedEvent{key: key, ev: sev})
 	}
+	// Ingested is counted before shed and routed, and Stats reads it last, so
+	// no snapshot shows more events routed and shed than ingested.
 	if acc > 0 {
-		if tc := s.cfg.Telemetry; tc != nil {
-			tc.ServeEventsIngested.Add(acc)
-		}
+		s.tel.Add(telemetry.ServeEventsIngested, acc)
 		cpDue = s.cpTickN(acc)
+	}
+	if shed > 0 {
+		s.tel.Add(telemetry.ServeEventsShed, shed)
 	}
 	for wi, buf := range batches {
 		if buf == nil {
@@ -508,20 +498,20 @@ func (c *IngestConn) IngestBatch(evs []obsfile.TraceEvent) (int, error) {
 		batches[wi] = nil // handed off below; the worker owns the buffer now
 		w := s.workers[wi]
 		item := workItem{batch: buf}
+		fate := telemetry.ServeEventsRouted
 		if s.cfg.Backpressure == ShedOnFull {
 			select {
 			case w.ch <- item:
-				s.routed.Add(int64(len(buf)))
 			default:
+				fate = telemetry.ServeEventsShed
 				for _, r := range buf {
 					s.poison(r.key)
-					s.shedOne()
 				}
 			}
 		} else {
 			w.ch <- item
-			s.routed.Add(int64(len(buf)))
 		}
+		s.tel.Add(fate, int64(len(buf)))
 	}
 	c.mu.Unlock()
 	if cpDue {
@@ -732,23 +722,23 @@ type Stats struct {
 // any quiescent point (after Drain, inside a checkpoint, after Close) the
 // invariant routed+shed == ingested holds exactly, stuck markers excepted.
 func (s *Server) Stats() Stats {
+	get := s.tel.Get
 	st := Stats{
-		EventsIngested:  s.tracker.Events(),
-		EventsRouted:    s.routed.Load(),
-		EventsShed:      s.shed.Load(),
+		EventsRouted:    get(telemetry.ServeEventsRouted),
+		EventsShed:      get(telemetry.ServeEventsShed),
+		EventsApplied:   get(telemetry.ServeEventsApplied),
+		Partitions:      get(telemetry.ServePartitions),
+		OpsChecked:      get(telemetry.ServeOpsChecked),
+		WindowFlushes:   get(telemetry.ServeWindowFlushes),
+		WindowOverflows: get(telemetry.ServeWindowOverflows),
+		CacheHits:       get(telemetry.ServeCacheHits),
+		CacheEntries:    get(telemetry.ServeCacheEntries),
+		Checkpoints:     get(telemetry.ServeCheckpoints),
+		MaxWindowEvents: get(telemetry.ServeMaxWindowEvents),
+		MaxFrontier:     get(telemetry.ServeMaxFrontier),
 		OpenCalls:       s.tracker.OpenCalls(),
 		Stuck:           s.tracker.Stuck(),
-		EventsApplied:   s.applied.Load(),
-		Partitions:      s.partsCreated.Load(),
-		OpsChecked:      s.opsChecked.Load(),
-		WindowFlushes:   s.flushes.Load(),
-		WindowOverflows: s.overflows.Load(),
-		Checkpoints:     s.checkpoints.Load(),
-		MaxWindowEvents: s.maxWindow.Load(),
-		MaxFrontier:     s.maxFrontier.Load(),
-	}
-	if s.cache != nil {
-		st.CacheHits, st.CacheEntries = s.cache.counts()
+		EventsIngested:  get(telemetry.ServeEventsIngested), // last: see IngestBatch
 	}
 	for _, w := range s.workers {
 		st.QueueDepths = append(st.QueueDepths, len(w.ch))

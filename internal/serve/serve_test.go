@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -310,9 +311,20 @@ func TestServeShedAccounting(t *testing.T) {
 	if st.EventsShed == 0 {
 		t.Fatal("expected sheds with a slow model and queue depth 4")
 	}
-	snap := col.Snapshot()
-	if snap.ServeEventsShed != st.EventsShed || snap.ServeEventsIngested != st.EventsIngested {
-		t.Fatalf("telemetry mirror: %+v vs stats %+v", snap, st)
+	// Stats is read out of a child of col, and this server is col's only
+	// child: the shared collector holds the same numbers.
+	for k, want := range map[telemetry.Counter]int64{
+		telemetry.ServeEventsIngested: st.EventsIngested,
+		telemetry.ServeEventsRouted:   st.EventsRouted,
+		telemetry.ServeEventsShed:     st.EventsShed,
+		telemetry.ServeEventsApplied:  st.EventsApplied,
+		telemetry.ServePartitions:     st.Partitions,
+		telemetry.ServeOpsChecked:     st.OpsChecked,
+		telemetry.ServeWindowFlushes:  st.WindowFlushes,
+	} {
+		if got := col.Get(k); got != want {
+			t.Errorf("shared collector: %s = %d, Stats says %d", k, got, want)
+		}
 	}
 	shedParts := 0
 	for _, v := range sum.Verdicts {
@@ -447,6 +459,14 @@ func TestServeCheckpointResume(t *testing.T) {
 		t.Fatalf("Close(resumed): %v", err)
 	}
 
+	// The event counts continue across the resume: the resumed server reports
+	// the whole stream, not only what it ingested itself.
+	if g, w := gotSum.Stats, wantSum.Stats; g.EventsIngested != w.EventsIngested || g.EventsRouted != w.EventsRouted ||
+		g.EventsShed != w.EventsShed || g.EventsApplied != w.EventsApplied {
+		t.Fatalf("event counts after resume: ingested/routed/shed/applied %d/%d/%d/%d, uninterrupted %d/%d/%d/%d",
+			g.EventsIngested, g.EventsRouted, g.EventsShed, g.EventsApplied,
+			w.EventsIngested, w.EventsRouted, w.EventsShed, w.EventsApplied)
+	}
 	if len(gotSum.Verdicts) != len(wantSum.Verdicts) {
 		t.Fatalf("verdict count: got %d want %d", len(gotSum.Verdicts), len(wantSum.Verdicts))
 	}
@@ -458,6 +478,63 @@ func TestServeCheckpointResume(t *testing.T) {
 	}
 	if gotSum.Linearizable != wantSum.Linearizable {
 		t.Fatalf("summary verdict: got %v want %v", gotSum.Linearizable, wantSum.Linearizable)
+	}
+}
+
+// TestServersSharingACollector: two servers given one collector each report
+// their own Stats — a trace of a different length each, one of them shedding —
+// the shared collector holds the sum of every count and the larger of each
+// watermark, and routed + shed == ingested on each after Close.
+func TestServersSharingACollector(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	col := telemetry.New()
+	var sums []*serve.Summary
+	for i, cfg := range []serve.Config{
+		{Model: monitor.RegisterModel(), Workers: 2, WindowOps: 2},
+		{Model: slowModel(time.Millisecond), Workers: 2, WindowOps: 1, QueueDepth: 2, Backpressure: serve.ShedOnFull, NoDedup: true},
+	} {
+		var parts [][]obsfile.TraceEvent
+		for p := 0; p <= 2*i+1; p++ {
+			parts = append(parts, genPartition(rng, fmt.Sprintf("s%d-%d", i, p), p*10, 30, false))
+		}
+		trace := interleave(rng, parts)
+		cfg.Telemetry = col
+		s, err := serve.New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		ingestAll(t, s, trace)
+		sum, err := s.Close()
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		st := sum.Stats
+		if st.EventsIngested != int64(len(trace)) || st.EventsRouted+st.EventsShed != st.EventsIngested {
+			t.Errorf("server %d: routed %d + shed %d, ingested %d, sent %d",
+				i, st.EventsRouted, st.EventsShed, st.EventsIngested, len(trace))
+		}
+		sums = append(sums, sum)
+	}
+	a, b := sums[0].Stats, sums[1].Stats
+	if a.EventsShed != 0 || b.EventsShed == 0 {
+		t.Errorf("shed %d and %d events, want none and some", a.EventsShed, b.EventsShed)
+	}
+	for k, want := range map[telemetry.Counter]int64{
+		telemetry.ServeEventsIngested:  a.EventsIngested + b.EventsIngested,
+		telemetry.ServeEventsRouted:    a.EventsRouted + b.EventsRouted,
+		telemetry.ServeEventsShed:      a.EventsShed + b.EventsShed,
+		telemetry.ServeEventsApplied:   a.EventsApplied + b.EventsApplied,
+		telemetry.ServePartitions:      a.Partitions + b.Partitions,
+		telemetry.ServeOpsChecked:      a.OpsChecked + b.OpsChecked,
+		telemetry.ServeWindowFlushes:   a.WindowFlushes + b.WindowFlushes,
+		telemetry.ServeCacheHits:       a.CacheHits + b.CacheHits,
+		telemetry.ServeCacheEntries:    a.CacheEntries + b.CacheEntries,
+		telemetry.ServeMaxWindowEvents: max(a.MaxWindowEvents, b.MaxWindowEvents),
+		telemetry.ServeMaxFrontier:     max(a.MaxFrontier, b.MaxFrontier),
+	} {
+		if got := col.Get(k); got != want {
+			t.Errorf("shared collector: %s = %d, the two servers' Stats give %d", k, got, want)
+		}
 	}
 }
 
@@ -704,5 +781,48 @@ func TestServeWholeObjectGuardSurvivesResume(t *testing.T) {
 	_, _ = resumed.Close()
 	if got == nil || got.Error() != want.Error() {
 		t.Fatalf("resumed run: err=%v, uninterrupted run refused with %v", got, want)
+	}
+}
+
+// TestServeLoadRefusesOtherVersionByVersion: a checkpoint of another version
+// whose fields changed type is refused because of its version, with both
+// numbers, not reported as a JSON error of a struct it was never meant for.
+func TestServeLoadRefusesOtherVersionByVersion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "serve.ckpt")
+	if err := os.WriteFile(path, []byte(`{"version":7,"model":{"name":"register"},"window_ops":"16"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := serve.Load(path)
+	if err == nil {
+		t.Fatal("a version-7 checkpoint was loaded")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "version 7") || !strings.Contains(msg, "version 1") {
+		t.Fatalf("refusal does not give both versions: %v", err)
+	}
+}
+
+// TestServeResumeNamesEveryMismatch: a checkpoint written for another model
+// and another window size is refused with both named in one error.
+func TestServeResumeNamesEveryMismatch(t *testing.T) {
+	cpPath := filepath.Join(t.TempDir(), "serve.ckpt")
+	first, err := serve.New(serve.Config{Model: monitor.RegisterModel(), WindowOps: 16, CheckpointPath: cpPath})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := first.Close(); err != nil { // Close writes the checkpoint
+		t.Fatalf("Close: %v", err)
+	}
+	cfg, err := serve.Resume(serve.Config{Model: monitor.QueueModel(), WindowOps: 32, CheckpointPath: cpPath})
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	_, err = serve.New(cfg)
+	if err == nil {
+		t.Fatal("a register/16 checkpoint was resumed as queue/32")
+	}
+	for _, want := range []string{`model is "register"`, `"queue" here`, "window_ops is 16", "32 here"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("mismatch error omits %q: %v", want, err)
+		}
 	}
 }

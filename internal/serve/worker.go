@@ -7,6 +7,7 @@ import (
 	"lineup/internal/history"
 	"lineup/internal/monitor"
 	"lineup/internal/obsfile"
+	"lineup/internal/telemetry"
 )
 
 // worker owns a shard of the partition space: every event of a given
@@ -48,7 +49,7 @@ func (w *worker) loop() {
 			w.control(item.ctl)
 			continue
 		}
-		w.srv.applied.Add(int64(len(item.batch)))
+		w.srv.tel.Add(telemetry.ServeEventsApplied, int64(len(item.batch)))
 		for _, r := range item.batch {
 			w.apply(r.key, r.ev)
 		}
@@ -67,7 +68,7 @@ func (w *worker) part(key string) *part {
 			p.errMsg = err.Error()
 		}
 		w.parts[key] = p
-		w.srv.partsCreated.Add(1)
+		w.srv.tel.Add(telemetry.ServePartitions, 1)
 	}
 	return p
 }
@@ -99,9 +100,7 @@ func (w *worker) apply(key string, ev obsfile.StreamEvent) {
 		p.open--
 		p.completed++
 	}
-	if n := int64(len(p.window)); n > w.srv.maxWindow.Load() {
-		w.srv.maxWindow.Store(n) // worker-racy high watermark; close enough for a gauge
-	}
+	w.srv.tel.Max(telemetry.ServeMaxWindowEvents, int64(len(p.window)))
 	if p.open == 0 && p.completed >= w.srv.cfg.windowOps() {
 		w.flush(p)
 	} else if p.open > 0 && !p.overflowed && len(p.window) > w.srv.cfg.maxWindowEvents() {
@@ -109,10 +108,7 @@ func (w *worker) apply(key string, ev obsfile.StreamEvent) {
 		// cap. Memory for it is no longer bounded (correctness requires
 		// keeping the events); surface that as a counted overflow.
 		p.overflowed = true
-		w.srv.overflows.Add(1)
-		if c := w.srv.cfg.Telemetry; c != nil {
-			c.ServeWindowOverflows.Add(1)
-		}
+		w.srv.tel.Add(telemetry.ServeWindowOverflows, 1)
 	}
 }
 
@@ -133,9 +129,7 @@ func (w *worker) flush(p *part) {
 	if entry != nil {
 		p.inc.SetFrontier(entry.states)
 		p.failed = !entry.ok
-		if c := s.cfg.Telemetry; c != nil {
-			c.ServeCacheHits.Add(1)
-		}
+		s.tel.Add(telemetry.ServeCacheHits, 1)
 	} else {
 		ok, err := p.inc.ExtendComplete(h)
 		if err != nil {
@@ -143,23 +137,17 @@ func (w *worker) flush(p *part) {
 			return
 		}
 		p.failed = !ok
-		if s.cache != nil {
-			s.cache.put(key, ok, p.inc.FrontierStates())
+		if s.cache != nil && s.cache.put(key, ok, p.inc.FrontierStates()) {
+			s.tel.Add(telemetry.ServeCacheEntries, 1)
 		}
 	}
 	p.window = p.window[:0]
 	p.completed = 0
 	p.overflowed = false
 	p.windows++
-	s.flushes.Add(1)
-	s.opsChecked.Add(int64(retiredOps))
-	if n := int64(p.inc.FrontierSize()); n > s.maxFrontier.Load() {
-		s.maxFrontier.Store(n)
-	}
-	if c := s.cfg.Telemetry; c != nil {
-		c.ServeWindowFlushes.Add(1)
-		c.ServeOpsChecked.Add(int64(retiredOps))
-	}
+	s.tel.Add(telemetry.ServeWindowFlushes, 1)
+	s.tel.Add(telemetry.ServeOpsChecked, int64(retiredOps))
+	s.tel.Max(telemetry.ServeMaxFrontier, int64(p.inc.FrontierSize()))
 	if p.failed && !p.alerted && s.cfg.OnVerdict != nil {
 		p.alerted = true
 		s.cfg.OnVerdict(w.verdict(p, true))
@@ -231,10 +219,7 @@ func (w *worker) finish(stuck bool) ([]PartitionVerdict, error) {
 				p.failed = !res.Linearizable
 			}
 			// The residual window's completed ops were just judged too.
-			w.srv.opsChecked.Add(int64(p.completed))
-			if c := w.srv.cfg.Telemetry; c != nil {
-				c.ServeOpsChecked.Add(int64(p.completed))
-			}
+			w.srv.tel.Add(telemetry.ServeOpsChecked, int64(p.completed))
 		}
 		v := w.verdict(p, true)
 		if p.failed && !p.alerted && w.srv.cfg.OnVerdict != nil {

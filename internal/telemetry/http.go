@@ -37,8 +37,8 @@ func Serve(addr string, c *Collector) (*Server, error) {
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		page := varsPage{Counters: c.Snapshot(), Spans: spanTotals(c)}
-		if epoch := c.Start(); !epoch.IsZero() {
-			page.UptimeMS = float64(time.Since(epoch)) / float64(time.Millisecond)
+		if c != nil {
+			page.UptimeMS = ms(time.Since(c.start))
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -72,7 +72,7 @@ func spanTotals(c *Collector) map[string]float64 {
 	}
 	out := make(map[string]float64)
 	for _, s := range spans {
-		out[s.Name] += float64(s.Dur) / float64(time.Millisecond)
+		out[s.Name] += ms(s.Dur)
 	}
 	return out
 }

@@ -127,10 +127,10 @@ func (p *Progress) renderLocked(force bool) {
 		fmt.Fprintf(&b, "/%d", p.total)
 	}
 	if p.c != nil {
-		snap := p.c.Snapshot()
-		fmt.Fprintf(&b, " · %d execs", snap.ExecutionsDone)
+		execs := p.c.Get(ExecutionsDone)
+		fmt.Fprintf(&b, " · %d execs", execs)
 		if secs := elapsed.Seconds(); secs > 0.1 {
-			fmt.Fprintf(&b, " · %.0f exec/s", float64(snap.ExecutionsDone)/secs)
+			fmt.Fprintf(&b, " · %.0f exec/s", float64(execs)/secs)
 		}
 	}
 	if p.total > 0 && p.done > 0 && p.done < p.total {

@@ -7,14 +7,14 @@
 //
 // Design constraints, in order:
 //
-//   - Zero cost when off. Every instrumented site guards on a nil
-//     *Collector; passing no collector compiles to a pointer test.
+//   - Zero cost when off. Every method takes a nil *Collector, so an
+//     instrumented site is one unguarded call that amounts to a pointer test.
 //   - No locks or allocations on the exploration hot path. The explorer
 //     accumulates plain-int deltas per execution and flushes them with a
 //     handful of atomic adds once per execution (see sched); nothing
 //     telemetry-related runs inside Controller.Pick.
-//   - Deterministic totals. All counters are commutative sums (plus one
-//     high-watermark), so a full exploration accumulates identical totals
+//   - Deterministic totals. All counters are commutative sums or
+//     high-watermarks, so a full exploration accumulates identical totals
 //     regardless of worker count or visit order. Counters that feed
 //     user-visible results (Result, PhaseStats) are not read back from the
 //     collector — the deterministic explorer statistics remain the source of
@@ -30,101 +30,136 @@ import (
 	"time"
 )
 
+// Counter names one thing that is counted. The declarations below are the
+// only list of counters: a Collector holds one cell per declared Counter, and
+// a Snap, the /debug/vars page and the event trace render a cell under the
+// name given here. Adding a counter is adding one line.
+type Counter int
+
+var counterNames []string
+
+func newCounter(name string) Counter {
+	counterNames = append(counterNames, name)
+	return Counter(len(counterNames) - 1)
+}
+
+// String returns the counter's name, its key in a Snap.
+func (k Counter) String() string { return counterNames[k] }
+
+// Scheduler / explorer counters (package sched).
+var (
+	ExecutionsStarted = newCounter("executions_started") // executions begun (schedules started)
+	ExecutionsDone    = newCounter("executions_done")    // executions that ran to an outcome
+	Decisions         = newCounter("decisions")          // scheduling decisions taken
+	SchedulesPruned   = newCounter("schedules_pruned")   // branches skipped by sleep-set reduction
+	SleepWakes        = newCounter("sleep_wakes")        // sleep-set entries woken by a dependent step
+	MaxDepth          = newCounter("max_depth")          // high watermark: deepest DFS decision stack
+	StuckExecutions   = newCounter("stuck_executions")   // deadlocked / livelocked outcomes
+	WatchdogFires     = newCounter("watchdog_fires")     // executions abandoned by the watchdog
+	FailPanics        = newCounter("fail_panics")        // executions failed by a subject panic
+	FailHangs         = newCounter("fail_hangs")         // executions failed hung (== WatchdogFires today)
+	FailLeaks         = newCounter("fail_leaks")         // executions failed by leaked goroutines
+)
+
+// Phase-2 dedup cache and witness-search counters (packages core and monitor).
+var (
+	HistCacheHits    = newCounter("histcache_hits")    // executions answered by the history cache
+	HistCacheEntries = newCounter("histcache_entries") // distinct histories interned
+	WitnessQueries   = newCounter("witness_queries")   // per-history witness decisions taken
+	WitnessNodes     = newCounter("witness_nodes")     // WGL search nodes expanded (monitor backend)
+	MonitorMemoHits  = newCounter("monitor_memo_hits") // WGL nodes pruned by the seen-set
+	MonitorParts     = newCounter("monitor_parts")     // P-compositional parts searched
+)
+
+// Streaming-service counters (package serve); serve.Stats is read out of them.
+var (
+	ServeEventsIngested  = newCounter("serve_events_ingested")   // events accepted by the stream tracker
+	ServeEventsRouted    = newCounter("serve_events_routed")     // events handed to a worker queue
+	ServeEventsShed      = newCounter("serve_events_shed")       // events dropped by the shed backpressure policy
+	ServeEventsApplied   = newCounter("serve_events_applied")    // events folded into partition state
+	ServePartitions      = newCounter("serve_partitions")        // partitions seen
+	ServeOpsChecked      = newCounter("serve_ops_checked")       // completed operations retired through windows
+	ServeWindowFlushes   = newCounter("serve_window_flushes")    // quiescent windows retired
+	ServeWindowOverflows = newCounter("serve_window_overflows")  // windows that outgrew the soft cap without quiescing
+	ServeCacheHits       = newCounter("serve_cache_hits")        // window transitions answered by the dedup cache
+	ServeCacheEntries    = newCounter("serve_cache_entries")     // window transitions held by the dedup cache
+	ServeCheckpoints     = newCounter("serve_checkpoints")       // checkpoints written
+	ServeMaxWindowEvents = newCounter("serve_max_window_events") // high watermark: widest window
+	ServeMaxFrontier     = newCounter("serve_max_frontier")      // high watermark: widest state frontier
+)
+
+// Coverage-guided generation counters (package core, Generate).
+var (
+	GenTests    = newCounter("gen_tests")     // mutant tests checked
+	GenAccepted = newCounter("gen_accepted")  // mutants admitted to the corpus (new coverage)
+	GenCorpus   = newCounter("gen_corpus")    // high watermark: corpus size
+	GenCovPairs = newCounter("gen_cov_pairs") // high watermark: distinct (kind, loc) footprint pairs
+	GenCovHists = newCounter("gen_cov_hists") // high watermark: distinct canonical phase-2 histories
+)
+
+// Distributed-exploration counters (package dist).
+var (
+	DistLeasesGranted  = newCounter("dist_leases_granted")  // work-unit leases handed to workers
+	DistLeasesExpired  = newCounter("dist_leases_expired")  // leases revoked after heartbeat loss
+	DistRetries        = newCounter("dist_retries")         // units re-queued after a failed or expired lease
+	DistUnitsDone      = newCounter("dist_units_done")      // units completed and journaled
+	DistUnitsPoisoned  = newCounter("dist_units_poisoned")  // units that exhausted their retry budget
+	DistStaleReports   = newCounter("dist_stale_reports")   // reports from superseded leases, discarded
+	DistWorkerFailures = newCounter("dist_worker_failures") // worker runs that ended in an error
+)
+
 // Collector accumulates counters and spans for one checker run. The zero
 // value is NOT ready to use; create collectors with New. A nil *Collector is
 // a valid no-op sink: every method checks the receiver, so instrumented code
 // needs no guards beyond passing the pointer along.
 type Collector struct {
-	start time.Time
-
-	// Scheduler / explorer counters (package sched).
-	ExecutionsStarted atomic.Int64 // executions begun (schedules started)
-	ExecutionsDone    atomic.Int64 // executions that ran to an outcome
-	Decisions         atomic.Int64 // scheduling decisions taken
-	SchedulesPruned   atomic.Int64 // branches skipped by sleep-set reduction
-	SleepWakes        atomic.Int64 // sleep-set entries woken by a dependent step
-	StuckExecutions   atomic.Int64 // deadlocked / livelocked outcomes
-	WatchdogFires     atomic.Int64 // executions abandoned by the watchdog
-	FailPanics        atomic.Int64 // executions failed by a subject panic
-	FailHangs         atomic.Int64 // executions failed hung (== WatchdogFires today)
-	FailLeaks         atomic.Int64 // executions failed by leaked goroutines
-	maxDepth          atomic.Int64 // deepest DFS decision stack observed
-
-	// Phase-2 dedup cache counters (package core).
-	HistCacheHits    atomic.Int64 // executions answered by the history cache
-	HistCacheEntries atomic.Int64 // distinct histories interned
-
-	// Witness-search counters (packages core and monitor).
-	WitnessQueries  atomic.Int64 // per-history witness decisions taken
-	WitnessNodes    atomic.Int64 // WGL search nodes expanded (monitor backend)
-	MonitorMemoHits atomic.Int64 // WGL nodes pruned by the seen-set
-	MonitorParts    atomic.Int64 // P-compositional parts searched
-
-	// Streaming-service counters (package serve).
-	ServeEventsIngested  atomic.Int64 // events accepted by the stream tracker
-	ServeEventsShed      atomic.Int64 // events dropped by the shed backpressure policy
-	ServeOpsChecked      atomic.Int64 // completed operations retired through windows
-	ServeWindowFlushes   atomic.Int64 // quiescent windows retired
-	ServeWindowOverflows atomic.Int64 // windows that outgrew the soft cap without quiescing
-	ServeCacheHits       atomic.Int64 // window transitions answered by the dedup cache
-	ServeCheckpoints     atomic.Int64 // checkpoints written
-
-	// Coverage-guided generation counters (package core, Generate).
-	GenTests    atomic.Int64 // mutant tests checked
-	GenAccepted atomic.Int64 // mutants admitted to the corpus (new coverage)
-	GenCorpus   atomic.Int64 // high watermark: corpus size
-	GenCovPairs atomic.Int64 // high watermark: distinct (kind, loc) footprint pairs
-	GenCovHists atomic.Int64 // high watermark: distinct canonical phase-2 histories
-
-	// Distributed-exploration counters (package dist).
-	DistLeasesGranted  atomic.Int64 // work-unit leases handed to workers
-	DistLeasesExpired  atomic.Int64 // leases revoked after heartbeat loss
-	DistRetries        atomic.Int64 // units re-queued after a failed or expired lease
-	DistUnitsDone      atomic.Int64 // units completed and journaled
-	DistUnitsPoisoned  atomic.Int64 // units that exhausted their retry budget
-	DistStaleReports   atomic.Int64 // reports from superseded leases, discarded
-	DistWorkerFailures atomic.Int64 // worker runs that ended in an error
+	start  time.Time
+	parent *Collector     // also told of every Add and Max (see Child); nil at the root
+	n      []atomic.Int64 // one cell per declared Counter, indexed by it
 
 	mu     sync.Mutex
 	spans  []Span
-	open   map[string]time.Time
 	events []Event
 }
 
 // New creates an empty collector whose clock starts now.
 func New() *Collector {
-	return &Collector{start: time.Now(), open: make(map[string]time.Time)}
+	return &Collector{start: time.Now(), n: make([]atomic.Int64, len(counterNames))}
 }
 
-// Start returns the collector's epoch (the New call), the zero time on nil.
-func (c *Collector) Start() time.Time {
-	if c == nil {
-		return time.Time{}
-	}
-	return c.start
+// Child returns a new collector scoped to one component (a serve.Server):
+// what is counted on the child is counted on c as well, so c keeps the sum
+// over all its children while each child reads back only its own share. A
+// nil c still yields a working child, one without a parent.
+func (c *Collector) Child() *Collector {
+	child := New()
+	child.parent = c
+	return child
 }
 
-// ObserveDepth raises the DFS-depth high watermark to d if it exceeds the
-// current maximum.
-func (c *Collector) ObserveDepth(d int) {
-	if c == nil {
-		return
+// Add adds n to counter k, here and on every ancestor.
+func (c *Collector) Add(k Counter, n int64) {
+	for ; c != nil; c = c.parent {
+		c.n[k].Add(n)
 	}
-	v := int64(d)
-	for {
-		cur := c.maxDepth.Load()
-		if v <= cur || c.maxDepth.CompareAndSwap(cur, v) {
-			return
+}
+
+// Max raises the high watermark k to v if v exceeds it, here and on every
+// ancestor. A concurrent lower observation never lowers it.
+func (c *Collector) Max(k Counter, v int64) {
+	for ; c != nil; c = c.parent {
+		cell := &c.n[k]
+		for cur := cell.Load(); v > cur && !cell.CompareAndSwap(cur, v); cur = cell.Load() {
 		}
 	}
 }
 
-// MaxDepth returns the DFS-depth high watermark.
-func (c *Collector) MaxDepth() int64 {
+// Get returns the current value of counter k, 0 on a nil collector.
+func (c *Collector) Get(k Counter) int64 {
 	if c == nil {
 		return 0
 	}
-	return c.maxDepth.Load()
+	return c.n[k].Load()
 }
 
 // Span is one named wall-clock interval (a check phase, a whole run).
@@ -173,94 +208,18 @@ func (c *Collector) SpanTotal(name string) time.Duration {
 	return total
 }
 
-// Snap is a moment-in-time copy of every counter, the flat record rendered
-// by the progress line, the /debug/vars endpoint, and the event trace.
-type Snap struct {
-	ExecutionsStarted int64 `json:"executions_started"`
-	ExecutionsDone    int64 `json:"executions_done"`
-	Decisions         int64 `json:"decisions"`
-	SchedulesPruned   int64 `json:"schedules_pruned"`
-	SleepWakes        int64 `json:"sleep_wakes"`
-	MaxDepth          int64 `json:"max_depth"`
-	StuckExecutions   int64 `json:"stuck_executions"`
-	WatchdogFires     int64 `json:"watchdog_fires"`
-	FailPanics        int64 `json:"fail_panics"`
-	FailHangs         int64 `json:"fail_hangs"`
-	FailLeaks         int64 `json:"fail_leaks"`
-	HistCacheHits     int64 `json:"histcache_hits"`
-	HistCacheEntries  int64 `json:"histcache_entries"`
-	WitnessQueries    int64 `json:"witness_queries"`
-	WitnessNodes      int64 `json:"witness_nodes"`
-	MonitorMemoHits   int64 `json:"monitor_memo_hits"`
-	MonitorParts      int64 `json:"monitor_parts"`
+// Snap is a moment-in-time copy of the counters by name, the flat record
+// rendered by the /debug/vars endpoint and the event trace. A counter that is
+// zero is absent, so reading a name that is not there gives its value.
+type Snap map[string]int64
 
-	ServeEventsIngested  int64 `json:"serve_events_ingested,omitempty"`
-	ServeEventsShed      int64 `json:"serve_events_shed,omitempty"`
-	ServeOpsChecked      int64 `json:"serve_ops_checked,omitempty"`
-	ServeWindowFlushes   int64 `json:"serve_window_flushes,omitempty"`
-	ServeWindowOverflows int64 `json:"serve_window_overflows,omitempty"`
-	ServeCacheHits       int64 `json:"serve_cache_hits,omitempty"`
-	ServeCheckpoints     int64 `json:"serve_checkpoints,omitempty"`
-
-	GenTests    int64 `json:"gen_tests,omitempty"`
-	GenAccepted int64 `json:"gen_accepted,omitempty"`
-	GenCorpus   int64 `json:"gen_corpus,omitempty"`
-	GenCovPairs int64 `json:"gen_cov_pairs,omitempty"`
-	GenCovHists int64 `json:"gen_cov_hists,omitempty"`
-
-	DistLeasesGranted  int64 `json:"dist_leases_granted,omitempty"`
-	DistLeasesExpired  int64 `json:"dist_leases_expired,omitempty"`
-	DistRetries        int64 `json:"dist_retries,omitempty"`
-	DistUnitsDone      int64 `json:"dist_units_done,omitempty"`
-	DistUnitsPoisoned  int64 `json:"dist_units_poisoned,omitempty"`
-	DistStaleReports   int64 `json:"dist_stale_reports,omitempty"`
-	DistWorkerFailures int64 `json:"dist_worker_failures,omitempty"`
-}
-
-// Snapshot copies every counter; on a nil collector it returns zeros.
+// Snapshot copies every non-zero counter; on a nil collector it is empty.
 func (c *Collector) Snapshot() Snap {
-	if c == nil {
-		return Snap{}
+	s := Snap{}
+	for k, name := range counterNames {
+		if v := c.Get(Counter(k)); v != 0 {
+			s[name] = v
+		}
 	}
-	return Snap{
-		ExecutionsStarted: c.ExecutionsStarted.Load(),
-		ExecutionsDone:    c.ExecutionsDone.Load(),
-		Decisions:         c.Decisions.Load(),
-		SchedulesPruned:   c.SchedulesPruned.Load(),
-		SleepWakes:        c.SleepWakes.Load(),
-		MaxDepth:          c.maxDepth.Load(),
-		StuckExecutions:   c.StuckExecutions.Load(),
-		WatchdogFires:     c.WatchdogFires.Load(),
-		FailPanics:        c.FailPanics.Load(),
-		FailHangs:         c.FailHangs.Load(),
-		FailLeaks:         c.FailLeaks.Load(),
-		HistCacheHits:     c.HistCacheHits.Load(),
-		HistCacheEntries:  c.HistCacheEntries.Load(),
-		WitnessQueries:    c.WitnessQueries.Load(),
-		WitnessNodes:      c.WitnessNodes.Load(),
-		MonitorMemoHits:   c.MonitorMemoHits.Load(),
-		MonitorParts:      c.MonitorParts.Load(),
-
-		ServeEventsIngested:  c.ServeEventsIngested.Load(),
-		ServeEventsShed:      c.ServeEventsShed.Load(),
-		ServeOpsChecked:      c.ServeOpsChecked.Load(),
-		ServeWindowFlushes:   c.ServeWindowFlushes.Load(),
-		ServeWindowOverflows: c.ServeWindowOverflows.Load(),
-		ServeCacheHits:       c.ServeCacheHits.Load(),
-		ServeCheckpoints:     c.ServeCheckpoints.Load(),
-
-		GenTests:    c.GenTests.Load(),
-		GenAccepted: c.GenAccepted.Load(),
-		GenCorpus:   c.GenCorpus.Load(),
-		GenCovPairs: c.GenCovPairs.Load(),
-		GenCovHists: c.GenCovHists.Load(),
-
-		DistLeasesGranted:  c.DistLeasesGranted.Load(),
-		DistLeasesExpired:  c.DistLeasesExpired.Load(),
-		DistRetries:        c.DistRetries.Load(),
-		DistUnitsDone:      c.DistUnitsDone.Load(),
-		DistUnitsPoisoned:  c.DistUnitsPoisoned.Load(),
-		DistStaleReports:   c.DistStaleReports.Load(),
-		DistWorkerFailures: c.DistWorkerFailures.Load(),
-	}
+	return s
 }

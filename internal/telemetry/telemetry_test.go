@@ -13,14 +13,15 @@ import (
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
 	// Every observation method must be a no-op on nil.
-	c.ObserveDepth(7)
+	c.Add(ExecutionsDone, 1)
+	c.Max(MaxDepth, 7)
 	c.Emit("test", "x", 0)
 	c.StartSpan("phase")()
-	if got := c.MaxDepth(); got != 0 {
-		t.Fatalf("nil MaxDepth = %d, want 0", got)
+	if got := c.Get(MaxDepth); got != 0 {
+		t.Fatalf("nil Get(MaxDepth) = %d, want 0", got)
 	}
-	if s := c.Snapshot(); s != (Snap{}) {
-		t.Fatalf("nil Snapshot = %+v, want zeros", s)
+	if s := c.Snapshot(); len(s) != 0 {
+		t.Fatalf("nil Snapshot = %+v, want empty", s)
 	}
 	if c.Spans() != nil || c.Events() != nil {
 		t.Fatal("nil collector returned non-nil spans/events")
@@ -28,34 +29,108 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	if err := c.WriteTrace(io.Discard); err == nil {
 		t.Fatal("nil WriteTrace should error")
 	}
+	// A child of no collector is a working collector of its own.
+	child := c.Child()
+	child.Add(ServeEventsRouted, 3)
+	if got := child.Get(ServeEventsRouted); got != 3 {
+		t.Fatalf("child of nil counted %d, want 3", got)
+	}
 }
 
-func TestCountersAndDepthWatermark(t *testing.T) {
+// TestEveryCounterIsNamedAndTraced walks the one list of counters: each has a
+// non-empty name no other counter has, and a value set on it is read back
+// under that name after WriteTrace and ReadTraceEvents.
+func TestEveryCounterIsNamedAndTraced(t *testing.T) {
 	c := New()
+	seen := make(map[string]Counter)
+	for k := Counter(0); int(k) < len(counterNames); k++ {
+		name := k.String()
+		if name == "" {
+			t.Errorf("counter %d has no name", k)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("counters %d and %d are both named %q", prev, k, name)
+		}
+		seen[name] = k
+		c.Add(k, int64(k)+1)
+	}
+	var buf bytes.Buffer
+	if err := c.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadTraceEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := events[len(events)-1].Counters
+	if len(final) != len(counterNames) {
+		t.Fatalf("the final event holds %d counters, %d are declared", len(final), len(counterNames))
+	}
+	for name, k := range seen {
+		if final[name] != int64(k)+1 {
+			t.Errorf("%s: traced %d, want %d", name, final[name], int64(k)+1)
+		}
+	}
+}
+
+// TestCountersAndDepthWatermark drives one watermark (every Max is the same loop) from several goroutines, each
+// observing an interleaved share of 0..max: it must end at max, and no
+// goroutine may ever read it below a value it has itself observed — the
+// update serve's load-then-store gauges could lose. Run under -race.
+func TestCountersAndDepthWatermark(t *testing.T) {
+	const goroutines, max = 8, 8000
+	parent := New()
+	c := parent.Child()
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		i := i
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				c.ExecutionsDone.Add(1)
-				c.ObserveDepth(i*100 + j)
+			for v := int64(g); v <= max; v += goroutines {
+				c.Max(MaxDepth, v)
+				c.Add(ExecutionsDone, 1)
+				if got := c.Get(MaxDepth); got < v {
+					t.Errorf("watermark reads %d after %d was observed", got, v)
+					return
+				}
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
-	s := c.Snapshot()
-	if s.ExecutionsDone != 800 {
-		t.Fatalf("ExecutionsDone = %d, want 800", s.ExecutionsDone)
+	for _, col := range []*Collector{c, parent} {
+		if got := col.Get(MaxDepth); got != max {
+			t.Errorf("watermark ended at %d, want %d", got, max)
+		}
+		if got := col.Get(ExecutionsDone); got != max+1 {
+			t.Errorf("counted %d observations, want %d", got, max+1)
+		}
 	}
-	if s.MaxDepth != 799 {
-		t.Fatalf("MaxDepth = %d, want 799", s.MaxDepth)
+	c.Max(MaxDepth, 3) // the watermark never regresses
+	if got := c.Get(MaxDepth); got != max {
+		t.Errorf("watermark after a lower observation = %d, want %d", got, max)
 	}
-	// The watermark never regresses.
-	c.ObserveDepth(3)
-	if got := c.MaxDepth(); got != 799 {
-		t.Fatalf("MaxDepth after lower observation = %d, want 799", got)
+}
+
+// TestChildCountsReachTheParent: two children of one collector each read back
+// their own counts; the parent holds the sum of the adds and the maximum of
+// the watermarks.
+func TestChildCountsReachTheParent(t *testing.T) {
+	parent := New()
+	a, b := parent.Child(), parent.Child()
+	a.Add(ServeEventsRouted, 5)
+	b.Add(ServeEventsRouted, 7)
+	a.Max(ServeMaxFrontier, 4)
+	b.Max(ServeMaxFrontier, 9)
+	for _, tc := range []struct {
+		c            *Collector
+		routed, high int64
+	}{{a, 5, 4}, {b, 7, 9}, {parent, 12, 9}} {
+		if got := tc.c.Get(ServeEventsRouted); got != tc.routed {
+			t.Errorf("routed = %d, want %d", got, tc.routed)
+		}
+		if got := tc.c.Get(ServeMaxFrontier); got != tc.high {
+			t.Errorf("max frontier = %d, want %d", got, tc.high)
+		}
 	}
 }
 
@@ -65,7 +140,7 @@ func TestSpansAndTrace(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	done()
 	c.StartSpan("phase2")()
-	c.HistCacheHits.Add(3)
+	c.Add(HistCacheHits, 3)
 	c.Emit("test", "Fig1", 0)
 
 	if n := len(c.Spans()); n != 2 {
@@ -91,8 +166,8 @@ func TestSpansAndTrace(t *testing.T) {
 	if last.Kind != "final" {
 		t.Fatalf("last event kind = %q, want final", last.Kind)
 	}
-	if last.Counters.HistCacheHits != 3 {
-		t.Fatalf("final snapshot HistCacheHits = %d, want 3", last.Counters.HistCacheHits)
+	if last.Counters["histcache_hits"] != 3 {
+		t.Fatalf("final snapshot HistCacheHits = %d, want 3", last.Counters["histcache_hits"])
 	}
 	// Events are time-ordered.
 	for i := 1; i < len(events); i++ {
@@ -111,7 +186,7 @@ func TestReadTraceEventsRejectsGarbage(t *testing.T) {
 func TestProgressRendersAndFinishes(t *testing.T) {
 	var buf bytes.Buffer
 	c := New()
-	c.ExecutionsDone.Add(42)
+	c.Add(ExecutionsDone, 42)
 	p := NewProgress(&buf, c, "check")
 	p.SetTotal(10)
 	p.Step(3)
@@ -152,7 +227,7 @@ func TestNilProgressIsSafe(t *testing.T) {
 
 func TestServeVarsAndPprof(t *testing.T) {
 	c := New()
-	c.WitnessNodes.Add(9)
+	c.Add(WitnessNodes, 9)
 	c.StartSpan("phase2")()
 	s, err := Serve("127.0.0.1:0", c)
 	if err != nil {

@@ -25,18 +25,20 @@ type Event struct {
 	Counters Snap `json:"counters"`
 }
 
+// ms renders a duration the way the trace and /debug/vars carry one.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// event stamps an event with the time since the epoch and the counters now.
+func (c *Collector) event(kind, name string, dur time.Duration) Event {
+	return Event{TMS: ms(time.Since(c.start)), Kind: kind, Name: name, DurMS: ms(dur), Counters: c.Snapshot()}
+}
+
 // Emit appends an event with the current counter snapshot to the trace.
 func (c *Collector) Emit(kind, name string, dur time.Duration) {
 	if c == nil {
 		return
 	}
-	ev := Event{
-		TMS:      float64(time.Since(c.start)) / float64(time.Millisecond),
-		Kind:     kind,
-		Name:     name,
-		DurMS:    float64(dur) / float64(time.Millisecond),
-		Counters: c.Snapshot(),
-	}
+	ev := c.event(kind, name, dur)
 	c.mu.Lock()
 	c.events = append(c.events, ev)
 	c.mu.Unlock()
@@ -68,12 +70,7 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 			return err
 		}
 	}
-	final := Event{
-		TMS:      float64(time.Since(c.start)) / float64(time.Millisecond),
-		Kind:     "final",
-		Counters: c.Snapshot(),
-	}
-	return enc.Encode(final)
+	return enc.Encode(c.event("final", "", 0))
 }
 
 // ReadTraceEvents parses a JSONL trace written by WriteTrace, for tests and

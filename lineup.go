@@ -79,7 +79,8 @@ type (
 	// telemetry). It is observe-only: enabling it cannot change any verdict
 	// or statistic reported in Result.
 	Telemetry = telemetry.Collector
-	// TelemetrySnap is a moment-in-time copy of every telemetry counter.
+	// TelemetrySnap is a moment-in-time copy of the telemetry counters by
+	// name ("executions_done", ...); a counter that is zero is absent.
 	TelemetrySnap = telemetry.Snap
 )
 
