@@ -514,7 +514,7 @@ func BenchmarkMonitorVsEnumeration(b *testing.B) {
 // operations as JSONL: threads picked at random call one of next's operations
 // or return from the one they have open, with the result the model gives at
 // that moment, so the order of the returns is a witness.
-func monitorLongTrace(b *testing.B, model *lineup.Model, seed int64, threads, ops int, next func(rng *rand.Rand, state any) string) []byte {
+func monitorLongTrace(b *testing.B, model *lineup.Model, seed int64, threads, ops int, next func(rng *rand.Rand, state string) string) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	h := &history.History{}
 	state := model.Init()
@@ -558,14 +558,14 @@ func BenchmarkMonitorLongTrace(b *testing.B) {
 		model   *lineup.Model
 		payload []byte
 	}{
-		{"queue1000", queueModel, monitorLongTrace(b, queueModel, 1, 3, 1000, func(rng *rand.Rand, state any) string {
-			if rng.Intn(2) == 0 && len(state.([]string)) < 8 {
+		{"queue1000", queueModel, monitorLongTrace(b, queueModel, 1, 3, 1000, func(rng *rand.Rand, state string) string {
+			if rng.Intn(2) == 0 && lineup.ModelList(state).Len() < 8 {
 				enqueued++
 				return fmt.Sprintf("Enqueue(%d)", enqueued)
 			}
 			return "TryDequeue()"
 		})},
-		{"set20000", setModel, monitorLongTrace(b, setModel, 2, 4, 20000, func(rng *rand.Rand, _ any) string {
+		{"set20000", setModel, monitorLongTrace(b, setModel, 2, 4, 20000, func(rng *rand.Rand, _ string) string {
 			return fmt.Sprintf("%s(%d)", []string{"Add", "Remove", "Contains"}[rng.Intn(3)], rng.Intn(64))
 		})},
 	} {

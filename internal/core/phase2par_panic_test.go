@@ -93,11 +93,10 @@ func TestParallelWitnessPanicDoesNotHangWaiters(t *testing.T) {
 func TestCheckWithPanickingMonitorModelReturnsError(t *testing.T) {
 	model := &monitor.Model{
 		Name: "explosive",
-		Init: func() any { return 0 },
-		Step: func(state any, op string) (string, any, error) {
+		Init: func() string { return "" },
+		Step: func(state, op string) (string, string, error) {
 			panic("model exploded")
 		},
-		Fingerprint: func(state any) string { return "s" },
 	}
 	sub := &Subject{
 		Name: "noopbox",

@@ -149,7 +149,7 @@ func TestFailureBudgetAborts(t *testing.T) {
 	}
 }
 
-func failureFingerprints(fs []core.RuntimeFailure) []string {
+func failureSignatures(fs []core.RuntimeFailure) []string {
 	out := make([]string, len(fs))
 	for i, f := range fs {
 		out[i] = fmt.Sprintf("%v|%v|%s", f.Kind, f.Schedule, f.Message)
@@ -172,8 +172,8 @@ func TestParallelFailureSetMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parallel check: %v", err)
 	}
-	seqFP := failureFingerprints(seqRes.Failures)
-	parFP := failureFingerprints(parRes.Failures)
+	seqFP := failureSignatures(seqRes.Failures)
+	parFP := failureSignatures(parRes.Failures)
 	if len(seqFP) == 0 {
 		t.Fatalf("sequential run recorded no failures")
 	}
@@ -200,8 +200,8 @@ func TestParallelBudgetAbortMatchesSequential(t *testing.T) {
 	if _, err := core.Check(sub, m, core.Options{MaxFailures: 2, Workers: 4}); !errors.As(err, &parTM) {
 		t.Fatalf("parallel err = %v, want *TooManyFailuresError", err)
 	}
-	seqFP := failureFingerprints(seqTM.Failures)
-	parFP := failureFingerprints(parTM.Failures)
+	seqFP := failureSignatures(seqTM.Failures)
+	parFP := failureSignatures(parTM.Failures)
 	if len(seqFP) != len(parFP) {
 		t.Fatalf("abort failure counts differ: sequential %d, parallel %d", len(seqFP), len(parFP))
 	}

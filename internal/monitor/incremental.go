@@ -3,7 +3,7 @@ package monitor
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lineup/internal/history"
 	"lineup/internal/telemetry"
@@ -20,16 +20,16 @@ import (
 // full history is then a linearization of the window followed by a
 // linearization of the rest, and conversely. Because a window can have many
 // witnesses ending in behaviorally different model states, Incremental
-// carries a *frontier*: the set of all model states reachable by linearizing
-// everything consumed so far (deduplicated by fingerprint). A window is
-// accepted if it linearizes from at least one frontier state; the new
-// frontier is the union of the final states of all its linearizations from
-// all old frontier states. This makes the incremental verdict equal to the
-// batch Check verdict on the concatenated history — not merely sound but
-// complete — while the retired prefix is forgotten entirely. Both steps are
-// Check's own searcher started from the frontier as its set of roots (one
-// memo for all of them), not a Check per frontier state: see Finish for why
-// the difference is a verdict, not only a cost.
+// carries a *frontier*: the set of all model states (strings) reachable by
+// linearizing everything consumed so far. A window is accepted if it
+// linearizes from at least one frontier state; the new frontier is the union
+// of the final states of all its linearizations from all old frontier states.
+// This makes the incremental verdict equal to the batch Check verdict on the
+// concatenated history — not merely sound but complete — while the retired
+// prefix is forgotten entirely. Both steps are Check's own searcher started
+// from the frontier as its set of roots (one memo for all of them), not a
+// Check per frontier state: see Finish for why the difference is a verdict,
+// not only a cost.
 //
 // Incremental is not safe for concurrent use; the streaming service gives
 // each partition to exactly one worker.
@@ -38,8 +38,7 @@ type Incremental struct {
 	opts Options
 
 	s        *searcher // one for every window: its buffers and maps are reused
-	frontier []any     // states reachable by linearizing the consumed prefix
-	fps      []string  // fingerprints of frontier, aligned and sorted
+	frontier []string  // sorted, distinct: the states reachable by linearizing the consumed prefix
 	consumed int       // completed operations retired so far
 	stats    Stats
 }
@@ -51,8 +50,8 @@ var ErrWindowNotQuiescent = errors.New("monitor: window contains pending operati
 
 // NewIncremental creates an incremental checker whose frontier is the
 // model's initial state. Options.Mode applies to Finish; partitioning does
-// not apply (the caller splits the history before windowing). Init and
-// Fingerprint are model code, so their panics are contained as errors.
+// not apply (the caller splits the history before windowing). Init is model
+// code, so its panic is contained as an error.
 func NewIncremental(m *Model, opts Options) (inc *Incremental, err error) {
 	if m == nil || m.Init == nil || m.Step == nil {
 		return nil, errors.New("monitor: model must define Init and Step")
@@ -62,46 +61,24 @@ func NewIncremental(m *Model, opts Options) (inc *Incremental, err error) {
 			inc, err = nil, fmt.Errorf("monitor: model panicked during Init: %v", r)
 		}
 	}()
-	inc = &Incremental{m: m, opts: opts}
-	inc.SetFrontier([]any{m.Init()})
-	return inc, nil
+	return &Incremental{m: m, opts: opts, frontier: []string{m.Init()}}, nil
 }
 
 // FrontierSize returns the number of distinct model states in the frontier.
 func (inc *Incremental) FrontierSize() int { return len(inc.frontier) }
 
-// FrontierStates returns the frontier states, ordered by fingerprint.
-func (inc *Incremental) FrontierStates() []any {
-	return append([]any(nil), inc.frontier...)
-}
+// FrontierStates returns the frontier: its distinct states, sorted. It is
+// the canonical summary the window cache keys on and a checkpoint writes
+// down. The slice is never modified afterwards, and the caller must not
+// modify it either.
+func (inc *Incremental) FrontierStates() []string { return inc.frontier }
 
-// FrontierFingerprints returns the sorted state fingerprints of the
-// frontier, the canonical summary used by checkpointing and the window
-// dedup cache.
-func (inc *Incremental) FrontierFingerprints() []string {
-	return append([]string(nil), inc.fps...)
-}
-
-// SetFrontier replaces the frontier (checkpoint restore, or dedup-cache
-// reuse of a previously computed transition). States with equal fingerprints
-// are collapsed; the frontier is re-sorted canonically.
-func (inc *Incremental) SetFrontier(states []any) {
-	seen := make(map[string]any, len(states))
-	for _, s := range states {
-		fp := inc.m.fingerprint(s)
-		if _, ok := seen[fp]; !ok {
-			seen[fp] = s
-		}
-	}
-	inc.frontier = inc.frontier[:0]
-	inc.fps = inc.fps[:0]
-	for fp := range seen {
-		inc.fps = append(inc.fps, fp)
-	}
-	sort.Strings(inc.fps)
-	for _, fp := range inc.fps {
-		inc.frontier = append(inc.frontier, seen[fp])
-	}
+// SetFrontier replaces the frontier (checkpoint restore, or window-cache
+// reuse of a previously computed transition) by the distinct states given.
+func (inc *Incremental) SetFrontier(states []string) {
+	f := slices.Clone(states)
+	slices.Sort(f)
+	inc.frontier = slices.Compact(f)
 }
 
 // Consumed returns the number of completed operations retired so far.
@@ -127,7 +104,7 @@ func (inc *Incremental) ExtendComplete(h *history.History) (ok bool, err error) 
 	}()
 	if inc.s == nil {
 		inc.s = newSearcher(inc.m, inc.opts)
-		inc.s.finals = make(map[string]any)
+		inc.s.finals = make(map[string]struct{})
 	}
 	s := inc.s
 	if err := s.load(h, kindComplete); err != nil {
@@ -145,12 +122,13 @@ func (inc *Incremental) ExtendComplete(h *history.History) (ok bool, err error) 
 	if inc.stats.Parts == 0 {
 		inc.stats.Parts = 1
 	}
-	next := make([]any, 0, len(s.finals))
-	for _, st := range s.finals {
+	next := make([]string, 0, len(s.finals))
+	for st := range s.finals {
 		next = append(next, st)
 	}
-	inc.SetFrontier(next)
-	if len(inc.frontier) == 0 {
+	slices.Sort(next)
+	inc.frontier = next
+	if len(next) == 0 {
 		inc.s = nil // the failure is final: nothing is left to search from
 		return false, nil
 	}

@@ -61,23 +61,22 @@ func runIncremental(t *testing.T, m *monitor.Model, h *history.History, window i
 func flagModel() *monitor.Model {
 	return &monitor.Model{
 		Name: "flag",
-		Init: func() any { return 0 },
-		Step: func(state any, op string) (string, any, error) {
-			x := state.(int)
+		Init: func() string { return "0" },
+		Step: func(x, op string) (string, string, error) {
 			switch op {
 			case "Set0()":
-				return "ok", 0, nil
+				return "ok", "0", nil
 			case "Set1()":
-				return "ok", 1, nil
+				return "ok", "1", nil
 			case "Get()":
-				return string(rune('0' + x)), x, nil
+				return x, x, nil
 			case "WaitFor0()", "WaitFor1()":
-				if want := int(op[len("WaitFor")] - '0'); x != want {
-					return "", nil, monitor.ErrBlock
+				if want := op[len("WaitFor") : len("WaitFor")+1]; x != want {
+					return "", "", monitor.ErrBlock
 				}
 				return "ok", x, nil
 			}
-			return "", nil, monitor.ErrUnknownOp
+			return "", "", monitor.ErrUnknownOp
 		},
 	}
 }
@@ -325,6 +324,24 @@ func TestIncrementalFrontierKeepsAllWitnessStates(t *testing.T) {
 		if out.Linearizable != read.want {
 			t.Errorf("Read()=%s: linearizable=%v, want %v", read.res, out.Linearizable, read.want)
 		}
+	}
+}
+
+// TestIncrementalCommaValuedStates: the window Enqueue(a) ‖ Enqueue(a,a)
+// leaves two queue states that a comma-joined fingerprint collapsed into one,
+// and the one kept could not answer TryDequeue() = "a,a".
+func TestIncrementalCommaValuedStates(t *testing.T) {
+	h := commaHistory()
+	inc, err := monitor.NewIncremental(monitor.QueueModel(), monitor.Options{})
+	if err != nil {
+		t.Fatalf("NewIncremental: %v", err)
+	}
+	if ok, err := inc.ExtendComplete(&history.History{Events: h.Events[:4]}); err != nil || !ok || inc.FrontierSize() != 2 {
+		t.Fatalf("ExtendComplete: ok=%v err=%v frontier=%d, want true/nil/2", ok, err, inc.FrontierSize())
+	}
+	out, err := inc.Finish(&history.History{Events: h.Events[4:]})
+	if err != nil || !out.Linearizable {
+		t.Fatalf("Finish: linearizable=%v err=%v, want linearizable", out.Linearizable, err)
 	}
 }
 

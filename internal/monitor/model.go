@@ -12,9 +12,9 @@
 // next are the call entries in front of the first return entry, so a search
 // node costs the history's concurrency at that point, not its length, and
 // linearizing an operation or backtracking over it splices two entries. A
-// memoized seen-set keyed on (linearized-op-set, model-state fingerprint)
-// prunes revisits of equivalent search nodes; it compares whole keys, because
-// a hash collision would be a wrong verdict, and the search stays a bounded
+// memoized seen-set keyed on (linearized-op-set, model state) prunes revisits
+// of equivalent search nodes; it compares whole keys, because a hash
+// collision would be a wrong verdict, and the search stays a bounded
 // exhaustive one (Options.MaxStates) because the problem is NP-hard.
 // P-compositional partitioning splits the history into independent
 // sub-histories when the model declares a partition function, checking the
@@ -41,22 +41,23 @@ var ErrBlock = errors.New("monitor: operation blocks in this state")
 // does not implement; it aborts the whole check rather than failing it.
 var ErrUnknownOp = errors.New("monitor: operation unknown to the model")
 
-// Model is an executable deterministic sequential specification. States must
-// be treated as immutable: Step returns a fresh state and must not modify
-// its argument, because the backtracking search re-enters earlier states.
+// Model is an executable deterministic sequential specification whose states
+// are strings. A state is its own identity: the memoized seen-set, the
+// Incremental frontier, the serve window cache and the serve checkpoint all
+// take it as it stands, so two states are the same state exactly when their
+// strings are equal. Because Step is deterministic, equal strings behave
+// identically by construction; a model that writes one abstract state two
+// ways only loses memo hits, never a verdict. List-shaped states use List.
 type Model struct {
 	// Name identifies the model, e.g. "queue".
 	Name string
 	// Init returns the initial state.
-	Init func() any
+	Init func() string
 	// Step applies one operation (by display name, e.g. "Enqueue(10)") to a
 	// state and returns the canonical result string and the successor state.
 	// It returns ErrBlock if the operation blocks in this state and an error
 	// wrapping ErrUnknownOp for operations outside the model's vocabulary.
-	Step func(state any, op string) (result string, next any, err error)
-	// Fingerprint canonicalizes a state for the memoized seen-set. Two
-	// states with equal fingerprints must be behaviorally identical.
-	Fingerprint func(state any) string
+	Step func(state, op string) (result, next string, err error)
 	// Partition maps an operation to the key of the independent sub-object
 	// it touches (P-compositionality): histories are split by key and the
 	// parts checked separately against fresh initial states. Return ok=false
@@ -64,22 +65,6 @@ type Model struct {
 	// disables partitioning of the history. A nil Partition means the model
 	// is monolithic.
 	Partition func(op string) (key string, ok bool)
-	// EncodeState and DecodeState serialize a model state for durable
-	// checkpoints (the streaming service persists per-partition state
-	// frontiers across restarts). They must round-trip: DecodeState of an
-	// EncodeState output yields a behaviorally identical state. Both nil is
-	// fine for models that are never checkpointed.
-	EncodeState func(state any) ([]byte, error)
-	DecodeState func(data []byte) (any, error)
-}
-
-// fingerprint canonicalizes a model state, falling back to %#v rendering
-// when the model does not define Fingerprint.
-func (m *Model) fingerprint(state any) string {
-	if m.Fingerprint != nil {
-		return m.Fingerprint(state)
-	}
-	return fmt.Sprintf("%#v", state)
 }
 
 // SplitOp separates an operation display name "Method(args)" into its method

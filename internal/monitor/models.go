@@ -1,9 +1,8 @@
 package monitor
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -17,20 +16,6 @@ const (
 )
 
 func boolResult(v bool) string { return strconv.FormatBool(v) }
-
-// jsonStateCodec installs EncodeState/DecodeState that round-trip the model's
-// state representation T through JSON. Every built-in model declares one, so
-// the streaming service can checkpoint its per-partition state frontiers.
-func jsonStateCodec[T any](m *Model) {
-	m.EncodeState = func(state any) ([]byte, error) { return json.Marshal(state.(T)) }
-	m.DecodeState = func(data []byte) (any, error) {
-		var v T
-		if err := json.Unmarshal(data, &v); err != nil {
-			return nil, err
-		}
-		return v, nil
-	}
-}
 
 // Builtin returns a built-in model by name (see BuiltinNames).
 func Builtin(name string) (*Model, bool) {
@@ -76,89 +61,84 @@ func BuiltinNames() []string {
 // TryDequeue/TryTake/TryPeek return the front element or "Fail";
 // Dequeue/Take/Peek block on an empty queue; Count, IsEmpty and ToArray
 // observe the contents. It matches the serial behavior of the repository's
-// ConcurrentQueue and BlockingCollection vocabularies.
+// ConcurrentQueue and BlockingCollection vocabularies. The state is a List,
+// front first.
 func QueueModel() *Model {
-	m := &Model{Name: "queue", Init: func() any { return []string(nil) }}
-	jsonStateCodec[[]string](m)
-	m.Fingerprint = func(state any) string { return strings.Join(state.([]string), ",") }
-	m.Step = func(state any, op string) (string, any, error) {
-		q := state.([]string)
+	m := &Model{Name: "queue", Init: func() string { return "" }}
+	m.Step = func(state, op string) (string, string, error) {
+		q := List(state)
+		front, rest, ok := q.PopFront()
 		method, args := SplitOp(op)
 		switch method {
 		case "Enqueue", "Add", "Put":
-			return okResult, append(q[:len(q):len(q)], args), nil
+			return okResult, string(q.Append(args)), nil
 		case "TryDequeue", "TryTake":
-			if len(q) == 0 {
-				return failResult, q, nil
+			if !ok {
+				return failResult, state, nil
 			}
-			return q[0], q[1:], nil
+			return front, string(rest), nil
 		case "Dequeue", "Take":
-			if len(q) == 0 {
-				return "", nil, ErrBlock
+			if !ok {
+				return "", "", ErrBlock
 			}
-			return q[0], q[1:], nil
+			return front, string(rest), nil
 		case "TryPeek":
-			if len(q) == 0 {
-				return failResult, q, nil
+			if !ok {
+				return failResult, state, nil
 			}
-			return q[0], q, nil
+			return front, state, nil
 		case "Peek":
-			if len(q) == 0 {
-				return "", nil, ErrBlock
+			if !ok {
+				return "", "", ErrBlock
 			}
-			return q[0], q, nil
+			return front, state, nil
 		case "Count":
-			return strconv.Itoa(len(q)), q, nil
+			return strconv.Itoa(q.Len()), state, nil
 		case "IsEmpty":
-			return boolResult(len(q) == 0), q, nil
+			return boolResult(!ok), state, nil
 		case "ToArray":
-			return "[" + strings.Join(q, " ") + "]", q, nil
+			return "[" + strings.Join(q.Items(), " ") + "]", state, nil
 		}
-		return "", nil, unknownOp(m, op)
+		return "", "", unknownOp(m, op)
 	}
 	return m
 }
 
 // StackModel is a LIFO stack: Push returns "ok", TryPop/TryPeek return the
 // top element or "Fail", Pop blocks on an empty stack, ToArray snapshots
-// top-first.
+// top-first. The state is a List, top first.
 func StackModel() *Model {
-	m := &Model{Name: "stack", Init: func() any { return []string(nil) }}
-	jsonStateCodec[[]string](m)
-	m.Fingerprint = func(state any) string { return strings.Join(state.([]string), ",") }
-	m.Step = func(state any, op string) (string, any, error) {
-		s := state.([]string)
+	m := &Model{Name: "stack", Init: func() string { return "" }}
+	m.Step = func(state, op string) (string, string, error) {
+		s := List(state)
+		top, rest, ok := s.PopFront()
 		method, args := SplitOp(op)
 		switch method {
 		case "Push":
-			return okResult, append(s[:len(s):len(s)], args), nil
+			return okResult, string(s.Prepend(args)), nil
 		case "TryPop":
-			if len(s) == 0 {
-				return failResult, s, nil
+			if !ok {
+				return failResult, state, nil
 			}
-			return s[len(s)-1], s[:len(s)-1], nil
+			return top, string(rest), nil
 		case "Pop":
-			if len(s) == 0 {
-				return "", nil, ErrBlock
+			if !ok {
+				return "", "", ErrBlock
 			}
-			return s[len(s)-1], s[:len(s)-1], nil
+			return top, string(rest), nil
 		case "TryPeek":
-			if len(s) == 0 {
-				return failResult, s, nil
+			if !ok {
+				return failResult, state, nil
 			}
-			return s[len(s)-1], s, nil
+			return top, state, nil
 		case "Count":
-			return strconv.Itoa(len(s)), s, nil
+			return strconv.Itoa(s.Len()), state, nil
 		case "IsEmpty":
-			return boolResult(len(s) == 0), s, nil
+			return boolResult(!ok), state, nil
 		case "ToArray":
-			rev := make([]string, len(s))
-			for i, v := range s {
-				rev[len(s)-1-i] = v
-			}
-			return "[" + strings.Join(rev, " ") + "]", s, nil
+			return "[" + strings.Join(s.Items(), " ") + "]", state, nil
 		}
-		return "", nil, unknownOp(m, op)
+		return "", "", unknownOp(m, op)
 	}
 	return m
 }
@@ -167,11 +147,9 @@ func StackModel() *Model {
 // whether they changed the set, Contains tests membership, Count observes
 // the size. Add/Remove/Contains touch only their element, so the model
 // declares a per-value partition (P-compositionality); Count is a
-// whole-object observer and disables splitting.
+// whole-object observer and disables splitting. The state is a sorted List.
 func SetModel() *Model {
-	m := &Model{Name: "set", Init: func() any { return []string(nil) }}
-	jsonStateCodec[[]string](m)
-	m.Fingerprint = func(state any) string { return strings.Join(state.([]string), ",") }
+	m := &Model{Name: "set", Init: func() string { return "" }}
 	m.Partition = func(op string) (string, bool) {
 		method, args := SplitOp(op)
 		switch method {
@@ -180,48 +158,34 @@ func SetModel() *Model {
 		}
 		return "", false
 	}
-	m.Step = func(state any, op string) (string, any, error) {
-		s := state.([]string)
+	m.Step = func(state, op string) (string, string, error) {
+		s := List(state)
 		method, args := SplitOp(op)
-		i := sort.SearchStrings(s, args)
-		present := i < len(s) && s[i] == args
+		without, present := s.Remove(args)
 		switch method {
 		case "Add":
 			if present {
-				return boolResult(false), s, nil
+				return boolResult(false), state, nil
 			}
-			next := make([]string, 0, len(s)+1)
-			next = append(next, s[:i]...)
-			next = append(next, args)
-			next = append(next, s[i:]...)
-			return boolResult(true), next, nil
+			return boolResult(true), string(s.Insert(args, cmp.Less[string])), nil
 		case "Remove":
-			if !present {
-				return boolResult(false), s, nil
-			}
-			next := make([]string, 0, len(s)-1)
-			next = append(next, s[:i]...)
-			next = append(next, s[i+1:]...)
-			return boolResult(true), next, nil
+			return boolResult(present), string(without), nil
 		case "Contains":
-			return boolResult(present), s, nil
+			return boolResult(present), state, nil
 		case "Count":
-			return strconv.Itoa(len(s)), s, nil
+			return strconv.Itoa(s.Len()), state, nil
 		}
-		return "", nil, unknownOp(m, op)
+		return "", "", unknownOp(m, op)
 	}
 	return m
 }
 
 // RegisterModel is a single read/write register initialized to "0": Write
 // returns "ok", Read returns the current value, CAS(old,new) swaps and
-// reports success.
+// reports success. The state is the value.
 func RegisterModel() *Model {
-	m := &Model{Name: "register", Init: func() any { return "0" }}
-	jsonStateCodec[string](m)
-	m.Fingerprint = func(state any) string { return state.(string) }
-	m.Step = func(state any, op string) (string, any, error) {
-		v := state.(string)
+	m := &Model{Name: "register", Init: func() string { return "0" }}
+	m.Step = func(v, op string) (string, string, error) {
 		method, args := SplitOp(op)
 		switch method {
 		case "Read", "Get":
@@ -235,59 +199,52 @@ func RegisterModel() *Model {
 			}
 			return boolResult(false), v, nil
 		}
-		return "", nil, unknownOp(m, op)
+		return "", "", unknownOp(m, op)
 	}
 	return m
 }
 
 // CounterModel is the Section 2.2 counter: Inc and Dec return "ok", Get
-// returns the current count.
+// returns the current count. The state is the count in decimal.
 func CounterModel() *Model {
-	m := &Model{Name: "counter", Init: func() any { return 0 }}
-	jsonStateCodec[int](m)
-	m.Fingerprint = func(state any) string { return strconv.Itoa(state.(int)) }
-	m.Step = func(state any, op string) (string, any, error) {
-		n := state.(int)
+	m := &Model{Name: "counter", Init: func() string { return "0" }}
+	m.Step = func(state, op string) (string, string, error) {
+		n, _ := strconv.Atoi(state) // written by Init and Step only
 		method, _ := SplitOp(op)
 		switch method {
 		case "Inc", "Increment":
-			return okResult, n + 1, nil
+			return okResult, strconv.Itoa(n + 1), nil
 		case "Dec", "Decrement":
-			return okResult, n - 1, nil
+			return okResult, strconv.Itoa(n - 1), nil
 		case "Get", "Count":
-			return strconv.Itoa(n), n, nil
+			return state, state, nil
 		}
-		return "", nil, unknownOp(m, op)
+		return "", "", unknownOp(m, op)
 	}
 	return m
 }
 
 // MREModel is a manual-reset event (the Fig. 9 class): Set and Reset return
 // "ok", IsSet observes the flag, WaitOne(0) polls it, and Wait blocks until
-// the event is set.
+// the event is set. The state is the flag, "true" or "false".
 func MREModel() *Model {
-	m := &Model{Name: "mre", Init: func() any { return false }}
-	jsonStateCodec[bool](m)
-	m.Fingerprint = func(state any) string { return boolResult(state.(bool)) }
-	m.Step = func(state any, op string) (string, any, error) {
-		set := state.(bool)
+	m := &Model{Name: "mre", Init: func() string { return boolResult(false) }}
+	m.Step = func(state, op string) (string, string, error) {
 		method, _ := SplitOp(op)
 		switch method {
 		case "Set":
-			return okResult, true, nil
+			return okResult, boolResult(true), nil
 		case "Reset":
-			return okResult, false, nil
-		case "IsSet":
-			return boolResult(set), set, nil
-		case "WaitOne":
-			return boolResult(set), set, nil
+			return okResult, boolResult(false), nil
+		case "IsSet", "WaitOne":
+			return state, state, nil
 		case "Wait":
-			if !set {
-				return "", nil, ErrBlock
+			if state != boolResult(true) {
+				return "", "", ErrBlock
 			}
-			return okResult, set, nil
+			return okResult, state, nil
 		}
-		return "", nil, unknownOp(m, op)
+		return "", "", unknownOp(m, op)
 	}
 	return m
 }
@@ -297,11 +254,10 @@ func MREModel() *Model {
 // "Fail"; DeleteMin/RemoveMin block on an empty queue; TryPeekMin/PeekMin
 // observe the minimum; Count and IsEmpty observe the size. Elements compare
 // numerically when both parse as integers and lexicographically otherwise
-// (the same order fast.Check uses, so the two stay cross-checkable).
+// (the same order fast.Check uses, so the two stay cross-checkable). The
+// state is a List sorted by that order, so equal multisets are equal states.
 func PQueueModel() *Model {
-	m := &Model{Name: "pqueue", Init: func() any { return []string(nil) }}
-	jsonStateCodec[[]string](m)
-	m.Fingerprint = func(state any) string { return strings.Join(state.([]string), ",") }
+	m := &Model{Name: "pqueue", Init: func() string { return "" }}
 	less := func(a, b string) bool {
 		ai, aerr := strconv.Atoi(a)
 		bi, berr := strconv.Atoi(b)
@@ -310,44 +266,39 @@ func PQueueModel() *Model {
 		}
 		return a < b
 	}
-	m.Step = func(state any, op string) (string, any, error) {
-		q := state.([]string)
+	m.Step = func(state, op string) (string, string, error) {
+		q := List(state)
+		least, rest, ok := q.PopFront()
 		method, args := SplitOp(op)
 		switch method {
 		case "Insert", "Add", "Put":
-			// Keep the state sorted so equal multisets fingerprint equally.
-			i := sort.Search(len(q), func(i int) bool { return !less(q[i], args) })
-			next := make([]string, 0, len(q)+1)
-			next = append(next, q[:i]...)
-			next = append(next, args)
-			next = append(next, q[i:]...)
-			return okResult, next, nil
+			return okResult, string(q.Insert(args, less)), nil
 		case "TryDeleteMin", "TryRemoveMin":
-			if len(q) == 0 {
-				return failResult, q, nil
+			if !ok {
+				return failResult, state, nil
 			}
-			return q[0], q[1:], nil
+			return least, string(rest), nil
 		case "DeleteMin", "RemoveMin":
-			if len(q) == 0 {
-				return "", nil, ErrBlock
+			if !ok {
+				return "", "", ErrBlock
 			}
-			return q[0], q[1:], nil
+			return least, string(rest), nil
 		case "TryPeekMin":
-			if len(q) == 0 {
-				return failResult, q, nil
+			if !ok {
+				return failResult, state, nil
 			}
-			return q[0], q, nil
+			return least, state, nil
 		case "PeekMin":
-			if len(q) == 0 {
-				return "", nil, ErrBlock
+			if !ok {
+				return "", "", ErrBlock
 			}
-			return q[0], q, nil
+			return least, state, nil
 		case "Count":
-			return strconv.Itoa(len(q)), q, nil
+			return strconv.Itoa(q.Len()), state, nil
 		case "IsEmpty":
-			return boolResult(len(q) == 0), q, nil
+			return boolResult(!ok), state, nil
 		}
-		return "", nil, unknownOp(m, op)
+		return "", "", unknownOp(m, op)
 	}
 	return m
 }

@@ -154,7 +154,7 @@ func Check(m *Model, h *history.History, opts Options) (*Outcome, error) {
 // at any root, and the generalized mode picks the root per pending operation
 // — for every e some H[e] witness from some root — which is what makes
 // Incremental.Finish from a frontier equal Check on the whole history.
-func check(m *Model, roots []any, h *history.History, opts Options) (*Outcome, error) {
+func check(m *Model, roots []string, h *history.History, opts Options) (*Outcome, error) {
 	if !h.WellFormed() {
 		return nil, errors.New("monitor: history is not well-formed (a thread overlaps its own operations)")
 	}
@@ -208,7 +208,7 @@ func check(m *Model, roots []any, h *history.History, opts Options) (*Outcome, e
 // a trace with tens of thousands of keys costs as many searches, not as many
 // goroutines and memo maps at once. It fills out with the combined verdict,
 // witness, and stats, merged in part order whichever part finished first.
-func checkParts(m *Model, h *history.History, kind checkKind, roots []any, opts Options, out *Outcome) error {
+func checkParts(m *Model, h *history.History, kind checkKind, roots []string, opts Options, out *Outcome) error {
 	parts, keys := partition(m, h, opts)
 	out.Stats.Parts = len(parts)
 	results := make([]partResult, len(parts))
@@ -271,7 +271,7 @@ func mergePart(out *Outcome, res partResult, key string) {
 // part error so a multi-part check (whose parts run in their own goroutines)
 // can never take down the process or strand its siblings — nor the searcher,
 // which load rebuilds from the next part whatever state the panic left.
-func runPart(s *searcher, part *history.History, kind checkKind, roots []any) (res partResult) {
+func runPart(s *searcher, part *history.History, kind checkKind, roots []string) (res partResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = partResult{err: fmt.Errorf("monitor: model panicked during witness search: %v", r)}
@@ -281,7 +281,7 @@ func runPart(s *searcher, part *history.History, kind checkKind, roots []any) (r
 		return partResult{err: err}
 	}
 	if roots == nil {
-		roots = []any{s.m.Init()}
+		roots = []string{s.m.Init()}
 	}
 	ok, err := s.run(roots)
 	res = partResult{ok: ok, stats: Stats{Visited: s.visited, MemoHits: s.memoHits}, err: err}
@@ -325,11 +325,11 @@ type searcher struct {
 
 	// finals, when non-nil, turns the search into an enumeration
 	// (Incremental.ExtendComplete): the final state of every complete
-	// linearization is recorded by fingerprint and the search keeps going,
-	// so it never reports a witness. A memo key then marks a configuration
-	// whose whole subtree has been expanded — its final states are already
+	// linearization is added to the set and the search keeps going, so it
+	// never reports a witness. A memo key then marks a configuration whose
+	// whole subtree has been expanded — its final states are already
 	// collected — which is the failure memo's meaning too.
-	finals map[string]any
+	finals map[string]struct{}
 
 	order   []int32  // current linearization, indices into ops
 	results []string // result assigned to each order entry
@@ -442,19 +442,20 @@ func (s *searcher) unlift(c int32) {
 }
 
 // memoKey renders the current configuration — the linearized set, then the
-// state fingerprint — into the searcher's one key buffer. The memo compares
-// whole keys, never a hash of them: a collision would be a wrong verdict.
-func (s *searcher) memoKey(fp string) []byte {
+// state — into the searcher's one key buffer. The mask has one length for the
+// whole part, so the key is the pair itself; the memo compares whole keys,
+// never a hash of them: a collision would be a wrong verdict.
+func (s *searcher) memoKey(state string) []byte {
 	key := s.key[:0]
 	for _, w := range s.lin {
 		key = binary.LittleEndian.AppendUint64(key, w)
 	}
-	s.key = append(key, fp...)
+	s.key = append(key, state...)
 	return s.key
 }
 
 // run searches from each root until one yields a witness.
-func (s *searcher) run(roots []any) (bool, error) {
+func (s *searcher) run(roots []string) (bool, error) {
 	for _, root := range roots {
 		if ok, err := s.search(root); ok || err != nil {
 			return ok, err
@@ -463,13 +464,10 @@ func (s *searcher) run(roots []any) (bool, error) {
 	return false, nil
 }
 
-func (s *searcher) search(state any) (bool, error) {
+func (s *searcher) search(state string) (bool, error) {
 	done := s.left == 0
 	if done && s.finals != nil {
-		fp := s.m.fingerprint(state)
-		if _, ok := s.finals[fp]; !ok {
-			s.finals[fp] = state
-		}
+		s.finals[state] = struct{}{}
 		return false, nil
 	}
 	if done && (s.kind != kindStuck || s.pendName == "") {
@@ -478,10 +476,8 @@ func (s *searcher) search(state any) (bool, error) {
 		// ops to linearize.
 		return true, nil
 	}
-	var fp string
 	if !s.opts.NoMemo {
-		fp = s.m.fingerprint(state)
-		if s.memo[string(s.memoKey(fp))] { // a lookup by converted bytes does not allocate
+		if s.memo[string(s.memoKey(state))] { // a lookup by converted bytes does not allocate
 			s.memoHits++
 			return false, nil
 		}
@@ -532,7 +528,7 @@ func (s *searcher) search(state any) (bool, error) {
 	// was reused below this node, so the key is rendered again, and storing
 	// it is the search's one allocation of its own.
 	if !s.opts.NoMemo {
-		s.memo[string(s.memoKey(fp))] = true
+		s.memo[string(s.memoKey(state))] = true
 	}
 	return false, nil
 }

@@ -11,15 +11,14 @@ import (
 // windowCache deduplicates window transitions across partitions, the same
 // technique as the phase-2 history cache of internal/core: canonical byte
 // encoding, interned symbols, FNV-1a bucketing with byte-exact comparison.
-// The key is (frontier fingerprints, canonical window); the value is the
-// transition result — whether the window linearized and the resulting
-// frontier states. Two states with equal fingerprints are behaviorally
-// identical (the Model.Fingerprint contract), so replaying a cached frontier
-// is sound. Operation indices and thread ids are relabeled densely in
-// first-appearance order during encoding: they carry no meaning beyond
-// pairing calls with returns, and relabeling lets identical workloads on
-// different partitions — whose global op indices necessarily differ — share
-// entries.
+// The key is (frontier states, canonical window); the value is the transition
+// result — whether the window linearized and the resulting frontier states. A
+// model state is a string and Step is deterministic, so equal keys are equal
+// transitions and replaying a cached frontier is sound. Operation indices and
+// thread ids are relabeled densely in first-appearance order during encoding:
+// they carry no meaning beyond pairing calls with returns, and relabeling lets
+// identical workloads on different partitions — whose global op indices
+// necessarily differ — share entries.
 type windowCache struct {
 	mu      sync.Mutex
 	syms    map[string]uint32
@@ -32,7 +31,7 @@ type windowCache struct {
 type windowEntry struct {
 	key    []byte
 	ok     bool
-	states []any
+	states []string
 }
 
 func newWindowCache() *windowCache {
@@ -53,16 +52,16 @@ func (c *windowCache) sym(s string) uint32 {
 }
 
 // encode builds the canonical key into c.buf. Caller holds c.mu.
-func (c *windowCache) encode(fps []string, events []history.Event) {
+func (c *windowCache) encode(states []string, events []history.Event) {
 	c.buf = c.buf[:0]
 	var tmp [binary.MaxVarintLen64]byte
 	put := func(v uint32) {
 		n := binary.PutUvarint(tmp[:], uint64(v))
 		c.buf = append(c.buf, tmp[:n]...)
 	}
-	put(uint32(len(fps)))
-	for _, fp := range fps {
-		put(c.sym(fp))
+	put(uint32(len(states)))
+	for _, st := range states {
+		put(c.sym(st))
 	}
 	for k := range c.ids {
 		delete(c.ids, k)
@@ -85,13 +84,13 @@ func (c *windowCache) encode(fps []string, events []history.Event) {
 	}
 }
 
-// lookup returns the cached entry for (fps, events), or (key, nil) on a
+// lookup returns the cached entry for (states, events), or (key, nil) on a
 // miss; the returned key is a copy the caller passes back to put once the
 // transition is computed.
-func (c *windowCache) lookup(fps []string, events []history.Event) ([]byte, *windowEntry) {
+func (c *windowCache) lookup(states []string, events []history.Event) ([]byte, *windowEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.encode(fps, events)
+	c.encode(states, events)
 	h := fnv.New64a()
 	_, _ = h.Write(c.buf)
 	sum := h.Sum64()
@@ -107,7 +106,7 @@ func (c *windowCache) lookup(fps []string, events []history.Event) ([]byte, *win
 // concurrent duplicate (two workers computing the same transition) keeps the
 // first entry; the values are identical by determinism of the search. It
 // reports whether the entry is new.
-func (c *windowCache) put(key []byte, ok bool, states []any) bool {
+func (c *windowCache) put(key []byte, ok bool, states []string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	h := fnv.New64a()

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -35,18 +34,20 @@ type Checkpoint struct {
 	SawDerivedWhole bool `json:"saw_derived_whole,omitempty"`
 }
 
-// checkpointVersion guards the on-disk format.
-const checkpointVersion = 1
+// checkpointVersion guards the on-disk format. Version 2 writes frontier
+// states as the model's own state strings, where version 1 held each in the
+// form of a model-declared JSON codec.
+const checkpointVersion = 2
 
 // PartCheckpoint is one partition's durable state.
 type PartCheckpoint struct {
-	Key      string            `json:"key"`
-	Frontier []json.RawMessage `json:"frontier"` // encoded model states (Model.EncodeState)
-	Window   []eventJSON       `json:"window,omitempty"`
-	Ops      int64             `json:"ops"`
-	Windows  int64             `json:"windows"`
-	Failed   bool              `json:"failed,omitempty"`
-	Err      string            `json:"error,omitempty"`
+	Key      string      `json:"key"`
+	Frontier [][]byte    `json:"frontier"` // the model states, byte for byte (base64 in the file: a state need not be UTF-8)
+	Window   []eventJSON `json:"window,omitempty"`
+	Ops      int64       `json:"ops"`
+	Windows  int64       `json:"windows"`
+	Failed   bool        `json:"failed,omitempty"`
+	Err      string      `json:"error,omitempty"`
 }
 
 // eventJSON serializes one window event.
@@ -68,19 +69,14 @@ func (e eventJSON) event() history.Event {
 
 // snapshot captures the worker's partitions (ctlSnapshot handler; runs on
 // the worker goroutine, with ingest stalled by the caller's barrier).
-func (w *worker) snapshot() ([]PartCheckpoint, error) {
-	enc := w.srv.cfg.Model.EncodeState
+func (w *worker) snapshot() []PartCheckpoint {
 	var out []PartCheckpoint
 	for _, key := range w.sortedKeys() {
 		p := w.parts[key]
 		pc := PartCheckpoint{Key: p.key, Ops: p.ops, Windows: p.windows, Failed: p.failed, Err: p.errMsg}
 		if p.inc != nil { // nil when the model's Init failed; pc.Err says so
 			for _, st := range p.inc.FrontierStates() {
-				b, err := enc(st)
-				if err != nil {
-					return nil, fmt.Errorf("serve: partition %q: encoding state: %w", p.key, err)
-				}
-				pc.Frontier = append(pc.Frontier, json.RawMessage(b))
+				pc.Frontier = append(pc.Frontier, []byte(st))
 			}
 		}
 		for _, e := range p.window {
@@ -88,7 +84,7 @@ func (w *worker) snapshot() ([]PartCheckpoint, error) {
 		}
 		out = append(out, pc)
 	}
-	return out, nil
+	return out
 }
 
 // Checkpoint writes a durable snapshot now (independent of CheckpointEvery).
@@ -122,10 +118,7 @@ func (s *Server) checkpointStopped() error {
 	if s.cfg.CheckpointPath == "" {
 		return nil
 	}
-	replies, err := s.broadcast(ctlMsg{kind: ctlSnapshot})
-	if err != nil {
-		return fmt.Errorf("serve: checkpoint: %w", err)
-	}
+	replies := s.broadcast(ctlMsg{kind: ctlSnapshot})
 	cp := Checkpoint{
 		Version:   checkpointVersion,
 		Model:     s.cfg.Model.Name,
@@ -195,10 +188,6 @@ func (s *Server) restore(cp *Checkpoint) error {
 		resumeKey{s.cfg.Model.Name, s.cfg.windowOps()}); err != nil {
 		return err
 	}
-	dec := s.cfg.Model.DecodeState
-	if dec == nil {
-		return fmt.Errorf("serve: resuming model %q requires DecodeState", s.cfg.Model.Name)
-	}
 	s.tracker = obsfile.RestoreShardedTracker(cp.Tracker)
 	// The counts continue where the checkpointed server stopped (and a shared
 	// collector gets them too, so it stays the sum of its servers' Stats).
@@ -214,13 +203,9 @@ func (s *Server) restore(cp *Checkpoint) error {
 		if err != nil {
 			return err
 		}
-		states := make([]any, 0, len(pc.Frontier))
-		for _, raw := range pc.Frontier {
-			st, err := dec([]byte(raw))
-			if err != nil {
-				return fmt.Errorf("serve: partition %q: decoding state: %w", pc.Key, err)
-			}
-			states = append(states, st)
+		states := make([]string, len(pc.Frontier))
+		for i, st := range pc.Frontier {
+			states[i] = string(st)
 		}
 		inc.SetFrontier(states)
 		p := &part{key: pc.Key, inc: inc, ops: pc.Ops, windows: pc.Windows, failed: pc.Failed, errMsg: pc.Err}

@@ -116,7 +116,7 @@ type Config struct {
 	// Backpressure selects the full-queue policy (default BlockOnFull).
 	Backpressure Backpressure
 	// CheckpointPath, when set, enables checkpointing to this file (written
-	// atomically). The model must define EncodeState/DecodeState.
+	// atomically).
 	CheckpointPath string
 	// CheckpointEvery writes a checkpoint after this many ingested events
 	// (0 disables automatic checkpoints; Checkpoint may still be called).
@@ -220,9 +220,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Model == nil || cfg.Model.Init == nil || cfg.Model.Step == nil {
 		return nil, errors.New("serve: Config.Model must define Init and Step")
 	}
-	if cfg.CheckpointPath != "" && (cfg.Model.EncodeState == nil || cfg.Model.DecodeState == nil) {
-		return nil, fmt.Errorf("serve: checkpointing model %q requires EncodeState/DecodeState", cfg.Model.Name)
-	}
 	mopts := cfg.Monitor
 	mopts.NoPartition = true // the stream is split before windowing
 	s := &Server{
@@ -290,7 +287,6 @@ type ctlMsg struct {
 type ctlReply struct {
 	parts []PartCheckpoint   // ctlSnapshot
 	verds []PartitionVerdict // ctlStatus / ctlFinish
-	err   error
 }
 
 // resolveKey maps an event to its partition key: an explicit "p" field wins;
@@ -617,7 +613,7 @@ func (s *Server) lockWorld() func() {
 // concurrent ingest) for barrier semantics: with ingest stalled, the FIFO
 // queues mean every event routed before the control is applied before the
 // reply.
-func (s *Server) broadcast(msg ctlMsg) ([]ctlReply, error) {
+func (s *Server) broadcast(msg ctlMsg) []ctlReply {
 	replies := make([]ctlReply, 0, len(s.workers))
 	for _, w := range s.workers {
 		ack := make(chan ctlReply, 1)
@@ -626,12 +622,7 @@ func (s *Server) broadcast(msg ctlMsg) ([]ctlReply, error) {
 		w.ch <- workItem{ctl: &m}
 		replies = append(replies, <-ack)
 	}
-	for _, r := range replies {
-		if r.err != nil {
-			return replies, r.err
-		}
-	}
-	return replies, nil
+	return replies
 }
 
 // HoldWorkers parks the checker pool: every worker acknowledges and then
@@ -650,10 +641,7 @@ func (s *Server) HoldWorkers() (release func(), err error) {
 		return nil, ErrClosed
 	}
 	hold := make(chan struct{})
-	if _, err := s.broadcast(ctlMsg{kind: ctlHold, hold: hold}); err != nil {
-		close(hold)
-		return nil, err
-	}
+	s.broadcast(ctlMsg{kind: ctlHold, hold: hold})
 	var once sync.Once
 	return func() { once.Do(func() { close(hold) }) }, nil
 }
@@ -666,8 +654,8 @@ func (s *Server) Drain() error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	_, err := s.broadcast(ctlMsg{kind: ctlDrain})
-	return err
+	s.broadcast(ctlMsg{kind: ctlDrain})
+	return nil
 }
 
 // Verdicts returns a live snapshot of the per-partition status without
@@ -680,11 +668,7 @@ func (s *Server) Verdicts() ([]PartitionVerdict, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	replies, err := s.broadcast(ctlMsg{kind: ctlStatus})
-	if err != nil {
-		return nil, err
-	}
-	return mergeVerdicts(replies), nil
+	return mergeVerdicts(s.broadcast(ctlMsg{kind: ctlStatus})), nil
 }
 
 func mergeVerdicts(replies []ctlReply) []PartitionVerdict {
@@ -784,14 +768,11 @@ func (s *Server) Close() (*Summary, error) {
 	}
 	s.closed.Store(true)
 	stuck := s.tracker.Stuck()
-	replies, err := s.broadcast(ctlMsg{kind: ctlFinish, stuck: stuck})
+	replies := s.broadcast(ctlMsg{kind: ctlFinish, stuck: stuck})
 	unlock()
 	s.shutdownWorkers()
 	if s.httpCloser != nil {
 		_ = s.httpCloser.Close()
-	}
-	if err != nil {
-		return nil, err
 	}
 	poisonedKeys := make(map[string]bool)
 	s.poisoned.Range(func(k, _ any) bool {

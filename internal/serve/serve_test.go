@@ -10,8 +10,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"lineup/internal/history"
 	"lineup/internal/monitor"
@@ -172,13 +174,38 @@ func TestServeMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestServeCommaValuedStatesNoAlarm: the window Enqueue(a) ‖ Enqueue(a,a)
+// leaves the queue [a, a,a] or [a,a, a]; a comma-joined fingerprint kept one
+// of the two, and the residual TryDequeue() = "a,a" raised a false alarm.
+func TestServeCommaValuedStatesNoAlarm(t *testing.T) {
+	var alerts atomic.Int64
+	s, err := serve.New(serve.Config{Model: monitor.QueueModel(), WindowOps: 2,
+		OnVerdict: func(serve.PartitionVerdict) { alerts.Add(1) }})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ingestAll(t, s, []obsfile.TraceEvent{
+		{T: 0, K: "call", Op: "Enqueue(a)"}, {T: 1, K: "call", Op: "Enqueue(a,a)"},
+		{T: 0, K: "ret", Op: "Enqueue(a)", Res: "ok"}, {T: 1, K: "ret", Op: "Enqueue(a,a)", Res: "ok"},
+		{T: 0, K: "call", Op: "TryDequeue()"}, {T: 0, K: "ret", Op: "TryDequeue()", Res: "a,a"},
+	})
+	sum, err := s.Close()
+	if err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if !sum.Linearizable || alerts.Load() != 0 || sum.Stats.WindowFlushes != 1 {
+		t.Fatalf("linearizable=%v alerts=%d flushes=%d, want true/0/1: %+v",
+			sum.Linearizable, alerts.Load(), sum.Stats.WindowFlushes, sum.Verdicts)
+	}
+}
+
 // TestServeInitPanicContained: a model whose Init panics errors every
 // partition instead of killing the worker goroutine (and with it the
 // process) — each partition still reports exactly one final verdict, Close
 // returns, and the accounting invariant holds.
 func TestServeInitPanicContained(t *testing.T) {
 	m := monitor.RegisterModel()
-	m.Init = func() any { panic("init boom") }
+	m.Init = func() string { panic("init boom") }
 	rng := rand.New(rand.NewSource(17))
 	keys := []string{"a", "b", "c"}
 	parts := make([][]obsfile.TraceEvent, len(keys))
@@ -262,7 +289,7 @@ func TestServeWholeObjectOpRejected(t *testing.T) {
 func slowModel(d time.Duration) *monitor.Model {
 	m := monitor.RegisterModel()
 	step := m.Step
-	m.Step = func(state any, op string) (string, any, error) {
+	m.Step = func(state, op string) (string, string, error) {
 		time.Sleep(d)
 		return step(state, op)
 	}
@@ -787,17 +814,111 @@ func TestServeWholeObjectGuardSurvivesResume(t *testing.T) {
 // TestServeLoadRefusesOtherVersionByVersion: a checkpoint of another version
 // whose fields changed type is refused because of its version, with both
 // numbers, not reported as a JSON error of a struct it was never meant for.
+// The version-1 file holds a frontier state in its model's JSON codec form.
 func TestServeLoadRefusesOtherVersionByVersion(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "serve.ckpt")
-	if err := os.WriteFile(path, []byte(`{"version":7,"model":{"name":"register"},"window_ops":"16"}`), 0o644); err != nil {
-		t.Fatal(err)
+	for v, file := range map[int]string{
+		1: `{"version":1,"model":"queue","window_ops":2,"partitions":[{"key":"","frontier":[["a","a,a"]],"ops":2,"windows":1}]}`,
+		7: `{"version":7,"model":{"name":"register"},"window_ops":"16"}`,
+	} {
+		path := filepath.Join(t.TempDir(), "serve.ckpt")
+		if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := serve.Load(path)
+		if err == nil {
+			t.Fatalf("a version-%d checkpoint was loaded", v)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", v)) || !strings.Contains(msg, "version 2") {
+			t.Fatalf("refusal does not give both versions: %v", err)
+		}
 	}
-	_, err := serve.Load(path)
-	if err == nil {
-		t.Fatal("a version-7 checkpoint was loaded")
+}
+
+// TestServeCheckpointKeepsStatesByteExact: a checkpoint writes each frontier
+// state as it stands — comma-valued queue items, and an item longer than 127
+// bytes, whose length prefix is not UTF-8 — and a server resumed from it
+// mid-stream reaches the verdicts of an uninterrupted run. The queue model
+// declares nothing about checkpoints: none does.
+func TestServeCheckpointKeepsStatesByteExact(t *testing.T) {
+	long := strings.Repeat("x", 200)
+	// Each partition retires Enqueue(v1) ‖ Enqueue(v2) as a window of two
+	// frontier states, then dequeues; partition c's second dequeue is wrong.
+	var head, tail []obsfile.TraceEvent
+	for i, p := range []struct{ key, v1, v2, deq1, deq2 string }{
+		{"a", "a", "a,a", "a,a", "a"},
+		{"b", long, ",", long, ","},
+		{"c", "=", "k=v", "k=v", "k=v"},
+	} {
+		th, enq1, enq2 := 2*i, "Enqueue("+p.v1+")", "Enqueue("+p.v2+")"
+		head = append(head,
+			obsfile.TraceEvent{T: th, K: "call", Op: enq1, P: p.key}, obsfile.TraceEvent{T: th + 1, K: "call", Op: enq2, P: p.key},
+			obsfile.TraceEvent{T: th, K: "ret", Op: enq1, Res: "ok"}, obsfile.TraceEvent{T: th + 1, K: "ret", Op: enq2, Res: "ok"})
+		for _, res := range []string{p.deq1, p.deq2} {
+			tail = append(tail, obsfile.TraceEvent{T: th, K: "call", Op: "TryDequeue()", P: p.key},
+				obsfile.TraceEvent{T: th, K: "ret", Op: "TryDequeue()", Res: res})
+		}
 	}
-	if msg := err.Error(); !strings.Contains(msg, "version 7") || !strings.Contains(msg, "version 1") {
-		t.Fatalf("refusal does not give both versions: %v", err)
+	trace := append(append([]obsfile.TraceEvent(nil), head...), tail...)
+	cfg := serve.Config{Model: monitor.QueueModel(), Workers: 2, WindowOps: 2}
+
+	uninterrupted, err := serve.New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ingestAll(t, uninterrupted, trace)
+	want, err := uninterrupted.Close()
+	if err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "serve.ckpt")
+	first, err := serve.New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ingestAll(t, first, head)
+	if err := first.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	cp, err := serve.Load(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	both := func(v1, v2 string) [][]byte {
+		return [][]byte{[]byte(monitor.List("").Append(v1).Append(v2)), []byte(monitor.List("").Append(v2).Append(v1))}
+	}
+	wantFrontiers := map[string][][]byte{"a": both("a", "a,a"), "b": both(long, ","), "c": both("=", "k=v")}
+	for _, pc := range cp.Partitions {
+		w := wantFrontiers[pc.Key]
+		if len(pc.Frontier) != 2 || !(bytes.Equal(pc.Frontier[0], w[0]) && bytes.Equal(pc.Frontier[1], w[1]) ||
+			bytes.Equal(pc.Frontier[0], w[1]) && bytes.Equal(pc.Frontier[1], w[0])) {
+			t.Fatalf("partition %q: checkpointed frontier %q, want the states %q", pc.Key, pc.Frontier, w)
+		}
+		if pc.Key == "b" && utf8.Valid(pc.Frontier[0]) {
+			t.Fatalf("partition b's states are valid UTF-8: the test no longer covers a long item")
+		}
+	}
+
+	rcfg, err := serve.Resume(cfg)
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	resumed, err := serve.New(rcfg)
+	if err != nil {
+		t.Fatalf("New(resumed): %v", err)
+	}
+	ingestAll(t, resumed, trace) // full replay; the head is skipped
+	got, err := resumed.Close()
+	if err != nil {
+		t.Fatalf("Close(resumed): %v", err)
+	}
+	if len(got.Verdicts) != 3 || got.Linearizable || want.Linearizable {
+		t.Fatalf("verdicts %+v, want three with c failing", got.Verdicts)
+	}
+	for i := range want.Verdicts {
+		if w, g := want.Verdicts[i], got.Verdicts[i]; w.Key != g.Key || w.Linearizable != g.Linearizable || w.Err != g.Err || w.Ops != g.Ops {
+			t.Fatalf("verdict %d differs after resume:\nuninterrupted: %+v\nresumed:       %+v", i, w, g)
+		}
 	}
 }
 

@@ -115,8 +115,8 @@ func (w *worker) apply(key string, ev obsfile.StreamEvent) {
 // flush retires the partition's current window through the incremental
 // checker, consulting the shared dedup cache first: many partitions running
 // the same workload produce identical (frontier, window) transitions, and
-// equal fingerprints mean behaviorally identical states, so replaying the
-// cached resulting frontier is sound.
+// equal state strings are equal states, so replaying the cached resulting
+// frontier is sound.
 func (w *worker) flush(p *part) {
 	s := w.srv
 	h := &history.History{Events: p.window}
@@ -124,7 +124,7 @@ func (w *worker) flush(p *part) {
 	var key []byte
 	var entry *windowEntry
 	if s.cache != nil {
-		key, entry = s.cache.lookup(p.inc.FrontierFingerprints(), p.window)
+		key, entry = s.cache.lookup(p.inc.FrontierStates(), p.window)
 	}
 	if entry != nil {
 		p.inc.SetFrontier(entry.states)
@@ -182,9 +182,9 @@ func (w *worker) control(msg *ctlMsg) {
 			reply.verds = append(reply.verds, w.verdict(p, p.failed || p.errMsg != ""))
 		}
 	case ctlSnapshot:
-		reply.parts, reply.err = w.snapshot()
+		reply.parts = w.snapshot()
 	case ctlFinish:
-		reply.verds, reply.err = w.finish(msg.stuck)
+		reply.verds = w.finish(msg.stuck)
 	case ctlHold:
 		// Acknowledge first so the holder learns every worker is parked, then
 		// wait for the release: queued work accumulates undrained meanwhile.
@@ -206,7 +206,7 @@ func (w *worker) sortedKeys() []string {
 
 // finish judges every partition's residual window — including pending
 // operations and the stream's stuck marker — producing the final verdicts.
-func (w *worker) finish(stuck bool) ([]PartitionVerdict, error) {
+func (w *worker) finish(stuck bool) []PartitionVerdict {
 	var out []PartitionVerdict
 	for _, key := range w.sortedKeys() {
 		p := w.parts[key]
@@ -228,5 +228,5 @@ func (w *worker) finish(stuck bool) ([]PartitionVerdict, error) {
 		}
 		out = append(out, v)
 	}
-	return out, nil
+	return out
 }

@@ -18,7 +18,7 @@ func modelWithInit(t *testing.T, m *monitor.Model, init []core.Op) *monitor.Mode
 		return m
 	}
 	c := *m
-	c.Init = func() any {
+	c.Init = func() string {
 		st := m.Init()
 		for _, op := range init {
 			_, next, err := m.Step(st, op.Name())

@@ -1,8 +1,8 @@
 package subjects
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -13,11 +13,11 @@ import (
 // vocabulary: Put(k,v) returns "ok", Get(k) the stored value or "Fail",
 // Delete(k) whether the key was present, Len() the entry count. Single-key
 // operations declare a per-key partition (P-compositionality); Len observes
-// the whole map and disables splitting. The state is a sorted "k=v" slice so
-// fingerprints are canonical.
+// the whole map and disables splitting. The state is a List of entries, each
+// the List [k, v], kept in byte order: entries of distinct keys differ within
+// the key, so equal maps are equal states.
 func MapModel() *monitor.Model {
-	m := &monitor.Model{Name: "map", Init: func() any { return []string(nil) }}
-	m.Fingerprint = func(state any) string { return strings.Join(state.([]string), ",") }
+	m := &monitor.Model{Name: "map", Init: func() string { return "" }}
 	m.Partition = func(op string) (string, bool) {
 		method, args := monitor.SplitOp(op)
 		switch method {
@@ -31,57 +31,45 @@ func MapModel() *monitor.Model {
 		}
 		return "", false
 	}
-	m.Step = func(state any, op string) (string, any, error) {
-		entries := state.([]string)
+	m.Step = func(state, op string) (string, string, error) {
+		entries := monitor.List(state)
 		method, args := monitor.SplitOp(op)
-		find := func(k string) int {
-			for i, e := range entries {
-				if strings.HasPrefix(e, k+"=") {
-					return i
-				}
-			}
-			return -1
+		key, v, hasValue := args, "", false
+		if method == "Put" {
+			key, v, hasValue = strings.Cut(args, ",")
 		}
+		var entry string // the List [key, value]; never "", so Remove("") finds none
+		for _, e := range entries.Items() {
+			if k, _, _ := monitor.List(e).PopFront(); k == key {
+				entry = e
+			}
+		}
+		rest, found := entries.Remove(entry)
 		switch method {
 		case "Put":
-			k, v, ok := strings.Cut(args, ",")
-			if !ok {
-				return "", nil, fmt.Errorf("monitor: map model needs Put(k,v), got %q", op)
+			if !hasValue {
+				return "", "", fmt.Errorf("monitor: map model needs Put(k,v), got %q", op)
 			}
-			e := k + "=" + v
-			next := append([]string(nil), entries...)
-			if i := find(k); i >= 0 {
-				next[i] = e
-			} else {
-				next = append(next, e)
-				sort.Strings(next)
-			}
-			return "ok", next, nil
+			return "ok", string(rest.Insert(string(monitor.List("").Append(key).Append(v)), cmp.Less[string])), nil
 		case "Get":
-			if i := find(args); i >= 0 {
-				return entries[i][strings.IndexByte(entries[i], '=')+1:], entries, nil
+			if found {
+				return monitor.List(entry).Items()[1], state, nil
 			}
-			return "Fail", entries, nil
+			return "Fail", state, nil
 		case "Delete":
-			if i := find(args); i >= 0 {
-				next := append(append([]string(nil), entries[:i]...), entries[i+1:]...)
-				return "true", next, nil
-			}
-			return "false", entries, nil
+			return strconv.FormatBool(found), string(rest), nil
 		case "Len":
-			return strconv.Itoa(len(entries)), entries, nil
+			return strconv.Itoa(entries.Len()), state, nil
 		}
-		return "", nil, fmt.Errorf("%w: map model cannot apply %q", monitor.ErrUnknownOp, op)
+		return "", "", fmt.Errorf("%w: map model cannot apply %q", monitor.ErrUnknownOp, op)
 	}
 	return m
 }
 
-// pipeState is the sequential state of the pipeline model: the bounded input
-// buffer and the (effectively unbounded for test-sized workloads) output
-// buffer.
-type pipeState struct {
-	in  []int
-	out []int
+// pipeState writes the pipeline model's state: the List [in, out] of its
+// input and output buffers, each a List of decimal values.
+func pipeState(in, out monitor.List) string {
+	return string(monitor.List("").Append(string(in)).Append(string(out)))
 }
 
 // PipelineModel is the executable sequential specification of the Pipeline
@@ -92,49 +80,46 @@ type pipeState struct {
 // stage), so it declares no partition.
 func PipelineModel() *monitor.Model {
 	const inCap = 1
-	m := &monitor.Model{Name: "pipeline", Init: func() any { return pipeState{} }}
-	m.Fingerprint = func(state any) string {
-		s := state.(pipeState)
-		return fmt.Sprintf("%v|%v", s.in, s.out)
-	}
-	m.Step = func(state any, op string) (string, any, error) {
-		s := state.(pipeState)
+	m := &monitor.Model{Name: "pipeline", Init: func() string { return pipeState("", "") }}
+	m.Step = func(state, op string) (string, string, error) {
+		bufs := monitor.List(state).Items()
+		in, out := monitor.List(bufs[0]), monitor.List(bufs[1])
 		method, args := monitor.SplitOp(op)
 		switch method {
 		case "Send":
-			if len(s.in) >= inCap {
-				return "", nil, monitor.ErrBlock
+			if in.Len() >= inCap {
+				return "", "", monitor.ErrBlock
 			}
 			v, err := strconv.Atoi(args)
 			if err != nil {
-				return "", nil, fmt.Errorf("monitor: pipeline model needs Send(int), got %q", op)
+				return "", "", fmt.Errorf("monitor: pipeline model needs Send(int), got %q", op)
 			}
-			return "ok", pipeState{in: append(s.in[:len(s.in):len(s.in)], v), out: s.out}, nil
+			return "ok", pipeState(in.Append(strconv.Itoa(v)), out), nil
 		case "TrySend":
-			if len(s.in) >= inCap {
-				return "false", s, nil
+			if in.Len() >= inCap {
+				return "false", state, nil
 			}
 			v, err := strconv.Atoi(args)
 			if err != nil {
-				return "", nil, fmt.Errorf("monitor: pipeline model needs TrySend(int), got %q", op)
+				return "", "", fmt.Errorf("monitor: pipeline model needs TrySend(int), got %q", op)
 			}
-			return "true", pipeState{in: append(s.in[:len(s.in):len(s.in)], v), out: s.out}, nil
+			return "true", pipeState(in.Append(strconv.Itoa(v)), out), nil
 		case "Process":
-			if len(s.in) == 0 {
-				return "", nil, monitor.ErrBlock
+			v, in, ok := in.PopFront()
+			if !ok {
+				return "", "", monitor.ErrBlock
 			}
-			w := s.in[0] + pipelineDelta
-			return strconv.Itoa(w), pipeState{
-				in:  append([]int(nil), s.in[1:]...),
-				out: append(s.out[:len(s.out):len(s.out)], w),
-			}, nil
+			n, _ := strconv.Atoi(v) // Send and TrySend wrote it with Itoa
+			w := strconv.Itoa(n + pipelineDelta)
+			return w, pipeState(in, out.Append(w)), nil
 		case "TryRecv":
-			if len(s.out) == 0 {
-				return "Fail", s, nil
+			w, out, ok := out.PopFront()
+			if !ok {
+				return "Fail", state, nil
 			}
-			return strconv.Itoa(s.out[0]), pipeState{in: s.in, out: append([]int(nil), s.out[1:]...)}, nil
+			return w, pipeState(in, out), nil
 		}
-		return "", nil, fmt.Errorf("%w: pipeline model cannot apply %q", monitor.ErrUnknownOp, op)
+		return "", "", fmt.Errorf("%w: pipeline model cannot apply %q", monitor.ErrUnknownOp, op)
 	}
 	return m
 }

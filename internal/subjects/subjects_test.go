@@ -143,3 +143,22 @@ func TestElimStackRelaxedSeparatesSCFromQC(t *testing.T) {
 		t.Fatal("ElimStack(Relaxed) passed under quiescent consistency; expected only sequential consistency to admit it")
 	}
 }
+
+// TestMapModelKeysMatchExactly: the map model used to find an entry by the
+// prefix k+"=" of its "k=v" rendering, so after Put(a=b,1) a Get(a) read
+// "b=1". Entries are [key, value] Lists now and keys compare whole.
+func TestMapModelKeysMatchExactly(t *testing.T) {
+	m := subjects.MapModel()
+	state := m.Init()
+	for _, step := range []struct{ op, want string }{
+		{"Put(a=b,1)", "ok"}, {"Get(a)", "Fail"}, {"Delete(a)", "false"}, {"Get(a=b)", "1"},
+		{"Put(a,2)", "ok"}, {"Put(a,3)", "ok"}, {"Get(a)", "3"}, {"Len()", "2"},
+		{"Delete(a=b)", "true"}, {"Get(a=b)", "Fail"}, {"Len()", "1"},
+	} {
+		res, next, err := m.Step(state, step.op)
+		if err != nil || res != step.want {
+			t.Fatalf("%s = %q (err %v), want %q", step.op, res, err, step.want)
+		}
+		state = next
+	}
+}

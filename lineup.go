@@ -177,8 +177,12 @@ func Shrink(sub *Subject, m *Test, opts Options) (*Test, *Result, error) {
 type (
 	// History is a recorded concurrent history of calls and returns.
 	History = history.History
-	// Model is an executable sequential specification for the monitor.
+	// Model is an executable sequential specification for the monitor; a
+	// state is a string, its own memo key and checkpoint form.
 	Model = monitor.Model
+	// ModelList is the encoding of list-shaped model states (queues, stacks,
+	// sorted sets): length-prefixed items in one string.
+	ModelList = monitor.List
 	// MonitorOptions configures CheckHistory.
 	MonitorOptions = monitor.Options
 	// MonitorMode selects classic (Def. 1) or generalized (Def. 3) checking.
