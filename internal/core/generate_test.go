@@ -2,15 +2,61 @@ package core_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lineup/internal/core"
 	"lineup/internal/sched"
+	"lineup/internal/subjects"
 	"lineup/internal/telemetry"
 )
+
+// TestGenerateGolden pins Generate's totals — what TestGenerateFindsSeededBugs
+// runs on every subject family, and TestGenerateDeterministic's counter run —
+// in testdata/generate.golden, recorded with one exploration worker. The
+// accept decisions feed on Coverage, so the golden moves when the coverage
+// signal does. LINEUP_UPDATE_GOLDEN=1 rewrites it; re-record it only on a
+// commit whose coverage signal is the one to keep.
+func TestGenerateGolden(t *testing.T) {
+	sched.RequireNoLeaks(t)
+	for _, workers := range []int{1} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var got []string
+			run := func(name string, sub *core.Subject, opts core.GenOptions) {
+				opts.Workers = workers
+				res, err := core.Generate(sub, opts)
+				if err != nil {
+					t.Fatalf("%s: Generate: %v", name, err)
+				}
+				got = append(got, fmt.Sprintf("%s: tests %d, to failure %d, accepted %d, corpus %d, pairs %d, hists %d",
+					name, res.Tests, res.TestsToFailure, res.Accepted, res.CorpusSize, res.CoveragePairs, res.CoverageHists))
+			}
+			for _, e := range subjects.Registry() {
+				run(e.Name+"(Pre)", e.Pre, core.GenOptions{Options: core.Options{PreemptionBound: e.Bound}, Seed: 1, Budget: 600})
+			}
+			run("Counter", counterSubject(), core.GenOptions{Seed: 42, Budget: 60, MaxThreads: 2, MaxOps: 2, KeepGoing: true})
+			text := strings.Join(got, "\n") + "\n"
+			const path = "testdata/generate.golden"
+			if os.Getenv("LINEUP_UPDATE_GOLDEN") != "" {
+				if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			golden, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if text != string(golden) {
+				t.Errorf("Generate totals moved:\n got\n%s want\n%s", text, golden)
+			}
+		})
+	}
+}
 
 // requireWellFormed asserts the matrix invariants every mutation must
 // preserve.
