@@ -61,7 +61,8 @@ type Options struct {
 	// strictly.
 	Consistency Consistency `json:"consistency,omitempty"`
 	// Coverage, when non-nil, accumulates the (MemKind, location) footprint
-	// pairs and canonical phase-2 history hashes the check observes. It is
+	// pairs and phase-2 history shapes (histories modulo a renaming of
+	// operation and result strings) the check observes. It is
 	// the feedback signal of coverage-guided generation (Generate) and is
 	// observe-only: it never influences a verdict. One Coverage may be
 	// shared across many checks; phase 1 (serial executions) contributes no

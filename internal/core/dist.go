@@ -29,14 +29,12 @@ import (
 // away).
 var ErrUnitAborted = errors.New("core: work unit aborted by tick callback")
 
-// UnitKey is one distinct history observed inside a work unit: the canonical
-// history-cache key plus what the merge needs to place a violating one.
+// UnitKey is one distinct history observed inside a work unit: its key plus
+// what the merge needs to place a violating one.
 type UnitKey struct {
-	// Key is the canonical encoded history (canonicalHistKey): a pure
-	// function of the history itself, byte-exact across processes, which is
-	// what lets the merge deduplicate histories discovered by different
-	// workers. (Shared histCache keys are NOT canonical: their interning
-	// order depends on every history the cache saw before.)
+	// Key is the history's key (histCache): its own bytes, the same in every
+	// process, which is what lets the merge deduplicate histories discovered
+	// by different workers.
 	Key []byte `json:"key"`
 	// Stuck marks a stuck (vs complete) history.
 	Stuck bool `json:"stuck,omitempty"`
@@ -107,39 +105,6 @@ func distExploreConfig(opts Options) sched.ExploreConfig {
 	return cfg
 }
 
-// canonicalHistKey encodes out's history into bytes that are a pure function
-// of the history: the symbol stream a *fresh* histCache produces for it
-// (interning order then depends only on this event stream), length-prefixed
-// and followed by the symbol table in intern order. The table is essential —
-// without it, two distinct histories whose symbols merely occur in isomorphic
-// patterns (say Get() returning "1" in one and "2" in the other) would encode
-// identically.
-func canonicalHistKey(out *sched.Outcome, relaxed map[string]bool) ([]byte, error) {
-	hc := newHistCache()
-	en, _, err := hc.lookup(out, relaxed)
-	if err != nil {
-		return nil, err
-	}
-	appendVarint := func(b []byte, v uint32) []byte {
-		for v >= 0x80 {
-			b = append(b, byte(v)|0x80)
-			v >>= 7
-		}
-		return append(b, byte(v))
-	}
-	key := appendVarint(nil, uint32(len(en.key)))
-	key = append(key, en.key...)
-	syms := make([]string, len(hc.syms))
-	for s, id := range hc.syms {
-		syms[id] = s
-	}
-	for _, s := range syms {
-		key = appendVarint(key, uint32(len(s)))
-		key = append(key, s...)
-	}
-	return key, nil
-}
-
 // PlanUnits runs phase 1 and splits the phase-2 schedule tree into work
 // units, backtracking only within the first depth decision levels (0 selects
 // sched.DefaultShardDepth). If phase 1 exposes nondeterministic serial
@@ -203,7 +168,6 @@ func CheckUnitWithSpec(sub *Subject, m *Test, opts Options, u sched.WorkUnit, sp
 	// A unit exhausts its subtree and keeps every failure: stopping at a
 	// violation and the failure budget are the merge's decisions.
 	acc := newPhase2Acc(opts.decider(spec, m, modeGeneralized), true, math.MaxInt)
-	acc.report = true
 	defer flushCacheTelemetry(opts.Telemetry, acc.cache)
 	aborted := false
 	var holder any
@@ -231,7 +195,7 @@ func CheckUnitWithSpec(sub *Subject, m *Test, opts Options, u sched.WorkUnit, sp
 	// A lone DFS visits in position order, so entries and failures are
 	// already in the order a replay reproduces.
 	for i, en := range acc.entries {
-		rep.Keys[i] = UnitKey{Key: en.canon, Stuck: en.stuck, Violating: en.violating, Schedule: en.schedule}
+		rep.Keys[i] = UnitKey{Key: []byte(en.key), Stuck: en.stuck, Violating: en.violating, Schedule: en.schedule}
 		if en.violating {
 			rep.Keys[i].First = en.first
 		}
@@ -243,12 +207,11 @@ func CheckUnitWithSpec(sub *Subject, m *Test, opts Options, u sched.WorkUnit, sp
 }
 
 // fold adds unit reports to the accumulator a single exhaustive check would
-// have filled — one entry per distinct history (canonical keys deduplicate
-// across units), a violating one at its minimal position, every failure at
-// its position — and returns their summed statistics and whether any unit ran
-// out of budget. Nil reports (units that never completed) are skipped.
+// have filled — one entry per distinct history (keys deduplicate across
+// units), a violating one at its minimal position, every failure at its
+// position — and returns their summed statistics and whether any unit ran out
+// of budget. Nil reports (units that never completed) are skipped.
 func (s *phase2Acc) fold(reports []*UnitReport) (stats PhaseStats, truncated bool, err error) {
-	byKey := make(map[string]*histEntry)
 	var explored sched.ExploreStats
 	for _, r := range reports {
 		if r == nil {
@@ -259,10 +222,10 @@ func (s *phase2Acc) fold(reports []*UnitReport) (stats PhaseStats, truncated boo
 		explored.Pruned += r.Pruned
 		truncated = truncated || r.Truncated
 		for _, k := range r.Keys {
-			en, ok := byKey[string(k.Key)]
+			en, ok := s.cache.m[string(k.Key)]
 			if !ok {
-				en = &histEntry{stuck: k.Stuck, violating: k.Violating}
-				byKey[string(k.Key)] = en
+				en = &histEntry{key: string(k.Key), stuck: k.Stuck, violating: k.Violating}
+				s.cache.m[en.key] = en
 				s.entries = append(s.entries, en)
 			}
 			if en.stuck != k.Stuck || en.violating != k.Violating {
@@ -290,8 +253,8 @@ func PartialStats(reports []*UnitReport) PhaseStats {
 // MergeUnitReports folds one report per unit of plan back into a Result,
 // bit-identical to the sequential explorer with Options.ExhaustPhase2 (phase
 // durations excepted: the merge does no wall-clock accounting; callers that
-// want durations stamp them). Histories are deduplicated by canonical key
-// across units, the reported violation is regenerated by deterministic
+// want durations stamp them). Histories are deduplicated by key across
+// units, the reported violation is regenerated by deterministic
 // replay of the minimal-position violating history, and the failure budget
 // is applied with the sequential precedence: with MaxFailures == 0 the
 // minimal-position failure's error aborts the merge exactly as it would have

@@ -172,8 +172,8 @@ type GenResult struct {
 	Accepted   int
 	CorpusSize int
 	// CoveragePairs and CoverageHists are the final coverage totals: distinct
-	// (MemKind, location) footprint pairs and distinct canonical phase-2
-	// histories.
+	// (MemKind, location) footprint pairs and distinct phase-2 history shapes
+	// (Coverage).
 	CoveragePairs int
 	CoverageHists int
 	// Exhausted reports that the budget ran out without a violation.
@@ -184,7 +184,7 @@ type GenResult struct {
 // of minimal matrices over the subject's invocation universe, it repeatedly
 // mutates a random corpus member, checks the mutant, and admits it to the
 // corpus iff the check observed a new (MemKind, location) footprint pair or
-// a new canonical phase-2 history. The feedback steers the search toward
+// a new phase-2 history shape. The feedback steers the search toward
 // tests that exercise new synchronization structure — contended code paths
 // (a CAS retry, an elimination slot) that fixed-shape random sampling
 // reaches only by luck.

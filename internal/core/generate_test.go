@@ -19,11 +19,15 @@ import (
 // runs on every subject family, and TestGenerateDeterministic's counter run —
 // in testdata/generate.golden, recorded with one exploration worker. The
 // accept decisions feed on Coverage, so the golden moves when the coverage
-// signal does. LINEUP_UPDATE_GOLDEN=1 rewrites it; re-record it only on a
-// commit whose coverage signal is the one to keep.
+// signal does, and four workers must read the same golden as one.
+// LINEUP_UPDATE_GOLDEN=1 rewrites it; re-record it only on a commit whose
+// coverage signal is the one to keep.
 func TestGenerateGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates on every subject family twice; skipped in -short mode")
+	}
 	sched.RequireNoLeaks(t)
-	for _, workers := range []int{1} {
+	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			var got []string
 			run := func(name string, sub *core.Subject, opts core.GenOptions) {

@@ -16,7 +16,7 @@ import (
 // deterministic function of the explored schedule space.
 func flushCacheTelemetry(c *telemetry.Collector, cache *histCache) {
 	c.Add(telemetry.HistCacheHits, int64(cache.hits))
-	c.Add(telemetry.HistCacheEntries, int64(cache.entries))
+	c.Add(telemetry.HistCacheEntries, int64(len(cache.m)))
 }
 
 // BudgetError reports that a phase stopped at Options.MaxExecutionsPerPhase
@@ -95,7 +95,7 @@ const (
 )
 
 // phase2Decider is the per-history decision procedure of phase 2:
-// deduplication happens on the interned encoded key (histCache) without
+// deduplication happens on the history's key (histCache) without
 // materializing a history; only the first occurrence of a key pays for
 // history construction and witness search.
 type phase2Decider struct {
@@ -183,13 +183,10 @@ type phase2Acc struct {
 	d        *phase2Decider
 	exhaust  bool
 	failures *failureCollector
-	// report additionally records, per history, what a UnitReport carries
-	// across processes (histEntry.canon and schedule).
-	report  bool
-	mu      sync.Mutex
-	cache   *histCache
-	entries []*histEntry
-	errs    []posError
+	mu       sync.Mutex
+	cache    *histCache
+	entries  []*histEntry
+	errs     []posError
 	// pairs is the minimal position at which each footprint pair was
 	// observed (filled only while Options.Coverage collects them).
 	pairs map[uint64]sched.Pos
@@ -286,11 +283,8 @@ func (s *phase2Acc) decide(en *histEntry, out *sched.Outcome) {
 	if err == nil {
 		en.v, err = s.d.witness(h)
 	}
-	if err == nil && s.report {
-		en.canon, err = canonicalHistKey(out, s.d.relaxed)
-		if en.v != nil {
-			en.schedule = append([]sched.ThreadID(nil), out.Schedule...)
-		}
+	if en.v != nil {
+		en.schedule = append([]sched.ThreadID(nil), out.Schedule...)
 	}
 	en.violating, en.err = en.v != nil, err
 }

@@ -24,6 +24,8 @@ func FuzzCheckFiles(f *testing.F) {
   "spec": {"seq": 1, "attempt": 2, "unit": {}, "heartbeat_every": 2500000000}, "report_path": "r.json", "spec_histories": []}`,
 		`{"version": 2, "subject": "Counter1", "options": {"rows": 2, "cols": 2, "samples": 8, "seed": 7, "workers": 4, "consistency": "quiescent", "sample_strategy": "pct", "init": ["Inc()"]},
   "tests": [{"index": 3, "failed": true, "violation_kind": 1, "phase1": {"Executions": 6}, "phase2": {"Executions": 40}}, null]}`,
+		`{"version": 3, "subject": "Counter", "test": {"rows": [["Inc()", "Get()"], ["Inc()"]]}, "options": {"reduction": "sleep"},
+  "depth": 2, "units": 2, "split_pruned": 1, "entries": [{"seq": 0, "state": "done", "attempts": 1}]}`,
 		`{"version": 1, "subject": "Counter", "test": [["Inc()"]], "reduction": "none"}`,
 		`{"version": 2, "options": {"model": "deque"}}`,
 		`{"version": 2, "test": {"rows": [["a(b", "noparens", "x(1)(2)"]]}, "options": {"reduction": "dpor"}}`,

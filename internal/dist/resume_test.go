@@ -170,32 +170,44 @@ func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 }
 
 // TestOldDistFilesRefusedByVersion: a version-1 manifest (six option values
-// and the test as bare rows at the top level) and a job file of the first
-// format are refused with both version numbers in the message —
-// the manifest before its "test" array can fail to decode as today's object,
-// the job before a worker runs anything.
+// and the test as bare rows at the top level), a version-2 one (its unit
+// reports key histories another way, so merging them with new reports would
+// count one history twice) and a job file of the first format are refused
+// with both version numbers in the message — the manifest before its "test"
+// array can fail to decode as today's object, the job before a worker runs
+// anything.
 func TestOldDistFilesRefusedByVersion(t *testing.T) {
 	sub := counterSubject()
-	dir := t.TempDir()
+	cfg := dist.Config{Subject: sub, Test: testFor(sub), Workers: 1, Depth: 1, Dir: t.TempDir()}
+	if _, _, err := dist.Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(cfg.Dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := strings.Replace(string(data), `"version": 3`, `"version": 2`, 1)
 	v1 := `{"version": 1, "subject": "Counter", "test": [["Inc()", "Get()"], ["Inc()"]],
   "preemption_bound": 0, "reduction": "none", "depth": 1, "units": 2, "split_pruned": 0,
   "entries": [{"seq": 0, "state": "done", "attempts": 1}, {"seq": 1, "state": "pending", "attempts": 0}]}`
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := dist.Run(context.Background(), dist.Config{Subject: sub, Test: testFor(sub), Workers: 1, Depth: 1, Dir: dir})
-	for _, want := range []string{"manifest", "version 1", "version 2"} {
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("version-1 manifest: refusal does not say %q: %v", want, err)
+	for _, old := range []struct{ version, text string }{{"version 1", v1}, {"version 2", v2}} {
+		if err := os.WriteFile(filepath.Join(cfg.Dir, "manifest.json"), []byte(old.text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := dist.Run(context.Background(), cfg)
+		for _, want := range []string{"manifest", old.version, "version 3"} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s manifest: refusal does not say %q: %v", old.version, want, err)
+			}
 		}
 	}
 
 	// The first job format carried no version at all (it reads as 0); one
 	// that says 1 is refused the same way.
 	for _, c := range []struct{ head, reads string }{{`{`, "version 0"}, {`{"version": 1, `, "version 1"}} {
-		job := filepath.Join(dir, "job.json")
+		job := filepath.Join(cfg.Dir, "job.json")
 		old := c.head + `"subject": "Counter", "test": [["Inc()", "Get()"], ["Inc()"]], "options": {"reduction": "sleep"},
-  "spec": {"seq": 0, "attempt": 1, "unit": {}, "heartbeat_every": 1000000}, "report_path": "` + filepath.Join(dir, "r.json") + `"}`
+  "spec": {"seq": 0, "attempt": 1, "unit": {}, "heartbeat_every": 1000000}, "report_path": "` + filepath.Join(cfg.Dir, "r.json") + `"}`
 		if err := os.WriteFile(job, []byte(old), 0o644); err != nil {
 			t.Fatal(err)
 		}

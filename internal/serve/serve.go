@@ -33,8 +33,8 @@
 //     WindowOps completed operations, then the window is retired through the
 //     frontier-of-states transition and forgotten. Identical windows from
 //     identical frontiers — common when many partitions run the same
-//     workload — are answered by a shared verdict dedup cache patterned on
-//     the phase-2 history cache of internal/core.
+//     workload — are answered by a shared, bounded verdict dedup cache keyed
+//     like the phase-2 history cache of internal/core.
 //   - The whole service state (tracker, per-partition frontiers and windows,
 //     counters) checkpoints atomically through obsfile.AtomicWriteJSON, so a
 //     killed server resumes without re-reading the stream from the start:

@@ -121,7 +121,7 @@ func (w *worker) flush(p *part) {
 	s := w.srv
 	h := &history.History{Events: p.window}
 	retiredOps := p.completed
-	var key []byte
+	var key string
 	var entry *windowEntry
 	if s.cache != nil {
 		key, entry = s.cache.lookup(p.inc.FrontierStates(), p.window)

@@ -82,7 +82,7 @@ var (
 	ServeWindowFlushes   = newCounter("serve_window_flushes")    // quiescent windows retired
 	ServeWindowOverflows = newCounter("serve_window_overflows")  // windows that outgrew the soft cap without quiescing
 	ServeCacheHits       = newCounter("serve_cache_hits")        // window transitions answered by the dedup cache
-	ServeCacheEntries    = newCounter("serve_cache_entries")     // window transitions held by the dedup cache
+	ServeCacheEntries    = newCounter("serve_cache_entries")     // window transitions stored in the dedup cache (it forgets past a bound)
 	ServeCheckpoints     = newCounter("serve_checkpoints")       // checkpoints written
 	ServeMaxWindowEvents = newCounter("serve_max_window_events") // high watermark: widest window
 	ServeMaxFrontier     = newCounter("serve_max_frontier")      // high watermark: widest state frontier
@@ -94,7 +94,7 @@ var (
 	GenAccepted = newCounter("gen_accepted")  // mutants admitted to the corpus (new coverage)
 	GenCorpus   = newCounter("gen_corpus")    // high watermark: corpus size
 	GenCovPairs = newCounter("gen_cov_pairs") // high watermark: distinct (kind, loc) footprint pairs
-	GenCovHists = newCounter("gen_cov_hists") // high watermark: distinct canonical phase-2 histories
+	GenCovHists = newCounter("gen_cov_hists") // high watermark: distinct phase-2 history shapes (core.Coverage)
 )
 
 // Distributed-exploration counters (package dist).
