@@ -59,8 +59,8 @@ dist-smoke:
 
 # Smoke of the specialized batch monitors: the full internal/monitor/fast
 # suite and the explorer-driven bit-identity property suite (fast+fallback vs
-# WGL vs the naive search vs the phase-1 spec). Part of `make check`: the
-# batch monitors must never disagree with the search they are checked against.
+# WGL vs the phase-1 spec). Part of `make check`: the batch monitors must never
+# disagree with the search they are checked against.
 fastmon-smoke:
 	$(GO) test ./internal/monitor/fast
 	$(GO) test -run 'TestFastBackendBitIdentical' ./internal/bench
@@ -78,18 +78,17 @@ benchmark-smoke:
 # against encoding/json, and the binary batch frame codec), the test-matrix
 # mutator (well-formedness + schedule replayability of every mutant), the
 # phase-2 history key (equal keys exactly when the histories are equal, on
-# hostile strings), the specification trie (against a map-based reference), the incremental monitor
-# (arbitrary quiescent cuts against batch Check), the witness search against
-# the naive enumerator on hostile values (commas, "=", "", a 200-byte item;
-# every list-shaped model, three modes, memo on and off, Incremental at random
-# cuts) and the loaders of the files a check is written down in (dist job file
-# and manifest, RandomCheck checkpoint: a structured error or a value whose
-# written form is a fixed point; the loaders take paths, so an execution is six
-# file writes and an unbounded minimization would eat the five seconds); the
-# seed corpus plus a few seconds of mutation on every `make check` keeps crash
+# hostile strings), the incremental monitor (arbitrary quiescent cuts against
+# batch Check), the oracle (every decision procedure held to the one
+# executable definition on hostile values: quotes, separators, "", a 200-byte
+# item; FuzzSpec spends its budget on the spec trie's stores alone) and the
+# loaders of the files a check is written down in (dist job file and
+# manifest, RandomCheck checkpoint: a structured error or a value whose written
+# form is a fixed point; the loaders take paths, so an execution is six file
+# writes and an unbounded minimization would eat the five seconds); the seed
+# corpus plus a few seconds of mutation on every `make check` keeps crash
 # regressions out of the hot paths.
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzSpec -fuzztime=5s ./internal/history
 	$(GO) test -run='^$$' -fuzz=FuzzReadTrace -fuzztime=5s ./internal/obsfile
 	$(GO) test -run='^$$' -fuzz=FuzzStreamReader -fuzztime=5s ./internal/obsfile
 	$(GO) test -run='^$$' -fuzz=FuzzJSONLScanner -fuzztime=5s ./internal/obsfile
@@ -98,7 +97,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzHistoryKey -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzFastMonitor -fuzztime=5s ./internal/monitor/fast
 	$(GO) test -run='^$$' -fuzz=FuzzIncremental -fuzztime=5s ./internal/monitor
-	$(GO) test -run='^$$' -fuzz=FuzzCheckMatchesNaive -fuzztime=5s ./internal/monitor
+	$(GO) test -run='^$$' -fuzz=FuzzOracle -fuzztime=5s ./internal/oracle
+	$(GO) test -run='^$$' -fuzz=FuzzSpec -fuzztime=5s ./internal/oracle
 	$(GO) test -run='^$$' -fuzz=FuzzCheckFiles -fuzztime=5s -fuzzminimizetime=100x ./internal/dist
 
 # Full race-enabled pass over every package (much slower than `race`). The
@@ -122,8 +122,8 @@ sweeps:
 	LINEUP_BENCH_FULL=1 $(GO) test -timeout=30m ./internal/bench ./internal/core
 
 # The number the ROADMAP's size gates are stated in: lines of non-test Go
-# outside benchmark/ (22 645; 22 710 before a phase-2 history's key became
-# its own bytes).
+# outside benchmark/ (22 465; 22 645 before the brute-force reference left
+# the production code for the test-only internal/oracle).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 

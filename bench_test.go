@@ -33,7 +33,6 @@ import (
 	"lineup/internal/core"
 	"lineup/internal/dist"
 	"lineup/internal/history"
-	"lineup/internal/monitor"
 	"lineup/internal/obsfile"
 	"lineup/internal/race"
 	"lineup/internal/sched"
@@ -394,117 +393,6 @@ func BenchmarkBugFindingStrategies(b *testing.B) {
 			}
 			if res.Verdict != lineup.Fail {
 				b.Skip("pct sample missed the bug (expected occasionally)")
-			}
-		}
-	})
-}
-
-// monitorRound appends one round of mutually concurrent operations to the
-// event list: every listed thread calls, then every thread returns, so the
-// ops within a round overlap pairwise while successive rounds are ordered
-// by <H. ops[i] is {name, result} for thread i.
-func monitorRound(events []history.Event, next *int, ops [][2]string) []history.Event {
-	base := *next
-	for th, op := range ops {
-		events = append(events, history.Event{Thread: th, Kind: history.Call, Op: op[0], Index: base + th})
-	}
-	for th, op := range ops {
-		events = append(events, history.Event{Thread: th, Kind: history.Return, Op: op[0], Result: op[1], Index: base + th})
-	}
-	*next = base + len(ops)
-	return events
-}
-
-// monitorIncHistory builds `rounds` rounds of `threads` concurrent Inc()
-// operations followed by a Get() observer reporting one more than the true
-// total. The history is non-linearizable, so every search must exhaust the
-// whole space to refute it — and because all increments are
-// indistinguishable, the memoized search collapses the per-round orderings
-// into counter states while naive enumeration replays every one.
-func monitorIncHistory(threads, rounds int) *history.History {
-	round := make([][2]string, threads)
-	for i := range round {
-		round[i] = [2]string{"Inc()", "ok"}
-	}
-	var events []history.Event
-	next := 0
-	for r := 0; r < rounds; r++ {
-		events = monitorRound(events, &next, round)
-	}
-	events = monitorRound(events, &next, [][2]string{{"Get()", fmt.Sprint(threads*rounds + 1)}})
-	return &history.History{Events: events}
-}
-
-// monitorSetHistory builds one wide round of 2*keys mutually concurrent set
-// operations: each key is Added twice with both calls claiming to have
-// changed the set, which no serial order allows. Partitioning reduces the
-// refutation to `keys` independent two-op subproblems.
-func monitorSetHistory(keys int) *history.History {
-	ops := make([][2]string, 0, 2*keys)
-	for k := 0; k < keys; k++ {
-		op := fmt.Sprintf("Add(k%d)", k)
-		ops = append(ops, [2]string{op, "true"}, [2]string{op, "true"})
-	}
-	next := 0
-	return &history.History{Events: monitorRound(nil, &next, ops)}
-}
-
-// BenchmarkMonitorVsEnumeration pits the monitor's memoized Wing-Gong
-// search (and, on the set model, its P-compositional partitioning) against
-// naive permutation enumeration on recorded histories that force a full
-// refutation. The gap widens with history width: on 3x3 the memoization
-// mostly pays for itself, from 4 threads on it wins outright.
-func BenchmarkMonitorVsEnumeration(b *testing.B) {
-	counterModel, _ := lineup.BuiltinModel("counter")
-	for _, cfg := range []struct {
-		name            string
-		threads, rounds int
-	}{
-		{"3x3", 3, 3},
-		{"4x3", 4, 3},
-		{"4x4", 4, 4},
-	} {
-		h := monitorIncHistory(cfg.threads, cfg.rounds)
-		b.Run(cfg.name+"/memoized", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, err := lineup.CheckHistory(counterModel, h, lineup.MonitorOptions{})
-				if err != nil || out.Linearizable {
-					b.Fatalf("out=%+v err=%v", out, err)
-				}
-			}
-		})
-		b.Run(cfg.name+"/no-memo", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, err := lineup.CheckHistory(counterModel, h, lineup.MonitorOptions{NoMemo: true})
-				if err != nil || out.Linearizable {
-					b.Fatalf("out=%+v err=%v", out, err)
-				}
-			}
-		})
-		b.Run(cfg.name+"/naive-enumeration", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ok, err := monitor.NaiveCheck(counterModel, h, lineup.MonitorOptions{})
-				if err != nil || ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
-				}
-			}
-		})
-	}
-	setModel, _ := lineup.BuiltinModel("set")
-	hset := monitorSetHistory(6)
-	b.Run("set6/partitioned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			out, err := lineup.CheckHistory(setModel, hset, lineup.MonitorOptions{})
-			if err != nil || out.Linearizable || out.Stats.Parts != 6 {
-				b.Fatalf("out=%+v err=%v", out, err)
-			}
-		}
-	})
-	b.Run("set6/unsplit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			out, err := lineup.CheckHistory(setModel, hset, lineup.MonitorOptions{NoPartition: true})
-			if err != nil || out.Linearizable {
-				b.Fatalf("out=%+v err=%v", out, err)
 			}
 		}
 	})

@@ -53,13 +53,10 @@ func TestInitSequencePreparesState(t *testing.T) {
 		t.Fatalf("init-prepared counter failed: %v", res.Violation)
 	}
 	// Every serial history's Get must return 1 or 2 (never 0).
-	for _, sig := range res.Spec.Groups() {
-		full, _ := res.Spec.GroupHistories(sig)
-		for _, h := range full {
-			for _, op := range h.Ops {
-				if op.Name == "Get()" && op.Result == "0" {
-					t.Fatalf("init increment not applied: %v", h)
-				}
+	for _, h := range res.Spec.Export() {
+		for _, op := range h.Ops {
+			if op.Name == "Get()" && op.Result == "0" {
+				t.Fatalf("init increment not applied: %v", h)
 			}
 		}
 	}

@@ -10,7 +10,6 @@ import (
 
 	"lineup/internal/bench"
 	"lineup/internal/core"
-	"lineup/internal/history"
 	"lineup/internal/sched"
 )
 
@@ -115,198 +114,6 @@ func TestPhase1OneExecutionPerSerialHistory(t *testing.T) {
 			t.Fatalf("4x3 phase 1: %d executions, %d histories, want 369600 of each", p1.Executions, p1.Histories)
 		}
 	})
-}
-
-// fixedOrder is a controller that takes its decisions from a list.
-type fixedOrder struct {
-	order []sched.ThreadID
-	next  int
-}
-
-func (c *fixedOrder) Pick(_ sched.ThreadID, _ bool, enabled []sched.ThreadID) sched.ThreadID {
-	id := c.order[c.next]
-	c.next++
-	return id
-}
-
-// referenceSpec enumerates the serial histories of m without the explorer:
-// every interleaving of the rows' operations, by recursion, each run once
-// under a controller that schedules the operations in that order. (Once a
-// single thread is left the scheduler stops asking, so the decisions are a
-// prefix of the order.) Orders that get stuck behind the same prefix yield
-// the same stuck history; the result is keyed by SerialHistory.Key.
-func referenceSpec(t *testing.T, sub *core.Subject, m *core.Test) map[string]*history.SerialHistory {
-	t.Helper()
-	out := make(map[string]*history.SerialHistory)
-	left := make([]int, len(m.Rows))
-	total := 0
-	for i, row := range m.Rows {
-		left[i] = len(row)
-		total += len(row)
-	}
-	var order []sched.ThreadID
-	var rec func()
-	rec = func() {
-		if len(order) == total {
-			var holder any
-			ctrl := &fixedOrder{order: order}
-			o := sched.NewScheduler(sched.Config{Serial: true}, ctrl).Run(core.Program(sub, m, &holder))
-			if o.Err != nil {
-				t.Fatalf("reference execution: %v", o.Err)
-			}
-			h, err := core.OutcomeHistory(o)
-			if err != nil {
-				t.Fatalf("reference execution: %v", err)
-			}
-			s := history.ToSerial(h)
-			out[s.Key()] = s
-			return
-		}
-		for i := range left {
-			if left[i] == 0 {
-				continue
-			}
-			left[i]--
-			order = append(order, sched.ThreadID(i+1)) // the setup thread is 0
-			rec()
-			order = order[:len(order)-1]
-			left[i]++
-		}
-	}
-	rec()
-	return out
-}
-
-// nondeterministic applies line 4 of Fig. 5 literally: two serial histories
-// whose longest common prefix ends in a call.
-func nondeterministic(hs map[string]*history.SerialHistory) bool {
-	type step struct {
-		thread       int
-		name, result string
-	}
-	steps := func(s *history.SerialHistory) []step {
-		var out []step
-		for _, op := range s.Ops {
-			out = append(out, step{op.Thread, op.Name, "=" + op.Result})
-		}
-		if s.Pending != nil {
-			out = append(out, step{s.Pending.Thread, s.Pending.Name, "#"})
-		}
-		return out
-	}
-	var all [][]step
-	for _, s := range hs {
-		all = append(all, steps(s))
-	}
-	for i, a := range all {
-		for _, b := range all[:i] {
-			k := 0
-			for k < len(a) && k < len(b) && a[k] == b[k] {
-				k++
-			}
-			if k < len(a) && k < len(b) && a[k].thread == b[k].thread && a[k].name == b[k].name {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// TestSpecMatchesReferenceEnumeration: phase 1 synthesizes exactly the serial
-// histories an explorer-free enumeration of the rows' interleavings finds,
-// with the same determinism verdict, and the spec survives Export/ImportSpec
-// with groups and candidate order intact.
-func TestSpecMatchesReferenceEnumeration(t *testing.T) {
-	sched.RequireNoLeaks(t)
-	sawStuck := false
-	for _, class := range []string{
-		"ConcurrentQueue", "ConcurrentQueue(Pre)", "ManualResetEvent", "ManualResetEvent(Pre)",
-		"SemaphoreSlim", "SemaphoreSlim(Pre)", "BlockingCollection", "ConcurrentBag",
-	} {
-		sub := findClass(t, class)
-		t.Run(class, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(17))
-			for _, shape := range [][2]int{{2, 2}, {2, 3}, {3, 2}, {3, 3}} {
-				for i := 0; i < 2; i++ {
-					m := balancedTest(rng, sub, shape[0], shape[1])
-					spec, p1, err := core.SynthesizeSpec(sub, m, core.Options{})
-					if err != nil {
-						t.Fatalf("phase 1 on\n%s: %v", m, err)
-					}
-					ref := referenceSpec(t, sub, m)
-					got := make(map[string]bool)
-					for _, s := range spec.Export() {
-						got[s.Key()] = true
-					}
-					full, stuck := 0, 0
-					for k, s := range ref {
-						if !got[k] {
-							t.Fatalf("spec lacks the serial history %s of\n%s", s, m)
-						}
-						if s.Stuck() {
-							stuck++
-						} else {
-							full++
-						}
-					}
-					if len(got) != len(ref) || spec.NumFull() != full || spec.NumStuck() != stuck || p1.Histories != full || p1.Stuck != stuck {
-						t.Fatalf("spec holds %d histories (%d full, %d stuck), reference %d (%d, %d) on\n%s",
-							len(got), spec.NumFull(), spec.NumStuck(), len(ref), full, stuck, m)
-					}
-					_, bad := spec.Nondeterministic()
-					if want := nondeterministic(ref); bad != want {
-						t.Fatalf("nondeterministic = %v, reference %v on\n%s", bad, want, m)
-					}
-					sawStuck = sawStuck || stuck > 0
-					assertRoundTrip(t, spec)
-				}
-			}
-		})
-	}
-	if !sawStuck {
-		t.Fatalf("the sample covers no stuck serial history")
-	}
-	// The scheduler is deterministic, so no registry class is serially
-	// nondeterministic. A subject whose results depend on how many objects
-	// were built before is: successive executions disagree on the first call.
-	// Its histories differ from run to run, so only the verdicts compare.
-	t.Run("flaky", func(t *testing.T) {
-		built := 0
-		flip := core.Op{Method: "Flip", Run: func(*sched.Thread, any) string { return fmt.Sprint(built % 2) }}
-		sub := &core.Subject{Name: "Flaky", New: func(*sched.Thread) any { built++; return nil }, Ops: []core.Op{flip}}
-		m := &core.Test{Rows: [][]core.Op{{flip, flip}, {flip}}}
-		spec, _, err := core.SynthesizeSpec(sub, m, core.Options{})
-		if err != nil {
-			t.Fatalf("phase 1: %v", err)
-		}
-		if _, bad := spec.Nondeterministic(); !bad || !nondeterministic(referenceSpec(t, sub, m)) {
-			t.Fatalf("flaky subject not flagged: spec %v", bad)
-		}
-		assertRoundTrip(t, spec)
-	})
-}
-
-func assertRoundTrip(t *testing.T, spec *history.Spec) {
-	t.Helper()
-	back := history.ImportSpec(spec.Export())
-	g1, g2 := spec.Groups(), back.Groups()
-	if strings.Join(g1, "\n") != strings.Join(g2, "\n") {
-		t.Fatalf("Export/ImportSpec changed the groups or their order")
-	}
-	render := func(hs []*history.SerialHistory) string {
-		var b strings.Builder
-		for _, h := range hs {
-			b.WriteString(h.Key() + "\n")
-		}
-		return b.String()
-	}
-	for _, sig := range g1 {
-		f1, s1 := spec.GroupHistories(sig)
-		f2, s2 := back.GroupHistories(sig)
-		if render(f1) != render(f2) || render(s1) != render(s2) {
-			t.Fatalf("Export/ImportSpec changed the candidate order of group %s", sig)
-		}
-	}
 }
 
 // TestBudgetErrorNamesPhase: running out of MaxExecutionsPerPhase reports

@@ -154,13 +154,13 @@ type serialPrefix struct {
 	first, end *SerialHistory
 }
 
-// group holds the stored histories with one thread signature. They are all
-// full or all stuck, because a pending call is part of the signature. All of
-// them have the same thread subhistories, so an operation is identified by
-// its rank in thread-major order: order[i][k] is the rank of the operation at
-// serial position k of hist[i] (a pending call comes last).
+// group holds the stored histories with one thread signature: the same
+// thread subhistories, so they are all full or all stuck, and an operation is
+// identified by its rank in thread-major order: order[i][k] is the rank of the
+// operation at serial position k of hist[i] (a pending call comes last). The
+// signature is the group's path in the signature trie and nothing else: a
+// string rendering of it would have to be injective over arbitrary results.
 type group struct {
-	sig   string
 	stuck bool
 	hist  []*SerialHistory
 	order [][]int32
@@ -180,7 +180,6 @@ type Spec struct {
 	root      trie[serialPrefix] // serial order
 	sigs      trie[*group]       // thread subhistories, thread-major
 	groups    []*group           // first-seen order
-	bySig     map[string]*group
 	conflict  *NondetWitness
 	conflictH [2]*SerialHistory
 	nFull     int
@@ -190,7 +189,7 @@ type Spec struct {
 
 // NewSpec creates an empty specification.
 func NewSpec() *Spec {
-	return &Spec{ids: make(map[step]int32), bySig: make(map[string]*group)}
+	return &Spec{ids: make(map[step]int32)}
 }
 
 func (sp *Spec) intern(st step) int32 {
@@ -267,9 +266,8 @@ func (sp *Spec) Add(s *SerialHistory) {
 		rank++
 	})
 	if g.val == nil {
-		g.val = &group{sig: sp.signature(path), stuck: s.Stuck()}
+		g.val = &group{stuck: s.Stuck()}
 		sp.groups = append(sp.groups, g.val)
-		sp.bySig[g.val.sig] = g.val
 	}
 	if s.Stuck() {
 		sp.nStuck++
@@ -278,31 +276,6 @@ func (sp *Spec) Add(s *SerialHistory) {
 	}
 	g.val.hist = append(g.val.hist, s)
 	g.val.order = append(g.val.order, order)
-}
-
-// signature renders the grouping key of Section 4.2 for the history spelled by
-// path: the sequence of (operation, result) pairs per thread, with the pending
-// operation (if any) marked. It is built once per group; lookups go through
-// the signature trie.
-func (sp *Spec) signature(path []int32) string {
-	var b strings.Builder
-	thread := func(i int) int { return sp.steps[path[i]].thread }
-	open, cur := false, 0
-	threadMajor(len(path), thread, func(i int) {
-		st := sp.steps[path[i]]
-		if !open || st.thread != cur {
-			if open {
-				b.WriteByte('}')
-			}
-			fmt.Fprintf(&b, "T%d{", st.thread)
-			open, cur = true, st.thread
-		}
-		b.WriteString(st.name + "=" + st.outcome() + ";")
-	})
-	if open {
-		b.WriteByte('}')
-	}
-	return b.String()
 }
 
 // checkDeterminism records the first determinism conflict: id is about to
@@ -344,25 +317,15 @@ func (sp *Spec) NumFull() int { return sp.nFull }
 // NumStuck returns the number of distinct stuck serial histories (|B|).
 func (sp *Spec) NumStuck() int { return sp.nStuck }
 
-// Groups returns the group keys in first-seen order.
-func (sp *Spec) Groups() []string {
-	sigs := make([]string, len(sp.groups))
+// Groups returns the stored histories group by group, groups in first-seen
+// order and each group's histories in insertion order: the sections of an
+// observation file.
+func (sp *Spec) Groups() [][]*SerialHistory {
+	out := make([][]*SerialHistory, len(sp.groups))
 	for i, g := range sp.groups {
-		sigs[i] = g.sig
+		out[i] = g.hist
 	}
-	return sigs
-}
-
-// GroupHistories returns the full and stuck serial histories of a group.
-func (sp *Spec) GroupHistories(sig string) (full, stuck []*SerialHistory) {
-	g := sp.bySig[sig]
-	switch {
-	case g == nil:
-		return nil, nil
-	case g.stuck:
-		return nil, g.hist
-	}
-	return g.hist, nil
+	return out
 }
 
 // smallHistory sizes the stack buffers of a witness search; longer histories

@@ -13,7 +13,7 @@ import (
 // order them the way PQueueModel does — newest insert first — not by an
 // arbitrary sort order. Every sequential tie history below is decidable
 // (the inserts are disjoint in time), so the fast verdict must be definite
-// and agree exactly with NaiveCheck; "ambiguous" is a failure.
+// and agree exactly with the witness search; "ambiguous" is a failure.
 func TestPQueueEqualPriorityTie(t *testing.T) {
 	cases := []struct {
 		name string
@@ -64,16 +64,13 @@ func TestPQueueEqualPriorityTie(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fastVerdict := verdict(t, KindPQueue, tc.h)
-			slow, err := monitor.NaiveCheck(monitor.PQueueModel(), tc.h, monitor.Options{})
-			if err != nil {
-				t.Fatalf("naive: %v", err)
-			}
-			t.Logf("fast=%s naive=%v", fastVerdict, slow)
+			slow := searchVerdict(t, tc.h)
+			t.Logf("fast=%s search=%v", fastVerdict, slow)
 			if fastVerdict == "ambiguous" {
-				t.Fatalf("fast punted a sequential tie history (naive=%v)", slow)
+				t.Fatalf("fast punted a sequential tie history (search=%v)", slow)
 			}
 			if (fastVerdict == "true") != slow {
-				t.Fatalf("disagreement: fast=%s naive=%v", fastVerdict, slow)
+				t.Fatalf("disagreement: fast=%s search=%v", fastVerdict, slow)
 			}
 		})
 	}
@@ -99,11 +96,17 @@ func TestPQueueOverlappingTieIsAmbiguous(t *testing.T) {
 	// The punt must still agree with the full search once the fallback runs:
 	// the history IS linearizable (Insert(01) then Insert(1) leaves 01 at the
 	// head of the tie block).
-	slow, err := monitor.NaiveCheck(monitor.PQueueModel(), h, monitor.Options{})
-	if err != nil {
-		t.Fatalf("naive: %v", err)
-	}
-	if !slow {
+	if !searchVerdict(t, h) {
 		t.Fatalf("fixture broken: overlapping-insert history should be linearizable")
 	}
+}
+
+// searchVerdict is the witness search's verdict on a priority-queue history.
+func searchVerdict(t *testing.T, h *history.History) bool {
+	t.Helper()
+	out, err := monitor.Check(monitor.PQueueModel(), h, monitor.Options{})
+	if err != nil {
+		t.Fatalf("monitor.Check: %v", err)
+	}
+	return out.Linearizable
 }

@@ -3,16 +3,12 @@ package monitor_test
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 
 	"lineup/internal/history"
 	"lineup/internal/monitor"
-	"lineup/internal/subjects"
 )
 
 // hb incrementally builds well-formed histories for tests.
@@ -319,238 +315,9 @@ func commaHistory() *history.History {
 }
 
 func TestCheckCommaValuedStates(t *testing.T) {
-	m := monitor.QueueModel()
 	for _, opts := range []monitor.Options{{}, {NoMemo: true}} {
-		want, err := monitor.NaiveCheck(m, commaHistory(), opts)
-		if err != nil || !want {
-			t.Fatalf("NaiveCheck: %v %v, want linearizable", want, err)
-		}
-		if out := mustCheck(t, m, commaHistory(), opts); !out.Linearizable {
-			t.Fatalf("NoMemo=%v: Check rejects a history NaiveCheck accepts", opts.NoMemo)
+		if out := mustCheck(t, monitor.QueueModel(), commaHistory(), opts); !out.Linearizable {
+			t.Fatalf("NoMemo=%v: Check rejects a linearizable history", opts.NoMemo)
 		}
 	}
-}
-
-// randomHistory builds a random well-formed history over the queue
-// vocabulary, optionally leaving pending calls (and marking the history
-// stuck).
-func randomHistory(rng *rand.Rand, allowPending bool) *history.History {
-	methods := []string{"Enqueue(1)", "Enqueue(2)", "TryDequeue()", "Count()", "IsEmpty()"}
-	results := []string{"ok", "1", "2", "Fail", "0", "true", "false"}
-	nThreads := 1 + rng.Intn(3)
-	b := newHB()
-	openBy := make(map[int]bool)
-	opsLeft := 1 + rng.Intn(5)
-	steps := 0
-	for steps < 40 && (opsLeft > 0 || len(openBy) > 0) {
-		steps++
-		t := rng.Intn(nThreads)
-		if openBy[t] {
-			b.ret(t, results[rng.Intn(len(results))])
-			delete(openBy, t)
-			continue
-		}
-		if opsLeft > 0 {
-			b.call(t, methods[rng.Intn(len(methods))])
-			openBy[t] = true
-			opsLeft--
-			if allowPending && rng.Intn(6) == 0 {
-				break // leave this (and any other open) call pending
-			}
-		}
-	}
-	h := b.done()
-	if len(h.Pending()) > 0 && rng.Intn(2) == 0 {
-		h.Stuck = true
-	}
-	return h
-}
-
-// TestCheckAgainstNaiveOracle cross-validates the memoized, partitioned
-// search against the independent brute-force enumerator on random histories
-// in every mode.
-func TestCheckAgainstNaiveOracle(t *testing.T) {
-	model := monitor.QueueModel()
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h := randomHistory(rng, true)
-		for _, mode := range []monitor.Mode{monitor.ModeAuto, monitor.ModeClassic, monitor.ModeGeneralized} {
-			opts := monitor.Options{Mode: mode}
-			out, err := monitor.Check(model, h, opts)
-			if err != nil {
-				t.Fatalf("Check: %v", err)
-			}
-			want, err := monitor.NaiveCheck(model, h, opts)
-			if err != nil {
-				t.Fatalf("NaiveCheck: %v", err)
-			}
-			if out.Linearizable != want {
-				t.Logf("mode=%d history:\n%s", mode, h)
-				t.Logf("check=%v naive=%v", out.Linearizable, want)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSetPartitionAgainstNaive cross-validates the P-compositional split on
-// random set histories against the unsplit brute force.
-func TestSetPartitionAgainstNaive(t *testing.T) {
-	model := monitor.SetModel()
-	methods := []string{"Add(1)", "Add(2)", "Remove(1)", "Remove(2)", "Contains(1)", "Contains(2)"}
-	results := []string{"true", "false"}
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := newHB()
-		openBy := make(map[int]bool)
-		opsLeft := 1 + rng.Intn(6)
-		for steps := 0; steps < 40 && (opsLeft > 0 || len(openBy) > 0); steps++ {
-			t := rng.Intn(3)
-			if openBy[t] {
-				b.ret(t, results[rng.Intn(len(results))])
-				delete(openBy, t)
-			} else if opsLeft > 0 {
-				b.call(t, methods[rng.Intn(len(methods))])
-				openBy[t] = true
-				opsLeft--
-			}
-		}
-		h := b.done()
-		out, err := monitor.Check(model, h, monitor.Options{})
-		if err != nil {
-			t.Fatalf("Check: %v", err)
-		}
-		want, err := monitor.NaiveCheck(model, h, monitor.Options{})
-		if err != nil {
-			t.Fatalf("NaiveCheck: %v", err)
-		}
-		if out.Linearizable != want {
-			t.Logf("history:\n%s", h)
-			t.Logf("check=%v (parts=%d) naive=%v", out.Linearizable, out.Stats.Parts, want)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// hostileValues are operation arguments chosen to break a state form that
-// joins items with a separator: the empty string, the separators themselves,
-// items that contain one another, a multi-byte rune, and an item longer than
-// a one-byte length prefix.
-var hostileValues = []string{"", ",", "a", "a,a", "=", "k=v", "é", strings.Repeat("x", 200)}
-
-// naiveTargets are the models FuzzCheckMatchesNaive draws from, each with a
-// generator of its operations over hostileValues (the pipeline takes ints).
-var naiveTargets = []struct {
-	m  *monitor.Model
-	op func(rng *rand.Rand) string
-}{
-	{monitor.QueueModel(), func(rng *rand.Rand) string {
-		return pick(rng, "Enqueue("+pick(rng, hostileValues...)+")", "TryDequeue()", "Dequeue()", "Count()")
-	}},
-	{monitor.StackModel(), func(rng *rand.Rand) string {
-		return pick(rng, "Push("+pick(rng, hostileValues...)+")", "TryPop()", "Pop()", "TryPeek()")
-	}},
-	{monitor.SetModel(), func(rng *rand.Rand) string {
-		return pick(rng, "Add", "Remove", "Contains") + "(" + pick(rng, hostileValues...) + ")"
-	}},
-	{monitor.PQueueModel(), func(rng *rand.Rand) string {
-		return pick(rng, "Insert("+pick(rng, hostileValues...)+")", "TryDeleteMin()", "DeleteMin()")
-	}},
-	{monitor.RegisterModel(), func(rng *rand.Rand) string {
-		return pick(rng, "Write("+pick(rng, hostileValues...)+")", "Read()", "CAS("+pick(rng, hostileValues...)+","+pick(rng, hostileValues...)+")")
-	}},
-	{subjects.MapModel(), func(rng *rand.Rand) string {
-		k := pick(rng, hostileValues...)
-		return pick(rng, "Put("+k+","+pick(rng, hostileValues...)+")", "Get("+k+")", "Delete("+k+")", "Len()")
-	}},
-	{subjects.PipelineModel(), func(rng *rand.Rand) string {
-		return pick(rng, "Send("+pick(rng, "1", "2")+")", "TrySend(3)", "Process()", "TryRecv()")
-	}},
-}
-
-func pick(rng *rand.Rand, from ...string) string { return from[rng.Intn(len(from))] }
-
-// hostileHistory runs nOps generated operations on three threads against a
-// live model, returning each when the model lets it (one that blocks stays
-// open and may end pending), so the return order is a witness. A third of the
-// histories then get one result replaced by a hostile value; up to two
-// trailing events are dropped, and half are marked stuck.
-func hostileHistory(rng *rand.Rand, m *monitor.Model, next func(*rand.Rand) string, nOps int) *history.History {
-	b := newHB()
-	state := m.Init()
-	open := map[int]string{}
-	for steps, issued := 0, 0; steps < 100 && (issued < nOps || len(open) > 0); steps++ {
-		th := rng.Intn(3)
-		if op, busy := open[th]; busy && rng.Intn(2) == 0 {
-			if res, after, err := m.Step(state, op); err == nil {
-				state = after
-				b.ret(th, res)
-				delete(open, th)
-			}
-		} else if !busy && issued < nOps {
-			op := next(rng)
-			b.call(th, op)
-			open[th] = op
-			issued++
-		}
-	}
-	h := b.done()
-	if i := rng.Intn(len(h.Events)); rng.Intn(3) == 0 && h.Events[i].Kind == history.Return {
-		h.Events[i].Result = pick(rng, append(hostileValues, "ok", "Fail", "true", "false")...)
-	}
-	h.Events = h.Events[:len(h.Events)-rng.Intn(3)]
-	h.Stuck = rng.Intn(2) == 0
-	return h
-}
-
-// FuzzCheckMatchesNaive holds Check, Check without the memo, and Incremental
-// cut at arbitrary quiescent points to NaiveCheck, in all three modes, on
-// histories of every list-shaped model (and the register) whose values are
-// hostileValues. Before a state was its own string, Enqueue(a) ‖ Enqueue(a,a)
-// left two queues that fingerprinted alike and the memo lost a witness.
-// Wired into `make check` via the Makefile fuzz target.
-func FuzzCheckMatchesNaive(f *testing.F) {
-	// Seeds 4436 (map) and 4865 (queue) are histories the comma-joined state
-	// forms judged wrong.
-	for _, seed := range []int64{0, 1, 2, 3, 4, 5, 6, 7, 4436, 4865} {
-		f.Add(seed, uint8(seed%int64(len(naiveTargets))), ^uint64(0)/3)
-	}
-	f.Fuzz(func(t *testing.T, seed int64, sel uint8, cuts uint64) {
-		rng := rand.New(rand.NewSource(seed))
-		target := naiveTargets[int(sel)%len(naiveTargets)]
-		h := hostileHistory(rng, target.m, target.op, 2+rng.Intn(5))
-		for _, mode := range []monitor.Mode{monitor.ModeAuto, monitor.ModeClassic, monitor.ModeGeneralized} {
-			for _, noMemo := range []bool{false, true} {
-				opts := monitor.Options{Mode: mode, NoMemo: noMemo}
-				want, err := monitor.NaiveCheck(target.m, h, opts)
-				if err != nil {
-					t.Fatalf("NaiveCheck: %v", err)
-				}
-				out, err := monitor.Check(target.m, h, opts)
-				if err != nil {
-					t.Fatalf("Check: %v", err)
-				}
-				point := 0
-				inc, err := incrementalVerdict(target.m, h, opts, func(int) bool {
-					point++
-					return cuts>>(point%64)&1 == 1
-				})
-				if err != nil {
-					t.Fatalf("Incremental: %v", err)
-				}
-				if out.Linearizable != want || inc != want {
-					t.Fatalf("%s mode %d NoMemo %v: Check %v, Incremental %v, NaiveCheck %v\nhistory (stuck=%v):\n%s",
-						target.m.Name, mode, noMemo, out.Linearizable, inc, want, h.Stuck, h)
-				}
-			}
-		}
-	})
 }

@@ -61,16 +61,11 @@ func threadIndex(name string) (int, error) {
 	return i, nil
 }
 
-// buildObservation converts one spec group (full and stuck histories with
-// identical per-thread sequences) into an Observation.
-func buildObservation(full, stuck []*history.SerialHistory) *Observation {
-	var sample *history.SerialHistory
-	if len(full) > 0 {
-		sample = full[0]
-	} else {
-		sample = stuck[0]
-	}
-	// Recover per-thread sequences from the sample.
+// buildObservation converts one spec group (histories with identical
+// per-thread sequences) into an Observation.
+func buildObservation(hs []*history.SerialHistory) *Observation {
+	// Recover per-thread sequences from the first history.
+	sample := hs[0]
 	perThread := make(map[int][]opDesc)
 	for _, op := range sample.Ops {
 		perThread[op.Thread] = append(perThread[op.Thread], opDesc{
@@ -87,7 +82,7 @@ func buildObservation(full, stuck []*history.SerialHistory) *Observation {
 		threads = append(threads, t)
 	}
 	sort.Ints(threads)
-	obs := &Observation{}
+	obs := &Observation{Histories: hs}
 	num := 0
 	for _, t := range threads {
 		for i := range perThread[t] {
@@ -97,8 +92,6 @@ func buildObservation(full, stuck []*history.SerialHistory) *Observation {
 			obs.Ops = append(obs.Ops, d)
 		}
 	}
-	obs.Histories = append(obs.Histories, full...)
-	obs.Histories = append(obs.Histories, stuck...)
 	return obs
 }
 
@@ -134,10 +127,8 @@ func (o *Observation) renderHistory(s *history.SerialHistory) string {
 func Write(w io.Writer, spec *history.Spec) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "<observationset>")
-	for _, sig := range spec.Groups() {
-		full, stuck := spec.GroupHistories(sig)
-		obs := buildObservation(full, stuck)
-		writeObservation(bw, obs)
+	for _, hs := range spec.Groups() {
+		writeObservation(bw, buildObservation(hs))
 	}
 	fmt.Fprintln(bw, "</observationset>")
 	return bw.Flush()
@@ -163,27 +154,31 @@ func writeObservation(bw *bufio.Writer, obs *Observation) {
 		fmt.Fprintf(bw, "    <thread id=%q>%s</thread>\n", threadName(t), strings.Join(perThread[t], " "))
 	}
 	for _, d := range obs.Ops {
-		method, args := splitName(d.Name)
-		var body string
-		if args != "" {
-			body = fmt.Sprintf("value=%q", args)
-		}
-		if d.Result != "" {
-			if body != "" {
-				body += " "
-			}
-			body += fmt.Sprintf("result=%q", d.Result)
-		}
-		if body == "" {
-			fmt.Fprintf(bw, "    <op id=\"%d\" name=%q />\n", d.Number, method)
-		} else {
-			fmt.Fprintf(bw, "    <op id=\"%d\" name=%q>%s</op>\n", d.Number, method, xmlEscape(body))
-		}
+		writeOp(bw, "    ", d.Number, d.Name, d.Result, !d.Blocks)
 	}
 	for _, h := range obs.Histories {
 		fmt.Fprintf(bw, "    <history>%s</history>\n", obs.renderHistory(h))
 	}
 	fmt.Fprintln(bw, "  </observation>")
+}
+
+// writeOp renders one <op> element: the method as its name, the argument list
+// as value= and, for an operation that returned, the result as result=, each
+// a Go quoted string (parseOpBody reads them back with strconv.Unquote).
+func writeOp(bw *bufio.Writer, indent string, number int, name, result string, returned bool) {
+	method, args := splitName(name)
+	var body []string
+	if args != "" {
+		body = append(body, "value="+strconv.Quote(args))
+	}
+	if returned {
+		body = append(body, "result="+strconv.Quote(result))
+	}
+	if len(body) == 0 {
+		fmt.Fprintf(bw, "%s<op id=\"%d\" name=%q />\n", indent, number, method)
+		return
+	}
+	fmt.Fprintf(bw, "%s<op id=\"%d\" name=%q>%s</op>\n", indent, number, method, xmlEscape(strings.Join(body, " ")))
 }
 
 // splitName separates "Add(200)" into method "Add" and args "200".
@@ -270,7 +265,10 @@ func Parse(r io.Reader) (*File, error) {
 			if _, known := threadOf[xop.ID]; !known {
 				return nil, fmt.Errorf("obsfile: op %d (%s) is not listed by any thread", xop.ID, xop.Name)
 			}
-			value, result := parseOpBody(xop.Body)
+			value, result, returned, err := parseOpBody(xop.Body)
+			if err != nil {
+				return nil, fmt.Errorf("obsfile: op %d (%s): %w", xop.ID, xop.Name, err)
+			}
 			name := xop.Name
 			if value != "" {
 				name = fmt.Sprintf("%s(%s)", xop.Name, value)
@@ -279,10 +277,10 @@ func Parse(r io.Reader) (*File, error) {
 			}
 			// A blocking op has no result string; a completing op must carry
 			// one (void operations record "ok").
-			if blocks[xop.ID] && result != "" {
+			if blocks[xop.ID] && returned {
 				return nil, fmt.Errorf("obsfile: blocking op %d (%s) carries result %q", xop.ID, name, result)
 			}
-			if !blocks[xop.ID] && result == "" {
+			if !blocks[xop.ID] && !returned {
 				return nil, fmt.Errorf("obsfile: op %d (%s) has no result string", xop.ID, name)
 			}
 			obs.Ops = append(obs.Ops, opDesc{
@@ -310,24 +308,29 @@ func Parse(r io.Reader) (*File, error) {
 	return f, nil
 }
 
-// parseOpBody extracts value="..." and result="..." from an op body.
-func parseOpBody(body string) (value, result string) {
-	body = strings.TrimSpace(body)
-	for _, kv := range []struct {
-		key string
-		dst *string
-	}{{"value", &value}, {"result", &result}} {
-		idx := strings.Index(body, kv.key+`="`)
-		if idx < 0 {
-			continue
+// parseOpBody reads the value= and result= of an op body, in either order,
+// each a Go quoted string; returned reports whether a result is present.
+func parseOpBody(body string) (value, result string, returned bool, err error) {
+	for rest := strings.TrimSpace(body); rest != ""; {
+		key, quoted, ok := strings.Cut(rest, "=")
+		if ok {
+			quoted, err = strconv.QuotedPrefix(quoted)
 		}
-		rest := body[idx+len(kv.key)+2:]
-		end := strings.IndexByte(rest, '"')
-		if end >= 0 {
-			*kv.dst = rest[:end]
+		if !ok || err != nil {
+			return "", "", false, fmt.Errorf("bad body %q", body)
+		}
+		rest = strings.TrimSpace(rest[len(key)+1+len(quoted):])
+		s, _ := strconv.Unquote(quoted)
+		switch key {
+		case "value":
+			value = s
+		case "result":
+			result, returned = s, true
+		default:
+			return "", "", false, fmt.Errorf("bad body %q", body)
 		}
 	}
-	return value, result
+	return value, result, returned, nil
 }
 
 // parseHistoryTokens rebuilds a serial history from its token string.

@@ -3,6 +3,7 @@ package obsfile_test
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -56,6 +57,21 @@ func TestWriteMatchesFig7Shape(t *testing.T) {
 
 func TestRoundtrip(t *testing.T) {
 	sp := sampleSpec()
+	sp2 := roundtrip(t, sp)
+	if sp2.NumFull() != sp.NumFull() || sp2.NumStuck() != sp.NumStuck() {
+		t.Fatalf("roundtrip lost histories: full %d->%d stuck %d->%d",
+			sp.NumFull(), sp2.NumFull(), sp.NumStuck(), sp2.NumStuck())
+	}
+	// The rebuilt spec holds the same groups, in the same order, with the same
+	// candidates in the same order.
+	if !reflect.DeepEqual(sp2.Groups(), sp.Groups()) {
+		t.Fatalf("roundtrip changed the groups:\n%v\n%v", sp.Groups(), sp2.Groups())
+	}
+}
+
+// roundtrip writes sp as an observation file and reads it back.
+func roundtrip(t *testing.T, sp *history.Spec) *history.Spec {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := obsfile.Write(&buf, sp); err != nil {
 		t.Fatalf("write: %v", err)
@@ -64,29 +80,31 @@ func TestRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	sp2 := f.ToSpec()
-	if sp2.NumFull() != sp.NumFull() || sp2.NumStuck() != sp.NumStuck() {
-		t.Fatalf("roundtrip lost histories: full %d->%d stuck %d->%d",
-			sp.NumFull(), sp2.NumFull(), sp.NumStuck(), sp2.NumStuck())
+	return f.ToSpec()
+}
+
+// TestRoundtripKeepsGroupsApart: a result may spell what looks like a further
+// step of its thread. Two groups whose thread subhistories only a joined
+// "name=result;" rendering confuses must both reach the file, or a verify
+// against it misses a serial history and reports a false violation.
+func TestRoundtripKeepsGroupsApart(t *testing.T) {
+	sp := history.NewSpec()
+	sp.Add(&history.SerialHistory{Ops: []history.SerialOp{so(0, "a()", "1;b()=2")}})
+	sp.Add(&history.SerialHistory{Ops: []history.SerialOp{so(0, "a()", "1"), so(0, "b()", "2")}})
+	if got := roundtrip(t, sp).Export(); !reflect.DeepEqual(got, sp.Export()) {
+		t.Fatalf("roundtrip kept %v of %v", got, sp.Export())
 	}
-	if len(sp2.Groups()) != len(sp.Groups()) {
-		t.Fatalf("roundtrip changed grouping: %d -> %d", len(sp.Groups()), len(sp2.Groups()))
-	}
-	// The rebuilt spec must witness the same histories: re-render both and
-	// compare group keys.
-	g1 := append([]string(nil), sp.Groups()...)
-	g2 := append([]string(nil), sp2.Groups()...)
-	if len(g1) != len(g2) {
-		t.Fatalf("group count mismatch")
-	}
-	seen := make(map[string]bool)
-	for _, g := range g1 {
-		seen[g] = true
-	}
-	for _, g := range g2 {
-		if !seen[g] {
-			t.Fatalf("group %q not preserved", g)
-		}
+}
+
+// TestRoundtripQuotesAndBackslashes: values and results are written quoted, so
+// a '"' or a '\' in them must be read back as it was written.
+func TestRoundtripQuotesAndBackslashes(t *testing.T) {
+	sp := history.NewSpec()
+	sp.Add(&history.SerialHistory{Ops: []history.SerialOp{
+		so(0, `Put(a"b)`, `x"y`), so(1, `Put(\)`, `\"`),
+	}})
+	if got := roundtrip(t, sp).Export(); !reflect.DeepEqual(got, sp.Export()) {
+		t.Fatalf("roundtrip read %v, wrote %v", got, sp.Export())
 	}
 }
 

@@ -46,22 +46,7 @@ func WriteViolation(w io.Writer, h *history.History) error {
 	}
 	for _, t := range threads {
 		for _, op := range perThread[t] {
-			method, args := splitName(op.Name)
-			var body string
-			if args != "" {
-				body = fmt.Sprintf("value=%q", args)
-			}
-			if op.Complete {
-				if body != "" {
-					body += " "
-				}
-				body += fmt.Sprintf("result=%q", op.Result)
-			}
-			if body == "" {
-				fmt.Fprintf(bw, "  <op id=\"%d\" name=%q />\n", number[op.Index], method)
-			} else {
-				fmt.Fprintf(bw, "  <op id=\"%d\" name=%q>%s</op>\n", number[op.Index], method, body)
-			}
+			writeOp(bw, "  ", number[op.Index], op.Name, op.Result, op.Complete)
 		}
 	}
 	fmt.Fprintf(bw, "  <history>%s</history>\n", h.Interleaving(number))

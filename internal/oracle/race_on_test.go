@@ -1,6 +1,6 @@
 //go:build race
 
-package history_test
+package oracle
 
 // raceEnabled reports whether the race detector instruments this build.
 const raceEnabled = true

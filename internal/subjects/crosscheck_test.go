@@ -33,10 +33,10 @@ func modelWithInit(t *testing.T, m *monitor.Model, init []core.Op) *monitor.Mode
 }
 
 // TestCrossCheckVerdicts re-judges every history the explorer emits for the
-// corpus subjects through three independent deciders — the phase-1
-// spec-lookup path, the WGL monitor search, and the naive permutation
-// enumerator — and requires unanimity. Both the correct and the
-// defect-seeded variant of every family are swept, so the agreement covers
+// corpus subjects through two independent deciders — the phase-1 spec-lookup
+// path and the WGL monitor search — and requires them to agree (the oracle
+// package holds the same histories to the definition). Both the correct and
+// the defect-seeded variant of every family are swept, so the agreement covers
 // linearizable and non-linearizable histories alike.
 func TestCrossCheckVerdicts(t *testing.T) {
 	sched.RequireNoLeaks(t)
@@ -63,14 +63,10 @@ func TestCrossCheckVerdicts(t *testing.T) {
 						if merr != nil {
 							t.Fatalf("monitor: %v\nhistory:\n%s", merr, h)
 						}
-						naiveOK, nerr := monitor.NaiveCheck(model, h, monitor.Options{})
-						if nerr != nil {
-							t.Fatalf("naive: %v\nhistory:\n%s", nerr, h)
-						}
-						if specOK != out.Linearizable || specOK != naiveOK {
+						if specOK != out.Linearizable {
 							disagreements++
-							t.Errorf("deciders disagree on complete history (spec=%v monitor=%v naive=%v):\n%s",
-								specOK, out.Linearizable, naiveOK, h)
+							t.Errorf("deciders disagree on complete history (spec=%v monitor=%v):\n%s",
+								specOK, out.Linearizable, h)
 						}
 						return true
 					}
@@ -86,14 +82,10 @@ func TestCrossCheckVerdicts(t *testing.T) {
 					if merr != nil {
 						t.Fatalf("monitor: %v\nhistory:\n%s", merr, h)
 					}
-					naiveOK, nerr := monitor.NaiveCheck(model, h, monitor.Options{Mode: monitor.ModeGeneralized})
-					if nerr != nil {
-						t.Fatalf("naive: %v\nhistory:\n%s", nerr, h)
-					}
-					if specOK != out.Linearizable || specOK != naiveOK {
+					if specOK != out.Linearizable {
 						disagreements++
-						t.Errorf("deciders disagree on stuck history (spec=%v monitor=%v naive=%v):\n%s",
-							specOK, out.Linearizable, naiveOK, h)
+						t.Errorf("deciders disagree on stuck history (spec=%v monitor=%v):\n%s",
+							specOK, out.Linearizable, h)
 					}
 					return true
 				})
