@@ -75,6 +75,69 @@ func TestOracleSweep(t *testing.T) {
 	}
 }
 
+// The four sweeps below hold one procedure each to the definition, with the
+// case counts of the references this package replaced: 400 complete and 300
+// stuck queries of the spec trie, 300 queue histories for WGL, and 300 set
+// histories, which WGL splits into one part per element and, with
+// NoPartition, does not.
+func TestWitnessFullAgainstBruteForce(t *testing.T)  { sweepTrie(t, 400, false) }
+func TestWitnessStuckAgainstBruteForce(t *testing.T) { sweepTrie(t, 300, true) }
+func TestCheckAgainstNaiveOracle(t *testing.T)       { sweepModel(t, 300, targets[0]) }
+func TestSetPartitionAgainstNaive(t *testing.T)      { sweepModel(t, 300, targets[2]) }
+
+// sweepTrie runs checkTrie on random store programs, keeping the queries that
+// are stuck or complete as stuck says, until n such queries have been judged.
+// The store also gets each kept query's completed operations in a random third
+// of the orders that keep each thread's order, which may break <H, then one of
+// its pending calls: a random store alone rarely holds a query's operations,
+// and its witnesses would all be absent.
+func sweepTrie(t *testing.T, n int, stuck bool) {
+	for seed, judged := int64(1), 0; judged < n; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		program := make([]byte, rng.Intn(64))
+		rng.Read(program)
+		store, queries := specProgram(program)
+		kept := queries[:0]
+		for _, h := range queries {
+			if h.Stuck != stuck {
+				continue
+			}
+			kept = append(kept, h)
+			var done []history.Op
+			for _, op := range h.Ops() {
+				if op.Complete {
+					done = append(done, op)
+				}
+			}
+			pending := h.Pending()
+			orders(len(done), func(i, j int) bool { return programOrder(done[i], done[j]) }, func(order []int) bool {
+				s := &history.SerialHistory{}
+				for _, i := range order {
+					s.Ops = append(s.Ops, history.SerialOp{Thread: done[i].Thread, Name: done[i].Name, Result: done[i].Result})
+				}
+				if len(pending) > 0 {
+					e := pending[rng.Intn(len(pending))]
+					s.Pending = &history.SerialPending{Thread: e.Thread, Name: e.Name}
+				}
+				if rng.Intn(3) == 0 {
+					store = append(store, s)
+				}
+				return false
+			})
+		}
+		checkTrie(t, store, kept)
+		judged += len(kept)
+	}
+}
+
+// sweepModel runs checkModel on n hostile histories of tg.
+func sweepModel(t *testing.T, n int, tg target) {
+	for seed := int64(700); seed < int64(700+n); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		checkModel(t, tg.m, hostileHistory(rng, tg, 2+rng.Intn(5)), rng.Uint64())
+	}
+}
+
 // FuzzSpec spends a fuzzer's whole budget on the spec trie adapter's store
 // programs.
 func FuzzSpec(f *testing.F) {
