@@ -480,6 +480,84 @@ func BenchmarkMonitorLongTrace(b *testing.B) {
 	}
 }
 
+// BenchmarkIncrementalWindows is the window check of `lineup serve` alone, so
+// it can be profiled without the harness: a queue session shaped like the
+// serve-fresh workload's (three threads, at most eight elements queued) is
+// cut at the first quiescent point after every 64 completed operations, and
+// one iteration retires one window through Incremental.ExtendComplete, the
+// windows taken in order and a fresh Incremental at the start of each pass.
+// "whole" retires a window as one search, as serve does; "pieces" retires it
+// as the pieces between its interior quiescent points, one search each. Both
+// report ns, allocations, expanded search nodes and searches per window.
+func BenchmarkIncrementalWindows(b *testing.B) {
+	const window = 64
+	queueModel, _ := lineup.BuiltinModel("queue")
+	enqueued := 0
+	h, err := obsfile.ReadTrace(bytes.NewReader(monitorLongTrace(b, queueModel, 3, 3, 200*window, func(rng *rand.Rand, state string) string {
+		if rng.Intn(5) < 2 && lineup.ModelList(state).Len() < 8 {
+			enqueued++
+			return fmt.Sprintf("Enqueue(%d)", enqueued)
+		}
+		return "TryDequeue()"
+	})))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var whole, pieces [][]*history.History // per window, the histories retiring it
+	var split []*history.History
+	open, completed, start, cut := 0, 0, 0, 0
+	for i, e := range h.Events {
+		if e.Kind == history.Call {
+			open++
+		} else {
+			open--
+			completed++
+		}
+		if open > 0 {
+			continue
+		}
+		split = append(split, &history.History{Events: h.Events[cut : i+1]})
+		cut = i + 1
+		if completed >= window {
+			whole = append(whole, []*history.History{{Events: h.Events[start : i+1]}})
+			pieces = append(pieces, split)
+			split, start, completed = nil, i+1, 0
+		}
+	}
+	for _, run := range []struct {
+		name    string
+		windows [][]*history.History
+	}{{"whole", whole}, {"pieces", pieces}} {
+		b.Run(run.name, func(b *testing.B) {
+			var inc *lineup.Incremental
+			visited := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := i % len(run.windows)
+				if w == 0 {
+					if inc != nil {
+						visited += inc.Stats().Visited
+					}
+					if inc, err = lineup.NewIncremental(queueModel, lineup.MonitorOptions{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for _, piece := range run.windows[w] {
+					if ok, err := inc.ExtendComplete(piece); err != nil || !ok {
+						b.Fatalf("window %d: ok=%v err=%v", w, ok, err)
+					}
+				}
+			}
+			b.ReportMetric(float64(visited+inc.Stats().Visited)/float64(b.N), "nodes/window")
+			searches := 0
+			for _, w := range run.windows {
+				searches += len(w)
+			}
+			b.ReportMetric(float64(searches)/float64(len(run.windows)), "searches/window")
+		})
+	}
+}
+
 // BenchmarkDistWallRatio is the measurement ROADMAP item 8's `dist` bullet
 // asks for: the harness's scaled check-deep (Fig. 9 corrected, an IsSet
 // observer on a third thread, preemption bound 3, sleep sets) through the

@@ -37,9 +37,8 @@ type Incremental struct {
 	m    *Model
 	opts Options
 
-	s        *searcher // one for every window: its buffers and maps are reused
-	frontier []string  // sorted, distinct: the states reachable by linearizing the consumed prefix
-	consumed int       // completed operations retired so far
+	frontier []string // sorted, distinct: the states reachable by linearizing the consumed prefix
+	consumed int      // completed operations retired so far
 	stats    Stats
 }
 
@@ -93,21 +92,18 @@ func (inc *Incremental) Stats() Stats { return inc.stats }
 // to the final states of every complete linearization, on false the part
 // (and therefore the whole history) is not linearizable and the checker
 // stays failed: the frontier empties and every further window reports false.
-// One searcher enumerates from every frontier state, so a configuration
-// reached from two of them is expanded once. Model code runs inside, so
-// panics are contained as errors.
+// One pooled searcher enumerates from every frontier state, so a
+// configuration reached from two of them is expanded once. Model code runs
+// inside, so panics are contained as errors.
 func (inc *Incremental) ExtendComplete(h *history.History) (ok bool, err error) {
+	s := getSearcher(inc.m, inc.opts)
+	defer searchers.Put(s)
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("monitor: model panicked during witness search: %v", r)
 		}
 	}()
-	if inc.s == nil {
-		inc.s = newSearcher(inc.m, inc.opts)
-		inc.s.finals = make(map[string]struct{})
-	}
-	s := inc.s
-	if err := s.load(h, kindComplete); err != nil {
+	if err := s.load(h, kindFinals); err != nil {
 		return false, err
 	}
 	defer func() {
@@ -129,8 +125,7 @@ func (inc *Incremental) ExtendComplete(h *history.History) (ok bool, err error) 
 	slices.Sort(next)
 	inc.frontier = next
 	if len(next) == 0 {
-		inc.s = nil // the failure is final: nothing is left to search from
-		return false, nil
+		return false, nil // final: nothing is left to search from
 	}
 	inc.consumed += len(s.ops)
 	return true, nil

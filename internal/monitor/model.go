@@ -13,9 +13,10 @@
 // node costs the history's concurrency at that point, not its length, and
 // linearizing an operation or backtracking over it splices two entries. A
 // memoized seen-set keyed on (linearized-op-set, model state) prunes revisits
-// of equivalent search nodes; it compares whole keys, because a hash
-// collision would be a wrong verdict, and the search stays a bounded
-// exhaustive one (Options.MaxStates) because the problem is NP-hard.
+// of equivalent search nodes: a Zobrist hash of the set and a hash of the
+// state find a slot, and the whole key decides, so a collision costs a probe,
+// never a verdict. The search stays a bounded exhaustive one
+// (Options.MaxStates) because the problem is NP-hard.
 // P-compositional partitioning splits the history into independent
 // sub-histories when the model declares a partition function, checking the
 // parts independently, as many at a time as there are CPUs. Pending

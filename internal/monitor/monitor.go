@@ -1,9 +1,9 @@
 package monitor
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"runtime"
 	"slices"
 	"sync"
@@ -117,6 +117,13 @@ const (
 	// kindStuck: all complete operations must linearize, after which the
 	// part's pending operation must block.
 	kindStuck
+	// kindFinals: as kindComplete, but the search enumerates instead of
+	// stopping at a witness (Incremental.ExtendComplete): the final state of
+	// every complete linearization is added to the searcher's finals and the
+	// search keeps going. A memoized configuration is then one whose whole
+	// subtree has been expanded — its final states are already collected —
+	// which is the failure memo's meaning too.
+	kindFinals
 )
 
 // Reduce builds the reduced history H[e] of Definition 2: the completed
@@ -204,17 +211,19 @@ func check(m *Model, roots []string, h *history.History, opts Options) (*Outcome
 
 // checkParts splits the history P-compositionally (when the model allows)
 // and runs the per-part witness search on at most GOMAXPROCS goroutines,
-// which take the parts in first-appearance order and keep one searcher each:
-// a trace with tens of thousands of keys costs as many searches, not as many
-// goroutines and memo maps at once. It fills out with the combined verdict,
-// witness, and stats, merged in part order whichever part finished first.
+// which take the parts in first-appearance order and hold one pooled searcher
+// each: a trace with tens of thousands of keys costs as many searches, not as
+// many goroutines and seen-sets at once. It fills out with the combined
+// verdict, witness, and stats, merged in part order whichever part finished
+// first.
 func checkParts(m *Model, h *history.History, kind checkKind, roots []string, opts Options, out *Outcome) error {
 	parts, keys := partition(m, h, opts)
 	out.Stats.Parts = len(parts)
 	results := make([]partResult, len(parts))
 	var next atomic.Int64
 	work := func() {
-		s := newSearcher(m, opts)
+		s := getSearcher(m, opts)
+		defer searchers.Put(s)
 		for i := int(next.Add(1)) - 1; i < len(parts); i = int(next.Add(1)) - 1 {
 			results[i] = runPart(s, parts[i], kind, roots)
 		}
@@ -294,8 +303,9 @@ func runPart(s *searcher, part *history.History, kind checkKind, roots []string)
 // searcher is the state of one backtracking search: loaded with a (part,
 // kind) and started from every root in turn, all roots sharing the one memo (a
 // configuration that failed from one root fails from any). Its buffers and
-// maps outlive the part, so whoever runs many searches — a checkParts worker,
-// an Incremental — loads one searcher again and again.
+// seen-set outlive the part: searchers come from one pool, taken for a
+// checkParts worker's run of parts or for one Incremental window and put
+// back after, so no caller keeps one and none regrows its table from empty.
 //
 // The part is held as Horn & Kroening's entry list (arXiv:1504.00204, Alg. 1):
 // one call entry per operation and one return entry per complete operation,
@@ -315,21 +325,15 @@ type searcher struct {
 	ents     []entry       // ents[0] is the list head
 	open     map[int]int32 // while loading: operation identifier -> call entry; afterwards the pending calls
 	lin      mask          // operations linearized so far
+	linHash  uint64        // Zobrist hash of lin: the XOR of its members' zobrist words
 	left     int           // complete operations not yet linearized
 	pendName string        // kindStuck: the operation that must block at the end
 
-	memo     map[string]bool
-	key      []byte // the memo key under construction, see memoKey
+	memo     seenSet
 	visited  int
 	memoHits int
 
-	// finals, when non-nil, turns the search into an enumeration
-	// (Incremental.ExtendComplete): the final state of every complete
-	// linearization is added to the set and the search keeps going, so it
-	// never reports a witness. A memo key then marks a configuration whose
-	// whole subtree has been expanded — its final states are already
-	// collected — which is the failure memo's meaning too.
-	finals map[string]struct{}
+	finals map[string]struct{} // kindFinals: the final states enumerated so far
 
 	order   []int32  // current linearization, indices into ops
 	results []string // result assigned to each order entry
@@ -339,6 +343,7 @@ type searcher struct {
 type searchOp struct {
 	thread       int
 	name, result string
+	zobrist      uint64 // the operation's word in linHash
 }
 
 // entry is one node of the searcher's event list.
@@ -348,38 +353,37 @@ type entry struct {
 	ret        int32 // call entries: the matching return entry, 0 for a pending operation
 }
 
-// memoKeep is the largest memo a searcher carries, emptied, to its next part:
-// clearing costs what the map can hold, so the map of one part that blew up
-// is dropped instead of taxing every later part (and pinning its memory in a
-// long-lived Incremental).
-const memoKeep = 1 << 14
+// searchers pools the searchers of checkParts workers and Incremental
+// windows alike.
+var searchers = sync.Pool{New: func() any {
+	return &searcher{open: make(map[int]int32), finals: make(map[string]struct{})}
+}}
 
-func newSearcher(m *Model, opts Options) *searcher {
-	return &searcher{m: m, opts: opts, memo: make(map[string]bool), open: make(map[int]int32)}
+// getSearcher takes a searcher from the pool for a run of model m; load
+// then replaces whatever part it searched last.
+func getSearcher(m *Model, opts Options) *searcher {
+	s := searchers.Get().(*searcher)
+	s.m, s.opts = m, opts
+	return s
 }
 
 // load replaces whatever the searcher held by the entry list of part, built
-// in one pass over its events. A kindComplete part must have no pending
-// operation; a kindStuck part may have one, which is not searched, only
-// probed at the end.
+// in one pass over its events. A kindComplete or kindFinals part must have no
+// pending operation; a kindStuck part may have one, which is not searched,
+// only probed at the end.
 func (s *searcher) load(part *history.History, kind checkKind) error {
 	s.kind, s.pendName = kind, ""
-	s.visited, s.memoHits, s.left = 0, 0, 0
+	s.visited, s.memoHits, s.left, s.linHash = 0, 0, 0, 0
 	s.ops, s.order, s.results = s.ops[:0], s.order[:0], s.results[:0]
 	clear(s.open)
 	clear(s.finals)
-	if len(s.memo) > memoKeep {
-		s.memo = make(map[string]bool)
-	} else {
-		clear(s.memo)
-	}
 	s.ents = append(s.ents[:0], entry{next: 1, op: -1})
 	for _, ev := range part.Events {
 		e := int32(len(s.ents))
 		if ev.Kind == history.Call {
 			s.open[ev.Index] = e
 			s.ents = append(s.ents, entry{prev: e - 1, next: e + 1, op: int32(len(s.ops))})
-			s.ops = append(s.ops, searchOp{thread: ev.Thread, name: ev.Op})
+			s.ops = append(s.ops, searchOp{thread: ev.Thread, name: ev.Op, zobrist: zobrist(len(s.ops))})
 			continue
 		}
 		c, ok := s.open[ev.Index]
@@ -397,8 +401,9 @@ func (s *searcher) load(part *history.History, kind checkKind) error {
 	words := (len(s.ops) + 63) / 64
 	s.lin = slices.Grow(s.lin[:0], words)[:words]
 	clear(s.lin)
+	s.memo.reset(words)
 	switch {
-	case kind == kindComplete && len(s.open) > 0:
+	case (kind == kindComplete || kind == kindFinals) && len(s.open) > 0:
 		return ErrWindowNotQuiescent
 	case kind == kindStuck && len(s.open) > 1:
 		return errors.New("monitor: reduced history has more than one pending operation")
@@ -425,6 +430,7 @@ func (s *searcher) relink(e int32) {
 // recent lift that has not been undone.
 func (s *searcher) lift(c int32) {
 	s.lin.set(int(s.ents[c].op))
+	s.linHash ^= s.ops[s.ents[c].op].zobrist
 	s.unlink(c)
 	if r := s.ents[c].ret; r != 0 {
 		s.unlink(r)
@@ -439,19 +445,7 @@ func (s *searcher) unlift(c int32) {
 	}
 	s.relink(c)
 	s.lin.clear(int(s.ents[c].op))
-}
-
-// memoKey renders the current configuration — the linearized set, then the
-// state — into the searcher's one key buffer. The mask has one length for the
-// whole part, so the key is the pair itself; the memo compares whole keys,
-// never a hash of them: a collision would be a wrong verdict.
-func (s *searcher) memoKey(state string) []byte {
-	key := s.key[:0]
-	for _, w := range s.lin {
-		key = binary.LittleEndian.AppendUint64(key, w)
-	}
-	s.key = append(key, state...)
-	return s.key
+	s.linHash ^= s.ops[s.ents[c].op].zobrist
 }
 
 // run searches from each root until one yields a witness.
@@ -466,7 +460,7 @@ func (s *searcher) run(roots []string) (bool, error) {
 
 func (s *searcher) search(state string) (bool, error) {
 	done := s.left == 0
-	if done && s.finals != nil {
+	if done && s.kind == kindFinals {
 		s.finals[state] = struct{}{}
 		return false, nil
 	}
@@ -476,8 +470,10 @@ func (s *searcher) search(state string) (bool, error) {
 		// ops to linearize.
 		return true, nil
 	}
+	var hash uint64 // of (lin, state), the same at exit: every lift below is undone by then
 	if !s.opts.NoMemo {
-		if s.memo[string(s.memoKey(state))] { // a lookup by converted bytes does not allocate
+		hash = s.linHash ^ maphash.String(stateSeed, state)
+		if _, seen := s.memo.find(hash, s.lin, state); seen {
 			s.memoHits++
 			return false, nil
 		}
@@ -524,11 +520,9 @@ func (s *searcher) search(state string) (bool, error) {
 			s.unlift(c)
 		}
 	}
-	// Fully explored without a witness: memoize the failure. The key buffer
-	// was reused below this node, so the key is rendered again, and storing
-	// it is the search's one allocation of its own.
+	// Fully explored without a witness: memoize the failure.
 	if !s.opts.NoMemo {
-		s.memo[string(s.memoKey(state))] = true
+		s.memo.add(hash, s.lin, state)
 	}
 	return false, nil
 }
@@ -548,3 +542,83 @@ type mask []uint64
 
 func (b mask) set(i int)   { b[i/64] |= 1 << (i % 64) }
 func (b mask) clear(i int) { b[i/64] &^= 1 << (i % 64) }
+
+// zobrist is operation i's word in the Zobrist hash of a mask: splitmix64's
+// i-th output, fixed for a position whatever the part.
+func zobrist(i int) uint64 {
+	z := uint64(i+1) * 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// stateSeed seeds the hash of a model state in a memo key.
+var stateSeed = maphash.MakeSeed()
+
+// memoKeep is the most entries a seen-set carries, emptied, to the next part:
+// clearing costs what the table can hold, so the table of one part that blew
+// up is dropped instead of taxing every later part (and pinning its memory in
+// the pool).
+const memoKeep = 1 << 14
+
+// seenSet is the searcher's memo: the (linearized set, state) configurations
+// whose subtree has been expanded, in an open-addressed table probed
+// linearly and kept at most half full. A key's hash only picks the slot where
+// probing starts; a slot holds the key when its stored mask words and state
+// equal the key's, so a hash collision costs a probe, never a verdict. A
+// stored state is the searcher's own string, so adding a key copies its mask
+// words and allocates nothing, and emptying the set clears only the tags.
+type seenSet struct {
+	tags   []uint64 // slot i holds a key when tags[i], its hash with the low bit set, is not 0
+	states []string // slot i's state, read only while the slot holds a key
+	masks  []uint64 // slot i's mask is masks[i*words : (i+1)*words]
+	words  int
+	n      int
+	shift  uint // 64 - log2(len(tags)): a hash's top bits pick its first slot
+}
+
+// reset empties the set for masks of the given number of words.
+func (t *seenSet) reset(words int) {
+	switch {
+	case len(t.tags) == 0 || len(t.tags) > 2*memoKeep:
+		t.tags, t.states, t.shift = make([]uint64, 64), make([]string, 64), 64-6
+	case t.n > 0:
+		clear(t.tags)
+	}
+	t.words, t.n = words, 0
+	t.masks = slices.Grow(t.masks[:0], len(t.tags)*words)[:len(t.tags)*words]
+}
+
+// find returns the slot holding (lin, state), or the empty slot where it
+// would go and false.
+func (t *seenSet) find(hash uint64, lin []uint64, state string) (int, bool) {
+	tag, w := hash|1, t.words
+	for i := int(tag >> t.shift); ; i = (i + 1) & (len(t.tags) - 1) {
+		switch t.tags[i] {
+		case 0:
+			return i, false
+		case tag:
+			if t.states[i] == state && slices.Equal(t.masks[i*w:(i+1)*w], lin) {
+				return i, true
+			}
+		}
+	}
+}
+
+func (t *seenSet) add(hash uint64, lin []uint64, state string) {
+	if 2*(t.n+1) > len(t.tags) {
+		old, w := *t, t.words
+		t.tags, t.states, t.masks = make([]uint64, 2*len(old.tags)), make([]string, 2*len(old.tags)), make([]uint64, 2*len(old.masks))
+		t.n, t.shift = 0, t.shift-1
+		for j, tag := range old.tags {
+			if tag != 0 {
+				t.add(tag, old.masks[j*w:(j+1)*w], old.states[j])
+			}
+		}
+	}
+	if i, ok := t.find(hash, lin, state); !ok {
+		t.tags[i], t.states[i] = hash|1, state
+		copy(t.masks[i*t.words:], lin)
+		t.n++
+	}
+}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 
 	"lineup/internal/history"
@@ -24,10 +25,16 @@ const maxCacheEntries = 1 << 16
 // identical workloads on different partitions — whose global op indices
 // necessarily differ — share entries.
 type windowCache struct {
-	mu  sync.Mutex
-	m   map[string]*windowEntry
-	buf []byte
-	ids map[int]uint64 // scratch: op index relabeling, reset per lookup
+	mu   sync.Mutex
+	m    map[string]*windowEntry
+	buf  []byte
+	open []relabeled // scratch: the window's open calls while a key is written
+}
+
+// relabeled is an operation index and the id the key writes for it.
+type relabeled struct {
+	index int
+	id    uint64
 }
 
 // windowEntry is one cached transition.
@@ -37,7 +44,7 @@ type windowEntry struct {
 }
 
 func newWindowCache() *windowCache {
-	return &windowCache{m: make(map[string]*windowEntry), ids: make(map[int]uint64)}
+	return &windowCache{m: make(map[string]*windowEntry)}
 }
 
 // appendString appends s length-prefixed.
@@ -47,7 +54,9 @@ func appendString(b []byte, s string) []byte {
 
 // lookup returns the cached entry for (states, events), or (key, nil) on a
 // miss; the caller passes the key back to put once the transition is
-// computed.
+// computed. A call takes the next id and a return the id of its call, found
+// among the open calls, which are never more than the partition's
+// concurrency.
 func (c *windowCache) lookup(states []string, events []history.Event) (string, *windowEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -55,18 +64,23 @@ func (c *windowCache) lookup(states []string, events []history.Event) (string, *
 	for _, st := range states {
 		b = appendString(b, st)
 	}
-	clear(c.ids)
+	c.open = c.open[:0]
+	next := uint64(0)
 	for _, e := range events {
-		id, ok := c.ids[e.Index]
-		if !ok {
-			id = uint64(len(c.ids))
-			c.ids[e.Index] = id
-		}
 		if e.Kind == history.Call {
-			b = appendString(binary.AppendUvarint(append(b, 0), id), e.Op)
-		} else {
-			b = appendString(binary.AppendUvarint(append(b, 1), id), e.Result)
+			c.open = append(c.open, relabeled{e.Index, next})
+			b = appendString(binary.AppendUvarint(append(b, 0), next), e.Op)
+			next++
+			continue
 		}
+		id := next // a return whose call is not in the window takes a fresh id
+		if k := slices.IndexFunc(c.open, func(o relabeled) bool { return o.index == e.Index }); k >= 0 {
+			id = c.open[k].id
+			c.open = slices.Delete(c.open, k, k+1)
+		} else {
+			next++
+		}
+		b = appendString(binary.AppendUvarint(append(b, 1), id), e.Result)
 	}
 	c.buf = b
 	if en, ok := c.m[string(b)]; ok {
