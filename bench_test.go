@@ -431,21 +431,22 @@ func monitorLongTrace(b *testing.B, model *lineup.Model, seed int64, threads, op
 	return buf.Bytes()
 }
 
-// BenchmarkMonitorLongTrace is `lineup monitor` on a recorded trace, one
-// layer at a time so each can be profiled without the harness: decoding the
-// JSONL (obsfile.ReadTrace) and the witness search (monitor.Check), on a
-// 1 000-operation queue trace — one part, three overlapping threads, at most
-// eight elements queued — and a 20 000-operation set trace that splits into
-// 64 parts. The harness's monitor-batch workload measures the two together.
-func BenchmarkMonitorLongTrace(b *testing.B) {
+// longTrace is one recorded trace of the two `lineup monitor` layer
+// benchmarks.
+type longTrace struct {
+	name    string
+	model   *lineup.Model
+	payload []byte
+}
+
+// longTraces are a 1 000-operation queue trace — one part, three overlapping
+// threads, at most eight elements queued — and a 20 000-operation set trace
+// that splits into 64 parts.
+func longTraces(b *testing.B) []longTrace {
 	queueModel, _ := lineup.BuiltinModel("queue")
 	setModel, _ := lineup.BuiltinModel("set")
 	enqueued := 0
-	for _, tr := range []struct {
-		name    string
-		model   *lineup.Model
-		payload []byte
-	}{
+	return []longTrace{
 		{"queue1000", queueModel, monitorLongTrace(b, queueModel, 1, 3, 1000, func(rng *rand.Rand, state string) string {
 			if rng.Intn(2) == 0 && lineup.ModelList(state).Len() < 8 {
 				enqueued++
@@ -456,19 +457,40 @@ func BenchmarkMonitorLongTrace(b *testing.B) {
 		{"set20000", setModel, monitorLongTrace(b, setModel, 2, 4, 20000, func(rng *rand.Rand, _ string) string {
 			return fmt.Sprintf("%s(%d)", []string{"Add", "Remove", "Contains"}[rng.Intn(3)], rng.Intn(64))
 		})},
-	} {
+	}
+}
+
+// BenchmarkReadTrace is the first layer of `lineup monitor` on a recorded
+// trace, decoding the JSONL (obsfile.ReadTrace), alone so it can be profiled
+// without the harness; it reports ns/event beside B/op and allocs/op.
+func BenchmarkReadTrace(b *testing.B) {
+	for _, tr := range longTraces(b) {
+		b.Run(tr.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(tr.payload)))
+			events := 0
+			for i := 0; i < b.N; i++ {
+				h, err := obsfile.ReadTrace(bytes.NewReader(tr.payload))
+				if err != nil {
+					b.Fatal(err)
+				}
+				events += len(h.Events)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		})
+	}
+}
+
+// BenchmarkMonitorLongTrace is the second layer of `lineup monitor` on a
+// recorded trace, the witness search (monitor.Check), alone so it can be
+// profiled without the harness. The harness's monitor-batch workload
+// measures the two layers together.
+func BenchmarkMonitorLongTrace(b *testing.B) {
+	for _, tr := range longTraces(b) {
 		h, err := obsfile.ReadTrace(bytes.NewReader(tr.payload))
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(tr.name+"/read", func(b *testing.B) {
-			b.SetBytes(int64(len(tr.payload)))
-			for i := 0; i < b.N; i++ {
-				if _, err := obsfile.ReadTrace(bytes.NewReader(tr.payload)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(tr.name+"/check", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				out, err := lineup.CheckHistory(tr.model, h, lineup.MonitorOptions{})

@@ -7,6 +7,7 @@ package history
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -85,8 +86,44 @@ func (h *History) Ops() []Op {
 	return out
 }
 
-// Pending returns the pending (incomplete) operations of the history.
+// Pending returns the operations of Ops that are not Complete, in call
+// order. In a well-formed history whose calls take increasing identifiers,
+// as recorded and explored histories do, an operation is pending exactly
+// when its call is its thread's last event, so one pass keeping each
+// thread's open call finds them. Any other history, or one with a thread
+// index outside [0, len(Events)), takes Ops itself.
 func (h *History) Pending() []Op {
+	var open []int // by thread: 1 + position of its open call, 0 if none
+	next := 0      // the least identifier the next call may take
+	for pos, e := range h.Events {
+		if e.Thread < 0 || e.Thread >= len(h.Events) {
+			return h.pendingOps()
+		}
+		if e.Thread >= len(open) {
+			open = append(open, make([]int, e.Thread+1-len(open))...)
+		}
+		switch c := &open[e.Thread]; {
+		case e.Kind == Call && *c == 0 && e.Index >= next:
+			*c, next = pos+1, e.Index+1
+		case e.Kind == Return && *c > 0 && h.Events[*c-1].Index == e.Index:
+			*c = 0
+		default:
+			return h.pendingOps()
+		}
+	}
+	var out []Op
+	for _, c := range open {
+		if c > 0 {
+			e := h.Events[c-1]
+			out = append(out, Op{Thread: e.Thread, Name: e.Op, CallPos: c - 1, RetPos: -1, Index: e.Index})
+		}
+	}
+	slices.SortFunc(out, func(a, b Op) int { return a.CallPos - b.CallPos })
+	return out
+}
+
+// pendingOps is Pending by its definition.
+func (h *History) pendingOps() []Op {
 	var out []Op
 	for _, op := range h.Ops() {
 		if !op.Complete {

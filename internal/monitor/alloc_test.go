@@ -4,6 +4,8 @@ package monitor_test
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"lineup/internal/history"
@@ -55,5 +57,54 @@ func TestSearchAllocs(t *testing.T) {
 	}
 	if check > 20 {
 		t.Errorf("Check allocates %.0f times per window, over its ceiling of 20", check)
+	}
+}
+
+// rememberingModel is m with every step it has taken remembered, so a check
+// that repeats an earlier one builds no model state: what it allocates is
+// Check's own.
+func rememberingModel(m *monitor.Model) *monitor.Model {
+	type step struct {
+		res, next string
+		err       error
+	}
+	var mu sync.Mutex
+	taken := map[string]map[string]step{}
+	out := *m
+	out.Step = func(state, op string) (string, string, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		s, ok := taken[state][op]
+		if !ok {
+			s.res, s.next, s.err = m.Step(state, op)
+			if taken[state] == nil {
+				taken[state] = map[string]step{}
+			}
+			taken[state][op] = s
+		}
+		return s.res, s.next, s.err
+	}
+	return &out
+}
+
+// TestCheckSplitAllocs is the allocation ceiling of Check around the search
+// on a 2 000-operation set trace over 64 keys, with the model's states
+// remembered from the warm-up run: well-formedness, the pending operations,
+// the split into parts and the merged witness cost a fixed handful, and what
+// is left is a witness per part (measured 103, where a Pending built on Ops
+// and parts and a witness grown by append made 632). GOMAXPROCS is pinned to
+// 2 because every checkParts worker takes a searcher.
+func TestCheckSplitAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	m := rememberingModel(monitor.SetModel())
+	h := pinSetHistory(rand.New(rand.NewSource(29)), 4, 2000, 64)
+	allocs := testing.AllocsPerRun(20, func() {
+		if out, err := monitor.Check(m, h, monitor.Options{}); err != nil || !out.Linearizable || out.Stats.Parts != 64 {
+			t.Fatalf("Check: %+v, %v", out, err)
+		}
+	})
+	t.Logf("Check of 2 000 set operations on 64 keys: %.0f allocs", allocs)
+	if allocs > 260 {
+		t.Errorf("Check allocates %.0f times, over its ceiling of 260", allocs)
 	}
 }

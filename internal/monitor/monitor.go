@@ -241,6 +241,11 @@ func checkParts(m *Model, h *history.History, kind checkKind, roots []string, op
 		}
 		wg.Wait()
 	}
+	steps := 0
+	for _, res := range results {
+		steps += len(res.witness)
+	}
+	out.Witness = slices.Grow(out.Witness, steps)
 	var firstErr error
 	for i, res := range results {
 		if res.err != nil && firstErr == nil {

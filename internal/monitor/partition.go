@@ -10,37 +10,49 @@ import "lineup/internal/history"
 // disabled, when any operation touches the whole object, or when all
 // operations share one key. The returned key slice is aligned with the
 // parts ("" for the unsplit case) and sorted by first appearance.
+//
+// Partition is asked once per call; a return joins the part of its thread's
+// open call, which h, being well-formed, has. The parts are carved from one
+// backing array, each sized by a first pass.
 func partition(m *Model, h *history.History, opts Options) ([]*history.History, []string) {
 	whole := []*history.History{h}
 	if m.Partition == nil || opts.NoPartition {
 		return whole, []string{""}
 	}
-	byKey := make(map[string]*history.History)
+	number := make(map[string]int32) // key -> part number
 	var keys []string
-	for _, ev := range h.Events {
-		if ev.Kind != history.Call {
-			continue
+	var sizes []int
+	of := make([]int32, len(h.Events)) // each event's part number
+	open := make(map[int]int32)        // thread -> part number of its open call
+	for i, ev := range h.Events {
+		if ev.Kind == history.Call {
+			key, ok := m.Partition(ev.Op)
+			if !ok {
+				return whole, []string{""} // a whole-object op forbids splitting
+			}
+			p, seen := number[key]
+			if !seen {
+				p = int32(len(keys))
+				number[key] = p
+				keys, sizes = append(keys, key), append(sizes, 0)
+			}
+			open[ev.Thread] = p
 		}
-		if _, ok := m.Partition(ev.Op); !ok {
-			return whole, []string{""} // a whole-object op forbids splitting
-		}
-	}
-	for _, ev := range h.Events {
-		key, _ := m.Partition(ev.Op)
-		part := byKey[key]
-		if part == nil {
-			part = &history.History{Stuck: h.Stuck}
-			byKey[key] = part
-			keys = append(keys, key)
-		}
-		part.Events = append(part.Events, ev)
+		of[i] = open[ev.Thread]
+		sizes[of[i]]++
 	}
 	if len(keys) <= 1 {
 		return whole, []string{""}
 	}
+	backing := make([]history.Event, len(h.Events))
+	hs := make([]history.History, len(keys))
 	parts := make([]*history.History, len(keys))
-	for i, k := range keys {
-		parts[i] = byKey[k]
+	for p, n := range sizes {
+		hs[p] = history.History{Events: backing[:0:n], Stuck: h.Stuck}
+		backing, parts[p] = backing[n:], &hs[p]
+	}
+	for i, ev := range h.Events {
+		parts[of[i]].Events = append(parts[of[i]].Events, ev)
 	}
 	return parts, keys
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // FuzzReadTrace exercises the JSONL history-trace parser with arbitrary
@@ -94,6 +95,20 @@ func FuzzStreamReader(f *testing.F) {
 		`{"k":"stuck"}` + "\n" + `{"t":0,"k":"call","op":"A()"}`,
 		`{"t":0,"k":"call","op":"A()"}` + "\n" + `{"t":0,"k":"call","op":"B()"}`,
 		"\x00\xff{not json at all",
+		// Where ReadTrace's strings.Cut and RawReader's bufio.Scanner could
+		// split lines differently: CRLF, a last line without a newline (and
+		// one ending in a lone CR), blank and whitespace-only lines, an
+		// indented comment, lines only encoding/json decodes, and an error
+		// on a line counted past comments.
+		`{"t":0,"k":"call","op":"A()"}` + "\r\n" + `{"t":0,"k":"ret","res":"ok"}` + "\r\n",
+		`{"t":0,"k":"call","op":"A()"}` + "\r\n" + `{"t":0,"k":"ret","res":"ok"}` + "\r",
+		"\n \n\t\r\n" + `{"t":0,"k":"call","op":"A()"}` + "\n   \n\n",
+		"  # indented comment\n\t#\n" + `{"t":0,"k":"call","op":"A()"}`,
+		`{"t":0,"k":"call","op":"A(\"x\")"}` + "\n" + `{"t": 0, "k": "ret", "res": "ok"}`,
+		" " + `{"t":0,"k":"call","op":"A()"}` + " \n \n",
+		" " + `{"t":0,"k":"call","op":"A()"}` + " \n\u0085\n",
+		"# one\n# two\n\n" + `{"t":0,"k":"call","op":"A()"}` + "\n" + `{"t":0,"k":"call","op":"B()"}` + "\n",
+		"# one\n\n# two\n{bad\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -196,6 +211,44 @@ func FuzzJSONLScanner(f *testing.F) {
 			t.Fatalf("on %q the scanner returns %+v, encoding/json %+v", line, got, want)
 		}
 	})
+}
+
+// TestDecodedStringsOwnership: a line decoded from a string keeps substrings
+// of it when scanned and strings of its own when encoding/json decodes it; a
+// line decoded from a []byte keeps nothing of the buffer either way, so a
+// RawReader's events outlive the scanner's next read.
+func TestDecodedStringsOwnership(t *testing.T) {
+	for _, c := range []struct {
+		line    string
+		scanned bool
+	}{
+		{`{"t":1,"k":"call","op":"A()","p":"x"}`, true},
+		{`{"t": 1, "k": "call", "op": "A()", "p": "x"}`, false},
+		{`{"t":1,"k":"call","op":"A(\"q\")","p":"x"}`, false},
+	} {
+		want, _, err := decodeLine(c.line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := uintptr(unsafe.Pointer(unsafe.StringData(c.line)))
+		for _, s := range []string{want.Op, want.P} {
+			at := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+			if inside := start <= at && at < start+uintptr(len(c.line)); inside != c.scanned {
+				t.Errorf("%s: %q points into the line: %v, want %v", c.line, s, inside, c.scanned)
+			}
+		}
+		buf := []byte(c.line)
+		got, _, err := decodeLine(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = '#'
+		}
+		if got != want {
+			t.Errorf("%s: decoded from bytes %+v after the buffer was overwritten, from the string %+v", c.line, got, want)
+		}
+	}
 }
 
 // TestJSONLScannerTakesWriterOutput: the lines WriteTrace and the streaming

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"lineup/internal/history"
 )
@@ -153,8 +154,10 @@ func RestoreStreamTracker(s TrackerState) *StreamTracker {
 	return st
 }
 
-// maxTraceLine is the longest JSONL line a RawReader accepts.
+// maxTraceLine is the longest line, newline excluded, either reader accepts.
 const maxTraceLine = 1024 * 1024
+
+var errLineTooLong = errors.New("longer than 1 MiB")
 
 // RawReader parses a JSONL trace stream into TraceEvents without applying
 // the thread-discipline validation: consumers that funnel several transports
@@ -170,7 +173,7 @@ type RawReader struct {
 // NewRawReader wraps r in a raw JSONL trace parser.
 func NewRawReader(r io.Reader) *RawReader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxTraceLine)
+	sc.Buffer(make([]byte, 0, 64*1024), maxTraceLine+len("\r\n"))
 	return &RawReader{sc: sc}
 }
 
@@ -184,33 +187,56 @@ func (rr *RawReader) Next() (TraceEvent, error) {
 	}
 	for rr.sc.Scan() {
 		rr.line++
-		// Decode straight from the scanner's buffer: both decoders copy every
-		// string they keep, so the volatile bytes never escape, and the
-		// per-line string allocation of Text() disappears from the ingest
+		// Decode straight from the scanner's buffer: decodeLine copies every
+		// string it keeps out of a []byte, so the volatile bytes never escape,
+		// and the per-line string allocation of Text() stays off the ingest
 		// hot path.
-		line := bytes.TrimSpace(rr.sc.Bytes())
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		if ev, ok := scanEvent(line); ok {
-			return ev, nil
-		}
-		var ev TraceEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
+		ev, skip, err := decodeLine(rr.sc.Bytes())
+		if err != nil {
 			rr.err = fmt.Errorf("obsfile: trace line %d: %w", rr.line, err)
 			return TraceEvent{}, rr.err
 		}
-		return ev, nil
+		if !skip {
+			return ev, nil
+		}
 	}
 	switch err := rr.sc.Err(); {
 	case errors.Is(err, bufio.ErrTooLong):
-		rr.err = fmt.Errorf("obsfile: trace line %d: longer than 1 MiB", rr.line+1)
+		rr.err = fmt.Errorf("obsfile: trace line %d: %w", rr.line+1, errLineTooLong)
 	case err != nil:
 		rr.err = fmt.Errorf("obsfile: reading trace: %w", err)
 	default:
 		rr.err = io.EOF
 	}
 	return TraceEvent{}, rr.err
+}
+
+// decodeLine decodes one trace line, without its newline, for RawReader (a
+// []byte, whose strings it copies) and ReadTrace (a string, whose substrings
+// it keeps); skip reports a blank or comment line, and the caller adds the
+// line number to an error.
+func decodeLine[S string | []byte](line S) (ev TraceEvent, skip bool, err error) {
+	if len(line) > maxTraceLine {
+		return ev, false, errLineTooLong
+	}
+	line = trimSpace(line)
+	if len(line) == 0 || line[0] == '#' {
+		return ev, true, nil
+	}
+	if ev, ok := scanEvent(line); ok {
+		return ev, false, nil
+	}
+	var slow TraceEvent // not &ev, which would move every line's event to the heap
+	err = json.Unmarshal([]byte(line), &slow)
+	return slow, false, err
+}
+
+// trimSpace is strings.TrimSpace or bytes.TrimSpace, by the type of s.
+func trimSpace[S string | []byte](s S) S {
+	if b, ok := any(s).([]byte); ok {
+		return S(bytes.TrimSpace(b))
+	}
+	return S(strings.TrimSpace(string(s)))
 }
 
 // scanEvent decodes a line of the one shape every writer in this tree emits
@@ -222,7 +248,7 @@ func (rr *RawReader) Next() (TraceEvent, error) {
 // reports no error of its own, so encoding/json stays the definition of the
 // format, and FuzzJSONLScanner holds the two to the same event on whatever
 // the scanner accepts.
-func scanEvent(line []byte) (ev TraceEvent, ok bool) {
+func scanEvent[S string | []byte](line S) (ev TraceEvent, ok bool) {
 	if len(line) == 0 || line[0] != '{' {
 		return ev, false
 	}
@@ -279,24 +305,24 @@ func scanEvent(line []byte) (ev TraceEvent, ok bool) {
 // plainString returns the contents of the string literal that starts at
 // line[i] and the index after its closing quote, or -1 unless there is one
 // and it is printable ASCII with no escape in it.
-func plainString(line []byte, i int) ([]byte, int) {
+func plainString[S string | []byte](line S, i int) (S, int) {
 	if i >= len(line) || line[i] != '"' {
-		return nil, -1
+		return line[:0], -1
 	}
 	for j := i + 1; j < len(line); j++ {
 		switch c := line[j]; {
 		case c == '"':
 			return line[i+1 : j], j + 1
 		case c < 0x20 || c > 0x7e || c == '\\':
-			return nil, -1
+			return line[:0], -1
 		}
 	}
-	return nil, -1
+	return line[:0], -1
 }
 
-// traceString copies b into a string, without allocating for the three event
-// kinds, which every line carries.
-func traceString(b []byte) string {
+// traceString copies a []byte into a string (a string stays itself), without
+// allocating for the three event kinds, which every line carries.
+func traceString[S string | []byte](b S) string {
 	switch string(b) {
 	case "call":
 		return "call"

@@ -3,7 +3,9 @@ package obsfile
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
+	"strings"
 
 	"lineup/internal/history"
 )
@@ -37,25 +39,41 @@ type TraceEvent struct {
 // it has an open operation, may not return without one, a "ret" line naming
 // an operation must name the thread's open operation, and a "stuck" marker
 // must be the last event of the trace. It is the batch face of the
-// StreamReader: the events are validated by the same incremental machinery
-// the streaming monitor uses, merely accumulated into one History.
+// StreamReader, with the same line decoder, StreamTracker and errors, but it
+// holds the whole input as one string and decodes each line in place: the
+// history's names and results are substrings of it (bar lines encoding/json
+// decodes), and its memory is the input bytes plus the events.
 func ReadTrace(r io.Reader) (*history.History, error) {
-	h := &history.History{}
-	sr := NewStreamReader(r)
-	for {
-		ev, err := sr.Next()
-		if err == io.EOF {
-			return h, nil
+	var in strings.Builder
+	_, readErr := io.Copy(&in, r)
+	src := in.String()
+	// One event per line at most, and no event line is shorter than {"k":"ret"}.
+	h := &history.History{Events: make([]history.Event, 0, min(strings.Count(src, "\n")+1, len(src)/len(`{"k":"ret"}`)))}
+	tr := NewStreamTracker()
+	for n := 1; src != ""; n++ {
+		var line string
+		line, src, _ = strings.Cut(src, "\n")
+		ev, skip, err := decodeLine(strings.TrimSuffix(line, "\r"))
+		if err != nil {
+			return nil, fmt.Errorf("obsfile: trace line %d: %w", n, err)
 		}
+		if skip {
+			continue
+		}
+		sev, err := tr.Apply(ev, n)
 		if err != nil {
 			return nil, err
 		}
-		if ev.Stuck {
+		if sev.Stuck {
 			h.Stuck = true
 			continue
 		}
-		h.Events = append(h.Events, ev.HistoryEvent())
+		h.Events = append(h.Events, sev.HistoryEvent())
 	}
+	if readErr != nil {
+		return nil, fmt.Errorf("obsfile: reading trace: %w", readErr)
+	}
+	return h, nil
 }
 
 // WriteTrace renders a history in the JSONL trace format read by ReadTrace.

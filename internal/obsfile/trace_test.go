@@ -2,6 +2,7 @@ package obsfile
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -46,7 +47,17 @@ func TestReadTraceStuck(t *testing.T) {
 	}
 }
 
+// retLine is a valid return line of exactly n bytes.
+func retLine(n int) string {
+	const head, tail = `{"t":0,"k":"ret","res":"`, `"}`
+	return head + strings.Repeat("x", n-len(head)-len(tail)) + tail
+}
+
+// TestReadTraceErrors runs every row through ReadTrace and through a
+// StreamReader: a row with a want is refused by both with the same error, a
+// row without one is accepted by both with as many events.
 func TestReadTraceErrors(t *testing.T) {
+	const call = `{"t":0,"k":"call","op":"A()"}` + "\n"
 	cases := []struct{ name, in, want string }{
 		{"bad json", `{"t":0,"k":`, "line 1"},
 		{"unknown kind", `{"t":0,"k":"invoke","op":"X()"}`, "unknown event kind"},
@@ -57,17 +68,28 @@ func TestReadTraceErrors(t *testing.T) {
 		{"negative thread", `{"t":-1,"k":"call","op":"A()"}`, "negative thread"},
 		{"events after stuck", `{"k":"stuck"}` + "\n" + `{"t":0,"k":"call","op":"A()"}`, "after the stuck marker"},
 		{"line over the limit", `{"t":0,"k":"call","op":"A()"}` + "\n" + `{"t":0,"k":"ret","res":"` + strings.Repeat("x", maxTraceLine) + `"}`, "trace line 2: longer than 1 MiB"},
+		{"line of 1 MiB", call + retLine(maxTraceLine) + "\n", ""},
+		{"line of 1 MiB, no newline", call + retLine(maxTraceLine), ""},
+		{"line of 1 MiB, CRLF", call + retLine(maxTraceLine) + "\r\n", ""},
+		{"line of 1 MiB + 1", call + retLine(maxTraceLine+1) + "\n", "trace line 2: longer than 1 MiB"},
+		{"line of 1 MiB + 1, no newline", "#\n" + call + retLine(maxTraceLine+1), "trace line 3: longer than 1 MiB"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ReadTrace(strings.NewReader(c.in))
+			h, err := ReadTrace(strings.NewReader(c.in))
+			sr := NewStreamReader(strings.NewReader(c.in))
+			events, serr := 0, error(nil)
+			for ; serr == nil; events++ {
+				_, serr = sr.Next()
+			}
+			if c.want == "" {
+				if err != nil || serr != io.EOF || len(h.Events) != events-1 {
+					t.Fatalf("ReadTrace: %v; StreamReader: %v after %d events", err, serr, events-1)
+				}
+				return
+			}
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("want error containing %q, got %v", c.want, err)
-			}
-			sr := NewStreamReader(strings.NewReader(c.in))
-			_, serr := sr.Next()
-			for serr == nil {
-				_, serr = sr.Next()
 			}
 			if serr.Error() != err.Error() {
 				t.Fatalf("StreamReader reports %q, ReadTrace %q", serr, err)
