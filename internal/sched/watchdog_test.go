@@ -1,6 +1,8 @@
 package sched_test
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -378,17 +380,26 @@ func TestWatchdogNamesThreadHungAfterSwitch(t *testing.T) {
 // running the next execution). The hung thread, released later, must unwind
 // without another Pick, whether it next reaches a point or simply returns.
 // Its siblings A and C are parked at a point and slow to unwind, so they
-// still look enabled when it does.
+// still look enabled when it does. Two more rows pin how the siblings are
+// unwound: all at once, so a quick one is not held up behind a slow one, and
+// each by running it, so one that was spawned but never started still unwinds.
 func TestAbandonedThreadTakesNoDecision(t *testing.T) {
+	point := func(t *sched.Thread) { t.Point(sched.PointAtomic) }
 	for _, tc := range []struct {
-		name string
-		tail func(*sched.Thread) // what thread B does once released
+		name   string
+		tail   func(*sched.Thread) // what thread B does once released
+		order  []sched.ThreadID    // the controller's picks until B hangs
+		quickC bool                // C unwinds at once instead of waiting for the release
+		leaked []string            // sorted
 	}{
-		{"reaches-a-point", func(t *sched.Thread) { t.Point(sched.PointAtomic) }},
-		{"returns", func(*sched.Thread) {}},
-	} {
 		// A starts, is preempted for C, which is preempted for B, which hangs.
-		order := []sched.ThreadID{0, 2, 1, 1}
+		{"reaches-a-point", point, []sched.ThreadID{0, 2, 1, 1}, false, []string{"A", "B", "C"}},
+		{"returns", func(*sched.Thread) {}, []sched.ThreadID{0, 2, 1, 1}, false, []string{"A", "B", "C"}},
+		{"one-sibling-quick", point, []sched.ThreadID{0, 2, 1, 1}, true, []string{"A", "B"}},
+		// A starts and is preempted for B, which hangs before C ever runs.
+		{"sibling-never-started", point, []sched.ThreadID{0, 1, 1}, false, []string{"A", "B"}},
+	} {
+		order := tc.order
 		ctrl := &scripted{fn: func(call int, _ sched.ThreadID, _ bool, enabled []sched.ThreadID) sched.ThreadID {
 			if call < len(order) {
 				return order[call]
@@ -406,6 +417,10 @@ func TestAbandonedThreadTakesNoDecision(t *testing.T) {
 					th.OpEnd(name, "ok")
 				}
 			}
+			c := slowToUnwind("c0")
+			if tc.quickC {
+				c = opThread(1, "c")
+			}
 			prog := sched.Program{Threads: []func(*sched.Thread){
 				slowToUnwind("a0"),
 				func(th *sched.Thread) {
@@ -413,13 +428,15 @@ func TestAbandonedThreadTakesNoDecision(t *testing.T) {
 					<-release
 					tc.tail(th)
 				},
-				slowToUnwind("c0"),
+				c,
 			}}
 			cfg := sched.Config{Watchdog: 30 * time.Millisecond, AbandonGrace: 10 * time.Millisecond}
 			out := sched.NewScheduler(cfg, ctrl).Run(prog)
-			if !out.Hung || out.HungThread != "B" || len(out.LeakedThreads) != 3 {
-				t.Fatalf("Hung = %v, HungThread = %q, LeakedThreads = %v; want B hung and all three leaked",
-					out.Hung, out.HungThread, out.LeakedThreads)
+			leaked := append([]string(nil), out.LeakedThreads...)
+			sort.Strings(leaked)
+			if !out.Hung || out.HungThread != "B" || !reflect.DeepEqual(leaked, tc.leaked) {
+				t.Fatalf("Hung = %v, HungThread = %q, LeakedThreads = %v; want B hung and %v leaked",
+					out.Hung, out.HungThread, out.LeakedThreads, tc.leaked)
 			}
 			picks = ctrl.calls
 			close(release)
