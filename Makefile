@@ -26,13 +26,14 @@ race:
 	$(GO) test -race -short ./internal/sched ./internal/core ./internal/faultinject ./internal/monitor ./internal/serve ./internal/bench ./internal/telemetry ./internal/dist
 
 # Race-enabled smoke of the scheduler's baton passing: scheduling decisions
-# run on whichever thread goroutine holds the baton, so the watchdog and
-# abandonment paths, the carrying of controller panics to the Run goroutine,
-# the pinned decision traces (five full explorations) and the invariants of
-# what an exploration keeps from one execution to the next (pool_test.go) run
-# under the race detector on every `make check`.
+# run on whichever thread coroutine holds the baton, and the goroutine that
+# called Run resumes the next one, so the watchdog and abandonment paths, the
+# carrying of controller panics to the Run goroutine, the pinned decision
+# traces (five full explorations), the invariants of what an exploration keeps
+# from one execution to the next (pool_test.go), the wait set's semantics and
+# the point/switch tests run under the race detector on every `make check`.
 sched-smoke:
-	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool' ./internal/sched
+	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool|TestWaitSet|TestPoint' ./internal/sched
 
 # Race-enabled smoke of the streaming service: the full internal/serve suite
 # (worker pool, backpressure, checkpoint/resume, HTTP ingest, agreement of

@@ -152,8 +152,8 @@ func (alternate) Pick(cur sched.ThreadID, curEnabled bool, enabled []sched.Threa
 // BenchmarkPoint measures one instrumented point by what its decision does:
 // continue (two threads enabled, the controller keeps the running one),
 // forced (one thread enabled, no Pick) and switch (the controller alternates
-// between two threads, one goroutine hand-off per point). The first two must
-// not allocate.
+// between two threads: the holder parks into the driver, which resumes the
+// other, two coroutine switches per point). None may allocate.
 func BenchmarkPoint(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -182,29 +182,35 @@ func BenchmarkPoint(b *testing.B) {
 }
 
 // TestPointContinueAllocs: a point whose decision keeps the running thread —
-// chosen by the controller or forced — allocates nothing.
+// chosen by the controller or forced — allocates nothing, and neither does
+// one that switches to the other thread and back.
 func TestPointContinueAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
 	const points = 1000
-	measure := func(others ...func(*sched.Thread)) float64 {
+	measure := func(ctrl sched.Controller, others ...func(*sched.Thread)) float64 {
 		var perPoint float64
 		threads := append([]func(*sched.Thread){func(th *sched.Thread) {
 			th.OpStart("loop")
 			perPoint = testing.AllocsPerRun(points, func() { th.Point(sched.PointAtomic) })
 			th.OpEnd("loop", "ok")
 		}}, others...)
-		cfg := sched.Config{Prealloc: sched.CapHint{Schedule: points + 8}}
-		if out := sched.NewScheduler(cfg, nil).Run(sched.Program{Threads: threads}); out.Stuck || out.Err != nil {
+		// A switching point takes two decisions, the other thread's among them.
+		cfg := sched.Config{Prealloc: sched.CapHint{Schedule: 2*points + 16}}
+		if out := sched.NewScheduler(cfg, ctrl).Run(sched.Program{Threads: threads}); out.Stuck || out.Err != nil {
 			t.Fatalf("stuck %v, err %v", out.Stuck, out.Err)
 		}
 		return perPoint
 	}
-	if n := measure(opThread(1, "b")); n != 0 {
+	if n := measure(nil, opThread(1, "b")); n != 0 {
 		t.Errorf("continue: %.2f allocs per point, want 0", n)
 	}
-	if n := measure(); n != 0 {
+	if n := measure(nil); n != 0 {
 		t.Errorf("forced: %.2f allocs per point, want 0", n)
+	}
+	// The other thread has a point for each of AllocsPerRun's points + 1 calls.
+	if n := measure(alternate{}, pointLoop(points+1)); n != 0 {
+		t.Errorf("switch: %.2f allocs per point, want 0", n)
 	}
 }

@@ -7,15 +7,16 @@
 // executions (deadlock, livelock, and diverging loops).
 //
 // Programs under test do not use Go's runtime concurrency directly. Instead,
-// each logical thread runs on a goroutine that is gated by the scheduler so that
-// exactly one logical thread — the baton holder — executes at any moment (an
-// exploration keeps those goroutines from one execution to the next, see pool).
-// Scheduling decisions are taken at instrumented operations (see package
-// vsync), on the running thread's own goroutine: it computes the enabled set
-// and asks the Controller; if the decision continues it, it simply returns,
-// and only a real context switch resumes the chosen thread and parks the
-// caller. The goroutine that called Run starts each thread group and sleeps
-// until the group is over. Because only one goroutine runs at a time and
+// each logical thread runs on a coroutine of its own, and exactly one logical
+// thread — the baton holder — executes at any moment (an exploration keeps
+// those coroutines from one execution to the next, see pool). Scheduling
+// decisions are taken at instrumented operations (see package vsync), on the
+// running thread's own stack: it computes the enabled set and asks the
+// Controller; if the decision continues it, it simply returns. Only a real
+// context switch parks the caller, which hands control back to the goroutine
+// that called Run; that goroutine drives the group by resuming whichever
+// thread holds the baton next, so a switch is two coroutine switches and no
+// trip through the Go scheduler. Because only one thread runs at a time and
 // every source of nondeterminism is a scheduling decision, a recorded
 // sequence of decisions replays an execution exactly.
 //
@@ -135,16 +136,16 @@ const (
 // implementations under test must thread it through their methods.
 //
 // state and killed are atomic because the watchdog abandonment path reads and
-// writes them from the Run goroutine while a non-cooperative thread goroutine
-// may still be executing; everywhere else the scheduler baton already orders
-// accesses: a thread touches scheduler state only while it holds the baton,
-// and the send on the next holder's resume channel is the happens-before edge
-// that passes it on.
+// writes them from the Run goroutine while a non-cooperative thread may still
+// be executing; everywhere else the scheduler baton already orders accesses: a
+// thread touches scheduler state only while it holds the baton, and the
+// coroutine switches that pass it on (the holder parking, the driver resuming
+// the next one) are the happens-before edges.
 type Thread struct {
 	id        ThreadID
 	name      string
 	sch       *Scheduler
-	resume    chan struct{}
+	w         *worker // the pooled worker running the thread's body
 	state     atomic.Int32
 	killed    atomic.Bool
 	stepsInOp int
@@ -175,7 +176,7 @@ type divergeSentinel struct{}
 // when there are at least two enabled threads; singleton choices are taken
 // implicitly.
 //
-// Pick runs on the goroutine of whichever thread holds the baton (the first
+// Pick runs on the coroutine of whichever thread holds the baton (the first
 // decision of a group on the goroutine that called Run), so consecutive calls
 // may come from different goroutines. They are still strictly sequential and
 // ordered by happens-before: a controller needs no synchronization of its
@@ -223,7 +224,8 @@ type Config struct {
 	// execution and reports subject goroutines that survived it (raw `go`
 	// statements escaping the scheduler) in Outcome.LeakedGoroutines. It is
 	// only meaningful when no other code spawns goroutines concurrently, so
-	// the parallel explorer forces it off.
+	// ExploreParallel keeps an exploration that asks for it on one goroutine
+	// (and core refuses Options.Workers > 1 with it).
 	DetectLeaks bool
 	// TrackFootprints accumulates a per-decision-window Footprint (shared
 	// locations touched, history events recorded) and delivers it to the
@@ -390,7 +392,7 @@ func DecodeCoverageKey(key uint64) (MemKind, int) {
 
 // Scheduler coordinates the logical threads of a single execution. A fresh
 // Scheduler is created for every execution and is not reusable; what it takes
-// from its pool — the goroutines its threads run on, the end and dead channels
+// from its pool — the workers its threads run on, the end and dead channels
 // and the threads, ebuf and ids buffers — outlives it when an exploration lent
 // it the pool (see pool).
 type Scheduler struct {
@@ -400,8 +402,9 @@ type Scheduler struct {
 	threads []*Thread
 	slab    []Thread // the execution's Thread handles, in spawn order
 	leaked  []string
-	// end wakes the Run goroutine when the running group can go no further;
-	// dead collects the threads that unwound after a kill or an abandonment
+	// Only a watchdog or an abandonment uses a channel: end wakes the Run
+	// goroutine when the group driven on a helper goroutine can go no
+	// further; dead collects the threads that unwound after an abandonment
 	// (each sends at most once, so a send never blocks).
 	end  chan struct{}
 	dead chan *Thread
@@ -410,9 +413,10 @@ type Scheduler struct {
 	// touched under mu (see transfer). group is the running thread group,
 	// started counts the threads of a serial group whose thread-start code
 	// already ran, cur is the thread the last decision chose and holder the
-	// one running now (they differ only during serial thread start). progress
-	// counts scheduling steps for the watchdog; fault is a panic of the
-	// controller, carried to the Run goroutine.
+	// one running now, nil once the group can go no further (cur and holder
+	// differ only during serial thread start). progress counts scheduling
+	// steps for the watchdog; fault is a panic of the controller, carried to
+	// the Run goroutine.
 	group      []*Thread
 	started    int
 	cur        *Thread
@@ -432,8 +436,11 @@ type Scheduler struct {
 	// mu serializes scheduling steps with the watchdog's abandonment, and
 	// guards events, trace, wfoot and the loc/op counters: a thread abandoned
 	// by the watchdog may still be between instrumented points appending to
-	// them while the Run goroutine assembles the outcome. Uncontended in
-	// every cooperative execution.
+	// them while the Run goroutine assembles the outcome. A thread that
+	// switches away parks with mu held and drive releases it (see drive), so
+	// whenever the watchdog holds mu every unfinished thread but the holder
+	// is parked or has not started. Uncontended in every cooperative
+	// execution.
 	mu      sync.Mutex
 	events  []OpEvent
 	trace   []MemEvent
@@ -487,10 +494,10 @@ func threadName(i int) string {
 	return fmt.Sprintf("T%d", i)
 }
 
-// pool is what outlives an execution: parked worker goroutines, each with its
-// resume channel and grown stack, and the scheduler's channels and buffers. An
-// exploration owns one and lends it to every Scheduler it runs; a one-off Run
-// makes its own and retires it on return. Only the Run goroutine touches it.
+// pool is what outlives an execution: parked workers, each a coroutine with
+// its grown stack, and the scheduler's channels and buffers. An exploration
+// owns one and lends it to every Scheduler it runs; a one-off Run makes its
+// own and retires it on return. Only the Run goroutine touches it.
 type pool struct {
 	workers []*worker // the first used are bound to threads of the running execution
 	used    int
@@ -501,60 +508,62 @@ type pool struct {
 	ids     []ThreadID
 }
 
-// worker is a goroutine that runs one thread body after another. spawn sets t
-// and body while the worker is parked on resume; the thread's first baton token
-// starts it.
+// worker runs one thread body after another, parking between them. The
+// switcher it embeds gives it resume, park and stop: a coroutine
+// (worker_coro.go), or a goroutine behind two channels where the toolchain
+// has no iter.Pull (worker_chan.go); either way a worker is one goroutine.
+// spawn sets t and body while the worker is parked; the driver's first resume
+// of the thread starts it.
 type worker struct {
-	resume  chan struct{}
-	t       *Thread
-	body    func(*Thread)
-	retired atomic.Bool
+	switcher
+	t         *Thread
+	body      func(*Thread)
+	abandoned atomic.Bool // set with the hung flag: the loop ends once t unwinds
 }
 
 func (p *pool) take() *worker {
 	if p.used == len(p.workers) {
-		w := &worker{resume: make(chan struct{}, 1)}
-		p.workers = append(p.workers, w)
-		go w.loop()
+		p.workers = append(p.workers, newWorker())
 	}
 	p.used++
 	return p.workers[p.used-1]
 }
 
-// retire empties the pool: every worker exits, at once if it is parked and
-// after its current body returns or unwinds if it is not, and the buffers are
-// dropped. The channels of an abandoned execution may still receive a late send
-// and its leaked workers still run subject code, so none of it may serve
+// retire empties the pool: it stops every parked worker and drops the
+// buffers. The workers of an abandoned execution's unfinished threads are not
+// parked — abandon resumes them to unwind, and each ends once its body has —
+// and its channels may still receive a late send, so none of it may serve
 // another execution.
 func (p *pool) retire() {
 	for _, w := range p.workers {
-		w.retired.Store(true)
-		select {
-		case w.resume <- struct{}{}:
-		default:
+		if !w.abandoned.Load() {
+			w.stop()
 		}
 	}
 	*p = pool{}
 }
 
 func (w *worker) loop() {
-	for !w.retired.Load() {
-		<-w.resume
+	for {
 		if t, body := w.t, w.body; t != nil {
-			// Forget the thread before running it: a token abandon left over
-			// must find nothing to run a second time.
 			w.t, w.body = nil, nil
 			t.run(body)
+			if w.abandoned.Load() {
+				return
+			}
+		}
+		if !w.park() {
+			return
 		}
 	}
 }
 
-// run is the life of thread t on its worker's goroutine, entered with the baton
-// (or with a kill token if the execution ended before t ever ran).
+// run is the life of thread t on its worker, entered with the baton (or
+// killed, if the execution ended before t ever ran).
 func (t *Thread) run(body func(*Thread)) {
 	s := t.sch
 	if t.killed.Load() {
-		s.dead <- t
+		s.unwound(t)
 		return
 	}
 	defer func() {
@@ -562,7 +571,7 @@ func (t *Thread) run(body func(*Thread)) {
 		case nil:
 			s.transfer(t, stateFinished, nil)
 		case killSentinel:
-			s.dead <- t
+			s.unwound(t)
 		case divergeSentinel:
 			s.transfer(t, stateDiverged, nil)
 		default:
@@ -572,14 +581,26 @@ func (t *Thread) run(body func(*Thread)) {
 	body(t)
 }
 
+// unwound tells abandon that killed thread t has unwound; abandon waits for
+// every unfinished thread that way. killAll needs no word: its resume of t
+// returns only once t has unwound.
+func (s *Scheduler) unwound(t *Thread) {
+	s.mu.Lock()
+	hung := s.hung
+	s.mu.Unlock()
+	if hung {
+		s.dead <- t
+	}
+}
+
 // spawn binds a pooled worker to a new thread. The *Thread is the thread's
-// identity — wait sets that outlive an execution are keyed by it — so it is
-// allocated per execution (one slab for all of them) and never recycled; the
-// goroutine, its stack and its resume channel are.
+// identity — wait sets that outlive an execution hold it — so it is allocated
+// per execution (one slab for all of them) and never recycled; the worker and
+// its stack are.
 func (s *Scheduler) spawn(name string, body func(t *Thread)) {
 	w := s.pool.take()
 	t := &s.slab[len(s.threads)]
-	t.id, t.name, t.sch, t.resume, t.curOp = ThreadID(len(s.threads)), name, s, w.resume, -1
+	t.id, t.name, t.sch, t.w, t.curOp = ThreadID(len(s.threads)), name, s, w, -1
 	s.threads = append(s.threads, t)
 	w.t, w.body = t, body
 }
@@ -599,7 +620,7 @@ func (s *Scheduler) Run(prog Program) *Outcome {
 		p.threads, p.ebuf, p.ids = make([]*Thread, 0, n), make([]*Thread, 0, n), make([]ThreadID, 0, n)
 	}
 	// The previous execution ended cleanly (or the pool is empty): its workers
-	// are parked or on their way there, its channels drained.
+	// are parked, its channels drained.
 	p.used = 0
 	s.end, s.dead, s.threads, s.ebuf, s.ids = p.end, p.dead, p.threads, p.ebuf, p.ids
 	s.slab = make([]Thread, n)
@@ -640,7 +661,7 @@ func (s *Scheduler) Run(prog Program) *Outcome {
 		s.killAll()
 	}
 	if s.fault != nil {
-		// The controller panicked on a thread's goroutine: a framework fault,
+		// The controller panicked on a thread's coroutine: a framework fault,
 		// not a subject failure. Re-panic it where the controller's owner can
 		// see it, once the execution's goroutines are unwound.
 		panic(s.fault)
@@ -693,9 +714,10 @@ func (s *Scheduler) done() bool {
 // countLeaks waits briefly for the process goroutine count to settle back to
 // the pre-execution baseline (plus the knowingly-abandoned scheduler
 // threads) and returns the excess, attributing it to raw goroutines the
-// subject spawned outside the scheduler.
+// subject spawned outside the scheduler. A leaked thread holds two
+// goroutines: its worker's and the one still inside its resume.
 func (s *Scheduler) countLeaks(base int) int {
-	allowed := base + len(s.leaked)
+	allowed := base + 2*len(s.leaked)
 	deadline := time.Now().Add(s.cfg.abandonGrace())
 	for {
 		n := runtime.NumGoroutine()
@@ -711,27 +733,52 @@ func (s *Scheduler) countLeaks(base int) int {
 
 // runGroup runs the thread group s.threads[first:] until all of its threads
 // finished, or the execution is stuck or failed. It takes the group's first
-// scheduling step here, on the Run goroutine, and then sleeps until a thread
-// ends the group.
+// scheduling step here, on the Run goroutine, and drives the group from
+// there. A thread that never reaches its next point keeps the goroutine that
+// resumed it, so with a watchdog armed the group is driven on a helper
+// goroutine while this one watches the progress counter.
 func (s *Scheduler) runGroup(first int) {
 	s.mu.Lock()
 	s.group, s.cur, s.started = s.threads[first:], nil, 0
-	s.handOff(s.next())
-	s.mu.Unlock()
+	s.holder = s.next()
+	if s.cfg.Watchdog <= 0 {
+		s.drive()
+		return
+	}
+	go func() {
+		s.drive()
+		s.end <- struct{}{}
+	}()
 	s.await()
+}
+
+// drive resumes the holder, and then each next holder, until transfer leaves
+// none. It is entered with mu held, and so it is after every resume but the
+// last of an abandoned execution: a thread that switches away or exits parks
+// without releasing mu, so the holder it chose is read under the lock it was
+// written under and mu is released only then. The driver resumes no thread
+// but the holder.
+func (s *Scheduler) drive() {
+	for h := s.holder; h != nil; h = s.holder {
+		s.mu.Unlock()
+		if !h.w.resume() {
+			return // the hung holder of an abandoned execution has unwound
+		}
+	}
+	s.mu.Unlock()
 }
 
 // transfer is the scheduling step: t, which holds the baton, stopped at an
 // instrumented point (st runnable), blocked, or is exiting (finished or
 // diverged; panicked is the subject's panic value, if any). On t's own
-// goroutine it applies the transition, chooses the next thread and hands it
-// the baton. If the choice is t itself it returns without touching a channel;
-// otherwise t parks until it is chosen again, unless it is exiting.
+// coroutine it applies the transition and chooses the next holder. If the
+// choice is t itself it returns; otherwise t parks, unless it is exiting, and
+// the driver resumes the holder. t runs again when it is chosen again.
 //
 // The whole step runs under mu and re-checks the abandoned flag, so a thread
 // the watchdog gave up on that reaches a point later can neither call the
-// controller (its owner may already be running the next execution) nor resume
-// a sibling: it unwinds instead.
+// controller (its owner may already be running the next execution) nor pass
+// the baton: it unwinds instead.
 func (s *Scheduler) transfer(t *Thread, st threadState, panicked any) {
 	exiting := st == stateFinished || st == stateDiverged
 	s.mu.Lock()
@@ -756,30 +803,18 @@ func (s *Scheduler) transfer(t *Thread, st threadState, panicked any) {
 		// execution is stuck (Section 2.3 of the paper).
 		s.stuck = s.cfg.Serial
 	}
-	next := s.next()
-	if next != t {
-		s.handOff(next)
-	}
-	s.mu.Unlock()
-	if next == t || exiting {
+	s.holder = s.next()
+	if s.holder == t {
+		s.mu.Unlock()
 		return
 	}
-	<-t.resume
+	if exiting {
+		return // the body returns and the worker parks, mu still held (see drive)
+	}
+	t.w.park()
 	if t.killed.Load() {
 		panic(killSentinel{})
 	}
-}
-
-// handOff passes the baton to next, or wakes the Run goroutine when the group
-// is over (next == nil). Neither send blocks: a thread is only ever sent a
-// token while it is parked or about to park, and a group ends once.
-func (s *Scheduler) handOff(next *Thread) {
-	if next == nil {
-		s.end <- struct{}{}
-		return
-	}
-	s.holder = next
-	next.resume <- struct{}{}
 }
 
 // next chooses the thread that runs after the current scheduling step, nil
@@ -858,14 +893,11 @@ var watchdogTimersLive atomic.Int64
 // flight; tests use it to assert timer hygiene.
 func WatchdogTimersLive() int64 { return watchdogTimersLive.Load() }
 
-// await sleeps until the running group is over. With a watchdog armed it
-// wakes once per interval to compare the progress counter with the previous
-// sample; an interval without a scheduling step abandons the execution.
+// await sleeps until the group driven on the helper goroutine is over. It
+// wakes once per watchdog interval to compare the progress counter with the
+// previous sample; an interval without a scheduling step abandons the
+// execution.
 func (s *Scheduler) await() {
-	if s.cfg.Watchdog <= 0 {
-		<-s.end
-		return
-	}
 	tick := time.NewTicker(s.cfg.Watchdog)
 	watchdogTimersLive.Add(1)
 	defer func() {
@@ -882,11 +914,9 @@ func (s *Scheduler) await() {
 		case <-tick.C:
 		}
 		s.mu.Lock()
-		// end is only sent under mu, so an empty channel means the group is
-		// still running, whichever select case won.
-		if s.progress == seen && len(s.end) == 0 {
-			s.hung = true
-			s.mu.Unlock()
+		// transfer clears holder under mu when the group is over, so a holder
+		// means the group is still running, whichever select case won.
+		if s.progress == seen && s.holder != nil {
 			s.abandon()
 			return
 		}
@@ -895,13 +925,19 @@ func (s *Scheduler) await() {
 	}
 }
 
-// abandon force-terminates an execution whose running thread stopped
-// cooperating. Every unfinished thread is marked killed and handed a resume
-// token; parked threads unwind promptly via the kill sentinel, and the
-// non-cooperative thread self-destructs at its next scheduling step — if it
-// ever reaches one. Threads that do not unwind within the grace period are
-// recorded as leaked.
+// abandon force-terminates an execution whose holder stopped cooperating. It
+// is called with mu held and sets the hung flag, and marks every unfinished
+// thread killed and its worker abandoned, under that same lock: a thread that
+// reaches a scheduling step from now on unwinds, and its worker ends after
+// it. Since a thread that switches away parks with mu held, every unfinished
+// thread but the holder is parked or has not started. Each of those is
+// resumed on a goroutine of its own, all at once, and unwinds via the kill
+// sentinel. The holder belongs to the goroutine driving the group, which is
+// inside its resume: it unwinds, and its worker and that goroutine end, if it
+// ever reaches a point or returns. Threads that do not unwind within the
+// grace period are recorded as leaked.
 func (s *Scheduler) abandon() {
+	s.hung = true
 	waiting := make(map[*Thread]bool)
 	for _, t := range s.threads {
 		switch t.getState() {
@@ -909,10 +945,18 @@ func (s *Scheduler) abandon() {
 			continue
 		}
 		t.killed.Store(true)
+		t.w.abandoned.Store(true)
 		waiting[t] = true
 	}
-	// Retiring the pool hands every worker a token, the killed threads' among
-	// them, and keeps this execution's goroutines and channels out of the next.
+	s.mu.Unlock()
+	for t := range waiting {
+		if t != s.holder {
+			go t.w.resume()
+		}
+	}
+	// The pool stops its parked workers and forgets every worker and channel,
+	// so a leaked thread waking up or a late send on dead cannot reach a later
+	// execution.
 	s.pool.retire()
 	deadline := time.NewTimer(s.cfg.abandonGrace())
 	defer deadline.Stop()
@@ -951,21 +995,19 @@ func allFinished(group []*Thread) bool {
 	return true
 }
 
-// killAll unwinds every goroutine that has not finished so that executions do
-// not leak goroutines. Threads parked on their resume channel observe the
-// killed flag and panic with the kill sentinel, which their wrapper recovers.
+// killAll unwinds every thread that has not finished, so that its worker parks
+// empty for the next execution. A killed thread resumed where it parked
+// panics with the kill sentinel, which its wrapper recovers; one that never
+// ran sees the mark before its body starts.
 func (s *Scheduler) killAll() {
 	for _, t := range s.threads {
-		if t.getState() == stateFinished {
-			continue
-		}
-		if t.getState() == stateDiverged {
-			// The goroutine already unwound via the divergence sentinel.
+		switch t.getState() {
+		case stateFinished, stateDiverged:
+			// A diverged thread already unwound via the divergence sentinel.
 			continue
 		}
 		t.killed.Store(true)
-		t.resume <- struct{}{}
-		<-s.dead
+		t.w.resume()
 		t.setState(stateFinished)
 	}
 }

@@ -11,15 +11,16 @@ import "sort"
 // no locking of their own; registration and signaling are atomic with respect
 // to the surrounding instrumented operation.
 type WaitSet struct {
-	waiters  map[*Thread]bool // value: pending signal
-	ordering []*Thread        // registration order, for deterministic Signal
-	footLoc  int              // loc+1 for footprint attribution, 0 = unset
+	waiters []waiter // registration order, for deterministic Signal
+	footLoc int      // loc+1 for footprint attribution, 0 = unset
 }
 
-func (ws *WaitSet) init() {
-	if ws.waiters == nil {
-		ws.waiters = make(map[*Thread]bool)
-	}
+// waiter is one registered thread and whether a signal is pending for it. A
+// wait set holds a handful of them, so it is searched linearly; matching is by
+// *Thread, which is never reused.
+type waiter struct {
+	t      *Thread
+	signal bool
 }
 
 // SetFootprintLoc attributes the wait set's operations to a shared-memory
@@ -47,16 +48,24 @@ func (ws *WaitSet) touch(t *Thread) {
 	}
 }
 
+// find returns the index of t's registration, -1 if it has none.
+func (ws *WaitSet) find(t *Thread) int {
+	for i := range ws.waiters {
+		if ws.waiters[i].t == t {
+			return i
+		}
+	}
+	return -1
+}
+
 // Register announces that the thread is about to wait. A signal arriving
 // between Register and Wait is not lost: Wait returns immediately. This makes
 // the condition-variable pattern (register, release lock, wait, reacquire)
 // free of lost wakeups.
 func (ws *WaitSet) Register(t *Thread) {
-	ws.init()
 	ws.touch(t)
-	if _, ok := ws.waiters[t]; !ok {
-		ws.waiters[t] = false
-		ws.ordering = append(ws.ordering, t)
+	if ws.find(t) < 0 {
+		ws.waiters = append(ws.waiters, waiter{t: t})
 	}
 }
 
@@ -64,10 +73,9 @@ func (ws *WaitSet) Register(t *Thread) {
 // and a signal already arrived, Wait consumes it and returns immediately.
 // Threads that did not Register first are registered implicitly.
 func (ws *WaitSet) Wait(t *Thread) {
-	ws.init()
 	ws.touch(t)
-	if sig, ok := ws.waiters[t]; ok && sig {
-		ws.remove(t)
+	if i := ws.find(t); i >= 0 && ws.waiters[i].signal {
+		ws.remove(i)
 		return
 	}
 	ws.Register(t)
@@ -76,29 +84,30 @@ func (ws *WaitSet) Wait(t *Thread) {
 	// set the state back to runnable); deregister. The consumption mutates
 	// the wait set inside the woken thread's window, so touch again.
 	ws.touch(t)
-	ws.remove(t)
+	ws.remove(ws.find(t))
 }
 
-func (ws *WaitSet) remove(t *Thread) {
-	delete(ws.waiters, t)
-	for i, w := range ws.ordering {
-		if w == t {
-			ws.ordering = append(ws.ordering[:i], ws.ordering[i+1:]...)
-			break
-		}
+func (ws *WaitSet) remove(i int) {
+	if i >= 0 {
+		ws.waiters = append(ws.waiters[:i], ws.waiters[i+1:]...)
+	}
+}
+
+// wake gives the i'th waiter its signal and makes it runnable if it parked.
+func (ws *WaitSet) wake(i int) {
+	w := &ws.waiters[i]
+	w.signal = true
+	if w.t.getState() == stateBlocked {
+		w.t.setState(stateRunnable)
 	}
 }
 
 // Broadcast wakes every registered waiter. Waiters that have not parked yet
 // keep a pending signal so their Wait returns immediately.
 func (ws *WaitSet) Broadcast(t *Thread) {
-	ws.init()
 	ws.touch(t)
-	for w := range ws.waiters {
-		ws.waiters[w] = true
-		if w.getState() == stateBlocked {
-			w.setState(stateRunnable)
-		}
+	for i := range ws.waiters {
+		ws.wake(i)
 	}
 }
 
@@ -107,14 +116,10 @@ func (ws *WaitSet) Broadcast(t *Thread) {
 // wakeup order is modeled by the scheduler's interleaving choices after the
 // wakeup.
 func (ws *WaitSet) Signal(t *Thread) {
-	ws.init()
 	ws.touch(t)
-	for _, w := range ws.ordering {
-		if sig := ws.waiters[w]; !sig {
-			ws.waiters[w] = true
-			if w.getState() == stateBlocked {
-				w.setState(stateRunnable)
-			}
+	for i := range ws.waiters {
+		if !ws.waiters[i].signal {
+			ws.wake(i)
 			return
 		}
 	}
@@ -124,8 +129,8 @@ func (ws *WaitSet) Signal(t *Thread) {
 // a debugging and testing aid.
 func (ws *WaitSet) Waiters() []ThreadID {
 	var ids []ThreadID
-	for w := range ws.waiters {
-		ids = append(ids, w.id)
+	for _, w := range ws.waiters {
+		ids = append(ids, w.t.id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
