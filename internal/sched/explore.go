@@ -118,7 +118,7 @@ type explorer struct {
 	stack   []*choice
 	depth   int
 	budget  int
-	// pool carries worker goroutines and scheduler buffers from one execution
+	// pool carries worker coroutines and scheduler buffers from one execution
 	// to the next; free holds the nodes advanceAbove popped, for Pick to reuse.
 	pool pool
 	free []*choice
@@ -154,7 +154,7 @@ func newExplorer(cfg ExploreConfig, co *coordinator) *explorer {
 	}
 }
 
-// finish ends the explorer's worker goroutines, so every owner of an explorer
+// finish ends the explorer's worker coroutines, so every owner of an explorer
 // defers it: a re-panicked controller fault must not leak them.
 func (e *explorer) finish() {
 	e.pool.retire()

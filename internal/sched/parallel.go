@@ -467,6 +467,12 @@ func explorePool(cfg ExploreConfig, pcfg ParallelConfig, u WorkUnit, newProg fun
 					co.help(e, prog, visit)
 				}()
 			}
+			// A helper's first pop registers it as a waiter, which makes this
+			// worker split. Executions never yield the processor (a thread
+			// switch is a coroutine switch), so yield once: with fewer
+			// processors than workers the helpers would otherwise first run
+			// at a preemption, long after that split.
+			runtime.Gosched()
 		}
 	}
 	e := newExplorer(cfg, co)

@@ -81,7 +81,7 @@ func ExploreRandom(cfg RandomConfig, prog Program, visit func(*Outcome, Pos) boo
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var stats ExploreStats
 	pos := make(Pos, 1)
-	// The runs share worker goroutines and scheduler buffers, as an explorer's
+	// The runs share worker coroutines and scheduler buffers, as an explorer's
 	// executions do.
 	var p pool
 	defer p.retire()

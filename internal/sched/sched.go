@@ -161,7 +161,7 @@ func (t *Thread) ID() ThreadID { return t.id }
 // Name returns the thread's display name ("A", "B", ...).
 func (t *Thread) Name() string { return t.name }
 
-// killSentinel is panicked inside a thread goroutine when the scheduler
+// killSentinel is panicked inside a thread's body when the scheduler
 // terminates an unfinished execution; the thread wrapper recovers it.
 type killSentinel struct{}
 
@@ -543,16 +543,13 @@ func (p *pool) retire() {
 	*p = pool{}
 }
 
+// loop runs the thread spawn bound, parks, and runs the next one, until stop
+// or an abandonment ends it: a parked worker is only ever resumed after spawn
+// bound it to a thread of the running execution.
 func (w *worker) loop() {
 	for {
-		if t, body := w.t, w.body; t != nil {
-			w.t, w.body = nil, nil
-			t.run(body)
-			if w.abandoned.Load() {
-				return
-			}
-		}
-		if !w.park() {
+		w.t.run(w.body)
+		if w.abandoned.Load() || !w.park() {
 			return
 		}
 	}
@@ -925,17 +922,15 @@ func (s *Scheduler) await() {
 	}
 }
 
-// abandon force-terminates an execution whose holder stopped cooperating. It
-// is called with mu held and sets the hung flag, and marks every unfinished
-// thread killed and its worker abandoned, under that same lock: a thread that
-// reaches a scheduling step from now on unwinds, and its worker ends after
-// it. Since a thread that switches away parks with mu held, every unfinished
-// thread but the holder is parked or has not started. Each of those is
-// resumed on a goroutine of its own, all at once, and unwinds via the kill
-// sentinel. The holder belongs to the goroutine driving the group, which is
-// inside its resume: it unwinds, and its worker and that goroutine end, if it
-// ever reaches a point or returns. Threads that do not unwind within the
-// grace period are recorded as leaked.
+// abandon force-terminates an execution whose holder stopped cooperating.
+// Called with mu held, it sets the hung flag and marks every unfinished
+// thread killed and its worker abandoned under that lock, so a thread that
+// reaches a scheduling step from now on unwinds and its worker ends after it.
+// Every unfinished thread but the holder is parked or has not started (see
+// mu); each is resumed on a goroutine of its own, all at once, to unwind. The
+// holder stays with the goroutine driving the group and unwinds if it ever
+// reaches a point or returns. Threads that do not unwind within the grace
+// period are recorded as leaked.
 func (s *Scheduler) abandon() {
 	s.hung = true
 	waiting := make(map[*Thread]bool)

@@ -88,9 +88,7 @@ func (ws *WaitSet) Wait(t *Thread) {
 }
 
 func (ws *WaitSet) remove(i int) {
-	if i >= 0 {
-		ws.waiters = append(ws.waiters[:i], ws.waiters[i+1:]...)
-	}
+	ws.waiters = append(ws.waiters[:i], ws.waiters[i+1:]...)
 }
 
 // wake gives the i'th waiter its signal and makes it runnable if it parked.
