@@ -13,8 +13,8 @@ import (
 )
 
 // TestWorkerFallbackTypeChecks: go.mod admits a go1.22 toolchain, which has no
-// iter.Pull, and there worker_chan.go stands in for worker_coro.go. No
-// toolchain that runs this test compiles that file, so the test selects the
+// iter.Pull, and there worker_chan.go stands in for worker_coro.go. A go1.23
+// or later toolchain never compiles that file, so the test selects the
 // package's files as go1.22 would and type-checks them, dependencies from
 // source.
 func TestWorkerFallbackTypeChecks(t *testing.T) {
