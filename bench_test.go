@@ -580,10 +580,10 @@ func BenchmarkIncrementalWindows(b *testing.B) {
 	}
 }
 
-// BenchmarkDistWallRatio is the measurement ROADMAP item 8's `dist` bullet
-// asks for: the harness's scaled check-deep (Fig. 9 corrected, an IsSet
-// observer on a third thread, preemption bound 3, sleep sets) through the
-// sequential explorer, the in-process explorer with two workers, and the
+// BenchmarkDistWallRatio prices the unit coordinator behind `check -test`
+// (DESIGN.md §6) against the in-process explorer: the harness's scaled
+// check-deep (Fig. 9 corrected, an IsSet observer on a third thread,
+// preemption bound 3, sleep sets) through the sequential explorer, the in-process explorer with two workers, and the
 // coordinator with two workers, in memory and journaling to a directory. One
 // iteration runs every arm once, starting one arm further along each time,
 // so `-benchtime 10x` is ten alternating runs; the reported metrics are the

@@ -17,16 +17,12 @@ import (
 	"lineup/internal/sched"
 )
 
-// distFixture is a failing 3-thread MSQueue(Pre) test big enough (~2s, 9 work
-// units at depth 2) that a coordinator can be killed mid-run with units both
-// completed and outstanding.
-var distFixture = []string{
-	"dist",
-	"-class", "MSQueue(Pre)",
-	"-test", "Enqueue(1) TryDequeue() TryPeek() / Enqueue(2) TryDequeue() IsEmpty() / TryPeek() IsEmpty()",
-	"-workers", "1",
-	"-depth", "2",
-}
+// distFixtureTest is a failing 3-thread MSQueue(Pre) test that splits into 9
+// work units; distFixture checks it with `check -test` on one worker, so that
+// a run can be killed with units both completed and outstanding.
+const distFixtureTest = "Enqueue(1) TryDequeue() TryPeek() / Enqueue(2) TryDequeue() IsEmpty() / TryPeek() IsEmpty()"
+
+var distFixture = []string{"check", "-class", "MSQueue(Pre)", "-test", distFixtureTest, "-explore-workers", "1"}
 
 // distBaseline runs the fixture uninterrupted and returns its stdout — the
 // verdict line plus the violation report, which is deterministic by
@@ -35,16 +31,16 @@ func distBaseline(t *testing.T, bin string) string {
 	t.Helper()
 	out, err := exec.Command(bin, distFixture...).Output()
 	if err == nil {
-		t.Fatalf("baseline dist run found no violation; fixture broken:\n%s", out)
+		t.Fatalf("baseline run found no violation; fixture broken:\n%s", out)
 	}
 	if !strings.Contains(string(out), "verdict: FAIL") {
-		t.Fatalf("baseline dist run: %v\n%s", err, out)
+		t.Fatalf("baseline run: %v\n%s", err, out)
 	}
 	return string(out)
 }
 
 // TestDistCoordinatorKillResume is the CLI half of the coordinator-crash
-// acceptance gate: a 'lineup dist -dir' coordinator is SIGKILLed after at
+// acceptance gate: a 'lineup check -test -dir' run is SIGKILLed after at
 // least one unit is journaled done, then rerun with the same -dir; the
 // resumed run must restore completed units from the journal (no re-run, no
 // double-count) and print a byte-identical verdict and violation.
@@ -90,38 +86,49 @@ func TestDistCoordinatorKillResume(t *testing.T) {
 	if string(out) != want {
 		t.Fatalf("resumed verdict differs from uninterrupted run:\n--- resumed\n%s\n--- baseline\n%s", out, want)
 	}
-	if !strings.Contains(stderr.String(), " resumed") || strings.Contains(stderr.String(), "0 resumed") {
+	if !strings.Contains(stderr.String(), " resumed") || strings.Contains(stderr.String(), " 0 resumed") {
 		t.Fatalf("resumed run restored no units from the journal:\n%s", stderr.String())
 	}
 }
 
-// TestDistExecWorkerKill runs the coordinator with real worker processes and
-// the built-in fault injection that SIGKILLs one worker right after its first
-// heartbeat: the lease must be reassigned and the merged verdict must not
-// change.
+// TestDistExecWorkerKill runs the fixture through real worker processes of
+// the built binary, with the ExecLauncher's fault injection SIGKILLing unit
+// 1's worker right after its first heartbeat: the lease must be reassigned
+// and the merged result must be the in-process run's.
 func TestDistExecWorkerKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real processes")
 	}
 	bin := buildLineup(t)
-	want := distBaseline(t, bin)
-
-	args := append(append([]string(nil), distFixture...),
-		"-workers", "3", "-exec", "-kill-worker", "1", "-backoff", "5ms")
-	cmd := exec.Command(bin, args...)
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err == nil {
-		t.Fatalf("exec run found no violation:\n%s", out)
+	sub, _, ok := findSubject("MSQueue(Pre)")
+	if !ok {
+		t.Fatal("no MSQueue(Pre)")
 	}
-	if string(out) != want {
-		t.Fatalf("worker-kill verdict differs from clean run:\n--- exec+kill\n%s\n--- baseline\n%s\nstderr:\n%s", out, want, stderr.String())
+	m, err := bench.ParseTest(sub, distFixtureTest)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The injected kill must actually have cost a lease: stderr accounting
-	// keeps the test from passing vacuously if -kill-worker ever stops firing.
-	if !strings.Contains(stderr.String(), "1 worker failures") {
-		t.Fatalf("injected worker kill left no trace in lease accounting:\n%s", stderr.String())
+	cfg := dist.Config{Subject: sub, Test: m, Workers: 3, Backoff: 5 * time.Millisecond}
+	want, _, err := dist.Run(context.Background(), cfg)
+	if err != nil || want.Verdict != core.Fail {
+		t.Fatalf("baseline run: %v, %v; fixture broken", want, err)
+	}
+	cfg.Launcher = &dist.ExecLauncher{Bin: bin, Dir: t.TempDir(), KillUnit: 1}
+	got, stats, err := dist.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("run through worker processes: %v (%+v)", err, stats)
+	}
+	// The injected kill must actually have cost a lease, or the test would pass
+	// vacuously if the injection ever stopped firing.
+	if stats.WorkerFailures != 1 {
+		t.Fatalf("want exactly the injected worker failure, got %+v", stats)
+	}
+	got.Phase1.Duration, got.Phase2.Duration, want.Phase1.Duration, want.Phase2.Duration = 0, 0, 0, 0
+	if got.Verdict != want.Verdict || got.Phase1 != want.Phase1 || got.Phase2 != want.Phase2 {
+		t.Errorf("worker kill: %v %+v %+v\nbaseline: %v %+v %+v", got.Verdict, got.Phase1, got.Phase2, want.Verdict, want.Phase1, want.Phase2)
+	}
+	if g, w := fmt.Sprint(got.Violation), fmt.Sprint(want.Violation); g != w {
+		t.Errorf("first violation differs:\n worker kill %s\n baseline    %s", g, w)
 	}
 }
 
@@ -133,7 +140,7 @@ func TestDistWorkerModeBadJob(t *testing.T) {
 		t.Skip("builds real binaries")
 	}
 	bin := buildLineup(t)
-	out, err := exec.Command(bin, "dist", "-worker", filepath.Join(t.TempDir(), "nope.json")).CombinedOutput()
+	out, err := exec.Command(bin, "worker", filepath.Join(t.TempDir(), "nope.json")).CombinedOutput()
 	ee, ok := err.(*exec.ExitError)
 	if !ok || ee.ProcessState.ExitCode() != 1 {
 		t.Fatalf("want exit 1, got %v:\n%s", err, out)
@@ -145,12 +152,12 @@ func TestDistWorkerModeBadJob(t *testing.T) {
 
 // TestDistExecHonoursOptions: worker processes check what the coordinator
 // planned — the job file carries core.Options and the test whole. A run
-// through an ExecLauncher with the monitor backend and the queue model,
-// GranSync, and a test with init and final sections gives the verdict, the
-// first violation and the phase statistics of the sequential exhaustive
-// check under the same options. (The job file used to carry seven options
-// and the rows: workers fell back to the spec backend at GranAll, and -exec
-// refused init/final sections outright.)
+// through an ExecLauncher with the queue model deciding witnesses, GranSync,
+// and a test with init and final sections gives the verdict, the first
+// violation and the phase statistics of the sequential exhaustive check under
+// the same options. (The job file used to carry seven options and the rows:
+// workers fell back to the spec backend at GranAll, and -exec refused
+// init/final sections outright.)
 func TestDistExecHonoursOptions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a real binary and runs worker processes")
@@ -161,7 +168,7 @@ func TestDistExecHonoursOptions(t *testing.T) {
 		t.Fatal("no ConcurrentQueue")
 	}
 	model, _ := monitor.Builtin("queue")
-	opts := core.Options{PreemptionBound: 2, Granularity: sched.GranSync, WitnessSearch: core.WitnessMonitor, MonitorModel: model}
+	opts := core.Options{PreemptionBound: 2, Granularity: sched.GranSync, MonitorModel: model}
 	for _, c := range []struct {
 		name, test string
 		want       core.Verdict

@@ -39,8 +39,6 @@ func addCheckFlags(fs *flag.FlagSet, o *core.RandomOptions, names ...string) {
 			fs.BoolVar(&o.DetectLeaks, name, o.DetectLeaks, "report goroutines that escape the scheduler and outlive an execution")
 		case "reduction":
 			fs.TextVar(&o.Reduction, name, o.Reduction, "partial-order reduction for phase 2: none or sleep")
-		case "witness":
-			fs.TextVar(&o.WitnessSearch, name, o.WitnessSearch, "phase-2 witness backend: spec (phase-1 lookup) or monitor (model replay; requires -model)")
 		case "consistency":
 			fs.TextVar(&o.Consistency, name, o.Consistency, "correctness criterion: linearizable (default), sequential, quiescent")
 			fs.Lookup(name).DefValue = "" // the usage line names the default; -h need not repeat it

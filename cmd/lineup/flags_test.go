@@ -70,7 +70,7 @@ func TestFlagGolden(t *testing.T) {
 	}
 	bin := buildLineup(t)
 	var got []string
-	for _, cmd := range []string{"check", "table2", "dist", "generate", "verify", "compare", "serve"} {
+	for _, cmd := range []string{"check", "table2", "generate", "verify", "compare", "serve"} {
 		got = append(got, helpFlags(t, bin, cmd)...)
 	}
 	checkGolden(t, "testdata/flags.golden", got)
@@ -118,8 +118,8 @@ func checkGolden(t *testing.T, path string, got []string) {
 
 var readmeFlag = regexp.MustCompile("`-([a-z-]+)")
 
-// TestReadmeFlagTablesMatchHelp: the README's flag tables of `check`, `dist`
-// and `serve` (the table under the heading that ends in `lineup <cmd>`) list
+// TestReadmeFlagTablesMatchHelp: the README's flag tables of `check` and
+// `serve` (the tables under the headings that end in `lineup <cmd>`) list
 // exactly the flags the golden above records for that subcommand, so the
 // documentation cannot drift from -h.
 func TestReadmeFlagTablesMatchHelp(t *testing.T) {
@@ -131,7 +131,7 @@ func TestReadmeFlagTablesMatchHelp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cmd := range []string{"check", "dist", "serve"} {
+	for _, cmd := range []string{"check", "serve"} {
 		want := make(map[string]bool)
 		for _, l := range strings.Split(string(golden), "\n") {
 			if f := strings.Fields(l); len(f) == 3 && f[0] == cmd {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -20,6 +21,7 @@ import (
 	"lineup/internal/bench"
 	"lineup/internal/collections"
 	"lineup/internal/core"
+	"lineup/internal/dist"
 	"lineup/internal/monitor"
 	"lineup/internal/monitor/fast"
 	"lineup/internal/obsfile"
@@ -45,7 +47,7 @@ var commands = []command{
 	{"table1", "", "class inventory (Table 1)", cmdTable1},
 	{"table2", "[flags]", "evaluation results (Table 2)", cmdTable2},
 	{"causes", "[-v]", "directed minimal test per root cause A..L", cmdCauses},
-	{"check", "-class NAME [flags]", "RandomCheck one class", cmdCheck},
+	{"check", "-class NAME [-test SPEC] [flags]", "RandomCheck one class, or check one test as work units", cmdCheck},
 	{"generate", "-class NAME [flags]", "coverage-guided test generation against one class", cmdGenerate},
 	{"monitor", "-trace FILE -model NAME [flags]", "check a recorded JSONL history trace against a model", cmdMonitor},
 	{"serve", "-model NAME [flags]", "stream live JSONL history events through the sharded incremental checker", cmdServe},
@@ -56,10 +58,10 @@ var commands = []command{
 	{"compare", "[flags]", "race + serializability comparison (Section 5.6)", cmdCompare},
 	{"ablate", "", "preemption-bound ablation", cmdAblate},
 	{"memory", "[flags]", "store-buffer (TSO) SC-violation scan (Section 5.7)", cmdMemory},
-	{"dist", "-class NAME -test SPEC [flags]", "fault-tolerant distributed phase-2 exploration", cmdDist},
 	{"record", "-class NAME -test SPEC [-o FILE]", "record an observation file (phase 1)", cmdRecord},
 	{"verify", "-class NAME -test SPEC -obs FILE", "re-check phase 2 against a recorded observation file", cmdVerify},
 	{"list", "", "list the registered classes", cmdList},
+	{"worker", "JOBFILE", "run one work unit of a check -exec run (spawned by it)", cmdWorker},
 }
 
 // errViolation marks a check that found (and already reported) a
@@ -349,14 +351,23 @@ func cmdCheck(args []string) error {
 	class := fs.String("class", "", "class name (see 'lineup list')")
 	ropts := core.RandomOptions{Samples: 100, Rows: 3, Cols: 3, Seed: 1, Workers: runtime.NumCPU()}
 	addCheckFlags(fs, &ropts, "samples", "rows", "cols", "seed", "pb", "workers", "explore-workers",
-		"watchdog", "max-failures", "detect-leaks", "reduction", "witness")
-	ropts.MonitorModel = modelFlag(fs, "sequential model for -witness monitor: ")
+		"watchdog", "max-failures", "detect-leaks", "reduction")
+	ropts.MonitorModel = modelFlag(fs, "decide phase 2's witnesses by replay through this sequential model, not by phase-1 lookup: ")
 	shrink := fs.Bool("shrink", true, "minimize the first failing test")
 	checkpointFile := fs.String("checkpoint", "", "save progress to FILE (atomically) after every completed test")
 	resumeFile := fs.String("resume", "", "resume from a checkpoint FILE written by a previous -checkpoint run")
+	testSpec := fs.String("test", "", `check this one test, as work units (-explore-workers of them at a time), e.g. "Enqueue(10) TryDequeue() / Count()"`)
+	dir := fs.String("dir", "", "with -test: journal the work units in DIR, so a killed run resumes where it was")
+	execMode := fs.Bool("exec", false, "with -test: run each work unit in a worker process (kill -9 isolation)")
 	tflags := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch {
+	case *testSpec == "" && (*dir != "" || *execMode):
+		return fmt.Errorf("check: -dir and -exec run one test and need -test")
+	case *testSpec != "" && (*checkpointFile != "" || *resumeFile != ""):
+		return fmt.Errorf("check: -test resumes from its -dir journal, not from -checkpoint/-resume")
 	}
 	sub, pb, ok := findSubject(*class)
 	if !ok {
@@ -368,8 +379,12 @@ func cmdCheck(args []string) error {
 	if ropts.MonitorModel.Name == "" {
 		ropts.MonitorModel = nil
 	}
-	if (ropts.WitnessSearch == core.WitnessMonitor) != (ropts.MonitorModel != nil) {
-		return fmt.Errorf("check: -witness monitor and -model go together (models: %s)", strings.Join(monitor.BuiltinNames(), ", "))
+	if *testSpec != "" {
+		m, err := bench.ParseTest(sub, *testSpec)
+		if err != nil {
+			return err
+		}
+		return checkTest(sub, m, ropts.Options, *dir, *execMode, tflags)
 	}
 	tr, err := tflags.start("check " + sub.Name)
 	if err != nil {
@@ -377,8 +392,8 @@ func cmdCheck(args []string) error {
 	}
 	ropts.Telemetry = tr.C
 	// The shrink re-checks candidates under the options the sweep survived
-	// with (watchdog, failure budget, reduction, witness backend); only the
-	// progress hooks below stay behind.
+	// with (watchdog, failure budget, reduction, model); only the progress
+	// hooks below stay behind.
 	shrinkOpts := ropts.Options
 	if ropts.ExploreWorkers() > 1 {
 		ropts.ShardProgress = tr.shardProgress()
@@ -441,6 +456,64 @@ func cmdCheck(args []string) error {
 		}
 	}
 	return nil
+}
+
+// checkTest is `check -test`: the one test's phase-2 schedule tree is cut
+// into work units, opts.Workers of them run at a time, and dist.Run merges
+// them into the verdict of the sequential exhaustive check. dir journals the
+// units, so a killed run resumes without redoing a finished one; execMode runs
+// each unit in a worker process ("lineup worker JOBFILE").
+func checkTest(sub *core.Subject, m *core.Test, opts core.Options, dir string, execMode bool, tflags *telemetryFlags) error {
+	tr, err := tflags.start("check " + sub.Name)
+	if err != nil {
+		return err
+	}
+	opts.Telemetry = tr.C
+	cfg := dist.Config{Subject: sub, Test: m, Options: opts, Dir: dir, Workers: opts.Workers, Telemetry: tr.C}
+	if execMode {
+		bin, err := os.Executable()
+		if err != nil {
+			return err
+		}
+		jobDir := dir
+		if jobDir == "" {
+			jobDir, err = os.MkdirTemp("", "lineup-units-*")
+			if err != nil {
+				return err
+			}
+			defer os.RemoveAll(jobDir)
+		}
+		cfg.Launcher = &dist.ExecLauncher{Bin: bin, Dir: jobDir, KillUnit: -1}
+	}
+	res, stats, err := dist.Run(context.Background(), cfg)
+	// Lease traffic is timing-dependent, so everything but the verdict goes to
+	// stderr; stdout stays deterministic for a given class, test and options.
+	fmt.Fprintf(os.Stderr, "units: %d total, %d done, %d resumed, %d poisoned; leases: %d granted, %d expired, %d retries, %d stale, %d worker failures\n",
+		stats.Units, stats.Done, stats.Resumed, stats.Poisoned,
+		stats.LeasesGranted, stats.LeasesExpired, stats.Retries, stats.StaleReports, stats.WorkerFailures)
+	if err = tr.finishAfter(err); err != nil {
+		return err
+	}
+	fmt.Printf("verdict: %v (%d histories, %d stuck, %d schedules)\n",
+		res.Verdict, res.Phase2.Histories, res.Phase2.Stuck, res.Phase2.Executions)
+	if res.Violation != nil {
+		fmt.Println(indent(res.Violation.String()))
+		return errViolation
+	}
+	return nil
+}
+
+// cmdWorker runs the one work unit its job file names and writes the report
+// the file asks for; a `check -exec` run spawns it once per leased unit.
+func cmdWorker(args []string) error {
+	if len(args) != 1 {
+		return fmt.Errorf("worker takes one argument, the job file a check -exec run writes")
+	}
+	resolve := func(name string) (*core.Subject, bool) {
+		sub, _, ok := findSubject(name)
+		return sub, ok
+	}
+	return dist.RunWorker(args[0], resolve, os.Stdout)
 }
 
 // findSubject resolves a class name against both registries: the Go-native

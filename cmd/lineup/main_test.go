@@ -253,11 +253,12 @@ func TestCmdCheckReductionFlag(t *testing.T) {
 	}
 }
 
-// TestCmdWitnessRefusals: the witness values and flags the CLI does not
-// offer are refused up front — before any test is sampled, any trace is
-// opened (the path below does not exist) or any server is started — through
-// the real process boundary, since an undefined flag and a value its type's
-// UnmarshalText refuses both exit 2 from flag.Parse.
+// TestCmdWitnessRefusals: the witness values and flag combinations the CLI
+// does not offer are refused up front — before any test is sampled or run,
+// any trace, checkpoint or journal is opened (the path below does not exist)
+// or any server is started — through the real process boundary, since an
+// undefined flag and a value its type's UnmarshalText refuses both exit 2
+// from flag.Parse.
 func TestCmdWitnessRefusals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a real binary; skipped in -short mode")
@@ -269,16 +270,22 @@ func TestCmdWitnessRefusals(t *testing.T) {
 		code int
 		want string
 	}{
-		{[]string{"check", "-class", "ConcurrentStack", "-witness", "fast", "-model", "stack"},
-			2, `unknown witness backend "fast" (spec or monitor)`},
 		{[]string{"check", "-class", "ConcurrentStack", "-reduction", "bogus"},
 			2, `unknown reduction "bogus" (want none or sleep)`},
-		{[]string{"check", "-class", "ConcurrentStack", "-witness", "monitor", "-model", "deque"},
+		{[]string{"check", "-class", "ConcurrentStack", "-model", "deque"},
 			2, `unknown model "deque" (one of queue, `},
-		{[]string{"check", "-class", "ConcurrentStack", "-witness", "monitor"},
-			1, "-witness monitor and -model go together"},
-		{[]string{"check", "-class", "ConcurrentStack", "-model", "stack"},
-			1, "-witness monitor and -model go together"},
+		{[]string{"check", "-class", "ConcurrentStack", "-witness", "monitor", "-model", "stack"},
+			2, "flag provided but not defined: -witness"},
+		{[]string{"check", "-class", "ConcurrentStack", "-dir", missing},
+			1, "-dir and -exec run one test and need -test"},
+		{[]string{"check", "-class", "ConcurrentStack", "-exec"},
+			1, "-dir and -exec run one test and need -test"},
+		{[]string{"check", "-class", "ConcurrentStack", "-test", "Push(1) / TryPop()", "-checkpoint", missing},
+			1, "-test resumes from its -dir journal, not from -checkpoint/-resume"},
+		{[]string{"check", "-class", "ConcurrentStack", "-test", "Push(1) / TryPop()", "-resume", missing},
+			1, "-test resumes from its -dir journal, not from -checkpoint/-resume"},
+		{[]string{"dist", "-class", "ConcurrentStack", "-test", "Push(1) / TryPop()"},
+			2, `unknown subcommand "dist"`},
 		{[]string{"monitor", "-trace", missing, "-model", "queue", "-window", "8", "-witness", "fast"},
 			1, "-witness fast applies to whole-file checks only"},
 		{[]string{"serve", "-model", "queue", "-trace", missing, "-witness", "wgl"},

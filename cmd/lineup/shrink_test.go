@@ -44,7 +44,7 @@ func flakyCounter() *core.Subject {
 // failing test under the options the sweep ran with. It used to shrink with
 // the preemption bound alone, so a sweep that got past a panicking subject
 // thanks to -max-failures aborted in the shrink at the first panic, and a
-// sweep judged by -witness monitor was shrunk by the spec backend — which on
+// sweep judged by a -model was shrunk by the spec backend — which on
 // a test only the model rejects found nothing to shrink and crashed printing
 // the violation it did not have.
 func TestCmdCheckShrinkKeepsSweepOptions(t *testing.T) {
@@ -70,7 +70,7 @@ func TestCmdCheckShrinkKeepsSweepOptions(t *testing.T) {
 	// model rejects these tests, so the shrink has to ask the model too.
 	out = captureStdout(t, func() error {
 		return cmdCheck([]string{"-class", "ConcurrentBag", "-samples", "3", "-rows", "2", "-cols", "2",
-			"-workers", "1", "-witness", "monitor", "-model", "queue"})
+			"-workers", "1", "-model", "queue"})
 	})
 	for _, want := range []string{"first failing test:", "shrunk to ", "Line-Up encountered a violation"} {
 		if !strings.Contains(out, want) {

@@ -11,13 +11,14 @@ import (
 	"lineup/internal/sched"
 )
 
-// TestLegalWitnessCells walks the legal half of the witness axis: both
-// backends × both reductions × one and two exploration workers, on three
-// passing subjects and the two failing cause cases that have an executable
-// model. Within a reduction every cell must reproduce the sequential
-// spec-lookup run — verdict, violation kind, first violating history and the
-// phase-2 execution, history and stuck counts — and the reductions must agree
-// on the verdict and the violation kind.
+// TestLegalWitnessCells walks the legal half of the witness axis: model unset
+// (phase-1 lookup decides) and set (model replay decides) × both reductions ×
+// one and two exploration workers, on three passing subjects and the two
+// failing cause cases that have an executable model. Within a reduction every
+// cell must reproduce the sequential spec-lookup run — verdict, violation
+// kind, first violating history and the phase-2 execution, history and stuck
+// counts — and the reductions must agree on the verdict and the violation
+// kind.
 func TestLegalWitnessCells(t *testing.T) {
 	type cellCase struct {
 		name  string
@@ -55,21 +56,19 @@ func TestLegalWitnessCells(t *testing.T) {
 			var first *core.Result
 			for _, red := range []sched.Reduction{sched.ReductionNone, sched.ReductionSleep} {
 				var base *core.Result
-				for _, ws := range []core.WitnessSearch{core.WitnessSpec, core.WitnessMonitor} {
+				for _, mod := range []*monitor.Model{nil, model} {
 					for _, workers := range []int{1, 2} {
-						// MonitorModel is ignored by the spec backend.
-						opts := core.Options{PreemptionBound: c.bound, Reduction: red,
-							WitnessSearch: ws, MonitorModel: model, Workers: workers}
+						opts := core.Options{PreemptionBound: c.bound, Reduction: red, MonitorModel: mod, Workers: workers}
 						requireWrittenFormRoundTrips(t, opts)
+						tag := fmt.Sprintf("reduction=%v model=%s workers=%d", red, modelName(mod), workers)
 						got, err := core.Check(c.sub, c.m, opts)
 						if err != nil {
-							t.Fatalf("reduction=%v witness=%v workers=%d: %v", red, ws, workers, err)
+							t.Fatalf("%s: %v", tag, err)
 						}
 						if base == nil {
 							base = got // spec lookup on one worker
 							continue
 						}
-						tag := fmt.Sprintf("reduction=%v witness=%v workers=%d", red, ws, workers)
 						if got.Verdict != base.Verdict || violation(got) != violation(base) {
 							t.Fatalf("%s: verdict %v, violation %s\nbaseline: verdict %v, violation %s",
 								tag, got.Verdict, violation(got), base.Verdict, violation(base))
@@ -107,11 +106,19 @@ func requireWrittenFormRoundTrips(t *testing.T, o core.Options) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("reading %s: %v", data, err)
 	}
-	if back.MonitorModel == nil || back.MonitorModel.Name != o.MonitorModel.Name {
+	if modelName(back.MonitorModel) != modelName(o.MonitorModel) {
 		t.Fatalf("%s: the model came back as %+v", data, back.MonitorModel)
 	}
 	back.MonitorModel, o.MonitorModel = nil, nil
 	if !reflect.DeepEqual(back, o) {
 		t.Fatalf("%s read back as %+v, wrote %+v", data, back, o)
 	}
+}
+
+// modelName names a cell's model, "unset" for none.
+func modelName(m *monitor.Model) string {
+	if m == nil {
+		return "unset"
+	}
+	return m.Name
 }

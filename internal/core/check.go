@@ -57,7 +57,7 @@ type Options struct {
 	// strict linearizability (the zero value), sequential consistency, or
 	// quiescent consistency (see the Consistency constants). The relaxed
 	// criteria require the spec-lookup witness backend; combining them with
-	// WitnessMonitor is an error. Stuck histories are always checked
+	// a MonitorModel is an error. Stuck histories are always checked
 	// strictly.
 	Consistency Consistency `json:"consistency,omitempty"`
 	// Coverage, when non-nil, accumulates the (MemKind, location) footprint
@@ -81,11 +81,10 @@ type Options struct {
 	SampleSeed int64 `json:"sample_seed,omitempty"`
 	// PCTDepth is the PCT bug-depth parameter (0 = default).
 	PCTDepth int `json:"pct_depth,omitempty"`
-	// WitnessSearch selects phase 2's witness decision backend: spec-set
-	// lookup (the default, Fig. 5) or the monitor's model-replay search.
-	WitnessSearch WitnessSearch `json:"witness,omitempty"`
-	// MonitorModel is the executable sequential model consulted when
-	// WitnessSearch is WitnessMonitor (see CheckWithMonitor).
+	// MonitorModel, when non-nil, decides phase 2's witnesses by replaying
+	// candidate linearizations through this executable sequential model (the
+	// monitor's search, see CheckWithMonitor) instead of by lookup in the
+	// phase-1 specification (Fig. 5).
 	MonitorModel *monitor.Model `json:"model,omitempty"`
 	// Workers is the number of goroutines that explore the phase-2 schedule
 	// space of one check (sched.ExploreParallel). It cannot be observed in a
@@ -184,16 +183,13 @@ func (e *OptionsError) Error() string {
 // specification is available to phase 2 (it is not under CheckWithMonitor);
 // dist says whether the check is split into work units.
 func (o Options) validate(haveSpec, dist bool) error {
-	usesModel := o.WitnessSearch == WitnessMonitor
 	switch {
-	case o.Consistency != Linearizability && usesModel:
+	case o.Consistency != Linearizability && o.MonitorModel != nil:
 		return &OptionsError{"Consistency", fmt.Sprintf("%s consistency requires the spec-lookup witness backend", o.Consistency)}
 	case o.Consistency != Linearizability && !haveSpec:
 		return &OptionsError{"Consistency", fmt.Sprintf("%s consistency requires a phase-1 specification", o.Consistency)}
-	case usesModel && o.MonitorModel == nil:
-		return &OptionsError{"MonitorModel", "the monitor witness backend requires a model"}
-	case !usesModel && !haveSpec:
-		return &OptionsError{"WitnessSearch", "the spec-lookup witness backend requires a synthesized specification"}
+	case o.MonitorModel == nil && !haveSpec:
+		return &OptionsError{"MonitorModel", "without a phase-1 specification the witness search needs a model"}
 	case dist && o.SampleSchedules > 0:
 		return &OptionsError{"SampleSchedules", "schedule sampling cannot be distributed (units are DFS subtrees)"}
 	case o.DetectLeaks && o.Workers > 1:

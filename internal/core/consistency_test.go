@@ -41,17 +41,16 @@ func TestParseConsistency(t *testing.T) {
 }
 
 // TestConsistencyRequiresSpecBackend: the relaxed criteria are defined
-// relative to the phase-1 specification, so combining them with the monitor
-// witness backend is a configuration error, not a silent fallback.
+// relative to the phase-1 specification, so combining them with a model that
+// decides witnesses is a configuration error, not a silent fallback.
 func TestConsistencyRequiresSpecBackend(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	sub := counterSubject()
 	inc, get, _ := counterOps()
 	m := &core.Test{Rows: [][]core.Op{{inc}, {get}}}
 	_, err := core.Check(sub, m, core.Options{
-		Consistency:   core.SequentialConsistency,
-		WitnessSearch: core.WitnessMonitor,
-		MonitorModel:  monitor.CounterModel(),
+		Consistency:  core.SequentialConsistency,
+		MonitorModel: monitor.CounterModel(),
 	})
 	if err == nil || !strings.Contains(err.Error(), "spec-lookup") {
 		t.Fatalf("expected a spec-lookup requirement error, got %v", err)

@@ -12,9 +12,10 @@ import (
 
 // Distributed checking support: PlanUnits splits a check's phase-2 schedule
 // tree into sched.WorkUnits, CheckUnit runs phase 2 over exactly one unit in
-// any process (re-synthesizing the deterministic phase-1 spec locally, so a
-// worker needs nothing but the subject, the test, the options, and the
-// unit), and MergeUnitReports folds the per-unit reports back into a Result.
+// any process (given the plan's phase-1 spec, or re-synthesizing the
+// deterministic spec locally, so a worker needs nothing but the subject, the
+// test, the options, and the unit), and MergeUnitReports folds the per-unit
+// reports back into a Result.
 // The merge folds the reports into the same accumulator every in-process path
 // feeds and resolves it by the same min-position precedence — every violating
 // key and every failure carries its sched.Pos, which orders executions of all
@@ -132,26 +133,18 @@ func PlanUnits(sub *Subject, m *Test, opts Options, depth int) (*UnitPlan, error
 }
 
 // CheckUnit runs phase 2 over exactly one work unit and returns its report.
-// The phase-1 specification is re-synthesized locally — phase 1 is serial and
-// deterministic, so every worker computes the same spec — which keeps units
-// self-contained enough to ship to a worker process as a small JSON file.
+// spec is the phase-1 specification of the unit's plan; a nil spec is
+// synthesized here. Phase 1 is serial and deterministic, so either way the
+// report is byte-identical, and a unit stays self-contained enough to ship to
+// a worker process as a small JSON file; handing the plan's spec over skips
+// the re-synthesis that otherwise dominates small units (EXPERIMENTS.md).
 //
 // tick, when non-nil, is called once per execution before it is processed;
 // returning false aborts the unit with ErrUnitAborted. Workers use it to
 // emit heartbeats and to notice a revoked lease. Failed executions (panic,
 // hang) never abort the unit: they are classified and recorded in the report,
 // and the merge applies Options.MaxFailures with sequential precedence.
-func CheckUnit(sub *Subject, m *Test, opts Options, u sched.WorkUnit, tick func() bool) (*UnitReport, error) {
-	return CheckUnitWithSpec(sub, m, opts, u, nil, tick)
-}
-
-// CheckUnitWithSpec is CheckUnit with the phase-1 specification supplied by
-// the caller — typically shipped inside an exec worker's job file, so small
-// units skip the per-unit re-synthesis that otherwise dominates their cost
-// (see EXPERIMENTS.md). A nil spec synthesizes locally, which is what
-// CheckUnit does. Phase 1 is deterministic, so a faithfully transported spec
-// yields a byte-identical unit report.
-func CheckUnitWithSpec(sub *Subject, m *Test, opts Options, u sched.WorkUnit, spec *history.Spec, tick func() bool) (*UnitReport, error) {
+func CheckUnit(sub *Subject, m *Test, opts Options, u sched.WorkUnit, spec *history.Spec, tick func() bool) (*UnitReport, error) {
 	if err := opts.validate(true, true); err != nil {
 		return nil, err
 	}

@@ -1,53 +1,10 @@
 package core
 
 import (
-	"fmt"
-
 	"lineup/internal/history"
 	"lineup/internal/monitor"
 	"lineup/internal/telemetry"
 )
-
-// WitnessSearch selects phase 2's witness decision backend.
-type WitnessSearch int
-
-const (
-	// WitnessSpec (the default) decides witness existence by lookup in the
-	// phase-1 synthesized specification set, the Check(X, m) algorithm of
-	// Fig. 5.
-	WitnessSpec WitnessSearch = iota
-	// WitnessMonitor decides witness existence by replaying candidate
-	// linearizations of each observed history through an executable
-	// sequential model with the internal/monitor Wing–Gong search. Phase 1
-	// is not consulted: the model plays the role of the specification
-	// directly, so no serial enumeration is needed.
-	WitnessMonitor
-)
-
-// String renders the backend's text form.
-func (w WitnessSearch) String() string {
-	if w == WitnessMonitor {
-		return "monitor"
-	}
-	return "spec"
-}
-
-// MarshalText and UnmarshalText give a WitnessSearch its one text form
-// ("spec", "monitor"; empty reads as spec): the spelling of the -witness flag
-// and of every file a check is written down in.
-func (w WitnessSearch) MarshalText() ([]byte, error) { return []byte(w.String()), nil }
-
-func (w *WitnessSearch) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "", "spec":
-		*w = WitnessSpec
-	case "monitor":
-		*w = WitnessMonitor
-	default:
-		return fmt.Errorf("core: unknown witness backend %q (spec or monitor)", b)
-	}
-	return nil
-}
 
 // witnessBackend abstracts the phase-2 witness decision procedure over the
 // three checks of Fig. 5: complete histories, classic pending treatment, and
@@ -58,10 +15,10 @@ type witnessBackend interface {
 	witnessStuck(h *history.History, e history.Op) (bool, error)
 }
 
-// witnessBackend resolves the backend selected by the (validated) options.
-// spec may be nil when the monitor backend is selected.
+// witnessBackend resolves the backend selected by the (validated) options:
+// model replay when they name a model, else lookup in spec.
 func (o Options) witnessBackend(spec *history.Spec) witnessBackend {
-	if o.WitnessSearch == WitnessMonitor {
+	if o.MonitorModel != nil {
 		return monitorBackend{model: o.MonitorModel, tel: o.Telemetry}
 	}
 	return specBackend{spec: spec}
@@ -120,7 +77,6 @@ func (b monitorBackend) witnessStuck(h *history.History, e history.Op) (bool, er
 // the specification. ClassicOnly selects the original Definition 1 treatment
 // of pending operations, as in CheckAgainstModel.
 func CheckWithMonitor(sub *Subject, model *monitor.Model, m *Test, opts RefOptions) (*Result, error) {
-	opts.WitnessSearch = WitnessMonitor
 	opts.MonitorModel = model
 	mode := modeGeneralized
 	if opts.ClassicOnly {

@@ -38,7 +38,10 @@ func TestIllegalOptionsRefused(t *testing.T) {
 		}
 	}
 	planUnits := func(o core.Options) error { _, err := core.PlanUnits(sub, m, o, 1); return err }
-	checkUnit := func(o core.Options) error { _, err := core.CheckUnit(sub, m, o, sched.WorkUnit{}, nil); return err }
+	checkUnit := func(o core.Options) error {
+		_, err := core.CheckUnit(sub, m, o, sched.WorkUnit{}, nil, nil)
+		return err
+	}
 	randomCheck2 := func(o core.Options) error {
 		_, err := core.RandomCheck(sub, nil, core.RandomOptions{Options: o, Workers: 2, Samples: 1})
 		return err
@@ -51,8 +54,8 @@ func TestIllegalOptionsRefused(t *testing.T) {
 		entries []func(core.Options) error
 		field   string
 	}{
-		{"relaxed consistency x monitor backend",
-			core.Options{Consistency: core.SequentialConsistency, WitnessSearch: core.WitnessMonitor, MonitorModel: model},
+		{"relaxed consistency x model",
+			core.Options{Consistency: core.SequentialConsistency, MonitorModel: model},
 			entries(check, againstSpec(spec), planUnits, checkUnit), "Consistency"},
 		{"relaxed consistency x CheckWithMonitor",
 			core.Options{Consistency: core.SequentialConsistency},
@@ -60,12 +63,9 @@ func TestIllegalOptionsRefused(t *testing.T) {
 		{"relaxed consistency x no phase-1 spec",
 			core.Options{Consistency: core.QuiescentConsistency},
 			entries(againstSpec(nil)), "Consistency"},
-		{"monitor backend x no model",
-			core.Options{WitnessSearch: core.WitnessMonitor},
-			entries(check, againstSpec(spec), planUnits, checkUnit, withMonitor(nil)), "MonitorModel"},
-		{"spec backend x no phase-1 spec",
+		{"no model x no phase-1 spec",
 			core.Options{},
-			entries(againstSpec(nil)), "WitnessSearch"},
+			entries(againstSpec(nil), withMonitor(nil)), "MonitorModel"},
 		{"sampling x dist",
 			core.Options{SampleSchedules: 10},
 			entries(planUnits, checkUnit), "SampleSchedules"},

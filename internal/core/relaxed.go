@@ -84,13 +84,8 @@ const RelaxedResult = "*"
 // (Section 5.2.2), a user would relax exactly those methods and keep
 // checking the rest of the class.
 func (o Options) Relax(names ...string) Options {
-	relaxed := make(map[string]bool, len(o.RelaxedOps)+len(names))
-	out := o
-	out.RelaxedOps = append(append([]string(nil), o.RelaxedOps...), names...)
-	for _, n := range out.RelaxedOps {
-		relaxed[n] = true
-	}
-	return out
+	o.RelaxedOps = append(append([]string(nil), o.RelaxedOps...), names...)
+	return o
 }
 
 // relaxedSet builds the lookup set from the options.

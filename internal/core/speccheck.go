@@ -379,9 +379,9 @@ func (s *phase2Acc) stats(explored sched.ExploreStats, failures int, stop *histE
 // phase2 enumerates the concurrent executions of sub on m and checks every
 // distinct history for witness existence under the selected witness mode,
 // delegating the per-history decision to the backend selected by the options
-// (spec-set lookup by default, model replay under WitnessMonitor). It is the
-// shared engine behind Check, CheckAgainstModel, CheckAgainstSpec, and
-// CheckWithMonitor; spec may be nil when the monitor backend is selected.
+// (spec-set lookup by default, model replay when they name a MonitorModel).
+// It is the shared engine behind Check, CheckAgainstModel, CheckAgainstSpec,
+// and CheckWithMonitor; spec may be nil when a model decides.
 // Exhaustive exploration and Options.SampleSchedules differ only in which
 // explorer feeds the accumulator; verdict, violation and statistics are the
 // sequential DFS's for every worker count.

@@ -87,7 +87,7 @@ func TestOptionsWrittenFormRoundTrips(t *testing.T) {
 		{Consistency: core.SequentialConsistency, RelaxedOps: []string{"Count()", "TryTake()"}},
 		{Consistency: core.QuiescentConsistency, MaxExecutionsPerPhase: 5000, KeepSpec: true, ExhaustPhase2: true},
 		{SampleSchedules: 100, SampleStrategy: sched.StrategyPCT, SampleSeed: -7, PCTDepth: 4},
-		{WitnessSearch: core.WitnessMonitor, Workers: 3, Watchdog: 1500000000, DetectLeaks: true, MaxFailures: 9},
+		{Workers: 3, Watchdog: 1500000000, DetectLeaks: true, MaxFailures: 9},
 	}
 	for _, o := range cases {
 		if back := roundTrip(t, o); !reflect.DeepEqual(back, o) {
@@ -96,17 +96,17 @@ func TestOptionsWrittenFormRoundTrips(t *testing.T) {
 	}
 	for _, name := range monitor.BuiltinNames() {
 		model, _ := monitor.Builtin(name)
-		back := roundTrip(t, core.Options{WitnessSearch: core.WitnessMonitor, MonitorModel: model})
-		if back.WitnessSearch != core.WitnessMonitor || back.MonitorModel == nil || back.MonitorModel.Name != name || back.MonitorModel.Step == nil {
+		back := roundTrip(t, core.Options{MonitorModel: model})
+		if back.MonitorModel == nil || back.MonitorModel.Name != name || back.MonitorModel.Step == nil {
 			t.Errorf("model %q came back as %+v", name, back.MonitorModel)
 		}
 	}
 	var o core.Options
-	err := json.Unmarshal([]byte(`{"witness":"monitor","model":"deque"}`), &o)
+	err := json.Unmarshal([]byte(`{"model":"deque"}`), &o)
 	if err == nil || !strings.Contains(err.Error(), `unknown model "deque"`) {
 		t.Errorf("an unknown model name read as %+v, err %v; want an error naming it", o.MonitorModel, err)
 	}
-	for _, bad := range []string{`{"reduction":"dpor"}`, `{"granularity":"op"}`, `{"sample_strategy":"bfs"}`, `{"consistency":"eventual"}`, `{"witness":"fast"}`} {
+	for _, bad := range []string{`{"reduction":"dpor"}`, `{"granularity":"op"}`, `{"sample_strategy":"bfs"}`, `{"consistency":"eventual"}`} {
 		if err := json.Unmarshal([]byte(bad), &o); err == nil {
 			t.Errorf("%s was read without an error", bad)
 		}

@@ -1,9 +1,10 @@
-// Package dist distributes phase-2 exploration across worker processes with
-// lease-based fault tolerance. The coordinator splits the schedule tree into
-// sched.WorkUnits (core.PlanUnits), leases each unit to a worker with a
-// heartbeat-renewed deadline, and merges per-unit reports with the same
-// min-position rule every in-process exploration uses — so the merged
-// verdict, statistics, and first violation are bit-identical to the
+// Package dist runs one check's phase-2 exploration as leased work units; it
+// is the engine behind `lineup check -test`. The coordinator splits the
+// schedule tree into sched.WorkUnits (core.PlanUnits), leases each unit to a
+// worker — a goroutine (InProcLauncher) or a process (ExecLauncher, `check
+// -exec`) — with a heartbeat-renewed deadline, and merges per-unit reports
+// with the same min-position rule every in-process exploration uses — so the
+// merged verdict, statistics, and first violation are bit-identical to the
 // sequential explorer regardless of worker count, kill schedule, or lease
 // reassignment order.
 //
@@ -14,11 +15,11 @@
 // byte-identical report, so at-least-once assignment merges exactly-once
 // results. Unit state is journaled through obsfile.AtomicWriteFile after
 // every transition, so a coordinator killed at any instant resumes from the
-// durable manifest without re-running completed units or double-counting
-// their statistics. A unit that exhausts its retry budget poisons the run:
-// the coordinator finishes everything else and returns a structured
-// *PoisonedUnitsError naming the poisoned units with the merged statistics
-// of the completed ones.
+// durable manifest (`check -dir`) without re-running completed units or
+// double-counting their statistics. A unit that exhausts its retry budget
+// poisons the run: the coordinator finishes everything else and returns a
+// structured *PoisonedUnitsError naming the poisoned units with the merged
+// statistics of the completed ones.
 package dist
 
 import (

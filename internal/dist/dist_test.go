@@ -376,11 +376,11 @@ func TestDistShippedSpecReportsByteIdentical(t *testing.T) {
 		}
 		shipped := history.ImportSpec(hs)
 		for _, u := range plan.Units {
-			local, err := core.CheckUnit(sub, m, opts, u, nil)
+			local, err := core.CheckUnit(sub, m, opts, u, nil, nil)
 			if err != nil {
 				t.Fatalf("%s unit %d: local synth: %v", sub.Name, u.Seq, err)
 			}
-			remote, err := core.CheckUnitWithSpec(sub, m, opts, u, shipped, nil)
+			remote, err := core.CheckUnit(sub, m, opts, u, shipped, nil)
 			if err != nil {
 				t.Fatalf("%s unit %d: shipped spec: %v", sub.Name, u.Seq, err)
 			}

@@ -46,11 +46,12 @@ type Launcher interface {
 
 // InProcLauncher runs units on goroutines in the coordinator's process —
 // the zero-setup launcher for tests and single-machine runs that don't need
-// process isolation. Heartbeats piggyback on the per-execution tick,
-// rate-limited to spec.HeartbeatEvery, and a revoked lease is noticed at the
-// next execution boundary. An operation that hangs *inside* an execution can
-// only be reclaimed by Options.Watchdog (process-level SIGKILL needs
-// ExecLauncher); see DESIGN.md §6.
+// process isolation. A unit leased by Run checks against its plan's phase-1
+// specification, which needs no copying here. Heartbeats piggyback on the
+// per-execution tick, rate-limited to spec.HeartbeatEvery, and a revoked lease
+// is noticed at the next execution boundary. An operation that hangs *inside*
+// an execution can only be reclaimed by Options.Watchdog (process-level
+// SIGKILL needs ExecLauncher); see DESIGN.md §6.
 type InProcLauncher struct {
 	Subject *core.Subject
 	Test    *core.Test
@@ -70,29 +71,27 @@ func (l *InProcLauncher) Run(ctx context.Context, spec UnitSpec, heartbeat func(
 		}
 		return true
 	}
-	return core.CheckUnit(l.Subject, l.Test, l.Options, spec.Unit, tick)
+	return core.CheckUnit(l.Subject, l.Test, l.Options, spec.Unit, spec.phase1, tick)
 }
 
-// ExecLauncher runs each unit in a separate worker process ("<bin> dist
-// -worker <jobfile>") over local exec: the real robustness configuration,
-// where a worker can be kill -9'd, can panic, or can hang without taking the
-// coordinator down. The wire protocol is deliberately dumb: the job — the
-// check of the Config the launcher is run under, written down, plus the unit —
-// travels as a JSON file, heartbeats are "hb" lines on the worker's stdout,
-// and the report comes back through an atomically-written file. It runs units
-// leased by dist.Run only: the check comes with the lease.
+// ExecLauncher runs each unit in a separate worker process ("<bin> worker
+// <jobfile>", which is how `lineup check -test -exec` runs a test) over local
+// exec: the robustness configuration, where a worker can be kill -9'd, can
+// panic, or can hang without taking the coordinator down. The wire protocol is
+// deliberately dumb: the job — the check of the Config the launcher is run
+// under, written down, plus the unit — travels as a JSON file, heartbeats are
+// "hb" lines on the worker's stdout, and the report comes back through an
+// atomically-written file. It runs units leased by dist.Run only: the check
+// comes with the lease.
 type ExecLauncher struct {
 	// Bin is the lineup binary to exec.
 	Bin string
 	// Dir holds job and report files (required).
 	Dir string
 	// KillUnit, when >= 0, SIGKILLs the worker for that unit's first attempt
-	// right after its first heartbeat — the built-in worker-kill fault
-	// injection the dist smoke test and EXPERIMENTS rows use. The retry
+	// right after its first heartbeat: fault injection for tests. The retry
 	// machinery must recover and the merged result must not change.
 	KillUnit int
-	// Env appends extra environment variables to workers.
-	Env []string
 }
 
 func (l *ExecLauncher) Run(ctx context.Context, spec UnitSpec, heartbeat func()) (*core.UnitReport, error) {
@@ -111,8 +110,7 @@ func (l *ExecLauncher) Run(ctx context.Context, spec UnitSpec, heartbeat func())
 	if err := os.WriteFile(jobPath, append(data, '\n'), 0o644); err != nil {
 		return nil, fmt.Errorf("dist: writing job file: %w", err)
 	}
-	cmd := exec.CommandContext(ctx, l.Bin, "dist", "-worker", jobPath)
-	cmd.Env = append(os.Environ(), l.Env...)
+	cmd := exec.CommandContext(ctx, l.Bin, "worker", jobPath)
 	var stderr strings.Builder
 	cmd.Stderr = &stderr
 	stdout, err := cmd.StdoutPipe()

@@ -41,7 +41,8 @@ func writtenOptionKeys(typ reflect.Type) []string {
 // refused with that field named. The exceptions are the resume-free fields
 // (both worker counts, the watchdog interval, KeepSpec), which must be
 // accepted. The table is checked against the struct by reflection, so a new
-// written option cannot land without its row.
+// written option cannot land without its row. The "witness" row is a field
+// that is gone: a file that still holds it is read as below.
 func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	sub := counterSubject()
@@ -66,9 +67,7 @@ func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 		"sample_strategy":          {flip: func(o *R) { o.SampleStrategy = sched.StrategyPCT }},
 		"sample_seed":              {flip: func(o *R) { o.SampleSeed = 9 }},
 		"pct_depth":                {flip: func(o *R) { o.PCTDepth = 5 }},
-		"witness": {save: func(o *R) { o.MonitorModel = monitor.CounterModel() },
-			flip: func(o *R) { o.WitnessSearch = core.WitnessMonitor }},
-		"model": {save: func(o *R) { o.WitnessSearch, o.MonitorModel = core.WitnessMonitor, monitor.CounterModel() },
+		"model": {save: func(o *R) { o.MonitorModel = monitor.CounterModel() },
 			flip: func(o *R) { o.MonitorModel = monitor.RegisterModel() }},
 		"explore_workers":       {flip: func(o *R) { o.Options.Workers = 2 }, free: true},
 		"watchdog":              {flip: func(o *R) { o.Watchdog = time.Minute }, free: true},
@@ -167,6 +166,68 @@ func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 			verdict(t, "manifest", key, row.free, err)
 		})
 	}
+
+	// Options used to carry "witness": "spec" or "monitor", and "monitor"
+	// with a model is what the model alone says now; "spec" is the default
+	// and was never written. So a file that holds "witness": "monitor" resumes
+	// under its model, and without the model it is refused on options.model.
+	t.Run("witness", func(t *testing.T) {
+		saved := R{Rows: 2, Cols: 2, Samples: 2, Seed: 7}
+		saved.MonitorModel = monitor.CounterModel()
+		addWitness := func(path string) {
+			t.Helper()
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Count(string(data), `"model": "counter"`) != 1 {
+				t.Fatalf("%s does not hold the model once:\n%s", path, data)
+			}
+			old := strings.Replace(string(data), `"model": "counter"`, `"witness": "monitor", "model": "counter"`, 1)
+			if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		path := filepath.Join(t.TempDir(), "checkpoint.json")
+		saved.Checkpoint = func(cp *core.RandomCheckpoint) error { return cp.Save(path) }
+		want, err := core.RandomCheck(sub, nil, saved)
+		if err != nil {
+			t.Fatalf("checkpointed run: %v", err)
+		}
+		addWitness(path)
+		for _, model := range []*monitor.Model{saved.MonitorModel, nil} {
+			cp, err := core.LoadRandomCheckpoint(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed := saved
+			resumed.Checkpoint, resumed.Resume, resumed.MonitorModel = nil, cp, model
+			got, err := core.RandomCheck(sub, nil, resumed)
+			switch {
+			case model == nil:
+				verdict(t, "checkpoint", "options.model", false, err)
+			case err != nil:
+				t.Errorf("checkpoint: a file saying witness monitor was refused under its model: %v", err)
+			case got.Passed != want.Passed || got.Failed != want.Failed:
+				t.Errorf("checkpoint: resumed %d passed, %d failed; the run that wrote it %d, %d", got.Passed, got.Failed, want.Passed, want.Failed)
+			}
+		}
+
+		m := &core.Test{Rows: [][]core.Op{{inc, get}, {inc}}}
+		cfg := dist.Config{Subject: sub, Test: m, Options: saved.Options, Workers: 1, Depth: 1, Dir: t.TempDir()}
+		if _, _, err := dist.Run(context.Background(), cfg); err != nil {
+			t.Fatalf("journaled run: %v", err)
+		}
+		addWitness(filepath.Join(cfg.Dir, "manifest.json"))
+		_, stats, err := dist.Run(context.Background(), cfg)
+		if err != nil || stats.Resumed != stats.Units {
+			t.Errorf("manifest: a file saying witness monitor did not resume under its model: %v, %+v", err, stats)
+		}
+		cfg.Options.MonitorModel = nil
+		_, _, err = dist.Run(context.Background(), cfg)
+		verdict(t, "manifest", "options.model", false, err)
+	})
 }
 
 // TestOldDistFilesRefusedByVersion: a version-1 manifest (six option values

@@ -82,7 +82,7 @@ func RunWorker(jobPath string, resolve func(class string) (*core.Subject, bool),
 	if len(job.SpecHistories) > 0 {
 		spec = history.ImportSpec(job.SpecHistories)
 	}
-	rep, err := core.CheckUnitWithSpec(sub, m, job.Options, job.Spec.Unit, spec, tick)
+	rep, err := core.CheckUnit(sub, m, job.Options, job.Spec.Unit, spec, tick)
 	if err != nil {
 		return err
 	}

@@ -192,8 +192,6 @@ type (
 	MonitorOutcome = monitor.Outcome
 	// WitnessStep is one operation of a serial witness.
 	WitnessStep = monitor.WitnessStep
-	// WitnessSearch selects the phase-2 witness backend of Options.
-	WitnessSearch = core.WitnessSearch
 )
 
 // Monitor modes.
@@ -204,14 +202,6 @@ const (
 	MonitorClassic = monitor.ModeClassic
 	// MonitorGeneralized forces Definition 3 (pending ops must be justified).
 	MonitorGeneralized = monitor.ModeGeneralized
-)
-
-// Witness-search backends for Options.WitnessSearch.
-const (
-	// WitnessSpec answers witness queries from the phase-1 serial history set.
-	WitnessSpec = core.WitnessSpec
-	// WitnessMonitor answers them by replaying Options.MonitorModel.
-	WitnessMonitor = core.WitnessMonitor
 )
 
 // CheckHistory decides whether one recorded history is linearizable with
@@ -404,13 +394,13 @@ func NewIncremental(m *Model, opts MonitorOptions) (*Incremental, error) {
 // is a batch of one), read Verdicts live, Close for the final summary.
 func NewServer(cfg ServeConfig) (*ServeServer, error) { return serve.New(cfg) }
 
-// RunDist runs fault-tolerant distributed phase-2 exploration ('lineup dist'
-// as a library): the schedule tree is split into work units, leased to
-// workers with heartbeat-renewed deadlines, and merged into a result
-// bit-identical to the sequential check regardless of worker count, kill
-// schedule, or lease reassignment. With DistConfig.Dir set, the run journals
-// progress and survives a coordinator kill -9 via a later RunDist on the
-// same directory.
+// RunDist runs one test's phase-2 exploration as fault-tolerant work units
+// ('lineup check -test' as a library): the schedule tree is split into
+// units, leased to workers with heartbeat-renewed deadlines, and merged into
+// a result bit-identical to the sequential check regardless of worker count,
+// kill schedule, or lease reassignment. With DistConfig.Dir set, the run
+// journals progress and survives a coordinator kill -9 via a later RunDist
+// on the same directory.
 func RunDist(ctx context.Context, cfg DistConfig) (*Result, DistStats, error) {
 	return dist.Run(ctx, cfg)
 }
