@@ -343,8 +343,8 @@ func BenchmarkRandomCheckParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, err := lineup.RandomCheck(sub, nil, lineup.RandomOptions{
-					Rows: 2, Cols: 2, Samples: 8, Seed: 1, Workers: workers,
-					Options: lineup.Options{PreemptionBound: 2},
+					Rows: 2, Cols: 2, Samples: 8, Seed: 1,
+					Options: lineup.Options{PreemptionBound: 2, Workers: workers},
 				})
 				if err != nil {
 					b.Fatal(err)

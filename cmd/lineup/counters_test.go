@@ -98,7 +98,7 @@ func TestCounterNamesGolden(t *testing.T) {
 	var got []string
 
 	col := telemetry.New()
-	ropts := core.RandomOptions{Samples: 2, Rows: 2, Cols: 2, Seed: 1, Workers: 1}
+	ropts := core.RandomOptions{Samples: 2, Rows: 2, Cols: 2, Seed: 1, Options: core.Options{Workers: 1}}
 	ropts.PreemptionBound, ropts.Reduction, ropts.Telemetry = pb, sched.ReductionSleep, col
 	if _, err := core.RandomCheck(sub, nil, ropts); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ import (
 // a run can be killed with units both completed and outstanding.
 const distFixtureTest = "Enqueue(1) TryDequeue() TryPeek() / Enqueue(2) TryDequeue() IsEmpty() / TryPeek() IsEmpty()"
 
-var distFixture = []string{"check", "-class", "MSQueue(Pre)", "-test", distFixtureTest, "-explore-workers", "1"}
+var distFixture = []string{"check", "-class", "MSQueue(Pre)", "-test", distFixtureTest, "-workers", "1"}
 
 // distBaseline runs the fixture uninterrupted and returns its stdout — the
 // verdict line plus the violation report, which is deterministic by

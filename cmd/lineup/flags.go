@@ -26,9 +26,7 @@ func addCheckFlags(fs *flag.FlagSet, o *core.RandomOptions, names ...string) {
 		case "seed":
 			fs.Int64Var(&o.Seed, name, o.Seed, "sampling seed")
 		case "workers":
-			fs.IntVar(&o.Workers, name, o.Workers, "parallel workers (one test per worker)")
-		case "explore-workers":
-			fs.IntVar(&o.Options.Workers, name, o.Options.Workers, "workers sharing each check's phase-2 exploration (0 = one per CPU, or one when -workers already runs tests side by side)")
+			fs.IntVar(&o.Workers, name, o.Workers, "workers (0 = one per CPU, or one under -detect-leaks): tests checked side by side, each test's exploration sharing what is left, or -test's units at a time")
 		case "pb":
 			fs.IntVar(&o.PreemptionBound, name, o.PreemptionBound, "preemption bound (0 = the default: the class's own, or 2)")
 		case "watchdog":
@@ -46,6 +44,15 @@ func addCheckFlags(fs *flag.FlagSet, o *core.RandomOptions, names ...string) {
 			panic("lineup: no check flag -" + name)
 		}
 	}
+}
+
+// ignoredCheckFlags lists, by whether -test is given, the check flags that
+// mode would ignore: the sample's shape, seed and shrink with -test, and leak
+// detection, which units run without; -exec without -test. cmdCheck refuses
+// a set one before anything runs.
+var ignoredCheckFlags = map[bool][]string{
+	true:  {"samples", "rows", "cols", "seed", "shrink", "detect-leaks"},
+	false: {"exec"},
 }
 
 // modelFlag registers -model. A model travels by name (monitor.Model's text

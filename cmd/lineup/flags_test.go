@@ -70,7 +70,7 @@ func TestFlagGolden(t *testing.T) {
 	}
 	bin := buildLineup(t)
 	var got []string
-	for _, cmd := range []string{"check", "table2", "generate", "verify", "compare", "serve"} {
+	for _, cmd := range []string{"check", "table2", "generate", "verify", "compare", "serve", "monitor", "causes", "record", "memory"} {
 		got = append(got, helpFlags(t, bin, cmd)...)
 	}
 	checkGolden(t, "testdata/flags.golden", got)
@@ -116,12 +116,16 @@ func checkGolden(t *testing.T, path string, got []string) {
 	}
 }
 
-var readmeFlag = regexp.MustCompile("`-([a-z-]+)")
+var (
+	readmeFlag    = regexp.MustCompile("`-([a-z-]+)")
+	readmeCommand = regexp.MustCompile("`(?:lineup )?([a-z0-9]+)")
+)
 
-// TestReadmeFlagTablesMatchHelp: the README's flag tables of `check` and
-// `serve` (the tables under the headings that end in `lineup <cmd>`) list
-// exactly the flags the golden above records for that subcommand, so the
-// documentation cannot drift from -h.
+// TestReadmeFlagTablesMatchHelp: every flag a README table lists is one the
+// golden above records for the subcommand the row documents — the one a
+// "`lineup <cmd>`" first cell names, or else each one the heading above the
+// table names — so a removed flag cannot survive in the documentation. The
+// tables of `check` and `serve` also list every flag those two have.
 func TestReadmeFlagTablesMatchHelp(t *testing.T) {
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
@@ -131,36 +135,64 @@ func TestReadmeFlagTablesMatchHelp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cmd := range []string{"check", "serve"} {
-		want := make(map[string]bool)
-		for _, l := range strings.Split(string(golden), "\n") {
-			if f := strings.Fields(l); len(f) == 3 && f[0] == cmd {
-				want[strings.TrimPrefix(f[1], "-")] = true
+	has := make(map[string]map[string]bool)
+	for _, l := range strings.Split(string(golden), "\n") {
+		if f := strings.Fields(l); len(f) == 3 {
+			if has[f[0]] == nil {
+				has[f[0]] = make(map[string]bool)
+			}
+			has[f[0]][strings.TrimPrefix(f[1], "-")] = true
+		}
+	}
+	commandsIn := func(s string) []string {
+		var cmds []string
+		for _, m := range readmeCommand.FindAllStringSubmatch(s, -1) {
+			if has[m[1]] != nil {
+				cmds = append(cmds, m[1])
 			}
 		}
-		inSection, rows := false, 0
-		for _, line := range strings.Split(string(readme), "\n") {
-			if strings.HasPrefix(line, "##") {
-				inSection = strings.HasSuffix(line, "`lineup "+cmd+"`")
-				continue
+		return cmds
+	}
+	listed := make(map[string]map[string]bool)
+	heading := ""
+	for _, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(line, "##") {
+			heading = line
+			continue
+		}
+		if !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		first, rest, _ := strings.Cut(line[2:], " | ")
+		cmds, cell := commandsIn(heading), first
+		if !strings.HasPrefix(first, "`-") {
+			cmds = commandsIn(first)
+			cell, _, _ = strings.Cut(rest, " | ")
+		}
+		flags := readmeFlag.FindAllStringSubmatch(cell, -1)
+		if len(flags) == 0 {
+			continue
+		}
+		if len(cmds) == 0 {
+			t.Errorf("README flag row names no subcommand, nor does its heading %q: %s", heading, line)
+		}
+		for _, cmd := range cmds {
+			if listed[cmd] == nil {
+				listed[cmd] = make(map[string]bool)
 			}
-			if !inSection || !strings.HasPrefix(line, "| `-") {
-				continue
-			}
-			rows++
-			cell, _, _ := strings.Cut(line[1:], " | ")
-			for _, m := range readmeFlag.FindAllStringSubmatch(cell, -1) {
-				if !want[m[1]] {
+			for _, m := range flags {
+				if !has[cmd][m[1]] {
 					t.Errorf("README lists %s -%s, which -h does not have", cmd, m[1])
 				}
-				delete(want, m[1])
+				listed[cmd][m[1]] = true
 			}
 		}
-		if rows == 0 {
-			t.Errorf("README has no flag table under a heading ending in `lineup %s`", cmd)
-		}
-		for name := range want {
-			t.Errorf("README's %s table does not list -%s", cmd, name)
+	}
+	for _, cmd := range []string{"check", "serve"} {
+		for name := range has[cmd] {
+			if !listed[cmd][name] {
+				t.Errorf("README's %s tables do not list -%s", cmd, name)
+			}
 		}
 	}
 }

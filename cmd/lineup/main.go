@@ -14,7 +14,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -149,8 +151,7 @@ func cmdMonitor(args []string) error {
 	classic := fs.Bool("classic", false, "classic Definition 1 treatment of pending operations")
 	noMemo := fs.Bool("no-memo", false, "disable the memoized seen-set")
 	noPart := fs.Bool("no-partition", false, "disable P-compositional partitioning")
-	window := fs.Int("window", 0, "check incrementally, retiring quiescent windows of N completed ops (0 = batch; caps peak memory on long traces)")
-	witnessSpec := fs.String("witness", "wgl", "witness search: wgl (memoized Wing–Gong) or fast (specialized near-log-linear monitor with WGL fallback; whole-file checks only)")
+	witnessSpec := fs.String("witness", "wgl", "witness search: wgl (memoized Wing–Gong) or fast (specialized near-log-linear monitor with WGL fallback)")
 	verbose := fs.Bool("v", false, "print the witness linearization")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -159,9 +160,6 @@ func cmdMonitor(args []string) error {
 	switch *witnessSpec {
 	case "", "wgl":
 	case "fast":
-		if *window > 0 {
-			return fmt.Errorf("monitor: -witness fast applies to whole-file checks only (drop -window or the fast witness)")
-		}
 		useFast = true
 	default:
 		return fmt.Errorf("monitor: unknown witness search %q (wgl or fast)", *witnessSpec)
@@ -184,15 +182,6 @@ func cmdMonitor(args []string) error {
 	opts := monitor.Options{NoMemo: *noMemo, NoPartition: *noPart}
 	if *classic {
 		opts.Mode = monitor.ModeClassic
-	}
-	if *window > 0 {
-		// Streaming path: the trace never materializes as one History —
-		// events flow through the incremental windowed checker, so peak
-		// memory is bounded by the window, not the trace length.
-		if *noPart {
-			return fmt.Errorf("monitor: -no-partition is incompatible with -window (the stream is split before windowing)")
-		}
-		return monitorStream(model, r, opts, *window)
 	}
 	h, err := obsfile.ReadTrace(r)
 	if err != nil {
@@ -263,8 +252,8 @@ func cmdMonitor(args []string) error {
 
 func cmdTable2(args []string) error {
 	fs := flag.NewFlagSet("table2", flag.ExitOnError)
-	opts := bench.Table2Options{RandomOptions: core.RandomOptions{Samples: 100, Rows: 3, Cols: 3, Seed: 1, Workers: runtime.NumCPU()}}
-	addCheckFlags(fs, &opts.RandomOptions, "samples", "rows", "cols", "seed", "workers", "explore-workers", "watchdog", "max-failures", "reduction")
+	opts := bench.Table2Options{RandomOptions: core.RandomOptions{Samples: 100, Rows: 3, Cols: 3, Seed: 1, Options: core.Options{Workers: runtime.NumCPU()}}}
+	addCheckFlags(fs, &opts.RandomOptions, "samples", "rows", "cols", "seed", "workers", "watchdog", "max-failures", "reduction")
 	fs.BoolVar(&opts.IncludePre, "pre", true, "include the (Pre) variants")
 	tflags := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -349,25 +338,27 @@ func cmdCauses(args []string) error {
 func cmdCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
 	class := fs.String("class", "", "class name (see 'lineup list')")
-	ropts := core.RandomOptions{Samples: 100, Rows: 3, Cols: 3, Seed: 1, Workers: runtime.NumCPU()}
-	addCheckFlags(fs, &ropts, "samples", "rows", "cols", "seed", "pb", "workers", "explore-workers",
+	ropts := core.RandomOptions{Samples: 100, Rows: 3, Cols: 3, Seed: 1, Options: core.Options{Workers: runtime.NumCPU()}}
+	addCheckFlags(fs, &ropts, "samples", "rows", "cols", "seed", "pb", "workers",
 		"watchdog", "max-failures", "detect-leaks", "reduction")
 	ropts.MonitorModel = modelFlag(fs, "decide phase 2's witnesses by replay through this sequential model, not by phase-1 lookup: ")
 	shrink := fs.Bool("shrink", true, "minimize the first failing test")
-	checkpointFile := fs.String("checkpoint", "", "save progress to FILE (atomically) after every completed test")
-	resumeFile := fs.String("resume", "", "resume from a checkpoint FILE written by a previous -checkpoint run")
-	testSpec := fs.String("test", "", `check this one test, as work units (-explore-workers of them at a time), e.g. "Enqueue(10) TryDequeue() / Count()"`)
-	dir := fs.String("dir", "", "with -test: journal the work units in DIR, so a killed run resumes where it was")
+	testSpec := fs.String("test", "", `check this one test, as work units (-workers of them at a time), e.g. "Enqueue(10) TryDequeue() / Count()"`)
+	dir := fs.String("dir", "", "keep the run's progress in DIR (the sample's checkpoint, or -test's unit journal), so a killed run rerun with the same flags resumes where it was")
 	execMode := fs.Bool("exec", false, "with -test: run each work unit in a worker process (kill -9 isolation)")
 	tflags := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch {
-	case *testSpec == "" && (*dir != "" || *execMode):
-		return fmt.Errorf("check: -dir and -exec run one test and need -test")
-	case *testSpec != "" && (*checkpointFile != "" || *resumeFile != ""):
-		return fmt.Errorf("check: -test resumes from its -dir journal, not from -checkpoint/-resume")
+	oneTest := *testSpec != ""
+	var ignored error
+	fs.Visit(func(f *flag.Flag) {
+		if ignored == nil && slices.Contains(ignoredCheckFlags[oneTest], f.Name) {
+			ignored = fmt.Errorf("check: -%s would be ignored %s -test", f.Name, map[bool]string{true: "with", false: "without"}[oneTest])
+		}
+	})
+	if ignored != nil {
+		return ignored
 	}
 	sub, pb, ok := findSubject(*class)
 	if !ok {
@@ -379,7 +370,7 @@ func cmdCheck(args []string) error {
 	if ropts.MonitorModel.Name == "" {
 		ropts.MonitorModel = nil
 	}
-	if *testSpec != "" {
+	if oneTest {
 		m, err := bench.ParseTest(sub, *testSpec)
 		if err != nil {
 			return err
@@ -395,26 +386,26 @@ func cmdCheck(args []string) error {
 	// with (watchdog, failure budget, reduction, model); only the progress
 	// hooks below stay behind.
 	shrinkOpts := ropts.Options
-	if ropts.ExploreWorkers() > 1 {
-		ropts.ShardProgress = tr.shardProgress()
-	}
+	ropts.ShardProgress = tr.shardProgress()
 	if tr.Prog != nil {
 		tr.Prog.SetTotal(ropts.Samples)
 		ropts.Progress = func(done, total int) { tr.Prog.SetUnits(done, total) }
 	}
-	if *resumeFile != "" {
-		cp, err := core.LoadRandomCheckpoint(*resumeFile)
-		if err != nil {
+	if *dir != "" {
+		// The sample's checkpoint, rewritten after every completed test: a
+		// killed run left one, and this run resumes from it.
+		if err := os.MkdirAll(*dir, 0o755); err != nil {
 			return err
 		}
-		ropts.Resume = cp
-		fmt.Fprintf(os.Stderr, "resuming from %s: %d of %d tests already checked\n",
-			*resumeFile, len(cp.Tests), cp.Options.Samples)
-	}
-	if *checkpointFile != "" {
-		ropts.Checkpoint = func(cp *core.RandomCheckpoint) error {
-			return cp.Save(*checkpointFile)
+		ck := filepath.Join(*dir, "checkpoint.json")
+		switch cp, err := core.LoadRandomCheckpoint(ck); {
+		case err == nil:
+			ropts.Resume = cp
+			fmt.Fprintf(os.Stderr, "resuming from %s: %d of %d tests already checked\n", ck, len(cp.Tests), cp.Options.Samples)
+		case !errors.Is(err, os.ErrNotExist):
+			return err
 		}
+		ropts.Checkpoint = func(cp *core.RandomCheckpoint) error { return cp.Save(ck) }
 	}
 	sum, err := core.RandomCheck(sub, nil, ropts)
 	if err = tr.finishAfter(err); err != nil {
@@ -765,8 +756,7 @@ func cmdFig9() error {
 func cmdCompare(args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	ro := core.RandomOptions{Samples: 10, Seed: 5, Options: core.Options{PreemptionBound: 2}}
-	addCheckFlags(fs, &ro, "samples", "seed")
-	fs.IntVar(&ro.Options.Workers, "workers", 0, "workers sharing each test's schedule exploration (0 = one per CPU)")
+	addCheckFlags(fs, &ro, "samples", "seed", "workers")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

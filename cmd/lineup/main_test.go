@@ -119,33 +119,57 @@ func TestCmdCheckHardeningFlags(t *testing.T) {
 
 // TestCmdCheckLeakDetectionNeedsOneWorker: -detect-leaks counts the
 // goroutines of the whole process, so asking for it together with more than
-// one worker, of tests or of explorations, is refused before any test runs —
-// it used to run without the check it was asked for.
+// one worker is refused before any test runs — it used to run without the
+// check it was asked for.
 func TestCmdCheckLeakDetectionNeedsOneWorker(t *testing.T) {
-	for _, flags := range [][]string{
-		{"-workers", "2"},
-		{"-workers", "1", "-explore-workers", "4"},
-	} {
-		args := append([]string{"-class", "ConcurrentStack", "-samples", "1", "-rows", "2", "-cols", "2", "-detect-leaks"}, flags...)
-		err := cmdCheck(args)
-		var oe *core.OptionsError
-		if !errors.As(err, &oe) || oe.Field != "DetectLeaks" {
-			t.Errorf("check -detect-leaks %v: err = %v, want a DetectLeaks *core.OptionsError", flags, err)
-		}
+	err := cmdCheck([]string{"-class", "ConcurrentStack", "-samples", "1", "-rows", "2", "-cols", "2", "-detect-leaks", "-workers", "2"})
+	var oe *core.OptionsError
+	if !errors.As(err, &oe) || oe.Field != "DetectLeaks" {
+		t.Errorf("check -detect-leaks -workers 2: err = %v, want a DetectLeaks *core.OptionsError", err)
 	}
 }
 
-// TestCmdCheckCheckpointWrites verifies the -checkpoint flag records every
-// completed test in a well-formed, resumable file.
+// TestCmdCheckRefusesIgnoredFlags: a flag the chosen mode of check would
+// ignore — the sample's with -test, -exec without it — is refused before
+// anything runs: no class is looked up (there is none of this name), no test
+// parsed, no directory made.
+func TestCmdCheckRefusesIgnoredFlags(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "never")
+	oneTest := func(flag ...string) []string {
+		return append([]string{"-class", "NoSuchClass", "-test", "Push(1) / TryPop()", "-dir", dir}, flag...)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{oneTest("-samples", "3"), "-samples would be ignored with -test"},
+		{oneTest("-rows", "2"), "-rows would be ignored with -test"},
+		{oneTest("-cols", "2"), "-cols would be ignored with -test"},
+		{oneTest("-seed", "7"), "-seed would be ignored with -test"},
+		{oneTest("-shrink=false"), "-shrink would be ignored with -test"},
+		{oneTest("-detect-leaks"), "-detect-leaks would be ignored with -test"},
+		{[]string{"-class", "NoSuchClass", "-dir", dir, "-exec"}, "-exec would be ignored without -test"},
+	} {
+		if err := cmdCheck(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("check %v: err = %v, want %q", c.args, err, c.want)
+		}
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a refused run touched -dir: %v", err)
+	}
+}
+
+// TestCmdCheckCheckpointWrites verifies that -dir keeps the sample's
+// checkpoint: every completed test recorded in a well-formed, resumable file.
 func TestCmdCheckCheckpointWrites(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "ck.json")
+	dir := filepath.Join(t.TempDir(), "run")
 	_ = captureStdout(t, func() error {
 		return cmdCheck([]string{
 			"-class", "ConcurrentStack", "-samples", "3", "-rows", "2", "-cols", "2",
-			"-workers", "1", "-checkpoint", ck,
+			"-workers", "1", "-dir", dir,
 		})
 	})
-	cp, err := core.LoadRandomCheckpoint(ck)
+	cp, err := core.LoadRandomCheckpoint(filepath.Join(dir, "checkpoint.json"))
 	if err != nil {
 		t.Fatalf("checkpoint unreadable: %v", err)
 	}
@@ -276,18 +300,20 @@ func TestCmdWitnessRefusals(t *testing.T) {
 			2, `unknown model "deque" (one of queue, `},
 		{[]string{"check", "-class", "ConcurrentStack", "-witness", "monitor", "-model", "stack"},
 			2, "flag provided but not defined: -witness"},
-		{[]string{"check", "-class", "ConcurrentStack", "-dir", missing},
-			1, "-dir and -exec run one test and need -test"},
 		{[]string{"check", "-class", "ConcurrentStack", "-exec"},
-			1, "-dir and -exec run one test and need -test"},
-		{[]string{"check", "-class", "ConcurrentStack", "-test", "Push(1) / TryPop()", "-checkpoint", missing},
-			1, "-test resumes from its -dir journal, not from -checkpoint/-resume"},
-		{[]string{"check", "-class", "ConcurrentStack", "-test", "Push(1) / TryPop()", "-resume", missing},
-			1, "-test resumes from its -dir journal, not from -checkpoint/-resume"},
+			1, "-exec would be ignored without -test"},
+		{[]string{"check", "-class", "ConcurrentStack", "-test", "Push(1) / TryPop()", "-samples", "3"},
+			1, "-samples would be ignored with -test"},
+		{[]string{"check", "-class", "ConcurrentStack", "-checkpoint", missing},
+			2, "flag provided but not defined: -checkpoint"},
+		{[]string{"check", "-class", "ConcurrentStack", "-explore-workers", "2"},
+			2, "flag provided but not defined: -explore-workers"},
 		{[]string{"dist", "-class", "ConcurrentStack", "-test", "Push(1) / TryPop()"},
 			2, `unknown subcommand "dist"`},
-		{[]string{"monitor", "-trace", missing, "-model", "queue", "-window", "8", "-witness", "fast"},
-			1, "-witness fast applies to whole-file checks only"},
+		{[]string{"monitor", "-trace", missing, "-model", "queue", "-window", "8"},
+			2, "flag provided but not defined: -window"},
+		{[]string{"serve", "-model", "queue", "-trace", missing, "-batch"},
+			2, "flag provided but not defined: -batch"},
 		{[]string{"serve", "-model", "queue", "-trace", missing, "-witness", "wgl"},
 			2, "flag provided but not defined: -witness"},
 		{[]string{"serve", "-model", "queue", "-trace", missing, "-no-memo"},

@@ -40,11 +40,14 @@ func deterministicLines(out string) string {
 }
 
 // TestCheckCheckpointResumeAfterKill is the end-to-end acceptance check for
-// checkpoint/resume: a 'lineup check -checkpoint' process is SIGKILLed
-// mid-run, then resumed with '-resume'; the final report must match the
-// uninterrupted run's, for 1 and 4 test workers, with and without sleep-set
+// checkpoint/resume: a 'lineup check -dir D' process is SIGKILLed mid-run,
+// then rerun with identical flags; the final report must match the
+// uninterrupted run's, for 1 and 4 workers, with and without sleep-set
 // reduction (the checkpoint records the strategy, so a resumed run prunes
-// the same branches the killed one did).
+// the same branches the killed one did). A checkpoint written while
+// "options.workers" still counted the tests checked side by side
+// (internal/core/testdata/checkpoint-with-workers.json, the same sample)
+// resumes from D/checkpoint.json to the same report.
 func TestCheckCheckpointResumeAfterKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real processes; skipped in -short mode")
@@ -79,8 +82,15 @@ func testKillResume(t *testing.T, bin, reduction string) {
 
 	for _, workers := range []string{"1", "4"} {
 		t.Run("workers="+workers, func(t *testing.T) {
-			ck := filepath.Join(t.TempDir(), "ckpt.json")
-			victim := exec.Command(bin, args("-workers", workers, "-checkpoint", ck)...)
+			dir := t.TempDir()
+			ck := filepath.Join(dir, "checkpoint.json")
+			// The run also writes a telemetry event trace: both the checkpoint
+			// and the trace go through obsfile.AtomicWriteFile, so this doubles
+			// as the CLI-level check that the fsync-hardened atomic write path
+			// produces complete, parseable files.
+			traceOut := filepath.Join(t.TempDir(), "trace.jsonl")
+			run := args("-workers", workers, "-dir", dir, "-trace-out", traceOut)
+			victim := exec.Command(bin, run...)
 			if err := victim.Start(); err != nil {
 				t.Fatalf("starting victim: %v", err)
 			}
@@ -110,12 +120,7 @@ func testKillResume(t *testing.T, bin, reduction string) {
 				t.Fatalf("victim finished all %d tests before the kill; fixture too fast", cp.Options.Samples)
 			}
 
-			// The resumed run also writes a telemetry event trace: both the
-			// checkpoint and the trace go through obsfile.AtomicWriteFile, so
-			// this doubles as the CLI-level check that the fsync-hardened
-			// atomic write path produces complete, parseable files.
-			traceOut := filepath.Join(t.TempDir(), "trace.jsonl")
-			resumed, err := exec.Command(bin, args("-workers", workers, "-resume", ck, "-checkpoint", ck, "-trace-out", traceOut)...).Output()
+			resumed, err := exec.Command(bin, run...).Output()
 			if err != nil {
 				t.Fatalf("resumed run: %v", err)
 			}
@@ -144,9 +149,29 @@ func testKillResume(t *testing.T, bin, reduction string) {
 			if got := final.Options.Reduction.String(); got != reduction {
 				t.Errorf("checkpoint records reduction %q, run used %q", got, reduction)
 			}
-			_ = os.Remove(ck)
 		})
 	}
+
+	if reduction != "none" {
+		return // the old checkpoint was written without reduction
+	}
+	t.Run("checkpoint-with-workers", func(t *testing.T) {
+		old, err := os.ReadFile("../../internal/core/testdata/checkpoint-with-workers.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := exec.Command(bin, args("-workers", "4", "-dir", dir)...).Output()
+		if err != nil {
+			t.Fatalf("resumed run: %v", err)
+		}
+		if got := deterministicLines(string(resumed)); got != want {
+			t.Errorf("report resumed from the old checkpoint differs from an uninterrupted run:\n--- resumed ---\n%s\n--- uninterrupted ---\n%s", got, want)
+		}
+	})
 }
 
 // TestCheckResumeReductionMismatch asserts a checkpoint written under one
@@ -157,19 +182,18 @@ func TestCheckResumeReductionMismatch(t *testing.T) {
 		t.Skip("builds a real binary; skipped in -short mode")
 	}
 	bin := buildLineup(t)
-	ck := filepath.Join(t.TempDir(), "ckpt.json")
-	args := []string{
-		"check", "-class", "ConcurrentStack",
-		"-samples", "2", "-rows", "2", "-cols", "2", "-workers", "1",
-		"-checkpoint", ck, "-reduction", "sleep",
+	dir := t.TempDir()
+	args := func(reduction string) []string {
+		return []string{
+			"check", "-class", "ConcurrentStack",
+			"-samples", "2", "-rows", "2", "-cols", "2", "-workers", "1",
+			"-dir", dir, "-reduction", reduction,
+		}
 	}
-	if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+	if out, err := exec.Command(bin, args("sleep")...).CombinedOutput(); err != nil {
 		t.Fatalf("checkpointed run: %v\n%s", err, out)
 	}
-	out, err := exec.Command(bin,
-		"check", "-class", "ConcurrentStack",
-		"-samples", "2", "-rows", "2", "-cols", "2", "-workers", "1",
-		"-resume", ck, "-reduction", "none").CombinedOutput()
+	out, err := exec.Command(bin, args("none")...).CombinedOutput()
 	if err == nil {
 		t.Fatalf("resume with a different reduction strategy must fail:\n%s", out)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"lineup/internal/monitor"
+	"lineup/internal/obsfile"
 	"lineup/internal/serve"
 	"lineup/internal/telemetry"
 )
@@ -20,8 +22,7 @@ import (
 // final verdict is printed when the stream ends; a violation exits 1.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	trace := fs.String("trace", "-", "history stream ('-' for a stdin pipe)")
-	batch := fs.Bool("batch", false, "read -trace as length-prefixed binary batch frames instead of JSONL (HTTP ingest negotiates per request via Content-Type)")
+	trace := fs.String("trace", "-", "history stream, JSONL or binary batch frames ('-' for a stdin pipe)")
 	cfg := serve.Config{Model: modelFlag(fs, "sequential model: ")}
 	fs.IntVar(&cfg.Workers, "workers", runtime.NumCPU(), "checker worker pool size")
 	fs.IntVar(&cfg.WindowOps, "window", 128, "completed operations per retired window")
@@ -87,14 +88,16 @@ func cmdServe(args []string) error {
 		defer f.Close()
 		r = f
 	}
-	// The same two entry points POST /ingest negotiates between.
-	ingest := s.IngestReader
-	if *batch {
-		ingest = s.IngestFrames
-	}
 	start := time.Now()
 	stopProgress := serveProgress(s, tr.Prog)
-	_, ingestErr := ingest(r)
+	// A batch-frame stream opens with the frame magic; anything else is JSONL.
+	// These are the two entry points POST /ingest picks by Content-Type.
+	br := bufio.NewReader(r)
+	ingest := s.IngestReader
+	if head, _ := br.Peek(len(obsfile.FrameMagic)); string(head) == obsfile.FrameMagic {
+		ingest = s.IngestFrames
+	}
+	_, ingestErr := ingest(br)
 	stopProgress()
 	sum, closeErr := s.Close()
 	wall := time.Since(start)
@@ -106,55 +109,6 @@ func cmdServe(args []string) error {
 		return errViolation
 	}
 	return nil
-}
-
-// monitorStream is the 'lineup monitor -window N' path: the same verdict as
-// the batch monitor, computed by streaming the trace through the incremental
-// windowed checker so peak memory is bounded by the window, not the trace.
-func monitorStream(model *monitor.Model, r io.Reader, opts monitor.Options, window int) error {
-	col := telemetry.New()
-	opts.Telemetry = col
-	s, err := serve.New(serve.Config{Model: model, Monitor: opts, WindowOps: window, Telemetry: col})
-	if err != nil {
-		return err
-	}
-	if _, err := s.IngestReader(r); err != nil {
-		_, _ = s.Close()
-		return err
-	}
-	sum, err := s.Close()
-	if err != nil {
-		return err
-	}
-	st := sum.Stats
-	var ops int64
-	for _, v := range sum.Verdicts {
-		ops += v.Ops
-	}
-	stuck := ""
-	if st.Stuck {
-		stuck = ", stuck"
-	}
-	fmt.Printf("checked %d operations (%d pending%s) against model %q\n", ops, st.OpenCalls, stuck, model.Name)
-	fmt.Printf("search: %d parts, %d nodes visited, %d seen-set hits (streaming, window %d, %d retired)\n",
-		st.Partitions, col.Get(telemetry.WitnessNodes), col.Get(telemetry.MonitorMemoHits), window, st.WindowFlushes)
-	if sum.Linearizable {
-		fmt.Println("verdict: linearizable")
-		return nil
-	}
-	fmt.Println("verdict: NOT linearizable")
-	for _, v := range sum.Verdicts {
-		if v.Err != "" {
-			return fmt.Errorf("partition %q: %s", v.Key, v.Err)
-		}
-		if !v.Linearizable {
-			if v.Key != "" {
-				fmt.Printf("failing partition: %s\n", v.Key)
-			}
-			break
-		}
-	}
-	return errViolation
 }
 
 // serveProgress keeps the live progress line fed from the server's counters

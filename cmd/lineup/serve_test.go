@@ -168,7 +168,8 @@ func runServe(t *testing.T, bin string, args ...string) string {
 
 // TestServeCheckpointResumeAfterKill is the end-to-end acceptance check for
 // the streaming service's durability, run once per wire encoding (JSONL and
-// -batch binary frames over the same event sequence): a 'lineup serve
+// binary batch frames over the same event sequence, told apart by serve from
+// the stream's first bytes): a 'lineup serve
 // -checkpoint' process is SIGKILLed mid-stream, then resumed with '-resume';
 // the final verdicts must match the uninterrupted run's bit for bit (one
 // partition of the fixture trace is corrupted, so the runs must agree on a
@@ -193,9 +194,6 @@ func TestServeCheckpointResumeAfterKill(t *testing.T) {
 				a := []string{
 					"serve", "-model", "register", "-trace", trace,
 					"-window", "64", "-workers", "2",
-				}
-				if mode == "batch" {
-					a = append(a, "-batch")
 				}
 				return append(a, extra...)
 			}
@@ -281,7 +279,7 @@ func TestServeResumeWindowMismatch(t *testing.T) {
 }
 
 // TestServeStdinFramesMatchHTTPFrames pins the service's two frame transports
-// to one path: the same frame stream piped into 'lineup serve -batch' and
+// to one path: the same frame stream piped into 'lineup serve' and
 // POSTed to a second server's /ingest with obsfile.BatchContentType must print
 // identical verdict lines (one partition of the fixture is corrupted, so both
 // must report the same violation).
@@ -298,7 +296,7 @@ func TestServeStdinFramesMatchHTTPFrames(t *testing.T) {
 	}
 	common := []string{"serve", "-model", "register", "-window", "16", "-workers", "2"}
 
-	piped := exec.Command(bin, append(common, "-batch")...)
+	piped := exec.Command(bin, common...)
 	piped.Stdin = bytes.NewReader(payload)
 	var pipedOut bytes.Buffer
 	piped.Stdout = &pipedOut

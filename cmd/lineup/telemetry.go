@@ -11,7 +11,7 @@ import (
 )
 
 // telemetryFlags bundles the observability flags shared by the long-running
-// subcommands (check, table2, generate, dist, serve): a live progress line, a
+// subcommands (check, table2, generate, serve): a live progress line, a
 // JSONL event-trace file, and an opt-in pprof/expvar HTTP endpoint. All three
 // feed from one telemetry.Collector, created only when at least one sink is
 // requested, so the default invocation carries no instrumentation at all.

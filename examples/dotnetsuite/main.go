@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"runtime"
 
 	"lineup"
 	"lineup/internal/bench"
@@ -29,7 +28,6 @@ func main() {
 			}
 			sum, err := lineup.RandomCheck(sub, nil, lineup.RandomOptions{
 				Rows: 3, Cols: 3, Samples: *samples, Seed: 1,
-				Workers: runtime.NumCPU(),
 				Options: lineup.Options{PreemptionBound: e.Bound},
 			})
 			if err != nil {

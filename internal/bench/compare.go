@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"lineup/internal/atomicity"
@@ -35,19 +34,10 @@ type CompareResult struct {
 // CompareRandom runs the comparison checkers over a random sample of tests
 // (the same sampling scheme as RandomCheck).
 func CompareRandom(sub *core.Subject, rows, cols, samples int, seed int64, opts core.Options) (*CompareResult, error) {
-	rng := rand.New(rand.NewSource(seed))
 	res := &CompareResult{Subject: sub.Name}
 	det := race.NewDetector()
 	warnSeen := make(map[string]bool)
-	for k := 0; k < samples; k++ {
-		m := &core.Test{}
-		for r := 0; r < rows; r++ {
-			row := make([]core.Op, cols)
-			for c := 0; c < cols; c++ {
-				row[c] = sub.Ops[rng.Intn(len(sub.Ops))]
-			}
-			m.Rows = append(m.Rows, row)
-		}
+	for _, m := range core.SampleTests(sub.Ops, rows, cols, samples, seed) {
 		res.Tests++
 		testWarned := false
 		stats, err := core.ForEachExecution(sub, m, opts, true, func(out *sched.Outcome) bool {

@@ -2,7 +2,6 @@ package bench_test
 
 import (
 	"os"
-	"runtime"
 	"testing"
 
 	"lineup/internal/bench"
@@ -55,7 +54,6 @@ func TestRandomCheckCleanClassesPass(t *testing.T) {
 			rows, cols, _ := sweepDims(t, sub.Name, "CancellationTokenSource", "ConcurrentStack")
 			sum, err := core.RandomCheck(sub, nil, core.RandomOptions{
 				Rows: rows, Cols: cols, Samples: 6, Seed: 42,
-				Workers: runtime.NumCPU(),
 				Options: core.Options{PreemptionBound: 2},
 			})
 			if err != nil {
@@ -86,7 +84,6 @@ func TestRandomCheckFindsSeededBugs(t *testing.T) {
 			rows, cols, atFull := sweepDims(t, e.Pre.Name, "Lazy(Pre)", "CountdownEvent(Pre)", "ConcurrentQueue(Pre)")
 			sum, err := core.RandomCheck(e.Pre, nil, core.RandomOptions{
 				Rows: rows, Cols: cols, Samples: 30, Seed: 7,
-				Workers:            runtime.NumCPU(),
 				StopAtFirstFailure: true,
 				Options:            core.Options{PreemptionBound: e.Bound},
 			})
@@ -115,7 +112,6 @@ func TestRandomCheckFindsIntentionalCauses(t *testing.T) {
 			rows, cols, atFull := sweepDims(t, e.Subject.Name, "BlockingCollection", "Barrier")
 			sum, err := core.RandomCheck(e.Subject, nil, core.RandomOptions{
 				Rows: rows, Cols: cols, Samples: 30, Seed: 11,
-				Workers:            runtime.NumCPU(),
 				StopAtFirstFailure: true,
 				Options:            core.Options{PreemptionBound: e.Bound},
 			})

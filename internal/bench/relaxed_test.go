@@ -1,7 +1,6 @@
 package bench_test
 
 import (
-	"runtime"
 	"testing"
 
 	"lineup/internal/bench"
@@ -104,7 +103,7 @@ func TestRelaxedBagRandomSweep(t *testing.T) {
 	opts := core.Options{PreemptionBound: entry.Bound}.Relax("Count()", "IsEmpty()", "ToArray()", "TryPeek()", "TryTake()")
 	rows, cols, _ := sweepDims(t, bag.Name)
 	sum, err := core.RandomCheck(bag, nil, core.RandomOptions{
-		Rows: rows, Cols: cols, Samples: 4, Seed: 11, Workers: runtime.NumCPU(), Options: opts,
+		Rows: rows, Cols: cols, Samples: 4, Seed: 11, Options: opts,
 	})
 	if err != nil {
 		t.Fatalf("randomcheck: %v", err)

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 
 	"lineup/internal/core"
 	"lineup/internal/sched"
@@ -24,18 +23,9 @@ type SoberResult struct {
 // monitors, volatiles and interlocked operations, so the scan comes back
 // clean too.
 func SoberRandom(sub *core.Subject, rows, cols, samples int, seed int64, opts core.Options) (*SoberResult, error) {
-	rng := rand.New(rand.NewSource(seed))
 	res := &SoberResult{Subject: sub.Name}
 	seen := make(map[string]bool)
-	for k := 0; k < samples; k++ {
-		m := &core.Test{}
-		for r := 0; r < rows; r++ {
-			row := make([]core.Op, cols)
-			for c := 0; c < cols; c++ {
-				row[c] = sub.Ops[rng.Intn(len(sub.Ops))]
-			}
-			m.Rows = append(m.Rows, row)
-		}
+	for _, m := range core.SampleTests(sub.Ops, rows, cols, samples, seed) {
 		res.Tests++
 		stats, err := core.ForEachExecution(sub, m, opts, true, func(out *sched.Outcome) bool {
 			for _, v := range sober.Analyze(out.Trace) {

@@ -1,7 +1,6 @@
 package bench_test
 
 import (
-	"runtime"
 	"testing"
 
 	"lineup/internal/bench"
@@ -43,7 +42,6 @@ func TestStuckClassesCount(t *testing.T) {
 		stuck := 0
 		sum, err := core.RandomCheck(sub, nil, core.RandomOptions{
 			Rows: 2, Cols: 2, Samples: 20, Seed: 3,
-			Workers: runtime.NumCPU(),
 			Options: core.Options{PreemptionBound: 1},
 		})
 		if err != nil {

@@ -117,7 +117,8 @@ type Table2Options struct {
 	// RandomOptions is what every class's sample is checked with (the paper:
 	// 100 tests of dimension 3x3, RandomCheck's defaults). PreemptionBound is
 	// each class's own registry bound whatever is set here, a zero Seed means
-	// 1, and Progress reports the done and total tests of the class currently
+	// 1, Workers is the one worker count each class's RandomCheck shares out,
+	// and Progress reports the done and total tests of the class currently
 	// running.
 	core.RandomOptions
 	// IncludePre includes the "(Pre)" variants (the paper tests both

@@ -143,8 +143,8 @@ func TestTelemetryObserveOnlyRandomCheck(t *testing.T) {
 				col = telemetry.New()
 			}
 			sum, err := core.RandomCheck(sub, nil, core.RandomOptions{
-				Rows: rows, Cols: 3, Samples: samples, Seed: 3, Workers: workers,
-				Options: core.Options{Telemetry: col},
+				Rows: rows, Cols: 3, Samples: samples, Seed: 3,
+				Options: core.Options{Telemetry: col, Workers: workers},
 			})
 			tag := fmt.Sprintf("workers=%d telemetry=%v", workers, telOn)
 			if err != nil {

@@ -15,13 +15,6 @@ type AutoOptions struct {
 	MaxN int
 	// MaxTests bounds the total number of tests checked across all n.
 	MaxTests int
-	// CoverageGuided replaces Fig. 6's exhaustive dimension-by-dimension
-	// enumeration with coverage-guided mutation (Generate): MaxN caps the
-	// matrix shape, MaxTests is the budget, and Seed drives the mutation
-	// stream.
-	CoverageGuided bool
-	// Seed is the mutation seed of a coverage-guided run.
-	Seed int64
 }
 
 // AutoResult is the outcome of a bounded AutoCheck run.
@@ -48,19 +41,6 @@ func AutoCheck(sub *Subject, opts AutoOptions) (*AutoResult, error) {
 	maxTests := opts.MaxTests
 	if maxTests <= 0 {
 		maxTests = 10000
-	}
-	if opts.CoverageGuided {
-		g, err := Generate(sub, GenOptions{
-			Options:    opts.Options,
-			Seed:       opts.Seed,
-			Budget:     maxTests,
-			MaxThreads: maxN,
-			MaxOps:     maxN,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &AutoResult{Failed: g.Failed, Tests: g.Tests, Exhausted: g.Exhausted}, nil
 	}
 	for n := 1; n <= maxN; n++ {
 		universe := sub.Ops
@@ -143,15 +123,6 @@ type RandomOptions struct {
 	Samples int `json:"samples"`
 	// Seed makes the sample reproducible.
 	Seed int64 `json:"seed"`
-	// Workers runs whole checks (one test per worker) on this many
-	// OS-level workers (the "embarrassingly parallel" distribution of
-	// Section 4.3). 0 or 1 checks one test at a time. This field shadows the
-	// embedded Options.Workers, which instead parallelizes the phase-2
-	// schedule exploration *within* one check: with one test at a time its
-	// zero value gives each exploration every CPU, and with Workers > 1 here
-	// it gives each exploration one (see ExploreWorkers). Setting both above
-	// one composes but over-subscribes the machine.
-	Workers int `json:"workers,omitempty"`
 	// StopAtFirstFailure ends the run at the first failing test.
 	StopAtFirstFailure bool `json:"stop_at_first_failure,omitempty"`
 	// Progress, when non-nil, is called after every completed test with the
@@ -175,17 +146,6 @@ type RandomOptions struct {
 	// results compose into exactly the sequence an uninterrupted run
 	// produces.
 	Resume *RandomCheckpoint `json:"-"`
-}
-
-// ExploreWorkers is the worker count each check's phase-2 exploration runs
-// with: what Options.Workers means on a check of its own (0 is one per CPU,
-// or one under DetectLeaks), except that when the tests themselves run side
-// by side an unset count means one — the CPUs are taken.
-func (o RandomOptions) ExploreWorkers() int {
-	if o.Workers > 1 && o.Options.Workers <= 0 {
-		return 1
-	}
-	return o.Options.exploreWorkers()
 }
 
 // RandomSummary aggregates a RandomCheck run; its fields correspond to the
@@ -213,22 +173,42 @@ type RandomSummary struct {
 	PreemptionUsed int
 }
 
+// SampleTests draws n tests of rows×cols invocations uniformly from universe
+// with the given seed, row by row — the sample of RandomCheck (Fig. 8), which
+// the Section 5.6 and 5.7 scans draw too.
+func SampleTests(universe []Op, rows, cols, n int, seed int64) []*Test {
+	rng := rand.New(rand.NewSource(seed))
+	tests := make([]*Test, n)
+	for k := range tests {
+		m := &Test{}
+		for r := 0; r < rows; r++ {
+			row := make([]Op, cols)
+			for c := range row {
+				row[c] = universe[rng.Intn(len(universe))]
+			}
+			m.Rows = append(m.Rows, row)
+		}
+		tests[k] = m
+	}
+	return tests
+}
+
 // RandomCheck implements RandomCheck(X, I, i, j, n) of Fig. 8: it draws a
 // uniform random sample of tests from the i×j matrices over the invocation
 // universe and checks each. Like Check it is complete (any FAIL is a true
 // violation) but not sound (bugs may be missed).
+//
+// The tests are independent, so they are checked side by side (the
+// "embarrassingly parallel" distribution of Section 4.3): Options.Workers,
+// resolved as on a check of its own, is split into min(Workers, Samples) tests
+// at a time, each exploring with Workers ÷ that (at least one).
 func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummary, error) {
 	if len(universe) == 0 {
 		universe = sub.Ops
 	}
-	// Concurrent checks on sibling workers would see each other's scheduler
-	// threads, so leak detection is refused for either level of workers.
-	both := opts.Options
-	both.Workers = max(both.Workers, opts.Workers)
-	if err := both.validate(true, false); err != nil {
+	if err := opts.validate(true, false); err != nil {
 		return nil, err
 	}
-	opts.Options.Workers = opts.ExploreWorkers()
 	if opts.Rows <= 0 {
 		opts.Rows = 3
 	}
@@ -238,20 +218,15 @@ func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummar
 	if opts.Samples <= 0 {
 		opts.Samples = 100
 	}
-	rows, cols, samples := opts.Rows, opts.Cols, opts.Samples
-	rng := rand.New(rand.NewSource(opts.Seed))
-	tests := make([]*Test, samples)
-	for k := 0; k < samples; k++ {
-		m := &Test{Init: opts.Init, Final: opts.Final}
-		for r := 0; r < rows; r++ {
-			row := make([]Op, cols)
-			for c := 0; c < cols; c++ {
-				row[c] = universe[rng.Intn(len(universe))]
-			}
-			m.Rows = append(m.Rows, row)
-		}
-		tests[k] = m
+	samples := opts.Samples
+	workers := opts.exploreWorkers()
+	side := min(workers, samples)
+	tests := SampleTests(universe, opts.Rows, opts.Cols, samples, opts.Seed)
+	for _, m := range tests {
+		m.Init, m.Final = opts.Init, opts.Final
 	}
+	check := opts.Options
+	check.Workers = workers / side
 
 	sum := &RandomSummary{Subject: sub, Results: make([]*Result, samples), PreemptionUsed: opts.bound()}
 	cp := &RandomCheckpoint{Version: randomCheckpointVersion, Subject: sub.Name, Options: opts}
@@ -316,7 +291,7 @@ func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummar
 			k := next
 			next++
 			mu.Unlock()
-			r, err := Check(sub, tests[k], opts.Options)
+			r, err := Check(sub, tests[k], check)
 			mu.Lock()
 			if err == nil {
 				err = finish(k, r)
@@ -330,7 +305,7 @@ func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummar
 	}
 	// The caller's goroutine is the first worker, so a run with one worker
 	// starts no goroutine (DetectLeaks counts them process-wide).
-	for w := 1; w < opts.Workers; w++ {
+	for w := 1; w < side; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -348,7 +323,7 @@ func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummar
 	// details (they are not serialized); Check is deterministic, so
 	// re-running that one test regenerates the identical report.
 	if f := sum.FirstFailure; f != nil && f.Violation == nil {
-		r, err := Check(sub, f.Test, opts.Options)
+		r, err := Check(sub, f.Test, check)
 		if err != nil {
 			return nil, fmt.Errorf("lineup: RandomCheck on %s: regenerating first failure: %w", sub.Name, err)
 		}

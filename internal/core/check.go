@@ -92,8 +92,8 @@ type Options struct {
 	// every phase statistic but Duration are those of the sequential DFS for
 	// any value, on passing, exhaustive and stop-at-first-violation runs
 	// alike. 0 selects one per CPU the process may use, or 1 when DetectLeaks
-	// is set or an outer pool (RandomOptions.Workers) already runs checks
-	// side by side; 1 is the explicit sequential run. Subject code runs on
+	// is set; 1 is the explicit sequential run. RandomCheck shares the count
+	// out among the tests it checks side by side. Subject code runs on
 	// several goroutines at once when more than one worker explores, each on
 	// its own instance from Subject.New. Sampling (SampleSchedules) and
 	// phase 1 ignore Workers.
@@ -112,7 +112,7 @@ type Options struct {
 	// (raw `go` statements escaping the scheduler) as leak failures. It
 	// counts the goroutines of the whole process, so it needs executions to
 	// run one at a time: Workers 0 then means 1, and an explicit Workers > 1
-	// (here or in RandomOptions) is refused.
+	// is refused.
 	DetectLeaks bool `json:"detect_leaks,omitempty"`
 	// Reduction selects the explorer's partial-order reduction for phase 2
 	// (sched.ReductionNone or sched.ReductionSleep). Sleep-set reduction

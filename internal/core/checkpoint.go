@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -70,8 +71,10 @@ func LoadRandomCheckpoint(path string) (*RandomCheckpoint, error) {
 // RandomCheck checkpoint here; dist's manifest and job file; what is the noun
 // the messages use). The version is decoded first and alone: a file of
 // another version is refused with both numbers, never half-decoded into a
-// struct whose fields meant something else. A missing file is an error that
-// wraps fs.ErrNotExist.
+// struct whose fields meant something else. A field this build does not
+// declare is refused by name, except the retired ones, which are dropped: an
+// option read as unset is not the option that was written. A missing file is
+// an error that wraps fs.ErrNotExist.
 func LoadVersioned(path, what string, version int, into any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -86,18 +89,56 @@ func LoadVersioned(path, what string, version int, into any) error {
 	if head.Version != version {
 		return fmt.Errorf("core: %s %s has version %d, this build reads version %d", what, path, head.Version, version)
 	}
-	if err := json.Unmarshal(data, into); err != nil {
+	for _, field := range retired {
+		data = dropField(data, strings.Split(field, "."))
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(into); err != nil {
 		return fmt.Errorf("core: parsing %s %s: %w", what, path, err)
 	}
 	return nil
 }
 
+// dropField returns the JSON object data without the field at path, or data
+// itself when there is no such field.
+func dropField(data []byte, path []string) []byte {
+	if !bytes.Contains(data, []byte(`"`+path[len(path)-1]+`"`)) {
+		return data
+	}
+	var obj map[string]json.RawMessage
+	if json.Unmarshal(data, &obj) != nil {
+		return data
+	}
+	sub, ok := obj[path[0]]
+	switch {
+	case !ok:
+		return data
+	case len(path) == 1:
+		delete(obj, path[0])
+	default:
+		obj[path[0]] = dropField(sub, path[1:])
+	}
+	out, err := json.Marshal(obj)
+	if err != nil {
+		return data
+	}
+	return out
+}
+
 // resumeFree names the written option fields a resumed run may change, because
-// no result can show them: the two worker counts (TestWorkerCountUnobservable
-// is the gate), the watchdog interval (how long a hung execution is waited
-// for, not whether it counts as hung) and KeepSpec (what is retained, not what
-// is decided). Every other written field is compared.
-var resumeFree = map[string]bool{"workers": true, "explore_workers": true, "watchdog": true, "keep_spec": true}
+// no result can show them: the worker count (TestWorkerCountUnobservable is
+// the gate), the watchdog interval (how long a hung execution is waited for,
+// not whether it counts as hung) and KeepSpec (what is retained, not what is
+// decided). Every other written field is compared.
+var resumeFree = map[string]bool{"explore_workers": true, "watchdog": true, "keep_spec": true}
+
+// retired names the written fields earlier builds wrote and this one no
+// longer declares; LoadVersioned drops them. "options.workers" was the count
+// of tests checked side by side, resume-free like explore_workers, which now
+// covers both. "options.witness" said "monitor" where a model now says it
+// alone ("spec" was the default and never written).
+var retired = []string{"options.workers", "options.witness"}
 
 // ResumeMismatch compares what a file recorded with what this run would
 // record, field by field over the written (JSON) form of both, and names

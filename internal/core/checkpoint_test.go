@@ -27,8 +27,7 @@ func summaryKey(sum *core.RandomSummary) string {
 func randomOpts(workers int) core.RandomOptions {
 	return core.RandomOptions{
 		Rows: 2, Cols: 2, Samples: 8, Seed: 7,
-		Options: core.Options{MaxExecutionsPerPhase: 50000},
-		Workers: workers,
+		Options: core.Options{MaxExecutionsPerPhase: 50000, Workers: workers},
 	}
 }
 

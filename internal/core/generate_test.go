@@ -221,26 +221,6 @@ func TestGenerateDifferentSeedsDiverge(t *testing.T) {
 	}
 }
 
-// TestAutoCheckCoverageGuided: the AutoCheck facade delegates to Generate.
-func TestAutoCheckCoverageGuided(t *testing.T) {
-	sched.RequireNoLeaks(t)
-	res, err := core.AutoCheck(counter1Subject(), core.AutoOptions{
-		MaxN:           3,
-		MaxTests:       200,
-		CoverageGuided: true,
-		Seed:           1,
-	})
-	if err != nil {
-		t.Fatalf("AutoCheck: %v", err)
-	}
-	if res.Failed == nil {
-		t.Fatalf("coverage-guided AutoCheck missed the Counter1 bug in %d tests", res.Tests)
-	}
-	if res.Exhausted {
-		t.Fatal("Exhausted set on a failing run")
-	}
-}
-
 // TestTestFromNames: a test's written form ({init, rows, final} of display
 // names — the corpus entry, the dist job file and manifest) reads back
 // name-only, is rebuilt against the subject's universe, writes out to the

@@ -42,8 +42,8 @@ func TestIllegalOptionsRefused(t *testing.T) {
 		_, err := core.CheckUnit(sub, m, o, sched.WorkUnit{}, nil, nil)
 		return err
 	}
-	randomCheck2 := func(o core.Options) error {
-		_, err := core.RandomCheck(sub, nil, core.RandomOptions{Options: o, Workers: 2, Samples: 1})
+	randomCheck := func(o core.Options) error {
+		_, err := core.RandomCheck(sub, nil, core.RandomOptions{Options: o, Samples: 2})
 		return err
 	}
 	entries := func(fs ...func(core.Options) error) []func(core.Options) error { return fs }
@@ -71,10 +71,7 @@ func TestIllegalOptionsRefused(t *testing.T) {
 			entries(planUnits, checkUnit), "SampleSchedules"},
 		{"leak detection x exploration workers",
 			core.Options{DetectLeaks: true, Workers: 2},
-			entries(check, againstSpec(spec), withMonitor(model), planUnits, checkUnit), "DetectLeaks"},
-		{"leak detection x test workers",
-			core.Options{DetectLeaks: true},
-			entries(randomCheck2), "DetectLeaks"},
+			entries(check, againstSpec(spec), withMonitor(model), planUnits, checkUnit, randomCheck), "DetectLeaks"},
 	}
 	for _, c := range cells {
 		for i, entry := range c.entries {

@@ -113,10 +113,11 @@ func TestWorkerCountUnobservable(t *testing.T) {
 
 // TestNoOversubscription checks who gets helpers. An exploration is shared
 // only when its check is the one thing running — Workers resolves to one
-// under RandomOptions.Workers > 1, under DetectLeaks and under GOMAXPROCS(1)
-// — and only once it has outlived the recruiting mark. A helper that starts
-// has nothing to do but make the lone DFS split, so "no helper" is "never a
-// second shard" in the progress snapshots.
+// under DetectLeaks and under GOMAXPROCS(1), and RandomCheck gives a test more
+// than one only when it has fewer tests than workers — and only once it has
+// outlived the recruiting mark. A helper that starts has nothing to do but
+// make the lone DFS split, so "no helper" is "never a second shard" in the
+// progress snapshots.
 func TestNoOversubscription(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	if runtime.NumCPU() < 2 || runtime.GOMAXPROCS(0) < 2 {
@@ -145,11 +146,11 @@ func TestNoOversubscription(t *testing.T) {
 			}
 		}
 	}
-	random := func(workers int) func() {
+	random := func(samples int) func() {
 		return func() {
 			_, err := core.RandomCheck(stack, nil, core.RandomOptions{
-				Rows: 3, Cols: 2, Samples: 4, Seed: 1, Workers: workers,
-				Options: core.Options{PreemptionBound: 2, ShardProgress: progress},
+				Rows: 3, Cols: 2, Samples: samples, Seed: 1,
+				Options: core.Options{PreemptionBound: 2, Workers: 2, ShardProgress: progress},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -160,12 +161,12 @@ func TestNoOversubscription(t *testing.T) {
 		t.Fatalf("Workers: 0 on %d CPUs never split a 4 195-execution exploration", runtime.NumCPU())
 	}
 	if n := maxShards(random(1)); n < 2 {
-		t.Fatalf("RandomCheck one test at a time never split an exploration")
+		t.Fatalf("RandomCheck of one test on two workers never split its exploration")
 	}
 	for name, run := range map[string]func(){
-		"shorter than the recruiting mark": check(short, core.Options{Workers: 4}),
-		"RandomOptions.Workers 2":          random(2),
-		"DetectLeaks":                      check(long, core.Options{DetectLeaks: true}),
+		"shorter than the recruiting mark":    check(short, core.Options{Workers: 4}),
+		"RandomCheck of 4 tests on 2 workers": random(4),
+		"DetectLeaks":                         check(long, core.Options{DetectLeaks: true}),
 		"GOMAXPROCS(1)": func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			check(long, core.Options{})()
@@ -174,8 +175,5 @@ func TestNoOversubscription(t *testing.T) {
 		if n := maxShards(run); n != 1 {
 			t.Errorf("%s: %d shards, want the lone DFS's one", name, n)
 		}
-	}
-	if got := (core.RandomOptions{Workers: 2}).ExploreWorkers(); got != 1 {
-		t.Errorf("RandomOptions{Workers: 2}.ExploreWorkers() = %d, want 1", got)
 	}
 }

@@ -134,6 +134,57 @@ func TestOldCheckpointRefusedByVersion(t *testing.T) {
 	}
 }
 
+// TestCheckpointFieldsDeclared: a checkpoint is read against the fields this
+// build declares. testdata/checkpoint-with-workers.json was written while
+// "options.workers" still counted the tests checked side by side
+// (SemaphoreSlim(Pre), 4 tests of 3x3 at seed 1, "workers": 4); it loads and
+// resumes to the summary of an uninterrupted run. The same file holding an
+// option no build declares is refused, the option named.
+func TestCheckpointFieldsDeclared(t *testing.T) {
+	const path = "testdata/checkpoint-with-workers.json"
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"workers": 4`) {
+		t.Fatalf("%s no longer holds the retired field", path)
+	}
+	cp, err := core.LoadRandomCheckpoint(path)
+	if err != nil {
+		t.Fatalf("a checkpoint with a retired field: %v", err)
+	}
+
+	unknown := filepath.Join(t.TempDir(), "unknown.json")
+	if err := os.WriteFile(unknown, []byte(strings.Replace(string(data), `"seed": 1,`, `"seed": 1, "frobnicate": 3,`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.LoadRandomCheckpoint(unknown); err == nil || !strings.Contains(err.Error(), `"frobnicate"`) {
+		t.Errorf("a checkpoint with an undeclared option: err = %v, want one naming it", err)
+	}
+
+	if testing.Short() {
+		t.Skip("the resume checks four 3x3 tests; skipped in -short mode")
+	}
+	sched.RequireNoLeaks(t)
+	sub := findClass(t, cp.Subject)
+	opts := core.RandomOptions{Rows: 3, Cols: 3, Samples: 4, Seed: 1, Options: core.Options{PreemptionBound: 2, Workers: 2}}
+	want, err := core.RandomCheck(sub, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Resume = cp
+	got, err := core.RandomCheck(sub, nil, opts)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if got.Passed != want.Passed || got.Failed != want.Failed || got.StuckTests != want.StuckTests || got.SerialHistMax != want.SerialHistMax {
+		t.Errorf("resumed summary %+v, uninterrupted %+v", got, want)
+	}
+	if want.FirstFailure == nil || got.FirstFailure == nil || got.FirstFailure.Violation.String() != want.FirstFailure.Violation.String() {
+		t.Errorf("resumed first failure %v, uninterrupted %v", got.FirstFailure, want.FirstFailure)
+	}
+}
+
 // TestResumeMismatchNamesEveryField pins the diff itself: every differing
 // leaf is named with both values in one error, in sorted order, nested
 // objects by path; the resume-free fields and the caller's progress fields
@@ -144,8 +195,8 @@ func TestResumeMismatchNamesEveryField(t *testing.T) {
 		Options core.RandomOptions `json:"options"`
 		Tests   []int              `json:"tests"`
 	}
-	saved := file{1, core.RandomOptions{Rows: 2, Seed: 7, Workers: 4, Options: core.Options{Reduction: sched.ReductionSleep, Workers: 2, KeepSpec: true}}, []int{1, 2}}
-	now := file{1, core.RandomOptions{Rows: 3, Seed: 7, Workers: 1, Options: core.Options{MaxFailures: 5, Watchdog: 1}}, nil}
+	saved := file{1, core.RandomOptions{Rows: 2, Seed: 7, Options: core.Options{Reduction: sched.ReductionSleep, Workers: 2, KeepSpec: true}}, []int{1, 2}}
+	now := file{1, core.RandomOptions{Rows: 3, Seed: 7, Options: core.Options{MaxFailures: 5, Watchdog: 1}}, nil}
 	err := core.ResumeMismatch("checkpoint", saved, now, "tests")
 	if err == nil {
 		t.Fatal("no mismatch reported")

@@ -39,7 +39,7 @@ func writtenOptionKeys(typ reflect.Type) []string {
 // checkpoint (core.RandomCheck) and, for the fields core.Options has, a
 // `dist` manifest (dist.Run with a Dir) — and requires the resume to be
 // refused with that field named. The exceptions are the resume-free fields
-// (both worker counts, the watchdog interval, KeepSpec), which must be
+// (the worker count, the watchdog interval, KeepSpec), which must be
 // accepted. The table is checked against the struct by reflection, so a new
 // written option cannot land without its row. The "witness" row is a field
 // that is gone: a file that still holds it is read as below.
@@ -78,7 +78,6 @@ func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 		"cols":                  {flip: func(o *R) { o.Cols = 1 }},
 		"samples":               {flip: func(o *R) { o.Samples = 3 }},
 		"seed":                  {flip: func(o *R) { o.Seed = 99 }},
-		"workers":               {flip: func(o *R) { o.Workers = 2 }, free: true},
 		"stop_at_first_failure": {flip: func(o *R) { o.StopAtFirstFailure = true }},
 		"init":                  {flip: func(o *R) { o.Init = []core.Op{inc} }},
 		"final":                 {flip: func(o *R) { o.Final = []core.Op{get} }},

@@ -29,9 +29,10 @@ import (
 // /ingest; any other value means JSONL.
 const BatchContentType = "application/x-lineup-batch"
 
-// frameMagic opens a batch stream; it shares no prefix with JSONL ('{' or
-// '#') so a format mix-up fails immediately with a clear diagnostic.
-var frameMagic = [4]byte{'L', 'U', 'B', '1'}
+// FrameMagic opens a batch stream. It shares no prefix with JSONL ('{' or
+// '#'), so a stream's first four bytes tell the two apart and a format mix-up
+// fails immediately with a clear diagnostic.
+const FrameMagic = "LUB1"
 
 // maxFramePayload caps one frame's payload so a corrupt or hostile length
 // prefix cannot demand an arbitrary allocation.
@@ -101,7 +102,7 @@ func (fw *FrameWriter) magic() error {
 		return nil
 	}
 	fw.wroteMagic = true
-	_, err := fw.w.Write(frameMagic[:])
+	_, err := fw.w.WriteString(FrameMagic)
 	return err
 }
 
@@ -243,8 +244,8 @@ func (fr *FrameReader) readMagic() error {
 	if err != nil {
 		return fr.truncated("stream magic")
 	}
-	if m != frameMagic {
-		return fr.fail(fmt.Errorf("obsfile: not a batch frame stream (magic %q, want %q)", m[:], frameMagic[:]))
+	if string(m[:]) != FrameMagic {
+		return fr.fail(fmt.Errorf("obsfile: not a batch frame stream (magic %q, want %q)", m[:], FrameMagic))
 	}
 	return nil
 }

@@ -170,7 +170,7 @@ func TestFrameTruncatedFinalFrame(t *testing.T) {
 	evs := frameEvents()
 	data := encodeFrames(t, evs, 3) // three frames: 3+3+1 events
 	whole := decodeFrames(t, data)
-	for cut := len(frameMagic); cut < len(data); cut++ {
+	for cut := len(FrameMagic); cut < len(data); cut++ {
 		fr := NewFrameReader(bytes.NewReader(data[:cut]))
 		var got []TraceEvent
 		var err error

@@ -17,22 +17,31 @@ import (
 // VC is a vector clock indexed by thread ID.
 type VC []int
 
-func (v VC) clock(t sched.ThreadID) int {
+// NewVC is the clock thread t starts with: 1 in its own entry.
+func NewVC(t sched.ThreadID) VC {
+	v := make(VC, int(t)+1)
+	v[t] = 1
+	return v
+}
+
+// Clock is t's entry.
+func (v VC) Clock(t sched.ThreadID) int {
 	if int(t) < len(v) {
 		return v[t]
 	}
 	return 0
 }
 
-func (v *VC) grow(n int) {
+// Grow pads v with zeros to n entries.
+func (v *VC) Grow(n int) {
 	for len(*v) < n {
 		*v = append(*v, 0)
 	}
 }
 
-// join merges w into v (pointwise maximum).
-func (v *VC) join(w VC) {
-	v.grow(len(w))
+// Join merges w into v (pointwise maximum).
+func (v *VC) Join(w VC) {
+	v.Grow(len(w))
 	for i, c := range w {
 		if c > (*v)[i] {
 			(*v)[i] = c
@@ -40,10 +49,27 @@ func (v *VC) join(w VC) {
 	}
 }
 
-func (v VC) copyVC() VC {
+// Tick advances t's own entry.
+func (v *VC) Tick(t sched.ThreadID) {
+	v.Grow(int(t) + 1)
+	(*v)[t]++
+}
+
+// Clone returns a copy of v.
+func (v VC) Clone() VC {
 	out := make(VC, len(v))
 	copy(out, v)
 	return out
+}
+
+// Leq reports v <= w pointwise.
+func (v VC) Leq(w VC) bool {
+	for i, c := range v {
+		if c > w.Clock(sched.ThreadID(i)) {
+			return false
+		}
+	}
+	return true
 }
 
 // epoch is a scalar timestamp: the clock of one thread at one access.
@@ -55,7 +81,7 @@ type epoch struct {
 // happensBefore reports whether the access at e is ordered before the
 // current time of thread vc.
 func (e epoch) happensBefore(vc VC) bool {
-	return e.clock <= vc.clock(e.thread)
+	return e.clock <= vc.Clock(e.thread)
 }
 
 // Access describes one side of a reported race.
@@ -118,8 +144,7 @@ func NewDetector() *Detector {
 func (d *Detector) vc(t sched.ThreadID) *VC {
 	v, ok := d.threads[t]
 	if !ok {
-		nv := make(VC, int(t)+1)
-		nv[t] = 1 // each thread starts at clock 1
+		nv := NewVC(t)
 		d.threads[t] = &nv
 		return &nv
 	}
@@ -155,37 +180,37 @@ func (d *Detector) Analyze(trace []sched.MemEvent) {
 	d.locs = make(map[int]*locState)
 	for _, ev := range trace {
 		vc := d.vc(ev.Thread)
-		vc.grow(int(ev.Thread) + 1)
+		vc.Grow(int(ev.Thread) + 1)
 		switch ev.Kind {
 		case sched.MemAcquire:
 			lvc, ok := d.locks[ev.Loc]
 			if ok {
-				vc.join(*lvc)
+				vc.Join(*lvc)
 			}
 		case sched.MemRelease:
-			cp := vc.copyVC()
+			cp := vc.Clone()
 			d.locks[ev.Loc] = &cp
-			(*vc)[ev.Thread]++
+			vc.Tick(ev.Thread)
 		case sched.MemAtomicLoad:
 			l := d.loc(ev.Loc, ev.Name)
 			if l.hasSync {
-				vc.join(l.syncVC)
+				vc.Join(l.syncVC)
 			}
 		case sched.MemAtomicStore, sched.MemAtomicRMW:
 			l := d.loc(ev.Loc, ev.Name)
 			if ev.Kind == sched.MemAtomicRMW && l.hasSync {
-				vc.join(l.syncVC)
+				vc.Join(l.syncVC)
 			}
 			var nv VC
 			if l.hasSync {
-				nv = l.syncVC.copyVC()
-				nv.join(*vc)
+				nv = l.syncVC.Clone()
+				nv.Join(*vc)
 			} else {
-				nv = vc.copyVC()
+				nv = vc.Clone()
 			}
 			l.syncVC = nv
 			l.hasSync = true
-			(*vc)[ev.Thread]++
+			vc.Tick(ev.Thread)
 		case sched.MemRead:
 			l := d.loc(ev.Loc, ev.Name)
 			if l.hasWrite && l.lastWrite.thread != ev.Thread && !l.lastWrite.happensBefore(*vc) {
@@ -193,7 +218,7 @@ func (d *Detector) Analyze(trace []sched.MemEvent) {
 					Access{Thread: l.lastWrite.thread, Write: true, Op: l.writeOp},
 					Access{Thread: ev.Thread, Write: false, Op: ev.Op})
 			}
-			l.reads = append(l.reads, epoch{ev.Thread, vc.clock(ev.Thread)})
+			l.reads = append(l.reads, epoch{ev.Thread, vc.Clock(ev.Thread)})
 			l.readOps = append(l.readOps, ev.Op)
 		case sched.MemWrite:
 			l := d.loc(ev.Loc, ev.Name)
@@ -209,7 +234,7 @@ func (d *Detector) Analyze(trace []sched.MemEvent) {
 						Access{Thread: ev.Thread, Write: true, Op: ev.Op})
 				}
 			}
-			l.lastWrite = epoch{ev.Thread, vc.clock(ev.Thread)}
+			l.lastWrite = epoch{ev.Thread, vc.Clock(ev.Thread)}
 			l.hasWrite = true
 			l.writeOp = ev.Op
 			l.reads = nil

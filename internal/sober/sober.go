@@ -21,6 +21,7 @@ package sober
 import (
 	"fmt"
 
+	"lineup/internal/race"
 	"lineup/internal/sched"
 )
 
@@ -48,69 +49,26 @@ func (v Violation) String() string {
 		v.Second.Thread, v.Second.WriteLoc, v.Second.ReadLoc)
 }
 
-// vc is a minimal vector clock.
-type vc []int
-
-func (v *vc) grow(n int) {
-	for len(*v) < n {
-		*v = append(*v, 0)
-	}
-}
-
-func (v *vc) join(w vc) {
-	v.grow(len(w))
-	for i, c := range w {
-		if c > (*v)[i] {
-			(*v)[i] = c
-		}
-	}
-}
-
-func (v vc) clone() vc {
-	out := make(vc, len(v))
-	copy(out, v)
-	return out
-}
-
-// leq reports v <= w pointwise.
-func (v vc) leq(w vc) bool {
-	for i, c := range v {
-		var wc int
-		if i < len(w) {
-			wc = w[i]
-		}
-		if c > wc {
-			return false
-		}
-	}
-	return true
-}
-
 type pairStamp struct {
 	pair  Pair
-	write vc // thread clock at the write
-	read  vc // thread clock at the read
+	write race.VC // thread clock at the write
+	read  race.VC // thread clock at the read
 }
 
 // Analyze scans one execution trace for the store-buffer pattern and
 // returns the violations found (deduplicated by location pair and threads).
 func Analyze(trace []sched.MemEvent) []Violation {
-	threads := make(map[sched.ThreadID]*vc)
-	locks := make(map[int]vc)
-	syncLoc := make(map[int]vc)
-	tvc := func(t sched.ThreadID) *vc {
+	threads := make(map[sched.ThreadID]*race.VC)
+	locks := make(map[int]race.VC)
+	syncLoc := make(map[int]race.VC)
+	tvc := func(t sched.ThreadID) *race.VC {
 		v, ok := threads[t]
 		if !ok {
-			nv := make(vc, int(t)+1)
-			nv[t] = 1
-			threads[t] = &nv
-			return &nv
+			nv := race.NewVC(t)
+			v = &nv
+			threads[t] = v
 		}
 		return v
-	}
-	tick := func(t sched.ThreadID, v *vc) {
-		v.grow(int(t) + 1)
-		(*v)[t]++
 	}
 
 	// pendingWrite[t] is the last plain write of t not yet followed by a
@@ -119,45 +77,45 @@ func Analyze(trace []sched.MemEvent) []Violation {
 		loc   int
 		name  string
 		op    int
-		stamp vc
+		stamp race.VC
 	}
 	pendingWrite := make(map[sched.ThreadID]*pw)
 	var pairs []pairStamp
 
 	for _, ev := range trace {
 		v := tvc(ev.Thread)
-		v.grow(int(ev.Thread) + 1)
+		v.Grow(int(ev.Thread) + 1)
 		switch ev.Kind {
 		case sched.MemAcquire:
 			if l, ok := locks[ev.Loc]; ok {
-				v.join(l)
+				v.Join(l)
 			}
 			delete(pendingWrite, ev.Thread) // fence: buffer drained
 		case sched.MemRelease:
-			locks[ev.Loc] = v.clone()
-			tick(ev.Thread, v)
+			locks[ev.Loc] = v.Clone()
+			v.Tick(ev.Thread)
 			delete(pendingWrite, ev.Thread)
 		case sched.MemAtomicLoad:
 			if l, ok := syncLoc[ev.Loc]; ok {
-				v.join(l)
+				v.Join(l)
 			}
 			// Loads do not drain the buffer under TSO, but a volatile load
 			// orders subsequent plain reads after it; conservatively keep
 			// the pending write (TSO allows W -> volatile-R reordering of
 			// the *visibility*, the interesting pattern survives).
 		case sched.MemAtomicStore, sched.MemAtomicRMW:
-			nv := v.clone()
+			nv := v.Clone()
 			if l, ok := syncLoc[ev.Loc]; ok {
-				nv.join(l)
+				nv.Join(l)
 				if ev.Kind == sched.MemAtomicRMW {
-					v.join(l)
+					v.Join(l)
 				}
 			}
 			syncLoc[ev.Loc] = nv
-			tick(ev.Thread, v)
+			v.Tick(ev.Thread)
 			delete(pendingWrite, ev.Thread) // interlocked ops fence on x86
 		case sched.MemWrite:
-			pendingWrite[ev.Thread] = &pw{loc: ev.Loc, name: ev.Name, op: ev.Op, stamp: v.clone()}
+			pendingWrite[ev.Thread] = &pw{loc: ev.Loc, name: ev.Name, op: ev.Op, stamp: v.Clone()}
 		case sched.MemRead:
 			if w := pendingWrite[ev.Thread]; w != nil && w.loc != ev.Loc {
 				pairs = append(pairs, pairStamp{
@@ -169,7 +127,7 @@ func Analyze(trace []sched.MemEvent) []Violation {
 						ReadOp:   ev.Op,
 					},
 					write: w.stamp,
-					read:  v.clone(),
+					read:  v.Clone(),
 				})
 			}
 		}
@@ -189,7 +147,7 @@ func Analyze(trace []sched.MemEvent) []Violation {
 				continue
 			}
 			// Ordered pairs cannot both read stale values.
-			if a.read.leq(b.write) || b.read.leq(a.write) {
+			if a.read.Leq(b.write) || b.read.Leq(a.write) {
 				continue
 			}
 			key := fmt.Sprintf("%d|%d|%s|%s", a.pair.Thread, b.pair.Thread, a.pair.WriteLoc, a.pair.ReadLoc)
