@@ -123,8 +123,8 @@ sweeps:
 	LINEUP_BENCH_FULL=1 $(GO) test -timeout=30m ./internal/bench ./internal/core
 
 # The number the ROADMAP's size gates are stated in: lines of non-test Go
-# outside benchmark/ (22 465; 22 645 before the brute-force reference left
-# the production code for the test-only internal/oracle).
+# outside benchmark/. ROADMAP item 11 holds the round's gate and the latest
+# readings.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 

@@ -218,3 +218,27 @@ func TestDistExecHonoursOptions(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckTestProgressCountsUnits: the progress line of `check -test` counts
+// the run's work units against the plan's number of them.
+func TestCheckTestProgressCountsUnits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a real binary; skipped in -short mode")
+	}
+	bin := buildLineup(t)
+	cmd := exec.Command(bin, append(append([]string(nil), distFixture...), "-progress")...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatal("the fixture found no violation")
+	}
+	var units int
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if _, err := fmt.Sscanf(line, "units: %d total", &units); err == nil {
+			break
+		}
+	}
+	if want := fmt.Sprintf("units %d/%d", units, units); units == 0 || !strings.Contains(stderr.String(), want) {
+		t.Fatalf("stderr has no %q:\n%s", want, stderr.String())
+	}
+}

@@ -15,7 +15,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -29,6 +28,7 @@ import (
 	"lineup/internal/obsfile"
 	"lineup/internal/sched"
 	"lineup/internal/subjects"
+	"lineup/internal/telemetry"
 )
 
 // command is one subcommand of the CLI; the commands table drives both
@@ -252,7 +252,7 @@ func cmdMonitor(args []string) error {
 
 func cmdTable2(args []string) error {
 	fs := flag.NewFlagSet("table2", flag.ExitOnError)
-	opts := bench.Table2Options{RandomOptions: core.RandomOptions{Samples: 100, Rows: 3, Cols: 3, Seed: 1, Options: core.Options{Workers: runtime.NumCPU()}}}
+	opts := bench.Table2Options{RandomOptions: core.RandomOptions{Samples: 100, Rows: 3, Cols: 3, Seed: 1}}
 	addCheckFlags(fs, &opts.RandomOptions, "samples", "rows", "cols", "seed", "workers", "watchdog", "max-failures", "reduction")
 	fs.BoolVar(&opts.IncludePre, "pre", true, "include the (Pre) variants")
 	tflags := addTelemetryFlags(fs)
@@ -264,40 +264,15 @@ func cmdTable2(args []string) error {
 		return err
 	}
 	opts.Telemetry = tr.C
-	report := func(class string) { fmt.Fprintf(os.Stderr, "checking %s...\n", class) }
-	if tr.Prog != nil {
-		// One unit per class; the extra slot tracks the class in flight and
-		// its per-test counts. report runs between classes and Progress between
-		// tests of one class, so the current-class variable is never written
-		// concurrently with a read.
-		classes := 0
-		for _, e := range bench.Registry() {
+	classes := 0
+	for _, e := range bench.Registry() {
+		classes++
+		if opts.IncludePre && e.Pre != nil {
 			classes++
-			if opts.IncludePre && e.Pre != nil {
-				classes++
-			}
-		}
-		tr.Prog.SetTotal(classes)
-		started := 0
-		current := ""
-		report = func(class string) {
-			if started > 0 {
-				tr.Prog.Step(1)
-			}
-			started++
-			current = class
-			tr.Prog.SetExtra(class)
-			tr.Prog.Tick()
-		}
-		opts.Progress = func(done, total int) {
-			tr.Prog.SetExtra(fmt.Sprintf("%s %d/%d tests", current, done, total))
-			tr.Prog.Tick()
 		}
 	}
-	table, err := bench.RunTable2(opts, report)
-	if err == nil && tr.Prog != nil {
-		tr.Prog.Step(1) // the last class has no successor to step it
-	}
+	tr.C.Add(telemetry.TestsPlanned, int64(classes*opts.Samples))
+	table, err := bench.RunTable2(opts)
 	if err = tr.finishAfter(err); err != nil {
 		return err
 	}
@@ -338,7 +313,7 @@ func cmdCauses(args []string) error {
 func cmdCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
 	class := fs.String("class", "", "class name (see 'lineup list')")
-	ropts := core.RandomOptions{Samples: 100, Rows: 3, Cols: 3, Seed: 1, Options: core.Options{Workers: runtime.NumCPU()}}
+	ropts := core.RandomOptions{Samples: 100, Rows: 3, Cols: 3, Seed: 1}
 	addCheckFlags(fs, &ropts, "samples", "rows", "cols", "seed", "pb", "workers",
 		"watchdog", "max-failures", "detect-leaks", "reduction")
 	ropts.MonitorModel = modelFlag(fs, "decide phase 2's witnesses by replay through this sequential model, not by phase-1 lookup: ")
@@ -382,15 +357,7 @@ func cmdCheck(args []string) error {
 		return err
 	}
 	ropts.Telemetry = tr.C
-	// The shrink re-checks candidates under the options the sweep survived
-	// with (watchdog, failure budget, reduction, model); only the progress
-	// hooks below stay behind.
-	shrinkOpts := ropts.Options
-	ropts.ShardProgress = tr.shardProgress()
-	if tr.Prog != nil {
-		tr.Prog.SetTotal(ropts.Samples)
-		ropts.Progress = func(done, total int) { tr.Prog.SetUnits(done, total) }
-	}
+	tr.C.Add(telemetry.TestsPlanned, int64(ropts.Samples))
 	if *dir != "" {
 		// The sample's checkpoint, rewritten after every completed test: a
 		// killed run left one, and this run resumes from it.
@@ -435,7 +402,7 @@ func cmdCheck(args []string) error {
 		fmt.Println("\nfirst failing test:")
 		fmt.Println(indent(sum.FirstFailure.Test.String()))
 		if *shrink {
-			min, res, err := core.Shrink(sub, sum.FirstFailure.Test, shrinkOpts)
+			min, res, err := core.Shrink(sub, sum.FirstFailure.Test, ropts.Options)
 			if err != nil {
 				return err
 			}
@@ -477,12 +444,13 @@ func checkTest(sub *core.Subject, m *core.Test, opts core.Options, dir string, e
 		cfg.Launcher = &dist.ExecLauncher{Bin: bin, Dir: jobDir, KillUnit: -1}
 	}
 	res, stats, err := dist.Run(context.Background(), cfg)
+	err = tr.finishAfter(err)
 	// Lease traffic is timing-dependent, so everything but the verdict goes to
 	// stderr; stdout stays deterministic for a given class, test and options.
 	fmt.Fprintf(os.Stderr, "units: %d total, %d done, %d resumed, %d poisoned; leases: %d granted, %d expired, %d retries, %d stale, %d worker failures\n",
 		stats.Units, stats.Done, stats.Resumed, stats.Poisoned,
 		stats.LeasesGranted, stats.LeasesExpired, stats.Retries, stats.StaleReports, stats.WorkerFailures)
-	if err = tr.finishAfter(err); err != nil {
+	if err != nil {
 		return err
 	}
 	fmt.Printf("verdict: %v (%d histories, %d stuck, %d schedules)\n",
@@ -561,10 +529,7 @@ func cmdGenerate(args []string) error {
 	}
 	gopts.Options = ro.Options
 	gopts.PreemptionBound, gopts.Telemetry = pb, tr.C
-	if tr.Prog != nil {
-		tr.Prog.SetTotal(gopts.Budget)
-		gopts.Progress = func(done, total int) { tr.Prog.SetUnits(done, total) }
-	}
+	tr.C.Add(telemetry.TestsPlanned, int64(gopts.Budget))
 	res, err := core.Generate(sub, gopts)
 	if err = tr.finishAfter(err); err != nil {
 		return err

@@ -120,12 +120,26 @@ func TestCmdCheckHardeningFlags(t *testing.T) {
 // TestCmdCheckLeakDetectionNeedsOneWorker: -detect-leaks counts the
 // goroutines of the whole process, so asking for it together with more than
 // one worker is refused before any test runs — it used to run without the
-// check it was asked for.
+// check it was asked for. Without -workers it runs on the one worker it
+// needs, whatever the number of CPUs.
 func TestCmdCheckLeakDetectionNeedsOneWorker(t *testing.T) {
-	err := cmdCheck([]string{"-class", "ConcurrentStack", "-samples", "1", "-rows", "2", "-cols", "2", "-detect-leaks", "-workers", "2"})
-	var oe *core.OptionsError
-	if !errors.As(err, &oe) || oe.Field != "DetectLeaks" {
-		t.Errorf("check -detect-leaks -workers 2: err = %v, want a DetectLeaks *core.OptionsError", err)
+	sample := []string{"-class", "ConcurrentStack", "-samples", "1", "-rows", "2", "-cols", "2", "-detect-leaks"}
+	for _, tc := range []struct {
+		workers []string
+		refused bool
+	}{
+		{[]string{"-workers", "2"}, true},
+		{nil, false},
+	} {
+		var err error
+		captureStdout(t, func() error {
+			err = cmdCheck(append(append([]string(nil), sample...), tc.workers...))
+			return nil
+		})
+		var oe *core.OptionsError
+		if refused := errors.As(err, &oe) && oe.Field == "DetectLeaks"; refused != tc.refused || (!tc.refused && err != nil) {
+			t.Errorf("check -detect-leaks %v: err = %v, want refused %v", tc.workers, err, tc.refused)
+		}
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"lineup/internal/monitor"
 	"lineup/internal/obsfile"
 	"lineup/internal/serve"
-	"lineup/internal/telemetry"
 )
 
 // cmdServe runs the streaming monitoring service: events are ingested live
@@ -89,7 +88,6 @@ func cmdServe(args []string) error {
 		r = f
 	}
 	start := time.Now()
-	stopProgress := serveProgress(s, tr.Prog)
 	// A batch-frame stream opens with the frame magic; anything else is JSONL.
 	// These are the two entry points POST /ingest picks by Content-Type.
 	br := bufio.NewReader(r)
@@ -98,7 +96,6 @@ func cmdServe(args []string) error {
 		ingest = s.IngestFrames
 	}
 	_, ingestErr := ingest(br)
-	stopProgress()
 	sum, closeErr := s.Close()
 	wall := time.Since(start)
 	if err := tr.finishAfter(firstErr(ingestErr, closeErr)); err != nil {
@@ -109,33 +106,6 @@ func cmdServe(args []string) error {
 		return errViolation
 	}
 	return nil
-}
-
-// serveProgress keeps the live progress line fed from the server's counters
-// until the returned stop function is called (which waits for the ticker
-// goroutine to exit). Without a progress line it does nothing.
-func serveProgress(s *serve.Server, prog *telemetry.Progress) (stop func()) {
-	if prog == nil {
-		return func() {}
-	}
-	quit, exited := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(exited)
-		tick := time.NewTicker(200 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-quit:
-				return
-			case <-tick.C:
-				st := s.Stats()
-				prog.SetExtra(fmt.Sprintf("%d events, %d ops checked, queues %v",
-					st.EventsIngested, st.OpsChecked, st.QueueDepths))
-				prog.Tick()
-			}
-		}
-	}()
-	return func() { close(quit); <-exited }
 }
 
 func firstErr(errs ...error) error {

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"lineup/internal/obsfile"
-	"lineup/internal/sched"
 	"lineup/internal/telemetry"
 )
 
@@ -37,8 +36,8 @@ func (f *telemetryFlags) enabled() bool {
 
 // telemetryRun is one live telemetry session: the collector to thread into
 // core/bench options (nil when telemetry is off — a valid no-op sink) and the
-// optional progress line. Callers must call finish exactly once when the run
-// ends, on error paths too.
+// optional progress line, which reads the collector on its own. Callers must
+// call finish exactly once when the run ends, on error paths too.
 type telemetryRun struct {
 	C    *telemetry.Collector
 	Prog *telemetry.Progress
@@ -56,9 +55,6 @@ func (f *telemetryFlags) start(label string) (*telemetryRun, error) {
 		return r, nil
 	}
 	r.C = telemetry.New()
-	if *f.progress {
-		r.Prog = telemetry.NewProgress(os.Stderr, r.C, label)
-	}
 	if *f.pprofAddr != "" {
 		srv, err := telemetry.Serve(*f.pprofAddr, r.C)
 		if err != nil {
@@ -67,21 +63,10 @@ func (f *telemetryFlags) start(label string) (*telemetryRun, error) {
 		r.srv = srv
 		fmt.Fprintf(os.Stderr, "telemetry: pprof and /debug/vars on http://%s\n", srv.Addr)
 	}
+	if *f.progress {
+		r.Prog = telemetry.NewProgress(os.Stderr, r.C, label)
+	}
 	return r, nil
-}
-
-// shardProgress returns a core.Options.ShardProgress callback that folds the
-// parallel explorer's shard counters into the live line, or nil when no
-// progress line was requested.
-func (r *telemetryRun) shardProgress() func(sched.ShardProgress) {
-	if r.Prog == nil {
-		return nil
-	}
-	p := r.Prog
-	return func(sp sched.ShardProgress) {
-		p.SetExtra(fmt.Sprintf("shards %d/%d, %d splits", sp.Done, sp.Shards, sp.Splits))
-		p.Tick()
-	}
 }
 
 // finish terminates the progress line, stops the HTTP endpoint, and writes

@@ -117,9 +117,8 @@ type Table2Options struct {
 	// RandomOptions is what every class's sample is checked with (the paper:
 	// 100 tests of dimension 3x3, RandomCheck's defaults). PreemptionBound is
 	// each class's own registry bound whatever is set here, a zero Seed means
-	// 1, Workers is the one worker count each class's RandomCheck shares out,
-	// and Progress reports the done and total tests of the class currently
-	// running.
+	// 1, and Workers is the one worker count each class's RandomCheck shares
+	// out.
 	core.RandomOptions
 	// IncludePre includes the "(Pre)" variants (the paper tests both
 	// releases).
@@ -142,16 +141,13 @@ func minDims() map[string][]string {
 
 // RunTable2 regenerates Table 2: for every class (and optionally its (Pre)
 // variant) it runs RandomCheck and aggregates the phase statistics.
-func RunTable2(opts Table2Options, progress func(string)) ([]Table2Row, error) {
+func RunTable2(opts Table2Options) ([]Table2Row, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
 	dims := minDims()
 	var rows []Table2Row
 	run := func(sub *core.Subject, bound int) error {
-		if progress != nil {
-			progress(sub.Name)
-		}
 		ro := opts.RandomOptions
 		ro.PreemptionBound = bound
 		sum, err := core.RandomCheck(sub, nil, ro)

@@ -30,7 +30,7 @@ func TestRunTable2Tiny(t *testing.T) {
 	}
 	rows, err := bench.RunTable2(bench.Table2Options{
 		RandomOptions: core.RandomOptions{Samples: 2, Rows: 2, Cols: 2, Seed: 5}, IncludePre: true,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

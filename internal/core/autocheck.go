@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"lineup/internal/telemetry"
 )
 
 // AutoOptions configures AutoCheck. Because AutoCheck does not terminate on
@@ -125,11 +127,6 @@ type RandomOptions struct {
 	Seed int64 `json:"seed"`
 	// StopAtFirstFailure ends the run at the first failing test.
 	StopAtFirstFailure bool `json:"stop_at_first_failure,omitempty"`
-	// Progress, when non-nil, is called after every completed test with the
-	// number of tests finished so far (including any restored from a resumed
-	// checkpoint) and the total sample size. Calls are serialized; the hook
-	// must return quickly and must not call back into the checker.
-	Progress func(done, total int) `json:"-"`
 	// Init and Final are fixed initial/final invocation sequences attached
 	// to every sampled test (Section 4.3).
 	Init  []Op `json:"init,omitempty"`
@@ -231,7 +228,6 @@ func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummar
 	sum := &RandomSummary{Subject: sub, Results: make([]*Result, samples), PreemptionUsed: opts.bound()}
 	cp := &RandomCheckpoint{Version: randomCheckpointVersion, Subject: sub.Name, Options: opts}
 	done := make([]bool, samples)
-	completed := 0
 	if opts.Resume != nil {
 		if err := opts.Resume.validate(cp); err != nil {
 			return nil, err
@@ -241,23 +237,17 @@ func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummar
 				continue
 			}
 			done[t.Index] = true
-			completed++
+			opts.Telemetry.Add(telemetry.TestsDone, 1)
 			sum.Results[t.Index] = t.restore(sub, tests[t.Index])
 			cp.Tests = append(cp.Tests, t)
 		}
-	}
-	if opts.Progress != nil && completed > 0 {
-		opts.Progress(completed, samples)
 	}
 	// finish records a completed test under the workers' lock and forwards
 	// the checkpoint; its error aborts the run like a check error.
 	finish := func(k int, r *Result) error {
 		sum.Results[k] = r
 		done[k] = true
-		completed++
-		if opts.Progress != nil {
-			opts.Progress(completed, samples)
-		}
+		opts.Telemetry.Add(telemetry.TestsDone, 1)
 		if opts.Checkpoint == nil {
 			return nil
 		}

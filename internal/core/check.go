@@ -98,10 +98,6 @@ type Options struct {
 	// its own instance from Subject.New. Sampling (SampleSchedules) and
 	// phase 1 ignore Workers.
 	Workers int `json:"explore_workers,omitempty"`
-	// ShardProgress, when non-nil, receives progress snapshots of the
-	// phase-2 exploration (shards created/retired, executions started). It
-	// is called under an internal lock and must return quickly.
-	ShardProgress func(sched.ShardProgress) `json:"-"`
 	// Watchdog, when positive, arms the scheduler's wall-clock watchdog on
 	// every execution: a subject that blocks on an uninstrumented primitive
 	// or spins without yielding is abandoned after this interval and

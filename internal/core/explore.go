@@ -12,10 +12,7 @@ import (
 // runs its own instance of the test program; visit may be called from several
 // of them at once.
 func (o Options) explore(sub *Subject, m *Test, cfg sched.ExploreConfig, visit func(*sched.Outcome, sched.Pos) bool) (sched.ExploreStats, error) {
-	return sched.ExploreParallel(cfg, sched.ParallelConfig{
-		Workers:  o.exploreWorkers(),
-		Progress: o.ShardProgress,
-	}, func() sched.Program {
+	return sched.ExploreParallel(cfg, o.exploreWorkers(), func() sched.Program {
 		var holder any
 		return program(sub, m, &holder)
 	}, visit)

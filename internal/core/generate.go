@@ -152,9 +152,6 @@ type GenOptions struct {
 	// KeepGoing continues past failing tests (measuring coverage growth);
 	// by default Generate stops at the first violation.
 	KeepGoing bool
-	// Progress, when non-nil, is called after every checked test with the
-	// count so far and the budget.
-	Progress func(done, total int)
 }
 
 // GenResult summarizes a Generate run.
@@ -244,10 +241,7 @@ func Generate(sub *Subject, opts GenOptions) (*GenResult, error) {
 			return true, false, fmt.Errorf("lineup: Generate on %s: %w", sub.Name, err)
 		}
 		res.Tests++
-		tel.Add(telemetry.GenTests, 1)
-		if opts.Progress != nil {
-			opts.Progress(res.Tests, budget)
-		}
+		tel.Add(telemetry.TestsDone, 1)
 		if r.Verdict == Fail && res.Failed == nil {
 			res.Failed = r
 			res.TestsToFailure = res.Tests

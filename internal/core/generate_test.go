@@ -140,7 +140,7 @@ func TestGenerateFindsCounterBug(t *testing.T) {
 		t.Fatalf("no coverage accumulated: %d pairs, %d hists", res.CoveragePairs, res.CoverageHists)
 	}
 	snap := tel.Snapshot()
-	if snap["gen_tests"] != int64(res.Tests) || snap["gen_cov_pairs"] != int64(res.CoveragePairs) {
+	if snap["tests_done"] != int64(res.Tests) || snap["gen_cov_pairs"] != int64(res.CoveragePairs) {
 		t.Fatalf("telemetry disagrees with result: %+v vs %+v", snap, res)
 	}
 }

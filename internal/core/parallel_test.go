@@ -9,6 +9,7 @@ import (
 	"lineup/internal/collections"
 	"lineup/internal/core"
 	"lineup/internal/sched"
+	"lineup/internal/telemetry"
 )
 
 // workerCounts is the equivalence grid of the issue: Workers=1 takes the
@@ -266,34 +267,64 @@ func TestAutoCheckWorkers(t *testing.T) {
 	}
 }
 
-// TestCheckShardProgress checks that Options.ShardProgress receives a
-// coherent stream of snapshots during a parallel check.
+// TestCheckShardProgress checks the shard counters of a parallel check:
+// by the time Check returns, every shard its explorations created is
+// retired, and the split-off ones are counted apart.
 func TestCheckShardProgress(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	sub := queueSubject()
 	m := &core.Test{Rows: [][]core.Op{{sub.Ops[0], sub.Ops[1]}, {sub.Ops[0]}}}
-	var mu sync.Mutex
-	var last sched.ShardProgress
-	snaps := 0
-	res, err := core.Check(sub, m, core.Options{Workers: 4, ShardProgress: func(p sched.ShardProgress) {
-		mu.Lock()
-		defer mu.Unlock()
-		if p.Shards < last.Shards || p.Done < last.Done || p.Executions < last.Executions {
-			t.Errorf("shard progress went backwards: %+v after %+v", p, last)
-		}
-		last = p
-		snaps++
-	}})
+	col := telemetry.New()
+	res, err := core.Check(sub, m, core.Options{Workers: 4, Telemetry: col})
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
 	if res.Verdict != core.Pass {
 		t.Fatalf("queue failed: %v", res.Violation)
 	}
-	if snaps == 0 {
-		t.Fatalf("no shard progress reported")
+	shards, done, splits := col.Get(telemetry.Shards), col.Get(telemetry.ShardsDone), col.Get(telemetry.ShardSplits)
+	if shards == 0 {
+		t.Fatalf("no shard counted")
 	}
-	if last.Done != last.Shards {
-		t.Fatalf("final shard progress has %d done of %d shards", last.Done, last.Shards)
+	if done != shards || splits >= shards {
+		t.Fatalf("%d shards, %d done, %d splits", shards, done, splits)
+	}
+}
+
+// TestConcurrentChecksSumTheirShards: two checks that share a collector
+// leave in it the sum of what each counts alone, so a progress line over a
+// RandomCheck reads the run's totals, not the last exploration's.
+func TestConcurrentChecksSumTheirShards(t *testing.T) {
+	sched.RequireNoLeaks(t)
+	sub := queueSubject()
+	tests := []*core.Test{
+		{Rows: [][]core.Op{{sub.Ops[0], sub.Ops[1]}, {sub.Ops[0]}}},
+		{Rows: [][]core.Op{{sub.Ops[0]}, {sub.Ops[1], sub.Ops[1]}, {sub.Ops[0]}}},
+	}
+	counters := []telemetry.Counter{telemetry.Shards, telemetry.ShardsDone, telemetry.ShardSplits, telemetry.ExecutionsStarted}
+	want := make(map[telemetry.Counter]int64)
+	for _, m := range tests {
+		alone := telemetry.New()
+		mustCheck(t, sub, m, core.Options{Workers: 1, Telemetry: alone})
+		for _, k := range counters {
+			want[k] += alone.Get(k)
+		}
+	}
+	shared := telemetry.New()
+	var wg sync.WaitGroup
+	for _, m := range tests {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := core.Check(sub, m, core.Options{Workers: 1, Telemetry: shared}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, k := range counters {
+		if got := shared.Get(k); got != want[k] {
+			t.Errorf("%s: the shared collector counted %d, the checks alone %d", k, got, want[k])
+		}
 	}
 }

@@ -63,7 +63,7 @@ func TestParallelWitnessPanicDoesNotHangWaiters(t *testing.T) {
 		go func() {
 			var exploreErr error
 			if workers > 1 {
-				_, exploreErr = sched.ExploreParallel(cfg, sched.ParallelConfig{Workers: workers}, newProg, acc.visit)
+				_, exploreErr = sched.ExploreParallel(cfg, workers, newProg, acc.visit)
 			} else {
 				_, exploreErr = sched.ExploreUnit(cfg, newProg(), sched.WorkUnit{}, acc.visit)
 			}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"lineup/internal/bench"
@@ -13,6 +12,7 @@ import (
 	"lineup/internal/faultinject"
 	"lineup/internal/history"
 	"lineup/internal/sched"
+	"lineup/internal/telemetry"
 )
 
 // phase2Outcome is the result of phase 2 against spec, with what it added to
@@ -116,8 +116,8 @@ func TestWorkerCountUnobservable(t *testing.T) {
 // under DetectLeaks and under GOMAXPROCS(1), and RandomCheck gives a test more
 // than one only when it has fewer tests than workers — and only once it has
 // outlived the recruiting mark. A helper that starts has nothing to do but
-// make the lone DFS split, so "no helper" is "never a second shard" in the
-// progress snapshots.
+// make the lone DFS split, so "no helper" is "no shard split" on the
+// counter table.
 func TestNoOversubscription(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	if runtime.NumCPU() < 2 || runtime.GOMAXPROCS(0) < 2 {
@@ -126,20 +126,15 @@ func TestNoOversubscription(t *testing.T) {
 	stack := findClass(t, "ConcurrentStack")
 	long := balancedTest(rand.New(rand.NewSource(1)), stack, 3, 3) // 4 195 executions
 	short := &core.Test{Rows: [][]core.Op{{stack.Ops[0]}, {stack.Ops[1]}}}
-	var shards atomic.Int64
-	progress := func(p sched.ShardProgress) {
-		if n := int64(p.Shards); n > shards.Load() {
-			shards.Store(n)
-		}
-	}
-	maxShards := func(run func()) int64 {
-		shards.Store(0)
+	var col *telemetry.Collector
+	splits := func(run func()) int64 {
+		col = telemetry.New()
 		run()
-		return shards.Load()
+		return col.Get(telemetry.ShardSplits)
 	}
 	check := func(m *core.Test, opts core.Options) func() {
 		return func() {
-			opts.PreemptionBound, opts.ShardProgress = 2, progress
+			opts.PreemptionBound, opts.Telemetry = 2, col
 			res := mustCheck(t, stack, m, opts)
 			if m == short && res.Phase2.Executions >= 64 {
 				t.Fatalf("the short test runs %d executions; it has to end before the recruiting mark", res.Phase2.Executions)
@@ -150,17 +145,17 @@ func TestNoOversubscription(t *testing.T) {
 		return func() {
 			_, err := core.RandomCheck(stack, nil, core.RandomOptions{
 				Rows: 3, Cols: 2, Samples: samples, Seed: 1,
-				Options: core.Options{PreemptionBound: 2, Workers: 2, ShardProgress: progress},
+				Options: core.Options{PreemptionBound: 2, Workers: 2, Telemetry: col},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if n := maxShards(check(long, core.Options{})); n < 2 {
+	if n := splits(check(long, core.Options{})); n == 0 {
 		t.Fatalf("Workers: 0 on %d CPUs never split a 4 195-execution exploration", runtime.NumCPU())
 	}
-	if n := maxShards(random(1)); n < 2 {
+	if n := splits(random(1)); n == 0 {
 		t.Fatalf("RandomCheck of one test on two workers never split its exploration")
 	}
 	for name, run := range map[string]func(){
@@ -172,8 +167,8 @@ func TestNoOversubscription(t *testing.T) {
 			check(long, core.Options{})()
 		},
 	} {
-		if n := maxShards(run); n != 1 {
-			t.Errorf("%s: %d shards, want the lone DFS's one", name, n)
+		if n := splits(run); n != 0 {
+			t.Errorf("%s: %d shards split off, want the lone DFS's none", name, n)
 		}
 	}
 }

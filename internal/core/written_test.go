@@ -22,8 +22,8 @@ import (
 func TestOptionFieldsDeclareTheirForm(t *testing.T) {
 	stays := map[string]bool{
 		// sinks and hooks of the process that holds them
-		"Options.Coverage": true, "Options.ShardProgress": true, "Options.Telemetry": true,
-		"RandomOptions.Progress": true, "RandomOptions.Checkpoint": true, "RandomOptions.Resume": true,
+		"Options.Coverage": true, "Options.Telemetry": true,
+		"RandomOptions.Checkpoint": true, "RandomOptions.Resume": true,
 	}
 	names := make(map[string]string)
 	for _, typ := range []reflect.Type{reflect.TypeOf(core.Options{}), reflect.TypeOf(core.RandomOptions{})} {

@@ -224,6 +224,7 @@ func Run(ctx context.Context, cfg Config) (*core.Result, Stats, error) {
 			return nil, stats, err
 		}
 	}
+	cfg.Telemetry.Add(telemetry.DistUnits, int64(len(plan.Units)-stats.Resumed))
 	journal := func() error { return saveManifest(cfg, plan, recs) }
 	if err := journal(); err != nil {
 		return nil, stats, err

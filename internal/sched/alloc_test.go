@@ -24,7 +24,7 @@ func exploreAllocWorkload(b testing.TB, cfg sched.ExploreConfig, workers int, te
 	}
 	var err error
 	if workers > 0 {
-		_, err = sched.ExploreParallel(cfg, sched.ParallelConfig{Workers: workers}, allocProgram, visit)
+		_, err = sched.ExploreParallel(cfg, workers, allocProgram, visit)
 	} else {
 		_, err = sched.ExploreUnit(cfg, allocProgram(), sched.WorkUnit{}, visit)
 	}

@@ -18,7 +18,7 @@ type PickRecord struct {
 // execution's Pick trace. The records alias the stack and are valid during
 // the call.
 func ExploreTraced(cfg ExploreConfig, prog Program, visit func(*Outcome, []PickRecord) bool) (ExploreStats, error) {
-	co := newCoordinator(cfg.MaxExecutions, nil)
+	co := newCoordinator(cfg)
 	e := newExplorer(cfg, co)
 	var recs []PickRecord
 	co.push(&shard{})
@@ -51,7 +51,7 @@ func SetRecruitAfter(n int) (restore func()) {
 // donor's stack and its child's is therefore overwritten while the donor still
 // replays through it. It returns the number of splits with the stats.
 func ExploreSplitEverywhere(cfg ExploreConfig, newProg func() Program, visit func(*Outcome, Pos) bool) (ExploreStats, int, error) {
-	co := newCoordinator(cfg.MaxExecutions, nil)
+	co := newCoordinator(cfg)
 	co.waiters = 1
 	root, thief := newExplorer(cfg, co), newExplorer(cfg, co)
 	var stash []*shard
@@ -80,5 +80,5 @@ func ExploreSplitEverywhere(cfg ExploreConfig, newProg func() Program, visit fun
 	root.finish()
 	thief.finish()
 	stats, err := co.result()
-	return stats, co.prog.Splits, err
+	return stats, len(co.shards) - 1, err
 }

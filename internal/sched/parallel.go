@@ -52,32 +52,6 @@ func (p Pos) Clone() Pos {
 	return append(make(Pos, 0, len(p)), p...)
 }
 
-// ShardProgress is a snapshot of a parallel exploration's progress, delivered
-// to ParallelConfig.Progress.
-type ShardProgress struct {
-	// Shards is the number of shards created so far (the root plus
-	// work-stealing splits).
-	Shards int
-	// Done is the number of shards fully explored or abandoned.
-	Done int
-	// Splits is the number of shards created by splitting an oversized shard
-	// for a starving worker.
-	Splits int
-	// Executions is the number of executions started so far.
-	Executions int
-}
-
-// ParallelConfig parameterizes ExploreParallel.
-type ParallelConfig struct {
-	// Workers is the largest number of goroutines exploring at once, the
-	// caller's included; 0 or negative selects GOMAXPROCS.
-	Workers int
-	// Progress, when non-nil, receives a progress snapshot whenever a shard
-	// is created or retired. It is invoked under an internal lock and must
-	// return quickly without calling back into the explorer.
-	Progress func(ShardProgress)
-}
-
 // shard is one unit of parallel work: a decision stack whose levels below
 // floor are pinned (the shard's schedule prefix) and whose levels at or above
 // floor are a live DFS frontier. Its executions are an interval of the
@@ -204,12 +178,11 @@ type coordinator struct {
 	termErr    error
 
 	truncated bool
-	prog      ShardProgress
-	progFn    func(ShardProgress)
+	tel       *telemetry.Collector // counts the shards
 }
 
-func newCoordinator(maxExecs int, progress func(ShardProgress)) *coordinator {
-	co := &coordinator{maxExecs: maxExecs, progFn: progress}
+func newCoordinator(cfg ExploreConfig) *coordinator {
+	co := &coordinator{maxExecs: cfg.MaxExecutions, tel: cfg.Telemetry}
 	co.cond = sync.NewCond(&co.mu)
 	return co
 }
@@ -240,41 +213,16 @@ func (co *coordinator) result() (ExploreStats, error) {
 	return stats, nil
 }
 
-func (co *coordinator) emitProgress() {
-	if co.progFn != nil {
-		co.prog.Executions = co.execs
-		co.progFn(co.prog)
-	}
-}
-
-// finalProgress delivers the closing progress snapshot — complete totals —
-// exactly once, after every worker has joined, and then seals the callback so
-// nothing can emit after ExploreParallel returns. Shard-event emissions are
-// interleaved with execution reservations, so without this the last
-// event-driven snapshot can under-report the totals.
-func (co *coordinator) finalProgress() {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	fn := co.progFn
-	if fn == nil {
-		return
-	}
-	co.progFn = nil
-	co.prog.Executions = co.execs
-	fn(co.prog)
-}
-
 func (co *coordinator) push(sh *shard) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if len(co.shards) > 0 {
-		co.prog.Splits++
+		co.tel.Add(telemetry.ShardSplits, 1)
 	}
 	co.shards = append(co.shards, sh)
 	co.queue = append(co.queue, sh)
 	co.pending++
-	co.prog.Shards++
-	co.emitProgress()
+	co.tel.Add(telemetry.Shards, 1)
 	co.cond.Signal()
 }
 
@@ -307,8 +255,7 @@ func (co *coordinator) finishShard(sh *shard, counted ExploreStats) {
 	defer co.mu.Unlock()
 	sh.stats.add(counted)
 	co.pending--
-	co.prog.Done++
-	co.emitProgress()
+	co.tel.Add(telemetry.ShardsDone, 1)
 	if co.pending == 0 {
 		co.cond.Broadcast()
 	}
@@ -410,15 +357,17 @@ func (co *coordinator) help(e *explorer, prog Program, visit func(*Outcome, Pos)
 }
 
 // ExploreParallel enumerates the schedules of a program exactly like Explore,
-// on up to pcfg.Workers goroutines. It starts as Explore does — a lone DFS of
-// the whole tree on the caller's goroutine — and an exploration that ends
-// within recruitAfter executions is nothing else. Past that mark it starts
-// the other workers, which get work only by stealing: a worker with nothing
-// to do makes a busy one split its shard at the shallowest unexplored level.
-// Shards are disjoint intervals of the sequential order, so the multiset of
-// outcomes visited and — after a full exploration or an early stop alike —
-// the returned statistics are the sequential explorer's, whatever the worker
-// count and wherever the timing-driven splits landed.
+// on up to workers goroutines, the caller's included (0 or negative selects
+// GOMAXPROCS). It starts as Explore does — a lone DFS of the whole tree on
+// the caller's goroutine — and an exploration that ends within recruitAfter
+// executions is nothing else. Past that mark it starts the other workers,
+// which get work only by stealing: a worker with nothing to do makes a busy
+// one split its shard at the shallowest unexplored level. Shards are disjoint
+// intervals of the sequential order, so the multiset of outcomes visited and
+// — after a full exploration or an early stop alike — the returned
+// statistics are the sequential explorer's, whatever the worker count and
+// wherever the timing-driven splits landed. cfg.Telemetry counts the shards
+// created, retired and split off.
 //
 // newProg is called once per worker so that concurrently executing program
 // instances do not share closure state; each instance must behave
@@ -444,18 +393,17 @@ func (co *coordinator) help(e *explorer, prog Program, visit func(*Outcome, Pos)
 //
 // Goroutine-leak detection counts the goroutines of the whole process, so an
 // exploration that asks for it (cfg.DetectLeaks) stays on one goroutine.
-func ExploreParallel(cfg ExploreConfig, pcfg ParallelConfig, newProg func() Program, visit func(*Outcome, Pos) bool) (ExploreStats, error) {
-	return explorePool(cfg, pcfg, WorkUnit{}, newProg, visit)
+func ExploreParallel(cfg ExploreConfig, workers int, newProg func() Program, visit func(*Outcome, Pos) bool) (ExploreStats, error) {
+	return explorePool(cfg, workers, WorkUnit{}, newProg, visit)
 }
 
 // explorePool explores u's subtree: worker 0, on the caller's goroutine,
 // starts on the whole of it and recruits the helpers.
-func explorePool(cfg ExploreConfig, pcfg ParallelConfig, u WorkUnit, newProg func() Program, visit func(*Outcome, Pos) bool) (ExploreStats, error) {
-	workers := pcfg.Workers
+func explorePool(cfg ExploreConfig, workers int, u WorkUnit, newProg func() Program, visit func(*Outcome, Pos) bool) (ExploreStats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	co := newCoordinator(cfg.MaxExecutions, pcfg.Progress)
+	co := newCoordinator(cfg)
 	var wg sync.WaitGroup
 	if workers > 1 && !cfg.DetectLeaks {
 		co.recruit = func() {
@@ -485,9 +433,10 @@ func explorePool(cfg ExploreConfig, pcfg ParallelConfig, u WorkUnit, newProg fun
 		defer co.kill()
 		co.work(e, newProg(), visit)
 	}()
+	// Every worker has joined; what a kill left queued is retired unexplored.
+	co.tel.Add(telemetry.ShardsDone, int64(co.pending))
 	if co.fault != nil {
 		panic(co.fault)
 	}
-	co.finalProgress()
 	return co.result()
 }

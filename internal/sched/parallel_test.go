@@ -2,12 +2,15 @@ package sched_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"lineup/internal/sched"
+	"lineup/internal/telemetry"
 )
 
 // fullKey identifies an outcome by its complete observable behavior: every
@@ -53,11 +56,11 @@ func exploreSeq(t *testing.T, cfg sched.ExploreConfig, prog sched.Program) (mult
 func recruitEarly(t *testing.T) { t.Cleanup(sched.SetRecruitAfter(1)) }
 
 // explorePar collects the parallel explorer's outcome multiset and stats.
-func explorePar(t *testing.T, cfg sched.ExploreConfig, pcfg sched.ParallelConfig, newProg func() sched.Program) (multiset, sched.ExploreStats, error) {
+func explorePar(t *testing.T, cfg sched.ExploreConfig, workers int, newProg func() sched.Program) (multiset, sched.ExploreStats, error) {
 	t.Helper()
 	var mu sync.Mutex
 	ms := multiset{}
-	stats, err := sched.ExploreParallel(cfg, pcfg, newProg, func(o *sched.Outcome, p sched.Pos) bool {
+	stats, err := sched.ExploreParallel(cfg, workers, newProg, func(o *sched.Outcome, p sched.Pos) bool {
 		mu.Lock()
 		ms[fullKey(o)]++
 		mu.Unlock()
@@ -109,7 +112,7 @@ func TestParallelEquivalenceMultiset(t *testing.T) {
 			for _, w := range workers {
 				for _, after := range []int{1, 5, 64} {
 					restore := sched.SetRecruitAfter(after)
-					gotMS, gotStats, gotErr := explorePar(t, cfg, sched.ParallelConfig{Workers: w}, p.mk)
+					gotMS, gotStats, gotErr := explorePar(t, cfg, w, p.mk)
 					restore()
 					tag := fmt.Sprintf("%s bound=%d workers=%d recruit-after=%d", p.name, bound, w, after)
 					if gotErr != nil {
@@ -151,7 +154,7 @@ func TestParallelPositionsAreSequentialOrder(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var got []visited
-	if _, err := sched.ExploreParallel(cfg, sched.ParallelConfig{Workers: 4}, mk, func(o *sched.Outcome, p sched.Pos) bool {
+	if _, err := sched.ExploreParallel(cfg, 4, mk, func(o *sched.Outcome, p sched.Pos) bool {
 		mu.Lock()
 		got = append(got, visited{fullKey(o), append(sched.Pos(nil), p...)})
 		mu.Unlock()
@@ -200,7 +203,7 @@ func TestParallelBudgetTruncation(t *testing.T) {
 		cfg := sched.ExploreConfig{PreemptionBound: sched.Unbounded, MaxExecutions: max}
 		_, seqStats, seqErr := exploreSeq(t, cfg, mk())
 		for _, w := range []int{1, 4} {
-			_, parStats, parErr := explorePar(t, cfg, sched.ParallelConfig{Workers: w}, mk)
+			_, parStats, parErr := explorePar(t, cfg, w, mk)
 			if (seqErr == sched.ErrBudget) != (parErr == sched.ErrBudget) {
 				t.Fatalf("max=%d workers=%d: budget errors disagree: sequential %v parallel %v", max, w, seqErr, parErr)
 			}
@@ -214,7 +217,7 @@ func TestParallelBudgetTruncation(t *testing.T) {
 	}
 	// A budget at least as large as the space must not truncate.
 	cfg := sched.ExploreConfig{PreemptionBound: sched.Unbounded, MaxExecutions: total}
-	_, parStats, parErr := explorePar(t, cfg, sched.ParallelConfig{Workers: 4}, mk)
+	_, parStats, parErr := explorePar(t, cfg, 4, mk)
 	if parErr != nil || parStats.Truncated {
 		t.Fatalf("budget == space must not truncate: err=%v stats=%+v", parErr, parStats)
 	}
@@ -247,8 +250,7 @@ func TestParallelEarlyStop(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("sequential explore: %v", err)
 		}
-		splits := 0
-		pcfg := sched.ParallelConfig{Progress: func(p sched.ShardProgress) { splits = max(splits, p.Splits) }}
+		splits := int64(0)
 		for _, at := range []int{0, 1, len(seq) / 7, len(seq) / 2, len(seq) - 1} {
 			stopKey := seq[at]
 			visit := func(o *sched.Outcome, _ sched.Pos) bool { return fullKey(o) != stopKey }
@@ -258,8 +260,10 @@ func TestParallelEarlyStop(t *testing.T) {
 			}
 			for _, w := range []int{2, 4, 8} {
 				for rep := 0; rep < 10; rep++ {
-					pcfg.Workers = w
-					parStats, parErr := sched.ExploreParallel(cfg, pcfg, mk, visit)
+					counted := cfg
+					counted.Telemetry = telemetry.New()
+					parStats, parErr := sched.ExploreParallel(counted, w, mk, visit)
+					splits = max(splits, counted.Telemetry.Get(telemetry.ShardSplits))
 					if parErr != nil {
 						t.Fatalf("reduction=%v stop=%d workers=%d: parallel explore: %v", red, at, w, parErr)
 					}
@@ -335,7 +339,7 @@ func TestParallelErrorDeterministic(t *testing.T) {
 			t.Fatalf("%s: sequential explorer found no failing execution", name)
 		}
 		for _, w := range []int{1, 2, 4, 8} {
-			_, parErr := sched.ExploreParallel(cfg, sched.ParallelConfig{Workers: w}, mk, func(o *sched.Outcome, p sched.Pos) bool { return true })
+			_, parErr := sched.ExploreParallel(cfg, w, mk, func(o *sched.Outcome, p sched.Pos) bool { return true })
 			if parErr == nil {
 				t.Fatalf("%s workers=%d: parallel explorer found no failing execution", name, w)
 			}
@@ -346,38 +350,27 @@ func TestParallelErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelProgress checks the shard progress counters: monotone
-// executions, and a final snapshot accounting for every shard.
+// TestParallelProgress checks the shard counters: after an exploration shared
+// among workers every shard created is retired, one was created per split
+// beyond the first, and the executions counted are the statistics'.
 func TestParallelProgress(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	recruitEarly(t)
 	mk := func() sched.Program {
 		return sched.Program{Threads: []func(*sched.Thread){opThread(2, "a"), opThread(2, "b")}}
 	}
-	var mu sync.Mutex
-	var last sched.ShardProgress
-	snaps := 0
-	pcfg := sched.ParallelConfig{Workers: 4, Progress: func(p sched.ShardProgress) {
-		mu.Lock()
-		defer mu.Unlock()
-		if p.Executions < last.Executions || p.Shards < last.Shards || p.Done < last.Done {
-			t.Errorf("progress went backwards: %+v after %+v", p, last)
-		}
-		last = p
-		snaps++
-	}}
-	stats, err := sched.ExploreParallel(sched.ExploreConfig{PreemptionBound: 2}, pcfg, mk, func(o *sched.Outcome, p sched.Pos) bool { return true })
+	col := telemetry.New()
+	cfg := sched.ExploreConfig{PreemptionBound: 2, Telemetry: col}
+	stats, err := sched.ExploreParallel(cfg, 4, mk, func(o *sched.Outcome, p sched.Pos) bool { return true })
 	if err != nil {
 		t.Fatalf("parallel explore: %v", err)
 	}
-	if snaps == 0 {
-		t.Fatalf("progress callback never invoked")
+	shards, done, splits := col.Get(telemetry.Shards), col.Get(telemetry.ShardsDone), col.Get(telemetry.ShardSplits)
+	if shards == 0 || done != shards || splits != shards-1 {
+		t.Fatalf("%d shards, %d done, %d splits: want every shard done and one split per shard after the first", shards, done, splits)
 	}
-	if last.Done != last.Shards {
-		t.Fatalf("final progress has %d done of %d shards", last.Done, last.Shards)
-	}
-	if last.Executions != stats.Executions {
-		t.Fatalf("final progress reports %d executions, stats %d", last.Executions, stats.Executions)
+	if got := col.Get(telemetry.ExecutionsStarted); got != int64(stats.Executions) {
+		t.Fatalf("counted %d executions, stats %d", got, stats.Executions)
 	}
 }
 
@@ -405,13 +398,13 @@ func TestParallelPropertyRandomPrograms(t *testing.T) {
 		}
 		bound := []int{0, 1, 2, sched.Unbounded}[rng.Intn(4)]
 		cfg := sched.ExploreConfig{PreemptionBound: bound, MaxExecutions: budget}
-		pcfg := sched.ParallelConfig{Workers: 1 + rng.Intn(8)}
+		workers := 1 + rng.Intn(8)
 		after := 1 + rng.Intn(3)
-		tag := fmt.Sprintf("iter=%d threads=%v bound=%d workers=%d recruit-after=%d", iter, mkOps, bound, pcfg.Workers, after)
+		tag := fmt.Sprintf("iter=%d threads=%v bound=%d workers=%d recruit-after=%d", iter, mkOps, bound, workers, after)
 
 		seqMS, seqStats, seqErr := exploreSeq(t, cfg, mk())
 		restore := sched.SetRecruitAfter(after)
-		parMS, parStats, parErr := explorePar(t, cfg, pcfg, mk)
+		parMS, parStats, parErr := explorePar(t, cfg, workers, mk)
 		restore()
 		if (seqErr == sched.ErrBudget) != (parErr == sched.ErrBudget) {
 			t.Fatalf("%s: budget errors disagree: sequential %v parallel %v", tag, seqErr, parErr)
@@ -436,13 +429,13 @@ func TestParallelPropertyRandomPrograms(t *testing.T) {
 	}
 }
 
-// TestParallelProgressSealedAfterReturn is the regression test for the final
-// progress emission: ExploreParallel must deliver a closing snapshot with the
-// complete merged totals exactly once, and the callback must never fire after
-// the call returns — a late shard-retire emission used to race with (and
-// sometimes outrun) the caller tearing the sink down. The early-cancel
-// variant is the hard case: workers are still retiring abandoned shards
-// while the coordinator unwinds.
+// TestParallelProgressSealedAfterReturn checks that ExploreParallel has
+// counted everything by the time it returns: every shard it created is
+// retired, and nothing is counted afterwards — a late shard retirement would
+// leave the progress line and the trace short of the totals, or move them
+// after the caller read them. The early-cancel variant is the hard case:
+// workers are still retiring abandoned shards while the coordinator unwinds;
+// a budget kill leaves shards queued that no worker retires.
 func TestParallelProgressSealedAfterReturn(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	recruitEarly(t)
@@ -452,64 +445,38 @@ func TestParallelProgressSealedAfterReturn(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		cancel bool
+		budget int
 	}{
-		{"full", false},
-		{"cancel", true},
+		{"full", false, 0},
+		{"cancel", true, 0},
+		{"budget", false, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var (
-				mu     sync.Mutex
-				sealed bool
-				count  int
-				last   sched.ShardProgress
-			)
-			pcfg := sched.ParallelConfig{Workers: 4, Progress: func(p sched.ShardProgress) {
-				mu.Lock()
-				defer mu.Unlock()
-				if sealed {
-					t.Errorf("progress emitted after ExploreParallel returned: %+v", p)
-				}
-				count++
-				last = p
-			}}
-			var visited int32
+			col := telemetry.New()
+			var visited atomic.Int32
 			visit := func(o *sched.Outcome, p sched.Pos) bool {
-				if !tc.cancel {
-					return true
-				}
-				mu.Lock()
-				visited++
-				stop := visited >= 5
-				mu.Unlock()
-				return !stop
+				return !tc.cancel || visited.Add(1) < 5
 			}
-			stats, err := sched.ExploreParallel(sched.ExploreConfig{PreemptionBound: 2}, pcfg, mk, visit)
-			if err != nil {
+			cfg := sched.ExploreConfig{PreemptionBound: 2, MaxExecutions: tc.budget, Telemetry: col}
+			stats, err := sched.ExploreParallel(cfg, 4, mk, visit)
+			if (err == sched.ErrBudget) != (tc.budget > 0) || (err != nil && err != sched.ErrBudget) {
 				t.Fatalf("parallel explore: %v", err)
 			}
-			mu.Lock()
-			sealed = true
-			final, n := last, count
-			mu.Unlock()
-			if n == 0 {
-				t.Fatal("progress callback never invoked")
+			final := col.Snapshot()
+			if final["shards"] == 0 || final["shards_done"] != final["shards"] {
+				t.Errorf("at return %d of %d shards are done", final["shards_done"], final["shards"])
 			}
-			if final.Done != final.Shards {
-				t.Errorf("final snapshot incomplete: %d done of %d shards", final.Done, final.Shards)
-			}
-			// Progress counts every execution started; after a cancellation the
+			// Every execution started is counted; after a cancellation the
 			// statistics count only those at or before the stop.
-			if final.Executions < stats.Executions || (!tc.cancel && final.Executions != stats.Executions) {
-				t.Errorf("final snapshot reports %d executions, returned stats %d", final.Executions, stats.Executions)
+			if started := final["executions_started"]; started < int64(stats.Executions) || (!tc.cancel && tc.budget == 0 && started != int64(stats.Executions)) {
+				t.Errorf("counted %d executions at return, returned stats %d", started, stats.Executions)
 			}
-			// Any emission still in flight at return would trip the sealed
-			// check above; give a buggy implementation a beat to do so.
+			// A count still in flight at return would show here; give a buggy
+			// implementation a beat to make it.
 			time.Sleep(50 * time.Millisecond)
-			mu.Lock()
-			if count != n {
-				t.Errorf("%d progress emissions arrived after return", count-n)
+			if later := col.Snapshot(); !maps.Equal(later, final) {
+				t.Errorf("counted after return: %v, at return %v", later, final)
 			}
-			mu.Unlock()
 		})
 	}
 }
@@ -540,7 +507,7 @@ func TestParallelPanicReachesCaller(t *testing.T) {
 					t.Fatalf("rep %d: recovered %v, want the visitor's panic", rep, r)
 				}
 			}()
-			_, err := sched.ExploreParallel(cfg, sched.ParallelConfig{Workers: 4}, mk, func(o *sched.Outcome, _ sched.Pos) bool {
+			_, err := sched.ExploreParallel(cfg, 4, mk, func(o *sched.Outcome, _ sched.Pos) bool {
 				if fullKey(o) == bad {
 					panic("visitor exploded")
 				}

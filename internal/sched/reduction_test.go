@@ -236,7 +236,7 @@ func TestParallelReductionEquivalence(t *testing.T) {
 		for _, w := range []int{1, 2, 4} {
 			for _, after := range []int{1, 5, 64} {
 				restore := sched.SetRecruitAfter(after)
-				gotMS, gotStats, err := explorePar(t, cfg, sched.ParallelConfig{Workers: w}, mk)
+				gotMS, gotStats, err := explorePar(t, cfg, w, mk)
 				restore()
 				tag := fmt.Sprintf("bound=%d workers=%d recruit-after=%d", bound, w, after)
 				if err != nil {

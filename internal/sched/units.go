@@ -83,7 +83,7 @@ func SplitUnits(cfg ExploreConfig, prog Program, depth int) ([]WorkUnit, SplitSt
 		depth = DefaultShardDepth
 	}
 	cfg.ContinueOnFailure = true
-	co := newCoordinator(cfg.MaxExecutions, nil)
+	co := newCoordinator(cfg)
 	e := newExplorer(cfg, co)
 	var units []WorkUnit
 	e.generate(prog, depth, func(floor int) {
@@ -114,5 +114,5 @@ func SplitUnits(cfg ExploreConfig, prog Program, depth int) ([]WorkUnit, SplitSt
 // the sequential Explore visit sequence, and the summed ExploreStats — plus
 // SplitStats.Pruned — equal the sequential stats exactly.
 func ExploreUnit(cfg ExploreConfig, prog Program, u WorkUnit, visit func(*Outcome, Pos) bool) (ExploreStats, error) {
-	return explorePool(cfg, ParallelConfig{Workers: 1}, u, func() Program { return prog }, visit)
+	return explorePool(cfg, 1, u, func() Program { return prog }, visit)
 }

@@ -6,146 +6,124 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
-// Progress renders a single live status line: work units completed against a
-// total (tests, benchmark cases, or exploration shards), the execution
-// throughput read from the collector, and an ETA extrapolated from the unit
-// completion rate. It is the one progress facility shared by the check,
-// table2, parallel, and reduction subcommands, replacing their ad-hoc
-// ShardProgress printing.
+// progressEvery is how often the live line is repainted.
+const progressEvery = 200 * time.Millisecond
+
+// Progress renders a single live status line from a collector's counters,
+// the third reader of the table beside /debug/vars and the event trace: tests
+// or work units done against the plan, executions and their rate, an ETA, the
+// exploration's shards, phase-2 executions per distinct history, and a
+// streaming server's events, checked operations and backlog. A part of the
+// line appears once its counters are non-zero. Every number is a sum over
+// whatever shares the collector, so concurrent checks add up instead of
+// overwriting each other.
 //
-// All methods are safe for concurrent use; rendering is throttled so tight
-// exploration loops cannot drown the terminal.
+// NewProgress starts one goroutine that repaints the line; Finish stops it,
+// waits for it, and paints the final line. A nil *Progress is a valid no-op.
 type Progress struct {
 	w     io.Writer
 	c     *Collector
 	label string
+	start time.Time
+	width int // widest line painted so far, in runes, for clean overwrites
 
-	mu       sync.Mutex
-	total    int
-	done     int
-	extra    string // free-form suffix (e.g. shard counters)
-	last     time.Time
-	start    time.Time
-	width    int // widest line rendered so far, for clean overwrites
-	finished bool
+	stop, exited chan struct{}
+	finish       sync.Once
 }
 
-// NewProgress creates a progress line writing to w, reading throughput from
-// c (which may be nil — the line then omits execution counters). The label
-// prefixes every render.
+// NewProgress starts a progress line writing to w and reading c (nil renders
+// the label alone). The label prefixes every paint.
 func NewProgress(w io.Writer, c *Collector, label string) *Progress {
-	return &Progress{w: w, c: c, label: label, start: time.Now()}
+	p := &Progress{w: w, c: c, label: label, start: time.Now(),
+		stop: make(chan struct{}), exited: make(chan struct{})}
+	go p.run()
+	return p
 }
 
-// SetTotal sets the number of work units the run will complete.
-func (p *Progress) SetTotal(n int) {
-	if p == nil {
-		return
+func (p *Progress) run() {
+	defer close(p.exited)
+	tick := time.NewTicker(progressEvery)
+	defer tick.Stop()
+	for {
+		select {
+		case <-p.stop:
+			return
+		case <-tick.C:
+			p.paint(p.line(time.Since(p.start)))
+		}
 	}
-	p.mu.Lock()
-	p.total = n
-	p.mu.Unlock()
 }
 
-// Step records n more completed work units and re-renders (throttled).
-func (p *Progress) Step(n int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.done += n
-	p.renderLocked(false)
-	p.mu.Unlock()
-}
-
-// SetUnits sets the completed and total unit counts outright (the shard
-// explorer reports both monotonically) and re-renders (throttled).
-func (p *Progress) SetUnits(done, total int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.done, p.total = done, total
-	p.renderLocked(false)
-	p.mu.Unlock()
-}
-
-// SetExtra sets a free-form suffix appended to the line (e.g. "12 splits").
-func (p *Progress) SetExtra(s string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.extra = s
-	p.mu.Unlock()
-}
-
-// Tick re-renders the line without changing the unit counts, so callers can
-// keep the throughput display moving during a long unit of work.
-func (p *Progress) Tick() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.renderLocked(false)
-	p.mu.Unlock()
-}
-
-// Finish renders the final line unconditionally and terminates it with a
-// newline. Further calls are no-ops.
+// Finish stops the repainting goroutine and waits for it to exit, then
+// paints the final line and ends it with a newline. Later calls do nothing.
 func (p *Progress) Finish() {
 	if p == nil {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.finished {
-		return
-	}
-	p.renderLocked(true)
-	p.finished = true
-	fmt.Fprintln(p.w)
+	p.finish.Do(func() {
+		close(p.stop)
+		<-p.exited
+		p.paint(p.line(time.Since(p.start)))
+		fmt.Fprintln(p.w)
+	})
 }
 
-// renderLocked paints the line; force bypasses the rate throttle. The
-// caller holds p.mu.
-func (p *Progress) renderLocked(force bool) {
-	if p.finished {
-		return
+// line renders the counters as they are now, elapsed into the run.
+func (p *Progress) line(elapsed time.Duration) string {
+	c := p.c
+	parts := []string{p.label}
+	done, planned := c.Get(TestsDone), c.Get(TestsPlanned)
+	if planned > 0 || done > 0 {
+		parts = append(parts, fmt.Sprintf("tests %s", ofPlan(done, planned)))
 	}
-	now := time.Now()
-	if !force && now.Sub(p.last) < 100*time.Millisecond {
-		return
+	if units := c.Get(DistUnits); units > 0 {
+		// A run of work units times its ETA by them.
+		done, planned = c.Get(DistUnitsDone), units
+		parts = append(parts, fmt.Sprintf("units %s", ofPlan(done, planned)))
 	}
-	p.last = now
-	elapsed := now.Sub(p.start)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %d", p.label, p.done)
-	if p.total > 0 {
-		fmt.Fprintf(&b, "/%d", p.total)
-	}
-	if p.c != nil {
-		execs := p.c.Get(ExecutionsDone)
-		fmt.Fprintf(&b, " · %d execs", execs)
+	if execs := c.Get(ExecutionsDone); execs > 0 {
+		parts = append(parts, fmt.Sprintf("%d execs", execs))
 		if secs := elapsed.Seconds(); secs > 0.1 {
-			fmt.Fprintf(&b, " · %.0f exec/s", float64(execs)/secs)
+			parts = append(parts, fmt.Sprintf("%.0f exec/s", float64(execs)/secs))
 		}
 	}
-	if p.total > 0 && p.done > 0 && p.done < p.total {
-		eta := time.Duration(float64(elapsed) / float64(p.done) * float64(p.total-p.done))
-		fmt.Fprintf(&b, " · ETA %s", roundETA(eta))
+	if done > 0 && done < planned {
+		eta := time.Duration(float64(elapsed) / float64(done) * float64(planned-done))
+		parts = append(parts, fmt.Sprintf("ETA %s", roundETA(eta)))
 	}
-	if p.extra != "" {
-		fmt.Fprintf(&b, " · %s", p.extra)
+	if shards := c.Get(Shards); shards > 0 {
+		parts = append(parts, fmt.Sprintf("shards %d/%d, %d splits", c.Get(ShardsDone), shards, c.Get(ShardSplits)))
 	}
-	line := b.String()
-	pad := p.width - len(line)
-	if pad < 0 {
-		pad = 0
+	if hists := c.Get(HistCacheEntries); hists > 0 {
+		parts = append(parts, fmt.Sprintf("%.1f execs/history", float64(c.Get(HistCacheHits)+hists)/float64(hists)))
 	}
-	p.width = len(line)
+	if events := c.Get(ServeEventsIngested); events > 0 {
+		// Applied is read before routed, so the backlog is never negative.
+		applied := c.Get(ServeEventsApplied)
+		parts = append(parts, fmt.Sprintf("%d events, %d ops checked, backlog %d",
+			events, c.Get(ServeOpsChecked), c.Get(ServeEventsRouted)-applied))
+	}
+	return strings.Join(parts, " · ")
+}
+
+// ofPlan renders done against a plan, or done alone when nothing was planned.
+func ofPlan(done, planned int64) string {
+	if planned > 0 {
+		return fmt.Sprintf("%d/%d", done, planned)
+	}
+	return fmt.Sprint(done)
+}
+
+// paint overwrites the previous line with line, padding with spaces to the
+// widest line so far. Width is counted in runes: "·" is one column but two
+// bytes.
+func (p *Progress) paint(line string) {
+	n := utf8.RuneCountInString(line)
+	pad := max(p.width-n, 0)
+	p.width = max(p.width, n)
 	fmt.Fprintf(p.w, "\r%s%s", line, strings.Repeat(" ", pad))
 }
 

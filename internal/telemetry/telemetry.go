@@ -1,9 +1,9 @@
 // Package telemetry is the observability layer of the checker: a set of
 // cheap, concurrency-safe counters threaded through the scheduler (package
 // sched), the two-phase checker (package core), and the witness monitor
-// (package monitor), plus a span clock for phase wall-times, a JSONL event
-// trace for post-hoc analysis, a live progress line, and an opt-in
-// pprof/expvar HTTP endpoint.
+// (package monitor), plus a span clock for phase wall-times and three
+// readers of the counters: a JSONL event trace for post-hoc analysis, a live
+// progress line, and an opt-in pprof/expvar HTTP endpoint.
 //
 // Design constraints, in order:
 //
@@ -59,6 +59,15 @@ var (
 	FailPanics        = newCounter("fail_panics")        // executions failed by a subject panic
 	FailHangs         = newCounter("fail_hangs")         // executions failed hung (== WatchdogFires today)
 	FailLeaks         = newCounter("fail_leaks")         // executions failed by leaked goroutines
+	Shards            = newCounter("shards")             // exploration shards created: one per exploration, one per split
+	ShardsDone        = newCounter("shards_done")        // shards explored or abandoned
+	ShardSplits       = newCounter("shard_splits")       // shards split off a busy worker's for an idle one
+)
+
+// Tests against the plan (packages core and the CLI).
+var (
+	TestsPlanned = newCounter("tests_planned") // tests the run means to check, added once by the command that knows
+	TestsDone    = newCounter("tests_done")    // tests checked (RandomCheck: restored ones too; Generate)
 )
 
 // Phase-2 dedup cache and witness-search counters (packages core and monitor).
@@ -90,7 +99,6 @@ var (
 
 // Coverage-guided generation counters (package core, Generate).
 var (
-	GenTests    = newCounter("gen_tests")     // mutant tests checked
 	GenAccepted = newCounter("gen_accepted")  // mutants admitted to the corpus (new coverage)
 	GenCorpus   = newCounter("gen_corpus")    // high watermark: corpus size
 	GenCovPairs = newCounter("gen_cov_pairs") // high watermark: distinct (kind, loc) footprint pairs
@@ -99,6 +107,7 @@ var (
 
 // Distributed-exploration counters (package dist).
 var (
+	DistUnits          = newCounter("dist_units")           // units this run has to finish: the plan's less the resumed
 	DistLeasesGranted  = newCounter("dist_leases_granted")  // work-unit leases handed to workers
 	DistLeasesExpired  = newCounter("dist_leases_expired")  // leases revoked after heartbeat loss
 	DistRetries        = newCounter("dist_retries")         // units re-queued after a failed or expired lease

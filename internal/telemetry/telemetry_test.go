@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 func TestNilCollectorIsSafe(t *testing.T) {
@@ -187,42 +188,62 @@ func TestProgressRendersAndFinishes(t *testing.T) {
 	var buf bytes.Buffer
 	c := New()
 	c.Add(ExecutionsDone, 42)
+	c.Add(TestsPlanned, 10)
+	c.Add(TestsDone, 3)
+	c.Add(Shards, 2)
+	c.Add(ShardsDone, 1)
+	c.Add(HistCacheEntries, 4)
+	c.Add(HistCacheHits, 6)
 	p := NewProgress(&buf, c, "check")
-	p.SetTotal(10)
-	p.Step(3)
-	p.SetExtra("2 shards")
 	p.Finish()
 	p.Finish() // idempotent
 	out := buf.String()
-	if !strings.Contains(out, "check 3/10") {
-		t.Fatalf("progress output missing unit counts: %q", out)
-	}
-	if !strings.Contains(out, "42 execs") {
-		t.Fatalf("progress output missing exec counter: %q", out)
-	}
-	if !strings.Contains(out, "2 shards") {
-		t.Fatalf("progress output missing extra: %q", out)
+	for _, want := range []string{"check · tests 3/10", "42 execs", "shards 1/2, 0 splits", "2.5 execs/history"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("progress output missing %q: %q", want, out)
+		}
 	}
 	if got := strings.Count(out, "\n"); got != 1 {
 		t.Fatalf("progress wrote %d newlines, want exactly 1", got)
 	}
-	// After Finish, further updates must not write.
-	n := buf.Len()
-	p.Step(1)
-	p.Tick()
-	if buf.Len() != n {
-		t.Fatal("progress wrote after Finish")
+}
+
+// TestProgressStopsWithFinish: the repainting goroutine has exited by the
+// time Finish returns, so nothing is written after it.
+func TestProgressStopsWithFinish(t *testing.T) {
+	var buf bytes.Buffer
+	p := NewProgress(&buf, New(), "serve")
+	time.Sleep(2 * progressEvery) // let the ticker paint
+	p.Finish()
+	select {
+	case <-p.exited:
+	default:
+		t.Fatal("the repainting goroutine is still running after Finish")
+	}
+	if !strings.HasSuffix(buf.String(), "\n") {
+		t.Fatalf("the final line does not end the output: %q", buf.String())
+	}
+}
+
+// TestProgressPadsByRunes: a line that is shorter on screen than the one
+// before it is padded over that one's columns, though its "·" separators
+// make it longer in bytes.
+func TestProgressPadsByRunes(t *testing.T) {
+	var buf bytes.Buffer
+	p := &Progress{w: &buf}
+	first, second := "check 1234567890", "a · b · c · d"
+	p.paint(first)
+	p.paint(second)
+	painted := strings.Split(buf.String(), "\r")[2]
+	if n, want := utf8.RuneCountInString(painted), utf8.RuneCountInString(first); n < want {
+		t.Fatalf("second paint %q covers %d columns, the first covered %d", painted, n, want)
 	}
 }
 
 func TestNilProgressIsSafe(t *testing.T) {
 	var p *Progress
-	p.SetTotal(5)
-	p.Step(1)
-	p.SetUnits(1, 2)
-	p.SetExtra("x")
-	p.Tick()
 	p.Finish()
+	NewProgress(io.Discard, nil, "check").Finish()
 }
 
 func TestServeVarsAndPprof(t *testing.T) {
