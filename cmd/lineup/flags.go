@@ -48,11 +48,11 @@ func addCheckFlags(fs *flag.FlagSet, o *core.RandomOptions, names ...string) {
 
 // ignoredCheckFlags lists, by whether -test is given, the check flags that
 // mode would ignore: the sample's shape, seed and shrink with -test, and leak
-// detection, which units run without; -exec without -test. cmdCheck refuses
-// a set one before anything runs.
+// detection, which units run without; -exec and -obs without -test. cmdCheck
+// refuses a set one before anything runs.
 var ignoredCheckFlags = map[bool][]string{
 	true:  {"samples", "rows", "cols", "seed", "shrink", "detect-leaks"},
-	false: {"exec"},
+	false: {"exec", "obs"},
 }
 
 // modelFlag registers -model. A model travels by name (monitor.Model's text

@@ -70,7 +70,7 @@ func TestFlagGolden(t *testing.T) {
 	}
 	bin := buildLineup(t)
 	var got []string
-	for _, cmd := range []string{"check", "table2", "generate", "verify", "compare", "serve", "monitor", "causes", "record", "memory"} {
+	for _, cmd := range []string{"check", "table2", "generate", "compare", "serve", "monitor", "causes", "record", "memory"} {
 		got = append(got, helpFlags(t, bin, cmd)...)
 	}
 	checkGolden(t, "testdata/flags.golden", got)

@@ -23,6 +23,7 @@ import (
 	"lineup/internal/collections"
 	"lineup/internal/core"
 	"lineup/internal/dist"
+	"lineup/internal/history"
 	"lineup/internal/monitor"
 	"lineup/internal/monitor/fast"
 	"lineup/internal/obsfile"
@@ -53,15 +54,14 @@ var commands = []command{
 	{"generate", "-class NAME [flags]", "coverage-guided test generation against one class", cmdGenerate},
 	{"monitor", "-trace FILE -model NAME [flags]", "check a recorded JSONL history trace against a model", cmdMonitor},
 	{"serve", "-model NAME [flags]", "stream live JSONL history events through the sharded incremental checker", cmdServe},
-	{"fig1", "", "the Fig. 1 queue violation", noArgs(cmdFig1)},
+	{"fig1", "", "the Fig. 1 queue violation", causeFigure(bench.CauseB, "Fig. 1 — the CTP TryTake bug (lock acquire allowed to time out):")},
 	{"fig4", "", "the Fig. 4 counter (classic vs generalized)", noArgs(cmdFig4)},
 	{"fig7", "", "the Fig. 7 observation file and violation report", noArgs(cmdFig7)},
-	{"fig9", "", "the Fig. 9 ManualResetEvent bug", noArgs(cmdFig9)},
+	{"fig9", "", "the Fig. 9 ManualResetEvent bug", causeFigure(bench.CauseA, "Fig. 9 — the ManualResetEvent CAS typo (root cause A):")},
 	{"compare", "[flags]", "race + serializability comparison (Section 5.6)", cmdCompare},
 	{"ablate", "", "preemption-bound ablation", cmdAblate},
 	{"memory", "[flags]", "store-buffer (TSO) SC-violation scan (Section 5.7)", cmdMemory},
 	{"record", "-class NAME -test SPEC [-o FILE]", "record an observation file (phase 1)", cmdRecord},
-	{"verify", "-class NAME -test SPEC -obs FILE", "re-check phase 2 against a recorded observation file", cmdVerify},
 	{"list", "", "list the registered classes", cmdList},
 	{"worker", "JOBFILE", "run one work unit of a check -exec run (spawned by it)", cmdWorker},
 }
@@ -187,6 +187,11 @@ func cmdMonitor(args []string) error {
 	if err != nil {
 		return err
 	}
+	stuck := ""
+	if h.Stuck {
+		stuck = ", stuck"
+	}
+	fmt.Printf("checked %d operations (%d pending%s) against model %q\n", len(h.Ops()), len(h.Pending()), stuck, model.Name)
 	if useFast {
 		if kind, ok := fast.KindFor(model.Name); !ok {
 			fmt.Fprintf(os.Stderr, "monitor: no specialized monitor for model %q; using the Wing–Gong search\n", model.Name)
@@ -194,12 +199,6 @@ func cmdMonitor(args []string) error {
 			lin, ferr := fast.Check(kind, h)
 			switch {
 			case ferr == nil:
-				ops, pending := h.Ops(), len(h.Pending())
-				stuck := ""
-				if h.Stuck {
-					stuck = ", stuck"
-				}
-				fmt.Printf("checked %d operations (%d pending%s) against model %q\n", len(ops), pending, stuck, model.Name)
 				fmt.Printf("search: fast %s monitor, certificate-backed (no state enumeration)\n", model.Name)
 				if lin {
 					fmt.Println("verdict: linearizable")
@@ -221,13 +220,6 @@ func cmdMonitor(args []string) error {
 	if err != nil {
 		return err
 	}
-	ops := h.Ops()
-	pending := len(h.Pending())
-	stuck := ""
-	if h.Stuck {
-		stuck = ", stuck"
-	}
-	fmt.Printf("checked %d operations (%d pending%s) against model %q\n", len(ops), pending, stuck, model.Name)
 	fmt.Printf("search: %d parts, %d nodes visited, %d seen-set hits\n",
 		out.Stats.Parts, out.Stats.Visited, out.Stats.MemoHits)
 	if out.Linearizable {
@@ -264,14 +256,6 @@ func cmdTable2(args []string) error {
 		return err
 	}
 	opts.Telemetry = tr.C
-	classes := 0
-	for _, e := range bench.Registry() {
-		classes++
-		if opts.IncludePre && e.Pre != nil {
-			classes++
-		}
-	}
-	tr.C.Add(telemetry.TestsPlanned, int64(classes*opts.Samples))
 	table, err := bench.RunTable2(opts)
 	if err = tr.finishAfter(err); err != nil {
 		return err
@@ -321,6 +305,7 @@ func cmdCheck(args []string) error {
 	testSpec := fs.String("test", "", `check this one test, as work units (-workers of them at a time), e.g. "Enqueue(10) TryDequeue() / Count()"`)
 	dir := fs.String("dir", "", "keep the run's progress in DIR (the sample's checkpoint, or -test's unit journal), so a killed run rerun with the same flags resumes where it was")
 	execMode := fs.Bool("exec", false, "with -test: run each work unit in a worker process (kill -9 isolation)")
+	obsPath := fs.String("obs", "", "with -test: check phase 2 against this observation file (written by 'lineup record') instead of synthesizing phase 1")
 	tflags := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -332,6 +317,9 @@ func cmdCheck(args []string) error {
 			ignored = fmt.Errorf("check: -%s would be ignored %s -test", f.Name, map[bool]string{true: "with", false: "without"}[oneTest])
 		}
 	})
+	if ignored == nil && *obsPath != "" && ropts.MonitorModel.Name != "" {
+		ignored = errors.New("check: -obs would be ignored with -model, which decides every witness")
+	}
 	if ignored != nil {
 		return ignored
 	}
@@ -350,7 +338,13 @@ func cmdCheck(args []string) error {
 		if err != nil {
 			return err
 		}
-		return checkTest(sub, m, ropts.Options, *dir, *execMode, tflags)
+		cfg := dist.Config{Subject: sub, Test: m, Options: ropts.Options, Dir: *dir, Workers: ropts.Workers}
+		if *obsPath != "" {
+			if cfg.Spec, err = readObservations(*obsPath); err != nil {
+				return err
+			}
+		}
+		return checkTest(cfg, *execMode, tflags)
 	}
 	tr, err := tflags.start("check " + sub.Name)
 	if err != nil {
@@ -417,23 +411,23 @@ func cmdCheck(args []string) error {
 }
 
 // checkTest is `check -test`: the one test's phase-2 schedule tree is cut
-// into work units, opts.Workers of them run at a time, and dist.Run merges
-// them into the verdict of the sequential exhaustive check. dir journals the
-// units, so a killed run resumes without redoing a finished one; execMode runs
-// each unit in a worker process ("lineup worker JOBFILE").
-func checkTest(sub *core.Subject, m *core.Test, opts core.Options, dir string, execMode bool, tflags *telemetryFlags) error {
-	tr, err := tflags.start("check " + sub.Name)
+// into work units, cfg.Workers of them run at a time, and dist.Run merges
+// them into the verdict of the sequential exhaustive check — against cfg.Spec,
+// a recorded observation file's (-obs), or else phase 1's. cfg.Dir journals
+// the units, so a killed run resumes without redoing a finished one; execMode
+// runs each unit in a worker process ("lineup worker JOBFILE").
+func checkTest(cfg dist.Config, execMode bool, tflags *telemetryFlags) error {
+	tr, err := tflags.start("check " + cfg.Subject.Name)
 	if err != nil {
 		return err
 	}
-	opts.Telemetry = tr.C
-	cfg := dist.Config{Subject: sub, Test: m, Options: opts, Dir: dir, Workers: opts.Workers, Telemetry: tr.C}
+	cfg.Options.Telemetry, cfg.Telemetry = tr.C, tr.C
 	if execMode {
 		bin, err := os.Executable()
 		if err != nil {
 			return err
 		}
-		jobDir := dir
+		jobDir := cfg.Dir
 		if jobDir == "" {
 			jobDir, err = os.MkdirTemp("", "lineup-units-*")
 			if err != nil {
@@ -577,40 +571,39 @@ func countFailures(sum *core.RandomSummary) (int, string) {
 	return total, strings.Join(parts, " ")
 }
 
-// fig1Test builds the Fig. 1 scenario on the CTP-like BlockingCollection.
-func fig1Test() (*core.Subject, *core.Test) {
-	sub, _, _ := bench.Find("BlockingCollection(Pre)")
-	add := func(v int) core.Op {
-		return core.Op{Method: "Add", Args: fmt.Sprint(v), Run: func(t *sched.Thread, o any) string {
-			type adder interface{ Add(*sched.Thread, int) bool }
-			o.(adder).Add(t, v)
-			return "ok"
-		}}
-	}
-	tryTake, _ := sub.FindOp("TryTake()")
-	return sub, &core.Test{Rows: [][]core.Op{{add(200), tryTake}, {add(400), tryTake}}}
+// causeFigure is a figure that is one of the directed cause cases: the
+// case's test, its check on the (Pre) class, the violation that check must
+// find, and the check of the corrected class on the same test.
+func causeFigure(cause bench.Cause, title string) func([]string) error {
+	return noArgs(func() error {
+		c := causeCase(cause)
+		fmt.Println(title)
+		fmt.Println(indent(c.Test.String()))
+		res, err := core.Check(c.Subject, c.Test, core.Options{PreemptionBound: c.Bound})
+		if err != nil {
+			return err
+		}
+		if res.Verdict != core.Fail {
+			return fmt.Errorf("expected a violation")
+		}
+		fmt.Println(indent(res.Violation.String()))
+		fmt.Printf("corrected %s on the same test:\n", c.Counterpart.Name)
+		if res, err = core.Check(c.Counterpart, c.Test, core.Options{PreemptionBound: c.Bound}); err != nil {
+			return err
+		}
+		fmt.Printf("  verdict: %v\n", res.Verdict)
+		return nil
+	})
 }
 
-func cmdFig1() error {
-	sub, m := fig1Test()
-	fmt.Println("Fig. 1 — the CTP TryTake bug (lock acquire allowed to time out):")
-	fmt.Println(indent(m.String()))
-	res, err := core.Check(sub, m, core.Options{PreemptionBound: 2, KeepSpec: true})
-	if err != nil {
-		return err
+// causeCase returns the directed test case of one root cause.
+func causeCase(cause bench.Cause) bench.CauseCase {
+	for _, c := range bench.CauseCases() {
+		if c.Cause == cause {
+			return c
+		}
 	}
-	if res.Verdict != core.Fail {
-		return fmt.Errorf("expected a violation")
-	}
-	fmt.Println(indent(res.Violation.String()))
-	fmt.Println("corrected BlockingCollection on the same test:")
-	cur, _, _ := bench.Find("BlockingCollection")
-	res2, err := core.Check(cur, m, core.Options{PreemptionBound: 2})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  verdict: %v\n", res2.Verdict)
-	return nil
+	panic("lineup: no cause case " + string(cause))
 }
 
 func cmdFig4() error {
@@ -652,18 +645,13 @@ func cmdFig4() error {
 
 func cmdFig7() error {
 	// The Fig. 7 test: Thread A = Add(200); Add(400), Thread B = Take();
-	// TryTake() on the (correct-for-these-methods) CTP collection.
-	sub, _, _ := bench.Find("BlockingCollection(Pre)")
-	add := func(v int) core.Op {
-		return core.Op{Method: "Add", Args: fmt.Sprint(v), Run: func(t *sched.Thread, o any) string {
-			type adder interface{ Add(*sched.Thread, int) bool }
-			o.(adder).Add(t, v)
-			return "ok"
-		}}
-	}
+	// TryTake() on the (correct-for-these-methods) CTP collection — the Fig. 1
+	// case's class and Adds, which is also the report's fallback.
+	fig1 := causeCase(bench.CauseB)
+	sub := fig1.Subject
 	take, _ := sub.FindOp("Take()")
 	tryTake, _ := sub.FindOp("TryTake()")
-	m := &core.Test{Rows: [][]core.Op{{add(200), add(400)}, {take, tryTake}}}
+	m := &core.Test{Rows: [][]core.Op{{fig1.Test.Rows[0][0], fig1.Test.Rows[1][0]}, {take, tryTake}}}
 	fmt.Println("Fig. 7 (top) — the test:")
 	fmt.Println(indent(m.String()))
 	res, err := core.Check(sub, m, core.Options{PreemptionBound: 2, KeepSpec: true})
@@ -678,8 +666,7 @@ func cmdFig7() error {
 	fmt.Println("(under the TryLock timeout model the original Take/TryTake layout")
 	fmt.Println("does not fail — see the substitution note in DESIGN.md):")
 	if res.Violation == nil {
-		fsub, fm := fig1Test()
-		res, err = core.Check(fsub, fm, core.Options{PreemptionBound: 2})
+		res, err = core.Check(sub, fig1.Test, core.Options{PreemptionBound: fig1.Bound})
 		if err != nil {
 			return err
 		}
@@ -688,33 +675,6 @@ func cmdFig7() error {
 		return obsfile.WriteViolation(os.Stdout, res.Violation.History)
 	}
 	fmt.Println("  (no violation found)")
-	return nil
-}
-
-func cmdFig9() error {
-	cases := bench.CauseCases()
-	var c bench.CauseCase
-	for _, cc := range cases {
-		if cc.Cause == bench.CauseA {
-			c = cc
-		}
-	}
-	fmt.Println("Fig. 9 — the ManualResetEvent CAS typo (root cause A):")
-	fmt.Println(indent(c.Test.String()))
-	res, err := core.Check(c.Subject, c.Test, core.Options{PreemptionBound: c.Bound})
-	if err != nil {
-		return err
-	}
-	if res.Verdict != core.Fail {
-		return fmt.Errorf("expected a violation")
-	}
-	fmt.Println(indent(res.Violation.String()))
-	fmt.Println("corrected ManualResetEvent on the same test:")
-	res2, err := core.Check(c.Counterpart, c.Test, core.Options{PreemptionBound: c.Bound})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  verdict: %v\n", res2.Verdict)
 	return nil
 }
 
@@ -844,8 +804,8 @@ func cmdRecord(args []string) error {
 	}
 	if *out != "" {
 		// Atomic temp-file + rename: a crash mid-record never leaves a
-		// truncated observation file behind for later 'lineup verify' runs.
-		if err := obsfile.WriteFileAtomic(*out, spec); err != nil {
+		// truncated observation file behind for a later 'check -obs'.
+		if err := obsfile.AtomicWriteFile(*out, func(w io.Writer) error { return obsfile.Write(w, spec) }); err != nil {
 			return err
 		}
 	} else if err := obsfile.Write(os.Stdout, spec); err != nil {
@@ -856,46 +816,19 @@ func cmdRecord(args []string) error {
 	return nil
 }
 
-// cmdVerify replays phase 2 of one test against a recorded observation file
-// — the checking half of the regression workflow.
-func cmdVerify(args []string) error {
-	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	class := fs.String("class", "", "class name (see 'lineup list')")
-	testSpec := fs.String("test", "", `test matrix, e.g. "Enqueue(10) TryDequeue() / Count()"`)
-	in := fs.String("obs", "", "observation file recorded with 'lineup record'")
-	ro := core.RandomOptions{Options: core.Options{PreemptionBound: 2}}
-	addCheckFlags(fs, &ro, "pb")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	sub, _, ok := findSubject(*class)
-	if !ok {
-		return fmt.Errorf("unknown class %q (try 'lineup list')", *class)
-	}
-	m, err := bench.ParseTest(sub, *testSpec)
+// readObservations parses an observation file into the specification
+// phase 2 checks against — the checking half of the regression workflow.
+func readObservations(path string) (*history.Spec, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return err
-	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
 	parsed, err := obsfile.Parse(f)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	res, err := core.CheckAgainstSpec(sub, m, parsed.ToSpec(), ro.Options)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("verdict: %v (%d histories, %d stuck, %d schedules)\n",
-		res.Verdict, res.Phase2.Histories, res.Phase2.Stuck, res.Phase2.Executions)
-	if res.Violation != nil {
-		fmt.Println(indent(res.Violation.String()))
-		return errViolation
-	}
-	return nil
+	return parsed.ToSpec(), nil
 }
 
 func indent(s string) string {

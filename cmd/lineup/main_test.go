@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -66,34 +67,77 @@ func TestCmdFig4(t *testing.T) {
 	}
 }
 
+// runArgs runs one CLI invocation as main does; a nonzero exit is an error.
+func runArgs(args ...string) error {
+	if code := run(args); code != 0 {
+		return fmt.Errorf("lineup %s: exit %d", strings.Join(args, " "), code)
+	}
+	return nil
+}
+
 func TestCmdFig1(t *testing.T) {
-	out := captureStdout(t, func() error { return cmdFig1() })
+	out := captureStdout(t, func() error { return runArgs("fig1") })
 	if !contains(out, "violation") || !contains(out, "verdict: PASS") {
 		t.Fatalf("fig1 output incomplete:\n%s", out)
 	}
 }
 
 func TestCmdFig9(t *testing.T) {
-	out := captureStdout(t, func() error { return cmdFig9() })
+	out := captureStdout(t, func() error { return runArgs("fig9") })
 	if !contains(out, "stuck history") || !contains(out, "verdict: PASS") {
 		t.Fatalf("fig9 output incomplete:\n%s", out)
 	}
 }
 
-func TestCmdRecordVerifyRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	obs := filepath.Join(dir, "queue.obs")
-	_ = captureStdout(t, func() error {
-		return cmdRecord([]string{"-class", "ConcurrentQueue", "-test", "Enqueue(10) TryDequeue() / Count()", "-o", obs})
-	})
+// record writes the observation file of one test (phase 1) into a temporary
+// directory and returns its path.
+func record(t *testing.T, class, test string) string {
+	t.Helper()
+	obs := filepath.Join(t.TempDir(), "test.obs")
+	_ = captureStdout(t, func() error { return cmdRecord([]string{"-class", class, "-test", test, "-o", obs}) })
 	if _, err := os.Stat(obs); err != nil {
 		t.Fatalf("observation file not written: %v", err)
 	}
+	return obs
+}
+
+// TestCmdRecordVerifyRoundtrip: the regression workflow — record a test's
+// observation file, then check phase 2 against it with check -test -obs.
+func TestCmdRecordVerifyRoundtrip(t *testing.T) {
+	const test = "Enqueue(10) TryDequeue() / Count()"
+	obs := record(t, "ConcurrentQueue", test)
 	out := captureStdout(t, func() error {
-		return cmdVerify([]string{"-class", "ConcurrentQueue", "-test", "Enqueue(10) TryDequeue() / Count()", "-obs", obs})
+		return cmdCheck([]string{"-class", "ConcurrentQueue", "-test", test, "-obs", obs})
 	})
 	if !contains(out, "verdict: PASS") {
-		t.Fatalf("verify against own recording failed:\n%s", out)
+		t.Fatalf("check -obs against its own recording failed:\n%s", out)
+	}
+}
+
+// TestCmdCheckObsFindsStuckViolation: Fig. 9's test recorded on
+// ManualResetEvent(Pre) and checked with check -test -obs at default flags
+// runs at the class's bound and FAILs with the stuck violation — the report
+// check -test gives with phase 1 synthesized, byte for byte.
+func TestCmdCheckObsFindsStuckViolation(t *testing.T) {
+	const class, test = "ManualResetEvent(Pre)", "Wait() / Set() Reset() Set()"
+	obs := record(t, class, test)
+	check := func(extra ...string) string {
+		var err error
+		out := captureStdout(t, func() error {
+			err = cmdCheck(append([]string{"-class", class, "-test", test}, extra...))
+			return nil
+		})
+		if !errors.Is(err, errViolation) {
+			t.Fatalf("check %v: err = %v, want a violation\n%s", extra, err, out)
+		}
+		return out
+	}
+	out := check("-obs", obs)
+	if !contains(out, "verdict: FAIL") || !contains(out, core.StuckNoWitness.String()) {
+		t.Fatalf("check -obs missed the stuck violation:\n%s", out)
+	}
+	if synth := check(); out != synth {
+		t.Fatalf("check -obs differs from check -test:\n%s\nvs\n%s", out, synth)
 	}
 }
 
@@ -144,7 +188,8 @@ func TestCmdCheckLeakDetectionNeedsOneWorker(t *testing.T) {
 }
 
 // TestCmdCheckRefusesIgnoredFlags: a flag the chosen mode of check would
-// ignore — the sample's with -test, -exec without it — is refused before
+// ignore — the sample's with -test, -exec and -obs without it, -obs beside
+// -model — is refused before
 // anything runs: no class is looked up (there is none of this name), no test
 // parsed, no directory made.
 func TestCmdCheckRefusesIgnoredFlags(t *testing.T) {
@@ -163,6 +208,8 @@ func TestCmdCheckRefusesIgnoredFlags(t *testing.T) {
 		{oneTest("-shrink=false"), "-shrink would be ignored with -test"},
 		{oneTest("-detect-leaks"), "-detect-leaks would be ignored with -test"},
 		{[]string{"-class", "NoSuchClass", "-dir", dir, "-exec"}, "-exec would be ignored without -test"},
+		{[]string{"-class", "NoSuchClass", "-dir", dir, "-obs", "f.obs"}, "-obs would be ignored without -test"},
+		{oneTest("-obs", "f.obs", "-model", "stack"), "-obs would be ignored with -model"},
 	} {
 		if err := cmdCheck(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("check %v: err = %v, want %q", c.args, err, c.want)

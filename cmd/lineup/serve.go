@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"lineup/internal/monitor"
-	"lineup/internal/obsfile"
 	"lineup/internal/serve"
 )
 
@@ -88,14 +86,8 @@ func cmdServe(args []string) error {
 		r = f
 	}
 	start := time.Now()
-	// A batch-frame stream opens with the frame magic; anything else is JSONL.
-	// These are the two entry points POST /ingest picks by Content-Type.
-	br := bufio.NewReader(r)
-	ingest := s.IngestReader
-	if head, _ := br.Peek(len(obsfile.FrameMagic)); string(head) == obsfile.FrameMagic {
-		ingest = s.IngestFrames
-	}
-	_, ingestErr := ingest(br)
+	// JSONL or batch frames: IngestReader tells them apart, as for POST /ingest.
+	_, ingestErr := s.IngestReader(r)
 	sum, closeErr := s.Close()
 	wall := time.Since(start)
 	if err := tr.finishAfter(firstErr(ingestErr, closeErr)); err != nil {

@@ -29,11 +29,6 @@ func addTelemetryFlags(fs *flag.FlagSet) *telemetryFlags {
 	}
 }
 
-// enabled reports whether any telemetry sink was requested.
-func (f *telemetryFlags) enabled() bool {
-	return *f.progress || *f.traceOut != "" || *f.pprofAddr != ""
-}
-
 // telemetryRun is one live telemetry session: the collector to thread into
 // core/bench options (nil when telemetry is off — a valid no-op sink) and the
 // optional progress line, which reads the collector on its own. Callers must
@@ -51,7 +46,7 @@ type telemetryRun struct {
 // along unconditionally.
 func (f *telemetryFlags) start(label string) (*telemetryRun, error) {
 	r := &telemetryRun{flags: f}
-	if !f.enabled() {
+	if !*f.progress && *f.traceOut == "" && *f.pprofAddr == "" {
 		return r, nil
 	}
 	r.C = telemetry.New()

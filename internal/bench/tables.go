@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"lineup/internal/core"
+	"lineup/internal/telemetry"
 )
 
 // moduleRoot locates the repository root (for Table 1 line counting) from
@@ -181,14 +182,22 @@ func RunTable2(opts Table2Options) ([]Table2Row, error) {
 		})
 		return nil
 	}
+	// The plan is walked once: its length is the run's tests_planned.
+	type class struct {
+		sub   *core.Subject
+		bound int
+	}
+	var plan []class
 	for _, e := range Registry() {
-		if err := run(e.Subject, e.Bound); err != nil {
-			return nil, err
-		}
+		plan = append(plan, class{e.Subject, e.Bound})
 		if opts.IncludePre && e.Pre != nil {
-			if err := run(e.Pre, e.Bound); err != nil {
-				return nil, err
-			}
+			plan = append(plan, class{e.Pre, e.Bound})
+		}
+	}
+	opts.Telemetry.Add(telemetry.TestsPlanned, int64(len(plan)*opts.Samples))
+	for _, c := range plan {
+		if err := run(c.sub, c.bound); err != nil {
+			return nil, err
 		}
 	}
 	return rows, nil

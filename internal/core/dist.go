@@ -78,10 +78,11 @@ type UnitReport struct {
 // units — which is how a restarted coordinator revalidates a durable
 // manifest.
 type UnitPlan struct {
-	// Spec is the phase-1 specification (needed again at merge time to
-	// regenerate the reported violation).
+	// Spec is the specification phase 2 checks against, given or synthesized
+	// (needed again at merge time to regenerate the reported violation).
 	Spec *history.Spec
-	// Phase1 is the phase-1 statistics of the plan's own synthesis run.
+	// Phase1 is the phase-1 statistics of the plan's own synthesis run (zero
+	// when the plan was given its specification).
 	Phase1 PhaseStats
 	// Nondet, when non-nil, is a phase-1 nondeterminism violation: the check
 	// already failed and there is nothing to distribute (Units is empty).
@@ -108,18 +109,23 @@ func distExploreConfig(opts Options) sched.ExploreConfig {
 
 // PlanUnits runs phase 1 and splits the phase-2 schedule tree into work
 // units, backtracking only within the first depth decision levels (0 selects
-// sched.DefaultShardDepth). If phase 1 exposes nondeterministic serial
-// behavior the plan carries the violation and no units.
-func PlanUnits(sub *Subject, m *Test, opts Options, depth int) (*UnitPlan, error) {
+// sched.DefaultShardDepth). spec is the specification phase 2 checks
+// against — a recorded observation file's, for the regression workflow of
+// Section 4.2 — and nil synthesizes it. If the specification shows
+// nondeterministic serial behavior the plan carries the violation and no
+// units.
+func PlanUnits(sub *Subject, m *Test, opts Options, spec *history.Spec, depth int) (*UnitPlan, error) {
 	if err := opts.validate(true, true); err != nil {
 		return nil, err
 	}
-	spec, p1, err := SynthesizeSpec(sub, m, opts)
-	if err != nil {
-		return nil, err
+	plan := &UnitPlan{Spec: spec}
+	if spec == nil {
+		var err error
+		if plan.Spec, plan.Phase1, err = SynthesizeSpec(sub, m, opts); err != nil {
+			return nil, err
+		}
 	}
-	plan := &UnitPlan{Spec: spec, Phase1: p1}
-	if w, bad := spec.Nondeterministic(); bad {
+	if w, bad := plan.Spec.Nondeterministic(); bad {
 		plan.Nondet = &Violation{Kind: Nondeterminism, Test: m, Nondet: w}
 		return plan, nil
 	}

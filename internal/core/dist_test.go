@@ -17,7 +17,7 @@ import (
 // unit independently, and merge. Reports are handed to the merge in reverse
 // completion order to prove the merge is order-independent.
 func distCheck(sub *core.Subject, m *core.Test, opts core.Options, depth int) (*core.Result, error) {
-	plan, err := core.PlanUnits(sub, m, opts, depth)
+	plan, err := core.PlanUnits(sub, m, opts, nil, depth)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +220,7 @@ func TestCheckUnitIdempotent(t *testing.T) {
 	inc, get, _ := counterOps()
 	m := &core.Test{Rows: [][]core.Op{{inc, get}, {inc, get}}}
 	opts := core.Options{Reduction: sched.ReductionSleep}
-	plan, err := core.PlanUnits(sub, m, opts, 2)
+	plan, err := core.PlanUnits(sub, m, opts, nil, 2)
 	if err != nil {
 		t.Fatalf("PlanUnits: %v", err)
 	}
@@ -248,7 +248,7 @@ func TestCheckUnitTickAbort(t *testing.T) {
 	sub := counterSubject()
 	inc, get, _ := counterOps()
 	m := &core.Test{Rows: [][]core.Op{{inc, get}, {inc, get}}}
-	plan, err := core.PlanUnits(sub, m, core.Options{}, 1)
+	plan, err := core.PlanUnits(sub, m, core.Options{}, nil, 1)
 	if err != nil {
 		t.Fatalf("PlanUnits: %v", err)
 	}
@@ -284,7 +284,7 @@ func TestMergeNondetAndCoverage(t *testing.T) {
 	if err != nil || res.Verdict != core.Fail || res.Violation != v {
 		t.Fatalf("nondet plan merge: res=%v err=%v", res, err)
 	}
-	plan, err := core.PlanUnits(sub, m, core.Options{}, 2)
+	plan, err := core.PlanUnits(sub, m, core.Options{}, nil, 2)
 	if err != nil {
 		t.Fatalf("PlanUnits: %v", err)
 	}

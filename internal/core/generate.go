@@ -1,12 +1,12 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 
+	"lineup/internal/obsfile"
 	"lineup/internal/telemetry"
 )
 
@@ -316,12 +316,7 @@ func writeCorpus(dir string, sub *Subject, seed int64, corpus []*Test, res *GenR
 		return fmt.Errorf("lineup: corpus dir: %w", err)
 	}
 	for i, m := range corpus {
-		data, err := json.MarshalIndent(m, "", "  ")
-		if err != nil {
-			return err
-		}
-		name := filepath.Join(dir, fmt.Sprintf("corpus-%06d.json", i))
-		if err := os.WriteFile(name, append(data, '\n'), 0o644); err != nil {
+		if err := obsfile.AtomicWriteJSON(filepath.Join(dir, fmt.Sprintf("corpus-%06d.json", i)), m); err != nil {
 			return fmt.Errorf("lineup: corpus entry: %w", err)
 		}
 	}
@@ -333,9 +328,5 @@ func writeCorpus(dir string, sub *Subject, seed int64, corpus []*Test, res *GenR
 		CoveragePairs: res.CoveragePairs,
 		CoverageHists: res.CoverageHists,
 	}
-	data, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "manifest.json"), append(data, '\n'), 0o644)
+	return obsfile.AtomicWriteJSON(filepath.Join(dir, "manifest.json"), man)
 }

@@ -37,7 +37,7 @@ func TestIllegalOptionsRefused(t *testing.T) {
 			return err
 		}
 	}
-	planUnits := func(o core.Options) error { _, err := core.PlanUnits(sub, m, o, 1); return err }
+	planUnits := func(o core.Options) error { _, err := core.PlanUnits(sub, m, o, nil, 1); return err }
 	checkUnit := func(o core.Options) error {
 		_, err := core.CheckUnit(sub, m, o, sched.WorkUnit{}, nil, nil)
 		return err

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"lineup/internal/core"
+	"lineup/internal/history"
 	"lineup/internal/obsfile"
 	"lineup/internal/telemetry"
 )
@@ -45,6 +46,11 @@ type Config struct {
 	Subject *core.Subject
 	Test    *core.Test
 	Options core.Options
+	// Spec, when non-nil, is the specification phase 2 checks against — a
+	// recorded observation file's (`check -test -obs`) — in place of a
+	// phase-1 synthesis. Workers are shipped it as they are a synthesized
+	// one, and the manifest records it, so a resume under another is refused.
+	Spec *history.Spec
 
 	// Dir, when non-empty, holds the durable state: manifest.json (unit
 	// states, journaled atomically on every transition) and one report file
@@ -198,7 +204,7 @@ func Run(ctx context.Context, cfg Config) (*core.Result, Stats, error) {
 		return nil, Stats{}, err
 	}
 	start := time.Now()
-	plan, err := core.PlanUnits(cfg.Subject, cfg.Test, cfg.Options, cfg.Depth)
+	plan, err := core.PlanUnits(cfg.Subject, cfg.Test, cfg.Options, cfg.Spec, cfg.Depth)
 	if err != nil {
 		return nil, Stats{}, err
 	}

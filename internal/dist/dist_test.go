@@ -306,6 +306,45 @@ func TestDistManifestMismatch(t *testing.T) {
 	}
 }
 
+// TestDistResumeRefusesOtherSpec: a run given its specification (`check
+// -test -obs`) merges to what phase 2 against that specification gives
+// sequentially, and its manifest records the specification: a resume under
+// another one, or under none, is refused with the field named, and a resume
+// under the same one is accepted.
+func TestDistResumeRefusesOtherSpec(t *testing.T) {
+	sched.RequireNoLeaks(t)
+	sub := counterSubject()
+	m := testFor(sub)
+	spec, _, err := core.SynthesizeSpec(sub, m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run := func(spec *history.Spec) (*core.Result, error) {
+		res, _, err := dist.Run(context.Background(), dist.Config{Subject: sub, Test: m, Spec: spec, Workers: 2, Depth: 2, Dir: dir})
+		return res, err
+	}
+	res, err := run(spec)
+	if err != nil {
+		t.Fatalf("run given the spec: %v", err)
+	}
+	want, err := core.CheckAgainstSpec(sub, m, spec, core.Options{ExhaustPhase2: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Phase2.Duration = 0
+	requireSameResult(t, "given spec", res, want)
+	other := history.ImportSpec(spec.Export()[1:])
+	for name, s := range map[string]*history.Spec{"another spec": other, "no spec": nil} {
+		if _, err := run(s); err == nil || !strings.Contains(err.Error(), "manifest does not match this run: spec_histories is ") {
+			t.Errorf("resume under %s: err = %v, want the spec field named", name, err)
+		}
+	}
+	if _, err := run(spec); err != nil {
+		t.Errorf("resume under the same spec: %v", err)
+	}
+}
+
 // TestDistTelemetry: the lease lifecycle shows up in the shared collector,
 // in step with the Stats the coordinator returns.
 func TestDistTelemetry(t *testing.T) {
@@ -358,7 +397,7 @@ func TestDistShippedSpecReportsByteIdentical(t *testing.T) {
 	for _, sub := range []*core.Subject{counterSubject(), counter1Subject()} {
 		m := testFor(sub)
 		opts := core.Options{PreemptionBound: 2}
-		plan, err := core.PlanUnits(sub, m, opts, 2)
+		plan, err := core.PlanUnits(sub, m, opts, nil, 2)
 		if err != nil {
 			t.Fatalf("%s: plan: %v", sub.Name, err)
 		}

@@ -26,6 +26,10 @@ func FuzzCheckFiles(f *testing.F) {
   "tests": [{"index": 3, "failed": true, "violation_kind": 1, "phase1": {"Executions": 6}, "phase2": {"Executions": 40}}, null]}`,
 		`{"version": 3, "subject": "Counter", "test": {"rows": [["Inc()", "Get()"], ["Inc()"]]}, "options": {"reduction": "sleep"},
   "depth": 2, "units": 2, "split_pruned": 1, "entries": [{"seq": 0, "state": "done", "attempts": 1}]}`,
+		`{"version": 3, "subject": "Counter", "test": {"rows": [["Inc()"], ["Get()"]]}, "options": {},
+  "spec_histories": [{"Ops": [{"Thread": 0, "Name": "Inc()", "Result": "ok"}, {"Thread": 1, "Name": "Get()", "Result": "1"}]},
+    {"Ops": [{"Thread": 1, "Name": "Get()", "Result": "0"}], "Pending": null}, null],
+  "depth": 1, "units": 1, "split_pruned": 0, "entries": [{"seq": 0, "state": "pending", "attempts": 0}]}`,
 		`{"version": 1, "subject": "Counter", "test": [["Inc()"]], "reduction": "none"}`,
 		`{"version": 2, "options": {"model": "deque"}}`,
 		`{"version": 2, "test": {"rows": [["a(b", "noparens", "x(1)(2)"]]}, "options": {"reduction": "dpor"}}`,

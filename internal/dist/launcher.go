@@ -13,6 +13,7 @@ import (
 
 	"lineup/internal/core"
 	"lineup/internal/history"
+	"lineup/internal/obsfile"
 	"lineup/internal/sched"
 )
 
@@ -97,17 +98,13 @@ type ExecLauncher struct {
 func (l *ExecLauncher) Run(ctx context.Context, spec UnitSpec, heartbeat func()) (*core.UnitReport, error) {
 	jobPath := fmt.Sprintf("%s/job-%06d-%d.json", l.Dir, spec.Seq, spec.Attempt)
 	repPath := jobPath + ".report"
-	// The coordinator's synthesized (and determinism-checked) phase-1
-	// specification rides along so workers skip the per-unit re-synthesis that
-	// dominates small units. Phase 1 is deterministic, so the reports are
+	// The plan's (determinism-checked) specification rides along: the one the
+	// run was given, or the coordinator's phase-1 synthesis, which workers then
+	// need not redo per unit. Phase 1 is deterministic, so the reports are
 	// byte-for-byte what local synthesis would have produced.
 	job := WorkerJob{Version: jobVersion, checkForm: formOf(spec.cfg), Spec: spec, ReportPath: repPath,
 		SpecHistories: spec.phase1.Export()}
-	data, err := json.MarshalIndent(job, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(jobPath, append(data, '\n'), 0o644); err != nil {
+	if err := obsfile.AtomicWriteJSON(jobPath, job); err != nil {
 		return nil, fmt.Errorf("dist: writing job file: %w", err)
 	}
 	cmd := exec.CommandContext(ctx, l.Bin, "worker", jobPath)

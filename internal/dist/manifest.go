@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"lineup/internal/core"
+	"lineup/internal/history"
 	"lineup/internal/obsfile"
 	"lineup/internal/telemetry"
 )
@@ -49,10 +50,14 @@ type manifestUnit struct {
 type manifest struct {
 	Version int `json:"version"`
 	checkForm
-	Depth       int            `json:"depth"`
-	Units       int            `json:"units"`
-	SplitPruned int            `json:"split_pruned"`
-	Entries     []manifestUnit `json:"entries"`
+	// SpecHistories is the specification the run was given (Config.Spec) in
+	// Export order, as a job file ships one; a run that synthesizes its own
+	// writes none.
+	SpecHistories []*history.SerialHistory `json:"spec_histories,omitempty"`
+	Depth         int                      `json:"depth"`
+	Units         int                      `json:"units"`
+	SplitPruned   int                      `json:"split_pruned"`
+	Entries       []manifestUnit           `json:"entries"`
 }
 
 func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
@@ -65,6 +70,9 @@ func buildManifest(cfg Config, plan *core.UnitPlan, recs []*unitRec) *manifest {
 		Depth:       cfg.Depth,
 		Units:       len(plan.Units),
 		SplitPruned: plan.Split.Pruned,
+	}
+	if cfg.Spec != nil {
+		man.SpecHistories = cfg.Spec.Export()
 	}
 	for seq, rec := range recs {
 		state := rec.state

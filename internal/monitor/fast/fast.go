@@ -95,17 +95,6 @@ func KindFor(model string) (Kind, bool) {
 	return 0, false
 }
 
-// Supported reports whether a specialized monitor exists for the model name.
-func Supported(model string) bool {
-	_, ok := KindFor(model)
-	return ok
-}
-
-// Names lists the model names with specialized monitors, in display order.
-func Names() []string {
-	return []string{"queue", "stack", "set", "register", "pqueue"}
-}
-
 // Check runs the specialized monitor for kind k on h. It returns a definite
 // verdict (true = linearizable) with a nil error, or ErrAmbiguous when the
 // history is outside the decidable fragment and the caller must fall back

@@ -79,12 +79,6 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// WriteFileAtomic writes an observation file atomically (see
-// AtomicWriteFile).
-func WriteFileAtomic(path string, spec *history.Spec) error {
-	return AtomicWriteFile(path, func(w io.Writer) error { return Write(w, spec) })
-}
-
 // WriteTraceFile writes a JSONL history trace atomically (see
 // AtomicWriteFile).
 func WriteTraceFile(path string, h *history.History) error {

@@ -25,8 +25,9 @@ import (
 // frame at end of input is a *TruncatedFrameError carrying the byte offset
 // where the frame began, never a silent clean EOF.
 
-// BatchContentType is the Content-Type negotiating batch frames on POST
-// /ingest; any other value means JSONL.
+// BatchContentType is the Content-Type that names batch frames on POST
+// /ingest. It is accepted and not needed: serve tells frames from JSONL by
+// FrameMagic, whatever the Content-Type says.
 const BatchContentType = "application/x-lineup-batch"
 
 // FrameMagic opens a batch stream. It shares no prefix with JSONL ('{' or
@@ -217,9 +218,6 @@ type FrameReader struct {
 func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: bufio.NewReaderSize(r, 64*1024), intern: make(map[string]string)}
 }
-
-// Offset returns the count of bytes consumed so far.
-func (fr *FrameReader) Offset() int64 { return fr.off }
 
 func (fr *FrameReader) fail(err error) error {
 	fr.err = err

@@ -196,7 +196,7 @@ func groupKeys(sp *history.Spec) [][]string {
 
 // roundTrip is the adapter of a spec's two written forms, Export into
 // ImportSpec (how a coordinator ships a spec to workers) and an observation
-// file through Write, Parse and ToSpec (what `lineup verify` judges against):
+// file through Write, Parse and ToSpec (what `lineup check -obs` judges against):
 // each must give back the same groups in the same order, the same candidates
 // in the same order, the same counts and the same determinism verdict.
 func roundTrip(t *testing.T, sp *history.Spec) {

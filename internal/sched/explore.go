@@ -410,7 +410,6 @@ func recordOutcomeTelemetry(c *telemetry.Collector, out *Outcome) {
 	case FailPanic:
 		c.Add(telemetry.FailPanics, 1)
 	case FailHung:
-		c.Add(telemetry.WatchdogFires, 1)
 		c.Add(telemetry.FailHangs, 1)
 	case FailLeak:
 		c.Add(telemetry.FailLeaks, 1)

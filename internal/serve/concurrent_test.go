@@ -197,7 +197,7 @@ func encodeFrames(t *testing.T, evs []obsfile.TraceEvent, batch int) []byte {
 }
 
 // TestServeBatchFramesMatchJSONL: the same trace ingested as binary batch
-// frames — directly and over HTTP with the negotiated Content-Type — yields
+// frames — directly and over HTTP, with the batch Content-Type or none — yields
 // verdicts bit-identical to the JSONL ingest path.
 func TestServeBatchFramesMatchJSONL(t *testing.T) {
 	m := monitor.RegisterModel()
@@ -233,24 +233,31 @@ func TestServeBatchFramesMatchJSONL(t *testing.T) {
 		}
 	})
 
-	gotHTTP := run(func(s *serve.Server) {
-		addr, err := s.StartHTTP("127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("StartHTTP: %v", err)
-		}
-		resp, err := http.Post("http://"+addr+"/ingest", obsfile.BatchContentType,
-			bytes.NewReader(encodeFrames(t, trace, 16)))
-		if err != nil {
-			t.Fatalf("POST /ingest: %v", err)
-		}
-		out, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || !bytes.Contains(out, []byte(fmt.Sprintf(`"ingested":%d`, len(trace)))) {
-			t.Fatalf("POST /ingest: status %d body %q", resp.StatusCode, out)
-		}
-	})
+	postFrames := func(contentType string) *serve.Summary {
+		return run(func(s *serve.Server) {
+			addr, err := s.StartHTTP("127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("StartHTTP: %v", err)
+			}
+			resp, err := http.Post("http://"+addr+"/ingest", contentType,
+				bytes.NewReader(encodeFrames(t, trace, 16)))
+			if err != nil {
+				t.Fatalf("POST /ingest: %v", err)
+			}
+			out, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || !bytes.Contains(out, []byte(fmt.Sprintf(`"ingested":%d`, len(trace)))) {
+				t.Fatalf("POST /ingest (Content-Type %q): status %d body %q", contentType, resp.StatusCode, out)
+			}
+		})
+	}
 
-	for name, got := range map[string]*serve.Summary{"direct frames": gotDirect, "HTTP frames": gotHTTP} {
+	for name, got := range map[string]*serve.Summary{
+		"direct frames": gotDirect,
+		"HTTP frames":   postFrames(obsfile.BatchContentType),
+		// The first bytes decide the format, so frames need no Content-Type.
+		"HTTP frames, no Content-Type": postFrames(""),
+	} {
 		if !reflect.DeepEqual(got.Verdicts, want.Verdicts) {
 			t.Fatalf("%s: verdicts differ from JSONL ingest:\njsonl: %+v\ngot:   %+v", name, want.Verdicts, got.Verdicts)
 		}

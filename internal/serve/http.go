@@ -8,16 +8,15 @@ import (
 	"net"
 	"net/http"
 	"time"
-
-	"lineup/internal/obsfile"
 )
 
 // StartHTTP starts the service's ingest endpoint on addr (e.g. ":8080" or
 // "127.0.0.1:0") and returns the bound address. The endpoint serves:
 //
-//	POST /ingest     — body is trace events, ingested in order: JSONL by
-//	                   default, length-prefixed binary batch frames when the
-//	                   request Content-Type is obsfile.BatchContentType
+//	POST /ingest     — body is trace events, ingested in order: JSONL, or
+//	                   length-prefixed binary batch frames, told apart by
+//	                   their first bytes (IngestReader); the Content-Type is
+//	                   not read
 //	GET  /verdicts   — live per-partition status (JSON array)
 //	GET  /stats      — live counters (JSON)
 //	POST /checkpoint — write a durable snapshot now
@@ -61,7 +60,7 @@ func (s *Server) StartHTTP(addr string) (string, error) {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		http.Error(w, "POST a trace body: JSONL, or batch frames with Content-Type "+obsfile.BatchContentType, http.StatusMethodNotAllowed)
+		http.Error(w, "POST a trace body: JSONL or batch frames", http.StatusMethodNotAllowed)
 		return
 	}
 	limit := s.cfg.MaxIngestBytes
@@ -73,15 +72,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// transport-level error as it streams by so the producer gets a 413, not
 	// a misleading 400.
 	body := &errCapturingReader{r: http.MaxBytesReader(w, r.Body, limit)}
-	var (
-		n   int64
-		err error
-	)
-	if r.Header.Get("Content-Type") == obsfile.BatchContentType {
-		n, err = s.IngestFrames(body)
-	} else {
-		n, err = s.IngestReader(body)
-	}
+	n, err := s.IngestReader(body)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) || errors.As(body.err, &tooBig) {

@@ -43,6 +43,7 @@
 package serve
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -540,14 +541,21 @@ func (s *Server) workerFor(key string) int {
 	return int(h % uint32(len(s.workers)))
 }
 
-// IngestReader pumps a JSONL trace stream (e.g. a stdin pipe or one HTTP
-// request body) through its own connection until EOF or the first error,
-// returning the number of raw events read. Blank lines and '#' comments are
-// skipped.
+// IngestReader pumps a trace stream (e.g. a stdin pipe or one HTTP request
+// body) through its own connection until EOF or the first error, returning
+// the number of raw events read. This is where the wire format is decided: a
+// stream that opens with obsfile.FrameMagic is batch frames, handed to
+// IngestFrames, and anything else is JSONL, whose blank lines and '#'
+// comments are skipped. A JSONL line cannot begin with the magic, so the peek
+// never mistakes one format for the other.
 func (s *Server) IngestReader(r io.Reader) (int64, error) {
+	br := bufio.NewReaderSize(r, 64*1024)
+	if head, _ := br.Peek(len(obsfile.FrameMagic)); string(head) == obsfile.FrameMagic {
+		return s.IngestFrames(br)
+	}
 	c := s.NewConn()
 	defer c.Release()
-	sr := obsfile.NewRawReader(r)
+	sr := obsfile.NewRawReader(br)
 	var n int64
 	for {
 		ev, err := sr.Next()

@@ -55,9 +55,8 @@ var (
 	SleepWakes        = newCounter("sleep_wakes")        // sleep-set entries woken by a dependent step
 	MaxDepth          = newCounter("max_depth")          // high watermark: deepest DFS decision stack
 	StuckExecutions   = newCounter("stuck_executions")   // deadlocked / livelocked outcomes
-	WatchdogFires     = newCounter("watchdog_fires")     // executions abandoned by the watchdog
 	FailPanics        = newCounter("fail_panics")        // executions failed by a subject panic
-	FailHangs         = newCounter("fail_hangs")         // executions failed hung (== WatchdogFires today)
+	FailHangs         = newCounter("fail_hangs")         // executions failed hung (abandoned by the watchdog)
 	FailLeaks         = newCounter("fail_leaks")         // executions failed by leaked goroutines
 	Shards            = newCounter("shards")             // exploration shards created: one per exploration, one per split
 	ShardsDone        = newCounter("shards_done")        // shards explored or abandoned
