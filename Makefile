@@ -76,7 +76,8 @@ benchmark-smoke:
 
 # Short coverage-guided fuzz pass over the external input parsers (the batch
 # JSONL trace reader, the incremental stream reader, the JSONL schema scanner
-# against encoding/json, and the binary batch frame codec), the test-matrix
+# against encoding/json, the binary batch frame codec, and the observation
+# file: refused, or written back to the same histories), the test-matrix
 # mutator (well-formedness + schedule replayability of every mutant), the
 # phase-2 history key (equal keys exactly when the histories are equal, on
 # hostile strings), the incremental monitor (arbitrary quiescent cuts against
@@ -94,6 +95,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzStreamReader -fuzztime=5s ./internal/obsfile
 	$(GO) test -run='^$$' -fuzz=FuzzJSONLScanner -fuzztime=5s ./internal/obsfile
 	$(GO) test -run='^$$' -fuzz=FuzzBatchFrame -fuzztime=5s ./internal/obsfile
+	$(GO) test -run='^$$' -fuzz=FuzzObservationFile -fuzztime=5s ./internal/obsfile
 	$(GO) test -run='^$$' -fuzz=FuzzMutate -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzHistoryKey -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzFastMonitor -fuzztime=5s ./internal/monitor/fast

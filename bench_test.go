@@ -304,13 +304,13 @@ func BenchmarkComparisonCheckers(b *testing.B) {
 // observation file of a checked test.
 func BenchmarkFig7ObservationFile(b *testing.B) {
 	sub, m := queue3x3()
-	res, err := lineup.Check(sub, m, lineup.Options{PreemptionBound: 2, KeepSpec: true})
+	spec, _, err := core.SynthesizeSpec(sub, m, core.Options{PreemptionBound: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := obsfile.Write(io.Discard, res.Spec); err != nil {
+		if err := obsfile.Write(io.Discard, spec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"time"
@@ -303,7 +302,7 @@ func cmdCheck(args []string) error {
 	ropts.MonitorModel = modelFlag(fs, "decide phase 2's witnesses by replay through this sequential model, not by phase-1 lookup: ")
 	shrink := fs.Bool("shrink", true, "minimize the first failing test")
 	testSpec := fs.String("test", "", `check this one test, as work units (-workers of them at a time), e.g. "Enqueue(10) TryDequeue() / Count()"`)
-	dir := fs.String("dir", "", "keep the run's progress in DIR (the sample's checkpoint, or -test's unit journal), so a killed run rerun with the same flags resumes where it was")
+	fs.StringVar(&ropts.Dir, "dir", "", "keep the run's progress in DIR (the sample's checkpoint, or -test's unit journal), so a killed run rerun with the same flags resumes where it was")
 	execMode := fs.Bool("exec", false, "with -test: run each work unit in a worker process (kill -9 isolation)")
 	obsPath := fs.String("obs", "", "with -test: check phase 2 against this observation file (written by 'lineup record') instead of synthesizing phase 1")
 	tflags := addTelemetryFlags(fs)
@@ -338,7 +337,7 @@ func cmdCheck(args []string) error {
 		if err != nil {
 			return err
 		}
-		cfg := dist.Config{Subject: sub, Test: m, Options: ropts.Options, Dir: *dir, Workers: ropts.Workers}
+		cfg := dist.Config{Subject: sub, Test: m, Options: ropts.Options, Dir: ropts.Dir, Workers: ropts.Workers}
 		if *obsPath != "" {
 			if cfg.Spec, err = readObservations(*obsPath); err != nil {
 				return err
@@ -352,25 +351,12 @@ func cmdCheck(args []string) error {
 	}
 	ropts.Telemetry = tr.C
 	tr.C.Add(telemetry.TestsPlanned, int64(ropts.Samples))
-	if *dir != "" {
-		// The sample's checkpoint, rewritten after every completed test: a
-		// killed run left one, and this run resumes from it.
-		if err := os.MkdirAll(*dir, 0o755); err != nil {
-			return err
-		}
-		ck := filepath.Join(*dir, "checkpoint.json")
-		switch cp, err := core.LoadRandomCheckpoint(ck); {
-		case err == nil:
-			ropts.Resume = cp
-			fmt.Fprintf(os.Stderr, "resuming from %s: %d of %d tests already checked\n", ck, len(cp.Tests), cp.Options.Samples)
-		case !errors.Is(err, os.ErrNotExist):
-			return err
-		}
-		ropts.Checkpoint = func(cp *core.RandomCheckpoint) error { return cp.Save(ck) }
-	}
 	sum, err := core.RandomCheck(sub, nil, ropts)
 	if err = tr.finishAfter(err); err != nil {
 		return err
+	}
+	if sum.Resumed > 0 {
+		fmt.Fprintf(os.Stderr, "resumed %d of %d tests from %s\n", sum.Resumed, ropts.Samples, ropts.Dir)
 	}
 	fmt.Printf("%s: %d passed, %d failed (of %d sampled %dx%d tests, PB=%d)\n",
 		sub.Name, sum.Passed, sum.Failed, ropts.Samples, ropts.Rows, ropts.Cols, ropts.PreemptionBound)
@@ -654,12 +640,17 @@ func cmdFig7() error {
 	m := &core.Test{Rows: [][]core.Op{{fig1.Test.Rows[0][0], fig1.Test.Rows[1][0]}, {take, tryTake}}}
 	fmt.Println("Fig. 7 (top) — the test:")
 	fmt.Println(indent(m.String()))
-	res, err := core.Check(sub, m, core.Options{PreemptionBound: 2, KeepSpec: true})
+	opts := core.Options{PreemptionBound: 2}
+	spec, _, err := core.SynthesizeSpec(sub, m, opts)
 	if err != nil {
 		return err
 	}
 	fmt.Println("Fig. 7 (middle) — the observation file (phase 1):")
-	if err := obsfile.Write(os.Stdout, res.Spec); err != nil {
+	if err := obsfile.Write(os.Stdout, spec); err != nil {
+		return err
+	}
+	res, err := core.CheckAgainstSpec(sub, m, spec, opts)
+	if err != nil {
 		return err
 	}
 	fmt.Println("Fig. 7 (bottom) — the violation report, from the Fig. 1 test")

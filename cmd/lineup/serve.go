@@ -50,8 +50,6 @@ func cmdServe(args []string) error {
 		if cfg, err = serve.Resume(cfg); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "serve: resuming from %s: skipping %d already-checked events\n",
-			cfg.CheckpointPath, cfg.SkipEvents)
 	}
 	tr, err := tflags.start("serve " + model.Name)
 	if err != nil {
@@ -65,6 +63,10 @@ func cmdServe(args []string) error {
 	s, err := serve.New(cfg)
 	if err != nil {
 		return tr.finishAfter(err)
+	}
+	if *resume {
+		fmt.Fprintf(os.Stderr, "serve: resuming from %s: skipping %d already-checked events\n",
+			cfg.CheckpointPath, s.Stats().EventsIngested)
 	}
 	if *httpAddr != "" {
 		addr, err := s.StartHTTP(*httpAddr)

@@ -131,18 +131,11 @@ type RandomOptions struct {
 	// to every sampled test (Section 4.3).
 	Init  []Op `json:"init,omitempty"`
 	Final []Op `json:"final,omitempty"`
-	// Checkpoint, when non-nil, receives the accumulated checkpoint state
-	// after every completed test (typically to RandomCheckpoint.Save it).
-	// Calls are serialized under an internal lock; a checkpoint error aborts
-	// the run.
-	Checkpoint func(*RandomCheckpoint) error `json:"-"`
-	// Resume, when non-nil, restores the results recorded in a previously
-	// saved checkpoint and checks only the remaining tests. The checkpoint's
-	// sampling configuration must match this run's; the test sequence is
-	// regenerated from the shared seed, so restored and freshly checked
-	// results compose into exactly the sequence an uninterrupted run
-	// produces.
-	Resume *RandomCheckpoint `json:"-"`
+	// Dir, when non-empty, keeps the run's progress: RandomCheck creates it,
+	// resumes from Dir/checkpoint.json when a run with the same options left
+	// one there, and rewrites that file after every completed test. Like a
+	// path, it is not part of the written form.
+	Dir string `json:"-"`
 }
 
 // RandomSummary aggregates a RandomCheck run; its fields correspond to the
@@ -157,6 +150,9 @@ type RandomSummary struct {
 	// Results holds the per-test results in sample order (may contain nils
 	// after an early stop).
 	Results []*Result
+	// Resumed is the number of tests restored from RandomOptions.Dir's
+	// checkpoint rather than checked by this run.
+	Resumed int
 
 	// Aggregated phase statistics.
 	SerialHistAvg  float64
@@ -226,33 +222,32 @@ func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummar
 	check.Workers = workers / side
 
 	sum := &RandomSummary{Subject: sub, Results: make([]*Result, samples), PreemptionUsed: opts.bound()}
-	cp := &RandomCheckpoint{Version: randomCheckpointVersion, Subject: sub.Name, Options: opts}
-	done := make([]bool, samples)
-	if opts.Resume != nil {
-		if err := opts.Resume.validate(cp); err != nil {
-			return nil, err
-		}
-		for _, t := range opts.Resume.Tests {
-			if t == nil || done[t.Index] {
-				continue
-			}
-			done[t.Index] = true
-			opts.Telemetry.Add(telemetry.TestsDone, 1)
-			sum.Results[t.Index] = t.restore(sub, tests[t.Index])
-			cp.Tests = append(cp.Tests, t)
-		}
+	cp, saved, err := openCheckpoint(sub, opts)
+	if err != nil {
+		return nil, err
 	}
-	// finish records a completed test under the workers' lock and forwards
-	// the checkpoint; its error aborts the run like a check error.
+	done := make([]bool, samples)
+	for _, t := range saved {
+		if t == nil || done[t.Index] {
+			continue
+		}
+		done[t.Index] = true
+		sum.Resumed++
+		opts.Telemetry.Add(telemetry.TestsDone, 1)
+		sum.Results[t.Index] = t.restore(sub, tests[t.Index])
+		cp.Tests = append(cp.Tests, t)
+	}
+	// finish records a completed test under the workers' lock and saves the
+	// checkpoint; its error aborts the run like a check error.
 	finish := func(k int, r *Result) error {
 		sum.Results[k] = r
 		done[k] = true
 		opts.Telemetry.Add(telemetry.TestsDone, 1)
-		if opts.Checkpoint == nil {
+		if opts.Dir == "" {
 			return nil
 		}
 		cp.record(k, r)
-		return opts.Checkpoint(cp)
+		return cp.Save(checkpointPath(opts.Dir))
 	}
 	stopAt := func(k int) bool {
 		return opts.StopAtFirstFailure && sum.Results[k].Verdict == Fail

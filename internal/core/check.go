@@ -42,9 +42,6 @@ type Options struct {
 	// (0 = default 2,000,000). A phase that reaches it aborts the check with
 	// a *BudgetError naming the phase.
 	MaxExecutionsPerPhase int `json:"max_executions_per_phase,omitempty"`
-	// KeepSpec retains the synthesized specification in the result (needed
-	// for writing observation files; costs memory).
-	KeepSpec bool `json:"keep_spec,omitempty"`
 	// ExhaustPhase2 keeps exploring after the first violation so that
 	// statistics cover the whole schedule space. The first violation is
 	// still the one reported.
@@ -327,9 +324,6 @@ type Result struct {
 	// failed execution contributes no history, so it never produces a
 	// violation; it is reported here instead.
 	Failures []RuntimeFailure
-	// Spec is the specification synthesized in phase 1 (nil unless
-	// Options.KeepSpec).
-	Spec *history.Spec
 }
 
 // Check implements the two-phase function Check(X, m) of Fig. 5. Phase 1

@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -56,6 +59,33 @@ type RandomCheckpoint struct {
 // reader or a crash mid-save never observes a partial file.
 func (c *RandomCheckpoint) Save(path string) error {
 	return obsfile.AtomicWriteJSON(path, c)
+}
+
+// checkpointPath is where RandomOptions.Dir keeps the run's checkpoint.
+func checkpointPath(dir string) string { return filepath.Join(dir, "checkpoint.json") }
+
+// openCheckpoint returns the checkpoint this run keeps in opts.Dir and the
+// tests a killed run with the same options recorded there: none without a
+// Dir, or when the directory holds no checkpoint yet.
+func openCheckpoint(sub *Subject, opts RandomOptions) (cp *RandomCheckpoint, saved []*TestCheckpoint, err error) {
+	cp = &RandomCheckpoint{Version: randomCheckpointVersion, Subject: sub.Name, Options: opts}
+	if opts.Dir == "" {
+		return cp, nil, nil
+	}
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, nil, fmt.Errorf("core: checkpoint dir: %w", err)
+	}
+	old, err := LoadRandomCheckpoint(checkpointPath(opts.Dir))
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return cp, nil, nil
+	case err != nil:
+		return nil, nil, err
+	}
+	if err := old.validate(cp); err != nil {
+		return nil, nil, err
+	}
+	return cp, old.Tests, nil
 }
 
 // LoadRandomCheckpoint reads a checkpoint written by Save.
@@ -128,17 +158,17 @@ func dropField(data []byte, path []string) []byte {
 
 // resumeFree names the written option fields a resumed run may change, because
 // no result can show them: the worker count (TestWorkerCountUnobservable is
-// the gate), the watchdog interval (how long a hung execution is waited for,
-// not whether it counts as hung) and KeepSpec (what is retained, not what is
-// decided). Every other written field is compared.
-var resumeFree = map[string]bool{"explore_workers": true, "watchdog": true, "keep_spec": true}
+// the gate) and the watchdog interval (how long a hung execution is waited
+// for, not whether it counts as hung). Every other written field is compared.
+var resumeFree = map[string]bool{"explore_workers": true, "watchdog": true}
 
 // retired names the written fields earlier builds wrote and this one no
 // longer declares; LoadVersioned drops them. "options.workers" was the count
 // of tests checked side by side, resume-free like explore_workers, which now
 // covers both. "options.witness" said "monitor" where a model now says it
-// alone ("spec" was the default and never written).
-var retired = []string{"options.workers", "options.witness"}
+// alone ("spec" was the default and never written). "options.keep_spec" kept
+// the synthesized specification in the result, which decided nothing.
+var retired = []string{"options.workers", "options.witness", "options.keep_spec"}
 
 // ResumeMismatch compares what a file recorded with what this run would
 // record, field by field over the written (JSON) form of both, and names

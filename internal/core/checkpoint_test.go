@@ -10,9 +10,10 @@ import (
 	"lineup/internal/sched"
 )
 
-// summaryKey fingerprints the resume-relevant parts of a RandomSummary.
+// summaryKey fingerprints a RandomSummary apart from its durations.
 func summaryKey(sum *core.RandomSummary) string {
-	s := fmt.Sprintf("passed=%d failed=%d", sum.Passed, sum.Failed)
+	s := fmt.Sprintf("passed=%d failed=%d serial=%.3f/%d stuck=%d pb=%d",
+		sum.Passed, sum.Failed, sum.SerialHistAvg, sum.SerialHistMax, sum.StuckTests, sum.PreemptionUsed)
 	for k, r := range sum.Results {
 		if r == nil {
 			s += fmt.Sprintf(" %d:nil", k)
@@ -31,60 +32,57 @@ func randomOpts(workers int) core.RandomOptions {
 	}
 }
 
-// TestRandomCheckpointResume interrupts a RandomCheck after a few completed
-// tests and resumes from the saved checkpoint: the final summary — per-test
-// stats, verdicts, and the first violation — must match the uninterrupted
-// run, for sequential and parallel test workers alike.
+// checkpointed runs opts with its progress kept in a fresh directory and
+// returns the summary and the checkpoint's path.
+func checkpointed(t *testing.T, sub *core.Subject, opts core.RandomOptions) (*core.RandomSummary, string) {
+	t.Helper()
+	opts.Dir = filepath.Join(t.TempDir(), "run")
+	sum, err := core.RandomCheck(sub, nil, opts)
+	if err != nil {
+		t.Fatalf("checkpointed run: %v", err)
+	}
+	return sum, filepath.Join(opts.Dir, "checkpoint.json")
+}
+
+// TestRandomCheckpointResume cuts a finished checkpoint back to the first k
+// tests it recorded, as a run killed after k tests leaves it, and reruns the
+// same options on its directory: the summary — per-test stats, verdicts, the
+// aggregates and the first violation — must match the uninterrupted run apart
+// from durations, with exactly k tests resumed, for sequential and parallel
+// test workers alike.
 func TestRandomCheckpointResume(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	sub := counter1Subject()
+	const k = 3
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			full, err := core.RandomCheck(sub, nil, randomOpts(workers))
-			if err != nil {
-				t.Fatalf("uninterrupted run: %v", err)
-			}
+			opts := randomOpts(workers)
+			full, path := checkpointed(t, sub, opts)
 			if full.Failed == 0 {
 				t.Fatalf("Counter1 sample found no failures; the fixture is useless")
 			}
-
-			// Interrupted run: stop (via checkpoint error) after 3 tests.
-			path := filepath.Join(t.TempDir(), "ckpt.json")
-			stop := fmt.Errorf("simulated kill")
-			opts := randomOpts(workers)
-			completed := 0
-			opts.Checkpoint = func(cp *core.RandomCheckpoint) error {
-				if err := cp.Save(path); err != nil {
-					return err
-				}
-				completed++
-				if completed >= 3 {
-					return stop
-				}
-				return nil
+			if full.Resumed != 0 {
+				t.Errorf("a run on an empty directory resumed %d tests", full.Resumed)
 			}
-			if _, err := core.RandomCheck(sub, nil, opts); err == nil {
-				t.Fatalf("interrupted run returned no error")
-			}
-
 			cp, err := core.LoadRandomCheckpoint(path)
 			if err != nil {
 				t.Fatalf("loading checkpoint: %v", err)
 			}
-			if len(cp.Tests) == 0 {
-				t.Fatalf("checkpoint recorded no tests")
+			if len(cp.Tests) != opts.Samples {
+				t.Fatalf("finished checkpoint records %d of %d tests", len(cp.Tests), opts.Samples)
+			}
+			cp.Tests = cp.Tests[:k]
+			if err := cp.Save(path); err != nil {
+				t.Fatal(err)
 			}
 
-			resumed := randomOpts(workers)
-			resumed.Resume = cp
-			ran := 0
-			resumed.Checkpoint = func(*core.RandomCheckpoint) error { ran++; return nil }
-			sum, err := core.RandomCheck(sub, nil, resumed)
+			opts.Dir = filepath.Dir(path)
+			sum, err := core.RandomCheck(sub, nil, opts)
 			if err != nil {
 				t.Fatalf("resumed run: %v", err)
 			}
-			if want := len(sum.Results) - len(cp.Tests); ran != want {
-				t.Errorf("resumed run checked %d tests, want %d (skipping %d restored)", ran, want, len(cp.Tests))
+			if sum.Resumed != k {
+				t.Errorf("resumed run restored %d tests, want %d", sum.Resumed, k)
 			}
 			if got, want := summaryKey(sum), summaryKey(full); got != want {
 				t.Errorf("resumed summary differs from uninterrupted run:\n got %s\nwant %s", got, want)
@@ -100,6 +98,9 @@ func TestRandomCheckpointResume(t *testing.T) {
 				t.Errorf("first violation kind differs: got %v want %v",
 					sum.FirstFailure.Violation.Kind, full.FirstFailure.Violation.Kind)
 			}
+			if cp, err := core.LoadRandomCheckpoint(path); err != nil || len(cp.Tests) != opts.Samples {
+				t.Errorf("resumed run's checkpoint: %v, want all %d tests recorded", err, opts.Samples)
+			}
 		})
 	}
 }
@@ -109,19 +110,10 @@ func TestRandomCheckpointResume(t *testing.T) {
 func TestRandomCheckpointRejectsMismatchedConfig(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	sub := counter1Subject()
-	opts := randomOpts(1)
-	path := filepath.Join(t.TempDir(), "ckpt.json")
-	opts.Checkpoint = func(cp *core.RandomCheckpoint) error { return cp.Save(path) }
-	if _, err := core.RandomCheck(sub, nil, opts); err != nil {
-		t.Fatalf("base run: %v", err)
-	}
-	cp, err := core.LoadRandomCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, path := checkpointed(t, sub, randomOpts(1))
 	bad := randomOpts(1)
 	bad.Seed = 99
-	bad.Resume = cp
+	bad.Dir = filepath.Dir(path)
 	if _, err := core.RandomCheck(sub, nil, bad); err == nil {
 		t.Fatalf("resume with a different seed was accepted")
 	}
@@ -133,23 +125,14 @@ func TestRandomCheckpointRejectsMismatchedConfig(t *testing.T) {
 func TestRandomCheckpointReportsAllMismatches(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	sub := counter1Subject()
-	opts := randomOpts(1)
-	path := filepath.Join(t.TempDir(), "ckpt.json")
-	opts.Checkpoint = func(cp *core.RandomCheckpoint) error { return cp.Save(path) }
-	if _, err := core.RandomCheck(sub, nil, opts); err != nil {
-		t.Fatalf("base run: %v", err)
-	}
-	cp, err := core.LoadRandomCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, path := checkpointed(t, sub, randomOpts(1))
 	bad := randomOpts(1)
 	bad.Seed = 99
 	bad.Samples = 16
 	bad.Options.PreemptionBound = 1
 	bad.Options.Reduction = sched.ReductionSleep
-	bad.Resume = cp
-	_, err = core.RandomCheck(sub, nil, bad)
+	bad.Dir = filepath.Dir(path)
+	_, err := core.RandomCheck(sub, nil, bad)
 	if err == nil {
 		t.Fatal("mismatched resume was accepted")
 	}

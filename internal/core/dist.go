@@ -333,8 +333,5 @@ func MergeUnitReports(sub *Subject, m *Test, opts Options, plan *UnitPlan, repor
 		res.Verdict = Fail
 		res.Violation = first.v
 	}
-	if opts.KeepSpec {
-		res.Spec = plan.Spec
-	}
 	return res, nil
 }

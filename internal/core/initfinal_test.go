@@ -48,12 +48,16 @@ func TestInitSequencePreparesState(t *testing.T) {
 		Init: []core.Op{inc},
 		Rows: [][]core.Op{{get}, {inc}},
 	}
-	res := mustCheck(t, sub, m, core.Options{KeepSpec: true})
+	res := mustCheck(t, sub, m, core.Options{})
 	if res.Verdict != core.Pass {
 		t.Fatalf("init-prepared counter failed: %v", res.Violation)
 	}
+	spec, _, err := core.SynthesizeSpec(sub, m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Every serial history's Get must return 1 or 2 (never 0).
-	for _, h := range res.Spec.Export() {
+	for _, h := range spec.Export() {
 		for _, op := range h.Ops {
 			if op.Name == "Get()" && op.Result == "0" {
 				t.Fatalf("init increment not applied: %v", h)

@@ -391,9 +391,6 @@ func phase2(sub *Subject, m *Test, spec *history.Spec, opts Options, mode witnes
 	}
 	res := &Result{Subject: sub, Test: m, Verdict: Pass}
 	if spec != nil {
-		if opts.KeepSpec {
-			res.Spec = spec
-		}
 		if w, bad := spec.Nondeterministic(); bad {
 			res.Verdict = Fail
 			res.Violation = &Violation{Kind: Nondeterminism, Test: m, Nondet: w}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 
+	"lineup/internal/history"
 	"lineup/internal/monitor"
 	"lineup/internal/sched"
 )
@@ -173,7 +174,7 @@ func (m *Test) String() string {
 		fmt.Fprintf(&b, "init: %s\n", strings.Join(opNames(m.Init), "; "))
 	}
 	for i := 0; i < threads; i++ {
-		fmt.Fprintf(&b, "%-14s", "Thread "+threadLabel(i))
+		fmt.Fprintf(&b, "%-14s", "Thread "+history.ThreadName(i))
 	}
 	b.WriteByte('\n')
 	for j := 0; j < depth; j++ {
@@ -190,13 +191,6 @@ func (m *Test) String() string {
 		fmt.Fprintf(&b, "final: %s\n", strings.Join(opNames(m.Final), "; "))
 	}
 	return b.String()
-}
-
-func threadLabel(i int) string {
-	if i < 26 {
-		return string(rune('A' + i))
-	}
-	return fmt.Sprintf("T%d", i)
 }
 
 // Clone returns a deep copy of the test's structure (ops are shared, which

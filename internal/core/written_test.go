@@ -21,9 +21,9 @@ import (
 // no worker, manifest or checkpoint needs it.
 func TestOptionFieldsDeclareTheirForm(t *testing.T) {
 	stays := map[string]bool{
-		// sinks and hooks of the process that holds them
+		// sinks of the process that holds them, and where it keeps its progress
 		"Options.Coverage": true, "Options.Telemetry": true,
-		"RandomOptions.Checkpoint": true, "RandomOptions.Resume": true,
+		"RandomOptions.Dir": true,
 	}
 	names := make(map[string]string)
 	for _, typ := range []reflect.Type{reflect.TypeOf(core.Options{}), reflect.TypeOf(core.RandomOptions{})} {
@@ -85,7 +85,7 @@ func TestOptionsWrittenFormRoundTrips(t *testing.T) {
 		{PreemptionBound: core.NoPreemptions},
 		{PreemptionBound: 3, Granularity: sched.GranSync, Reduction: sched.ReductionSleep},
 		{Consistency: core.SequentialConsistency, RelaxedOps: []string{"Count()", "TryTake()"}},
-		{Consistency: core.QuiescentConsistency, MaxExecutionsPerPhase: 5000, KeepSpec: true, ExhaustPhase2: true},
+		{Consistency: core.QuiescentConsistency, MaxExecutionsPerPhase: 5000, ExhaustPhase2: true},
 		{SampleSchedules: 100, SampleStrategy: sched.StrategyPCT, SampleSeed: -7, PCTDepth: 4},
 		{Workers: 3, Watchdog: 1500000000, DetectLeaks: true, MaxFailures: 9},
 	}
@@ -138,8 +138,9 @@ func TestOldCheckpointRefusedByVersion(t *testing.T) {
 // build declares. testdata/checkpoint-with-workers.json was written while
 // "options.workers" still counted the tests checked side by side
 // (SemaphoreSlim(Pre), 4 tests of 3x3 at seed 1, "workers": 4); it loads and
-// resumes to the summary of an uninterrupted run. The same file holding an
-// option no build declares is refused, the option named.
+// resumes to the summary of an uninterrupted run, and so does the same file
+// holding "keep_spec", retired in turn. The same file holding an option no
+// build declares is refused, the option named.
 func TestCheckpointFieldsDeclared(t *testing.T) {
 	const path = "testdata/checkpoint-with-workers.json"
 	data, err := os.ReadFile(path)
@@ -154,11 +155,17 @@ func TestCheckpointFieldsDeclared(t *testing.T) {
 		t.Fatalf("a checkpoint with a retired field: %v", err)
 	}
 
-	unknown := filepath.Join(t.TempDir(), "unknown.json")
-	if err := os.WriteFile(unknown, []byte(strings.Replace(string(data), `"seed": 1,`, `"seed": 1, "frobnicate": 3,`, 1)), 0o644); err != nil {
-		t.Fatal(err)
+	withOption := func(field string) string {
+		p := filepath.Join(t.TempDir(), "checkpoint.json")
+		if err := os.WriteFile(p, []byte(strings.Replace(string(data), `"seed": 1,`, `"seed": 1, `+field+`,`, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	if _, err := core.LoadRandomCheckpoint(unknown); err == nil || !strings.Contains(err.Error(), `"frobnicate"`) {
+	if _, err := core.LoadRandomCheckpoint(withOption(`"keep_spec": true`)); err != nil {
+		t.Errorf("a checkpoint with the retired keep_spec: %v", err)
+	}
+	if _, err := core.LoadRandomCheckpoint(withOption(`"frobnicate": 3`)); err == nil || !strings.Contains(err.Error(), `"frobnicate"`) {
 		t.Errorf("a checkpoint with an undeclared option: err = %v, want one naming it", err)
 	}
 
@@ -172,10 +179,16 @@ func TestCheckpointFieldsDeclared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Resume = cp
+	opts.Dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(opts.Dir, "checkpoint.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	got, err := core.RandomCheck(sub, nil, opts)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
+	}
+	if got.Resumed != len(cp.Tests) {
+		t.Errorf("resumed %d tests, the checkpoint holds %d", got.Resumed, len(cp.Tests))
 	}
 	if got.Passed != want.Passed || got.Failed != want.Failed || got.StuckTests != want.StuckTests || got.SerialHistMax != want.SerialHistMax {
 		t.Errorf("resumed summary %+v, uninterrupted %+v", got, want)
@@ -195,7 +208,7 @@ func TestResumeMismatchNamesEveryField(t *testing.T) {
 		Options core.RandomOptions `json:"options"`
 		Tests   []int              `json:"tests"`
 	}
-	saved := file{1, core.RandomOptions{Rows: 2, Seed: 7, Options: core.Options{Reduction: sched.ReductionSleep, Workers: 2, KeepSpec: true}}, []int{1, 2}}
+	saved := file{1, core.RandomOptions{Rows: 2, Seed: 7, Options: core.Options{Reduction: sched.ReductionSleep, Workers: 2}}, []int{1, 2}}
 	now := file{1, core.RandomOptions{Rows: 3, Seed: 7, Options: core.Options{MaxFailures: 5, Watchdog: 1}}, nil}
 	err := core.ResumeMismatch("checkpoint", saved, now, "tests")
 	if err == nil {

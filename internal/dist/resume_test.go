@@ -39,8 +39,7 @@ func writtenOptionKeys(typ reflect.Type) []string {
 // checkpoint (core.RandomCheck) and, for the fields core.Options has, a
 // `dist` manifest (dist.Run with a Dir) — and requires the resume to be
 // refused with that field named. The exceptions are the resume-free fields
-// (the worker count, the watchdog interval, KeepSpec), which must be
-// accepted. The table is checked against the struct by reflection, so a new
+// (the worker count, the watchdog interval), which must be accepted. The table is checked against the struct by reflection, so a new
 // written option cannot land without its row. The "witness" row is a field
 // that is gone: a file that still holds it is read as below.
 func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
@@ -59,7 +58,6 @@ func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 		"preemption_bound":         {flip: func(o *R) { o.PreemptionBound = 1 }},
 		"granularity":              {flip: func(o *R) { o.Granularity = sched.GranSync }},
 		"max_executions_per_phase": {flip: func(o *R) { o.MaxExecutionsPerPhase = 40000 }},
-		"keep_spec":                {flip: func(o *R) { o.KeepSpec = true }, free: true},
 		"exhaust_phase2":           {flip: func(o *R) { o.ExhaustPhase2 = true }},
 		"relaxed_ops":              {flip: func(o *R) { o.RelaxedOps = []string{"Get()"} }},
 		"consistency":              {flip: func(o *R) { o.Consistency = core.SequentialConsistency }},
@@ -121,17 +119,12 @@ func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 			resumed := saved
 			row.flip(&resumed)
 
-			path := filepath.Join(t.TempDir(), "checkpoint.json")
-			saved.Checkpoint = func(cp *core.RandomCheckpoint) error { return cp.Save(path) }
+			saved.Dir = t.TempDir()
 			if _, err := core.RandomCheck(sub, nil, saved); err != nil {
 				t.Fatalf("checkpointed run: %v", err)
 			}
-			cp, err := core.LoadRandomCheckpoint(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resumed.Resume = cp
-			_, err = core.RandomCheck(sub, nil, resumed)
+			resumed.Dir = saved.Dir
+			_, err := core.RandomCheck(sub, nil, resumed)
 			verdict(t, "checkpoint", key, row.free, err)
 
 			// The manifest holds a test where the checkpoint holds the
@@ -188,20 +181,15 @@ func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 			}
 		}
 
-		path := filepath.Join(t.TempDir(), "checkpoint.json")
-		saved.Checkpoint = func(cp *core.RandomCheckpoint) error { return cp.Save(path) }
+		saved.Dir = t.TempDir()
 		want, err := core.RandomCheck(sub, nil, saved)
 		if err != nil {
 			t.Fatalf("checkpointed run: %v", err)
 		}
-		addWitness(path)
+		addWitness(filepath.Join(saved.Dir, "checkpoint.json"))
 		for _, model := range []*monitor.Model{saved.MonitorModel, nil} {
-			cp, err := core.LoadRandomCheckpoint(path)
-			if err != nil {
-				t.Fatal(err)
-			}
 			resumed := saved
-			resumed.Checkpoint, resumed.Resume, resumed.MonitorModel = nil, cp, model
+			resumed.MonitorModel = model
 			got, err := core.RandomCheck(sub, nil, resumed)
 			switch {
 			case model == nil:

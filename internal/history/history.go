@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -268,4 +269,27 @@ func (h *History) Threads() []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// ThreadName is the paper's name of thread index i: "A" through "Z" for the
+// first 26, "T26", "T27", ... after them. Names up to "Z" do not allocate.
+func ThreadName(i int) string {
+	if i < 26 {
+		return "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[i : i+1]
+	}
+	return "T" + strconv.Itoa(i)
+}
+
+// ThreadIndex is the inverse of ThreadName; it reports false for a name
+// ThreadName does not give.
+func ThreadIndex(name string) (int, bool) {
+	if len(name) == 1 && name[0] >= 'A' && name[0] <= 'Z' {
+		return int(name[0] - 'A'), true
+	}
+	digits, ok := strings.CutPrefix(name, "T")
+	i, err := strconv.Atoi(digits)
+	if !ok || err != nil || i < 26 || strconv.Itoa(i) != digits {
+		return 0, false
+	}
+	return i, true
 }

@@ -124,15 +124,14 @@ func TestSpecNondeterminismDetection(t *testing.T) {
 	if !bad {
 		t.Fatalf("conflicting returns not flagged")
 	}
-	if w.Call != "get()" || w.Result1 == w.Result2 {
+	if w.Call != "get()" || w.Thread != 1 || w.Result1 != "1" || w.Result2 != "0" {
 		t.Fatalf("bad witness: %v", w)
+	}
+	if len(w.Prefix) != 1 || w.Prefix[0] != so(0, "inc()", "ok") {
+		t.Fatalf("witness prefix %v, want the inc", w.Prefix)
 	}
 	if !strings.Contains(w.String(), "get()") {
 		t.Fatalf("witness rendering: %s", w)
-	}
-	h1, h2 := sp.ConflictingHistories()
-	if h1 == nil || h2 == nil {
-		t.Fatalf("conflicting histories not recorded")
 	}
 }
 
@@ -320,5 +319,20 @@ func TestWitnessClassicCompletesPendingOps(t *testing.T) {
 	}}
 	if _, ok := sp.WitnessClassic(h); ok {
 		t.Fatalf("classic witness accepted a wrong value")
+	}
+}
+
+// TestThreadNameRoundTrips: ThreadIndex inverts ThreadName, and refuses every
+// name ThreadName does not give.
+func TestThreadNameRoundTrips(t *testing.T) {
+	for i := 0; i < 100; i++ {
+		if got, ok := history.ThreadIndex(history.ThreadName(i)); !ok || got != i {
+			t.Errorf("ThreadIndex(ThreadName(%d) = %q) = %d, %v", i, history.ThreadName(i), got, ok)
+		}
+	}
+	for _, name := range []string{"", "a", "AB", "T5", "T25", "T026", "T+26", "T-26", "t26", "T26x"} {
+		if i, ok := history.ThreadIndex(name); ok {
+			t.Errorf("ThreadIndex(%q) = %d, want a refusal", name, i)
+		}
 	}
 }

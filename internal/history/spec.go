@@ -147,13 +147,6 @@ func (n *trie[V]) grow(id int32, val V) *trie[V] {
 	return to
 }
 
-// serialPrefix is the payload of the order trie, whose paths spell serial
-// prefixes: first is the history whose insertion created the node, end the
-// stored history that stops exactly here.
-type serialPrefix struct {
-	first, end *SerialHistory
-}
-
 // group holds the stored histories with one thread signature: the same
 // thread subhistories, so they are all full or all stuck, and an operation is
 // identified by its rank in thread-major order: order[i][k] is the rank of the
@@ -175,16 +168,15 @@ type group struct {
 // prefix ending in a call) and stores. Add must not run concurrently with
 // anything; the Witness methods may run concurrently with each other.
 type Spec struct {
-	ids       map[step]int32
-	steps     []step
-	root      trie[serialPrefix] // serial order
-	sigs      trie[*group]       // thread subhistories, thread-major
-	groups    []*group           // first-seen order
-	conflict  *NondetWitness
-	conflictH [2]*SerialHistory
-	nFull     int
-	nStuck    int
-	path      []int32 // Add's scratch: the step ids of the history being added
+	ids      map[step]int32
+	steps    []step
+	root     trie[*SerialHistory] // serial order; a node holds the stored history that ends there
+	sigs     trie[*group]         // thread subhistories, thread-major
+	groups   []*group             // first-seen order
+	conflict *NondetWitness
+	nFull    int
+	nStuck   int
+	path     []int32 // Add's scratch: the step ids of the history being added
 }
 
 // NewSpec creates an empty specification.
@@ -244,14 +236,14 @@ func (sp *Spec) Add(s *SerialHistory) {
 			// Only a new edge can introduce a conflict: existing siblings were
 			// checked against each other when the later one was added.
 			sp.checkDeterminism(n, id, s, k)
-			next = n.grow(id, serialPrefix{first: s})
+			next = n.grow(id, nil)
 		}
 		n = next
 	}
-	if n.val.end != nil {
+	if n.val != nil {
 		return // duplicate
 	}
-	n.val.end = s
+	n.val = s
 
 	order := make([]int32, len(path))
 	thread := func(i int) int { return sp.steps[path[i]].thread }
@@ -281,7 +273,7 @@ func (sp *Spec) Add(s *SerialHistory) {
 // checkDeterminism records the first determinism conflict: id is about to
 // become a new edge of n, the node of the serial prefix s.Ops[:k]; a sibling
 // edge with the same call and a different outcome is the conflict.
-func (sp *Spec) checkDeterminism(n *trie[serialPrefix], id int32, s *SerialHistory, k int) {
+func (sp *Spec) checkDeterminism(n *trie[*SerialHistory], id int32, s *SerialHistory, k int) {
 	if sp.conflict != nil {
 		return
 	}
@@ -292,7 +284,6 @@ func (sp *Spec) checkDeterminism(n *trie[serialPrefix], id int32, s *SerialHisto
 				Prefix: append([]SerialOp(nil), s.Ops[:k]...), Thread: st.thread, Call: st.name,
 				Result1: prev.outcome(), Result2: st.outcome(),
 			}
-			sp.conflictH = [2]*SerialHistory{e.to.val.first, s}
 			return
 		}
 	}
@@ -302,12 +293,6 @@ func (sp *Spec) checkDeterminism(n *trie[serialPrefix], id int32, s *SerialHisto
 // nondeterministic, together with a witness.
 func (sp *Spec) Nondeterministic() (*NondetWitness, bool) {
 	return sp.conflict, sp.conflict != nil
-}
-
-// ConflictingHistories returns the two serial histories that witnessed
-// nondeterminism (nil, nil if the spec is deterministic).
-func (sp *Spec) ConflictingHistories() (*SerialHistory, *SerialHistory) {
-	return sp.conflictH[0], sp.conflictH[1]
 }
 
 // NumFull returns the number of distinct full serial histories (the |A| of

@@ -88,8 +88,7 @@ type FrameWriter struct {
 	err        error
 
 	// BatchSize is the automatic frame boundary for WriteEvent: a frame is
-	// emitted once it holds this many events (default 512). WriteBatch always
-	// emits exactly one frame per call regardless.
+	// emitted once it holds this many events (default 512).
 	BatchSize int
 }
 
@@ -107,10 +106,15 @@ func (fw *FrameWriter) magic() error {
 	return err
 }
 
-func (fw *FrameWriter) appendEvent(ev TraceEvent) error {
+// WriteEvent appends one event, emitting a frame at each BatchSize boundary.
+func (fw *FrameWriter) WriteEvent(ev TraceEvent) error {
+	if fw.err != nil {
+		return fw.err
+	}
 	k, ok := frameKind(ev.K)
 	if !ok {
-		return fmt.Errorf("obsfile: frame encoder: unknown event kind %q", ev.K)
+		fw.err = fmt.Errorf("obsfile: frame encoder: unknown event kind %q", ev.K)
+		return fw.err
 	}
 	fw.buf = append(fw.buf, k)
 	fw.buf = binary.AppendVarint(fw.buf, int64(ev.T))
@@ -119,18 +123,6 @@ func (fw *FrameWriter) appendEvent(ev TraceEvent) error {
 		fw.buf = append(fw.buf, s...)
 	}
 	fw.count++
-	return nil
-}
-
-// WriteEvent appends one event, emitting a frame at each BatchSize boundary.
-func (fw *FrameWriter) WriteEvent(ev TraceEvent) error {
-	if fw.err != nil {
-		return fw.err
-	}
-	if err := fw.appendEvent(ev); err != nil {
-		fw.err = err
-		return err
-	}
 	bs := fw.BatchSize
 	if bs <= 0 {
 		bs = 512
@@ -139,21 +131,6 @@ func (fw *FrameWriter) WriteEvent(ev TraceEvent) error {
 		return fw.Flush()
 	}
 	return nil
-}
-
-// WriteBatch appends the events and emits them (plus anything buffered) as
-// one frame.
-func (fw *FrameWriter) WriteBatch(evs []TraceEvent) error {
-	if fw.err != nil {
-		return fw.err
-	}
-	for _, ev := range evs {
-		if err := fw.appendEvent(ev); err != nil {
-			fw.err = err
-			return err
-		}
-	}
-	return fw.Flush()
 }
 
 // Flush emits the buffered events as one frame and flushes the underlying

@@ -499,10 +499,12 @@ func eventsFromProgram(program []byte) []TraceEvent {
 func encodeRawSeed() []byte {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
-	_ = fw.WriteBatch([]TraceEvent{
+	for _, ev := range []TraceEvent{
 		{T: 0, K: "call", Op: "Enqueue(1)", P: "q"},
 		{T: 0, K: "ret", Res: "ok"},
-	})
+	} {
+		_ = fw.WriteEvent(ev)
+	}
 	_ = fw.Close()
 	return buf.Bytes()
 }

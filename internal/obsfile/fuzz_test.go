@@ -3,7 +3,9 @@ package obsfile
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -209,6 +211,51 @@ func FuzzJSONLScanner(f *testing.F) {
 		}
 		if got != want {
 			t.Fatalf("on %q the scanner returns %+v, encoding/json %+v", line, got, want)
+		}
+	})
+}
+
+// FuzzObservationFile holds Parse to the format Write defines: on arbitrary
+// input it returns an error, or a file whose specification, written and
+// parsed again, exports the same histories. The seeds are a stuck and a full
+// observation, and in their place four histories that are not serial.
+func FuzzObservationFile(f *testing.F) {
+	const file = `<observationset>
+  <observation>
+    <thread id="A">1</thread>
+    <thread id="B">2</thread>
+    <op id="1" name="Add">value="200" result="ok"</op>
+    <op id="2" name="TryTake">result="200"</op>
+    <history>%s</history>
+  </observation>
+  <observation>
+    <thread id="A">1 2B</thread>
+    <thread id="T26">3</thread>
+    <op id="1" name="Set">result="ok"</op>
+    <op id="2" name="Wait&amp;&lt;&quot;" />
+    <op id="3" name="Reset">result="ok"</op>
+    <history>1[ ]1 3[ ]3 2[ #</history>
+  </observation>
+</observationset>`
+	for _, h := range []string{"1[ ]1 2[ ]2", "2[ ]2 1[ ]1", "", "1[ 2[ ]2 ]1", "1[", "1[ ]1 1[ ]1", "1[ ]2 2[ ]1"} {
+		f.Add(fmt.Sprintf(file, h))
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		parsed, err := Parse(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		want := parsed.ToSpec().Export()
+		var buf bytes.Buffer
+		if err := Write(&buf, parsed.ToSpec()); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		again, err := Parse(&buf)
+		if err != nil {
+			t.Fatalf("Parse accepted %q, but not what Write made of it: %v\n%s", in, err, buf.String())
+		}
+		if got := again.ToSpec().Export(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("on %q the written file reads back as %v, want %v", in, got, want)
 		}
 	})
 }

@@ -41,26 +41,6 @@ type File struct {
 	Observations []*Observation
 }
 
-// threadName renders a thread index as the paper's letters, with the final
-// (teardown) pseudo-thread of a test rendered like any other thread.
-func threadName(i int) string {
-	if i < 26 {
-		return string(rune('A' + i))
-	}
-	return fmt.Sprintf("T%d", i)
-}
-
-func threadIndex(name string) (int, error) {
-	if len(name) == 1 && name[0] >= 'A' && name[0] <= 'Z' {
-		return int(name[0] - 'A'), nil
-	}
-	var i int
-	if _, err := fmt.Sscanf(name, "T%d", &i); err != nil {
-		return 0, fmt.Errorf("obsfile: bad thread id %q", name)
-	}
-	return i, nil
-}
-
 // buildObservation converts one spec group (histories with identical
 // per-thread sequences) into an Observation.
 func buildObservation(hs []*history.SerialHistory) *Observation {
@@ -151,7 +131,7 @@ func writeObservation(bw *bufio.Writer, obs *Observation) {
 	}
 	sort.Ints(threads)
 	for _, t := range threads {
-		fmt.Fprintf(bw, "    <thread id=%q>%s</thread>\n", threadName(t), strings.Join(perThread[t], " "))
+		fmt.Fprintf(bw, "    <thread id=%q>%s</thread>\n", history.ThreadName(t), strings.Join(perThread[t], " "))
 	}
 	for _, d := range obs.Ops {
 		writeOp(bw, "    ", d.Number, d.Name, d.Result, !d.Blocks)
@@ -162,9 +142,10 @@ func writeObservation(bw *bufio.Writer, obs *Observation) {
 	fmt.Fprintln(bw, "  </observation>")
 }
 
-// writeOp renders one <op> element: the method as its name, the argument list
-// as value= and, for an operation that returned, the result as result=, each
-// a Go quoted string (parseOpBody reads them back with strconv.Unquote).
+// writeOp renders one <op> element: the method as its name (an XML attribute)
+// and in the body the argument list as value= and, for an operation that
+// returned, the result as result=, each a Go quoted string (parseOpBody reads
+// them back with strconv.Unquote).
 func writeOp(bw *bufio.Writer, indent string, number int, name, result string, returned bool) {
 	method, args := splitName(name)
 	var body []string
@@ -174,11 +155,13 @@ func writeOp(bw *bufio.Writer, indent string, number int, name, result string, r
 	if returned {
 		body = append(body, "result="+strconv.Quote(result))
 	}
+	var attr strings.Builder
+	_ = xml.EscapeText(&attr, []byte(method))
 	if len(body) == 0 {
-		fmt.Fprintf(bw, "%s<op id=\"%d\" name=%q />\n", indent, number, method)
+		fmt.Fprintf(bw, "%s<op id=\"%d\" name=\"%s\" />\n", indent, number, attr.String())
 		return
 	}
-	fmt.Fprintf(bw, "%s<op id=\"%d\" name=%q>%s</op>\n", indent, number, method, xmlEscape(strings.Join(body, " ")))
+	fmt.Fprintf(bw, "%s<op id=\"%d\" name=\"%s\">%s</op>\n", indent, number, attr.String(), xmlEscape(strings.Join(body, " ")))
 }
 
 // splitName separates "Add(200)" into method "Add" and args "200".
@@ -238,9 +221,9 @@ func Parse(r io.Reader) (*File, error) {
 		order := make(map[int]int) // op number -> position within its thread listing
 		seenThreads := make(map[int]bool)
 		for _, xt := range xo.Threads {
-			ti, err := threadIndex(xt.ID)
-			if err != nil {
-				return nil, err
+			ti, ok := history.ThreadIndex(xt.ID)
+			if !ok {
+				return nil, fmt.Errorf("obsfile: bad thread id %q", xt.ID)
 			}
 			if seenThreads[ti] {
 				return nil, fmt.Errorf("obsfile: duplicate thread id %q", xt.ID)
@@ -294,10 +277,13 @@ func Parse(r io.Reader) (*File, error) {
 		sort.Slice(obs.Ops, func(i, j int) bool { return obs.Ops[i].Number < obs.Ops[j].Number })
 		byNumber := make(map[int]opDesc)
 		for _, d := range obs.Ops {
+			if _, dup := byNumber[d.Number]; dup {
+				return nil, fmt.Errorf("obsfile: op %d defined twice", d.Number)
+			}
 			byNumber[d.Number] = d
 		}
 		for _, hs := range xo.Histories {
-			sh, err := parseHistoryTokens(hs, byNumber)
+			sh, err := parseHistoryTokens(hs, byNumber, order)
 			if err != nil {
 				return nil, err
 			}
@@ -333,38 +319,51 @@ func parseOpBody(body string) (value, result string, returned bool, err error) {
 	return value, result, returned, nil
 }
 
-// parseHistoryTokens rebuilds a serial history from its token string.
-func parseHistoryTokens(s string, ops map[int]opDesc) (*history.SerialHistory, error) {
+// parseHistoryTokens rebuilds a serial history from its token string. The
+// history must be serial: every call "n[" is followed by its return "]n", or,
+// for a blocking op, by the stuck marker "#" as the last token. An op appears
+// at most once, and a thread's ops appear in the order its listing gives
+// (pos: op number -> position in the listing).
+func parseHistoryTokens(s string, ops map[int]opDesc, pos map[int]int) (*history.SerialHistory, error) {
 	sh := &history.SerialHistory{}
 	toks := strings.Fields(s)
-	for i := 0; i < len(toks); i++ {
+	used := make(map[int]bool)
+	next := make(map[int]int) // thread -> listing position of its next op
+	for i := 0; i < len(toks); i += 2 {
 		tok := toks[i]
+		if tok == "#" {
+			return nil, fmt.Errorf("obsfile: stuck marker with no pending call in %q", s)
+		}
+		n, err := strconv.Atoi(strings.TrimSuffix(tok, "["))
+		if err != nil || !strings.HasSuffix(tok, "[") {
+			return nil, fmt.Errorf("obsfile: bad token %q in %q: want a call", tok, s)
+		}
+		d, known := ops[n]
 		switch {
-		case tok == "#":
-			if i == 0 {
-				return nil, fmt.Errorf("obsfile: stuck marker with no pending call in %q", s)
-			}
-		case strings.HasSuffix(tok, "["):
-			n, err := strconv.Atoi(strings.TrimSuffix(tok, "["))
-			if err != nil {
-				return nil, fmt.Errorf("obsfile: bad token %q", tok)
-			}
-			d, known := ops[n]
-			if !known {
-				return nil, fmt.Errorf("obsfile: history references undefined op %d in %q", n, s)
-			}
-			// A call is either immediately followed by its return (serial)
-			// or by the stuck marker.
-			if i+1 < len(toks) && toks[i+1] == "#" {
-				sh.Pending = &history.SerialPending{Thread: d.Thread, Name: d.Name}
-				i++
-				continue
-			}
+		case !known:
+			return nil, fmt.Errorf("obsfile: history references undefined op %d in %q", n, s)
+		case used[n]:
+			return nil, fmt.Errorf("obsfile: op %d called twice in %q", n, s)
+		case pos[n] != next[d.Thread]:
+			return nil, fmt.Errorf("obsfile: op %d out of its thread's order in %q", n, s)
+		}
+		used[n] = true
+		next[d.Thread]++
+		ret := ""
+		if i+1 < len(toks) {
+			ret = toks[i+1]
+		}
+		switch {
+		case d.Blocks && ret == "#" && i+2 == len(toks):
+			sh.Pending = &history.SerialPending{Thread: d.Thread, Name: d.Name}
+		case !d.Blocks && ret == "]"+strconv.Itoa(n):
 			sh.Ops = append(sh.Ops, history.SerialOp{Thread: d.Thread, Name: d.Name, Result: d.Result})
-		case strings.HasPrefix(tok, "]"):
-			// return token; already accounted for by the call
 		default:
-			return nil, fmt.Errorf("obsfile: bad token %q", tok)
+			want := fmt.Sprintf(`"]%d"`, n)
+			if d.Blocks {
+				want = `"#" as the last token`
+			}
+			return nil, fmt.Errorf("obsfile: call %s in %q is not followed by %s", tok, s, want)
 		}
 	}
 	return sh, nil

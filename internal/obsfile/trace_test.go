@@ -178,6 +178,36 @@ func TestParseErrorPaths(t *testing.T) {
 			strings.Replace(good, "1[ ]1 2[ ]2", "1[ ]1 3[ ]3", 1),
 			"undefined op",
 		},
+		{
+			"op defined twice",
+			strings.Replace(good, `<op id="2"`, `<op id="1"`, 1),
+			"op 1 defined twice",
+		},
+		{
+			"overlapping operations",
+			strings.Replace(good, "1[ ]1 2[ ]2", "1[ 2[ ]2 ]1", 1),
+			`call 1[ in "1[ 2[ ]2 ]1" is not followed by "]1"`,
+		},
+		{
+			"call without return or stuck marker",
+			strings.Replace(good, "1[ ]1 2[ ]2", "1[", 1),
+			`call 1[ in "1[" is not followed by "]1"`,
+		},
+		{
+			"op called twice",
+			strings.Replace(good, "1[ ]1 2[ ]2", "1[ ]1 1[ ]1", 1),
+			"op 1 called twice",
+		},
+		{
+			"returns do not match calls",
+			strings.Replace(good, "1[ ]1 2[ ]2", "1[ ]2 2[ ]1", 1),
+			`call 1[ in "1[ ]2 2[ ]1" is not followed by "]1"`,
+		},
+		{
+			"op out of its thread's order",
+			strings.Replace(strings.Replace(good, `<thread id="B">2</thread>`, ``, 1), `<thread id="A">1</thread>`, `<thread id="A">2 1</thread>`, 1),
+			"op 1 out of its thread's order",
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -42,7 +42,7 @@ func WriteViolation(w io.Writer, h *history.History) error {
 			}
 			toks = append(toks, tok)
 		}
-		fmt.Fprintf(bw, "  <thread id=%q>%s</thread>\n", threadName(t), strings.Join(toks, " "))
+		fmt.Fprintf(bw, "  <thread id=%q>%s</thread>\n", history.ThreadName(t), strings.Join(toks, " "))
 	}
 	for _, t := range threads {
 		for _, op := range perThread[t] {

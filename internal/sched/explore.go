@@ -615,7 +615,7 @@ func (e *ScheduleDivergenceError) Error() string {
 }
 
 // ReplaySchedule re-executes prog following a fixed sequence of decisions
-// (as produced by RecordingController); it is used to reproduce a reported
+// (an Outcome.Schedule); it is used to reproduce a reported
 // violation deterministically. If the schedule names a thread that is not
 // enabled at its decision — the program no longer matches the recording —
 // the execution completes on a fallback schedule and a
@@ -660,18 +660,4 @@ func (r *replayer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 	// Past the recorded schedule or after a divergence: fall back to the
 	// first enabled thread.
 	return orderChoices(nil, cur, curEnabled, enabled)[0]
-}
-
-// RecordingController wraps another controller and records the decisions it
-// takes, so a failing execution can be replayed with ReplaySchedule.
-type RecordingController struct {
-	Inner    Controller
-	Schedule []ThreadID
-}
-
-// Pick implements Controller.
-func (rc *RecordingController) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) ThreadID {
-	id := rc.Inner.Pick(cur, curEnabled, enabled)
-	rc.Schedule = append(rc.Schedule, id)
-	return id
 }

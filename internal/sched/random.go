@@ -58,9 +58,6 @@ type RandomConfig struct {
 	// Depth is the PCT bug depth d (priority change points = d-1); ignored
 	// by StrategyWalk. Zero means 3.
 	Depth int
-	// Steps is the PCT estimate k of the execution length in decisions;
-	// zero means 64.
-	Steps int
 	// ContinueOnFailure hands failed executions (panic, hang, leak) to the
 	// visit callback instead of aborting the sampling run, mirroring
 	// ExploreConfig.ContinueOnFailure.
@@ -89,7 +86,7 @@ func ExploreRandom(cfg RandomConfig, prog Program, visit func(*Outcome, Pos) boo
 		var ctrl Controller
 		switch cfg.Strategy {
 		case StrategyPCT:
-			ctrl = newPCT(rng, cfg.Depth, cfg.Steps)
+			ctrl = newPCT(rng, cfg.Depth)
 		default:
 			ctrl = &walkController{rng: rng}
 		}
@@ -129,16 +126,17 @@ type pctController struct {
 	lowWater     int // decreasing counter for dropped priorities
 }
 
-func newPCT(rng *rand.Rand, depth, steps int) *pctController {
+// pctSteps is PCT's estimate k of an execution's length in decisions: the
+// d-1 priority change points are drawn from the first k decisions.
+const pctSteps = 32
+
+func newPCT(rng *rand.Rand, depth int) *pctController {
 	if depth <= 0 {
 		depth = 3
 	}
-	if steps <= 0 {
-		steps = 32
-	}
 	cps := make(map[int]bool, depth-1)
 	for i := 0; i < depth-1; i++ {
-		cps[1+rng.Intn(steps)] = true
+		cps[1+rng.Intn(pctSteps)] = true
 	}
 	return &pctController{
 		rng:          rng,

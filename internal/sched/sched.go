@@ -37,6 +37,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"lineup/internal/history"
 )
 
 // ThreadID identifies a logical thread within one execution. Thread IDs are
@@ -385,11 +387,6 @@ func CoverageKey(kind MemKind, loc int) uint64 {
 	return uint64(loc)<<3 | uint64(kind)&0x7
 }
 
-// DecodeCoverageKey splits a CoverageKey back into its kind and location.
-func DecodeCoverageKey(key uint64) (MemKind, int) {
-	return MemKind(key & 0x7), int(key >> 3)
-}
-
 // Scheduler coordinates the logical threads of a single execution. A fresh
 // Scheduler is created for every execution and is not reusable; what it takes
 // from its pool — the workers its threads run on, the end and dead channels
@@ -482,16 +479,6 @@ func (defaultController) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID)
 		return cur
 	}
 	return enabled[0]
-}
-
-// threadName converts a thread index into the display names used by the
-// paper: "A", "B", ..., with the setup and teardown pseudo-threads named
-// "init" and "fin".
-func threadName(i int) string {
-	if i < 26 {
-		return "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[i : i+1]
-	}
-	return fmt.Sprintf("T%d", i)
 }
 
 // pool is what outlives an execution: parked workers, each a coroutine with
@@ -645,7 +632,7 @@ func (s *Scheduler) Run(prog Program) *Outcome {
 	if !s.done() {
 		first := len(s.threads)
 		for i, body := range prog.Threads {
-			s.spawn(threadName(i), body)
+			s.spawn(history.ThreadName(i), body)
 		}
 		s.runGroup(first)
 	}

@@ -365,23 +365,24 @@ func TestExecutionBudget(t *testing.T) {
 	}
 }
 
+// TestRecordingControllerAndReplay: the decisions an execution's controller
+// takes are recorded in Outcome.Schedule, and ReplaySchedule reproduces the
+// execution from them.
 func TestRecordingControllerAndReplay(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	mk := func() sched.Program {
 		return sched.Program{Threads: []func(*sched.Thread){opThread(2, "a"), opThread(2, "b")}}
 	}
-	// Record the decisions of one run under the default controller.
-	rc := &sched.RecordingController{Inner: pickSecond{}}
-	s := sched.NewScheduler(sched.Config{}, rc)
-	out1 := s.Run(mk())
+	// Every execution records its decisions in Outcome.Schedule.
+	out1 := sched.NewScheduler(sched.Config{}, pickSecond{}).Run(mk())
 	if out1.Err != nil {
 		t.Fatalf("run: %v", out1.Err)
 	}
-	if len(rc.Schedule) == 0 {
+	if len(out1.Schedule) == 0 {
 		t.Fatalf("no decisions recorded")
 	}
 	// Replaying the recorded schedule reproduces the events exactly.
-	out2, err := sched.ReplaySchedule(sched.Config{}, mk(), rc.Schedule)
+	out2, err := sched.ReplaySchedule(sched.Config{}, mk(), out1.Schedule)
 	if err != nil {
 		t.Fatalf("replay divergence: %v", err)
 	}
@@ -401,15 +402,14 @@ func TestReplayScheduleDivergence(t *testing.T) {
 	mk := func() sched.Program {
 		return sched.Program{Threads: []func(*sched.Thread){opThread(3, "a"), opThread(3, "b")}}
 	}
-	rc := &sched.RecordingController{Inner: pickSecond{}}
-	out := sched.NewScheduler(sched.Config{}, rc).Run(mk())
+	out := sched.NewScheduler(sched.Config{}, pickSecond{}).Run(mk())
 	if out.Err != nil {
 		t.Fatalf("run: %v", out.Err)
 	}
-	if len(rc.Schedule) == 0 {
+	if len(out.Schedule) == 0 {
 		t.Fatalf("no decisions recorded")
 	}
-	stale := append([]sched.ThreadID(nil), rc.Schedule...)
+	stale := append([]sched.ThreadID(nil), out.Schedule...)
 	stale[0] = sched.ThreadID(99)
 	out2, err := sched.ReplaySchedule(sched.Config{}, mk(), stale)
 	if err == nil {
@@ -435,7 +435,7 @@ func TestReplayScheduleDivergence(t *testing.T) {
 		t.Fatalf("fallback outcome: %+v", out2)
 	}
 	// A faithful replay of the same schedule reports no divergence.
-	if _, err := sched.ReplaySchedule(sched.Config{}, mk(), rc.Schedule); err != nil {
+	if _, err := sched.ReplaySchedule(sched.Config{}, mk(), out.Schedule); err != nil {
 		t.Fatalf("faithful replay reported divergence: %v", err)
 	}
 }

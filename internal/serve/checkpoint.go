@@ -15,9 +15,10 @@ import (
 // tracker (thread discipline and the count of events covered), every
 // partition's frontier and residual window, and the backpressure bookkeeping.
 // It is written atomically (obsfile.AtomicWriteJSON), so a crash mid-write
-// leaves the previous checkpoint intact. Resume replays the producer's
-// stream from the start and skips the Tracker.Events leading events — the
-// at-least-once protocol of the resume satellite.
+// leaves the previous checkpoint intact. After Resume the producer replays
+// its stream from the start and New's server skips the Tracker.Events leading
+// events: delivery is at least once, and what the checkpoint covers is applied
+// once.
 type Checkpoint struct {
 	Version    int                  `json:"version"`
 	Model      string               `json:"model"`
@@ -177,7 +178,6 @@ func Resume(cfg Config) (Config, error) {
 		return cfg, err
 	}
 	cfg.resume = cp
-	cfg.SkipEvents = cp.Tracker.Events
 	return cfg, nil
 }
 
@@ -189,6 +189,9 @@ func (s *Server) restore(cp *Checkpoint) error {
 		return err
 	}
 	s.tracker = obsfile.RestoreShardedTracker(cp.Tracker)
+	// The producer replays the stream from the start; what the checkpoint
+	// already ingested is skipped.
+	s.skip.Store(cp.Tracker.Events)
 	// The counts continue where the checkpointed server stopped (and a shared
 	// collector gets them too, so it stays the sum of its servers' Stats).
 	s.tel.Add(telemetry.ServeEventsIngested, cp.Tracker.Events)

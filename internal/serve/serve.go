@@ -122,11 +122,6 @@ type Config struct {
 	// CheckpointEvery writes a checkpoint after this many ingested events
 	// (0 disables automatic checkpoints; Checkpoint may still be called).
 	CheckpointEvery int64
-	// SkipEvents drops this many leading events at ingest without applying
-	// them: the resume protocol, where the producer replays the stream from
-	// the start and the server fast-forwards past what the checkpoint
-	// already covers. Load fills it from the checkpoint's event count.
-	SkipEvents int64
 	// NoDedup disables the shared window verdict cache.
 	NoDedup bool
 	// Telemetry, when non-nil, accumulates the service counters (everything
@@ -229,7 +224,6 @@ func New(cfg Config) (*Server, error) {
 		tracker: obsfile.NewShardedTracker(),
 		tel:     cfg.Telemetry.Child(),
 	}
-	s.skip.Store(cfg.SkipEvents)
 	if !cfg.NoDedup {
 		s.cache = newWindowCache()
 	}
@@ -366,9 +360,10 @@ func (c *IngestConn) Release() {
 	s.connMu.Unlock()
 }
 
-// skipOne consumes one unit of the resume skip budget. The counter may
-// transiently dip negative under concurrent connections; the loser restores
-// it, so exactly SkipEvents events are skipped in total.
+// skipOne consumes one unit of the resume skip budget: the events the
+// restored checkpoint had already ingested, which the producer replays. The
+// counter may transiently dip negative under concurrent connections; the
+// loser restores it, so exactly that many events are skipped in total.
 func (s *Server) skipOne() bool {
 	if s.skip.Load() <= 0 {
 		return false

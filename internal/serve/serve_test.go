@@ -473,12 +473,12 @@ func TestServeCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
-	if cfg.SkipEvents != int64(cut) {
-		t.Fatalf("SkipEvents = %d, want %d", cfg.SkipEvents, cut)
-	}
 	resumed, err := serve.New(cfg)
 	if err != nil {
 		t.Fatalf("New(resumed): %v", err)
+	}
+	if got := resumed.Stats().EventsIngested; got != int64(cut) {
+		t.Fatalf("EventsIngested before ingest = %d, want %d", got, cut)
 	}
 	ingestAll(t, resumed, trace) // full replay; the first half is skipped
 	gotSum, err := resumed.Close()

@@ -61,11 +61,6 @@ type (
 	// BudgetError aborts a check whose phase 1 or phase 2 reached
 	// Options.MaxExecutionsPerPhase; it names the phase.
 	BudgetError = core.BudgetError
-	// RandomCheckpoint is the resumable on-disk state of a RandomCheck run
-	// (RandomOptions.Checkpoint / RandomOptions.Resume).
-	RandomCheckpoint = core.RandomCheckpoint
-	// TestCheckpoint is the per-test record inside a RandomCheckpoint.
-	TestCheckpoint = core.TestCheckpoint
 	// Reduction selects the partial-order reduction strategy of
 	// Options.Reduction; verdicts and violations are bit-identical with
 	// reduction on and off, only the schedule counts drop.
@@ -157,7 +152,8 @@ func AutoCheck(sub *Subject, opts AutoOptions) (*AutoResult, error) {
 }
 
 // RandomCheck samples random test matrices (Fig. 8), the evaluation mode of
-// the paper.
+// the paper. With RandomOptions.Dir set it keeps its progress there, and a
+// killed run rerun on the same directory resumes.
 func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummary, error) {
 	return core.RandomCheck(sub, universe, opts)
 }
@@ -230,12 +226,6 @@ func WriteTrace(w io.Writer, h *History) error { return obsfile.WriteTrace(w, h)
 // WriteTraceFile writes the history to path atomically (temp file + rename):
 // a crash mid-write never leaves a torn trace behind.
 func WriteTraceFile(path string, h *History) error { return obsfile.WriteTraceFile(path, h) }
-
-// LoadRandomCheckpoint reads a checkpoint written via
-// RandomOptions.Checkpoint and RandomCheckpoint.Save.
-func LoadRandomCheckpoint(path string) (*RandomCheckpoint, error) {
-	return core.LoadRandomCheckpoint(path)
-}
 
 // Relaxed-consistency and coverage-guided-generation vocabulary, re-exported
 // from internal/core.
@@ -403,8 +393,8 @@ func RunDist(ctx context.Context, cfg DistConfig) (*Result, DistStats, error) {
 
 // ResumeServer loads cfg.CheckpointPath and returns a config that resumes
 // the checkpointed run: pass it to NewServer, then replay the stream from
-// the beginning — the first ServeConfig.SkipEvents already-checked events
-// are skipped.
+// the beginning — NewServer skips the events the checkpoint had already
+// checked.
 func ResumeServer(cfg ServeConfig) (ServeConfig, error) { return serve.Resume(cfg) }
 
 // LoadServeCheckpoint reads a service checkpoint written via
