@@ -509,7 +509,6 @@ func cmdGenerate(args []string) error {
 	}
 	gopts.Options = ro.Options
 	gopts.PreemptionBound, gopts.Telemetry = pb, tr.C
-	tr.C.Add(telemetry.TestsPlanned, int64(gopts.Budget))
 	res, err := core.Generate(sub, gopts)
 	if err = tr.finishAfter(err); err != nil {
 		return err

@@ -369,6 +369,8 @@ func TestCmdWitnessRefusals(t *testing.T) {
 			2, "flag provided but not defined: -checkpoint"},
 		{[]string{"check", "-class", "ConcurrentStack", "-explore-workers", "2"},
 			2, "flag provided but not defined: -explore-workers"},
+		{[]string{"generate", "-class", "ConcurrentStack", "-budget", "-3"},
+			1, "Budget: -3 is negative"},
 		{[]string{"dist", "-class", "ConcurrentStack", "-test", "Push(1) / TryPop()"},
 			2, `unknown subcommand "dist"`},
 		{[]string{"monitor", "-trace", missing, "-model", "queue", "-window", "8"},

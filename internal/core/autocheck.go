@@ -199,7 +199,7 @@ func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummar
 	if len(universe) == 0 {
 		universe = sub.Ops
 	}
-	if err := opts.validate(true, false); err != nil {
+	if err := opts.validate(true); err != nil {
 		return nil, err
 	}
 	if opts.Rows <= 0 {

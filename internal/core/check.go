@@ -57,27 +57,14 @@ type Options struct {
 	// a MonitorModel is an error. Stuck histories are always checked
 	// strictly.
 	Consistency Consistency `json:"consistency,omitempty"`
-	// Coverage, when non-nil, accumulates the (MemKind, location) footprint
+	// coverage, when non-nil, accumulates the (MemKind, location) footprint
 	// pairs and phase-2 history shapes (histories modulo a renaming of
-	// operation and result strings) the check observes. It is
-	// the feedback signal of coverage-guided generation (Generate) and is
-	// observe-only: it never influences a verdict. One Coverage may be
-	// shared across many checks; phase 1 (serial executions) contributes no
+	// operation and result strings) the check observes. Only Generate sets
+	// it, as the feedback signal of coverage-guided generation, sharing one
+	// Coverage across a run's checks. It is observe-only: it never
+	// influences a verdict. Phase 1 (serial executions) contributes no
 	// pairs, so the signal stays concurrency-specific.
-	Coverage *Coverage `json:"-"`
-	// SampleSchedules, when positive, replaces exhaustive phase-2
-	// exploration with this many randomly sampled schedules (see
-	// SampleStrategy). Sampling gives up the coverage of exhaustive
-	// preemption-bounded search but scales to long tests; any violation it
-	// finds is still a proof of non-linearizability (completeness is
-	// per-violation, not per-search).
-	SampleSchedules int `json:"sample_schedules,omitempty"`
-	// SampleStrategy selects the sampling scheduler (random walk or PCT).
-	SampleStrategy sched.Strategy `json:"sample_strategy,omitempty"`
-	// SampleSeed makes schedule sampling reproducible.
-	SampleSeed int64 `json:"sample_seed,omitempty"`
-	// PCTDepth is the PCT bug-depth parameter (0 = default).
-	PCTDepth int `json:"pct_depth,omitempty"`
+	coverage *Coverage `json:"-"`
 	// MonitorModel, when non-nil, decides phase 2's witnesses by replaying
 	// candidate linearizations through this executable sequential model (the
 	// monitor's search, see CheckWithMonitor) instead of by lookup in the
@@ -92,8 +79,7 @@ type Options struct {
 	// is set; 1 is the explicit sequential run. RandomCheck shares the count
 	// out among the tests it checks side by side. Subject code runs on
 	// several goroutines at once when more than one worker explores, each on
-	// its own instance from Subject.New. Sampling (SampleSchedules) and
-	// phase 1 ignore Workers.
+	// its own instance from Subject.New. Phase 1 ignores Workers.
 	Workers int `json:"explore_workers,omitempty"`
 	// Watchdog, when positive, arms the scheduler's wall-clock watchdog on
 	// every execution: a subject that blocks on an uninstrumented primitive
@@ -112,7 +98,7 @@ type Options struct {
 	// prunes schedules that only reorder independent steps; the verdict, the
 	// reported violation, and the set of distinct histories are bit-identical
 	// to an unreduced run while Executions drops (often by several times).
-	// Phase 1 is serial and never reduced; sampling ignores Reduction.
+	// Phase 1 is serial and never reduced.
 	Reduction sched.Reduction `json:"reduction,omitempty"`
 	// MaxFailures enables graceful degradation in phase 2: up to this many
 	// failed executions (panic, hung, leak) are classified and recorded in
@@ -135,9 +121,9 @@ type Options struct {
 
 // exploreConfig assembles the exploration configuration the options imply,
 // for phase 1 (serial: unbounded, unreduced, always strict about failures) or
-// phase 2. Every exploration core starts goes through it (sampling and
-// replay take its per-execution Config), so the containment settings, budget,
-// and telemetry apply uniformly.
+// phase 2. Every exploration core starts goes through it (replay takes its
+// per-execution Config), so the containment settings, budget, and telemetry
+// apply uniformly.
 func (o Options) exploreConfig(serial, recordTrace bool) sched.ExploreConfig {
 	cfg := sched.ExploreConfig{
 		Config: sched.Config{
@@ -146,7 +132,7 @@ func (o Options) exploreConfig(serial, recordTrace bool) sched.ExploreConfig {
 			RecordTrace:   recordTrace,
 			Watchdog:      o.Watchdog,
 			DetectLeaks:   o.DetectLeaks,
-			TrackCoverage: o.Coverage != nil && !serial,
+			TrackCoverage: o.coverage != nil && !serial,
 		},
 		PreemptionBound: sched.Unbounded,
 		MaxExecutions:   o.maxExecs(),
@@ -173,9 +159,8 @@ func (e *OptionsError) Error() string {
 }
 
 // validate owns core's cross-option rules. haveSpec says whether a phase-1
-// specification is available to phase 2 (it is not under CheckWithMonitor);
-// dist says whether the check is split into work units.
-func (o Options) validate(haveSpec, dist bool) error {
+// specification is available to phase 2 (it is not under CheckWithMonitor).
+func (o Options) validate(haveSpec bool) error {
 	switch {
 	case o.Consistency != Linearizability && o.MonitorModel != nil:
 		return &OptionsError{"Consistency", fmt.Sprintf("%s consistency requires the spec-lookup witness backend", o.Consistency)}
@@ -183,8 +168,6 @@ func (o Options) validate(haveSpec, dist bool) error {
 		return &OptionsError{"Consistency", fmt.Sprintf("%s consistency requires a phase-1 specification", o.Consistency)}
 	case o.MonitorModel == nil && !haveSpec:
 		return &OptionsError{"MonitorModel", "without a phase-1 specification the witness search needs a model"}
-	case dist && o.SampleSchedules > 0:
-		return &OptionsError{"SampleSchedules", "schedule sampling cannot be distributed (units are DFS subtrees)"}
 	case o.DetectLeaks && o.Workers > 1:
 		return &OptionsError{"DetectLeaks", "leak detection counts the goroutines of the whole process and needs executions to run one at a time (Workers 0 or 1)"}
 	}
@@ -338,7 +321,7 @@ type Result struct {
 // Section 4.3).
 func Check(sub *Subject, m *Test, opts Options) (*Result, error) {
 	// Refuse an illegal combination before paying for phase 1.
-	if err := opts.validate(true, false); err != nil {
+	if err := opts.validate(true); err != nil {
 		return nil, err
 	}
 	spec, p1, err := SynthesizeSpec(sub, m, opts)

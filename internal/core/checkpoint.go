@@ -167,7 +167,11 @@ var resumeFree = map[string]bool{"explore_workers": true, "watchdog": true}
 // of tests checked side by side, resume-free like explore_workers, which now
 // covers both. "options.witness" said "monitor" where a model now says it
 // alone ("spec" was the default and never written). "options.keep_spec" kept
-// the synthesized specification in the result, which decided nothing.
+// the synthesized specification in the result, which decided nothing. The
+// schedule-sampling options ("sample_schedules", "sample_strategy",
+// "sample_seed", "pct_depth") are gone but not retired: only a run that
+// sampled wrote them, and resuming it exhaustively would mix sampled PASSes
+// with exhaustive ones, so such a file is refused by name.
 var retired = []string{"options.workers", "options.witness", "options.keep_spec"}
 
 // ResumeMismatch compares what a file recorded with what this run would

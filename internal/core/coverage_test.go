@@ -28,7 +28,7 @@ func TestCoverageHistoryShapeSignal(t *testing.T) {
 	cov := core.NewCoverage()
 	check := func(m *core.Test) int {
 		t.Helper()
-		if res := mustCheck(t, sub, m, core.Options{Coverage: cov}); res.Verdict != core.Pass {
+		if res := mustCheck(t, sub, m, core.WithCoverage(core.Options{}, cov)); res.Verdict != core.Pass {
 			t.Fatalf("fixture does not pass: %v", res.Violation)
 		}
 		return cov.Hists()

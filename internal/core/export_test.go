@@ -8,6 +8,13 @@ import (
 // execute single schedules of a test under their own controller.
 var Program = program
 
+// WithCoverage returns o with Generate's coverage accumulator set to c, so
+// that external tests can read what a check adds to it.
+func WithCoverage(o Options, c *Coverage) Options {
+	o.coverage = c
+	return o
+}
+
 // schedRecruitAfter is sched's unexported recruiting mark (the number of
 // executions a phase-2 exploration runs alone before it starts its helpers),
 // reached by name so that neither package grows a knob for it.

@@ -140,7 +140,7 @@ type GenOptions struct {
 	// bit-identical corpora and identical results.
 	Seed int64
 	// Budget is the number of tests to check, including the seed corpus
-	// (default 200).
+	// (0 means 600; a negative budget is refused).
 	Budget int
 	// MaxThreads and MaxOps cap the mutated matrix shape (default 3×3, the
 	// shape the paper's random evaluation uses).
@@ -194,8 +194,11 @@ func Generate(sub *Subject, opts GenOptions) (*GenResult, error) {
 		return nil, fmt.Errorf("lineup: Generate on %s: empty invocation universe", sub.Name)
 	}
 	budget := opts.Budget
-	if budget <= 0 {
-		budget = 200
+	switch {
+	case budget < 0:
+		return nil, &OptionsError{"Budget", fmt.Sprintf("%d is negative (0 means the default, 600)", budget)}
+	case budget == 0:
+		budget = 600
 	}
 	maxRows := opts.MaxThreads
 	if maxRows <= 0 {
@@ -207,8 +210,9 @@ func Generate(sub *Subject, opts GenOptions) (*GenResult, error) {
 	}
 	cov := NewCoverage()
 	checkOpts := opts.Options
-	checkOpts.Coverage = cov
+	checkOpts.coverage = cov
 	tel := opts.Telemetry
+	tel.Add(telemetry.TestsPlanned, int64(budget))
 
 	rng := rand.New(rand.NewSource(opts.Seed))
 	mut := NewMutator(sub.Ops, maxRows, maxCols, rng)

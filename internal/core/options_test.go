@@ -66,9 +66,6 @@ func TestIllegalOptionsRefused(t *testing.T) {
 		{"no model x no phase-1 spec",
 			core.Options{},
 			entries(againstSpec(nil), withMonitor(nil)), "MonitorModel"},
-		{"sampling x dist",
-			core.Options{SampleSchedules: 10},
-			entries(planUnits, checkUnit), "SampleSchedules"},
 		{"leak detection x exploration workers",
 			core.Options{DetectLeaks: true, Workers: 2},
 			entries(check, againstSpec(spec), withMonitor(model), planUnits, checkUnit, randomCheck), "DetectLeaks"},

@@ -169,8 +169,8 @@ func (d *phase2Decider) witness(h *history.History) (*Violation, error) {
 }
 
 // phase2Acc accumulates the phase-2 state of every exploration path: the
-// exhaustive explorer at any worker count, schedule sampling (position =
-// arrival index), one work unit (CheckUnit), and the merge of unit reports.
+// exhaustive explorer at any worker count, one work unit (CheckUnit), and the
+// merge of unit reports.
 // Deduplication is shared across workers: the first visitor of a key decides
 // it (all others wait for that decision), and every occurrence of a key,
 // every decision error and every contained failure records its position, so
@@ -188,7 +188,7 @@ type phase2Acc struct {
 	entries  []*histEntry
 	errs     []posError
 	// pairs is the minimal position at which each footprint pair was
-	// observed (filled only while Options.Coverage collects them).
+	// observed (filled only while Options.coverage collects them).
 	pairs map[uint64]sched.Pos
 }
 
@@ -381,12 +381,10 @@ func (s *phase2Acc) stats(explored sched.ExploreStats, failures int, stop *histE
 // delegating the per-history decision to the backend selected by the options
 // (spec-set lookup by default, model replay when they name a MonitorModel).
 // It is the shared engine behind Check, CheckAgainstModel, CheckAgainstSpec,
-// and CheckWithMonitor; spec may be nil when a model decides.
-// Exhaustive exploration and Options.SampleSchedules differ only in which
-// explorer feeds the accumulator; verdict, violation and statistics are the
-// sequential DFS's for every worker count.
+// and CheckWithMonitor; spec may be nil when a model decides. Verdict,
+// violation and statistics are the sequential DFS's for every worker count.
 func phase2(sub *Subject, m *Test, spec *history.Spec, opts Options, mode witnessMode) (*Result, error) {
-	if err := opts.validate(spec != nil, false); err != nil {
+	if err := opts.validate(spec != nil); err != nil {
 		return nil, err
 	}
 	res := &Result{Subject: sub, Test: m, Verdict: Pass}
@@ -404,24 +402,9 @@ func phase2(sub *Subject, m *Test, spec *history.Spec, opts Options, mode witnes
 	defer flushCacheTelemetry(opts.Telemetry, acc.cache)
 	// stop is the violating entry the exploration stopped at, once known.
 	var stop *histEntry
-	defer func() { opts.Coverage.add(acc, stop) }()
+	defer func() { opts.coverage.add(acc, stop) }()
 	cfg := opts.exploreConfig(false, false)
-	var stats sched.ExploreStats
-	var exploreErr error
-	if opts.SampleSchedules > 0 {
-		var holder any
-		stats, exploreErr = sched.ExploreRandom(sched.RandomConfig{
-			Config:            cfg.Config,
-			Runs:              opts.SampleSchedules,
-			Seed:              opts.SampleSeed,
-			Strategy:          opts.SampleStrategy,
-			Depth:             opts.PCTDepth,
-			ContinueOnFailure: cfg.ContinueOnFailure,
-			Telemetry:         cfg.Telemetry,
-		}, program(sub, m, &holder), acc.visit)
-	} else {
-		stats, exploreErr = opts.explore(sub, m, cfg, acc.visit)
-	}
+	stats, exploreErr := opts.explore(sub, m, cfg, acc.visit)
 	// A non-budget explorer error is an execution failure that precedes
 	// every visit-level stop in sequential order (the explorer's own
 	// minimal-position selection), so it wins.

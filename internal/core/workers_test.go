@@ -18,12 +18,12 @@ import (
 // phase2Outcome is the result of phase 2 against spec, with what it added to
 // a fresh Coverage, or the first line of its error.
 func phase2Outcome(sub *core.Subject, m *core.Test, spec *history.Spec, opts core.Options) (*core.Result, string) {
-	opts.Coverage = core.NewCoverage()
-	res, err := core.CheckAgainstSpec(sub, m, spec, opts)
+	cov := core.NewCoverage()
+	res, err := core.CheckAgainstSpec(sub, m, spec, core.WithCoverage(opts, cov))
 	if err != nil {
 		return nil, firstLine(err.Error())
 	}
-	return res, fmt.Sprintf("covered %d pairs, %d histories", opts.Coverage.Pairs(), opts.Coverage.Hists())
+	return res, fmt.Sprintf("covered %d pairs, %d histories", cov.Pairs(), cov.Hists())
 }
 
 // TestWorkerCountUnobservable is the gate behind Options.Workers' zero value

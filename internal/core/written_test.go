@@ -22,7 +22,7 @@ import (
 func TestOptionFieldsDeclareTheirForm(t *testing.T) {
 	stays := map[string]bool{
 		// sinks of the process that holds them, and where it keeps its progress
-		"Options.Coverage": true, "Options.Telemetry": true,
+		"Options.coverage": true, "Options.Telemetry": true,
 		"RandomOptions.Dir": true,
 	}
 	names := make(map[string]string)
@@ -86,7 +86,6 @@ func TestOptionsWrittenFormRoundTrips(t *testing.T) {
 		{PreemptionBound: 3, Granularity: sched.GranSync, Reduction: sched.ReductionSleep},
 		{Consistency: core.SequentialConsistency, RelaxedOps: []string{"Count()", "TryTake()"}},
 		{Consistency: core.QuiescentConsistency, MaxExecutionsPerPhase: 5000, ExhaustPhase2: true},
-		{SampleSchedules: 100, SampleStrategy: sched.StrategyPCT, SampleSeed: -7, PCTDepth: 4},
 		{Workers: 3, Watchdog: 1500000000, DetectLeaks: true, MaxFailures: 9},
 	}
 	for _, o := range cases {
@@ -106,7 +105,7 @@ func TestOptionsWrittenFormRoundTrips(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `unknown model "deque"`) {
 		t.Errorf("an unknown model name read as %+v, err %v; want an error naming it", o.MonitorModel, err)
 	}
-	for _, bad := range []string{`{"reduction":"dpor"}`, `{"granularity":"op"}`, `{"sample_strategy":"bfs"}`, `{"consistency":"eventual"}`} {
+	for _, bad := range []string{`{"reduction":"dpor"}`, `{"granularity":"op"}`, `{"consistency":"eventual"}`} {
 		if err := json.Unmarshal([]byte(bad), &o); err == nil {
 			t.Errorf("%s was read without an error", bad)
 		}
@@ -195,6 +194,33 @@ func TestCheckpointFieldsDeclared(t *testing.T) {
 	}
 	if want.FirstFailure == nil || got.FirstFailure == nil || got.FirstFailure.Violation.String() != want.FirstFailure.Violation.String() {
 		t.Errorf("resumed first failure %v, uninterrupted %v", got.FirstFailure, want.FirstFailure)
+	}
+}
+
+// TestCheckpointThatSampledRefused: the schedule-sampling options are gone
+// and not retired. Only a run that sampled wrote them, and resuming it
+// exhaustively would mix sampled PASSes with exhaustive ones, so
+// testdata/checkpoint-with-workers.json holding "sample_schedules" is refused,
+// the field named; the file as it is resumes all four of its tests.
+func TestCheckpointThatSampledRefused(t *testing.T) {
+	data, err := os.ReadFile("testdata/checkpoint-with-workers.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := findClass(t, "SemaphoreSlim(Pre)")
+	resume := func(file string) (*core.RandomSummary, error) {
+		opts := core.RandomOptions{Rows: 3, Cols: 3, Samples: 4, Seed: 1, Options: core.Options{PreemptionBound: 2, Workers: 1}, Dir: t.TempDir()}
+		if err := os.WriteFile(filepath.Join(opts.Dir, "checkpoint.json"), []byte(file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return core.RandomCheck(sub, nil, opts)
+	}
+	sampled := strings.Replace(string(data), `"seed": 1,`, `"seed": 1, "sample_schedules": 100,`, 1)
+	if _, err := resume(sampled); err == nil || !strings.Contains(err.Error(), `"sample_schedules"`) {
+		t.Errorf("a checkpoint that sampled: err = %v, want one naming sample_schedules", err)
+	}
+	if sum, err := resume(string(data)); err != nil || sum.Resumed != 4 {
+		t.Errorf("the same checkpoint without sampling: err = %v, resumed %v", err, sum)
 	}
 }
 

@@ -2,7 +2,6 @@ package dist_test
 
 import (
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -61,10 +60,6 @@ func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 		"exhaust_phase2":           {flip: func(o *R) { o.ExhaustPhase2 = true }},
 		"relaxed_ops":              {flip: func(o *R) { o.RelaxedOps = []string{"Get()"} }},
 		"consistency":              {flip: func(o *R) { o.Consistency = core.SequentialConsistency }},
-		"sample_schedules":         {flip: func(o *R) { o.SampleSchedules = 50 }},
-		"sample_strategy":          {flip: func(o *R) { o.SampleStrategy = sched.StrategyPCT }},
-		"sample_seed":              {flip: func(o *R) { o.SampleSeed = 9 }},
-		"pct_depth":                {flip: func(o *R) { o.PCTDepth = 5 }},
 		"model": {save: func(o *R) { o.MonitorModel = monitor.CounterModel() },
 			flip: func(o *R) { o.MonitorModel = monitor.RegisterModel() }},
 		"explore_workers":       {flip: func(o *R) { o.Options.Workers = 2 }, free: true},
@@ -144,14 +139,6 @@ func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 			_, _, err = dist.Run(context.Background(), dist.Config{
 				Subject: sub, Test: m(resumed), Options: resumed.Options, Workers: 1, Depth: 1, Dir: dir,
 			})
-			if key == "sample_schedules" {
-				// Not a resume question: sampling cannot be distributed at all.
-				var oe *core.OptionsError
-				if !errors.As(err, &oe) || oe.Field != "SampleSchedules" {
-					t.Errorf("manifest: distributed sampling gave %v, want a SampleSchedules *core.OptionsError", err)
-				}
-				return
-			}
 			if key == "init" || key == "final" {
 				key = "test." + key
 			}

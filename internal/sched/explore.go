@@ -398,8 +398,8 @@ func (e *explorer) childSleep() []sleepEntry {
 }
 
 // recordOutcomeTelemetry publishes one finished execution's outcome counters:
-// a handful of atomic adds, shared by the DFS, parallel, and sampling
-// explorers so the three report failures identically.
+// a handful of atomic adds, shared by the DFS and parallel explorers so the
+// two report failures identically.
 func recordOutcomeTelemetry(c *telemetry.Collector, out *Outcome) {
 	c.Add(telemetry.ExecutionsDone, 1)
 	c.Add(telemetry.Decisions, int64(out.Decisions))

@@ -270,42 +270,3 @@ func TestPoolDetectLeaksCountsSubjectGoroutines(t *testing.T) {
 		t.Fatalf("LeakedGoroutines per execution = %v, want 1 on the third and 0 elsewhere", leaks)
 	}
 }
-
-// TestPoolExploreRandomEndsItsWorkers: the sampled runs share a pool like an
-// explorer's executions, and every return path of ExploreRandom ends it.
-func TestPoolExploreRandomEndsItsWorkers(t *testing.T) {
-	sched.RequireNoLeaks(t)
-	base := runtime.NumGoroutine()
-	cfg := sched.RandomConfig{Runs: 200, Seed: 7}
-	prog := sched.Program{Threads: []func(*sched.Thread){opThread(2, "a"), opThread(2, "b")}}
-
-	n := 0
-	if stats, err := sched.ExploreRandom(cfg, prog, func(*sched.Outcome, sched.Pos) bool {
-		if g := runtime.NumGoroutine(); g > base+4 {
-			t.Fatalf("%d goroutines during sampling, want at most %d", g, base+4)
-		}
-		n++
-		return n < 30
-	}); err != nil || stats.Executions != 30 {
-		t.Fatalf("early stop: stats %+v, err %v", stats, err)
-	}
-	settlesTo(t, base)
-
-	cfg.ContinueOnFailure = true
-	failed := 0
-	if stats, err := sched.ExploreRandom(cfg, overlapPanicProgram(), func(o *sched.Outcome, _ sched.Pos) bool {
-		if o.FailureKind() == sched.FailPanic {
-			failed++
-		}
-		return true
-	}); err != nil || stats.Executions != cfg.Runs || failed == 0 {
-		t.Fatalf("contained failures: stats %+v, %d failed, err %v", stats, failed, err)
-	}
-	settlesTo(t, base)
-
-	cfg.ContinueOnFailure = false
-	if _, err := sched.ExploreRandom(cfg, overlapPanicProgram(), func(*sched.Outcome, sched.Pos) bool { return true }); err == nil {
-		t.Fatal("an uncontained failure did not abort the sampling run")
-	}
-	settlesTo(t, base)
-}

@@ -65,7 +65,7 @@ var (
 
 // Tests against the plan (packages core and the CLI).
 var (
-	TestsPlanned = newCounter("tests_planned") // tests the run means to check, added once by the command that knows
+	TestsPlanned = newCounter("tests_planned") // tests the run means to check, added once where the plan is known
 	TestsDone    = newCounter("tests_done")    // tests checked (RandomCheck: restored ones too; Generate)
 )
 

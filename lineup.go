@@ -3,7 +3,6 @@ package lineup
 import (
 	"context"
 	"io"
-	"math/rand"
 
 	"lineup/internal/core"
 	"lineup/internal/dist"
@@ -234,17 +233,10 @@ type (
 	// strict linearizability (default) or one of the relaxations checked
 	// against the same phase-1 specification.
 	Consistency = core.Consistency
-	// Coverage accumulates the exploration-coverage signal — distinct
-	// (memory-kind, location) pairs and distinct phase-2 canonical histories
-	// — across checks when assigned to Options.Coverage.
-	Coverage = core.Coverage
 	// GenOptions configures Generate.
 	GenOptions = core.GenOptions
 	// GenResult is the outcome of a Generate run.
 	GenResult = core.GenResult
-	// Mutator applies seeded random matrix mutations (op replacement, swaps,
-	// insertion/deletion, argument perturbation, thread reshaping).
-	Mutator = core.Mutator
 )
 
 // Consistency criteria for Options.Consistency.
@@ -263,9 +255,6 @@ const (
 // ("linearizable", "sequential"/"sc", "quiescent"/"qc").
 func ParseConsistency(s string) (Consistency, error) { return core.ParseConsistency(s) }
 
-// NewCoverage creates an empty coverage accumulator for Options.Coverage.
-func NewCoverage() *Coverage { return core.NewCoverage() }
-
 // Generate runs coverage-guided test generation: starting from the smallest
 // pairwise tests over the subject's invocation universe, it mutates corpus
 // entries with a seeded RNG and keeps every mutant whose check touches a new
@@ -274,12 +263,6 @@ func NewCoverage() *Coverage { return core.NewCoverage() }
 // same options — bit-identical run.
 func Generate(sub *Subject, opts GenOptions) (*GenResult, error) {
 	return core.Generate(sub, opts)
-}
-
-// NewMutator creates a seeded matrix mutator over an invocation universe;
-// Generate uses one internally, and tests can drive it directly.
-func NewMutator(universe []Op, maxRows, maxCols int, rng *rand.Rand) *Mutator {
-	return core.NewMutator(universe, maxRows, maxCols, rng)
 }
 
 // TestFromNames rebuilds a test from its written form — what json.Unmarshal
