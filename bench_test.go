@@ -11,7 +11,7 @@
 //	Fig. 9   -> BenchmarkFig9ManualResetEvent
 //	Sec. 5.4 -> BenchmarkPhase1SerialEnumeration / BenchmarkPhase2Exploration
 //	Sec. 5.6 -> BenchmarkComparisonCheckers
-//	ablation -> BenchmarkAblationPreemptionBound, BenchmarkAblationGranularity
+//	ablation -> BenchmarkAblationPreemptionBound
 //
 // Run with: go test -bench=. -benchmem
 package lineup_test
@@ -19,6 +19,7 @@ package lineup_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -33,6 +34,8 @@ import (
 	"lineup/internal/core"
 	"lineup/internal/dist"
 	"lineup/internal/history"
+	"lineup/internal/monitor"
+	"lineup/internal/monitor/fast"
 	"lineup/internal/obsfile"
 	"lineup/internal/race"
 	"lineup/internal/sched"
@@ -242,31 +245,6 @@ func BenchmarkAblationPreemptionBound(b *testing.B) {
 			execs := 0
 			for i := 0; i < b.N; i++ {
 				stats, err := core.ForEachExecution(sub, m, core.Options{PreemptionBound: pb}, false, func(out *sched.Outcome) bool {
-					return true
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				execs = stats.Executions
-			}
-			b.ReportMetric(float64(execs), "schedules")
-		})
-	}
-}
-
-// BenchmarkAblationGranularity compares all-access preemption (the default)
-// with CHESS-like sync-only preemption on the same test.
-func BenchmarkAblationGranularity(b *testing.B) {
-	sub, m := queue3x3()
-	for _, g := range []struct {
-		name string
-		gran sched.Granularity
-	}{{"all-accesses", sched.GranAll}, {"sync-only", sched.GranSync}} {
-		g := g
-		b.Run(g.name, func(b *testing.B) {
-			execs := 0
-			for i := 0; i < b.N; i++ {
-				stats, err := core.ForEachExecution(sub, m, core.Options{PreemptionBound: 2, Granularity: g.gran}, false, func(out *sched.Outcome) bool {
 					return true
 				})
 				if err != nil {
@@ -539,6 +517,77 @@ func BenchmarkMonitorLongTrace(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkMonitorCrossover sets the specialized monitors (fast.Check)
+// against the witness search (monitor.Check, partitioned as `lineup monitor`
+// runs it and with NoPartition) on fill-then-drain traces of 10³ and 10⁴
+// operations: three threads insert distinct values, then remove them. The
+// fill is longer than the drain by the thread count, so no removal finds the
+// container empty and every trace is in the fast monitors' fragment. The
+// set's values are distinct, so partitioning splits it into one part per
+// value; the queue and the stack are one part whose state grows to half the
+// trace. Each sub-benchmark reports ns/op for one whole trace. The searcher
+// may expand twice as many nodes as the trace has operations (a witness
+// needs one per operation); an arm that exceeds that is skipped, because at
+// the default budget the queue's search runs for minutes and keeps every
+// refuted state in its memo.
+func BenchmarkMonitorCrossover(b *testing.B) {
+	const threads = 3
+	fillDrain := func(ops int, insert string, remove func(k int) string) func(*rand.Rand, string) string {
+		filled, drained := 0, 0
+		return func(*rand.Rand, string) string {
+			if filled < ops/2+threads {
+				filled++
+				return fmt.Sprintf("%s(%d)", insert, filled)
+			}
+			drained++
+			return remove(drained)
+		}
+	}
+	for _, c := range []struct {
+		model, insert string
+		kind          fast.Kind
+		remove        func(k int) string
+	}{
+		{"queue", "Enqueue", fast.KindQueue, func(int) string { return "TryDequeue()" }},
+		{"set", "Add", fast.KindSet, func(k int) string { return fmt.Sprintf("Remove(%d)", k) }},
+		{"stack", "Push", fast.KindStack, func(int) string { return "TryPop()" }},
+	} {
+		model, _ := lineup.BuiltinModel(c.model)
+		for _, n := range []int{1000, 10000} {
+			h, err := obsfile.ReadTrace(bytes.NewReader(monitorLongTrace(b, model, 1, threads, n, fillDrain(n, c.insert, c.remove))))
+			if err != nil {
+				b.Fatal(err)
+			}
+			name := fmt.Sprintf("%s/%d", c.model, n)
+			b.Run(name+"/fast", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if ok, err := fast.Check(c.kind, h); !ok || err != nil {
+						b.Fatalf("fast.Check = %v, %v", ok, err)
+					}
+				}
+			})
+			for _, arm := range []struct {
+				name        string
+				noPartition bool
+			}{{"wgl", false}, {"wgl-nopartition", true}} {
+				b.Run(name+"/"+arm.name, func(b *testing.B) {
+					opts := lineup.MonitorOptions{NoPartition: arm.noPartition, MaxStates: 2 * n}
+					for i := 0; i < b.N; i++ {
+						out, err := lineup.CheckHistory(model, h, opts)
+						if errors.Is(err, monitor.ErrStateLimit) {
+							b.Skipf("over budget: %d nodes expanded in one part", out.Stats.Visited)
+						}
+						if err != nil || !out.Linearizable {
+							b.Fatalf("out=%+v err=%v", out, err)
+						}
+						b.ReportMetric(float64(out.Stats.Visited), "nodes")
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -152,12 +152,12 @@ func TestDistWorkerModeBadJob(t *testing.T) {
 
 // TestDistExecHonoursOptions: worker processes check what the coordinator
 // planned — the job file carries core.Options and the test whole. A run
-// through an ExecLauncher with the queue model deciding witnesses, GranSync,
-// and a test with init and final sections gives the verdict, the first
-// violation and the phase statistics of the sequential exhaustive check under
-// the same options. (The job file used to carry seven options and the rows:
-// workers fell back to the spec backend at GranAll, and -exec refused
-// init/final sections outright.)
+// through an ExecLauncher with the queue model deciding witnesses, sleep-set
+// reduction, and a test with init and final sections gives the verdict, the
+// first violation and the phase statistics of the sequential exhaustive check
+// under the same options. (The job file used to carry seven options and the
+// rows: workers fell back to the spec backend, and -exec refused init/final
+// sections outright.)
 func TestDistExecHonoursOptions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a real binary and runs worker processes")
@@ -168,7 +168,7 @@ func TestDistExecHonoursOptions(t *testing.T) {
 		t.Fatal("no ConcurrentQueue")
 	}
 	model, _ := monitor.Builtin("queue")
-	opts := core.Options{PreemptionBound: 2, Granularity: sched.GranSync, MonitorModel: model}
+	opts := core.Options{PreemptionBound: 2, Reduction: sched.ReductionSleep, MonitorModel: model}
 	for _, c := range []struct {
 		name, test string
 		want       core.Verdict
@@ -193,10 +193,10 @@ func TestDistExecHonoursOptions(t *testing.T) {
 			if want.Verdict != c.want {
 				t.Fatalf("fixture broken: the sequential check says %v", want.Verdict)
 			}
-			all := seq
-			all.Granularity = sched.GranAll
-			if r, err := core.Check(sub, m, all); err != nil || r.Phase2.Executions == want.Phase2.Executions {
-				t.Fatalf("fixture broken: granularity does not show in the execution count (%v, %v)", r, err)
+			unreduced := seq
+			unreduced.Reduction = sched.ReductionNone
+			if r, err := core.Check(sub, m, unreduced); err != nil || r.Phase2.Executions == want.Phase2.Executions {
+				t.Fatalf("fixture broken: the reduction does not show in the execution count (%v, %v)", r, err)
 			}
 			got, stats, err := dist.Run(context.Background(), dist.Config{
 				Subject: sub, Test: m, Options: opts, Workers: 2, Depth: 2,

@@ -148,8 +148,6 @@ func cmdMonitor(args []string) error {
 	trace := fs.String("trace", "", "JSONL history trace file ('-' for stdin)")
 	model := modelFlag(fs, "sequential model: ")
 	classic := fs.Bool("classic", false, "classic Definition 1 treatment of pending operations")
-	noMemo := fs.Bool("no-memo", false, "disable the memoized seen-set")
-	noPart := fs.Bool("no-partition", false, "disable P-compositional partitioning")
 	witnessSpec := fs.String("witness", "wgl", "witness search: wgl (memoized Wing–Gong) or fast (specialized near-log-linear monitor with WGL fallback)")
 	verbose := fs.Bool("v", false, "print the witness linearization")
 	if err := fs.Parse(args); err != nil {
@@ -178,7 +176,7 @@ func cmdMonitor(args []string) error {
 		defer f.Close()
 		r = f
 	}
-	opts := monitor.Options{NoMemo: *noMemo, NoPartition: *noPart}
+	var opts monitor.Options
 	if *classic {
 		opts.Mode = monitor.ModeClassic
 	}

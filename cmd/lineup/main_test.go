@@ -371,6 +371,10 @@ func TestCmdWitnessRefusals(t *testing.T) {
 			2, "flag provided but not defined: -explore-workers"},
 		{[]string{"generate", "-class", "ConcurrentStack", "-budget", "-3"},
 			1, "Budget: -3 is negative"},
+		{[]string{"check", "-class", "ConcurrentQueue", "-samples", "2", "-max-failures", "-1"},
+			1, "MaxFailures: -1 is negative"},
+		{[]string{"check", "-class", "ConcurrentQueue", "-test", "Enqueue(10) / TryDequeue()", "-pb", "-7"},
+			1, "PreemptionBound: -7 is below NoPreemptions"},
 		{[]string{"dist", "-class", "ConcurrentStack", "-test", "Push(1) / TryPop()"},
 			2, `unknown subcommand "dist"`},
 		{[]string{"monitor", "-trace", missing, "-model", "queue", "-window", "8"},

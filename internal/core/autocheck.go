@@ -199,8 +199,15 @@ func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummar
 	if len(universe) == 0 {
 		universe = sub.Ops
 	}
-	if err := opts.validate(true); err != nil {
+	switch err := opts.validate(true); {
+	case err != nil:
 		return nil, err
+	case opts.Rows < 0:
+		return nil, negative("Rows", opts.Rows, "the default, 3")
+	case opts.Cols < 0:
+		return nil, negative("Cols", opts.Cols, "the default, 3")
+	case opts.Samples < 0:
+		return nil, negative("Samples", opts.Samples, "the default, 100")
 	}
 	if opts.Rows <= 0 {
 		opts.Rows = 3

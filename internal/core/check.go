@@ -36,8 +36,6 @@ type Options struct {
 	// zero value selects DefaultBound; use NoPreemptions for an explicit
 	// bound of zero and Unbounded for no bounding.
 	PreemptionBound int `json:"preemption_bound,omitempty"`
-	// Granularity selects the preemption granularity of phase 2.
-	Granularity sched.Granularity `json:"granularity,omitempty"`
 	// MaxExecutionsPerPhase is a safety net against schedule-space blowups
 	// (0 = default 2,000,000). A phase that reaches it aborts the check with
 	// a *BudgetError naming the phase.
@@ -128,7 +126,6 @@ func (o Options) exploreConfig(serial, recordTrace bool) sched.ExploreConfig {
 	cfg := sched.ExploreConfig{
 		Config: sched.Config{
 			Serial:        serial,
-			Granularity:   o.Granularity,
 			RecordTrace:   recordTrace,
 			Watchdog:      o.Watchdog,
 			DetectLeaks:   o.DetectLeaks,
@@ -162,6 +159,14 @@ func (e *OptionsError) Error() string {
 // specification is available to phase 2 (it is not under CheckWithMonitor).
 func (o Options) validate(haveSpec bool) error {
 	switch {
+	case o.PreemptionBound < NoPreemptions:
+		return &OptionsError{"PreemptionBound", fmt.Sprintf("%d is below NoPreemptions (%d)", o.PreemptionBound, NoPreemptions)}
+	case o.MaxExecutionsPerPhase < 0:
+		return negative("MaxExecutionsPerPhase", o.MaxExecutionsPerPhase, "the default, 2000000")
+	case o.MaxFailures < 0:
+		return negative("MaxFailures", o.MaxFailures, "the first failure aborts")
+	case o.Workers < 0:
+		return negative("Workers", o.Workers, "one per CPU")
 	case o.Consistency != Linearizability && o.MonitorModel != nil:
 		return &OptionsError{"Consistency", fmt.Sprintf("%s consistency requires the spec-lookup witness backend", o.Consistency)}
 	case o.Consistency != Linearizability && !haveSpec:
@@ -172,6 +177,11 @@ func (o Options) validate(haveSpec bool) error {
 		return &OptionsError{"DetectLeaks", "leak detection counts the goroutines of the whole process and needs executions to run one at a time (Workers 0 or 1)"}
 	}
 	return nil
+}
+
+// negative refuses a count below zero; zero says what 0 means for the field.
+func negative(field string, v int, zero string) error {
+	return &OptionsError{field, fmt.Sprintf("%d is negative (0 means %s)", v, zero)}
 }
 
 // exploreWorkers resolves Workers for an exhaustive phase-2 exploration: an

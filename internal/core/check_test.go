@@ -132,21 +132,6 @@ func TestCounter1FailsLostUpdate(t *testing.T) {
 	}
 }
 
-func TestCounter1PassesAtSyncGranularity(t *testing.T) {
-	sched.RequireNoLeaks(t)
-	// At CHESS-like sync-only granularity the unsynchronized read and write
-	// of Inc execute atomically, so the lost update is invisible; this
-	// documents why the default granularity interleaves plain accesses.
-	sub := counter1Subject()
-	inc := sub.Ops[0]
-	get := sub.Ops[1]
-	m := &core.Test{Rows: [][]core.Op{{inc, get}, {inc}}}
-	res := mustCheck(t, sub, m, core.Options{Granularity: sched.GranSync})
-	if res.Verdict != core.Pass {
-		t.Fatalf("expected pass at sync granularity, got %v", res.Violation)
-	}
-}
-
 func TestCounter2SynthesizedSpecPasses(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	// Section 2.2.2 nuance: Counter2's leaked lock makes later operations

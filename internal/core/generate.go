@@ -196,7 +196,7 @@ func Generate(sub *Subject, opts GenOptions) (*GenResult, error) {
 	budget := opts.Budget
 	switch {
 	case budget < 0:
-		return nil, &OptionsError{"Budget", fmt.Sprintf("%d is negative (0 means the default, 600)", budget)}
+		return nil, negative("Budget", budget, "the default, 600")
 	case budget == 0:
 		budget = 600
 	}

@@ -85,30 +85,6 @@ func TestInitSequenceUnblocksDec(t *testing.T) {
 	}
 }
 
-// TestGranularityAffectsScheduleCount: sync-only granularity explores
-// strictly fewer schedules than all-access granularity on a subject with
-// plain-field accesses.
-func TestGranularityAffectsScheduleCount(t *testing.T) {
-	sched.RequireNoLeaks(t)
-	sub := counterSubject() // counter fields are plain cells under a lock
-	inc, get, _ := counterOps()
-	m := &core.Test{Rows: [][]core.Op{{inc}, {get}}}
-	count := func(g sched.Granularity) int {
-		n := 0
-		_, err := core.ForEachExecution(sub, m, core.Options{PreemptionBound: 2, Granularity: g}, false,
-			func(out *sched.Outcome) bool { n++; return true })
-		if err != nil {
-			t.Fatalf("explore: %v", err)
-		}
-		return n
-	}
-	all := count(sched.GranAll)
-	syncOnly := count(sched.GranSync)
-	if syncOnly >= all {
-		t.Fatalf("sync-only (%d) should explore fewer schedules than all-access (%d)", syncOnly, all)
-	}
-}
-
 // TestAutoCheckEnumerationCount: AutoCheck visits exactly 1 test at n=1 and
 // 16 at n=2 for a two-invocation universe (|I_n|^(n*n)).
 func TestAutoCheckEnumerationCount(t *testing.T) {

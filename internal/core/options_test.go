@@ -42,11 +42,16 @@ func TestIllegalOptionsRefused(t *testing.T) {
 		_, err := core.CheckUnit(sub, m, o, sched.WorkUnit{}, nil, nil)
 		return err
 	}
-	randomCheck := func(o core.Options) error {
-		_, err := core.RandomCheck(sub, nil, core.RandomOptions{Options: o, Samples: 2})
-		return err
+	randomSized := func(r core.RandomOptions) func(core.Options) error {
+		return func(o core.Options) error {
+			r.Options = o
+			_, err := core.RandomCheck(sub, nil, r)
+			return err
+		}
 	}
+	randomCheck := randomSized(core.RandomOptions{Samples: 2})
 	entries := func(fs ...func(core.Options) error) []func(core.Options) error { return fs }
+	everyEntry := entries(check, againstSpec(spec), withMonitor(model), planUnits, checkUnit, randomCheck)
 
 	cells := []struct {
 		name    string
@@ -66,9 +71,14 @@ func TestIllegalOptionsRefused(t *testing.T) {
 		{"no model x no phase-1 spec",
 			core.Options{},
 			entries(againstSpec(nil), withMonitor(nil)), "MonitorModel"},
-		{"leak detection x exploration workers",
-			core.Options{DetectLeaks: true, Workers: 2},
-			entries(check, againstSpec(spec), withMonitor(model), planUnits, checkUnit, randomCheck), "DetectLeaks"},
+		{"leak detection x exploration workers", core.Options{DetectLeaks: true, Workers: 2}, everyEntry, "DetectLeaks"},
+		{"preemption bound below NoPreemptions", core.Options{PreemptionBound: core.NoPreemptions - 5}, everyEntry, "PreemptionBound"},
+		{"negative execution budget", core.Options{MaxExecutionsPerPhase: -1}, everyEntry, "MaxExecutionsPerPhase"},
+		{"negative failure budget", core.Options{MaxFailures: -1}, everyEntry, "MaxFailures"},
+		{"negative worker count", core.Options{Workers: -3}, everyEntry, "Workers"},
+		{"negative rows", core.Options{}, entries(randomSized(core.RandomOptions{Rows: -1})), "Rows"},
+		{"negative cols", core.Options{}, entries(randomSized(core.RandomOptions{Cols: -2})), "Cols"},
+		{"negative samples", core.Options{}, entries(randomSized(core.RandomOptions{Samples: -3})), "Samples"},
 	}
 	for _, c := range cells {
 		for i, entry := range c.entries {

@@ -83,7 +83,7 @@ func TestOptionsWrittenFormRoundTrips(t *testing.T) {
 		{},
 		{PreemptionBound: core.Unbounded},
 		{PreemptionBound: core.NoPreemptions},
-		{PreemptionBound: 3, Granularity: sched.GranSync, Reduction: sched.ReductionSleep},
+		{PreemptionBound: 3, Reduction: sched.ReductionSleep},
 		{Consistency: core.SequentialConsistency, RelaxedOps: []string{"Count()", "TryTake()"}},
 		{Consistency: core.QuiescentConsistency, MaxExecutionsPerPhase: 5000, ExhaustPhase2: true},
 		{Workers: 3, Watchdog: 1500000000, DetectLeaks: true, MaxFailures: 9},
@@ -105,7 +105,7 @@ func TestOptionsWrittenFormRoundTrips(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `unknown model "deque"`) {
 		t.Errorf("an unknown model name read as %+v, err %v; want an error naming it", o.MonitorModel, err)
 	}
-	for _, bad := range []string{`{"reduction":"dpor"}`, `{"granularity":"op"}`, `{"consistency":"eventual"}`} {
+	for _, bad := range []string{`{"reduction":"dpor"}`, `{"consistency":"eventual"}`} {
 		if err := json.Unmarshal([]byte(bad), &o); err == nil {
 			t.Errorf("%s was read without an error", bad)
 		}
@@ -203,6 +203,23 @@ func TestCheckpointFieldsDeclared(t *testing.T) {
 // testdata/checkpoint-with-workers.json holding "sample_schedules" is refused,
 // the field named; the file as it is resumes all four of its tests.
 func TestCheckpointThatSampledRefused(t *testing.T) {
+	checkpointFieldRefused(t, `"sample_schedules": 100`, "sample_schedules")
+}
+
+// TestCheckpointAtSyncGranularityRefused: the preemption granularity is gone
+// and not retired. A run at sync-only granularity saw fewer schedules than
+// one that preempts at every access, and resuming it would mix the two, so
+// the checkpoint holding "granularity" is refused, the field named; the file
+// as it is resumes.
+func TestCheckpointAtSyncGranularityRefused(t *testing.T) {
+	checkpointFieldRefused(t, `"granularity": "sync"`, "granularity")
+}
+
+// checkpointFieldRefused resumes testdata/checkpoint-with-workers.json with
+// field added to its options, which must be refused naming name, and as it
+// is, which must resume all four of its tests.
+func checkpointFieldRefused(t *testing.T, field, name string) {
+	t.Helper()
 	data, err := os.ReadFile("testdata/checkpoint-with-workers.json")
 	if err != nil {
 		t.Fatal(err)
@@ -215,12 +232,12 @@ func TestCheckpointThatSampledRefused(t *testing.T) {
 		}
 		return core.RandomCheck(sub, nil, opts)
 	}
-	sampled := strings.Replace(string(data), `"seed": 1,`, `"seed": 1, "sample_schedules": 100,`, 1)
-	if _, err := resume(sampled); err == nil || !strings.Contains(err.Error(), `"sample_schedules"`) {
-		t.Errorf("a checkpoint that sampled: err = %v, want one naming sample_schedules", err)
+	with := strings.Replace(string(data), `"seed": 1,`, `"seed": 1, `+field+`,`, 1)
+	if _, err := resume(with); err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+		t.Errorf("a checkpoint holding %s: err = %v, want one naming %s", field, err, name)
 	}
 	if sum, err := resume(string(data)); err != nil || sum.Resumed != 4 {
-		t.Errorf("the same checkpoint without sampling: err = %v, resumed %v", err, sum)
+		t.Errorf("the same checkpoint without %s: err = %v, resumed %v", name, err, sum)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 func FuzzCheckFiles(f *testing.F) {
 	for _, seed := range []string{
 		`{"version": 2, "subject": "Counter", "test": {"init": ["Inc()"], "rows": [["Inc()", "Get()"], ["Inc()"]], "final": ["Get()"]},
-  "options": {"preemption_bound": -2, "granularity": "sync", "reduction": "sleep", "witness": "monitor", "model": "counter", "watchdog": 1000000000, "relaxed_ops": ["Get()"]},
+  "options": {"preemption_bound": -2, "reduction": "sleep", "witness": "monitor", "model": "counter", "watchdog": 1000000000, "relaxed_ops": ["Get()"]},
   "depth": 2, "units": 2, "split_pruned": 1, "entries": [{"seq": 0, "state": "done", "attempts": 1}, {"seq": 1, "state": "poisoned", "attempts": 3, "last_err": "x"}],
   "spec": {"seq": 1, "attempt": 2, "unit": {}, "heartbeat_every": 2500000000}, "report_path": "r.json", "spec_histories": []}`,
 		`{"version": 2, "subject": "Counter1", "options": {"rows": 2, "cols": 2, "samples": 8, "seed": 7, "workers": 4, "consistency": "quiescent", "init": ["Inc()"]},

@@ -55,7 +55,6 @@ func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 		free       bool
 	}{
 		"preemption_bound":         {flip: func(o *R) { o.PreemptionBound = 1 }},
-		"granularity":              {flip: func(o *R) { o.Granularity = sched.GranSync }},
 		"max_executions_per_phase": {flip: func(o *R) { o.MaxExecutionsPerPhase = 40000 }},
 		"exhaust_phase2":           {flip: func(o *R) { o.ExhaustPhase2 = true }},
 		"relaxed_ops":              {flip: func(o *R) { o.RelaxedOps = []string{"Get()"} }},

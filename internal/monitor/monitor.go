@@ -37,9 +37,6 @@ const (
 type Options struct {
 	// Mode selects the linearizability definition (see Mode).
 	Mode Mode
-	// NoMemo disables the memoized seen-set, reverting to plain Wing–Gong
-	// backtracking (exposed for the monitor-vs-enumeration benchmarks).
-	NoMemo bool
 	// NoPartition disables P-compositional history splitting.
 	NoPartition bool
 	// MaxStates bounds the search nodes expanded per history part (a safety
@@ -475,13 +472,12 @@ func (s *searcher) search(state string) (bool, error) {
 		// ops to linearize.
 		return true, nil
 	}
-	var hash uint64 // of (lin, state), the same at exit: every lift below is undone by then
-	if !s.opts.NoMemo {
-		hash = s.linHash ^ maphash.String(stateSeed, state)
-		if _, seen := s.memo.find(hash, s.lin, state); seen {
-			s.memoHits++
-			return false, nil
-		}
+	// The hash of (lin, state) is the same at exit: every lift below is
+	// undone by then.
+	hash := s.linHash ^ maphash.String(stateSeed, state)
+	if _, seen := s.memo.find(hash, s.lin, state); seen {
+		s.memoHits++
+		return false, nil
 	}
 	s.visited++
 	if s.visited > s.opts.maxStates() {
@@ -526,9 +522,7 @@ func (s *searcher) search(state string) (bool, error) {
 		}
 	}
 	// Fully explored without a witness: memoize the failure.
-	if !s.opts.NoMemo {
-		s.memo.add(hash, s.lin, state)
-	}
+	s.memo.add(hash, s.lin, state)
 	return false, nil
 }
 

@@ -192,10 +192,6 @@ func TestSearchCountsUnchanged(t *testing.T) {
 		add(pin{name: name + "-bad", m: queue, h: bad, incr: true})
 		add(pin{name: name + "-truncated", m: queue, h: truncate(h, len(h.Events)*2/3)})
 		add(pin{name: name + "-bad-truncated", m: queue, h: truncate(bad, len(h.Events)*2/3)})
-		if sz.ops == 50 {
-			add(pin{name: name + "-nomemo", m: queue, h: h, opts: monitor.Options{NoMemo: true}})
-			add(pin{name: name + "-bad-nomemo", m: queue, h: bad, opts: monitor.Options{NoMemo: true}})
-		}
 	}
 	setH := pinSetHistory(rng, 4, 2000, 64)
 	setBad := corruptReturn(setH, "true", "false")
@@ -207,9 +203,6 @@ func TestSearchCountsUnchanged(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		h := randomFlagHistory(rng, 12+6*i, 2+i%2, i%3 == 2)
 		add(pin{name: fmt.Sprintf("flag-stuck-%d", i), m: flag, h: h, incr: true})
-		if i < 3 {
-			add(pin{name: fmt.Sprintf("flag-stuck-%d-nomemo", i), m: flag, h: h, opts: monitor.Options{NoMemo: true}})
-		}
 	}
 
 	got := make([]string, 0, len(pins))

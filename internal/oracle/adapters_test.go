@@ -295,7 +295,7 @@ func checkModel(t *testing.T, m *monitor.Model, h *history.History, cuts uint64)
 		if err != nil {
 			fail("definition: %v", err)
 		}
-		for _, opts := range []monitor.Options{{Mode: mode}, {Mode: mode, NoMemo: true}, {Mode: mode, NoPartition: true}} {
+		for _, opts := range []monitor.Options{{Mode: mode}, {Mode: mode, NoPartition: true}} {
 			if out, err := monitor.Check(m, h, opts); err != nil || out.Linearizable != want {
 				fail("%+v: Check says %v (err %v), the definition %v", opts, out != nil && out.Linearizable, err, want)
 			}

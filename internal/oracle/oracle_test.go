@@ -387,8 +387,7 @@ func rounds(ops ...[][2]string) *history.History {
 // definition's enumeration on histories that force a full refutation: rounds
 // of concurrent Inc()s followed by a Get() one too high, and one wide round in
 // which every set element is added twice with both adds claiming a change.
-// The gap widens with history width: on 3x3 the memoization mostly pays for
-// itself, from 4 threads on it wins outright.
+// The gap widens with history width.
 func BenchmarkMonitorVsEnumeration(b *testing.B) {
 	counter := monitor.CounterModel()
 	for _, cfg := range []struct{ threads, rounds int }{{3, 3}, {4, 3}, {4, 4}} {
@@ -407,7 +406,6 @@ func BenchmarkMonitorVsEnumeration(b *testing.B) {
 			decide func() (bool, error)
 		}{
 			{"memoized", func() (bool, error) { return check(counter, h, monitor.Options{}) }},
-			{"no-memo", func() (bool, error) { return check(counter, h, monitor.Options{NoMemo: true}) }},
 			{"naive-enumeration", func() (bool, error) { return linearizable(counter, h, monitor.ModeAuto) }},
 		} {
 			b.Run(name+"/"+v.name, func(b *testing.B) {

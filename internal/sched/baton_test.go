@@ -106,7 +106,7 @@ func TestControllerPanicIsNotSubjectPanic(t *testing.T) {
 		out := sched.NewScheduler(sched.Config{}, ctrl).Run(sched.Program{Threads: []func(*sched.Thread){
 			func(t *sched.Thread) {
 				t.OpStart("a0")
-				t.Point(sched.PointAtomic)
+				t.Point()
 				panicInSubject()
 			},
 			opThread(1, "b"),
@@ -131,7 +131,7 @@ func pointLoop(n int) func(*sched.Thread) {
 	return func(t *sched.Thread) {
 		t.OpStart("loop")
 		for i := 0; i < n; i++ {
-			t.Point(sched.PointAtomic)
+			t.Point()
 		}
 		t.OpEnd("loop", "ok")
 	}
@@ -193,7 +193,7 @@ func TestPointContinueAllocs(t *testing.T) {
 		var perPoint float64
 		threads := append([]func(*sched.Thread){func(th *sched.Thread) {
 			th.OpStart("loop")
-			perPoint = testing.AllocsPerRun(points, func() { th.Point(sched.PointAtomic) })
+			perPoint = testing.AllocsPerRun(points, func() { th.Point() })
 			th.OpEnd("loop", "ok")
 		}}, others...)
 		// A switching point takes two decisions, the other thread's among them.

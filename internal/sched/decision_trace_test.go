@@ -54,11 +54,11 @@ func waitSetProgram() sched.Program {
 			waiter("wait0"), waiter("wait1"),
 			func(t *sched.Thread) {
 				t.OpStart("signal")
-				t.Point(sched.PointAtomic)
+				t.Point()
 				ws.Signal(t)
 				t.OpEnd("signal", "ok")
 				t.OpStart("broadcast")
-				t.Point(sched.PointAtomic)
+				t.Point()
 				ws.Broadcast(t)
 				t.OpEnd("broadcast", "ok")
 			},

@@ -18,12 +18,12 @@ func TestLivelockDetectedAsStuck(t *testing.T) {
 			th.OpStart("spinA")
 			flagA = true
 			for flagB {
-				th.Point(sched.PointAtomic)
+				th.Point()
 			}
 			// Spin while the other thread's flag is up; with both flags up
 			// neither loop exits.
 			for flagA && flagB {
-				th.Point(sched.PointAtomic)
+				th.Point()
 			}
 			th.OpEnd("spinA", "ok")
 		},
@@ -31,7 +31,7 @@ func TestLivelockDetectedAsStuck(t *testing.T) {
 			th.OpStart("spinB")
 			flagB = true
 			for flagA {
-				th.Point(sched.PointAtomic)
+				th.Point()
 			}
 			th.OpEnd("spinB", "ok")
 		},
@@ -70,7 +70,7 @@ func TestStepBudgetBoundary(t *testing.T) {
 		func(th *sched.Thread) {
 			th.OpStart("op")
 			for i := 0; i < mid; i++ {
-				th.Point(sched.PointAtomic)
+				th.Point()
 			}
 			th.OpEnd("op", "ok")
 		},

@@ -297,13 +297,13 @@ func TestParallelErrorDeterministic(t *testing.T) {
 			Threads: []func(*sched.Thread){
 				func(th *sched.Thread) {
 					th.OpStart("a")
-					th.Point(sched.PointAtomic)
+					th.Point()
 					aDone = true
 					th.OpEnd("a", "ok")
 				},
 				func(th *sched.Thread) {
 					th.OpStart("b")
-					th.Point(sched.PointAtomic)
+					th.Point()
 					if !aDone {
 						panic("b overtook a")
 					}

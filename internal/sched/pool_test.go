@@ -175,14 +175,14 @@ func TestPoolHungExecutionPoisonsNothing(t *testing.T) {
 				enter()
 				th.OpStart("a0")
 				inA.Store(true)
-				th.Point(sched.PointAtomic)
+				th.Point()
 				inA.Store(false)
 				th.OpEnd("a0", "ok")
 			},
 			func(th *sched.Thread) {
 				enter()
 				th.OpStart("b0")
-				th.Point(sched.PointAtomic)
+				th.Point()
 				if inA.Load() && trip() {
 					<-release
 				}

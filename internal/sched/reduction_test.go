@@ -13,7 +13,7 @@ import (
 func dataThread(loc, n int) func(t *sched.Thread) {
 	return func(t *sched.Thread) {
 		for i := 0; i < n; i++ {
-			t.Point(sched.PointAtomic)
+			t.Point()
 			t.Record(sched.MemWrite, loc, "x")
 		}
 	}
@@ -26,7 +26,7 @@ func mixedThread(name string, loc, n int) func(t *sched.Thread) {
 	return func(t *sched.Thread) {
 		t.OpStart(name)
 		for i := 0; i < n; i++ {
-			t.Point(sched.PointAtomic)
+			t.Point()
 			t.Record(sched.MemWrite, loc, name)
 		}
 		t.OpEnd(name, "ok")

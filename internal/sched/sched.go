@@ -51,79 +51,6 @@ type ThreadID int
 // scheduling decision of an execution).
 const NoThread ThreadID = -1
 
-// PointKind classifies an instrumented operation. The scheduler consults its
-// granularity setting to decide whether a point of a given kind is a
-// scheduling decision.
-type PointKind int
-
-const (
-	// PointRead is a plain (non-synchronizing) shared memory read.
-	PointRead PointKind = iota
-	// PointWrite is a plain shared memory write.
-	PointWrite
-	// PointAtomic is a synchronizing (volatile/interlocked) access.
-	PointAtomic
-	// PointLock is a lock acquire or try-acquire.
-	PointLock
-	// PointUnlock is a lock release.
-	PointUnlock
-	// PointOpStart precedes the invocation of a test operation.
-	PointOpStart
-	// PointOpEnd precedes the return of a test operation.
-	PointOpEnd
-	// PointYield is an explicit spin yield (fairness hint).
-	PointYield
-)
-
-// Granularity selects which point kinds are scheduling decisions in
-// concurrent mode. Serial mode ignores granularity: decisions are taken only
-// between operations there (see Config.Serial).
-type Granularity int
-
-const (
-	// GranAll preempts at every instrumented point, including plain data
-	// accesses. This is the default; it exposes bugs such as the unprotected
-	// counter increment of the paper's Section 2.2.
-	GranAll Granularity = iota
-	// GranSync preempts only at synchronizing points (atomics, locks, and
-	// operation boundaries), mirroring the CHESS default. Plain data accesses
-	// execute atomically with the preceding point; data races are still
-	// recorded in the trace and can be found by the race detector.
-	GranSync
-)
-
-func (g Granularity) String() string {
-	if g == GranSync {
-		return "sync"
-	}
-	return "all"
-}
-
-// MarshalText and UnmarshalText give a Granularity its one text form ("all",
-// "sync"; empty reads as all).
-func (g Granularity) MarshalText() ([]byte, error) { return []byte(g.String()), nil }
-
-func (g *Granularity) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "all", "":
-		*g = GranAll
-	case "sync":
-		*g = GranSync
-	default:
-		return fmt.Errorf("sched: unknown granularity %q (want all or sync)", b)
-	}
-	return nil
-}
-
-func (g Granularity) includes(k PointKind) bool {
-	switch k {
-	case PointRead, PointWrite:
-		return g == GranAll
-	default:
-		return true
-	}
-}
-
 type threadState int32
 
 const (
@@ -200,8 +127,6 @@ type Config struct {
 	// operations; it makes exhaustive serial exploration visit every serial
 	// history, full or stuck, exactly once (1680 executions for a 3x3 test).
 	Serial bool
-	// Granularity selects the preemption granularity in concurrent mode.
-	Granularity Granularity
 	// RecordTrace enables memory-access tracing for the race and atomicity
 	// checkers.
 	RecordTrace bool
@@ -994,28 +919,30 @@ func (s *Scheduler) killAll() {
 	}
 }
 
-// Point marks an instrumented operation of the given kind. Depending on mode
-// and granularity it is a scheduling decision, which may run other threads
-// before this one continues.
-func (t *Thread) Point(kind PointKind) {
-	s := t.sch
+// Point marks an instrumented operation. In concurrent mode it is a
+// scheduling decision, which may run other threads before this one continues.
+// In serial mode the only decision is the one OpStart takes between
+// operations, so Point only counts the operation's step.
+func (t *Thread) Point() {
+	t.step()
+	if !t.sch.cfg.Serial {
+		t.sch.transfer(t, stateRunnable, nil)
+	}
+}
+
+// step counts one instrumented step of the running operation. It unwinds the
+// thread if the execution was abandoned or the operation exceeded its step
+// budget.
+func (t *Thread) step() {
 	if t.killed.Load() {
 		// The execution was abandoned while this thread ran outside the
 		// scheduler's control; unwind before touching any shared state.
 		panic(killSentinel{})
 	}
 	t.stepsInOp++
-	if t.stepsInOp > s.cfg.maxOpSteps() {
+	if t.stepsInOp > t.sch.cfg.maxOpSteps() {
 		panic(divergeSentinel{})
 	}
-	if s.cfg.Serial {
-		if kind != PointOpStart {
-			return
-		}
-	} else if !s.cfg.Granularity.includes(kind) {
-		return
-	}
-	s.transfer(t, stateRunnable, nil)
 }
 
 // block parks the thread until a wait set wakes it (or the execution ends).
@@ -1096,13 +1023,14 @@ func (t *Thread) Record(kind MemKind, loc int, name string) {
 	t.sch.mu.Unlock()
 }
 
-// OpStart records the call event of an operation. The scheduling point
-// precedes the recording so that a descheduled thread has not yet invoked
-// the operation.
+// OpStart records the call event of an operation. It first takes a
+// scheduling decision, in serial mode too (the one decision between
+// operations), so that a descheduled thread has not yet invoked the operation.
 func (t *Thread) OpStart(name string) {
 	t.stepsInOp = 0
-	t.Point(PointOpStart)
+	t.step()
 	s := t.sch
+	s.transfer(t, stateRunnable, nil)
 	s.mu.Lock()
 	t.curOp = s.nextOp
 	s.nextOp++
@@ -1120,7 +1048,7 @@ func (t *Thread) OpStart(name string) {
 // overlap with the completed body before the response becomes visible.
 func (t *Thread) OpEnd(name, result string) {
 	op := t.curOp
-	t.Point(PointOpEnd)
+	t.Point()
 	t.curOp = -1
 	s := t.sch
 	s.mu.Lock()
@@ -1134,7 +1062,8 @@ func (t *Thread) OpEnd(name, result string) {
 }
 
 // Yield marks an explicit spin-wait yield (the fairness hint CHESS uses for
-// lock-free retry loops); it is always a scheduling decision.
+// lock-free retry loops). Like every Point, it is a scheduling decision in
+// concurrent mode only.
 func (t *Thread) Yield() {
-	t.Point(PointYield)
+	t.Point()
 }

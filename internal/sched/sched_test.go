@@ -15,7 +15,7 @@ func opThread(n int, label string) func(t *sched.Thread) {
 		for i := 0; i < n; i++ {
 			name := fmt.Sprintf("%s%d", label, i)
 			t.OpStart(name)
-			t.Point(sched.PointAtomic)
+			t.Point()
 			t.OpEnd(name, "ok")
 		}
 	}
@@ -109,7 +109,7 @@ func TestSerialEnumerationShapes(t *testing.T) {
 	spinsFirst := func(th *sched.Thread) {
 		th.OpStart("spin")
 		for {
-			th.Point(sched.PointAtomic)
+			th.Point()
 		}
 	}
 	for _, tc := range []struct {
@@ -121,7 +121,7 @@ func TestSerialEnumerationShapes(t *testing.T) {
 		{"empty row", sched.Program{Threads: threads(opThread(2, "a"), opThread(0, "b"), opThread(2, "c"))}, 6, 0},
 		{"only empty rows", sched.Program{Threads: threads(opThread(0, "a"), opThread(0, "b"))}, 1, 0},
 		{"setup and teardown", sched.Program{
-			Setup:    func(th *sched.Thread) { th.Point(sched.PointAtomic) },
+			Setup:    func(th *sched.Thread) { th.Point() },
 			Threads:  threads(opThread(2, "a"), opThread(2, "b")),
 			Teardown: opThread(2, "f"),
 		}, 6, 0},
@@ -248,7 +248,7 @@ func TestWaitSetSignalWakesWaiter(t *testing.T) {
 		},
 		func(t *sched.Thread) {
 			t.OpStart("signal")
-			t.Point(sched.PointAtomic)
+			t.Point()
 			ws.Broadcast(t)
 			t.OpEnd("signal", "ok")
 		},
@@ -291,7 +291,7 @@ func TestDivergenceDetected(t *testing.T) {
 		func(t *sched.Thread) {
 			t.OpStart("spin")
 			for {
-				t.Point(sched.PointAtomic)
+				t.Point()
 			}
 		},
 	}}
@@ -453,9 +453,9 @@ func TestTraceRecording(t *testing.T) {
 	prog := sched.Program{Threads: []func(*sched.Thread){
 		func(th *sched.Thread) {
 			th.OpStart("op")
-			th.Point(sched.PointAtomic)
+			th.Point()
 			th.Record(sched.MemAtomicStore, 0, "x")
-			th.Point(sched.PointRead)
+			th.Point()
 			th.Record(sched.MemRead, 1, "y")
 			th.OpEnd("op", "ok")
 		},

@@ -20,7 +20,7 @@ func uncooperative(hang func()) sched.Program {
 		func(t *sched.Thread) {
 			t.OpStart("b0")
 			hang()
-			t.Point(sched.PointAtomic)
+			t.Point()
 			t.OpEnd("b0", "ok")
 		},
 	}}
@@ -81,7 +81,7 @@ func TestWatchdogSparesSlowCooperative(t *testing.T) {
 			t.OpStart("slow")
 			for i := 0; i < 3; i++ {
 				time.Sleep(5 * time.Millisecond)
-				t.Point(sched.PointAtomic)
+				t.Point()
 			}
 			t.OpEnd("slow", "ok")
 		},
@@ -131,7 +131,7 @@ func TestDetectLeaksReportsRogueGoroutine(t *testing.T) {
 		func(t *sched.Thread) {
 			t.OpStart("rogue")
 			go func() { <-ch }() // escapes the scheduler entirely
-			t.Point(sched.PointAtomic)
+			t.Point()
 			t.OpEnd("rogue", "ok")
 		},
 	}}
@@ -169,13 +169,13 @@ func overlapPanicProgram() sched.Program {
 			func(t *sched.Thread) {
 				t.OpStart("a0")
 				inA = true
-				t.Point(sched.PointAtomic)
+				t.Point()
 				inA = false
 				t.OpEnd("a0", "ok")
 			},
 			func(t *sched.Thread) {
 				t.OpStart("b0")
-				t.Point(sched.PointAtomic)
+				t.Point()
 				if inA {
 					panic("overlap observed")
 				}
@@ -330,7 +330,7 @@ func TestWatchdogSparesLongCooperative(t *testing.T) {
 			t.OpStart("long")
 			for i := 0; i < 15; i++ {
 				time.Sleep(watchdog / 5)
-				t.Point(sched.PointAtomic)
+				t.Point()
 			}
 			t.OpEnd("long", "ok")
 		},
@@ -384,7 +384,7 @@ func TestWatchdogNamesThreadHungAfterSwitch(t *testing.T) {
 // unwound: all at once, so a quick one is not held up behind a slow one, and
 // each by running it, so one that was spawned but never started still unwinds.
 func TestAbandonedThreadTakesNoDecision(t *testing.T) {
-	point := func(t *sched.Thread) { t.Point(sched.PointAtomic) }
+	point := func(t *sched.Thread) { t.Point() }
 	for _, tc := range []struct {
 		name   string
 		tail   func(*sched.Thread) // what thread B does once released

@@ -101,7 +101,7 @@ type Config struct {
 	// checked against. Required.
 	Model *monitor.Model
 	// Monitor carries the per-window search options (mode for the final
-	// residual windows, NoMemo, MaxStates). Partitioning inside the monitor
+	// residual windows, MaxStates). Partitioning inside the monitor
 	// is disabled by the server — the stream is split before windowing.
 	Monitor monitor.Options
 	// Workers is the checker pool size; 0 selects GOMAXPROCS.

@@ -32,14 +32,14 @@ func NewCell[T any](t *sched.Thread, name string, init T) *Cell[T] {
 
 // Load reads the cell.
 func (c *Cell[T]) Load(t *sched.Thread) T {
-	t.Point(sched.PointRead)
+	t.Point()
 	t.Record(sched.MemRead, c.loc, c.name)
 	return c.v
 }
 
 // Store writes the cell.
 func (c *Cell[T]) Store(t *sched.Thread, v T) {
-	t.Point(sched.PointWrite)
+	t.Point()
 	t.Record(sched.MemWrite, c.loc, c.name)
 	c.v = v
 }
@@ -60,14 +60,14 @@ func NewAtomic[T comparable](t *sched.Thread, name string, init T) *Atomic[T] {
 
 // Load performs a volatile read.
 func (a *Atomic[T]) Load(t *sched.Thread) T {
-	t.Point(sched.PointAtomic)
+	t.Point()
 	t.Record(sched.MemAtomicLoad, a.loc, a.name)
 	return a.v
 }
 
 // Store performs a volatile write.
 func (a *Atomic[T]) Store(t *sched.Thread, v T) {
-	t.Point(sched.PointAtomic)
+	t.Point()
 	t.Record(sched.MemAtomicStore, a.loc, a.name)
 	a.v = v
 }
@@ -75,7 +75,7 @@ func (a *Atomic[T]) Store(t *sched.Thread, v T) {
 // CompareAndSwap atomically replaces the value with new if it equals old,
 // reporting whether the swap happened.
 func (a *Atomic[T]) CompareAndSwap(t *sched.Thread, old, new T) bool {
-	t.Point(sched.PointAtomic)
+	t.Point()
 	t.Record(sched.MemAtomicRMW, a.loc, a.name)
 	if a.v == old {
 		a.v = new
@@ -86,7 +86,7 @@ func (a *Atomic[T]) CompareAndSwap(t *sched.Thread, old, new T) bool {
 
 // Swap atomically replaces the value and returns the previous one.
 func (a *Atomic[T]) Swap(t *sched.Thread, v T) T {
-	t.Point(sched.PointAtomic)
+	t.Point()
 	t.Record(sched.MemAtomicRMW, a.loc, a.name)
 	old := a.v
 	a.v = v
@@ -116,7 +116,7 @@ func (i *AtomicInt) CompareAndSwap(t *sched.Thread, old, new int) bool {
 
 // Add atomically adds delta and returns the new value (Interlocked.Add).
 func (i *AtomicInt) Add(t *sched.Thread, delta int) int {
-	t.Point(sched.PointAtomic)
+	t.Point()
 	t.Record(sched.MemAtomicRMW, i.a.loc, i.a.name)
 	i.a.v += delta
 	return i.a.v
@@ -144,7 +144,7 @@ func NewMutex(t *sched.Thread, name string) *Mutex {
 
 // Lock acquires the mutex, blocking while it is held by another thread.
 func (m *Mutex) Lock(t *sched.Thread) {
-	t.Point(sched.PointLock)
+	t.Point()
 	for m.holder != nil && m.holder != t {
 		m.ws.Wait(t)
 	}
@@ -156,7 +156,7 @@ func (m *Mutex) Lock(t *sched.Thread) {
 // TryLock acquires the mutex if it is free (or already held by t) and
 // reports whether it did.
 func (m *Mutex) TryLock(t *sched.Thread) bool {
-	t.Point(sched.PointLock)
+	t.Point()
 	if m.holder != nil && m.holder != t {
 		// The failed attempt records nothing, but its result observed the
 		// holder; footprint the read so reduction never commutes it past an
@@ -173,7 +173,7 @@ func (m *Mutex) TryLock(t *sched.Thread) bool {
 // Unlock releases the mutex. Releasing a mutex the thread does not hold
 // panics, as that is a bug in the implementation under test.
 func (m *Mutex) Unlock(t *sched.Thread) {
-	t.Point(sched.PointUnlock)
+	t.Point()
 	if m.holder != t {
 		panic("vsync: unlock of mutex not held by this thread")
 	}

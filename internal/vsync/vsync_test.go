@@ -103,7 +103,7 @@ func TestMutexContention(t *testing.T) {
 		Threads: []func(*sched.Thread){
 			func(th *sched.Thread) {
 				m.Lock(th)
-				th.Point(sched.PointAtomic) // give B a chance to contend
+				th.Point() // give B a chance to contend
 				order = append(order, "A")
 				m.Unlock(th)
 			},
@@ -144,7 +144,7 @@ func TestTryLockContended(t *testing.T) {
 			Threads: []func(*sched.Thread){
 				func(th *sched.Thread) {
 					(*m).Lock(th)
-					th.Point(sched.PointAtomic)
+					th.Point()
 					(*m).Unlock(th)
 				},
 				func(th *sched.Thread) {
