@@ -26,7 +26,9 @@ func (o Options) explore(sub *Subject, m *Test, cfg sched.ExploreConfig, visit f
 // Options.Workers; their order is not when more than one worker explores.
 // Visit calls are serialized under an internal lock, so single-threaded
 // visitors stay correct, and when visit returns false the statistics are
-// those of the sequential run that stops at the earliest such execution.
+// those of the sequential run that stops at the earliest such execution. An
+// outcome, its slices included, is valid only during its visit: a visitor
+// that keeps one keeps its Clone.
 func ForEachExecution(sub *Subject, m *Test, opts Options, recordTrace bool, visit func(*sched.Outcome) bool) (sched.ExploreStats, error) {
 	var mu sync.Mutex
 	return opts.explore(sub, m, opts.exploreConfig(false, recordTrace), func(out *sched.Outcome, _ sched.Pos) bool {
@@ -36,7 +38,8 @@ func ForEachExecution(sub *Subject, m *Test, opts Options, recordTrace bool, vis
 	})
 }
 
-// ForEachSerialExecution is the serial-mode sibling of ForEachExecution.
+// ForEachSerialExecution is the serial-mode sibling of ForEachExecution, with
+// the same outcome lifetime: valid only during its visit.
 func ForEachSerialExecution(sub *Subject, m *Test, opts Options, recordTrace bool, visit func(*sched.Outcome) bool) (sched.ExploreStats, error) {
 	var holder any
 	return sched.Explore(opts.exploreConfig(true, recordTrace), program(sub, m, &holder), visit)

@@ -172,7 +172,7 @@ func BenchmarkPoint(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			cfg := sched.Config{MaxOpSteps: b.N + 2, Prealloc: sched.CapHint{Schedule: b.N + 4}}
+			cfg := sched.Config{MaxOpSteps: b.N + 2}
 			out := sched.NewScheduler(cfg, bc.ctrl).Run(bc.prog(b.N))
 			if out.Stuck || out.Err != nil {
 				b.Fatalf("stuck %v, err %v", out.Stuck, out.Err)
@@ -196,9 +196,7 @@ func TestPointContinueAllocs(t *testing.T) {
 			perPoint = testing.AllocsPerRun(points, func() { th.Point() })
 			th.OpEnd("loop", "ok")
 		}}, others...)
-		// A switching point takes two decisions, the other thread's among them.
-		cfg := sched.Config{Prealloc: sched.CapHint{Schedule: 2*points + 16}}
-		if out := sched.NewScheduler(cfg, ctrl).Run(sched.Program{Threads: threads}); out.Stuck || out.Err != nil {
+		if out := sched.NewScheduler(sched.Config{}, ctrl).Run(sched.Program{Threads: threads}); out.Stuck || out.Err != nil {
 			t.Fatalf("stuck %v, err %v", out.Stuck, out.Err)
 		}
 		return perPoint

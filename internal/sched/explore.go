@@ -82,14 +82,15 @@ type choice struct {
 	// retired branches, minus entries woken by dependence on the parent's
 	// executed window). explored accumulates this node's retired branches
 	// that are eligible to put descendants to sleep. foot is the window
-	// footprint of the branch currently at next, recorded by the first
-	// execution through it and cleared when the branch is retired. exhausted
-	// marks a node whose every affordable branch was asleep at creation: its
-	// single forced continuation is provably redundant, so the node never
-	// branches.
+	// footprint of the branch currently at next, recorded (footSet) by the
+	// first execution through it and poisoned while it is not; the node keeps
+	// its buffer, like sleep's and explored's, when recycled. exhausted marks
+	// a node whose every affordable branch was asleep at creation: its single
+	// forced continuation is provably redundant, so the node never branches.
 	sleep     []sleepEntry
 	explored  []sleepEntry
-	foot      *Footprint
+	foot      Footprint
+	footSet   bool
 	exhausted bool
 }
 
@@ -107,10 +108,9 @@ func (c *choice) cost(i int) int {
 // prefix generator of SplitUnits — is an explorer behind a coordinator, which
 // decides budget, termination, and stealing.
 type explorer struct {
-	// cfg is the per-execution scheduler configuration; its Prealloc is fed
-	// from every finished execution (steady-state executions of one
-	// exploration have near-identical shapes).
+	// cfg configures every execution; sch runs them, replaced after a hang.
 	cfg     Config
+	sch     *Scheduler
 	bound   int
 	red     Reduction
 	contain bool // ExploreConfig.ContinueOnFailure
@@ -119,9 +119,11 @@ type explorer struct {
 	depth   int
 	budget  int
 	// pool carries worker coroutines and scheduler buffers from one execution
-	// to the next; free holds the nodes advanceAbove popped, for Pick to reuse.
-	pool pool
-	free []*choice
+	// to the next; free holds the nodes advanceAbove popped, for Pick to
+	// reuse; store holds the footprints of retired branches.
+	pool  pool
+	free  []*choice
+	store footStore
 	// counted is what the explorer ran, decided and skipped (sleep-set skips,
 	// see ExploreStats.Pruned) since the last take: one shard's share of the
 	// statistics.
@@ -197,13 +199,17 @@ func (e *explorer) step(prog Program) (out *Outcome, p Pos, ok bool) {
 	e.counted.Executions++
 	e.depth, e.budget = 0, e.bound
 	e.tel.Add(telemetry.ExecutionsStarted, 1)
-	s := NewScheduler(e.cfg, e)
-	s.pool = &e.pool
-	out = s.Run(prog)
+	if e.sch == nil {
+		e.sch = &Scheduler{pool: &e.pool}
+	}
+	e.sch.reset(e.cfg, e)
+	out = e.sch.Run(prog)
+	if out.Hung {
+		e.sch = nil // its abandoned threads may still append to it
+	}
 	e.seed, e.seedExplored = nil, nil
 	e.flushTelemetry(out)
 	e.counted.Decisions += out.Decisions
-	e.cfg.Prealloc = CapHint{Events: len(out.Events), Schedule: len(out.Schedule), Trace: len(out.Trace)}
 	if out.FailureKind() != FailNone {
 		if e.red == ReductionSleep {
 			// The failure interrupted the deepest window mid-flight; its
@@ -291,16 +297,17 @@ func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 	}
 	var c *choice
 	if n := len(e.free); n > 0 {
-		// A recycled node keeps the buffers it owns (cloneStack copies both).
+		// A recycled node keeps the buffers it owns (cloneStack copies them).
 		c, e.free = e.free[n-1], e.free[:n-1]
-		*c = choice{enabled: c.enabled[:0], explored: c.explored[:0]}
+		*c = choice{enabled: c.enabled[:0], sleep: c.sleep[:0], explored: c.explored[:0],
+			foot: Footprint{Global: true, Acc: c.foot.Acc[:0]}}
 	} else {
-		c = new(choice)
+		c = &choice{foot: Footprint{Global: true}}
 	}
 	ord := orderChoices(c.enabled, cur, curEnabled, enabled)
 	c.enabled, c.cur, c.curEnabled, c.budget = ord, cur, curEnabled, e.budget
 	if e.red == ReductionSleep {
-		c.sleep = e.childSleep()
+		c.sleep = e.childSleep(c.sleep)
 	}
 	if e.depth < len(e.seed) {
 		// Unit replay: the seed pins the branch (and restores the retired
@@ -313,7 +320,7 @@ func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 		}
 		if e.depth < len(e.seedExplored) {
 			for _, br := range e.seedExplored[e.depth] {
-				c.explored = append(c.explored, sleepEntry{tid: br.Thread, foot: br.Foot.clone()})
+				c.explored = append(c.explored, sleepEntry{tid: br.Thread, foot: e.store.keep(&br.Foot)})
 			}
 		}
 		if e.red == ReductionSleep && c.next == 0 {
@@ -368,25 +375,24 @@ func (e *explorer) sleeps(c *choice, i int) bool {
 	return false
 }
 
-// childSleep computes the sleep set of the node about to be created from its
-// parent (the deepest stack node): the parent's sleeping threads plus the
-// threads of the parent's retired branches, minus the thread the parent is
+// childSleep appends to out the sleep set of the node about to be created
+// from its parent (the deepest stack node): the parent's sleeping threads plus
+// the threads of the parent's retired branches, minus the thread the parent is
 // executing and minus every entry whose deferred step depends on the parent's
 // executed window (a dependent step must be rescheduled — only reorderings of
 // independent steps are redundant).
-func (e *explorer) childSleep() []sleepEntry {
+func (e *explorer) childSleep(out []sleepEntry) []sleepEntry {
 	if e.depth == 0 {
-		return nil
+		return out
 	}
 	p := e.stack[e.depth-1]
 	w := p.enabled[p.next]
-	var out []sleepEntry
 	for _, src := range [2][]sleepEntry{p.sleep, p.explored} {
 		for _, s := range src {
 			if s.tid == w {
 				continue
 			}
-			if s.foot.ConflictsWith(p.foot) {
+			if s.foot.ConflictsWith(&p.foot) {
 				// The deferred step depends on the executed window: wake it.
 				e.wakes++
 				continue
@@ -441,35 +447,33 @@ func (e *explorer) flushPruneTelemetry() {
 
 // retire closes out the branch currently at c.next: its subtree is fully
 // explored. If the branch is eligible to put later siblings' descendants to
-// sleep, it is recorded with its window footprint. Under preemption bounding
-// only the current thread's free continuation (branch 0 with cur enabled) is
-// eligible: moving that branch's step later in an equivalent schedule never
-// costs an extra preemption, so the pruned schedule's representative is
-// affordable wherever the pruned schedule was. Unbounded explorations have no
-// budget to respect and use classic full sleep sets. See DESIGN.md.
+// sleep, it is recorded with a copy of its window footprint kept in the store.
+// Under preemption bounding only the current thread's free continuation
+// (branch 0 with cur enabled) is eligible: moving that branch's step later in
+// an equivalent schedule never costs an extra preemption, so the pruned
+// schedule's representative is affordable wherever the pruned schedule was.
+// Unbounded explorations have no budget to respect and use classic full sleep
+// sets. See DESIGN.md.
 func (e *explorer) retire(c *choice) {
-	if e.red != ReductionSleep || c.exhausted {
-		c.foot = nil
-		return
+	if e.red == ReductionSleep && !c.exhausted && (e.bound == Unbounded || (c.next == 0 && c.curEnabled)) {
+		c.explored = append(c.explored, sleepEntry{tid: c.enabled[c.next], foot: e.store.keep(&c.foot)})
 	}
-	if e.bound == Unbounded || (c.next == 0 && c.curEnabled) {
-		c.explored = append(c.explored, sleepEntry{tid: c.enabled[c.next], foot: footOrGlobal(c.foot)})
-	}
-	c.foot = nil
+	c.foot.set(globalFoot)
+	c.footSet = false
 }
 
 // observeWindow receives the footprint of the window closed by the upcoming
 // decision (or by the end of the execution); it belongs to the branch
 // currently explored at the deepest already-visited level. The footprint is
 // only recorded once per branch — replayed prefixes regenerate identical
-// windows.
+// windows — into the node's own buffer.
 func (e *explorer) observeWindow(f *Footprint) {
 	if e.depth == 0 || e.depth > len(e.stack) {
 		return
 	}
-	c := e.stack[e.depth-1]
-	if c.foot == nil {
-		c.foot = f.clone()
+	if c := e.stack[e.depth-1]; !c.footSet {
+		c.foot.set(f)
+		c.footSet = true
 	}
 }
 
@@ -481,7 +485,9 @@ func (e *explorer) poisonDeepest() {
 	if e.depth == 0 || e.depth > len(e.stack) {
 		return
 	}
-	e.stack[e.depth-1].foot = globalFootprint()
+	c := e.stack[e.depth-1]
+	c.foot.set(globalFoot)
+	c.footSet = true
 }
 
 // advanceAbove backtracks to the deepest decision at a level >= floor with
@@ -576,8 +582,9 @@ func sameIDsOrdered(ord []ThreadID, cur ThreadID, curEnabled bool, enabled []Thr
 // to stop at the first linearizability violation). The returned stats count
 // executions and decisions; err is non-nil if an execution failed (a panic,
 // watchdog hang, or goroutine leak — unless cfg.ContinueOnFailure hands
-// failed outcomes to visit instead) or the execution budget ran out. It is
-// ExploreUnit on the root unit, for visitors that need no position.
+// failed outcomes to visit instead) or the execution budget ran out. An
+// outcome is valid only during its visit (keep its Clone). It is ExploreUnit
+// on the root unit, for visitors that need no position.
 func Explore(cfg ExploreConfig, prog Program, visit func(*Outcome) bool) (ExploreStats, error) {
 	return ExploreUnit(cfg, prog, WorkUnit{}, func(out *Outcome, _ Pos) bool { return visit(out) })
 }
@@ -588,7 +595,7 @@ func exploredOf(stack []*choice) [][]BranchRecord {
 	out := make([][]BranchRecord, len(stack))
 	for i, c := range stack {
 		for _, s := range c.explored {
-			out[i] = append(out[i], BranchRecord{Thread: s.tid, Foot: *footOrGlobal(s.foot)})
+			out[i] = append(out[i], BranchRecord{Thread: s.tid, Foot: *s.foot})
 		}
 	}
 	return out

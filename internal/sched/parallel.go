@@ -121,16 +121,18 @@ func (sh *shard) split(e *explorer) *shard {
 }
 
 // cloneStack deep-copies the choice structs of a decision stack so that two
-// explorers can advance the same prefix independently. The sleep slice is
-// shared (never mutated after creation) and footprints are immutable once
-// recorded; enabled and explored are buffers their node owns and whichever
-// explorer pops the node recycles, so they are copied.
+// explorers can advance the same prefix independently. enabled, sleep,
+// explored and the window footprint are buffers their node owns and whichever
+// explorer pops the node recycles, so they are copied; the footprints sleep
+// entries point to are immutable store records and are shared.
 func cloneStack(stack []*choice) []*choice {
 	out := make([]*choice, len(stack))
 	for i, c := range stack {
 		cc := *c
 		cc.enabled = append([]ThreadID(nil), c.enabled...)
+		cc.sleep = append([]sleepEntry(nil), c.sleep...)
 		cc.explored = append([]sleepEntry(nil), c.explored...)
+		cc.foot.Acc = append([]LocAccess(nil), c.foot.Acc...)
 		out[i] = &cc
 	}
 	return out
@@ -375,7 +377,8 @@ func (co *coordinator) help(e *explorer, prog Program, visit func(*Outcome, Pos)
 //
 // visit may be called concurrently from several workers; callers that
 // accumulate state must synchronize. Every outcome carries its Pos in the
-// sequential exploration order. When a visit returns false, exploration is
+// sequential exploration order; like the Pos, the outcome is valid only
+// during the visit (keep its Clone). When a visit returns false, exploration is
 // canceled deterministically: work strictly after that position (in
 // sequential order) is abandoned, while earlier work runs to completion, so
 // the minimal stopping position — and hence the caller's min-position

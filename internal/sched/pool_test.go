@@ -31,6 +31,26 @@ func settlesTo(t *testing.T, want int) {
 	}
 }
 
+// holdsStill waits until the process goroutine count has not changed for a
+// while. A goroutine an earlier test left behind on its way out (a retired
+// worker, an abandoned thread unwinding) could otherwise exit in the middle of
+// an execution whose leak count is being read, and cancel out a leak.
+func holdsStill(t *testing.T) {
+	t.Helper()
+	const still = 50 * time.Millisecond
+	deadline := time.Now().Add(2 * time.Second)
+	n, since := runtime.NumGoroutine(), time.Now()
+	for time.Since(since) < still {
+		if time.Now().After(deadline) {
+			t.Fatalf("the goroutine count did not hold still for %v (now %d)", still, n)
+		}
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, since = m, time.Now()
+		}
+	}
+}
+
 // TestPoolThreadHandlesAreNeverReused: a *Thread is an identity (wait sets that
 // outlive an execution are keyed by it), so the pool recycles the goroutine
 // behind a thread and never the handle.
@@ -198,7 +218,7 @@ func TestPoolHungExecutionPoisonsNothing(t *testing.T) {
 	}
 	var outs []*sched.Outcome
 	if _, err := sched.Explore(cfg, prog, func(o *sched.Outcome) bool {
-		outs = append(outs, o)
+		outs = append(outs, o.Clone())
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -234,11 +254,116 @@ func TestPoolHungExecutionPoisonsNothing(t *testing.T) {
 	}
 }
 
+// TestPoolHungSchedulerIsDropped: a thread abandoned by the watchdog keeps
+// its scheduler and may still record into it when the subject lets it go, so
+// the explorer runs the executions after a hang on a fresh scheduler. Here the
+// abandoned thread records stray accesses in the middle of the next execution,
+// and that execution's trace must still be what a one-off replay records.
+func TestPoolHungSchedulerIsDropped(t *testing.T) {
+	sched.RequireNoLeaks(t)
+	const hangAt = 3
+	release, during, recorded := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	mk := func(hang bool) sched.Program {
+		var execs atomic.Int32 // the abandoned thread read it last
+		return sched.Program{
+			Setup: func(*sched.Thread) {
+				if hang && execs.Add(1) == hangAt+1 {
+					close(during)
+					<-recorded
+				}
+			},
+			Threads: []func(*sched.Thread){opThread(2, "a"), func(th *sched.Thread) {
+				th.OpStart("b0")
+				if hang && execs.Load() == hangAt {
+					<-release
+					<-during
+					for i := 0; i < 10; i++ {
+						th.Record(sched.MemWrite, 1, "stray")
+					}
+					close(recorded)
+				}
+				th.Record(sched.MemRead, 0, "x")
+				th.OpEnd("b0", "ok")
+			}},
+		}
+	}
+	cfg := sched.ExploreConfig{
+		Config:            sched.Config{RecordTrace: true, Watchdog: 100 * time.Millisecond, AbandonGrace: 5 * time.Millisecond},
+		PreemptionBound:   2,
+		ContinueOnFailure: true,
+	}
+	var outs []*sched.Outcome
+	if _, err := sched.Explore(cfg, mk(true), func(o *sched.Outcome) bool {
+		if o.Hung {
+			close(release)
+		}
+		outs = append(outs, o.Clone())
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) < hangAt+5 || !outs[hangAt-1].Hung {
+		t.Fatalf("%d executions, want execution %d of more than %d to hang", len(outs), hangAt, hangAt+4)
+	}
+	for i, o := range outs[hangAt:] {
+		r, err := sched.ReplaySchedule(cfg.Config, mk(false), o.Schedule)
+		if err != nil {
+			t.Fatalf("execution %d: replay: %v", hangAt+1+i, err)
+		}
+		if o.FailureKind() != sched.FailNone || !reflect.DeepEqual(r.Trace, o.Trace) || !reflect.DeepEqual(r.Events, o.Events) {
+			t.Fatalf("execution %d after the hang differs from its replay (%v):\nexplored %v\nreplayed %v",
+				hangAt+1+i, o.FailureError(), o.Trace, r.Trace)
+		}
+	}
+}
+
+// TestPoolOutcomeValidDuringVisit: an explorer reuses its outcome and the
+// outcome's buffers from one execution to the next, so what a visitor clones
+// during the visit must be that execution whole — what a one-off replay of its
+// schedule, on a fresh scheduler, produces — with one worker and with two.
+func TestPoolOutcomeValidDuringVisit(t *testing.T) {
+	sched.RequireNoLeaks(t)
+	defer sched.SetRecruitAfter(1)()
+	mk := func() sched.Program {
+		return sched.Program{Threads: []func(*sched.Thread){
+			mixedThread("a", 0, 2), mixedThread("b", 0, 1), mixedThread("c", 1, 2),
+		}}
+	}
+	cfg := sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionSleep}
+	for _, workers := range []int{1, 2} {
+		var mu sync.Mutex
+		var clones []*sched.Outcome
+		stats, err := sched.ExploreParallel(cfg, workers, mk, func(o *sched.Outcome, _ sched.Pos) bool {
+			mu.Lock()
+			clones = append(clones, o.Clone())
+			mu.Unlock()
+			return true
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(clones) != stats.Executions || len(clones) < 20 {
+			t.Fatalf("workers=%d: %d outcomes visited, %d executions", workers, len(clones), stats.Executions)
+		}
+		for i, o := range clones {
+			r, err := sched.ReplaySchedule(sched.Config{}, mk(), o.Schedule)
+			if err != nil {
+				t.Fatalf("workers=%d, outcome %d: replay: %v", workers, i, err)
+			}
+			if !reflect.DeepEqual(r.Events, o.Events) || !reflect.DeepEqual(r.Schedule, o.Schedule) || r.Stuck != o.Stuck {
+				t.Fatalf("workers=%d, outcome %d differs from its replay:\nkept     %v %v stuck=%v\nreplayed %v %v stuck=%v",
+					workers, i, o.Schedule, o.Events, o.Stuck, r.Schedule, r.Events, r.Stuck)
+			}
+		}
+	}
+}
+
 // TestPoolDetectLeaksCountsSubjectGoroutines: workers are the scheduler's
 // goroutines. The execution that starts them reports no leak, and a goroutine
 // the subject starts behind the scheduler's back is still reported, once.
 func TestPoolDetectLeaksCountsSubjectGoroutines(t *testing.T) {
 	sched.RequireNoLeaks(t)
+	holdsStill(t)
 	stop := make(chan struct{})
 	defer close(stop)
 	execs := 0

@@ -168,17 +168,6 @@ type Config struct {
 	// TrackFootprints — footprints are per-decision-window and consumed by
 	// reduction, coverage is per-execution and consumed by the caller.
 	TrackCoverage bool
-	// Prealloc sizes the execution's event, schedule, and trace buffers up
-	// front. Explorations set it from the previous execution's outcome so
-	// that steady-state executions allocate each buffer once.
-	Prealloc CapHint
-}
-
-// CapHint carries slice capacity hints for one execution's recording buffers.
-type CapHint struct {
-	Events   int
-	Schedule int
-	Trace    int
 }
 
 func (c Config) maxOpSteps() int {
@@ -257,7 +246,8 @@ type MemEvent struct {
 	Op     int    // global operation index the access belongs to, -1 outside ops
 }
 
-// Outcome summarizes one execution.
+// Outcome summarizes one execution. One an exploration hands to a visit is
+// valid only during the visit, slices included; Run's caller owns the rest.
 type Outcome struct {
 	// Stuck reports whether the execution could not complete: at the end no
 	// thread was runnable but not all threads had finished (deadlock), or all
@@ -306,17 +296,30 @@ type Outcome struct {
 	Coverage []uint64
 }
 
+// Clone returns a copy of o that shares no buffer with it, for a visitor that
+// keeps an outcome.
+func (o *Outcome) Clone() *Outcome {
+	c := *o
+	c.Events = append([]OpEvent(nil), o.Events...)
+	c.Trace = append([]MemEvent(nil), o.Trace...)
+	c.Schedule = append([]ThreadID(nil), o.Schedule...)
+	c.LeakedThreads = append([]string(nil), o.LeakedThreads...)
+	c.Coverage = append([]uint64(nil), o.Coverage...)
+	return &c
+}
+
 // CoverageKey encodes one (MemKind, location) coverage pair of
 // Outcome.Coverage. The kind occupies the low three bits.
 func CoverageKey(kind MemKind, loc int) uint64 {
 	return uint64(loc)<<3 | uint64(kind)&0x7
 }
 
-// Scheduler coordinates the logical threads of a single execution. A fresh
-// Scheduler is created for every execution and is not reusable; what it takes
-// from its pool — the workers its threads run on, the end and dead channels
-// and the threads, ebuf and ids buffers — outlives it when an exploration lent
-// it the pool (see pool).
+// Scheduler coordinates the logical threads of one execution at a time. An
+// explorer keeps one, resets it before each execution (keeping its recording
+// buffers, window accumulator and outcome) and replaces it after a hang; what
+// it takes from the explorer's pool — workers, the end and dead channels and
+// the threads, ebuf and ids buffers — outlives it too (see pool). The Thread
+// slab is made per execution.
 type Scheduler struct {
 	cfg     Config
 	ctrl    Controller
@@ -375,6 +378,7 @@ type Scheduler struct {
 	// hook). wfoot is the reusable window accumulator.
 	fo    footprintObserver
 	wfoot Footprint
+	out   Outcome // what Run returns
 }
 
 // NewScheduler creates the scheduler for one execution of prog under ctrl.
@@ -382,10 +386,22 @@ type Scheduler struct {
 // thread while it is enabled, otherwise switch to the lowest-ID enabled
 // thread.
 func NewScheduler(cfg Config, ctrl Controller) *Scheduler {
+	s := new(Scheduler)
+	s.reset(cfg, ctrl)
+	return s
+}
+
+// reset readies s for an execution under cfg and ctrl, keeping the pool and
+// the buffers of the previous one, which must not have hung.
+func (s *Scheduler) reset(cfg Config, ctrl Controller) {
 	if ctrl == nil {
 		ctrl = defaultController{}
 	}
-	s := &Scheduler{cfg: cfg, ctrl: ctrl}
+	*s = Scheduler{
+		cfg: cfg, ctrl: ctrl, pool: s.pool,
+		events: s.events[:0], schedule: s.schedule[:0], trace: s.trace[:0],
+		wfoot: Footprint{Acc: s.wfoot.Acc[:0]},
+	}
 	if cfg.TrackCoverage {
 		s.cov = make(map[uint64]struct{})
 	}
@@ -394,7 +410,6 @@ func NewScheduler(cfg Config, ctrl Controller) *Scheduler {
 			s.fo = fo
 		}
 	}
-	return s
 }
 
 type defaultController struct{}
@@ -515,7 +530,7 @@ func (s *Scheduler) spawn(name string, body func(t *Thread)) {
 }
 
 // Run executes the program to completion (or stuckness) and returns the
-// outcome. It must be called exactly once.
+// outcome. It must be called exactly once after NewScheduler or reset.
 func (s *Scheduler) Run(prog Program) *Outcome {
 	n := len(prog.Threads) + 2 // plus the setup and teardown pseudo-threads
 	p := s.pool
@@ -533,17 +548,6 @@ func (s *Scheduler) Run(prog Program) *Outcome {
 	p.used = 0
 	s.end, s.dead, s.threads, s.ebuf, s.ids = p.end, p.dead, p.threads, p.ebuf, p.ids
 	s.slab = make([]Thread, n)
-	if h := s.cfg.Prealloc; h != (CapHint{}) {
-		if h.Events > 0 {
-			s.events = make([]OpEvent, 0, h.Events)
-		}
-		if h.Schedule > 0 {
-			s.schedule = make([]ThreadID, 0, h.Schedule)
-		}
-		if h.Trace > 0 && s.cfg.RecordTrace {
-			s.trace = make([]MemEvent, 0, h.Trace)
-		}
-	}
 	baseGoroutines := 0
 	if s.cfg.DetectLeaks {
 		// Workers are the scheduler's goroutines, not the subject's: take the
@@ -575,19 +579,20 @@ func (s *Scheduler) Run(prog Program) *Outcome {
 		// see it, once the execution's goroutines are unwound.
 		panic(s.fault)
 	}
-	out := &Outcome{
-		Stuck:      s.stuck,
-		Decisions:  s.decisions,
-		Schedule:   s.schedule,
-		Err:        s.execErr,
-		PanicValue: s.panicVal,
-		PanicStack: s.panicStack,
-		Hung:       s.hung,
+	out := &s.out
+	*out = Outcome{
+		Stuck:         s.stuck,
+		Decisions:     s.decisions,
+		Schedule:      s.schedule,
+		Err:           s.execErr,
+		PanicValue:    s.panicVal,
+		PanicStack:    s.panicStack,
+		Hung:          s.hung,
+		LeakedThreads: s.leaked,
 	}
 	if s.hung {
 		out.HungThread = s.holder.name
 	}
-	out.LeakedThreads = append(out.LeakedThreads, s.leaked...)
 	s.mu.Lock()
 	// Deliver the final decision window (the steps after the last Pick). For
 	// failed executions the window may be incomplete; the explorer poisons it.

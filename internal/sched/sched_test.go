@@ -28,7 +28,7 @@ func exploreAll(t *testing.T, cfg sched.ExploreConfig, prog sched.Program) ([]*s
 		if o.Err != nil {
 			t.Fatalf("execution error: %v", o.Err)
 		}
-		outs = append(outs, o)
+		outs = append(outs, o.Clone())
 		return true
 	})
 	if err != nil {
@@ -317,7 +317,7 @@ func TestReplayReproducesEvents(t *testing.T) {
 	}, mk(), func(o *sched.Outcome) bool {
 		n++
 		if n == 5 {
-			want = o.Events
+			want = o.Clone().Events
 			return true
 		}
 		return true

@@ -99,10 +99,33 @@ func (f *Footprint) reset() {
 	f.Acc = f.Acc[:0]
 }
 
-func (f *Footprint) clone() *Footprint {
-	c := &Footprint{Global: f.Global, Event: f.Event}
-	if len(f.Acc) > 0 {
-		c.Acc = append(make([]LocAccess, 0, len(f.Acc)), f.Acc...)
+// set makes f a copy of g in f's own buffer.
+func (f *Footprint) set(g *Footprint) {
+	f.Global, f.Event, f.Acc = g.Global, g.Event, append(f.Acc[:0], g.Acc...)
+}
+
+// footStore copies the footprints of an explorer's retired branches into
+// chunks, so a record costs no allocation of its own. A record is never
+// written again: sleep entries, cloned stacks and work units share it.
+type footStore struct {
+	foots []Footprint
+	accs  []LocAccess
+}
+
+// keep returns an immutable copy of f.
+func (st *footStore) keep(f *Footprint) *Footprint {
+	if len(st.foots) == cap(st.foots) {
+		st.foots = make([]Footprint, 0, 256)
+	}
+	st.foots = append(st.foots, Footprint{Global: f.Global, Event: f.Event})
+	c := &st.foots[len(st.foots)-1]
+	if n := len(f.Acc); n > 0 {
+		if cap(st.accs)-len(st.accs) < n {
+			st.accs = make([]LocAccess, 0, max(n, 1024))
+		}
+		i := len(st.accs)
+		st.accs = append(st.accs, f.Acc...)
+		c.Acc = st.accs[i:len(st.accs):len(st.accs)]
 	}
 	return c
 }
@@ -147,8 +170,8 @@ func writeClass(kind MemKind) bool {
 // sleepEntry is one sleeping thread at a DFS node: scheduling tid at the node
 // is provably redundant, because its next step — whose window footprint is
 // foot — is independent of everything executed since the branch that ran tid
-// here was fully explored. Footprints are immutable once recorded; entries
-// are shared freely across nodes and cloned stacks.
+// here was fully explored. foot is a footStore record, never a node's buffer,
+// so entries are copied freely across nodes and cloned stacks.
 type sleepEntry struct {
 	tid  ThreadID
 	foot *Footprint
@@ -173,13 +196,6 @@ type footprintObserver interface {
 	observeWindow(f *Footprint)
 }
 
-// globalFootprint poisons a branch whose window could not be recorded
-// faithfully (the execution failed mid-window).
-func globalFootprint() *Footprint { return &Footprint{Global: true} }
-
-func footOrGlobal(f *Footprint) *Footprint {
-	if f == nil {
-		return globalFootprint()
-	}
-	return f
-}
+// globalFoot is the footprint of a window not recorded faithfully (the
+// execution failed mid-window) or not yet recorded: it conflicts with all.
+var globalFoot = &Footprint{Global: true}

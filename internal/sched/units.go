@@ -103,12 +103,14 @@ func SplitUnits(cfg ExploreConfig, prog Program, depth int) ([]WorkUnit, SplitSt
 }
 
 // ExploreUnit enumerates the schedules of u's subtree and calls visit for
-// every execution outcome with its position, in sequential DFS order. The first execution replays u.Path (it is the unit's leftmost
-// execution, counted here, not by the generator); subsequent executions
-// backtrack within levels >= u.Floor. Semantics otherwise follow Explore:
-// visit returning false stops the unit early, a failed execution aborts with
-// its error unless cfg.ContinueOnFailure hands it to visit, and
-// cfg.MaxExecutions caps this unit's executions (ErrBudget on exhaustion).
+// every execution outcome with its position, in sequential DFS order. The
+// first execution replays u.Path (it is the unit's leftmost execution,
+// counted here, not by the generator); subsequent executions backtrack within
+// levels >= u.Floor. Semantics otherwise follow Explore: an outcome is valid
+// only during its visit, visit returning false stops the unit early, a failed
+// execution aborts with its error unless cfg.ContinueOnFailure hands it to
+// visit, and cfg.MaxExecutions caps this unit's executions (ErrBudget on
+// exhaustion).
 //
 // Over all units of a SplitUnits run, the concatenated visit sequences equal
 // the sequential Explore visit sequence, and the summed ExploreStats — plus
