@@ -152,8 +152,9 @@ func TestDistWorkerModeBadJob(t *testing.T) {
 
 // TestDistExecHonoursOptions: worker processes check what the coordinator
 // planned — the job file carries core.Options and the test whole. A run
-// through an ExecLauncher with the queue model deciding witnesses, sleep-set
-// reduction, and a test with init and final sections gives the verdict, the
+// through an ExecLauncher with the queue model deciding witnesses, no
+// reduction (not the default, so a job file that dropped it would show in
+// the statistics), and a test with init and final sections gives the verdict, the
 // first violation and the phase statistics of the sequential exhaustive check
 // under the same options. (The job file used to carry seven options and the
 // rows: workers fell back to the spec backend, and -exec refused init/final
@@ -168,7 +169,7 @@ func TestDistExecHonoursOptions(t *testing.T) {
 		t.Fatal("no ConcurrentQueue")
 	}
 	model, _ := monitor.Builtin("queue")
-	opts := core.Options{PreemptionBound: 2, Reduction: sched.ReductionSleep, MonitorModel: model}
+	opts := core.Options{PreemptionBound: 2, Reduction: sched.ReductionNone, MonitorModel: model}
 	for _, c := range []struct {
 		name, test string
 		want       core.Verdict
@@ -193,9 +194,9 @@ func TestDistExecHonoursOptions(t *testing.T) {
 			if want.Verdict != c.want {
 				t.Fatalf("fixture broken: the sequential check says %v", want.Verdict)
 			}
-			unreduced := seq
-			unreduced.Reduction = sched.ReductionNone
-			if r, err := core.Check(sub, m, unreduced); err != nil || r.Phase2.Executions == want.Phase2.Executions {
+			reduced := seq
+			reduced.Reduction = sched.ReductionSleep
+			if r, err := core.Check(sub, m, reduced); err != nil || r.Phase2.Executions == want.Phase2.Executions {
 				t.Fatalf("fixture broken: the reduction does not show in the execution count (%v, %v)", r, err)
 			}
 			got, stats, err := dist.Run(context.Background(), dist.Config{

@@ -35,11 +35,6 @@ func addCheckFlags(fs *flag.FlagSet, o *core.RandomOptions, names ...string) {
 			fs.IntVar(&o.MaxFailures, name, o.MaxFailures, "contain up to N failed executions (panic/hang/leak) per check instead of aborting (0 = strict)")
 		case "detect-leaks":
 			fs.BoolVar(&o.DetectLeaks, name, o.DetectLeaks, "report goroutines that escape the scheduler and outlive an execution")
-		case "reduction":
-			fs.TextVar(&o.Reduction, name, o.Reduction, "partial-order reduction for phase 2: none or sleep")
-		case "consistency":
-			fs.TextVar(&o.Consistency, name, o.Consistency, "correctness criterion: linearizable (default), sequential, quiescent")
-			fs.Lookup(name).DefValue = "" // the usage line names the default; -h need not repeat it
 		default:
 			panic("lineup: no check flag -" + name)
 		}

@@ -134,7 +134,9 @@ func cmdList(args []string) error {
 	for _, e := range subjects.Registry() {
 		fmt.Println(e.Subject.Name)
 		fmt.Println(e.Pre.Name)
-		fmt.Println(e.Relaxed.Name)
+		if e.Relaxed != nil {
+			fmt.Println(e.Relaxed.Name)
+		}
 	}
 	return nil
 }
@@ -242,7 +244,7 @@ func cmdMonitor(args []string) error {
 func cmdTable2(args []string) error {
 	fs := flag.NewFlagSet("table2", flag.ExitOnError)
 	opts := bench.Table2Options{RandomOptions: core.RandomOptions{Samples: 100, Rows: 3, Cols: 3, Seed: 1}}
-	addCheckFlags(fs, &opts.RandomOptions, "samples", "rows", "cols", "seed", "workers", "watchdog", "max-failures", "reduction")
+	addCheckFlags(fs, &opts.RandomOptions, "samples", "rows", "cols", "seed", "workers", "watchdog", "max-failures")
 	fs.BoolVar(&opts.IncludePre, "pre", true, "include the (Pre) variants")
 	tflags := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -296,7 +298,7 @@ func cmdCheck(args []string) error {
 	class := fs.String("class", "", "class name (see 'lineup list')")
 	ropts := core.RandomOptions{Samples: 100, Rows: 3, Cols: 3, Seed: 1}
 	addCheckFlags(fs, &ropts, "samples", "rows", "cols", "seed", "pb", "workers",
-		"watchdog", "max-failures", "detect-leaks", "reduction")
+		"watchdog", "max-failures", "detect-leaks")
 	ropts.MonitorModel = modelFlag(fs, "decide phase 2's witnesses by replay through this sequential model, not by phase-1 lookup: ")
 	shrink := fs.Bool("shrink", true, "minimize the first failing test")
 	testSpec := fs.String("test", "", `check this one test, as work units (-workers of them at a time), e.g. "Enqueue(10) TryDequeue() / Count()"`)
@@ -365,17 +367,15 @@ func cmdCheck(args []string) error {
 		sum.SerialHistAvg, sum.SerialHistMax, sum.Phase1TimeAvg)
 	fmt.Printf("phase 2: %v avg (passing), %v avg (failing), %d tests with stuck histories\n",
 		sum.Phase2PassAvg, sum.Phase2FailAvg, sum.StuckTests)
-	if ropts.Reduction != sched.ReductionNone {
-		pruned, dedup := 0, 0
-		for _, r := range sum.Results {
-			if r != nil {
-				pruned += r.Phase2.Pruned
-				dedup += r.Phase2.DedupHits
-			}
+	pruned, dedup := 0, 0
+	for _, r := range sum.Results {
+		if r != nil {
+			pruned += r.Phase2.Pruned
+			dedup += r.Phase2.DedupHits
 		}
-		fmt.Printf("reduction (%s): %d branches pruned, %d history-cache hits\n",
-			ropts.Reduction, pruned, dedup)
 	}
+	fmt.Printf("reduction (%s): %d branches pruned, %d history-cache hits\n",
+		ropts.Reduction, pruned, dedup)
 	if sum.FirstFailure != nil {
 		fmt.Println("\nfirst failing test:")
 		fmt.Println(indent(sum.FirstFailure.Test.String()))
@@ -454,10 +454,10 @@ func cmdWorker(args []string) error {
 }
 
 // findSubject resolves a class name against both registries: the Go-native
-// subject corpus (internal/subjects — correct, (Pre) and (Relaxed) variants)
-// and the Table 1 classes. It returns the subject and its class's default
-// preemption bound. (A variable so that this package's tests can put a
-// subject no registry holds behind -class.)
+// subject corpus (internal/subjects — correct and (Pre) variants, and
+// Pipeline(Relaxed)) and the Table 1 classes. It returns the subject and its
+// class's default preemption bound. (A variable so that this package's tests
+// can put a subject no registry holds behind -class.)
 var findSubject = func(name string) (*core.Subject, int, bool) {
 	for _, e := range subjects.Registry() {
 		for _, sub := range []*core.Subject{e.Subject, e.Pre, e.Relaxed} {
@@ -489,7 +489,7 @@ func cmdGenerate(args []string) error {
 	fs.IntVar(&gopts.MaxOps, "max-ops", gopts.MaxOps, "maximum invocations per thread")
 	fs.BoolVar(&gopts.KeepGoing, "keep-going", false, "spend the whole budget even after a violation")
 	var ro core.RandomOptions
-	addCheckFlags(fs, &ro, "pb", "consistency")
+	addCheckFlags(fs, &ro, "pb")
 	tflags := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"lineup/internal/core"
+	"lineup/internal/sched"
 	"lineup/internal/telemetry"
 )
 
@@ -42,30 +43,27 @@ func deterministicLines(out string) string {
 // TestCheckCheckpointResumeAfterKill is the end-to-end acceptance check for
 // checkpoint/resume: a 'lineup check -dir D' process is SIGKILLed mid-run,
 // then rerun with identical flags; the final report must match the
-// uninterrupted run's, for 1 and 4 workers, with and without sleep-set
-// reduction (the checkpoint records the strategy, so a resumed run prunes
-// the same branches the killed one did). A checkpoint written while
-// "options.workers" still counted the tests checked side by side
-// (internal/core/testdata/checkpoint-with-workers.json, the same sample)
-// resumes from D/checkpoint.json to the same report.
+// uninterrupted run's, for 1 and 4 workers (the checkpoint records the
+// reduction, sleep sets, so a resumed run prunes the same branches the killed
+// one did). A checkpoint that holds the retired "options.workers", which once
+// counted the tests checked side by side
+// (internal/core/testdata/checkpoint-sleep-with-workers.json, the same
+// sample), resumes from D/checkpoint.json to the same report.
 func TestCheckCheckpointResumeAfterKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real processes; skipped in -short mode")
 	}
 	bin := buildLineup(t)
-	for _, reduction := range []string{"none", "sleep"} {
-		t.Run("reduction="+reduction, func(t *testing.T) {
-			testKillResume(t, bin, reduction)
-		})
-	}
+	t.Run("reduction=sleep", func(t *testing.T) {
+		testKillResume(t, bin)
+	})
 }
 
-func testKillResume(t *testing.T, bin, reduction string) {
+func testKillResume(t *testing.T, bin string) {
 	args := func(extra ...string) []string {
 		return append([]string{
 			"check", "-class", "SemaphoreSlim(Pre)",
 			"-samples", "4", "-seed", "1", "-shrink=false",
-			"-reduction", reduction,
 		}, extra...)
 	}
 	base, err := exec.Command(bin, args("-workers", "1")...).Output()
@@ -76,7 +74,7 @@ func testKillResume(t *testing.T, bin, reduction string) {
 	if !strings.Contains(want, "failed") || !strings.Contains(want, "violation") {
 		t.Fatalf("baseline run found no violation; fixture broken:\n%s", want)
 	}
-	if reduction == "sleep" && !strings.Contains(want, "reduction (sleep):") {
+	if !strings.Contains(want, "reduction (sleep):") {
 		t.Fatalf("reduced baseline missing the reduction counters:\n%s", want)
 	}
 
@@ -146,17 +144,14 @@ func testKillResume(t *testing.T, bin, reduction string) {
 			if len(final.Tests) != final.Options.Samples {
 				t.Errorf("final checkpoint records %d of %d tests", len(final.Tests), final.Options.Samples)
 			}
-			if got := final.Options.Reduction.String(); got != reduction {
-				t.Errorf("checkpoint records reduction %q, run used %q", got, reduction)
+			if got := final.Options.Reduction; got != sched.ReductionSleep {
+				t.Errorf("checkpoint records reduction %v, the run used sleep sets", got)
 			}
 		})
 	}
 
-	if reduction != "none" {
-		return // the old checkpoint was written without reduction
-	}
 	t.Run("checkpoint-with-workers", func(t *testing.T) {
-		old, err := os.ReadFile("../../internal/core/testdata/checkpoint-with-workers.json")
+		old, err := os.ReadFile("../../internal/core/testdata/checkpoint-sleep-with-workers.json")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,28 +171,38 @@ func testKillResume(t *testing.T, bin, reduction string) {
 
 // TestCheckResumeReductionMismatch asserts a checkpoint written under one
 // reduction strategy cannot be resumed under another: the pruned schedule
-// spaces differ, so silently mixing them would corrupt the summary.
+// spaces differ, so silently mixing them would corrupt the summary. The CLI
+// always reduces, so the checkpoint it wrote is edited to say "none".
 func TestCheckResumeReductionMismatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a real binary; skipped in -short mode")
 	}
 	bin := buildLineup(t)
 	dir := t.TempDir()
-	args := func(reduction string) []string {
-		return []string{
-			"check", "-class", "ConcurrentStack",
-			"-samples", "2", "-rows", "2", "-cols", "2", "-workers", "1",
-			"-dir", dir, "-reduction", reduction,
-		}
+	args := []string{
+		"check", "-class", "ConcurrentStack",
+		"-samples", "2", "-rows", "2", "-cols", "2", "-workers", "1", "-dir", dir,
 	}
-	if out, err := exec.Command(bin, args("sleep")...).CombinedOutput(); err != nil {
+	if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
 		t.Fatalf("checkpointed run: %v\n%s", err, out)
 	}
-	out, err := exec.Command(bin, args("none")...).CombinedOutput()
+	ck := filepath.Join(dir, "checkpoint.json")
+	data, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unreduced := strings.Replace(string(data), `"reduction": "sleep"`, `"reduction": "none"`, 1)
+	if unreduced == string(data) {
+		t.Fatalf("the checkpoint records no sleep-set reduction:\n%s", data)
+	}
+	if err := os.WriteFile(ck, []byte(unreduced), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, args...).CombinedOutput()
 	if err == nil {
 		t.Fatalf("resume with a different reduction strategy must fail:\n%s", out)
 	}
-	if !strings.Contains(string(out), "checkpoint") {
-		t.Fatalf("mismatch diagnostic does not mention the checkpoint:\n%s", out)
+	if !strings.Contains(string(out), "checkpoint") || !strings.Contains(string(out), "options.reduction") {
+		t.Fatalf("mismatch diagnostic does not name the checkpoint's reduction:\n%s", out)
 	}
 }

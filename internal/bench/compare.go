@@ -34,6 +34,8 @@ type CompareResult struct {
 // CompareRandom runs the comparison checkers over a random sample of tests
 // (the same sampling scheme as RandomCheck).
 func CompareRandom(sub *core.Subject, rows, cols, samples int, seed int64, opts core.Options) (*CompareResult, error) {
+	// The columns count executions, and a reduction changes that count.
+	opts.Reduction = sched.ReductionNone
 	res := &CompareResult{Subject: sub.Name}
 	det := race.NewDetector()
 	warnSeen := make(map[string]bool)

@@ -23,6 +23,8 @@ type SoberResult struct {
 // monitors, volatiles and interlocked operations, so the scan comes back
 // clean too.
 func SoberRandom(sub *core.Subject, rows, cols, samples int, seed int64, opts core.Options) (*SoberResult, error) {
+	// The columns count executions, and a reduction changes that count.
+	opts.Reduction = sched.ReductionNone
 	res := &SoberResult{Subject: sub.Name}
 	seen := make(map[string]bool)
 	for _, m := range core.SampleTests(sub.Ops, rows, cols, samples, seed) {

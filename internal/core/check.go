@@ -48,13 +48,6 @@ type Options struct {
 	// results are treated as nondeterministic: they are wildcarded before
 	// specification synthesis and witness checking (see Options.Relax).
 	RelaxedOps []string `json:"relaxed_ops,omitempty"`
-	// Consistency selects the correctness criterion for complete histories:
-	// strict linearizability (the zero value), sequential consistency, or
-	// quiescent consistency (see the Consistency constants). The relaxed
-	// criteria require the spec-lookup witness backend; combining them with
-	// a MonitorModel is an error. Stuck histories are always checked
-	// strictly.
-	Consistency Consistency `json:"consistency,omitempty"`
 	// coverage, when non-nil, accumulates the (MemKind, location) footprint
 	// pairs and phase-2 history shapes (histories modulo a renaming of
 	// operation and result strings) the check observes. Only Generate sets
@@ -91,13 +84,15 @@ type Options struct {
 	// run one at a time: Workers 0 then means 1, and an explicit Workers > 1
 	// is refused.
 	DetectLeaks bool `json:"detect_leaks,omitempty"`
-	// Reduction selects the explorer's partial-order reduction for phase 2
-	// (sched.ReductionNone or sched.ReductionSleep). Sleep-set reduction
-	// prunes schedules that only reorder independent steps; the verdict, the
-	// reported violation, and the set of distinct histories are bit-identical
-	// to an unreduced run while Executions drops (often by several times).
-	// Phase 1 is serial and never reduced.
-	Reduction sched.Reduction `json:"reduction,omitempty"`
+	// Reduction selects the explorer's partial-order reduction for phase 2:
+	// sleep sets (sched.ReductionSleep, the zero value) prune schedules that
+	// only reorder independent steps; the verdict, the reported violation,
+	// and the set of distinct histories are bit-identical to an unreduced
+	// run (sched.ReductionNone, the reference the equivalence suites hold
+	// them to) while Executions drops. Phase 1 is serial and never reduced.
+	// It is always written: files from before sleep sets were the default
+	// left it out to mean none.
+	Reduction sched.Reduction `json:"reduction"`
 	// MaxFailures enables graceful degradation in phase 2: up to this many
 	// failed executions (panic, hung, leak) are classified and recorded in
 	// Result.Failures while exploration continues, instead of aborting the
@@ -167,10 +162,6 @@ func (o Options) validate(haveSpec bool) error {
 		return negative("MaxFailures", o.MaxFailures, "the first failure aborts")
 	case o.Workers < 0:
 		return negative("Workers", o.Workers, "one per CPU")
-	case o.Consistency != Linearizability && o.MonitorModel != nil:
-		return &OptionsError{"Consistency", fmt.Sprintf("%s consistency requires the spec-lookup witness backend", o.Consistency)}
-	case o.Consistency != Linearizability && !haveSpec:
-		return &OptionsError{"Consistency", fmt.Sprintf("%s consistency requires a phase-1 specification", o.Consistency)}
 	case o.MonitorModel == nil && !haveSpec:
 		return &OptionsError{"MonitorModel", "without a phase-1 specification the witness search needs a model"}
 	case o.DetectLeaks && o.Workers > 1:

@@ -103,8 +103,11 @@ func LoadRandomCheckpoint(path string) (*RandomCheckpoint, error) {
 // another version is refused with both numbers, never half-decoded into a
 // struct whose fields meant something else. A field this build does not
 // declare is refused by name, except the retired ones, which are dropped: an
-// option read as unset is not the option that was written. A missing file is
-// an error that wraps fs.ErrNotExist.
+// option read as unset is not the option that was written. So is a field this
+// build always writes and the file lacks: an older build left it out for a
+// zero value that meant something else then ("options.reduction" was none
+// before sleep sets became the default). A missing file is an error that
+// wraps fs.ErrNotExist.
 func LoadVersioned(path, what string, version int, into any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -126,6 +129,24 @@ func LoadVersioned(path, what string, version int, into any) error {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		return fmt.Errorf("core: parsing %s %s: %w", what, path, err)
+	}
+	have, err := writtenFields(json.RawMessage(data))
+	if err != nil {
+		return err
+	}
+	want, err := writtenFields(into)
+	if err != nil {
+		return err
+	}
+	var missing []string
+	for k := range want {
+		if _, ok := have[k]; !ok {
+			missing = append(missing, k)
+		}
+	}
+	if len(missing) > 0 {
+		sort.Strings(missing)
+		return fmt.Errorf("core: %s %s does not record %s, which this build always writes", what, path, strings.Join(missing, ", "))
 	}
 	return nil
 }

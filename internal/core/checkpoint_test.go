@@ -130,7 +130,7 @@ func TestRandomCheckpointReportsAllMismatches(t *testing.T) {
 	bad.Seed = 99
 	bad.Samples = 16
 	bad.Options.PreemptionBound = 1
-	bad.Options.Reduction = sched.ReductionSleep
+	bad.Options.Reduction = sched.ReductionNone
 	bad.Dir = filepath.Dir(path)
 	_, err := core.RandomCheck(sub, nil, bad)
 	if err == nil {

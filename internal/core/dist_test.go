@@ -84,7 +84,7 @@ func requireSameResult(t *testing.T, tag string, got, want *core.Result) {
 // TestDistMatchesSequentialPass: the merged distributed result on passing
 // subjects (including one whose test produces stuck histories) is
 // bit-identical to the sequential exhaustive check, across reductions,
-// split depths, and relaxed criteria.
+// and split depths.
 func TestDistMatchesSequentialPass(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	inc, get, dec := counterOps()
@@ -96,7 +96,6 @@ func TestDistMatchesSequentialPass(t *testing.T) {
 		{"plain", &core.Test{Rows: [][]core.Op{{inc, get}, {inc, get}}}, core.Options{}},
 		{"stuck", &core.Test{Rows: [][]core.Op{{dec}, {inc, dec}}}, core.Options{}},
 		{"reduction", &core.Test{Rows: [][]core.Op{{inc, get}, {inc, get}}}, core.Options{Reduction: sched.ReductionSleep}},
-		{"seqcons", &core.Test{Rows: [][]core.Op{{inc, get}, {inc}}}, core.Options{Consistency: core.SequentialConsistency}},
 	}
 	for _, tc := range cases {
 		sub := counterSubject()

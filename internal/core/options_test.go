@@ -59,15 +59,6 @@ func TestIllegalOptionsRefused(t *testing.T) {
 		entries []func(core.Options) error
 		field   string
 	}{
-		{"relaxed consistency x model",
-			core.Options{Consistency: core.SequentialConsistency, MonitorModel: model},
-			entries(check, againstSpec(spec), planUnits, checkUnit), "Consistency"},
-		{"relaxed consistency x CheckWithMonitor",
-			core.Options{Consistency: core.SequentialConsistency},
-			entries(withMonitor(model)), "Consistency"},
-		{"relaxed consistency x no phase-1 spec",
-			core.Options{Consistency: core.QuiescentConsistency},
-			entries(againstSpec(nil)), "Consistency"},
 		{"no model x no phase-1 spec",
 			core.Options{},
 			entries(againstSpec(nil), withMonitor(nil)), "MonitorModel"},

@@ -37,7 +37,8 @@ func reductionSubjects() []*core.Subject {
 // {sequential, parallel} x {ReductionNone, ReductionSleep} and asserts the
 // reduction-preservation contract: bit-identical verdict and first violation,
 // identical distinct-history counts, and (sequentially) no more schedules
-// explored with reduction than without. It returns the sequential pruned
+// explored with reduction than without. The reference prunes nothing, so it
+// is the unreduced run it claims to be. It returns the sequential pruned
 // count so callers can check the reduction actually fires somewhere.
 func checkReductionEquivalent(t *testing.T, sub *core.Subject, m *core.Test, base core.Options) int {
 	t.Helper()
@@ -52,6 +53,9 @@ func checkReductionEquivalent(t *testing.T, sub *core.Subject, m *core.Test, bas
 		return r
 	}
 	full := run(1, sched.ReductionNone)
+	if full.Phase2.Pruned != 0 {
+		t.Fatalf("%s: the unreduced reference pruned %d branches", sub.Name, full.Phase2.Pruned)
+	}
 	reduced := run(1, sched.ReductionSleep)
 	if full.Verdict != reduced.Verdict {
 		t.Fatalf("%s: verdict differs: full=%s reduced=%s", sub.Name, full.Verdict, reduced.Verdict)
@@ -138,7 +142,9 @@ func TestReductionEquivalenceUnbounded(t *testing.T) {
 			ExhaustPhase2:         true,
 			MaxExecutionsPerPhase: 20000,
 		}
-		if _, err := core.Check(sub, m, base); err != nil {
+		probe := base
+		probe.Reduction = sched.ReductionNone
+		if _, err := core.Check(sub, m, probe); err != nil {
 			if errors.Is(err, sched.ErrBudget) {
 				return true // vacuous: no full baseline to compare against
 			}

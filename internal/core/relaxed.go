@@ -1,73 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"lineup/internal/history"
-)
-
-// Consistency selects the correctness criterion phase 2 checks complete
-// histories against. Linearizability is the paper's default; the two relaxed
-// criteria weaken only the ordering constraints of the witness search —
-// results must still match some serial execution, and stuck histories are
-// always checked strictly (blocking behavior is a liveness property that
-// neither criterion relaxes). Both relaxed criteria are weaker than
-// linearizability: every history with a linearizability witness also has a
-// witness under either of them, never the converse.
-type Consistency int
-
-const (
-	// Linearizability is the strict criterion of Definition 1/3: the witness
-	// must respect all real-time precedence (<H ⊆ <S).
-	Linearizability Consistency = iota
-	// SequentialConsistency keeps only program order: the witness must have
-	// the same per-thread subhistories but may reorder operations of
-	// different threads arbitrarily, even against real time.
-	SequentialConsistency
-	// QuiescentConsistency keeps real-time order only across quiescent
-	// points (instants with no operation pending): operations separated by a
-	// quiescent point stay ordered, operations within one quiescence block
-	// may be reordered freely.
-	QuiescentConsistency
-)
-
-func (c Consistency) String() string {
-	switch c {
-	case Linearizability:
-		return "linearizable"
-	case SequentialConsistency:
-		return "sequential"
-	case QuiescentConsistency:
-		return "quiescent"
-	default:
-		return fmt.Sprintf("Consistency(%d)", int(c))
-	}
-}
-
-// MarshalText and UnmarshalText give a Consistency its one text form (what
-// String renders; the flag's shorthands and the empty string are read too).
-func (c Consistency) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
-
-func (c *Consistency) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "", "linearizable", "linearizability", "strict":
-		*c = Linearizability
-	case "sequential", "sc":
-		*c = SequentialConsistency
-	case "quiescent", "qc":
-		*c = QuiescentConsistency
-	default:
-		return fmt.Errorf("core: unknown consistency %q (want linearizable, sequential, or quiescent)", b)
-	}
-	return nil
-}
-
-// ParseConsistency parses the text form of a consistency criterion.
-func ParseConsistency(s string) (Consistency, error) {
-	var c Consistency
-	err := c.UnmarshalText([]byte(s))
-	return c, err
-}
+import "lineup/internal/history"
 
 // RelaxedResult is the wildcard that replaces the results of relaxed
 // operations in histories and specifications.

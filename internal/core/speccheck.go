@@ -104,19 +104,12 @@ type phase2Decider struct {
 	m       *Test
 	relaxed map[string]bool
 	tel     *telemetry.Collector
-	// consistency selects the full-history criterion; the relaxed criteria
-	// (sequential, quiescent) search the phase-1 spec directly, so spec is
-	// non-nil whenever consistency is not Linearizability (Options.validate).
-	// Stuck histories always go through the strict backend.
-	consistency Consistency
-	spec        *history.Spec
 }
 
 // decider assembles the decision procedure the (validated) options select.
 func (o Options) decider(spec *history.Spec, m *Test, mode witnessMode) *phase2Decider {
 	return &phase2Decider{
 		backend: o.witnessBackend(spec), mode: mode, m: m, relaxed: o.relaxedSet(), tel: o.Telemetry,
-		consistency: o.Consistency, spec: spec,
 	}
 }
 
@@ -127,16 +120,7 @@ func (d *phase2Decider) witness(h *history.History) (*Violation, error) {
 	// reported by the monitor itself.
 	d.tel.Add(telemetry.WitnessQueries, 1)
 	if !h.Stuck {
-		var ok bool
-		var err error
-		switch d.consistency {
-		case SequentialConsistency:
-			_, ok = d.spec.WitnessSeqCon(h)
-		case QuiescentConsistency:
-			_, ok = d.spec.WitnessQuiescent(h)
-		default:
-			ok, err = d.backend.witnessFull(h)
-		}
+		ok, err := d.backend.witnessFull(h)
 		if err != nil {
 			return nil, err
 		}

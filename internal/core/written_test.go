@@ -74,18 +74,19 @@ func roundTrip(t *testing.T, o core.Options) core.Options {
 // identity on the bound sentinels, on every value of every enumerated option
 // and on a value in every other written field; a model comes back as the
 // built-in of its name. (TestLegalWitnessCells repeats it on every cell it
-// walks.) The zero Options are written as {}.
+// walks.) The zero Options are written as the one field that is always
+// written: {"reduction":"sleep"}.
 func TestOptionsWrittenFormRoundTrips(t *testing.T) {
-	if data, _ := json.Marshal(core.Options{}); string(data) != "{}" {
-		t.Errorf("zero Options are written as %s, want {}", data)
+	if data, _ := json.Marshal(core.Options{}); string(data) != `{"reduction":"sleep"}` {
+		t.Errorf(`zero Options are written as %s, want {"reduction":"sleep"}`, data)
 	}
 	cases := []core.Options{
 		{},
 		{PreemptionBound: core.Unbounded},
 		{PreemptionBound: core.NoPreemptions},
-		{PreemptionBound: 3, Reduction: sched.ReductionSleep},
-		{Consistency: core.SequentialConsistency, RelaxedOps: []string{"Count()", "TryTake()"}},
-		{Consistency: core.QuiescentConsistency, MaxExecutionsPerPhase: 5000, ExhaustPhase2: true},
+		{PreemptionBound: 3, Reduction: sched.ReductionNone},
+		{RelaxedOps: []string{"Count()", "TryTake()"}},
+		{MaxExecutionsPerPhase: 5000, ExhaustPhase2: true},
 		{Workers: 3, Watchdog: 1500000000, DetectLeaks: true, MaxFailures: 9},
 	}
 	for _, o := range cases {
@@ -105,7 +106,7 @@ func TestOptionsWrittenFormRoundTrips(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `unknown model "deque"`) {
 		t.Errorf("an unknown model name read as %+v, err %v; want an error naming it", o.MonitorModel, err)
 	}
-	for _, bad := range []string{`{"reduction":"dpor"}`, `{"consistency":"eventual"}`} {
+	for _, bad := range []string{`{"reduction":"dpor"}`, `{"reduction":""}`} {
 		if err := json.Unmarshal([]byte(bad), &o); err == nil {
 			t.Errorf("%s was read without an error", bad)
 		}
@@ -133,15 +134,18 @@ func TestOldCheckpointRefusedByVersion(t *testing.T) {
 	}
 }
 
+// sleepCheckpoint is a checkpoint of SemaphoreSlim(Pre), 4 tests of 3x3 at
+// seed 1 under sleep sets, holding "workers": 4 from the days that field still
+// counted the tests checked side by side.
+const sleepCheckpoint = "testdata/checkpoint-sleep-with-workers.json"
+
 // TestCheckpointFieldsDeclared: a checkpoint is read against the fields this
-// build declares. testdata/checkpoint-with-workers.json was written while
-// "options.workers" still counted the tests checked side by side
-// (SemaphoreSlim(Pre), 4 tests of 3x3 at seed 1, "workers": 4); it loads and
-// resumes to the summary of an uninterrupted run, and so does the same file
-// holding "keep_spec", retired in turn. The same file holding an option no
-// build declares is refused, the option named.
+// build declares. sleepCheckpoint holds the retired "options.workers"; it
+// loads and resumes to the summary of an uninterrupted run, and so does the
+// same file holding "keep_spec", retired in turn. The same file holding an
+// option no build declares is refused, the option named.
 func TestCheckpointFieldsDeclared(t *testing.T) {
-	const path = "testdata/checkpoint-with-workers.json"
+	const path = sleepCheckpoint
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +204,7 @@ func TestCheckpointFieldsDeclared(t *testing.T) {
 // TestCheckpointThatSampledRefused: the schedule-sampling options are gone
 // and not retired. Only a run that sampled wrote them, and resuming it
 // exhaustively would mix sampled PASSes with exhaustive ones, so
-// testdata/checkpoint-with-workers.json holding "sample_schedules" is refused,
+// sleepCheckpoint holding "sample_schedules" is refused,
 // the field named; the file as it is resumes all four of its tests.
 func TestCheckpointThatSampledRefused(t *testing.T) {
 	checkpointFieldRefused(t, `"sample_schedules": 100`, "sample_schedules")
@@ -215,12 +219,42 @@ func TestCheckpointAtSyncGranularityRefused(t *testing.T) {
 	checkpointFieldRefused(t, `"granularity": "sync"`, "granularity")
 }
 
-// checkpointFieldRefused resumes testdata/checkpoint-with-workers.json with
-// field added to its options, which must be refused naming name, and as it
-// is, which must resume all four of its tests.
+// TestCheckpointWithoutReductionRefused: sleep sets became what an unset
+// Reduction means, and a build before that wrote no "reduction" for none.
+// testdata/checkpoint-with-workers.json is such a file (its tests were
+// checked unreduced), so it is refused, the field named, rather than resumed
+// as sleep sets with mixed statistics; sleepCheckpoint holding
+// "reduction": "none" is refused by the resume's own comparison.
+func TestCheckpointWithoutReductionRefused(t *testing.T) {
+	data, err := os.ReadFile("testdata/checkpoint-with-workers.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"reduction"`) {
+		t.Fatal("testdata/checkpoint-with-workers.json records a reduction")
+	}
+	if _, err := core.LoadRandomCheckpoint("testdata/checkpoint-with-workers.json"); err == nil || !strings.Contains(err.Error(), "options.reduction") {
+		t.Errorf("a checkpoint without reduction: err = %v, want one naming options.reduction", err)
+	}
+	sched.RequireNoLeaks(t)
+	checkpointFieldRefused(t, `"reduction": "none"`, "reduction")
+}
+
+// TestCheckpointUnderRelaxedCriterionRefused: the relaxed consistency
+// criteria are gone and not retired. A run under one passed histories that
+// linearizability convicts, so a checkpoint holding "consistency" is
+// refused, the field named.
+func TestCheckpointUnderRelaxedCriterionRefused(t *testing.T) {
+	checkpointFieldRefused(t, `"consistency": "sequential"`, "consistency")
+}
+
+// checkpointFieldRefused resumes sleepCheckpoint with field added to its
+// options (after the field of that name, if it holds one: the later value is
+// read), which must be refused naming name, and as it is, which must resume
+// all four of its tests.
 func checkpointFieldRefused(t *testing.T, field, name string) {
 	t.Helper()
-	data, err := os.ReadFile("testdata/checkpoint-with-workers.json")
+	data, err := os.ReadFile(sleepCheckpoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +267,7 @@ func checkpointFieldRefused(t *testing.T, field, name string) {
 		return core.RandomCheck(sub, nil, opts)
 	}
 	with := strings.Replace(string(data), `"seed": 1,`, `"seed": 1, `+field+`,`, 1)
-	if _, err := resume(with); err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+	if _, err := resume(with); err == nil || !strings.Contains(err.Error(), `"`+name+`"`) && !strings.Contains(err.Error(), "options."+name+" is ") {
 		t.Errorf("a checkpoint holding %s: err = %v, want one naming %s", field, err, name)
 	}
 	if sum, err := resume(string(data)); err != nil || sum.Resumed != 4 {
@@ -251,7 +285,7 @@ func TestResumeMismatchNamesEveryField(t *testing.T) {
 		Options core.RandomOptions `json:"options"`
 		Tests   []int              `json:"tests"`
 	}
-	saved := file{1, core.RandomOptions{Rows: 2, Seed: 7, Options: core.Options{Reduction: sched.ReductionSleep, Workers: 2}}, []int{1, 2}}
+	saved := file{1, core.RandomOptions{Rows: 2, Seed: 7, Options: core.Options{Reduction: sched.ReductionNone, Workers: 2}}, []int{1, 2}}
 	now := file{1, core.RandomOptions{Rows: 3, Seed: 7, Options: core.Options{MaxFailures: 5, Watchdog: 1}}, nil}
 	err := core.ResumeMismatch("checkpoint", saved, now, "tests")
 	if err == nil {
@@ -259,12 +293,12 @@ func TestResumeMismatchNamesEveryField(t *testing.T) {
 	}
 	want := `core: checkpoint does not match this run: ` +
 		`options.max_failures is unset in the checkpoint but 5 here; ` +
-		`options.reduction is "sleep" in the checkpoint but unset here; ` +
+		`options.reduction is "none" in the checkpoint but "sleep" here; ` +
 		`options.rows is 2 in the checkpoint but 3 here`
 	if err.Error() != want {
 		t.Errorf("got  %v\nwant %s", err, want)
 	}
-	now.Options.Rows, now.Options.MaxFailures, now.Options.Reduction = 2, 0, sched.ReductionSleep
+	now.Options.Rows, now.Options.MaxFailures, now.Options.Reduction = 2, 0, sched.ReductionNone
 	if err := core.ResumeMismatch("checkpoint", saved, now, "tests"); err != nil {
 		t.Errorf("only resume-free and progress fields differ, yet: %v", err)
 	}

@@ -294,7 +294,7 @@ func TestDistManifestMismatch(t *testing.T) {
 	}
 	_, _, err := dist.Run(context.Background(), dist.Config{
 		Subject: sub, Test: m, Workers: 2, Depth: 1, Dir: dir,
-		Options: core.Options{PreemptionBound: 1, Reduction: sched.ReductionSleep},
+		Options: core.Options{PreemptionBound: 1, Reduction: sched.ReductionNone},
 	})
 	if err == nil {
 		t.Fatal("mismatched resume was accepted")

@@ -22,11 +22,11 @@ func FuzzCheckFiles(f *testing.F) {
   "options": {"preemption_bound": -2, "reduction": "sleep", "witness": "monitor", "model": "counter", "watchdog": 1000000000, "relaxed_ops": ["Get()"]},
   "depth": 2, "units": 2, "split_pruned": 1, "entries": [{"seq": 0, "state": "done", "attempts": 1}, {"seq": 1, "state": "poisoned", "attempts": 3, "last_err": "x"}],
   "spec": {"seq": 1, "attempt": 2, "unit": {}, "heartbeat_every": 2500000000}, "report_path": "r.json", "spec_histories": []}`,
-		`{"version": 2, "subject": "Counter1", "options": {"rows": 2, "cols": 2, "samples": 8, "seed": 7, "workers": 4, "consistency": "quiescent", "init": ["Inc()"]},
+		`{"version": 2, "subject": "Counter1", "options": {"rows": 2, "cols": 2, "samples": 8, "seed": 7, "workers": 4, "reduction": "none", "init": ["Inc()"]},
   "tests": [{"index": 3, "failed": true, "violation_kind": 1, "phase1": {"Executions": 6}, "phase2": {"Executions": 40}}, null]}`,
 		`{"version": 3, "subject": "Counter", "test": {"rows": [["Inc()", "Get()"], ["Inc()"]]}, "options": {"reduction": "sleep"},
   "depth": 2, "units": 2, "split_pruned": 1, "entries": [{"seq": 0, "state": "done", "attempts": 1}]}`,
-		`{"version": 3, "subject": "Counter", "test": {"rows": [["Inc()"], ["Get()"]]}, "options": {},
+		`{"version": 3, "subject": "Counter", "test": {"rows": [["Inc()"], ["Get()"]]}, "options": {"reduction": "sleep"},
   "spec_histories": [{"Ops": [{"Thread": 0, "Name": "Inc()", "Result": "ok"}, {"Thread": 1, "Name": "Get()", "Result": "1"}]},
     {"Ops": [{"Thread": 1, "Name": "Get()", "Result": "0"}], "Pending": null}, null],
   "depth": 1, "units": 1, "split_pruned": 0, "entries": [{"seq": 0, "state": "pending", "attempts": 0}]}`,

@@ -58,13 +58,12 @@ func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 		"max_executions_per_phase": {flip: func(o *R) { o.MaxExecutionsPerPhase = 40000 }},
 		"exhaust_phase2":           {flip: func(o *R) { o.ExhaustPhase2 = true }},
 		"relaxed_ops":              {flip: func(o *R) { o.RelaxedOps = []string{"Get()"} }},
-		"consistency":              {flip: func(o *R) { o.Consistency = core.SequentialConsistency }},
 		"model": {save: func(o *R) { o.MonitorModel = monitor.CounterModel() },
 			flip: func(o *R) { o.MonitorModel = monitor.RegisterModel() }},
 		"explore_workers":       {flip: func(o *R) { o.Options.Workers = 2 }, free: true},
 		"watchdog":              {flip: func(o *R) { o.Watchdog = time.Minute }, free: true},
 		"detect_leaks":          {flip: func(o *R) { o.DetectLeaks = true }},
-		"reduction":             {flip: func(o *R) { o.Reduction = sched.ReductionSleep }},
+		"reduction":             {flip: func(o *R) { o.Reduction = sched.ReductionNone }},
 		"max_failures":          {flip: func(o *R) { o.MaxFailures = 3 }},
 		"rows":                  {flip: func(o *R) { o.Rows = 1 }},
 		"cols":                  {flip: func(o *R) { o.Cols = 1 }},

@@ -376,66 +376,6 @@ func (sp *Spec) WitnessFull(h *History) (*SerialHistory, bool) {
 	return sp.witness(ops, func(i int) (int, int) { return ops[i].CallPos, ops[i].RetPos })
 }
 
-// WitnessSeqCon reports whether the complete concurrent history h has a
-// sequentially consistent witness in the specification's full set: a serial
-// history with the same thread subhistories (program order and per-thread
-// results), with no real-time constraint at all. Because every candidate in
-// a signature group preserves per-thread order by construction, sequential
-// consistency relative to the spec reduces to group non-emptiness. It is
-// strictly weaker than WitnessFull: any linearizability witness is also a
-// sequential-consistency witness.
-func (sp *Spec) WitnessSeqCon(h *History) (*SerialHistory, bool) {
-	return sp.witness(h.Ops(), func(int) (int, int) { return 0, 0 })
-}
-
-// quiescentBlocks assigns each operation of h to a quiescence block: a
-// quiescent point is an instant with no operation pending, and the points
-// partition the operations into blocks (every operation's call and return
-// fall inside one block). Quiescent consistency keeps real-time order only
-// across quiescent points: operations of earlier blocks must precede
-// operations of later blocks in the witness, operations within one block may
-// be reordered freely. The returned slice is indexed like h.Ops().
-func quiescentBlocks(h *History, ops []Op) []int {
-	// blockAt[p] is the block of an operation whose call event sits at
-	// position p: the number of quiescent points strictly before p.
-	blockAt := make([]int, len(h.Events)+1)
-	pending, block := 0, 0
-	for p, e := range h.Events {
-		if p > 0 && pending == 0 {
-			block++
-		}
-		blockAt[p] = block
-		if e.Kind == Call {
-			pending++
-		} else {
-			pending--
-		}
-	}
-	out := make([]int, len(ops))
-	for i, op := range ops {
-		out[i] = blockAt[op.CallPos]
-	}
-	return out
-}
-
-// WitnessQuiescent reports whether the complete concurrent history h has a
-// quiescently consistent witness in the specification's full set: a serial
-// history with the same thread subhistories that orders any two operations
-// separated by a quiescent point (an instant with no pending operation) the
-// same way h does. The constraint set is a subset of WitnessFull's real-time
-// pairs — an operation pair with ret(a) before call(b) but no intervening
-// quiescent point is unconstrained — so any linearizability witness is also
-// a quiescent-consistency witness, and the criterion is incomparable in
-// general but, relative to a phase-1 spec (whose serial histories all
-// preserve program order), strictly between linearizability and sequential
-// consistency.
-func (sp *Spec) WitnessQuiescent(h *History) (*SerialHistory, bool) {
-	ops := h.Ops()
-	blocks := quiescentBlocks(h, ops)
-	// a must precede b iff a's block is earlier than b's.
-	return sp.witness(ops, func(i int) (int, int) { return blocks[i], blocks[i] })
-}
-
 // WitnessStuck reports whether the reduced stuck history H[e] — h with all
 // pending calls except e removed — has a stuck serial witness in the
 // specification's stuck set (Definition 2). e must be a pending operation

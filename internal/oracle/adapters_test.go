@@ -278,8 +278,7 @@ func incremental(m *monitor.Model, h *history.History, opts monitor.Options, cut
 // against a model. In all three modes: WGL with the memo on and off and
 // without partitioning, Incremental at the quiescent cuts the bits of cuts
 // select, and lookup in the spec m synthesizes for h's per-thread sequences.
-// Then the definite answers of m's fast monitor, the relaxed criteria on a
-// complete h, and roundTrip of that spec.
+// Then the definite answers of m's fast monitor, and roundTrip of that spec.
 func checkModel(t *testing.T, m *monitor.Model, h *history.History, cuts uint64) {
 	t.Helper()
 	fail := func(format string, args ...any) {
@@ -314,29 +313,15 @@ func checkModel(t *testing.T, m *monitor.Model, h *history.History, cuts uint64)
 			fail("fast monitor says %v (err %v), the definition %v", got, err, want)
 		}
 	}
-	if len(h.Pending()) == 0 {
-		ops := h.Ops()
-		for _, c := range []struct {
-			name   string
-			decide func(*history.History) (*history.SerialHistory, bool)
-			before precedence
-		}{{"WitnessSeqCon", spec.WitnessSeqCon, programOrder}, {"WitnessQuiescent", spec.WitnessQuiescent, quiescentOrder(h)}} {
-			want, _ := witness(m, ops, c.before, nil)
-			if _, got := c.decide(h); got != want {
-				fail("%s says %v, the definition %v", c.name, got, want)
-			}
-		}
-	}
 	roundTrip(t, spec)
 }
 
 // checkTrie is the adapter of the spec trie on an arbitrary store. After every
 // Add its determinism verdict is line 4 of Fig. 5's; its counts are the
 // distinct stored histories; on every query, and on every stored history
-// queried as the serial history it is, WitnessFull, WitnessStuck and the two
-// relaxed criteria answer as a search among the stored histories of the
-// query's orders that respect <H, program order or quiescent order; and the
-// spec passes roundTrip.
+// queried as the serial history it is, WitnessFull and WitnessStuck answer as
+// a search among the stored histories of the query's orders that respect <H;
+// and the spec passes roundTrip.
 func checkTrie(t *testing.T, store []*history.SerialHistory, queries []*history.History) {
 	t.Helper()
 	sp, ref := history.NewSpec(), newSerialSet()
@@ -356,14 +341,8 @@ func checkTrie(t *testing.T, store []*history.SerialHistory, queries []*history.
 	for _, h := range queries {
 		ops := h.Ops()
 		if !h.Stuck {
-			for _, c := range []struct {
-				name   string
-				decide func(*history.History) (*history.SerialHistory, bool)
-				before precedence
-			}{{"WitnessFull", sp.WitnessFull, realTime}, {"WitnessSeqCon", sp.WitnessSeqCon, programOrder}, {"WitnessQuiescent", sp.WitnessQuiescent, quiescentOrder(h)}} {
-				if _, got := c.decide(h); got != ref.witness(ops, c.before, nil) {
-					t.Fatalf("%s = %v, the definition %v, on\n%s", c.name, got, !got, h)
-				}
+			if _, got := sp.WitnessFull(h); got != ref.witness(ops, realTime, nil) {
+				t.Fatalf("WitnessFull = %v, the definition %v, on\n%s", got, !got, h)
 			}
 			continue
 		}

@@ -7,7 +7,7 @@
 // spec lookup on the spec a model synthesizes (history.Spec), phase 1 of a
 // real subject (core.SynthesizeSpec), the spec trie on arbitrary stores, the
 // WGL search (monitor.Check) with and without its memo, monitor.Incremental,
-// the fast monitors, the relaxed criteria, the observation-file round trip,
+// the fast monitors, the observation-file round trip,
 // and the histories the explorer emits for the subject corpus.
 //
 // Linearizability checking is NP-hard, so brute force belongs in one place,
@@ -63,36 +63,9 @@ type precedence func(a, b history.Op) bool
 // realTime is <H (Section 2.1.3): a returned before b was called.
 func realTime(a, b history.Op) bool { return a.Complete && a.RetPos < b.CallPos }
 
-// programOrder keeps only each thread's own order: sequential consistency,
-// and the order of a serial execution's choices.
+// programOrder keeps only each thread's own order: the order of a serial
+// execution's choices.
 func programOrder(a, b history.Op) bool { return a.Thread == b.Thread && a.CallPos < b.CallPos }
-
-// quiescentOrder is program order plus real-time order across a quiescent
-// point, an instant at which no operation of h is open: quiescent
-// consistency.
-func quiescentOrder(h *history.History) precedence {
-	quiet := make([]bool, len(h.Events)) // quiet[p]: nothing is open just before event p
-	open := 0
-	for p, e := range h.Events {
-		quiet[p] = open == 0
-		if e.Kind == history.Call {
-			open++
-		} else {
-			open--
-		}
-	}
-	return func(a, b history.Op) bool {
-		if programOrder(a, b) {
-			return true
-		}
-		for p := a.RetPos + 1; a.Complete && p <= b.CallPos; p++ {
-			if quiet[p] {
-				return true
-			}
-		}
-		return false
-	}
-}
 
 // witness reports whether some order of ops that respects before replays
 // through m: every complete operation reproduces its recorded result, an

@@ -46,7 +46,7 @@ var allocWorkloads = []struct {
 	workers int
 	ceiling float64
 }{
-	{"full", sched.ExploreConfig{PreemptionBound: 2}, 0, 11},
+	{"full", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionNone}, 0, 11},
 	{"sleep", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionSleep}, 0, 12.5},
 	{"serial", sched.ExploreConfig{Config: sched.Config{Serial: true}, PreemptionBound: sched.Unbounded}, 0, 23},
 	{"parallel", sched.ExploreConfig{PreemptionBound: 2}, 2, 11.5},

@@ -107,10 +107,11 @@ func requireSameVisits(t *testing.T, got, want []string) {
 // executions, resumes it from the frontier work unit, and verifies that the
 // concatenated visit sequence and the final statistics are identical to an
 // uninterrupted run — for several cut points including the first and last
-// execution.
+// execution. The exploration is unreduced; TestReductionCheckpointResume
+// covers sleep sets.
 func TestCheckpointResumeContinuesExactly(t *testing.T) {
 	sched.RequireNoLeaks(t)
-	base := sched.ExploreConfig{PreemptionBound: 2}
+	base := sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionNone}
 
 	var full []string
 	fullStats, err := sched.Explore(base, checkpointProgram(), func(o *sched.Outcome) bool {

@@ -88,14 +88,14 @@ func TestDecisionTraceUnchanged(t *testing.T) {
 		prog sched.Program
 		want uint64
 	}{
-		{"fig1-2x2-pb2", sched.ExploreConfig{PreemptionBound: 2},
+		{"fig1-2x2-pb2", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionNone},
 			subjectProgram(fig1.Subject, fig1.Test.Rows), 0x9613f99fe5c83d80},
 		{"fig9-observer-pb3-sleep", sched.ExploreConfig{PreemptionBound: 3, Reduction: sched.ReductionSleep},
 			subjectProgram(fig9.Subject, append(append([][]core.Op(nil), fig9.Test.Rows...), []core.Op{isSet})), 0xabf3ec5d97cd0b0b},
 		{"serial-3x3", sched.ExploreConfig{Config: sched.Config{Serial: true}, PreemptionBound: sched.Unbounded},
 			sched.Program{Threads: []func(*sched.Thread){opThread(3, "a"), opThread(3, "b"), opThread(3, "c")}}, 0x52b630b1ff5f0ad1},
-		{"waitset-deadlock", sched.ExploreConfig{PreemptionBound: 2}, waitSetProgram(), 0xb72589d986a594ec},
-		{"diverge-maxopsteps", sched.ExploreConfig{Config: sched.Config{MaxOpSteps: 5}, PreemptionBound: 2},
+		{"waitset-deadlock", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionNone}, waitSetProgram(), 0xb72589d986a594ec},
+		{"diverge-maxopsteps", sched.ExploreConfig{Config: sched.Config{MaxOpSteps: 5}, PreemptionBound: 2, Reduction: sched.ReductionNone},
 			sched.Program{Threads: []func(*sched.Thread){
 				func(t *sched.Thread) {
 					t.OpStart("spin")

@@ -27,13 +27,14 @@ type ExploreConfig struct {
 	// execution's realized decision prefix is not explored further (the
 	// execution never reached it), but all sibling schedules are.
 	ContinueOnFailure bool
-	// Reduction selects the partial-order reduction strategy. ReductionSleep
-	// prunes schedules that only commute independent steps of already
-	// explored ones; the set of distinct histories visited — and therefore
-	// every verdict derived from them — is identical to ReductionNone, while
-	// the number of executions can drop by orders of magnitude. Pruning is a
-	// deterministic function of the schedule tree, so it composes with the
-	// parallel explorer, work stealing, and work-unit replay.
+	// Reduction selects the partial-order reduction strategy. ReductionSleep,
+	// the zero value, prunes schedules that only commute independent steps
+	// of already explored ones; the set of distinct histories visited — and
+	// therefore every verdict derived from them — is identical to
+	// ReductionNone, while the number of executions can drop by orders of
+	// magnitude. Pruning is a deterministic function of the schedule tree,
+	// so it composes with the parallel explorer, work stealing, and
+	// work-unit replay. A Serial exploration ignores it and runs unreduced.
 	Reduction Reduction
 	// Telemetry, when non-nil, receives execution/decision/pruning counters
 	// and the DFS-depth watermark. The explorer accumulates plain-int deltas
@@ -147,6 +148,11 @@ type explorer struct {
 }
 
 func newExplorer(cfg ExploreConfig, co *coordinator) *explorer {
+	if cfg.Serial {
+		// Phase 1 must see every serial order: a pruned one would lose its
+		// spec entries and turn into false FAILs in phase 2.
+		cfg.Reduction = ReductionNone
+	}
 	if cfg.Reduction == ReductionSleep {
 		cfg.Config.TrackFootprints = true
 	}

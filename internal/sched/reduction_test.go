@@ -33,22 +33,30 @@ func mixedThread(name string, loc, n int) func(t *sched.Thread) {
 	}
 }
 
+// TestParseReduction pins the text form: "sleep" (the zero value) and
+// "none" read back as themselves, anything else — the empty string included,
+// which once read as none — is refused.
 func TestParseReduction(t *testing.T) {
 	for spec, want := range map[string]sched.Reduction{
-		"":      sched.ReductionNone,
 		"none":  sched.ReductionNone,
 		"sleep": sched.ReductionSleep,
 	} {
-		got, err := sched.ParseReduction(spec)
-		if err != nil || got != want {
-			t.Errorf("ParseReduction(%q) = %v, %v; want %v", spec, got, err, want)
+		var got sched.Reduction
+		if err := got.UnmarshalText([]byte(spec)); err != nil || got != want {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", spec, got, err, want)
 		}
-		if s := want.String(); spec != "" && s != spec {
-			t.Errorf("%v.String() = %q, want %q", want, s, spec)
+		if s, _ := want.MarshalText(); string(s) != spec {
+			t.Errorf("%v.MarshalText() = %q, want %q", want, s, spec)
 		}
 	}
-	if _, err := sched.ParseReduction("bogus"); err == nil {
-		t.Error("ParseReduction accepted a bogus strategy")
+	if sched.Reduction(0) != sched.ReductionSleep {
+		t.Error("the zero Reduction is not sleep")
+	}
+	for _, bad := range []string{"", "bogus"} {
+		var r sched.Reduction
+		if err := r.UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalText(%q) accepted a bogus strategy as %v", bad, r)
+		}
 	}
 }
 
@@ -91,7 +99,7 @@ func TestSleepSetPrunesIndependentSteps(t *testing.T) {
 	prog := func() sched.Program {
 		return sched.Program{Threads: []func(*sched.Thread){dataThread(0, 2), dataThread(1, 2)}}
 	}
-	full, fullStats := exploreAll(t, sched.ExploreConfig{PreemptionBound: sched.Unbounded}, prog())
+	full, fullStats := exploreAll(t, sched.ExploreConfig{PreemptionBound: sched.Unbounded, Reduction: sched.ReductionNone}, prog())
 	cfg := sched.ExploreConfig{PreemptionBound: sched.Unbounded, Reduction: sched.ReductionSleep}
 	reduced, stats := exploreAll(t, cfg, prog())
 	if len(reduced) >= len(full) {
@@ -131,7 +139,7 @@ func TestSleepSetRespectsConflicts(t *testing.T) {
 		t.Fatalf("conflicting writes explored %d schedules, disjoint %d; dependence is being ignored",
 			len(conflicting), len(disjoint))
 	}
-	full, _ := exploreAll(t, sched.ExploreConfig{PreemptionBound: sched.Unbounded}, mk(0)())
+	full, _ := exploreAll(t, sched.ExploreConfig{PreemptionBound: sched.Unbounded, Reduction: sched.ReductionNone}, mk(0)())
 	if len(conflicting) > len(full) {
 		t.Fatalf("reduced exploration ran more executions (%d) than full (%d)", len(conflicting), len(full))
 	}
@@ -149,7 +157,10 @@ func TestSleepSetHistoryEquivalence(t *testing.T) {
 		}}
 	}
 	for _, bound := range []int{0, 1, 2, sched.Unbounded} {
-		full, _ := exploreAll(t, sched.ExploreConfig{PreemptionBound: bound}, prog())
+		full, fullStats := exploreAll(t, sched.ExploreConfig{PreemptionBound: bound, Reduction: sched.ReductionNone}, prog())
+		if fullStats.Pruned != 0 {
+			t.Fatalf("bound=%d: the unreduced reference pruned %d branches", bound, fullStats.Pruned)
+		}
 		reduced, stats := exploreAll(t, sched.ExploreConfig{
 			PreemptionBound: bound, Reduction: sched.ReductionSleep,
 		}, prog())

@@ -149,8 +149,8 @@ func TestPreemptionBoundZeroGivesThreadOrderings(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	prog := sched.Program{Threads: []func(*sched.Thread){opThread(2, "a"), opThread(2, "b")}}
 	outs, _ := exploreAll(t, sched.ExploreConfig{
-		Config:          sched.Config{},
 		PreemptionBound: 0,
+		Reduction:       sched.ReductionNone,
 	}, prog)
 	// With no preemptions allowed, the only schedules are "A fully, then B"
 	// and "B fully, then A".
@@ -167,8 +167,8 @@ func TestPreemptionBoundMonotone(t *testing.T) {
 	prev := 0
 	for bound := 0; bound <= 3; bound++ {
 		outs, _ := exploreAll(t, sched.ExploreConfig{
-			Config:          sched.Config{},
 			PreemptionBound: bound,
+			Reduction:       sched.ReductionNone,
 		}, prog())
 		if len(outs) < prev {
 			t.Fatalf("schedule count decreased when bound grew: bound=%d count=%d prev=%d", bound, len(outs), prev)

@@ -12,14 +12,16 @@ import "fmt"
 type Reduction int
 
 const (
-	// ReductionNone explores the full preemption-bounded schedule tree.
-	ReductionNone Reduction = iota
-	// ReductionSleep prunes branches with sleep sets (Godefroid): a thread
-	// whose deferred next step is independent of everything executed since
-	// the exploration last covered it is not rescheduled, because the
-	// resulting execution would only commute independent steps of an
-	// already-explored one.
-	ReductionSleep
+	// ReductionSleep, the zero value, prunes branches with sleep sets
+	// (Godefroid): a thread whose deferred next step is independent of
+	// everything executed since the exploration last covered it is not
+	// rescheduled, because the resulting execution would only commute
+	// independent steps of an already-explored one. A serial exploration
+	// (Config.Serial) is never reduced: it must enumerate every serial order.
+	ReductionSleep Reduction = iota
+	// ReductionNone explores the full preemption-bounded schedule tree: the
+	// reference the reduction is held to.
+	ReductionNone
 )
 
 func (r Reduction) String() string {
@@ -33,28 +35,20 @@ func (r Reduction) String() string {
 	}
 }
 
-// MarshalText and UnmarshalText give a Reduction its one text form ("none",
-// "sleep"; empty reads as none): the spelling of the -reduction flag and of
-// every file a check is written down in.
+// MarshalText and UnmarshalText give a Reduction its one text form ("sleep",
+// "none"): the spelling every file a check is written down in uses.
 func (r Reduction) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
 
 func (r *Reduction) UnmarshalText(b []byte) error {
 	switch string(b) {
-	case "none", "":
-		*r = ReductionNone
 	case "sleep":
 		*r = ReductionSleep
+	case "none":
+		*r = ReductionNone
 	default:
-		return fmt.Errorf("sched: unknown reduction %q (want none or sleep)", b)
+		return fmt.Errorf("sched: unknown reduction %q (want sleep or none)", b)
 	}
 	return nil
-}
-
-// ParseReduction parses the text form of a reduction strategy.
-func ParseReduction(s string) (Reduction, error) {
-	var r Reduction
-	err := r.UnmarshalText([]byte(s))
-	return r, err
 }
 
 // LocAccess is one shared-memory location touched by a decision window,

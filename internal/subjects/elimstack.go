@@ -134,80 +134,3 @@ func (s *ElimStackPre) Push(t *sched.Thread, v int) {
 		}
 	}
 }
-
-// ElimStackRelaxed extends ElimStack with a top-value cache maintained
-// outside the CAS that commits each operation. A pop pre-computes the new
-// top value before its CAS and writes the cache after; between those two
-// instants other operations can complete, so the cached value a
-// TryPeekCached returns may be stale with respect to real time. The cache
-// is sequentially consistent: the stale read is explained by reordering the
-// reader's operation before the writes it missed, preserving each thread's
-// program order. It is not quiescently consistent — a quiescent instant
-// between the interfering operations pins the block order that the stale
-// value contradicts — which separates the two relaxations on this subject.
-type ElimStackRelaxed struct {
-	ElimStack
-	cachedTop *vsync.Cell[int] // last known top value, -1 = empty
-}
-
-// NewElimStackRelaxed constructs the relaxed variant.
-func NewElimStackRelaxed(t *sched.Thread) *ElimStackRelaxed {
-	return &ElimStackRelaxed{
-		ElimStack: ElimStack{
-			top:  vsync.NewAtomic[*stackNode](t, "ElimStack.top", nil),
-			slot: vsync.NewAtomic[*elimItem](t, "ElimStack.slot", nil),
-		},
-		cachedTop: vsync.NewCell(t, "ElimStack.cachedTop", -1),
-	}
-}
-
-// Push adds v and refreshes the cache after the commit.
-func (s *ElimStackRelaxed) Push(t *sched.Thread, v int) {
-	for {
-		top := s.top.Load(t)
-		if s.top.CompareAndSwap(t, top, &stackNode{value: v, next: top}) {
-			s.cachedTop.Store(t, v)
-			return
-		}
-		it := &elimItem{value: v}
-		if s.slot.CompareAndSwap(t, nil, it) {
-			t.Yield()
-			if !s.slot.CompareAndSwap(t, it, nil) {
-				return
-			}
-		}
-	}
-}
-
-// TryPop removes the top element; the replacement cache value is computed
-// before the committing CAS and stored after it, which is the stale window.
-func (s *ElimStackRelaxed) TryPop(t *sched.Thread) (v int, ok bool) {
-	for {
-		top := s.top.Load(t)
-		if top == nil {
-			return 0, false
-		}
-		newTop := -1
-		if top.next != nil {
-			newTop = top.next.value
-		}
-		if s.top.CompareAndSwap(t, top, top.next) {
-			s.cachedTop.Store(t, newTop) // may be stale by now
-			return top.value, true
-		}
-		if it := s.slot.Load(t); it != nil {
-			if s.slot.CompareAndSwap(t, it, nil) {
-				return it.value, true
-			}
-		}
-	}
-}
-
-// TryPeekCached returns the cached top value (-1 means empty was cached).
-func (s *ElimStackRelaxed) TryPeekCached(t *sched.Thread) (v int, ok bool) {
-	v = s.cachedTop.Load(t)
-	if v < 0 {
-		return 0, false
-	}
-	return v, true
-}

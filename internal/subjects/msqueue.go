@@ -123,33 +123,3 @@ func (q *MSQueuePre) TryDequeue(t *sched.Thread) (v int, ok bool) {
 	q.head.Store(t, next) // BUG: lost update; must be CompareAndSwap
 	return next.value, true
 }
-
-// MSQueueRelaxed extends MSQueue with a traversal-based Count: it walks the
-// next pointers from the head dummy, one instrumented load per node, without
-// excluding concurrently dequeued or enqueued nodes. The walk can observe an
-// element that a completed dequeue already removed together with an element
-// a later enqueue added — a total no instant of the queue ever held — so
-// Count is not linearizable. It is quiescently consistent: with no operation
-// in flight the walk is exact, and every anomalous total is explained by
-// reordering the walk against the operations it overlaps.
-type MSQueueRelaxed struct {
-	MSQueue
-}
-
-// NewMSQueueRelaxed constructs the relaxed variant.
-func NewMSQueueRelaxed(t *sched.Thread) *MSQueueRelaxed {
-	dummy := newMSNode(t, 0)
-	return &MSQueueRelaxed{MSQueue{
-		head: vsync.NewAtomic(t, "MSQueue.head", dummy),
-		tail: vsync.NewAtomic(t, "MSQueue.tail", dummy),
-	}}
-}
-
-// Count walks the list from the (possibly stale) head dummy.
-func (q *MSQueueRelaxed) Count(t *sched.Thread) int {
-	n := 0
-	for node := q.head.Load(t).next.Load(t); node != nil; node = node.next.Load(t) {
-		n++
-	}
-	return n
-}

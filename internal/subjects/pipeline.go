@@ -88,10 +88,9 @@ func (p *PipelinePre) TrySend(t *sched.Thread, v int) bool {
 // PipelineRelaxed extends Pipeline with a Len that sums the two buffer
 // lengths under separate locks. A value in flight inside Process (received
 // from the input but not yet emitted to the output) is invisible to both
-// counts, so no ordering relaxation explains the totals — the operation is
-// genuinely nondeterministic with respect to the sequential spec and is
-// checked with a result wildcard (Options.RelaxedOps) instead of a
-// consistency relaxation.
+// counts, so no reordering explains the totals — the operation is genuinely
+// nondeterministic with respect to the sequential spec and is checked with a
+// result wildcard (Options.RelaxedOps).
 type PipelineRelaxed struct {
 	Pipeline
 }

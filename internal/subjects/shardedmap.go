@@ -181,35 +181,3 @@ func (m *ShardedMapPre) Delete(t *sched.Thread, k int) bool {
 func (m *ShardedMapPre) Len(t *sched.Thread) int {
 	return m.size.Load(t)
 }
-
-// ShardedMapRelaxed weakens Len to a shard-at-a-time scan: it locks, counts,
-// and unlocks each shard in turn, so entries moved by operations that run
-// between the per-shard critical sections are double-counted or missed. The
-// scan is not linearizable — it can report a total the map held at no
-// instant — but it is quiescently consistent: a scan that overlaps no other
-// operation is exact, and any anomalous total is explained by reordering the
-// scan against exactly the operations it overlaps.
-type ShardedMapRelaxed struct {
-	ShardedMap
-}
-
-// NewShardedMapRelaxed constructs the relaxed variant.
-func NewShardedMapRelaxed(t *sched.Thread) *ShardedMapRelaxed {
-	m := &ShardedMapRelaxed{}
-	for i := range m.shards {
-		m.shards[i] = newMapShard(t, "ShardedMap.shard"+string(rune('0'+i)))
-	}
-	return m
-}
-
-// Len counts shard-at-a-time, releasing each shard lock before taking the
-// next.
-func (m *ShardedMapRelaxed) Len(t *sched.Thread) int {
-	n := 0
-	for _, s := range m.shards {
-		s.mu.Lock(t)
-		n += len(s.get(t))
-		s.mu.Unlock(t)
-	}
-	return n
-}

@@ -1,10 +1,10 @@
 // Package subjects is the Go-native subject corpus: idiomatic concurrent
 // objects — a Michael–Scott queue, a Treiber stack with elimination backoff,
-// a sharded map, and a channel-based pipeline stage — each in three flavors:
-// a correct implementation, a defect-seeded sibling (the "Pre" variant, in
-// the spirit of the paper's pre-release .NET bugs), and a deliberately
-// relaxed variant that is correct only under a weaker criterion (quiescent
-// or sequential consistency, or a declared-nondeterministic operation).
+// a sharded map, and a channel-based pipeline stage — each as a correct
+// implementation and a defect-seeded sibling (the "Pre" variant, in the
+// spirit of the paper's pre-release .NET bugs). The pipeline also has a
+// relaxed variant whose one nondeterministic operation is correct only once
+// declared so (Options.RelaxedOps).
 //
 // The corpus serves three masters: it is the checker's dogfood (every
 // variant comes with a directed test whose verdict is known), the coverage-
@@ -22,8 +22,8 @@ import (
 )
 
 // Entry bundles one subject family: the correct implementation, its
-// defect-seeded and relaxed siblings, the checking configuration they need,
-// and directed tests with known verdicts.
+// defect-seeded sibling (and, for the pipeline, its relaxed one), the
+// checking configuration they need, and directed tests with known verdicts.
 type Entry struct {
 	// Name is the family name, e.g. "MSQueue".
 	Name string
@@ -31,14 +31,11 @@ type Entry struct {
 	Subject *core.Subject
 	// Pre is the defect-seeded sibling; the checker must convict it.
 	Pre *core.Subject
-	// Relaxed is the deliberately weakened sibling: it fails strict
-	// linearizability but satisfies RelaxedConsistency (with RelaxedOps
-	// wildcarded first, if any).
+	// Relaxed, when non-nil, is the deliberately weakened sibling: it fails
+	// linearizability, and passes once RelaxedOps are wildcarded.
 	Relaxed *core.Subject
-	// RelaxedConsistency is the criterion under which Relaxed is correct.
-	RelaxedConsistency core.Consistency
 	// RelaxedOps lists operations of Relaxed whose results are declared
-	// nondeterministic (wildcarded) rather than reordered.
+	// nondeterministic (wildcarded).
 	RelaxedOps []string
 	// Bound is the preemption bound the directed tests need (0 selects the
 	// checker default).
@@ -48,8 +45,7 @@ type Entry struct {
 	Model *monitor.Model
 	// StrictTest passes on Subject and fails on Pre.
 	StrictTest *core.Test
-	// RelaxedTest fails strictly on Relaxed but passes under
-	// RelaxedConsistency/RelaxedOps.
+	// RelaxedTest fails strictly on Relaxed but passes with RelaxedOps.
 	RelaxedTest *core.Test
 }
 
@@ -137,28 +133,13 @@ func msQueueEntry() *Entry {
 			Ops:         queueOps(),
 			SourceFiles: files,
 		},
-		Relaxed: &core.Subject{
-			Name:        "MSQueue(Relaxed)",
-			New:         func(t *sched.Thread) any { return NewMSQueueRelaxed(t) },
-			Ops:         append(queueOps(), opCount()),
-			SourceFiles: files,
-		},
-		Bound:              2,
-		RelaxedConsistency: core.QuiescentConsistency,
-		Model:              monitor.QueueModel(),
+		Bound: 2,
+		Model: monitor.QueueModel(),
 		// Two concurrent dequeuers of a two-element queue: the Pre variant's
 		// store-published head lets both return the front element.
 		StrictTest: &core.Test{
 			Init: []core.Op{qEnqueue(1), qEnqueue(2)},
 			Rows: [][]core.Op{{qTryDequeue()}, {qTryDequeue()}},
-		},
-		// A traversal Count overlapping a dequeue that completes before an
-		// enqueue starts can report both elements — a total the queue held at
-		// no instant, explainable only by reordering within the quiescent
-		// block the pending Count spans.
-		RelaxedTest: &core.Test{
-			Init: []core.Op{qEnqueue(1)},
-			Rows: [][]core.Op{{opCount()}, {qTryDequeue()}, {qEnqueue(2)}},
 		},
 	}
 }
@@ -171,10 +152,6 @@ type stackAPI interface {
 	TryPeek(t *sched.Thread) (int, bool)
 	Count(t *sched.Thread) int
 	IsEmpty(t *sched.Thread) bool
-}
-
-type peekCachedAPI interface {
-	TryPeekCached(t *sched.Thread) (int, bool)
 }
 
 func sPush(v int) core.Op {
@@ -202,12 +179,6 @@ func sIsEmpty() core.Op {
 	}}
 }
 
-func sTryPeekCached() core.Op {
-	return core.Op{Method: "TryPeekCached", Run: func(t *sched.Thread, obj any) string {
-		return collections.TryInt(obj.(peekCachedAPI).TryPeekCached(t))
-	}}
-}
-
 func stackOps() []core.Op {
 	return []core.Op{sPush(1), sPush(2), sPush(3), sTryPop(), sTryPeek(), opCount(), sIsEmpty()}
 }
@@ -228,13 +199,6 @@ func elimStackEntry() *Entry {
 			Ops:         stackOps(),
 			SourceFiles: files,
 		},
-		Relaxed: &core.Subject{
-			Name:        "ElimStack(Relaxed)",
-			New:         func(t *sched.Thread) any { return NewElimStackRelaxed(t) },
-			Ops:         append(stackOps(), sTryPeekCached()),
-			SourceFiles: files,
-		},
-		RelaxedConsistency: core.SequentialConsistency,
 		// The conviction interleaving parks the pusher in the elimination
 		// slot between two poppers' loads and commits, which costs one more
 		// preemption than the default bound allows.
@@ -248,16 +212,6 @@ func elimStackEntry() *Entry {
 			Init:  []core.Op{sPush(0), sPush(5)},
 			Rows:  [][]core.Op{{sPush(1)}, {sTryPop()}, {sTryPop()}},
 			Final: []core.Op{sTryPop()},
-		},
-		// The pop pre-computes its replacement cache value before the
-		// committing CAS and stores it after; a push completing in that window
-		// leaves the cache stale, so a later TryPeekCached misses a value the
-		// push already made visible. Only reordering the reader before the
-		// push — dropping real-time order while keeping program order —
-		// explains the history.
-		RelaxedTest: &core.Test{
-			Init: []core.Op{sPush(1)},
-			Rows: [][]core.Op{{sTryPop()}, {sPush(2)}, {sTryPeekCached()}},
 		},
 	}
 }
@@ -316,27 +270,13 @@ func shardedMapEntry() *Entry {
 			Ops:         mapOps(),
 			SourceFiles: files,
 		},
-		Relaxed: &core.Subject{
-			Name:        "ShardedMap(Relaxed)",
-			New:         func(t *sched.Thread) any { return NewShardedMapRelaxed(t) },
-			Ops:         mapOps(),
-			SourceFiles: files,
-		},
-		Bound:              2,
-		RelaxedConsistency: core.QuiescentConsistency,
-		Model:              MapModel(),
+		Bound: 2,
+		Model: MapModel(),
 		// Two fresh Puts on different shards race the Pre variant's unlocked
 		// size bump; the final Len observes the lost increment.
 		StrictTest: &core.Test{
 			Rows:  [][]core.Op{{mPut(0, 10)}, {mPut(1, 20)}},
 			Final: []core.Op{mLen()},
-		},
-		// The shard-at-a-time scan counts shard 0 before a Put lands there and
-		// shard 1 after a Delete empties it: Len reports 0 even though the Put
-		// finished before the Delete began.
-		RelaxedTest: &core.Test{
-			Init: []core.Op{mPut(1, 10)},
-			Rows: [][]core.Op{{mPut(0, 10)}, {mDelete(1)}, {mLen()}},
 		},
 	}
 }
@@ -411,10 +351,9 @@ func pipelineEntry() *Entry {
 			Ops:         append(pipelineOps(), pLen()),
 			SourceFiles: files,
 		},
-		Bound:              2,
-		RelaxedConsistency: core.Linearizability,
-		RelaxedOps:         []string{"Len()"},
-		Model:              PipelineModel(),
+		Bound:      2,
+		RelaxedOps: []string{"Len()"},
+		Model:      PipelineModel(),
 		// Two concurrent TrySends into a single-slot input: the Pre variant's
 		// check-then-act lets both pass the room check, and the loser blocks
 		// inside an operation that must never block — a stuck history whose

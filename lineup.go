@@ -122,15 +122,12 @@ const (
 
 // Reduction strategies for Options.Reduction.
 const (
+	// ReductionSleep, the zero value, prunes redundant interleavings with
+	// sleep sets.
+	ReductionSleep = sched.ReductionSleep
 	// ReductionNone explores the full preemption-bounded schedule tree.
 	ReductionNone = sched.ReductionNone
-	// ReductionSleep prunes redundant interleavings with sleep sets.
-	ReductionSleep = sched.ReductionSleep
 )
-
-// ParseReduction parses the CLI spelling ("none" or "sleep") of a reduction
-// strategy.
-func ParseReduction(s string) (Reduction, error) { return sched.ParseReduction(s) }
 
 // Check runs the two-phase Check(X, m) of Fig. 5 on one test.
 func Check(sub *Subject, m *Test, opts Options) (*Result, error) {
@@ -226,34 +223,13 @@ func WriteTrace(w io.Writer, h *History) error { return obsfile.WriteTrace(w, h)
 // a crash mid-write never leaves a torn trace behind.
 func WriteTraceFile(path string, h *History) error { return obsfile.WriteTraceFile(path, h) }
 
-// Relaxed-consistency and coverage-guided-generation vocabulary, re-exported
-// from internal/core.
+// Coverage-guided-generation vocabulary, re-exported from internal/core.
 type (
-	// Consistency selects the correctness criterion of Options.Consistency:
-	// strict linearizability (default) or one of the relaxations checked
-	// against the same phase-1 specification.
-	Consistency = core.Consistency
 	// GenOptions configures Generate.
 	GenOptions = core.GenOptions
 	// GenResult is the outcome of a Generate run.
 	GenResult = core.GenResult
 )
-
-// Consistency criteria for Options.Consistency.
-const (
-	// Linearizability is the strict criterion of the paper.
-	Linearizability = core.Linearizability
-	// SequentialConsistency only requires a serial witness over some
-	// reordering that preserves per-thread order.
-	SequentialConsistency = core.SequentialConsistency
-	// QuiescentConsistency only requires the order of operations separated
-	// by a quiescent point to be preserved.
-	QuiescentConsistency = core.QuiescentConsistency
-)
-
-// ParseConsistency parses the CLI spelling of a consistency criterion
-// ("linearizable", "sequential"/"sc", "quiescent"/"qc").
-func ParseConsistency(s string) (Consistency, error) { return core.ParseConsistency(s) }
 
 // Generate runs coverage-guided test generation: starting from the smallest
 // pairwise tests over the subject's invocation universe, it mutates corpus

@@ -77,16 +77,16 @@ func TestFacadeCheck(t *testing.T) {
 }
 
 // TestFacadeReduction exercises Options.Reduction through the public API:
-// the sleep-set-reduced check must return the identical verdict and
-// violation while exploring no more schedules than the full one.
+// the sleep-set-reduced check, the default, must return the identical verdict
+// and violation while exploring no more schedules than the full one.
 func TestFacadeReduction(t *testing.T) {
-	if r, err := lineup.ParseReduction("sleep"); err != nil || r != lineup.ReductionSleep {
-		t.Fatalf("ParseReduction(sleep) = %v, %v", r, err)
+	if (lineup.Options{}).Reduction != lineup.ReductionSleep {
+		t.Fatal("unset Options.Reduction is not sleep sets")
 	}
 	bad := registerSubject(true)
 	add, get := bad.Ops[2], bad.Ops[1]
 	m := &lineup.Test{Rows: [][]lineup.Op{{add, get}, {add}}}
-	full, err := lineup.Check(bad, m, lineup.Options{ExhaustPhase2: true})
+	full, err := lineup.Check(bad, m, lineup.Options{ExhaustPhase2: true, Reduction: lineup.ReductionNone})
 	if err != nil {
 		t.Fatalf("full check: %v", err)
 	}
