@@ -138,8 +138,8 @@ func BenchmarkFig9ManualResetEvent(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4CounterModelCheck benchmarks the model-based classic and
-// generalized checks on the Fig. 4 counter.
+// BenchmarkFig4CounterModelCheck benchmarks the classic and generalized
+// checks of the Fig. 4 counter against the executable counter model.
 func BenchmarkFig4CounterModelCheck(b *testing.B) {
 	inc := lineup.Op{Method: "Inc", Run: func(t *lineup.Thread, o any) string {
 		o.(interface{ Inc(*sched.Thread) }).Inc(t)
@@ -149,18 +149,18 @@ func BenchmarkFig4CounterModelCheck(b *testing.B) {
 		return fmt.Sprint(o.(interface{ Get(*sched.Thread) int }).Get(t))
 	}}
 	impl := &lineup.Subject{Name: "Counter2", New: func(t *lineup.Thread) any { return collections.NewCounter2(t) }, Ops: []lineup.Op{inc, get}}
-	model := &lineup.Subject{Name: "Counter", New: func(t *lineup.Thread) any { return collections.NewCounter(t) }, Ops: []lineup.Op{inc, get}}
+	model, _ := lineup.BuiltinModel("counter")
 	m := &lineup.Test{Rows: [][]lineup.Op{{inc, get}, {inc}}}
 	b.Run("classic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := lineup.CheckAgainstModel(impl, model, m, lineup.RefOptions{ClassicOnly: true}); err != nil {
+			if _, err := lineup.CheckWithMonitor(impl, model, m, lineup.RefOptions{ClassicOnly: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("generalized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := lineup.CheckAgainstModel(impl, model, m, lineup.RefOptions{}); err != nil {
+			if _, err := lineup.CheckWithMonitor(impl, model, m, lineup.RefOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -122,7 +122,7 @@ func TestCounterNamesGolden(t *testing.T) {
 	// cache hit does not depend on a race between two.
 	col = telemetry.New()
 	s, err := serve.New(serve.Config{
-		Model: monitor.RegisterModel(), Monitor: monitor.Options{Telemetry: col},
+		Model:   monitor.RegisterModel(),
 		Workers: 1, WindowOps: 16, Telemetry: col,
 	})
 	if err != nil {

@@ -143,25 +143,17 @@ func cmdList(args []string) error {
 
 // cmdMonitor checks one recorded concurrent history against a built-in
 // sequential model with the standalone monitor: no schedule exploration and
-// no phase-1 serial enumeration, just the Wing–Gong witness search over the
-// trace. A violation exits with status 1.
+// no phase-1 serial enumeration, just the model's fast monitor where it
+// decides, else the Wing–Gong witness search over the trace. A violation
+// exits with status 1.
 func cmdMonitor(args []string) error {
 	fs := flag.NewFlagSet("monitor", flag.ExitOnError)
 	trace := fs.String("trace", "", "JSONL history trace file ('-' for stdin)")
 	model := modelFlag(fs, "sequential model: ")
 	classic := fs.Bool("classic", false, "classic Definition 1 treatment of pending operations")
-	witnessSpec := fs.String("witness", "wgl", "witness search: wgl (memoized Wing–Gong) or fast (specialized near-log-linear monitor with WGL fallback)")
 	verbose := fs.Bool("v", false, "print the witness linearization")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	useFast := false
-	switch *witnessSpec {
-	case "", "wgl":
-	case "fast":
-		useFast = true
-	default:
-		return fmt.Errorf("monitor: unknown witness search %q (wgl or fast)", *witnessSpec)
 	}
 	if *trace == "" {
 		return fmt.Errorf("monitor: -trace is required")
@@ -191,35 +183,30 @@ func cmdMonitor(args []string) error {
 		stuck = ", stuck"
 	}
 	fmt.Printf("checked %d operations (%d pending%s) against model %q\n", len(h.Ops()), len(h.Pending()), stuck, model.Name)
-	if useFast {
-		if kind, ok := fast.KindFor(model.Name); !ok {
-			fmt.Fprintf(os.Stderr, "monitor: no specialized monitor for model %q; using the Wing–Gong search\n", model.Name)
-		} else {
-			lin, ferr := fast.Check(kind, h)
-			switch {
-			case ferr == nil:
-				fmt.Printf("search: fast %s monitor, certificate-backed (no state enumeration)\n", model.Name)
-				if lin {
-					fmt.Println("verdict: linearizable")
-					if *verbose {
-						fmt.Println("(the fast monitor proves witness existence without materializing one; rerun with -witness wgl for the linearization)")
-					}
-					return nil
-				}
-				fmt.Println("verdict: NOT linearizable")
-				return errViolation
-			case errors.Is(ferr, fast.ErrAmbiguous):
-				fmt.Fprintln(os.Stderr, "monitor: history outside the fast monitor's decidable fragment; falling back to the Wing–Gong search")
-			default:
-				return ferr
+	// A model with a fast monitor is tried on it first: it decides the
+	// histories of its fragment, which are complete, so both definitions read
+	// them alike, and reports ErrAmbiguous on the rest, which the Wing–Gong
+	// search then decides. -v needs a witness, which only the search builds.
+	if kind, ok := fast.KindFor(model.Name); ok && !*verbose {
+		lin, ferr := fast.Check(kind, h)
+		switch {
+		case ferr == nil:
+			fmt.Printf("search: fast %s monitor, certificate-backed (no state enumeration)\n", model.Name)
+			if lin {
+				fmt.Println("verdict: linearizable")
+				return nil
 			}
+			fmt.Println("verdict: NOT linearizable")
+			return errViolation
+		case !errors.Is(ferr, fast.ErrAmbiguous):
+			return ferr
 		}
 	}
 	out, err := monitor.Check(model, h, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("search: %d parts, %d nodes visited, %d seen-set hits\n",
+	fmt.Printf("search: Wing–Gong, %d parts, %d nodes visited, %d seen-set hits\n",
 		out.Stats.Parts, out.Stats.Visited, out.Stats.MemoHits)
 	if out.Linearizable {
 		fmt.Println("verdict: linearizable")
@@ -591,31 +578,27 @@ func causeCase(cause bench.Cause) bench.CauseCase {
 
 func cmdFig4() error {
 	incOp := core.Op{Method: "Inc", Run: func(t *sched.Thread, o any) string {
-		o.(interface{ Inc(*sched.Thread) }).Inc(t)
+		o.(*collections.Counter2).Inc(t)
 		return "ok"
 	}}
 	getOp := core.Op{Method: "Get", Run: func(t *sched.Thread, o any) string {
-		return collections.Int(o.(interface{ Get(*sched.Thread) int }).Get(t))
+		return collections.Int(o.(*collections.Counter2).Get(t))
 	}}
 	impl := &core.Subject{
 		Name: "Counter2",
 		New:  func(t *sched.Thread) any { return collections.NewCounter2(t) },
 		Ops:  []core.Op{incOp, getOp},
 	}
-	model := &core.Subject{
-		Name: "Counter",
-		New:  func(t *sched.Thread) any { return collections.NewCounter(t) },
-		Ops:  []core.Op{incOp, getOp},
-	}
+	model := monitor.CounterModel()
 	m := &core.Test{Rows: [][]core.Op{{incOp, getOp}, {incOp}}}
 	fmt.Println("Fig. 4 — Counter2 forgets to release the lock in Get:")
 	fmt.Println(indent(m.String()))
-	classic, err := core.CheckAgainstModel(impl, model, m, core.RefOptions{ClassicOnly: true})
+	classic, err := core.CheckWithMonitor(impl, model, m, core.RefOptions{ClassicOnly: true})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("  classic linearizability (Def. 1) vs counter spec:     %v\n", classic.Verdict)
-	gen, err := core.CheckAgainstModel(impl, model, m, core.RefOptions{})
+	gen, err := core.CheckWithMonitor(impl, model, m, core.RefOptions{})
 	if err != nil {
 		return err
 	}

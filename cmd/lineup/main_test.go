@@ -376,6 +376,12 @@ func TestCmdWitnessRefusals(t *testing.T) {
 			2, "flag provided but not defined: -witness"},
 		{[]string{"serve", "-model", "queue", "-trace", missing, "-no-memo"},
 			2, "flag provided but not defined: -no-memo"},
+		{[]string{"serve", "-model", "queue", "-trace", missing, "-classic"},
+			2, "flag provided but not defined: -classic"},
+		{[]string{"serve", "-model", "queue", "-trace", missing, "-no-dedup"},
+			2, "flag provided but not defined: -no-dedup"},
+		{[]string{"monitor", "-trace", missing, "-model", "queue", "-witness", "fast"},
+			2, "flag provided but not defined: -witness"},
 	} {
 		out, err := exec.Command(bin, c.args...).CombinedOutput()
 		ee, ok := err.(*exec.ExitError)
@@ -437,6 +443,42 @@ func TestCmdMonitorLinearizableTrace(t *testing.T) {
 	}
 	if !contains(out, "verdict: linearizable") || !contains(out, "witness:") {
 		t.Fatalf("missing verdict/witness:\n%s", out)
+	}
+}
+
+// TestCmdMonitorPicksItsSearch: the queue model's fast monitor decides a
+// trace inside its fragment; outside it (a failed TryDequeue observes
+// emptiness), and whenever -v asks for a witness, the Wing–Gong search does.
+// The search: line names which one decided.
+func TestCmdMonitorPicksItsSearch(t *testing.T) {
+	enq := `{"t":0,"k":"call","op":"Enqueue(10)"}
+{"t":0,"k":"ret","op":"Enqueue(10)","res":"ok"}
+`
+	for _, c := range []struct {
+		deq, verbose, want string
+	}{
+		{"10", "", "search: fast queue monitor"},
+		{"10", "-v", "search: Wing–Gong"},
+		{"Fail", "", "search: Wing–Gong"},
+	} {
+		trace := filepath.Join(t.TempDir(), "trace.jsonl")
+		body := enq + `{"t":1,"k":"call","op":"TryDequeue()"}
+{"t":1,"k":"ret","op":"TryDequeue()","res":"` + c.deq + `"}
+`
+		if err := os.WriteFile(trace, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args := []string{"monitor", "-trace", trace, "-model", "queue"}
+		if c.verbose != "" {
+			args = append(args, c.verbose)
+		}
+		out := captureStdout(t, func() error {
+			run(args)
+			return nil
+		})
+		if strings.Count(out, "search:") != 1 || !contains(out, c.want) {
+			t.Errorf("TryDequeue()=%s %s: want one search: line, %q:\n%s", c.deq, c.verbose, c.want, out)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -21,7 +20,7 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	trace := fs.String("trace", "-", "history stream, JSONL or binary batch frames ('-' for a stdin pipe)")
 	cfg := serve.Config{Model: modelFlag(fs, "sequential model: ")}
-	fs.IntVar(&cfg.Workers, "workers", runtime.NumCPU(), "checker worker pool size")
+	fs.IntVar(&cfg.Workers, "workers", 0, "checker worker pool size (0 = one per CPU)")
 	fs.IntVar(&cfg.WindowOps, "window", 128, "completed operations per retired window")
 	fs.IntVar(&cfg.QueueDepth, "queue", 1024, "per-worker event queue depth")
 	fs.TextVar(&cfg.Backpressure, "backpressure", serve.BlockOnFull, "full-queue policy: block (stall the producer) or shed (drop and poison the partition)")
@@ -29,8 +28,6 @@ func cmdServe(args []string) error {
 	fs.StringVar(&cfg.CheckpointPath, "checkpoint", "", "checkpoint service state to FILE (atomically)")
 	fs.Int64Var(&cfg.CheckpointEvery, "checkpoint-every", 0, "also checkpoint automatically every N ingested events (0 = only on shutdown)")
 	resume := fs.Bool("resume", false, "resume from the -checkpoint file: replay the stream, skip what the checkpoint covers")
-	classic := fs.Bool("classic", false, "classic Definition 1 treatment of pending operations at stream end")
-	fs.BoolVar(&cfg.NoDedup, "no-dedup", false, "disable the shared window-verdict dedup cache")
 	tflags := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -38,9 +35,6 @@ func cmdServe(args []string) error {
 	model := cfg.Model
 	if model.Name == "" {
 		return fmt.Errorf("serve: -model is required (one of %s)", strings.Join(monitor.BuiltinNames(), ", "))
-	}
-	if *classic {
-		cfg.Monitor.Mode = monitor.ModeClassic
 	}
 	if *resume {
 		if cfg.CheckpointPath == "" {
@@ -56,7 +50,6 @@ func cmdServe(args []string) error {
 		return err
 	}
 	cfg.Telemetry = tr.C
-	cfg.Monitor.Telemetry = tr.C
 	cfg.OnVerdict = func(v serve.PartitionVerdict) {
 		fmt.Fprintf(os.Stderr, "serve: partition %q NOT linearizable after %d ops\n", v.Key, v.Ops)
 	}
@@ -122,8 +115,8 @@ func printServeSummary(w io.Writer, sum *serve.Summary, wall time.Duration) {
 	}
 	fmt.Fprintf(w, "served %d events: %d ops checked across %d partitions in %v%s\n",
 		st.EventsIngested, st.OpsChecked, st.Partitions, wall.Round(time.Millisecond), opsPerSec)
-	fmt.Fprintf(w, "windows: %d retired, %d overflows; cache: %d hits, %d entries; max window %d events, frontier %d\n",
-		st.WindowFlushes, st.WindowOverflows, st.CacheHits, st.CacheEntries, st.MaxWindowEvents, st.MaxFrontier)
+	fmt.Fprintf(w, "windows: %d retired, %d overflows; cache: %d hits, %d entries, %d skipped; max window %d events, frontier %d\n",
+		st.WindowFlushes, st.WindowOverflows, st.CacheHits, st.CacheEntries, st.CacheSkipped, st.MaxWindowEvents, st.MaxFrontier)
 	fmt.Fprintf(w, "backpressure: %d routed, %d shed; checkpoints: %d\n",
 		st.EventsRouted, st.EventsShed, st.Checkpoints)
 	var failed, shed, errored []serve.PartitionVerdict

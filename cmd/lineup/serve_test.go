@@ -361,3 +361,36 @@ func TestServeStdinFramesMatchHTTPFrames(t *testing.T) {
 		t.Errorf("verdicts differ between transports:\n--- POST ---\n%s\n--- stdin ---\n%s", got, want)
 	}
 }
+
+// TestCmdServeStuckTrace: serve reads pending operations at stream end the way
+// the stream says. A stream that ends in a pending Wait after its Set returned
+// is the lost wakeup of Fig. 9: with the stuck marker the Wait must be
+// justified (Definition 3) and cannot be; truncated without the marker, the
+// Wait may be dropped (Definition 1) and the stream passes.
+func TestCmdServeStuckTrace(t *testing.T) {
+	body := `{"t":1,"k":"call","op":"Set()"}
+{"t":1,"k":"ret","op":"Set()","res":"ok"}
+{"t":0,"k":"call","op":"Wait()"}
+`
+	for _, c := range []struct {
+		marker string
+		code   int
+		want   string
+	}{
+		{`{"k":"stuck"}` + "\n", 1, "verdict: NOT linearizable"},
+		{"", 0, "verdict: linearizable"},
+	} {
+		trace := filepath.Join(t.TempDir(), "stream.jsonl")
+		if err := os.WriteFile(trace, []byte(body+c.marker), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var code int
+		out := captureStdout(t, func() error {
+			code = run([]string{"serve", "-trace", trace, "-model", "mre", "-window", "1"})
+			return nil
+		})
+		if code != c.code || !strings.Contains(out, c.want) {
+			t.Errorf("stuck marker %q: exit %d, want %d with %q:\n%s", c.marker, code, c.code, c.want, out)
+		}
+	}
+}

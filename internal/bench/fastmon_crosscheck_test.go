@@ -47,8 +47,8 @@ func fastCrosscheckCases(t *testing.T) []fastCrosscheckCase {
 
 // TestFastBackendBitIdentical asserts verdict bit-identity of the fast
 // witness path on every history the explorer emits: the specialized monitor
-// (with WGL fallback on ErrAmbiguous, exactly as `lineup monitor -witness
-// fast` routes it) against the memoized Wing–Gong search and the phase-1
+// (with WGL fallback on ErrAmbiguous, exactly as `lineup monitor` routes
+// it) against the memoized Wing–Gong search and the phase-1
 // specification set (the oracle package holds explorer histories to the
 // definition).
 func TestFastBackendBitIdentical(t *testing.T) {

@@ -176,8 +176,7 @@ func negative(field string, v int, zero string) error {
 }
 
 // exploreWorkers resolves Workers for an exhaustive phase-2 exploration: an
-// explicit count stands, and 0 is one worker per CPU the process may use —
-// more workers than CPUs only add switching — or one when DetectLeaks needs
+// explicit count stands, and 0 is OnePerCPU, or one when DetectLeaks needs
 // executions to run one at a time.
 func (o Options) exploreWorkers() int {
 	switch {
@@ -186,8 +185,13 @@ func (o Options) exploreWorkers() int {
 	case o.DetectLeaks:
 		return 1
 	}
-	return min(runtime.GOMAXPROCS(0), runtime.NumCPU())
+	return OnePerCPU()
 }
+
+// OnePerCPU is the worker count a zero Workers selects, here and in dist and
+// serve: one per CPU the process may use, the smaller of GOMAXPROCS and the
+// machine's CPUs, since more workers than CPUs only add switching.
+func OnePerCPU() int { return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) }
 
 func (o Options) bound() int {
 	switch o.PreemptionBound {

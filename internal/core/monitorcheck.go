@@ -7,11 +7,11 @@ import (
 )
 
 // witnessBackend abstracts the phase-2 witness decision procedure over the
-// three checks of Fig. 5: complete histories, classic pending treatment, and
-// the generalized per-pending-operation stuck check.
+// two checks of Fig. 5: complete histories, and the per-pending-operation
+// stuck check of Definition 3. Definition 1 is not a backend's: only
+// CheckWithMonitor decides it, through monitorBackend.witnessClassic.
 type witnessBackend interface {
 	witnessFull(h *history.History) (bool, error)
-	witnessClassic(h *history.History) (bool, error)
 	witnessStuck(h *history.History, e history.Op) (bool, error)
 }
 
@@ -30,11 +30,6 @@ type specBackend struct{ spec *history.Spec }
 
 func (b specBackend) witnessFull(h *history.History) (bool, error) {
 	_, ok := b.spec.WitnessFull(h)
-	return ok, nil
-}
-
-func (b specBackend) witnessClassic(h *history.History) (bool, error) {
-	_, ok := b.spec.WitnessClassic(h)
 	return ok, nil
 }
 
@@ -75,7 +70,7 @@ func (b monitorBackend) witnessStuck(h *history.History, e history.Op) (bool, er
 // executions of sub on m and decides witness existence for every distinct
 // history by model replay. No phase-1 serial enumeration runs — the model is
 // the specification. ClassicOnly selects the original Definition 1 treatment
-// of pending operations, as in CheckAgainstModel.
+// of pending operations; it is the one place Definition 1 is decided.
 func CheckWithMonitor(sub *Subject, model *monitor.Model, m *Test, opts RefOptions) (*Result, error) {
 	opts.MonitorModel = model
 	mode := modeGeneralized
@@ -83,4 +78,15 @@ func CheckWithMonitor(sub *Subject, model *monitor.Model, m *Test, opts RefOptio
 		mode = modeClassic
 	}
 	return phase2(sub, m, nil, opts.Options, mode)
+}
+
+// RefOptions configures CheckWithMonitor.
+type RefOptions struct {
+	Options
+	// ClassicOnly skips the stuck-history check, i.e. it applies the
+	// original Definition 1 instead of the generalized Definition 3. It
+	// exists to demonstrate the paper's Section 2.2.2: the classic
+	// definition cannot detect erroneous blocking (Counter2's leaked lock),
+	// while the generalized definition can.
+	ClassicOnly bool
 }

@@ -20,9 +20,6 @@ type panicBackend struct{}
 func (panicBackend) witnessFull(*history.History) (bool, error) {
 	panic("witness backend exploded")
 }
-func (panicBackend) witnessClassic(*history.History) (bool, error) {
-	panic("witness backend exploded")
-}
 func (panicBackend) witnessStuck(*history.History, history.Op) (bool, error) {
 	panic("witness backend exploded")
 }
@@ -58,7 +55,7 @@ func TestParallelWitnessPanicDoesNotHangWaiters(t *testing.T) {
 	}
 	cfg := sched.ExploreConfig{PreemptionBound: 2, MaxExecutions: 200000}
 	for _, workers := range []int{1, 4} {
-		acc := newPhase2Acc(&phase2Decider{backend: panicBackend{}, mode: modeGeneralized, m: m}, false, 0)
+		acc := newPhase2Acc(&phase2Decider{backend: panicBackend{}, m: m}, false, 0)
 		errCh := make(chan error, 1)
 		go func() {
 			var exploreErr error

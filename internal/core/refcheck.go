@@ -1,35 +1,21 @@
 package core
 
-// RefOptions configures CheckAgainstModel.
-type RefOptions struct {
-	Options
-	// ClassicOnly skips the stuck-history check, i.e. it applies the
-	// original Definition 1 instead of the generalized Definition 3. It
-	// exists to demonstrate the paper's Section 2.2.2: the classic
-	// definition cannot detect erroneous blocking (Counter2's leaked lock),
-	// while the generalized definition can.
-	ClassicOnly bool
-}
-
 // CheckAgainstModel is a variant of Check that synthesizes the
 // specification from a reference model rather than from the implementation
 // itself: phase 1 enumerates the serial executions of model, phase 2 the
-// concurrent executions of impl. This checks classic/generalized
-// linearizability of impl with respect to the model's (deterministic)
+// concurrent executions of impl. This checks generalized linearizability
+// (Definition 3) of impl with respect to the model's (deterministic)
 // specification — the setting of the paper's Section 2.2 examples, where
 // the counter specification of Fig. 3 is given. The model must be
 // deterministic; if its serial behaviors are nondeterministic the check
-// fails with a Nondeterminism violation attributed to the model.
-func CheckAgainstModel(impl, model *Subject, m *Test, opts RefOptions) (*Result, error) {
-	spec, p1, err := SynthesizeSpec(model, m, opts.Options)
+// fails with a Nondeterminism violation attributed to the model. The
+// classic Definition 1 is CheckWithMonitor's, with RefOptions.ClassicOnly.
+func CheckAgainstModel(impl, model *Subject, m *Test, opts Options) (*Result, error) {
+	spec, p1, err := SynthesizeSpec(model, m, opts)
 	if err != nil {
 		return nil, err
 	}
-	mode := modeGeneralized
-	if opts.ClassicOnly {
-		mode = modeClassic
-	}
-	res, err := phase2(impl, m, spec, opts.Options, mode)
+	res, err := phase2(impl, m, spec, opts, modeGeneralized)
 	if err != nil {
 		return nil, err
 	}

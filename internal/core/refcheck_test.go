@@ -5,6 +5,7 @@ import (
 
 	"lineup/internal/collections"
 	"lineup/internal/core"
+	"lineup/internal/monitor"
 	"lineup/internal/sched"
 )
 
@@ -34,10 +35,10 @@ func modelCounter() *core.Subject {
 }
 
 // TestFig4Counter2ClassicVsGeneralized reproduces Section 2.2.2 / Fig. 4:
-// with respect to the counter specification (synthesized here from a
-// correct reference model), Counter2's leaked lock produces a stuck history
-// that is perfectly linearizable under the classic Definition 1 but is
-// rejected by the generalized Definition 3.
+// with respect to the counter specification (the executable counter model),
+// Counter2's leaked lock produces a stuck history that is perfectly
+// linearizable under the classic Definition 1 but is rejected by the
+// generalized Definition 3.
 func TestFig4Counter2ClassicVsGeneralized(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	impl := &core.Subject{
@@ -45,12 +46,12 @@ func TestFig4Counter2ClassicVsGeneralized(t *testing.T) {
 		New:  func(t *sched.Thread) any { return collections.NewCounter2(t) },
 		Ops:  []core.Op{incAny, getAny},
 	}
-	model := modelCounter()
+	model := monitor.CounterModel()
 	// Fig. 4's scenario: thread A increments and reads; thread B's later
 	// increment blocks on the leaked lock.
 	m := &core.Test{Rows: [][]core.Op{{incAny, getAny}, {incAny}}}
 
-	classic, err := core.CheckAgainstModel(impl, model, m, core.RefOptions{ClassicOnly: true})
+	classic, err := core.CheckWithMonitor(impl, model, m, core.RefOptions{ClassicOnly: true})
 	if err != nil {
 		t.Fatalf("classic check: %v", err)
 	}
@@ -58,7 +59,7 @@ func TestFig4Counter2ClassicVsGeneralized(t *testing.T) {
 		t.Fatalf("classic linearizability should accept Counter2 (Def. 1 cannot see blocking): %v", classic.Violation)
 	}
 
-	gen, err := core.CheckAgainstModel(impl, model, m, core.RefOptions{})
+	gen, err := core.CheckWithMonitor(impl, model, m, core.RefOptions{})
 	if err != nil {
 		t.Fatalf("generalized check: %v", err)
 	}
@@ -84,7 +85,7 @@ func TestModelCheckAcceptsCorrectImpl(t *testing.T) {
 		Ops:  []core.Op{incAny, getAny},
 	}
 	m := &core.Test{Rows: [][]core.Op{{incAny, getAny}, {incAny, getAny}}}
-	res, err := core.CheckAgainstModel(impl, model, m, core.RefOptions{})
+	res, err := core.CheckAgainstModel(impl, model, m, core.Options{})
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
@@ -103,7 +104,7 @@ func TestCounter1FailsAgainstModelToo(t *testing.T) {
 		Ops:  []core.Op{incAny, getAny},
 	}
 	m := &core.Test{Rows: [][]core.Op{{incAny, getAny}, {incAny}}}
-	res, err := core.CheckAgainstModel(impl, modelCounter(), m, core.RefOptions{})
+	res, err := core.CheckAgainstModel(impl, modelCounter(), m, core.Options{})
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}

@@ -90,7 +90,8 @@ const (
 	// stuck serial witnesses.
 	modeGeneralized witnessMode = iota
 	// modeClassic is the original Definition 1: pending operations may be
-	// completed or dropped, blocking is invisible.
+	// completed or dropped, blocking is invisible. Only CheckWithMonitor
+	// selects it, so the model always decides it.
 	modeClassic
 )
 
@@ -100,7 +101,9 @@ const (
 // history construction and witness search.
 type phase2Decider struct {
 	backend witnessBackend
-	mode    witnessMode
+	// classic, set under modeClassic, decides stuck histories by
+	// Definition 1 in place of backend's per-pending-operation check.
+	classic *monitorBackend
 	m       *Test
 	relaxed map[string]bool
 	tel     *telemetry.Collector
@@ -108,9 +111,11 @@ type phase2Decider struct {
 
 // decider assembles the decision procedure the (validated) options select.
 func (o Options) decider(spec *history.Spec, m *Test, mode witnessMode) *phase2Decider {
-	return &phase2Decider{
-		backend: o.witnessBackend(spec), mode: mode, m: m, relaxed: o.relaxedSet(), tel: o.Telemetry,
+	d := &phase2Decider{backend: o.witnessBackend(spec), m: m, relaxed: o.relaxedSet(), tel: o.Telemetry}
+	if mode == modeClassic {
+		d.classic = &monitorBackend{model: o.MonitorModel, tel: o.Telemetry}
 	}
+	return d
 }
 
 // witness decides witness existence for one not-yet-seen history, returning
@@ -129,8 +134,8 @@ func (d *phase2Decider) witness(h *history.History) (*Violation, error) {
 		}
 		return nil, nil
 	}
-	if d.mode == modeClassic {
-		ok, err := d.backend.witnessClassic(h)
+	if d.classic != nil {
+		ok, err := d.classic.witnessClassic(h)
 		if err != nil {
 			return nil, err
 		}

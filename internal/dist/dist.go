@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"time"
 
@@ -59,7 +58,8 @@ type Config struct {
 	// recovery).
 	Dir string
 
-	// Workers is the number of concurrently leased units (default: NumCPU).
+	// Workers is the number of concurrently leased units (default:
+	// core.OnePerCPU).
 	Workers int
 	// Depth is the split depth handed to core.PlanUnits (0 = default).
 	Depth int
@@ -141,7 +141,7 @@ func (c Config) withDefaults() (Config, error) {
 		return c, errors.New("dist: Config needs a Subject and a Test")
 	}
 	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
+		c.Workers = core.OnePerCPU()
 	}
 	if c.Lease <= 0 {
 		c.Lease = 10 * time.Second

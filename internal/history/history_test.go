@@ -286,42 +286,6 @@ func TestSerialHistoryIsItsOwnWitness(t *testing.T) {
 	}
 }
 
-func TestWitnessClassicCompletesPendingOps(t *testing.T) {
-	sp := history.NewSpec()
-	sp.Add(serial(so(0, "inc()", "ok"), so(1, "get()", "1")))
-	// inc pending, get=1 complete: classic linearizability may deem the inc
-	// completed (append its return), so the history is accepted...
-	h := &history.History{Stuck: true, Events: []history.Event{
-		{Thread: 0, Kind: history.Call, Op: "inc()", Index: 0},
-		{Thread: 1, Kind: history.Call, Op: "get()", Index: 1},
-		{Thread: 1, Kind: history.Return, Op: "get()", Result: "1", Index: 1},
-	}}
-	if _, ok := sp.WitnessClassic(h); !ok {
-		t.Fatalf("classic witness with completed pending op not found")
-	}
-	// ...and may also drop a pending op entirely: get=0 with a pending inc
-	// is witnessed by the prefix that omits the inc.
-	sp.Add(serial(so(1, "get()", "0"), so(0, "inc()", "ok")))
-	h = &history.History{Stuck: true, Events: []history.Event{
-		{Thread: 0, Kind: history.Call, Op: "inc()", Index: 0},
-		{Thread: 1, Kind: history.Call, Op: "get()", Index: 1},
-		{Thread: 1, Kind: history.Return, Op: "get()", Result: "0", Index: 1},
-	}}
-	if _, ok := sp.WitnessClassic(h); !ok {
-		t.Fatalf("classic witness with dropped pending op not found")
-	}
-	// But a completed operation with the wrong value stays rejected.
-	h = &history.History{Events: []history.Event{
-		{Thread: 0, Kind: history.Call, Op: "inc()", Index: 0},
-		{Thread: 0, Kind: history.Return, Op: "inc()", Result: "ok", Index: 0},
-		{Thread: 1, Kind: history.Call, Op: "get()", Index: 1},
-		{Thread: 1, Kind: history.Return, Op: "get()", Result: "0", Index: 1},
-	}}
-	if _, ok := sp.WitnessClassic(h); ok {
-		t.Fatalf("classic witness accepted a wrong value")
-	}
-}
-
 // TestThreadNameRoundTrips: ThreadIndex inverts ThreadName, and refuses every
 // name ThreadName does not give.
 func TestThreadNameRoundTrips(t *testing.T) {

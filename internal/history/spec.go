@@ -154,7 +154,6 @@ func (n *trie[V]) grow(id int32, val V) *trie[V] {
 // signature is the group's path in the signature trie and nothing else: a
 // string rendering of it would have to be injective over arbitrary results.
 type group struct {
-	stuck bool
 	hist  []*SerialHistory
 	order [][]int32
 }
@@ -258,7 +257,7 @@ func (sp *Spec) Add(s *SerialHistory) {
 		rank++
 	})
 	if g.val == nil {
-		g.val = &group{stuck: s.Stuck()}
+		g.val = &group{}
 		sp.groups = append(sp.groups, g.val)
 	}
 	if s.Stuck() {

@@ -149,6 +149,28 @@ func TestClassicCompletesPendingOp(t *testing.T) {
 	}
 }
 
+// TestClassicCompletesOrDropsPendingOps: on a stuck history the classic check
+// may complete a pending operation or drop it, but never excuses a wrong
+// result of a completed one.
+func TestClassicCompletesOrDropsPendingOps(t *testing.T) {
+	// Inc pending, Get()=1 complete: the Inc is completed.
+	classic := monitor.Options{Mode: monitor.ModeClassic}
+	h := newHB().call(0, "Inc()").op(1, "Get()", "1").stuck().done()
+	if !mustCheck(t, monitor.CounterModel(), h, classic).Linearizable {
+		t.Fatal("classic mode must complete the pending Inc of a stuck history")
+	}
+	// It may also drop a pending operation: Get()=0 beside a pending Inc.
+	h = newHB().call(0, "Inc()").op(1, "Get()", "0").stuck().done()
+	if !mustCheck(t, monitor.CounterModel(), h, classic).Linearizable {
+		t.Fatal("classic mode must drop the pending Inc of a stuck history")
+	}
+	// But a completed operation with the wrong value stays rejected.
+	h = newHB().op(0, "Inc()", "ok").op(1, "Get()", "0").done()
+	if mustCheck(t, monitor.CounterModel(), h, classic).Linearizable {
+		t.Fatal("classic mode accepted Get()=0 after a completed Inc")
+	}
+}
+
 func TestPartitioningSplitsSetHistory(t *testing.T) {
 	h := newHB().
 		op(0, "Add(1)", "true").op(1, "Add(2)", "true").

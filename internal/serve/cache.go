@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"lineup/internal/history"
 )
@@ -12,6 +13,14 @@ import (
 // fresh map. A stream whose windows never repeat would otherwise store one
 // entry per checked window, never read, for the life of the process.
 const maxCacheEntries = 1 << 16
+
+// bypassAfter is the run of misses after which the cache is bypassed, and
+// the stride of the probes that look up while it is: on a stream whose
+// windows never repeat a lookup is pure cost (the key is built and hashed for
+// nothing), while a stream that repeats them hits on almost every window and
+// misses in runs far shorter than this. A skipped lookup is a miss, and the
+// window is decided by the search as any miss is, so no verdict depends on it.
+const bypassAfter = 64
 
 // windowCache deduplicates window transitions across partitions. The key is
 // (frontier states, window) written as its own bytes: the number of states,
@@ -25,6 +34,12 @@ const maxCacheEntries = 1 << 16
 // identical workloads on different partitions — whose global op indices
 // necessarily differ — share entries.
 type windowCache struct {
+	// missRun is the number of lookups in a row that missed, and bypassed the
+	// number of windows consult has seen since it reached bypassAfter. Both
+	// are read before any key is built.
+	missRun  atomic.Int64
+	bypassed atomic.Int64
+
 	mu   sync.Mutex
 	m    map[string]*windowEntry
 	buf  []byte
@@ -50,6 +65,13 @@ func newWindowCache() *windowCache {
 // appendString appends s length-prefixed.
 func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// consult reports whether the next window should be looked up: always while
+// lookups hit, and once bypassAfter of them in a row have missed, only every
+// bypassAfter-th window, as a probe whose first hit turns the cache back on.
+func (c *windowCache) consult() bool {
+	return c.missRun.Load() < bypassAfter || c.bypassed.Add(1)%bypassAfter == 0
 }
 
 // lookup returns the cached entry for (states, events), or (key, nil) on a
@@ -84,8 +106,10 @@ func (c *windowCache) lookup(states []string, events []history.Event) (string, *
 	}
 	c.buf = b
 	if en, ok := c.m[string(b)]; ok {
+		c.missRun.Store(0)
 		return "", en
 	}
+	c.missRun.Add(1)
 	return string(b), nil
 }
 

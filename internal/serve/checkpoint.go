@@ -160,10 +160,8 @@ func Load(path string) (*Checkpoint, error) {
 // resumeKey is the part of a Config a checkpoint must have been written
 // under, in the checkpoint's own field names: the model, and the window size,
 // which decides at which cuts windows are retired. Nothing else in Config is
-// compared because nothing else reaches a restored verdict: Monitor.Mode is
-// applied to the residual windows at Close only, which no checkpoint holds
-// judged, and Workers, QueueDepth, Backpressure and NoDedup move events and
-// reuse results without deciding any.
+// compared because nothing else reaches a restored verdict: Workers,
+// QueueDepth and Backpressure move events without deciding any.
 type resumeKey struct {
 	Model     string `json:"model"`
 	WindowOps int    `json:"window_ops"`
@@ -202,7 +200,7 @@ func (s *Server) restore(cp *Checkpoint) error {
 		s.poison(k)
 	}
 	for _, pc := range cp.Partitions {
-		inc, err := monitor.NewIncremental(s.cfg.Model, s.stats)
+		inc, err := monitor.NewIncremental(s.cfg.Model, s.mopts)
 		if err != nil {
 			return err
 		}

@@ -44,7 +44,6 @@ func TestServeConcurrentShedAccounting(t *testing.T) {
 		WindowOps:      1,
 		QueueDepth:     4,
 		Backpressure:   serve.ShedOnFull,
-		NoDedup:        true, // cache hits would defeat the slow model
 		CheckpointPath: filepath.Join(t.TempDir(), "serve.ckpt"),
 	})
 	if err != nil {

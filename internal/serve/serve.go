@@ -34,7 +34,9 @@
 //     frontier-of-states transition and forgotten. Identical windows from
 //     identical frontiers — common when many partitions run the same
 //     workload — are answered by a shared, bounded verdict dedup cache keyed
-//     like the phase-2 history cache of internal/core.
+//     like the phase-2 history cache of internal/core. A stream whose
+//     windows never repeat turns the cache off by missing: after 64 misses
+//     in a row only every 64th window looks up, until one of those hits.
 //   - The whole service state (tracker, per-partition frontiers and windows,
 //     counters) checkpoints atomically through obsfile.AtomicWriteJSON, so a
 //     killed server resumes without re-reading the stream from the start:
@@ -47,12 +49,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"lineup/internal/core"
 	"lineup/internal/monitor"
 	"lineup/internal/obsfile"
 	"lineup/internal/telemetry"
@@ -100,11 +102,7 @@ type Config struct {
 	// Model is the executable sequential specification every partition is
 	// checked against. Required.
 	Model *monitor.Model
-	// Monitor carries the per-window search options (mode for the final
-	// residual windows, MaxStates). Partitioning inside the monitor
-	// is disabled by the server — the stream is split before windowing.
-	Monitor monitor.Options
-	// Workers is the checker pool size; 0 selects GOMAXPROCS.
+	// Workers is the checker pool size; 0 selects core.OnePerCPU.
 	Workers int
 	// WindowOps is the retirement threshold: a partition's window is retired
 	// once it quiesces holding at least this many completed operations.
@@ -122,8 +120,6 @@ type Config struct {
 	// CheckpointEvery writes a checkpoint after this many ingested events
 	// (0 disables automatic checkpoints; Checkpoint may still be called).
 	CheckpointEvery int64
-	// NoDedup disables the shared window verdict cache.
-	NoDedup bool
 	// Telemetry, when non-nil, accumulates the service counters (everything
 	// Stats reports as a count) summed over the servers that share it.
 	Telemetry *telemetry.Collector
@@ -148,7 +144,7 @@ func (c Config) workers() int {
 	if c.Workers > 0 {
 		return c.Workers
 	}
-	return runtime.GOMAXPROCS(0)
+	return core.OnePerCPU()
 }
 
 func (c Config) windowOps() int {
@@ -179,7 +175,7 @@ var ErrClosed = errors.New("serve: server is closed")
 // returns the final per-partition verdicts.
 type Server struct {
 	cfg     Config
-	stats   monitor.Options // per-window search options with partitioning off
+	mopts   monitor.Options // per-window search options
 	cache   *windowCache
 	workers []*worker
 
@@ -216,16 +212,14 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Model == nil || cfg.Model.Init == nil || cfg.Model.Step == nil {
 		return nil, errors.New("serve: Config.Model must define Init and Step")
 	}
-	mopts := cfg.Monitor
-	mopts.NoPartition = true // the stream is split before windowing
 	s := &Server{
-		cfg:     cfg,
-		stats:   mopts,
+		cfg: cfg,
+		// The stream is split before windowing, and ModeAuto reads the
+		// residual windows' pending operations by the stuck marker.
+		mopts:   monitor.Options{NoPartition: true, Telemetry: cfg.Telemetry},
+		cache:   newWindowCache(),
 		tracker: obsfile.NewShardedTracker(),
 		tel:     cfg.Telemetry.Child(),
-	}
-	if !cfg.NoDedup {
-		s.cache = newWindowCache()
 	}
 	for i := 0; i < cfg.workers(); i++ {
 		s.workers = append(s.workers, &worker{
@@ -695,6 +689,7 @@ type Stats struct {
 	WindowOverflows int64 `json:"window_overflows"`
 	CacheHits       int64 `json:"cache_hits"`
 	CacheEntries    int64 `json:"cache_entries"`
+	CacheSkipped    int64 `json:"cache_skipped"` // windows decided without a lookup
 	Checkpoints     int64 `json:"checkpoints"`
 	MaxWindowEvents int64 `json:"max_window_events"` // widest window observed
 	MaxFrontier     int64 `json:"max_frontier"`      // widest state frontier observed
@@ -720,6 +715,7 @@ func (s *Server) Stats() Stats {
 		WindowOverflows: get(telemetry.ServeWindowOverflows),
 		CacheHits:       get(telemetry.ServeCacheHits),
 		CacheEntries:    get(telemetry.ServeCacheEntries),
+		CacheSkipped:    get(telemetry.ServeCacheSkipped),
 		Checkpoints:     get(telemetry.ServeCheckpoints),
 		MaxWindowEvents: get(telemetry.ServeMaxWindowEvents),
 		MaxFrontier:     get(telemetry.ServeMaxFrontier),

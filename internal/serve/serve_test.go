@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -285,13 +286,19 @@ func TestServeWholeObjectOpRejected(t *testing.T) {
 }
 
 // slowModel wraps the register model with a per-Step delay so the test can
-// outrun the checker and force backpressure.
+// outrun the checker and force backpressure. Its state also counts the steps
+// taken, so a partition's windows never repeat each other and the window
+// cache cannot answer in the slow model's place.
 func slowModel(d time.Duration) *monitor.Model {
 	m := monitor.RegisterModel()
-	step := m.Step
+	init, step := m.Init, m.Step
+	m.Init = func() string { return init() + "#0" }
 	m.Step = func(state, op string) (string, string, error) {
 		time.Sleep(d)
-		return step(state, op)
+		i := strings.LastIndexByte(state, '#')
+		n, _ := strconv.Atoi(state[i+1:])
+		res, next, err := step(state[:i], op)
+		return res, next + "#" + strconv.Itoa(n+1), err
 	}
 	return m
 }
@@ -314,7 +321,6 @@ func TestServeShedAccounting(t *testing.T) {
 		WindowOps:    1,
 		QueueDepth:   4,
 		Backpressure: serve.ShedOnFull,
-		NoDedup:      true, // cache hits would defeat the slow model
 		Telemetry:    col,
 	})
 	if err != nil {
@@ -377,7 +383,6 @@ func TestServeBlockNeverSheds(t *testing.T) {
 		Workers:    2,
 		WindowOps:  1,
 		QueueDepth: 2,
-		NoDedup:    true,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -518,7 +523,7 @@ func TestServersSharingACollector(t *testing.T) {
 	var sums []*serve.Summary
 	for i, cfg := range []serve.Config{
 		{Model: monitor.RegisterModel(), Workers: 2, WindowOps: 2},
-		{Model: slowModel(time.Millisecond), Workers: 2, WindowOps: 1, QueueDepth: 2, Backpressure: serve.ShedOnFull, NoDedup: true},
+		{Model: slowModel(time.Millisecond), Workers: 2, WindowOps: 1, QueueDepth: 2, Backpressure: serve.ShedOnFull},
 	} {
 		var parts [][]obsfile.TraceEvent
 		for p := 0; p <= 2*i+1; p++ {
@@ -556,6 +561,7 @@ func TestServersSharingACollector(t *testing.T) {
 		telemetry.ServeWindowFlushes:   a.WindowFlushes + b.WindowFlushes,
 		telemetry.ServeCacheHits:       a.CacheHits + b.CacheHits,
 		telemetry.ServeCacheEntries:    a.CacheEntries + b.CacheEntries,
+		telemetry.ServeCacheSkipped:    a.CacheSkipped + b.CacheSkipped,
 		telemetry.ServeMaxWindowEvents: max(a.MaxWindowEvents, b.MaxWindowEvents),
 		telemetry.ServeMaxFrontier:     max(a.MaxFrontier, b.MaxFrontier),
 	} {

@@ -62,7 +62,7 @@ func (w *worker) loop() {
 func (w *worker) part(key string) *part {
 	p, ok := w.parts[key]
 	if !ok {
-		inc, err := monitor.NewIncremental(w.srv.cfg.Model, w.srv.stats)
+		inc, err := monitor.NewIncremental(w.srv.cfg.Model, w.srv.mopts)
 		p = &part{key: key, inc: inc}
 		if err != nil {
 			p.errMsg = err.Error()
@@ -113,18 +113,21 @@ func (w *worker) apply(key string, ev obsfile.StreamEvent) {
 }
 
 // flush retires the partition's current window through the incremental
-// checker, consulting the shared dedup cache first: many partitions running
-// the same workload produce identical (frontier, window) transitions, and
-// equal state strings are equal states, so replaying the cached resulting
-// frontier is sound.
+// checker, consulting the shared dedup cache first unless it has stopped
+// hitting: many partitions running the same workload produce identical
+// (frontier, window) transitions, and equal state strings are equal states,
+// so replaying the cached resulting frontier is sound.
 func (w *worker) flush(p *part) {
 	s := w.srv
 	h := &history.History{Events: p.window}
 	retiredOps := p.completed
 	var key string
 	var entry *windowEntry
-	if s.cache != nil {
+	looked := s.cache != nil && s.cache.consult()
+	if looked {
 		key, entry = s.cache.lookup(p.inc.FrontierStates(), p.window)
+	} else {
+		s.tel.Add(telemetry.ServeCacheSkipped, 1)
 	}
 	if entry != nil {
 		p.inc.SetFrontier(entry.states)
@@ -137,7 +140,7 @@ func (w *worker) flush(p *part) {
 			return
 		}
 		p.failed = !ok
-		if s.cache != nil && s.cache.put(key, ok, p.inc.FrontierStates()) {
+		if looked && s.cache.put(key, ok, p.inc.FrontierStates()) {
 			s.tel.Add(telemetry.ServeCacheEntries, 1)
 		}
 	}

@@ -91,6 +91,7 @@ var (
 	ServeWindowOverflows = newCounter("serve_window_overflows")  // windows that outgrew the soft cap without quiescing
 	ServeCacheHits       = newCounter("serve_cache_hits")        // window transitions answered by the dedup cache
 	ServeCacheEntries    = newCounter("serve_cache_entries")     // window transitions stored in the dedup cache (it forgets past a bound)
+	ServeCacheSkipped    = newCounter("serve_cache_skipped")     // windows decided without a lookup while the cache kept missing
 	ServeCheckpoints     = newCounter("serve_checkpoints")       // checkpoints written
 	ServeMaxWindowEvents = newCounter("serve_max_window_events") // high watermark: widest window
 	ServeMaxFrontier     = newCounter("serve_max_frontier")      // high watermark: widest state frontier

@@ -29,7 +29,7 @@ type (
 	Subject = core.Subject
 	// Options configures Check.
 	Options = core.Options
-	// RefOptions configures CheckAgainstModel.
+	// RefOptions configures CheckWithMonitor.
 	RefOptions = core.RefOptions
 	// AutoOptions configures AutoCheck.
 	AutoOptions = core.AutoOptions
@@ -136,9 +136,8 @@ func Check(sub *Subject, m *Test, opts Options) (*Result, error) {
 
 // CheckAgainstModel synthesizes the specification from a reference model
 // (phase 1) and checks the implementation's concurrent executions against
-// it (phase 2); RefOptions.ClassicOnly selects the original Definition 1
-// instead of the blocking-aware Definition 3.
-func CheckAgainstModel(impl, model *Subject, m *Test, opts RefOptions) (*Result, error) {
+// it (phase 2) by the blocking-aware Definition 3.
+func CheckAgainstModel(impl, model *Subject, m *Test, opts Options) (*Result, error) {
 	return core.CheckAgainstModel(impl, model, m, opts)
 }
 
@@ -199,7 +198,9 @@ func CheckHistory(m *Model, h *History, opts MonitorOptions) (*MonitorOutcome, e
 }
 
 // CheckWithMonitor is CheckAgainstModel with the phase-2 witness queries
-// answered by the executable model instead of phase-1 enumeration.
+// answered by the executable model instead of phase-1 enumeration;
+// RefOptions.ClassicOnly selects the original Definition 1 instead of the
+// blocking-aware Definition 3.
 func CheckWithMonitor(sub *Subject, model *Model, m *Test, opts RefOptions) (*Result, error) {
 	return core.CheckWithMonitor(sub, model, m, opts)
 }
