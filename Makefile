@@ -2,9 +2,14 @@
 
 GO ?= go
 
-.PHONY: check check-race build vet test race sched-smoke serve-smoke subjects-smoke dist-smoke fastmon-smoke benchmark-smoke sweeps bench fuzz loc clean
+.PHONY: check check-race fmt build vet test race sched-smoke serve-smoke subjects-smoke dist-smoke fastmon-smoke benchmark-smoke sweeps bench fuzz loc clean
 
-check: build vet test sched-smoke serve-smoke subjects-smoke dist-smoke fastmon-smoke benchmark-smoke fuzz
+check: fmt build vet test sched-smoke serve-smoke subjects-smoke dist-smoke fastmon-smoke benchmark-smoke fuzz
+
+# Every Go file is gofmt-clean, benchmark/ included (the step only reads it);
+# the offending files are listed on failure.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 build:
 	$(GO) build ./...

@@ -13,6 +13,7 @@ import (
 	"lineup/internal/bench"
 	"lineup/internal/core"
 	"lineup/internal/dist"
+	"lineup/internal/faultinject"
 	"lineup/internal/monitor"
 	"lineup/internal/sched"
 )
@@ -91,15 +92,10 @@ func TestDistCoordinatorKillResume(t *testing.T) {
 	}
 }
 
-// TestDistExecWorkerKill runs the fixture through real worker processes of
-// the built binary, with the ExecLauncher's fault injection SIGKILLing unit
-// 1's worker right after its first heartbeat: the lease must be reassigned
-// and the merged result must be the in-process run's.
-func TestDistExecWorkerKill(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and kills real processes")
-	}
-	bin := buildLineup(t)
+// distExecRun checks the fixture through launcher, requires the in-process
+// run's result, and returns the lease statistics of the launcher's run.
+func distExecRun(t *testing.T, launcher dist.Launcher) dist.Stats {
+	t.Helper()
 	sub, _, ok := findSubject("MSQueue(Pre)")
 	if !ok {
 		t.Fatal("no MSQueue(Pre)")
@@ -113,22 +109,50 @@ func TestDistExecWorkerKill(t *testing.T) {
 	if err != nil || want.Verdict != core.Fail {
 		t.Fatalf("baseline run: %v, %v; fixture broken", want, err)
 	}
-	cfg.Launcher = &dist.ExecLauncher{Bin: bin, Dir: t.TempDir(), KillUnit: 1}
+	cfg.Launcher = launcher
 	got, stats, err := dist.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("run through worker processes: %v (%+v)", err, stats)
 	}
-	// The injected kill must actually have cost a lease, or the test would pass
-	// vacuously if the injection ever stopped firing.
-	if stats.WorkerFailures != 1 {
-		t.Fatalf("want exactly the injected worker failure, got %+v", stats)
-	}
 	got.Phase1.Duration, got.Phase2.Duration, want.Phase1.Duration, want.Phase2.Duration = 0, 0, 0, 0
 	if got.Verdict != want.Verdict || got.Phase1 != want.Phase1 || got.Phase2 != want.Phase2 {
-		t.Errorf("worker kill: %v %+v %+v\nbaseline: %v %+v %+v", got.Verdict, got.Phase1, got.Phase2, want.Verdict, want.Phase1, want.Phase2)
+		t.Errorf("worker processes: %v %+v %+v\nbaseline: %v %+v %+v", got.Verdict, got.Phase1, got.Phase2, want.Verdict, want.Phase1, want.Phase2)
 	}
 	if g, w := fmt.Sprint(got.Violation), fmt.Sprint(want.Violation); g != w {
-		t.Errorf("first violation differs:\n worker kill %s\n baseline    %s", g, w)
+		t.Errorf("first violation differs:\n worker processes %s\n baseline         %s", g, w)
+	}
+	return stats
+}
+
+// TestDistExecWorkerKill runs the fixture through real worker processes of
+// the built binary, with a faultinject.ProcKill plan SIGKILLing selected
+// units' workers right after their first heartbeat: the leases must be
+// reassigned and the merged result must be the in-process run's.
+func TestDistExecWorkerKill(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and kills real processes")
+	}
+	bin := buildLineup(t)
+	plan := &faultinject.ProcPlan{Seed: 1, Every: 3, Fault: faultinject.ProcKill}
+	stats := distExecRun(t, &faultinject.FlakyLauncher{Inner: &dist.ExecLauncher{Bin: bin, Dir: t.TempDir()}, Plan: plan})
+	// Every injected kill must actually have cost a lease, and one must have
+	// fired, or the test would pass vacuously.
+	if n := plan.Injections(); n < 1 || stats.WorkerFailures != n {
+		t.Fatalf("want one worker failure per injected kill (%d), got %+v", n, stats)
+	}
+}
+
+// TestDistExecLauncherZeroValueKillsNothing pins that an ExecLauncher with
+// only its binary and directory set runs every unit once: no worker fails
+// and no lease is retried.
+func TestDistExecLauncherZeroValueKillsNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds real binaries")
+	}
+	bin := buildLineup(t)
+	stats := distExecRun(t, &dist.ExecLauncher{Bin: bin, Dir: t.TempDir()})
+	if stats.Units < 2 || stats.WorkerFailures != 0 || stats.Retries != 0 {
+		t.Fatalf("want a real split run by healthy workers, got %+v", stats)
 	}
 }
 
@@ -201,7 +225,7 @@ func TestDistExecHonoursOptions(t *testing.T) {
 			}
 			got, stats, err := dist.Run(context.Background(), dist.Config{
 				Subject: sub, Test: m, Options: opts, Workers: 2, Depth: 2,
-				Launcher: &dist.ExecLauncher{Bin: bin, Dir: t.TempDir(), KillUnit: -1},
+				Launcher: &dist.ExecLauncher{Bin: bin, Dir: t.TempDir()},
 			})
 			if err != nil {
 				t.Fatalf("dist.Run through worker processes: %v (%+v)", err, stats)

@@ -150,7 +150,6 @@ func cmdMonitor(args []string) error {
 	fs := flag.NewFlagSet("monitor", flag.ExitOnError)
 	trace := fs.String("trace", "", "JSONL history trace file ('-' for stdin)")
 	model := modelFlag(fs, "sequential model: ")
-	classic := fs.Bool("classic", false, "classic Definition 1 treatment of pending operations")
 	verbose := fs.Bool("v", false, "print the witness linearization")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -170,10 +169,6 @@ func cmdMonitor(args []string) error {
 		defer f.Close()
 		r = f
 	}
-	var opts monitor.Options
-	if *classic {
-		opts.Mode = monitor.ModeClassic
-	}
 	h, err := obsfile.ReadTrace(r)
 	if err != nil {
 		return err
@@ -184,8 +179,8 @@ func cmdMonitor(args []string) error {
 	}
 	fmt.Printf("checked %d operations (%d pending%s) against model %q\n", len(h.Ops()), len(h.Pending()), stuck, model.Name)
 	// A model with a fast monitor is tried on it first: it decides the
-	// histories of its fragment, which are complete, so both definitions read
-	// them alike, and reports ErrAmbiguous on the rest, which the Wing–Gong
+	// histories of its fragment, which are complete, so the stuck marker does
+	// not matter there, and reports ErrAmbiguous on the rest, which the Wing–Gong
 	// search then decides. -v needs a witness, which only the search builds.
 	if kind, ok := fast.KindFor(model.Name); ok && !*verbose {
 		lin, ferr := fast.Check(kind, h)
@@ -202,7 +197,9 @@ func cmdMonitor(args []string) error {
 			return ferr
 		}
 	}
-	out, err := monitor.Check(model, h, opts)
+	// The trace's stuck marker picks the definition (monitor.ModeAuto):
+	// Definition 3 with it, Definition 1 without.
+	out, err := monitor.Check(model, h, monitor.Options{})
 	if err != nil {
 		return err
 	}
@@ -406,7 +403,7 @@ func checkTest(cfg dist.Config, execMode bool, tflags *telemetryFlags) error {
 			}
 			defer os.RemoveAll(jobDir)
 		}
-		cfg.Launcher = &dist.ExecLauncher{Bin: bin, Dir: jobDir, KillUnit: -1}
+		cfg.Launcher = &dist.ExecLauncher{Bin: bin, Dir: jobDir}
 	}
 	res, stats, err := dist.Run(context.Background(), cfg)
 	err = tr.finishAfter(err)

@@ -382,6 +382,8 @@ func TestCmdWitnessRefusals(t *testing.T) {
 			2, "flag provided but not defined: -no-dedup"},
 		{[]string{"monitor", "-trace", missing, "-model", "queue", "-witness", "fast"},
 			2, "flag provided but not defined: -witness"},
+		{[]string{"monitor", "-trace", missing, "-model", "queue", "-classic"},
+			2, "flag provided but not defined: -classic"},
 	} {
 		out, err := exec.Command(bin, c.args...).CombinedOutput()
 		ee, ok := err.(*exec.ExitError)
@@ -500,13 +502,5 @@ func TestCmdMonitorStuckTrace(t *testing.T) {
 	})
 	if code != 1 || !contains(out, "pending operation with no stuck serial witness") {
 		t.Fatalf("generalized check must reject the lost wakeup (code %d):\n%s", code, out)
-	}
-	// The classic Definition 1 cannot see the lost wakeup.
-	out = captureStdout(t, func() error {
-		code = run([]string{"monitor", "-trace", trace, "-model", "mre", "-classic"})
-		return nil
-	})
-	if code != 0 {
-		t.Fatalf("classic check must accept the stuck trace (code %d):\n%s", code, out)
 	}
 }

@@ -62,7 +62,7 @@ func TestMonitorAgreesWithSpecBackend(t *testing.T) {
 						break
 					}
 				}
-				out, merr := monitor.Check(model, h, monitor.Options{Mode: monitor.ModeGeneralized})
+				out, merr := monitor.Check(model, h, monitor.Options{})
 				if merr != nil {
 					t.Fatalf("monitor: %v\nhistory:\n%s", merr, h)
 				}

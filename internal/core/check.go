@@ -333,7 +333,7 @@ func Check(sub *Subject, m *Test, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := phase2(sub, m, spec, opts, modeGeneralized)
+	res, err := phase2(sub, m, spec, opts, monitor.ModeAuto)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"lineup/internal/history"
+	"lineup/internal/monitor"
 	"lineup/internal/sched"
 )
 
@@ -166,7 +167,7 @@ func CheckUnit(sub *Subject, m *Test, opts Options, u sched.WorkUnit, spec *hist
 	}
 	// A unit exhausts its subtree and keeps every failure: stopping at a
 	// violation and the failure budget are the merge's decisions.
-	acc := newPhase2Acc(opts.decider(spec, m, modeGeneralized), true, math.MaxInt)
+	acc := newPhase2Acc(opts.decider(spec, m, monitor.ModeAuto), true, math.MaxInt)
 	defer flushCacheTelemetry(opts.Telemetry, acc.cache)
 	aborted := false
 	var holder any
@@ -281,7 +282,7 @@ func MergeUnitReports(sub *Subject, m *Test, opts Options, plan *UnitPlan, repor
 			return nil, fmt.Errorf("core: merge reports do not cover every unit exactly once (slot %d)", i)
 		}
 	}
-	acc := newPhase2Acc(opts.decider(plan.Spec, m, modeGeneralized), true, opts.MaxFailures)
+	acc := newPhase2Acc(opts.decider(plan.Spec, m, monitor.ModeAuto), true, opts.MaxFailures)
 	stats, truncated, err := acc.fold(sorted)
 	if err != nil {
 		return nil, err

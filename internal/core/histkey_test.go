@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lineup/internal/history"
+	"lineup/internal/monitor"
 	"lineup/internal/sched"
 )
 
@@ -35,7 +36,7 @@ func TestCoverageIndependentOfArrivalOrder(t *testing.T) {
 		{sched.Pos{1}, sched.Outcome{Events: []sched.OpEvent{call(2, "Get()"), call(1, "Set(7)")}, Stuck: true}},
 	}
 	check := func(cov *Coverage, visits []visit, reverse bool) {
-		acc := newPhase2Acc(Options{}.decider(history.NewSpec(), nil, modeGeneralized), true, 0)
+		acc := newPhase2Acc(Options{}.decider(history.NewSpec(), nil, monitor.ModeAuto), true, 0)
 		for i := range visits {
 			v := &visits[i]
 			if reverse {

@@ -3,79 +3,53 @@ package core
 import (
 	"lineup/internal/history"
 	"lineup/internal/monitor"
-	"lineup/internal/telemetry"
 )
 
-// witnessBackend abstracts the phase-2 witness decision procedure over the
-// two checks of Fig. 5: complete histories, and the per-pending-operation
-// stuck check of Definition 3. Definition 1 is not a backend's: only
-// CheckWithMonitor decides it, through monitorBackend.witnessClassic.
-type witnessBackend interface {
-	witnessFull(h *history.History) (bool, error)
-	witnessStuck(h *history.History, e history.Op) (bool, error)
-}
-
-// witnessBackend resolves the backend selected by the (validated) options:
-// model replay when they name a model, else lookup in spec.
-func (o Options) witnessBackend(spec *history.Spec) witnessBackend {
-	if o.MonitorModel != nil {
-		return monitorBackend{model: o.MonitorModel, tel: o.Telemetry}
+// decision builds phase 2's one question per distinct history: has h a
+// witness, and if not, which pending operation has no stuck serial witness?
+// The history's own stuck marker picks the definition (Fig. 5 lines 8 and
+// 13): a complete history needs a full serial witness, a stuck one a stuck
+// serial witness for every pending operation (Definition 3). With a model the
+// monitor runs that loop itself; mode is monitor.ModeClassic only under
+// CheckWithMonitor's ClassicOnly, the one place Definition 1 is decided.
+// Without a model the witness is a lookup in the specification set
+// synthesized by phase 1.
+func (o Options) decision(spec *history.Spec, mode monitor.Mode) func(*history.History) (ok bool, pending *history.Op, err error) {
+	if model := o.MonitorModel; model != nil {
+		opts := monitor.Options{Mode: mode, Telemetry: o.Telemetry}
+		return func(h *history.History) (bool, *history.Op, error) {
+			out, err := monitor.Check(model, h, opts)
+			if err != nil {
+				return false, nil, err
+			}
+			return out.Linearizable, out.FailedPending, nil
+		}
 	}
-	return specBackend{spec: spec}
-}
-
-// specBackend is the paper's backend: witness existence is a lookup in the
-// specification set synthesized by phase 1.
-type specBackend struct{ spec *history.Spec }
-
-func (b specBackend) witnessFull(h *history.History) (bool, error) {
-	_, ok := b.spec.WitnessFull(h)
-	return ok, nil
-}
-
-func (b specBackend) witnessStuck(h *history.History, e history.Op) (bool, error) {
-	_, ok := b.spec.WitnessStuck(h, e)
-	return ok, nil
-}
-
-// monitorBackend decides witness existence with the monitor's memoized
-// Wing–Gong search against an executable model.
-type monitorBackend struct {
-	model *monitor.Model
-	tel   *telemetry.Collector
-}
-
-func (b monitorBackend) check(h *history.History, mode monitor.Mode) (bool, error) {
-	out, err := monitor.Check(b.model, h, monitor.Options{Mode: mode, Telemetry: b.tel})
-	if err != nil {
-		return false, err
+	return func(h *history.History) (bool, *history.Op, error) {
+		if !h.Stuck {
+			_, ok := spec.WitnessFull(h)
+			return ok, nil, nil
+		}
+		for _, e := range h.Pending() {
+			if _, ok := spec.WitnessStuck(h, e); !ok {
+				return false, &e, nil
+			}
+		}
+		return true, nil, nil
 	}
-	return out.Linearizable, nil
-}
-
-func (b monitorBackend) witnessFull(h *history.History) (bool, error) {
-	return b.check(h, monitor.ModeAuto)
-}
-
-func (b monitorBackend) witnessClassic(h *history.History) (bool, error) {
-	return b.check(h, monitor.ModeClassic)
-}
-
-func (b monitorBackend) witnessStuck(h *history.History, e history.Op) (bool, error) {
-	return b.check(monitor.Reduce(h, e), monitor.ModeGeneralized)
 }
 
 // CheckWithMonitor checks sub against an executable sequential model using
-// the monitor as phase 2's witness backend: it enumerates the concurrent
+// the monitor as phase 2's decision procedure: it enumerates the concurrent
 // executions of sub on m and decides witness existence for every distinct
 // history by model replay. No phase-1 serial enumeration runs — the model is
 // the specification. ClassicOnly selects the original Definition 1 treatment
 // of pending operations; it is the one place Definition 1 is decided.
 func CheckWithMonitor(sub *Subject, model *monitor.Model, m *Test, opts RefOptions) (*Result, error) {
 	opts.MonitorModel = model
-	mode := modeGeneralized
+	mode := monitor.ModeAuto
 	if opts.ClassicOnly {
-		mode = modeClassic
+		mode = monitor.ModeClassic
 	}
 	return phase2(sub, m, nil, opts.Options, mode)
 }

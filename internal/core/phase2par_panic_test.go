@@ -10,18 +10,13 @@ import (
 	"lineup/internal/sched"
 )
 
-// panicBackend is a witness backend that dies on every query, modeling a
+// panicDecide is a decision function that dies on every query, modeling a
 // buggy executable specification. The phase-2 accumulator must convert the
 // panic into a per-entry error and still close the entry's done channel; a
 // waiter blocked on an entry whose decider died would otherwise hang its
 // worker — and ExploreParallel's final join — forever.
-type panicBackend struct{}
-
-func (panicBackend) witnessFull(*history.History) (bool, error) {
-	panic("witness backend exploded")
-}
-func (panicBackend) witnessStuck(*history.History, history.Op) (bool, error) {
-	panic("witness backend exploded")
+func panicDecide(*history.History) (bool, *history.Op, error) {
+	panic("witness decision exploded")
 }
 
 // noopOp is an instrumented invocation with no shared state: every schedule
@@ -36,7 +31,7 @@ func noopOp(name string) Op {
 // histEntry.done liveness bug: a deciding worker that panicked between
 // creating the channel and closing it left every concurrent visitor of the
 // same history key blocked forever. Run under -race, the test drives the
-// phase-2 accumulator with a panicking backend — from the lone DFS and from
+// phase-2 accumulator with a panicking decision — from the lone DFS and from
 // four parallel workers — and requires a prompt, structured error instead of
 // a hang or a crash.
 func TestParallelWitnessPanicDoesNotHangWaiters(t *testing.T) {
@@ -55,7 +50,7 @@ func TestParallelWitnessPanicDoesNotHangWaiters(t *testing.T) {
 	}
 	cfg := sched.ExploreConfig{PreemptionBound: 2, MaxExecutions: 200000}
 	for _, workers := range []int{1, 4} {
-		acc := newPhase2Acc(&phase2Decider{backend: panicBackend{}, m: m}, false, 0)
+		acc := newPhase2Acc(&phase2Decider{decide: panicDecide, m: m}, false, 0)
 		errCh := make(chan error, 1)
 		go func() {
 			var exploreErr error

@@ -1,5 +1,7 @@
 package core
 
+import "lineup/internal/monitor"
+
 // CheckAgainstModel is a variant of Check that synthesizes the
 // specification from a reference model rather than from the implementation
 // itself: phase 1 enumerates the serial executions of model, phase 2 the
@@ -15,7 +17,7 @@ func CheckAgainstModel(impl, model *Subject, m *Test, opts Options) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	res, err := phase2(impl, m, spec, opts, modeGeneralized)
+	res, err := phase2(impl, m, spec, opts, monitor.ModeAuto)
 	if err != nil {
 		return nil, err
 	}

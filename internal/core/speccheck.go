@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lineup/internal/history"
+	"lineup/internal/monitor"
 	"lineup/internal/sched"
 	"lineup/internal/telemetry"
 )
@@ -82,79 +83,36 @@ func SynthesizeSpec(sub *Subject, m *Test, opts Options) (*history.Spec, PhaseSt
 	return spec, ps, nil
 }
 
-// witnessMode selects the linearizability definition used by phase 2.
-type witnessMode int
-
-const (
-	// modeGeneralized is the paper's Definition 3: stuck histories need
-	// stuck serial witnesses.
-	modeGeneralized witnessMode = iota
-	// modeClassic is the original Definition 1: pending operations may be
-	// completed or dropped, blocking is invisible. Only CheckWithMonitor
-	// selects it, so the model always decides it.
-	modeClassic
-)
-
 // phase2Decider is the per-history decision procedure of phase 2:
 // deduplication happens on the history's key (histCache) without
 // materializing a history; only the first occurrence of a key pays for
-// history construction and witness search.
+// history construction and the one call to decide.
 type phase2Decider struct {
-	backend witnessBackend
-	// classic, set under modeClassic, decides stuck histories by
-	// Definition 1 in place of backend's per-pending-operation check.
-	classic *monitorBackend
+	decide  func(*history.History) (ok bool, pending *history.Op, err error)
 	m       *Test
 	relaxed map[string]bool
 	tel     *telemetry.Collector
 }
 
 // decider assembles the decision procedure the (validated) options select.
-func (o Options) decider(spec *history.Spec, m *Test, mode witnessMode) *phase2Decider {
-	d := &phase2Decider{backend: o.witnessBackend(spec), m: m, relaxed: o.relaxedSet(), tel: o.Telemetry}
-	if mode == modeClassic {
-		d.classic = &monitorBackend{model: o.MonitorModel, tel: o.Telemetry}
-	}
-	return d
+func (o Options) decider(spec *history.Spec, m *Test, mode monitor.Mode) *phase2Decider {
+	return &phase2Decider{decide: o.decision(spec, mode), m: m, relaxed: o.relaxedSet(), tel: o.Telemetry}
 }
 
 // witness decides witness existence for one not-yet-seen history, returning
-// the violation it proves (nil if the history is covered) or a backend error.
+// the violation it proves (nil if the history is covered) or a decision error.
 func (d *phase2Decider) witness(h *history.History) (*Violation, error) {
-	// One query per distinct history; backend-level node counts are
-	// reported by the monitor itself.
+	// One query per distinct history; search node counts are reported by
+	// the monitor itself.
 	d.tel.Add(telemetry.WitnessQueries, 1)
-	if !h.Stuck {
-		ok, err := d.backend.witnessFull(h)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return &Violation{Kind: NoWitness, Test: d.m, History: h}, nil
-		}
-		return nil, nil
+	ok, pending, err := d.decide(h)
+	if err != nil || ok {
+		return nil, err
 	}
-	if d.classic != nil {
-		ok, err := d.classic.witnessClassic(h)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return &Violation{Kind: NoWitness, Test: d.m, History: h}, nil
-		}
-		return nil, nil
+	if pending != nil {
+		return &Violation{Kind: StuckNoWitness, Test: d.m, History: h, Pending: pending}, nil
 	}
-	for _, e := range h.Pending() {
-		e := e
-		ok, err := d.backend.witnessStuck(h, e)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return &Violation{Kind: StuckNoWitness, Test: d.m, History: h, Pending: &e}, nil
-		}
-	}
-	return nil, nil
+	return &Violation{Kind: NoWitness, Test: d.m, History: h}, nil
 }
 
 // phase2Acc accumulates the phase-2 state of every exploration path: the
@@ -366,13 +324,13 @@ func (s *phase2Acc) stats(explored sched.ExploreStats, failures int, stop *histE
 }
 
 // phase2 enumerates the concurrent executions of sub on m and checks every
-// distinct history for witness existence under the selected witness mode,
-// delegating the per-history decision to the backend selected by the options
-// (spec-set lookup by default, model replay when they name a MonitorModel).
+// distinct history for witness existence with the one decision function the
+// options select (spec-set lookup by default, model replay when they name a
+// MonitorModel; mode reaches the monitor only).
 // It is the shared engine behind Check, CheckAgainstModel, CheckAgainstSpec,
 // and CheckWithMonitor; spec may be nil when a model decides. Verdict,
 // violation and statistics are the sequential DFS's for every worker count.
-func phase2(sub *Subject, m *Test, spec *history.Spec, opts Options, mode witnessMode) (*Result, error) {
+func phase2(sub *Subject, m *Test, spec *history.Spec, opts Options, mode monitor.Mode) (*Result, error) {
 	if err := opts.validate(spec != nil); err != nil {
 		return nil, err
 	}
@@ -427,5 +385,5 @@ func phase2(sub *Subject, m *Test, spec *history.Spec, opts Options, mode witnes
 // after every change. The determinism of the supplied spec is re-validated
 // first.
 func CheckAgainstSpec(sub *Subject, m *Test, spec *history.Spec, opts Options) (*Result, error) {
-	return phase2(sub, m, spec, opts, modeGeneralized)
+	return phase2(sub, m, spec, opts, monitor.ModeAuto)
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -89,10 +88,6 @@ type ExecLauncher struct {
 	Bin string
 	// Dir holds job and report files (required).
 	Dir string
-	// KillUnit, when >= 0, SIGKILLs the worker for that unit's first attempt
-	// right after its first heartbeat: fault injection for tests. The retry
-	// machinery must recover and the merged result must not change.
-	KillUnit int
 }
 
 func (l *ExecLauncher) Run(ctx context.Context, spec UnitSpec, heartbeat func()) (*core.UnitReport, error) {
@@ -118,27 +113,13 @@ func (l *ExecLauncher) Run(ctx context.Context, spec UnitSpec, heartbeat func())
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("dist: starting worker: %w", err)
 	}
-	kill, killed := l.KillUnit == spec.Seq && spec.Attempt == 1, false
 	sc := bufio.NewScanner(stdout)
 	for sc.Scan() {
-		switch sc.Text() {
-		case "hb":
+		if sc.Text() == "hb" {
 			heartbeat()
-			if kill {
-				kill = false
-				killed = true
-				cmd.Process.Kill()
-			}
-		case "done":
 		}
 	}
-	werr := cmd.Wait()
-	if werr == nil && killed {
-		// A small unit can finish between its heartbeat and the signal; the
-		// injected fault costs the lease all the same.
-		werr = errors.New("finished before the injected kill arrived")
-	}
-	if werr != nil {
+	if werr := cmd.Wait(); werr != nil {
 		return nil, fmt.Errorf("dist: worker for unit %d (attempt %d): %w; stderr: %s",
 			spec.Seq, spec.Attempt, werr, strings.TrimSpace(stderr.String()))
 	}

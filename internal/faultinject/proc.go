@@ -33,6 +33,10 @@ const (
 	// ProcStall heartbeats once and then goes silent mid-unit — a worker
 	// that lived long enough to look healthy before wedging.
 	ProcStall
+	// ProcKill runs the inner launcher under a child context and cancels it
+	// at the first heartbeat: under dist.ExecLauncher, a kill -9 of a worker
+	// process that has started its unit.
+	ProcKill
 )
 
 func (f ProcFault) String() string {
@@ -45,12 +49,18 @@ func (f ProcFault) String() string {
 		return "hang"
 	case ProcStall:
 		return "stall"
+	case ProcKill:
+		return "kill"
 	}
 	return fmt.Sprintf("ProcFault(%d)", int(f))
 }
 
 // ErrInjectedCrash is the error a ProcCrash run returns.
 var ErrInjectedCrash = errors.New("faultinject: injected worker crash")
+
+// ErrInjectedKill is the error a ProcKill run returns when its unit finished
+// before the kill landed: the injected fault costs the lease all the same.
+var ErrInjectedKill = errors.New("faultinject: worker finished before the injected kill arrived")
 
 // ProcPlan decides deterministically which (unit, attempt) runs are
 // disrupted. Faults fire on first attempts only by default (Repeat extends
@@ -98,10 +108,11 @@ func (p *ProcPlan) fault(seq, attempt int) ProcFault {
 func (p *ProcPlan) Injections() int { return int(p.injected.Load()) }
 
 // FlakyLauncher wraps a dist.Launcher with a ProcPlan: selected runs crash,
-// hang, or stall instead of (or before) doing their work. Undisrupted runs
-// pass straight through, and a disrupted unit's retries succeed once the
-// plan stops firing — which is exactly the at-least-once recovery path the
-// coordinator must survive without changing the merged result.
+// hang, stall, or are killed instead of (or while) doing their work.
+// Undisrupted runs pass straight through, and a disrupted unit's retries
+// succeed once the plan stops firing — which is exactly the at-least-once
+// recovery path the coordinator must survive without changing the merged
+// result.
 type FlakyLauncher struct {
 	Inner dist.Launcher
 	Plan  *ProcPlan
@@ -121,6 +132,14 @@ func (l *FlakyLauncher) Run(ctx context.Context, spec dist.UnitSpec, heartbeat f
 		heartbeat()
 		<-ctx.Done()
 		return nil, ctx.Err()
+	case ProcKill:
+		l.Plan.injected.Add(1)
+		kctx, kill := context.WithCancel(ctx)
+		defer kill()
+		if _, err := l.Inner.Run(kctx, spec, func() { heartbeat(); kill() }); err != nil {
+			return nil, err
+		}
+		return nil, ErrInjectedKill
 	}
 	return l.Inner.Run(ctx, spec, heartbeat)
 }

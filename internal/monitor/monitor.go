@@ -17,20 +17,17 @@ import (
 type Mode int
 
 const (
-	// ModeAuto (the zero value) picks the definition from the history
-	// itself: complete histories get the plain witness search, histories
-	// marked stuck get the generalized Definition 3 treatment, and
-	// histories that merely end with pending calls (e.g. a truncated
-	// recording) get the classic Definition 1 treatment.
+	// ModeAuto (the zero value) lets the history's stuck marker pick the
+	// definition: complete histories get the plain witness search, histories
+	// marked stuck get the generalized Definition 3 treatment (every pending
+	// operation e must have a stuck serial witness for the reduced history
+	// H[e]), and histories that merely end with pending calls (e.g. a
+	// truncated recording) get the classic Definition 1 treatment.
 	ModeAuto Mode = iota
 	// ModeClassic forces the original Definition 1: pending operations may
 	// be completed with any result the model admits, or dropped; blocking
 	// is invisible.
 	ModeClassic
-	// ModeGeneralized forces the blocking-aware Definitions 2/3: every
-	// pending operation e must have a stuck serial witness for the reduced
-	// history H[e].
-	ModeGeneralized
 )
 
 // Options configures Check.
@@ -92,7 +89,7 @@ type Outcome struct {
 	// leave it nil.
 	Witness []WitnessStep
 	// FailedPending is the pending operation with no stuck serial witness
-	// (generalized mode only).
+	// (Definition 3, on a history marked stuck, only).
 	FailedPending *history.Op
 	// FailedPart is the partition key of the part that had no witness (""
 	// when the history was not partitioned).
@@ -123,10 +120,10 @@ const (
 	kindFinals
 )
 
-// Reduce builds the reduced history H[e] of Definition 2: the completed
+// reduce builds the reduced history H[e] of Definition 2: the completed
 // operations of h, in their original event order, plus the invocation of the
 // pending operation e. The result is marked stuck.
-func Reduce(h *history.History, e history.Op) *history.History {
+func reduce(h *history.History, e history.Op) *history.History {
 	out := &history.History{Stuck: true}
 	complete := make(map[int]bool)
 	for _, ev := range h.Events {
@@ -155,7 +152,7 @@ func Check(m *Model, h *history.History, opts Options) (*Outcome, error) {
 
 // check is Check started from a set of root states instead of the initial
 // one (nil roots: every part starts at its own m.Init()). A witness may begin
-// at any root, and the generalized mode picks the root per pending operation
+// at any root, and Definition 3 picks the root per pending operation
 // — for every e some H[e] witness from some root — which is what makes
 // Incremental.Finish from a frontier equal Check on the whole history.
 func check(m *Model, roots []string, h *history.History, opts Options) (*Outcome, error) {
@@ -170,24 +167,16 @@ func check(m *Model, roots []string, h *history.History, opts Options) (*Outcome
 		opts.Telemetry.Add(telemetry.MonitorParts, int64(out.Stats.Parts))
 	}()
 	pending := h.Pending()
-	mode := opts.Mode
-	if mode == ModeAuto {
-		if h.Stuck {
-			mode = ModeGeneralized
-		} else {
-			mode = ModeClassic
-		}
-	}
 	switch {
 	case len(pending) == 0:
 		return out, checkParts(m, h, kindComplete, roots, opts, out)
-	case mode == ModeClassic:
+	case opts.Mode == ModeClassic || !h.Stuck:
 		return out, checkParts(m, h, kindClassic, roots, opts, out)
 	default:
 		for i := range pending {
 			e := pending[i]
 			sub := &Outcome{Linearizable: true}
-			if err := checkParts(m, Reduce(h, e), kindStuck, roots, opts, sub); err != nil {
+			if err := checkParts(m, reduce(h, e), kindStuck, roots, opts, sub); err != nil {
 				return nil, err
 			}
 			out.Stats.Visited += sub.Stats.Visited

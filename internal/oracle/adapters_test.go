@@ -221,8 +221,17 @@ func roundTrip(t *testing.T, sp *history.Spec) {
 	}
 }
 
-// modes are monitor.Mode's three readings of pending operations.
-var modes = []monitor.Mode{monitor.ModeAuto, monitor.ModeClassic, monitor.ModeGeneralized}
+// modes are monitor.Mode's two readings of pending operations: by the
+// history's stuck marker, and by Definition 1.
+var modes = []monitor.Mode{monitor.ModeAuto, monitor.ModeClassic}
+
+// markStuck is h with the stuck marker set, which ModeAuto reads by
+// Definition 3 whatever h's own marker said.
+func markStuck(h *history.History) *history.History {
+	marked := *h
+	marked.Stuck = true
+	return &marked
+}
 
 // lookup is spec lookup's verdict on h, read the way mode reads pending
 // operations. Spec lookup answers full and stuck histories only: answered is
@@ -275,43 +284,51 @@ func incremental(m *monitor.Model, h *history.History, opts monitor.Options, cut
 }
 
 // checkModel is the adapter of every procedure that judges one history
-// against a model. In all three modes: WGL with the memo on and off and
-// without partitioning, and Incremental at the quiescent cuts the bits of cuts
+// against a model. In both modes: WGL with the memo on and off and without
+// partitioning, and Incremental at the quiescent cuts the bits of cuts
 // select; where the mode reads h by Definition 3, lookup in the spec m
-// synthesizes for h's per-thread sequences.
+// synthesizes for h's per-thread sequences. A history with pending
+// operations and no stuck marker is judged again marked stuck, so that
+// Definition 3 is held to the definition on it too.
 // Then the definite answers of m's fast monitor, and roundTrip of that spec.
 func checkModel(t *testing.T, m *monitor.Model, h *history.History, cuts uint64) {
 	t.Helper()
-	fail := func(format string, args ...any) {
+	fail := func(h *history.History, format string, args ...any) {
 		t.Helper()
 		t.Fatalf("%s: "+format+"\nhistory (stuck=%v):\n%s", append(append([]any{m.Name}, args...), h.Stuck, h)...)
 	}
 	spec, err := modelSpec(m, h)
 	if err != nil {
-		fail("synthesizing the spec: %v", err)
+		fail(h, "synthesizing the spec: %v", err)
 	}
-	for _, mode := range modes {
-		want, err := linearizable(m, h, mode)
-		if err != nil {
-			fail("definition: %v", err)
-		}
-		for _, opts := range []monitor.Options{{Mode: mode}, {Mode: mode, NoPartition: true}} {
-			if out, err := monitor.Check(m, h, opts); err != nil || out.Linearizable != want {
-				fail("%+v: Check says %v (err %v), the definition %v", opts, out != nil && out.Linearizable, err, want)
+	readings := []*history.History{h}
+	if !h.Stuck && len(h.Pending()) > 0 {
+		readings = append(readings, markStuck(h))
+	}
+	for _, h := range readings {
+		for _, mode := range modes {
+			want, err := linearizable(m, h, mode)
+			if err != nil {
+				fail(h, "definition: %v", err)
 			}
-		}
-		point := 0
-		if got, err := incremental(m, h, monitor.Options{Mode: mode}, func() bool { point++; return cuts>>(point%64)&1 == 1 }); err != nil || got != want {
-			fail("mode %d: Incremental says %v (err %v), the definition %v", mode, got, err, want)
-		}
-		if got, answered := lookup(spec, h, mode); answered && got != want {
-			fail("mode %d: spec lookup says %v, the definition %v", mode, got, want)
+			for _, opts := range []monitor.Options{{Mode: mode}, {Mode: mode, NoPartition: true}} {
+				if out, err := monitor.Check(m, h, opts); err != nil || out.Linearizable != want {
+					fail(h, "%+v: Check says %v (err %v), the definition %v", opts, out != nil && out.Linearizable, err, want)
+				}
+			}
+			point := 0
+			if got, err := incremental(m, h, monitor.Options{Mode: mode}, func() bool { point++; return cuts>>(point%64)&1 == 1 }); err != nil || got != want {
+				fail(h, "mode %d: Incremental says %v (err %v), the definition %v", mode, got, err, want)
+			}
+			if got, answered := lookup(spec, h, mode); answered && got != want {
+				fail(h, "mode %d: spec lookup says %v, the definition %v", mode, got, want)
+			}
 		}
 	}
 	want, _ := linearizable(m, h, monitor.ModeAuto)
 	if kind, ok := fast.KindFor(m.Name); ok {
 		if got, err := fast.Check(kind, h); err == nil && got != want || err != nil && !errors.Is(err, fast.ErrAmbiguous) {
-			fail("fast monitor says %v (err %v), the definition %v", got, err, want)
+			fail(h, "fast monitor says %v (err %v), the definition %v", got, err, want)
 		}
 	}
 	roundTrip(t, spec)
@@ -489,7 +506,7 @@ func checkExplored(t *testing.T, sub *core.Subject, m *core.Test, model *monitor
 		n++
 		readings := []monitor.Mode{monitor.ModeAuto}
 		if h.Stuck {
-			readings = []monitor.Mode{monitor.ModeGeneralized, monitor.ModeClassic}
+			readings = modes
 		}
 		for _, mode := range readings {
 			want, err := linearizable(model, h, mode)

@@ -78,7 +78,7 @@ func TestCrossCheckVerdicts(t *testing.T) {
 							break
 						}
 					}
-					out, merr := monitor.Check(model, h, monitor.Options{Mode: monitor.ModeGeneralized})
+					out, merr := monitor.Check(model, h, monitor.Options{})
 					if merr != nil {
 						t.Fatalf("monitor: %v\nhistory:\n%s", merr, h)
 					}

@@ -172,7 +172,8 @@ type (
 	ModelList = monitor.List
 	// MonitorOptions configures CheckHistory.
 	MonitorOptions = monitor.Options
-	// MonitorMode selects classic (Def. 1) or generalized (Def. 3) checking.
+	// MonitorMode selects how pending operations are judged: by the
+	// history's stuck marker (Def. 3 with it, Def. 1 without), or by Def. 1.
 	MonitorMode = monitor.Mode
 	// MonitorOutcome is the verdict of a monitor run, with search statistics
 	// and, when linearizable, a serial witness.
@@ -183,12 +184,12 @@ type (
 
 // Monitor modes.
 const (
-	// MonitorAuto picks the definition from the history's shape.
+	// MonitorAuto lets the history's stuck marker pick the definition:
+	// Definition 3 (pending ops must be justified) with it, Definition 1
+	// without.
 	MonitorAuto = monitor.ModeAuto
 	// MonitorClassic forces Definition 1 (pending ops may be dropped).
 	MonitorClassic = monitor.ModeClassic
-	// MonitorGeneralized forces Definition 3 (pending ops must be justified).
-	MonitorGeneralized = monitor.ModeGeneralized
 )
 
 // CheckHistory decides whether one recorded history is linearizable with
