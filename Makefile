@@ -35,10 +35,12 @@ race:
 # called Run resumes the next one, so the watchdog and abandonment paths, the
 # carrying of controller panics to the Run goroutine, the pinned decision
 # traces (five full explorations), the invariants of what an exploration keeps
-# from one execution to the next (pool_test.go), the wait set's semantics and
-# the point/switch tests run under the race detector on every `make check`.
+# from one execution to the next (pool_test.go), the wait set's semantics,
+# the point/switch tests and the goroutine-leak count (a rogue goroutine is
+# reported, a clean run is not) run under the race detector on every
+# `make check`.
 sched-smoke:
-	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool|TestWaitSet|TestPoint' ./internal/sched
+	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool|TestWaitSet|TestPoint|TestDetectLeaks' ./internal/sched
 
 # Race-enabled smoke of the streaming service: the full internal/serve suite
 # (worker pool, backpressure, checkpoint/resume, HTTP ingest, agreement of

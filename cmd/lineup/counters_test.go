@@ -112,7 +112,7 @@ func TestCounterNamesGolden(t *testing.T) {
 	}
 	opts := core.Options{PreemptionBound: pb, Reduction: sched.ReductionSleep, Telemetry: col}
 	if _, _, err := dist.Run(context.Background(), dist.Config{
-		Subject: sub, Test: m, Options: opts, Workers: 2, Depth: 2, Telemetry: col,
+		Subject: sub, Test: m, Options: opts, Workers: 2, Telemetry: col,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func distExecRun(t *testing.T, launcher dist.Launcher) dist.Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := dist.Config{Subject: sub, Test: m, Workers: 3, Backoff: 5 * time.Millisecond}
+	cfg := dist.Config{Subject: sub, Test: m, Workers: 3}
 	want, _, err := dist.Run(context.Background(), cfg)
 	if err != nil || want.Verdict != core.Fail {
 		t.Fatalf("baseline run: %v, %v; fixture broken", want, err)
@@ -224,7 +224,7 @@ func TestDistExecHonoursOptions(t *testing.T) {
 				t.Fatalf("fixture broken: the reduction does not show in the execution count (%v, %v)", r, err)
 			}
 			got, stats, err := dist.Run(context.Background(), dist.Config{
-				Subject: sub, Test: m, Options: opts, Workers: 2, Depth: 2,
+				Subject: sub, Test: m, Options: opts, Workers: 2,
 				Launcher: &dist.ExecLauncher{Bin: bin, Dir: t.TempDir()},
 			})
 			if err != nil {

@@ -127,10 +127,6 @@ type RandomOptions struct {
 	Seed int64 `json:"seed"`
 	// StopAtFirstFailure ends the run at the first failing test.
 	StopAtFirstFailure bool `json:"stop_at_first_failure,omitempty"`
-	// Init and Final are fixed initial/final invocation sequences attached
-	// to every sampled test (Section 4.3).
-	Init  []Op `json:"init,omitempty"`
-	Final []Op `json:"final,omitempty"`
 	// Dir, when non-empty, keeps the run's progress: RandomCheck creates it,
 	// resumes from Dir/checkpoint.json when a run with the same options left
 	// one there, and rewrites that file after every completed test. Like a
@@ -222,9 +218,6 @@ func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummar
 	workers := opts.exploreWorkers()
 	side := min(workers, samples)
 	tests := SampleTests(universe, opts.Rows, opts.Cols, samples, opts.Seed)
-	for _, m := range tests {
-		m.Init, m.Final = opts.Init, opts.Final
-	}
 	check := opts.Options
 	check.Workers = workers / side
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"strings"
@@ -36,10 +37,6 @@ type Options struct {
 	// zero value selects DefaultBound; use NoPreemptions for an explicit
 	// bound of zero and Unbounded for no bounding.
 	PreemptionBound int `json:"preemption_bound,omitempty"`
-	// MaxExecutionsPerPhase is a safety net against schedule-space blowups
-	// (0 = default 2,000,000). A phase that reaches it aborts the check with
-	// a *BudgetError naming the phase.
-	MaxExecutionsPerPhase int `json:"max_executions_per_phase,omitempty"`
 	// ExhaustPhase2 keeps exploring after the first violation so that
 	// statistics cover the whole schedule space. The first violation is
 	// still the one reported.
@@ -48,6 +45,10 @@ type Options struct {
 	// results are treated as nondeterministic: they are wildcarded before
 	// specification synthesis and witness checking (see Options.Relax).
 	RelaxedOps []string `json:"relaxed_ops,omitempty"`
+	// budget, when set, replaces phaseBudget for this check. Only tests
+	// set it (WithExecutionBudget in export_test.go), to reach the budget
+	// error without two million executions.
+	budget int `json:"-"`
 	// coverage, when non-nil, accumulates the (MemKind, location) footprint
 	// pairs and phase-2 history shapes (histories modulo a renaming of
 	// operation and result strings) the check observes. Only Generate sets
@@ -156,8 +157,6 @@ func (o Options) validate(haveSpec bool) error {
 	switch {
 	case o.PreemptionBound < NoPreemptions:
 		return &OptionsError{"PreemptionBound", fmt.Sprintf("%d is below NoPreemptions (%d)", o.PreemptionBound, NoPreemptions)}
-	case o.MaxExecutionsPerPhase < 0:
-		return negative("MaxExecutionsPerPhase", o.MaxExecutionsPerPhase, "the default, 2000000")
 	case o.MaxFailures < 0:
 		return negative("MaxFailures", o.MaxFailures, "the first failure aborts")
 	case o.Workers < 0:
@@ -204,12 +203,12 @@ func (o Options) bound() int {
 	}
 }
 
-func (o Options) maxExecs() int {
-	if o.MaxExecutionsPerPhase == 0 {
-		return 2000000
-	}
-	return o.MaxExecutionsPerPhase
-}
+// phaseBudget is the safety net against schedule-space blowups: a phase that
+// runs this many executions aborts the check with a *BudgetError naming the
+// phase.
+const phaseBudget = 2000000
+
+func (o Options) maxExecs() int { return cmp.Or(o.budget, phaseBudget) }
 
 // Verdict is the outcome of a check.
 type Verdict int

@@ -13,10 +13,9 @@ import (
 
 // Distributed checking support: PlanUnits splits a check's phase-2 schedule
 // tree into sched.WorkUnits, CheckUnit runs phase 2 over exactly one unit in
-// any process (given the plan's phase-1 spec, or re-synthesizing the
-// deterministic spec locally, so a worker needs nothing but the subject, the
-// test, the options, and the unit), and MergeUnitReports folds the per-unit
-// reports back into a Result.
+// any process against the plan's specification (so a worker needs nothing
+// but the subject, the test, the options, the specification and the unit),
+// and MergeUnitReports folds the per-unit reports back into a Result.
 // The merge folds the reports into the same accumulator every in-process path
 // feeds and resolves it by the same min-position precedence — every violating
 // key and every failure carries its sched.Pos, which orders executions of all
@@ -140,11 +139,10 @@ func PlanUnits(sub *Subject, m *Test, opts Options, spec *history.Spec, depth in
 }
 
 // CheckUnit runs phase 2 over exactly one work unit and returns its report.
-// spec is the phase-1 specification of the unit's plan; a nil spec is
-// synthesized here. Phase 1 is serial and deterministic, so either way the
-// report is byte-identical, and a unit stays self-contained enough to ship to
-// a worker process as a small JSON file; handing the plan's spec over skips
-// the re-synthesis that otherwise dominates small units (EXPERIMENTS.md).
+// spec is the specification of the unit's plan (UnitPlan.Spec, or its
+// history.ImportSpec copy in a worker process), which must not be nil: a
+// unit is checked against what its plan was split under, never against a
+// specification of its own.
 //
 // tick, when non-nil, is called once per execution before it is processed;
 // returning false aborts the unit with ErrUnitAborted. Workers use it to
@@ -154,13 +152,6 @@ func PlanUnits(sub *Subject, m *Test, opts Options, spec *history.Spec, depth in
 func CheckUnit(sub *Subject, m *Test, opts Options, u sched.WorkUnit, spec *history.Spec, tick func() bool) (*UnitReport, error) {
 	if err := opts.validate(true); err != nil {
 		return nil, err
-	}
-	if spec == nil {
-		var err error
-		spec, _, err = SynthesizeSpec(sub, m, opts)
-		if err != nil {
-			return nil, err
-		}
 	}
 	if _, bad := spec.Nondeterministic(); bad {
 		return nil, errors.New("core: phase 1 is nondeterministic; the check fails before any unit runs")

@@ -23,7 +23,7 @@ func distCheck(sub *core.Subject, m *core.Test, opts core.Options, depth int) (*
 	}
 	reports := make([]*core.UnitReport, 0, len(plan.Units))
 	for _, u := range plan.Units {
-		rep, err := core.CheckUnit(sub, m, opts, u, nil, nil)
+		rep, err := core.CheckUnit(sub, m, opts, u, plan.Spec, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -224,11 +224,11 @@ func TestCheckUnitIdempotent(t *testing.T) {
 		t.Fatalf("PlanUnits: %v", err)
 	}
 	for _, u := range plan.Units {
-		r1, err := core.CheckUnit(sub, m, opts, u, nil, nil)
+		r1, err := core.CheckUnit(sub, m, opts, u, plan.Spec, nil)
 		if err != nil {
 			t.Fatalf("CheckUnit(%d): %v", u.Seq, err)
 		}
-		r2, err := core.CheckUnit(sub, m, opts, u, nil, nil)
+		r2, err := core.CheckUnit(sub, m, opts, u, plan.Spec, nil)
 		if err != nil {
 			t.Fatalf("CheckUnit(%d) replay: %v", u.Seq, err)
 		}
@@ -254,7 +254,7 @@ func TestCheckUnitTickAbort(t *testing.T) {
 	aborted := false
 	for _, u := range plan.Units {
 		ticks := 0
-		rep, err := core.CheckUnit(sub, m, core.Options{}, u, nil, func() bool {
+		rep, err := core.CheckUnit(sub, m, core.Options{}, u, plan.Spec, func() bool {
 			ticks++
 			return ticks <= 1
 		})
@@ -290,7 +290,7 @@ func TestMergeNondetAndCoverage(t *testing.T) {
 	if len(plan.Units) < 2 {
 		t.Fatalf("fixture split into %d units; incompleteness case is vacuous", len(plan.Units))
 	}
-	rep, err := core.CheckUnit(sub, m, core.Options{}, plan.Units[0], nil, nil)
+	rep, err := core.CheckUnit(sub, m, core.Options{}, plan.Units[0], plan.Spec, nil)
 	if err != nil {
 		t.Fatalf("CheckUnit: %v", err)
 	}

@@ -15,6 +15,14 @@ func WithCoverage(o Options, c *Coverage) Options {
 	return o
 }
 
+// WithExecutionBudget returns o with the per-phase execution budget set to n
+// in place of the two million of phaseBudget. The budget does not travel: a job file, manifest or
+// checkpoint never records it.
+func WithExecutionBudget(o Options, n int) Options {
+	o.budget = n
+	return o
+}
+
 // schedRecruitAfter is sched's unexported recruiting mark (the number of
 // executions a phase-2 exploration runs alone before it starts its helpers),
 // reached by name so that neither package grows a knob for it.

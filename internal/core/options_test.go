@@ -39,7 +39,7 @@ func TestIllegalOptionsRefused(t *testing.T) {
 	}
 	planUnits := func(o core.Options) error { _, err := core.PlanUnits(sub, m, o, nil, 1); return err }
 	checkUnit := func(o core.Options) error {
-		_, err := core.CheckUnit(sub, m, o, sched.WorkUnit{}, nil, nil)
+		_, err := core.CheckUnit(sub, m, o, sched.WorkUnit{}, spec, nil)
 		return err
 	}
 	randomSized := func(r core.RandomOptions) func(core.Options) error {
@@ -64,7 +64,6 @@ func TestIllegalOptionsRefused(t *testing.T) {
 			entries(againstSpec(nil), withMonitor(nil)), "MonitorModel"},
 		{"leak detection x exploration workers", core.Options{DetectLeaks: true, Workers: 2}, everyEntry, "DetectLeaks"},
 		{"preemption bound below NoPreemptions", core.Options{PreemptionBound: core.NoPreemptions - 5}, everyEntry, "PreemptionBound"},
-		{"negative execution budget", core.Options{MaxExecutionsPerPhase: -1}, everyEntry, "MaxExecutionsPerPhase"},
 		{"negative failure budget", core.Options{MaxFailures: -1}, everyEntry, "MaxFailures"},
 		{"negative worker count", core.Options{Workers: -3}, everyEntry, "Workers"},
 		{"negative rows", core.Options{}, entries(randomSized(core.RandomOptions{Rows: -1})), "Rows"},

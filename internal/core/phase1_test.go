@@ -116,7 +116,7 @@ func TestPhase1OneExecutionPerSerialHistory(t *testing.T) {
 	})
 }
 
-// TestBudgetErrorNamesPhase: running out of MaxExecutionsPerPhase reports
+// TestBudgetErrorNamesPhase: running out of the execution budget reports
 // which phase stopped and how far it got, and still matches sched.ErrBudget.
 func TestBudgetErrorNamesPhase(t *testing.T) {
 	sched.RequireNoLeaks(t)
@@ -127,7 +127,7 @@ func TestBudgetErrorNamesPhase(t *testing.T) {
 		phase, limit, workers int
 	}{{1, 4, 1}, {2, 8, 1}, {2, 8, 2}} {
 		t.Run(fmt.Sprintf("phase%d/workers=%d", tc.phase, tc.workers), func(t *testing.T) {
-			_, err := core.Check(sub, m, core.Options{MaxExecutionsPerPhase: tc.limit, Workers: tc.workers})
+			_, err := core.Check(sub, m, core.WithExecutionBudget(core.Options{Workers: tc.workers}, tc.limit))
 			var be *core.BudgetError
 			if !errors.As(err, &be) || !errors.Is(err, sched.ErrBudget) {
 				t.Fatalf("want a *core.BudgetError wrapping sched.ErrBudget, got %v", err)

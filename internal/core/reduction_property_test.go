@@ -137,11 +137,7 @@ func TestReductionEquivalenceUnbounded(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		sub := subs[rng.Intn(len(subs))]
 		m := randomTest(rng, sub.Ops, 2, 2)
-		base := core.Options{
-			PreemptionBound:       core.Unbounded,
-			ExhaustPhase2:         true,
-			MaxExecutionsPerPhase: 20000,
-		}
+		base := core.WithExecutionBudget(core.Options{PreemptionBound: core.Unbounded, ExhaustPhase2: true}, 20000)
 		probe := base
 		probe.Reduction = sched.ReductionNone
 		if _, err := core.Check(sub, m, probe); err != nil {

@@ -20,8 +20,9 @@ func flushCacheTelemetry(c *telemetry.Collector, cache *histCache) {
 	c.Add(telemetry.HistCacheEntries, int64(len(cache.m)))
 }
 
-// BudgetError reports that a phase stopped at Options.MaxExecutionsPerPhase
-// before its schedule space was exhausted. It wraps sched.ErrBudget.
+// BudgetError reports that a phase stopped at its execution budget (two
+// million executions) before its schedule space was exhausted. It wraps
+// sched.ErrBudget.
 type BudgetError struct {
 	Phase      int // 1 (serial enumeration) or 2 (concurrent exploration)
 	Executions int
@@ -29,7 +30,7 @@ type BudgetError struct {
 }
 
 func (e *BudgetError) Error() string {
-	return fmt.Sprintf("core: phase %d ran out of budget after %d executions (MaxExecutionsPerPhase %d): %v",
+	return fmt.Sprintf("core: phase %d ran out of budget after %d executions (limit %d): %v",
 		e.Phase, e.Executions, e.Limit, sched.ErrBudget)
 }
 

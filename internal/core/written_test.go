@@ -24,6 +24,8 @@ func TestOptionFieldsDeclareTheirForm(t *testing.T) {
 		// sinks of the process that holds them, and where it keeps its progress
 		"Options.coverage": true, "Options.Telemetry": true,
 		"RandomOptions.Dir": true,
+		// a test's execution budget (WithExecutionBudget)
+		"Options.budget": true,
 	}
 	names := make(map[string]string)
 	for _, typ := range []reflect.Type{reflect.TypeOf(core.Options{}), reflect.TypeOf(core.RandomOptions{})} {
@@ -86,7 +88,7 @@ func TestOptionsWrittenFormRoundTrips(t *testing.T) {
 		{PreemptionBound: core.NoPreemptions},
 		{PreemptionBound: 3, Reduction: sched.ReductionNone},
 		{RelaxedOps: []string{"Count()", "TryTake()"}},
-		{MaxExecutionsPerPhase: 5000, ExhaustPhase2: true},
+		{ExhaustPhase2: true},
 		{Workers: 3, Watchdog: 1500000000, DetectLeaks: true, MaxFailures: 9},
 	}
 	for _, o := range cases {
@@ -246,6 +248,18 @@ func TestCheckpointWithoutReductionRefused(t *testing.T) {
 // refused, the field named.
 func TestCheckpointUnderRelaxedCriterionRefused(t *testing.T) {
 	checkpointFieldRefused(t, `"consistency": "sequential"`, "consistency")
+}
+
+// TestCheckpointWithRemovedSettingsRefused: the execution budget and the
+// init and final sections of RandomOptions are no longer settings and not
+// retired. A run under another budget could have stopped where this one does
+// not, and one whose sampled tests had sections checked other tests, so a
+// checkpoint holding one of them is refused, the field named; the file as it
+// is resumes.
+func TestCheckpointWithRemovedSettingsRefused(t *testing.T) {
+	checkpointFieldRefused(t, `"max_executions_per_phase": 5000`, "max_executions_per_phase")
+	checkpointFieldRefused(t, `"init": ["Release()"]`, "init")
+	checkpointFieldRefused(t, `"final": ["Wait()"]`, "final")
 }
 
 // checkpointFieldRefused resumes sleepCheckpoint with field added to its

@@ -23,6 +23,7 @@
 package dist
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -61,27 +62,35 @@ type Config struct {
 	// Workers is the number of concurrently leased units (default:
 	// core.OnePerCPU).
 	Workers int
-	// Depth is the split depth handed to core.PlanUnits (0 = default).
-	Depth int
 
-	// Lease is how long a worker may go without a heartbeat before its lease
-	// is revoked and the unit re-queued (default 10s). Workers heartbeat at
-	// Lease/4, so a healthy worker renews several times per lease; see
-	// DESIGN.md §6 for lease length vs. the execution watchdog.
-	Lease time.Duration
-	// MaxAttempts is the per-unit retry budget: a unit whose lease fails or
-	// expires this many times is poisoned (default 3).
-	MaxAttempts int
-	// Backoff is the base re-queue delay after a failed or expired lease,
-	// doubled for each prior attempt (default 25ms).
-	Backoff time.Duration
-
-	// Launcher runs leased units (default: an InProcLauncher over Subject/
-	// Test/Options). ExecLauncher runs them as separate OS processes.
+	// Launcher runs leased units (default: an InProcLauncher). ExecLauncher
+	// runs them as separate OS processes. Either runs the check of this
+	// Config, which comes with the lease.
 	Launcher Launcher
 	// Telemetry, when non-nil, receives lease/retry/unit counters.
 	Telemetry *telemetry.Collector
+
+	// lease, maxAttempts and depth, when set, replace defaultLease,
+	// defaultMaxAttempts and the split depth core.PlanUnits picks
+	// (sched.DefaultShardDepth). Only tests set them (export_test.go), for
+	// short leases, a small retry budget and a one-level split.
+	lease       time.Duration
+	maxAttempts int
+	depth       int
 }
+
+const (
+	// defaultLease is how long a worker may go without a heartbeat before
+	// its lease is revoked and the unit re-queued. Workers heartbeat at a
+	// quarter of it, so a healthy worker renews several times per lease; a
+	// failed or expired lease is re-queued after lease/400 (25ms), doubled
+	// for each prior attempt. See DESIGN.md §6 for lease length vs. the
+	// execution watchdog.
+	defaultLease = 10 * time.Second
+	// defaultMaxAttempts is the per-unit retry budget: a unit whose lease
+	// fails or expires this many times is poisoned.
+	defaultMaxAttempts = 3
+)
 
 // Stats summarizes the coordinator's fault-tolerance activity.
 type Stats struct {
@@ -143,17 +152,10 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Workers <= 0 {
 		c.Workers = core.OnePerCPU()
 	}
-	if c.Lease <= 0 {
-		c.Lease = 10 * time.Second
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 25 * time.Millisecond
-	}
+	c.lease = cmp.Or(c.lease, defaultLease)
+	c.maxAttempts = cmp.Or(c.maxAttempts, defaultMaxAttempts)
 	if c.Launcher == nil {
-		c.Launcher = &InProcLauncher{Subject: c.Subject, Test: c.Test, Options: c.Options}
+		c.Launcher = &InProcLauncher{}
 	}
 	return c, nil
 }
@@ -204,7 +206,7 @@ func Run(ctx context.Context, cfg Config) (*core.Result, Stats, error) {
 		return nil, Stats{}, err
 	}
 	start := time.Now()
-	plan, err := core.PlanUnits(cfg.Subject, cfg.Test, cfg.Options, cfg.Spec, cfg.Depth)
+	plan, err := core.PlanUnits(cfg.Subject, cfg.Test, cfg.Options, cfg.Spec, cfg.depth)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -237,9 +239,9 @@ func Run(ctx context.Context, cfg Config) (*core.Result, Stats, error) {
 	}
 
 	// Every runner sends exactly one completion; total leases over the run
-	// are bounded by units*MaxAttempts, so a buffer that size means no
+	// are bounded by units*maxAttempts, so a buffer that size means no
 	// runner ever blocks on a coordinator that has moved on.
-	doneCh := make(chan unitDelivery, len(plan.Units)*cfg.MaxAttempts+1)
+	doneCh := make(chan unitDelivery, len(plan.Units)*cfg.maxAttempts+1)
 	hbCh := make(chan UnitSpec, 4*cfg.Workers+16)
 	running := 0
 	terminal := 0
@@ -251,14 +253,14 @@ func Run(ctx context.Context, cfg Config) (*core.Result, Stats, error) {
 
 	retire := func(rec *unitRec, now time.Time) {
 		// The lease just ended unsuccessfully; re-queue or poison.
-		if rec.attempts >= cfg.MaxAttempts {
+		if rec.attempts >= cfg.maxAttempts {
 			rec.state = uPoisoned
 			terminal++
 			cfg.count(&stats.Poisoned, telemetry.DistUnitsPoisoned)
 			return
 		}
 		rec.state = uPending
-		rec.eligibleAt = now.Add(cfg.Backoff << (rec.attempts - 1))
+		rec.eligibleAt = now.Add((cfg.lease / 400) << (rec.attempts - 1))
 		cfg.count(&stats.Retries, telemetry.DistRetries)
 	}
 
@@ -279,12 +281,12 @@ func Run(ctx context.Context, cfg Config) (*core.Result, Stats, error) {
 			rec := recs[seq]
 			rec.attempts++
 			rec.state = uLeased
-			rec.deadline = now.Add(cfg.Lease)
+			rec.deadline = now.Add(cfg.lease)
 			wctx, cancel := context.WithCancel(ctx)
 			rec.cancel = cancel
 			running++
 			cfg.count(&stats.LeasesGranted, telemetry.DistLeasesGranted)
-			spec := UnitSpec{Seq: seq, Attempt: rec.attempts, Unit: plan.Units[seq], HeartbeatEvery: cfg.Lease / 4,
+			spec := UnitSpec{Seq: seq, Attempt: rec.attempts, Unit: plan.Units[seq], HeartbeatEvery: cfg.lease / 4,
 				cfg: &cfg, phase1: plan.Spec}
 			go func(wctx context.Context, spec UnitSpec) {
 				hb := func() {
@@ -300,7 +302,7 @@ func Run(ctx context.Context, cfg Config) (*core.Result, Stats, error) {
 
 		// Sleep until the next actionable instant: a lease deadline, a
 		// backoff expiry, or an event.
-		wake := now.Add(cfg.Lease)
+		wake := now.Add(cfg.lease)
 		for _, r := range recs {
 			switch r.state {
 			case uLeased:
@@ -328,7 +330,7 @@ func Run(ctx context.Context, cfg Config) (*core.Result, Stats, error) {
 			timer.Stop()
 			rec := recs[spec.Seq]
 			if rec.state == uLeased && rec.attempts == spec.Attempt {
-				rec.deadline = time.Now().Add(cfg.Lease)
+				rec.deadline = time.Now().Add(cfg.lease)
 			}
 
 		case d := <-doneCh:

@@ -104,7 +104,7 @@ func TestDistMatchesSequentialHealthy(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				res, stats, err := dist.Run(context.Background(), dist.Config{
 					Subject: sub, Test: m, Options: opts,
-					Workers: workers, Depth: 2,
+					Workers: workers,
 				})
 				tag := fmt.Sprintf("%s red=%v workers=%d", sub.Name, red, workers)
 				if err != nil {
@@ -134,16 +134,8 @@ func TestDistRandomizedKillDeterminism(t *testing.T) {
 		for _, fault := range []faultinject.ProcFault{faultinject.ProcCrash, faultinject.ProcHang, faultinject.ProcStall} {
 			for seed := int64(1); seed <= 3; seed++ {
 				plan := &faultinject.ProcPlan{Seed: seed, Every: 2, Fault: fault}
-				cfg := dist.Config{
-					Subject: sub, Test: m, Options: opts,
-					Workers: 3, Depth: 2,
-					Lease:   120 * time.Millisecond,
-					Backoff: time.Millisecond,
-				}
-				cfg.Launcher = &faultinject.FlakyLauncher{
-					Inner: &dist.InProcLauncher{Subject: sub, Test: m, Options: opts},
-					Plan:  plan,
-				}
+				cfg := dist.WithLeasing(dist.Config{Subject: sub, Test: m, Options: opts, Workers: 3}, 120*time.Millisecond, 0, 0)
+				cfg.Launcher = &faultinject.FlakyLauncher{Inner: &dist.InProcLauncher{}, Plan: plan}
 				res, stats, err := dist.Run(context.Background(), cfg)
 				tag := fmt.Sprintf("%s fault=%v seed=%d", sub.Name, fault, seed)
 				if err != nil {
@@ -176,7 +168,7 @@ func TestDistCoordinatorCrashResume(t *testing.T) {
 	dir := t.TempDir()
 	cfg := dist.Config{
 		Subject: sub, Test: m, Options: opts,
-		Workers: 1, Depth: 2, Dir: dir,
+		Workers: 1, Dir: dir,
 	}
 
 	// Phase 1 of the test: run with a launcher that stalls after the first
@@ -233,17 +225,11 @@ func TestDistPoisonedUnits(t *testing.T) {
 	// The plan's hash decides which units are hit; scan seeds (deterministic
 	// order) for one that poisons some units but not all, so the degradation
 	// path AND the healthy-units-still-finish property are both exercised.
+	const attempts = 2
 	for seed := int64(1); seed <= 20; seed++ {
 		plan := &faultinject.ProcPlan{Seed: seed, Every: 2, Fault: faultinject.ProcCrash, Repeat: 10}
-		cfg := dist.Config{
-			Subject: sub, Test: m,
-			Workers: 2, Depth: 2,
-			MaxAttempts: 2, Backoff: time.Millisecond,
-		}
-		cfg.Launcher = &faultinject.FlakyLauncher{
-			Inner: &dist.InProcLauncher{Subject: sub, Test: m},
-			Plan:  plan,
-		}
+		cfg := dist.WithLeasing(dist.Config{Subject: sub, Test: m, Workers: 2}, 0, attempts, 0)
+		cfg.Launcher = &faultinject.FlakyLauncher{Inner: &dist.InProcLauncher{}, Plan: plan}
 		res, stats, err := dist.Run(context.Background(), cfg)
 		var pe *dist.PoisonedUnitsError
 		if err == nil {
@@ -262,8 +248,8 @@ func TestDistPoisonedUnits(t *testing.T) {
 			t.Fatalf("seed %d: stats %+v inconsistent with %d poisoned units", seed, stats, len(pe.Poisoned))
 		}
 		for _, p := range pe.Poisoned {
-			if p.Attempts != cfg.MaxAttempts || p.LastErr == "" {
-				t.Fatalf("seed %d: poisoned unit %+v: want %d attempts and a last error", seed, p, cfg.MaxAttempts)
+			if p.Attempts != attempts || p.LastErr == "" {
+				t.Fatalf("seed %d: poisoned unit %+v: want %d attempts and a last error", seed, p, attempts)
 			}
 		}
 		if !strings.Contains(err.Error(), "retry budget") {
@@ -288,14 +274,14 @@ func TestDistManifestMismatch(t *testing.T) {
 	m := testFor(sub)
 	dir := t.TempDir()
 	if _, _, err := dist.Run(context.Background(), dist.Config{
-		Subject: sub, Test: m, Workers: 2, Depth: 2, Dir: dir,
+		Subject: sub, Test: m, Workers: 2, Dir: dir,
 	}); err != nil {
 		t.Fatalf("base run: %v", err)
 	}
-	_, _, err := dist.Run(context.Background(), dist.Config{
-		Subject: sub, Test: m, Workers: 2, Depth: 1, Dir: dir,
+	_, _, err := dist.Run(context.Background(), dist.WithLeasing(dist.Config{
+		Subject: sub, Test: m, Workers: 2, Dir: dir,
 		Options: core.Options{PreemptionBound: 1, Reduction: sched.ReductionNone},
-	})
+	}, 0, 0, 1))
 	if err == nil {
 		t.Fatal("mismatched resume was accepted")
 	}
@@ -321,7 +307,7 @@ func TestDistResumeRefusesOtherSpec(t *testing.T) {
 	}
 	dir := t.TempDir()
 	run := func(spec *history.Spec) (*core.Result, error) {
-		res, _, err := dist.Run(context.Background(), dist.Config{Subject: sub, Test: m, Spec: spec, Workers: 2, Depth: 2, Dir: dir})
+		res, _, err := dist.Run(context.Background(), dist.Config{Subject: sub, Test: m, Spec: spec, Workers: 2, Dir: dir})
 		return res, err
 	}
 	res, err := run(spec)
@@ -356,12 +342,9 @@ func TestDistTelemetry(t *testing.T) {
 	opts := core.Options{Telemetry: tel}
 	cfg := dist.Config{
 		Subject: sub, Test: m, Options: opts,
-		Workers: 2, Depth: 2, Backoff: time.Millisecond, Telemetry: tel,
+		Workers: 2, Telemetry: tel,
 	}
-	cfg.Launcher = &faultinject.FlakyLauncher{
-		Inner: &dist.InProcLauncher{Subject: sub, Test: m, Options: opts},
-		Plan:  plan,
-	}
+	cfg.Launcher = &faultinject.FlakyLauncher{Inner: &dist.InProcLauncher{}, Plan: plan}
 	_, stats, err := dist.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -386,12 +369,12 @@ func TestDistTelemetry(t *testing.T) {
 	}
 }
 
-// TestDistShippedSpecReportsByteIdentical pins the phase-1 spec-shipping
-// optimization: a worker that rebuilds the specification from the job
+// TestDistShippedSpecReportsByteIdentical pins the spec shipping of the exec
+// protocol: a worker that rebuilds the plan's specification from the job
 // file's exported serial histories (a JSON round trip, exactly what
-// ExecLauncher ships) must produce a unit report byte-identical to one that
-// re-synthesizes the spec locally — for every unit of the plan, passing and
-// failing subjects alike.
+// ExecLauncher ships) must produce a unit report byte-identical to one
+// checked against the plan's own specification — for every unit of the plan,
+// passing and failing subjects alike.
 func TestDistShippedSpecReportsByteIdentical(t *testing.T) {
 	t.Parallel()
 	for _, sub := range []*core.Subject{counterSubject(), counter1Subject()} {
@@ -415,9 +398,9 @@ func TestDistShippedSpecReportsByteIdentical(t *testing.T) {
 		}
 		shipped := history.ImportSpec(hs)
 		for _, u := range plan.Units {
-			local, err := core.CheckUnit(sub, m, opts, u, nil, nil)
+			local, err := core.CheckUnit(sub, m, opts, u, plan.Spec, nil)
 			if err != nil {
-				t.Fatalf("%s unit %d: local synth: %v", sub.Name, u.Seq, err)
+				t.Fatalf("%s unit %d: plan's spec: %v", sub.Name, u.Seq, err)
 			}
 			remote, err := core.CheckUnit(sub, m, opts, u, shipped, nil)
 			if err != nil {
@@ -431,5 +414,31 @@ func TestDistShippedSpecReportsByteIdentical(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d unit reports byte-identical with the shipped spec", sub.Name, len(plan.Units))
+	}
+}
+
+// TestDistInProcLauncherRunsTheLeasedCheck: an InProcLauncher has no check of
+// its own; the zero value runs the one its lease carries, so a run whose
+// options differ from the defaults (ReductionNone here) merges to what
+// core.Check gives at those options, through a fault-injecting wrapper too.
+func TestDistInProcLauncherRunsTheLeasedCheck(t *testing.T) {
+	sched.RequireNoLeaks(t)
+	for _, sub := range []*core.Subject{counterSubject(), counter1Subject()} {
+		m := testFor(sub)
+		opts := core.Options{Reduction: sched.ReductionNone}
+		want := wantResult(t, sub, m, opts)
+		plan := &faultinject.ProcPlan{Seed: 1, Every: 2, Fault: faultinject.ProcCrash}
+		res, stats, err := dist.Run(context.Background(), dist.Config{
+			Subject: sub, Test: m, Options: opts, Workers: 2,
+			Launcher: &faultinject.FlakyLauncher{Inner: &dist.InProcLauncher{}, Plan: plan},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v (stats %+v)", sub.Name, err, stats)
+		}
+		if res.Verdict != want.Verdict || res.Phase2.Executions != want.Phase2.Executions || res.Phase2.Histories != want.Phase2.Histories {
+			t.Fatalf("%s: dist %v, %d executions, %d histories; core.Check at ReductionNone %v, %d, %d",
+				sub.Name, res.Verdict, res.Phase2.Executions, res.Phase2.Histories,
+				want.Verdict, want.Phase2.Executions, want.Phase2.Histories)
+		}
 	}
 }

@@ -21,8 +21,13 @@ func FuzzCheckFiles(f *testing.F) {
 		`{"version": 2, "subject": "Counter", "test": {"init": ["Inc()"], "rows": [["Inc()", "Get()"], ["Inc()"]], "final": ["Get()"]},
   "options": {"preemption_bound": -2, "reduction": "sleep", "witness": "monitor", "model": "counter", "watchdog": 1000000000, "relaxed_ops": ["Get()"]},
   "depth": 2, "units": 2, "split_pruned": 1, "entries": [{"seq": 0, "state": "done", "attempts": 1}, {"seq": 1, "state": "poisoned", "attempts": 3, "last_err": "x"}],
-  "spec": {"seq": 1, "attempt": 2, "unit": {}, "heartbeat_every": 2500000000}, "report_path": "r.json", "spec_histories": []}`,
-		`{"version": 2, "subject": "Counter1", "options": {"rows": 2, "cols": 2, "samples": 8, "seed": 7, "workers": 4, "reduction": "none", "init": ["Inc()"]},
+  "spec": {"seq": 1, "attempt": 2, "unit": {}, "heartbeat_every": 2500000000}, "report_path": "r.json",
+  "spec_histories": [{"Ops": [{"Thread": 0, "Name": "Inc()", "Result": "ok"}, {"Thread": 0, "Name": "Get()", "Result": "1"}]}]}`,
+		`{"version": 2, "subject": "Counter", "test": {"init": ["Inc()"], "rows": [["Inc()", "Get()"], ["Inc()"]], "final": ["Get()"]},
+  "options": {"reduction": "sleep", "witness": "monitor", "model": "counter"},
+  "spec": {"seq": 0, "attempt": 1, "unit": {"seq": 0, "path": [0, 1], "floor": 1}, "heartbeat_every": 2500000000}, "report_path": "r.json",
+  "spec_histories": [{"Ops": [{"Thread": 0, "Name": "Inc()", "Result": "ok"}, {"Thread": 1, "Name": "Get()", "Result": "1"}]}]}`,
+		`{"version": 2, "subject": "Counter1", "options": {"rows": 2, "cols": 2, "samples": 8, "seed": 7, "workers": 4, "reduction": "none"},
   "tests": [{"index": 3, "failed": true, "violation_kind": 1, "phase1": {"Executions": 6}, "phase2": {"Executions": 40}}, null]}`,
 		`{"version": 3, "subject": "Counter", "test": {"rows": [["Inc()", "Get()"], ["Inc()"]]}, "options": {"reduction": "sleep"},
   "depth": 2, "units": 2, "split_pruned": 1, "entries": [{"seq": 0, "state": "done", "attempts": 1}]}`,

@@ -46,17 +46,14 @@ type Launcher interface {
 
 // InProcLauncher runs units on goroutines in the coordinator's process —
 // the zero-setup launcher for tests and single-machine runs that don't need
-// process isolation. A unit leased by Run checks against its plan's phase-1
-// specification, which needs no copying here. Heartbeats piggyback on the
+// process isolation. Like ExecLauncher it runs units leased by dist.Run only:
+// the check, and the plan's specification it is checked against, come with
+// the lease and need no copying here. Heartbeats piggyback on the
 // per-execution tick, rate-limited to spec.HeartbeatEvery, and a revoked lease
 // is noticed at the next execution boundary. An operation that hangs *inside*
 // an execution can only be reclaimed by Options.Watchdog (process-level
 // SIGKILL needs ExecLauncher); see DESIGN.md §6.
-type InProcLauncher struct {
-	Subject *core.Subject
-	Test    *core.Test
-	Options core.Options
-}
+type InProcLauncher struct{}
 
 func (l *InProcLauncher) Run(ctx context.Context, spec UnitSpec, heartbeat func()) (*core.UnitReport, error) {
 	heartbeat()
@@ -71,7 +68,8 @@ func (l *InProcLauncher) Run(ctx context.Context, spec UnitSpec, heartbeat func(
 		}
 		return true
 	}
-	return core.CheckUnit(l.Subject, l.Test, l.Options, spec.Unit, spec.phase1, tick)
+	cfg := spec.cfg
+	return core.CheckUnit(cfg.Subject, cfg.Test, cfg.Options, spec.Unit, spec.phase1, tick)
 }
 
 // ExecLauncher runs each unit in a separate worker process ("<bin> worker
@@ -94,9 +92,8 @@ func (l *ExecLauncher) Run(ctx context.Context, spec UnitSpec, heartbeat func())
 	jobPath := fmt.Sprintf("%s/job-%06d-%d.json", l.Dir, spec.Seq, spec.Attempt)
 	repPath := jobPath + ".report"
 	// The plan's (determinism-checked) specification rides along: the one the
-	// run was given, or the coordinator's phase-1 synthesis, which workers then
-	// need not redo per unit. Phase 1 is deterministic, so the reports are
-	// byte-for-byte what local synthesis would have produced.
+	// run was given, or the coordinator's phase-1 synthesis. A worker checks
+	// against it and synthesizes none of its own.
 	job := WorkerJob{Version: jobVersion, checkForm: formOf(spec.cfg), Spec: spec, ReportPath: repPath,
 		SpecHistories: spec.phase1.Export()}
 	if err := obsfile.AtomicWriteJSON(jobPath, job); err != nil {

@@ -54,10 +54,12 @@ type manifest struct {
 	// Export order, as a job file ships one; a run that synthesizes its own
 	// writes none.
 	SpecHistories []*history.SerialHistory `json:"spec_histories,omitempty"`
-	Depth         int                      `json:"depth"`
-	Units         int                      `json:"units"`
-	SplitPruned   int                      `json:"split_pruned"`
-	Entries       []manifestUnit           `json:"entries"`
+	// Depth is the split depth as set: 0 (sched.DefaultShardDepth) outside
+	// tests, as `check -test` has always written it, so its journals resume.
+	Depth       int            `json:"depth"`
+	Units       int            `json:"units"`
+	SplitPruned int            `json:"split_pruned"`
+	Entries     []manifestUnit `json:"entries"`
 }
 
 func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
@@ -67,7 +69,7 @@ func buildManifest(cfg Config, plan *core.UnitPlan, recs []*unitRec) *manifest {
 	man := &manifest{
 		Version:     manifestVersion,
 		checkForm:   formOf(&cfg),
-		Depth:       cfg.Depth,
+		Depth:       cfg.depth,
 		Units:       len(plan.Units),
 		SplitPruned: plan.Split.Pruned,
 	}

@@ -38,9 +38,11 @@ func writtenOptionKeys(typ reflect.Type) []string {
 // checkpoint (core.RandomCheck) and, for the fields core.Options has, a
 // `dist` manifest (dist.Run with a Dir) — and requires the resume to be
 // refused with that field named. The exceptions are the resume-free fields
-// (the worker count, the watchdog interval), which must be accepted. The table is checked against the struct by reflection, so a new
-// written option cannot land without its row. The "witness" row is a field
-// that is gone: a file that still holds it is read as below.
+// (the worker count, the watchdog interval), which must be accepted. The
+// table is checked against the struct by reflection, so a new written option
+// cannot land without its row. A manifest also refuses a test whose init or
+// final section differs. The "witness" row is a field that is gone: a file
+// that still holds it is read as below.
 func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	sub := counterSubject()
@@ -54,10 +56,9 @@ func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 		save, flip func(*R)
 		free       bool
 	}{
-		"preemption_bound":         {flip: func(o *R) { o.PreemptionBound = 1 }},
-		"max_executions_per_phase": {flip: func(o *R) { o.MaxExecutionsPerPhase = 40000 }},
-		"exhaust_phase2":           {flip: func(o *R) { o.ExhaustPhase2 = true }},
-		"relaxed_ops":              {flip: func(o *R) { o.RelaxedOps = []string{"Get()"} }},
+		"preemption_bound": {flip: func(o *R) { o.PreemptionBound = 1 }},
+		"exhaust_phase2":   {flip: func(o *R) { o.ExhaustPhase2 = true }},
+		"relaxed_ops":      {flip: func(o *R) { o.RelaxedOps = []string{"Get()"} }},
 		"model": {save: func(o *R) { o.MonitorModel = monitor.CounterModel() },
 			flip: func(o *R) { o.MonitorModel = monitor.RegisterModel() }},
 		"explore_workers":       {flip: func(o *R) { o.Options.Workers = 2 }, free: true},
@@ -70,8 +71,6 @@ func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 		"samples":               {flip: func(o *R) { o.Samples = 3 }},
 		"seed":                  {flip: func(o *R) { o.Seed = 99 }},
 		"stop_at_first_failure": {flip: func(o *R) { o.StopAtFirstFailure = true }},
-		"init":                  {flip: func(o *R) { o.Init = []core.Op{inc} }},
-		"final":                 {flip: func(o *R) { o.Final = []core.Op{get} }},
 	}
 	all := writtenOptionKeys(reflect.TypeOf(R{}))
 	for _, key := range all {
@@ -120,27 +119,28 @@ func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 			_, err := core.RandomCheck(sub, nil, resumed)
 			verdict(t, "checkpoint", key, row.free, err)
 
-			// The manifest holds a test where the checkpoint holds the
-			// sampling parameters: init and final are sections of it.
-			m := func(o R) *core.Test {
-				return &core.Test{Init: o.Init, Rows: [][]core.Op{{inc, get}, {inc}}, Final: o.Final}
-			}
-			if !inOptions[key] && key != "init" && key != "final" {
+			if !inOptions[key] {
 				return
 			}
-			dir := t.TempDir()
-			if _, _, err := dist.Run(context.Background(), dist.Config{
-				Subject: sub, Test: m(saved), Options: saved.Options, Workers: 1, Depth: 1, Dir: dir,
-			}); err != nil {
-				t.Fatalf("journaled run: %v", err)
-			}
-			_, _, err = dist.Run(context.Background(), dist.Config{
-				Subject: sub, Test: m(resumed), Options: resumed.Options, Workers: 1, Depth: 1, Dir: dir,
-			})
-			if key == "init" || key == "final" {
-				key = "test." + key
-			}
-			verdict(t, "manifest", key, row.free, err)
+			m := &core.Test{Rows: [][]core.Op{{inc, get}, {inc}}}
+			verdict(t, "manifest", key, row.free, journalResume(t, m, saved.Options, m, resumed.Options))
+		})
+	}
+
+	// The manifest holds a test where the checkpoint holds the sampling
+	// parameters: init and final are sections of it, flipped on the test.
+	for _, section := range []struct {
+		name string
+		flip func(*core.Test)
+	}{
+		{"init", func(m *core.Test) { m.Init = []core.Op{inc} }},
+		{"final", func(m *core.Test) { m.Final = []core.Op{get} }},
+	} {
+		t.Run(section.name, func(t *testing.T) {
+			saved := &core.Test{Rows: [][]core.Op{{inc, get}, {inc}}}
+			resumed := *saved
+			section.flip(&resumed)
+			verdict(t, "manifest", "test."+section.name, false, journalResume(t, saved, core.Options{}, &resumed, core.Options{}))
 		})
 	}
 
@@ -187,7 +187,7 @@ func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 		}
 
 		m := &core.Test{Rows: [][]core.Op{{inc, get}, {inc}}}
-		cfg := dist.Config{Subject: sub, Test: m, Options: saved.Options, Workers: 1, Depth: 1, Dir: t.TempDir()}
+		cfg := dist.WithLeasing(dist.Config{Subject: sub, Test: m, Options: saved.Options, Workers: 1, Dir: t.TempDir()}, 0, 0, 1)
 		if _, _, err := dist.Run(context.Background(), cfg); err != nil {
 			t.Fatalf("journaled run: %v", err)
 		}
@@ -202,6 +202,24 @@ func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 	})
 }
 
+// journalResume runs the check of saved with a manifest kept in a fresh
+// directory and then resumes the check of resumed on that directory,
+// returning the resume's error.
+func journalResume(t *testing.T, saved *core.Test, savedOpts core.Options, resumed *core.Test, resumedOpts core.Options) error {
+	t.Helper()
+	sub := counterSubject()
+	dir := t.TempDir()
+	if _, _, err := dist.Run(context.Background(), dist.WithLeasing(dist.Config{
+		Subject: sub, Test: saved, Options: savedOpts, Workers: 1, Dir: dir,
+	}, 0, 0, 1)); err != nil {
+		t.Fatalf("journaled run: %v", err)
+	}
+	_, _, err := dist.Run(context.Background(), dist.WithLeasing(dist.Config{
+		Subject: sub, Test: resumed, Options: resumedOpts, Workers: 1, Dir: dir,
+	}, 0, 0, 1))
+	return err
+}
+
 // TestOldDistFilesRefusedByVersion: a version-1 manifest (six option values
 // and the test as bare rows at the top level), a version-2 one (its unit
 // reports key histories another way, so merging them with new reports would
@@ -211,7 +229,7 @@ func TestResumeRefusesEveryOptionMismatch(t *testing.T) {
 // anything.
 func TestOldDistFilesRefusedByVersion(t *testing.T) {
 	sub := counterSubject()
-	cfg := dist.Config{Subject: sub, Test: testFor(sub), Workers: 1, Depth: 1, Dir: t.TempDir()}
+	cfg := dist.WithLeasing(dist.Config{Subject: sub, Test: testFor(sub), Workers: 1, Dir: t.TempDir()}, 0, 0, 1)
 	if _, _, err := dist.Run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -253,6 +271,28 @@ func TestOldDistFilesRefusedByVersion(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("old job file: refusal does not say %q: %v", want, err)
 			}
+		}
+	}
+}
+
+// TestWorkerRefusesJobWithoutSpec: a unit is checked against its plan's
+// specification only, so a job file that ships none, or a null serial
+// history in it, is refused with the field named before a class is resolved.
+func TestWorkerRefusesJobWithoutSpec(t *testing.T) {
+	job := filepath.Join(t.TempDir(), "job.json")
+	head := `{"version": 2, "subject": "Counter", "test": {"rows": [["Inc()"], ["Get()"]]}, "options": {"reduction": "sleep"},
+  "spec": {"seq": 0, "attempt": 1, "unit": {"seq": 0, "path": [], "floor": 0}, "heartbeat_every": 1000000}, "report_path": "r.json"`
+	for _, tail := range []string{`}`, `, "spec_histories": []}`, `, "spec_histories": [null]}`} {
+		if err := os.WriteFile(job, []byte(head+tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resolve := func(string) (*core.Subject, bool) {
+			t.Errorf("a job without a specification got as far as resolving its class (%s)", tail)
+			return counterSubject(), true
+		}
+		err := dist.RunWorker(job, resolve, &strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), "spec_histories") {
+			t.Errorf("job ending %s: err = %v, want a refusal naming spec_histories", tail, err)
 		}
 	}
 }

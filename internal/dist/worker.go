@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"lineup/internal/core"
@@ -23,10 +24,9 @@ type WorkerJob struct {
 	checkForm
 	Spec       UnitSpec `json:"spec"`
 	ReportPath string   `json:"report_path"`
-	// SpecHistories, when present, is the coordinator's phase-1
-	// specification in history.Spec Export order; the worker rebuilds the
-	// spec from it instead of re-synthesizing. Absent (hand-written jobs),
-	// the worker synthesizes locally.
+	// SpecHistories is the specification of the unit's plan in history.Spec
+	// Export order; the worker rebuilds it and checks the unit against it. A
+	// job without it, or with a null history in it, is refused.
 	SpecHistories []*history.SerialHistory `json:"spec_histories,omitempty"`
 }
 
@@ -38,6 +38,9 @@ func loadJob(path string) (*WorkerJob, error) {
 	}
 	if job.Test == nil {
 		return nil, fmt.Errorf("dist: job file %s names no test", path)
+	}
+	if len(job.SpecHistories) == 0 || slices.Contains(job.SpecHistories, nil) {
+		return nil, fmt.Errorf("dist: job file %s holds no spec_histories to check the unit against, or a null one", path)
 	}
 	return &job, nil
 }
@@ -78,11 +81,7 @@ func RunWorker(jobPath string, resolve func(class string) (*core.Subject, bool),
 		}
 		return true
 	}
-	var spec *history.Spec
-	if len(job.SpecHistories) > 0 {
-		spec = history.ImportSpec(job.SpecHistories)
-	}
-	rep, err := core.CheckUnit(sub, m, job.Options, job.Spec.Unit, spec, tick)
+	rep, err := core.CheckUnit(sub, m, job.Options, job.Spec.Unit, history.ImportSpec(job.SpecHistories), tick)
 	if err != nil {
 		return err
 	}

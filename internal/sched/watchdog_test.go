@@ -136,6 +136,7 @@ func TestDetectLeaksReportsRogueGoroutine(t *testing.T) {
 		},
 	}}
 	s := sched.NewScheduler(sched.Config{DetectLeaks: true, AbandonGrace: 20 * time.Millisecond}, nil)
+	holdsStill(t)
 	out := s.Run(prog)
 	if out.Hung || out.Stuck || out.Err != nil {
 		t.Fatalf("unexpected outcome: %+v", out)
@@ -152,6 +153,7 @@ func TestDetectLeaksCleanRun(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	prog := sched.Program{Threads: []func(*sched.Thread){opThread(2, "a"), opThread(2, "b")}}
 	s := sched.NewScheduler(sched.Config{DetectLeaks: true}, nil)
+	holdsStill(t)
 	out := s.Run(prog)
 	if out.LeakedGoroutines != 0 || out.FailureKind() != sched.FailNone {
 		t.Fatalf("clean run reported leaks: %+v", out)

@@ -10,6 +10,18 @@ import (
 	"time"
 )
 
+// httpLimits bound what the HTTP endpoint accepts from outside the program:
+// a POST /ingest body over maxBody bytes is rejected with 413 (producers with
+// bigger batches chunk or stream), a client that never finishes its headers
+// is cut off at readHeader, and a kept-alive connection that goes quiet is
+// reaped at idle.
+type httpLimits struct {
+	maxBody          int64
+	readHeader, idle time.Duration
+}
+
+var defaultHTTPLimits = &httpLimits{maxBody: 64 << 20, readHeader: 10 * time.Second, idle: 2 * time.Minute}
+
 // StartHTTP starts the service's ingest endpoint on addr (e.g. ":8080" or
 // "127.0.0.1:0") and returns the bound address. The endpoint serves:
 //
@@ -41,18 +53,8 @@ func (s *Server) StartHTTP(addr string) (string, error) {
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/checkpoint", s.handleCheckpoint)
 	// Stalled and idle connections are the cheap way to wedge a long-running
-	// ingest endpoint, so both are bounded: a client that never finishes its
-	// headers is cut off at ReadHeaderTimeout, and a kept-alive connection
-	// that goes quiet is reaped at IdleTimeout.
-	rht := s.cfg.ReadHeaderTimeout
-	if rht <= 0 {
-		rht = 10 * time.Second
-	}
-	idle := s.cfg.IdleTimeout
-	if idle <= 0 {
-		idle = 2 * time.Minute
-	}
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: rht, IdleTimeout: idle}
+	// ingest endpoint, so both are bounded.
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: s.cfg.http.readHeader, IdleTimeout: s.cfg.http.idle}
 	go func() { _ = srv.Serve(ln) }()
 	s.httpCloser = srv // srv.Close stops the listener and active connections
 	return ln.Addr().String(), nil
@@ -63,10 +65,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST a trace body: JSONL or batch frames", http.StatusMethodNotAllowed)
 		return
 	}
-	limit := s.cfg.MaxIngestBytes
-	if limit <= 0 {
-		limit = 64 << 20
-	}
+	limit := s.cfg.http.maxBody
 	// The cap cuts the body mid-line, so the parse error the reader surfaces
 	// is usually "bad JSON", not the MaxBytesError itself — capture the
 	// transport-level error as it streams by so the producer gets a 413, not

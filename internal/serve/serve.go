@@ -46,13 +46,13 @@ package serve
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lineup/internal/core"
 	"lineup/internal/monitor"
@@ -127,17 +127,11 @@ type Config struct {
 	// a partition's verdict becomes NOT linearizable (streaming alerting).
 	OnVerdict func(PartitionVerdict)
 
-	// MaxIngestBytes caps a single POST /ingest body; an oversized request is
-	// rejected with 413 after at most this many bytes are read. 0 selects
-	// 64 MiB; producers with bigger batches should chunk or stream.
-	MaxIngestBytes int64
-	// ReadHeaderTimeout and IdleTimeout harden the HTTP listener against
-	// stalled or idle connections (zero values select 10s and 2m).
-	ReadHeaderTimeout time.Duration
-	IdleTimeout       time.Duration
-
 	// resume is the loaded checkpoint New restores from (set by Resume).
 	resume *Checkpoint
+	// http bounds the HTTP endpoint: defaultHTTPLimits, which only tests
+	// replace (export_test.go), for a small body cap and short timeouts.
+	http *httpLimits
 }
 
 func (c Config) workers() int {
@@ -212,6 +206,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Model == nil || cfg.Model.Init == nil || cfg.Model.Step == nil {
 		return nil, errors.New("serve: Config.Model must define Init and Step")
 	}
+	cfg.http = cmp.Or(cfg.http, defaultHTTPLimits)
 	s := &Server{
 		cfg: cfg,
 		// The stream is split before windowing, and ModeAuto reads the

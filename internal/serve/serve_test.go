@@ -663,14 +663,12 @@ func TestServeHTTPIngest(t *testing.T) {
 	}
 }
 
-// TestServeHTTPIngestBodyCap: a body over MaxIngestBytes is rejected with a
+// TestServeHTTPIngestBodyCap: a body over the ingest cap is rejected with a
 // clean 413 naming the cap; events before the cap are ingested (at-least-once
 // batch semantics) and the server keeps serving afterwards.
 func TestServeHTTPIngestBodyCap(t *testing.T) {
-	s, err := serve.New(serve.Config{
-		Model: monitor.RegisterModel(), WindowOps: 1,
-		MaxIngestBytes: 256,
-	})
+	s, err := serve.New(serve.WithHTTPLimits(serve.Config{Model: monitor.RegisterModel(), WindowOps: 1},
+		256, 10*time.Second, 2*time.Minute))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -711,13 +709,10 @@ func TestServeHTTPIngestBodyCap(t *testing.T) {
 }
 
 // TestServeHTTPStalledHeaders: a client that connects and then goes silent is
-// cut off at ReadHeaderTimeout instead of holding its connection open forever.
+// cut off at the read-header timeout instead of holding its connection open forever.
 func TestServeHTTPStalledHeaders(t *testing.T) {
-	s, err := serve.New(serve.Config{
-		Model: monitor.RegisterModel(), WindowOps: 1,
-		ReadHeaderTimeout: 150 * time.Millisecond,
-		IdleTimeout:       150 * time.Millisecond,
-	})
+	s, err := serve.New(serve.WithHTTPLimits(serve.Config{Model: monitor.RegisterModel(), WindowOps: 1},
+		64<<20, 150*time.Millisecond, 150*time.Millisecond))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -57,8 +57,9 @@ type (
 	// TooManyFailuresError aborts a check whose contained failures exceeded
 	// Options.MaxFailures.
 	TooManyFailuresError = core.TooManyFailuresError
-	// BudgetError aborts a check whose phase 1 or phase 2 reached
-	// Options.MaxExecutionsPerPhase; it names the phase.
+	// BudgetError aborts a check whose phase 1 or phase 2 ran two million
+	// executions, the safety net against schedule-space blowups; it names
+	// the phase.
 	BudgetError = core.BudgetError
 	// Reduction selects the partial-order reduction strategy of
 	// Options.Reduction; verdicts and violations are bit-identical with
@@ -293,7 +294,8 @@ type (
 	// DistUnitSpec is the job a DistLauncher receives: the work unit plus
 	// its lease sequence, attempt number, and heartbeat cadence.
 	DistUnitSpec = dist.UnitSpec
-	// DistInProcLauncher runs work units on goroutines in this process.
+	// DistInProcLauncher runs work units on goroutines in this process; like
+	// DistExecLauncher, it runs the check of the DistConfig it is run under.
 	DistInProcLauncher = dist.InProcLauncher
 	// DistExecLauncher runs each work unit in a fresh worker process so a
 	// kill -9 of a worker costs one lease, not the run. The check it hands
