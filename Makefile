@@ -44,7 +44,8 @@ sched-smoke:
 
 # Race-enabled smoke of the streaming service: the full internal/serve suite
 # (worker pool, backpressure, checkpoint/resume, HTTP ingest, agreement of
-# every ingest entrance). Part of `make check`: the service is the one
+# every ingest entrance, FuzzServeConns' seed corpus of connections ingesting
+# at once). Part of `make check`: the service is the one
 # subsystem whose whole job is cross-goroutine handoff.
 serve-smoke:
 	$(GO) test -race ./internal/serve
@@ -94,9 +95,10 @@ benchmark-smoke:
 # loaders of the files a check is written down in (dist job file and
 # manifest, RandomCheck checkpoint: a structured error or a value whose written
 # form is a fixed point; the loaders take paths, so an execution is six file
-# writes and an unbounded minimization would eat the five seconds); the seed
-# corpus plus a few seconds of mutation on every `make check` keeps crash
-# regressions out of the hot paths.
+# writes and an unbounded minimization would eat the five seconds) and serve's
+# multi-connection ingest (a stream dealt to 1-4 connections at once gives the
+# verdicts of one); the seed corpus plus a few seconds of mutation on every
+# `make check` keeps crash regressions out of the hot paths.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadTrace -fuzztime=5s ./internal/obsfile
 	$(GO) test -run='^$$' -fuzz=FuzzStreamReader -fuzztime=5s ./internal/obsfile
@@ -110,6 +112,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzOracle -fuzztime=5s ./internal/oracle
 	$(GO) test -run='^$$' -fuzz=FuzzSpec -fuzztime=5s ./internal/oracle
 	$(GO) test -run='^$$' -fuzz=FuzzCheckFiles -fuzztime=5s -fuzzminimizetime=100x ./internal/dist
+	$(GO) test -run='^$$' -fuzz=FuzzServeConns -fuzztime=5s ./internal/serve
 
 # Full race-enabled pass over every package (much slower than `race`). The
 # bench sweeps run for several minutes even uninstrumented, hence the timeout.

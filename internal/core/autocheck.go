@@ -143,8 +143,8 @@ type RandomSummary struct {
 	// FirstFailure is the first failing result in sample order (nil if all
 	// passed).
 	FirstFailure *Result
-	// Results holds the per-test results in sample order (may contain nils
-	// after an early stop).
+	// Results holds the per-test results in sample order; with
+	// StopAtFirstFailure every entry after the first failing test is nil.
 	Results []*Result
 	// Resumed is the number of tests restored from RandomOptions.Dir's
 	// checkpoint rather than checked by this run.
@@ -303,6 +303,18 @@ func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummar
 		return nil, fmt.Errorf("lineup: RandomCheck on %s: %w", sub.Name, firstErr)
 	}
 	sum.TotalDuration = time.Since(start)
+	// A stopped run reports the sample-order prefix up to its first failing
+	// test. Every test before that one was taken first, so it finished; the
+	// tests after it ran or not by the worker count and by what a resumed
+	// checkpoint held.
+	if opts.StopAtFirstFailure {
+		for k, r := range sum.Results {
+			if r != nil && r.Verdict == Fail {
+				clear(sum.Results[k+1:])
+				break
+			}
+		}
+	}
 	aggregate(sum)
 	// A first failure restored from a checkpoint carries no violation
 	// details (they are not serialized); Check is deterministic, so

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -248,159 +246,24 @@ func TestFrameReaderNextBatch(t *testing.T) {
 	}
 }
 
-// TestShardedTrackerMatchesStreamTracker replays a serial trace through both
-// trackers: verdict-relevant resolution (kind, op, result, partition, and
-// call/return index pairing) must agree event for event, and the counters and
-// checkpoint snapshots must round-trip.
-func TestShardedTrackerMatchesStreamTracker(t *testing.T) {
-	evs := []TraceEvent{
-		{T: 0, K: "call", Op: "Enqueue(1)", P: "a"},
-		{T: 1, K: "call", Op: "Enqueue(2)", P: "b"},
-		{T: 0, K: "ret", Res: "ok"},
-		{T: 1, K: "ret", Res: "ok"},
-		{T: 0, K: "call", Op: "TryDequeue()", P: "a"},
-		{T: 0, K: "ret", Res: "1"},
-		{T: 5, K: "call", Op: "Write(3)"},
-	}
-	st := NewStreamTracker()
-	sh := NewShardedTracker()
-	pair := map[int]int{} // sharded index -> single index
-	for i, ev := range evs {
-		a, aerr := st.Apply(ev, i+1)
-		b, berr := sh.Apply(ev, i+1)
-		if (aerr == nil) != (berr == nil) {
-			t.Fatalf("event %d: error mismatch: %v vs %v", i, aerr, berr)
-		}
-		if aerr != nil {
-			continue
-		}
-		if a.Kind != b.Kind || a.Op != b.Op || a.Result != b.Result || a.Part != b.Part || a.Thread != b.Thread {
-			t.Fatalf("event %d: resolution mismatch:\nsingle  %+v\nsharded %+v", i, a, b)
-		}
-		if prev, ok := pair[b.Index]; ok {
-			if prev != a.Index {
-				t.Fatalf("event %d: sharded index %d pairs with %d and %d", i, b.Index, prev, a.Index)
-			}
-		} else {
-			pair[b.Index] = a.Index
-		}
-	}
-	if st.Events() != sh.Events() || st.OpenCalls() != sh.OpenCalls() || st.Stuck() != sh.Stuck() {
-		t.Fatalf("counters diverge: single (%d,%d,%v) sharded (%d,%d,%v)",
-			st.Events(), st.OpenCalls(), st.Stuck(), sh.Events(), sh.OpenCalls(), sh.Stuck())
-	}
-	// Snapshot round-trip: a sharded tracker restored from its own state
-	// keeps validating correctly and allocates fresh indices above Next.
-	state := sh.State()
-	if state.Events != sh.Events() || len(state.Open) != sh.OpenCalls() {
-		t.Fatalf("snapshot does not reflect the tracker: %+v", state)
-	}
-	re := RestoreShardedTracker(state)
-	if _, err := re.Apply(TraceEvent{T: 5, K: "ret", Res: "ok"}, 99); err != nil {
-		t.Fatalf("restored tracker rejects the open call's return: %v", err)
-	}
-	ev, err := re.Apply(TraceEvent{T: 9, K: "call", Op: "Read()"}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Index < state.Next {
-		t.Fatalf("restored tracker reissued index %d below the high water %d", ev.Index, state.Next)
-	}
-}
-
-// BenchmarkTrackerApply prices the two trackers on the same serial trace, one
-// goroutine each — what ReadTrace pays (StreamTracker: a map and plain ints)
-// against what it would pay for the tracker serve needs (ShardedTracker: a
-// per-thread mutex and three atomics an event). The numbers are DESIGN.md §6's
-// reason for keeping both; TestShardedTrackerMatchesStreamTracker above keeps
-// them equal.
+// BenchmarkTrackerApply prices the tracker on a serial trace of eight
+// threads: what ReadTrace pays per event, and serve under its tracker lock.
 func BenchmarkTrackerApply(b *testing.B) {
 	const ops = 1024
 	evs := make([]TraceEvent, 0, 2*ops)
 	for i := 0; i < ops; i++ {
 		evs = append(evs, TraceEvent{T: i % 8, K: "call", Op: "Enqueue(1)", P: "q"}, TraceEvent{T: i % 8, K: "ret", Res: "ok"})
 	}
-	run := func(b *testing.B, fresh func() func(TraceEvent, int) (StreamEvent, error)) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			apply := fresh()
-			for line, ev := range evs {
-				if _, err := apply(ev, line+1); err != nil {
-					b.Fatal(err)
-				}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr := NewStreamTracker()
+		for line, ev := range evs {
+			if _, err := tr.Apply(ev, line+1); err != nil {
+				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
 	}
-	b.Run("stream", func(b *testing.B) {
-		run(b, func() func(TraceEvent, int) (StreamEvent, error) { return NewStreamTracker().Apply })
-	})
-	b.Run("sharded", func(b *testing.B) {
-		run(b, func() func(TraceEvent, int) (StreamEvent, error) { return NewShardedTracker().Apply })
-	})
-}
-
-// TestShardedTrackerConcurrent hammers the tracker from several goroutines —
-// one per thread id, the serve contract — and checks the global invariants:
-// every op gets a unique index, the event and open-call counters balance,
-// and discipline violations (double call) are still caught. Run under -race
-// via the serve-smoke target's package sweep.
-func TestShardedTrackerConcurrent(t *testing.T) {
-	const threads, opsPer = 8, 500
-	tr := NewShardedTracker()
-	indices := make([][]int, threads)
-	var wg sync.WaitGroup
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			for i := 0; i < opsPer; i++ {
-				op := fmt.Sprintf("Op(%d)", i)
-				c, err := tr.Apply(TraceEvent{T: th, K: "call", Op: op}, i)
-				if err != nil {
-					t.Errorf("thread %d call %d: %v", th, i, err)
-					return
-				}
-				r, err := tr.Apply(TraceEvent{T: th, K: "ret", Res: "ok"}, i)
-				if err != nil {
-					t.Errorf("thread %d ret %d: %v", th, i, err)
-					return
-				}
-				if r.Index != c.Index || r.Op != op {
-					t.Errorf("thread %d op %d: return resolved to index %d op %q, want %d %q",
-						th, i, r.Index, r.Op, c.Index, op)
-					return
-				}
-				indices[th] = append(indices[th], c.Index)
-			}
-		}(th)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	seen := make(map[int]bool, threads*opsPer)
-	for th := range indices {
-		for _, idx := range indices[th] {
-			if seen[idx] {
-				t.Fatalf("index %d issued twice", idx)
-			}
-			seen[idx] = true
-		}
-	}
-	if got, want := tr.Events(), int64(2*threads*opsPer); got != want {
-		t.Fatalf("events %d, want %d", got, want)
-	}
-	if tr.OpenCalls() != 0 {
-		t.Fatalf("open calls %d, want 0", tr.OpenCalls())
-	}
-	// Discipline still enforced per shard.
-	if _, err := tr.Apply(TraceEvent{T: 0, K: "call", Op: "A()"}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Apply(TraceEvent{T: 0, K: "call", Op: "B()"}, 2); err == nil {
-		t.Fatal("double call on one thread was accepted")
-	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
 }
 
 // FuzzBatchFrame drives the frame codec round trip: a byte program derives

@@ -40,12 +40,21 @@ func (ev StreamEvent) HistoryEvent() history.Event {
 // StreamReader it is not tied to one io.Reader, so a server accepting events
 // from several transports (stdin pipe, HTTP requests) can funnel them all
 // through a single tracker and keep one global notion of thread discipline.
-// Its full state is exported through State for checkpointing.
+// A tracker is not safe for concurrent use; serve holds its one tracker
+// under a lock. Its full state is exported through State for checkpointing.
 type StreamTracker struct {
-	open   map[int]openCall
-	next   int
-	stuck  bool
-	events int64
+	threads map[int]*threadState
+	open    int // threads with an open call
+	next    int
+	stuck   bool
+	events  int64
+}
+
+// threadState is one thread's discipline state. It lives as long as the
+// tracker, so a busy stream only looks its threads up.
+type threadState struct {
+	busy bool
+	cur  openCall
 }
 
 // openCall records a thread's currently open operation.
@@ -57,8 +66,13 @@ type openCall struct {
 
 // NewStreamTracker returns an empty tracker (no open calls, index 0).
 func NewStreamTracker() *StreamTracker {
-	return &StreamTracker{open: make(map[int]openCall)}
+	return &StreamTracker{threads: make(map[int]*threadState)}
 }
+
+// NewShardedTracker returns NewStreamTracker().
+//
+// Deprecated: the concurrent tracker is gone; serve locks one StreamTracker.
+func NewShardedTracker() *StreamTracker { return NewStreamTracker() }
 
 // Apply validates one raw event against the trace discipline and resolves it.
 // line is the 1-based source position used in error messages. On error the
@@ -75,20 +89,26 @@ func (st *StreamTracker) Apply(ev TraceEvent, line int) (StreamEvent, error) {
 		if ev.Op == "" {
 			return StreamEvent{}, fmt.Errorf("obsfile: trace line %d: call without an op name", line)
 		}
-		if cur, busy := st.open[ev.T]; busy {
+		th := st.threads[ev.T]
+		if th == nil {
+			th = &threadState{}
+			st.threads[ev.T] = th
+		} else if th.busy {
 			return StreamEvent{}, fmt.Errorf("obsfile: trace line %d: thread %d calls %s while %s is still open",
-				line, ev.T, ev.Op, cur.name)
+				line, ev.T, ev.Op, th.cur.name)
 		}
 		idx := st.next
 		st.next++
-		st.open[ev.T] = openCall{index: idx, name: ev.Op, part: ev.P}
+		th.busy, th.cur = true, openCall{index: idx, name: ev.Op, part: ev.P}
+		st.open++
 		st.events++
 		return StreamEvent{Thread: ev.T, Kind: history.Call, Op: ev.Op, Part: ev.P, Index: idx, Line: line}, nil
 	case "ret":
-		cur, busy := st.open[ev.T]
-		if !busy {
+		th := st.threads[ev.T]
+		if th == nil || !th.busy {
 			return StreamEvent{}, fmt.Errorf("obsfile: trace line %d: thread %d returns without an open call", line, ev.T)
 		}
+		cur := th.cur
 		if ev.Op != "" && ev.Op != cur.name {
 			return StreamEvent{}, fmt.Errorf("obsfile: trace line %d: thread %d returns from %s but %s is open",
 				line, ev.T, ev.Op, cur.name)
@@ -97,7 +117,8 @@ func (st *StreamTracker) Apply(ev TraceEvent, line int) (StreamEvent, error) {
 			return StreamEvent{}, fmt.Errorf("obsfile: trace line %d: thread %d returns in partition %q but %s was called in partition %q",
 				line, ev.T, ev.P, cur.name, cur.part)
 		}
-		delete(st.open, ev.T)
+		th.busy = false
+		st.open--
 		st.events++
 		return StreamEvent{Thread: ev.T, Kind: history.Return, Op: cur.name, Result: ev.Res, Part: cur.part, Index: cur.index, Line: line}, nil
 	case "stuck":
@@ -116,11 +137,14 @@ func (st *StreamTracker) Stuck() bool { return st.stuck }
 func (st *StreamTracker) Events() int64 { return st.events }
 
 // OpenCalls returns the number of currently open operations.
-func (st *StreamTracker) OpenCalls() int { return len(st.open) }
+func (st *StreamTracker) OpenCalls() int { return st.open }
 
 // TrackerState is the serializable snapshot of a StreamTracker, stored in
 // serve checkpoints so a restarted service resumes mid-trace with the same
-// thread discipline.
+// thread discipline. Next is the first index not yet issued; a checkpoint
+// written by the former concurrent tracker, which drew indices in per-thread
+// blocks, holds one above the indices it used, and a tracker restored from
+// it issues dense indices from there.
 type TrackerState struct {
 	Open   []OpenCallState `json:"open,omitempty"`
 	Next   int             `json:"next"`
@@ -139,18 +163,21 @@ type OpenCallState struct {
 // State snapshots the tracker.
 func (st *StreamTracker) State() TrackerState {
 	out := TrackerState{Next: st.next, Stuck: st.stuck, Events: st.events}
-	for t, c := range st.open {
-		out.Open = append(out.Open, OpenCallState{Thread: t, Index: c.index, Op: c.name, Part: c.part})
+	for t, th := range st.threads {
+		if th.busy {
+			out.Open = append(out.Open, OpenCallState{Thread: t, Index: th.cur.index, Op: th.cur.name, Part: th.cur.part})
+		}
 	}
 	return out
 }
 
 // RestoreStreamTracker rebuilds a tracker from a snapshot.
 func RestoreStreamTracker(s TrackerState) *StreamTracker {
-	st := &StreamTracker{open: make(map[int]openCall, len(s.Open)), next: s.Next, stuck: s.Stuck, events: s.Events}
+	st := &StreamTracker{threads: make(map[int]*threadState, len(s.Open)), next: s.Next, stuck: s.Stuck, events: s.Events}
 	for _, c := range s.Open {
-		st.open[c.Thread] = openCall{index: c.Index, name: c.Op, part: c.Part}
+		st.threads[c.Thread] = &threadState{busy: true, cur: openCall{index: c.Index, name: c.Op, part: c.Part}}
 	}
+	st.open = len(st.threads)
 	return st
 }
 

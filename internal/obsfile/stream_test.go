@@ -164,3 +164,30 @@ func TestRawReaderSkipsValidation(t *testing.T) {
 		t.Fatalf("error not sticky: %v", err)
 	}
 }
+
+// TestRestoredTrackerIssuesAboveNext: a snapshot's Next may lie above every
+// index it holds (serve's former concurrent tracker drew indices in
+// per-thread blocks of 64). A restored tracker pairs each open call's return
+// with that call's own index and issues new indices densely from Next on.
+func TestRestoredTrackerIssuesAboveNext(t *testing.T) {
+	tr := RestoreStreamTracker(TrackerState{Next: 576, Events: 42, Open: []OpenCallState{
+		{Thread: 22, Index: 1, Op: "Write(3)", Part: "c"},
+		{Thread: 10, Index: 514, Op: "Write(2)", Part: "b"},
+	}})
+	ret, err := tr.Apply(TraceEvent{T: 22, K: "ret", Res: "ok"}, 43)
+	if err != nil || ret.Index != 1 || ret.Op != "Write(3)" || ret.Part != "c" {
+		t.Fatalf("return of a restored open call: %+v, %v", ret, err)
+	}
+	for i, th := range []int{22, 30} {
+		call, err := tr.Apply(TraceEvent{T: th, K: "call", Op: "Read()", P: "c"}, 44+i)
+		if err != nil || call.Index != 576+i {
+			t.Fatalf("call %d after restore: index %d (%v), want %d", i, call.Index, err, 576+i)
+		}
+	}
+	if _, err := tr.Apply(TraceEvent{T: 10, K: "call", Op: "Read()"}, 46); err == nil {
+		t.Fatal("a restored open call's thread accepted a second call")
+	}
+	if tr.OpenCalls() != 3 || tr.Events() != 45 {
+		t.Fatalf("open %d events %d, want 3 and 45", tr.OpenCalls(), tr.Events())
+	}
+}

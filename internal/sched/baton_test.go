@@ -172,7 +172,7 @@ func BenchmarkPoint(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			cfg := sched.Config{MaxOpSteps: b.N + 2}
+			cfg := sched.WithMaxOpSteps(sched.Config{}, b.N+2)
 			out := sched.NewScheduler(cfg, bc.ctrl).Run(bc.prog(b.N))
 			if out.Stuck || out.Err != nil {
 				b.Fatalf("stuck %v, err %v", out.Stuck, out.Err)

@@ -95,7 +95,7 @@ func TestDecisionTraceUnchanged(t *testing.T) {
 		{"serial-3x3", sched.ExploreConfig{Config: sched.Config{Serial: true}, PreemptionBound: sched.Unbounded},
 			sched.Program{Threads: []func(*sched.Thread){opThread(3, "a"), opThread(3, "b"), opThread(3, "c")}}, 0x52b630b1ff5f0ad1},
 		{"waitset-deadlock", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionNone}, waitSetProgram(), 0xb72589d986a594ec},
-		{"diverge-maxopsteps", sched.ExploreConfig{Config: sched.Config{MaxOpSteps: 5}, PreemptionBound: 2, Reduction: sched.ReductionNone},
+		{"diverge-maxopsteps", sched.ExploreConfig{Config: sched.WithMaxOpSteps(sched.Config{}, 5), PreemptionBound: 2, Reduction: sched.ReductionNone},
 			sched.Program{Threads: []func(*sched.Thread){
 				func(t *sched.Thread) {
 					t.OpStart("spin")

@@ -1,5 +1,7 @@
 package sched
 
+import "time"
+
 // PickRecord is one Controller.Pick call of an explored execution: its
 // arguments, with the enabled set in the explorer's branch order (cur first
 // when enabled, then ascending — a bijection with the ascending set Pick
@@ -81,4 +83,18 @@ func ExploreSplitEverywhere(cfg ExploreConfig, newProg func() Program, visit fun
 	thief.finish()
 	stats, err := co.result()
 	return stats, len(co.shards) - 1, err
+}
+
+// WithMaxOpSteps returns c with the per-operation step bound set to n in
+// place of maxOpSteps (100 000).
+func WithMaxOpSteps(c Config, n int) Config {
+	c.opSteps = n
+	return c
+}
+
+// WithAbandonGrace returns c with the wait for an abandoned execution's
+// threads set to d in place of abandonGrace (50 ms).
+func WithAbandonGrace(c Config, d time.Duration) Config {
+	c.grace = d
+	return c
 }

@@ -40,7 +40,7 @@ func TestLivelockDetectedAsStuck(t *testing.T) {
 	// starts: run A to its first point, then B.
 	stuckSeen := false
 	_, err := sched.Explore(sched.ExploreConfig{
-		Config:          sched.Config{MaxOpSteps: 200},
+		Config:          sched.WithMaxOpSteps(sched.Config{}, 200),
 		PreemptionBound: 2,
 	}, prog, func(o *sched.Outcome) bool {
 		if o.Err != nil {
@@ -59,7 +59,7 @@ func TestLivelockDetectedAsStuck(t *testing.T) {
 	}
 }
 
-// TestStepBudgetBoundary pins the exact semantics of MaxOpSteps: an
+// TestStepBudgetBoundary pins the exact semantics of the step bound: an
 // operation with n intermediate points takes n+2 instrumented steps (the
 // OpStart and OpEnd points included), completes when the budget equals its
 // step count, and diverges when the budget is one below it.
@@ -77,7 +77,7 @@ func TestStepBudgetBoundary(t *testing.T) {
 	}}
 
 	t.Run("exactly-reached", func(t *testing.T) {
-		s := sched.NewScheduler(sched.Config{MaxOpSteps: mid + 2}, nil)
+		s := sched.NewScheduler(sched.WithMaxOpSteps(sched.Config{}, mid+2), nil)
 		out := s.Run(prog)
 		if out.Stuck || out.Err != nil {
 			t.Fatalf("budget exactly reached must complete, got %+v", out)
@@ -88,7 +88,7 @@ func TestStepBudgetBoundary(t *testing.T) {
 	})
 
 	t.Run("exceeded-by-one", func(t *testing.T) {
-		s := sched.NewScheduler(sched.Config{MaxOpSteps: mid + 1}, nil)
+		s := sched.NewScheduler(sched.WithMaxOpSteps(sched.Config{}, mid+1), nil)
 		out := s.Run(prog)
 		if !out.Stuck {
 			t.Fatalf("budget exceeded by one must be stuck (diverged), got %+v", out)

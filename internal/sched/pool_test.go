@@ -212,7 +212,7 @@ func TestPoolHungExecutionPoisonsNothing(t *testing.T) {
 		},
 	}
 	cfg := sched.ExploreConfig{
-		Config:            sched.Config{Watchdog: 20 * time.Millisecond, AbandonGrace: 5 * time.Millisecond},
+		Config:            sched.WithAbandonGrace(sched.Config{Watchdog: 20 * time.Millisecond}, 5*time.Millisecond),
 		PreemptionBound:   2,
 		ContinueOnFailure: true,
 	}
@@ -288,7 +288,7 @@ func TestPoolHungSchedulerIsDropped(t *testing.T) {
 		}
 	}
 	cfg := sched.ExploreConfig{
-		Config:            sched.Config{RecordTrace: true, Watchdog: 100 * time.Millisecond, AbandonGrace: 5 * time.Millisecond},
+		Config:            sched.WithAbandonGrace(sched.Config{RecordTrace: true, Watchdog: 100 * time.Millisecond}, 5*time.Millisecond),
 		PreemptionBound:   2,
 		ContinueOnFailure: true,
 	}
@@ -378,7 +378,7 @@ func TestPoolDetectLeaksCountsSubjectGoroutines(t *testing.T) {
 		}},
 	}
 	cfg := sched.ExploreConfig{
-		Config:            sched.Config{DetectLeaks: true, AbandonGrace: 5 * time.Millisecond},
+		Config:            sched.WithAbandonGrace(sched.Config{DetectLeaks: true}, 5*time.Millisecond),
 		PreemptionBound:   2,
 		ContinueOnFailure: true,
 	}

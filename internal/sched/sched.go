@@ -130,9 +130,9 @@ type Config struct {
 	// RecordTrace enables memory-access tracing for the race and atomicity
 	// checkers.
 	RecordTrace bool
-	// MaxOpSteps bounds the instrumented steps a single operation may take
-	// before it is declared diverging. Zero means the default (100000).
-	MaxOpSteps int
+	// opSteps, when positive, replaces maxOpSteps; only tests set it
+	// (WithMaxOpSteps in export_test.go).
+	opSteps int
 	// Watchdog, when positive, bounds the wall-clock time the running thread
 	// may take to reach its next scheduling point. Run samples a progress
 	// counter once per interval; when a full interval passes without any
@@ -143,10 +143,9 @@ type Config struct {
 	// Zero disables the watchdog: a non-cooperative subject then hangs Run
 	// forever.
 	Watchdog time.Duration
-	// AbandonGrace bounds how long an abandoned execution waits for its
-	// threads to unwind cooperatively before declaring them leaked. Zero
-	// means the default (50ms).
-	AbandonGrace time.Duration
+	// grace, when positive, replaces abandonGrace; only tests set it
+	// (WithAbandonGrace in export_test.go).
+	grace time.Duration
 	// DetectLeaks compares the process goroutine count before and after the
 	// execution and reports subject goroutines that survived it (raw `go`
 	// statements escaping the scheduler) in Outcome.LeakedGoroutines. It is
@@ -170,18 +169,27 @@ type Config struct {
 	TrackCoverage bool
 }
 
+const (
+	// maxOpSteps bounds the instrumented steps a single operation may take
+	// before it is declared diverging.
+	maxOpSteps = 100000
+	// abandonGrace bounds how long an abandoned execution waits for its
+	// threads to unwind cooperatively before declaring them leaked.
+	abandonGrace = 50 * time.Millisecond
+)
+
 func (c Config) maxOpSteps() int {
-	if c.MaxOpSteps <= 0 {
-		return 100000
+	if c.opSteps > 0 {
+		return c.opSteps
 	}
-	return c.MaxOpSteps
+	return maxOpSteps
 }
 
 func (c Config) abandonGrace() time.Duration {
-	if c.AbandonGrace <= 0 {
-		return 50 * time.Millisecond
+	if c.grace > 0 {
+		return c.grace
 	}
-	return c.AbandonGrace
+	return abandonGrace
 }
 
 // Program is the unit of execution: an optional single-threaded setup

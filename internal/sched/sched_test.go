@@ -131,7 +131,7 @@ func TestSerialEnumerationShapes(t *testing.T) {
 		{"first operation diverges", sched.Program{Threads: threads(opThread(2, "a"), spinsFirst)}, 3, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			outs := exploreSerial(t, sched.Config{MaxOpSteps: 50}, tc.prog)
+			outs := exploreSerial(t, sched.WithMaxOpSteps(sched.Config{}, 50), tc.prog)
 			stuck := 0
 			for _, o := range outs {
 				if o.Stuck {
@@ -295,7 +295,7 @@ func TestDivergenceDetected(t *testing.T) {
 			}
 		},
 	}}
-	s := sched.NewScheduler(sched.Config{MaxOpSteps: 100}, nil)
+	s := sched.NewScheduler(sched.WithMaxOpSteps(sched.Config{}, 100), nil)
 	out := s.Run(prog)
 	if !out.Stuck {
 		t.Fatalf("expected diverging loop to be reported as stuck")

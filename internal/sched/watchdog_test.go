@@ -110,7 +110,7 @@ func TestWatchdogVsStepBudget(t *testing.T) {
 			}
 		},
 	}}
-	s := sched.NewScheduler(sched.Config{MaxOpSteps: 50, Watchdog: 30 * time.Second}, nil)
+	s := sched.NewScheduler(sched.WithMaxOpSteps(sched.Config{Watchdog: 30 * time.Second}, 50), nil)
 	out := s.Run(prog)
 	if out.Hung {
 		t.Fatalf("instrumented spin misclassified as hung")
@@ -135,7 +135,7 @@ func TestDetectLeaksReportsRogueGoroutine(t *testing.T) {
 			t.OpEnd("rogue", "ok")
 		},
 	}}
-	s := sched.NewScheduler(sched.Config{DetectLeaks: true, AbandonGrace: 20 * time.Millisecond}, nil)
+	s := sched.NewScheduler(sched.WithAbandonGrace(sched.Config{DetectLeaks: true}, 20*time.Millisecond), nil)
 	holdsStill(t)
 	out := s.Run(prog)
 	if out.Hung || out.Stuck || out.Err != nil {
@@ -364,7 +364,7 @@ func TestWatchdogNamesThreadHungAfterSwitch(t *testing.T) {
 		return enabled[len(enabled)-1]
 	}}
 	start := time.Now()
-	out := sched.NewScheduler(sched.Config{Watchdog: watchdog, AbandonGrace: grace}, ctrl).Run(uncooperative(func() { <-ch }))
+	out := sched.NewScheduler(sched.WithAbandonGrace(sched.Config{Watchdog: watchdog}, grace), ctrl).Run(uncooperative(func() { <-ch }))
 	elapsed := time.Since(start)
 	if !out.Hung || out.HungThread != "B" {
 		t.Fatalf("Hung = %v, HungThread = %q, want B", out.Hung, out.HungThread)
@@ -432,7 +432,7 @@ func TestAbandonedThreadTakesNoDecision(t *testing.T) {
 				},
 				c,
 			}}
-			cfg := sched.Config{Watchdog: 30 * time.Millisecond, AbandonGrace: 10 * time.Millisecond}
+			cfg := sched.WithAbandonGrace(sched.Config{Watchdog: 30 * time.Millisecond}, 10*time.Millisecond)
 			out := sched.NewScheduler(cfg, ctrl).Run(prog)
 			leaked := append([]string(nil), out.LeakedThreads...)
 			sort.Strings(leaked)

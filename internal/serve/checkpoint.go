@@ -120,6 +120,7 @@ func (s *Server) checkpointStopped() error {
 		return nil
 	}
 	replies := s.broadcast(ctlMsg{kind: ctlSnapshot})
+	s.trackerMu.Lock()
 	cp := Checkpoint{
 		Version:   checkpointVersion,
 		Model:     s.cfg.Model.Name,
@@ -128,9 +129,10 @@ func (s *Server) checkpointStopped() error {
 		Routed:    s.tel.Get(telemetry.ServeEventsRouted),
 		Shed:      s.tel.Get(telemetry.ServeEventsShed),
 
-		SawNamedKey:     s.sawNamedKey.Load(),
-		SawDerivedWhole: s.sawDerivedWhole.Load(),
+		SawNamedKey:     s.sawNamedKey,
+		SawDerivedWhole: s.sawDerivedWhole,
 	}
+	s.trackerMu.Unlock()
 	s.poisoned.Range(func(k, _ any) bool {
 		cp.Poisoned = append(cp.Poisoned, k.(string))
 		return true
@@ -186,10 +188,10 @@ func (s *Server) restore(cp *Checkpoint) error {
 		resumeKey{s.cfg.Model.Name, s.cfg.windowOps()}); err != nil {
 		return err
 	}
-	s.tracker = obsfile.RestoreShardedTracker(cp.Tracker)
+	s.tracker = obsfile.RestoreStreamTracker(cp.Tracker)
 	// The producer replays the stream from the start; what the checkpoint
 	// already ingested is skipped.
-	s.skip.Store(cp.Tracker.Events)
+	s.skip = cp.Tracker.Events
 	// The counts continue where the checkpointed server stopped (and a shared
 	// collector gets them too, so it stays the sum of its servers' Stats).
 	s.tel.Add(telemetry.ServeEventsIngested, cp.Tracker.Events)
@@ -224,8 +226,8 @@ func (s *Server) restore(cp *Checkpoint) error {
 		w.parts[pc.Key] = p
 		s.tel.Add(telemetry.ServePartitions, 1)
 	}
-	s.sawNamedKey.Store(cp.SawNamedKey || s.partitionHint(cp))
-	s.sawDerivedWhole.Store(cp.SawDerivedWhole)
+	s.sawNamedKey = cp.SawNamedKey || s.partitionHint(cp)
+	s.sawDerivedWhole = cp.SawDerivedWhole
 	return nil
 }
 

@@ -320,3 +320,166 @@ func TestServeTruncatedFrameStreamFailsStop(t *testing.T) {
 		t.Fatalf("Close after truncation: %v", err)
 	}
 }
+
+// dealStreams generates parts random register partitions (threads disjoint,
+// some corrupted) and deals them to conns connections: it returns the whole
+// stream, as one producer would send it, and each connection's share, every
+// partition on exactly one connection in its own order.
+func dealStreams(rng *rand.Rand, parts, opsMax, conns int) (whole []obsfile.TraceEvent, shares [][]obsfile.TraceEvent) {
+	gen := make([][]obsfile.TraceEvent, parts)
+	dealt := make([][][]obsfile.TraceEvent, conns)
+	for i := range gen {
+		gen[i] = genPartition(rng, fmt.Sprintf("p%d", i), i*10, 1+rng.Intn(opsMax), rng.Intn(3) == 0)
+		c := rng.Intn(conns)
+		dealt[c] = append(dealt[c], gen[i])
+	}
+	for _, d := range dealt {
+		shares = append(shares, interleave(rng, d))
+	}
+	return interleave(rng, gen), shares
+}
+
+// FuzzServeConns is the multi-connection differential: a seeded stream of up
+// to eight partitions is dealt to k = 1–4 connections that ingest at the same
+// time in random batch sizes, and every verdict must be the one a single
+// connection ingesting the whole stream gets, with routed + shed == ingested.
+// Under ShedOnFull (a one-slot queue) a partition a full queue poisoned is
+// judged on a gapped stream, so only the others are compared. The seed corpus
+// runs in `go test` and, under -race, in `make serve-smoke`.
+func FuzzServeConns(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(3), false)
+	f.Add(int64(2), uint8(2), uint8(4), false)
+	f.Add(int64(3), uint8(3), uint8(7), false)
+	f.Add(int64(4), uint8(4), uint8(5), true)
+	f.Add(int64(5), uint8(2), uint8(1), true)
+	m := monitor.RegisterModel()
+	f.Fuzz(func(t *testing.T, seed int64, conns, parts uint8, shed bool) {
+		rng := rand.New(rand.NewSource(seed))
+		k := 1 + int(conns)%4
+		whole, shares := dealStreams(rng, 1+int(parts)%8, 12, k)
+		cfg := serve.Config{Model: m, Workers: 2, WindowOps: 1 + rng.Intn(3)}
+		// Each connection's batch sizes are drawn here: rng is not shared
+		// with the ingesting goroutines.
+		sizes := make([][]int, k)
+		for c, share := range shares {
+			for left := len(share); left > 0; {
+				n := min(left, 1+rng.Intn(16))
+				sizes[c] = append(sizes[c], n)
+				left -= n
+			}
+		}
+
+		one, err := serve.New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if _, err := one.NewConn().IngestBatch(whole); err != nil {
+			t.Fatalf("single connection: %v", err)
+		}
+		want, err := one.Close()
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+
+		if shed {
+			cfg.QueueDepth, cfg.Backpressure = 1, serve.ShedOnFull
+		}
+		s, err := serve.New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		var wg sync.WaitGroup
+		for c := range shares {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				conn := s.NewConn()
+				defer conn.Release()
+				lo := 0
+				for _, n := range sizes[c] {
+					if _, err := conn.IngestBatch(shares[c][lo : lo+n]); err != nil {
+						t.Errorf("conn %d: %v", c, err)
+						return
+					}
+					lo += n
+				}
+			}(c)
+		}
+		wg.Wait()
+		got, err := s.Close()
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+		st := got.Stats
+		if st.EventsIngested != int64(len(whole)) || st.EventsRouted+st.EventsShed != st.EventsIngested || st.EventsApplied != st.EventsRouted {
+			t.Fatalf("%d connections: ingested %d (stream %d), routed %d, shed %d, applied %d",
+				k, st.EventsIngested, len(whole), st.EventsRouted, st.EventsShed, st.EventsApplied)
+		}
+		if !shed && (len(got.Verdicts) != len(want.Verdicts) || got.Linearizable != want.Linearizable) {
+			t.Fatalf("%d connections: %d verdicts, linearizable %v; one connection %d, %v",
+				k, len(got.Verdicts), got.Linearizable, len(want.Verdicts), want.Linearizable)
+		}
+		// A partition whose first events were shed has no verdict at all.
+		wantBy := make(map[string]serve.PartitionVerdict)
+		for _, v := range want.Verdicts {
+			wantBy[v.Key] = v
+		}
+		for _, v := range got.Verdicts {
+			if w, ok := wantBy[v.Key]; !ok || (!v.Shed && v != w) {
+				t.Fatalf("%d connections: partition %q:\ngot  %+v\nwant %+v", k, v.Key, v, w)
+			}
+		}
+	})
+}
+
+// BenchmarkServeConnIngest prices validate-and-route with the checker pool
+// parked (HoldWorkers), over 1, 2 and 4 connections ingesting at the same
+// time in batches of 64: the cost of serve's one tracker lock as connections
+// are added.
+func BenchmarkServeConnIngest(b *testing.B) {
+	for _, k := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("conns=%d", k), func(b *testing.B) {
+			whole, shares := dealStreams(rand.New(rand.NewSource(61)), 8, 256, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s, err := serve.New(serve.Config{Model: monitor.RegisterModel(), Workers: 2, QueueDepth: len(whole)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				release, err := s.HoldWorkers()
+				if err != nil {
+					b.Fatal(err)
+				}
+				var wg sync.WaitGroup
+				b.StartTimer()
+				for _, share := range shares {
+					wg.Add(1)
+					go func(share []obsfile.TraceEvent) {
+						defer wg.Done()
+						conn := s.NewConn()
+						defer conn.Release()
+						for lo := 0; lo < len(share); lo += 64 {
+							if _, err := conn.IngestBatch(share[lo:min(lo+64, len(share))]); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(share)
+				}
+				wg.Wait()
+				b.StopTimer()
+				release()
+				if _, err := s.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(whole)), "ns/event")
+		})
+	}
+}

@@ -5,16 +5,16 @@
 //
 // Architecture, front to back:
 //
-//   - One ShardedTracker (package obsfile) validates thread discipline
+//   - One StreamTracker (package obsfile) validates thread discipline
 //     across every transport and resolves each event's operation index and
-//     partition key. Thread discipline is thread-local, so validation locks
-//     nothing global: each thread id has its own shard and op indices are
-//     drawn from a shared atomic counter in per-thread blocks. Producers
-//     ingest through IngestConn handles — one per connection, each with its
-//     own mutex — so several connections validate and route concurrently.
-//     Per-partition event order is deterministic as long as each partition
-//     (and so each of its threads) stays on one connection; splitting a
-//     partition across connections makes its interleaving racy.
+//     partition key. Producers ingest through IngestConn handles — one per
+//     connection, each with its own mutex — and a batch is validated and
+//     routed under the tracker's lock, taken once per batch and released
+//     before any queue send: connections validate one batch at a time and
+//     wait on full queues side by side. Per-partition event order is
+//     deterministic as long as each partition (and so each of its threads)
+//     stays on one connection; splitting a partition across connections makes
+//     its interleaving racy.
 //   - A router hashes the partition key onto a fixed pool of workers, each
 //     with a bounded FIFO queue. Events of one partition always land on the
 //     same worker, so partition state is worker-owned and lock-free. There
@@ -173,17 +173,15 @@ type Server struct {
 	cache   *windowCache
 	workers []*worker
 
-	tracker *obsfile.ShardedTracker
-
 	// tel holds every count Stats reports — a child of cfg.Telemetry, so a
 	// shared collector gets the sum and this server reads back its own share.
 	// Producers and workers count each event once, here.
 	tel *telemetry.Collector
 
-	// Ingest-side state, all safe under concurrent connections: counters are
-	// atomics, the poisoned set is a sync.Map, and the stop-the-world
-	// operations (checkpoint, drain, verdicts, close) serialize against every
-	// connection through lockWorld. Lock order: worldMu < connMu < conn.mu.
+	// Ingest-side state, all safe under concurrent connections: the poisoned
+	// set is a sync.Map, and the stop-the-world operations (checkpoint, drain,
+	// verdicts, close) serialize against every connection through lockWorld.
+	// Lock order: worldMu < connMu < conn.mu < trackerMu.
 	worldMu   sync.Mutex // serializes stop-the-world operations
 	connMu    sync.Mutex // guards the connection registry
 	conns     []*IngestConn
@@ -191,14 +189,20 @@ type Server struct {
 	defConn   *IngestConn
 	poisoned  sync.Map     // partition key -> struct{}
 	nPoisoned atomic.Int64 // count of keys in poisoned; 0 lets ingest skip the map probe
-	skip      atomic.Int64
-	sinceCp   atomic.Int64
 	closed    atomic.Bool
 
-	sawNamedKey     atomic.Bool // some op routed to a named partition
-	sawDerivedWhole atomic.Bool // the model declared some op whole-object
-
 	httpCloser io.Closer
+
+	// Validation state: the tracker and what resolveKey, the resume skip and
+	// the checkpoint cadence keep, all under trackerMu (IngestBatch holds it
+	// once per batch). It comes last, away from the fields every worker
+	// reads, because ingest writes it on another core.
+	trackerMu       sync.Mutex
+	tracker         *obsfile.StreamTracker
+	skip            int64 // replayed events a restored checkpoint already covers
+	sinceCp         int64 // events ingested, for the checkpoint cadence
+	sawNamedKey     bool  // some op routed to a named partition
+	sawDerivedWhole bool  // the model declared some op whole-object
 }
 
 // New creates and starts a server: the worker pool runs immediately.
@@ -213,7 +217,7 @@ func New(cfg Config) (*Server, error) {
 		// residual windows' pending operations by the stuck marker.
 		mopts:   monitor.Options{NoPartition: true, Telemetry: cfg.Telemetry},
 		cache:   newWindowCache(),
-		tracker: obsfile.NewShardedTracker(),
+		tracker: obsfile.NewStreamTracker(),
 		tel:     cfg.Telemetry.Child(),
 	}
 	for i := 0; i < cfg.workers(); i++ {
@@ -275,7 +279,8 @@ type ctlReply struct {
 
 // resolveKey maps an event to its partition key: an explicit "p" field wins;
 // otherwise the model's Partition function is consulted; monolithic models
-// (or whole-object operations) fall back to the single "" partition.
+// (or whole-object operations) fall back to the single "" partition. The
+// caller holds trackerMu.
 func (s *Server) resolveKey(ev obsfile.StreamEvent) (string, error) {
 	key := ev.Part
 	derivedWhole := false
@@ -290,18 +295,13 @@ func (s *Server) resolveKey(ev obsfile.StreamEvent) (string, error) {
 	// A whole-object operation observed alongside named partitions breaks
 	// P-compositionality: the batch monitor would refuse to split, so a
 	// split live stream could disagree with it. Fail stop either way round.
-	// The flags only ever flip false→true, so check-then-store is sound and
-	// keeps the hot path read-only once both regimes are known.
-	if derivedWhole {
-		if !s.sawDerivedWhole.Load() {
-			s.sawDerivedWhole.Store(true)
-		}
-	} else if key != "" {
-		if !s.sawNamedKey.Load() {
-			s.sawNamedKey.Store(true)
-		}
+	// A flag is stored only when it flips, so the hot path stays read-only.
+	if derivedWhole && !s.sawDerivedWhole {
+		s.sawDerivedWhole = true
+	} else if !derivedWhole && key != "" && !s.sawNamedKey {
+		s.sawNamedKey = true
 	}
-	if s.sawDerivedWhole.Load() && s.sawNamedKey.Load() {
+	if s.sawDerivedWhole && s.sawNamedKey {
 		return "", fmt.Errorf("serve: the stream mixes operations that observe the whole object with partitioned ones (arriving: %q); supply explicit partition keys or a partitionable model", ev.Op)
 	}
 	return key, nil
@@ -349,21 +349,6 @@ func (c *IngestConn) Release() {
 	s.connMu.Unlock()
 }
 
-// skipOne consumes one unit of the resume skip budget: the events the
-// restored checkpoint had already ingested, which the producer replays. The
-// counter may transiently dip negative under concurrent connections; the
-// loser restores it, so exactly that many events are skipped in total.
-func (s *Server) skipOne() bool {
-	if s.skip.Load() <= 0 {
-		return false
-	}
-	if s.skip.Add(-1) < 0 {
-		s.skip.Add(1)
-		return false
-	}
-	return true
-}
-
 // poison marks a partition's stream as gapped. LoadOrStore keeps nPoisoned an
 // exact count of distinct poisoned keys, so the zero fast path in isPoisoned
 // stays truthful under concurrent and repeated poisonings.
@@ -384,16 +369,16 @@ func (s *Server) isPoisoned(key string) bool {
 	return bad
 }
 
-// cpTickN advances the checkpoint cadence by n events in one atomic add and
-// reports whether that crossed a checkpoint boundary. The caller must act on
-// it only after releasing its conn lock (checkpointing stops the world, which
-// needs every conn lock).
+// cpTickN advances the checkpoint cadence by n events and reports whether
+// that crossed a checkpoint boundary. The caller holds trackerMu, and must
+// act on the answer only after releasing its conn lock (checkpointing stops
+// the world, which needs every conn lock).
 func (s *Server) cpTickN(n int64) bool {
 	if s.cfg.CheckpointPath == "" || s.cfg.CheckpointEvery <= 0 {
 		return false
 	}
-	now := s.sinceCp.Add(n)
-	return now/s.cfg.CheckpointEvery != (now-n)/s.cfg.CheckpointEvery
+	s.sinceCp += n
+	return s.sinceCp/s.cfg.CheckpointEvery != (s.sinceCp-n)/s.cfg.CheckpointEvery
 }
 
 // Ingest validates, routes, and (policy permitting) enqueues one raw trace
@@ -406,8 +391,9 @@ func (c *IngestConn) Ingest(ev obsfile.TraceEvent) error {
 }
 
 // IngestBatch is the one ingest path: it validates and routes a batch of raw
-// events under one lock acquisition, grouping the routed events per worker
-// and handing each group to its worker as a single queue item. Under
+// events under one acquisition of the tracker lock, grouping the routed
+// events per worker, and then, with the tracker lock released, hands each
+// group to its worker as a single queue item. Under
 // ShedOnFull a full queue poisons and sheds the rejected group — every
 // partition in it, which for a batch of one is exactly that event's
 // partition — keeping the routed+shed accounting exact. Returns the number of
@@ -419,19 +405,20 @@ func (c *IngestConn) IngestBatch(evs []obsfile.TraceEvent) (int, error) {
 		c.scratch = make([][]routedEvent, len(s.workers))
 	}
 	var (
-		cpDue   bool
 		n       int
 		acc     int64 // events the tracker accepted (telemetry + cadence, batched)
 		shed    int64 // of those, events of a partition poisoned earlier
 		err     error
 		batches = c.scratch
 	)
+	s.trackerMu.Lock()
 	for _, ev := range evs {
 		if s.closed.Load() {
 			err = ErrClosed
 			break
 		}
-		if s.skipOne() {
+		if s.skip > 0 { // replayed, and already in the restored checkpoint
+			s.skip--
 			n++
 			continue
 		}
@@ -463,11 +450,12 @@ func (c *IngestConn) IngestBatch(evs []obsfile.TraceEvent) (int, error) {
 		}
 		batches[wi] = append(batches[wi], routedEvent{key: key, ev: sev})
 	}
+	cpDue := s.cpTickN(acc)
+	s.trackerMu.Unlock()
 	// Ingested is counted before shed and routed, and Stats reads it last, so
 	// no snapshot shows more events routed and shed than ingested.
 	if acc > 0 {
 		s.tel.Add(telemetry.ServeEventsIngested, acc)
-		cpDue = s.cpTickN(acc)
 	}
 	if shed > 0 {
 		s.tel.Add(telemetry.ServeEventsShed, shed)
@@ -693,13 +681,17 @@ type Stats struct {
 	QueueDepths     []int `json:"queue_depths"`      // live per-worker backlog
 }
 
-// Stats snapshots the counters; safe to call concurrently with ingest. All
-// counters are atomics, so the snapshot is lock-free but not a single instant:
-// routed+shed may momentarily trail ingested while events are in flight. At
-// any quiescent point (after Drain, inside a checkpoint, after Close) the
-// invariant routed+shed == ingested holds exactly, stuck markers excepted.
+// Stats snapshots the counters; safe to call concurrently with ingest. The
+// counters are atomics and the tracker's two values are read under its lock,
+// between two batches, so the snapshot is not a single instant: routed+shed
+// may momentarily trail ingested while events are in flight. At any quiescent
+// point (after Drain, inside a checkpoint, after Close) the invariant
+// routed+shed == ingested holds exactly, stuck markers excepted.
 func (s *Server) Stats() Stats {
 	get := s.tel.Get
+	s.trackerMu.Lock()
+	openCalls, stuck := s.tracker.OpenCalls(), s.tracker.Stuck()
+	s.trackerMu.Unlock()
 	st := Stats{
 		EventsRouted:    get(telemetry.ServeEventsRouted),
 		EventsShed:      get(telemetry.ServeEventsShed),
@@ -714,8 +706,8 @@ func (s *Server) Stats() Stats {
 		Checkpoints:     get(telemetry.ServeCheckpoints),
 		MaxWindowEvents: get(telemetry.ServeMaxWindowEvents),
 		MaxFrontier:     get(telemetry.ServeMaxFrontier),
-		OpenCalls:       s.tracker.OpenCalls(),
-		Stuck:           s.tracker.Stuck(),
+		OpenCalls:       openCalls,
+		Stuck:           stuck,
 		EventsIngested:  get(telemetry.ServeEventsIngested), // last: see IngestBatch
 	}
 	for _, w := range s.workers {
@@ -761,7 +753,9 @@ func (s *Server) Close() (*Summary, error) {
 		}
 	}
 	s.closed.Store(true)
+	s.trackerMu.Lock()
 	stuck := s.tracker.Stuck()
+	s.trackerMu.Unlock()
 	replies := s.broadcast(ctlMsg{kind: ctlFinish, stuck: stuck})
 	unlock()
 	s.shutdownWorkers()

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -510,6 +511,65 @@ func TestServeCheckpointResume(t *testing.T) {
 	}
 	if gotSum.Linearizable != wantSum.Linearizable {
 		t.Fatalf("summary verdict: got %v want %v", gotSum.Linearizable, wantSum.Linearizable)
+	}
+}
+
+// TestServeResumesShardedCheckpoint: a checkpoint written by the concurrent
+// tracker serve had before StreamTracker was its only one resumes. The
+// fixture is `lineup serve -model register -window 2 -workers 2 -checkpoint F`
+// over the first 42 events of testdata/trace-3parts.jsonl: six calls are open
+// at the cut, and op indices were drawn in per-thread blocks of 64, so the
+// file's next index is 576 and the open calls hold indices up to 514. The
+// whole trace replayed into the resumed server must give the verdicts and
+// counters of an uninterrupted run.
+func TestServeResumesShardedCheckpoint(t *testing.T) {
+	trace, err := os.ReadFile("testdata/trace-3parts.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := os.ReadFile("testdata/checkpoint-sharded.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpPath := filepath.Join(t.TempDir(), "serve.ckpt")
+	if err := os.WriteFile(cpPath, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if cp, err := serve.Load(cpPath); err != nil || cp.Tracker.Next != 576 || len(cp.Tracker.Open) != 6 || cp.Tracker.Events != 42 {
+		t.Fatalf("fixture: want 42 events, 6 open calls and next 576, got %+v (err %v)", cp.Tracker, err)
+	}
+	m := monitor.RegisterModel()
+	run := func(cfg serve.Config) *serve.Summary {
+		t.Helper()
+		s, err := serve.New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if _, err := s.IngestReader(bytes.NewReader(trace)); err != nil {
+			t.Fatalf("IngestReader: %v", err)
+		}
+		sum, err := s.Close()
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		return sum
+	}
+	want := run(serve.Config{Model: m, Workers: 2, WindowOps: 2})
+	cfg, err := serve.Resume(serve.Config{Model: m, Workers: 2, WindowOps: 2, CheckpointPath: cpPath})
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	got := run(cfg)
+	if want.Linearizable || len(want.Verdicts) != 3 {
+		t.Fatalf("fixture: want 3 partitions and one violation, got %+v", want.Verdicts)
+	}
+	if !reflect.DeepEqual(got.Verdicts, want.Verdicts) || got.Linearizable != want.Linearizable {
+		t.Fatalf("verdicts after resume:\nuninterrupted %+v\nresumed       %+v", want.Verdicts, got.Verdicts)
+	}
+	g, w := got.Stats, want.Stats
+	if g.EventsIngested != w.EventsIngested || g.EventsRouted != w.EventsRouted || g.EventsShed != w.EventsShed ||
+		g.EventsApplied != w.EventsApplied || g.Partitions != w.Partitions || g.OpenCalls != w.OpenCalls {
+		t.Fatalf("counters after resume:\nuninterrupted %+v\nresumed       %+v", w, g)
 	}
 }
 
