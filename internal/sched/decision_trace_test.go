@@ -66,6 +66,32 @@ func waitSetProgram() sched.Program {
 	}
 }
 
+// registryTraces holds the decision-trace hash of each registry subject's
+// fixed 2x2 test (see TestDecisionTraceUnchanged).
+var registryTraces = map[string]uint64{
+	"Lazy":                      0xcd7933c498391e76,
+	"Lazy(Pre)":                 0x16a06979e3c758c,
+	"ManualResetEvent":          0x76e5d290c29fed2c,
+	"ManualResetEvent(Pre)":     0x438ff7912f38c526,
+	"SemaphoreSlim":             0xcf6f3484adcbe421,
+	"SemaphoreSlim(Pre)":        0x36fc4884fd72c64c,
+	"CountdownEvent":            0xa088ec1e047e3024,
+	"CountdownEvent(Pre)":       0xa088ec1e047e3024,
+	"ConcurrentDictionary":      0x7dc131c34ec33803,
+	"ConcurrentQueue":           0x22d542dc147e0ebb,
+	"ConcurrentQueue(Pre)":      0x4a0e6f495a993e50,
+	"ConcurrentStack":           0x3f19a2af32ef3850,
+	"ConcurrentStack(Pre)":      0x3f19a2af32ef3850,
+	"ConcurrentLinkedList":      0x60b06bfadd749892,
+	"BlockingCollection":        0x168cb54c010621cc,
+	"BlockingCollection(Pre)":   0x5e83c5155cc072d9,
+	"ConcurrentBag":             0x4cfabf9547467b5b,
+	"TaskCompletionSource":      0x1ce54f7ada1893ba,
+	"TaskCompletionSource(Pre)": 0x7acf5a6edf5b07a7,
+	"CancellationTokenSource":   0x3bf8713c91c0132f,
+	"Barrier":                   0x9b99cc4aac9d62e7,
+}
+
 // TestDecisionTraceUnchanged pins the scheduler's observable behaviour as one
 // hash per exploration: every Controller.Pick call (cur, curEnabled, enabled,
 // pick) of every execution, each outcome's Events, Schedule and Stuck, and
@@ -82,12 +108,13 @@ func TestDecisionTraceUnchanged(t *testing.T) {
 	if !ok {
 		t.Fatal("ManualResetEvent(Pre) has no IsSet()")
 	}
-	for _, tc := range []struct {
+	type traceCase struct {
 		name string
 		cfg  sched.ExploreConfig
 		prog sched.Program
 		want uint64
-	}{
+	}
+	cases := []traceCase{
 		{"fig1-2x2-pb2", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionNone},
 			subjectProgram(fig1.Subject, fig1.Test.Rows), 0x9613f99fe5c83d80},
 		{"fig9-observer-pb3-sleep", sched.ExploreConfig{PreemptionBound: 3, Reduction: sched.ReductionSleep},
@@ -105,7 +132,24 @@ func TestDecisionTraceUnchanged(t *testing.T) {
 				},
 				opThread(2, "b"),
 			}}, 0x9680656439585dad},
-	} {
+	}
+	// One fixed 2x2 test per registry subject, corrected and (Pre), at the
+	// class's bound under the default reduction: the hashes pin what each
+	// class's constructor allocates and each operation touches.
+	for _, e := range bench.Registry() {
+		for _, sub := range []*core.Subject{e.Subject, e.Pre} {
+			if sub == nil {
+				continue
+			}
+			want, ok := registryTraces[sub.Name]
+			if !ok {
+				t.Errorf("no pinned decision trace for %s", sub.Name)
+			}
+			cases = append(cases, traceCase{sub.Name + "-2x2", sched.ExploreConfig{PreemptionBound: e.Bound},
+				subjectProgram(sub, core.SampleTests(sub.Ops, 2, 2, 1, 1)[0].Rows), want})
+		}
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := fnv.New64a()
 			num := func(vs ...int) {
