@@ -8,7 +8,6 @@ package bench
 import (
 	"fmt"
 
-	"lineup/internal/buggy"
 	"lineup/internal/collections"
 	"lineup/internal/core"
 	"lineup/internal/sched"
@@ -85,190 +84,178 @@ func op(method, args string, run func(t *sched.Thread, obj any) string) core.Op 
 	return core.Op{Method: method, Args: args, Run: run}
 }
 
-// ----- shared class vocabularies (correct and (Pre) variants both satisfy
-// these structural interfaces, so one invocation universe serves both) -----
-
-type queueAPI interface {
-	Enqueue(*sched.Thread, int)
-	TryDequeue(*sched.Thread) (int, bool)
-	TryPeek(*sched.Thread) (int, bool)
-	Count(*sched.Thread) int
-	IsEmpty(*sched.Thread) bool
-	ToArray(*sched.Thread) []int
-}
+// ----- class vocabularies (a class and its (Pre) form are one type, so one
+// invocation universe serves both) -----
 
 func queueOps() []core.Op {
 	return []core.Op{
-		op("Count", "", func(t *sched.Thread, o any) string { return collections.Int(o.(queueAPI).Count(t)) }),
-		op("IsEmpty", "", func(t *sched.Thread, o any) string { return collections.Bool(o.(queueAPI).IsEmpty(t)) }),
-		op("Enqueue", "10", func(t *sched.Thread, o any) string { o.(queueAPI).Enqueue(t, 10); return collections.OK }),
-		op("Enqueue", "20", func(t *sched.Thread, o any) string { o.(queueAPI).Enqueue(t, 20); return collections.OK }),
-		op("ToArray", "", func(t *sched.Thread, o any) string { return collections.Ints(o.(queueAPI).ToArray(t)) }),
-		op("TryDequeue", "", func(t *sched.Thread, o any) string { return collections.TryInt(o.(queueAPI).TryDequeue(t)) }),
-		op("TryPeek", "", func(t *sched.Thread, o any) string { return collections.TryInt(o.(queueAPI).TryPeek(t)) }),
+		op("Count", "", func(t *sched.Thread, o any) string { return collections.Int(o.(*collections.Queue).Count(t)) }),
+		op("IsEmpty", "", func(t *sched.Thread, o any) string { return collections.Bool(o.(*collections.Queue).IsEmpty(t)) }),
+		op("Enqueue", "10", func(t *sched.Thread, o any) string { o.(*collections.Queue).Enqueue(t, 10); return collections.OK }),
+		op("Enqueue", "20", func(t *sched.Thread, o any) string { o.(*collections.Queue).Enqueue(t, 20); return collections.OK }),
+		op("ToArray", "", func(t *sched.Thread, o any) string { return collections.Ints(o.(*collections.Queue).ToArray(t)) }),
+		op("TryDequeue", "", func(t *sched.Thread, o any) string { return collections.TryInt(o.(*collections.Queue).TryDequeue(t)) }),
+		op("TryPeek", "", func(t *sched.Thread, o any) string { return collections.TryInt(o.(*collections.Queue).TryPeek(t)) }),
 	}
-}
-
-type stackAPI interface {
-	Push(*sched.Thread, int)
-	PushRange(*sched.Thread, []int)
-	TryPop(*sched.Thread) (int, bool)
-	TryPopRange(*sched.Thread, int) []int
-	TryPeek(*sched.Thread) (int, bool)
-	Count(*sched.Thread) int
-	IsEmpty(*sched.Thread) bool
-	ToArray(*sched.Thread) []int
-	Clear(*sched.Thread)
 }
 
 func stackOps() []core.Op {
 	return []core.Op{
-		op("Clear", "", func(t *sched.Thread, o any) string { o.(stackAPI).Clear(t); return collections.OK }),
-		op("Count", "", func(t *sched.Thread, o any) string { return collections.Int(o.(stackAPI).Count(t)) }),
-		op("Push", "10", func(t *sched.Thread, o any) string { o.(stackAPI).Push(t, 10); return collections.OK }),
-		op("Push", "20", func(t *sched.Thread, o any) string { o.(stackAPI).Push(t, 20); return collections.OK }),
+		op("Clear", "", func(t *sched.Thread, o any) string { o.(*collections.Stack).Clear(t); return collections.OK }),
+		op("Count", "", func(t *sched.Thread, o any) string { return collections.Int(o.(*collections.Stack).Count(t)) }),
+		op("Push", "10", func(t *sched.Thread, o any) string { o.(*collections.Stack).Push(t, 10); return collections.OK }),
+		op("Push", "20", func(t *sched.Thread, o any) string { o.(*collections.Stack).Push(t, 20); return collections.OK }),
 		op("PushRange", "30,40", func(t *sched.Thread, o any) string {
-			o.(stackAPI).PushRange(t, []int{30, 40})
+			o.(*collections.Stack).PushRange(t, []int{30, 40})
 			return collections.OK
 		}),
-		op("TryPop", "", func(t *sched.Thread, o any) string { return collections.TryInt(o.(stackAPI).TryPop(t)) }),
-		op("TryPopRange", "1", func(t *sched.Thread, o any) string { return collections.Ints(o.(stackAPI).TryPopRange(t, 1)) }),
-		op("TryPopRange", "2", func(t *sched.Thread, o any) string { return collections.Ints(o.(stackAPI).TryPopRange(t, 2)) }),
-		op("TryPopRange", "4", func(t *sched.Thread, o any) string { return collections.Ints(o.(stackAPI).TryPopRange(t, 4)) }),
-		op("TryPeek", "", func(t *sched.Thread, o any) string { return collections.TryInt(o.(stackAPI).TryPeek(t)) }),
-		op("ToArray", "", func(t *sched.Thread, o any) string { return collections.Ints(o.(stackAPI).ToArray(t)) }),
+		op("TryPop", "", func(t *sched.Thread, o any) string { return collections.TryInt(o.(*collections.Stack).TryPop(t)) }),
+		op("TryPopRange", "1", func(t *sched.Thread, o any) string { return collections.Ints(o.(*collections.Stack).TryPopRange(t, 1)) }),
+		op("TryPopRange", "2", func(t *sched.Thread, o any) string { return collections.Ints(o.(*collections.Stack).TryPopRange(t, 2)) }),
+		op("TryPopRange", "4", func(t *sched.Thread, o any) string { return collections.Ints(o.(*collections.Stack).TryPopRange(t, 4)) }),
+		op("TryPeek", "", func(t *sched.Thread, o any) string { return collections.TryInt(o.(*collections.Stack).TryPeek(t)) }),
+		op("ToArray", "", func(t *sched.Thread, o any) string { return collections.Ints(o.(*collections.Stack).ToArray(t)) }),
 	}
-}
-
-type mreAPI interface {
-	Set(*sched.Thread)
-	Reset(*sched.Thread)
-	Wait(*sched.Thread)
-	IsSet(*sched.Thread) bool
-	WaitOne(*sched.Thread) bool
 }
 
 func mreOps() []core.Op {
 	return []core.Op{
-		op("Set", "", func(t *sched.Thread, o any) string { o.(mreAPI).Set(t); return collections.OK }),
-		op("Wait", "", func(t *sched.Thread, o any) string { o.(mreAPI).Wait(t); return collections.OK }),
-		op("Reset", "", func(t *sched.Thread, o any) string { o.(mreAPI).Reset(t); return collections.OK }),
-		op("IsSet", "", func(t *sched.Thread, o any) string { return collections.Bool(o.(mreAPI).IsSet(t)) }),
-		op("WaitOne", "0", func(t *sched.Thread, o any) string { return collections.Bool(o.(mreAPI).WaitOne(t)) }),
+		op("Set", "", func(t *sched.Thread, o any) string {
+			o.(*collections.ManualResetEventSlim).Set(t)
+			return collections.OK
+		}),
+		op("Wait", "", func(t *sched.Thread, o any) string {
+			o.(*collections.ManualResetEventSlim).Wait(t)
+			return collections.OK
+		}),
+		op("Reset", "", func(t *sched.Thread, o any) string {
+			o.(*collections.ManualResetEventSlim).Reset(t)
+			return collections.OK
+		}),
+		op("IsSet", "", func(t *sched.Thread, o any) string {
+			return collections.Bool(o.(*collections.ManualResetEventSlim).IsSet(t))
+		}),
+		op("WaitOne", "0", func(t *sched.Thread, o any) string {
+			return collections.Bool(o.(*collections.ManualResetEventSlim).WaitOne(t))
+		}),
 	}
-}
-
-type semaphoreAPI interface {
-	Wait(*sched.Thread)
-	WaitZero(*sched.Thread) bool
-	Release(*sched.Thread, int) int
-	CurrentCount(*sched.Thread) int
 }
 
 func semaphoreOps() []core.Op {
 	return []core.Op{
-		op("CurrentCount", "", func(t *sched.Thread, o any) string { return collections.Int(o.(semaphoreAPI).CurrentCount(t)) }),
-		op("Release", "", func(t *sched.Thread, o any) string { return collections.Int(o.(semaphoreAPI).Release(t, 1)) }),
-		op("Release", "2", func(t *sched.Thread, o any) string { return collections.Int(o.(semaphoreAPI).Release(t, 2)) }),
-		op("Wait", "", func(t *sched.Thread, o any) string { o.(semaphoreAPI).Wait(t); return collections.OK }),
-		op("Wait", "0", func(t *sched.Thread, o any) string { return collections.Bool(o.(semaphoreAPI).WaitZero(t)) }),
+		op("CurrentCount", "", func(t *sched.Thread, o any) string {
+			return collections.Int(o.(*collections.SemaphoreSlim).CurrentCount(t))
+		}),
+		op("Release", "", func(t *sched.Thread, o any) string {
+			return collections.Int(o.(*collections.SemaphoreSlim).Release(t, 1))
+		}),
+		op("Release", "2", func(t *sched.Thread, o any) string {
+			return collections.Int(o.(*collections.SemaphoreSlim).Release(t, 2))
+		}),
+		op("Wait", "", func(t *sched.Thread, o any) string { o.(*collections.SemaphoreSlim).Wait(t); return collections.OK }),
+		op("Wait", "0", func(t *sched.Thread, o any) string {
+			return collections.Bool(o.(*collections.SemaphoreSlim).WaitZero(t))
+		}),
 	}
-}
-
-type countdownAPI interface {
-	Signal(*sched.Thread, int) bool
-	AddCount(*sched.Thread, int) bool
-	TryAddCount(*sched.Thread, int) bool
-	IsSet(*sched.Thread) bool
-	CurrentCount(*sched.Thread) int
-	Wait(*sched.Thread)
-	WaitZero(*sched.Thread) bool
 }
 
 func countdownOps() []core.Op {
 	ops := []core.Op{
-		op("IsSet", "", func(t *sched.Thread, o any) string { return collections.Bool(o.(countdownAPI).IsSet(t)) }),
-		op("Wait", "", func(t *sched.Thread, o any) string { o.(countdownAPI).Wait(t); return collections.OK }),
-		op("Wait", "0", func(t *sched.Thread, o any) string { return collections.Bool(o.(countdownAPI).WaitZero(t)) }),
-		op("CurrentCount", "", func(t *sched.Thread, o any) string { return collections.Int(o.(countdownAPI).CurrentCount(t)) }),
+		op("IsSet", "", func(t *sched.Thread, o any) string { return collections.Bool(o.(*collections.CountdownEvent).IsSet(t)) }),
+		op("Wait", "", func(t *sched.Thread, o any) string { o.(*collections.CountdownEvent).Wait(t); return collections.OK }),
+		op("Wait", "0", func(t *sched.Thread, o any) string {
+			return collections.Bool(o.(*collections.CountdownEvent).WaitZero(t))
+		}),
+		op("CurrentCount", "", func(t *sched.Thread, o any) string {
+			return collections.Int(o.(*collections.CountdownEvent).CurrentCount(t))
+		}),
 	}
 	for _, x := range []int{1, 2} {
 		x := x
 		ops = append(ops,
-			op("Signal", fmt.Sprint(x), func(t *sched.Thread, o any) string { return collections.Bool(o.(countdownAPI).Signal(t, x)) }),
-			op("AddCount", fmt.Sprint(x), func(t *sched.Thread, o any) string { return collections.Bool(o.(countdownAPI).AddCount(t, x)) }),
-			op("TryAddCount", fmt.Sprint(x), func(t *sched.Thread, o any) string { return collections.Bool(o.(countdownAPI).TryAddCount(t, x)) }),
+			op("Signal", fmt.Sprint(x), func(t *sched.Thread, o any) string {
+				return collections.Bool(o.(*collections.CountdownEvent).Signal(t, x))
+			}),
+			op("AddCount", fmt.Sprint(x), func(t *sched.Thread, o any) string {
+				return collections.Bool(o.(*collections.CountdownEvent).AddCount(t, x))
+			}),
+			op("TryAddCount", fmt.Sprint(x), func(t *sched.Thread, o any) string {
+				return collections.Bool(o.(*collections.CountdownEvent).TryAddCount(t, x))
+			}),
 		)
 	}
 	return ops
 }
 
 func lazyOps() []core.Op {
-	type lazyAPI interface {
-		Value(*sched.Thread) int
-		IsValueCreated(*sched.Thread) bool
-		ToString(*sched.Thread) string
-	}
 	return []core.Op{
-		op("Value", "", func(t *sched.Thread, o any) string { return collections.Int(o.(lazyAPI).Value(t)) }),
-		op("ToString", "", func(t *sched.Thread, o any) string { return o.(lazyAPI).ToString(t) }),
-		op("IsValueCreated", "", func(t *sched.Thread, o any) string { return collections.Bool(o.(lazyAPI).IsValueCreated(t)) }),
+		op("Value", "", func(t *sched.Thread, o any) string { return collections.Int(o.(*collections.Lazy).Value(t)) }),
+		op("ToString", "", func(t *sched.Thread, o any) string { return o.(*collections.Lazy).ToString(t) }),
+		op("IsValueCreated", "", func(t *sched.Thread, o any) string { return collections.Bool(o.(*collections.Lazy).IsValueCreated(t)) }),
 	}
-}
-
-type tcsAPI interface {
-	TrySetResult(*sched.Thread, int) bool
-	TrySetCanceled(*sched.Thread) bool
-	TrySetException(*sched.Thread) bool
-	SetResult(*sched.Thread, int) bool
-	SetCanceled(*sched.Thread) bool
-	SetException(*sched.Thread) bool
-	Wait(*sched.Thread) string
-	TryResult(*sched.Thread) string
 }
 
 func tcsOps() []core.Op {
 	return []core.Op{
-		op("TrySetCanceled", "", func(t *sched.Thread, o any) string { return collections.Bool(o.(tcsAPI).TrySetCanceled(t)) }),
-		op("TrySetException", "", func(t *sched.Thread, o any) string { return collections.Bool(o.(tcsAPI).TrySetException(t)) }),
-		op("TrySetResult", "10", func(t *sched.Thread, o any) string { return collections.Bool(o.(tcsAPI).TrySetResult(t, 10)) }),
-		op("TrySetResult", "20", func(t *sched.Thread, o any) string { return collections.Bool(o.(tcsAPI).TrySetResult(t, 20)) }),
-		op("SetResult", "30", func(t *sched.Thread, o any) string { return collections.Bool(o.(tcsAPI).SetResult(t, 30)) }),
-		op("SetCanceled", "", func(t *sched.Thread, o any) string { return collections.Bool(o.(tcsAPI).SetCanceled(t)) }),
-		op("SetException", "", func(t *sched.Thread, o any) string { return collections.Bool(o.(tcsAPI).SetException(t)) }),
-		op("Wait", "", func(t *sched.Thread, o any) string { return o.(tcsAPI).Wait(t) }),
-		op("TryResult", "", func(t *sched.Thread, o any) string { return o.(tcsAPI).TryResult(t) }),
+		op("TrySetCanceled", "", func(t *sched.Thread, o any) string {
+			return collections.Bool(o.(*collections.TaskCompletionSource).TrySetCanceled(t))
+		}),
+		op("TrySetException", "", func(t *sched.Thread, o any) string {
+			return collections.Bool(o.(*collections.TaskCompletionSource).TrySetException(t))
+		}),
+		op("TrySetResult", "10", func(t *sched.Thread, o any) string {
+			return collections.Bool(o.(*collections.TaskCompletionSource).TrySetResult(t, 10))
+		}),
+		op("TrySetResult", "20", func(t *sched.Thread, o any) string {
+			return collections.Bool(o.(*collections.TaskCompletionSource).TrySetResult(t, 20))
+		}),
+		op("SetResult", "30", func(t *sched.Thread, o any) string {
+			return collections.Bool(o.(*collections.TaskCompletionSource).SetResult(t, 30))
+		}),
+		op("SetCanceled", "", func(t *sched.Thread, o any) string {
+			return collections.Bool(o.(*collections.TaskCompletionSource).SetCanceled(t))
+		}),
+		op("SetException", "", func(t *sched.Thread, o any) string {
+			return collections.Bool(o.(*collections.TaskCompletionSource).SetException(t))
+		}),
+		op("Wait", "", func(t *sched.Thread, o any) string { return o.(*collections.TaskCompletionSource).Wait(t) }),
+		op("TryResult", "", func(t *sched.Thread, o any) string { return o.(*collections.TaskCompletionSource).TryResult(t) }),
 	}
-}
-
-type bcAPI interface {
-	Add(*sched.Thread, int) bool
-	TryAdd(*sched.Thread, int) bool
-	Take(*sched.Thread) (int, bool)
-	TryTake(*sched.Thread) (int, bool)
-	Count(*sched.Thread) int
-	ToArray(*sched.Thread) []int
-	CompleteAdding(*sched.Thread)
-	IsAddingCompleted(*sched.Thread) bool
-	IsCompleted(*sched.Thread) bool
 }
 
 func bcOps() []core.Op {
 	return []core.Op{
-		op("Count", "", func(t *sched.Thread, o any) string { return collections.Int(o.(bcAPI).Count(t)) }),
-		op("ToArray", "", func(t *sched.Thread, o any) string { return collections.Ints(o.(bcAPI).ToArray(t)) }),
-		op("TryAdd", "10", func(t *sched.Thread, o any) string { return collections.Bool(o.(bcAPI).TryAdd(t, 10)) }),
-		op("TryAdd", "20", func(t *sched.Thread, o any) string { return collections.Bool(o.(bcAPI).TryAdd(t, 20)) }),
-		op("IsCompleted", "", func(t *sched.Thread, o any) string { return collections.Bool(o.(bcAPI).IsCompleted(t)) }),
-		op("IsAddingCompleted", "", func(t *sched.Thread, o any) string { return collections.Bool(o.(bcAPI).IsAddingCompleted(t)) }),
-		op("CompleteAdding", "", func(t *sched.Thread, o any) string { o.(bcAPI).CompleteAdding(t); return collections.OK }),
-		op("Add", "30", func(t *sched.Thread, o any) string { return collections.Bool(o.(bcAPI).Add(t, 30)) }),
+		op("Count", "", func(t *sched.Thread, o any) string {
+			return collections.Int(o.(*collections.BlockingCollection).Count(t))
+		}),
+		op("ToArray", "", func(t *sched.Thread, o any) string {
+			return collections.Ints(o.(*collections.BlockingCollection).ToArray(t))
+		}),
+		op("TryAdd", "10", func(t *sched.Thread, o any) string {
+			return collections.Bool(o.(*collections.BlockingCollection).TryAdd(t, 10))
+		}),
+		op("TryAdd", "20", func(t *sched.Thread, o any) string {
+			return collections.Bool(o.(*collections.BlockingCollection).TryAdd(t, 20))
+		}),
+		op("IsCompleted", "", func(t *sched.Thread, o any) string {
+			return collections.Bool(o.(*collections.BlockingCollection).IsCompleted(t))
+		}),
+		op("IsAddingCompleted", "", func(t *sched.Thread, o any) string {
+			return collections.Bool(o.(*collections.BlockingCollection).IsAddingCompleted(t))
+		}),
+		op("CompleteAdding", "", func(t *sched.Thread, o any) string {
+			o.(*collections.BlockingCollection).CompleteAdding(t)
+			return collections.OK
+		}),
+		op("Add", "30", func(t *sched.Thread, o any) string {
+			return collections.Bool(o.(*collections.BlockingCollection).Add(t, 30))
+		}),
 		op("Take", "", func(t *sched.Thread, o any) string {
-			v, ok := o.(bcAPI).Take(t)
+			v, ok := o.(*collections.BlockingCollection).Take(t)
 			return collections.TryInt(v, ok)
 		}),
 		op("TryTake", "", func(t *sched.Thread, o any) string {
-			v, ok := o.(bcAPI).TryTake(t)
+			v, ok := o.(*collections.BlockingCollection).TryTake(t)
 			return collections.TryInt(v, ok)
 		}),
 	}
@@ -402,9 +389,9 @@ func Registry() []Entry {
 			},
 			Pre: &core.Subject{
 				Name:        "Lazy(Pre)",
-				New:         func(t *sched.Thread) any { return buggy.NewLazyPre(t) },
+				New:         func(t *sched.Thread) any { return collections.NewLazyPre(t) },
 				Ops:         lazyOps(),
-				SourceFiles: []string{"internal/buggy/lazy_pre.go"},
+				SourceFiles: []string{"internal/collections/lazy.go"},
 			},
 			Bound:     2,
 			PreCauses: []Cause{CauseF},
@@ -418,9 +405,9 @@ func Registry() []Entry {
 			},
 			Pre: &core.Subject{
 				Name:        "ManualResetEvent(Pre)",
-				New:         func(t *sched.Thread) any { return buggy.NewManualResetEventSlimPre(t) },
+				New:         func(t *sched.Thread) any { return collections.NewManualResetEventSlimPre(t) },
 				Ops:         mreOps(),
-				SourceFiles: []string{"internal/buggy/mre_pre.go"},
+				SourceFiles: []string{"internal/collections/mre.go"},
 			},
 			Bound:     4, // the Fig. 9 interleaving needs four preemptions (see ablation)
 			PreCauses: []Cause{CauseA},
@@ -434,9 +421,9 @@ func Registry() []Entry {
 			},
 			Pre: &core.Subject{
 				Name:        "SemaphoreSlim(Pre)",
-				New:         func(t *sched.Thread) any { return buggy.NewSemaphoreSlimPre(t, 0) },
+				New:         func(t *sched.Thread) any { return collections.NewSemaphoreSlimPre(t, 0) },
 				Ops:         semaphoreOps(),
-				SourceFiles: []string{"internal/buggy/semaphore_pre.go"},
+				SourceFiles: []string{"internal/collections/semaphore.go"},
 			},
 			Bound:     2,
 			PreCauses: []Cause{CauseD},
@@ -450,9 +437,9 @@ func Registry() []Entry {
 			},
 			Pre: &core.Subject{
 				Name:        "CountdownEvent(Pre)",
-				New:         func(t *sched.Thread) any { return buggy.NewCountdownEventPre(t, 2) },
+				New:         func(t *sched.Thread) any { return collections.NewCountdownEventPre(t, 2) },
 				Ops:         countdownOps(),
-				SourceFiles: []string{"internal/buggy/countdown_pre.go"},
+				SourceFiles: []string{"internal/collections/countdown.go"},
 			},
 			Bound:     2,
 			PreCauses: []Cause{CauseE},
@@ -475,9 +462,9 @@ func Registry() []Entry {
 			},
 			Pre: &core.Subject{
 				Name:        "ConcurrentQueue(Pre)",
-				New:         func(t *sched.Thread) any { return buggy.NewQueuePre(t) },
+				New:         func(t *sched.Thread) any { return collections.NewQueuePre(t) },
 				Ops:         queueOps(),
-				SourceFiles: []string{"internal/buggy/queue_pre.go"},
+				SourceFiles: []string{"internal/collections/queue.go"},
 			},
 			Bound:     2,
 			PreCauses: []Cause{CauseB + "'"},
@@ -491,9 +478,9 @@ func Registry() []Entry {
 			},
 			Pre: &core.Subject{
 				Name:        "ConcurrentStack(Pre)",
-				New:         func(t *sched.Thread) any { return buggy.NewStackPre(t) },
+				New:         func(t *sched.Thread) any { return collections.NewStackPre(t) },
 				Ops:         stackOps(),
-				SourceFiles: []string{"internal/buggy/stack_pre.go"},
+				SourceFiles: []string{"internal/collections/stack.go"},
 			},
 			Bound:     2,
 			PreCauses: []Cause{CauseC},
@@ -516,9 +503,9 @@ func Registry() []Entry {
 			},
 			Pre: &core.Subject{
 				Name:        "BlockingCollection(Pre)",
-				New:         func(t *sched.Thread) any { return buggy.NewBlockingCollectionPre(t) },
+				New:         func(t *sched.Thread) any { return collections.NewBlockingCollectionPre(t) },
 				Ops:         bcOps(),
-				SourceFiles: []string{"internal/buggy/blockingcollection_pre.go"},
+				SourceFiles: []string{"internal/collections/blockingcollection.go"},
 			},
 			Bound:     2,
 			Causes:    []Cause{CauseI, CauseJ, CauseK},
@@ -543,9 +530,9 @@ func Registry() []Entry {
 			},
 			Pre: &core.Subject{
 				Name:        "TaskCompletionSource(Pre)",
-				New:         func(t *sched.Thread) any { return buggy.NewTaskCompletionSourcePre(t) },
+				New:         func(t *sched.Thread) any { return collections.NewTaskCompletionSourcePre(t) },
 				Ops:         tcsOps(),
-				SourceFiles: []string{"internal/buggy/tcs_pre.go"},
+				SourceFiles: []string{"internal/collections/tcs.go"},
 			},
 			Bound:     2,
 			PreCauses: []Cause{CauseG},

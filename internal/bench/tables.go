@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -56,14 +57,16 @@ type Table1Row struct {
 func Table1() []Table1Row {
 	var rows []Table1Row
 	for _, e := range Registry() {
-		loc := 0
-		for _, f := range e.Subject.SourceFiles {
-			loc += CountLines(f)
-		}
+		// A (Pre) form usually lives in its class's own file: count each
+		// file once.
+		files := append([]string(nil), e.Subject.SourceFiles...)
 		if e.Pre != nil {
-			for _, f := range e.Pre.SourceFiles {
-				loc += CountLines(f)
-			}
+			files = append(files, e.Pre.SourceFiles...)
+		}
+		sort.Strings(files)
+		loc := 0
+		for _, f := range slices.Compact(files) {
+			loc += CountLines(f)
 		}
 		methods := make([]string, 0, len(e.Subject.Ops))
 		for _, op := range e.Subject.Ops {

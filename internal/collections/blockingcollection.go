@@ -25,11 +25,16 @@ import (
 //     materializes later (in .NET, on an asynchronous path well after
 //     CompleteAdding returned — here the wakeup is simply not delivered
 //     within the operation, see DESIGN.md).
+//
+// The (Pre) form, built by NewBlockingCollectionPre, predates the counter
+// and bounded capacity: its Count and IsCompleted read the items under the
+// monitor, and its TryTake carries root cause B.
 type BlockingCollection struct {
+	pre       bool
 	mu        *vsync.Mutex
 	cond      *vsync.Cond
 	items     *vsync.Cell[[]int]
-	count     *vsync.AtomicInt // updated outside the monitor (I, J)
+	count     *vsync.AtomicInt // updated outside the monitor (I, J); nil in the (Pre) form
 	completed *vsync.Atomic[bool]
 	capacity  int // 0 = unbounded
 }
@@ -54,8 +59,43 @@ func NewBoundedBlockingCollection(t *sched.Thread, capacity int) *BlockingCollec
 	}
 }
 
+// NewBlockingCollectionPre constructs an empty (Pre) collection. It
+// reproduces root cause B, the bug of Fig. 1 that the paper found in the
+// .NET 4.0 community technology preview [19]: "the buggy behavior ... was
+// caused by accidentally allowing a lock acquire in TryTake to time out".
+// Under the checker the timed-out acquire is modeled by TryLock — the
+// timeout elapses exactly in those schedules where the lock is observed
+// held (see DESIGN.md) — so a TryTake racing with any other operation's
+// critical section fails even when the collection is provably non-empty,
+// which is the non-linearizable outcome of Fig. 1:
+//
+//	Thread 1            Thread 2
+//	Add(200)            Add(400)
+//	TryTake() = 200     TryTake() = FAIL
+//
+// The class otherwise matches the corrected BlockingCollection, including
+// its blocking Take.
+func NewBlockingCollectionPre(t *sched.Thread) *BlockingCollection {
+	mu := vsync.NewMutex(t, "BlockingCollection.lock")
+	return &BlockingCollection{
+		pre:       true,
+		mu:        mu,
+		cond:      vsync.NewCond(mu),
+		items:     vsync.NewCell(t, "BlockingCollection.items", []int(nil)),
+		completed: vsync.NewAtomic(t, "BlockingCollection.completed", false),
+	}
+}
+
 // BoundedCapacity returns the configured capacity (0 = unbounded).
 func (b *BlockingCollection) BoundedCapacity(t *sched.Thread) int { return b.capacity }
+
+// counted applies delta to the element counter once the monitor is
+// released; the (Pre) form has no counter.
+func (b *BlockingCollection) counted(t *sched.Thread, delta int) {
+	if !b.pre {
+		b.count.Add(t, delta) // deliberate: outside the lock (root causes I, J)
+	}
+}
 
 // Add appends v, blocking while a bounded collection is full; it reports
 // false if adding has been completed (the .NET version throws). The count
@@ -75,7 +115,7 @@ func (b *BlockingCollection) Add(t *sched.Thread, v int) bool {
 	b.items.Store(t, append(b.items.Load(t), v))
 	b.cond.Broadcast(t)
 	b.mu.Unlock(t)
-	b.count.Add(t, 1) // deliberate: outside the lock (root causes I, J)
+	b.counted(t, 1)
 	return true
 }
 
@@ -93,8 +133,19 @@ func (b *BlockingCollection) TryAdd(t *sched.Thread, v int) bool {
 	b.items.Store(t, append(b.items.Load(t), v))
 	b.cond.Broadcast(t)
 	b.mu.Unlock(t)
-	b.count.Add(t, 1) // deliberate: outside the lock (root causes I, J)
+	b.counted(t, 1)
 	return true
+}
+
+// take ends a successful take under the monitor: it wakes producers blocked
+// on a bounded collection (the (Pre) form has none), releases the monitor
+// and decrements the count.
+func (b *BlockingCollection) take(t *sched.Thread) {
+	if !b.pre {
+		b.cond.Broadcast(t)
+	}
+	b.mu.Unlock(t)
+	b.counted(t, -1)
 }
 
 // Take removes and returns the head element, blocking while the collection
@@ -108,9 +159,7 @@ func (b *BlockingCollection) Take(t *sched.Thread) (v int, ok bool) {
 		if len(items) > 0 {
 			v = items[0]
 			b.items.Store(t, items[1:])
-			b.cond.Broadcast(t) // wake producers blocked on a bounded collection
-			b.mu.Unlock(t)
-			b.count.Add(t, -1)
+			b.take(t)
 			return v, true
 		}
 		if b.completed.Load(t) {
@@ -122,27 +171,38 @@ func (b *BlockingCollection) Take(t *sched.Thread) (v int, ok bool) {
 }
 
 // TryTake removes and returns the head element without blocking. The
-// count-based fast path is the source of root cause J.
+// count-based fast path is the source of root cause J. BUG (root cause B,
+// Fig. 1, (Pre) only): the lock acquire may time out, making the operation
+// fail regardless of the collection's contents.
 func (b *BlockingCollection) TryTake(t *sched.Thread) (v int, ok bool) {
-	if b.count.Load(t) == 0 { // deliberate stale fast path (root cause J)
-		return 0, false
+	if b.pre {
+		if !b.mu.TryLock(t) { // BUG: Monitor.TryEnter(timeout) instead of Enter
+			return 0, false
+		}
+	} else {
+		if b.count.Load(t) == 0 { // deliberate stale fast path (root cause J)
+			return 0, false
+		}
+		b.mu.Lock(t)
 	}
-	b.mu.Lock(t)
 	items := b.items.Load(t)
 	if len(items) == 0 {
 		b.mu.Unlock(t)
 		return 0, false
 	}
 	b.items.Store(t, items[1:])
-	b.cond.Broadcast(t) // wake producers blocked on a bounded collection
-	b.mu.Unlock(t)
-	b.count.Add(t, -1)
+	b.take(t)
 	return items[0], true
 }
 
 // Count returns the interlocked element counter (root cause I: it lags the
-// true contents).
+// true contents). The (Pre) form counts the items under the monitor.
 func (b *BlockingCollection) Count(t *sched.Thread) int {
+	if b.pre {
+		b.mu.Lock(t)
+		defer b.mu.Unlock(t)
+		return len(b.items.Load(t))
+	}
 	return b.count.Load(t)
 }
 
@@ -170,5 +230,5 @@ func (b *BlockingCollection) IsCompleted(t *sched.Thread) bool {
 	if !b.completed.Load(t) {
 		return false
 	}
-	return b.count.Load(t) == 0
+	return b.Count(t) == 0
 }

@@ -11,7 +11,9 @@ import (
 // manipulated with interlocked compare-and-swap like the .NET
 // implementation.
 type CountdownEvent struct {
-	count *vsync.AtomicInt
+	pre   bool
+	count *vsync.AtomicInt // nil in the (Pre) form
+	plain *vsync.Cell[int] // BUG: plain field where the corrected version uses CAS; (Pre) only
 	ws    sched.WaitSet
 }
 
@@ -22,16 +24,47 @@ func NewCountdownEvent(t *sched.Thread, initial int) *CountdownEvent {
 	return c
 }
 
+// NewCountdownEventPre constructs a (Pre) event with the given initial
+// count. It reproduces root cause E: Signal decrements the count with an
+// unsynchronized read-modify-write instead of an interlocked CAS, so
+// concurrent signals can lose a decrement. The event then never becomes
+// set: waiters block forever (stuck history) and CurrentCount/IsSet report
+// values no serial execution produces.
+func NewCountdownEventPre(t *sched.Thread, initial int) *CountdownEvent {
+	c := &CountdownEvent{pre: true, plain: vsync.NewCell(t, "CountdownEvent.count", initial)}
+	c.ws.SetFootprintLoc(t.NewLoc())
+	return c
+}
+
+// load reads the count.
+func (c *CountdownEvent) load(t *sched.Thread) int {
+	if c.pre {
+		return c.plain.Load(t)
+	}
+	return c.count.Load(t)
+}
+
+// update replaces the count cur, read by load, with next, reporting whether
+// it did. BUG (root cause E, (Pre) only): load and store are separate
+// unsynchronized accesses, so a concurrent update can be overwritten.
+func (c *CountdownEvent) update(t *sched.Thread, cur, next int) bool {
+	if c.pre {
+		c.plain.Store(t, next) // BUG: lost update window between load and store
+		return true
+	}
+	return c.count.CompareAndSwap(t, cur, next)
+}
+
 // Signal decrements the count by n; it reports false if the count would
 // drop below zero (the .NET version throws). Reaching zero wakes all
 // waiters.
 func (c *CountdownEvent) Signal(t *sched.Thread, n int) bool {
 	for {
-		cur := c.count.Load(t)
+		cur := c.load(t)
 		if cur < n {
 			return false
 		}
-		if c.count.CompareAndSwap(t, cur, cur-n) {
+		if c.update(t, cur, cur-n) {
 			if cur-n == 0 {
 				c.ws.Broadcast(t)
 			}
@@ -41,13 +74,14 @@ func (c *CountdownEvent) Signal(t *sched.Thread, n int) bool {
 }
 
 // TryAddCount increments the count by n unless the event is already set.
+// The (Pre) form shares Signal's unsynchronized read-modify-write defect.
 func (c *CountdownEvent) TryAddCount(t *sched.Thread, n int) bool {
 	for {
-		cur := c.count.Load(t)
+		cur := c.load(t)
 		if cur == 0 {
 			return false
 		}
-		if c.count.CompareAndSwap(t, cur, cur+n) {
+		if c.update(t, cur, cur+n) {
 			return true
 		}
 	}
@@ -61,19 +95,19 @@ func (c *CountdownEvent) AddCount(t *sched.Thread, n int) bool {
 
 // IsSet reports whether the count has reached zero.
 func (c *CountdownEvent) IsSet(t *sched.Thread) bool {
-	return c.count.Load(t) == 0
+	return c.load(t) == 0
 }
 
 // CurrentCount returns the remaining count.
 func (c *CountdownEvent) CurrentCount(t *sched.Thread) int {
-	return c.count.Load(t)
+	return c.load(t)
 }
 
 // Wait blocks until the event is set. The check and the park are adjacent
 // instrumented points, so a Signal cannot slip in between under the
 // scheduler's granularity.
 func (c *CountdownEvent) Wait(t *sched.Thread) {
-	for c.count.Load(t) != 0 {
+	for c.load(t) != 0 {
 		c.ws.Wait(t)
 	}
 }

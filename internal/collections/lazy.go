@@ -14,7 +14,8 @@ import (
 // corrected version publishes the value under a lock with a double-checked
 // fast path (another benign race for the Section 5.6 comparison).
 type Lazy struct {
-	mu      *vsync.Mutex
+	pre     bool
+	mu      *vsync.Mutex // nil in the (Pre) form
 	created *vsync.Cell[bool]
 	value   *vsync.Cell[int]
 	calls   *vsync.Cell[int]
@@ -30,6 +31,21 @@ func NewLazy(t *sched.Thread) *Lazy {
 	}
 }
 
+// NewLazyPre constructs an uninitialized (Pre) lazy cell. It reproduces
+// root cause F: the value factory is not protected by the initialization
+// lock, so two racing Value calls both execute it. The factory has an
+// observable side effect (each run yields a distinct value), so the two
+// callers can return different values — and no serial execution ever runs
+// the factory twice.
+func NewLazyPre(t *sched.Thread) *Lazy {
+	return &Lazy{
+		pre:     true,
+		created: vsync.NewCell(t, "Lazy.created", false),
+		value:   vsync.NewCell(t, "Lazy.value", 0),
+		calls:   vsync.NewCell(t, "Lazy.calls", 0),
+	}
+}
+
 // factory is the observable value factory: each run returns a distinct
 // value.
 func (l *Lazy) factory(t *sched.Thread) int {
@@ -39,9 +55,18 @@ func (l *Lazy) factory(t *sched.Thread) int {
 }
 
 // Value returns the lazily created value, running the factory at most once.
+// BUG (root cause F, (Pre) only): the check-compute-publish sequence is not
+// atomic, so two threads can both find the cell uncreated and both run the
+// factory.
 func (l *Lazy) Value(t *sched.Thread) int {
 	if l.created.Load(t) { // benign race: double-checked fast path
 		return l.value.Load(t)
+	}
+	if l.pre {
+		v := l.factory(t) // BUG: factory may run more than once
+		l.value.Store(t, v)
+		l.created.Store(t, true)
+		return v
 	}
 	l.mu.Lock(t)
 	defer l.mu.Unlock(t)

@@ -13,6 +13,7 @@ import (
 // the event is already set — the optimization that the (Pre) version's CAS
 // typo turns into a lost wakeup).
 type ManualResetEventSlim struct {
+	pre bool
 	// state = (waiters << 1) | isSet
 	state *vsync.AtomicInt
 	ws    sched.WaitSet
@@ -25,7 +26,30 @@ func NewManualResetEventSlim(t *sched.Thread) *ManualResetEventSlim {
 	return e
 }
 
-// Set signals the event, waking all current waiters.
+// NewManualResetEventSlimPre constructs a (Pre) event in the unset state. It
+// reproduces root cause A (Fig. 9), the bug the paper describes in most
+// detail: Wait's compare-and-swap update reads the shared state word a
+// second time while computing the new value —
+//
+//	int localstate = state;
+//	int newstate = f(state);              // BUG: should be f(localstate)
+//	compare_and_swap(&state, localstate, newstate);
+//
+// If another thread performs Set between the two reads and Reset before the
+// CAS, the CAS succeeds (the state changed and changed back — the paper's
+// "pernicious typographical error") but the new value carries a ghost set
+// bit. A later Set then observes "already set" and skips the wakeup, so the
+// waiter blocks forever: the stuck history of Fig. 9 with no stuck serial
+// witness.
+func NewManualResetEventSlimPre(t *sched.Thread) *ManualResetEventSlim {
+	e := NewManualResetEventSlim(t)
+	e.pre = true
+	return e
+}
+
+// Set signals the event, waking all current waiters. It skips the wakeup
+// when the state word claims the event is already set, which the corrupted
+// state produced by the (Pre) form's Wait typo turns into a lost wakeup.
 func (e *ManualResetEventSlim) Set(t *sched.Thread) {
 	for {
 		s := e.state.Load(t)
@@ -54,14 +78,18 @@ func (e *ManualResetEventSlim) Reset(t *sched.Thread) {
 	}
 }
 
-// Wait blocks until the event is set.
+// Wait blocks until the event is set. The (Pre) form contains the seeded
+// typo.
 func (e *ManualResetEventSlim) Wait(t *sched.Thread) {
 	for {
 		s := e.state.Load(t)
 		if s&1 == 1 {
 			return
 		}
-		ns := s + 2 // the (Pre) version recomputes this from a second read
+		ns := s + 2
+		if e.pre {
+			ns = e.state.Load(t) + 2 // BUG (root cause A): re-reads state; correct: ns := s + 2
+		}
 		if e.state.CompareAndSwap(t, s, ns) {
 			// The CAS and the park are adjacent instrumented points, so a
 			// Set cannot slip in between under the scheduler's granularity;

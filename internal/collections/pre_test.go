@@ -1,31 +1,20 @@
-package buggy_test
+package collections_test
 
 import (
 	"fmt"
 	"testing"
 
-	"lineup/internal/buggy"
+	"lineup/internal/collections"
 	"lineup/internal/sched"
 )
 
-// seq runs body as a single thread; every seeded defect is concurrency-only,
-// so the (Pre) classes must behave perfectly in sequential use — that is
-// what makes them hard to catch without a checker.
-func seq(t *testing.T, body func(th *sched.Thread)) {
-	t.Helper()
-	s := sched.NewScheduler(sched.Config{}, nil)
-	out := s.Run(sched.Program{Threads: []func(*sched.Thread){body}})
-	if out.Err != nil {
-		t.Fatalf("execution error: %v", out.Err)
-	}
-	if out.Stuck {
-		t.Fatalf("sequential execution got stuck")
-	}
-}
+// The (Pre) forms' seeded defects are concurrency-only, so each must behave
+// perfectly in sequential use — that is what makes them hard to catch
+// without a checker.
 
 func TestQueuePreSequential(t *testing.T) {
 	seq(t, func(th *sched.Thread) {
-		q := buggy.NewQueuePre(th)
+		q := collections.NewQueuePre(th)
 		q.Enqueue(th, 1)
 		q.Enqueue(th, 2)
 		if q.Count(th) != 2 || q.IsEmpty(th) {
@@ -49,7 +38,7 @@ func TestQueuePreSequential(t *testing.T) {
 
 func TestStackPreSequential(t *testing.T) {
 	seq(t, func(th *sched.Thread) {
-		s := buggy.NewStackPre(th)
+		s := collections.NewStackPre(th)
 		s.Push(th, 1)
 		s.PushRange(th, []int{2, 3})
 		if got := fmt.Sprint(s.TryPopRange(th, 2)); got != "[3 2]" {
@@ -77,7 +66,7 @@ func TestStackPreSequential(t *testing.T) {
 
 func TestMREPreSequential(t *testing.T) {
 	seq(t, func(th *sched.Thread) {
-		e := buggy.NewManualResetEventSlimPre(th)
+		e := collections.NewManualResetEventSlimPre(th)
 		if e.IsSet(th) || e.WaitOne(th) {
 			t.Errorf("fresh event set")
 		}
@@ -96,7 +85,7 @@ func TestMREPreSequential(t *testing.T) {
 
 func TestSemaphorePreSequential(t *testing.T) {
 	seq(t, func(th *sched.Thread) {
-		s := buggy.NewSemaphoreSlimPre(th, 1)
+		s := collections.NewSemaphoreSlimPre(th, 1)
 		if s.CurrentCount(th) != 1 {
 			t.Errorf("count = %d", s.CurrentCount(th))
 		}
@@ -115,7 +104,7 @@ func TestSemaphorePreSequential(t *testing.T) {
 
 func TestCountdownPreSequential(t *testing.T) {
 	seq(t, func(th *sched.Thread) {
-		c := buggy.NewCountdownEventPre(th, 2)
+		c := collections.NewCountdownEventPre(th, 2)
 		if !c.Signal(th, 1) || c.CurrentCount(th) != 1 {
 			t.Errorf("signal broken")
 		}
@@ -134,7 +123,7 @@ func TestCountdownPreSequential(t *testing.T) {
 
 func TestLazyPreSequential(t *testing.T) {
 	seq(t, func(th *sched.Thread) {
-		l := buggy.NewLazyPre(th)
+		l := collections.NewLazyPre(th)
 		if l.IsValueCreated(th) || l.ToString(th) != "unset" {
 			t.Errorf("fresh state broken")
 		}
@@ -149,7 +138,7 @@ func TestLazyPreSequential(t *testing.T) {
 
 func TestTCSPreSequential(t *testing.T) {
 	seq(t, func(th *sched.Thread) {
-		s := buggy.NewTaskCompletionSourcePre(th)
+		s := collections.NewTaskCompletionSourcePre(th)
 		if s.TryResult(th) != "pending" {
 			t.Errorf("not pending")
 		}
@@ -164,13 +153,13 @@ func TestTCSPreSequential(t *testing.T) {
 		}
 	})
 	seq(t, func(th *sched.Thread) {
-		s := buggy.NewTaskCompletionSourcePre(th)
+		s := collections.NewTaskCompletionSourcePre(th)
 		if !s.TrySetException(th) || s.TryResult(th) != "exception" {
 			t.Errorf("exception path broken")
 		}
 	})
 	seq(t, func(th *sched.Thread) {
-		s := buggy.NewTaskCompletionSourcePre(th)
+		s := collections.NewTaskCompletionSourcePre(th)
 		if !s.TrySetCanceled(th) || s.TryResult(th) != "canceled" {
 			t.Errorf("cancel path broken")
 		}
@@ -179,7 +168,7 @@ func TestTCSPreSequential(t *testing.T) {
 
 func TestBCPreSequential(t *testing.T) {
 	seq(t, func(th *sched.Thread) {
-		b := buggy.NewBlockingCollectionPre(th)
+		b := collections.NewBlockingCollectionPre(th)
 		if !b.Add(th, 1) || !b.TryAdd(th, 2) {
 			t.Errorf("adds failed")
 		}

@@ -12,6 +12,7 @@ import (
 // single head load. The failing-CAS retry pattern is the first of the
 // benign conflict-serializability violations discussed in Section 5.6.
 type Stack struct {
+	pre  bool
 	head *vsync.Atomic[*stackNode]
 }
 
@@ -23,6 +24,17 @@ type stackNode struct {
 // NewStack constructs an empty stack.
 func NewStack(t *sched.Thread) *Stack {
 	return &Stack{head: vsync.NewAtomic[*stackNode](t, "Stack.head", nil)}
+}
+
+// NewStackPre constructs an empty (Pre) stack. It reproduces root cause C:
+// TryPopRange is implemented as a loop of single pops instead of one atomic
+// multi-pop CAS, so elements pushed by other threads can interleave into
+// the middle of the popped range — the range observed is one that never
+// existed on the stack, which no serial witness can justify.
+func NewStackPre(t *sched.Thread) *Stack {
+	s := NewStack(t)
+	s.pre = true
+	return s
 }
 
 // Push adds v on top of the stack.
@@ -69,8 +81,21 @@ func (s *Stack) TryPop(t *sched.Thread) (v int, ok bool) {
 }
 
 // TryPopRange pops up to n elements as one atomic unit and returns them top
-// first. It returns nil if the stack is empty.
+// first. It returns nil if the stack is empty. BUG (root cause C, (Pre)
+// only): the range is assembled from n independent single pops, so
+// concurrent pushes can interleave into the observed range.
 func (s *Stack) TryPopRange(t *sched.Thread, n int) []int {
+	if s.pre {
+		var out []int
+		for len(out) < n {
+			v, ok := s.TryPop(t) // BUG: should be a single CAS over the range
+			if !ok {
+				break
+			}
+			out = append(out, v)
+		}
+		return out
+	}
 	for {
 		h := s.head.Load(t)
 		if h == nil {

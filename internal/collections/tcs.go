@@ -28,8 +28,12 @@ type tcsState struct {
 // interlocked CAS, which is what the (Pre) version's check-then-act race
 // (root cause G) breaks.
 type TaskCompletionSource struct {
-	state *vsync.Atomic[tcsState]
-	ws    sched.WaitSet
+	pre   bool
+	state *vsync.Atomic[tcsState] // nil in the (Pre) form
+	// status and value hold the (Pre) form's state in two plain cells.
+	status *vsync.Cell[int] // BUG: plain check-then-act where CAS is needed
+	value  *vsync.Cell[int]
+	ws     sched.WaitSet
 }
 
 // NewTaskCompletionSource constructs a pending completion source.
@@ -41,12 +45,53 @@ func NewTaskCompletionSource(t *sched.Thread) *TaskCompletionSource {
 	return s
 }
 
+// NewTaskCompletionSourcePre constructs a pending (Pre) completion source.
+// It reproduces root cause G: the TrySet* family checks the status and then
+// stores the new state as two separate accesses instead of one interlocked
+// CAS, so two racing completions can both observe "pending" and both report
+// success — while only the later one's payload survives. No serial
+// execution lets two TrySet* calls both win.
+func NewTaskCompletionSourcePre(t *sched.Thread) *TaskCompletionSource {
+	s := &TaskCompletionSource{
+		pre:    true,
+		status: vsync.NewCell(t, "TCS.status", tcsPending),
+		value:  vsync.NewCell(t, "TCS.value", 0),
+	}
+	s.ws.SetFootprintLoc(t.NewLoc())
+	return s
+}
+
 func (s *TaskCompletionSource) trySet(t *sched.Thread, status, v int) bool {
+	if s.pre {
+		if s.status.Load(t) != tcsPending { // BUG: check...
+			return false
+		}
+		s.value.Store(t, v)
+		s.status.Store(t, status) // BUG: ...then act, without atomicity
+		s.ws.Broadcast(t)
+		return true
+	}
 	if s.state.CompareAndSwap(t, tcsState{status: tcsPending}, tcsState{status: status, value: v}) {
 		s.ws.Broadcast(t)
 		return true
 	}
 	return false
+}
+
+// pending reports whether the task has not completed yet.
+func (s *TaskCompletionSource) pending(t *sched.Thread) bool {
+	if s.pre {
+		return s.status.Load(t) == tcsPending
+	}
+	return s.state.Load(t).status == tcsPending
+}
+
+// load reads the completion state (in the (Pre) form, status then value).
+func (s *TaskCompletionSource) load(t *sched.Thread) tcsState {
+	if s.pre {
+		return tcsState{status: s.status.Load(t), value: s.value.Load(t)}
+	}
+	return s.state.Load(t)
 }
 
 // TrySetResult completes the task with a value, reporting whether it won.
@@ -96,13 +141,13 @@ func (st tcsState) render() string {
 
 // Wait blocks until the task completes and returns its outcome.
 func (s *TaskCompletionSource) Wait(t *sched.Thread) string {
-	for s.state.Load(t).status == tcsPending {
+	for s.pending(t) {
 		s.ws.Wait(t)
 	}
-	return s.state.Load(t).render()
+	return s.load(t).render()
 }
 
 // TryResult returns the current outcome without blocking.
 func (s *TaskCompletionSource) TryResult(t *sched.Thread) string {
-	return s.state.Load(t).render()
+	return s.load(t).render()
 }

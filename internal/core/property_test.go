@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"lineup/internal/buggy"
 	"lineup/internal/collections"
 	"lineup/internal/core"
 	"lineup/internal/sched"
@@ -67,14 +66,14 @@ func racyRegister() *core.Subject {
 
 func lazyPreSubject() *core.Subject {
 	value := core.Op{Method: "Value", Run: func(t *sched.Thread, o any) string {
-		return collections.Int(o.(*buggy.LazyPre).Value(t))
+		return collections.Int(o.(*collections.Lazy).Value(t))
 	}}
 	isCreated := core.Op{Method: "IsValueCreated", Run: func(t *sched.Thread, o any) string {
-		return collections.Bool(o.(*buggy.LazyPre).IsValueCreated(t))
+		return collections.Bool(o.(*collections.Lazy).IsValueCreated(t))
 	}}
 	return &core.Subject{
 		Name: "Lazy(Pre)",
-		New:  func(t *sched.Thread) any { return buggy.NewLazyPre(t) },
+		New:  func(t *sched.Thread) any { return collections.NewLazyPre(t) },
 		Ops:  []core.Op{value, isCreated},
 	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // reductionSubjects is a cheap-to-explore cross-section of the Table-1
-// registry (correct and (Pre) variants over internal/collections and
-// internal/buggy, including the wait-set classes) plus the racy register.
+// registry (correct and (Pre) variants of internal/collections, including
+// the wait-set classes) plus the racy register.
 func reductionSubjects() []*core.Subject {
 	var subs []*core.Subject
 	want := map[string]bool{
