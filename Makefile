@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check check-race fmt build vet test race sched-smoke serve-smoke subjects-smoke dist-smoke fastmon-smoke benchmark-smoke sweeps bench fuzz loc clean
+.PHONY: check check-race fmt build vet test race sched-smoke serve-smoke subjects-smoke dist-smoke fastmon-smoke benchmark-smoke sweeps table2-full bench fuzz loc clean
 
 check: fmt build vet test sched-smoke serve-smoke subjects-smoke dist-smoke fastmon-smoke benchmark-smoke fuzz
 
@@ -34,8 +34,9 @@ race:
 # run on whichever thread coroutine holds the baton, and the goroutine that
 # called Run resumes the next one, so the watchdog and abandonment paths, the
 # carrying of controller panics to the Run goroutine, the pinned decision
-# traces (five full explorations), the invariants of what an exploration keeps
-# from one execution to the next (pool_test.go), the wait set's semantics,
+# traces (five full explorations and a 2x2 test of each of the 21 registry
+# subjects), the invariants of what an exploration keeps from one execution
+# to the next (pool_test.go), the wait set's semantics,
 # the point/switch tests and the goroutine-leak count (a rogue goroutine is
 # reported, a clean run is not) run under the race detector on every
 # `make check`.
@@ -133,6 +134,15 @@ bench:
 # each; LINEUP_BENCH_FULL=1 lifts that.
 sweeps:
 	LINEUP_BENCH_FULL=1 $(GO) test -timeout=30m ./internal/bench ./internal/core
+
+# Table 2 at the paper's scale: 100 random 3x3 tests per class at seed 1
+# (about seven minutes on two CPUs). Every corrected class must pass every
+# sample, every (Pre) and intentional class must fail with its documented
+# causes, and the structural columns must equal table2_output.txt
+# (`lineup table2 -samples 100 -seed 1` writes it). The test is built only
+# under the table2full tag, so `go test ./...` neither builds nor runs it.
+table2-full:
+	$(GO) test -tags table2full -run '^TestTable2Full$$' -timeout 60m -v ./internal/bench
 
 # The number the ROADMAP's size gates are stated in: lines of non-test Go
 # outside benchmark/. ROADMAP item 11 holds the round's gate and the latest

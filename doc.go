@@ -30,10 +30,9 @@
 // internal/history; the Fig. 7 observation-file format in internal/obsfile.
 // The subjects of the paper's evaluation — 13 concurrent classes mirroring
 // the .NET Framework 4.0 (Table 1), plus "(Pre)" variants seeded with the
-// root-cause defects of Table 2 — live in internal/collections and
-// internal/buggy; the comparison checkers of Section 5.6 (happens-before
-// race detection and conflict serializability) in internal/race and
-// internal/atomicity.
+// root-cause defects of Table 2 — live in internal/collections; the
+// comparison checkers of Section 5.6 (happens-before race detection and
+// conflict serializability) in internal/race and internal/atomicity.
 //
 // # Quick start
 //

@@ -137,10 +137,10 @@ func (b *BlockingCollection) TryAdd(t *sched.Thread, v int) bool {
 	return true
 }
 
-// take ends a successful take under the monitor: it wakes producers blocked
-// on a bounded collection (the (Pre) form has none), releases the monitor
-// and decrements the count.
-func (b *BlockingCollection) take(t *sched.Thread) {
+// endTake ends a successful take under the monitor: it wakes producers
+// blocked on a bounded collection (the (Pre) form has none), releases the
+// monitor and decrements the count.
+func (b *BlockingCollection) endTake(t *sched.Thread) {
 	if !b.pre {
 		b.cond.Broadcast(t)
 	}
@@ -159,7 +159,7 @@ func (b *BlockingCollection) Take(t *sched.Thread) (v int, ok bool) {
 		if len(items) > 0 {
 			v = items[0]
 			b.items.Store(t, items[1:])
-			b.take(t)
+			b.endTake(t)
 			return v, true
 		}
 		if b.completed.Load(t) {
@@ -191,7 +191,7 @@ func (b *BlockingCollection) TryTake(t *sched.Thread) (v int, ok bool) {
 		return 0, false
 	}
 	b.items.Store(t, items[1:])
-	b.take(t)
+	b.endTake(t)
 	return items[0], true
 }
 
