@@ -37,11 +37,12 @@ race:
 # traces (five full explorations and a 2x2 test of each of the 21 registry
 # subjects), the invariants of what an exploration keeps from one execution
 # to the next (pool_test.go), the wait set's semantics,
-# the point/switch tests and the goroutine-leak count (a rogue goroutine is
-# reported, a clean run is not) run under the race detector on every
-# `make check`.
+# the point/switch tests, the goroutine-leak count (a rogue goroutine is
+# reported, a clean run is not) and an unwatched four-worker exploration (no
+# watchdog, so the scheduler takes no lock) run under the race detector on
+# every `make check`.
 sched-smoke:
-	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool|TestWaitSet|TestPoint|TestDetectLeaks' ./internal/sched
+	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool|TestWaitSet|TestPoint|TestDetectLeaks|TestUnwatched' ./internal/sched
 
 # Race-enabled smoke of the streaming service: the full internal/serve suite
 # (worker pool, backpressure, checkpoint/resume, HTTP ingest, agreement of

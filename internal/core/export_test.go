@@ -2,6 +2,10 @@ package core
 
 import (
 	_ "unsafe" // for go:linkname
+
+	"lineup/internal/history"
+	"lineup/internal/monitor"
+	"lineup/internal/sched"
 )
 
 // Program exposes the sched.Program a check runs, so that external tests can
@@ -36,4 +40,30 @@ func SetRecruitAfter(n int) (restore func()) {
 	old := schedRecruitAfter
 	schedRecruitAfter = n
 	return func() { schedRecruitAfter = old }
+}
+
+// DecisionPaths returns the two ways to decide the history of an outcome
+// against spec under opts: raw is phase 2's, from the outcome's events, with
+// the operations it decides on, and ref asks Options.decision of the
+// materialized history, which is what phase 2 did before it decided from
+// raw events.
+func DecisionPaths(spec *history.Spec, opts Options) (
+	raw func(*sched.Outcome) ([]history.Op, *Violation, error),
+	ref func(*sched.Outcome) (h *history.History, ok bool, pending *history.Op, err error),
+) {
+	decide := opts.decision(spec, monitor.ModeAuto)
+	d := opts.decider(spec, nil, monitor.ModeAuto)
+	raw = func(out *sched.Outcome) ([]history.Op, *Violation, error) {
+		v, err := d.outcome(out)
+		return appendOps([]history.Op{}, out.Events, d.relaxed), v, err
+	}
+	ref = func(out *sched.Outcome) (*history.History, bool, *history.Op, error) {
+		h, err := materialize(out, opts.relaxedSet())
+		if err != nil {
+			return nil, false, nil, err
+		}
+		ok, pending, err := decide(h)
+		return h, ok, pending, err
+	}
+	return raw, ref
 }

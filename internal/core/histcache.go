@@ -17,7 +17,7 @@ import (
 // A history's key is its own bytes, built directly from the outcome's event
 // stream: per event the uvarint thread<<1|kind, then the length-prefixed
 // operation and, on a return, the length-prefixed result — wildcarded for a
-// relaxed operation, mirroring normalizeRelaxed, so spec and history keys
+// relaxed operation, mirroring materialize, so spec and history keys
 // agree — and a stuck execution ends in 0xFF. Every event is at least two
 // bytes, so a lone trailing byte can only be that marker, and the key decodes
 // back to its events: equal keys are equal histories. The key names nothing
@@ -39,14 +39,14 @@ type histEntry struct {
 	key   string
 	stuck bool
 	// Witness memoization: violating, v and err are the decision for this
-	// history, written by the first visitor; done is non-nil while that
-	// decision is in flight and closed once it is final, so concurrent
-	// visitors of the same key can wait. A merged
-	// distributed entry is violating with v nil until the merge regenerates
-	// the violation by replay.
+	// history, written by the first visitor while deciding is set; the first
+	// other visitor to wait for it makes done, closed once it is final. A
+	// merged distributed entry is violating with v nil until the merge
+	// regenerates the violation by replay.
 	violating bool
 	v         *Violation
 	err       error
+	deciding  bool
 	done      chan struct{}
 	// first is the minimal position at which an execution collapsed to this
 	// history — exactly where a sequential exploration first meets it.
@@ -73,9 +73,9 @@ func appendString(b []byte, s string) []byte {
 }
 
 // lookup encodes out's history into its key and returns its cache entry,
-// reporting whether the history is new. It validates the outcome exactly like
-// toHistory: events from the setup pseudo-thread and stuck executions without
-// pending operations are errors.
+// reporting whether the history is new. It validates the outcome exactly
+// like materialize: events from the setup pseudo-thread and stuck executions
+// without pending operations are errors.
 func (hc *histCache) lookup(out *sched.Outcome, relaxed map[string]bool) (*histEntry, bool, error) {
 	b := hc.buf[:0]
 	pending := 0

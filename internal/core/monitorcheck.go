@@ -12,8 +12,7 @@ import (
 // serial witness for every pending operation (Definition 3). With a model the
 // monitor runs that loop itself; mode is monitor.ModeClassic only under
 // CheckWithMonitor's ClassicOnly, the one place Definition 1 is decided.
-// Without a model the witness is a lookup in the specification set
-// synthesized by phase 1.
+// Without one it is specDecide's lookup in phase 1's specification set.
 func (o Options) decision(spec *history.Spec, mode monitor.Mode) func(*history.History) (ok bool, pending *history.Op, err error) {
 	if model := o.MonitorModel; model != nil {
 		opts := monitor.Options{Mode: mode, Telemetry: o.Telemetry}
@@ -26,17 +25,28 @@ func (o Options) decision(spec *history.Spec, mode monitor.Mode) func(*history.H
 		}
 	}
 	return func(h *history.History) (bool, *history.Op, error) {
-		if !h.Stuck {
-			_, ok := spec.WitnessFull(h)
-			return ok, nil, nil
-		}
-		for _, e := range h.Pending() {
-			if _, ok := spec.WitnessStuck(h, e); !ok {
-				return false, &e, nil
-			}
-		}
-		return true, nil, nil
+		ok, pending := specDecide(spec, h.Ops(), h.Stuck)
+		return ok, pending, nil
 	}
+}
+
+// specDecide is decision's spec lookup on a history's operations in call
+// order: a full serial witness, or a stuck one of H[e] for every pending e;
+// it returns the first pending operation without one.
+func specDecide(spec *history.Spec, ops []history.Op, stuck bool) (bool, *history.Op) {
+	if !stuck {
+		_, ok := spec.WitnessOps(ops, -1)
+		return ok, nil
+	}
+	for _, e := range ops {
+		if e.Complete {
+			continue
+		}
+		if _, ok := spec.WitnessOps(ops, e.Thread); !ok {
+			return false, &e
+		}
+	}
+	return true, nil
 }
 
 // CheckWithMonitor checks sub against an executable sequential model using

@@ -1,7 +1,5 @@
 package core
 
-import "lineup/internal/history"
-
 // RelaxedResult is the wildcard that replaces the results of relaxed
 // operations in histories and specifications.
 const RelaxedResult = "*"
@@ -31,20 +29,4 @@ func (o Options) relaxedSet() map[string]bool {
 		m[n] = true
 	}
 	return m
-}
-
-// normalizeRelaxed rewrites the results of relaxed operations to the
-// wildcard. It must be applied to every history before it reaches the
-// specification or a witness check, in both phases, so that spec and
-// history signatures agree.
-func normalizeRelaxed(h *history.History, relaxed map[string]bool) {
-	if len(relaxed) == 0 {
-		return
-	}
-	for i := range h.Events {
-		e := &h.Events[i]
-		if e.Kind == history.Return && relaxed[e.Op] {
-			e.Result = RelaxedResult
-		}
-	}
 }

@@ -60,27 +60,26 @@ func opNames(row []Op) []string {
 	return names
 }
 
-// toHistory converts an execution outcome into a history. Scheduler thread
-// IDs are shifted down by one because the setup pseudo-thread always takes
-// ID 0 and records no events; test thread i therefore appears as history
-// thread i, and the teardown thread as FinalThread().
-func toHistory(out *sched.Outcome) (*history.History, error) {
+// materialize converts an execution outcome into its history, with the
+// results of relaxed operations wildcarded (see Relax) so that spec and
+// history signatures agree. Scheduler thread IDs are shifted down by one
+// because the setup pseudo-thread always takes ID 0 and records no events;
+// test thread i therefore appears as history thread i, and the teardown
+// thread as FinalThread().
+func materialize(out *sched.Outcome, relaxed map[string]bool) (*history.History, error) {
 	h := &history.History{Stuck: out.Stuck, Events: make([]history.Event, 0, len(out.Events))}
 	for _, e := range out.Events {
 		if e.Thread == 0 {
 			return nil, fmt.Errorf("core: unexpected history event from setup thread")
 		}
-		kind := history.Call
+		ev := history.Event{Thread: int(e.Thread) - 1, Kind: history.Call, Op: e.Op, Result: e.Result, Index: e.OpIndex}
 		if e.Kind == sched.EvReturn {
-			kind = history.Return
+			ev.Kind = history.Return
+			if relaxed[e.Op] {
+				ev.Result = RelaxedResult
+			}
 		}
-		h.Events = append(h.Events, history.Event{
-			Thread: int(e.Thread) - 1,
-			Kind:   kind,
-			Op:     e.Op,
-			Result: e.Result,
-			Index:  e.OpIndex,
-		})
+		h.Events = append(h.Events, ev)
 	}
 	if out.Stuck && len(h.Pending()) == 0 {
 		return nil, fmt.Errorf("core: execution stuck outside any operation (constructor or init sequence blocked)")
@@ -92,7 +91,7 @@ func toHistory(out *sched.Outcome) (*history.History, error) {
 // is the exported form of the conversion phase 1 and phase 2 apply to every
 // explored execution, for tests and tooling outside core.
 func OutcomeHistory(out *sched.Outcome) (*history.History, error) {
-	return toHistory(out)
+	return materialize(out, nil)
 }
 
 // ExploreHistories enumerates the distinct concurrent histories that
@@ -108,38 +107,20 @@ func ExploreHistories(sub *Subject, m *Test, opts Options, visit func(*history.H
 	// whatever Options.MaxFailures says.
 	cfg := opts.exploreConfig(false, false)
 	cfg.ContinueOnFailure = false
-	_, exploreErr := sched.Explore(cfg, program(sub, m, &holder), newHistories(newHistCache(), opts.relaxedSet(), &err, visit))
-	if err != nil {
-		return err
-	}
-	return exploreErr
-}
-
-// materialize builds the normalized history of an outcome.
-func materialize(out *sched.Outcome, relaxed map[string]bool) (*history.History, error) {
-	h, err := toHistory(out)
-	if err != nil {
-		return nil, err
-	}
-	normalizeRelaxed(h, relaxed)
-	return h, nil
-}
-
-// newHistories adapts a history visitor to an outcome visitor that hands it
-// every distinct history once, deduplicated through cache. A conversion error
-// lands in *errp and stops the exploration.
-func newHistories(cache *histCache, relaxed map[string]bool, errp *error, visit func(*history.History) bool) func(*sched.Outcome) bool {
-	return func(out *sched.Outcome) bool {
-		_, isNew, err := cache.lookup(out, relaxed)
-		if err == nil && isNew {
+	cache, relaxed := newHistCache(), opts.relaxedSet()
+	_, exploreErr := sched.Explore(cfg, program(sub, m, &holder), func(out *sched.Outcome) bool {
+		// Each distinct history is handed over once; a conversion error stops.
+		var isNew bool
+		if _, isNew, err = cache.lookup(out, relaxed); err == nil && isNew {
 			var h *history.History
 			if h, err = materialize(out, relaxed); err == nil {
 				return visit(h)
 			}
 		}
-		if err != nil {
-			*errp = err
-		}
 		return err == nil
+	})
+	if err != nil {
+		return err
 	}
+	return exploreErr
 }

@@ -84,12 +84,11 @@ func SynthesizeSpec(sub *Subject, m *Test, opts Options) (*history.Spec, PhaseSt
 	return spec, ps, nil
 }
 
-// phase2Decider is the per-history decision procedure of phase 2:
-// deduplication happens on the history's key (histCache) without
-// materializing a history; only the first occurrence of a key pays for
-// history construction and the one call to decide.
+// phase2Decider is the per-history decision procedure of phase 2: only the
+// first occurrence of a history's key (histCache) pays for its one decision.
 type phase2Decider struct {
 	decide  func(*history.History) (ok bool, pending *history.Op, err error)
+	spec    *history.Spec // decided from raw events; nil when a model decides
 	m       *Test
 	relaxed map[string]bool
 	tel     *telemetry.Collector
@@ -97,7 +96,11 @@ type phase2Decider struct {
 
 // decider assembles the decision procedure the (validated) options select.
 func (o Options) decider(spec *history.Spec, m *Test, mode monitor.Mode) *phase2Decider {
-	return &phase2Decider{decide: o.decision(spec, mode), m: m, relaxed: o.relaxedSet(), tel: o.Telemetry}
+	d := &phase2Decider{decide: o.decision(spec, mode), m: m, relaxed: o.relaxedSet(), tel: o.Telemetry}
+	if o.MonitorModel == nil {
+		d.spec = spec
+	}
+	return d
 }
 
 // witness decides witness existence for one not-yet-seen history, returning
@@ -110,10 +113,66 @@ func (d *phase2Decider) witness(h *history.History) (*Violation, error) {
 	if err != nil || ok {
 		return nil, err
 	}
+	return d.violation(h, pending), nil
+}
+
+// violation is what h proves: a stuck one when pending names an operation.
+func (d *phase2Decider) violation(h *history.History, pending *history.Op) *Violation {
 	if pending != nil {
-		return &Violation{Kind: StuckNoWitness, Test: d.m, History: h, Pending: pending}, nil
+		return &Violation{Kind: StuckNoWitness, Test: d.m, History: h, Pending: pending}
 	}
-	return &Violation{Kind: NoWitness, Test: d.m, History: h}, nil
+	return &Violation{Kind: NoWitness, Test: d.m, History: h}
+}
+
+// opBufs holds the operation buffers of the raw-event decisions in flight.
+var opBufs = sync.Pool{New: func() any { return new([]history.Op) }}
+
+// outcome decides the history of out, the first occurrence of its key: a
+// model decides it materialized (witness), the spec from the operations of
+// out's events, materializing it only for the violation it proves.
+func (d *phase2Decider) outcome(out *sched.Outcome) (*Violation, error) {
+	if d.spec == nil {
+		h, err := materialize(out, d.relaxed)
+		if err != nil {
+			return nil, err
+		}
+		return d.witness(h)
+	}
+	d.tel.Add(telemetry.WitnessQueries, 1)
+	buf := opBufs.Get().(*[]history.Op)
+	defer opBufs.Put(buf)
+	*buf = appendOps((*buf)[:0], out.Events, d.relaxed)
+	ok, pending := specDecide(d.spec, *buf, out.Stuck)
+	if ok {
+		return nil, nil
+	}
+	h, err := materialize(out, d.relaxed)
+	if err != nil {
+		return nil, err
+	}
+	return d.violation(h, pending), nil
+}
+
+// appendOps appends what materialize(out, relaxed).Ops() would give to ops.
+// The events are well-formed, as histCache.lookup has checked: a return
+// belongs to its thread's last call.
+func appendOps(ops []history.Op, events []sched.OpEvent, relaxed map[string]bool) []history.Op {
+	for pos, e := range events {
+		th := int(e.Thread) - 1 // see materialize
+		if e.Kind == sched.EvCall {
+			ops = append(ops, history.Op{Thread: th, Name: e.Op, CallPos: pos, RetPos: -1, Index: e.OpIndex})
+			continue
+		}
+		i := len(ops) - 1
+		for ops[i].Thread != th {
+			i--
+		}
+		ops[i].Result, ops[i].Complete, ops[i].RetPos = e.Result, true, pos
+		if relaxed[e.Op] {
+			ops[i].Result = RelaxedResult
+		}
+	}
+	return ops
 }
 
 // phase2Acc accumulates the phase-2 state of every exploration path: the
@@ -177,33 +236,39 @@ func (s *phase2Acc) visit(out *sched.Outcome, p sched.Pos) bool {
 	if isNew || p.Before(en.first) {
 		en.first = append(en.first[:0], p...)
 	}
-	done := en.done
 	if isNew {
-		done = make(chan struct{})
-		en.done = done
+		en.deciding = true
 		s.entries = append(s.entries, en)
 		s.mu.Unlock()
 		// Decide outside the lock: witness search is the expensive part. The
-		// done channel must close on EVERY path out of the decision — a waiter
-		// blocked on an entry whose decider died would hang its worker forever,
-		// deadlocking ExploreParallel's final join — so the close is deferred
-		// and a panicking decision (a buggy model or backend) is converted into
-		// the entry's error, which every occurrence then reports at its own
-		// position.
+		// decision must end on EVERY path out of it — a waiter blocked on an
+		// entry whose decider died would hang its worker forever, deadlocking
+		// ExploreParallel's final join — so its end is deferred and a
+		// panicking decision (a buggy model or backend) is converted into the
+		// entry's error, which every occurrence then reports at its own
+		// position. Then later visitors need not wait, and waiting ones wake.
 		func() {
-			defer close(done)
 			defer func() {
 				if r := recover(); r != nil {
 					en.violating, en.v, en.err = false, nil, fmt.Errorf("core: witness decision panicked: %v", r)
 				}
+				s.mu.Lock()
+				en.deciding = false
+				if en.done != nil {
+					close(en.done)
+				}
+				s.mu.Unlock()
 			}()
 			s.decide(en, out)
 		}()
-		// Decided: later visitors need not wait, and the channel can go.
-		s.mu.Lock()
-		en.done = nil
-		s.mu.Unlock()
 	} else {
+		var done chan struct{}
+		if en.deciding {
+			if en.done == nil {
+				en.done = make(chan struct{})
+			}
+			done = en.done
+		}
 		s.mu.Unlock()
 		if done != nil {
 			// Wait for the deciding worker so that this occurrence reacts to
@@ -227,14 +292,11 @@ func (s *phase2Acc) visit(out *sched.Outcome, p sched.Pos) bool {
 
 // decide settles a new entry from its first occurrence.
 func (s *phase2Acc) decide(en *histEntry, out *sched.Outcome) {
-	h, err := materialize(out, s.d.relaxed)
-	if err == nil {
-		en.v, err = s.d.witness(h)
-	}
+	en.v, en.err = s.d.outcome(out)
 	if en.v != nil {
 		en.schedule = append([]sched.ThreadID(nil), out.Schedule...)
 	}
-	en.violating, en.err = en.v != nil, err
+	en.violating = en.v != nil
 }
 
 // resolve returns the sequentially-first terminal event — a decision error,

@@ -316,31 +316,42 @@ func (sp *Spec) Groups() [][]*SerialHistory {
 // allocate.
 const smallHistory = 16
 
-// witness searches the group named by the thread subhistories of ops for a
-// stored history whose serial order respects the constraint "a comes before b
-// if hi(a) < lo(b)", with (lo, hi) = bounds(i) for ops[i]. Complete operations
-// are looked up with their result, a pending one as the blocked call of a
-// stuck history (whose group holds stuck histories only).
-func (sp *Spec) witness(ops []Op, bounds func(i int) (lo, hi int)) (*SerialHistory, bool) {
-	var idBuf [smallHistory]int32
+// WitnessOps is the witness search behind WitnessFull (stuck < 0) and
+// WitnessStuck (H[e] for e the pending operation of thread stuck: the other
+// pending operations are left out), on a history's operations in call order
+// as History.Ops gives them. It looks in the group named by the thread
+// subhistories of what it keeps for a stored history whose serial order
+// respects "a before b if hi(a) < lo(b)", lo and hi being the call's and the
+// return's positions; a stuck witness's pending call comes last in every
+// candidate and constrains nothing.
+func (sp *Spec) WitnessOps(ops []Op, stuck int) (*SerialHistory, bool) {
+	var idBuf, keepBuf [smallHistory]int32
 	var loBuf, hiBuf [smallHistory]int
-	ids, lo, hi := idBuf[:0], loBuf[:], hiBuf[:]
+	ids, keep, lo, hi := idBuf[:0], keepBuf[:0], loBuf[:], hiBuf[:]
 	if len(ops) > smallHistory {
 		lo, hi = make([]int, len(ops)), make([]int, len(ops))
 	}
-	for _, op := range ops {
+	for i := range ops {
+		op := &ops[i]
+		if stuck >= 0 && !op.Complete && op.Thread != stuck {
+			continue
+		}
 		id, ok := sp.ids[step{thread: op.Thread, name: op.Name, result: op.Result, pending: !op.Complete}]
 		if !ok {
 			return nil, false
 		}
-		ids = append(ids, id)
+		ids, keep = append(ids, id), append(keep, int32(i))
 	}
 	g, rank := &sp.sigs, 0
-	threadMajor(len(ops), func(i int) int { return ops[i].Thread }, func(i int) {
+	threadMajor(len(keep), func(k int) int { return ops[keep[k]].Thread }, func(k int) {
 		if g != nil {
-			g = g.child(ids[i])
+			g = g.child(ids[k])
 		}
-		lo[rank], hi[rank] = bounds(i)
+		op := &ops[keep[k]]
+		lo[rank], hi[rank] = op.CallPos, op.RetPos
+		if stuck >= 0 && !op.Complete {
+			hi[rank] = math.MaxInt
+		}
 		rank++
 	})
 	if g == nil || g.val == nil {
@@ -367,12 +378,10 @@ next:
 // WitnessFull reports whether the complete concurrent history h has a serial
 // witness in the specification's full set (Definition 1 restricted to
 // complete histories): a serial history S with the same thread subhistories
-// such that <H ⊆ <S.
+// such that <H ⊆ <S, i.e. a <H b iff ret(a) precedes call(b). (A pending call
+// finds no full history: not a full history, caller error.)
 func (sp *Spec) WitnessFull(h *History) (*SerialHistory, bool) {
-	ops := h.Ops()
-	// a <H b iff ret(a) precedes call(b). (A pending call finds no full
-	// history: not a full history, caller error.)
-	return sp.witness(ops, func(i int) (int, int) { return ops[i].CallPos, ops[i].RetPos })
+	return sp.WitnessOps(h.Ops(), -1)
 }
 
 // WitnessStuck reports whether the reduced stuck history H[e] — h with all
@@ -380,21 +389,7 @@ func (sp *Spec) WitnessFull(h *History) (*SerialHistory, bool) {
 // specification's stuck set (Definition 2). e must be a pending operation
 // of h.
 func (sp *Spec) WitnessStuck(h *History, e Op) (*SerialHistory, bool) {
-	all := h.Ops()
-	ops := all[:0]
-	for _, op := range all {
-		if op.Complete || op.Thread == e.Thread {
-			ops = append(ops, op)
-		}
-	}
-	// Only completed operations constrain the order; the pending call comes
-	// last in every candidate.
-	return sp.witness(ops, func(i int) (int, int) {
-		if !ops[i].Complete {
-			return ops[i].CallPos, math.MaxInt
-		}
-		return ops[i].CallPos, ops[i].RetPos
-	})
+	return sp.WitnessOps(h.Ops(), e.Thread)
 }
 
 // Export returns every serial history of the specification in a

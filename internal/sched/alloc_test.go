@@ -15,7 +15,7 @@ func allocProgram() sched.Program {
 	return sched.Program{Threads: []func(*sched.Thread){opThread(2, "a"), opThread(2, "b")}}
 }
 
-func exploreAllocWorkload(b testing.TB, cfg sched.ExploreConfig, workers int, tel *telemetry.Collector) int {
+func exploreAllocWorkload(b testing.TB, cfg sched.ExploreConfig, workers int, prog func() sched.Program, tel *telemetry.Collector) int {
 	var execs atomic.Int64
 	cfg.Telemetry = tel
 	visit := func(*sched.Outcome, sched.Pos) bool {
@@ -24,9 +24,9 @@ func exploreAllocWorkload(b testing.TB, cfg sched.ExploreConfig, workers int, te
 	}
 	var err error
 	if workers > 0 {
-		_, err = sched.ExploreParallel(cfg, workers, allocProgram, visit)
+		_, err = sched.ExploreParallel(cfg, workers, prog, visit)
 	} else {
-		_, err = sched.ExploreUnit(cfg, allocProgram(), sched.WorkUnit{}, visit)
+		_, err = sched.ExploreUnit(cfg, prog(), sched.WorkUnit{}, visit)
 	}
 	if err != nil {
 		b.Fatalf("explore: %v", err)
@@ -36,20 +36,24 @@ func exploreAllocWorkload(b testing.TB, cfg sched.ExploreConfig, workers int, te
 
 // allocWorkloads are the exploration modes under the allocation guard, with
 // each one's ceiling in allocations per execution: phase 2 with and without
-// sleep sets, phase 1's serial enumeration, and phase 2 through the parallel
+// sleep sets, phase 1's serial enumeration, phase 2 through the parallel
 // explorer, where decision nodes are cloned across shards and recycled by the
-// worker that pops them. An exploration of this size pays its start-up (worker
-// goroutines, first nodes, coordinator) over 6 to 86 executions.
+// worker that pops them, and threads blocking on a wait set made per
+// execution, whose first waiters are kept inline. An exploration of this size
+// pays its start-up (worker goroutines, first nodes, coordinator) over 6 to
+// 86 executions.
 var allocWorkloads = []struct {
 	name    string
 	cfg     sched.ExploreConfig
 	workers int
+	prog    func() sched.Program
 	ceiling float64
 }{
-	{"full", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionNone}, 0, 11},
-	{"sleep", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionSleep}, 0, 12.5},
-	{"serial", sched.ExploreConfig{Config: sched.Config{Serial: true}, PreemptionBound: sched.Unbounded}, 0, 23},
-	{"parallel", sched.ExploreConfig{PreemptionBound: 2}, 2, 11.5},
+	{"full", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionNone}, 0, allocProgram, 11},
+	{"sleep", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionSleep}, 0, allocProgram, 12.5},
+	{"serial", sched.ExploreConfig{Config: sched.Config{Serial: true}, PreemptionBound: sched.Unbounded}, 0, allocProgram, 23},
+	{"parallel", sched.ExploreConfig{PreemptionBound: 2}, 2, allocProgram, 11.5},
+	{"waitset", sched.ExploreConfig{PreemptionBound: 2}, 0, waitSetProgram, 1.3},
 }
 
 // BenchmarkExploreAllocs measures the explorer's per-exploration allocation
@@ -60,14 +64,14 @@ func BenchmarkExploreAllocs(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				exploreAllocWorkload(b, bc.cfg, bc.workers, nil)
+				exploreAllocWorkload(b, bc.cfg, bc.workers, bc.prog, nil)
 			}
 		})
 		b.Run(bc.name+"-telemetry", func(b *testing.B) {
 			b.ReportAllocs()
 			tel := telemetry.New()
 			for i := 0; i < b.N; i++ {
-				exploreAllocWorkload(b, bc.cfg, bc.workers, tel)
+				exploreAllocWorkload(b, bc.cfg, bc.workers, bc.prog, tel)
 			}
 		})
 	}
@@ -78,10 +82,12 @@ func BenchmarkExploreAllocs(b *testing.B) {
 // own objects (here mostly the operation names), and nothing else — thread
 // goroutines, decision nodes, the scheduler, its recording buffers, the
 // outcome and the window footprints are the explorer's, not the execution's.
-// The ceilings are within 10% of measured values (10.3, 11.5, 21.3 and 10.7);
-// a hot-path change that starts allocating per decision, per event or per
-// window blows through them immediately, and so does one that goes back to
-// building a scheduler, goroutines, nodes or buffers per execution. Every workload also runs with a live telemetry
+// The ceilings are within 10% of measured values (10.3, 11.5, 21.2, 11.5 and
+// 1.2; the wait-set workload took 2.9 while each wait set allocated its
+// waiters); a hot-path change that starts allocating per decision, per event,
+// per window or per wait blows through them immediately, and so does one that
+// goes back to building a scheduler, goroutines, nodes or buffers per
+// execution. Every workload also runs with a live telemetry
 // collector under the SAME ceiling: the counters are plain atomic adds with
 // per-execution delta flushes, so enabling them must not add a single
 // allocation to the hot path.
@@ -96,12 +102,12 @@ func TestExploreAllocsPerExecution(t *testing.T) {
 				name += "-telemetry"
 			}
 			t.Run(name, func(t *testing.T) {
-				execs := exploreAllocWorkload(t, tc.cfg, tc.workers, tel)
+				execs := exploreAllocWorkload(t, tc.cfg, tc.workers, tc.prog, tel)
 				if execs == 0 {
 					t.Fatal("workload ran no executions")
 				}
 				perRun := testing.AllocsPerRun(5, func() {
-					exploreAllocWorkload(t, tc.cfg, tc.workers, tel)
+					exploreAllocWorkload(t, tc.cfg, tc.workers, tc.prog, tel)
 				})
 				perExec := perRun / float64(execs)
 				t.Logf("%s: %.0f allocs per exploration, %.1f per execution (%d executions)",

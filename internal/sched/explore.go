@@ -238,7 +238,7 @@ func (e *explorer) step(prog Program) (out *Outcome, p Pos, ok bool) {
 func (e *explorer) explore(prog Program, sh *shard, visit func(*Outcome, Pos) bool) {
 	e.stack = sh.stack
 	for {
-		if e.co.splitWanted() {
+		if e.co.splitWanted.Load() {
 			if child := sh.split(e); child != nil {
 				e.co.push(child)
 			}

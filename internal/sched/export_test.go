@@ -57,7 +57,10 @@ func ExploreSplitEverywhere(cfg ExploreConfig, newProg func() Program, visit fun
 	co.waiters = 1
 	root, thief := newExplorer(cfg, co), newExplorer(cfg, co)
 	var stash []*shard
-	unqueue := func() { stash, co.queue = append(stash, co.queue...), co.queue[:0] }
+	unqueue := func() {
+		stash, co.queue = append(stash, co.queue...), co.queue[:0]
+		co.hungry()
+	}
 	stolen := newProg()
 	drain := func() {
 		for unqueue(); len(stash) > 0; unqueue() {
@@ -73,6 +76,7 @@ func ExploreSplitEverywhere(cfg ExploreConfig, newProg func() Program, visit fun
 	whole := &shard{}
 	co.push(whole)
 	co.queue = co.queue[:0]
+	co.hungry()
 	root.explore(newProg(), whole, func(out *Outcome, p Pos) bool {
 		drain()
 		return visit(out, p)

@@ -3,6 +3,7 @@ package sched
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"lineup/internal/telemetry"
 )
@@ -155,15 +156,19 @@ func pathOf(stack []*choice) Pos {
 // terminal-event bookkeeping that makes early cancellation deterministic. A
 // lone DFS is a coordinator whose only shard is the root.
 type coordinator struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []*shard
-	shards   []*shard // every shard ever pushed, the root first
-	waiters  int      // workers blocked in pop (the split-hunger signal)
-	pending  int      // shards queued or being worked
-	killed   bool     // budget exhausted or a worker panicked: stop everything
-	maxExecs int
-	execs    int // executions started, all shards
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []*shard
+	shards  []*shard // every shard ever pushed, the root first
+	waiters int      // workers blocked in pop (the split-hunger signal)
+	pending int      // shards queued or being worked
+	killed  bool     // budget exhausted or a worker panicked: stop everything
+	// splitWanted tells a worker holding a large shard to shed part of it:
+	// the queue is dry and a worker idles. hungry stores it under mu, and
+	// every worker reads it before every execution without the lock.
+	splitWanted atomic.Bool
+	maxExecs    int
+	execs       int // executions started, all shards
 	// recruit, when non-nil, starts the helpers; the worker whose reservation
 	// brings execs to recruitAfter calls it.
 	recruit func()
@@ -224,8 +229,15 @@ func (co *coordinator) push(sh *shard) {
 	co.shards = append(co.shards, sh)
 	co.queue = append(co.queue, sh)
 	co.pending++
+	co.hungry()
 	co.tel.Add(telemetry.Shards, 1)
 	co.cond.Signal()
+}
+
+// hungry publishes splitWanted; it is called with mu held after every
+// change of queue, waiters or killed.
+func (co *coordinator) hungry() {
+	co.splitWanted.Store(!co.killed && len(co.queue) == 0 && co.waiters > 0)
 }
 
 // pop blocks until a shard is available; it returns nil when the exploration
@@ -240,14 +252,17 @@ func (co *coordinator) pop() *shard {
 		if len(co.queue) > 0 {
 			sh := co.queue[0]
 			co.queue = co.queue[1:]
+			co.hungry()
 			return sh
 		}
 		if co.pending == 0 {
 			return nil
 		}
 		co.waiters++
+		co.hungry()
 		co.cond.Wait()
 		co.waiters--
+		co.hungry()
 	}
 }
 
@@ -287,6 +302,7 @@ func (co *coordinator) admit(p Pos) bool {
 	if co.maxExecs > 0 && co.execs >= co.maxExecs {
 		co.truncated = true
 		co.killed = true
+		co.hungry()
 		co.cond.Broadcast()
 		return false
 	}
@@ -298,6 +314,7 @@ func (co *coordinator) admit(p Pos) bool {
 func (co *coordinator) kill() {
 	co.mu.Lock()
 	co.killed = true
+	co.hungry()
 	co.cond.Broadcast()
 	co.mu.Unlock()
 }
@@ -318,14 +335,6 @@ func (co *coordinator) abandoned(p Pos) bool {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	return co.killed || (co.terminated && co.termPos.Before(p))
-}
-
-// splitWanted reports whether a worker holding a large shard should shed part
-// of it: the queue is dry and at least one worker is idle.
-func (co *coordinator) splitWanted() bool {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return !co.killed && len(co.queue) == 0 && co.waiters > 0
 }
 
 // work drains the shard queue, exploring each shard below its pinned prefix

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"lineup/internal/bench"
+	"lineup/internal/core"
 	"lineup/internal/sched"
 	"lineup/internal/telemetry"
 )
@@ -515,5 +517,46 @@ func TestParallelPanicReachesCaller(t *testing.T) {
 			})
 			t.Fatalf("rep %d: ExploreParallel returned (err=%v) although a visit panicked", rep, err)
 		}()
+	}
+}
+
+// TestUnwatchedParallelExploration is the race gate of the scheduler's lock:
+// without a watchdog the scheduler takes none, and the coroutine switches
+// alone order what the subject, the scheduler and the explorer touch. Fig. 9
+// with an observer (wait sets, stuck executions) and Fig. 1 (a vsync mutex)
+// are explored on four workers under sleep sets with no watchdog, splitting
+// from the first execution on; `make sched-smoke` runs this under -race. Each
+// exploration meets exactly the sequential run's distinct histories.
+func TestUnwatchedParallelExploration(t *testing.T) {
+	sched.RequireNoLeaks(t)
+	recruitEarly(t)
+	fig1, fig9 := causeCase(t, bench.CauseB), causeCase(t, bench.CauseA)
+	isSet, ok := fig9.Subject.FindOp("IsSet()")
+	if !ok {
+		t.Fatal("ManualResetEvent(Pre) has no IsSet()")
+	}
+	for _, tc := range []struct {
+		name  string
+		bound int
+		prog  func() sched.Program
+	}{
+		{"fig9-observer", 3, func() sched.Program {
+			return subjectProgram(fig9.Subject, append(append([][]core.Op(nil), fig9.Test.Rows...), []core.Op{isSet}))
+		}},
+		{"fig1", fig1.Bound, func() sched.Program { return subjectProgram(fig1.Subject, fig1.Test.Rows) }},
+	} {
+		cfg := sched.ExploreConfig{PreemptionBound: tc.bound, Reduction: sched.ReductionSleep}
+		want, _, err := exploreSeq(t, cfg, tc.prog())
+		if err != nil {
+			t.Fatalf("%s: sequential explore: %v", tc.name, err)
+		}
+		got, stats, err := explorePar(t, cfg, 4, tc.prog)
+		if err != nil {
+			t.Fatalf("%s: parallel explore: %v", tc.name, err)
+		}
+		if !maps.EqualFunc(want, got, func(int, int) bool { return true }) {
+			t.Errorf("%s: %d distinct histories sequentially, %d on four workers, or other ones", tc.name, len(want), len(got))
+		}
+		t.Logf("%s: %d executions, %d distinct histories", tc.name, stats.Executions, len(got))
 	}
 }

@@ -343,7 +343,7 @@ type Scheduler struct {
 	dead chan *Thread
 
 	// The scheduling state below belongs to the baton holder and is only
-	// touched under mu (see transfer). group is the running thread group,
+	// touched under lock (see transfer). group is the running thread group,
 	// started counts the threads of a serial group whose thread-start code
 	// already ran, cur is the thread the last decision chose and holder the
 	// one running now, nil once the group can go no further (cur and holder
@@ -372,8 +372,7 @@ type Scheduler struct {
 	// them while the Run goroutine assembles the outcome. A thread that
 	// switches away parks with mu held and drive releases it (see drive), so
 	// whenever the watchdog holds mu every unfinished thread but the holder
-	// is parked or has not started. Uncontended in every cooperative
-	// execution.
+	// is parked or has not started. Only a watchdog needs it (see lock).
 	mu      sync.Mutex
 	events  []OpEvent
 	trace   []MemEvent
@@ -417,6 +416,21 @@ func (s *Scheduler) reset(cfg Config, ctrl Controller) {
 		if fo, ok := ctrl.(footprintObserver); ok {
 			s.fo = fo
 		}
+	}
+}
+
+// lock and unlock take and release mu only with a watchdog armed: without
+// one exactly one coroutine runs at a time, and the coroutine switches that
+// pass the baton are the happens-before edges between its accesses.
+func (s *Scheduler) lock() {
+	if s.cfg.Watchdog > 0 {
+		s.mu.Lock()
+	}
+}
+
+func (s *Scheduler) unlock() {
+	if s.cfg.Watchdog > 0 {
+		s.mu.Unlock()
 	}
 }
 
@@ -517,9 +531,9 @@ func (t *Thread) run(body func(*Thread)) {
 // every unfinished thread that way. killAll needs no word: its resume of t
 // returns only once t has unwound.
 func (s *Scheduler) unwound(t *Thread) {
-	s.mu.Lock()
+	s.lock()
 	hung := s.hung
-	s.mu.Unlock()
+	s.unlock()
 	if hung {
 		s.dead <- t
 	}
@@ -601,7 +615,7 @@ func (s *Scheduler) Run(prog Program) *Outcome {
 	if s.hung {
 		out.HungThread = s.holder.name
 	}
-	s.mu.Lock()
+	s.lock()
 	// Deliver the final decision window (the steps after the last Pick). For
 	// failed executions the window may be incomplete; the explorer poisons it.
 	s.flushWindow()
@@ -620,7 +634,7 @@ func (s *Scheduler) Run(prog Program) *Outcome {
 		}
 		sort.Slice(out.Coverage, func(i, j int) bool { return out.Coverage[i] < out.Coverage[j] })
 	}
-	s.mu.Unlock()
+	s.unlock()
 	if s.cfg.DetectLeaks {
 		out.LeakedGoroutines = s.countLeaks(baseGoroutines + len(p.workers))
 	}
@@ -660,7 +674,7 @@ func (s *Scheduler) countLeaks(base int) int {
 // resumed it, so with a watchdog armed the group is driven on a helper
 // goroutine while this one watches the progress counter.
 func (s *Scheduler) runGroup(first int) {
-	s.mu.Lock()
+	s.lock()
 	s.group, s.cur, s.started = s.threads[first:], nil, 0
 	s.holder = s.next()
 	if s.cfg.Watchdog <= 0 {
@@ -682,12 +696,12 @@ func (s *Scheduler) runGroup(first int) {
 // but the holder.
 func (s *Scheduler) drive() {
 	for h := s.holder; h != nil; h = s.holder {
-		s.mu.Unlock()
+		s.unlock()
 		if !h.w.resume() {
 			return // the hung holder of an abandoned execution has unwound
 		}
 	}
-	s.mu.Unlock()
+	s.unlock()
 }
 
 // transfer is the scheduling step: t, which holds the baton, stopped at an
@@ -703,9 +717,9 @@ func (s *Scheduler) drive() {
 // the baton: it unwinds instead.
 func (s *Scheduler) transfer(t *Thread, st threadState, panicked any) {
 	exiting := st == stateFinished || st == stateDiverged
-	s.mu.Lock()
+	s.lock()
 	if s.hung {
-		s.mu.Unlock()
+		s.unlock()
 		if exiting {
 			s.dead <- t
 			return
@@ -727,7 +741,7 @@ func (s *Scheduler) transfer(t *Thread, st threadState, panicked any) {
 	}
 	s.holder = s.next()
 	if s.holder == t {
-		s.mu.Unlock()
+		s.unlock()
 		return
 	}
 	if exiting {
@@ -826,16 +840,16 @@ func (s *Scheduler) await() {
 		tick.Stop()
 		watchdogTimersLive.Add(-1)
 	}()
-	s.mu.Lock()
+	s.lock()
 	seen := s.progress
-	s.mu.Unlock()
+	s.unlock()
 	for {
 		select {
 		case <-s.end:
 			return
 		case <-tick.C:
 		}
-		s.mu.Lock()
+		s.lock()
 		// transfer clears holder under mu when the group is over, so a holder
 		// means the group is still running, whichever select case won.
 		if s.progress == seen && s.holder != nil {
@@ -843,7 +857,7 @@ func (s *Scheduler) await() {
 			return
 		}
 		seen = s.progress
-		s.mu.Unlock()
+		s.unlock()
 	}
 }
 
@@ -868,7 +882,7 @@ func (s *Scheduler) abandon() {
 		t.w.abandoned.Store(true)
 		waiting[t] = true
 	}
-	s.mu.Unlock()
+	s.unlock()
 	for t := range waiting {
 		if t != s.holder {
 			go t.w.resume()
@@ -980,17 +994,17 @@ func (s *Scheduler) flushWindow() {
 // noteAccess merges one shared-memory access into the current window
 // footprint.
 func (s *Scheduler) noteAccess(loc int, write bool) {
-	s.mu.Lock()
+	s.lock()
 	s.wfoot.add(loc, write)
-	s.mu.Unlock()
+	s.unlock()
 }
 
 // noteGlobal poisons the current window: it performed an effect that cannot
 // be attributed to a location, so it must conflict with everything.
 func (s *Scheduler) noteGlobal() {
-	s.mu.Lock()
+	s.lock()
 	s.wfoot.Global = true
-	s.mu.Unlock()
+	s.unlock()
 }
 
 // Touch merges a shared-memory access into the current window footprint
@@ -1007,10 +1021,10 @@ func (t *Thread) Touch(loc int, write bool) {
 // NewLoc allocates a fresh shared-memory location identifier. Instrumented
 // cells call this once at construction time.
 func (t *Thread) NewLoc() int {
-	t.sch.mu.Lock()
+	t.sch.lock()
 	id := t.sch.nextLoc
 	t.sch.nextLoc++
-	t.sch.mu.Unlock()
+	t.sch.unlock()
 	return id
 }
 
@@ -1022,18 +1036,18 @@ func (t *Thread) Record(kind MemKind, loc int, name string) {
 		t.sch.noteAccess(loc, writeClass(kind))
 	}
 	if t.sch.cov != nil {
-		t.sch.mu.Lock()
+		t.sch.lock()
 		t.sch.cov[CoverageKey(kind, loc)] = struct{}{}
-		t.sch.mu.Unlock()
+		t.sch.unlock()
 	}
 	if !t.sch.cfg.RecordTrace {
 		return
 	}
-	t.sch.mu.Lock()
+	t.sch.lock()
 	t.sch.trace = append(t.sch.trace, MemEvent{
 		Thread: t.id, Kind: kind, Loc: loc, Name: name, Op: t.curOp,
 	})
-	t.sch.mu.Unlock()
+	t.sch.unlock()
 }
 
 // OpStart records the call event of an operation. It first takes a
@@ -1044,7 +1058,7 @@ func (t *Thread) OpStart(name string) {
 	t.step()
 	s := t.sch
 	s.transfer(t, stateRunnable, nil)
-	s.mu.Lock()
+	s.lock()
 	t.curOp = s.nextOp
 	s.nextOp++
 	s.events = append(s.events, OpEvent{
@@ -1053,7 +1067,7 @@ func (t *Thread) OpStart(name string) {
 	if s.fo != nil {
 		s.wfoot.Event = true
 	}
-	s.mu.Unlock()
+	s.unlock()
 }
 
 // OpEnd records the return event of the operation started by the matching
@@ -1064,14 +1078,14 @@ func (t *Thread) OpEnd(name, result string) {
 	t.Point()
 	t.curOp = -1
 	s := t.sch
-	s.mu.Lock()
+	s.lock()
 	s.events = append(s.events, OpEvent{
 		Thread: t.id, Kind: EvReturn, Op: name, Result: result, OpIndex: op,
 	})
 	if s.fo != nil {
 		s.wfoot.Event = true
 	}
-	s.mu.Unlock()
+	s.unlock()
 }
 
 // Yield marks an explicit spin-wait yield (the fairness hint CHESS uses for

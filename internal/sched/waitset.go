@@ -10,9 +10,12 @@ import "sort"
 // Because exactly one logical thread runs at a time, wait-set operations need
 // no locking of their own; registration and signaling are atomic with respect
 // to the surrounding instrumented operation.
+// The zero WaitSet is ready; it keeps its first waiters inline, so it must
+// not be copied once a thread registered on it.
 type WaitSet struct {
 	waiters []waiter // registration order, for deterministic Signal
-	footLoc int      // loc+1 for footprint attribution, 0 = unset
+	inline  [2]waiter
+	footLoc int // loc+1 for footprint attribution, 0 = unset
 }
 
 // waiter is one registered thread and whether a signal is pending for it. A
@@ -65,6 +68,9 @@ func (ws *WaitSet) find(t *Thread) int {
 func (ws *WaitSet) Register(t *Thread) {
 	ws.touch(t)
 	if ws.find(t) < 0 {
+		if ws.waiters == nil {
+			ws.waiters = ws.inline[:0]
+		}
 		ws.waiters = append(ws.waiters, waiter{t: t})
 	}
 }
