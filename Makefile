@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check check-race fmt build vet test race sched-smoke serve-smoke subjects-smoke dist-smoke fastmon-smoke benchmark-smoke sweeps table2-full bench fuzz loc clean
+.PHONY: check check-race fmt build vet test race sched-smoke core-smoke serve-smoke subjects-smoke dist-smoke fastmon-smoke benchmark-smoke sweeps table2-full bench fuzz loc clean
 
-check: fmt build vet test sched-smoke serve-smoke subjects-smoke dist-smoke fastmon-smoke benchmark-smoke fuzz
+check: fmt build vet test sched-smoke core-smoke serve-smoke subjects-smoke dist-smoke fastmon-smoke benchmark-smoke fuzz
 
 # Every Go file is gofmt-clean, benchmark/ included (the step only reads it);
 # the offending files are listed on failure.
@@ -43,6 +43,17 @@ race:
 # every `make check`.
 sched-smoke:
 	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool|TestWaitSet|TestPoint|TestDetectLeaks|TestUnwatched' ./internal/sched
+
+# Race-enabled smoke of phase 2's decisions: several workers decide distinct
+# histories at once, each on an operation buffer from one shared pool, while
+# their visitors wait on the deciding one. The worker-count equivalence suites,
+# a panicking decision's waiters, the decision from raw events against the
+# materialized history's and the stuck-history decision order run under the
+# race detector on every `make check` (about two seconds);
+# TestWorkerCountUnobservable takes over a minute with -race and runs in
+# `make race` only.
+core-smoke:
+	$(GO) test -race -run 'TestCheckWorkers|TestParallelWitnessPanic|TestRawDecision|TestStuckDecisionOrder' ./internal/core
 
 # Race-enabled smoke of the streaming service: the full internal/serve suite
 # (worker pool, backpressure, checkpoint/resume, HTTP ingest, agreement of

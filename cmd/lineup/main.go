@@ -227,9 +227,8 @@ func cmdMonitor(args []string) error {
 
 func cmdTable2(args []string) error {
 	fs := flag.NewFlagSet("table2", flag.ExitOnError)
-	opts := bench.Table2Options{RandomOptions: core.RandomOptions{Samples: 100, Rows: 3, Cols: 3, Seed: 1}}
-	addCheckFlags(fs, &opts.RandomOptions, "samples", "rows", "cols", "seed", "workers", "watchdog", "max-failures")
-	fs.BoolVar(&opts.IncludePre, "pre", true, "include the (Pre) variants")
+	opts := core.RandomOptions{Samples: 100, Rows: 3, Cols: 3, Seed: 1}
+	addCheckFlags(fs, &opts, "samples", "rows", "cols", "seed", "workers", "watchdog", "max-failures")
 	tflags := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err

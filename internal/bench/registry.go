@@ -376,186 +376,62 @@ func linkedListOps() []core.Op {
 	}
 }
 
+// class completes a registry row from one class of internal/collections:
+// the corrected subject named name, built by newSub, and, when newPre is not
+// nil, its (Pre) form. A (Pre) defect is a seeded branch of its class: the
+// same type from another constructor, so the two share the name (with
+// "(Pre)" appended), the source file and the invocation universe.
+func class[T any](name, file string, ops func() []core.Op, newSub, newPre func(*sched.Thread) T, e Entry) Entry {
+	subject := func(name string, new func(*sched.Thread) T) *core.Subject {
+		return &core.Subject{
+			Name:        name,
+			New:         func(t *sched.Thread) any { return new(t) },
+			Ops:         ops(),
+			SourceFiles: []string{"internal/collections/" + file},
+		}
+	}
+	e.Subject = subject(name, newSub)
+	if newPre != nil {
+		e.Pre = subject(name+"(Pre)", newPre)
+	}
+	return e
+}
+
 // Registry returns the 13 classes of Table 1 with their (Pre) variants and
 // expected root causes.
 func Registry() []Entry {
 	return []Entry{
-		{
-			Subject: &core.Subject{
-				Name:        "Lazy",
-				New:         func(t *sched.Thread) any { return collections.NewLazy(t) },
-				Ops:         lazyOps(),
-				SourceFiles: []string{"internal/collections/lazy.go"},
-			},
-			Pre: &core.Subject{
-				Name:        "Lazy(Pre)",
-				New:         func(t *sched.Thread) any { return collections.NewLazyPre(t) },
-				Ops:         lazyOps(),
-				SourceFiles: []string{"internal/collections/lazy.go"},
-			},
-			Bound:     2,
-			PreCauses: []Cause{CauseF},
-		},
-		{
-			Subject: &core.Subject{
-				Name:        "ManualResetEvent",
-				New:         func(t *sched.Thread) any { return collections.NewManualResetEventSlim(t) },
-				Ops:         mreOps(),
-				SourceFiles: []string{"internal/collections/mre.go"},
-			},
-			Pre: &core.Subject{
-				Name:        "ManualResetEvent(Pre)",
-				New:         func(t *sched.Thread) any { return collections.NewManualResetEventSlimPre(t) },
-				Ops:         mreOps(),
-				SourceFiles: []string{"internal/collections/mre.go"},
-			},
-			Bound:     4, // the Fig. 9 interleaving needs four preemptions (see ablation)
-			PreCauses: []Cause{CauseA},
-		},
-		{
-			Subject: &core.Subject{
-				Name:        "SemaphoreSlim",
-				New:         func(t *sched.Thread) any { return collections.NewSemaphoreSlim(t, 0) },
-				Ops:         semaphoreOps(),
-				SourceFiles: []string{"internal/collections/semaphore.go"},
-			},
-			Pre: &core.Subject{
-				Name:        "SemaphoreSlim(Pre)",
-				New:         func(t *sched.Thread) any { return collections.NewSemaphoreSlimPre(t, 0) },
-				Ops:         semaphoreOps(),
-				SourceFiles: []string{"internal/collections/semaphore.go"},
-			},
-			Bound:     2,
-			PreCauses: []Cause{CauseD},
-		},
-		{
-			Subject: &core.Subject{
-				Name:        "CountdownEvent",
-				New:         func(t *sched.Thread) any { return collections.NewCountdownEvent(t, 2) },
-				Ops:         countdownOps(),
-				SourceFiles: []string{"internal/collections/countdown.go"},
-			},
-			Pre: &core.Subject{
-				Name:        "CountdownEvent(Pre)",
-				New:         func(t *sched.Thread) any { return collections.NewCountdownEventPre(t, 2) },
-				Ops:         countdownOps(),
-				SourceFiles: []string{"internal/collections/countdown.go"},
-			},
-			Bound:     2,
-			PreCauses: []Cause{CauseE},
-		},
-		{
-			Subject: &core.Subject{
-				Name:        "ConcurrentDictionary",
-				New:         func(t *sched.Thread) any { return collections.NewDictionary(t) },
-				Ops:         dictOps(),
-				SourceFiles: []string{"internal/collections/dictionary.go"},
-			},
-			Bound: 2,
-		},
-		{
-			Subject: &core.Subject{
-				Name:        "ConcurrentQueue",
-				New:         func(t *sched.Thread) any { return collections.NewQueue(t) },
-				Ops:         queueOps(),
-				SourceFiles: []string{"internal/collections/queue.go"},
-			},
-			Pre: &core.Subject{
-				Name:        "ConcurrentQueue(Pre)",
-				New:         func(t *sched.Thread) any { return collections.NewQueuePre(t) },
-				Ops:         queueOps(),
-				SourceFiles: []string{"internal/collections/queue.go"},
-			},
-			Bound:     2,
-			PreCauses: []Cause{CauseB + "'"},
-		},
-		{
-			Subject: &core.Subject{
-				Name:        "ConcurrentStack",
-				New:         func(t *sched.Thread) any { return collections.NewStack(t) },
-				Ops:         stackOps(),
-				SourceFiles: []string{"internal/collections/stack.go"},
-			},
-			Pre: &core.Subject{
-				Name:        "ConcurrentStack(Pre)",
-				New:         func(t *sched.Thread) any { return collections.NewStackPre(t) },
-				Ops:         stackOps(),
-				SourceFiles: []string{"internal/collections/stack.go"},
-			},
-			Bound:     2,
-			PreCauses: []Cause{CauseC},
-		},
-		{
-			Subject: &core.Subject{
-				Name:        "ConcurrentLinkedList",
-				New:         func(t *sched.Thread) any { return collections.NewLinkedList(t) },
-				Ops:         linkedListOps(),
-				SourceFiles: []string{"internal/collections/linkedlist.go"},
-			},
-			Bound: 2,
-		},
-		{
-			Subject: &core.Subject{
-				Name:        "BlockingCollection",
-				New:         func(t *sched.Thread) any { return collections.NewBlockingCollection(t) },
-				Ops:         bcOps(),
-				SourceFiles: []string{"internal/collections/blockingcollection.go"},
-			},
-			Pre: &core.Subject{
-				Name:        "BlockingCollection(Pre)",
-				New:         func(t *sched.Thread) any { return collections.NewBlockingCollectionPre(t) },
-				Ops:         bcOps(),
-				SourceFiles: []string{"internal/collections/blockingcollection.go"},
-			},
-			Bound:     2,
-			Causes:    []Cause{CauseI, CauseJ, CauseK},
-			PreCauses: []Cause{CauseB},
-		},
-		{
-			Subject: &core.Subject{
-				Name:        "ConcurrentBag",
-				New:         func(t *sched.Thread) any { return collections.NewBag(t) },
-				Ops:         bagOps(),
-				SourceFiles: []string{"internal/collections/bag.go"},
-			},
-			Bound:  2,
-			Causes: []Cause{CauseH},
-		},
-		{
-			Subject: &core.Subject{
-				Name:        "TaskCompletionSource",
-				New:         func(t *sched.Thread) any { return collections.NewTaskCompletionSource(t) },
-				Ops:         tcsOps(),
-				SourceFiles: []string{"internal/collections/tcs.go"},
-			},
-			Pre: &core.Subject{
-				Name:        "TaskCompletionSource(Pre)",
-				New:         func(t *sched.Thread) any { return collections.NewTaskCompletionSourcePre(t) },
-				Ops:         tcsOps(),
-				SourceFiles: []string{"internal/collections/tcs.go"},
-			},
-			Bound:     2,
-			PreCauses: []Cause{CauseG},
-		},
-		{
-			Subject: &core.Subject{
-				Name:        "CancellationTokenSource",
-				New:         func(t *sched.Thread) any { return collections.NewCancellationTokenSource(t) },
-				Ops:         ctsOps(),
-				SourceFiles: []string{"internal/collections/cts.go"},
-			},
-			Bound: 2,
-		},
-		{
-			Subject: &core.Subject{
-				Name:        "Barrier",
-				New:         func(t *sched.Thread) any { return collections.NewBarrier(t, 2) },
-				Ops:         barrierOps(),
-				SourceFiles: []string{"internal/collections/barrier.go"},
-			},
-			Bound:  2,
-			Causes: []Cause{CauseL},
-		},
+		class("Lazy", "lazy.go", lazyOps, collections.NewLazy, collections.NewLazyPre,
+			Entry{Bound: 2, PreCauses: []Cause{CauseF}}),
+		class("ManualResetEvent", "mre.go", mreOps, collections.NewManualResetEventSlim, collections.NewManualResetEventSlimPre,
+			Entry{Bound: 4, PreCauses: []Cause{CauseA}}), // the Fig. 9 interleaving needs four preemptions (see ablation)
+		class("SemaphoreSlim", "semaphore.go", semaphoreOps,
+			func(t *sched.Thread) *collections.SemaphoreSlim { return collections.NewSemaphoreSlim(t, 0) },
+			func(t *sched.Thread) *collections.SemaphoreSlim { return collections.NewSemaphoreSlimPre(t, 0) },
+			Entry{Bound: 2, PreCauses: []Cause{CauseD}}),
+		class("CountdownEvent", "countdown.go", countdownOps,
+			func(t *sched.Thread) *collections.CountdownEvent { return collections.NewCountdownEvent(t, 2) },
+			func(t *sched.Thread) *collections.CountdownEvent { return collections.NewCountdownEventPre(t, 2) },
+			Entry{Bound: 2, PreCauses: []Cause{CauseE}}),
+		class("ConcurrentDictionary", "dictionary.go", dictOps, collections.NewDictionary, nil,
+			Entry{Bound: 2}),
+		class("ConcurrentQueue", "queue.go", queueOps, collections.NewQueue, collections.NewQueuePre,
+			Entry{Bound: 2, PreCauses: []Cause{CauseB + "'"}}),
+		class("ConcurrentStack", "stack.go", stackOps, collections.NewStack, collections.NewStackPre,
+			Entry{Bound: 2, PreCauses: []Cause{CauseC}}),
+		class("ConcurrentLinkedList", "linkedlist.go", linkedListOps, collections.NewLinkedList, nil,
+			Entry{Bound: 2}),
+		class("BlockingCollection", "blockingcollection.go", bcOps, collections.NewBlockingCollection, collections.NewBlockingCollectionPre,
+			Entry{Bound: 2, Causes: []Cause{CauseI, CauseJ, CauseK}, PreCauses: []Cause{CauseB}}),
+		class("ConcurrentBag", "bag.go", bagOps, collections.NewBag, nil,
+			Entry{Bound: 2, Causes: []Cause{CauseH}}),
+		class("TaskCompletionSource", "tcs.go", tcsOps, collections.NewTaskCompletionSource, collections.NewTaskCompletionSourcePre,
+			Entry{Bound: 2, PreCauses: []Cause{CauseG}}),
+		class("CancellationTokenSource", "cts.go", ctsOps, collections.NewCancellationTokenSource, nil,
+			Entry{Bound: 2}),
+		class("Barrier", "barrier.go", barrierOps,
+			func(t *sched.Thread) *collections.Barrier { return collections.NewBarrier(t, 2) }, nil,
+			Entry{Bound: 2, Causes: []Cause{CauseL}}),
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"lineup/internal/bench"
 	"lineup/internal/core"
+	"lineup/internal/sched"
 )
 
 // findCause returns the directed case for one root cause.
@@ -53,6 +54,94 @@ func TestRelaxedOpsToleratesIntentionalNondeterminism(t *testing.T) {
 				t.Fatalf("relaxed check still fails: %v", relaxed.Violation)
 			}
 		})
+	}
+}
+
+// TestRelaxedResultsRecordedAtSource: a relaxed operation's result is
+// replaced where the execution records it. With Count() relaxed, the
+// executions of cause H's test, with a final Count() added for the teardown
+// thread, are those of the strict run, in the same order, with exactly the
+// Count() returns reading the wildcard; without Relax, OutcomeHistory keeps
+// every raw result. The phase statistics of the
+// relaxed H, I and J checks are pinned to what they were when the wildcard
+// was applied to each history instead.
+func TestRelaxedResultsRecordedAtSource(t *testing.T) {
+	c := findCause(t, bench.CauseH)
+	count := c.Test.Rows[1][0]
+	test := &core.Test{Init: c.Test.Init, Rows: c.Test.Rows, Final: []core.Op{count}}
+	collect := func(opts core.Options) [][]sched.OpEvent {
+		var all [][]sched.OpEvent
+		_, err := core.ForEachExecution(c.Subject, test, opts, false, func(out *sched.Outcome) bool {
+			h, err := core.OutcomeHistory(out)
+			if err != nil {
+				t.Fatalf("history: %v", err)
+			}
+			for i, e := range h.Events {
+				if e.Result != out.Events[i].Result {
+					t.Fatalf("history result %q differs from the recorded %q", e.Result, out.Events[i].Result)
+				}
+			}
+			all = append(all, out.Clone().Events)
+			return true
+		})
+		if err != nil {
+			t.Fatalf("explore: %v", err)
+		}
+		return all
+	}
+	opts := core.Options{PreemptionBound: c.Bound, Workers: 1}
+	strict, relaxed := collect(opts), collect(opts.Relax("Count()"))
+	if len(strict) != len(relaxed) {
+		t.Fatalf("%d executions strict, %d relaxed", len(strict), len(relaxed))
+	}
+	counts, final := 0, 0
+	for i := range strict {
+		if len(strict[i]) != len(relaxed[i]) {
+			t.Fatalf("execution %d: %v strict, %v relaxed", i, strict[i], relaxed[i])
+		}
+		for j, e := range strict[i] {
+			r := relaxed[i][j]
+			isCount := e.Kind == sched.EvReturn && e.Op == "Count()"
+			if e.Result == core.RelaxedResult {
+				t.Fatalf("execution %d: the strict run recorded the wildcard for %s", i, e.Op)
+			}
+			if isCount {
+				counts++
+				if int(e.Thread)-1 == test.FinalThread() {
+					final++
+				}
+				e.Result = core.RelaxedResult
+			}
+			if r != e {
+				t.Fatalf("execution %d, event %d: relaxed %+v, want %+v", i, j, r, e)
+			}
+		}
+	}
+	if counts == final || final != len(strict) {
+		t.Fatalf("%d Count() returns, %d of them in the teardown, over %d executions", counts, final, len(strict))
+	}
+
+	for _, tc := range []struct {
+		cause   bench.Cause
+		relaxed string
+		p1, p2  core.PhaseStats
+	}{
+		{bench.CauseH, "Count()", core.PhaseStats{Executions: 3, Decisions: 5, Histories: 3},
+			core.PhaseStats{Executions: 216, Decisions: 5068, Histories: 15, Pruned: 174, DedupHits: 201}},
+		{bench.CauseI, "Count()", core.PhaseStats{Executions: 3, Decisions: 5, Histories: 3},
+			core.PhaseStats{Executions: 83, Decisions: 1133, Histories: 20, Pruned: 48, DedupHits: 63}},
+		{bench.CauseJ, "TryTake()", core.PhaseStats{Executions: 4, Decisions: 9, Histories: 4},
+			core.PhaseStats{Executions: 214, Decisions: 4783, Histories: 25, Pruned: 106, DedupHits: 189}},
+	} {
+		c := findCause(t, tc.cause)
+		res, err := core.Check(c.Subject, c.Test, core.Options{PreemptionBound: c.Bound}.Relax(tc.relaxed))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.cause, err)
+		}
+		res.Phase1.Duration, res.Phase2.Duration = 0, 0
+		if res.Verdict != core.Pass || res.Phase1 != tc.p1 || res.Phase2 != tc.p2 {
+			t.Errorf("%s relaxed: %v, phase 1 %+v, phase 2 %+v; want PASS, %+v, %+v", tc.cause, res.Verdict, res.Phase1, res.Phase2, tc.p1, tc.p2)
+		}
 	}
 }
 

@@ -45,9 +45,7 @@ func structuralLines(text string) []string {
 // (`make table2-full`).
 func TestTable2Full(t *testing.T) {
 	const samples = 100
-	rows, err := bench.RunTable2(bench.Table2Options{
-		RandomOptions: core.RandomOptions{Samples: samples, Rows: 3, Cols: 3, Seed: 1}, IncludePre: true,
-	})
+	rows, err := bench.RunTable2(core.RandomOptions{Samples: samples, Rows: 3, Cols: 3, Seed: 1})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -116,19 +116,6 @@ type Table2Row struct {
 	Wall      time.Duration
 }
 
-// Table2Options parameterizes the Table 2 run.
-type Table2Options struct {
-	// RandomOptions is what every class's sample is checked with (the paper:
-	// 100 tests of dimension 3x3, RandomCheck's defaults). PreemptionBound is
-	// each class's own registry bound whatever is set here, a zero Seed means
-	// 1, and Workers is the one worker count each class's RandomCheck shares
-	// out.
-	core.RandomOptions
-	// IncludePre includes the "(Pre)" variants (the paper tests both
-	// releases).
-	IncludePre bool
-}
-
 // minDims maps subjects to their root causes with minimal dimensions,
 // derived from the directed cases.
 func minDims() map[string][]string {
@@ -143,16 +130,20 @@ func minDims() map[string][]string {
 	return out
 }
 
-// RunTable2 regenerates Table 2: for every class (and optionally its (Pre)
-// variant) it runs RandomCheck and aggregates the phase statistics.
-func RunTable2(opts Table2Options) ([]Table2Row, error) {
+// RunTable2 regenerates Table 2: for every class and its (Pre) variant (the
+// paper tests both releases) it runs RandomCheck and aggregates the phase
+// statistics. opts is what every class's sample is checked with (the paper:
+// 100 tests of dimension 3x3, RandomCheck's defaults). PreemptionBound is
+// each class's own registry bound whatever is set here, a zero Seed means 1,
+// and Workers is the one worker count each class's RandomCheck shares out.
+func RunTable2(opts core.RandomOptions) ([]Table2Row, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
 	dims := minDims()
 	var rows []Table2Row
 	run := func(sub *core.Subject, bound int) error {
-		ro := opts.RandomOptions
+		ro := opts
 		ro.PreemptionBound = bound
 		sum, err := core.RandomCheck(sub, nil, ro)
 		if err != nil {
@@ -193,7 +184,7 @@ func RunTable2(opts Table2Options) ([]Table2Row, error) {
 	var plan []class
 	for _, e := range Registry() {
 		plan = append(plan, class{e.Subject, e.Bound})
-		if opts.IncludePre && e.Pre != nil {
+		if e.Pre != nil {
 			plan = append(plan, class{e.Pre, e.Bound})
 		}
 	}

@@ -28,9 +28,7 @@ func TestRunTable2Tiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table harness is slow")
 	}
-	rows, err := bench.RunTable2(bench.Table2Options{
-		RandomOptions: core.RandomOptions{Samples: 2, Rows: 2, Cols: 2, Seed: 5}, IncludePre: true,
-	})
+	rows, err := bench.RunTable2(core.RandomOptions{Samples: 2, Rows: 2, Cols: 2, Seed: 5})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -42,8 +42,8 @@ type Options struct {
 	// still the one reported.
 	ExhaustPhase2 bool `json:"exhaust_phase2,omitempty"`
 	// RelaxedOps lists operations (by display name, e.g. "Count()") whose
-	// results are treated as nondeterministic: they are wildcarded before
-	// specification synthesis and witness checking (see Options.Relax).
+	// results are treated as nondeterministic: they are recorded wildcarded
+	// (see Options.Relax).
 	RelaxedOps []string `json:"relaxed_ops,omitempty"`
 	// budget, when set, replaces phaseBudget for this check. Only tests
 	// set it (WithExecutionBudget in export_test.go), to reach the budget

@@ -5,6 +5,7 @@ import (
 
 	"lineup/internal/history"
 	"lineup/internal/monitor"
+	"lineup/internal/sched"
 )
 
 // TestStuckDecisionOrder pins the order in which a stuck history's pending
@@ -18,14 +19,14 @@ func TestStuckDecisionOrder(t *testing.T) {
 		{Pending: &history.SerialPending{Thread: 0, Name: "Take()"}},
 		{Ops: []history.SerialOp{{Thread: 1, Name: "Enqueue(1)", Result: "ok"}, {Thread: 0, Name: "Take()", Result: "1"}}},
 	})
-	// stuck is the history in which every thread called its one operation
-	// and none returned.
-	stuck := func(ops ...string) *history.History {
-		h := &history.History{Stuck: true}
+	// stuck is the execution in which every thread called its one operation
+	// and none returned; scheduler thread 0 is the setup thread.
+	stuck := func(ops ...string) *sched.Outcome {
+		out := &sched.Outcome{Stuck: true}
 		for i, op := range ops {
-			h.Events = append(h.Events, history.Event{Thread: i, Kind: history.Call, Op: op, Index: i})
+			out.Events = append(out.Events, sched.OpEvent{Thread: sched.ThreadID(i + 1), Kind: sched.EvCall, Op: op, OpIndex: i})
 		}
-		return h
+		return out
 	}
 	deciders := map[string]*phase2Decider{
 		"spec":  Options{}.decider(spec, nil, monitor.ModeAuto),
@@ -40,14 +41,14 @@ func TestStuckDecisionOrder(t *testing.T) {
 		{[]string{"Enqueue(1)", "Enqueue(2)"}, "Enqueue(1)"}, // neither has one
 	} {
 		for name, d := range deciders {
-			v, err := d.witness(stuck(c.ops...))
+			v, err := d.outcome(stuck(c.ops...))
 			if err != nil || v == nil || v.Kind != StuckNoWitness || v.Pending == nil || v.Pending.Name != c.want {
 				t.Errorf("%s on %q: got %v (err %v), want StuckNoWitness naming %s", name, c.ops, v, err, c.want)
 			}
 		}
 	}
 	for name, d := range deciders {
-		if v, err := d.witness(stuck("Take()")); v != nil || err != nil {
+		if v, err := d.outcome(stuck("Take()")); v != nil || err != nil {
 			t.Errorf("%s: Take() blocked on the empty queue has a stuck witness, got %v (err %v)", name, v, err)
 		}
 	}

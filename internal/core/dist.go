@@ -130,7 +130,7 @@ func PlanUnits(sub *Subject, m *Test, opts Options, spec *history.Spec, depth in
 		return plan, nil
 	}
 	var holder any
-	units, split, err := sched.SplitUnits(distExploreConfig(opts), program(sub, m, &holder), depth)
+	units, split, err := sched.SplitUnits(distExploreConfig(opts), opts.program(sub, m, &holder), depth)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +162,7 @@ func CheckUnit(sub *Subject, m *Test, opts Options, u sched.WorkUnit, spec *hist
 	defer flushCacheTelemetry(opts.Telemetry, acc.cache)
 	aborted := false
 	var holder any
-	stats, exploreErr := sched.ExploreUnit(distExploreConfig(opts), program(sub, m, &holder), u, func(out *sched.Outcome, p sched.Pos) bool {
+	stats, exploreErr := sched.ExploreUnit(distExploreConfig(opts), opts.program(sub, m, &holder), u, func(out *sched.Outcome, p sched.Pos) bool {
 		if tick != nil && !tick() {
 			aborted = true
 			return false
@@ -286,7 +286,7 @@ func MergeUnitReports(sub *Subject, m *Test, opts Options, plan *UnitPlan, repor
 	}
 	replay := func(what string, schedule []sched.ThreadID) (*sched.Outcome, error) {
 		var holder any
-		out, err := sched.ReplaySchedule(opts.exploreConfig(false, false).Config, program(sub, m, &holder), schedule)
+		out, err := sched.ReplaySchedule(opts.exploreConfig(false, false).Config, opts.program(sub, m, &holder), schedule)
 		if err != nil {
 			return nil, fmt.Errorf("core: replaying the first %s diverged: %w", what, err)
 		}

@@ -14,7 +14,7 @@ import (
 func (o Options) explore(sub *Subject, m *Test, cfg sched.ExploreConfig, visit func(*sched.Outcome, sched.Pos) bool) (sched.ExploreStats, error) {
 	return sched.ExploreParallel(cfg, o.exploreWorkers(), func() sched.Program {
 		var holder any
-		return program(sub, m, &holder)
+		return o.program(sub, m, &holder)
 	}, visit)
 }
 
@@ -24,6 +24,7 @@ func (o Options) explore(sub *Subject, m *Test, cfg sched.ExploreConfig, visit f
 // comparisons of Section 5.6, which analyze the same executions Line-Up's
 // phase 2 explores. The multiset of outcomes is the sequential DFS's for any
 // Options.Workers; their order is not when more than one worker explores.
+// The result of an operation opts relaxes reads RelaxedResult.
 // Visit calls are serialized under an internal lock, so single-threaded
 // visitors stay correct, and when visit returns false the statistics are
 // those of the sequential run that stops at the earliest such execution. An
@@ -42,5 +43,5 @@ func ForEachExecution(sub *Subject, m *Test, opts Options, recordTrace bool, vis
 // the same outcome lifetime: valid only during its visit.
 func ForEachSerialExecution(sub *Subject, m *Test, opts Options, recordTrace bool, visit func(*sched.Outcome) bool) (sched.ExploreStats, error) {
 	var holder any
-	return sched.Explore(opts.exploreConfig(true, recordTrace), program(sub, m, &holder), visit)
+	return sched.Explore(opts.exploreConfig(true, recordTrace), opts.program(sub, m, &holder), visit)
 }

@@ -8,10 +8,6 @@ import (
 	"lineup/internal/sched"
 )
 
-// Program exposes the sched.Program a check runs, so that external tests can
-// execute single schedules of a test under their own controller.
-var Program = program
-
 // WithCoverage returns o with Generate's coverage accumulator set to c, so
 // that external tests can read what a check adds to it.
 func WithCoverage(o Options, c *Coverage) Options {
@@ -44,26 +40,25 @@ func SetRecruitAfter(n int) (restore func()) {
 
 // DecisionPaths returns the two ways to decide the history of an outcome
 // against spec under opts: raw is phase 2's, from the outcome's events, with
-// the operations it decides on, and ref asks Options.decision of the
-// materialized history, which is what phase 2 did before it decided from
-// raw events.
+// the operations it decides on, and ref is specDecide on the operations of
+// the materialized history, History.Ops being the independent reference for
+// the operations taken from raw events.
 func DecisionPaths(spec *history.Spec, opts Options) (
 	raw func(*sched.Outcome) ([]history.Op, *Violation, error),
 	ref func(*sched.Outcome) (h *history.History, ok bool, pending *history.Op, err error),
 ) {
-	decide := opts.decision(spec, monitor.ModeAuto)
 	d := opts.decider(spec, nil, monitor.ModeAuto)
 	raw = func(out *sched.Outcome) ([]history.Op, *Violation, error) {
 		v, err := d.outcome(out)
-		return appendOps([]history.Op{}, out.Events, d.relaxed), v, err
+		return appendOps([]history.Op{}, out.Events), v, err
 	}
 	ref = func(out *sched.Outcome) (*history.History, bool, *history.Op, error) {
-		h, err := materialize(out, opts.relaxedSet())
+		h, err := OutcomeHistory(out)
 		if err != nil {
 			return nil, false, nil, err
 		}
-		ok, pending, err := decide(h)
-		return h, ok, pending, err
+		ok, pending := specDecide(spec, h.Ops(), h.Stuck)
+		return h, ok, pending, nil
 	}
 	return raw, ref
 }

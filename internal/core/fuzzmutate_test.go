@@ -75,13 +75,13 @@ func FuzzMutate(f *testing.F) {
 			Config:          cfg,
 			PreemptionBound: 1,
 			MaxExecutions:   4,
-		}, program(sub, m, &holder), func(out *sched.Outcome) bool {
+		}, opts.program(sub, m, &holder), func(out *sched.Outcome) bool {
 			execs++
 			if out.Err != nil {
 				t.Fatalf("subject panicked on mutant:\n%s\n%v", m, out.Err)
 			}
 			var rh any
-			replay, rerr := sched.ReplaySchedule(cfg, program(sub, m, &rh), out.Schedule)
+			replay, rerr := sched.ReplaySchedule(cfg, opts.program(sub, m, &rh), out.Schedule)
 			if rerr != nil {
 				t.Fatalf("schedule diverged on replay of mutant:\n%s\n%v", m, rerr)
 			}

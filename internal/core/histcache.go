@@ -16,11 +16,11 @@ import (
 //
 // A history's key is its own bytes, built directly from the outcome's event
 // stream: per event the uvarint thread<<1|kind, then the length-prefixed
-// operation and, on a return, the length-prefixed result — wildcarded for a
-// relaxed operation, mirroring materialize, so spec and history keys
-// agree — and a stuck execution ends in 0xFF. Every event is at least two
-// bytes, so a lone trailing byte can only be that marker, and the key decodes
-// back to its events: equal keys are equal histories. The key names nothing
+// operation and, on a return, the length-prefixed result as recorded — the
+// program has already wildcarded a relaxed operation's (see Relax) — and a
+// stuck execution ends in 0xFF. Every event is at least two bytes, so a lone
+// trailing byte can only be that marker, and the key decodes back to its
+// events: equal keys are equal histories. The key names nothing
 // outside itself, so it is the same in every worker and every process, which
 // is what lets unit reports (UnitKey.Key) merge across processes.
 //
@@ -74,9 +74,9 @@ func appendString(b []byte, s string) []byte {
 
 // lookup encodes out's history into its key and returns its cache entry,
 // reporting whether the history is new. It validates the outcome exactly
-// like materialize: events from the setup pseudo-thread and stuck executions
+// like OutcomeHistory: events from the setup pseudo-thread and stuck executions
 // without pending operations are errors.
-func (hc *histCache) lookup(out *sched.Outcome, relaxed map[string]bool) (*histEntry, bool, error) {
+func (hc *histCache) lookup(out *sched.Outcome) (*histEntry, bool, error) {
 	b := hc.buf[:0]
 	pending := 0
 	for i := range out.Events {
@@ -90,12 +90,7 @@ func (hc *histCache) lookup(out *sched.Outcome, relaxed map[string]bool) (*histE
 			continue
 		}
 		pending--
-		b = appendString(binary.AppendUvarint(b, uint64(e.Thread)<<1|1), e.Op)
-		res := e.Result
-		if relaxed[e.Op] {
-			res = RelaxedResult
-		}
-		b = appendString(b, res)
+		b = appendString(appendString(binary.AppendUvarint(b, uint64(e.Thread)<<1|1), e.Op), e.Result)
 	}
 	if out.Stuck {
 		if pending == 0 {

@@ -67,10 +67,11 @@ func TestCoverageIndependentOfArrivalOrder(t *testing.T) {
 
 // FuzzHistoryKey holds the history key to its definition on hostile strings:
 // two outcomes share a key exactly when their sequences of thread, kind,
-// operation, result after relaxation and stuck marker are equal. The first
-// program byte says which outcomes are stuck and whether the operation a is
-// relaxed; every further byte is one event of outcome A or B, its thread,
-// kind, operation and result picked from {a, b, c}.
+// operation, result and stuck marker are equal. The first program byte says
+// which outcomes are stuck and whether the operation a is relaxed, whose
+// returns are then recorded with the wildcard, as the program records them;
+// every further byte is one event of outcome A or B, its thread, kind,
+// operation and result picked from {a, b, c}.
 func FuzzHistoryKey(f *testing.F) {
 	f.Add("", ",", "\x00", []byte{0, 0x04, 0x8c, 0x0c, 0x84})
 	f.Add("\xff", strings.Repeat("x", 130), "", []byte{1, 0x00, 0x80, 0x0c, 0x8c})
@@ -82,13 +83,16 @@ func FuzzHistoryKey(f *testing.F) {
 			return
 		}
 		vals := [4]string{a, b, c, a}
-		relaxed := map[string]bool{a: prog[0]&4 != 0}
+		relaxed := prog[0]&4 != 0
 		var outs [2]sched.Outcome
 		outs[0].Stuck, outs[1].Stuck = prog[0]&1 != 0, prog[0]&2 != 0
 		for _, p := range prog[1:] {
 			e := sched.OpEvent{Thread: sched.ThreadID(1 + p&3), Op: vals[p>>3&3]}
 			if p&4 != 0 {
 				e.Kind, e.Result = sched.EvReturn, vals[p>>5&3]
+				if relaxed && e.Op == a {
+					e.Result = RelaxedResult
+				}
 			}
 			outs[p>>7].Events = append(outs[p>>7].Events, e)
 		}
@@ -102,16 +106,13 @@ func FuzzHistoryKey(f *testing.F) {
 		spelled := func(out *sched.Outcome) []seq {
 			s := []seq{}
 			for _, e := range out.Events {
-				if e.Kind == sched.EvReturn && relaxed[e.Op] {
-					e.Result = RelaxedResult
-				}
 				s = append(s, seq{e.Thread, e.Kind, e.Op, e.Result})
 			}
 			return s
 		}
 		hc := newHistCache()
-		enA, _, errA := hc.lookup(&outs[0], relaxed)
-		enB, _, errB := hc.lookup(&outs[1], relaxed)
+		enA, _, errA := hc.lookup(&outs[0])
+		enB, _, errB := hc.lookup(&outs[1])
 		if errA != nil || errB != nil {
 			return // stuck outside any operation: refused, never keyed
 		}

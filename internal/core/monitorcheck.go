@@ -1,31 +1,44 @@
 package core
 
 import (
+	"sync"
+
 	"lineup/internal/history"
 	"lineup/internal/monitor"
+	"lineup/internal/sched"
 )
 
-// decision builds phase 2's one question per distinct history: has h a
-// witness, and if not, which pending operation has no stuck serial witness?
-// The history's own stuck marker picks the definition (Fig. 5 lines 8 and
-// 13): a complete history needs a full serial witness, a stuck one a stuck
-// serial witness for every pending operation (Definition 3). With a model the
-// monitor runs that loop itself; mode is monitor.ModeClassic only under
-// CheckWithMonitor's ClassicOnly, the one place Definition 1 is decided.
-// Without one it is specDecide's lookup in phase 1's specification set.
-func (o Options) decision(spec *history.Spec, mode monitor.Mode) func(*history.History) (ok bool, pending *history.Op, err error) {
+// decision builds phase 2's one question per distinct history, asked of
+// the first execution that yields it: has its history a witness, and if not,
+// which pending operation has no stuck serial witness? The history's own
+// stuck marker picks the definition (Fig. 5 lines 8 and 13): a complete
+// history needs a full serial witness, a stuck one a stuck serial witness for
+// every pending operation (Definition 3). With a model the monitor runs that
+// loop itself on the materialized history; mode is monitor.ModeClassic only
+// under CheckWithMonitor's ClassicOnly, the one place Definition 1 is
+// decided. Without one it is specDecide's lookup in phase 1's specification
+// set, on operations taken straight from the execution's events into a
+// pooled buffer: decisions run on several workers at once.
+func (o Options) decision(spec *history.Spec, mode monitor.Mode) func(*sched.Outcome) (ok bool, pending *history.Op, err error) {
 	if model := o.MonitorModel; model != nil {
 		opts := monitor.Options{Mode: mode, Telemetry: o.Telemetry}
-		return func(h *history.History) (bool, *history.Op, error) {
-			out, err := monitor.Check(model, h, opts)
+		return func(out *sched.Outcome) (bool, *history.Op, error) {
+			h, err := OutcomeHistory(out)
 			if err != nil {
 				return false, nil, err
 			}
-			return out.Linearizable, out.FailedPending, nil
+			res, err := monitor.Check(model, h, opts)
+			if err != nil {
+				return false, nil, err
+			}
+			return res.Linearizable, res.FailedPending, nil
 		}
 	}
-	return func(h *history.History) (bool, *history.Op, error) {
-		ok, pending := specDecide(spec, h.Ops(), h.Stuck)
+	return func(out *sched.Outcome) (bool, *history.Op, error) {
+		buf := opBufs.Get().(*[]history.Op)
+		defer opBufs.Put(buf)
+		*buf = appendOps((*buf)[:0], out.Events)
+		ok, pending := specDecide(spec, *buf, out.Stuck)
 		return ok, pending, nil
 	}
 }
@@ -47,6 +60,28 @@ func specDecide(spec *history.Spec, ops []history.Op, stuck bool) (bool, *histor
 		}
 	}
 	return true, nil
+}
+
+// opBufs holds the operation buffers of the spec decisions in flight.
+var opBufs = sync.Pool{New: func() any { return new([]history.Op) }}
+
+// appendOps appends what OutcomeHistory(out).Ops() would give to ops. The
+// events are well-formed, as histCache.lookup has checked: a return belongs
+// to its thread's last call.
+func appendOps(ops []history.Op, events []sched.OpEvent) []history.Op {
+	for pos, e := range events {
+		th := int(e.Thread) - 1 // see OutcomeHistory
+		if e.Kind == sched.EvCall {
+			ops = append(ops, history.Op{Thread: th, Name: e.Op, CallPos: pos, RetPos: -1, Index: e.OpIndex})
+			continue
+		}
+		i := len(ops) - 1
+		for ops[i].Thread != th {
+			i--
+		}
+		ops[i].Result, ops[i].Complete, ops[i].RetPos = e.Result, true, pos
+	}
+	return ops
 }
 
 // CheckWithMonitor checks sub against an executable sequential model using

@@ -15,7 +15,7 @@ import (
 // panic into a per-entry error and still close the entry's done channel; a
 // waiter blocked on an entry whose decider died would otherwise hang its
 // worker — and ExploreParallel's final join — forever.
-func panicDecide(*history.History) (bool, *history.Op, error) {
+func panicDecide(*sched.Outcome) (bool, *history.Op, error) {
 	panic("witness decision exploded")
 }
 
@@ -46,7 +46,7 @@ func TestParallelWitnessPanicDoesNotHangWaiters(t *testing.T) {
 	}}
 	newProg := func() sched.Program {
 		var holder any
-		return program(sub, m, &holder)
+		return Options{}.program(sub, m, &holder)
 	}
 	cfg := sched.ExploreConfig{PreemptionBound: 2, MaxExecutions: 200000}
 	for _, workers := range []int{1, 4} {

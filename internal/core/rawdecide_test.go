@@ -11,12 +11,12 @@ import (
 )
 
 // TestRawDecisionMatchesMaterialized holds phase 2's decision from raw events
-// to the one it replaced, Options.decision on the materialized history, on
-// every distinct history phase 2 explores for every directed cause case, and
-// for the three cases whose intentional nondeterminism a relaxed operation
-// excuses (Section 6). The verdicts must agree, and a violation must carry
-// the materialized history, the kind and the pending operation the reference
-// names.
+// to specDecide on the materialized history's operations, on every distinct
+// history phase 2 explores for every directed cause case, and for the three
+// cases whose intentional nondeterminism a relaxed operation excuses
+// (Section 6). The operations must equal History.Ops, the verdicts must
+// agree, and a violation must carry the materialized history, the kind and
+// the pending operation the reference names.
 func TestRawDecisionMatchesMaterialized(t *testing.T) {
 	type run struct {
 		name    string

@@ -5,9 +5,10 @@ package core
 const RelaxedResult = "*"
 
 // Relax marks the named operations (display names, e.g. "Count()") as
-// nondeterministic: their results are replaced by a wildcard before
-// specification synthesis and witness checking, so differing results never
-// cause a failure while the operations' ordering and blocking behavior are
+// nondeterministic: their results are recorded as the wildcard, where the
+// test's program records each result, so neither specification synthesis nor
+// witness checking ever sees them and differing results never cause a
+// failure while the operations' ordering and blocking behavior are
 // still checked. This implements the paper's future-work item of Section 6
 // ("incorporate support for nondeterministic methods, such as methods that
 // may fail on interference"): after the developers of ConcurrentBag and
@@ -17,16 +18,4 @@ const RelaxedResult = "*"
 func (o Options) Relax(names ...string) Options {
 	o.RelaxedOps = append(append([]string(nil), o.RelaxedOps...), names...)
 	return o
-}
-
-// relaxedSet builds the lookup set from the options.
-func (o Options) relaxedSet() map[string]bool {
-	if len(o.RelaxedOps) == 0 {
-		return nil
-	}
-	m := make(map[string]bool, len(o.RelaxedOps))
-	for _, n := range o.RelaxedOps {
-		m[n] = true
-	}
-	return m
 }

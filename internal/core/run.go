@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"lineup/internal/history"
 	"lineup/internal/sched"
@@ -14,8 +15,28 @@ func (m *Test) FinalThread() int { return len(m.Rows) }
 
 // program builds the sched.Program for one test of one subject. The object
 // holder is shared across executions of the same exploration; the setup
-// thread overwrites it with a fresh object each time.
-func program(sub *Subject, m *Test, holder *any) sched.Program {
+// thread overwrites it with a fresh object each time. An operation o relaxes
+// (see Relax) is recorded with RelaxedResult as its result, so every history
+// the program yields carries the wildcard: phase 1's and phase 2's alike.
+func (o Options) program(sub *Subject, m *Test, holder *any) sched.Program {
+	// run is the body that calls ops in order as operations of the history,
+	// with their names and relaxation resolved once per exploration.
+	run := func(ops []Op) func(*sched.Thread) {
+		names, relaxed := opNames(ops), make([]bool, len(ops))
+		for i, name := range names {
+			relaxed[i] = slices.Contains(o.RelaxedOps, name)
+		}
+		return func(t *sched.Thread) {
+			for i, op := range ops {
+				t.OpStart(names[i])
+				res := op.Run(t, *holder)
+				if relaxed[i] {
+					res = RelaxedResult
+				}
+				t.OpEnd(names[i], res)
+			}
+		}
+	}
 	prog := sched.Program{
 		Setup: func(t *sched.Thread) {
 			*holder = sub.New(t)
@@ -25,25 +46,10 @@ func program(sub *Subject, m *Test, holder *any) sched.Program {
 		},
 	}
 	for _, row := range m.Rows {
-		row := row
-		names := opNames(row)
-		prog.Threads = append(prog.Threads, func(t *sched.Thread) {
-			for i, op := range row {
-				t.OpStart(names[i])
-				res := op.Run(t, *holder)
-				t.OpEnd(names[i], res)
-			}
-		})
+		prog.Threads = append(prog.Threads, run(row))
 	}
 	if len(m.Final) > 0 {
-		names := opNames(m.Final)
-		prog.Teardown = func(t *sched.Thread) {
-			for i, op := range m.Final {
-				t.OpStart(names[i])
-				res := op.Run(t, *holder)
-				t.OpEnd(names[i], res)
-			}
-		}
+		prog.Teardown = run(m.Final)
 	}
 	return prog
 }
@@ -60,13 +66,13 @@ func opNames(row []Op) []string {
 	return names
 }
 
-// materialize converts an execution outcome into its history, with the
-// results of relaxed operations wildcarded (see Relax) so that spec and
-// history signatures agree. Scheduler thread IDs are shifted down by one
-// because the setup pseudo-thread always takes ID 0 and records no events;
-// test thread i therefore appears as history thread i, and the teardown
-// thread as FinalThread().
-func materialize(out *sched.Outcome, relaxed map[string]bool) (*history.History, error) {
+// OutcomeHistory converts a scheduler execution outcome into its history:
+// the conversion phase 1 and phase 2 apply to every explored execution,
+// exported for tests and tooling outside core. Scheduler thread IDs are
+// shifted down by one because the setup pseudo-thread always takes ID 0 and
+// records no events; test thread i therefore appears as history thread i,
+// and the teardown thread as FinalThread().
+func OutcomeHistory(out *sched.Outcome) (*history.History, error) {
 	h := &history.History{Stuck: out.Stuck, Events: make([]history.Event, 0, len(out.Events))}
 	for _, e := range out.Events {
 		if e.Thread == 0 {
@@ -75,9 +81,6 @@ func materialize(out *sched.Outcome, relaxed map[string]bool) (*history.History,
 		ev := history.Event{Thread: int(e.Thread) - 1, Kind: history.Call, Op: e.Op, Result: e.Result, Index: e.OpIndex}
 		if e.Kind == sched.EvReturn {
 			ev.Kind = history.Return
-			if relaxed[e.Op] {
-				ev.Result = RelaxedResult
-			}
 		}
 		h.Events = append(h.Events, ev)
 	}
@@ -87,16 +90,9 @@ func materialize(out *sched.Outcome, relaxed map[string]bool) (*history.History,
 	return h, nil
 }
 
-// OutcomeHistory converts a scheduler execution outcome into a history. It
-// is the exported form of the conversion phase 1 and phase 2 apply to every
-// explored execution, for tests and tooling outside core.
-func OutcomeHistory(out *sched.Outcome) (*history.History, error) {
-	return materialize(out, nil)
-}
-
 // ExploreHistories enumerates the distinct concurrent histories that
 // phase-2 exploration of sub on m emits (deduplicated, with relaxed results
-// normalized) and calls visit for each one, without deciding witness
+// wildcarded) and calls visit for each one, without deciding witness
 // existence. Returning false from visit stops the exploration. This exposes
 // the observation side of phase 2 for crosscheck tests and external
 // monitoring tools.
@@ -107,13 +103,13 @@ func ExploreHistories(sub *Subject, m *Test, opts Options, visit func(*history.H
 	// whatever Options.MaxFailures says.
 	cfg := opts.exploreConfig(false, false)
 	cfg.ContinueOnFailure = false
-	cache, relaxed := newHistCache(), opts.relaxedSet()
-	_, exploreErr := sched.Explore(cfg, program(sub, m, &holder), func(out *sched.Outcome) bool {
+	cache := newHistCache()
+	_, exploreErr := sched.Explore(cfg, opts.program(sub, m, &holder), func(out *sched.Outcome) bool {
 		// Each distinct history is handed over once; a conversion error stops.
 		var isNew bool
-		if _, isNew, err = cache.lookup(out, relaxed); err == nil && isNew {
+		if _, isNew, err = cache.lookup(out); err == nil && isNew {
 			var h *history.History
-			if h, err = materialize(out, relaxed); err == nil {
+			if h, err = OutcomeHistory(out); err == nil {
 				return visit(h)
 			}
 		}

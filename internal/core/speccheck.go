@@ -47,7 +47,6 @@ func SynthesizeSpec(sub *Subject, m *Test, opts Options) (*history.Spec, PhaseSt
 	start := time.Now()
 	endSpan := opts.Telemetry.StartSpan("phase1")
 	defer endSpan()
-	relaxed := opts.relaxedSet()
 	// Phase 1 arms the containment config (watchdog, leak detection) but
 	// stays strict: serial executions run deterministic subject code, so a
 	// failure here is not schedule-dependent and aborts the check. Serial
@@ -56,7 +55,7 @@ func SynthesizeSpec(sub *Subject, m *Test, opts Options) (*history.Spec, PhaseSt
 	// spec, which deduplicates on its own.
 	stats, exploreErr := ForEachSerialExecution(sub, m, opts, false, func(out *sched.Outcome) bool {
 		var h *history.History
-		if h, err = materialize(out, relaxed); err != nil {
+		if h, err = OutcomeHistory(out); err != nil {
 			return false
 		}
 		spec.Add(history.ToSerial(h))
@@ -87,92 +86,37 @@ func SynthesizeSpec(sub *Subject, m *Test, opts Options) (*history.Spec, PhaseSt
 // phase2Decider is the per-history decision procedure of phase 2: only the
 // first occurrence of a history's key (histCache) pays for its one decision.
 type phase2Decider struct {
-	decide  func(*history.History) (ok bool, pending *history.Op, err error)
-	spec    *history.Spec // decided from raw events; nil when a model decides
-	m       *Test
-	relaxed map[string]bool
-	tel     *telemetry.Collector
+	decide func(*sched.Outcome) (ok bool, pending *history.Op, err error)
+	m      *Test
+	tel    *telemetry.Collector
 }
 
 // decider assembles the decision procedure the (validated) options select.
 func (o Options) decider(spec *history.Spec, m *Test, mode monitor.Mode) *phase2Decider {
-	d := &phase2Decider{decide: o.decision(spec, mode), m: m, relaxed: o.relaxedSet(), tel: o.Telemetry}
-	if o.MonitorModel == nil {
-		d.spec = spec
-	}
-	return d
+	return &phase2Decider{decide: o.decision(spec, mode), m: m, tel: o.Telemetry}
 }
 
-// witness decides witness existence for one not-yet-seen history, returning
-// the violation it proves (nil if the history is covered) or a decision error.
-func (d *phase2Decider) witness(h *history.History) (*Violation, error) {
+// outcome decides the history of out, the first occurrence of its key,
+// returning the violation it proves (nil if the history is covered) or a
+// decision error. The history is materialized only for a violation.
+func (d *phase2Decider) outcome(out *sched.Outcome) (*Violation, error) {
 	// One query per distinct history; search node counts are reported by
 	// the monitor itself.
 	d.tel.Add(telemetry.WitnessQueries, 1)
-	ok, pending, err := d.decide(h)
+	ok, pending, err := d.decide(out)
 	if err != nil || ok {
 		return nil, err
 	}
-	return d.violation(h, pending), nil
-}
-
-// violation is what h proves: a stuck one when pending names an operation.
-func (d *phase2Decider) violation(h *history.History, pending *history.Op) *Violation {
-	if pending != nil {
-		return &Violation{Kind: StuckNoWitness, Test: d.m, History: h, Pending: pending}
-	}
-	return &Violation{Kind: NoWitness, Test: d.m, History: h}
-}
-
-// opBufs holds the operation buffers of the raw-event decisions in flight.
-var opBufs = sync.Pool{New: func() any { return new([]history.Op) }}
-
-// outcome decides the history of out, the first occurrence of its key: a
-// model decides it materialized (witness), the spec from the operations of
-// out's events, materializing it only for the violation it proves.
-func (d *phase2Decider) outcome(out *sched.Outcome) (*Violation, error) {
-	if d.spec == nil {
-		h, err := materialize(out, d.relaxed)
-		if err != nil {
-			return nil, err
-		}
-		return d.witness(h)
-	}
-	d.tel.Add(telemetry.WitnessQueries, 1)
-	buf := opBufs.Get().(*[]history.Op)
-	defer opBufs.Put(buf)
-	*buf = appendOps((*buf)[:0], out.Events, d.relaxed)
-	ok, pending := specDecide(d.spec, *buf, out.Stuck)
-	if ok {
-		return nil, nil
-	}
-	h, err := materialize(out, d.relaxed)
+	h, err := OutcomeHistory(out)
 	if err != nil {
 		return nil, err
 	}
-	return d.violation(h, pending), nil
-}
-
-// appendOps appends what materialize(out, relaxed).Ops() would give to ops.
-// The events are well-formed, as histCache.lookup has checked: a return
-// belongs to its thread's last call.
-func appendOps(ops []history.Op, events []sched.OpEvent, relaxed map[string]bool) []history.Op {
-	for pos, e := range events {
-		th := int(e.Thread) - 1 // see materialize
-		if e.Kind == sched.EvCall {
-			ops = append(ops, history.Op{Thread: th, Name: e.Op, CallPos: pos, RetPos: -1, Index: e.OpIndex})
-			continue
-		}
-		i := len(ops) - 1
-		for ops[i].Thread != th {
-			i--
-		}
-		ops[i].Result, ops[i].Complete, ops[i].RetPos = e.Result, true, pos
-		if relaxed[e.Op] {
-			ops[i].Result = RelaxedResult
-		}
+	// A stuck violation names the pending operation without a witness.
+	v := &Violation{Kind: NoWitness, Test: d.m, History: h, Pending: pending}
+	if pending != nil {
+		v.Kind = StuckNoWitness
 	}
-	return ops
+	return v, nil
 }
 
 // phase2Acc accumulates the phase-2 state of every exploration path: the
@@ -227,7 +171,7 @@ func (s *phase2Acc) visit(out *sched.Outcome, p sched.Pos) bool {
 			s.pairs[k] = append(q[:0], p...)
 		}
 	}
-	en, isNew, herr := s.cache.lookup(out, s.d.relaxed)
+	en, isNew, herr := s.cache.lookup(out)
 	if herr != nil {
 		s.errs = append(s.errs, posError{p.Clone(), herr})
 		s.mu.Unlock()
