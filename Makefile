@@ -38,11 +38,13 @@ race:
 # subjects), the invariants of what an exploration keeps from one execution
 # to the next (pool_test.go), the wait set's semantics,
 # the point/switch tests, the goroutine-leak count (a rogue goroutine is
-# reported, a clean run is not) and an unwatched four-worker exploration (no
-# watchdog, so the scheduler takes no lock) run under the race detector on
-# every `make check`.
+# reported, a clean run is not), an unwatched four-worker exploration (no
+# watchdog, so the scheduler takes no lock) and the split-stack suites (a
+# split stack is the one thing that carries footprints to another worker, and
+# its nodes re-keep them in their own stores; about 4 s on 2 CPUs) run under
+# the race detector on every `make check`.
 sched-smoke:
-	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool|TestWaitSet|TestPoint|TestDetectLeaks|TestUnwatched' ./internal/sched
+	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool|TestWaitSet|TestPoint|TestDetectLeaks|TestUnwatched|TestParallelSplitEverywhereEquivalence|TestParallelReductionEquivalence|TestUnitsReproduceSequentialExploration' ./internal/sched
 
 # Race-enabled smoke of phase 2's decisions: several workers decide distinct
 # histories at once, each on an operation buffer from one shared pool, while

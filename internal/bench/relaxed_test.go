@@ -1,6 +1,8 @@
 package bench_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"lineup/internal/bench"
@@ -141,6 +143,61 @@ func TestRelaxedResultsRecordedAtSource(t *testing.T) {
 		res.Phase1.Duration, res.Phase2.Duration = 0, 0
 		if res.Verdict != core.Pass || res.Phase1 != tc.p1 || res.Phase2 != tc.p2 {
 			t.Errorf("%s relaxed: %v, phase 1 %+v, phase 2 %+v; want PASS, %+v, %+v", tc.cause, res.Verdict, res.Phase1, res.Phase2, tc.p1, tc.p2)
+		}
+	}
+}
+
+// TestRelaxedNameMustNameAnOperation: a relaxed name that is no operation's
+// display name relaxes nothing, so every entry point that knows the subject
+// refuses it before running anything. On cause H, "Count" (no parentheses)
+// is refused with an *OptionsError naming RelaxedOps and the name, and
+// "Count()" is accepted (TestRelaxedResultsRecordedAtSource pins its
+// verdict and statistics).
+func TestRelaxedNameMustNameAnOperation(t *testing.T) {
+	c := findCause(t, bench.CauseH)
+	base := core.Options{PreemptionBound: c.Bound, Workers: 1}
+	good := base.Relax("Count()")
+	spec, _, err := core.SynthesizeSpec(c.Subject, c.Test, good)
+	if err != nil {
+		t.Fatalf("phase 1: %v", err)
+	}
+	plan, err := core.PlanUnits(c.Subject, c.Test, good, nil, 0)
+	if err != nil || len(plan.Units) == 0 {
+		t.Fatalf("plan: %v", err)
+	}
+	entries := []struct {
+		name string
+		run  func(core.Options) error
+	}{
+		{"Check", func(o core.Options) error {
+			_, err := core.Check(c.Subject, c.Test, o)
+			return err
+		}},
+		{"CheckAgainstSpec", func(o core.Options) error {
+			_, err := core.CheckAgainstSpec(c.Subject, c.Test, spec, o)
+			return err
+		}},
+		{"RandomCheck", func(o core.Options) error {
+			_, err := core.RandomCheck(c.Subject, nil, core.RandomOptions{Options: o, Rows: 2, Cols: 1, Samples: 1, Seed: 1})
+			return err
+		}},
+		{"PlanUnits", func(o core.Options) error {
+			_, err := core.PlanUnits(c.Subject, c.Test, o, nil, 0)
+			return err
+		}},
+		{"CheckUnit", func(o core.Options) error {
+			_, err := core.CheckUnit(c.Subject, c.Test, o, plan.Units[0], plan.Spec, nil)
+			return err
+		}},
+	}
+	for _, e := range entries {
+		if err := e.run(good); err != nil {
+			t.Errorf("%s with Count() relaxed: %v", e.name, err)
+		}
+		err := e.run(base.Relax("Count"))
+		var oe *core.OptionsError
+		if !errors.As(err, &oe) || oe.Field != "RelaxedOps" || !strings.Contains(oe.Reason, `"Count"`) {
+			t.Errorf("%s with Count relaxed: %v, want an *OptionsError naming RelaxedOps and \"Count\"", e.name, err)
 		}
 	}
 }

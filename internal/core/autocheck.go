@@ -195,7 +195,7 @@ func RandomCheck(sub *Subject, universe []Op, opts RandomOptions) (*RandomSummar
 	if len(universe) == 0 {
 		universe = sub.Ops
 	}
-	switch err := opts.validate(true); {
+	switch err := opts.validate(sub, true); {
 	case err != nil:
 		return nil, err
 	case opts.Rows < 0:

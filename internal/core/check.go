@@ -151,9 +151,11 @@ func (e *OptionsError) Error() string {
 	return fmt.Sprintf("core: invalid options: %s: %s", e.Field, e.Reason)
 }
 
-// validate owns core's cross-option rules. haveSpec says whether a phase-1
-// specification is available to phase 2 (it is not under CheckWithMonitor).
-func (o Options) validate(haveSpec bool) error {
+// validate owns core's cross-option rules for a check of sub. haveSpec says
+// whether a phase-1 specification is available to phase 2 (it is not under
+// CheckWithMonitor). A relaxed name must be the display name of one of sub's
+// operations: a typo would otherwise relax nothing.
+func (o Options) validate(sub *Subject, haveSpec bool) error {
 	switch {
 	case o.PreemptionBound < NoPreemptions:
 		return &OptionsError{"PreemptionBound", fmt.Sprintf("%d is below NoPreemptions (%d)", o.PreemptionBound, NoPreemptions)}
@@ -165,6 +167,11 @@ func (o Options) validate(haveSpec bool) error {
 		return &OptionsError{"MonitorModel", "without a phase-1 specification the witness search needs a model"}
 	case o.DetectLeaks && o.Workers > 1:
 		return &OptionsError{"DetectLeaks", "leak detection counts the goroutines of the whole process and needs executions to run one at a time (Workers 0 or 1)"}
+	}
+	for _, name := range o.RelaxedOps {
+		if _, ok := sub.FindOp(name); !ok {
+			return &OptionsError{"RelaxedOps", fmt.Sprintf("%q is not an operation of %s", name, sub.Name)}
+		}
 	}
 	return nil
 }
@@ -325,7 +332,7 @@ type Result struct {
 // Section 4.3).
 func Check(sub *Subject, m *Test, opts Options) (*Result, error) {
 	// Refuse an illegal combination before paying for phase 1.
-	if err := opts.validate(true); err != nil {
+	if err := opts.validate(sub, true); err != nil {
 		return nil, err
 	}
 	spec, p1, err := SynthesizeSpec(sub, m, opts)

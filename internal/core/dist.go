@@ -115,7 +115,7 @@ func distExploreConfig(opts Options) sched.ExploreConfig {
 // nondeterministic serial behavior the plan carries the violation and no
 // units.
 func PlanUnits(sub *Subject, m *Test, opts Options, spec *history.Spec, depth int) (*UnitPlan, error) {
-	if err := opts.validate(true); err != nil {
+	if err := opts.validate(sub, true); err != nil {
 		return nil, err
 	}
 	plan := &UnitPlan{Spec: spec}
@@ -150,7 +150,7 @@ func PlanUnits(sub *Subject, m *Test, opts Options, spec *history.Spec, depth in
 // hang) never abort the unit: they are classified and recorded in the report,
 // and the merge applies Options.MaxFailures with sequential precedence.
 func CheckUnit(sub *Subject, m *Test, opts Options, u sched.WorkUnit, spec *history.Spec, tick func() bool) (*UnitReport, error) {
-	if err := opts.validate(true); err != nil {
+	if err := opts.validate(sub, true); err != nil {
 		return nil, err
 	}
 	if _, bad := spec.Nondeterministic(); bad {

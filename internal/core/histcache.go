@@ -24,13 +24,13 @@ import (
 // outside itself, so it is the same in every worker and every process, which
 // is what lets unit reports (UnitKey.Key) merge across processes.
 //
-// histCache is not safe for concurrent use; the phase-2 accumulator
-// serializes lookups under its own lock and runs witness decisions outside
+// A key is encoded by appendKey into a buffer its caller owns, and histCache
+// only probes. histCache is not safe for concurrent use: the phase-2
+// accumulator encodes outside its lock, probes under it and decides outside
 // it (see phase2Acc).
 type histCache struct {
 	m    map[string]*histEntry
-	buf  []byte // reusable encode buffer
-	hits int    // lookups answered by an existing entry
+	hits int // probes answered by an existing entry
 }
 
 // histEntry is the memoized state of one distinct history: everything the
@@ -72,17 +72,15 @@ func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// lookup encodes out's history into its key and returns its cache entry,
-// reporting whether the history is new. It validates the outcome exactly
-// like OutcomeHistory: events from the setup pseudo-thread and stuck executions
-// without pending operations are errors.
-func (hc *histCache) lookup(out *sched.Outcome) (*histEntry, bool, error) {
-	b := hc.buf[:0]
+// appendKey appends the key of out's history to b. It validates the outcome
+// exactly like OutcomeHistory: events from the setup pseudo-thread and stuck
+// executions without pending operations are errors.
+func appendKey(b []byte, out *sched.Outcome) ([]byte, error) {
 	pending := 0
 	for i := range out.Events {
 		e := &out.Events[i]
 		if e.Thread == 0 {
-			return nil, false, fmt.Errorf("core: unexpected history event from setup thread")
+			return b, fmt.Errorf("core: unexpected history event from setup thread")
 		}
 		if e.Kind == sched.EvCall {
 			pending++
@@ -94,16 +92,21 @@ func (hc *histCache) lookup(out *sched.Outcome) (*histEntry, bool, error) {
 	}
 	if out.Stuck {
 		if pending == 0 {
-			return nil, false, fmt.Errorf("core: execution stuck outside any operation (constructor or init sequence blocked)")
+			return b, fmt.Errorf("core: execution stuck outside any operation (constructor or init sequence blocked)")
 		}
 		b = append(b, 0xFF)
 	}
-	hc.buf = b
-	if en, ok := hc.m[string(b)]; ok {
+	return b, nil
+}
+
+// probe returns the cache entry of the history whose key is key, reporting
+// whether the history is new.
+func (hc *histCache) probe(key []byte, stuck bool) (*histEntry, bool) {
+	if en, ok := hc.m[string(key)]; ok {
 		hc.hits++
-		return en, false, nil
+		return en, false
 	}
-	en := &histEntry{key: string(b), stuck: out.Stuck}
+	en := &histEntry{key: string(key), stuck: stuck}
 	hc.m[en.key] = en
-	return en, true, nil
+	return en, true
 }

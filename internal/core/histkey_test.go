@@ -111,11 +111,13 @@ func FuzzHistoryKey(f *testing.F) {
 			return s
 		}
 		hc := newHistCache()
-		enA, _, errA := hc.lookup(&outs[0])
-		enB, _, errB := hc.lookup(&outs[1])
+		keyA, errA := appendKey(nil, &outs[0])
+		keyB, errB := appendKey(nil, &outs[1])
 		if errA != nil || errB != nil {
 			return // stuck outside any operation: refused, never keyed
 		}
+		enA, _ := hc.probe(keyA, outs[0].Stuck)
+		enB, _ := hc.probe(keyB, outs[1].Stuck)
 		want := outs[0].Stuck == outs[1].Stuck && reflect.DeepEqual(spelled(&outs[0]), spelled(&outs[1]))
 		if (enA == enB) != want {
 			t.Fatalf("shared key %v, equal histories %v:\nA %q\nB %q", enA == enB, want, enA.key, enB.key)

@@ -66,7 +66,7 @@ func specDecide(spec *history.Spec, ops []history.Op, stuck bool) (bool, *histor
 var opBufs = sync.Pool{New: func() any { return new([]history.Op) }}
 
 // appendOps appends what OutcomeHistory(out).Ops() would give to ops. The
-// events are well-formed, as histCache.lookup has checked: a return belongs
+// events are well-formed, as appendKey has checked: a return belongs
 // to its thread's last call.
 func appendOps(ops []history.Op, events []sched.OpEvent) []history.Op {
 	for pos, e := range events {

@@ -103,11 +103,13 @@ func ExploreHistories(sub *Subject, m *Test, opts Options, visit func(*history.H
 	// whatever Options.MaxFailures says.
 	cfg := opts.exploreConfig(false, false)
 	cfg.ContinueOnFailure = false
-	cache := newHistCache()
+	cache, key := newHistCache(), []byte(nil)
 	_, exploreErr := sched.Explore(cfg, opts.program(sub, m, &holder), func(out *sched.Outcome) bool {
 		// Each distinct history is handed over once; a conversion error stops.
-		var isNew bool
-		if _, isNew, err = cache.lookup(out); err == nil && isNew {
+		if key, err = appendKey(key[:0], out); err != nil {
+			return false
+		}
+		if _, isNew := cache.probe(key, out.Stuck); isNew {
 			var h *history.History
 			if h, err = OutcomeHistory(out); err == nil {
 				return visit(h)

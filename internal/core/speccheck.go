@@ -122,8 +122,10 @@ func (d *phase2Decider) outcome(out *sched.Outcome) (*Violation, error) {
 // phase2Acc accumulates the phase-2 state of every exploration path: the
 // exhaustive explorer at any worker count, one work unit (CheckUnit), and the
 // merge of unit reports.
-// Deduplication is shared across workers: the first visitor of a key decides
-// it (all others wait for that decision), and every occurrence of a key,
+// Deduplication is shared across workers: each visitor encodes its key
+// outside mu, and holds mu only for the coverage pairs, the cache probe and
+// the entry's first position; the first visitor of a key decides it (all
+// others wait for that decision), and every occurrence of a key,
 // every decision error and every contained failure records its position, so
 // the minimal position of each — exactly the point where a sequential
 // exploration first meets it — is known at the end. resolve then replays the
@@ -165,18 +167,22 @@ func (s *phase2Acc) visit(out *sched.Outcome, p sched.Pos) bool {
 		// failures and prunes exactly.
 		return s.failures.add(p, classifyFailure(out))
 	}
+	// The key is encoded before the lock, on the stack while it fits: a
+	// Table-2 test's history takes a few hundred bytes.
+	var buf [512]byte
+	key, kerr := appendKey(buf[:0], out)
 	s.mu.Lock()
 	for _, k := range out.Coverage {
 		if q, seen := s.pairs[k]; !seen || p.Before(q) {
 			s.pairs[k] = append(q[:0], p...)
 		}
 	}
-	en, isNew, herr := s.cache.lookup(out)
-	if herr != nil {
-		s.errs = append(s.errs, posError{p.Clone(), herr})
+	if kerr != nil {
+		s.errs = append(s.errs, posError{p.Clone(), kerr})
 		s.mu.Unlock()
 		return false
 	}
+	en, isNew := s.cache.probe(key, out.Stuck)
 	if isNew || p.Before(en.first) {
 		en.first = append(en.first[:0], p...)
 	}
@@ -338,7 +344,7 @@ func (s *phase2Acc) stats(explored sched.ExploreStats, failures int, stop *histE
 // and CheckWithMonitor; spec may be nil when a model decides. Verdict,
 // violation and statistics are the sequential DFS's for every worker count.
 func phase2(sub *Subject, m *Test, spec *history.Spec, opts Options, mode monitor.Mode) (*Result, error) {
-	if err := opts.validate(spec != nil); err != nil {
+	if err := opts.validate(sub, spec != nil); err != nil {
 		return nil, err
 	}
 	res := &Result{Subject: sub, Test: m, Verdict: Pass}

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -44,19 +45,21 @@ func exploreAllocWorkload(b testing.TB, cfg sched.ExploreConfig, workers int, pr
 // nodes are cloned across shards and recycled by the worker that pops them,
 // and threads blocking on a wait set made per execution, whose first waiters
 // are kept inline. An exploration of this size pays its start-up (worker
-// goroutines, first nodes, coordinator) over 6 to 872 executions.
+// goroutines, first nodes, coordinator) over 6 to 872 executions. The two
+// sleep-set rows also carry a ceiling in bytes per execution (0: none).
 var allocWorkloads = []struct {
 	name    string
 	cfg     sched.ExploreConfig
 	workers int
 	prog    func() sched.Program
 	ceiling float64
+	bytes   float64
 }{
-	{"full", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionNone}, 0, allocProgram, 11},
-	{"sleep", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionSleep}, 0, allocProgram, 12.5},
-	{"serial", sched.ExploreConfig{Config: sched.Config{Serial: true}, PreemptionBound: sched.Unbounded}, 0, allocProgram, 23},
-	{"parallel", sched.ExploreConfig{PreemptionBound: 2}, 2, allocProgram, 13.6},
-	{"waitset", sched.ExploreConfig{PreemptionBound: 2}, 0, waitSetProgram, 1.3},
+	{"full", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionNone}, 0, allocProgram, 11, 0},
+	{"sleep", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionSleep}, 0, allocProgram, 12.5, 530},
+	{"serial", sched.ExploreConfig{Config: sched.Config{Serial: true}, PreemptionBound: sched.Unbounded}, 0, allocProgram, 23, 0},
+	{"parallel", sched.ExploreConfig{PreemptionBound: 2}, 2, allocProgram, 13.6, 760},
+	{"waitset", sched.ExploreConfig{PreemptionBound: 2}, 0, waitSetProgram, 1.3, 0},
 }
 
 // BenchmarkExploreAllocs measures the explorer's per-exploration allocation
@@ -90,10 +93,14 @@ func BenchmarkExploreAllocs(b *testing.B) {
 // waiters); a hot-path change that starts allocating per decision, per event,
 // per window or per wait blows through them immediately, and so does one that
 // goes back to building a scheduler, goroutines, nodes or buffers per
-// execution. Every workload also runs with a live telemetry
-// collector under the SAME ceiling: the counters are plain atomic adds with
-// per-execution delta flushes, so enabling them must not add a single
-// allocation to the hot path.
+// execution. The sleep-set rows' byte ceilings are 10% over 480 and 690 bytes
+// (the parallel row's splits vary from run to run): retired footprints live in
+// their decision nodes, and a store kept for the explorer's whole life (639
+// and 1 006 bytes; its first chunk alone is 8 KB per explorer) does not fit
+// under them. Every workload also runs with a live telemetry collector under
+// the SAME ceiling: the counters are plain atomic adds with per-execution
+// delta flushes, so enabling them must not add a single allocation to the hot
+// path.
 func TestExploreAllocsPerExecution(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -113,11 +120,21 @@ func TestExploreAllocsPerExecution(t *testing.T) {
 					exploreAllocWorkload(t, tc.cfg, tc.workers, tc.prog, tel)
 				})
 				perExec := perRun / float64(execs)
-				t.Logf("%s: %.0f allocs per exploration, %.1f per execution (%d executions)",
-					name, perRun, perExec, execs)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < 5; i++ {
+					exploreAllocWorkload(t, tc.cfg, tc.workers, tc.prog, tel)
+				}
+				runtime.ReadMemStats(&after)
+				bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(5*execs)
+				t.Logf("%s: %.0f allocs per exploration, %.1f per execution (%d executions), %.0f bytes per execution",
+					name, perRun, perExec, execs, bytes)
 				if perExec > tc.ceiling {
 					t.Errorf("%s: %.1f allocs per execution exceeds the %.1f ceiling",
 						name, perExec, tc.ceiling)
+				}
+				if tc.bytes > 0 && bytes > tc.bytes {
+					t.Errorf("%s: %.0f bytes per execution exceeds the %.0f ceiling", name, bytes, tc.bytes)
 				}
 			})
 		}

@@ -85,12 +85,15 @@ type choice struct {
 	// that are eligible to put descendants to sleep. foot is the window
 	// footprint of the branch currently at next, recorded (footSet) by the
 	// first execution through it and poisoned while it is not; the node keeps
-	// its buffer, like sleep's and explored's, when recycled. exhausted marks
-	// a node whose every affordable branch was asleep at creation: its single
-	// forced continuation is provably redundant, so the node never branches.
+	// its buffer, like sleep's and explored's, when recycled. store holds the
+	// footprints explored's entries (in a cloned node, sleep's too) point to;
+	// its records die with the node's subtree. exhausted marks a node whose every affordable branch was asleep
+	// at creation: its single forced continuation is provably redundant, so
+	// the node never branches.
 	sleep     []sleepEntry
 	explored  []sleepEntry
 	foot      Footprint
+	store     footStore
 	footSet   bool
 	exhausted bool
 }
@@ -121,10 +124,9 @@ type explorer struct {
 	budget  int
 	// pool carries worker coroutines and scheduler buffers from one execution
 	// to the next; free holds the nodes advanceAbove popped, for Pick to
-	// reuse; store holds the footprints of retired branches.
-	pool  pool
-	free  []*choice
-	store footStore
+	// reuse.
+	pool pool
+	free []*choice
 	// counted is what the explorer ran, decided and skipped (sleep-set skips,
 	// see ExploreStats.Pruned) since the last take: one shard's share of the
 	// statistics.
@@ -304,9 +306,11 @@ func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 	var c *choice
 	if n := len(e.free); n > 0 {
 		// A recycled node keeps the buffers it owns (cloneStack copies them).
+		// Its subtree is gone, and with it every reader of its store.
 		c, e.free = e.free[n-1], e.free[:n-1]
+		c.store.reset()
 		*c = choice{enabled: c.enabled[:0], sleep: c.sleep[:0], explored: c.explored[:0],
-			foot: Footprint{Global: true, Acc: c.foot.Acc[:0]}}
+			foot: Footprint{Global: true, Acc: c.foot.Acc[:0]}, store: c.store}
 	} else {
 		c = &choice{foot: Footprint{Global: true}}
 	}
@@ -326,7 +330,7 @@ func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 		}
 		if e.depth < len(e.seedExplored) {
 			for _, br := range e.seedExplored[e.depth] {
-				c.explored = append(c.explored, sleepEntry{tid: br.Thread, foot: e.store.keep(&br.Foot)})
+				c.explored = append(c.explored, sleepEntry{tid: br.Thread, foot: c.store.keep(&br.Foot, len(ord))})
 			}
 		}
 		if e.red == ReductionSleep && c.next == 0 {
@@ -453,7 +457,8 @@ func (e *explorer) flushPruneTelemetry() {
 
 // retire closes out the branch currently at c.next: its subtree is fully
 // explored. If the branch is eligible to put later siblings' descendants to
-// sleep, it is recorded with a copy of its window footprint kept in the store.
+// sleep, it is recorded with a copy of its window footprint kept in the node's
+// store.
 // Under preemption bounding only the current thread's free continuation
 // (branch 0 with cur enabled) is eligible: moving that branch's step later in
 // an equivalent schedule never costs an extra preemption, so the pruned
@@ -461,11 +466,16 @@ func (e *explorer) flushPruneTelemetry() {
 // Unbounded explorations have no budget to respect and use classic full sleep
 // sets. See DESIGN.md.
 func (e *explorer) retire(c *choice) {
-	if e.red == ReductionSleep && !c.exhausted && (e.bound == Unbounded || (c.next == 0 && c.curEnabled)) {
-		c.explored = append(c.explored, sleepEntry{tid: c.enabled[c.next], foot: e.store.keep(&c.foot)})
+	if e.records(c) {
+		c.explored = append(c.explored, sleepEntry{tid: c.enabled[c.next], foot: c.store.keep(&c.foot, len(c.enabled))})
 	}
 	c.foot.set(globalFoot)
 	c.footSet = false
+}
+
+// records reports whether retiring c's current branch records it in explored.
+func (e *explorer) records(c *choice) bool {
+	return e.red == ReductionSleep && !c.exhausted && (e.bound == Unbounded || (c.next == 0 && c.curEnabled))
 }
 
 // observeWindow receives the footprint of the window closed by the upcoming
@@ -596,12 +606,14 @@ func Explore(cfg ExploreConfig, prog Program, visit func(*Outcome) bool) (Explor
 }
 
 // exploredOf serializes the retired-branch records of every stack level for a
-// work unit.
+// work unit. The footprints are copied: their nodes' stores are reused once
+// the generator pops them.
 func exploredOf(stack []*choice) [][]BranchRecord {
 	out := make([][]BranchRecord, len(stack))
 	for i, c := range stack {
 		for _, s := range c.explored {
-			out[i] = append(out[i], BranchRecord{Thread: s.tid, Foot: *s.foot})
+			f := Footprint{Global: s.foot.Global, Event: s.foot.Event, Acc: append([]LocAccess(nil), s.foot.Acc...)}
+			out[i] = append(out[i], BranchRecord{Thread: s.tid, Foot: f})
 		}
 	}
 	return out

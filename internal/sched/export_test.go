@@ -102,3 +102,28 @@ func WithAbandonGrace(c Config, d time.Duration) Config {
 	c.grace = d
 	return c
 }
+
+// SplitUnitsEach is SplitUnits handing each unit to emit as soon as it is
+// cut, while the generator still holds the stack the unit was read from.
+func SplitUnitsEach(cfg ExploreConfig, prog Program, depth int, emit func(WorkUnit)) (SplitStats, error) {
+	return splitUnits(cfg, prog, depth, emit)
+}
+
+// FootprintRecords explores prog on one explorer and returns what its
+// decision nodes hold at the end, on the stack and in the free list: the
+// retired-branch footprint records in their stores and the enabled threads
+// they branch over.
+func FootprintRecords(cfg ExploreConfig, prog Program) (records, enabled int, stats ExploreStats, err error) {
+	co := newCoordinator(cfg)
+	e := newExplorer(cfg, co)
+	co.push(&shard{})
+	co.work(e, prog, func(*Outcome, Pos) bool { return true })
+	for _, nodes := range [][]*choice{e.stack, e.free} {
+		for _, c := range nodes {
+			records += c.store.n
+			enabled += len(c.enabled)
+		}
+	}
+	stats, err = co.result()
+	return records, enabled, stats, err
+}

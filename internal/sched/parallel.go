@@ -77,7 +77,10 @@ func (sh *shard) split(e *explorer) *shard {
 	level := -1
 	for i := sh.floor; i < len(e.stack); i++ {
 		c := e.stack[i]
-		if c.exhausted {
+		if c.exhausted || (!c.footSet && e.records(c)) {
+			// The deepest level's branch may not have run yet (advanceAbove
+			// just moved to it); only the donor will record its footprint,
+			// so the child could not retire it (unbounded sleep sets only).
 			continue
 		}
 		for j := c.next + 1; j < len(c.enabled); j++ {
@@ -102,8 +105,8 @@ func (sh *shard) split(e *explorer) *shard {
 	c := child.stack[level]
 	// The child continues exactly where a sequential advance at this level
 	// would: the donor's current branch is retired into the child's node (the
-	// donor will finish its subtree, and every live stack level has already run
-	// an execution, so its window footprint is final), and the sleeping
+	// donor will finish its subtree, and a branch that retiring records has
+	// run, so its window footprint is final), and the sleeping
 	// branches between the two are skipped. A sequential run counts them after
 	// the donor's last execution and before the child's first, so they are the
 	// child's to report.
@@ -124,16 +127,25 @@ func (sh *shard) split(e *explorer) *shard {
 // cloneStack deep-copies the choice structs of a decision stack so that two
 // explorers can advance the same prefix independently. enabled, sleep,
 // explored and the window footprint are buffers their node owns and whichever
-// explorer pops the node recycles, so they are copied; the footprints sleep
-// entries point to are immutable store records and are shared.
+// explorer pops the node recycles, so they are copied; so are the footprints
+// sleep and explored entries point to, which each clone re-keeps in its own
+// store: a split hands the stack to another worker, and no record crosses.
 func cloneStack(stack []*choice) []*choice {
 	out := make([]*choice, len(stack))
 	for i, c := range stack {
 		cc := *c
 		cc.enabled = append([]ThreadID(nil), c.enabled...)
-		cc.sleep = append([]sleepEntry(nil), c.sleep...)
-		cc.explored = append([]sleepEntry(nil), c.explored...)
 		cc.foot.Acc = append([]LocAccess(nil), c.foot.Acc...)
+		cc.store = footStore{}
+		n := len(c.sleep) + len(c.explored) + len(c.enabled)
+		rekeep := func(src []sleepEntry) []sleepEntry {
+			dst := make([]sleepEntry, len(src))
+			for j, s := range src {
+				dst[j] = sleepEntry{tid: s.tid, foot: cc.store.keep(s.foot, n)}
+			}
+			return dst
+		}
+		cc.sleep, cc.explored = rekeep(c.sleep), rekeep(c.explored)
 		out[i] = &cc
 	}
 	return out

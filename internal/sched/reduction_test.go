@@ -235,7 +235,7 @@ func TestParallelReductionEquivalence(t *testing.T) {
 			mixedThread("a", 0, 2), mixedThread("b", 1, 2), mixedThread("c", 2, 1),
 		}}
 	}
-	for _, bound := range []int{0, 1, 2} {
+	for _, bound := range []int{0, 1, 2, sched.Unbounded} {
 		cfg := sched.ExploreConfig{PreemptionBound: bound, Reduction: sched.ReductionSleep}
 		wantMS, wantStats, err := exploreSeq(t, cfg, mk())
 		if err != nil {
@@ -278,7 +278,14 @@ func TestParallelSplitEverywhereEquivalence(t *testing.T) {
 		}}
 	}
 	for _, red := range []sched.Reduction{sched.ReductionNone, sched.ReductionSleep} {
-		for _, bound := range []int{1, 2} {
+		bounds := []int{1, 2}
+		if red == sched.ReductionSleep {
+			// Unbounded, every retired branch is recorded, the one the
+			// split hands over included (the full tree is 252 252
+			// executions unreduced).
+			bounds = append(bounds, sched.Unbounded)
+		}
+		for _, bound := range bounds {
 			cfg := sched.ExploreConfig{PreemptionBound: bound, Reduction: red}
 			tag := fmt.Sprintf("reduction=%v bound=%d", red, bound)
 			wantMS, wantStats, err := exploreSeq(t, cfg, mk())
@@ -303,6 +310,34 @@ func TestParallelSplitEverywhereEquivalence(t *testing.T) {
 				t.Fatalf("%s: stats differ: sequential %+v split %+v", tag, wantStats, gotStats)
 			}
 			t.Logf("%s: %d executions, %d splits", tag, gotStats.Executions, splits)
+		}
+	}
+}
+
+// TestRetiredFootprintsBoundedByStack runs long sleep-set explorations and
+// counts the footprint records their decision nodes still hold: a record
+// lives in the node that retired its branch and dies when the node is
+// recycled, so at most one record per branch of a live or free node remains,
+// however many branches the exploration retired.
+func TestRetiredFootprintsBoundedByStack(t *testing.T) {
+	mk := func() sched.Program {
+		return sched.Program{Threads: []func(*sched.Thread){
+			mixedThread("a", 0, 3), mixedThread("b", 1, 2), mixedThread("c", 0, 2),
+		}}
+	}
+	for _, bound := range []int{2, sched.Unbounded} {
+		cfg := sched.ExploreConfig{PreemptionBound: bound, Reduction: sched.ReductionSleep}
+		records, enabled, stats, err := sched.FootprintRecords(cfg, mk())
+		if err != nil {
+			t.Fatalf("bound=%d: %v", bound, err)
+		}
+		t.Logf("bound=%d: %d executions, %d pruned, %d records over nodes of %d branches",
+			bound, stats.Executions, stats.Pruned, records, enabled)
+		if stats.Executions < 200 || stats.Pruned == 0 {
+			t.Fatalf("bound=%d: %d executions, %d pruned: too small to retire many branches", bound, stats.Executions, stats.Pruned)
+		}
+		if records > enabled {
+			t.Errorf("bound=%d: nodes hold %d footprint records, more than their %d branches", bound, records, enabled)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Reduction selects the partial-order reduction strategy of an exploration.
 // Reduction never changes what the exploration can observe: every pruned
@@ -98,31 +101,36 @@ func (f *Footprint) set(g *Footprint) {
 	f.Global, f.Event, f.Acc = g.Global, g.Event, append(f.Acc[:0], g.Acc...)
 }
 
-// footStore copies the footprints of an explorer's retired branches into
-// chunks, so a record costs no allocation of its own. A record is never
-// written again: sleep entries, cloned stacks and work units share it.
+// footStore holds the footprints of one decision node's retired branches (in
+// a cloned node, its sleep entries' too). Only the node's descendants read
+// them, and the DFS pops those first, so a recycled node resets its store,
+// keeping each record's Acc buffer; until then a record is never written
+// again. Under a preemption bound a node retires at most its free
+// continuation, so the first record is inline.
 type footStore struct {
-	foots []Footprint
-	accs  []LocAccess
+	n     int // records held
+	first Footprint
+	rest  []Footprint
 }
 
-// keep returns an immutable copy of f.
-func (st *footStore) keep(f *Footprint) *Footprint {
-	if len(st.foots) == cap(st.foots) {
-		st.foots = make([]Footprint, 0, 256)
-	}
-	st.foots = append(st.foots, Footprint{Global: f.Global, Event: f.Event})
-	c := &st.foots[len(st.foots)-1]
-	if n := len(f.Acc); n > 0 {
-		if cap(st.accs)-len(st.accs) < n {
-			st.accs = make([]LocAccess, 0, max(n, 1024))
+// keep returns a copy of f held in the store, which makes room for n records
+// when it is full. Records already handed out stay where they are.
+func (st *footStore) keep(f *Footprint, n int) *Footprint {
+	r := &st.first
+	if st.n > 0 {
+		if len(st.rest) == cap(st.rest) {
+			st.rest = slices.Grow(st.rest, max(n-1-len(st.rest), 1))
 		}
-		i := len(st.accs)
-		st.accs = append(st.accs, f.Acc...)
-		c.Acc = st.accs[i:len(st.accs):len(st.accs)]
+		st.rest = st.rest[:len(st.rest)+1]
+		r = &st.rest[len(st.rest)-1]
 	}
-	return c
+	st.n++
+	r.set(f)
+	return r
 }
+
+// reset forgets every record, keeping the buffers.
+func (st *footStore) reset() { st.n, st.rest = 0, st.rest[:0] }
 
 // ConflictsWith reports whether the two windows fail to commute: either one
 // is poisoned, both carry history events (their order is observable in the
@@ -164,8 +172,9 @@ func writeClass(kind MemKind) bool {
 // sleepEntry is one sleeping thread at a DFS node: scheduling tid at the node
 // is provably redundant, because its next step — whose window footprint is
 // foot — is independent of everything executed since the branch that ran tid
-// here was fully explored. foot is a footStore record, never a node's buffer,
-// so entries are copied freely across nodes and cloned stacks.
+// here was fully explored. foot is a record in the store of an ancestor node
+// (or of the node itself), never a window buffer, so entries are copied freely
+// down the stack; a cloned stack re-keeps them in its own nodes.
 type sleepEntry struct {
 	tid  ThreadID
 	foot *Footprint

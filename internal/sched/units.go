@@ -79,19 +79,27 @@ type SplitStats struct {
 // cfg.ContinueOnFailure is therefore ignored here. ErrBudget is returned if
 // cfg.MaxExecutions discovery executions did not cover the tree.
 func SplitUnits(cfg ExploreConfig, prog Program, depth int) ([]WorkUnit, SplitStats, error) {
+	var units []WorkUnit
+	stats, err := splitUnits(cfg, prog, depth, func(u WorkUnit) { units = append(units, u) })
+	return units, stats, err
+}
+
+// splitUnits is SplitUnits handing each unit to emit as soon as it is cut.
+func splitUnits(cfg ExploreConfig, prog Program, depth int, emit func(WorkUnit)) (SplitStats, error) {
 	if depth <= 0 {
 		depth = DefaultShardDepth
 	}
 	cfg.ContinueOnFailure = true
 	co := newCoordinator(cfg)
 	e := newExplorer(cfg, co)
-	var units []WorkUnit
+	n := 0
 	e.generate(prog, depth, func(floor int) {
-		u := WorkUnit{Seq: len(units), Path: []int(pathOf(e.stack)), Floor: floor}
+		u := WorkUnit{Seq: n, Path: []int(pathOf(e.stack)), Floor: floor}
 		if e.red == ReductionSleep {
 			u.Explored = exploredOf(e.stack)
 		}
-		units = append(units, u)
+		n++
+		emit(u)
 	})
 	// ContinueOnFailure leaves the budget as the only way to stop early.
 	var err error
@@ -99,7 +107,7 @@ func SplitUnits(cfg ExploreConfig, prog Program, depth int) ([]WorkUnit, SplitSt
 		err = ErrBudget
 	}
 	stats := e.take()
-	return units, SplitStats{Units: len(units), DiscoveryExecutions: stats.Executions, Pruned: stats.Pruned}, err
+	return SplitStats{Units: n, DiscoveryExecutions: stats.Executions, Pruned: stats.Pruned}, err
 }
 
 // ExploreUnit enumerates the schedules of u's subtree and calls visit for

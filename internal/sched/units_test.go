@@ -272,3 +272,45 @@ func TestExploreUnitBudget(t *testing.T) {
 		t.Fatalf("capped unit: stats=%+v err=%v, want 1 truncated execution with ErrBudget", stats, err)
 	}
 }
+
+// TestUnitsOwnTheirRecords marshals every work unit when the generator cuts
+// it and again after generation ends: the bytes must not differ. A unit's
+// retired-branch records are copied out of their nodes' stores, which the
+// generator reuses as soon as it pops those nodes.
+func TestUnitsOwnTheirRecords(t *testing.T) {
+	mk := func() sched.Program {
+		return sched.Program{Threads: []func(*sched.Thread){
+			mixedThread("a", 0, 2), mixedThread("b", 1, 2), mixedThread("c", 2, 1),
+		}}
+	}
+	records := 0
+	for _, bound := range []int{1, 2, sched.Unbounded} {
+		for _, depth := range []int{1, 2, 3} {
+			cfg := sched.ExploreConfig{PreemptionBound: bound, Reduction: sched.ReductionSleep}
+			var units []sched.WorkUnit
+			var cut [][]byte
+			_, err := sched.SplitUnitsEach(cfg, mk(), depth, func(u sched.WorkUnit) {
+				b, err := json.Marshal(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, level := range u.Explored {
+					records += len(level)
+				}
+				units, cut = append(units, u), append(cut, b)
+			})
+			if err != nil {
+				t.Fatalf("bound=%d depth=%d: %v", bound, depth, err)
+			}
+			for i, u := range units {
+				if b, _ := json.Marshal(u); string(b) != string(cut[i]) {
+					t.Fatalf("bound=%d depth=%d: unit %d changed after it was cut:\n cut %s\n end %s", bound, depth, i, cut[i], b)
+				}
+			}
+		}
+	}
+	if records == 0 {
+		t.Fatal("no unit carries a retired branch: nothing was checked")
+	}
+	t.Logf("%d retired-branch records checked", records)
+}
