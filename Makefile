@@ -39,12 +39,14 @@ race:
 # to the next (pool_test.go), the wait set's semantics,
 # the point/switch tests, the goroutine-leak count (a rogue goroutine is
 # reported, a clean run is not), an unwatched four-worker exploration (no
-# watchdog, so the scheduler takes no lock) and the split-stack suites (a
-# split stack is the one thing that carries footprints to another worker, and
-# its nodes re-keep them in their own stores; about 4 s on 2 CPUs) run under
-# the race detector on every `make check`.
+# watchdog, so the scheduler takes no lock) and the split suites (a split
+# hands a subtree to another worker as a WorkUnit holding copies of its
+# retired-branch footprints, replayed there like any unit; the early-stop
+# statistics catch a split that leaves the sleeping branches it skips
+# uncounted; about 5 s on 2 CPUs) run under the race detector on every
+# `make check`.
 sched-smoke:
-	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool|TestWaitSet|TestPoint|TestDetectLeaks|TestUnwatched|TestParallelSplitEverywhereEquivalence|TestParallelReductionEquivalence|TestUnitsReproduceSequentialExploration' ./internal/sched
+	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool|TestWaitSet|TestPoint|TestDetectLeaks|TestUnwatched|TestParallelSplitEverywhereEquivalence|TestParallelReductionEquivalence|TestParallelEarlyStop|TestUnitsReproduceSequentialExploration' ./internal/sched
 
 # Race-enabled smoke of phase 2's decisions: several workers decide distinct
 # histories at once, each on an operation buffer from one shared pool, while

@@ -41,8 +41,9 @@ func exploreAllocWorkload(b testing.TB, cfg sched.ExploreConfig, workers int, pr
 // allocWorkloads are the exploration modes under the allocation guard, with
 // each one's ceiling in allocations per execution: phase 2 with and without
 // sleep sets, phase 1's serial enumeration, phase 2 through the parallel
-// explorer with a helper recruited from the first execution, where decision
-// nodes are cloned across shards and recycled by the worker that pops them,
+// explorer with a helper recruited from the first execution, where a split
+// hands a shard over as a work unit and the worker that starts it replays its
+// path on the nodes of its previous shard,
 // and threads blocking on a wait set made per execution, whose first waiters
 // are kept inline. An exploration of this size pays its start-up (worker
 // goroutines, first nodes, coordinator) over 6 to 872 executions. The two
@@ -58,7 +59,7 @@ var allocWorkloads = []struct {
 	{"full", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionNone}, 0, allocProgram, 11, 0},
 	{"sleep", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionSleep}, 0, allocProgram, 12.5, 530},
 	{"serial", sched.ExploreConfig{Config: sched.Config{Serial: true}, PreemptionBound: sched.Unbounded}, 0, allocProgram, 23, 0},
-	{"parallel", sched.ExploreConfig{PreemptionBound: 2}, 2, allocProgram, 13.6, 760},
+	{"parallel", sched.ExploreConfig{PreemptionBound: 2}, 2, allocProgram, 13.1, 760},
 	{"waitset", sched.ExploreConfig{PreemptionBound: 2}, 0, waitSetProgram, 1.3, 0},
 }
 
@@ -88,7 +89,7 @@ func BenchmarkExploreAllocs(b *testing.B) {
 // own objects (here mostly the operation names), and nothing else — thread
 // goroutines, decision nodes, the scheduler, its recording buffers, the
 // outcome and the window footprints are the explorer's, not the execution's.
-// The ceilings are within 10% of measured values (10.3, 11.5, 21.2, 12.4 and
+// The ceilings are within 10% of measured values (10.3, 11.5, 21.2, 11.9 and
 // 1.2; the wait-set workload took 2.9 while each wait set allocated its
 // waiters); a hot-path change that starts allocating per decision, per event,
 // per window or per wait blows through them immediately, and so does one that

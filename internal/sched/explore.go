@@ -86,8 +86,8 @@ type choice struct {
 	// footprint of the branch currently at next, recorded (footSet) by the
 	// first execution through it and poisoned while it is not; the node keeps
 	// its buffer, like sleep's and explored's, when recycled. store holds the
-	// footprints explored's entries (in a cloned node, sleep's too) point to;
-	// its records die with the node's subtree. exhausted marks a node whose every affordable branch was asleep
+	// footprints explored's entries point to; its records die with the node's
+	// subtree. exhausted marks a node whose every affordable branch was asleep
 	// at creation: its single forced continuation is provably redundant, so
 	// the node never branches.
 	sleep     []sleepEntry
@@ -232,13 +232,15 @@ func (e *explorer) step(prog Program) (out *Outcome, p Pos, ok bool) {
 	return out, p, true
 }
 
-// explore visits the subtree of sh — its stack at levels >= sh.floor — in
-// depth-first order; the stack (or the seed) points at the first execution to
-// run. A visit returning false is a terminal event at its position. Between
+// explore visits the subtree of sh — its unit's levels >= Floor — in
+// depth-first order, starting it the way every unit starts: the previous
+// shard's nodes go to free, and the first execution replays the unit's path.
+// A visit returning false is a terminal event at its position. Between
 // executions the explorer sheds part of the subtree if the coordinator has
 // starving workers (never the case for a lone DFS).
 func (e *explorer) explore(prog Program, sh *shard, visit func(*Outcome, Pos) bool) {
-	e.stack = sh.stack
+	e.free, e.stack = append(e.free, e.stack...), e.stack[:0]
+	e.seed, e.seedExplored = sh.unit.Path, sh.unit.Explored
 	for {
 		if e.co.splitWanted.Load() {
 			if child := sh.split(e); child != nil {
@@ -253,7 +255,7 @@ func (e *explorer) explore(prog Program, sh *shard, visit func(*Outcome, Pos) bo
 			e.co.noteTerminal(p, nil)
 			return
 		}
-		if !e.advanceAbove(sh.floor) {
+		if !e.advanceAbove(sh.unit.Floor) {
 			return
 		}
 	}
@@ -305,8 +307,8 @@ func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 	}
 	var c *choice
 	if n := len(e.free); n > 0 {
-		// A recycled node keeps the buffers it owns (cloneStack copies them).
-		// Its subtree is gone, and with it every reader of its store.
+		// A recycled node keeps the buffers it owns. Its subtree is gone, and
+		// with it every reader of its store.
 		c, e.free = e.free[n-1], e.free[:n-1]
 		c.store.reset()
 		*c = choice{enabled: c.enabled[:0], sleep: c.sleep[:0], explored: c.explored[:0],
@@ -605,18 +607,27 @@ func Explore(cfg ExploreConfig, prog Program, visit func(*Outcome) bool) (Explor
 	return ExploreUnit(cfg, prog, WorkUnit{}, func(out *Outcome, _ Pos) bool { return visit(out) })
 }
 
-// exploredOf serializes the retired-branch records of every stack level for a
-// work unit. The footprints are copied: their nodes' stores are reused once
-// the generator pops them.
-func exploredOf(stack []*choice) [][]BranchRecord {
-	out := make([][]BranchRecord, len(stack))
-	for i, c := range stack {
-		for _, s := range c.explored {
-			f := Footprint{Global: s.foot.Global, Event: s.foot.Event, Acc: append([]LocAccess(nil), s.foot.Acc...)}
-			out[i] = append(out[i], BranchRecord{Thread: s.tid, Foot: f})
+// unitOf describes the frontier of stack as a WorkUnit with floor pinned
+// levels: its branch path and, under sleep sets, every level's retired-branch
+// records.
+func (e *explorer) unitOf(stack []*choice, floor int) WorkUnit {
+	u := WorkUnit{Path: pathOf(stack), Floor: floor}
+	if e.red == ReductionSleep {
+		u.Explored = make([][]BranchRecord, len(stack))
+		for i, c := range stack {
+			for _, s := range c.explored {
+				u.Explored[i] = append(u.Explored[i], recordOf(s.tid, s.foot))
+			}
 		}
 	}
-	return out
+	return u
+}
+
+// recordOf is the BranchRecord of a retired branch. The footprint is copied:
+// its node's store, and the node's window buffer, are reused once the node
+// is popped, and the unit outlives the node.
+func recordOf(tid ThreadID, f *Footprint) BranchRecord {
+	return BranchRecord{Thread: tid, Foot: Footprint{Global: f.Global, Event: f.Event, Acc: append([]LocAccess(nil), f.Acc...)}}
 }
 
 // ScheduleDivergenceError reports that a recorded schedule could not be

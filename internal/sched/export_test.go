@@ -48,10 +48,12 @@ func SetRecruitAfter(n int) (restore func()) {
 // explorer shed its shallowest level whenever the queue is dry, and every visit
 // empties the queue into a stash. At each visit of the explorer that holds the
 // root, a second explorer works the stash off — it explores every shard shed so
-// far to completion, recycling their nodes from one shard to the next — before
-// the first resumes through its pinned prefix. A node left shared between a
-// donor's stack and its child's is therefore overwritten while the donor still
-// replays through it. It returns the number of splits with the stats.
+// far to completion, each replayed on the nodes of the one before — before the
+// first resumes through its pinned prefix. A child unit whose retired-branch
+// records point into its donor's decision nodes instead of holding copies is
+// therefore read after those nodes were recycled and overwritten, so the hook
+// checks that a split's unit stands alone. It returns the number of splits
+// with the stats.
 func ExploreSplitEverywhere(cfg ExploreConfig, newProg func() Program, visit func(*Outcome, Pos) bool) (ExploreStats, int, error) {
 	co := newCoordinator(cfg)
 	co.waiters = 1

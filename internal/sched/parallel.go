@@ -11,7 +11,7 @@ import (
 // recruitAfter is the number of executions an exploration runs alone, on its
 // caller's goroutine, before ExploreParallel starts its helpers: a check that
 // fails within its first schedules, or whose whole space is that small, never
-// pays for a goroutine, a second program instance or a stack clone. It is a
+// pays for a goroutine, a second program instance or a split. It is a
 // variable only so that tests can force every exploration to split.
 var recruitAfter = 64
 
@@ -53,18 +53,16 @@ func (p Pos) Clone() Pos {
 	return append(make(Pos, 0, len(p)), p...)
 }
 
-// shard is one unit of parallel work: a decision stack whose levels below
-// floor are pinned (the shard's schedule prefix) and whose levels at or above
-// floor are a live DFS frontier. Its executions are an interval of the
-// sequential order that starts at path, and a split cuts the interval in two:
-// the donor keeps the earlier part. stats is what exploring the interval
-// counted, so the statistics of a sequential run that stopped at position T
-// are the sum over the shards that start at or before T (see
-// coordinator.result).
+// shard is one unit of parallel work: a WorkUnit — the schedule prefix its
+// executions start from, the levels below Floor pinned — and what exploring
+// it counted. A shard is handed over and started exactly like a unit of
+// SplitUnits, by replaying its path. Its executions are an interval of the
+// sequential order that starts at unit.Path, and a split cuts the interval
+// in two: the donor keeps the earlier part and raises its floor. The
+// statistics of a sequential run that stopped at position T are the sum over
+// the shards that start at or before T (see coordinator.result).
 type shard struct {
-	stack []*choice
-	floor int
-	path  Pos
+	unit  WorkUnit
 	stats ExploreStats
 }
 
@@ -75,7 +73,7 @@ type shard struct {
 // no splittable level. e is the worker's explorer holding the live stack.
 func (sh *shard) split(e *explorer) *shard {
 	level := -1
-	for i := sh.floor; i < len(e.stack); i++ {
+	for i := sh.unit.Floor; i < len(e.stack); i++ {
 		c := e.stack[i]
 		if c.exhausted || (!c.footSet && e.records(c)) {
 			// The deepest level's branch may not have run yet (advanceAbove
@@ -96,59 +94,34 @@ func (sh *shard) split(e *explorer) *shard {
 	if level < 0 {
 		return nil
 	}
-	// The child keeps the donor's old floor: the levels in [sh.floor, level)
+	// The child keeps the donor's old floor: the levels in [Floor, level)
 	// have no affordable non-sleeping branch left (that is why the split chose
 	// a deeper level), so the child never branches there, and when its last
 	// descendant backtracks through them it skips and counts their trailing
 	// sleeping branches exactly when a sequential pop would.
-	child := &shard{stack: cloneStack(e.stack[:level+1]), floor: sh.floor}
-	c := child.stack[level]
+	child := &shard{unit: e.unitOf(e.stack[:level+1], sh.unit.Floor)}
 	// The child continues exactly where a sequential advance at this level
-	// would: the donor's current branch is retired into the child's node (the
-	// donor will finish its subtree, and a branch that retiring records has
-	// run, so its window footprint is final), and the sleeping
-	// branches between the two are skipped. A sequential run counts them after
-	// the donor's last execution and before the child's first, so they are the
+	// would: the donor's current branch is retired into the child's records
+	// (the donor will finish its subtree, and a branch that retiring records
+	// has run, so its window footprint is final), and the sleeping branches
+	// between the two are skipped. A sequential run counts them after the
+	// donor's last execution and before the child's first, so they are the
 	// child's to report.
-	e.retire(c)
-	c.next++
-	for !e.allowed(c, c.next) || (e.red == ReductionSleep && e.sleeps(c, c.next)) {
-		if e.allowed(c, c.next) {
+	c := e.stack[level]
+	if e.records(c) {
+		child.unit.Explored[level] = append(child.unit.Explored[level], recordOf(c.enabled[c.next], &c.foot))
+	}
+	next := c.next + 1
+	for !e.allowed(c, next) || (e.red == ReductionSleep && e.sleeps(c, next)) {
+		if e.allowed(c, next) {
 			child.stats.Pruned++
 		}
-		c.next++
+		next++
 	}
+	child.unit.Path[level] = next
 	e.tel.Add(telemetry.SchedulesPruned, int64(child.stats.Pruned))
-	child.path = pathOf(child.stack)
-	sh.floor = level + 1
+	sh.unit.Floor = level + 1
 	return child
-}
-
-// cloneStack deep-copies the choice structs of a decision stack so that two
-// explorers can advance the same prefix independently. enabled, sleep,
-// explored and the window footprint are buffers their node owns and whichever
-// explorer pops the node recycles, so they are copied; so are the footprints
-// sleep and explored entries point to, which each clone re-keeps in its own
-// store: a split hands the stack to another worker, and no record crosses.
-func cloneStack(stack []*choice) []*choice {
-	out := make([]*choice, len(stack))
-	for i, c := range stack {
-		cc := *c
-		cc.enabled = append([]ThreadID(nil), c.enabled...)
-		cc.foot.Acc = append([]LocAccess(nil), c.foot.Acc...)
-		cc.store = footStore{}
-		n := len(c.sleep) + len(c.explored) + len(c.enabled)
-		rekeep := func(src []sleepEntry) []sleepEntry {
-			dst := make([]sleepEntry, len(src))
-			for j, s := range src {
-				dst[j] = sleepEntry{tid: s.tid, foot: cc.store.keep(s.foot, n)}
-			}
-			return dst
-		}
-		cc.sleep, cc.explored = rekeep(c.sleep), rekeep(c.explored)
-		out[i] = &cc
-	}
-	return out
 }
 
 // appendPath appends the branch index of every level of stack to dst.
@@ -217,7 +190,7 @@ func newCoordinator(cfg ExploreConfig) *coordinator {
 func (co *coordinator) result() (ExploreStats, error) {
 	var stats ExploreStats
 	for _, sh := range co.shards {
-		if co.terminated && co.termPos.Before(sh.path) {
+		if co.terminated && co.termPos.Before(sh.unit.Path) {
 			continue
 		}
 		stats.add(sh.stats)
@@ -355,7 +328,7 @@ func (co *coordinator) abandoned(p Pos) bool {
 func (co *coordinator) work(e *explorer, prog Program, visit func(*Outcome, Pos) bool) {
 	defer e.finish()
 	for sh := co.pop(); sh != nil; sh = co.pop() {
-		if !co.abandoned(sh.path) {
+		if !co.abandoned(sh.unit.Path) {
 			e.explore(prog, sh, visit)
 		}
 		co.finishShard(sh, e.take())
@@ -448,8 +421,7 @@ func explorePool(cfg ExploreConfig, workers int, u WorkUnit, newProg func() Prog
 		}
 	}
 	e := newExplorer(cfg, co)
-	e.seed, e.seedExplored = u.Path, u.Explored
-	co.push(&shard{floor: u.Floor})
+	co.push(&shard{unit: u})
 	func() {
 		// Reached early only when a panic unwinds worker 0: the helpers must
 		// have stopped before it reaches the caller.

@@ -101,12 +101,11 @@ func (f *Footprint) set(g *Footprint) {
 	f.Global, f.Event, f.Acc = g.Global, g.Event, append(f.Acc[:0], g.Acc...)
 }
 
-// footStore holds the footprints of one decision node's retired branches (in
-// a cloned node, its sleep entries' too). Only the node's descendants read
-// them, and the DFS pops those first, so a recycled node resets its store,
-// keeping each record's Acc buffer; until then a record is never written
-// again. Under a preemption bound a node retires at most its free
-// continuation, so the first record is inline.
+// footStore holds the footprints of one decision node's retired branches.
+// Only the node's descendants read them, and the DFS pops those first, so a
+// recycled node resets its store, keeping each record's Acc buffer; until
+// then a record is never written again. Under a preemption bound a node
+// retires at most its free continuation, so the first record is inline.
 type footStore struct {
 	n     int // records held
 	first Footprint
@@ -174,7 +173,7 @@ func writeClass(kind MemKind) bool {
 // foot — is independent of everything executed since the branch that ran tid
 // here was fully explored. foot is a record in the store of an ancestor node
 // (or of the node itself), never a window buffer, so entries are copied freely
-// down the stack; a cloned stack re-keeps them in its own nodes.
+// down the stack; a WorkUnit carries copies (BranchRecord), never entries.
 type sleepEntry struct {
 	tid  ThreadID
 	foot *Footprint

@@ -94,10 +94,8 @@ func splitUnits(cfg ExploreConfig, prog Program, depth int, emit func(WorkUnit))
 	e := newExplorer(cfg, co)
 	n := 0
 	e.generate(prog, depth, func(floor int) {
-		u := WorkUnit{Seq: n, Path: []int(pathOf(e.stack)), Floor: floor}
-		if e.red == ReductionSleep {
-			u.Explored = exploredOf(e.stack)
-		}
+		u := e.unitOf(e.stack, floor)
+		u.Seq = n
 		n++
 		emit(u)
 	})

@@ -206,17 +206,6 @@ func (c *Collector) Spans() []Span {
 	return append([]Span(nil), c.spans...)
 }
 
-// SpanTotal sums the durations of all completed spans with the given name.
-func (c *Collector) SpanTotal(name string) time.Duration {
-	var total time.Duration
-	for _, s := range c.Spans() {
-		if s.Name == name {
-			total += s.Dur
-		}
-	}
-	return total
-}
-
 // Snap is a moment-in-time copy of the counters by name, the flat record
 // rendered by the /debug/vars endpoint and the event trace. A counter that is
 // zero is absent, so reading a name that is not there gives its value.

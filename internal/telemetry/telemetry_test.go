@@ -144,11 +144,12 @@ func TestSpansAndTrace(t *testing.T) {
 	c.Add(HistCacheHits, 3)
 	c.Emit("test", "Fig1", 0)
 
-	if n := len(c.Spans()); n != 2 {
-		t.Fatalf("got %d spans, want 2", n)
+	spans := c.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("got %d spans, want 2", len(spans))
 	}
-	if c.SpanTotal("phase1") <= 0 {
-		t.Fatal("phase1 span total should be positive")
+	if spans[0].Name != "phase1" || spans[0].Dur <= 0 {
+		t.Fatalf("first span %+v, want phase1 with a positive duration", spans[0])
 	}
 
 	var buf bytes.Buffer
