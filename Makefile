@@ -36,7 +36,9 @@ race:
 # carrying of controller panics to the Run goroutine, the pinned decision
 # traces (five full explorations and a 2x2 test of each of the 21 registry
 # subjects), the invariants of what an exploration keeps from one execution
-# to the next (pool_test.go), the wait set's semantics,
+# to the next (pool_test.go), the wait set's semantics, a wait set and a
+# vsync mutex that outlive an execution (a stale waiter or holder is never
+# taken for a later execution's thread),
 # the point/switch tests, the goroutine-leak count (a rogue goroutine is
 # reported, a clean run is not), an unwatched four-worker exploration (no
 # watchdog, so the scheduler takes no lock) and the split suites (a split
@@ -46,7 +48,7 @@ race:
 # uncounted; about 5 s on 2 CPUs) run under the race detector on every
 # `make check`.
 sched-smoke:
-	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool|TestWaitSet|TestPoint|TestDetectLeaks|TestUnwatched|TestParallelSplitEverywhereEquivalence|TestParallelReductionEquivalence|TestParallelEarlyStop|TestUnitsReproduceSequentialExploration' ./internal/sched
+	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool|TestWaitSet|TestPoint|TestDetectLeaks|TestUnwatched|TestParallelSplitEverywhereEquivalence|TestParallelReductionEquivalence|TestParallelEarlyStop|TestUnitsReproduceSequentialExploration|TestMutexHeldAcrossExecutions' ./internal/sched ./internal/vsync
 
 # Race-enabled smoke of phase 2's decisions: several workers decide distinct
 # histories at once, each on an operation buffer from one shared pool, while

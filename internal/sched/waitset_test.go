@@ -113,3 +113,69 @@ func TestWaitSetSemantics(t *testing.T) {
 		})
 	}
 }
+
+// TestWaitSetStaleWaiterAbsorbsSignals: a wait set that outlives an execution
+// keeps the registration of a thread that was still waiting when the
+// execution ended stuck. A later execution's thread in the same spawn slot
+// is not that waiter: it registers anew, and a Signal goes to the stale entry
+// first, which absorbs it and wakes nobody. The exploration's per-schedule
+// outcomes, in exploration order, are pinned: an execution in which the new
+// waiter were taken for the stale one would complete where it must stay stuck
+// (or return from Wait without blocking).
+func TestWaitSetStaleWaiterAbsorbsSignals(t *testing.T) {
+	sched.RequireNoLeaks(t)
+	var ws sched.WaitSet
+	prog := sched.Program{Threads: []func(*sched.Thread){
+		func(th *sched.Thread) {
+			th.OpStart("wait")
+			th.Point()
+			ws.Wait(th)
+			th.OpEnd("wait", "ok")
+		},
+		func(th *sched.Thread) {
+			th.Point()
+			th.Point()
+			ws.Signal(th) // the thread's last step: no decision follows it
+		},
+	}}
+	// Schedule, verdict, events recorded and entries registered after the
+	// execution. Each stuck execution leaves one more entry; each later
+	// Signal is absorbed by the oldest unsignaled one.
+	stale := []string{
+		"[0 0 1 1 1] stuck 1 1", "[0 0 1 1 0] stuck 1 2", "[0 0 1 0] stuck 1 3", "[0 1 1 1] stuck 1 4",
+		"[0 1 1 0 0] stuck 1 5", "[0 1 1 0 1] stuck 1 6", "[0 1 0 0] stuck 1 7", "[0 1 0 1 1] stuck 1 8",
+		"[0 1 0 1 0] stuck 1 9", "[1 1 1] stuck 1 10", "[1 1 0 0 0] stuck 1 11", "[1 1 0 0 1] stuck 1 12",
+		"[1 1 0 1] stuck 1 13", "[1 0 0 0] stuck 1 14", "[1 0 0 1 1] stuck 1 15", "[1 0 0 1 0] stuck 1 16",
+		"[1 0 1 1] stuck 1 17", "[1 0 1 0 0] stuck 1 18", "[1 0 1 0 1] stuck 1 19",
+	}
+	for _, tc := range []struct {
+		red  sched.Reduction
+		want []string
+	}{
+		{sched.ReductionNone, append([]string{"[0 0 0] done 2 0"}, stale...)},
+		// The wait set has no footprint location, so its windows conflict
+		// with everything; sleep sets prune the schedules that only reorder
+		// B's points.
+		{sched.ReductionSleep, []string{"[0 0 0] done 2 0", "[0 0 1 1 1] stuck 1 1", "[0 0 1 1 0] stuck 1 2", "[0 0 1 0] stuck 1 3", "[0 1 1 1] stuck 1 4", "[1 1 1] stuck 1 5"}},
+	} {
+		ws = sched.WaitSet{}
+		var got []string
+		_, err := sched.Explore(sched.ExploreConfig{PreemptionBound: sched.Unbounded, Reduction: tc.red}, prog, func(o *sched.Outcome) bool {
+			if o.Err != nil {
+				t.Fatalf("execution error: %v", o.Err)
+			}
+			verdict := "done"
+			if o.Stuck {
+				verdict = "stuck"
+			}
+			got = append(got, fmt.Sprintf("%v %s %d %d", o.Schedule, verdict, len(o.Events), len(ws.Waiters())))
+			return true
+		})
+		if err != nil {
+			t.Fatalf("%v: explore: %v", tc.red, err)
+		}
+		if g, w := strings.Join(got, "\n"), strings.Join(tc.want, "\n"); g != w {
+			t.Errorf("%v: outcomes\n%s\nwant\n%s", tc.red, g, w)
+		}
+	}
+}

@@ -285,3 +285,66 @@ func TestAtomicPointerCAS(t *testing.T) {
 		},
 	}})
 }
+
+// TestMutexHeldAcrossExecutions: a mutex that outlives an execution and was
+// left held by a thread of a stuck execution stays held for every later
+// execution, also for the thread in the holder's spawn slot: its Lock blocks.
+// Thread A takes the mutex only after B has finished, so no decision of the
+// exploration depends on whether the Lock blocks.
+func TestMutexHeldAcrossExecutions(t *testing.T) {
+	sched.RequireNoLeaks(t)
+	for _, red := range []sched.Reduction{sched.ReductionNone, sched.ReductionSleep} {
+		var m *vsync.Mutex
+		var gate, never *sched.WaitSet
+		bDone := false
+		prog := sched.Program{
+			Setup: func(th *sched.Thread) {
+				if m == nil {
+					m = vsync.NewMutex(th, "m")
+				}
+				gate, never, bDone = new(sched.WaitSet), new(sched.WaitSet), false
+			},
+			Threads: []func(*sched.Thread){
+				func(th *sched.Thread) {
+					th.Point()
+					for !bDone {
+						gate.Wait(th)
+					}
+					th.OpStart("lock")
+					m.Lock(th)
+					th.OpEnd("lock", "ok")
+					never.Wait(th) // stuck, holding m
+				},
+				func(th *sched.Thread) {
+					th.Point()
+					th.Point()
+					bDone = true
+					gate.Signal(th) // the thread's last step
+				},
+			},
+		}
+		execs := 0
+		_, err := sched.Explore(sched.ExploreConfig{PreemptionBound: sched.Unbounded, Reduction: red}, prog, func(o *sched.Outcome) bool {
+			if o.Err != nil {
+				t.Fatalf("execution error: %v", o.Err)
+			}
+			want := 1 // the Lock blocks: its call is pending
+			if execs == 0 {
+				want = 2 // the first execution takes the free mutex
+			}
+			if !o.Stuck || len(o.Events) != want {
+				t.Fatalf("%v: execution %d (schedule %v): stuck %v, events %v; want stuck with %d events",
+					red, execs, o.Schedule, o.Stuck, o.Events, want)
+			}
+			execs++
+			return true
+		})
+		if err != nil {
+			t.Fatalf("%v: explore: %v", red, err)
+		}
+		if execs < 4 {
+			t.Fatalf("%v: only %d executions", red, execs)
+		}
+		t.Logf("%v: %d executions", red, execs)
+	}
+}
