@@ -54,12 +54,13 @@ sched-smoke:
 # histories at once, each on an operation buffer from one shared pool, while
 # their visitors wait on the deciding one. The worker-count equivalence suites,
 # a panicking decision's waiters, the decision from raw events against the
-# materialized history's and the stuck-history decision order run under the
+# materialized history's, phase 1's serial history from raw events against
+# ToSerial of the materialized one, and the stuck-history decision order run under the
 # race detector on every `make check` (about two seconds);
 # TestWorkerCountUnobservable takes over a minute with -race and runs in
 # `make race` only.
 core-smoke:
-	$(GO) test -race -run 'TestCheckWorkers|TestParallelWitnessPanic|TestRawDecision|TestStuckDecisionOrder' ./internal/core
+	$(GO) test -race -run 'TestCheckWorkers|TestParallelWitnessPanic|TestRawDecision|TestRawSerialHistory|TestStuckDecisionOrder' ./internal/core
 
 # Race-enabled smoke of the streaming service: the full internal/serve suite
 # (worker pool, backpressure, checkpoint/resume, HTTP ingest, agreement of

@@ -62,3 +62,8 @@ func DecisionPaths(spec *history.Spec, opts Options) (
 	}
 	return raw, ref
 }
+
+// SerialHistoryOf is phase 1's conversion of a serial execution's outcome.
+func SerialHistoryOf(out *sched.Outcome) (*history.SerialHistory, error) {
+	return serialHistory(out)
+}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"errors"
 	"slices"
 
 	"lineup/internal/history"
@@ -66,17 +66,18 @@ func opNames(row []Op) []string {
 	return names
 }
 
-// OutcomeHistory converts a scheduler execution outcome into its history:
-// the conversion phase 1 and phase 2 apply to every explored execution,
+// OutcomeHistory converts a scheduler execution outcome into its history,
 // exported for tests and tooling outside core. Scheduler thread IDs are
 // shifted down by one because the setup pseudo-thread always takes ID 0 and
 // records no events; test thread i therefore appears as history thread i,
-// and the teardown thread as FinalThread().
+// and the teardown thread as FinalThread(). Phase 1 (serialHistory) and
+// phase 2 (appendKey, appendOps) read the events the same way without it;
+// phase 2 materializes the history of a violation only.
 func OutcomeHistory(out *sched.Outcome) (*history.History, error) {
 	h := &history.History{Stuck: out.Stuck, Events: make([]history.Event, 0, len(out.Events))}
 	for _, e := range out.Events {
 		if e.Thread == 0 {
-			return nil, fmt.Errorf("core: unexpected history event from setup thread")
+			return nil, errSetupEvent
 		}
 		ev := history.Event{Thread: int(e.Thread) - 1, Kind: history.Call, Op: e.Op, Result: e.Result, Index: e.OpIndex}
 		if e.Kind == sched.EvReturn {
@@ -85,9 +86,48 @@ func OutcomeHistory(out *sched.Outcome) (*history.History, error) {
 		h.Events = append(h.Events, ev)
 	}
 	if out.Stuck && len(h.Pending()) == 0 {
-		return nil, fmt.Errorf("core: execution stuck outside any operation (constructor or init sequence blocked)")
+		return nil, errStuckOutside
 	}
 	return h, nil
+}
+
+var (
+	errSetupEvent   = errors.New("core: unexpected history event from setup thread")
+	errStuckOutside = errors.New("core: execution stuck outside any operation (constructor or init sequence blocked)")
+)
+
+// serialHistory is history.ToSerial(OutcomeHistory(out)) for the outcome of a
+// serial execution, built from its events, with OutcomeHistory's errors and
+// ToSerial's panic on events that are not serial.
+func serialHistory(out *sched.Outcome) (*history.SerialHistory, error) {
+	s := &history.SerialHistory{Ops: make([]history.SerialOp, 0, len(out.Events)/2)}
+	serial := true
+	var call *sched.OpEvent // the open call
+	for i := range out.Events {
+		e := &out.Events[i]
+		switch {
+		case e.Thread == 0:
+			return nil, errSetupEvent
+		case e.Kind == sched.EvCall:
+			serial = serial && call == nil
+			call = e
+		case call == nil || e.OpIndex != call.OpIndex:
+			serial = false
+		default:
+			s.Ops = append(s.Ops, history.SerialOp{Thread: int(call.Thread) - 1, Name: call.Op, Result: e.Result})
+			call = nil
+		}
+	}
+	if out.Stuck && call == nil {
+		return nil, errStuckOutside
+	}
+	if !serial || (call != nil && !out.Stuck) {
+		panic("core: serialHistory on a non-serial execution")
+	}
+	if call != nil {
+		s.Pending = &history.SerialPending{Thread: int(call.Thread) - 1, Name: call.Op}
+	}
+	return s, nil
 }
 
 // ExploreHistories enumerates the distinct concurrent histories that

@@ -54,11 +54,11 @@ func SynthesizeSpec(sub *Subject, m *Test, opts Options) (*history.Spec, PhaseSt
 	// taken only between operations), so each outcome goes straight into the
 	// spec, which deduplicates on its own.
 	stats, exploreErr := ForEachSerialExecution(sub, m, opts, false, func(out *sched.Outcome) bool {
-		var h *history.History
-		if h, err = OutcomeHistory(out); err != nil {
+		var s *history.SerialHistory
+		if s, err = serialHistory(out); err != nil {
 			return false
 		}
-		spec.Add(history.ToSerial(h))
+		spec.Add(s)
 		return true
 	})
 	ps := PhaseStats{

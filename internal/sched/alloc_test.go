@@ -47,7 +47,8 @@ func exploreAllocWorkload(b testing.TB, cfg sched.ExploreConfig, workers int, pr
 // and threads blocking on a wait set made per execution, whose first waiters
 // are kept inline. An exploration of this size pays its start-up (worker
 // goroutines, first nodes, coordinator) over 6 to 872 executions. The two
-// sleep-set rows also carry a ceiling in bytes per execution (0: none).
+// sleep-set rows and the wait-set row also carry a ceiling in bytes per
+// execution (0: none).
 var allocWorkloads = []struct {
 	name    string
 	cfg     sched.ExploreConfig
@@ -56,11 +57,11 @@ var allocWorkloads = []struct {
 	ceiling float64
 	bytes   float64
 }{
-	{"full", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionNone}, 0, allocProgram, 11, 0},
-	{"sleep", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionSleep}, 0, allocProgram, 12.5, 530},
-	{"serial", sched.ExploreConfig{Config: sched.Config{Serial: true}, PreemptionBound: sched.Unbounded}, 0, allocProgram, 23, 0},
-	{"parallel", sched.ExploreConfig{PreemptionBound: 2}, 2, allocProgram, 13.1, 760},
-	{"waitset", sched.ExploreConfig{PreemptionBound: 2}, 0, waitSetProgram, 1.3, 0},
+	{"full", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionNone}, 0, allocProgram, 10.2, 0},
+	{"sleep", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionSleep}, 0, allocProgram, 11.6, 252},
+	{"serial", sched.ExploreConfig{Config: sched.Config{Serial: true}, PreemptionBound: sched.Unbounded}, 0, allocProgram, 22.3, 0},
+	{"parallel", sched.ExploreConfig{PreemptionBound: 2}, 2, allocProgram, 12, 450},
+	{"waitset", sched.ExploreConfig{PreemptionBound: 2}, 0, waitSetProgram, 0.23, 13.5},
 }
 
 // BenchmarkExploreAllocs measures the explorer's per-exploration allocation
@@ -85,20 +86,20 @@ func BenchmarkExploreAllocs(b *testing.B) {
 }
 
 // TestExploreAllocsPerExecution is the allocation regression guard for the
-// DFS hot path: each execution allocates its thread handles and the subject's
-// own objects (here mostly the operation names), and nothing else — thread
-// goroutines, decision nodes, the scheduler, its recording buffers, the
-// outcome and the window footprints are the explorer's, not the execution's.
-// The ceilings are within 10% of measured values (10.3, 11.5, 21.2, 11.9 and
-// 1.2; the wait-set workload took 2.9 while each wait set allocated its
-// waiters); a hot-path change that starts allocating per decision, per event,
-// per window or per wait blows through them immediately, and so does one that
-// goes back to building a scheduler, goroutines, nodes or buffers per
-// execution. The sleep-set rows' byte ceilings are 10% over 480 and 690 bytes
-// (the parallel row's splits vary from run to run): retired footprints live in
-// their decision nodes, and a store kept for the explorer's whole life (639
-// and 1 006 bytes; its first chunk alone is 8 KB per explorer) does not fit
-// under them. Every workload also runs with a live telemetry collector under
+// DFS hot path: each execution allocates the subject's own objects (here
+// mostly the operation names), and nothing else — thread goroutines and
+// handles, decision nodes, the scheduler, its recording buffers, the outcome
+// and the window footprints are the explorer's, not the execution's.
+// The ceilings are within 10% of measured values (9.3, 10.5, 20.3, 10.9 and
+// 0.2 allocations; 229, 410 and 12 bytes, the parallel row's splits varying
+// from run to run). A hot-path change that starts allocating per decision,
+// per event, per window or per wait blows through them immediately, and so
+// does one that goes back to building a scheduler, goroutines, nodes,
+// buffers or thread handles per execution: with a Thread slab made per
+// execution the rows read 10.3, 11.5, 21.2, 11.9 and 1.2 allocations and
+// 479, 630 and 331 bytes. A store of retired footprints kept for the
+// explorer's whole life (639 and 1 006 bytes before the slab went; its first
+// chunk alone is 8 KB per explorer) does not fit under them either. Every workload also runs with a live telemetry collector under
 // the SAME ceiling: the counters are plain atomic adds with per-execution
 // delta flushes, so enabling them must not add a single allocation to the hot
 // path.

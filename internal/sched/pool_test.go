@@ -13,10 +13,13 @@ import (
 	"lineup/internal/sched"
 )
 
-// An exploration keeps its worker goroutines, decision nodes and scheduler
-// buffers from one execution to the next. These tests pin what that reuse must
-// never change: a thread's identity, the goroutine count, the containment of a
-// hung execution, and the goroutine-leak count.
+// An exploration keeps its worker goroutines, thread handles, decision nodes
+// and scheduler buffers from one execution to the next. These tests pin what
+// that reuse must never change: the goroutine count, the containment of a hung
+// execution, and the goroutine-leak count. What a recycled handle must never
+// change (a stale wait-set entry or mutex holder is not a later thread) is
+// pinned by TestWaitSetStaleWaiterAbsorbsSignals and, in internal/vsync,
+// TestMutexHeldAcrossExecutions.
 
 // settlesTo waits for the process goroutine count to come back down to want:
 // retired workers exit on their own time.
@@ -47,38 +50,6 @@ func holdsStill(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		if m := runtime.NumGoroutine(); m != n {
 			n, since = m, time.Now()
-		}
-	}
-}
-
-// TestPoolThreadHandlesAreNeverReused: a *Thread is an identity (wait sets that
-// outlive an execution are keyed by it), so the pool recycles the goroutine
-// behind a thread and never the handle.
-func TestPoolThreadHandlesAreNeverReused(t *testing.T) {
-	sched.RequireNoLeaks(t)
-	seen := map[*sched.Thread]int{}
-	body := func(label string) func(*sched.Thread) {
-		ops := opThread(2, label)
-		return func(th *sched.Thread) {
-			seen[th]++ // bodies run one at a time, ordered by the baton
-			ops(th)
-		}
-	}
-	prog := sched.Program{
-		Setup:    func(th *sched.Thread) { seen[th]++ },
-		Threads:  []func(*sched.Thread){body("a"), body("b"), body("c")},
-		Teardown: func(th *sched.Thread) { seen[th]++ },
-	}
-	_, stats := exploreAll(t, sched.ExploreConfig{PreemptionBound: 2}, prog)
-	if stats.Executions < 200 {
-		t.Fatalf("only %d executions", stats.Executions)
-	}
-	if want := 5 * stats.Executions; len(seen) != want {
-		t.Errorf("%d distinct handles over %d executions of 5 threads, want %d", len(seen), stats.Executions, want)
-	}
-	for th, n := range seen {
-		if n != 1 {
-			t.Fatalf("handle %p (thread %s) was handed to %d bodies", th, th.Name(), n)
 		}
 	}
 }

@@ -62,7 +62,9 @@ const (
 
 // Thread is the handle a logical thread uses to interact with the scheduler.
 // Every instrumented operation takes the current *Thread as an argument;
-// implementations under test must thread it through their methods.
+// implementations under test must thread it through their methods. An
+// exploration recycles the handles from one execution to the next, so a
+// thread is the handle together with its Generation.
 //
 // state and killed are atomic because the watchdog abandonment path reads and
 // writes them from the Run goroutine while a non-cooperative thread may still
@@ -78,7 +80,8 @@ type Thread struct {
 	state     atomic.Int32
 	killed    atomic.Bool
 	stepsInOp int
-	curOp     int // global index of the operation currently executing, -1 outside
+	curOp     int    // global index of the operation currently executing, -1 outside
+	gen       uint64 // bumped each time spawn hands the handle to a new thread
 }
 
 func (t *Thread) getState() threadState   { return threadState(t.state.Load()) }
@@ -89,6 +92,12 @@ func (t *Thread) ID() ThreadID { return t.id }
 
 // Name returns the thread's display name ("A", "B", ...).
 func (t *Thread) Name() string { return t.name }
+
+// Generation tells the threads a recycled handle served apart: a structure
+// that outlives an execution and records a thread records the pair (t,
+// t.Generation()) and matches both, so a thread of a finished execution is
+// never taken for the later thread that got its handle.
+func (t *Thread) Generation() uint64 { return t.gen }
 
 // killSentinel is panicked inside a thread's body when the scheduler
 // terminates an unfinished execution; the thread wrapper recovers it.
@@ -325,15 +334,14 @@ func CoverageKey(kind MemKind, loc int) uint64 {
 // Scheduler coordinates the logical threads of one execution at a time. An
 // explorer keeps one, resets it before each execution (keeping its recording
 // buffers, window accumulator and outcome) and replaces it after a hang; what
-// it takes from the explorer's pool — workers, the end and dead channels and
-// the threads, ebuf and ids buffers — outlives it too (see pool). The Thread
-// slab is made per execution.
+// it takes from the explorer's pool — workers, Thread handles, the end and
+// dead channels and the threads, ebuf and ids buffers — outlives it too (see
+// pool).
 type Scheduler struct {
 	cfg     Config
 	ctrl    Controller
 	pool    *pool
 	threads []*Thread
-	slab    []Thread // the execution's Thread handles, in spawn order
 	leaked  []string
 	// Only a watchdog or an abandonment uses a channel: end wakes the Run
 	// goroutine when the group driven on a helper goroutine can go no
@@ -444,12 +452,14 @@ func (defaultController) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID)
 }
 
 // pool is what outlives an execution: parked workers, each a coroutine with
-// its grown stack, and the scheduler's channels and buffers. An exploration
-// owns one and lends it to every Scheduler it runs; a one-off Run makes its
-// own and retires it on return. Only the Run goroutine touches it.
+// its grown stack, the Thread handles spawn recycles, and the scheduler's
+// channels and buffers. An exploration owns one and lends it to every
+// Scheduler it runs; a one-off Run makes its own and retires it on return.
+// Only the Run goroutine touches it.
 type pool struct {
 	workers []*worker // the first used are bound to threads of the running execution
 	used    int
+	slab    []Thread // the handles, in spawn order
 	end     chan struct{}
 	dead    chan *Thread
 	threads []*Thread
@@ -479,10 +489,10 @@ func (p *pool) take() *worker {
 }
 
 // retire empties the pool: it stops every parked worker and drops the
-// buffers. The workers of an abandoned execution's unfinished threads are not
-// parked — abandon resumes them to unwind, and each ends once its body has —
-// and its channels may still receive a late send, so none of it may serve
-// another execution.
+// handles and buffers. The workers of an abandoned execution's unfinished
+// threads are not parked — abandon resumes them to unwind, and each ends once
+// its body has — its threads may still touch their handles, and its channels
+// may still receive a late send, so none of it may serve another execution.
 func (p *pool) retire() {
 	for _, w := range p.workers {
 		if !w.abandoned.Load() {
@@ -539,14 +549,13 @@ func (s *Scheduler) unwound(t *Thread) {
 	}
 }
 
-// spawn binds a pooled worker to a new thread. The *Thread is the thread's
-// identity — wait sets that outlive an execution hold it — so it is allocated
-// per execution (one slab for all of them) and never recycled; the worker and
-// its stack are.
+// spawn binds a pooled worker and the pool's next handle to a new thread.
+// The handle served the thread of the same spawn slot in the previous
+// execution, which has unwound; it starts over under the next generation.
 func (s *Scheduler) spawn(name string, body func(t *Thread)) {
 	w := s.pool.take()
-	t := &s.slab[len(s.threads)]
-	t.id, t.name, t.sch, t.w, t.curOp = ThreadID(len(s.threads)), name, s, w, -1
+	t := &s.pool.slab[len(s.threads)]
+	*t = Thread{id: ThreadID(len(s.threads)), name: name, sch: s, w: w, curOp: -1, gen: t.gen + 1}
 	s.threads = append(s.threads, t)
 	w.t, w.body = t, body
 }
@@ -562,14 +571,13 @@ func (s *Scheduler) Run(prog Program) *Outcome {
 		defer p.retire()
 	}
 	if cap(p.dead) < n {
-		p.end, p.dead = make(chan struct{}, 1), make(chan *Thread, n)
+		p.slab, p.end, p.dead = make([]Thread, n), make(chan struct{}, 1), make(chan *Thread, n)
 		p.threads, p.ebuf, p.ids = make([]*Thread, 0, n), make([]*Thread, 0, n), make([]ThreadID, 0, n)
 	}
 	// The previous execution ended cleanly (or the pool is empty): its workers
 	// are parked, its channels drained.
 	p.used = 0
 	s.end, s.dead, s.threads, s.ebuf, s.ids = p.end, p.dead, p.threads, p.ebuf, p.ids
-	s.slab = make([]Thread, n)
 	baseGoroutines := 0
 	if s.cfg.DetectLeaks {
 		// Workers are the scheduler's goroutines, not the subject's: take the

@@ -19,12 +19,17 @@ type WaitSet struct {
 }
 
 // waiter is one registered thread and whether a signal is pending for it. A
-// wait set holds a handful of them, so it is searched linearly; matching is by
-// *Thread, which is never reused.
+// wait set holds a handful of them, so it is searched linearly. A wait set
+// may outlive an execution, and a thread stuck in it stays registered; its
+// handle serves a later execution under another generation, so an entry is
+// the thread's only while both match (see Thread.Generation).
 type waiter struct {
 	t      *Thread
+	gen    uint64
 	signal bool
 }
+
+func (w *waiter) is(t *Thread) bool { return w.t == t && w.gen == t.gen }
 
 // SetFootprintLoc attributes the wait set's operations to a shared-memory
 // location for partial-order reduction: two wait-set operations on the same
@@ -54,7 +59,7 @@ func (ws *WaitSet) touch(t *Thread) {
 // find returns the index of t's registration, -1 if it has none.
 func (ws *WaitSet) find(t *Thread) int {
 	for i := range ws.waiters {
-		if ws.waiters[i].t == t {
+		if ws.waiters[i].is(t) {
 			return i
 		}
 	}
@@ -71,7 +76,7 @@ func (ws *WaitSet) Register(t *Thread) {
 		if ws.waiters == nil {
 			ws.waiters = ws.inline[:0]
 		}
-		ws.waiters = append(ws.waiters, waiter{t: t})
+		ws.waiters = append(ws.waiters, waiter{t: t, gen: t.gen})
 	}
 }
 
@@ -98,10 +103,11 @@ func (ws *WaitSet) remove(i int) {
 }
 
 // wake gives the i'th waiter its signal and makes it runnable if it parked.
+// A stale entry takes the signal and wakes nobody.
 func (ws *WaitSet) wake(i int) {
 	w := &ws.waiters[i]
 	w.signal = true
-	if w.t.getState() == stateBlocked {
+	if w.is(w.t) && w.t.getState() == stateBlocked {
 		w.t.setState(stateRunnable)
 	}
 }

@@ -126,11 +126,14 @@ func (i *AtomicInt) Add(t *sched.Thread, delta int) int {
 // if the lock is held, which is also how lock-acquire timeouts are modeled
 // under the checker (the timed-out outcome corresponds exactly to a schedule
 // in which the lock is observed held; see DESIGN.md). The mutex is reentrant,
-// matching .NET monitors.
+// matching .NET monitors. A mutex may outlive an execution, held by a thread
+// that never released it: the holder is recorded with its generation, so the
+// thread that gets its handle in a later execution does not hold it.
 type Mutex struct {
 	loc    int
 	name   string
 	holder *sched.Thread
+	gen    uint64 // holder.Generation() when it acquired
 	depth  int
 	ws     sched.WaitSet
 }
@@ -145,10 +148,10 @@ func NewMutex(t *sched.Thread, name string) *Mutex {
 // Lock acquires the mutex, blocking while it is held by another thread.
 func (m *Mutex) Lock(t *sched.Thread) {
 	t.Point()
-	for m.holder != nil && m.holder != t {
+	for m.holder != nil && !m.heldBy(t) {
 		m.ws.Wait(t)
 	}
-	m.holder = t
+	m.holder, m.gen = t, t.Generation()
 	m.depth++
 	t.Record(sched.MemAcquire, m.loc, m.name)
 }
@@ -157,14 +160,14 @@ func (m *Mutex) Lock(t *sched.Thread) {
 // reports whether it did.
 func (m *Mutex) TryLock(t *sched.Thread) bool {
 	t.Point()
-	if m.holder != nil && m.holder != t {
+	if m.holder != nil && !m.heldBy(t) {
 		// The failed attempt records nothing, but its result observed the
 		// holder; footprint the read so reduction never commutes it past an
 		// acquire or release.
 		t.Touch(m.loc, false)
 		return false
 	}
-	m.holder = t
+	m.holder, m.gen = t, t.Generation()
 	m.depth++
 	t.Record(sched.MemAcquire, m.loc, m.name)
 	return true
@@ -174,7 +177,7 @@ func (m *Mutex) TryLock(t *sched.Thread) bool {
 // panics, as that is a bug in the implementation under test.
 func (m *Mutex) Unlock(t *sched.Thread) {
 	t.Point()
-	if m.holder != t {
+	if !m.heldBy(t) {
 		panic("vsync: unlock of mutex not held by this thread")
 	}
 	t.Record(sched.MemRelease, m.loc, m.name)
@@ -190,7 +193,11 @@ func (m *Mutex) Unlock(t *sched.Thread) {
 // that code branching on it is visible to partial-order reduction.
 func (m *Mutex) Held(t *sched.Thread) bool {
 	t.Touch(m.loc, false)
-	return m.holder == t
+	return m.heldBy(t)
+}
+
+func (m *Mutex) heldBy(t *sched.Thread) bool {
+	return m.holder == t && m.gen == t.Generation()
 }
 
 // Cond is a condition variable associated with a Mutex, with Mesa semantics
