@@ -731,3 +731,148 @@ func BenchmarkDistWallRatio(b *testing.B) {
 	b.ReportMetric(med[3]/med[0], "dist_dir_wall_ratio")
 	b.ReportMetric(float64(units), "units")
 }
+
+// BenchmarkIterativeBounding measures ROADMAP item 18's step (a): on every
+// FAIL among the directed cause cases and the tests of the harness's
+// check-hunt workload (seed 2: the 13 cause cases, then 30 balanced 2x3 tests,
+// 2x2 for ManualResetEvent(Pre) and ConcurrentBag, on each of ten failing
+// classes), phase 2's executions and time to the first violation under the
+// depth-first explorer at the class's bound, against a naive by-bound rerun
+// (bound 0, 1, ... up to the class's, stopping at the first FAIL; its
+// executions and times are summed). Phase 1 runs once per test and is shared;
+// one worker, so the executions are deterministic; each time is the minimum
+// of three runs. Run with -benchtime 1x -v: it logs one row per group and
+// the medians EXPERIMENTS.md "Iterative preemption bounding, measured"
+// records.
+func BenchmarkIterativeBounding(b *testing.B) {
+	type item struct {
+		group string
+		sub   *core.Subject
+		test  *core.Test
+		bound int
+	}
+	var items []item
+	for _, c := range bench.CauseCases() {
+		items = append(items, item{"causes", c.Subject, c.Test, c.Bound})
+	}
+	const seed = 2
+	for i, class := range []string{
+		"Lazy(Pre)", "ManualResetEvent(Pre)", "SemaphoreSlim(Pre)", "CountdownEvent(Pre)",
+		"ConcurrentQueue(Pre)", "ConcurrentStack(Pre)", "BlockingCollection(Pre)",
+		"TaskCompletionSource(Pre)", "ConcurrentBag", "Barrier",
+	} {
+		sub, e, ok := bench.Find(class)
+		if !ok {
+			b.Fatalf("no class %s", class)
+		}
+		ops := 3
+		if class == "ManualResetEvent(Pre)" || class == "ConcurrentBag" {
+			ops = 2
+		}
+		// The harness's balancedTest on its generator (benchmark/gen.go).
+		rng := rand.New(rand.NewSource(seed*1_000_003 + 100 + int64(i)))
+		for n := 0; n < 30; n++ {
+			cells := make([]core.Op, 0, 2*ops)
+			for len(cells) < 2*ops {
+				for _, k := range rng.Perm(len(sub.Ops)) {
+					if len(cells) == 2*ops {
+						break
+					}
+					cells = append(cells, sub.Ops[k])
+				}
+			}
+			rng.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
+			items = append(items, item{class, sub, &core.Test{Rows: [][]core.Op{cells[:ops], cells[ops:]}}, e.Bound})
+		}
+	}
+	// check runs phase 2 three times and keeps the fastest run's time.
+	check := func(it item, spec *history.Spec, pb int) (*core.Result, time.Duration) {
+		var best *core.Result
+		for r := 0; r < 3; r++ {
+			res, err := core.CheckAgainstSpec(it.sub, it.test, spec, core.Options{PreemptionBound: pb, Workers: 1})
+			if err != nil {
+				b.Fatalf("%s %s: %v", it.group, it.test, err)
+			}
+			if best == nil || res.Phase2.Duration < best.Phase2.Duration {
+				best = res
+			}
+		}
+		return best, best.Phase2.Duration
+	}
+	median := func(xs []float64) float64 {
+		sort.Float64s(xs)
+		if len(xs) == 0 {
+			return 0
+		}
+		if len(xs)%2 == 1 {
+			return xs[len(xs)/2]
+		}
+		return (xs[len(xs)/2-1] + xs[len(xs)/2]) / 2
+	}
+	for i := 0; i < b.N; i++ {
+		type row struct {
+			fails, same                                    int
+			dfsExecs, naiveExecs, dfsMS, naiveMS, speedups []float64
+			dfsTotal, naiveTotal                           time.Duration
+		}
+		rows, all := map[string]*row{}, &row{}
+		var groups []string
+		verdicts, foundAt := 0, map[int]int{}
+		for _, it := range items {
+			verdicts++
+			spec, _, err := core.SynthesizeSpec(it.sub, it.test, core.Options{PreemptionBound: it.bound})
+			if err != nil {
+				b.Fatalf("%s %s: phase 1: %v", it.group, it.test, err)
+			}
+			dfs, dfsTime := check(it, spec, it.bound)
+			if dfs.Verdict != core.Fail {
+				continue
+			}
+			var naive *core.Result
+			naiveExecs, naiveTime := 0, time.Duration(0)
+			for pb := 0; pb <= it.bound; pb++ {
+				opt := pb
+				if pb == 0 {
+					opt = core.NoPreemptions // a zero bound is the default one
+				}
+				res, d := check(it, spec, opt)
+				naiveExecs += res.Phase2.Executions
+				naiveTime += d
+				if res.Verdict == core.Fail {
+					naive = res
+					foundAt[pb]++
+					break
+				}
+			}
+			if rows[it.group] == nil {
+				rows[it.group] = &row{}
+				groups = append(groups, it.group)
+			}
+			for _, r := range []*row{rows[it.group], all} {
+				r.fails++
+				if naive.Violation.Kind == dfs.Violation.Kind {
+					r.same++
+				}
+				r.dfsExecs = append(r.dfsExecs, float64(dfs.Phase2.Executions))
+				r.naiveExecs = append(r.naiveExecs, float64(naiveExecs))
+				r.dfsMS = append(r.dfsMS, dfsTime.Seconds()*1e3)
+				r.naiveMS = append(r.naiveMS, naiveTime.Seconds()*1e3)
+				r.speedups = append(r.speedups, dfsTime.Seconds()/naiveTime.Seconds())
+				r.dfsTotal += dfsTime
+				r.naiveTotal += naiveTime
+			}
+		}
+		b.Logf("%d verdicts, %d FAIL; the rerun first fails at bound 0, 1, 2, 3, 4 on %d, %d, %d, %d, %d", verdicts, all.fails,
+			foundAt[0], foundAt[1], foundAt[2], foundAt[3], foundAt[4])
+		b.Logf("%-26s %5s %5s %10s %10s %9s %9s %9s %9s %8s", "group", "FAIL", "kind=", "DFS execs", "naive", "DFS ms", "naive ms", "DFS tot", "naive tot", "speed-up")
+		for _, g := range append(groups, "all") {
+			r := all
+			if g != "all" {
+				r = rows[g]
+			}
+			b.Logf("%-26s %5d %5d %10.0f %10.0f %9.3f %9.3f %9.1f %9.1f %7.2fx", g, r.fails, r.same,
+				median(r.dfsExecs), median(r.naiveExecs), median(r.dfsMS), median(r.naiveMS),
+				r.dfsTotal.Seconds()*1e3, r.naiveTotal.Seconds()*1e3, median(r.speedups))
+		}
+	}
+}

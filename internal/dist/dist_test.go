@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,6 +176,8 @@ func TestDistCoordinatorCrashResume(t *testing.T) {
 	// completed unit, and cancel the coordinator once the manifest journals
 	// that unit as done.
 	ctx, cancel := context.WithCancel(context.Background())
+	stalled := cfg
+	stalled.Launcher = &stallAfterFirst{inner: &dist.InProcLauncher{}}
 	firstDone := make(chan struct{})
 	go func() {
 		defer cancel()
@@ -188,7 +191,7 @@ func TestDistCoordinatorCrashResume(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
-	_, stats, err := dist.Run(ctx, cfg)
+	_, stats, err := dist.Run(ctx, stalled)
 	select {
 	case <-firstDone:
 	default:
@@ -212,6 +215,22 @@ func TestDistCoordinatorCrashResume(t *testing.T) {
 		t.Fatalf("resume accounting broken: %+v", stats2)
 	}
 	requireSameResult(t, "resumed", res, want)
+}
+
+// stallAfterFirst runs the first unit it is handed and holds every later one
+// until its lease's context is cancelled, so a run cannot finish before it is
+// cancelled, however fast the units are.
+type stallAfterFirst struct {
+	inner    dist.Launcher
+	launched atomic.Int32
+}
+
+func (l *stallAfterFirst) Run(ctx context.Context, spec dist.UnitSpec, heartbeat func()) (*core.UnitReport, error) {
+	if l.launched.Add(1) == 1 {
+		return l.inner.Run(ctx, spec, heartbeat)
+	}
+	<-ctx.Done()
+	return nil, ctx.Err()
 }
 
 // TestDistPoisonedUnits: when a unit fails every attempt, the run degrades
