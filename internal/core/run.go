@@ -91,40 +91,34 @@ func OutcomeHistory(out *sched.Outcome) (*history.History, error) {
 	return h, nil
 }
 
-var (
-	errSetupEvent   = errors.New("core: unexpected history event from setup thread")
-	errStuckOutside = errors.New("core: execution stuck outside any operation (constructor or init sequence blocked)")
-)
+var errSetupEvent = errors.New("core: unexpected history event from setup thread")
+var errStuckOutside = errors.New("core: execution stuck outside any operation (constructor or init sequence blocked)")
 
 // serialHistory is history.ToSerial(OutcomeHistory(out)) for the outcome of a
-// serial execution, built from its events, with OutcomeHistory's errors and
-// ToSerial's panic on events that are not serial.
+// serial execution, built from its events, with OutcomeHistory's errors (the
+// setup thread's events come before any other) and ToSerial's panic.
 func serialHistory(out *sched.Outcome) (*history.SerialHistory, error) {
 	s := &history.SerialHistory{Ops: make([]history.SerialOp, 0, len(out.Events)/2)}
-	serial := true
 	var call *sched.OpEvent // the open call
 	for i := range out.Events {
-		e := &out.Events[i]
-		switch {
+		switch e := &out.Events[i]; {
 		case e.Thread == 0:
 			return nil, errSetupEvent
-		case e.Kind == sched.EvCall:
-			serial = serial && call == nil
+		case e.Kind == sched.EvCall && call == nil:
 			call = e
-		case call == nil || e.OpIndex != call.OpIndex:
-			serial = false
-		default:
+		case e.Kind == sched.EvReturn && call != nil && e.OpIndex == call.OpIndex:
 			s.Ops = append(s.Ops, history.SerialOp{Thread: int(call.Thread) - 1, Name: call.Op, Result: e.Result})
 			call = nil
+		default:
+			panic("core: serialHistory on a non-serial execution")
 		}
 	}
-	if out.Stuck && call == nil {
+	switch {
+	case call == nil && out.Stuck:
 		return nil, errStuckOutside
-	}
-	if !serial || (call != nil && !out.Stuck) {
+	case call != nil && !out.Stuck:
 		panic("core: serialHistory on a non-serial execution")
-	}
-	if call != nil {
+	case call != nil:
 		s.Pending = &history.SerialPending{Thread: int(call.Thread) - 1, Name: call.Op}
 	}
 	return s, nil

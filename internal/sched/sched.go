@@ -93,10 +93,10 @@ func (t *Thread) ID() ThreadID { return t.id }
 // Name returns the thread's display name ("A", "B", ...).
 func (t *Thread) Name() string { return t.name }
 
-// Generation tells the threads a recycled handle served apart: a structure
-// that outlives an execution and records a thread records the pair (t,
-// t.Generation()) and matches both, so a thread of a finished execution is
-// never taken for the later thread that got its handle.
+// Generation distinguishes the threads a recycled handle has served. A
+// structure that outlives an execution and records a thread records the pair
+// (t, t.Generation()) and matches both, so a thread of a finished execution
+// is never taken for the later thread that got its handle.
 func (t *Thread) Generation() uint64 { return t.gen }
 
 // killSentinel is panicked inside a thread's body when the scheduler

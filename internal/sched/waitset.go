@@ -29,8 +29,6 @@ type waiter struct {
 	signal bool
 }
 
-func (w *waiter) is(t *Thread) bool { return w.t == t && w.gen == t.gen }
-
 // SetFootprintLoc attributes the wait set's operations to a shared-memory
 // location for partial-order reduction: two wait-set operations on the same
 // object never commute, so they must share a location in the window
@@ -59,7 +57,7 @@ func (ws *WaitSet) touch(t *Thread) {
 // find returns the index of t's registration, -1 if it has none.
 func (ws *WaitSet) find(t *Thread) int {
 	for i := range ws.waiters {
-		if ws.waiters[i].is(t) {
+		if w := &ws.waiters[i]; w.t == t && w.gen == t.gen {
 			return i
 		}
 	}
@@ -107,7 +105,7 @@ func (ws *WaitSet) remove(i int) {
 func (ws *WaitSet) wake(i int) {
 	w := &ws.waiters[i]
 	w.signal = true
-	if w.is(w.t) && w.t.getState() == stateBlocked {
+	if w.gen == w.t.gen && w.t.getState() == stateBlocked {
 		w.t.setState(stateRunnable)
 	}
 }
