@@ -155,9 +155,9 @@ sweeps:
 	LINEUP_BENCH_FULL=1 $(GO) test -timeout=30m ./internal/bench ./internal/core
 
 # Table 2 at the paper's scale: 100 random 3x3 tests per class at seed 1
-# (about seven minutes on two CPUs). Every corrected class must pass every
-# sample, every (Pre) and intentional class must fail with its documented
-# causes, and the structural columns must equal table2_output.txt
+# (about two and a half minutes on two CPUs). Every corrected class must pass
+# every sample, every (Pre) and intentional class must fail with its
+# documented causes, and the structural columns must equal table2_output.txt
 # (`lineup table2 -samples 100 -seed 1` writes it). The test is built only
 # under the table2full tag, so `go test ./...` neither builds nor runs it.
 table2-full:
