@@ -30,6 +30,9 @@ func WithExecutionBudget(o Options, n int) Options {
 //go:linkname schedRecruitAfter lineup/internal/sched.recruitAfter
 var schedRecruitAfter int
 
+// RecruitAfter is sched's recruiting mark.
+func RecruitAfter() int { return schedRecruitAfter }
+
 // SetRecruitAfter makes every exhaustive exploration start its helpers once n
 // executions have started, until the returned function is called.
 func SetRecruitAfter(n int) (restore func()) {

@@ -125,6 +125,7 @@ func TestNoOversubscription(t *testing.T) {
 	}
 	stack := findClass(t, "ConcurrentStack")
 	long := balancedTest(rand.New(rand.NewSource(1)), stack, 3, 3) // 4 195 executions
+	// At bound 1 the short test ends in 8 executions, below the mark.
 	short := &core.Test{Rows: [][]core.Op{{stack.Ops[0]}, {stack.Ops[1]}}}
 	var col *telemetry.Collector
 	splits := func(run func()) int64 {
@@ -134,9 +135,12 @@ func TestNoOversubscription(t *testing.T) {
 	}
 	check := func(m *core.Test, opts core.Options) func() {
 		return func() {
-			opts.PreemptionBound, opts.Telemetry = 2, col
+			if opts.PreemptionBound == 0 {
+				opts.PreemptionBound = 2
+			}
+			opts.Telemetry = col
 			res := mustCheck(t, stack, m, opts)
-			if m == short && res.Phase2.Executions >= 64 {
+			if m == short && res.Phase2.Executions >= core.RecruitAfter() {
 				t.Fatalf("the short test runs %d executions; it has to end before the recruiting mark", res.Phase2.Executions)
 			}
 		}
@@ -159,7 +163,7 @@ func TestNoOversubscription(t *testing.T) {
 		t.Fatalf("RandomCheck of one test on two workers never split its exploration")
 	}
 	for name, run := range map[string]func(){
-		"shorter than the recruiting mark":    check(short, core.Options{Workers: 4}),
+		"shorter than the recruiting mark":    check(short, core.Options{Workers: 4, PreemptionBound: 1}),
 		"RandomCheck of 4 tests on 2 workers": random(4),
 		"DetectLeaks":                         check(long, core.Options{DetectLeaks: true}),
 		"GOMAXPROCS(1)": func() {

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"lineup/internal/telemetry"
 )
@@ -139,6 +140,24 @@ type explorer struct {
 	// pos is the reusable buffer behind position.
 	pos Pos
 
+	// A decision with no choice — the budget is spent and the current thread
+	// is enabled, so only it is affordable — is not a node (see noChoice).
+	// forced is set while the decisions since the deepest node are such
+	// decisions, each past the stack; carry is then the sleep set the next
+	// node inherits, woken and trimmed by them as the chain of nodes they
+	// used to be would have handed it down, and tail counts their sleeping
+	// picks (see ExploreStats.Pruned) not yet added to counted.
+	forced bool
+	carry  []sleepEntry
+	tail   int
+	// unitTails is set on SplitUnits' generator: an execution's tail of
+	// forced decisions after its deepest node lies past its unit's path, so
+	// the unit's explorer counts it.
+	unitTails bool
+	// onPick, set only by tests, sees every Pick call with the enabled
+	// threads in branch order; it turns off the scheduler's skipping.
+	onPick func(cur ThreadID, curEnabled bool, ord []ThreadID, pick ThreadID)
+
 	// tel receives counter flushes once per execution (never inside Pick).
 	// wakes counts sleep-set entries woken by a dependent window; lastPruned
 	// and lastWakes remember the counts already flushed, so each flush adds
@@ -205,7 +224,7 @@ func (e *explorer) step(prog Program) (out *Outcome, p Pos, ok bool) {
 		return nil, nil, false
 	}
 	e.counted.Executions++
-	e.depth, e.budget = 0, e.bound
+	e.depth, e.budget, e.forced = 0, e.bound, false
 	e.tel.Add(telemetry.ExecutionsStarted, 1)
 	if e.sch == nil {
 		e.sch = &Scheduler{pool: &e.pool}
@@ -216,6 +235,10 @@ func (e *explorer) step(prog Program) (out *Outcome, p Pos, ok bool) {
 		e.sch = nil // its abandoned threads may still append to it
 	}
 	e.seed, e.seedExplored = nil, nil
+	if !e.unitTails {
+		e.counted.Pruned += e.tail
+	}
+	e.tail = 0
 	e.flushTelemetry(out)
 	e.counted.Decisions += out.Decisions
 	if out.FailureKind() != FailNone {
@@ -268,6 +291,7 @@ func (e *explorer) explore(prog Program, sh *shard, visit func(*Outcome, Pos) bo
 // it finishes it.
 func (e *explorer) generate(prog Program, depth int, emit func(floor int)) {
 	defer e.finish()
+	e.unitTails = true
 	for {
 		if _, _, ok := e.step(prog); !ok {
 			return
@@ -294,7 +318,61 @@ func (e *explorer) allowed(c *choice, i int) bool {
 	return c.budget >= c.cost(i)
 }
 
+// forcedNodes makes a decision with no choice a node like any other, as it
+// was before such decisions were skipped: the reference the forced-decision
+// tests hold the explorer to. Only tests set it.
+var forcedNodes bool
+
+// noChoice reports whether a decision that finds the current thread enabled
+// has no choice: the preemption budget is spent, so the current thread is
+// the one affordable branch. Such a decision is not a node; Pick takes it in
+// pickForced.
+func (e *explorer) noChoice() bool {
+	return e.budget == 0 && e.bound != Unbounded && !forcedNodes
+}
+
+// skipsForced reports whether the scheduler may take a decision with no
+// choice without calling Pick, flushing its window or naming the enabled
+// threads: no sleep set is carried through it (the window's footprint wakes
+// nothing and the current thread is asleep nowhere) and no test watches.
+func (e *explorer) skipsForced() bool {
+	return e.noChoice() && e.onPick == nil && (e.depth < len(e.stack) || e.red != ReductionSleep || (e.forced && len(e.carry) == 0))
+}
+
+// pickForced takes a decision with no choice for the current thread cur.
+// Before the deepest node it is a replay, and the next node's sleep set
+// exists already. Past it, the decision does to the sleep set it hands down
+// what its node did: cur is dropped (and counted as a pruned branch if it
+// was asleep), and observeWindow wakes every entry its window conflicts
+// with, which is the same as waking them against the union of the chain's
+// windows.
+func (e *explorer) pickForced(cur ThreadID) {
+	if e.depth < len(e.stack) || e.red != ReductionSleep {
+		return
+	}
+	if !e.forced {
+		e.carry = e.childSleep(e.carry[:0])
+		e.forced = true
+	}
+	for i, s := range e.carry {
+		if s.tid == cur {
+			if e.depth >= len(e.seed) {
+				e.tail++
+			}
+			e.carry = append(e.carry[:i], e.carry[i+1:]...)
+			break
+		}
+	}
+}
+
 func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) ThreadID {
+	if curEnabled && e.noChoice() {
+		if e.onPick != nil {
+			e.onPick(cur, curEnabled, orderChoices(nil, cur, curEnabled, enabled), cur)
+		}
+		e.pickForced(cur)
+		return cur
+	}
 	if e.depth < len(e.stack) {
 		c := e.stack[e.depth]
 		if !sameIDsOrdered(c.enabled, cur, curEnabled, enabled) || c.cur != cur || c.curEnabled != curEnabled {
@@ -303,6 +381,9 @@ func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 		}
 		e.budget -= c.cost(c.next)
 		e.depth++
+		if e.onPick != nil {
+			e.onPick(cur, curEnabled, c.enabled, c.enabled[c.next])
+		}
 		return c.enabled[c.next]
 	}
 	var c *choice
@@ -319,8 +400,13 @@ func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 	ord := orderChoices(c.enabled, cur, curEnabled, enabled)
 	c.enabled, c.cur, c.curEnabled, c.budget = ord, cur, curEnabled, e.budget
 	if e.red == ReductionSleep {
-		c.sleep = e.childSleep(c.sleep)
+		if e.forced {
+			c.sleep = append(c.sleep, e.carry...)
+		} else {
+			c.sleep = e.childSleep(c.sleep)
+		}
 	}
+	e.forced, e.counted.Pruned, e.tail = false, e.counted.Pruned+e.tail, 0
 	if e.depth < len(e.seed) {
 		// Unit replay: the seed pins the branch (and restores the retired
 		// branches) of every level the unit's generator had reached; its
@@ -374,6 +460,9 @@ func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 	e.stack = append(e.stack, c)
 	e.budget -= c.cost(c.next)
 	e.depth++
+	if e.onPick != nil {
+		e.onPick(cur, curEnabled, ord, ord[c.next])
+	}
 	return ord[c.next]
 }
 
@@ -486,6 +575,17 @@ func (e *explorer) records(c *choice) bool {
 // only recorded once per branch — replayed prefixes regenerate identical
 // windows — into the node's own buffer.
 func (e *explorer) observeWindow(f *Footprint) {
+	if e.forced {
+		// The window of a forced decision: wake what it depends on.
+		e.carry = slices.DeleteFunc(e.carry, func(s sleepEntry) bool {
+			if s.foot.ConflictsWith(f) {
+				e.wakes++
+				return true
+			}
+			return false
+		})
+		return
+	}
 	if e.depth == 0 || e.depth > len(e.stack) {
 		return
 	}

@@ -14,25 +14,35 @@ type PickRecord struct {
 }
 
 // ExploreTraced is Explore that also hands visit the Pick calls of each
-// execution, read off the explorer's decision stack: a level is recorded
-// from Pick's arguments when it is created, and every replay of it panics
-// unless Pick receives the same arguments again, so the stack is the
-// execution's Pick trace. The records alias the stack and are valid during
-// the call.
+// execution, decisions with no choice included: the explorer reports every
+// decision to a hook as it takes it (which keeps the scheduler from taking
+// the ones with no choice without asking), with the enabled threads in branch
+// order, and every replayed node panics unless Pick receives the same
+// arguments again. The records are valid during the call.
 func ExploreTraced(cfg ExploreConfig, prog Program, visit func(*Outcome, []PickRecord) bool) (ExploreStats, error) {
 	co := newCoordinator(cfg)
 	e := newExplorer(cfg, co)
 	var recs []PickRecord
+	e.onPick = func(cur ThreadID, curEnabled bool, ord []ThreadID, pick ThreadID) {
+		recs = append(recs, PickRecord{Cur: cur, CurEnabled: curEnabled, Enabled: append([]ThreadID(nil), ord...), Pick: pick})
+	}
 	co.push(&shard{})
 	co.work(e, prog, func(out *Outcome, _ Pos) bool {
-		recs = recs[:0]
-		for _, c := range e.stack[:e.depth] {
-			recs = append(recs, PickRecord{Cur: c.cur, CurEnabled: c.curEnabled, Enabled: c.enabled, Pick: c.enabled[c.next]})
-		}
+		defer func() { recs = recs[:0] }()
 		return visit(out, recs)
 	})
 	return co.result()
 }
+
+// KeepForcedNodes makes every decision a node, as it was before decisions
+// with no choice were skipped, until the returned function is called.
+func KeepForcedNodes() (restore func()) {
+	forcedNodes = true
+	return func() { forcedNodes = false }
+}
+
+// RecruitAfter is ExploreParallel's recruiting mark.
+func RecruitAfter() int { return recruitAfter }
 
 // SetRecruitAfter makes ExploreParallel start its helpers once n executions
 // have started, until the returned function is called.

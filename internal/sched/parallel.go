@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"lineup/internal/telemetry"
 )
@@ -13,7 +14,13 @@ import (
 // fails within its first schedules, or whose whole space is that small, never
 // pays for a goroutine, a second program instance or a split. It is a
 // variable only so that tests can force every exploration to split.
-var recruitAfter = 64
+var recruitAfter = 16
+
+// helperSpin is how long a starving worker yields the processor before it
+// parks on the coordinator's cond: about one execution of a small check, the
+// time a busy worker takes to see the hunger and split at its next execution,
+// so a shard handed over that soon is taken without a sleep and a wakeup.
+const helperSpin = 10 * time.Microsecond
 
 // Pos identifies one execution's position in the sequential depth-first
 // exploration order: the branch index taken at each decision level of the
@@ -220,17 +227,19 @@ func (co *coordinator) push(sh *shard) {
 }
 
 // hungry publishes splitWanted; it is called with mu held after every
-// change of queue, waiters or killed.
+// change of queue, waiters, pending or killed.
 func (co *coordinator) hungry() {
-	co.splitWanted.Store(!co.killed && len(co.queue) == 0 && co.waiters > 0)
+	co.splitWanted.Store(!co.killed && len(co.queue) == 0 && co.waiters > 0 && co.pending > 0)
 }
 
 // pop blocks until a shard is available; it returns nil when the exploration
-// is over (no shard queued or being worked, or killed).
+// is over (no shard queued or being worked, or killed). A worker that finds
+// the queue dry first yields for up to helperSpin while its hunger stands,
+// and only then parks.
 func (co *coordinator) pop() *shard {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	for {
+	for spin := true; ; spin = false {
 		if co.killed {
 			return nil
 		}
@@ -245,7 +254,15 @@ func (co *coordinator) pop() *shard {
 		}
 		co.waiters++
 		co.hungry()
-		co.cond.Wait()
+		if spin {
+			co.mu.Unlock()
+			for start := time.Now(); co.splitWanted.Load() && time.Since(start) < helperSpin; {
+				runtime.Gosched()
+			}
+			co.mu.Lock()
+		} else {
+			co.cond.Wait()
+		}
 		co.waiters--
 		co.hungry()
 	}
@@ -257,6 +274,7 @@ func (co *coordinator) finishShard(sh *shard, counted ExploreStats) {
 	defer co.mu.Unlock()
 	sh.stats.add(counted)
 	co.pending--
+	co.hungry()
 	co.tel.Add(telemetry.ShardsDone, 1)
 	if co.pending == 0 {
 		co.cond.Broadcast()
@@ -271,6 +289,11 @@ func (co *coordinator) reserve(p Pos) bool {
 	co.mu.Lock()
 	ok := co.admit(p)
 	recruit := ok && co.execs == recruitAfter && co.recruit != nil
+	if recruit {
+		// The helpers about to start have nothing to do: split for the first
+		// at this worker's next execution, before it asks.
+		co.splitWanted.Store(true)
+	}
 	co.mu.Unlock()
 	if recruit {
 		// Only the lone DFS can get here (execs passes the mark once), so the

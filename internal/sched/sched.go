@@ -393,7 +393,18 @@ type Scheduler struct {
 	// hook). wfoot is the reusable window accumulator.
 	fo    footprintObserver
 	wfoot Footprint
-	out   Outcome // what Run returns
+	// fs, when non-nil, is a controller that takes some decisions without
+	// being asked (see forcedSkipper).
+	fs  forcedSkipper
+	out Outcome // what Run returns
+}
+
+// forcedSkipper is implemented by controllers (the DFS explorer) that can say
+// before a decision that, if the current thread is enabled, they would pick
+// it and record nothing: the scheduler then takes the decision itself,
+// without naming the enabled threads, flushing the window or calling Pick.
+type forcedSkipper interface {
+	skipsForced() bool
 }
 
 // NewScheduler creates the scheduler for one execution of prog under ctrl.
@@ -425,6 +436,7 @@ func (s *Scheduler) reset(cfg Config, ctrl Controller) {
 			s.fo = fo
 		}
 	}
+	s.fs, _ = ctrl.(forcedSkipper)
 }
 
 // lock and unlock take and release mu only with a watchdog armed: without
@@ -788,6 +800,12 @@ func (s *Scheduler) next() *Thread {
 	case 1:
 		s.cur = enabled[0]
 	default:
+		if s.fs != nil && s.cur != nil && s.cur.getState() == stateRunnable && s.fs.skipsForced() {
+			// A decision with no choice the controller records nothing of.
+			s.decisions++
+			s.schedule = append(s.schedule, s.cur.id)
+			return s.cur
+		}
 		s.cur = s.pick(enabled)
 	}
 	return s.cur
