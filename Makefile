@@ -45,10 +45,12 @@ race:
 # hands a subtree to another worker as a WorkUnit holding copies of its
 # retired-branch footprints, replayed there like any unit; the early-stop
 # statistics catch a split that leaves the sleeping branches it skips
-# uncounted; about 5 s on 2 CPUs) run under the race detector on every
-# `make check`.
+# uncounted) and the forced-decision suite (decisions with no choice taken
+# without a node, held to a node per decision on sleep sets, bounded and
+# unbounded, at one, two and four workers and in units; about 10 s) run under
+# the race detector on every `make check` (about 30 s on 2 CPUs).
 sched-smoke:
-	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool|TestWaitSet|TestPoint|TestDetectLeaks|TestUnwatched|TestParallelSplitEverywhereEquivalence|TestParallelReductionEquivalence|TestParallelEarlyStop|TestUnitsReproduceSequentialExploration|TestMutexHeldAcrossExecutions' ./internal/sched ./internal/vsync
+	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool|TestWaitSet|TestPoint|TestDetectLeaks|TestUnwatched|TestParallelSplitEverywhereEquivalence|TestParallelReductionEquivalence|TestParallelEarlyStop|TestUnitsReproduceSequentialExploration|TestMutexHeldAcrossExecutions|TestForcedDecisionsMatchNodes' ./internal/sched ./internal/vsync
 
 # Race-enabled smoke of phase 2's decisions: several workers decide distinct
 # histories at once, each on an operation buffer from one shared pool, while

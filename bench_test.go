@@ -732,28 +732,21 @@ func BenchmarkDistWallRatio(b *testing.B) {
 	b.ReportMetric(float64(units), "units")
 }
 
-// BenchmarkIterativeBounding measures ROADMAP item 18's step (a): on every
-// FAIL among the directed cause cases and the tests of the harness's
-// check-hunt workload (seed 2: the 13 cause cases, then 30 balanced 2x3 tests,
-// 2x2 for ManualResetEvent(Pre) and ConcurrentBag, on each of ten failing
-// classes), phase 2's executions and time to the first violation under the
-// depth-first explorer at the class's bound, against a naive by-bound rerun
-// (bound 0, 1, ... up to the class's, stopping at the first FAIL; its
-// executions and times are summed). Phase 1 runs once per test and is shared;
-// one worker, so the executions are deterministic; each time is the minimum
-// of three runs. Run with -benchtime 1x -v: it logs one row per group and
-// the medians EXPERIMENTS.md "Iterative preemption bounding, measured"
-// records.
-func BenchmarkIterativeBounding(b *testing.B) {
-	type item struct {
-		group string
-		sub   *core.Subject
-		test  *core.Test
-		bound int
-	}
-	var items []item
+// huntItem is one test of the harness's check-hunt workload.
+type huntItem struct {
+	group string
+	sub   *core.Subject
+	test  *core.Test
+	bound int
+}
+
+// huntItems are the tests of the harness's check-hunt workload at seed 2: the
+// 13 cause cases, then 30 balanced 2x3 tests, 2x2 for ManualResetEvent(Pre)
+// and ConcurrentBag, on each of ten failing classes, at the class's bound.
+func huntItems(b *testing.B) []huntItem {
+	var items []huntItem
 	for _, c := range bench.CauseCases() {
-		items = append(items, item{"causes", c.Subject, c.Test, c.Bound})
+		items = append(items, huntItem{"causes", c.Subject, c.Test, c.Bound})
 	}
 	const seed = 2
 	for i, class := range []string{
@@ -782,11 +775,82 @@ func BenchmarkIterativeBounding(b *testing.B) {
 				}
 			}
 			rng.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
-			items = append(items, item{class, sub, &core.Test{Rows: [][]core.Op{cells[:ops], cells[ops:]}}, e.Bound})
+			items = append(items, huntItem{class, sub, &core.Test{Rows: [][]core.Op{cells[:ops], cells[ops:]}}, e.Bound})
 		}
 	}
+	return items
+}
+
+// BenchmarkHuntWorkers measures what a second exploration worker buys the
+// small checks of the harness's check-hunt workload (see huntItems): phase 2
+// of every test at one worker and at two, each time the minimum of three
+// runs, phase 1 shared. Tests are grouped by verdict and, for a PASS, by its
+// executions; a group's speed-up is its one-worker time over its two-worker
+// time, both summed. Run with -benchtime 1x -v: it logs the table
+// EXPERIMENTS.md "Forced decisions and early helpers" records.
+func BenchmarkHuntWorkers(b *testing.B) {
+	items := huntItems(b)
+	best := func(it huntItem, spec *history.Spec, workers int) (*core.Result, time.Duration) {
+		var r *core.Result
+		for i := 0; i < 3; i++ {
+			res, err := core.CheckAgainstSpec(it.sub, it.test, spec, core.Options{PreemptionBound: it.bound, Workers: workers})
+			if err != nil {
+				b.Fatalf("%s %s: %v", it.group, it.test, err)
+			}
+			if r == nil || res.Phase2.Duration < r.Phase2.Duration {
+				r = res
+			}
+		}
+		return r, r.Phase2.Duration
+	}
+	groups := []string{"FAIL", "PASS, under 100 executions", "PASS, 100-299 executions", "PASS, 300 or more"}
+	for i := 0; i < b.N; i++ {
+		var n [4]int
+		var one, two [4]time.Duration
+		for _, it := range items {
+			spec, _, err := core.SynthesizeSpec(it.sub, it.test, core.Options{PreemptionBound: it.bound})
+			if err != nil {
+				b.Fatalf("%s %s: phase 1: %v", it.group, it.test, err)
+			}
+			res, t1 := best(it, spec, 1)
+			_, t2 := best(it, spec, 2)
+			g := 0
+			switch e := res.Phase2.Executions; {
+			case res.Verdict == core.Fail:
+			case e < 100:
+				g = 1
+			case e < 300:
+				g = 2
+			default:
+				g = 3
+			}
+			n[g]++
+			one[g] += t1
+			two[g] += t2
+		}
+		b.Logf("%-28s %5s %12s %12s %9s", "group", "tests", "1 worker ms", "2 workers ms", "speed-up")
+		for g, name := range groups {
+			b.Logf("%-28s %5d %12.2f %12.2f %8.2fx", name, n[g], one[g].Seconds()*1e3, two[g].Seconds()*1e3, one[g].Seconds()/two[g].Seconds())
+		}
+	}
+}
+
+// BenchmarkIterativeBounding measures ROADMAP item 18's step (a): on every
+// FAIL among the directed cause cases and the tests of the harness's
+// check-hunt workload (seed 2: the 13 cause cases, then 30 balanced 2x3 tests,
+// 2x2 for ManualResetEvent(Pre) and ConcurrentBag, on each of ten failing
+// classes), phase 2's executions and time to the first violation under the
+// depth-first explorer at the class's bound, against a naive by-bound rerun
+// (bound 0, 1, ... up to the class's, stopping at the first FAIL; its
+// executions and times are summed). Phase 1 runs once per test and is shared;
+// one worker, so the executions are deterministic; each time is the minimum
+// of three runs. Run with -benchtime 1x -v: it logs one row per group and
+// the medians EXPERIMENTS.md "Iterative preemption bounding, measured"
+// records.
+func BenchmarkIterativeBounding(b *testing.B) {
+	items := huntItems(b)
 	// check runs phase 2 three times and keeps the fastest run's time.
-	check := func(it item, spec *history.Spec, pb int) (*core.Result, time.Duration) {
+	check := func(it huntItem, spec *history.Spec, pb int) (*core.Result, time.Duration) {
 		var best *core.Result
 		for r := 0; r < 3; r++ {
 			res, err := core.CheckAgainstSpec(it.sub, it.test, spec, core.Options{PreemptionBound: pb, Workers: 1})

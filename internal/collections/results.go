@@ -8,7 +8,6 @@ package collections
 import (
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // OK is the canonical result of void operations.
@@ -34,22 +33,26 @@ func TryInt(v int, ok bool) string {
 
 // Ints renders a snapshot result (e.g. ToArray) canonically, preserving
 // order: "[a b c]".
-func Ints(vs []int) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = Int(v)
-	}
-	return "[" + strings.Join(parts, " ") + "]"
-}
+func Ints(vs []int) string { return render('[', vs, ']') }
 
 // IntsSorted renders an order-insensitive snapshot (e.g. a bag's ToArray)
 // canonically by sorting first: "{a b c}".
 func IntsSorted(vs []int) string {
-	s := append([]int(nil), vs...)
+	var buf [16]int
+	s := append(buf[:0], vs...)
 	sort.Ints(s)
-	parts := make([]string, len(s))
-	for i, v := range s {
-		parts[i] = Int(v)
+	return render('{', s, '}')
+}
+
+// render writes vs between open and close, one space apart, into one buffer.
+func render(open byte, vs []int, close byte) string {
+	var buf [64]byte
+	b := append(buf[:0], open)
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return "{" + strings.Join(parts, " ") + "}"
+	return string(append(b, close))
 }

@@ -61,7 +61,7 @@ var allocWorkloads = []struct {
 	{"sleep", sched.ExploreConfig{PreemptionBound: 2, Reduction: sched.ReductionSleep}, 0, allocProgram, 11.6, 252},
 	{"serial", sched.ExploreConfig{Config: sched.Config{Serial: true}, PreemptionBound: sched.Unbounded}, 0, allocProgram, 22.3, 0},
 	{"parallel", sched.ExploreConfig{PreemptionBound: 2}, 2, allocProgram, 12, 450},
-	{"waitset", sched.ExploreConfig{PreemptionBound: 2}, 0, waitSetProgram, 0.23, 13.5},
+	{"waitset", sched.ExploreConfig{PreemptionBound: 2}, 0, waitSetProgram, 0.22, 12.5},
 }
 
 // BenchmarkExploreAllocs measures the explorer's per-exploration allocation
@@ -91,8 +91,10 @@ func BenchmarkExploreAllocs(b *testing.B) {
 // handles, decision nodes, the scheduler, its recording buffers, the outcome
 // and the window footprints are the explorer's, not the execution's.
 // The ceilings are within 10% of measured values (9.3, 10.5, 20.3, 10.9 and
-// 0.2 allocations; 229, 410 and 12 bytes, the parallel row's splits varying
-// from run to run). A hot-path change that starts allocating per decision,
+// 0.197 allocations; 229, 410 and 11.3 bytes, the parallel row's splits
+// varying from run to run; taking decisions with no choice without a node
+// left these small explorations' rows where they were, but for the wait
+// set's). A hot-path change that starts allocating per decision,
 // per event, per window or per wait blows through them immediately, and so
 // does one that goes back to building a scheduler, goroutines, nodes,
 // buffers or thread handles per execution: with a Thread slab made per

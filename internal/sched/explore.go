@@ -140,23 +140,14 @@ type explorer struct {
 	// pos is the reusable buffer behind position.
 	pos Pos
 
-	// A decision with no choice — the budget is spent and the current thread
-	// is enabled, so only it is affordable — is not a node (see noChoice).
-	// forced is set while the decisions since the deepest node are such
-	// decisions, each past the stack; carry is then the sleep set the next
-	// node inherits, woken and trimmed by them as the chain of nodes they
-	// used to be would have handed it down, and tail counts their sleeping
-	// picks (see ExploreStats.Pruned) not yet added to counted.
-	forced bool
-	carry  []sleepEntry
-	tail   int
-	// unitTails is set on SplitUnits' generator: an execution's tail of
-	// forced decisions after its deepest node lies past its unit's path, so
-	// the unit's explorer counts it.
-	unitTails bool
-	// onPick, set only by tests, sees every Pick call with the enabled
-	// threads in branch order; it turns off the scheduler's skipping.
-	onPick func(cur ThreadID, curEnabled bool, ord []ThreadID, pick ThreadID)
+	// forced: the decisions past the stack since its deepest node had no
+	// choice (pickForced); carry is the sleep set they hand the next node,
+	// tail their pruned branches, left to the unit on SplitUnits' generator.
+	forced, unitTails bool
+	carry             []sleepEntry
+	tail              int
+	// onPick, set only by tests, sees every Pick call; it stops the skipping.
+	onPick func(cur ThreadID, curEnabled bool, enabled []ThreadID, pick ThreadID)
 
 	// tel receives counter flushes once per execution (never inside Pick).
 	// wakes counts sleep-set entries woken by a dependent window; lastPruned
@@ -224,7 +215,7 @@ func (e *explorer) step(prog Program) (out *Outcome, p Pos, ok bool) {
 		return nil, nil, false
 	}
 	e.counted.Executions++
-	e.depth, e.budget, e.forced = 0, e.bound, false
+	e.depth, e.budget, e.forced, e.tail = 0, e.bound, false, 0
 	e.tel.Add(telemetry.ExecutionsStarted, 1)
 	if e.sch == nil {
 		e.sch = &Scheduler{pool: &e.pool}
@@ -238,7 +229,6 @@ func (e *explorer) step(prog Program) (out *Outcome, p Pos, ok bool) {
 	if !e.unitTails {
 		e.counted.Pruned += e.tail
 	}
-	e.tail = 0
 	e.flushTelemetry(out)
 	e.counted.Decisions += out.Decisions
 	if out.FailureKind() != FailNone {
@@ -318,58 +308,49 @@ func (e *explorer) allowed(c *choice, i int) bool {
 	return c.budget >= c.cost(i)
 }
 
-// forcedNodes makes a decision with no choice a node like any other, as it
-// was before such decisions were skipped: the reference the forced-decision
-// tests hold the explorer to. Only tests set it.
+// forcedNodes makes every decision a node, the reference of the tests.
 var forcedNodes bool
 
-// noChoice reports whether a decision that finds the current thread enabled
-// has no choice: the preemption budget is spent, so the current thread is
-// the one affordable branch. Such a decision is not a node; Pick takes it in
-// pickForced.
+// noChoice reports whether a decision with the current thread enabled has no
+// choice: the budget is spent, so only the current thread is affordable.
 func (e *explorer) noChoice() bool {
 	return e.budget == 0 && e.bound != Unbounded && !forcedNodes
 }
 
 // skipsForced reports whether the scheduler may take a decision with no
-// choice without calling Pick, flushing its window or naming the enabled
-// threads: no sleep set is carried through it (the window's footprint wakes
-// nothing and the current thread is asleep nowhere) and no test watches.
+// choice without calling Pick or flushing its window: nothing is carried.
 func (e *explorer) skipsForced() bool {
 	return e.noChoice() && e.onPick == nil && (e.depth < len(e.stack) || e.red != ReductionSleep || (e.forced && len(e.carry) == 0))
 }
 
-// pickForced takes a decision with no choice for the current thread cur.
-// Before the deepest node it is a replay, and the next node's sleep set
-// exists already. Past it, the decision does to the sleep set it hands down
-// what its node did: cur is dropped (and counted as a pruned branch if it
-// was asleep), and observeWindow wakes every entry its window conflicts
-// with, which is the same as waking them against the union of the chain's
-// windows.
+// pickForced takes a decision with no choice for cur, which makes no node.
+// Past the stack it trims the sleep set the next node inherits as the chain
+// of nodes such decisions were would have: cur is dropped (a pruned branch if
+// it was asleep), and observeWindow wakes what the decision's window
+// conflicts with, which is waking against the union of the chain's windows.
 func (e *explorer) pickForced(cur ThreadID) {
 	if e.depth < len(e.stack) || e.red != ReductionSleep {
 		return
 	}
 	if !e.forced {
-		e.carry = e.childSleep(e.carry[:0])
-		e.forced = true
+		e.carry, e.forced = e.childSleep(e.carry[:0]), true
 	}
-	for i, s := range e.carry {
-		if s.tid == cur {
-			if e.depth >= len(e.seed) {
-				e.tail++
-			}
-			e.carry = append(e.carry[:i], e.carry[i+1:]...)
-			break
-		}
+	n := len(e.carry)
+	if e.carry = slices.DeleteFunc(e.carry, func(s sleepEntry) bool { return s.tid == cur }); len(e.carry) < n && e.depth >= len(e.seed) {
+		e.tail++
 	}
 }
 
 func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) ThreadID {
+	id := e.pick(cur, curEnabled, enabled)
+	if e.onPick != nil {
+		e.onPick(cur, curEnabled, enabled, id)
+	}
+	return id
+}
+
+func (e *explorer) pick(cur ThreadID, curEnabled bool, enabled []ThreadID) ThreadID {
 	if curEnabled && e.noChoice() {
-		if e.onPick != nil {
-			e.onPick(cur, curEnabled, orderChoices(nil, cur, curEnabled, enabled), cur)
-		}
 		e.pickForced(cur)
 		return cur
 	}
@@ -381,9 +362,6 @@ func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 		}
 		e.budget -= c.cost(c.next)
 		e.depth++
-		if e.onPick != nil {
-			e.onPick(cur, curEnabled, c.enabled, c.enabled[c.next])
-		}
 		return c.enabled[c.next]
 	}
 	var c *choice
@@ -460,9 +438,6 @@ func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 	e.stack = append(e.stack, c)
 	e.budget -= c.cost(c.next)
 	e.depth++
-	if e.onPick != nil {
-		e.onPick(cur, curEnabled, ord, ord[c.next])
-	}
 	return ord[c.next]
 }
 
@@ -488,18 +463,22 @@ func (e *explorer) childSleep(out []sleepEntry) []sleepEntry {
 	}
 	p := e.stack[e.depth-1]
 	w := p.enabled[p.next]
-	for _, src := range [2][]sleepEntry{p.sleep, p.explored} {
-		for _, s := range src {
-			if s.tid == w {
-				continue
-			}
-			if s.foot.ConflictsWith(&p.foot) {
-				// The deferred step depends on the executed window: wake it.
-				e.wakes++
-				continue
-			}
-			out = append(out, s)
+	return e.keepAsleep(e.keepAsleep(out, p.sleep, w, &p.foot), p.explored, w, &p.foot)
+}
+
+// keepAsleep appends to out the entries of src that stay asleep after thread
+// w ran window f: every one but w's and those whose deferred step depends on
+// f, which wake. out may be src[:0].
+func (e *explorer) keepAsleep(out, src []sleepEntry, w ThreadID, f *Footprint) []sleepEntry {
+	for _, s := range src {
+		if s.tid == w {
+			continue
 		}
+		if s.foot.ConflictsWith(f) {
+			e.wakes++
+			continue
+		}
+		out = append(out, s)
 	}
 	return out
 }
@@ -576,14 +555,7 @@ func (e *explorer) records(c *choice) bool {
 // windows — into the node's own buffer.
 func (e *explorer) observeWindow(f *Footprint) {
 	if e.forced {
-		// The window of a forced decision: wake what it depends on.
-		e.carry = slices.DeleteFunc(e.carry, func(s sleepEntry) bool {
-			if s.foot.ConflictsWith(f) {
-				e.wakes++
-				return true
-			}
-			return false
-		})
+		e.carry = e.keepAsleep(e.carry[:0], e.carry, NoThread, f)
 		return
 	}
 	if e.depth == 0 || e.depth > len(e.stack) {

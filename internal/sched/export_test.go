@@ -23,8 +23,8 @@ func ExploreTraced(cfg ExploreConfig, prog Program, visit func(*Outcome, []PickR
 	co := newCoordinator(cfg)
 	e := newExplorer(cfg, co)
 	var recs []PickRecord
-	e.onPick = func(cur ThreadID, curEnabled bool, ord []ThreadID, pick ThreadID) {
-		recs = append(recs, PickRecord{Cur: cur, CurEnabled: curEnabled, Enabled: append([]ThreadID(nil), ord...), Pick: pick})
+	e.onPick = func(cur ThreadID, curEnabled bool, enabled []ThreadID, pick ThreadID) {
+		recs = append(recs, PickRecord{Cur: cur, CurEnabled: curEnabled, Enabled: orderChoices(nil, cur, curEnabled, enabled), Pick: pick})
 	}
 	co.push(&shard{})
 	co.work(e, prog, func(out *Outcome, _ Pos) bool {

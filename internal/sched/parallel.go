@@ -16,10 +16,8 @@ import (
 // variable only so that tests can force every exploration to split.
 var recruitAfter = 16
 
-// helperSpin is how long a starving worker yields the processor before it
-// parks on the coordinator's cond: about one execution of a small check, the
-// time a busy worker takes to see the hunger and split at its next execution,
-// so a shard handed over that soon is taken without a sleep and a wakeup.
+// helperSpin is how long a starving worker yields before it parks: a few
+// executions of a small check, time for a busy worker to split for it.
 const helperSpin = 10 * time.Microsecond
 
 // Pos identifies one execution's position in the sequential depth-first
@@ -233,9 +231,7 @@ func (co *coordinator) hungry() {
 }
 
 // pop blocks until a shard is available; it returns nil when the exploration
-// is over (no shard queued or being worked, or killed). A worker that finds
-// the queue dry first yields for up to helperSpin while its hunger stands,
-// and only then parks.
+// is over (no shard queued or being worked, or killed).
 func (co *coordinator) pop() *shard {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -289,11 +285,6 @@ func (co *coordinator) reserve(p Pos) bool {
 	co.mu.Lock()
 	ok := co.admit(p)
 	recruit := ok && co.execs == recruitAfter && co.recruit != nil
-	if recruit {
-		// The helpers about to start have nothing to do: split for the first
-		// at this worker's next execution, before it asks.
-		co.splitWanted.Store(true)
-	}
 	co.mu.Unlock()
 	if recruit {
 		// Only the lone DFS can get here (execs passes the mark once), so the

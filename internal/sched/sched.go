@@ -393,18 +393,8 @@ type Scheduler struct {
 	// hook). wfoot is the reusable window accumulator.
 	fo    footprintObserver
 	wfoot Footprint
-	// fs, when non-nil, is a controller that takes some decisions without
-	// being asked (see forcedSkipper).
-	fs  forcedSkipper
-	out Outcome // what Run returns
-}
-
-// forcedSkipper is implemented by controllers (the DFS explorer) that can say
-// before a decision that, if the current thread is enabled, they would pick
-// it and record nothing: the scheduler then takes the decision itself,
-// without naming the enabled threads, flushing the window or calling Pick.
-type forcedSkipper interface {
-	skipsForced() bool
+	ex    *explorer // the controller, if an explorer (see skipsForced)
+	out   Outcome   // what Run returns
 }
 
 // NewScheduler creates the scheduler for one execution of prog under ctrl.
@@ -436,7 +426,7 @@ func (s *Scheduler) reset(cfg Config, ctrl Controller) {
 			s.fo = fo
 		}
 	}
-	s.fs, _ = ctrl.(forcedSkipper)
+	s.ex, _ = ctrl.(*explorer)
 }
 
 // lock and unlock take and release mu only with a watchdog armed: without
@@ -800,12 +790,6 @@ func (s *Scheduler) next() *Thread {
 	case 1:
 		s.cur = enabled[0]
 	default:
-		if s.fs != nil && s.cur != nil && s.cur.getState() == stateRunnable && s.fs.skipsForced() {
-			// A decision with no choice the controller records nothing of.
-			s.decisions++
-			s.schedule = append(s.schedule, s.cur.id)
-			return s.cur
-		}
 		s.cur = s.pick(enabled)
 	}
 	return s.cur
@@ -816,6 +800,11 @@ func (s *Scheduler) next() *Thread {
 // unwind through subject code, where it would be taken for a subject panic:
 // it is stored in fault, the group ends, and Run re-panics it.
 func (s *Scheduler) pick(enabled []*Thread) (chosen *Thread) {
+	s.decisions++
+	if s.ex != nil && s.cur != nil && s.cur.getState() == stateRunnable && s.ex.skipsForced() {
+		s.schedule = append(s.schedule, s.cur.id)
+		return s.cur
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			s.fault, chosen = r, nil
@@ -830,7 +819,6 @@ func (s *Scheduler) pick(enabled []*Thread) (chosen *Thread) {
 		cur = s.cur.id
 		curEnabled = s.cur.getState() == stateRunnable
 	}
-	s.decisions++
 	// The steps since the previous decision form one window; hand its
 	// footprint to the observer before the decision that closes it.
 	s.flushWindow()

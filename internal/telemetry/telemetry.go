@@ -53,7 +53,7 @@ var (
 	Decisions         = newCounter("decisions")          // scheduling decisions taken
 	SchedulesPruned   = newCounter("schedules_pruned")   // branches skipped by sleep-set reduction
 	SleepWakes        = newCounter("sleep_wakes")        // sleep-set entries woken by a dependent step
-	MaxDepth          = newCounter("max_depth")          // high watermark: deepest DFS decision stack
+	MaxDepth          = newCounter("max_depth")          // high watermark: most branching decisions (DFS stack levels) in one execution
 	StuckExecutions   = newCounter("stuck_executions")   // deadlocked / livelocked outcomes
 	FailPanics        = newCounter("fail_panics")        // executions failed by a subject panic
 	FailHangs         = newCounter("fail_hangs")         // executions failed hung (abandoned by the watchdog)
