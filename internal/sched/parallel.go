@@ -23,7 +23,8 @@ const helperSpin = 10 * time.Microsecond
 // Pos identifies one execution's position in the sequential depth-first
 // exploration order: the branch index taken at each decision level of the
 // schedule tree at the moment the execution was started (levels reached
-// during the run extend the path with the default branch 0). Positions are
+// during the run extend the path with the default branch 0); a decision with
+// no choice left in the preemption budget is no level. Positions are
 // totally ordered by Before, and the order is exactly the order in which the
 // sequential Explore would have visited the executions — regardless of how
 // the parallel explorer sharded the tree. Callers use positions to
