@@ -52,9 +52,56 @@ func TestPhase2Golden(t *testing.T) {
 			}
 		}
 	}
-	const path = "testdata/phase2.golden"
+	requireGolden(t, "testdata/phase2.golden", b.String())
+}
+
+// TestPhase2SleptGolden pins, in testdata/phase2_slept.golden, the rows of
+// TestPhase2Golden for Table-2 samples whose sleep-set explorations take
+// decisions where every affordable branch is asleep, which no cause case
+// does: sample k of the class's 3x3 tests at its bound, stopping at the first
+// violation and exhaustive, at one worker, the exhaustive rows also through
+// work units at two.
+func TestPhase2SleptGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("checks five Table-2 samples; skipped in -short mode")
+	}
+	sched.RequireNoLeaks(t)
+	var b strings.Builder
+	for _, s := range []struct {
+		class string
+		k     int
+	}{{"Lazy", 0}, {"Lazy(Pre)", 0}, {"TaskCompletionSource(Pre)", 0}, {"ConcurrentStack(Pre)", 0}, {"ManualResetEvent", 2}} {
+		sub, entry, ok := Find(s.class)
+		if !ok {
+			t.Fatalf("no class %s", s.class)
+		}
+		m := core.SampleTests(sub.Ops, 3, 3, 4, 1)[s.k]
+		for _, exhaust := range []bool{false, true} {
+			opts := core.Options{PreemptionBound: entry.Bound, ExhaustPhase2: exhaust, Workers: 1}
+			tag := fmt.Sprintf("%s #%d bound=%d exhaust=%v", s.class, s.k, entry.Bound, exhaust)
+			res, err := core.Check(sub, m, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			row := phase2Row(tag, res)
+			b.WriteString(row)
+			if exhaust {
+				opts.Workers = 2
+				if got := phase2Row(tag, checkUnits(t, sub, m, opts)); got != row {
+					t.Errorf("%s: work units report\n%s one worker reports\n%s", tag, got, row)
+				}
+			}
+		}
+	}
+	requireGolden(t, "testdata/phase2_slept.golden", b.String())
+}
+
+// requireGolden compares got with the golden file at path, or rewrites the
+// file when LINEUP_UPDATE_GOLDEN is set.
+func requireGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if os.Getenv("LINEUP_UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -63,8 +110,8 @@ func TestPhase2Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.String() != string(golden) {
-		t.Errorf("phase 2 results moved:\n got\n%s want\n%s", b.String(), golden)
+	if got != string(golden) {
+		t.Errorf("phase 2 results moved:\n got\n%s want\n%s", got, golden)
 	}
 }
 
