@@ -16,8 +16,9 @@ import (
 // check in its written form (checkForm) where version 1 held six hand-picked
 // option values. In version 3 a unit report keys a history by its own bytes;
 // merging version-2 reports with those would count one history twice. In
-// version 4 positions skip the decisions with no choice.
-const manifestVersion = 4
+// version 4 positions skip the decisions with no choice, and in version 5
+// every decision that cannot branch.
+const manifestVersion = 5
 
 // checkForm is a check written down the one way dist does it, in the manifest
 // and in every job file: the class by name, the test by display names

@@ -225,10 +225,12 @@ func journalResume(t *testing.T, saved *core.Test, savedOpts core.Options, resum
 // reports key histories another way, so merging them with new reports would
 // count one history twice), a version-3 one (its positions and unit paths
 // list the levels of decisions with no choice, so they order against no new
-// one) and job files of the first format and of version 2 (whose unit path
-// has those levels too) are refused with both version numbers in the
-// message — the manifest before its "test" array can fail to decode as
-// today's object, the job before a worker runs anything.
+// one), a version-4 one (they list the levels of decisions whose every
+// affordable branch is asleep) and job files of the first format and of
+// versions 2 and 3 (whose unit paths have such levels too) are refused with
+// both version numbers in the message — the manifest before its "test" array
+// can fail to decode as today's object, the job before a worker runs
+// anything.
 func TestOldDistFilesRefusedByVersion(t *testing.T) {
 	sub := counterSubject()
 	cfg := dist.WithLeasing(dist.Config{Subject: sub, Test: testFor(sub), Workers: 1, Dir: t.TempDir()}, 0, 0, 1)
@@ -239,22 +241,22 @@ func TestOldDistFilesRefusedByVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"version": 4`) {
-		t.Fatalf("the manifest is not at version 4:\n%s", data)
+	if !strings.Contains(string(data), `"version": 5`) {
+		t.Fatalf("the manifest is not at version 5:\n%s", data)
 	}
 	v1 := `{"version": 1, "subject": "Counter", "test": [["Inc()", "Get()"], ["Inc()"]],
   "preemption_bound": 0, "reduction": "none", "depth": 1, "units": 2, "split_pruned": 0,
   "entries": [{"seq": 0, "state": "done", "attempts": 1}, {"seq": 1, "state": "pending", "attempts": 0}]}`
 	olds := []struct{ version, text string }{{"version 1", v1}}
-	for _, v := range []string{"2", "3"} {
-		olds = append(olds, struct{ version, text string }{"version " + v, strings.Replace(string(data), `"version": 4`, `"version": `+v, 1)})
+	for _, v := range []string{"2", "3", "4"} {
+		olds = append(olds, struct{ version, text string }{"version " + v, strings.Replace(string(data), `"version": 5`, `"version": `+v, 1)})
 	}
 	for _, old := range olds {
 		if err := os.WriteFile(filepath.Join(cfg.Dir, "manifest.json"), []byte(old.text), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err := dist.Run(context.Background(), cfg)
-		for _, want := range []string{"manifest", old.version, "version 4"} {
+		for _, want := range []string{"manifest", old.version, "version 5"} {
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s manifest: refusal does not say %q: %v", old.version, want, err)
 			}
@@ -262,13 +264,13 @@ func TestOldDistFilesRefusedByVersion(t *testing.T) {
 	}
 
 	// The first job format carried no version at all (it reads as 0); one
-	// that says 1 is refused the same way, and so is a version-2 job in
-	// today's shape.
-	for _, c := range []struct{ head, reads string }{{`{`, "version 0"}, {`{"version": 1, `, "version 1"}, {`{"version": 2, `, "version 2"}} {
+	// that says 1 is refused the same way, and so are version-2 and
+	// version-3 jobs in today's shape.
+	for _, c := range []struct{ head, reads string }{{`{`, "version 0"}, {`{"version": 1, `, "version 1"}, {`{"version": 2, `, "version 2"}, {`{"version": 3, `, "version 3"}} {
 		job := filepath.Join(cfg.Dir, "job.json")
 		old := c.head + `"subject": "Counter", "test": [["Inc()", "Get()"], ["Inc()"]], "options": {"reduction": "sleep"},
   "spec": {"seq": 0, "attempt": 1, "unit": {}, "heartbeat_every": 1000000}, "report_path": "` + filepath.Join(cfg.Dir, "r.json") + `"}`
-		if c.reads == "version 2" {
+		if c.reads == "version 2" || c.reads == "version 3" {
 			old = c.head + `"subject": "Counter", "test": {"rows": [["Inc()", "Get()"], ["Inc()"]]}, "options": {"reduction": "sleep"},
   "spec": {"seq": 0, "attempt": 1, "unit": {"seq": 0, "path": [0, 1], "floor": 1}, "heartbeat_every": 1000000}, "report_path": "r.json",
   "spec_histories": [{"Ops": [{"Thread": 0, "Name": "Inc()", "Result": "ok"}]}]}`
@@ -281,7 +283,7 @@ func TestOldDistFilesRefusedByVersion(t *testing.T) {
 			return sub, true
 		}
 		err = dist.RunWorker(job, resolve, &strings.Builder{})
-		for _, want := range []string{"job file", c.reads, "version 3"} {
+		for _, want := range []string{"job file", c.reads, "version 4"} {
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("old job file (%s): refusal does not say %q: %v", c.reads, want, err)
 			}
@@ -294,7 +296,7 @@ func TestOldDistFilesRefusedByVersion(t *testing.T) {
 // history in it, is refused with the field named before a class is resolved.
 func TestWorkerRefusesJobWithoutSpec(t *testing.T) {
 	job := filepath.Join(t.TempDir(), "job.json")
-	head := `{"version": 3, "subject": "Counter", "test": {"rows": [["Inc()"], ["Get()"]]}, "options": {"reduction": "sleep"},
+	head := `{"version": 4, "subject": "Counter", "test": {"rows": [["Inc()"], ["Get()"]]}, "options": {"reduction": "sleep"},
   "spec": {"seq": 0, "attempt": 1, "unit": {"seq": 0, "path": [], "floor": 0}, "heartbeat_every": 1000000}, "report_path": "r.json"`
 	for _, tail := range []string{`}`, `, "spec_histories": []}`, `, "spec_histories": [null]}`} {
 		if err := os.WriteFile(job, []byte(head+tail), 0o644); err != nil {

@@ -14,8 +14,9 @@ import (
 // jobVersion is the job-file format version. Version 2 carries the check in
 // its written form (checkForm: every option, init and final sections) where
 // the unversioned first format carried seven options and the rows. In version
-// 3 a unit's path skips the decisions with no choice.
-const jobVersion = 3
+// 3 a unit's path skips the decisions with no choice, and in version 4 every
+// decision that cannot branch.
+const jobVersion = 4
 
 // WorkerJob is the file an ExecLauncher coordinator hands a worker process:
 // the check written down, which is everything the worker needs to reproduce

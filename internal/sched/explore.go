@@ -69,34 +69,32 @@ func (s *ExploreStats) add(o ExploreStats) {
 	s.Pruned += o.Pruned
 }
 
-// choice is one decision point on the DFS stack.
+// choice is one node of the DFS stack: a decision that can branch.
 type choice struct {
 	enabled    []ThreadID // order: current thread first (if enabled), then ascending
 	cur        ThreadID
 	curEnabled bool
 	next       int // index into enabled currently being explored
 	budget     int // preemption budget remaining before this decision
+	dec        int // the decision's number in its execution (Scheduler.decisions)
 
 	// Sleep-set reduction state (ReductionSleep only).
 	//
 	// sleep is fixed at node creation: threads whose next step is covered by
-	// an earlier-explored subtree (inherited from the parent's sleep and
-	// retired branches, minus entries woken by dependence on the parent's
-	// executed window). explored accumulates this node's retired branches
-	// that are eligible to put descendants to sleep. foot is the window
+	// an earlier-explored subtree (the explorer's carry: inherited from the
+	// parent's sleep and retired branches, minus entries woken by dependence
+	// on the windows run since). explored accumulates this node's retired
+	// branches that are eligible to put descendants to sleep. foot is the window
 	// footprint of the branch currently at next, recorded (footSet) by the
 	// first execution through it and poisoned while it is not; the node keeps
 	// its buffer, like sleep's and explored's, when recycled. store holds the
 	// footprints explored's entries point to; its records die with the node's
-	// subtree. exhausted marks a node whose every affordable branch was asleep
-	// at creation: its single forced continuation is provably redundant, so
-	// the node never branches.
-	sleep     []sleepEntry
-	explored  []sleepEntry
-	foot      Footprint
-	store     footStore
-	footSet   bool
-	exhausted bool
+	// subtree.
+	sleep    []sleepEntry
+	explored []sleepEntry
+	foot     Footprint
+	store    footStore
+	footSet  bool
 }
 
 func (c *choice) cost(i int) int {
@@ -140,9 +138,10 @@ type explorer struct {
 	// pos is the reusable buffer behind position.
 	pos Pos
 
-	// forced: the decisions past the stack since its deepest node had no
-	// choice (pickForced); carry is the sleep set they hand the next node,
-	// tail their pruned branches, left to the unit on SplitUnits' generator.
+	// forced: carry holds the sleep set of the decision past the stack, the
+	// one a new node takes; the decisions since the deepest node could not
+	// branch (cannotBranch), and tail counts their pruned branches, left to
+	// the unit on SplitUnits' generator.
 	forced, unitTails bool
 	carry             []sleepEntry
 	tail              int
@@ -164,9 +163,6 @@ func newExplorer(cfg ExploreConfig, co *coordinator) *explorer {
 		// Phase 1 must see every serial order: a pruned one would lose its
 		// spec entries and turn into false FAILs in phase 2.
 		cfg.Reduction = ReductionNone
-	}
-	if cfg.Reduction == ReductionSleep {
-		cfg.Config.TrackFootprints = true
 	}
 	return &explorer{
 		cfg: cfg.Config, bound: cfg.PreemptionBound, red: cfg.Reduction,
@@ -308,37 +304,57 @@ func (e *explorer) allowed(c *choice, i int) bool {
 	return c.budget >= c.cost(i)
 }
 
-// forcedNodes makes every decision a node, the reference of the tests.
+// forcedNodes makes every decision with no choice a node, the reference of
+// the tests.
 var forcedNodes bool
 
-// noChoice reports whether a decision with the current thread enabled has no
-// choice: the budget is spent, so only the current thread is affordable.
-func (e *explorer) noChoice() bool {
-	return e.budget == 0 && e.bound != Unbounded && !forcedNodes
+// spent reports whether the preemption budget is spent: with the current
+// thread enabled, it is the one affordable branch.
+func (e *explorer) spent() bool {
+	return e.budget == 0 && e.bound != Unbounded
 }
 
-// skipsForced reports whether the scheduler may take a decision with no
-// choice without calling Pick or flushing its window: nothing is carried.
-func (e *explorer) skipsForced() bool {
-	return e.noChoice() && e.onPick == nil && (e.depth < len(e.stack) || e.red != ReductionSleep || (e.forced && len(e.carry) == 0))
+// skips reports whether the scheduler may take decision number dec itself,
+// the default schedule's way, without calling Pick or flushing its window:
+// in the replayed prefix one numbered below the next node's, past it one
+// with no choice while nothing is carried.
+func (e *explorer) skips(dec int, curEnabled bool) bool {
+	if e.onPick != nil {
+		return false
+	}
+	if e.depth < len(e.stack) {
+		return dec < e.stack[e.depth].dec
+	}
+	return curEnabled && e.spent() && !forcedNodes && (e.red != ReductionSleep || (e.forced && len(e.carry) == 0))
 }
 
-// pickForced takes a decision with no choice for cur, which makes no node.
-// Past the stack it trims the sleep set the next node inherits as the chain
-// of nodes such decisions were would have: cur is dropped (a pruned branch if
-// it was asleep), and observeWindow wakes what the decision's window
-// conflicts with, which is waking against the union of the chain's windows.
-func (e *explorer) pickForced(cur ThreadID) {
-	if e.depth < len(e.stack) || e.red != ReductionSleep {
-		return
+// cannotBranch reports whether the decision past the stack cannot branch,
+// and how many of its affordable branches sleep in carry: it has no choice
+// (the budget is spent and cur enabled), or every affordable branch is
+// asleep. Such a decision is no node.
+func (e *explorer) cannotBranch(cur ThreadID, curEnabled bool, enabled []ThreadID) (slept int, ok bool) {
+	if curEnabled && e.spent() {
+		if asleep(e.carry, cur) {
+			return 1, true
+		}
+		return 0, !forcedNodes
 	}
-	if !e.forced {
-		e.carry, e.forced = e.childSleep(e.carry[:0]), true
+	for _, id := range enabled {
+		if !asleep(e.carry, id) {
+			return 0, false
+		}
 	}
-	n := len(e.carry)
-	if e.carry = slices.DeleteFunc(e.carry, func(s sleepEntry) bool { return s.tid == cur }); len(e.carry) < n && e.depth >= len(e.seed) {
-		e.tail++
+	return len(enabled), true
+}
+
+// asleep reports whether thread id sleeps in sleep.
+func asleep(sleep []sleepEntry, id ThreadID) bool {
+	for _, s := range sleep {
+		if s.tid == id {
+			return true
+		}
 	}
+	return false
 }
 
 func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) ThreadID {
@@ -350,12 +366,15 @@ func (e *explorer) Pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 }
 
 func (e *explorer) pick(cur ThreadID, curEnabled bool, enabled []ThreadID) ThreadID {
-	if curEnabled && e.noChoice() {
-		e.pickForced(cur)
-		return cur
+	free := cur
+	if !curEnabled {
+		free = enabled[0]
 	}
 	if e.depth < len(e.stack) {
 		c := e.stack[e.depth]
+		if e.sch.decisions < c.dec {
+			return free
+		}
 		if !sameIDsOrdered(c.enabled, cur, curEnabled, enabled) || c.cur != cur || c.curEnabled != curEnabled {
 			panic(fmt.Sprintf("sched: nondeterministic replay at decision %d: recorded (cur=%d enabled=%v), got (cur=%d enabled=%v)",
 				e.depth, c.cur, c.enabled, cur, enabled))
@@ -363,6 +382,21 @@ func (e *explorer) pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 		e.budget -= c.cost(c.next)
 		e.depth++
 		return c.enabled[c.next]
+	}
+	// Past the stack, carry is the decision's sleep set. One that cannot
+	// branch takes the free continuation, which leaves carry (a pruned branch
+	// if it was asleep), and observeWindow wakes what the decision's window
+	// conflicts with: carry is the sleep set the chain of nodes such decisions
+	// were would have handed down.
+	if e.red == ReductionSleep && !e.forced {
+		e.carry, e.forced = e.childSleep(e.carry[:0]), true
+	}
+	if slept, ok := e.cannotBranch(cur, curEnabled, enabled); ok {
+		e.carry = slices.DeleteFunc(e.carry, func(s sleepEntry) bool { return s.tid == free })
+		if e.depth >= len(e.seed) {
+			e.tail += slept
+		}
+		return free
 	}
 	var c *choice
 	if n := len(e.free); n > 0 {
@@ -376,14 +410,8 @@ func (e *explorer) pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 		c = &choice{foot: Footprint{Global: true}}
 	}
 	ord := orderChoices(c.enabled, cur, curEnabled, enabled)
-	c.enabled, c.cur, c.curEnabled, c.budget = ord, cur, curEnabled, e.budget
-	if e.red == ReductionSleep {
-		if e.forced {
-			c.sleep = append(c.sleep, e.carry...)
-		} else {
-			c.sleep = e.childSleep(c.sleep)
-		}
-	}
+	c.enabled, c.cur, c.curEnabled, c.budget, c.dec = ord, cur, curEnabled, e.budget, e.sch.decisions
+	c.sleep = append(c.sleep, e.carry...)
 	e.forced, e.counted.Pruned, e.tail = false, e.counted.Pruned+e.tail, 0
 	if e.depth < len(e.seed) {
 		// Unit replay: the seed pins the branch (and restores the retired
@@ -399,41 +427,9 @@ func (e *explorer) pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 				c.explored = append(c.explored, sleepEntry{tid: br.Thread, foot: c.store.keep(&br.Foot, len(ord))})
 			}
 		}
-		if e.red == ReductionSleep && c.next == 0 {
-			// Re-detect a fully-slept node. The generator counted every
-			// affordable branch as pruned when it created this node and forced
-			// the free continuation; without the flag the replayed backtracking
-			// would retire the node and count the very same branches again.
-			exhausted := true
-			for i := range ord {
-				if e.allowed(c, i) && !e.sleeps(c, i) {
-					exhausted = false
-					break
-				}
-			}
-			c.exhausted = exhausted
-		}
-	} else if e.red == ReductionSleep {
-		// Skip straight to the first affordable non-sleeping branch. If every
-		// affordable branch is asleep the whole node is redundant; the
-		// execution still has to finish, so take the free continuation
-		// (branch 0 costs nothing) and never branch here.
-		for c.next < len(ord) {
-			if !e.allowed(c, c.next) {
-				c.next++
-				continue
-			}
-			if e.sleeps(c, c.next) {
-				e.counted.Pruned++
-				c.next++
-				continue
-			}
-			break
-		}
-		if c.next >= len(ord) {
-			c.next = 0
-			c.exhausted = true
-		}
+	} else {
+		// A decision that can branch has an affordable branch awake.
+		e.skipAsleep(c)
 	}
 	e.stack = append(e.stack, c)
 	e.budget -= c.cost(c.next)
@@ -441,14 +437,14 @@ func (e *explorer) pick(cur ThreadID, curEnabled bool, enabled []ThreadID) Threa
 	return ord[c.next]
 }
 
-// sleeps reports whether branch i of c schedules a sleeping thread.
-func (e *explorer) sleeps(c *choice, i int) bool {
-	for _, s := range c.sleep {
-		if s.tid == c.enabled[i] {
-			return true
+// skipAsleep moves c.next to the first affordable branch from it on whose
+// thread is awake, counting each affordable one asleep as pruned.
+func (e *explorer) skipAsleep(c *choice) {
+	for ; c.next < len(c.enabled) && (!e.allowed(c, c.next) || asleep(c.sleep, c.enabled[c.next])); c.next++ {
+		if e.allowed(c, c.next) {
+			e.counted.Pruned++
 		}
 	}
-	return false
 }
 
 // childSleep appends to out the sleep set of the node about to be created
@@ -545,7 +541,7 @@ func (e *explorer) retire(c *choice) {
 
 // records reports whether retiring c's current branch records it in explored.
 func (e *explorer) records(c *choice) bool {
-	return e.red == ReductionSleep && !c.exhausted && (e.bound == Unbounded || (c.next == 0 && c.curEnabled))
+	return e.red == ReductionSleep && (e.bound == Unbounded || (c.next == 0 && c.curEnabled))
 }
 
 // observeWindow receives the footprint of the window closed by the upcoming
@@ -587,27 +583,9 @@ func (e *explorer) poisonDeepest() {
 func (e *explorer) advanceAbove(floor int) bool {
 	for len(e.stack) > floor {
 		c := e.stack[len(e.stack)-1]
-		if c.exhausted {
-			// A fully-slept node never branches; its forced continuation was
-			// already accounted at creation.
-			e.pop()
-			continue
-		}
 		e.retire(c)
 		c.next++
-		for c.next < len(c.enabled) {
-			if !e.allowed(c, c.next) {
-				c.next++
-				continue
-			}
-			if e.red == ReductionSleep && e.sleeps(c, c.next) {
-				e.counted.Pruned++
-				c.next++
-				continue
-			}
-			break
-		}
-		if c.next < len(c.enabled) {
+		if e.skipAsleep(c); c.next < len(c.enabled) {
 			return true
 		}
 		e.pop()

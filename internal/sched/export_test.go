@@ -14,11 +14,11 @@ type PickRecord struct {
 }
 
 // ExploreTraced is Explore that also hands visit the Pick calls of each
-// execution, decisions with no choice included: the explorer reports every
-// decision to a hook as it takes it (which keeps the scheduler from taking
-// the ones with no choice without asking), with the enabled threads in branch
-// order, and every replayed node panics unless Pick receives the same
-// arguments again. The records are valid during the call.
+// execution, decisions that cannot branch included: the explorer reports
+// every decision to a hook as it takes it (which keeps the scheduler from
+// taking those without asking), with the enabled threads in branch order,
+// and every replayed node panics unless Pick receives the same arguments
+// again. The records are valid during the call.
 func ExploreTraced(cfg ExploreConfig, prog Program, visit func(*Outcome, []PickRecord) bool) (ExploreStats, error) {
 	co := newCoordinator(cfg)
 	e := newExplorer(cfg, co)
@@ -34,8 +34,9 @@ func ExploreTraced(cfg ExploreConfig, prog Program, visit func(*Outcome, []PickR
 	return co.result()
 }
 
-// KeepForcedNodes makes every decision a node, as it was before decisions
-// with no choice were skipped, until the returned function is called.
+// KeepForcedNodes makes every decision with no choice a node, as it was
+// before they were skipped, until the returned function is called; a
+// decision whose every affordable branch is asleep stays no node.
 func KeepForcedNodes() (restore func()) {
 	forcedNodes = true
 	return func() { forcedNodes = false }

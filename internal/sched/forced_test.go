@@ -9,18 +9,20 @@ import (
 	"lineup/internal/sched"
 )
 
-// TestForcedDecisionsMatchNodes holds the explorer, which takes a decision
-// with no choice (the budget spent, the current thread enabled) without
-// making it a node, to the reference that makes every decision a node
+// TestForcedDecisionsMatchNodes holds the explorer, which makes no node of a
+// decision that cannot branch — one with no choice (the budget spent, the
+// current thread enabled), or one whose every affordable branch is asleep —
+// to the reference that makes every decision with no choice a node
 // (sched.KeepForcedNodes). Under sleep sets the next node must inherit the
 // sleep set the chain of forced nodes handed down — woken by each forced
 // window, the forced thread dropped at each — and a forced thread found
 // asleep must count one pruned branch, as its node did. Wait sets and a
 // blocked observer make the lone enabled thread take over without a
-// decision, which is what puts a forced thread to sleep. Bounded and
-// unbounded, the visit sequence and the statistics must be the reference's
-// on one worker and in work units, and the multiset and statistics on two
-// and four.
+// decision, which is what puts a forced thread to sleep, and leave decisions
+// with every branch asleep, most with the current thread blocked; a replay
+// takes those by their decision number. Bounded and unbounded, the visit
+// sequence and the statistics must be the reference's on one worker and in
+// work units, and the multiset and statistics on two and four.
 func TestForcedDecisionsMatchNodes(t *testing.T) {
 	sched.RequireNoLeaks(t)
 	fig9 := causeCase(t, bench.CauseA)

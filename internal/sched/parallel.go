@@ -23,8 +23,9 @@ const helperSpin = 10 * time.Microsecond
 // Pos identifies one execution's position in the sequential depth-first
 // exploration order: the branch index taken at each decision level of the
 // schedule tree at the moment the execution was started (levels reached
-// during the run extend the path with the default branch 0); a decision with
-// no choice left in the preemption budget is no level. Positions are
+// during the run extend the path with the default branch 0); a decision that
+// cannot branch (no choice left in the preemption budget, or every
+// affordable branch asleep) is no level. Positions are
 // totally ordered by Before, and the order is exactly the order in which the
 // sequential Explore would have visited the executions — regardless of how
 // the parallel explorer sharded the tree. Callers use positions to
@@ -81,14 +82,14 @@ func (sh *shard) split(e *explorer) *shard {
 	level := -1
 	for i := sh.unit.Floor; i < len(e.stack); i++ {
 		c := e.stack[i]
-		if c.exhausted || (!c.footSet && e.records(c)) {
+		if !c.footSet && e.records(c) {
 			// The deepest level's branch may not have run yet (advanceAbove
 			// just moved to it); only the donor will record its footprint,
 			// so the child could not retire it (unbounded sleep sets only).
 			continue
 		}
 		for j := c.next + 1; j < len(c.enabled); j++ {
-			if e.allowed(c, j) && !(e.red == ReductionSleep && e.sleeps(c, j)) {
+			if e.allowed(c, j) && !asleep(c.sleep, c.enabled[j]) {
 				level = i
 				break
 			}
@@ -118,7 +119,7 @@ func (sh *shard) split(e *explorer) *shard {
 		child.unit.Explored[level] = append(child.unit.Explored[level], recordOf(c.enabled[c.next], &c.foot))
 	}
 	next := c.next + 1
-	for !e.allowed(c, next) || (e.red == ReductionSleep && e.sleeps(c, next)) {
+	for !e.allowed(c, next) || asleep(c.sleep, c.enabled[next]) {
 		if e.allowed(c, next) {
 			child.stats.Pruned++
 		}

@@ -162,19 +162,13 @@ type Config struct {
 	// ExploreParallel keeps an exploration that asks for it on one goroutine
 	// (and core refuses Options.Workers > 1 with it).
 	DetectLeaks bool
-	// TrackFootprints accumulates a per-decision-window Footprint (shared
-	// locations touched, history events recorded) and delivers it to the
-	// controller — if it implements the footprint observer hook — immediately
-	// before every Pick and once more at the end of the execution. The
-	// explorer enables this when sleep-set reduction is on; it is independent
-	// of RecordTrace.
-	TrackFootprints bool
 	// TrackCoverage accumulates the set of distinct (MemKind, location)
 	// pairs the execution touches and exports it on Outcome.Coverage. It is
 	// the per-execution coverage signal of coverage-guided test generation
-	// (core.Generate) and is independent of both RecordTrace and
-	// TrackFootprints — footprints are per-decision-window and consumed by
-	// reduction, coverage is per-execution and consumed by the caller.
+	// (core.Generate) and is independent of both RecordTrace and the window
+	// footprints of sleep-set reduction — footprints are per-decision-window
+	// and consumed by the explorer, coverage is per-execution and consumed by
+	// the caller.
 	TrackCoverage bool
 }
 
@@ -388,13 +382,14 @@ type Scheduler struct {
 	nextLoc int
 	nextOp  int
 
-	// fo, when non-nil, receives the footprint of every decision window
-	// (Config.TrackFootprints and a controller implementing the observer
-	// hook). wfoot is the reusable window accumulator.
-	fo    footprintObserver
+	// ex is the controller, if an explorer: it takes some decisions itself
+	// (explorer.skips). track is set when it reduces with sleep sets: the
+	// scheduler then accumulates each decision window's footprint in wfoot, a
+	// reusable buffer, and hands it to the explorer (see flushWindow).
+	ex    *explorer
+	track bool
 	wfoot Footprint
-	ex    *explorer // the controller, if an explorer (see skipsForced)
-	out   Outcome   // what Run returns
+	out   Outcome // what Run returns
 }
 
 // NewScheduler creates the scheduler for one execution of prog under ctrl.
@@ -421,12 +416,8 @@ func (s *Scheduler) reset(cfg Config, ctrl Controller) {
 	if cfg.TrackCoverage {
 		s.cov = make(map[uint64]struct{})
 	}
-	if cfg.TrackFootprints {
-		if fo, ok := ctrl.(footprintObserver); ok {
-			s.fo = fo
-		}
-	}
 	s.ex, _ = ctrl.(*explorer)
+	s.track = s.ex != nil && s.ex.red == ReductionSleep
 }
 
 // lock and unlock take and release mu only with a watchdog armed: without
@@ -801,9 +792,17 @@ func (s *Scheduler) next() *Thread {
 // it is stored in fault, the group ends, and Run re-panics it.
 func (s *Scheduler) pick(enabled []*Thread) (chosen *Thread) {
 	s.decisions++
-	if s.ex != nil && s.cur != nil && s.cur.getState() == stateRunnable && s.ex.skipsForced() {
-		s.schedule = append(s.schedule, s.cur.id)
-		return s.cur
+	cur, curEnabled := NoThread, false
+	if s.cur != nil {
+		cur, curEnabled = s.cur.id, s.cur.getState() == stateRunnable
+	}
+	if s.ex != nil && s.ex.skips(s.decisions, curEnabled) {
+		// The default schedule's way: the current thread, else the lowest.
+		if chosen = enabled[0]; curEnabled {
+			chosen = s.cur
+		}
+		s.schedule = append(s.schedule, chosen.id)
+		return chosen
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -814,13 +813,8 @@ func (s *Scheduler) pick(enabled []*Thread) (chosen *Thread) {
 	for _, t := range enabled {
 		ids = append(ids, t.id)
 	}
-	cur, curEnabled := NoThread, false
-	if s.cur != nil {
-		cur = s.cur.id
-		curEnabled = s.cur.getState() == stateRunnable
-	}
 	// The steps since the previous decision form one window; hand its
-	// footprint to the observer before the decision that closes it.
+	// footprint to the explorer before the decision that closes it.
 	s.flushWindow()
 	id := s.ctrl.Pick(cur, curEnabled, ids)
 	for _, t := range enabled {
@@ -994,13 +988,13 @@ func (t *Thread) block() {
 	t.sch.transfer(t, stateBlocked, nil)
 }
 
-// flushWindow delivers the accumulated window footprint to the observer and
+// flushWindow delivers the accumulated window footprint to the explorer and
 // resets the accumulator. Called with mu held, which orders it against
-// abandoned threads that may still be appending. The observer must copy what
+// abandoned threads that may still be appending. The explorer must copy what
 // it keeps.
 func (s *Scheduler) flushWindow() {
-	if s.fo != nil {
-		s.fo.observeWindow(&s.wfoot)
+	if s.track {
+		s.ex.observeWindow(&s.wfoot)
 		s.wfoot.reset()
 	}
 }
@@ -1026,7 +1020,7 @@ func (s *Scheduler) noteGlobal() {
 // accesses that the race checkers do not model but that still order steps —
 // e.g. a failed TryLock reads the lock word.
 func (t *Thread) Touch(loc int, write bool) {
-	if t.sch.fo == nil {
+	if !t.sch.track {
 		return
 	}
 	t.sch.noteAccess(loc, write)
@@ -1046,7 +1040,7 @@ func (t *Thread) NewLoc() int {
 // Independently of tracing, the access enters the current decision window's
 // footprint when footprints are tracked.
 func (t *Thread) Record(kind MemKind, loc int, name string) {
-	if t.sch.fo != nil {
+	if t.sch.track {
 		t.sch.noteAccess(loc, writeClass(kind))
 	}
 	if t.sch.cov != nil {
@@ -1078,7 +1072,7 @@ func (t *Thread) OpStart(name string) {
 	s.events = append(s.events, OpEvent{
 		Thread: t.id, Kind: EvCall, Op: name, OpIndex: t.curOp,
 	})
-	if s.fo != nil {
+	if s.track {
 		s.wfoot.Event = true
 	}
 	s.unlock()
@@ -1096,7 +1090,7 @@ func (t *Thread) OpEnd(name, result string) {
 	s.events = append(s.events, OpEvent{
 		Thread: t.id, Kind: EvReturn, Op: name, Result: result, OpIndex: op,
 	})
-	if s.fo != nil {
+	if s.track {
 		s.wfoot.Event = true
 	}
 	s.unlock()

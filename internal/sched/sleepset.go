@@ -190,14 +190,6 @@ type BranchRecord struct {
 	Foot   Footprint `json:"f"`
 }
 
-// footprintObserver is implemented by controllers (the DFS explorer) that
-// consume per-window footprints. The scheduler delivers the accumulated
-// window immediately before each Pick and once more when the execution ends;
-// the observer must copy what it keeps — the scheduler reuses the buffer.
-type footprintObserver interface {
-	observeWindow(f *Footprint)
-}
-
 // globalFoot is the footprint of a window not recorded faithfully (the
 // execution failed mid-window) or not yet recorded: it conflicts with all.
 var globalFoot = &Footprint{Global: true}

@@ -44,7 +44,7 @@ func (ws *WaitSet) SetFootprintLoc(loc int) {
 // touch records the wait-set mutation in the calling thread's current window
 // footprint.
 func (ws *WaitSet) touch(t *Thread) {
-	if t.sch.fo == nil {
+	if !t.sch.track {
 		return
 	}
 	if ws.footLoc > 0 {
