@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"lineup/internal/sched"
 )
@@ -80,7 +79,7 @@ func appendKey(b []byte, out *sched.Outcome) ([]byte, error) {
 	for i := range out.Events {
 		e := &out.Events[i]
 		if e.Thread == 0 {
-			return b, fmt.Errorf("core: unexpected history event from setup thread")
+			return b, errSetupEvent
 		}
 		if e.Kind == sched.EvCall {
 			pending++
@@ -92,7 +91,7 @@ func appendKey(b []byte, out *sched.Outcome) ([]byte, error) {
 	}
 	if out.Stuck {
 		if pending == 0 {
-			return b, fmt.Errorf("core: execution stuck outside any operation (constructor or init sequence blocked)")
+			return b, errStuckOutside
 		}
 		b = append(b, 0xFF)
 	}

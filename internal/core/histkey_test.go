@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -123,4 +124,31 @@ func FuzzHistoryKey(f *testing.F) {
 			t.Fatalf("shared key %v, equal histories %v:\nA %q\nB %q", enA == enB, want, enA.key, enB.key)
 		}
 	})
+}
+
+// TestHistoryErrorsShared: the three readers of an outcome's events — the
+// history key, the materialized history and the serial history — refuse an
+// event of the setup thread and a stuck execution outside any operation with
+// the same error values, which errors.Is matches.
+func TestHistoryErrorsShared(t *testing.T) {
+	call := sched.OpEvent{Thread: 1, Kind: sched.EvCall, Op: "Inc()"}
+	ret := sched.OpEvent{Thread: 1, Kind: sched.EvReturn, Op: "Inc()", Result: "ok"}
+	setup := call
+	setup.Thread = 0
+	for _, c := range []struct {
+		out  sched.Outcome
+		want error
+	}{
+		{sched.Outcome{Events: []sched.OpEvent{setup}}, errSetupEvent},
+		{sched.Outcome{Events: []sched.OpEvent{call, ret}, Stuck: true}, errStuckOutside},
+	} {
+		_, keyErr := appendKey(nil, &c.out)
+		_, histErr := OutcomeHistory(&c.out)
+		_, serialErr := serialHistory(&c.out)
+		for what, err := range map[string]error{"appendKey": keyErr, "OutcomeHistory": histErr, "serialHistory": serialErr} {
+			if !errors.Is(err, c.want) {
+				t.Errorf("%s on %+v: %v, want %v", what, c.out.Events, err, c.want)
+			}
+		}
+	}
 }
