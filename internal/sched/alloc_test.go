@@ -44,11 +44,12 @@ func exploreAllocWorkload(b testing.TB, cfg sched.ExploreConfig, workers int, pr
 // explorer with a helper recruited from the first execution, where a split
 // hands a shard over as a work unit and the worker that starts it replays its
 // path on the nodes of its previous shard,
-// and threads blocking on a wait set made per execution, whose first waiters
-// are kept inline. An exploration of this size pays its start-up (worker
-// goroutines, first nodes, coordinator) over 6 to 872 executions. The two
-// sleep-set rows and the wait-set row also carry a ceiling in bytes per
-// execution (0: none).
+// threads blocking on a wait set made per execution, whose first waiters
+// are kept inline, and an unbounded sleep-set exploration that meets 43
+// decisions whose every branch is asleep, none of them a node. An
+// exploration of this size pays its start-up (worker goroutines, first
+// nodes, coordinator) over 6 to 872 executions. The sleep-set rows and the
+// wait-set row also carry a ceiling in bytes per execution (0: none).
 var allocWorkloads = []struct {
 	name    string
 	cfg     sched.ExploreConfig
@@ -62,6 +63,16 @@ var allocWorkloads = []struct {
 	{"serial", sched.ExploreConfig{Config: sched.Config{Serial: true}, PreemptionBound: sched.Unbounded}, 0, allocProgram, 22.3, 0},
 	{"parallel", sched.ExploreConfig{PreemptionBound: 2}, 2, allocProgram, 12, 450},
 	{"waitset", sched.ExploreConfig{PreemptionBound: 2}, 0, waitSetProgram, 0.22, 12.5},
+	{"slept", sched.ExploreConfig{PreemptionBound: sched.Unbounded}, 0, mixedProgram, 0.53, 26.6},
+}
+
+// mixedProgram is the mixed-memory program of TestForcedDecisionsMatchNodes:
+// explored unbounded under sleep sets, some of its decisions find every
+// branch asleep.
+func mixedProgram() sched.Program {
+	return sched.Program{Threads: []func(*sched.Thread){
+		mixedThread("a", 0, 2), mixedThread("b", 1, 2), mixedThread("c", 0, 1),
+	}}
 }
 
 // BenchmarkExploreAllocs measures the explorer's per-exploration allocation
@@ -90,11 +101,11 @@ func BenchmarkExploreAllocs(b *testing.B) {
 // mostly the operation names), and nothing else — thread goroutines and
 // handles, decision nodes, the scheduler, its recording buffers, the outcome
 // and the window footprints are the explorer's, not the execution's.
-// The ceilings are within 10% of measured values (9.3, 10.5, 20.3, 10.9 and
-// 0.197 allocations; 229, 410 and 11.3 bytes, the parallel row's splits
-// varying from run to run; taking decisions with no choice without a node
-// left these small explorations' rows where they were, but for the wait
-// set's). A hot-path change that starts allocating per decision,
+// The ceilings are within 10% of measured values (9.3, 10.5, 20.3, 10.9,
+// 0.197 and 0.482 allocations; 229, 410, 11.3 and 24.2 bytes, the parallel
+// row's splits varying from run to run; taking decisions that cannot branch
+// without a node left these small explorations' rows where they were, but
+// for the wait set's). A hot-path change that starts allocating per decision,
 // per event, per window or per wait blows through them immediately, and so
 // does one that goes back to building a scheduler, goroutines, nodes,
 // buffers or thread handles per execution: with a Thread slab made per

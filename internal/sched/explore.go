@@ -74,9 +74,10 @@ type choice struct {
 	enabled    []ThreadID // order: current thread first (if enabled), then ascending
 	cur        ThreadID
 	curEnabled bool
-	next       int // index into enabled currently being explored
-	budget     int // preemption budget remaining before this decision
-	dec        int // the decision's number in its execution (Scheduler.decisions)
+	footSet    bool // see foot; declared here, a node fits in 208 bytes
+	next       int  // index into enabled currently being explored
+	budget     int  // preemption budget remaining before this decision
+	dec        int  // the decision's number in its execution (Scheduler.decisions)
 
 	// Sleep-set reduction state (ReductionSleep only).
 	//
@@ -94,7 +95,6 @@ type choice struct {
 	explored []sleepEntry
 	foot     Footprint
 	store    footStore
-	footSet  bool
 }
 
 func (c *choice) cost(i int) int {
@@ -145,6 +145,7 @@ type explorer struct {
 	forced, unitTails bool
 	carry             []sleepEntry
 	tail              int
+	carried           [2]sleepEntry // carry's first buffer: a 3-thread test's carry fits
 	// onPick, set only by tests, sees every Pick call; it stops the skipping.
 	onPick func(cur ThreadID, curEnabled bool, enabled []ThreadID, pick ThreadID)
 
@@ -164,10 +165,12 @@ func newExplorer(cfg ExploreConfig, co *coordinator) *explorer {
 		// spec entries and turn into false FAILs in phase 2.
 		cfg.Reduction = ReductionNone
 	}
-	return &explorer{
+	e := &explorer{
 		cfg: cfg.Config, bound: cfg.PreemptionBound, red: cfg.Reduction,
 		contain: cfg.ContinueOnFailure, co: co, tel: cfg.Telemetry,
 	}
+	e.carry = e.carried[:0]
+	return e
 }
 
 // finish ends the explorer's worker coroutines, so every owner of an explorer
