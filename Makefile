@@ -46,13 +46,15 @@ race:
 # retired-branch footprints, replayed there like any unit; the early-stop
 # statistics catch a split that leaves the sleeping branches it skips
 # uncounted) and the forced-decision suite (every decision that cannot branch
-# taken without a node: no choice left in the budget, held to a node per
-# decision, or every affordable branch asleep, replayed by decision number;
-# on sleep sets, bounded and unbounded, at one, two and four workers and in
-# units; about 10 s) run under the race detector on every `make check` (about
-# 30 s on 2 CPUs). The forced-decision suite, the units suite and
-# split-everywhere meet 398, 88 and 154 decisions with every affordable
-# branch asleep, most with the current thread blocked.
+# taken without a node and replayed by decision number: one with no choice
+# left in the budget, held to a reference that makes each such decision a
+# node, or one with every affordable branch asleep, which is no node in the
+# reference either; on sleep sets, bounded and unbounded, at one, two and four
+# workers and in units; about 10 s) run under the race detector on every
+# `make check` (about 30 s on 2 CPUs). The forced-decision suite, the units
+# suite and split-everywhere meet 398, 88 and 154 decisions with every
+# affordable branch asleep, most with the current thread blocked; the
+# results of such decisions are pinned by TestPhase2SleptGolden.
 sched-smoke:
 	$(GO) test -race -run 'TestWatchdog|TestAbandoned|TestControllerPanic|TestDecisionTrace|TestPool|TestWaitSet|TestPoint|TestDetectLeaks|TestUnwatched|TestParallelSplitEverywhereEquivalence|TestParallelReductionEquivalence|TestParallelEarlyStop|TestUnitsReproduceSequentialExploration|TestMutexHeldAcrossExecutions|TestForcedDecisionsMatchNodes' ./internal/sched ./internal/vsync
 

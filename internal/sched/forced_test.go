@@ -19,8 +19,10 @@ import (
 // asleep must count one pruned branch, as its node did. Wait sets and a
 // blocked observer make the lone enabled thread take over without a
 // decision, which is what puts a forced thread to sleep, and leave decisions
-// with every branch asleep, most with the current thread blocked; a replay
-// takes those by their decision number. Bounded and unbounded, the visit
+// with every branch asleep, most with the current thread blocked. Those are
+// no nodes in the reference either, so here they exercise only the replay by
+// decision number in work units; TestPhase2SleptGolden (internal/bench) pins
+// the results of explorations that take them. Bounded and unbounded, the visit
 // sequence and the statistics must be the reference's on one worker and in
 // work units, and the multiset and statistics on two and four.
 func TestForcedDecisionsMatchNodes(t *testing.T) {
